@@ -16,6 +16,10 @@ The pieces:
 * :mod:`repro.federation.views` -- materialized views with refresh policies
   (fetch-in-advance over federated technology, §3.2 C5).
 * :mod:`repro.federation.cache` -- a semantic predicate-region cache.
+* :mod:`repro.federation.access` -- :class:`AccessPaths`, the one seam that
+  enumerates which access paths (fragments, views, cache regions, stage
+  artifacts) can answer a scan; each optimizer below is only its rule for
+  choosing among them.
 * :mod:`repro.federation.agoric` -- the Mariposa-style bid-based optimizer
   (live per-site bids; O(replicas) optimization work).
 * :mod:`repro.federation.central` -- the baseline the paper calls
@@ -52,6 +56,7 @@ The pieces:
   workload manager.
 """
 
+from repro.federation.access import AccessPaths, FragmentSlot
 from repro.federation.agoric import AgoricOptimizer, Bid, BudgetExceededError
 from repro.federation.availability import (
     AvailabilityProbe,
@@ -109,6 +114,8 @@ from repro.federation.workload import (
 )
 
 __all__ = [
+    "AccessPaths",
+    "FragmentSlot",
     "AgoricOptimizer",
     "Bid",
     "BudgetExceededError",

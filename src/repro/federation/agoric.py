@@ -37,8 +37,14 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
 
 from repro.core.errors import ContentIntegrationError, QueryError
+from repro.federation.access import AccessPaths, FragmentSlot, place
+from repro.federation.catalog import FederationCatalog
+from repro.federation.physical import PhysicalPlan, ScanAssignment
+from repro.federation.stats import fallback_selectivity
+from repro.sql.planner import PlanNode, ScanNode, scans_in
 
 
 class BudgetExceededError(ContentIntegrationError):
@@ -56,19 +62,6 @@ class BudgetExceededError(ContentIntegrationError):
         super().__init__(
             f"cheapest plan costs {required:.4f}, over the budget {budget:.4f}"
         )
-from repro.federation.artifacts import artifact_scan_assignment, stage_specs
-from repro.federation.cache import cache_scan_assignment
-from repro.federation.catalog import FederationCatalog
-from repro.federation.physical import FragmentChoice, PhysicalPlan, ScanAssignment
-from repro.federation.stats import (
-    estimated_shipped_bytes,
-    fallback_selectivity,
-    fragment_can_match,
-    fragment_selectivity,
-)
-from repro.sql.planner import PlanNode, ScanNode, scans_in
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,7 @@ class AgoricOptimizer:
     """Bid-based placement of scans onto replica sites."""
 
     name = "agoric"
+    prices_plans = True  # total_price is real money: a budget can bind
 
     def __init__(
         self,
@@ -106,27 +100,15 @@ class AgoricOptimizer:
         rng: random.Random | None = None,
         bid_round_trip_seconds: float = 0.02,
         per_bid_seconds: float = 0.0002,
-        cache=None,
-        health=None,
-        artifacts=None,
     ) -> None:
         self.catalog = catalog
         self.sample_size = sample_size
         self.rng = rng or random.Random(0)
         self.bid_round_trip_seconds = bid_round_trip_seconds
         self.per_bid_seconds = per_bid_seconds
-        # The engine attaches its SemanticCache here so covering regions
-        # can bid in the market alongside fragments and views.
-        self.cache = cache
-        # The engine attaches its SiteHealthTracker here: flaky sites' asks
-        # are inflated by their risk penalty (availability-aware pricing),
-        # and open-circuit sites are skipped when an alternative replica
-        # exists.
-        self.health = health
-        # The engine attaches its ArtifactStore here so committed stage
-        # artifacts bid as a fourth access path (coordinator-local serve
-        # work, zero shipped bytes).
-        self.artifacts = artifacts
+        # The engine assigns its own AccessPaths here so cache regions,
+        # stage artifacts and site health join the market.
+        self.paths = AccessPaths(catalog)
 
     # -- bidding -----------------------------------------------------------
 
@@ -143,67 +125,37 @@ class AgoricOptimizer:
 
     def collect_bids(
         self, scan: ScanNode
-    ) -> tuple[dict[str, list[Bid]], int, int, list]:
-        """Solicit bids per surviving fragment of the scanned table.
+    ) -> tuple[ScanAssignment, list[tuple[FragmentSlot, list[Bid]]]]:
+        """Solicit bids for every fragment of the scan that needs a site.
 
-        Fragments whose zone maps prove the scan's predicates unsatisfiable
-        are eliminated before any site is contacted -- they solicit no bids
-        and cost no broker work.  Fragments with *no live replica* solicit
-        no bids either: they are returned in the ``unreachable`` list so the
-        executor can retry them (and apply the query's degraded policy) --
-        the auction does not abort over them.  Returns ``(bids_by_fragment,
-        pruned, total, unreachable)``.
+        Pruned and unreachable fragments (see
+        :meth:`AccessPaths.fragment_candidates`) solicit nothing and cost
+        no broker work.  Returns the still-unplaced assignment and, per
+        slot, the bids cheapest first.
         """
-        entry = self.catalog.entry(scan.table)
-        if not entry.fragments:
-            raise QueryError(f"table {scan.table!r} has no fragments to scan")
-        bids_by_fragment: dict[str, list[Bid]] = {}
-        pruned = 0
-        unreachable = []
-        for fragment in entry.fragments:
-            if not fragment_can_match(fragment.zone_map, scan.pushdown):
-                pruned += 1
-                continue
-            selectivity = fragment_selectivity(fragment, scan.pushdown)
-            live = [
-                name
-                for name in fragment.replica_sites()
-                if self.catalog.site(name).up
-            ]
-            if not live:
-                unreachable.append(fragment)
-                continue
-            if self.health is not None:
-                # Open circuits sit out the auction -- unless *every* live
-                # replica is tripped, in which case the least-bad one still
-                # gets solicited (a probe beats an unplannable fragment).
-                allowed = [name for name in live if self.health.allow(name)]
-                live = allowed or live
+        assignment, slots = self.paths.fragment_candidates(scan)
+        site_of = self.catalog.site
+        risk = self.paths.risk_multiplier
+        per_byte = self.catalog.network.seconds_per_byte
+        solicited = []
+        for slot in slots:
+            fragment, live, selectivity, _, est_bytes = slot
             if self.sample_size is not None and len(live) > self.sample_size:
                 live = sorted(self.rng.sample(live, self.sample_size))
             # Shipping is priced in encoded bytes at the network tariff.
-            # The estimate depends only on the fragment (zone-map distinct
-            # counts model the dictionary encoding), never on the replica,
-            # so every bid for this fragment carries the same term.
-            est_rows = max(1, int(fragment.estimated_rows * selectivity))
-            est_bytes = estimated_shipped_bytes(fragment, entry.schema, est_rows)
-            ship_price = est_bytes * self.catalog.network.seconds_per_byte
+            ship_price = est_bytes * per_byte
             bids = []
             for site_name in live:
-                site = self.catalog.site(site_name)
+                site = site_of(site_name)
                 quote = site.quote_scan(
                     fragment.replicas[site_name], row_fraction=selectivity
                 )
-                price = site.price_quote(quote)
-                if self.health is not None:
-                    # Availability-aware pricing: recent failures inflate
-                    # the ask, steering work toward reliable replicas.
-                    price *= self.health.price_multiplier(site_name)
                 bids.append(
                     Bid(
                         site_name=site_name,
                         fragment_id=fragment.fragment_id,
-                        price=price + ship_price,
+                        price=site.price_quote(quote) * risk(site_name)
+                        + ship_price,
                         est_seconds=quote.seconds,
                         queue_delay=quote.queue_delay,
                         congestion=quote.congestion,
@@ -211,8 +163,8 @@ class AgoricOptimizer:
                     )
                 )
             bids.sort(key=lambda b: (b.price, b.site_name))
-            bids_by_fragment[fragment.fragment_id] = bids
-        return bids_by_fragment, pruned, len(entry.fragments), unreachable
+            solicited.append((slot, bids))
+        return assignment, solicited
 
     # -- optimization --------------------------------------------------------------
 
@@ -233,86 +185,37 @@ class AgoricOptimizer:
         assignments: dict[str, ScanAssignment] = {}
         contacted = 0
         total_price = 0.0
-        chosen_site_rows: dict[str, int] = {}
-        specs = stage_specs(plan) if self.artifacts is not None else {}
+        specs = self.paths.stage_specs(plan)
 
         for scan in scans_in(plan):
             # All four access paths compete on price in the same market:
             # a committed stage artifact, the semantic cache's local bid, a
             # fresh-enough materialized view, and the sites' fragment asks.
-            artifact_offer = artifact_scan_assignment(
-                self.artifacts, self.catalog, specs.get(scan.binding),
-                max_staleness,
+            market = list(
+                self.paths.offers(scan, specs.get(scan.binding), max_staleness)
             )
-            cache_offer = cache_scan_assignment(self.cache, scan, max_staleness)
-            view_assignment = self._try_view(scan, max_staleness)
-            fragment_result = self._fragment_assignment(scan)
-            if fragment_result is not None:
-                contacted += fragment_result[2]
-            artifact_price = (
-                artifact_offer[1] if artifact_offer is not None else float("inf")
-            )
-            cache_price = (
-                cache_offer[1] if cache_offer is not None else float("inf")
-            )
-            view_price = (
-                self._view_price(view_assignment)
-                if view_assignment is not None
-                else float("inf")
-            )
-            fragment_price = (
-                fragment_result[1] if fragment_result is not None else float("inf")
-            )
-            if (
-                fragment_result is not None
-                and fragment_result[0].unreachable
-                and (
-                    cache_offer is not None
-                    or view_assignment is not None
-                    or artifact_offer is not None
-                )
-            ):
-                # Part of the table is behind dead sites: a covering cache
-                # region, view or artifact answers *completely*, which beats
-                # a partial fragment plan at any price.
-                fragment_price = float("inf")
-            if artifact_offer is not None and artifact_price <= min(
-                cache_price, view_price, fragment_price
-            ):
-                assignments[scan.binding] = artifact_offer[0]
-                total_price += artifact_price
-            elif cache_offer is not None and cache_price <= min(
-                view_price, fragment_price
-            ):
-                assignments[scan.binding] = cache_offer[0]
-                total_price += cache_price
-            elif view_assignment is not None and view_price <= fragment_price:
-                assignments[scan.binding] = view_assignment
-                total_price += view_price
-                # The view's rows live on its host site; count them so the
-                # coordinator lands where the data already is instead of the
-                # alphabetically-first up site.
-                view = view_assignment.view
-                assert view is not None and view.data is not None
-                chosen_site_rows[view.site_name] = (
-                    chosen_site_rows.get(view.site_name, 0) + len(view.data)
-                )
-            elif fragment_result is not None:
-                assignment, price, _, _ = fragment_result
-                assignments[scan.binding] = assignment
-                total_price += price
-                for choice in assignment.choices:
-                    chosen_site_rows[choice.site_name] = (
-                        chosen_site_rows.get(choice.site_name, 0)
-                        + choice.fragment.estimated_rows
-                    )
+            try:
+                placed, price, solicited = self._auction(scan)
+            except QueryError:
+                # No fragments to bid on (e.g. a view queried by name).
+                if not market:
+                    raise QueryError(f"no access path for table {scan.table!r}")
             else:
-                raise QueryError(f"no access path for table {scan.table!r}")
+                contacted += solicited
+                if placed.unreachable and market:
+                    # Part of the table is behind dead sites: a covering
+                    # artifact, cache region or view answers *completely*,
+                    # which beats a partial fragment plan at any price.
+                    price = float("inf")
+                market.append((placed, price))
+            # Cheapest wins; ties go to the tighter (earlier) path.
+            assignment, price = min(market, key=lambda offer: offer[1])
+            assignments[scan.binding] = assignment
+            total_price += price
 
         if budget is not None and total_price > budget:
             raise BudgetExceededError(budget, total_price)
 
-        chosen_coordinator = coordinator or self._pick_coordinator(chosen_site_rows)
         modeled_seconds = self.bid_round_trip_seconds + contacted * self.per_bid_seconds
         # DESIGN §7: only *modeled* seconds reach the simulated clock; the
         # host's real brokering time is reported separately so two identical
@@ -321,7 +224,7 @@ class AgoricOptimizer:
         return PhysicalPlan(
             logical=plan,
             assignments=assignments,
-            coordinator=chosen_coordinator,
+            coordinator=coordinator or self.paths.pick_coordinator(assignments),
             optimizer=self.name,
             optimization_seconds=modeled_seconds,
             planner_wall_seconds=elapsed,
@@ -329,92 +232,29 @@ class AgoricOptimizer:
             total_price=total_price,
         )
 
-    def _fragment_assignment(
-        self, scan: ScanNode
-    ) -> tuple[ScanAssignment, float, int, int] | None:
-        try:
-            bids_by_fragment, pruned, total, unreachable = self.collect_bids(scan)
-        except QueryError:
-            return None
-        assignment = ScanAssignment(
-            scan.binding,
-            scan.table,
-            "fragments",
-            pruned_fragments=pruned,
-            total_fragments=total,
-            unreachable=unreachable,
-        )
-        entry = self.catalog.entry(scan.table)
-        fragments = {f.fragment_id: f for f in entry.fragments}
+    def _auction(self, scan: ScanNode) -> tuple[ScanAssignment, float, int]:
+        """Hold the auction for one scan's fragments: the cheapest bid per
+        fragment wins, ties break by site name.  Returns ``(assignment,
+        price, bids solicited)``; raises :class:`QueryError` when the table
+        has no fragments."""
+        assignment, solicited = self.collect_bids(scan)
         price = 0.0
         contacted = 0
-        rows = 0
-        for fragment_id, bids in bids_by_fragment.items():
+        for slot, bids in solicited:
             contacted += len(bids)
-            winner = bids[0]
-            price += winner.price
-            fragment = fragments[fragment_id]
-            rows += fragment.estimated_rows
-            assignment.est_bytes += winner.est_bytes
-            assignment.choices.append(FragmentChoice(fragment, winner.site_name))
-        return assignment, price, contacted, rows
+            price += bids[0].price
+            place(assignment, slot, bids[0].site_name)
+        return assignment, price, contacted
 
-    def requote_scan(
-        self, scan: ScanNode, max_staleness: float | None = None
-    ) -> tuple[ScanAssignment, float, float] | None:
+    def requote_scan(self, scan: ScanNode) -> tuple[ScanAssignment, float, float]:
         """Re-solicit live bids for one scan mid-query (DESIGN §5i).
 
         The agoric answer to a degrading cluster: hold the auction again.
         Bids are collected exactly as at plan time -- live congestion,
         queue backlogs and health risk all priced in -- and cost another
         round trip plus per-bid work, charged to the querying execution.
-        Returns ``(assignment, price, modeled_seconds)`` or ``None`` when
-        no live site can cover the scan.
+        Returns ``(assignment, price, modeled_seconds)``.
         """
-        result = self._fragment_assignment(scan)
-        if result is None:
-            return None
-        assignment, price, contacted, _rows = result
+        assignment, price, contacted = self._auction(scan)
         modeled = self.bid_round_trip_seconds + contacted * self.per_bid_seconds
         return assignment, price, modeled
-
-    def _try_view(
-        self, scan: ScanNode, max_staleness: float | None
-    ) -> ScanAssignment | None:
-        # Querying a view by its own name always serves the view -- but only
-        # from a live host; catalog.direct_view raises if the site is down.
-        direct = self.catalog.direct_view(scan.table)
-        if direct is not None:
-            return ScanAssignment(scan.binding, scan.table, "view", view=direct)
-        view = self.catalog.view_for_table(scan.table, max_staleness)
-        if view is None or not self.catalog.site(view.site_name).up:
-            return None
-        return ScanAssignment(scan.binding, scan.table, "view", view=view)
-
-    def _view_price(self, assignment: ScanAssignment) -> float:
-        view = assignment.view
-        assert view is not None and view.data is not None
-        site = self.catalog.site(view.site_name)
-        # Views compete in the same congested market: a view hosted on a
-        # site swamped with in-flight queries asks more, like any bid --
-        # and ships its (encoded) rows at the same network tariff the
-        # fragment bids pay.
-        assignment.est_bytes = estimated_shipped_bytes(
-            view, view.schema, len(view.data)
-        )
-        ship_price = assignment.est_bytes * self.catalog.network.seconds_per_byte
-        seconds = (
-            len(view.data) * site.cpu_seconds_per_row * site.congestion_factor()
-        )
-        return (
-            seconds + site.backlog() * site.load_price_factor
-        ) * site.price_per_second + ship_price
-
-    def _pick_coordinator(self, chosen_site_rows: dict[str, int]) -> str:
-        """Run post-processing where the most data already is."""
-        if chosen_site_rows:
-            return max(chosen_site_rows.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        up = self.catalog.up_sites()
-        if not up:
-            raise QueryError("no live sites to coordinate the query")
-        return min(site.name for site in up)

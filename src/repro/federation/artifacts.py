@@ -17,8 +17,9 @@ equivalent consumer:
   exactly the prepared-statement validity stamp from PR 7, so any
   repartition or base-table write makes every older artifact unreachable
   by construction.
-* **A fourth access path.**  :func:`artifact_scan_assignment` offers a
-  completed artifact to the optimizers alongside fragments, materialized
+* **A fourth access path.**
+  :meth:`repro.federation.access.AccessPaths.offers` offers a completed
+  artifact to the optimizers alongside fragments, materialized
   views and the semantic cache; the bid prices a coordinator-local pass
   over the materialized rows -- near-zero scan work and zero shipped
   bytes -- so a warm artifact usually wins the market.
@@ -707,31 +708,3 @@ class ArtifactStore:
             f"joins={self.joins}, misses={self.misses})"
         )
 
-
-def artifact_scan_assignment(store, catalog, spec, max_staleness):
-    """Offer a committed artifact as a priced access path for one stage.
-
-    Returns ``(ScanAssignment, price)`` or None.  The assignment embeds
-    the artifact itself (plans are immutable; validity is re-checked at
-    execution against the catalog version, like every prepared plan).
-    """
-    from repro.federation.physical import ScanAssignment
-
-    if store is None or spec is None:
-        return None
-    key = store.stage_key(catalog, spec.scan, spec.agg)
-    if key is None:
-        return None
-    offer = store.bid(key, max_staleness)
-    if offer is None:
-        return None
-    artifact, price, age = offer
-    assignment = ScanAssignment(
-        spec.scan.binding,
-        spec.scan.table,
-        "artifact",
-        artifact=artifact,
-        artifact_age=age,
-        est_bytes=0,
-    )
-    return assignment, price

@@ -16,7 +16,7 @@ row-identical to a bypassed one.
 The cache is not a post-hoc swap: :meth:`SemanticCache.bid` quotes a price
 for serving a scan, and the optimizers (agoric, centralized, policy) weigh
 that bid against fragment scans and materialized views in the same market
-(:func:`cache_scan_assignment`).
+(:meth:`repro.federation.access.AccessPaths.offers`).
 
 Admission and eviction are cost-aware rather than plain LRU: an entry's
 benefit is ``rows x saved fetch seconds``, entries larger than the row
@@ -389,27 +389,3 @@ class SemanticCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-
-def cache_scan_assignment(cache, scan, max_staleness):
-    """Offer the cache as a priced access path for one scan.
-
-    Returns ``(ScanAssignment, price)`` or None.  Text-filtered scans are
-    never cache-served: their answers depend on the text index, not the
-    pushdown region the cache is keyed by.
-    """
-    from repro.federation.physical import ScanAssignment
-
-    if cache is None or getattr(scan, "text_filter", None) is not None:
-        return None
-    offer = cache.bid(scan.table, scan.pushdown, max_staleness)
-    if offer is None:
-        return None
-    assignment = ScanAssignment(
-        scan.binding,
-        scan.table,
-        "cache",
-        cached_table=offer.table,
-        cached_staleness=offer.age,
-        cached_region=offer.region,
-    )
-    return assignment, offer.price

@@ -406,16 +406,20 @@ class FederationCatalog:
             )
         return view
 
-    def view_for_table(self, table_name: str, max_staleness: float | None) -> MaterializedView | None:
-        """A registered whole-table view fresh enough for ``max_staleness``."""
-        for view in self.views.values():
-            if view.base_table != table_name or not view.covers_whole_table:
-                continue
-            if view.data is None:
-                continue
-            if max_staleness is None or view.staleness(self.clock.now()) <= max_staleness:
-                return view
-        return None
+    def view_for_table(
+        self, table_name: str, max_staleness: float | None
+    ) -> list[MaterializedView]:
+        """Filled whole-table views fresh enough for ``max_staleness``, in
+        registration order.  Host liveness is the caller's question
+        (:meth:`repro.federation.access.AccessPaths.live_view`)."""
+        now = self.clock.now()
+        return [
+            view
+            for view in self.views.values()
+            if view.base_table == table_name
+            and view.covers_whole_table
+            and view.is_fresh(max_staleness, now)
+        ]
 
     # -- planner support -------------------------------------------------------------------
 

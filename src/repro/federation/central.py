@@ -28,16 +28,9 @@ from __future__ import annotations
 import itertools
 import time
 
-from repro.core.errors import QueryError
-from repro.federation.artifacts import artifact_scan_assignment, stage_specs
-from repro.federation.cache import cache_scan_assignment
-from repro.federation.catalog import FederationCatalog, Fragment
-from repro.federation.physical import FragmentChoice, PhysicalPlan, ScanAssignment
-from repro.federation.stats import (
-    estimated_shipped_bytes,
-    fragment_can_match,
-    fragment_selectivity,
-)
+from repro.federation.access import AccessPaths, FragmentSlot, place
+from repro.federation.catalog import FederationCatalog
+from repro.federation.physical import PhysicalPlan, ScanAssignment
 from repro.sql.planner import PlanNode, ScanNode, scans_in
 
 
@@ -45,6 +38,7 @@ class CentralizedOptimizer:
     """Compile-time cost-based placement using a global statistics snapshot."""
 
     name = "centralized"
+    prices_plans = False  # plans carry no market price, so no budget can bind
 
     def __init__(
         self,
@@ -54,9 +48,6 @@ class CentralizedOptimizer:
         per_site_stat_seconds: float = 0.001,
         per_combination_seconds: float = 2e-6,
         max_combinations: int = 4096,
-        cache=None,
-        health=None,
-        artifacts=None,
     ) -> None:
         self.catalog = catalog
         self.stats_refresh_interval = stats_refresh_interval
@@ -64,18 +55,9 @@ class CentralizedOptimizer:
         self.per_site_stat_seconds = per_site_stat_seconds
         self.per_combination_seconds = per_combination_seconds
         self.max_combinations = max_combinations
-        self._transfer_cache: dict[tuple[str, str], tuple[int, float]] = {}
-        # Attached by the engine; a covering cached region is a local
-        # materialized answer and beats any remote plan under the snapshot.
-        self.cache = cache
-        # Attached by the engine; a committed stage artifact is an even
-        # tighter local answer (the stage's exact output, post-filter and
-        # post-projection) and is taken before the cache.
-        self.artifacts = artifacts
-        # Attached by the engine; flaky sites' estimated costs are inflated
-        # by their risk penalty and tripped circuits are avoided when an
-        # alternative replica exists.
-        self.health = health
+        # The engine assigns its own AccessPaths here so cache regions,
+        # stage artifacts and site health inform placement.
+        self.paths = AccessPaths(catalog)
         self._snapshot_loads: dict[str, float] = {}
         self._snapshot_congestion: dict[str, float] = {}
         self._snapshot_at = float("-inf")
@@ -121,119 +103,58 @@ class CentralizedOptimizer:
         plan: PlanNode,
         coordinator: str | None = None,
         max_staleness: float | None = None,
+        budget: float | None = None,
     ) -> PhysicalPlan:
+        """Place the plan under the snapshot.  ``budget`` is accepted for
+        the optimizers' uniform signature and cannot bind: plans here carry
+        no price (``total_price`` is 0.0)."""
         started = time.perf_counter()
         modeled = self._stats_cost_if_due()
-        # Per-(scan, fragment) shipped-bytes estimates, shared by the
-        # makespan model and the greedy fallback within this optimization.
-        self._transfer_cache: dict[tuple[str, str], tuple[int, float]] = {}
 
-        fragment_slots: list[tuple[ScanNode, Fragment, list[str], float]] = []
         assignments: dict[str, ScanAssignment] = {}
-        specs = stage_specs(plan) if self.artifacts is not None else {}
+        slots: list[FragmentSlot] = []
+        owners: list[ScanAssignment] = []
+        specs = self.paths.stage_specs(plan)
         for scan in scans_in(plan):
-            # A committed stage artifact is this stage's exact output,
-            # already at the coordinator: cheapest feasible under any
-            # snapshot, so it is taken before every other path.
-            artifact_offer = artifact_scan_assignment(
-                self.artifacts, self.catalog, specs.get(scan.binding),
-                max_staleness,
+            # A whole answer that is already materialized -- the stage's
+            # artifact, a covering cache region, a fresh view -- costs a
+            # local pass with no remote queue: under any snapshot that is
+            # the cheapest feasible plan, so the tightest one is taken
+            # before placement is enumerated.
+            offer = next(
+                self.paths.offers(scan, specs.get(scan.binding), max_staleness),
+                None,
             )
-            if artifact_offer is not None:
-                assignments[scan.binding] = artifact_offer[0]
+            if offer is not None:
+                assignments[scan.binding] = offer[0]
                 continue
-            # A covering cached region costs a local pass with no network
-            # and no remote queue -- under any snapshot that is the cheapest
-            # feasible plan, so it is taken before placement is enumerated.
-            cache_offer = cache_scan_assignment(self.cache, scan, max_staleness)
-            if cache_offer is not None:
-                assignments[scan.binding] = cache_offer[0]
-                continue
-            # A view queried by name must be served from a live host;
-            # catalog.direct_view raises if that site is down.
-            view = self.catalog.direct_view(scan.table)
-            if view is None:
-                view = self.catalog.view_for_table(scan.table, max_staleness)
-                if view is not None and not self.catalog.site(view.site_name).up:
-                    view = None
-            if view is not None:
-                view_assignment = ScanAssignment(
-                    scan.binding, scan.table, "view", view=view
-                )
-                if view.data is not None:
-                    view_assignment.est_bytes = estimated_shipped_bytes(
-                        view, view.schema, len(view.data)
-                    )
-                assignments[scan.binding] = view_assignment
-                continue
-            entry = self.catalog.entry(scan.table)
-            if not entry.fragments:
-                raise QueryError(f"table {scan.table!r} has no fragments to scan")
-            pruned = 0
-            unreachable: list[Fragment] = []
-            for fragment in entry.fragments:
-                # Partition elimination: a fragment whose zone map proves the
-                # pushed-down predicates unsatisfiable never enters placement
-                # enumeration, so it also never enqueues site work.
-                if not fragment_can_match(fragment.zone_map, scan.pushdown):
-                    pruned += 1
-                    continue
-                live = [
-                    name
-                    for name in fragment.replica_sites()
-                    if self.catalog.site(name).up
-                ]
-                if not live:
-                    # No live replica right now: leave it to the executor,
-                    # which retries at scan time and applies the query's
-                    # degraded-answer policy.
-                    unreachable.append(fragment)
-                    continue
-                if self.health is not None:
-                    allowed = [
-                        name for name in live if self.health.allow(name)
-                    ]
-                    live = allowed or live
-                fragment_slots.append(
-                    (scan, fragment, live, fragment_selectivity(fragment, scan.pushdown))
-                )
-            assignments[scan.binding] = ScanAssignment(
-                scan.binding,
-                scan.table,
-                "fragments",
-                pruned_fragments=pruned,
-                total_fragments=len(entry.fragments),
-                unreachable=unreachable,
-            )
+            assignment, scan_slots = self.paths.fragment_candidates(scan)
+            assignments[scan.binding] = assignment
+            slots += scan_slots
+            owners += [assignment] * len(scan_slots)
 
         combinations = 1
-        for _, _, live, _ in fragment_slots:
-            combinations *= len(live)
+        for slot in slots:
+            combinations *= len(slot.replicas)
             if combinations > self.max_combinations:
                 break
 
-        if fragment_slots and combinations <= self.max_combinations:
-            choice_lists, evaluated = self._exhaustive(fragment_slots)
-            modeled += evaluated * self.per_combination_seconds * max(1, len(fragment_slots))
+        if slots and combinations <= self.max_combinations:
+            sites, evaluated = self._exhaustive(slots)
+            modeled += evaluated * self.per_combination_seconds * max(1, len(slots))
         else:
-            choice_lists = self._greedy(fragment_slots)
-            modeled += sum(len(live) for _, _, live, _ in fragment_slots) * 1e-5
+            sites, seconds = self._greedy(slots)
+            modeled += seconds
+        for assignment, slot, site_name in zip(owners, slots, sites):
+            place(assignment, slot, site_name)
 
-        for (scan, fragment, _, selectivity), site_name in zip(
-            fragment_slots, choice_lists
-        ):
-            assignment = assignments[scan.binding]
-            assignment.est_bytes += self._slot_transfer(scan, fragment, selectivity)[0]
-            assignment.choices.append(FragmentChoice(fragment, site_name))
-
-        chosen_coordinator = coordinator or self._pick_coordinator(assignments)
         # DESIGN §7: modeled seconds only on the simulated clock; real
         # planning CPU time is reported out-of-band as planner_wall_seconds.
         elapsed = time.perf_counter() - started
         return PhysicalPlan(
             logical=plan,
             assignments=assignments,
-            coordinator=chosen_coordinator,
+            coordinator=coordinator or self.paths.pick_coordinator(assignments),
             optimizer=self.name,
             optimization_seconds=modeled,
             planner_wall_seconds=elapsed,
@@ -241,9 +162,7 @@ class CentralizedOptimizer:
             total_price=0.0,
         )
 
-    def requote_scan(
-        self, scan: ScanNode, max_staleness: float | None = None
-    ) -> tuple[ScanAssignment, float, float] | None:
+    def requote_scan(self, scan: ScanNode) -> tuple[ScanAssignment, float, float]:
         """Re-price one scan's placement mid-query (DESIGN §5i).
 
         A centralized re-plan cannot trust the snapshot it planned with --
@@ -252,170 +171,83 @@ class CentralizedOptimizer:
         round before re-placing.  This is the paper's scalability tax (E3)
         landing on the adaptivity path: the agoric re-quote prices one
         scan's replicas; the centralized one polls every site again.
+        Returns ``(assignment, makespan, modeled_seconds)``.
         """
         modeled = self._refresh_stats()
-        self._transfer_cache = {}
-        entry = self.catalog.entry(scan.table)
-        if not entry.fragments:
-            return None
-        pruned = 0
-        unreachable: list[Fragment] = []
-        fragment_slots: list[tuple[ScanNode, Fragment, list[str], float]] = []
-        for fragment in entry.fragments:
-            if not fragment_can_match(fragment.zone_map, scan.pushdown):
-                pruned += 1
-                continue
-            live = [
-                name
-                for name in fragment.replica_sites()
-                if self.catalog.site(name).up
-            ]
-            if not live:
-                unreachable.append(fragment)
-                continue
-            if self.health is not None:
-                allowed = [name for name in live if self.health.allow(name)]
-                live = allowed or live
-            fragment_slots.append(
-                (scan, fragment, live, fragment_selectivity(fragment, scan.pushdown))
-            )
-        if not fragment_slots:
-            return None
-        choices = self._greedy(fragment_slots)
-        modeled += sum(len(live) for _, _, live, _ in fragment_slots) * 1e-5
-        assignment = ScanAssignment(
-            scan.binding,
-            scan.table,
-            "fragments",
-            pruned_fragments=pruned,
-            total_fragments=len(entry.fragments),
-            unreachable=unreachable,
+        assignment, slots = self.paths.fragment_candidates(scan)
+        sites, seconds = self._greedy(slots)
+        modeled += seconds
+        for slot, site_name in zip(slots, sites):
+            place(assignment, slot, site_name)
+        return assignment, self._estimate_makespan(slots, sites), modeled
+
+    def _scan_seconds(self, slot: FragmentSlot, site_name: str) -> float:
+        return self.catalog.site(site_name).quote_scan(
+            slot.fragment.replicas[site_name], row_fraction=slot.selectivity
+        ).seconds
+
+    def _snapshot_seconds(self, slot: FragmentSlot, site_name: str) -> float:
+        """Estimated scan seconds at ``site_name``: congestion from the
+        (possibly stale) snapshot, never live, and a risk surcharge for a
+        flaky site (the expected cost of a mid-scan failover)."""
+        return (
+            self._scan_seconds(slot, site_name)
+            * self.snapshot_congestion(site_name)
+            * self.paths.risk_multiplier(site_name)
         )
-        for (slot_scan, fragment, _, selectivity), site_name in zip(
-            fragment_slots, choices
-        ):
-            assignment.est_bytes += self._slot_transfer(
-                slot_scan, fragment, selectivity
-            )[0]
-            assignment.choices.append(FragmentChoice(fragment, site_name))
-        price = self._estimate_makespan(fragment_slots, tuple(choices))
-        return assignment, price, modeled
 
-    def _slot_transfer(
-        self, scan: ScanNode, fragment: Fragment, selectivity: float
-    ) -> tuple[int, float]:
-        """(estimated shipped bytes, transfer seconds) for one fragment scan.
+    def _transfer_seconds(self, slot: FragmentSlot) -> float:
+        # Shipping the fragment's encoded bytes occupies the same pipeline:
+        # a placement that balances CPU but funnels bytes through one site
+        # is not free.  Replica-independent, like the byte estimate.
+        return slot.est_bytes * self.catalog.network.seconds_per_byte
 
-        Replica-independent: the same fragment prices the same transfer no
-        matter which site serves it, so byte-aware costing never flips a
-        replica tie-break on its own.
-        """
-        key = (fragment.table_name, fragment.fragment_id)
-        cached = self._transfer_cache.get(key)
-        if cached is None:
-            schema = self.catalog.entry(fragment.table_name).schema
-            est_rows = max(1, int(fragment.estimated_rows * selectivity))
-            est_bytes = estimated_shipped_bytes(fragment, schema, est_rows)
-            cached = self._transfer_cache[key] = (
-                est_bytes,
-                est_bytes * self.catalog.network.seconds_per_byte,
-            )
-        return cached
-
-    def _estimate_makespan(
-        self,
-        fragment_slots: list[tuple[ScanNode, Fragment, list[str], float]],
-        choice: tuple[str, ...],
-    ) -> float:
+    def _estimate_makespan(self, slots, sites) -> float:
         """Estimated completion under the snapshot: max per-site finish time."""
         site_work: dict[str, float] = {}
-        for (scan, fragment, _, selectivity), site_name in zip(fragment_slots, choice):
-            site = self.catalog.site(site_name)
-            source_name = fragment.replicas[site_name]
-            quote = site.quote_scan(source_name, row_fraction=selectivity)
-            # Congestion from the (possibly stale) snapshot, never live.
-            seconds = quote.seconds * self.snapshot_congestion(site_name)
-            if self.health is not None:
-                # Availability-aware cost: a flaky site's estimate carries a
-                # risk surcharge (the expected cost of a mid-scan failover).
-                seconds *= self.health.price_multiplier(site_name)
-            # Shipping the fragment's encoded bytes occupies the same
-            # pipeline: a placement that balances CPU but funnels bytes
-            # through one site no longer looks free.
-            seconds += self._slot_transfer(scan, fragment, selectivity)[1]
+        for slot, site_name in zip(slots, sites):
+            seconds = self._snapshot_seconds(slot, site_name)
+            seconds += self._transfer_seconds(slot)
             site_work[site_name] = site_work.get(site_name, 0.0) + seconds
         return max(
-            self.snapshot_load(name) + work for name, work in site_work.items()
+            (self.snapshot_load(name) + work for name, work in site_work.items()),
+            default=0.0,
         )
 
-    def _exhaustive(
-        self, fragment_slots: list[tuple[ScanNode, Fragment, list[str], float]]
-    ) -> tuple[tuple[str, ...], int]:
+    def _exhaustive(self, slots: list[FragmentSlot]) -> tuple[tuple[str, ...], int]:
         best: tuple[str, ...] | None = None
         best_cost = float("inf")
         evaluated = 0
-        for choice in itertools.product(*(live for _, _, live, _ in fragment_slots)):
+        for choice in itertools.product(*(slot.replicas for slot in slots)):
             evaluated += 1
-            cost = self._estimate_makespan(fragment_slots, choice)
+            cost = self._estimate_makespan(slots, choice)
             if cost < best_cost or (cost == best_cost and (best is None or choice < best)):
                 best = choice
                 best_cost = cost
         assert best is not None
         return best, evaluated
 
-    def _greedy(
-        self, fragment_slots: list[tuple[ScanNode, Fragment, list[str], float]]
-    ) -> list[str]:
-        """Per-fragment least-snapshot-load choice (above the enumeration cap)."""
+    def _greedy(self, slots: list[FragmentSlot]) -> tuple[list[str], float]:
+        """Per-fragment least-snapshot-load choice (above the enumeration
+        cap, and for re-quotes).  Returns ``(sites, modeled seconds)``."""
         planned_extra: dict[str, float] = {}
         chosen: list[str] = []
-        for scan, fragment, live, selectivity in fragment_slots:
-            transfer = self._slot_transfer(scan, fragment, selectivity)[1]
+        for slot in slots:
+            transfer = self._transfer_seconds(slot)
 
             def planned_cost(name: str) -> float:
-                site = self.catalog.site(name)
-                quote = site.quote_scan(
-                    fragment.replicas[name], row_fraction=selectivity
-                )
-                seconds = quote.seconds * self.snapshot_congestion(name)
-                if self.health is not None:
-                    seconds *= self.health.price_multiplier(name)
                 return (
                     self.snapshot_load(name)
                     + planned_extra.get(name, 0.0)
-                    + seconds
+                    + self._snapshot_seconds(slot, name)
                     + transfer
                 )
 
-            winner = min(live, key=lambda name: (planned_cost(name), name))
-            site = self.catalog.site(winner)
-            quote = site.quote_scan(
-                fragment.replicas[winner], row_fraction=selectivity
-            )
+            winner = min(slot.replicas, key=lambda name: (planned_cost(name), name))
             planned_extra[winner] = (
-                planned_extra.get(winner, 0.0) + quote.seconds + transfer
+                planned_extra.get(winner, 0.0)
+                + self._scan_seconds(slot, winner)
+                + transfer
             )
             chosen.append(winner)
-        return chosen
-
-    def _pick_coordinator(self, assignments: dict[str, ScanAssignment]) -> str:
-        rows_by_site: dict[str, int] = {}
-        for assignment in assignments.values():
-            for choice in assignment.choices:
-                rows_by_site[choice.site_name] = (
-                    rows_by_site.get(choice.site_name, 0)
-                    + choice.fragment.estimated_rows
-                )
-            if assignment.kind == "view" and assignment.view is not None:
-                # Count the view's actual rows so the coordinator prefers
-                # the site already holding them.
-                held = len(assignment.view.data or [])
-                rows_by_site[assignment.view.site_name] = (
-                    rows_by_site.get(assignment.view.site_name, 0) + held
-                )
-        if rows_by_site:
-            return max(rows_by_site.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        up = self.catalog.up_sites()
-        if not up:
-            raise QueryError("no live sites to coordinate the query")
-        return min(site.name for site in up)
+        return chosen, sum(len(slot.replicas) for slot in slots) * 1e-5

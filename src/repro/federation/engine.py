@@ -14,12 +14,13 @@ This is the integrator's query surface (§3.2 C6):
   fetch-in-advance half of Characteristic 5; queries opt into staleness
   with ``max_staleness`` (``None`` = any cached copy is fine,
   ``LIVE_ONLY`` = must fetch on demand).
-* the semantic cache -- when constructed with one, the engine attaches it
-  to the optimizer so covering predicate regions (verbatim or implied:
-  ``price < 5`` covers ``price < 3``) *bid* against fragments and views as
-  a priced access path, live scan results are admitted by benefit
-  (rows x saved fetch seconds), and base-table update notifications from
-  the catalog invalidate the affected regions.
+* the semantic cache -- when constructed with one, the engine's
+  :class:`~repro.federation.access.AccessPaths` offers covering predicate
+  regions (verbatim or implied: ``price < 5`` covers ``price < 3``) to the
+  optimizer as a priced access path *bidding* against fragments and views,
+  live scan results are admitted by benefit (rows x saved fetch seconds),
+  and base-table update notifications from the catalog invalidate the
+  affected regions.
 
 Before optimization the logical plan runs through the engine's rewrite
 pipeline (:mod:`repro.sql.rewrite`): ``MATCH(column, 'query')`` predicates
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import PartialFailureError, QueryError, SourceUnavailableError
 from repro.core.records import Table
+from repro.federation.access import AccessPaths
 from repro.federation.agoric import AgoricOptimizer
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
@@ -168,38 +170,27 @@ class FederatedEngine:
         self.reopt = reopt
         self.health = health or SiteHealthTracker(catalog.clock)
         self.retry = retry or RetryPolicy()
-        self.executor = Executor(
-            catalog, health=self.health, retry=self.retry, cache=cache,
-            columnar=columnar, artifacts=artifacts,
-        )
         self.metrics = metrics or MetricsRegistry()
         self.cache = cache
         # The content-hashed stage artifact store (an ArtifactStore from
         # repro.federation.artifacts, or None to disable stage reuse).
         self.artifacts = artifacts
-        # Availability is an access-path concern too: the optimizers consult
-        # the health tracker so flaky sites' bids carry a risk penalty.
-        if getattr(self.optimizer, "health", None) is None:
-            self.optimizer.health = self.health
-        if cache is not None:
-            # The cache is an access path, so the *optimizer* owns the
-            # decision: attach it (unless the caller wired one already) so
-            # covering regions bid against fragments and views.
-            if getattr(self.optimizer, "cache", None) is None:
-                self.optimizer.cache = cache
-            if cache.metrics is None:
-                cache.metrics = self.metrics
-            # Base-table updates invalidate cached regions of that table;
-            # TTL alone is a fallback, not the correctness story.
-            self.catalog.on_table_updated(cache.invalidate_table)
-        if artifacts is not None:
-            # Artifacts are an access path too: offer them to the optimizer
-            # and invalidate on base-table writes, exactly like the cache.
-            if getattr(self.optimizer, "artifacts", None) is None:
-                self.optimizer.artifacts = artifacts
-            if artifacts.metrics is None:
-                artifacts.metrics = self.metrics
-            self.catalog.on_table_updated(artifacts.invalidate_table)
+        # One seam answers "which access paths can serve this scan" for
+        # the optimizer (cache regions and artifacts bid, flaky sites carry
+        # a risk penalty), the executor's failover and the re-opt
+        # controller alike.
+        self.paths = AccessPaths(catalog, cache, artifacts, self.health)
+        self.optimizer.paths = self.paths
+        self.executor = Executor(self.paths, retry=self.retry, columnar=columnar)
+        for store in (cache, artifacts):
+            if store is None:
+                continue
+            if store.metrics is None:
+                store.metrics = self.metrics
+            # Base-table updates invalidate the table's cached regions and
+            # stage artifacts; TTL alone is a fallback, not the
+            # correctness story.
+            self.catalog.on_table_updated(store.invalidate_table)
         if governance is not None and governance.metrics is None:
             governance.metrics = self.metrics
         self.synonyms: SynonymExpander | None = None
@@ -223,9 +214,11 @@ class FederatedEngine:
 
         ``max_staleness``: ``None`` accepts any materialized copy, a number
         bounds acceptable staleness in seconds, :data:`LIVE_ONLY` forces
-        fetch-on-demand.  ``budget`` (agoric optimizer only) caps the total
-        price paid for the plan; an unaffordable market raises
-        :class:`~repro.federation.agoric.BudgetExceededError`.
+        fetch-on-demand.  ``budget`` caps the total price paid for the plan;
+        an unaffordable market raises
+        :class:`~repro.federation.agoric.BudgetExceededError`, and an
+        optimizer that does not price plans (centralized, policy) raises
+        :class:`~repro.core.errors.QueryError`.
 
         ``degraded_ok=True`` accepts a *partial* answer when content is
         unreachable even after failover: the result carries
@@ -260,6 +253,11 @@ class FederatedEngine:
         deadline_at: float | None = None,
         tenant: str | None = None,
     ) -> QueryResult:
+        if budget is not None and not self.optimizer.prices_plans:
+            raise QueryError(
+                f"optimizer {self.optimizer.name!r} does not price plans, so "
+                "budget= cannot be honored (use the agoric optimizer)"
+            )
         # Uncorrelated IN-subqueries run first (semijoin by materialization:
         # the inner membership set is fetched, then shipped into the outer
         # query's filter).  The same tenant governs the inner selects --
@@ -270,36 +268,37 @@ class FederatedEngine:
         statement.having = self._rewrite_subqueries(
             statement.having, max_staleness, advance_clock, tenant
         )
+        # The tenant's remaining budget caps the bid on top of any
+        # caller-supplied cap.  Only a pricing optimizer can exceed it; the
+        # others rely on admission-time budget gates instead.
+        if self.governance is not None:
+            budget = self.governance.effective_budget(tenant, budget)
+        plan, physical = self._plan(
+            statement, coordinator, max_staleness, tenant, budget
+        )
+        return self._run_physical(
+            plan, physical, max_staleness, advance_clock, degraded_ok,
+            reuse_artifacts, deadline_at=deadline_at, tenant=tenant,
+        )
+
+    def _plan(
+        self,
+        statement: SelectStatement,
+        coordinator: str | None,
+        max_staleness: float | None,
+        tenant: str | None,
+        budget: float | None = None,
+    ) -> tuple[PlanNode, PhysicalPlan]:
+        """Build, rewrite and optimize one (subquery-free) statement."""
         bindings = {statement.table.binding: statement.table.name}
         for join in statement.joins:
             bindings[join.table.binding] = join.table.name
         binding_fields = self.catalog.binding_fields(bindings)
         plan = build_plan(statement, binding_fields)
         plan = self._apply_rewrites(plan, bindings, binding_fields, tenant)
-
-        # The tenant's remaining budget caps the agoric bid (on top of any
-        # caller-supplied cap); non-agoric optimizers keep their signature
-        # and rely on admission-time budget gates instead.
-        effective_budget = budget
-        if self.governance is not None:
-            effective_budget = self.governance.effective_budget(tenant, budget)
-        if effective_budget is not None and isinstance(
-            self.optimizer, AgoricOptimizer
-        ):
-            physical = self.optimizer.optimize(
-                plan, coordinator, max_staleness, budget=effective_budget
-            )
-        elif budget is not None:
-            physical = self.optimizer.optimize(
-                plan, coordinator, max_staleness, budget=budget
-            )
-        else:
-            physical = self.optimizer.optimize(plan, coordinator, max_staleness)
+        physical = self.optimizer.optimize(plan, coordinator, max_staleness, budget)
         self._annotate_text_filters(plan, physical)
-        return self._run_physical(
-            plan, physical, max_staleness, advance_clock, degraded_ok,
-            reuse_artifacts, deadline_at=deadline_at, tenant=tenant,
-        )
+        return plan, physical
 
     def _run_physical(
         self,
@@ -332,9 +331,7 @@ class FederatedEngine:
             controller = ReoptController(
                 self.reopt,
                 self.optimizer,
-                self.catalog,
-                health=self.health,
-                artifacts=self.artifacts,
+                self.paths,
                 max_staleness=max_staleness,
                 deadline_at=deadline_at,
             )
@@ -427,19 +424,10 @@ class FederatedEngine:
 
     def _plan_prepared(self, prepared: PreparedStatement) -> None:
         """(Re)build the template plan; stamps catalog version + validity."""
-        statement = prepared.statement
-        bindings = {statement.table.binding: statement.table.name}
-        for join in statement.joins:
-            bindings[join.table.binding] = join.table.name
-        binding_fields = self.catalog.binding_fields(bindings)
-        plan = build_plan(statement, binding_fields)
-        plan = self._apply_rewrites(
-            plan, bindings, binding_fields, prepared.tenant
+        plan, physical = self._plan(
+            prepared.statement, prepared.coordinator, prepared.max_staleness,
+            prepared.tenant,
         )
-        physical = self.optimizer.optimize(
-            plan, prepared.coordinator, prepared.max_staleness
-        )
-        self._annotate_text_filters(plan, physical)
         prepared.logical = plan
         prepared.physical = physical
         prepared.catalog_version = self.catalog.version
@@ -750,15 +738,7 @@ class FederatedEngine:
             )
             return self.render_analyze(result)
 
-        statement = parse_sql(sql)
-        bindings = {statement.table.binding: statement.table.name}
-        for join in statement.joins:
-            bindings[join.table.binding] = join.table.name
-        binding_fields = self.catalog.binding_fields(bindings)
-        plan = build_plan(statement, binding_fields)
-        plan = self._apply_rewrites(plan, bindings, binding_fields, tenant)
-        physical = self.optimizer.optimize(plan, None, max_staleness)
-        self._annotate_text_filters(plan, physical)
+        plan, physical = self._plan(parse_sql(sql), None, max_staleness, tenant)
 
         lines = [
             f"optimizer: {physical.optimizer}  "

@@ -28,8 +28,8 @@ The physical-plan dataclasses are re-exported here for compatibility:
 from __future__ import annotations
 
 from repro.core.records import Table
-from repro.federation.catalog import FederationCatalog
-from repro.federation.health import RetryPolicy, SiteHealthTracker
+from repro.federation.access import AccessPaths
+from repro.federation.health import RetryPolicy
 from repro.federation.physical import (
     Env,
     ExecContext,
@@ -54,29 +54,21 @@ __all__ = [
 class Executor:
     """Runs physical plans against the catalog's sites.
 
-    ``health`` (a :class:`SiteHealthTracker`) receives every scan outcome;
-    ``retry`` bounds and prices scan-level failover; ``cache`` is the
-    engine's semantic cache, consulted as a last-resort covering copy for
-    fragments with no live replica.
+    ``paths`` is the engine's :class:`~repro.federation.access.AccessPaths`
+    (catalog, health memory that receives every scan outcome, and the
+    cache / artifact store consulted at execution time); ``retry`` bounds
+    and prices scan-level failover.
     """
 
     def __init__(
         self,
-        catalog: FederationCatalog,
-        health: SiteHealthTracker | None = None,
+        paths: AccessPaths,
         retry: RetryPolicy | None = None,
-        cache=None,
         columnar: bool = True,
-        artifacts=None,
     ) -> None:
-        self.catalog = catalog
-        self.planner = PhysicalPlanner(catalog)
-        self.health = health
+        self.paths = paths
+        self.planner = PhysicalPlanner(paths.catalog)
         self.retry = retry or RetryPolicy()
-        self.cache = cache
-        # The stage-artifact store (repro.federation.artifacts), consulted
-        # and fed at the Ship boundary of every hashable stage.
-        self.artifacts = artifacts
         # Batch-at-a-time columnar site-side execution; False selects the
         # legacy row-at-a-time path (results are identical -- see
         # tests/test_columnar_execution.py).
@@ -96,16 +88,13 @@ class Executor:
         # and operators hold per-execution state.
         root = self.planner.compile(plan)
         ctx = ExecContext(
-            self.catalog,
+            self.paths,
             plan,
             report,
-            health=self.health,
             retry=self.retry,
             degraded_ok=degraded_ok,
-            cache=self.cache,
             max_staleness=max_staleness,
             columnar=self.columnar,
-            artifacts=self.artifacts,
             reuse_artifacts=reuse_artifacts,
             reopt=reopt,
         )

@@ -15,7 +15,10 @@ import abc
 import random
 
 from repro.core.errors import QueryError
+from repro.federation.access import AccessPaths, place
 from repro.federation.catalog import FederationCatalog, Fragment
+from repro.federation.physical import PhysicalPlan
+from repro.sql.planner import scans_in
 
 
 class ReplicaPolicy(abc.ABC):
@@ -79,201 +82,65 @@ class PolicyOptimizer:
     resulting site utilization directly against the agoric market.
     """
 
+    prices_plans = False  # policies place, they do not price
+
     def __init__(self, catalog: FederationCatalog, policy: ReplicaPolicy,
-                 name: str | None = None, cache=None, health=None,
-                 artifacts=None) -> None:
+                 name: str | None = None) -> None:
         self.catalog = catalog
         self.policy = policy
         self.name = name or f"policy:{type(policy).__name__}"
-        # Attached by the engine; covering cached regions pre-empt the
-        # replica choice entirely (no replica beats a local answer).
-        self.cache = cache
-        # Attached by the engine; a committed stage artifact pre-empts even
-        # the cache (it is the stage's exact output, already local).
-        self.artifacts = artifacts
-        # Attached by the engine; a policy pick whose circuit is open is
-        # overridden with the least-risky allowed replica.
-        self.health = health
+        # The engine assigns its own AccessPaths here so cache regions,
+        # stage artifacts and open circuit breakers steer the policy.
+        self.paths = AccessPaths(catalog)
 
-    def optimize(self, plan, coordinator=None, max_staleness=None):
-        from repro.federation.artifacts import (
-            artifact_scan_assignment,
-            stage_specs,
-        )
-        from repro.federation.cache import cache_scan_assignment
-        from repro.federation.physical import (
-            FragmentChoice,
-            PhysicalPlan,
-            ScanAssignment,
-        )
-        from repro.federation.stats import (
-            estimated_shipped_bytes,
-            fragment_can_match,
-            fragment_selectivity,
-        )
-        from repro.sql.planner import scans_in
-
+    def optimize(self, plan, coordinator=None, max_staleness=None, budget=None):
+        """Place the plan by policy.  ``budget`` is accepted for the
+        optimizers' uniform signature and cannot bind: policies do not
+        price plans (``total_price`` is 0.0)."""
         assignments = {}
-        rows_by_site: dict[str, int] = {}
-        specs = stage_specs(plan) if self.artifacts is not None else {}
+        specs = self.paths.stage_specs(plan)
         for scan in scans_in(plan):
-            artifact_offer = artifact_scan_assignment(
-                self.artifacts, self.catalog, specs.get(scan.binding),
-                max_staleness,
+            # No replica beats an answer that is already materialized: the
+            # stage's artifact, a covering cache region or a fresh view
+            # pre-empts the replica choice entirely.
+            offer = next(
+                self.paths.offers(scan, specs.get(scan.binding), max_staleness),
+                None,
             )
-            if artifact_offer is not None:
-                assignments[scan.binding] = artifact_offer[0]
-                continue
-            cache_offer = cache_scan_assignment(self.cache, scan, max_staleness)
-            if cache_offer is not None:
-                assignments[scan.binding] = cache_offer[0]
-                continue
-            # Views queried by name must come from a live host (direct_view
-            # raises if the host is down).
-            view = self.catalog.direct_view(scan.table)
-            if view is None:
-                view = self.catalog.view_for_table(scan.table, max_staleness)
-                if view is not None and not self.catalog.site(view.site_name).up:
-                    view = None
-            if view is not None:
-                view_assignment = ScanAssignment(
-                    scan.binding, scan.table, "view", view=view
-                )
-                if view.data is not None:
-                    view_assignment.est_bytes = estimated_shipped_bytes(
-                        view, view.schema, len(view.data)
-                    )
-                assignments[scan.binding] = view_assignment
-                # The view's host already holds the rows; prefer it as the
-                # coordinator over the alphabetically-first up site.
-                rows_by_site[view.site_name] = (
-                    rows_by_site.get(view.site_name, 0) + len(view.data or [])
-                )
-                continue
-            entry = self.catalog.entry(scan.table)
-            assignment = ScanAssignment(
-                scan.binding,
-                scan.table,
-                "fragments",
-                total_fragments=len(entry.fragments),
+            assignments[scan.binding] = (
+                offer[0] if offer is not None else self._place(scan)
             )
-            for fragment in entry.fragments:
-                # Partition elimination: skip fragments whose zone maps rule
-                # out every pushed-down predicate before any replica choice.
-                if not fragment_can_match(fragment.zone_map, scan.pushdown):
-                    assignment.pruned_fragments += 1
-                    continue
-                try:
-                    site_name = self.policy.choose(fragment, self.catalog)
-                except QueryError:
-                    # No live replica right now: the executor retries at
-                    # scan time and applies the degraded-answer policy.
-                    assignment.unreachable.append(fragment)
-                    continue
-                if self.health is not None and not self.health.allow(site_name):
-                    # The policy picked a tripped site; reroute to the
-                    # least-risky allowed live replica when one exists.
-                    alternatives = [
-                        name
-                        for name in fragment.replica_sites()
-                        if self.catalog.site(name).up and self.health.allow(name)
-                    ]
-                    if alternatives:
-                        site_name = min(
-                            alternatives,
-                            key=lambda name: (self.health.risk_penalty(name), name),
-                        )
-                assignment.choices.append(FragmentChoice(fragment, site_name))
-                # Policies don't price, but the plan still reports what it
-                # expects to put on the wire (encoded bytes, zone-map aware).
-                est_rows = max(
-                    1,
-                    int(
-                        fragment.estimated_rows
-                        * fragment_selectivity(fragment, scan.pushdown)
-                    ),
-                )
-                assignment.est_bytes += estimated_shipped_bytes(
-                    fragment, entry.schema, est_rows
-                )
-                rows_by_site[site_name] = (
-                    rows_by_site.get(site_name, 0) + fragment.estimated_rows
-                )
-            assignments[scan.binding] = assignment
-
-        if coordinator is None:
-            if rows_by_site:
-                coordinator = max(rows_by_site.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            else:
-                up = self.catalog.up_sites()
-                if not up:
-                    raise QueryError("no live sites to coordinate the query")
-                coordinator = min(site.name for site in up)
         return PhysicalPlan(
             logical=plan,
             assignments=assignments,
-            coordinator=coordinator,
+            coordinator=coordinator or self.paths.pick_coordinator(assignments),
             optimizer=self.name,
         )
 
-    def requote_scan(self, scan, max_staleness=None):
+    def _place(self, scan):
+        """Ask the policy for a site per fragment the scan must read."""
+        assignment, slots = self.paths.fragment_candidates(scan)
+        for slot in slots:
+            site_name = self.policy.choose(slot.fragment, self.catalog)
+            if site_name not in slot.replicas:
+                # The policy picked a tripped site although an allowed
+                # replica exists; reroute to the least-risky allowed one.
+                site_name = min(
+                    slot.replicas,
+                    key=lambda name: (self.paths.health.risk_penalty(name), name),
+                )
+            place(assignment, slot, site_name)
+        return assignment
+
+    def requote_scan(self, scan):
         """Re-run the replica policy for one scan mid-query (DESIGN §5i).
 
-        Policies are cheap — one ``choose`` per fragment, no market round
-        trip — so the modeled re-quote cost is zero; the controller prices
+        Policies are cheap -- one ``choose`` per fragment, no market round
+        trip -- so the modeled re-quote cost is zero; the controller prices
         both placements itself on the shared live basis.  Returns
-        ``(assignment, price=0.0, modeled_seconds=0.0)`` or ``None``.
+        ``(assignment, price=0.0, modeled_seconds=0.0)``.
         """
-        from repro.federation.physical import FragmentChoice, ScanAssignment
-        from repro.federation.stats import (
-            estimated_shipped_bytes,
-            fragment_can_match,
-            fragment_selectivity,
-        )
-
-        entry = self.catalog.entry(scan.table)
-        if not entry.fragments:
-            return None
-        assignment = ScanAssignment(
-            scan.binding,
-            scan.table,
-            "fragments",
-            total_fragments=len(entry.fragments),
-        )
-        for fragment in entry.fragments:
-            if not fragment_can_match(fragment.zone_map, scan.pushdown):
-                assignment.pruned_fragments += 1
-                continue
-            try:
-                site_name = self.policy.choose(fragment, self.catalog)
-            except QueryError:
-                assignment.unreachable.append(fragment)
-                continue
-            if self.health is not None and not self.health.allow(site_name):
-                alternatives = [
-                    name
-                    for name in fragment.replica_sites()
-                    if self.catalog.site(name).up and self.health.allow(name)
-                ]
-                if alternatives:
-                    site_name = min(
-                        alternatives,
-                        key=lambda name: (self.health.risk_penalty(name), name),
-                    )
-            assignment.choices.append(FragmentChoice(fragment, site_name))
-            est_rows = max(
-                1,
-                int(
-                    fragment.estimated_rows
-                    * fragment_selectivity(fragment, scan.pushdown)
-                ),
-            )
-            assignment.est_bytes += estimated_shipped_bytes(
-                fragment, entry.schema, est_rows
-            )
-        if not assignment.choices:
-            return None
-        return assignment, 0.0, 0.0
+        return self._place(scan), 0.0, 0.0
 
 
 class SnapshotLoadPolicy(ReplicaPolicy):

@@ -25,7 +25,7 @@ placement site in :class:`OperatorStats`; the engine renders the tree as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.connect.source import apply_predicates
 from repro.core.errors import (
@@ -39,7 +39,7 @@ from repro.core.values import Money
 from repro.federation import columnar
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.governance import apply_masks as apply_column_masks
-from repro.federation.health import RetryPolicy, SiteHealthTracker
+from repro.federation.health import RetryPolicy
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -69,6 +69,9 @@ from repro.sql.planner import (
     conjoin,
     scans_in,
 )
+
+if TYPE_CHECKING:  # access.py imports this module's plan dataclasses
+    from repro.federation.access import AccessPaths
 
 Env = dict[str, Any]
 
@@ -314,20 +317,22 @@ class ExecContext:
 
     def __init__(
         self,
-        catalog: FederationCatalog,
+        paths: AccessPaths,
         plan: PhysicalPlan,
         report: ExecutionReport,
-        health: "SiteHealthTracker | None" = None,
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
-        cache=None,
         max_staleness: float | None = None,
         columnar: bool = True,
-        artifacts=None,
         reuse_artifacts: bool = True,
         reopt=None,
     ) -> None:
-        self.catalog = catalog
+        # The engine's access-path seam: the catalog, per-site health
+        # memory, and the semantic cache / artifact store the covering
+        # fallback and the Ship boundary consult.
+        self.paths = paths
+        self.catalog = catalog = paths.catalog
+        self.health = paths.health  # may be None
         self.plan = plan
         self.report = report
         # Batch-at-a-time columnar execution on the site side.  False runs
@@ -340,15 +345,12 @@ class ExecContext:
         self.coordinator_seconds = 0.0  # serial coordinator work
         self.ambiguous = ambiguous_fields(catalog, plan)
         # Fault-tolerance state shared by every scan in this execution.
-        self.health = health  # per-site outcome memory (may be None)
         self.retry = retry or RetryPolicy()
         self.degraded_ok = degraded_ok
-        self.cache = cache  # last-resort covering regions for dead fragments
-        # The stage-artifact store (repro.federation.artifacts), and whether
-        # this execution may *consume* it.  The workload manager's fallback
-        # re-execution sets reuse_artifacts=False so a query whose joined
-        # producer died recomputes independently (and publishes nothing).
-        self.artifacts = artifacts
+        # Whether this execution may *consume* the artifact store.  The
+        # workload manager's fallback re-execution sets False so a query
+        # whose joined producer died recomputes independently (and
+        # publishes nothing).
         self.reuse_artifacts = reuse_artifacts
         # Adaptive re-optimization controller (repro.federation.reopt), or
         # None for frozen-plan execution.  Ship consults it per stage.
@@ -659,8 +661,7 @@ class SiteScan(SiteOperator):
         replicas = fragment.replica_sites()
         if not replicas:
             return None
-        live = [name for name in replicas if ctx.catalog.site(name).up]
-        candidates = live or replicas
+        candidates = ctx.paths.live_replicas(fragment) or replicas
         if ctx.health is not None:
             return ctx.health.prefer(candidates)[0]
         return candidates[0]
@@ -758,12 +759,8 @@ class SiteScan(SiteOperator):
         query gets no fallback), so staleness is stamped and the result is
         never re-cached."""
         now = ctx.catalog.clock.now()
-        view = ctx.catalog.view_for_table(assignment.table_name, ctx.max_staleness)
-        if (
-            view is not None
-            and view.data is not None
-            and ctx.catalog.site(view.site_name).up
-        ):
+        view = ctx.paths.live_view(assignment.table_name, ctx.max_staleness)
+        if view is not None:
             table = apply_predicates(view.data, predicates)
             work = ctx.charge_site(view.site_name, len(table))
             self.stats.seconds += work
@@ -776,8 +773,8 @@ class SiteScan(SiteOperator):
                 f"failover → view {view.name}@{view.site_name}"
             )
             return [(view.site_name, table, work)]
-        if ctx.cache is not None:
-            found = ctx.cache.lookup_entry(
+        if ctx.paths.cache is not None:
+            found = ctx.paths.cache.lookup_entry(
                 assignment.table_name, list(predicates), ctx.max_staleness
             )
             if found is not None:
@@ -1028,8 +1025,8 @@ class ArtifactSource(SiteOperator):
         work = ctx.charge_site(ctx.coordinator, len(rows))
         self.stats.seconds = work
         ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-        if ctx.artifacts is not None:
-            ctx.artifacts.note_plan_hit(artifact)
+        if ctx.paths.artifacts is not None:
+            ctx.paths.artifacts.note_plan_hit(artifact)
         ctx.report.artifact_hits += 1
         ctx.report.artifact_rows_saved += artifact.rows_saved
         ctx.report.artifact_bytes_saved += artifact.bytes_saved
@@ -1458,7 +1455,7 @@ class Ship(PhysicalOperator):
         hit (wait 0) or a join onto an identical in-flight stage (charged
         the remaining wait until the producer's modeled completion)."""
         self._stage_key = None
-        store = ctx.artifacts
+        store = ctx.paths.artifacts
         if store is None or self.stage is None or not ctx.reuse_artifacts:
             return None
         scan, agg = self.stage
@@ -1512,7 +1509,7 @@ class Ship(PhysicalOperator):
         report.  The engine registers successful reports' outputs in
         flight; failed executions drop them unseen."""
         key = self._stage_key
-        if ctx.artifacts is None or key is None or not ctx.reuse_artifacts:
+        if ctx.paths.artifacts is None or key is None or not ctx.reuse_artifacts:
             return
         # Degraded, failed-over, or covering-fallback output is stale or
         # incomplete for the stage's content hash; never publish it.

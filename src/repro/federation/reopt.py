@@ -127,17 +127,16 @@ class ReoptController:
         self,
         policy: ReoptPolicy,
         optimizer,
-        catalog,
-        health=None,
-        artifacts=None,
+        paths,
         max_staleness: float | None = None,
         deadline_at: float | None = None,
     ) -> None:
         self.policy = policy
         self.optimizer = optimizer
-        self.catalog = catalog
-        self.health = health
-        self.artifacts = artifacts
+        # The engine's AccessPaths: catalog, health memory, artifact store.
+        self.paths = paths
+        self.catalog = paths.catalog
+        self.health = paths.health
         self.max_staleness = max_staleness
         self.deadline_at = deadline_at
         self.attempts = 0
@@ -196,8 +195,9 @@ class ReoptController:
             return False
         fresh, modeled = quote
         self.modeled_seconds += modeled
-        old_price = self._placement_cost(scan, assignment)
-        new_price = self._placement_cost(scan, fresh)
+        risk = self.paths.risk_multiplier
+        old_price = self._live_makespan(scan, assignment, risk)
+        new_price = self._live_makespan(scan, fresh, risk)
         to_sites = tuple(sorted({c.site_name for c in fresh.choices}))
         if not self._migratable(assignment, fresh, old_price, new_price):
             self.wasted_seconds += modeled
@@ -245,7 +245,7 @@ class ReoptController:
                 self._hot_sites.add(name)
                 return f"congestion:{name}", name
         if self.deadline_at is not None:
-            remaining = self._estimate_stage_seconds(scan, assignment)
+            remaining = self._live_makespan(scan, assignment)
             projected = self.catalog.clock.now() + ctx.scan_elapsed + remaining
             if projected > self.deadline_at:
                 return "deadline", None
@@ -253,96 +253,68 @@ class ReoptController:
 
     def _can_move_off(self, assignment, bad_site: str) -> bool:
         """Does any fragment placed on ``bad_site`` have somewhere to go?"""
-        for choice in assignment.choices:
-            if choice.site_name != bad_site:
-                continue
-            for name in choice.fragment.replica_sites():
-                if name == bad_site or not self.catalog.site(name).up:
-                    continue
-                if self.health is None or self.health.allow(name):
-                    return True
-        return False
+        paths = self.paths
+        return any(
+            name != bad_site
+            for choice in assignment.choices
+            if choice.site_name == bad_site
+            for name in paths.without_open_breakers(
+                paths.live_replicas(choice.fragment)
+            )
+        )
 
-    def _estimate_stage_seconds(self, scan, assignment) -> float:
-        """Live makespan estimate for the stage under its assignment."""
+    def _live_makespan(self, scan, assignment, site_weight=None) -> float:
+        """Live makespan of a fragment placement: the longest per-site
+        chain of queue delay plus congestion-inflated work.
+
+        Unweighted it is the deadline trigger's estimate of the stage's
+        remaining seconds.  Weighted by health risk it is the cost both
+        the incumbent and the candidate placement are compared on, so the
+        improvement test compares like with like regardless of which
+        optimizer produced the placement.  Makespan (not a price *sum*) is
+        the right objective: the stage holds its execution slot until its
+        slowest site finishes, so a placement that looks cheaper in total
+        spend but stretches the critical path would occupy the federation
+        longer and delay every queued query behind it.  Shipping cost is
+        replica-independent (same fragment bytes either way) and cancels,
+        so it is left out of both sides.
+        """
         per_site: dict[str, float] = {}
         for choice in assignment.choices:
-            site = self.catalog.site(choice.site_name)
+            name = choice.site_name
+            site = self.catalog.site(name)
             if not site.up:
                 return float("inf")
             selectivity = fragment_selectivity(choice.fragment, scan.pushdown)
             try:
                 quote = site.quote_scan(
-                    choice.fragment.replicas[choice.site_name],
-                    row_fraction=selectivity,
+                    choice.fragment.replicas[name], row_fraction=selectivity
                 )
             except (KeyError, SourceUnavailableError):
                 return float("inf")
-            per_site[choice.site_name] = (
-                per_site.get(choice.site_name, quote.queue_delay)
-                + quote.seconds * quote.congestion
-            )
+            work = quote.seconds * quote.congestion
+            if site_weight is not None:
+                work *= site_weight(name)
+            per_site[name] = per_site.get(name, quote.queue_delay) + work
         return max(per_site.values(), default=0.0)
 
     # -- re-solicitation ---------------------------------------------------
 
     def _artifact_twin(self, ctx, scan, agg) -> bool:
-        if self.artifacts is None or ctx.reuse_artifacts:
+        artifacts = self.paths.artifacts
+        if artifacts is None or ctx.reuse_artifacts:
             return False  # reuse on: Ship's own artifact probe governs
-        key = self.artifacts.stage_key(self.catalog, scan, agg)
-        return key is not None and self.artifacts.has_twin(
-            key, self.max_staleness
-        )
+        key = artifacts.stage_key(self.catalog, scan, agg)
+        return key is not None and artifacts.has_twin(key, self.max_staleness)
 
     def _requote(self, scan):
-        requote = getattr(self.optimizer, "requote_scan", None)
-        if requote is None:
-            return None
         try:
-            result = requote(scan, self.max_staleness)
+            fresh, _price, modeled = self.optimizer.requote_scan(scan)
         except QueryError:
             return None
-        if result is None:
-            return None
-        fresh, _price, modeled = result
         if not fresh.choices:
             return None
         return fresh, modeled
-
-    def _placement_cost(self, scan, assignment) -> float:
-        """Live makespan cost of a fragment placement, on one shared basis.
-
-        Both the incumbent and the candidate are costed here — the longest
-        per-site chain of queue delay plus congestion-inflated work, scaled
-        by health risk — so the improvement test compares like with like
-        regardless of which optimizer produced the placement.  Makespan
-        (not a price *sum*) is the right objective: the stage holds its
-        execution slot until its slowest site finishes, so a placement
-        that looks cheaper in total spend but stretches the critical path
-        would occupy the federation longer and delay every queued query
-        behind it.  Shipping cost is replica-independent (same fragment
-        bytes either way) and cancels, so it is left out of both sides.
-        """
-        per_site: dict[str, float] = {}
-        for choice in assignment.choices:
-            site = self.catalog.site(choice.site_name)
-            if not site.up:
-                return float("inf")
-            selectivity = fragment_selectivity(choice.fragment, scan.pushdown)
-            try:
-                quote = site.quote_scan(
-                    choice.fragment.replicas[choice.site_name],
-                    row_fraction=selectivity,
-                )
-            except (KeyError, SourceUnavailableError):
-                return float("inf")
-            work = quote.seconds * quote.congestion
-            if self.health is not None:
-                work *= self.health.price_multiplier(choice.site_name)
-            per_site[choice.site_name] = (
-                per_site.get(choice.site_name, quote.queue_delay) + work
-            )
-        return max(per_site.values(), default=0.0)
 
     def _migratable(self, old, fresh, old_price: float, new_price: float) -> bool:
         old_map = {c.fragment.fragment_id: c.site_name for c in old.choices}

@@ -1,0 +1,250 @@
+"""Tests for the access-path seam (repro.federation.access) and the two
+defects it fixes once for every optimizer."""
+
+import pytest
+
+from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import QueryError
+from repro.federation import (
+    AccessPaths,
+    AgoricOptimizer,
+    BudgetExceededError,
+    CentralizedOptimizer,
+    FederatedEngine,
+    FederationCatalog,
+    PolicyOptimizer,
+    RoundRobinPolicy,
+    SiteHealthTracker,
+)
+from repro.federation.governance import GovernanceRegistry
+from repro.sim import SimClock
+from repro.sql import build_plan, parse_sql
+
+OPTIMIZERS = {
+    "agoric": AgoricOptimizer,
+    "centralized": CentralizedOptimizer,
+    "policy": lambda catalog: PolicyOptimizer(catalog, RoundRobinPolicy()),
+}
+
+
+def orders_catalog():
+    """80 orders range-partitioned on qty into f0..f3 over s0..s3, RF=2."""
+    catalog = FederationCatalog(SimClock())
+    names = [catalog.make_site(f"s{i}").name for i in range(4)]
+    schema = Schema(
+        "orders",
+        (
+            Field("id", DataType.INTEGER),
+            Field("qty", DataType.INTEGER),
+            Field("tag", DataType.STRING),
+        ),
+    )
+    table = Table(schema, [(i, i, f"t{i % 3}") for i in range(80)])
+    catalog.load_range_partitioned(
+        table, "qty", 4, [[names[i], names[(i + 1) % 4]] for i in range(4)]
+    )
+    return catalog
+
+
+def scan_for(catalog, sql):
+    statement = parse_sql(sql)
+    fields = catalog.binding_fields({statement.table.binding: statement.table.name})
+    plan = build_plan(statement, fields)
+    node = plan
+    while node.children():
+        node = node.children()[0]
+    return plan, node
+
+
+def trip(health, site_name):
+    for _ in range(health.failure_threshold):
+        health.record_failure(site_name)
+
+
+class TestFragmentCandidates:
+    def test_pruned_fragments_never_appear(self):
+        catalog = orders_catalog()
+        _, scan = scan_for(catalog, "select id from orders where qty < 10")
+        assignment, slots = AccessPaths(catalog).fragment_candidates(scan)
+        assert [slot.fragment.fragment_id for slot in slots] == ["f0"]
+        assert (assignment.pruned_fragments, assignment.total_fragments) == (3, 4)
+        assert assignment.choices == [] and assignment.unreachable == []
+
+    def test_fragment_without_live_replica_is_unreachable(self):
+        catalog = orders_catalog()
+        catalog.site("s1").up = False
+        catalog.site("s2").up = False  # f1 lives on s1+s2 only
+        _, scan = scan_for(catalog, "select id from orders")
+        assignment, slots = AccessPaths(catalog).fragment_candidates(scan)
+        assert [f.fragment_id for f in assignment.unreachable] == ["f1"]
+        assert [slot.fragment.fragment_id for slot in slots] == ["f0", "f2", "f3"]
+        assert {s.fragment.fragment_id: s.replicas for s in slots} == {
+            "f0": ["s0"], "f2": ["s3"], "f3": ["s0", "s3"],
+        }
+
+    def test_open_breakers_sit_out_unless_every_replica_is_tripped(self):
+        catalog = orders_catalog()
+        health = SiteHealthTracker(catalog.clock)
+        paths = AccessPaths(catalog, health=health)
+        _, scan = scan_for(catalog, "select id from orders where qty < 10")
+        trip(health, "s0")
+        assert paths.fragment_candidates(scan)[1][0].replicas == ["s1"]
+        trip(health, "s1")
+        # All breakers open: the live set still gets solicited.
+        assert paths.fragment_candidates(scan)[1][0].replicas == ["s0", "s1"]
+
+    def test_estimated_bytes_do_not_depend_on_the_replica_set(self):
+        catalog = orders_catalog()
+        _, scan = scan_for(catalog, "select id from orders where qty >= 30")
+        before = AccessPaths(catalog).fragment_candidates(scan)[1]
+        catalog.site("s2").up = False
+        after = AccessPaths(catalog).fragment_candidates(scan)[1]
+        assert [s.replicas for s in before] != [s.replicas for s in after]
+        assert [(s.est_rows, s.est_bytes) for s in before] == [
+            (s.est_rows, s.est_bytes) for s in after
+        ]
+        assert all(s.est_bytes > 0 for s in before)
+
+    def test_table_without_fragments_is_a_query_error(self):
+        catalog = orders_catalog()
+        catalog.create_table("empty", catalog.entry("orders").schema)
+        _, scan = scan_for(catalog, "select id from empty")
+        with pytest.raises(QueryError, match="no fragments"):
+            AccessPaths(catalog).fragment_candidates(scan)
+
+
+def test_optimizers_agree_on_what_a_scan_must_read():
+    """Pruning, reachability and byte estimates come from the seam, so the
+    three families cannot drift apart on them."""
+    reports = {}
+    for name, make in OPTIMIZERS.items():
+        catalog = orders_catalog()
+        catalog.site("s1").up = False
+        catalog.site("s2").up = False
+        plan, scan = scan_for(catalog, "select id from orders where qty >= 20")
+        assignment = make(catalog).optimize(plan).assignments[scan.binding]
+        slots = AccessPaths(catalog).fragment_candidates(scan)[1]
+        assert [c.fragment.fragment_id for c in assignment.choices] == [
+            slot.fragment.fragment_id for slot in slots
+        ]
+        assert assignment.est_bytes == sum(slot.est_bytes for slot in slots)
+        reports[name] = (
+            assignment.pruned_fragments,
+            assignment.total_fragments,
+            [f.fragment_id for f in assignment.unreachable],
+            assignment.est_bytes,
+        )
+    assert reports["agoric"] == reports["centralized"] == reports["policy"]
+    assert reports["agoric"][:3] == (1, 4, ["f1"])
+
+
+# -- a second covering view on a live host ----------------------------------
+
+
+def suppliers_engine(make_optimizer):
+    """suppliers lives on s1 only; whole-table views v_a@s0 and v_b@s2."""
+    catalog = FederationCatalog(SimClock())
+    for i in range(3):
+        catalog.make_site(f"s{i}")
+    schema = Schema(
+        "suppliers",
+        (Field("supplier_id", DataType.INTEGER), Field("city", DataType.STRING)),
+    )
+    table = Table(schema, [(i, f"c{i % 4}") for i in range(12)])
+    catalog.load_fragmented(table, 1, [["s1"]])
+    engine = FederatedEngine(catalog, optimizer=make_optimizer(catalog))
+    return engine, sorted(table.column("supplier_id"))
+
+
+@pytest.mark.parametrize("family", sorted(OPTIMIZERS))
+class TestSecondViewOnLiveHost:
+    SQL = "select supplier_id from suppliers"
+
+    def test_planner_skips_the_view_on_the_dead_host(self, family):
+        engine, expected = suppliers_engine(OPTIMIZERS[family])
+        engine.create_materialized_view("v_a", "suppliers", "s0")
+        engine.create_materialized_view("v_b", "suppliers", "s2")
+        engine.catalog.site("s0").up = False
+        engine.catalog.site("s1").up = False
+        result = engine.query(self.SQL)
+        assert result.plan.assignments["suppliers"].view.name == "v_b"
+        assert sorted(result.table.column("supplier_id")) == expected
+
+    def test_covering_fallback_skips_it_too(self, family):
+        """Sites die *after* planning: the scan's failover must find v_b."""
+        engine, expected = suppliers_engine(OPTIMIZERS[family])
+        plan, _ = scan_for(engine.catalog, self.SQL)
+        physical = engine.optimizer.optimize(plan)
+        assert physical.assignments["suppliers"].kind == "fragments"
+        engine.create_materialized_view("v_a", "suppliers", "s0")
+        engine.create_materialized_view("v_b", "suppliers", "s2")
+        engine.catalog.site("s0").up = False
+        engine.catalog.site("s1").up = False
+        physical.coordinator = "s2"
+        table, report = engine.executor.execute(physical)
+        assert sorted(table.column("supplier_id")) == expected
+        assert report.failovers == 1 and not report.degraded
+
+
+def test_live_view_keeps_registration_order_among_live_hosts():
+    engine, _ = suppliers_engine(AgoricOptimizer)
+    engine.create_materialized_view("v_a", "suppliers", "s0")
+    engine.create_materialized_view("v_b", "suppliers", "s2")
+    assert engine.paths.live_view("suppliers", None).name == "v_a"
+    engine.catalog.site("s0").up = False
+    assert engine.paths.live_view("suppliers", None).name == "v_b"
+    assert engine.paths.live_view("suppliers", -1.0) is None  # LIVE_ONLY
+
+
+# -- budget= under every optimizer ------------------------------------------
+
+
+class TestBudgetAcrossOptimizers:
+    SQL = "select id from orders where qty < 10"
+
+    @pytest.mark.parametrize("family", ["centralized", "policy"])
+    def test_caller_budget_on_a_non_pricing_optimizer_is_a_typed_error(
+        self, family
+    ):
+        catalog = orders_catalog()
+        optimizer = OPTIMIZERS[family](catalog)
+        engine = FederatedEngine(catalog, optimizer=optimizer)
+        with pytest.raises(QueryError, match=optimizer.name):
+            engine.query(self.SQL, budget=10.0)
+        assert len(engine.query(self.SQL).table) == 10  # no budget: fine
+
+    def test_agoric_budget_still_binds(self):
+        engine = FederatedEngine(orders_catalog())
+        assert len(engine.query(self.SQL, budget=10.0).table) == 10
+        with pytest.raises(BudgetExceededError):
+            engine.query(self.SQL, budget=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(OPTIMIZERS))
+    def test_governance_cap_binds_agoric_and_is_ignored_elsewhere(self, family):
+        """An exhausted reject-tenant's zero cap fails agoric plans closed;
+        the non-pricing optimizers keep relying on admission-time gates."""
+        catalog = orders_catalog()
+        governance = GovernanceRegistry(
+            {"version": 1, "tenants": {"acme": {"budget": {"credits": 0.001}}}}
+        )
+        engine = FederatedEngine(
+            catalog, optimizer=OPTIMIZERS[family](catalog), governance=governance
+        )
+        governance.charge("acme", 1.0)  # exhaust the balance
+        if family == "agoric":
+            with pytest.raises(BudgetExceededError):
+                engine.query(self.SQL, tenant="acme")
+        else:
+            assert len(engine.query(self.SQL, tenant="acme").table) == 10
+
+
+# -- the benchmark's span table must keep resolving -------------------------
+
+
+def test_every_benchmark_trace_target_resolves():
+    """benchmarks/e2e may not be edited, so renaming a traced callable must
+    fail here, not as ``trace.unresolved_targets`` in a later bench run."""
+    from benchmarks.e2e import trace
+
+    unresolved = [t for t in trace.all_targets() if trace.resolve(t) is None]
+    assert unresolved == []

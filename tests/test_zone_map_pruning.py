@@ -20,6 +20,7 @@ from repro.federation import (
     ColumnStats,
     FederatedEngine,
     FederationCatalog,
+    FragmentSlot,
     PolicyOptimizer,
     RoundRobinPolicy,
     ZoneMap,
@@ -334,10 +335,10 @@ class TestCentralizedSharedEstimator:
         fragment = entry.fragments[0]
         live = [s for s in fragment.replica_sites() if catalog.site(s).up]
         full = optimizer._estimate_makespan(
-            [(None, fragment, live, 1.0)], (live[0],)
+            [FragmentSlot(fragment, live, 1.0, 0, 0)], (live[0],)
         )
         selective = optimizer._estimate_makespan(
-            [(None, fragment, live, 0.05)], (live[0],)
+            [FragmentSlot(fragment, live, 0.05, 0, 0)], (live[0],)
         )
         assert selective < full
 
