@@ -56,6 +56,12 @@ class Table:
     drift at subsystem boundaries, where it is cheap to diagnose).  Use
     ``validate=False`` only on hot internal paths that construct rows from
     already-validated tables.
+
+    The table also owns its *column layout*: :meth:`column_chunks` transposes
+    the rows into fixed-size column slices once and keeps the result until
+    ``rows`` is rebound.  Rows and slices are never mutated in place --
+    every operation here returns a fresh table -- so the layout can be
+    shared by every scan of the table (see DESIGN §5f).
     """
 
     def __init__(
@@ -69,6 +75,32 @@ class Table:
         if validate:
             for row in self.rows:
                 schema.validate_row(row)
+
+    @property
+    def rows(self) -> list[tuple[Any, ...]]:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list[tuple[Any, ...]]) -> None:
+        self._rows = rows
+        self._layout: tuple[int, list[tuple[int, tuple]]] | None = None
+
+    def column_chunks(self, batch_size: int) -> list[tuple[int, tuple]]:
+        """``(row count, columns)`` per ``batch_size``-row slice, in row order.
+
+        Each column is a tuple of that slice's values.  Built on first use
+        and kept until ``rows`` is rebound; callers share the slices and
+        must not mutate them.
+        """
+        layout = self._layout
+        if layout is None or layout[0] != batch_size:
+            rows = self._rows
+            chunks = []
+            for start in range(0, len(rows), batch_size):
+                slice_rows = rows[start : start + batch_size]
+                chunks.append((len(slice_rows), tuple(zip(*slice_rows))))
+            layout = self._layout = (batch_size, chunks)
+        return layout[1]
 
     # -- construction helpers ---------------------------------------------
 

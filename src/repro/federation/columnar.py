@@ -85,7 +85,9 @@ class ColumnBatch:
     unambiguous across the query's scans (mirroring
     :func:`repro.federation.physical.row_env`).  ``count`` is tracked
     explicitly so a batch projected down to zero columns still knows how
-    many rows it carries.
+    many rows it carries.  A scan's ``columns`` are the table's resident,
+    shared tuples (see :func:`table_chunks`): operators read them and
+    build new columns, never write into them.
     """
 
     __slots__ = ("names", "columns", "aliases", "count", "_index")
@@ -168,7 +170,13 @@ def table_chunks(
     ambiguous: set[str],
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[ColumnBatch]:
-    """Split one site's scan output table into fixed-size column batches."""
+    """Wrap one site's scan output table in per-query column-batch headers.
+
+    The fixed-size column slices are the table's own resident layout
+    (:meth:`~repro.core.records.Table.column_chunks`): transposed by the
+    first scan of the table, shared by reference with every later one and
+    never mutated.  Only the names and aliases belong to the query.
+    """
     fields = table.schema.fields
     names = [f"{binding}.{field_def.name}" for field_def in fields]
     aliases = {
@@ -176,15 +184,10 @@ def table_chunks(
         for i, field_def in enumerate(fields)
         if field_def.name not in ambiguous
     }
-    rows = table.rows
-    chunks = []
-    for start in range(0, len(rows), batch_size):
-        slice_rows = rows[start : start + batch_size]
-        columns = [list(column) for column in zip(*slice_rows)]
-        if not columns:
-            columns = [[] for _ in names]
-        chunks.append(ColumnBatch(names, columns, aliases, len(slice_rows)))
-    return chunks
+    return [
+        ColumnBatch(names, list(columns), aliases, count)
+        for count, columns in table.column_chunks(batch_size)
+    ]
 
 
 # -- filter kernels ------------------------------------------------------------

@@ -99,10 +99,16 @@ class Executor:
             reopt=reopt,
         )
 
-        root.open(ctx)
         envs: list[Env] = []
-        while (env := root.next()) is not None:
-            envs.append(env)
+        try:
+            root.open(ctx)
+            while (env := root.next()) is not None:
+                envs.append(env)
+        except BaseException:
+            # A failed statement settles nothing but must not keep its
+            # batches alive through the (possibly cached) plan's tree.
+            root.close(settle=False)
+            raise
         root.close()
 
         report.response_seconds = ctx.scan_elapsed + ctx.coordinator_seconds

@@ -426,13 +426,19 @@ class PhysicalOperator:
             self.stats.rows_out += 1
         return row
 
-    def close(self) -> None:
+    def close(self, settle: bool = True) -> None:
+        """Settle accounting (skipped when the execution failed) and drop
+        per-execution state: the row generator's frame and a site
+        operator's batches would otherwise stay pinned -- in a reference
+        cycle with this operator -- until the plan is next compiled."""
         if getattr(self, "_closed", True):
             return
         self._closed = True
-        self._finish(self._ctx)
+        if settle:
+            self._finish(self._ctx)
         for child in self.children:
-            child.close()
+            child.close(settle)
+        self._rows = self._batches = self._ctx = None
 
     def _produce(self, ctx: ExecContext) -> Iterator[Any]:
         return iter(())
@@ -496,13 +502,6 @@ class SiteOperator(PhysicalOperator):
             f"{self.name} produces site batches; wrap it in a Ship operator"
         )
 
-    def close(self) -> None:
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        for child in self.children:
-            child.close()
-
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         raise NotImplementedError
 
@@ -559,7 +558,9 @@ class SiteScan(SiteOperator):
             # pruned scan, whose provably empty table is as complete an
             # answer as any.  Failover fallbacks and degraded scans are
             # excluded (_capture_ok): their output is stale or partial.
-            if self._capture_ok:
+            # The semantic cache is the capture's only reader, so without
+            # one attached no union of the fragment tables is built.
+            if self._capture_ok and ctx.paths.cache is not None:
                 if table_batches:
                     combined = table_batches[0][1]
                     for _, extra, _ in table_batches[1:]:
@@ -584,7 +585,8 @@ class SiteScan(SiteOperator):
         self.stats.detail = self._describe(assignment)
         binding = assignment.binding
         if ctx.columnar:
-            # Transpose each site's table into fixed-size column batches;
+            # Wrap each site table's resident column layout in this query's
+            # batch headers (a governed scan's fresh table builds its own);
             # per-row env dicts are only rebuilt at the Ship boundary.
             return [
                 SiteBatch(
@@ -1197,10 +1199,9 @@ def merge_state(call: FuncCall, a: Any, b: Any) -> Any:
     raise QueryError(f"unknown aggregate {call.name!r}")
 
 
-def final_value(call: FuncCall, group: PartialGroup) -> Any:
-    state = group.states[repr(call)]
+def final_value(call: FuncCall, state: Any, group_rows: int) -> Any:
     if call.star:
-        return group.count
+        return group_rows
     if call.name == "avg":
         total, count = state
         return None if count == 0 else total / count
@@ -1217,6 +1218,7 @@ class PartialAggregate(SiteOperator):
         self.node = node
         assert node.split is not None
         self.calls = node.split.calls
+        self._state_keys = [repr(call) for call in self.calls]
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
@@ -1250,8 +1252,8 @@ class PartialAggregate(SiteOperator):
         records = []
         for key, group_envs in groups.items():
             states = {
-                repr(call): partial_state(call, group_envs)
-                for call in self.calls
+                state_key: partial_state(call, group_envs)
+                for state_key, call in zip(self._state_keys, self.calls)
             }
             records.append(
                 PartialGroup(
@@ -1313,12 +1315,9 @@ class PartialAggregate(SiteOperator):
         for chunk in chunks:
             cols = chunk.columns
             if key_indexes:
-                key_cols = [cols[i] for i in key_indexes]
                 local: dict[tuple, list[int]] = {}
-                for i in range(chunk.count):
-                    local.setdefault(
-                        tuple(col[i] for col in key_cols), []
-                    ).append(i)
+                for i, key in enumerate(zip(*[cols[k] for k in key_indexes])):
+                    local.setdefault(key, []).append(i)
             else:
                 local = {(): list(range(chunk.count))}
             for key, indexes in local.items():
@@ -1368,16 +1367,16 @@ class PartialAggregate(SiteOperator):
         records = []
         for key, (count, representative, states) in groups.items():
             final_states: dict[str, Any] = {}
-            for call, (name, _), state in zip(self.calls, specs, states):
+            for state_key, (name, _), state in zip(self._state_keys, specs, states):
                 if name == "count*":
-                    final_states[repr(call)] = count
+                    final_states[state_key] = count
                 elif name == "avg":
                     total, seen = state
-                    final_states[repr(call)] = (
+                    final_states[state_key] = (
                         (None, 0) if seen == 0 else (total, seen)
                     )
                 else:
-                    final_states[repr(call)] = state
+                    final_states[state_key] = state
             records.append(PartialGroup(key, count, final_states, representative))
         return records
 
@@ -1936,6 +1935,10 @@ class FinalAggregate(PhysicalOperator):
         self.node = node
         assert node.split is not None
         self.calls = node.split.calls
+        self._state_keys = [repr(call) for call in self.calls]
+        # id(aggregate call in items/having) -> its state key; the node
+        # keeps those expression objects alive as long as this operator.
+        self._item_keys: dict[int, str] = {}
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
@@ -1954,8 +1957,7 @@ class FinalAggregate(PhysicalOperator):
                 )
                 continue
             seen.count += record.count
-            for call in self.calls:
-                key = repr(call)
+            for call, key in zip(self.calls, self._state_keys):
                 seen.states[key] = merge_state(call, seen.states[key], record.states[key])
             if not seen.representative and record.representative:
                 seen.representative = record.representative
@@ -1981,7 +1983,10 @@ class FinalAggregate(PhysicalOperator):
 
     def _eval_merged(self, expr: Expr, group: PartialGroup) -> Any:
         if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return final_value(expr, group)
+            key = self._item_keys.get(id(expr))
+            if key is None:
+                key = self._item_keys[id(expr)] = repr(expr)
+            return final_value(expr, group.states[key], group.count)
         if isinstance(expr, BinaryOp):
             left = self._eval_merged(expr.left, group)
             right = self._eval_merged(expr.right, group)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import traceback
 from dataclasses import dataclass, field
 
 from repro.core.errors import (
@@ -505,6 +506,9 @@ class WorkloadManager:
         self._unfinished -= 1
         self.metrics.gauge("workload.in_flight").set(self.in_flight)
         if error is not None:
+            # Keep the traceback's line info but free its frames' locals:
+            # they are the failed execution's operators, context and tables.
+            traceback.clear_frames(error.__traceback__)
             handle.state = QueryState.FAILED
             handle.error = error
             owner.failed += 1

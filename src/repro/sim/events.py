@@ -33,12 +33,15 @@ class ScheduledEvent:
     time: float
     sequence: int
     name: str = field(compare=False)
-    callback: Callable[[], None] = field(compare=False)
+    # Dropped once the event can never fire again (fired or cancelled), so
+    # whoever keeps the event does not keep what the callback closes over.
+    callback: Callable[[], None] | None = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when popped."""
         self.cancelled = True
+        self.callback = None
 
 
 class EventLoop:
@@ -110,6 +113,7 @@ class EventLoop:
             if event.time > self.clock.now():
                 self.clock.advance_to(event.time)
             event.callback()
+            event.callback = None
             fired += 1
         if end_time > self.clock.now():
             self.clock.advance_to(end_time)
@@ -125,6 +129,7 @@ class EventLoop:
             if event.time > self.clock.now():
                 self.clock.advance_to(event.time)
             event.callback()
+            event.callback = None
             self.fired += 1
             return event
         return None

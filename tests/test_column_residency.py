@@ -1,0 +1,313 @@
+"""The fragment-resident column layout (DESIGN §5f) and its lifetime.
+
+A table's chunked column layout is built by the first columnar scan, kept
+by the :class:`~repro.core.records.Table` until its ``rows`` are rebound,
+and handed to every later scan by reference.  Covered here: sharing across
+statements and replicas, invalidation by writes, isolation from governed
+(masked / row-filtered) scans, equivalence with the transpose-per-scan
+loop it replaced, and that no finished statement -- successful, failed or
+cancelled -- leaves batches or tables behind for the cycle collector.
+"""
+
+import gc
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import PartialFailureError
+from repro.federation import (
+    FederatedEngine,
+    FederationCatalog,
+    WorkloadManager,
+    columnar,
+)
+from repro.federation.columnar import ColumnBatch, table_chunks
+from repro.federation.governance import GovernanceRegistry
+from repro.federation.physical import ExecContext, SiteBatch
+from repro.federation.workload import QueryState
+from repro.sim import EventLoop, SimClock
+from repro.workloads import generate_hotels
+
+PARTS = Schema(
+    "parts",
+    (
+        Field("sku", DataType.STRING),
+        Field("owner", DataType.STRING),
+        Field("qty", DataType.INTEGER),
+    ),
+)
+ROWS = [(f"p{i:03d}", f"user{i}@example.com", i) for i in range(60)]
+SITES = ["s0", "s1", "s2"]
+# Two fragments, each replicated on two sites (s0 holds both).
+PLACEMENT = [["s0", "s1"], ["s0", "s2"]]
+EVERYTHING = "select sku, owner, qty from parts"
+
+
+def make_engine(**engine_kwargs):
+    catalog = FederationCatalog(SimClock())
+    for name in SITES:
+        catalog.make_site(name)
+    catalog.load_fragmented(Table(PARTS, ROWS), 2, PLACEMENT)
+    return catalog, FederatedEngine(catalog, **engine_kwargs)
+
+
+def fragment_table(catalog, index, site=None):
+    fragment = catalog.entry("parts").fragments[index]
+    site = site or fragment.replica_sites()[0]
+    return catalog.site(site).source(fragment.replicas[site]).fetch().table
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Every ``(table, chunks)`` pair ``SiteScan`` wraps while the test runs."""
+    seen = []
+    inner = columnar.table_chunks
+
+    def spy(binding, table, ambiguous, *args):
+        chunks = inner(binding, table, ambiguous, *args)
+        seen.append((table, chunks))
+        return chunks
+
+    monkeypatch.setattr(columnar, "table_chunks", spy)
+    return seen
+
+
+def reference_chunks(binding, table, ambiguous, batch_size):
+    """The transpose-per-scan loop ``table_chunks`` used to run."""
+    fields = table.schema.fields
+    names = [f"{binding}.{f.name}" for f in fields]
+    aliases = {f.name: i for i, f in enumerate(fields) if f.name not in ambiguous}
+    chunks = []
+    for start in range(0, len(table.rows), batch_size):
+        slice_rows = table.rows[start : start + batch_size]
+        columns = [list(column) for column in zip(*slice_rows)]
+        chunks.append(ColumnBatch(names, columns, aliases, len(slice_rows)))
+    return chunks
+
+
+def flatten(chunks):
+    return [
+        (c.names, c.aliases, c.count, [list(col) for col in c.columns], c.to_envs())
+        for c in chunks
+    ]
+
+
+class TestSharedLayout:
+    def test_two_scans_of_a_fragment_share_column_objects(self, scanned):
+        _, engine = make_engine()
+        first = engine.query(EVERYTHING).table
+        cold = list(scanned)
+        scanned.clear()
+        assert len(engine.query("select p.qty from parts p").table) == 60
+        assert sorted(first.rows) == sorted(ROWS)
+        for (table, chunks), (again, rewrapped) in zip(
+            sorted(cold, key=lambda pair: id(pair[0])),
+            sorted(scanned, key=lambda pair: id(pair[0])),
+        ):
+            assert table is again
+            assert [c.names for c in chunks] != [c.names for c in rewrapped]
+            for chunk, other in zip(chunks, rewrapped, strict=True):
+                assert chunk is not other and chunk.columns is not other.columns
+                assert all(
+                    a is b for a, b in zip(chunk.columns, other.columns, strict=True)
+                )
+
+    def test_replica_on_another_site_shares_the_layout(self, scanned):
+        catalog, engine = make_engine()
+        engine.query(EVERYTHING)
+        warm = {id(col) for _, chunks in scanned for c in chunks for col in c.columns}
+        scanned.clear()
+        catalog.site("s0").up = False  # both fragments fall to s1 / s2
+        result = engine.query(EVERYTHING)
+        assert sorted(result.table.rows) == sorted(ROWS)
+        assert "s0" not in result.report.site_work
+        again = {id(col) for _, chunks in scanned for c in chunks for col in c.columns}
+        assert again == warm
+        assert fragment_table(catalog, 0, "s1") is fragment_table(catalog, 0, "s0")
+
+
+class TestInvalidation:
+    def test_rebinding_rows_drops_the_layout(self):
+        table = Table(PARTS, ROWS[:10])
+        layout = table.column_chunks(4)
+        assert table.column_chunks(4) is layout
+        assert [count for count, _ in layout] == [4, 4, 2]
+        assert table.column_chunks(8) is not layout  # one slot, keyed by size
+        table.rows = ROWS[10:13]
+        assert table.column_chunks(4) == [(3, tuple(zip(*ROWS[10:13])))]
+
+    def test_fragment_write_is_visible_to_the_next_scan(self):
+        catalog, engine = make_engine()
+        assert engine.query("select sum(qty) from parts").table.rows == [(1770,)]
+        target = fragment_table(catalog, 0)
+        target.rows = [(sku, owner, 0) for sku, owner, _ in target.rows]
+        catalog.notify_table_updated("parts")
+        remaining = sum(qty for _, _, qty in fragment_table(catalog, 1).rows)
+        assert engine.query("select sum(qty) from parts").table.rows == [(remaining,)]
+
+    def test_repartition_is_visible_to_the_next_scan(self, scanned):
+        catalog, engine = make_engine()
+        before = engine.query(EVERYTHING).table
+        old_tables = {id(table) for table, _ in scanned}
+        scanned.clear()
+        catalog.repartition("parts", 3, [["s0"], ["s1"], ["s2"]])
+        after = engine.query(EVERYTHING).table
+        assert sorted(after.rows) == sorted(before.rows)
+        assert len(scanned) == 3
+        assert not old_tables & {id(table) for table, _ in scanned}
+
+    def test_hotel_market_writes_are_visible(self):
+        market = generate_hotels(seed=3, chain_count=4, hotels_per_chain=3)
+        catalog = FederationCatalog(SimClock())
+        for name in SITES:
+            catalog.make_site(name)
+        market.register_sources(
+            catalog, {chain: SITES[i % 3] for i, chain in enumerate(market.chains)}
+        )
+        engine = FederatedEngine(catalog)
+        rng = random.Random(5)
+        sql = "select hotel_id, rooms_available, corporate_rate from hotel_availability"
+        for _ in range(6):
+            truth = sorted(
+                (h["hotel_id"], h["rooms_available"], h["corporate_rate"])
+                for h in market.hotels
+            )
+            assert sorted(engine.query(sql).table.rows) == truth
+            market.apply_random_update(rng)
+
+
+GOVERNED = {
+    "version": 1,
+    "tenants": {
+        "acme": {
+            "tables": {
+                "parts": {
+                    # Not sargable: evaluated as a residual at the scan, on
+                    # the fragment's own (layout-bearing) table.
+                    "row_filter": "qty + 0 >= 30",
+                    "masks": {"owner": "redact"},
+                }
+            }
+        }
+    },
+}
+
+
+class TestGovernedScansLeaveTheLayoutAlone:
+    def test_masked_then_plain_tenant_on_one_fragment(self):
+        catalog, engine = make_engine(governance=GovernanceRegistry(GOVERNED))
+        engine.query(EVERYTHING)  # builds the shared layout
+        tables = [fragment_table(catalog, i) for i in range(2)]
+        layouts = [t.column_chunks(columnar.DEFAULT_BATCH_SIZE) for t in tables]
+        snapshots = [[(n, tuple(cols)) for n, cols in layout] for layout in layouts]
+
+        governed = engine.query(EVERYTHING, tenant="acme")
+        assert sorted(governed.table.rows) == [
+            (sku, "***", qty) for sku, _, qty in ROWS if qty >= 30
+        ]
+        assert governed.report.rows_filtered_by_rls == 30
+        plain = engine.query(EVERYTHING)
+        assert sorted(plain.table.rows) == sorted(ROWS)
+
+        for table, layout, snapshot in zip(tables, layouts, snapshots):
+            assert table.column_chunks(columnar.DEFAULT_BATCH_SIZE) is layout
+            assert [(n, tuple(cols)) for n, cols in layout] == snapshot
+
+
+class TestNoGarbage:
+    """With the cycle collector off, finished statements free their
+    batches, contexts and result tables by reference count alone."""
+
+    GROUPED = "select owner, count(*), sum(qty) from parts group by owner"
+
+    def succeed_and_cancel(self, engine, manager):
+        assert len(engine.query(EVERYTHING).table) == 60
+        handles = [
+            manager.submit(sql) for sql in (EVERYTHING, self.GROUPED, self.GROUPED)
+        ]
+        assert handles[2].state is QueryState.QUEUED
+        queued = manager.submit(EVERYTHING)
+        assert manager.cancel(handles[0]) and manager.cancel(queued)
+        manager.drain()
+        assert [h.state for h in handles] == [
+            QueryState.FAILED, QueryState.COMPLETED, QueryState.COMPLETED
+        ]
+
+    def fail(self, engine, manager):
+        # A stored error's traceback keeps its callers' frames (f_back), as
+        # any kept exception does; this frame holds no results to pin.
+        with pytest.raises(PartialFailureError):
+            engine.query(EVERYTHING)
+        failed = manager.submit(self.GROUPED)
+        manager.drain()
+        with pytest.raises(PartialFailureError):
+            failed.result()
+
+    def run_statements(self):
+        """Returns the world so the caller decides when the (cyclic)
+        catalog and engine may die."""
+        catalog, engine = make_engine()
+        manager = WorkloadManager(engine, EventLoop(catalog.clock), max_in_flight=2)
+        for _ in range(3):
+            self.succeed_and_cancel(engine, manager)
+        # Fragment 1 loses both replicas.
+        catalog.site("s0").up = catalog.site("s2").up = False
+        for _ in range(3):
+            self.fail(engine, manager)
+        return catalog, engine, manager
+
+    def test_finished_statements_leave_no_batches_or_tables(self):
+        warm = self.run_statements()  # imports, lazily built module state
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            world = self.run_statements()
+            gc.collect()
+            leaked = [
+                repr(obj)
+                for obj in gc.garbage
+                if isinstance(obj, (ColumnBatch, SiteBatch, Table, ExecContext))
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert leaked == []
+        assert warm and world  # alive until here: only statements could leak
+
+
+VALUES = st.one_of(st.none(), st.integers(-5, 5), st.sampled_from(["x", "y"]))
+
+
+class TestWarmEqualsFresh:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(0, 3),
+        rows=st.integers(0, 40),
+        batch_size=st.integers(1, 17),
+        ambiguous=st.sets(st.sampled_from(["c0", "c1", "c2"])),
+        data=st.data(),
+    )
+    def test_table_chunks_on_a_warm_table_matches_the_transposing_loop(
+        self, width, rows, batch_size, ambiguous, data
+    ):
+        schema = Schema(
+            "t", tuple(Field(f"c{i}", DataType.STRING) for i in range(width))
+        )
+        content = data.draw(
+            st.lists(
+                st.tuples(*[VALUES] * width), min_size=rows, max_size=rows
+            )
+        )
+        warm = Table(schema, content, validate=False)
+        table_chunks("other", warm, set(), batch_size)  # someone scanned first
+        fresh = Table(schema, content, validate=False)
+        expected = flatten(reference_chunks("b", fresh, ambiguous, batch_size))
+        assert flatten(table_chunks("b", warm, ambiguous, batch_size)) == expected
+        assert flatten(table_chunks("b", fresh, ambiguous, batch_size)) == expected
