@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CI gate: the columnar engine's throughput win must not regress.
+"""CI gate: the columnar engine's throughput win must not regress, and
+the wire byte model must not move.
 
 Usage::
 
@@ -16,6 +17,13 @@ best one counts, which absorbs warm-up and scheduling noise.
 Fails (exit 1) when the best fresh speedup drops below ``FLOOR`` times
 the committed baseline's speedup -- i.e. the columnar engine lost more
 than 30% of its relative throughput advantage.
+
+Also fails unless *every* fresh file's ``hotel_wire`` block (per-column
+encoding, encoded and raw bytes, plus the shipment totals and ratio)
+equals the committed baseline's.  Those numbers come from the codec's
+fixed byte model, not from a clock, so the comparison is ``==``: any
+difference is a change to the model, which must be committed with the
+regenerated baseline rather than drift in unnoticed.
 """
 
 import json
@@ -24,20 +32,47 @@ import sys
 FLOOR = 0.7
 
 
-def speedup(path: str) -> float:
+def load(path: str) -> dict:
     with open(path) as f:
         payload = json.load(f)
-    if "speedup" not in payload:
-        raise SystemExit(f"{path}: no 'speedup' key (throughput bench not run?)")
-    return float(payload["speedup"])
+    for key, bench in (("speedup", "throughput"), ("hotel_wire", "wire_bytes")):
+        if key not in payload:
+            raise SystemExit(f"{path}: no {key!r} key ({bench} bench not run?)")
+    return payload
+
+
+def wire_differences(baseline: dict, fresh: dict) -> list[str]:
+    """Every ``hotel_wire`` entry where ``fresh`` departs from ``baseline``."""
+    found = []
+    for key in sorted(set(baseline) | set(fresh)):
+        want, got = baseline.get(key), fresh.get(key)
+        if isinstance(want, dict) and isinstance(got, dict):
+            found += [f"{key}.{inner}" for inner in wire_differences(want, got)]
+        elif want != got:
+            found.append(f"{key}: committed {want!r}, fresh {got!r}")
+    return found
 
 
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
         print(__doc__)
         return 2
-    baseline = speedup(argv[1])
-    fresh_runs = [speedup(path) for path in argv[2:]]
+    committed = load(argv[1])
+    fresh = {path: load(path) for path in argv[2:]}
+    drifted = False
+    for path, payload in fresh.items():
+        for difference in wire_differences(
+            committed["hotel_wire"], payload["hotel_wire"]
+        ):
+            print(f"FAIL: {path}: hotel_wire.{difference}")
+            drifted = True
+    if drifted:
+        print("FAIL: the wire byte model moved against the committed baseline")
+        return 1
+    print(f"OK: hotel_wire identical to the baseline in {len(fresh)} fresh file(s)")
+
+    baseline = float(committed["speedup"])
+    fresh_runs = [float(payload["speedup"]) for payload in fresh.values()]
     best = max(fresh_runs)
     bar = FLOOR * baseline
     print(

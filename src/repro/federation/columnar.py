@@ -20,14 +20,17 @@ operators pass batches by reference and work on whole columns:
   that discovers an incomparable pair mid-flight raises
   :class:`KernelFallback` for the same reason.
 * **Wire encodings** (:func:`encode_batch` / :func:`decode_batch`): the
-  Ship operator serializes each column under the cheapest of five
+  Ship operator serializes each column under the cheapest of seven
   self-describing encodings -- plain, dictionary (low-cardinality
   columns), run-length (sorted/flag columns), zigzag-varint delta (int
-  columns) and front-coded prefixes (sorted-ish string columns).  Encoded
-  sizes use a fixed byte model (:func:`value_wire_bytes`), so
+  columns), two-bit flags, scaled decimals (short-decimal float columns)
+  and front-coded prefixes (sorted-ish string columns).  Encoded sizes
+  use a fixed byte model (:func:`value_wire_bytes`), so
   ``bytes_shipped`` is deterministic (DESIGN §7) and the network can
-  charge per byte instead of per row.  Decoding is exact: every encoding
-  round-trips values (and their types) unchanged.
+  charge per byte instead of per row; candidates are only sized, with
+  whole-column passes, and the winner alone is built (DESIGN §5f).
+  Decoding is exact: every encoding round-trips values (and their
+  types) unchanged.
 
 The row-compatibility shim is :meth:`ColumnBatch.to_envs`: at the Ship
 boundary batches are re-materialized into the same ``{qualified: value,
@@ -37,7 +40,20 @@ cache and workload manager always consumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice, repeat, tee
+from operator import (
+    eq,
+    getitem,
+    is_,
+    is_not,
+    mul,
+    ne,
+    not_,
+    sub,
+    truediv,
+)
 from typing import Any, Callable
 
 from repro.core.records import Table
@@ -611,151 +627,344 @@ class EncodedBatch:
         return sum(column.raw_bytes for column in self.columns)
 
 
-def _zigzag(n: int) -> int:
-    return (n << 1) if n >= 0 else ((-n << 1) - 1)
+# The codec classifies a column once, by the exact types of its values.
+# Columns of the plain wire types are sized with whole-column passes that
+# run inside the interpreter's C loops; any other type (Money, Decimal,
+# lists, subclasses) takes the per-value codec, because its equality may
+# raise, answer with a non-bool or be unhashable.
+_NONE = type(None)
+_PLAIN_TYPES = frozenset((_NONE, bool, int, float, str))
+_NUMERIC_TYPES = frozenset((bool, int, float))
+_FLAG_TYPES = frozenset((_NONE, bool))
+_TEXT_TYPES = frozenset((_NONE, str))
+_INT_ONLY = frozenset((int,))
+_FLOAT_ONLY = frozenset((float,))
+# What value_wire_bytes charges the fixed-width plain types, and the
+# fewest bytes one value of each plain type can cost (an empty string is
+# its two length bytes): the floor under a candidate's per-entry cost.
+_FIXED_WIRE_BYTES = {_NONE: 1, bool: 1, int: 8, float: 8}
+_MIN_WIRE_BYTES = {**_FIXED_WIRE_BYTES, str: 2}
+# What the first value of a delta-coded column costs.
+_DELTA_BASE_BYTES = 9
 
 
-def _varint_len(n: int) -> int:
-    return max(1, (n.bit_length() + 6) // 7)
+def _utf8_bytes(strings) -> int:
+    """UTF-8 bytes of all ``strings`` together, encoded at most once."""
+    text = "".join(strings)
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _wire_bytes(values, kinds) -> int:
+    """``sum(map(value_wire_bytes, values))`` without the per-value calls.
+
+    ``kinds`` is the set of exact types in ``values`` and holds plain wire
+    types only.
+    """
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind is str:
+            return 2 * len(values) + _utf8_bytes(values)
+        return _FIXED_WIRE_BYTES[kind] * len(values)
+    types = list(map(type, values))
+    total = 0
+    for kind in kinds:
+        if kind is str:
+            strings = compress(values, map(is_, types, repeat(str)))
+            total += 2 * types.count(str) + _utf8_bytes(strings)
+        else:
+            total += _FIXED_WIRE_BYTES[kind] * types.count(kind)
+    return total
+
+
+def _value_key(value: Any) -> tuple:
+    """What makes two values the same dictionary entry or the same run.
+
+    The key pairs the value with its type so 1/1.0/True never collapse;
+    floats key by repr so 0.0/-0.0 stay distinct (and all NaNs are one).
+    """
+    if type(value) is float:
+        return (float, repr(value))
+    return (type(value), value)
+
+
+def _first_values(distinct: dict, keys, values) -> list:
+    """The first value that carried each key of ``distinct``, in its
+    (first-appearance) order: zipping backwards lets the earliest win."""
+    first_of = dict(zip(reversed(keys), reversed(values)))
+    return list(map(first_of.__getitem__, distinct))
+
+
+def _codes(distinct: dict, keys) -> list:
+    """Each key's position in ``distinct``."""
+    code_of = {key: code for code, key in enumerate(distinct)}
+    return list(map(code_of.__getitem__, keys))
+
+
+def _varint_bytes(deltas: list) -> int:
+    """Total zigzag-varint bytes of ``deltas``.
+
+    zigzag(d) is 2d for d >= 0 and -2d - 1 below zero: one bit more than
+    ``d.bit_length()`` (which ignores the sign), except that -2**k lands
+    on 2**(k + 1) - 1 and needs no extra bit.  That saves a byte only
+    where k + 1 is a multiple of seven, so the deltas are visited in
+    Python once per distinct bit length, never once per delta.
+    """
+    total = 0
+    for width, times in Counter(map(int.bit_length, deltas)).items():
+        total += (width + 7) // 7 * times
+        if width and width % 7 == 0:
+            total -= deltas.count(-(1 << (width - 1)))
+    return total
+
+
+def _scaled_ints(values, scale: int) -> "list[int] | None":
+    """``round(v * scale)`` per value when every ``v`` is bit-exactly
+    that integer over ``scale``, else ``None``.
+
+    One lazy pass that stops at the first value that is not; an inf or
+    nan met before one raises OverflowError / ValueError.  -0.0 compares
+    equal to the +0.0 its integer decodes to and is told apart by repr.
+    """
+    scaled, kept = tee(map(round, map(mul, values, repeat(scale))))
+    if not all(map(eq, map(truediv, scaled, repeat(scale)), values)):
+        return None
+    ints = list(kept)
+    zeros = compress(values, map(not_, ints))
+    return None if "-0.0" in map(repr, zeros) else ints
+
+
+def _shared_prefix_lengths(strings, budget: int) -> "list[int] | None":
+    """How many leading characters each string shares with the one before.
+
+    A suffix costs at least one byte per character, so once the suffix
+    characters seen reach ``budget`` front coding has lost and the scan
+    stops (returns ``None``).  Clustered identifiers mostly share what
+    the pair before them shared, so that prefix (``head``) is tried
+    first, in one ``startswith``, and characters are compared only past
+    it; when it fails the pair is compared from the start.
+    """
+    lengths = []
+    prev, prev_len, shared, head = "", 0, 0, ""
+    for value in strings:
+        value_len = len(value)
+        limit = value_len if value_len < prev_len else prev_len
+        if not value.startswith(head):
+            shared = 0
+        while shared < limit and prev[shared] == value[shared]:
+            shared += 1
+        if shared != len(head):
+            head = value[:shared]
+        budget -= value_len - shared
+        if budget <= 0:
+            return None
+        lengths.append(shared)
+        prev, prev_len = value, value_len
+    return lengths
 
 
 def encode_column(name: str, values: list) -> EncodedColumn:
-    """Serialize one column under the cheapest applicable encoding."""
-    count = len(values)
-    raw = COLUMN_HEADER_BYTES + sum(value_wire_bytes(v) for v in values)
-    encoding, payload, size = "plain", list(values), raw
+    """Serialize one column under the cheapest applicable encoding.
 
-    if count:
-        # Dictionary: first-appearance codes.  Keys pair the value with its
-        # type so 1/1.0/True never collapse into one entry; floats key by
-        # repr so 0.0/-0.0 stay distinct (and all NaNs share one entry).
-        mapping: dict = {}
-        dict_values: list = []
-        codes: list[int] = []
-        hashable = True
-        try:
-            for v in values:
-                key = (type(v), repr(v)) if type(v) is float else (type(v), v)
-                code = mapping.get(key, -1)
-                if code < 0:
-                    code = mapping[key] = len(dict_values)
-                    dict_values.append(v)
-                codes.append(code)
-        except TypeError:
-            hashable = False
-        if hashable and len(dict_values) < count and len(dict_values) <= 65536:
-            index_bytes = 1 if len(dict_values) <= 256 else 2
+    Candidates are tried in a fixed order -- dict, rle, delta, bits,
+    scaled, prefix -- and one replaces the incumbent only when strictly
+    smaller, so an earlier candidate wins ties: order and tie rule are
+    part of the byte model.  Each candidate is only *sized*; a size only
+    grows as entries are added, so a candidate is dropped as soon as a
+    lower bound on it reaches the incumbent, and the payload is built
+    for the winner alone.
+    """
+    count = len(values)
+    if count < 2:
+        # One entry plus any candidate's own header never undercuts plain.
+        raw = COLUMN_HEADER_BYTES + sum(map(value_wire_bytes, values))
+        return EncodedColumn(name, "plain", count, list(values), raw, raw)
+    kinds = set(map(type, values))
+    if not kinds <= _PLAIN_TYPES:
+        return _encode_opaque(name, values)
+    raw = COLUMN_HEADER_BYTES + _wire_bytes(values, kinds)
+    encoding, size = "plain", raw
+
+    # ``==`` on the raw values tells entries apart exactly as _value_key
+    # does unless two numeric types meet (1 == 1.0 == True), a float is
+    # NaN (never equal to itself) or zero (0.0 == -0.0); only then is the
+    # key built per value.
+    keys = values
+    distinct = dict.fromkeys(values)
+    if len(kinds & _NUMERIC_TYPES) > 1 or (
+        float in kinds
+        and (0.0 in distinct or any(map(ne, distinct, distinct)))
+    ):
+        keys = list(map(_value_key, values))
+        distinct = dict.fromkeys(keys)
+
+    # Neither a dictionary nor runs can save unless some entry repeats.
+    entries = len(distinct)
+    if entries < count:
+        # Dictionary: first-appearance codes.
+        if entries <= 65536:
+            if keys is values:
+                dict_values = list(distinct)
+            else:
+                dict_values = _first_values(distinct, keys, values)
             dict_size = (
                 COLUMN_HEADER_BYTES
-                + sum(value_wire_bytes(v) for v in dict_values)
-                + count * index_bytes
+                + _wire_bytes(dict_values, kinds)
+                + count * (1 if entries <= 256 else 2)
             )
             if dict_size < size:
-                encoding, payload, size = "dict", (dict_values, codes), dict_size
+                encoding, size = "dict", dict_size
 
-        # Run-length: runs compare by (type, value) so True/1 stay distinct;
-        # floats compare by repr so 0.0/-0.0 never merge and equal-repr NaNs
-        # do (bit-equivalent on decode).
-        runs: list[tuple[Any, int]] = []
-        for v in values:
-            if runs:
-                last, n = runs[-1]
-                if type(last) is type(v):
-                    if type(v) is float:
-                        same = repr(last) == repr(v)
-                    else:
-                        try:
-                            same = bool(last == v)
-                        except Exception:
-                            same = False
-                    if same:
-                        runs[-1] = (last, n + 1)
-                        continue
-            runs.append((v, 1))
-        rle_size = COLUMN_HEADER_BYTES + sum(
-            value_wire_bytes(v) + 2 for v, _ in runs
-        )
-        if rle_size < size:
-            encoding, payload, size = "rle", list(runs), rle_size
-
-        # Delta: exact-int columns only (bool is excluded so decode
-        # preserves types), zigzag-varint deltas.
-        if all(type(v) is int for v in values):
-            deltas = [values[i] - values[i - 1] for i in range(1, count)]
-            delta_size = (
-                COLUMN_HEADER_BYTES
-                + 9
-                + sum(_varint_len(_zigzag(d)) for d in deltas)
+        # Run-length: a run ends where the key changes, and costs its
+        # head value plus a two-byte length.
+        changes = bytes(map(ne, islice(keys, 1, None), keys))
+        runs = 1 + sum(changes)
+        cheapest_run = 2 + min(map(_MIN_WIRE_BYTES.__getitem__, kinds))
+        if COLUMN_HEADER_BYTES + runs * cheapest_run < size:
+            heads = [values[0], *compress(islice(values, 1, None), changes)]
+            rle_size = (
+                COLUMN_HEADER_BYTES + _wire_bytes(heads, kinds) + 2 * runs
             )
+            if rle_size < size:
+                encoding, size = "rle", rle_size
+
+    # Delta: exact-int columns only (bool is excluded so decode
+    # preserves types), zigzag-varint deltas of at least a byte each.
+    if kinds == _INT_ONLY:
+        delta_size = COLUMN_HEADER_BYTES + _DELTA_BASE_BYTES
+        if delta_size + count - 1 < size:
+            deltas = list(map(sub, islice(values, 1, None), values))
+            delta_size += _varint_bytes(deltas)
             if delta_size < size:
-                encoding, payload, size = "delta", (values[0], deltas), delta_size
+                encoding, size = "delta", delta_size
 
-        # Bit-packing: pure flag columns (bool or NULL) at two bits per
-        # value -- random flags defeat RLE but still pack four values per
-        # byte against one byte each under plain.
-        if all(v is None or type(v) is bool for v in values):
-            bits_size = COLUMN_HEADER_BYTES + (count + 3) // 4
-            if bits_size < size:
-                encoding, payload, size = "bits", list(values), bits_size
+    # Bit-packing: pure flag columns (bool or NULL) at two bits per
+    # value -- random flags defeat RLE but still pack four values per
+    # byte against one byte each under plain.
+    if kinds <= _FLAG_TYPES:
+        bits_size = COLUMN_HEADER_BYTES + (count + 3) // 4
+        if bits_size < size:
+            encoding, size = "bits", bits_size
 
-        # Scaled-decimal delta: float columns holding short decimals
-        # (prices, distances) store integer multiples of 1/scale,
-        # delta-coded.  Chosen only when every value provably round-trips
-        # bit-exactly through the scaling.
-        if all(type(v) is float for v in values):
+    # Scaled-decimal delta: float columns holding short decimals
+    # (prices, distances) store integer multiples of 1/scale,
+    # delta-coded.  Chosen only when every value provably round-trips
+    # bit-exactly through the scaling; the first scale that does decides.
+    if kinds == _FLOAT_ONLY:
+        scaled_size = COLUMN_HEADER_BYTES + 1 + _DELTA_BASE_BYTES
+        if scaled_size + count - 1 < size:
             for scale in (10, 100):
-                scaled: "list[int] | None" = []
-                for v in values:
-                    try:
-                        i = round(v * scale)
-                    except (OverflowError, ValueError):  # inf, nan
-                        scaled = None
-                        break
-                    if repr(i / scale) != repr(v):
-                        scaled = None
-                        break
-                    scaled.append(i)
-                if scaled is None:
-                    continue
-                deltas = [scaled[i] - scaled[i - 1] for i in range(1, count)]
-                scaled_size = (
-                    COLUMN_HEADER_BYTES
-                    + 1  # the scale
-                    + 9
-                    + sum(_varint_len(_zigzag(d)) for d in deltas)
-                )
-                if scaled_size < size:
-                    encoding, payload, size = (
-                        "scaled",
-                        (scale, scaled[0], deltas),
-                        scaled_size,
-                    )
-                break
+                try:
+                    scaled = _scaled_ints(values, scale)
+                except (OverflowError, ValueError):  # inf, nan: no scale fits
+                    break
+                if scaled is not None:
+                    deltas = list(map(sub, islice(scaled, 1, None), scaled))
+                    scaled_size += _varint_bytes(deltas)
+                    if scaled_size < size:
+                        encoding, size = "scaled", scaled_size
+                    break
 
-        # Prefix (front coding): string columns that share leading bytes
-        # with their predecessor (sorted or clustered identifiers).
-        if any(type(v) is str for v in values) and all(
-            v is None or type(v) is str for v in values
-        ):
-            entries: list = []
-            prefix_size = COLUMN_HEADER_BYTES
-            prev = ""
-            for v in values:
-                if v is None:
-                    entries.append(None)
-                    prefix_size += 1
-                    continue
-                shared = 0
-                limit = min(len(prev), len(v))
-                while shared < limit and prev[shared] == v[shared]:
-                    shared += 1
-                suffix = v[shared:]
-                entries.append((shared, suffix))
-                prefix_size += 2 + len(suffix.encode("utf-8"))
-                prev = v
+    # Prefix (front coding): string columns that share leading bytes
+    # with their predecessor (sorted or clustered identifiers).
+    if str in kinds and kinds <= _TEXT_TYPES:
+        strings = values
+        if _NONE in kinds:
+            strings = list(compress(values, map(is_not, values, repeat(None))))
+        prefix_size = COLUMN_HEADER_BYTES + count + len(strings)
+        shared = _shared_prefix_lengths(strings, size - prefix_size)
+        if shared is not None:
+            suffixes = list(
+                map(getitem, strings, map(slice, shared, repeat(None)))
+            )
+            prefix_size += _utf8_bytes(suffixes)
             if prefix_size < size:
-                encoding, payload, size = "prefix", entries, prefix_size
+                encoding, size = "prefix", prefix_size
 
+    if encoding in ("plain", "bits"):
+        payload: Any = list(values)
+    elif encoding == "dict":
+        payload = (dict_values, _codes(distinct, keys))
+    elif encoding == "rle":
+        starts = [0, *compress(range(1, count), changes), count]
+        payload = list(zip(heads, map(sub, islice(starts, 1, None), starts)))
+    elif encoding == "delta":
+        payload = (values[0], deltas)
+    elif encoding == "scaled":
+        payload = (scale, scaled[0], deltas)
+    elif _NONE in kinds:
+        front_coded = zip(shared, suffixes)
+        payload = [None if v is None else next(front_coded) for v in values]
+    else:
+        payload = list(zip(shared, suffixes))
+    return EncodedColumn(name, encoding, count, payload, size, raw)
+
+
+def _opaque_runs(values):
+    """``(head, length)`` runs of a column of arbitrary values.
+
+    Runs compare against their head by (type, value) so True/1 stay
+    distinct; floats compare by repr so 0.0/-0.0 never merge and
+    equal-repr NaNs do (bit-equivalent on decode).  An equality that
+    raises ends the run.
+    """
+    rest = iter(values)
+    head, length = next(rest), 1
+    for value in rest:
+        if type(head) is type(value):
+            if type(value) is float:
+                same = repr(head) == repr(value)
+            else:
+                try:
+                    same = bool(head == value)
+                except Exception:
+                    same = False
+            if same:
+                length += 1
+                continue
+        yield head, length
+        head, length = value, 1
+    yield head, length
+
+
+def _encode_opaque(name: str, values: list) -> EncodedColumn:
+    """The codec for a column holding any type outside the plain wire
+    types, one value at a time.  Only dictionary and run-length can
+    apply: delta, bits, scaled and prefix each demand plain types
+    throughout.
+    """
+    count = len(values)
+    raw = COLUMN_HEADER_BYTES + sum(map(value_wire_bytes, values))
+    encoding, size = "plain", raw
+
+    keys = list(map(_value_key, values))
+    try:
+        distinct = dict.fromkeys(keys)
+    except TypeError:  # unhashable: no dictionary
+        distinct = {}
+    if distinct and len(distinct) < count and len(distinct) <= 65536:
+        dict_values = _first_values(distinct, keys, values)
+        dict_size = (
+            COLUMN_HEADER_BYTES
+            + sum(map(value_wire_bytes, dict_values))
+            + count * (1 if len(distinct) <= 256 else 2)
+        )
+        if dict_size < size:
+            encoding, size = "dict", dict_size
+
+    rle_size = COLUMN_HEADER_BYTES
+    for head, _ in _opaque_runs(values):
+        rle_size += value_wire_bytes(head) + 2
+        if rle_size >= size:
+            break
+    else:
+        encoding, size = "rle", rle_size
+
+    if encoding == "dict":
+        payload: Any = (dict_values, _codes(distinct, keys))
+    elif encoding == "rle":
+        payload = list(_opaque_runs(values))
+    else:
+        payload = list(values)
     return EncodedColumn(name, encoding, count, payload, size, raw)
 
 

@@ -2343,7 +2343,9 @@ def _sort_key(value: Any) -> tuple:
     if isinstance(value, bool):
         return (1, str(value))
     if isinstance(value, (int, float)):
-        return (2, float(value))
+        # Python orders int against float exactly; float(value) would tie
+        # 2**53 with 2**53 + 1 and overflow on an int past 1e308.
+        return (2, value)
     if isinstance(value, Money):
         return (3, value.currency, value.amount)
     return (4, str(value))

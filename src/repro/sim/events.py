@@ -36,12 +36,23 @@ class ScheduledEvent:
     # Dropped once the event can never fire again (fired or cancelled), so
     # whoever keeps the event does not keep what the callback closes over.
     callback: Callable[[], None] | None = field(compare=False)
+    # The loop whose live count still includes this event; dropped with
+    # the callback, so cancelling twice or after firing counts nothing.
+    loop: "EventLoop | None" = field(default=None, compare=False, repr=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when popped."""
+        self._retire()
         self.cancelled = True
-        self.callback = None
+
+    def _retire(self) -> Callable[[], None] | None:
+        """Stop counting as live and hand back the callback, once."""
+        callback, self.callback = self.callback, None
+        loop, self.loop = self.loop, None
+        if loop is not None:
+            loop._live -= 1
+        return callback
 
 
 class EventLoop:
@@ -51,6 +62,7 @@ class EventLoop:
         self.clock = clock
         self._queue: list[ScheduledEvent] = []
         self._sequence = itertools.count()
+        self._live = 0  # queued events neither fired nor cancelled
         self.fired = 0
 
     def schedule_at(
@@ -62,8 +74,9 @@ class EventLoop:
                 f"cannot schedule event {name!r} at {time!r}, "
                 f"clock is already at {self.clock.now()!r}"
             )
-        event = ScheduledEvent(time, next(self._sequence), name, callback)
+        event = ScheduledEvent(time, next(self._sequence), name, callback, self)
         heapq.heappush(self._queue, event)
+        self._live += 1
         return event
 
     def schedule_after(
@@ -94,8 +107,12 @@ class EventLoop:
         return self.schedule_after(interval, fire_and_reschedule, name)
 
     def pending(self) -> int:
-        """Return the number of live (non-cancelled) events queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        """Return the number of live (non-cancelled) events queued.
+
+        A running count kept by ``schedule_at``, ``cancel`` and firing:
+        drivers poll this once per event with every arrival pre-scheduled.
+        """
+        return self._live
 
     def run_until(self, end_time: float) -> int:
         """Fire all events with ``time <= end_time``; return the count fired.
@@ -112,8 +129,8 @@ class EventLoop:
             # past this event's time; a late event fires immediately.
             if event.time > self.clock.now():
                 self.clock.advance_to(event.time)
-            event.callback()
-            event.callback = None
+            callback = event._retire()
+            callback()
             fired += 1
         if end_time > self.clock.now():
             self.clock.advance_to(end_time)
@@ -128,8 +145,8 @@ class EventLoop:
                 continue
             if event.time > self.clock.now():
                 self.clock.advance_to(event.time)
-            event.callback()
-            event.callback = None
+            callback = event._retire()
+            callback()
             self.fired += 1
             return event
         return None

@@ -10,13 +10,19 @@ Ship-accounting rules (cache-served, pruned and coordinator-local scans
 never count as shipped) with deterministic regressions.
 """
 
+import collections
 import math
+import random
+from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DataType, Field, Schema, Table
+from repro.core.values import Money
 from repro.federation import FederatedEngine, FederationCatalog, SemanticCache
+from repro.federation import columnar
 from repro.federation.columnar import (
     decode_batch,
     decode_column,
@@ -25,6 +31,7 @@ from repro.federation.columnar import (
     table_chunks,
 )
 from repro.sim import SimClock
+from tests.reference_codec import encode_column as reference_encode_column
 
 
 def build_pair(rows, fragment_count=3, site_count=4, cache=False):
@@ -322,6 +329,170 @@ class TestEncodingRoundTrips:
             assert decoded.count == chunk.count
 
 
+# -- the production codec against the reference codec ---------------------------
+#
+# Each generator takes (rng, n) and returns n values of one column shape
+# the codec classifies differently.  Columns are built from a seeded
+# ``random.Random`` rather than drawn value by value, so a 1024-value
+# column costs hypothesis one integer.
+
+
+def _ids(rng, n):
+    start, stride = rng.randrange(10**5), rng.randrange(1, 40)
+    return [f"part-{start + i * stride:06d}" for i in range(n)]
+
+
+def _shuffled_ids(rng, n):
+    values = _ids(rng, n)
+    rng.shuffle(values)
+    return values
+
+
+def _low_cardinality_strings(rng, n):
+    pool = rng.choice([3, 40, 300, 70000])
+    values = [f"sup-{rng.randrange(pool):02d}" for _ in range(n)]
+    return sorted(values) if rng.random() < 0.3 else values
+
+
+def _non_ascii_strings(rng, n):
+    pool = ["", "a", "täg", "tägx", "täglich", "日本", "日本語", "日本語版", "😀", "😀b"]
+    values = [rng.choice(pool) for _ in range(n)]
+    return sorted(values) if rng.random() < 0.5 else values
+
+
+def _strings_with_null(rng, n):
+    base = rng.choice([_ids, _low_cardinality_strings, _non_ascii_strings])
+    rate = rng.choice([0.05, 0.5, 1.0])
+    return [None if rng.random() < rate else v for v in base(rng, n)]
+
+
+def _low_cardinality_ints(rng, n):
+    values = [rng.randrange(rng.choice([2, 7, 300])) for _ in range(n)]
+    return sorted(values) if rng.random() < 0.3 else values
+
+
+def _high_cardinality_ints(rng, n):
+    bound = rng.choice([10**6, 2**40, 2**70])
+    return [rng.randrange(-bound, bound) for _ in range(n)]
+
+
+def _arithmetic_ints(rng, n):
+    # Steps either side of the zigzag-varint byte boundaries, and past 64 bits.
+    step = rng.choice([0, 1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193,
+                       2**20, -(2**20), 2**62, -(2**69), 10**30])
+    start = rng.randrange(-1000, 1000)
+    return [start + i * step for i in range(n)]
+
+
+def _flags(rng, n):
+    pool = rng.choice([[True, False], [True, False, None], [None], [True]])
+    noise = rng.choice([0.02, 0.5])
+    return [rng.choice(pool) if rng.random() < noise else pool[0] for _ in range(n)]
+
+
+def _numeric_mix(rng, n):
+    pool = rng.choice([[1, 1.0, True], [0, 0.0, -0.0, False], [1, 2.5, None, "1"]])
+    values = [rng.choice(pool) for _ in range(n)]
+    return sorted(values, key=repr) if rng.random() < 0.5 else values
+
+
+def _special_floats(rng, n):
+    pool = [0.0, -0.0, math.nan, float("nan"), math.inf, -math.inf, 1.5, 0.1]
+    pool = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+    values = [rng.choice(pool) for _ in range(n)]
+    return sorted(values, key=repr) if rng.random() < 0.5 else values
+
+
+def _decimals_scale_10(rng, n):
+    return [round(rng.uniform(-50, 50), 1) for _ in range(n)]
+
+
+def _decimals_scale_100(rng, n):
+    bound = rng.choice([10.0, 1000.0])  # dense (repeats) or sparse (distinct)
+    return [round(rng.uniform(0.0, bound), 2) for _ in range(n)]
+
+
+def _unscalable_floats(rng, n):
+    pool = rng.choice([None, [0.125, 1e300, 1.7e308, 5e-324, 123456789.123]])
+    if pool is None:
+        return [rng.random() for _ in range(n)]
+    # Scalable almost everywhere: the misfit may sit anywhere in the column.
+    values = _decimals_scale_100(rng, n)
+    if values:
+        values[rng.randrange(n)] = rng.choice(pool)
+    return values
+
+
+def _money(rng, n):
+    pool = [Money(rng.randrange(5), rng.choice(["USD", "EUR"])) for _ in range(4)]
+    pool += rng.choice([[], [None], [Decimal("1.5"), Decimal("2")], [7]])
+    values = [rng.choice(pool) for _ in range(n)]
+    return sorted(values, key=repr) if rng.random() < 0.5 else values
+
+
+def _lists(rng, n):
+    pool = rng.choice([[[1], [2]], [[1], [1, 2], None], [[1], 1, "1"]])
+    values = [rng.choice(pool) for _ in range(n)]
+    return sorted(values, key=repr) if rng.random() < 0.5 else values
+
+
+COLUMN_SHAPES = [
+    _ids, _shuffled_ids, _low_cardinality_strings, _non_ascii_strings,
+    _strings_with_null, _low_cardinality_ints, _high_cardinality_ints,
+    _arithmetic_ints, _flags, _numeric_mix, _special_floats,
+    _decimals_scale_10, _decimals_scale_100, _unscalable_floats, _money,
+    _lists,
+]  # fmt: skip
+COLUMN_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 2, 255, 256, 257, 1024]), st.integers(0, 120)
+)
+
+
+class TestCodecMatchesReference:
+    """The vectorised codec is the reference codec, field for field."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        st.sampled_from(COLUMN_SHAPES),
+        COLUMN_LENGTHS,
+        st.integers(0, 2**32),
+        st.sampled_from([list, tuple]),
+    )
+    def test_same_encoded_column_as_the_reference(self, shape, n, seed, box):
+        values = shape(random.Random(seed), n)
+        assert len(values) == n
+        want = reference_encode_column("c", list(values))
+        # Resident scan columns are tuples, selections of them are lists.
+        got = encode_column("c", box(values))
+        assert (got.name, got.encoding, got.count) == (
+            want.name,
+            want.encoding,
+            want.count,
+        )
+        assert (got.encoded_bytes, got.raw_bytes) == (
+            want.encoded_bytes,
+            want.raw_bytes,
+        )
+        # repr, not ==: it tells 0.0 from -0.0 and equates NaN with NaN.
+        assert type(got.payload) is type(want.payload)
+        assert repr(got.payload) == repr(want.payload)
+        same_values(decode_column(got), values)
+
+    def test_every_encoding_is_reached(self):
+        """The shapes above exercise each candidate, so the property test
+        compares winners of every kind (and their losers' early exits)."""
+        rng = random.Random(14)
+        reached = collections.Counter(
+            encode_column("c", shape(rng, n)).encoding
+            for shape in COLUMN_SHAPES
+            for n in (3, 40, 257)
+            for _ in range(6)
+        )
+        assert set(reached) == {
+            "plain", "dict", "rle", "delta", "bits", "scaled", "prefix"
+        }  # fmt: skip
+
+
 def single_table_engine(rows, site_count, columnar=True, cache=False):
     clock = SimClock()
     catalog = FederationCatalog(clock)
@@ -418,3 +589,138 @@ class TestShipAccounting:
         assert "bytes shipped:" in rendered
         assert "batches=" in rendered
         assert "bytes=" in rendered
+
+
+# -- golden wire accounting -----------------------------------------------------
+#
+# The byte model is deterministic, so its outputs on a fixed federation are
+# pinned to the numbers the reference codec produced (commit b4bf28b).  The
+# determinism CI job double-runs one commit and cannot see the model drift
+# between commits; these cases can.  A deliberate change to an encoding's
+# size, the candidate order or the tie rule must update them (and
+# BENCH_E3.json's hotel_wire block) in the same change.
+
+GOLDEN_JOIN_TOP = (
+    "select p.sku, p.price, s.region from parts p "
+    "join suppliers s on p.supplier = s.supplier "
+    "where p.price >= 700.0 order by p.price desc, p.sku limit 100"
+)
+GOLDEN_JOIN_GROUPED = (
+    "select s.region, count(*) as n, sum(p.price) as total from parts p "
+    "join suppliers s on p.supplier = s.supplier "
+    "where p.price >= 700.0 group by s.region"
+)
+# Per shipped column: how many batches chose each encoding, then the
+# column's encoded and raw bytes summed over those batches.
+GOLDEN_SUPPLIER = ({"dict": 1, "prefix": 3}, 377, 720)
+GOLDEN_PRICE = ({"scaled": 4}, 308, 720)
+GOLDEN_WIRE = [
+    pytest.param(
+        GOLDEN_JOIN_TOP,
+        {
+            "rows": 100,
+            "rows_shipped": 88,
+            "bytes_shipped": 1109,
+            "response_seconds": 0.12205110899999998,
+            "ships": [(1109, 2600), (0, 0)],
+            "columns": {
+                "p.sku": ({"prefix": 4}, 424, 1160),
+                "p.supplier": GOLDEN_SUPPLIER,
+                "p.price": GOLDEN_PRICE,
+            },
+        },
+        id="join_top",
+    ),
+    pytest.param(
+        GOLDEN_JOIN_GROUPED,
+        {
+            "rows": 5,
+            "rows_shipped": 88,
+            "bytes_shipped": 685,
+            "response_seconds": 0.11705068499999997,
+            "ships": [(685, 1440), (0, 0)],
+            "columns": {"p.supplier": GOLDEN_SUPPLIER, "p.price": GOLDEN_PRICE},
+        },
+        id="join_grouped",
+    ),
+]
+
+
+def golden_engine():
+    """600 parts x 40 suppliers, 4 sites, 8 fragments at RF=2; every value
+    comes from arithmetic on the row number, no generator state."""
+    catalog = FederationCatalog(SimClock())
+    sites = [catalog.make_site(f"s{i}").name for i in range(4)]
+    parts = Schema(
+        "parts",
+        (
+            Field("sku", DataType.STRING),
+            Field("supplier", DataType.STRING),
+            Field("price", DataType.FLOAT),
+            Field("qty", DataType.INTEGER),
+        ),
+    )
+    suppliers = Schema(
+        "suppliers",
+        (
+            Field("supplier", DataType.STRING),
+            Field("region", DataType.STRING),
+            Field("tier", DataType.INTEGER),
+        ),
+    )
+    part_rows = [
+        (
+            f"part-{i:06d}",
+            f"sup-{(i * 7 // 3) % 40:02d}",
+            (i * 7919 % 100000) / 100,
+            i % 50,
+        )
+        for i in range(600)
+    ]
+    supplier_rows = [(f"sup-{i:02d}", f"r{i % 5}", i % 7) for i in range(40)]
+    catalog.load_fragmented(
+        Table(parts, part_rows),
+        8,
+        [[sites[i % 4], sites[(i + 1) % 4]] for i in range(8)],
+    )
+    catalog.load_fragmented(
+        Table(suppliers, supplier_rows), 1, [[sites[0], sites[1]]]
+    )
+    return FederatedEngine(catalog)
+
+
+class TestGoldenWireAccounting:
+    @pytest.mark.parametrize("sql, golden", GOLDEN_WIRE)
+    def test_join_ship_wire_numbers_are_pinned(self, sql, golden, monkeypatch):
+        shipped = collections.defaultdict(
+            lambda: [collections.Counter(), 0, 0]
+        )
+
+        def recording_encode_batch(batch, encode=columnar.encode_batch):
+            encoded = encode(batch)
+            for column in encoded.columns:
+                tally = shipped[column.name]
+                tally[0][column.encoding] += 1
+                tally[1] += column.encoded_bytes
+                tally[2] += column.raw_bytes
+            return encoded
+
+        monkeypatch.setattr(columnar, "encode_batch", recording_encode_batch)
+        result = golden_engine().query(sql)
+        report = result.report
+        ships = [
+            (stats.encoded_bytes, stats.raw_bytes)
+            for stats in report.operators.walk()
+            if stats.name == "Ship"
+        ]
+        assert {
+            "rows": len(result.table),
+            "rows_shipped": report.rows_shipped,
+            "bytes_shipped": report.bytes_shipped,
+            "response_seconds": report.response_seconds,
+            "ships": ships,
+            "columns": {
+                name: (dict(encodings), encoded, raw)
+                for name, (encodings, encoded, raw) in shipped.items()
+            },
+        } == golden

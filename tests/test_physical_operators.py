@@ -221,3 +221,50 @@ class TestSiteOperatorProtocol:
         operator._batches = []
         with pytest.raises(QueryError):
             operator.next()
+
+
+class TestSortOrdersIntegersExactly:
+    """ORDER BY keys numbers by their exact value, never through float()."""
+
+    # Neighbours of 2**53 (where float() starts to tie adjacent integers),
+    # stored so that input order is not already sorted, plus one id too
+    # large for any float.
+    IDS = [
+        2**53 + 1,
+        2**53,
+        2**53 + 3,
+        10**400,
+        2**53 + 2,
+        -(2**53) - 1,
+        -(2**53),
+        7,
+        2**53 - 1,
+    ]
+
+    def engine(self):
+        catalog = FederationCatalog(SimClock())
+        names = [catalog.make_site(f"s{i}").name for i in range(3)]
+        schema = Schema(
+            "ledger",
+            (Field("id", DataType.INTEGER), Field("tag", DataType.STRING)),
+        )
+        table = Table(schema, [(i, f"t{n}") for n, i in enumerate(self.IDS)])
+        catalog.load_fragmented(table, 3, [[name] for name in names])
+        return FederatedEngine(catalog)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_order_by_large_integer_ids(self, descending):
+        direction = "desc" if descending else "asc"
+        result = self.engine().query(
+            f"select id from ledger order by id {direction}", advance_clock=False
+        )
+        got = [row[0] for row in result.table.rows]
+        assert got == sorted(self.IDS, reverse=descending)
+        assert all(type(value) is int for value in got)
+
+    def test_integers_and_floats_interleave_by_value(self):
+        from repro.federation.physical import _sort_key
+
+        values = [2**53 + 1, float(2**53), 2**53 - 1, 0.5, 10**400, -1]
+        ordered = sorted(values, key=_sort_key)
+        assert ordered == [-1, 0.5, 2**53 - 1, float(2**53), 2**53 + 1, 10**400]

@@ -244,6 +244,80 @@ class TestEventLoop:
         assert loop.pending() == 1
         assert keep.time == 1.0
 
+    def test_pending_survives_repeated_and_late_cancels(self):
+        loop = EventLoop(SimClock())
+        fired = []
+        first = loop.schedule_at(1.0, lambda: fired.append("first"))
+        second = loop.schedule_at(2.0, lambda: fired.append("second"))
+        third = loop.schedule_at(3.0, lambda: fired.append("third"))
+        assert loop.pending() == 3
+        # Cancel while queued, twice: counted once.
+        second.cancel()
+        second.cancel()
+        assert loop.pending() == 2
+        # Cancel after firing: the firing already took it off the count.
+        assert loop.run_next() is first
+        assert loop.pending() == 1
+        first.cancel()
+        first.cancel()
+        assert loop.pending() == 1
+        # The cancelled event is still in the heap and is skipped over.
+        assert loop.run_next() is third
+        assert loop.pending() == 0
+        assert loop.run_next() is None
+        assert loop.pending() == 0
+        assert fired == ["first", "third"]
+
+    def test_pending_counts_events_scheduled_and_cancelled_in_callbacks(self):
+        clock = SimClock()
+        loop = EventLoop(clock)
+        seen = []
+        victim = loop.schedule_at(5.0, lambda: seen.append("victim"))
+
+        def spawn():
+            # The firing event is no longer pending inside its own callback,
+            # even if the callback cancels it.
+            spawner.cancel()
+            seen.append(("in spawn", loop.pending()))
+            loop.schedule_at(clock.now(), lambda: seen.append("same instant"))
+            loop.schedule_after(1.0, lambda: seen.append("later"))
+            victim.cancel()
+            seen.append(("after spawn", loop.pending()))
+
+        spawner = loop.schedule_at(1.0, spawn)
+        assert loop.pending() == 2
+        assert loop.run_until(1.0) == 2
+        assert seen == [("in spawn", 1), ("after spawn", 2), "same instant"]
+        assert loop.pending() == 1
+        loop.run_until(10.0)
+        assert seen[-1] == "later"
+        assert loop.pending() == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=5.0),
+                st.sampled_from(["keep", "cancel", "cancel twice"]),
+            ),
+            max_size=40,
+        ),
+        st.floats(min_value=0.0, max_value=6.0),
+    )
+    def test_pending_equals_a_scan_of_the_heap(self, plan, horizon):
+        loop = EventLoop(SimClock())
+        events = []
+        for time, fate in plan:
+            events.append(loop.schedule_at(time, lambda: None))
+            if fate != "keep":
+                events[-1].cancel()
+            if fate == "cancel twice":
+                events[-1].cancel()
+        loop.run_until(horizon)
+        for event in events[::3]:
+            event.cancel()  # some fired, some queued, some already cancelled
+        live = sum(1 for event in loop._queue if not event.cancelled)
+        assert loop.pending() == live
+
     def test_run_until_advances_clock_even_without_events(self):
         clock = SimClock()
         loop = EventLoop(clock)
