@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from repro.federation.columnar import ColumnBatch, scan_layout
 from repro.sim.clock import SimClock
 from repro.sql.ast import (
     Between,
@@ -265,11 +266,18 @@ class StagePayload:
         return len(self.rows) if self.kind == "rows" else len(self.groups)
 
 
-def rows_payload(
-    envs: "list[Env]", binding: str, fields: tuple[str, ...]
-) -> StagePayload:
-    """Canonicalize a rows stage's output envs into a payload."""
-    rows = [tuple(env[f"{binding}.{name}"] for name in fields) for env in envs]
+def rows_payload(batches, binding: str, fields: tuple[str, ...]) -> StagePayload:
+    """Canonicalize a rows stage's output batches into a payload; raises
+    KeyError when a batch lacks one of ``fields``."""
+    rows: list[tuple] = []
+    for batch in batches:
+        if not fields:
+            rows.extend([()] * batch.count)
+            continue
+        indexes = [batch.index_of(f"{binding}.{name}") for name in fields]
+        if None in indexes:
+            raise KeyError(fields[indexes.index(None)])
+        rows.extend(zip(*[batch.columns[i] for i in indexes]))
     return StagePayload(kind="rows", fields=fields, rows=rows)
 
 
@@ -326,20 +334,18 @@ class Artifact:
 
     # -- consumer-shaped serving (see StagePayload) ------------------------
 
-    def serve_rows(self, binding: str, ambiguous: "set[str]") -> "list[Env] | None":
-        """Rebuild the stage's envs for a rows consumer, or None on kind
-        mismatch (a hash collision guard, not an expected path)."""
-        if self.payload.kind != "rows":
+    def serve_rows(self, binding: str, ambiguous: "set[str]"):
+        """The stage's rows as one column batch under the consumer's
+        binding, or None on kind mismatch (a hash collision guard, not an
+        expected path)."""
+        payload = self.payload
+        if payload.kind != "rows":
             return None
-        envs = []
-        for values in self.payload.rows:
-            env: Env = {}
-            for name, value in zip(self.payload.fields, values):
-                env[f"{binding}.{name}"] = value
-                if name not in ambiguous:
-                    env[name] = value
-            envs.append(env)
-        return envs
+        names, aliases = scan_layout(binding, payload.fields, ambiguous)
+        columns = [list(column) for column in zip(*payload.rows)]
+        if not columns:
+            columns = [[] for _ in names]
+        return ColumnBatch(names, columns, aliases, len(payload.rows))
 
     def serve_groups(self, binding: str, ambiguous: "set[str]", calls):
         """Rebuild fresh PartialGroup records for an aggregate consumer.

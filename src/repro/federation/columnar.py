@@ -32,10 +32,14 @@ operators pass batches by reference and work on whole columns:
   Decoding is exact: every encoding round-trips values (and their
   types) unchanged.
 
-The row-compatibility shim is :meth:`ColumnBatch.to_envs`: at the Ship
-boundary batches are re-materialized into the same ``{qualified: value,
-bare: value}`` envs the coordinator operators, DB-API surface, semantic
-cache and workload manager always consumed.
+Batches flow all the way to the result table: ``Ship`` hands decoded (or
+coordinator-local, by reference) batches to the coordinator operators,
+which join, filter, project, sort and aggregate over whole columns
+(DESIGN §5f).  :meth:`ColumnBatch.to_envs` survives as the fallback's
+helper only: an expression with no column form (a scalar function,
+arithmetic, a nested-loop join condition) is run through
+:func:`repro.sql.expressions.evaluate` on the per-row envs of the one
+batch at hand, so its values and errors are the row engine's.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from repro.sql.ast import (
     Literal,
     UnaryOp,
 )
-from repro.sql.expressions import like_to_regex
+from repro.sql.expressions import evaluate, like_to_regex
 
 # Rows per batch.  Large enough that per-batch overhead (kernel dispatch,
 # encoding headers) amortizes to noise, small enough that a batch of wide
@@ -138,12 +142,21 @@ class ColumnBatch:
         return [value is None for value in self.columns[column_index]]
 
     def take(self, selection: list[int]) -> "ColumnBatch":
-        """Materialize the rows named by an ascending selection vector."""
+        """Materialize the rows named by a selection vector, in its order."""
         return ColumnBatch(
             self.names,
             [[column[i] for i in selection] for column in self.columns],
             self.aliases,
             len(selection),
+        )
+
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """Rows ``start`` up to ``stop`` (which must not pass the end)."""
+        return ColumnBatch(
+            self.names,
+            [column[start:stop] for column in self.columns],
+            self.aliases,
+            stop - start,
         )
 
     def project(self, allowed: set[str]) -> "ColumnBatch":
@@ -172,12 +185,22 @@ class ColumnBatch:
         return env
 
     def to_envs(self) -> list[dict[str, Any]]:
-        """The row-compatibility shim: rebuild per-row env dicts."""
+        """Per-row env dicts, for expressions that have no column form."""
         keys = list(self.names) + list(self.aliases)
         if not keys:
             return [{} for _ in range(self.count)]
         cols = self.columns + [self.columns[j] for j in self.aliases.values()]
         return [dict(zip(keys, values)) for values in zip(*cols)]
+
+
+def scan_layout(
+    binding: str, fields, ambiguous: set[str]
+) -> tuple[list[str], dict[str, int]]:
+    """The ``(names, aliases)`` of one scan's batches: its field names
+    qualified by the binding, and the unambiguous ones bare as well."""
+    names = [f"{binding}.{name}" for name in fields]
+    aliases = {name: i for i, name in enumerate(fields) if name not in ambiguous}
+    return names, aliases
 
 
 def table_chunks(
@@ -193,17 +216,43 @@ def table_chunks(
     first scan of the table, shared by reference with every later one and
     never mutated.  Only the names and aliases belong to the query.
     """
-    fields = table.schema.fields
-    names = [f"{binding}.{field_def.name}" for field_def in fields]
-    aliases = {
-        field_def.name: i
-        for i, field_def in enumerate(fields)
-        if field_def.name not in ambiguous
-    }
+    fields = [field_def.name for field_def in table.schema.fields]
+    names, aliases = scan_layout(binding, fields, ambiguous)
     return [
         ColumnBatch(names, list(columns), aliases, count)
         for count, columns in table.column_chunks(batch_size)
     ]
+
+
+def concat(batches: "list[ColumnBatch]") -> "ColumnBatch | None":
+    """One batch holding the rows of ``batches`` in order, or ``None`` for
+    no batches.  They must share a layout, as one operator's output does."""
+    if len(batches) < 2:
+        return batches[0] if batches else None
+    first = batches[0]
+    columns = [list(column) for column in first.columns]
+    for batch in batches[1:]:
+        for column, more in zip(columns, batch.columns):
+            column.extend(more)
+    return ColumnBatch(
+        first.names, columns, first.aliases, sum(b.count for b in batches)
+    )
+
+
+def envs_batch(envs: "list[dict[str, Any]]") -> ColumnBatch:
+    """Transpose row envs that share their keys into one batch.
+
+    The only env-to-batch adapter: ``Ship`` applies it to what the legacy
+    row-at-a-time site engine hands over.  A bare key becomes an alias of
+    the one qualified column it abbreviates.
+    """
+    keys = list(envs[0])
+    names = [key for key in keys if "." in key]
+    column_of = {name.split(".", 1)[1]: i for i, name in enumerate(names)}
+    aliases = {key: column_of[key] for key in keys if "." not in key}
+    return ColumnBatch(
+        names, [[env[name] for env in envs] for name in names], aliases, len(envs)
+    )
 
 
 # -- filter kernels ------------------------------------------------------------
@@ -567,6 +616,25 @@ def _like_kernel(expr: Like, layout: ColumnBatch) -> Kernel | None:
         ]
 
     return _like
+
+
+def filter_batch(
+    batch: ColumnBatch, condition: Expr, kernel: Kernel | None
+) -> ColumnBatch:
+    """The rows of ``batch`` on which ``condition`` is truthy.
+
+    ``kernel`` is ``compile_predicate(condition, <this layout>)``; without
+    one, or when it meets values it cannot decide, every row of the batch
+    goes through ``evaluate``, which raises the row engine's exact error.
+    """
+    if kernel is not None:
+        try:
+            return batch.take(kernel(batch, list(range(batch.count))))
+        except KernelFallback:
+            pass
+    return batch.take(
+        [i for i, env in enumerate(batch.to_envs()) if evaluate(condition, env)]
+    )
 
 
 # -- wire encodings ------------------------------------------------------------

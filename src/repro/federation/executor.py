@@ -4,10 +4,10 @@ The execution machinery itself lives in :mod:`repro.federation.physical`:
 the optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
 access path), :class:`~repro.federation.physical.PhysicalPlanner` compiles
 it into site-side operators (SiteScan, SiteFilter, SiteProject,
-PartialAggregate), an explicit Ship over the network model, and streaming
+PartialAggregate), an explicit Ship over the network model, and
 coordinator operators (joins, residual filters, final aggregation, sort,
-limit).  The :class:`Executor` here opens the root, drains it, and settles
-the timing model:
+limit) that hand column batches upward.  The :class:`Executor` here opens
+the root, drains it into the result table, and settles the timing model:
 
 * site-side batches run **in parallel** across their sites -- the scan
   phase costs the *slowest* pipeline, not the sum;
@@ -99,11 +99,11 @@ class Executor:
             reopt=reopt,
         )
 
-        envs: list[Env] = []
+        batches = []
         try:
             root.open(ctx)
-            while (env := root.next()) is not None:
-                envs.append(env)
+            while (batch := root.next()) is not None:
+                batches.append(batch)
         except BaseException:
             # A failed statement settles nothing but must not keep its
             # batches alive through the (possibly cached) plan's tree.
@@ -120,7 +120,8 @@ class Executor:
             report.migrated_stages = reopt.migrations
             report.reopt_wasted_seconds = reopt.wasted_seconds
             report.reopt_events = list(reopt.events)
-        report.rows_returned = len(envs)
+        table = envs_to_table(root, batches)
+        report.rows_returned = len(table.rows)
         report.operators = root.stats_tree()
         report.unreachable_fragments = list(ctx.unreachable_fragments)
         report.dead_sites = sorted(ctx.dead_sites)
@@ -132,4 +133,4 @@ class Executor:
                 ) / ctx.scan_total_rows
             else:
                 report.completeness = 0.0
-        return envs_to_table(root, envs), report
+        return table, report

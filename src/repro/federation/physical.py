@@ -14,8 +14,12 @@ operators split across two placements:
   model to the coordinator, accounting the transfer and the rows shipped.
 * **Coordinator operators** (:class:`Filter`, :class:`Project`,
   :class:`HashJoin`, :class:`NestedLoopJoin`, :class:`Aggregate`,
-  :class:`FinalAggregate`, :class:`Sort`, :class:`Limit`) are streaming
+  :class:`FinalAggregate`, :class:`Sort`, :class:`Limit`) are
   ``open``/``next``/``close`` iterators charged to the coordinator site.
+  One ``next`` hands on one :class:`~repro.federation.columnar.ColumnBatch`
+  and the operator bodies work on whole columns; a caller under a LIMIT
+  says how many rows it still wants, and an operator pulls no more input
+  than producing those takes (see :meth:`PhysicalOperator.next`).
 
 Every operator records rows in/out, seconds of modeled work and its
 placement site in :class:`OperatorStats`; the engine renders the tree as
@@ -24,7 +28,11 @@ placement site in :class:`OperatorStats`; the engine renders the tree as
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.connect.source import apply_predicates
@@ -68,6 +76,7 @@ from repro.sql.planner import (
     SortNode,
     conjoin,
     scans_in,
+    split_conjuncts,
 )
 
 if TYPE_CHECKING:  # access.py imports this module's plan dataclasses
@@ -363,13 +372,16 @@ class ExecContext:
         self.unreachable_rows = 0  # estimated rows behind dead fragments
         self.unreachable_fragments: list[str] = []
         self.dead_sites: set[str] = set()
-        # Null-extension rows for outer joins: one all-None env per binding.
-        self.null_envs: dict[str, Env] = {}
-        for binding, assignment in plan.assignments.items():
-            schema = schema_of(catalog, assignment)
-            self.null_envs[binding] = row_env(
-                binding, schema, (None,) * len(schema), self.ambiguous
-            )
+
+    def empty_batch(self, binding: str) -> "columnar.ColumnBatch":
+        """The layout of one scan's output, with no rows: what an outer
+        join null-extends with when that side delivered no batch to take
+        the layout from."""
+        schema = schema_of(self.catalog, self.plan.assignments[binding])
+        names, aliases = columnar.scan_layout(
+            binding, schema.field_names, self.ambiguous
+        )
+        return columnar.ColumnBatch(names, [[] for _ in names], aliases, 0)
 
     def charge_site(self, site_name: str, rows: int) -> float:
         """Enqueue per-row work on a site's backlog; returns work seconds."""
@@ -403,8 +415,34 @@ class ExecContext:
 # -- operator base classes -----------------------------------------------------
 
 
+class BatchCursor:
+    """Hands out materialized batches in order, ``want`` rows at most a pull."""
+
+    def __init__(self, batches: "list[columnar.ColumnBatch]") -> None:
+        self.batches = batches
+        self.index = 0
+        self.offset = 0  # rows of batches[index] already handed out
+
+    def pull(self, want: int | None) -> "columnar.ColumnBatch | None":
+        if self.index == len(self.batches):
+            return None
+        whole = self.batches[self.index]
+        start = self.offset
+        stop = whole.count if want is None else min(whole.count, start + want)
+        if stop == whole.count:
+            self.index += 1
+            self.offset = 0
+        else:
+            self.offset = stop
+        return whole if stop - start == whole.count else whole.slice(start, stop)
+
+
 class PhysicalOperator:
-    """Base coordinator operator: open(ctx) / next() / close() iteration."""
+    """Base coordinator operator: open(ctx) / next(want) / close() iteration.
+
+    Per-execution state hangs on ``_rows`` (``None`` until the first pull),
+    which ``close`` drops.
+    """
 
     name = "Operator"
 
@@ -418,19 +456,26 @@ class PhysicalOperator:
         self._closed = False
         for child in self.children:
             child.open(ctx)
-        self._rows = self._produce(ctx)
+        self._rows = None
 
-    def next(self) -> Any:
-        row = next(self._rows, None)
-        if row is not None:
-            self.stats.rows_out += 1
-        return row
+    def next(self, want: int | None = None) -> "columnar.ColumnBatch | None":
+        """The next batch of output (possibly empty), ``None`` at the end.
+
+        Modeled accounting is defined by rows consumed, and LIMIT is the
+        only source of finite demand: ``want`` is what a LIMIT above still
+        needs.  The batch holds at most ``want`` rows, and to produce it
+        the operator pulls no input row that producing those rows one at
+        a time would not pull; nothing does work before its first pull.
+        """
+        batch = self._next(want)
+        if batch is not None:
+            self.stats.rows_out += batch.count
+        return batch
 
     def close(self, settle: bool = True) -> None:
         """Settle accounting (skipped when the execution failed) and drop
-        per-execution state: the row generator's frame and a site
-        operator's batches would otherwise stay pinned -- in a reference
-        cycle with this operator -- until the plan is next compiled."""
+        per-execution state: the batches would otherwise stay pinned by
+        this operator until the plan is next compiled."""
         if getattr(self, "_closed", True):
             return
         self._closed = True
@@ -440,8 +485,25 @@ class PhysicalOperator:
             child.close(settle)
         self._rows = self._batches = self._ctx = None
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        return iter(())
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        """A blocking operator's pull: the first one materializes the whole
+        output, every one serves it in order.  Streaming operators override."""
+        if self._rows is None:
+            self._rows = BatchCursor(self._produce(self._ctx))
+        return self._rows.pull(want)
+
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+        return []
+
+    def _drain(self, child: "PhysicalOperator") -> "columnar.ColumnBatch | None":
+        """Pull ``child`` dry, counting its rows in: one batch holding them
+        all, or ``None`` when there are none."""
+        batches = []
+        while (batch := child.next()) is not None:
+            if batch.count:
+                self.stats.rows_in += batch.count
+                batches.append(batch)
+        return columnar.concat(batches)
 
     def _finish(self, ctx: ExecContext) -> None:
         """Settle accounting once, when the operator closes."""
@@ -461,9 +523,10 @@ class SiteBatch:
 
     Under columnar execution ``chunks`` carries the same rows as a list of
     fixed-size :class:`~repro.federation.columnar.ColumnBatch` slices and
-    ``rows`` stays empty until the Ship boundary re-materializes envs;
-    ``chunks is None`` means the batch is row-form (legacy path, or record
-    payloads such as partial-aggregate groups).
+    ``rows`` stays empty.  ``chunks is None`` means ``rows`` holds the
+    batch in row form: the legacy engine's envs, partial-aggregate group
+    records, or the one column batch an artifact served at the
+    coordinator (nothing was scanned, so it counts as no processed batch).
     """
 
     site: str
@@ -497,7 +560,7 @@ class SiteOperator(PhysicalOperator):
     def batches(self) -> list[SiteBatch]:
         return self._batches
 
-    def next(self) -> Any:
+    def next(self, want: int | None = None) -> Any:
         raise QueryError(
             f"{self.name} produces site batches; wrap it in a Ship operator"
         )
@@ -1063,7 +1126,8 @@ class SiteFilter(SiteOperator):
                     )
                     kernel_compiled = True
                 kept_chunks = [
-                    self._filter_chunk(chunk, kernel) for chunk in batch.chunks
+                    columnar.filter_batch(chunk, self.condition, kernel)
+                    for chunk in batch.chunks
                 ]
                 work = ctx.charge_site(batch.site, batch.row_count())
                 self.stats.seconds += work
@@ -1077,21 +1141,6 @@ class SiteFilter(SiteOperator):
             out.append(SiteBatch(batch.site, kept, batch.elapsed + work))
         self.stats.detail = describe_expr(self.condition)
         return out
-
-    def _filter_chunk(
-        self, chunk: "columnar.ColumnBatch", kernel: "columnar.Kernel | None"
-    ) -> "columnar.ColumnBatch":
-        if kernel is not None:
-            try:
-                return chunk.take(kernel(chunk, list(range(chunk.count))))
-            except columnar.KernelFallback:
-                pass  # incomparable values: the row path raises the exact error
-        selection = [
-            i
-            for i, env in enumerate(chunk.to_envs())
-            if evaluate(self.condition, env)
-        ]
-        return chunk.take(selection)
 
 
 class SiteProject(SiteOperator):
@@ -1410,9 +1459,11 @@ class Ship(PhysicalOperator):
     per-column under the cheapest encoding (encode work charged to the
     producing site, decode work to the coordinator) and the network charges
     per encoded byte; coordinator-local batches are handed over by
-    reference and never serialize.  This is also the row-compatibility
-    boundary: whatever arrives is re-materialized into per-row envs for
-    the coordinator operators.
+    reference and never serialize.  What arrives goes on to the
+    coordinator operators as column batches: decoded or local chunks as
+    they are, an artifact's payload as the one batch it was served as,
+    the legacy row engine's envs transposed once (the only env-to-batch
+    adapter), partial-aggregate group records as a one-column batch.
     """
 
     name = "Ship"
@@ -1430,12 +1481,13 @@ class Ship(PhysicalOperator):
         self.stats = OperatorStats(self.name, site=ctx.coordinator)
         self._ctx = ctx
         self._closed = False
+        self._rows = None
         served = self._artifact_rows(ctx)
         if served is not None:
             # The whole site-side pipeline is skipped: children are never
             # opened (their close() guards make that safe) and no site does
             # any scan work for this stage.
-            self._rows = iter(served)
+            self._rows = BatchCursor(row_form_batches(served))
             return
         if ctx.reopt is not None and self.stage is not None:
             # The stage is unstarted (artifact miss, site pipeline not yet
@@ -1447,9 +1499,8 @@ class Ship(PhysicalOperator):
         for child in self.children:
             child.open(ctx)
         self._stage_rows_fetched = ctx.report.rows_fetched - before
-        self._rows = self._produce(ctx)
 
-    def _artifact_rows(self, ctx: ExecContext) -> "list[Any] | None":
+    def _artifact_rows(self, ctx: ExecContext):
         """Serve this stage from the artifact store: a committed-artifact
         hit (wait 0) or a join onto an identical in-flight stage (charged
         the remaining wait until the producer's modeled completion)."""
@@ -1502,7 +1553,11 @@ class Ship(PhysicalOperator):
         return rows
 
     def _maybe_capture(
-        self, ctx: ExecContext, rows: list, shipped_bytes: int, arrival: float
+        self,
+        ctx: ExecContext,
+        batches: "list[columnar.ColumnBatch]",
+        shipped_bytes: int,
+        arrival: float,
     ) -> None:
         """On an artifact miss, publish this stage's output through the
         report.  The engine registers successful reports' outputs in
@@ -1524,15 +1579,16 @@ class Ship(PhysicalOperator):
         scan, agg = self.stage
         try:
             if agg is not None:
+                records = [r for batch in batches for r in batch.columns[0]]
                 payload = artifacts_mod.groups_payload(
-                    rows, scan.binding, agg.split.calls
+                    records, scan.binding, agg.split.calls
                 )
             else:
                 entry = ctx.catalog.tables.get(scan.table)
                 if entry is None:
                     return
                 fields = artifacts_mod.stage_fields(entry.schema, scan)
-                payload = artifacts_mod.rows_payload(rows, scan.binding, fields)
+                payload = artifacts_mod.rows_payload(batches, scan.binding, fields)
         except KeyError:
             return  # rows missing expected columns: not canonically capturable
         ctx.report.stage_outputs.append(
@@ -1547,8 +1603,8 @@ class Ship(PhysicalOperator):
             )
         )
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        rows: list[Any] = []
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+        arrived: "list[columnar.ColumnBatch]" = []
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
@@ -1566,12 +1622,10 @@ class Ship(PhysicalOperator):
             local = batch.site == ctx.coordinator
             if batch.chunks is not None:
                 batch_count += len(batch.chunks)
-                batch_rows: list[Env] = []
                 elapsed = batch.elapsed
                 if local:
                     # Already at the coordinator: no wire, no encoding.
-                    for chunk in batch.chunks:
-                        batch_rows.extend(chunk.to_envs())
+                    arrived.extend(batch.chunks)
                     transfer = 0.0
                 else:
                     batch_bytes = 0
@@ -1579,7 +1633,7 @@ class Ship(PhysicalOperator):
                         encoded = columnar.encode_batch(chunk)
                         batch_bytes += encoded.encoded_bytes
                         raw_total += encoded.raw_bytes
-                        batch_rows.extend(columnar.decode_batch(encoded).to_envs())
+                        arrived.append(columnar.decode_batch(encoded))
                     encode_seconds = batch_bytes * columnar.ENCODE_SECONDS_PER_BYTE
                     decode_seconds = batch_bytes * columnar.DECODE_SECONDS_PER_BYTE
                     ctx.charge_site_seconds(batch.site, encode_seconds)
@@ -1590,17 +1644,17 @@ class Ship(PhysicalOperator):
                     transfer = network.transfer_seconds_bytes(
                         batch.site, ctx.coordinator, batch_bytes
                     )
-                    shipped += len(batch_rows)
+                    shipped += batch.row_count()
                     shipped_bytes += batch_bytes
                     encoded_total += batch_bytes
                     sources.add(batch.site)
                 ctx.report.network_seconds += transfer
                 transfer_total += transfer
                 arrival = max(arrival, elapsed + transfer)
-                rows.extend(batch_rows)
                 continue
-            # Row-form batches: partial-aggregate records, or the legacy
-            # row engine when columnar execution is off.
+            # Row-form batches: partial-aggregate records, an artifact's
+            # served batch, or the legacy row engine when columnar
+            # execution is off.
             if ctx.columnar and not local:
                 nbytes = sum(record_wire_bytes(r) for r in batch.rows)
                 transfer = network.transfer_seconds_bytes(
@@ -1619,18 +1673,19 @@ class Ship(PhysicalOperator):
                 shipped += len(batch.rows)
                 sources.add(batch.site)
             arrival = max(arrival, batch.elapsed + transfer)
-            rows.extend(batch.rows)
+            arrived.extend(row_form_batches(batch.rows))
+        rows = sum(batch.count for batch in arrived)
         ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
         ctx.report.rows_shipped += shipped
         ctx.report.bytes_shipped += shipped_bytes
-        self.stats.rows_in = len(rows)
+        self.stats.rows_in = rows
         self.stats.batches = batch_count
         self.stats.encoded_bytes = encoded_total
         self.stats.raw_bytes = raw_total
         self.stats.encode_seconds = encode_total
         self.stats.decode_seconds = decode_total
         # Unpacking arrived rows is coordinator work, as in the old walker.
-        unpack = ctx.charge_coordinator(len(rows))
+        unpack = ctx.charge_coordinator(rows)
         self.stats.seconds = transfer_total + unpack + encode_total + decode_total
         self.stats.detail = (
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
@@ -1644,11 +1699,52 @@ class Ship(PhysicalOperator):
                 note = ctx.reopt.describe(binding)
                 if note:
                     self.stats.detail += f"  [{note}]"
-        self._maybe_capture(ctx, rows, shipped_bytes, arrival)
-        yield from rows
+        self._maybe_capture(ctx, arrived, shipped_bytes, arrival)
+        return arrived
+
+
+# What a row-form batch of partial-aggregate records travels as: one column.
+RECORDS_COLUMN = ["#records"]
+
+
+def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
+    """Row-form content (see :class:`SiteBatch`) as coordinator batches."""
+    if isinstance(rows, columnar.ColumnBatch):
+        return [rows]
+    if not rows:
+        return []
+    if isinstance(rows[0], dict):
+        return [columnar.envs_batch(rows)]
+    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], {}, len(rows))]
 
 
 # -- coordinator operators -----------------------------------------------------
+
+
+class _Expressions:
+    """Evaluates expressions over one batch, a whole column at a time.
+
+    A plain column is picked and a literal repeated; any other expression
+    has no column form and goes through ``evaluate`` on the batch's
+    per-row envs (built once, only then), so its values and errors are
+    exactly the row engine's.
+    """
+
+    def __init__(self, batch: "columnar.ColumnBatch") -> None:
+        self.batch = batch
+        self._envs: list[Env] | None = None
+
+    def column(self, expr: Expr):
+        batch = self.batch
+        if isinstance(expr, Column):
+            index = batch.index_of(expr.qualified)
+            if index is not None:
+                return batch.columns[index]
+        elif isinstance(expr, Literal):
+            return [expr.value] * batch.count
+        if self._envs is None:
+            self._envs = batch.to_envs()
+        return [evaluate(expr, env) for env in self._envs]
 
 
 class Filter(PhysicalOperator):
@@ -1664,12 +1760,22 @@ class Filter(PhysicalOperator):
         super().open(ctx)
         self.stats.detail = describe_expr(self.condition)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        child = self.children[0]
-        while (env := child.next()) is not None:
-            self.stats.rows_in += 1
-            if evaluate(self.condition, env):
-                yield env
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        # A row yields at most one row, so ``want`` input rows are never
+        # more than ``want`` output rows take.
+        batch = self.children[0].next(want)
+        if batch is None:
+            return None
+        self.stats.rows_in += batch.count
+        compiled = self._rows  # (names, aliases, kernel) of the last layout
+        if (
+            compiled is None
+            or compiled[0] != batch.names
+            or compiled[1] != batch.aliases
+        ):
+            kernel = columnar.compile_predicate(self.condition, batch)
+            compiled = self._rows = (batch.names, batch.aliases, kernel)
+        return columnar.filter_batch(batch, self.condition, compiled[2])
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -1690,11 +1796,51 @@ class _JoinBase(PhysicalOperator):
         self.right_bindings = right_bindings
         self._extra_charge = 0
 
-    def _null_right(self, ctx: ExecContext) -> Env:
-        null_right: Env = {}
-        for binding in self.right_bindings:
-            null_right.update(ctx.null_envs.get(binding, {}))
-        return null_right
+    def open(self, ctx: ExecContext) -> None:
+        super().open(ctx)
+        self.stats.detail = describe_expr(self.condition)
+
+    def _nested_loop(
+        self,
+        left: "columnar.ColumnBatch | None",
+        right: "columnar.ColumnBatch | None",
+    ) -> "list[columnar.ColumnBatch]":
+        """Evaluate the condition per row pair of two whole inputs."""
+        if left is None:
+            return []  # and nothing extra to charge
+        self._extra_charge = left.count * max(1, right.count if right else 0)
+        outer = self.join_type == "left"
+        if right is None:
+            if not outer:
+                return []
+            # No right batch to take the layout from: null-extend with the
+            # right scans' own columns.
+            right = _side_by_side(
+                [self._ctx.empty_batch(binding) for binding in self.right_bindings]
+            )
+        null_keys = null_rejecting_keys(self.condition)
+        right_envs = right.to_envs()
+        left_rows: list[int] = []
+        right_rows: list[int] = []
+        for i, env in enumerate(left.to_envs()):
+            matched = False
+            for j, right_env in enumerate(right_envs):
+                # Every right env has the same keys, so each overwrites
+                # the one before it: ``env`` is this pair's merged row.
+                env.update(right_env)
+                if any(
+                    evaluate(a, env) is None or evaluate(b, env) is None
+                    for a, b in null_keys
+                ):
+                    continue
+                if evaluate(self.condition, env):
+                    matched = True
+                    left_rows.append(i)
+                    right_rows.append(j)
+            if outer and not matched:
+                left_rows.append(i)
+                right_rows.append(-1)
+        return [_joined(left, left_rows, _null_padded(right, outer), right_rows)]
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(
@@ -1702,65 +1848,167 @@ class _JoinBase(PhysicalOperator):
         )
 
 
+def null_rejecting_keys(condition: Expr) -> list[tuple[Column, Column]]:
+    """The ``col = col`` conjuncts AND-ed at the top of an ON condition.
+
+    An equi-join key never matches NULL, whichever join operator runs the
+    condition; anywhere else ``=`` keeps the engine's two-valued
+    ``NULL = NULL``.
+    """
+    return [
+        (conjunct.left, conjunct.right)
+        for conjunct in split_conjuncts(condition)
+        if isinstance(conjunct, BinaryOp)
+        and conjunct.op == "="
+        and isinstance(conjunct.left, Column)
+        and isinstance(conjunct.right, Column)
+    ]
+
+
+def _side_by_side(
+    batches: "list[columnar.ColumnBatch]", count: int = 0
+) -> "columnar.ColumnBatch":
+    """One batch with the columns of all ``batches`` (``count`` rows each);
+    on a clash of bare names the later batch wins, as merged envs did."""
+    names: list[str] = []
+    columns: list = []
+    aliases: dict[str, int] = {}
+    for batch in batches:
+        for alias, index in batch.aliases.items():
+            aliases[alias] = len(names) + index
+        names += batch.names
+        columns += batch.columns
+    return columnar.ColumnBatch(names, columns, aliases, count)
+
+
+def _null_padded(right: "columnar.ColumnBatch", outer: bool):
+    """The build side's columns, each with a trailing NULL when the join
+    null-extends: row ``-1`` of every column is then the padding."""
+    if not outer:
+        return right
+    return columnar.ColumnBatch(
+        right.names,
+        [[*column, None] for column in right.columns],
+        right.aliases,
+        right.count,  # the padding is no row of the input
+    )
+
+
+def _joined(
+    left: "columnar.ColumnBatch",
+    left_rows: "list[int] | None",
+    right: "columnar.ColumnBatch",
+    right_rows: list[int],
+) -> "columnar.ColumnBatch":
+    """Gather matched row pairs; ``left_rows`` None means every left row
+    once, in order, so the left columns pass by reference."""
+    if left_rows is not None:
+        left = left.take(left_rows)
+    return _side_by_side([left, right.take(right_rows)], len(right_rows))
+
+
+class _Probe:
+    """A hash join's build side, kept while the left input streams by."""
+
+    def __init__(
+        self, left_key: str, key_column, right: "columnar.ColumnBatch", outer: bool
+    ) -> None:
+        self.left_key = left_key
+        buckets: dict[Any, list[int]] = {}
+        for row, key in enumerate(key_column):
+            if key is not None:  # a NULL key matches nothing
+                buckets.setdefault(key, []).append(row)
+        self.buckets = buckets
+        self.right = _null_padded(right, outer)
+        self.miss = (-1,) if outer else ()
+        # The most output rows one left row can yield.
+        self.fanout = max(map(len, buckets.values()), default=0)
+        if outer:
+            self.fanout = max(self.fanout, 1)
+        # Joined rows not handed on yet: under a LIMIT the last left row
+        # pulled may match more rows than were asked for.
+        self.pending = BatchCursor([])
+
+    def join(self, left: "columnar.ColumnBatch") -> "columnar.ColumnBatch":
+        keys = left.columns[left.index_of(self.left_key)]
+        found = list(map(self.buckets.get, keys, repeat(self.miss)))
+        matches = list(map(len, found))
+        left_rows = None
+        if matches.count(1) != left.count:
+            left_rows = list(
+                chain.from_iterable(map(repeat, range(left.count), matches))
+            )
+        return _joined(
+            left, left_rows, self.right, list(chain.from_iterable(found))
+        )
+
+
 class HashJoin(_JoinBase):
     """Build on the right input, stream probes from the left.
 
-    The equality keys are resolved at runtime against the first row of each
-    input (qualified names may or may not be present depending on the
-    projection); when they do not resolve, the operator degrades to a
-    nested-loop evaluation of the same condition.
+    The equality keys are resolved at runtime against the layout of each
+    input's first rows (qualified names may or may not be present
+    depending on the projection); when they do not resolve, the operator
+    degrades to a nested-loop evaluation of the same condition.
     """
 
     name = "HashJoin"
 
-    def open(self, ctx: ExecContext) -> None:
-        super().open(ctx)
-        self.stats.detail = describe_expr(self.condition)
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        if self._rows is None:
+            self._rows = self._start(want)
+        probe = self._rows
+        if isinstance(probe, BatchCursor):  # the nested-loop fallback's output
+            return probe.pull(want)
+        while (batch := probe.pending.pull(want)) is None:
+            # ``fanout`` rows per left row at most: this many left rows
+            # cannot yield ``want`` rows before the last of them does.
+            ask = want if want is None or not probe.fanout else -(-want // probe.fanout)
+            left = self.children[0].next(ask)
+            if left is None:
+                return None
+            self.stats.rows_in += left.count
+            probe.pending = BatchCursor([probe.join(left)])
+        return batch
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
+    def _start(self, want: int | None) -> "_Probe | BatchCursor":
+        """Build on the whole right input and resolve the keys against
+        the first left rows."""
         left, right = self.children
-        right_envs = []
-        while (env := right.next()) is not None:
-            self.stats.rows_in += 1
-            right_envs.append(env)
-        outer = self.join_type == "left"
-        null_right = self._null_right(ctx) if outer else {}
-
-        first_left = left.next()
-        keys = equality_keys(
-            self.condition, first_left, right_envs[0] if right_envs else None
-        )
-        if keys is not None:
-            left_key, right_key = keys
-            buckets: dict[Any, list[Env]] = {}
-            for env in right_envs:
-                buckets.setdefault(env.get(right_key), []).append(env)
-            env = first_left
-            while env is not None:
-                self.stats.rows_in += 1
-                value = env.get(left_key)
-                matches = buckets.get(value, ()) if value is not None else ()
-                if matches:
-                    for right_env in matches:
-                        yield {**env, **right_env}
-                elif outer:
-                    yield {**env, **null_right}
-                env = left.next()
-            return
-
+        build = self._drain(right)
+        # One row is the least any demand takes; how many more it takes
+        # depends on the fanout, known once the first rows named the key.
+        first_want = None if want is None else 1
+        while (first := left.next(first_want)) is not None and not first.count:
+            pass
+        if first is not None:
+            self.stats.rows_in += first.count
+            probe = self._probe_for(first, build)
+            if probe is not None:
+                probe.pending = BatchCursor([probe.join(first)])
+                return probe
+            rest = self._drain(left)
+            first = columnar.concat([first] if rest is None else [first, rest])
         # Keys did not resolve (empty input or non-column condition form):
         # fall back to nested-loop semantics over the same condition.
         self.stats.detail = f"nested-loop fallback {describe_expr(self.condition)}"
-        left_envs = []
-        env = first_left
-        while env is not None:
-            self.stats.rows_in += 1
-            left_envs.append(env)
-            env = left.next()
-        self._extra_charge = len(left_envs) * max(1, len(right_envs))
-        yield from _nested_loop(
-            left_envs, right_envs, self.condition, outer, null_right
-        )
+        return BatchCursor(self._nested_loop(first, build))
+
+    def _probe_for(
+        self, first: "columnar.ColumnBatch", build: "columnar.ColumnBatch | None"
+    ) -> "_Probe | None":
+        """The build side keyed by whichever condition column it holds, if
+        the left rows hold the other one."""
+        if build is None:
+            return None
+        a, b = self.condition.left.qualified, self.condition.right.qualified
+        for left_key, right_key in ((a, b), (b, a)):
+            index = build.index_of(right_key)
+            if first.index_of(left_key) is not None and index is not None:
+                return _Probe(
+                    left_key, build.columns[index], build, self.join_type == "left"
+                )
+        return None
 
 
 class NestedLoopJoin(_JoinBase):
@@ -1768,64 +2016,9 @@ class NestedLoopJoin(_JoinBase):
 
     name = "NestedLoopJoin"
 
-    def open(self, ctx: ExecContext) -> None:
-        super().open(ctx)
-        self.stats.detail = describe_expr(self.condition)
-
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        left, right = self.children
-        right_envs = []
-        while (env := right.next()) is not None:
-            self.stats.rows_in += 1
-            right_envs.append(env)
-        left_envs = []
-        while (env := left.next()) is not None:
-            self.stats.rows_in += 1
-            left_envs.append(env)
-        outer = self.join_type == "left"
-        null_right = self._null_right(ctx) if outer else {}
-        self._extra_charge = len(left_envs) * max(1, len(right_envs))
-        yield from _nested_loop(
-            left_envs, right_envs, self.condition, outer, null_right
-        )
-
-
-def _nested_loop(
-    left_envs: list[Env],
-    right_envs: list[Env],
-    condition: Expr,
-    outer: bool,
-    null_right: Env,
-) -> Iterator[Env]:
-    for left_env in left_envs:
-        matched = False
-        for right_env in right_envs:
-            merged = {**left_env, **right_env}
-            if evaluate(condition, merged):
-                matched = True
-                yield merged
-        if outer and not matched:
-            yield {**left_env, **null_right}
-
-
-def equality_keys(
-    condition: Expr, left_env: Env | None, right_env: Env | None
-) -> tuple[str, str] | None:
-    """Detect ``left.col = right.col`` to enable the hash path."""
-    if not (isinstance(condition, BinaryOp) and condition.op == "="):
-        return None
-    if not (
-        isinstance(condition.left, Column) and isinstance(condition.right, Column)
-    ):
-        return None
-    if left_env is None or right_env is None:
-        return None
-    a, b = condition.left.qualified, condition.right.qualified
-    if a in left_env and b in right_env:
-        return a, b
-    if b in left_env and a in right_env:
-        return b, a
-    return None
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+        right = self._drain(self.children[1])
+        return self._nested_loop(self._drain(self.children[0]), right)
 
 
 class Project(PhysicalOperator):
@@ -1848,29 +2041,48 @@ class Project(PhysicalOperator):
             self._names
         )
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        seen: set[tuple] = set()
-        child = self.children[0]
-        while (env := child.next()) is not None:
-            self.stats.rows_in += 1
-            out: Env = {}
-            for item, name in zip(self._expanded, self._names):
-                out[name] = evaluate(item.expr, env)
-            if self.distinct:
-                key = tuple(out[name] for name in self._names)
-                try:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                except TypeError:
-                    pass  # unhashable values: keep the row, as before
-            yield out
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        batch = self.children[0].next(want)  # at most one row out per row in
+        if batch is None:
+            return None
+        self.stats.rows_in += batch.count
+        expressions = _Expressions(batch)
+        out = columnar.ColumnBatch(
+            self._names,
+            [expressions.column(item.expr) for item in self._expanded],
+            {},
+            batch.count,
+        )
+        if not self.distinct:
+            return out
+        if self._rows is None:
+            self._rows = set()  # the distinct rows seen so far
+        seen = self._rows
+        fresh = []
+        for row, key in enumerate(zip(*out.columns)):
+            try:
+                if key in seen:
+                    continue
+                seen.add(key)
+            except TypeError:
+                pass  # unhashable values: keep the row, as before
+            fresh.append(row)
+        return out if len(fresh) == out.count else out.take(fresh)
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
 
     def output_names(self) -> list[str] | None:
         return self._names
+
+
+def groups_batch(names: list[str], results: list[Env]) -> "list[columnar.ColumnBatch]":
+    """Aggregated groups (one ``{name: value}`` each) as the output batch,
+    in the deterministic order: by the groups' value representations."""
+    results.sort(key=lambda env: tuple(repr(v) for v in env.values()))
+    names = list(dict.fromkeys(names))  # a repeated name holds its last value
+    columns = [[env[name] for env in results] for name in names]
+    return [columnar.ColumnBatch(names, columns, {}, len(results))]
 
 
 class Aggregate(PhysicalOperator):
@@ -1887,42 +2099,99 @@ class Aggregate(PhysicalOperator):
         self._names = aggregate_names(self.node.items)
         self.stats.detail = ", ".join(self._names)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        envs = []
-        child = self.children[0]
-        while (env := child.next()) is not None:
-            envs.append(env)
-        self.stats.rows_in = len(envs)
-
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         node = self.node
-        groups: dict[tuple, list[Env]] = {}
-        if node.group_by:
-            for env in envs:
-                key = tuple(evaluate(g, env) for g in node.group_by)
-                groups.setdefault(key, []).append(env)
-        else:
-            groups[()] = envs
-
+        grouped = _Grouped(self._drain(self.children[0]), node.group_by)
         results: list[Env] = []
-        for group_envs in groups.values():
-            if not group_envs and node.group_by:
-                continue
+        for rows in grouped.groups:
             out: Env = {}
             for item, name in zip(node.items, self._names):
-                out[name] = eval_aggregate_expr(item.expr, group_envs)
+                out[name] = grouped.value(item.expr, rows)
             if node.having is not None:
-                if not bool(eval_aggregate_expr(node.having, group_envs)):
+                if not bool(grouped.value(node.having, rows)):
                     continue
             results.append(out)
-        # Deterministic output order: by group key representation.
-        results.sort(key=lambda env: tuple(repr(v) for v in env.values()))
-        yield from results
+        return groups_batch(self._names, results)
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
 
     def output_names(self) -> list[str] | None:
         return aggregate_names(self.node.items)
+
+
+class _Grouped:
+    """One batch's rows grouped by key, and expressions over a group.
+
+    ``groups`` holds each group's row indexes in first-appearance order;
+    ungrouped input is the one group of every row (also when there are
+    none).  Every aggregate folds its argument column in row order, so a
+    float sum performs the additions the row engine performed.
+    """
+
+    def __init__(
+        self, batch: "columnar.ColumnBatch | None", group_by: list[Expr]
+    ) -> None:
+        self.batch = batch
+        self._arguments: dict[int, Any] = {}  # id(aggregate call) -> column
+        if batch is None:
+            self.groups = [] if group_by else [range(0)]
+            return
+        self._expressions = _Expressions(batch)
+        if not group_by:
+            self.groups = [range(batch.count)]
+            return
+        keyed: dict[tuple, list[int]] = defaultdict(list)
+        keys = zip(*[self._expressions.column(expr) for expr in group_by])
+        for row, key in enumerate(keys):
+            keyed[key].append(row)
+        self.groups = list(keyed.values())
+
+    def value(self, expr: Expr, rows) -> Any:
+        """An expression that may contain aggregate calls, over one group."""
+        if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
+            return self._aggregate(expr, rows)
+        if isinstance(expr, BinaryOp):
+            left = self.value(expr.left, rows)
+            right = self.value(expr.right, rows)
+            return evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), {})
+        # Non-aggregate sub-expression: evaluate against a representative row.
+        if not rows:
+            return evaluate(expr, {})
+        if isinstance(expr, Column):
+            index = self.batch.index_of(expr.qualified)
+            if index is not None:
+                return self.batch.columns[index][rows[0]]
+        return evaluate(expr, self.batch.env_at(rows[0]))
+
+    def _aggregate(self, call: FuncCall, rows) -> Any:
+        if call.star:
+            if call.name != "count":
+                raise QueryError(f"{call.name}(*) is not a valid aggregate")
+            return len(rows)
+        if len(call.args) != 1:
+            raise QueryError(f"aggregate {call.name} takes exactly one argument")
+        values = []
+        if rows:
+            column = self._arguments.get(id(call))
+            if column is None:
+                column = self._arguments[id(call)] = self._expressions.column(
+                    call.args[0]
+                )
+            values = [v for row in rows if (v := column[row]) is not None]
+        if call.name == "count":
+            return len(values)
+        if not values:
+            return None
+        if call.name == "sum":
+            return reduce(add, values)
+        if call.name == "avg":
+            return reduce(add, values) / len(values)
+        if call.name == "min":
+            return min(values)
+        if call.name == "max":
+            return max(values)
+        raise QueryError(f"unknown aggregate {call.name!r}")
 
 
 class FinalAggregate(PhysicalOperator):
@@ -1945,11 +2214,10 @@ class FinalAggregate(PhysicalOperator):
         self._names = aggregate_names(self.node.items)
         self.stats.detail = ", ".join(self._names)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         merged: dict[tuple, PartialGroup] = {}
-        child = self.children[0]
-        while (record := child.next()) is not None:
-            self.stats.rows_in += 1
+        records = self._drain(self.children[0])
+        for record in records.columns[0] if records is not None else ():
             seen = merged.get(record.key)
             if seen is None:
                 merged[record.key] = PartialGroup(
@@ -1978,8 +2246,7 @@ class FinalAggregate(PhysicalOperator):
                 if not bool(self._eval_merged(self.node.having, group)):
                     continue
             results.append(out)
-        results.sort(key=lambda env: tuple(repr(v) for v in env.values()))
-        yield from results
+        return groups_batch(self._names, results)
 
     def _eval_merged(self, expr: Expr, group: PartialGroup) -> Any:
         if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
@@ -2017,19 +2284,25 @@ class Sort(PhysicalOperator):
             for o in self.order_by
         )
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        envs = []
-        child = self.children[0]
-        while (env := child.next()) is not None:
-            envs.append(env)
-        self.stats.rows_in = len(envs)
-        # Stable sorts applied in reverse order give multi-key semantics.
-        for order in reversed(self.order_by):
-            envs.sort(
-                key=lambda env: _sort_key(evaluate(order.expr, env)),
-                reverse=order.descending,
-            )
-        yield from envs
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        if self._rows is None:
+            batch = self._drain(self.children[0])
+            order = list(range(batch.count if batch else 0))
+            if order:
+                expressions = _Expressions(batch)
+                # Stable sorts applied in reverse order give multi-key
+                # semantics.
+                for item in reversed(self.order_by):
+                    keys = _sort_keys(expressions.column(item.expr))
+                    order.sort(key=keys.__getitem__, reverse=item.descending)
+            self._rows = [batch, order, 0]  # input, its sorted order, rows served
+        batch, order, served = self._rows
+        if served == len(order):
+            return None
+        # Only the rows pulled are gathered: a LIMIT above pays for its own.
+        stop = len(order) if want is None else min(len(order), served + want)
+        self._rows[2] = stop
+        return batch.take(order[served:stop])
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -2051,16 +2324,16 @@ class Limit(PhysicalOperator):
         super().open(ctx)
         self.stats.detail = str(self.limit)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Any]:
-        child = self.children[0]
-        produced = 0
-        while produced < self.limit:
-            env = child.next()
-            if env is None:
-                return
-            self.stats.rows_in += 1
-            produced += 1
-            yield env
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        remaining = self.limit - self.stats.rows_in
+        if want is not None:
+            remaining = min(remaining, want)
+        if remaining <= 0:
+            return None
+        batch = self.children[0].next(remaining)
+        if batch is not None:
+            self.stats.rows_in += batch.count
+        return batch
 
     def output_names(self) -> list[str] | None:
         return self.children[0].output_names()
@@ -2122,49 +2395,6 @@ def aggregate_names(items: list[SelectItem]) -> list[str]:
         else:
             names.append(f"col{i}")
     return names
-
-
-def eval_aggregate_expr(expr: Expr, group_envs: list[Env]) -> Any:
-    """Evaluate an expression that may contain aggregate calls."""
-    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-        return compute_aggregate(expr, group_envs)
-    if isinstance(expr, BinaryOp):
-        left = eval_aggregate_expr(expr.left, group_envs)
-        right = eval_aggregate_expr(expr.right, group_envs)
-        return evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), {})
-    # Non-aggregate sub-expression: evaluate against a representative row.
-    representative = group_envs[0] if group_envs else {}
-    return evaluate(expr, representative)
-
-
-def compute_aggregate(call: FuncCall, group_envs: list[Env]) -> Any:
-    if call.star:
-        if call.name != "count":
-            raise QueryError(f"{call.name}(*) is not a valid aggregate")
-        return len(group_envs)
-    if len(call.args) != 1:
-        raise QueryError(f"aggregate {call.name} takes exactly one argument")
-    values = [evaluate(call.args[0], env) for env in group_envs]
-    values = [v for v in values if v is not None]
-    if call.name == "count":
-        return len(values)
-    if not values:
-        return None
-    if call.name == "sum":
-        total = values[0]
-        for value in values[1:]:
-            total = total + value
-        return total
-    if call.name == "avg":
-        total = values[0]
-        for value in values[1:]:
-            total = total + value
-        return total / len(values)
-    if call.name == "min":
-        return min(values)
-    if call.name == "max":
-        return max(values)
-    raise QueryError(f"unknown aggregate {call.name!r}")
 
 
 def describe_region(region: "frozenset | None") -> str:
@@ -2320,20 +2550,57 @@ class PhysicalPlanner:
 # -- output construction -------------------------------------------------------
 
 
-def envs_to_table(root: PhysicalOperator, envs: list[Env]) -> Table:
+def envs_to_table(
+    root: PhysicalOperator, batches: "list[columnar.ColumnBatch]"
+) -> Table:
+    """The result table of the batches ``root`` produced.  (Per-row envs
+    are gone; the name stays because the benchmark's trace targets it.)"""
+    batches = [batch for batch in batches if batch.count]
     names = root.output_names()
     if names is None:
-        # Bare scan/filter/join tree (no projection): emit every env key that
-        # is a bare (unqualified) name, in first-env order.
-        names = [k for k in envs[0] if "." not in k] if envs else []
-    rows = [tuple(env.get(name) for name in names) for env in envs]
-    fields = []
-    for i, name in enumerate(names):
-        column_values = [row[i] for row in rows]
-        fields.append(Field(_safe_name(name), _infer_dtype(column_values)))
+        # Bare scan/filter/join tree (no projection): emit every bare
+        # (unqualified) name, in the first rows' order.
+        names = []
+        if batches:
+            first = batches[0]
+            names = [k for k in (*first.names, *first.aliases) if "." not in k]
+    whole = columnar.concat(
+        [
+            columnar.ColumnBatch(
+                names,
+                [
+                    [None] * batch.count if index is None else batch.columns[index]
+                    for index in map(batch.index_of, names)
+                ],
+                {},
+                batch.count,
+            )
+            for batch in batches
+        ]
+    )
+    columns = whole.columns if whole is not None else [[] for _ in names]
+    fields = [
+        Field(_safe_name(name), _infer_dtype(column))
+        for name, column in zip(names, columns)
+    ]
     table = Table(Schema("result", tuple(fields)), validate=False)
-    table.rows = rows
+    if names:
+        table.rows = list(zip(*columns))
+    else:
+        table.rows = [()] * sum(batch.count for batch in batches)
     return table
+
+
+def _sort_keys(values):
+    """Keys that order ``values`` exactly as :func:`_sort_key` does.
+
+    A column of only strings, or of only ints and floats (no bool), sorts
+    by its raw values -- the tag every key would carry is the same.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str} or kinds <= {int, float}:
+        return values
+    return list(map(_sort_key, values))
 
 
 def _sort_key(value: Any) -> tuple:

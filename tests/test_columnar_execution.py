@@ -689,6 +689,145 @@ def golden_engine():
     return FederatedEngine(catalog)
 
 
+# The coordinator's accounting is defined by rows consumed, and the batch
+# operators must reproduce it to the byte: per operator rows in / out, the
+# modeled response and the EXPLAIN ANALYZE text of both join_ship shapes,
+# and of LIMIT over an unsorted join and over a residual filter (streaming
+# shapes that stop pulling mid-input), as the row-at-a-time coordinator
+# produced them (commit 3e6200c).
+GOLDEN_LIMIT_OVER_JOIN = (
+    "select p.sku, s.region from parts p "
+    "join suppliers s on p.supplier = s.supplier limit 5"
+)
+GOLDEN_LIMIT_OVER_FILTER = (
+    "select p.sku, s.region from parts p "
+    "join suppliers s on p.supplier = s.supplier "
+    "where p.price + s.tier >= 700.0 limit 5"
+)
+GOLDEN_ACCOUNTING = [
+    pytest.param(
+        GOLDEN_JOIN_TOP,
+        0.12205110899999998,
+        [
+            ("Limit", 100, 100),
+            ("Project", 100, 100),
+            ("Sort", 177, 100),
+            ("HashJoin", 217, 177),
+            ("Ship", 177, 177),
+            ("SiteProject", 177, 177),
+            ("SiteScan", 0, 177),
+            ("Ship", 40, 40),
+            ("SiteProject", 40, 40),
+            ("SiteScan", 0, 40),
+        ],
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1021
+response: 0.122051s  rows fetched: 217  shipped: 88  returned: 100  bytes shipped: 1109
+pruned fragments 0/9
+Limit  @ s0  rows_in=100 rows_out=100  seconds=0.000000  100
+  Project  @ s0  rows_in=100 rows_out=100  seconds=0.005000  sku, price, region
+    Sort  @ s0  rows_in=177 rows_out=100  seconds=0.008850  p.price desc, p.sku
+      HashJoin  @ s0  rows_in=217 rows_out=177  seconds=0.010850  (p.supplier = s.supplier)
+        Ship  @ s0  rows_in=177 rows_out=177  seconds=0.089131  batches=8  bytes=1109/2600 (2.34x)  encode=0.000002 decode=0.000001  from s1, s2
+          SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, sku, supplier)
+            SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
+        Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
+          SiteProject  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  keep(region, supplier)
+            SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]
+""",
+        id="join_top",
+    ),
+    pytest.param(
+        GOLDEN_JOIN_GROUPED,
+        0.11705068499999997,
+        [
+            ("Aggregate", 177, 5),
+            ("HashJoin", 217, 177),
+            ("Ship", 177, 177),
+            ("SiteProject", 177, 177),
+            ("SiteScan", 0, 177),
+            ("Ship", 40, 40),
+            ("SiteProject", 40, 40),
+            ("SiteScan", 0, 40),
+        ],
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1021
+response: 0.117051s  rows fetched: 217  shipped: 88  returned: 5  bytes shipped: 685
+pruned fragments 0/9
+Aggregate  @ s0  rows_in=177 rows_out=5  seconds=0.008850  region, n, total
+  HashJoin  @ s0  rows_in=217 rows_out=177  seconds=0.010850  (p.supplier = s.supplier)
+    Ship  @ s0  rows_in=177 rows_out=177  seconds=0.089023  batches=8  bytes=685/1440 (2.10x)  encode=0.000001 decode=0.000001  from s1, s2
+      SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, supplier)
+        SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
+    Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
+      SiteProject  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  keep(region, supplier)
+        SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]
+""",
+        id="join_grouped",
+    ),
+    pytest.param(
+        GOLDEN_LIMIT_OVER_JOIN,
+        0.142102008,
+        [
+            ("Limit", 5, 5),
+            ("Project", 5, 5),
+            ("HashJoin", 45, 5),
+            ("Ship", 600, 5),
+            ("SiteProject", 600, 600),
+            ("SiteScan", 0, 600),
+            ("Ship", 40, 40),
+            ("SiteProject", 40, 40),
+            ("SiteScan", 0, 40),
+        ],
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1266
+response: 0.142102s  rows fetched: 640  shipped: 300  returned: 5  bytes shipped: 2008
+pruned fragments 0/9
+Limit  @ s0  rows_in=5 rows_out=5  seconds=0.000000  5
+  Project  @ s0  rows_in=5 rows_out=5  seconds=0.000250  sku, region
+    HashJoin  @ s0  rows_in=45 rows_out=5  seconds=0.002250  (p.supplier = s.supplier)
+      Ship  @ s0  rows_in=600 rows_out=5  seconds=0.110508  batches=8  bytes=2008/6332 (3.15x)  encode=0.000004 decode=0.000002  from s1, s2
+        SiteProject  @ s0,s1,s2  rows_in=600 rows_out=600  seconds=0.030000  batches=8  keep(sku, supplier)
+          SiteScan  @ s0,s1,s2  rows_in=0 rows_out=600  seconds=0.110000  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0]
+      Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
+        SiteProject  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  keep(region, supplier)
+          SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]
+""",
+        id="limit_over_join",
+    ),
+    pytest.param(
+        GOLDEN_LIMIT_OVER_FILTER,
+        0.141352952,
+        [
+            ("Limit", 5, 5),
+            ("Project", 5, 5),
+            ("Filter", 15, 5),
+            ("HashJoin", 55, 15),
+            ("Ship", 600, 15),
+            ("SiteProject", 600, 600),
+            ("SiteScan", 0, 600),
+            ("Ship", 40, 40),
+            ("SiteScan", 0, 40),
+        ],
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1266
+response: 0.141353s  rows fetched: 640  shipped: 300  returned: 5  bytes shipped: 2952
+pruned fragments 0/9
+Limit  @ s0  rows_in=5 rows_out=5  seconds=0.000000  5
+  Project  @ s0  rows_in=5 rows_out=5  seconds=0.000250  sku, region
+    Filter  @ s0  rows_in=15 rows_out=5  seconds=0.000750  ((p.price + s.tier) >= 700.0)
+      HashJoin  @ s0  rows_in=55 rows_out=15  seconds=0.002750  (p.supplier = s.supplier)
+        Ship  @ s0  rows_in=600 rows_out=15  seconds=0.110747  batches=8  bytes=2952/8748 (2.96x)  encode=0.000006 decode=0.000003  from s1, s2
+          SiteProject  @ s0,s1,s2  rows_in=600 rows_out=600  seconds=0.030000  batches=8  keep(price, sku, supplier)
+            SiteScan  @ s0,s1,s2  rows_in=0 rows_out=600  seconds=0.110000  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0]
+        Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
+          SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]
+""",
+        id="limit_over_filter",
+    ),
+]
+
+
 class TestGoldenWireAccounting:
     @pytest.mark.parametrize("sql, golden", GOLDEN_WIRE)
     def test_join_ship_wire_numbers_are_pinned(self, sql, golden, monkeypatch):
@@ -724,3 +863,17 @@ class TestGoldenWireAccounting:
                 for name, (encodings, encoded, raw) in shipped.items()
             },
         } == golden
+
+    @pytest.mark.parametrize(
+        "sql, response_seconds, operators, explain", GOLDEN_ACCOUNTING
+    )
+    def test_coordinator_accounting_is_pinned(
+        self, sql, response_seconds, operators, explain
+    ):
+        report = golden_engine().query(sql).report
+        assert report.response_seconds == response_seconds
+        assert [
+            (stats.name, stats.rows_in, stats.rows_out)
+            for stats in report.operators.walk()
+        ] == operators
+        assert golden_engine().explain(sql, analyze=True) + "\n" == explain

@@ -1,0 +1,54 @@
+"""An equi-join key never matches NULL, whichever join operator runs.
+
+``a join b on a.k = b.k`` compiles to ``HashJoin``, which never matched a
+NULL key; add a residual (``... and a.x > 1``) and the same ON condition
+compiles to ``NestedLoopJoin``, whose ``evaluate`` says ``NULL = NULL`` is
+true -- so the two disagreed, and the second disagreed with SQL.  Top-level
+AND-ed ``col = col`` conjuncts of an ON condition now reject NULL on either
+side in both.  sqlite3 is the oracle.
+"""
+
+import pytest
+
+from tests.sqlite_oracle import federation, row_order, sqlite_answer
+
+TABLES = {
+    "a": (("k", "x"), [(1, 10), (None, 20), (2, 30)]),
+    "b": (("k", "y"), [(1, 100), (None, 200), (2, 300)]),
+}
+STATEMENTS = [
+    # HashJoin
+    "select a.k, a.x, b.y from a join b on a.k = b.k",
+    "select a.k, a.x, b.y from a left join b on a.k = b.k",
+    # NestedLoopJoin: the same key plus a residual
+    "select a.k, a.x, b.y from a join b on a.k = b.k and a.x > 1",
+    "select a.k, a.x, b.y from a join b on a.x > 1 and b.k = a.k",
+    "select a.k, a.x, b.y from a left join b on a.k = b.k and b.y > 100",
+    "select a.k, a.x, b.y from a left join b on a.k = b.k and a.x < 25",
+    "select a.x, count(b.y) as n from a left join b on a.k = b.k and b.y > 0 "
+    "group by a.x",
+]
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+@pytest.mark.parametrize("sql", STATEMENTS)
+def test_null_keys_never_match(sql, columnar):
+    names, expected = sqlite_answer(TABLES, sql)
+    result = federation(TABLES, columnar).query(sql)
+    assert list(result.table.schema.field_names) == names
+    assert sorted(result.table.rows, key=row_order) == sorted(expected, key=row_order)
+
+
+def test_the_shown_case():
+    """The issue's example: the nested-loop form returned (NULL, 20, 200)."""
+    sql = "select a.k, a.x, b.y from a join b on a.k = b.k and a.x > 1"
+    rows = federation(TABLES).query(sql).table.rows
+    assert sorted(rows, key=row_order) == [(1, 10, 100), (2, 30, 300)]
+
+
+def test_equality_under_or_stays_two_valued():
+    """Only AND-ed key conjuncts reject NULL; ``NULL = NULL`` under OR is
+    still true in this engine (ROADMAP item 4), unlike SQL."""
+    sql = "select a.x, b.y from a join b on a.k = b.k or a.x > 1000"
+    rows = federation(TABLES).query(sql).table.rows
+    assert (20, 200) in rows
