@@ -1,12 +1,16 @@
 """E3c -- Vectorized columnar execution vs the row-at-a-time engine.
 
+The row-at-a-time side is no longer in ``src/``: it is the reference site
+engine kept in ``tests/reference_site.py``, so run this bench with
+``tests/`` on the path (``PYTHONPATH=../src:../tests``).
+
 The federation's data plane moves *content*, and §3.2 C8's scalability
 story dies if every row costs a dict allocation and an AST walk.  This
 experiment measures the two wins the columnar refactor claims:
 
 * **Throughput.**  The same scan+filter+aggregate query runs through the
   batch-at-a-time engine (selection-vector kernels, tight aggregate
-  loops) and the legacy row engine over identical catalogs.  The
+  loops) and the reference row engine over identical catalogs.  The
   acceptance bar is a >= ``E3C_MIN_SPEEDUP``x (default 5x) rows/sec win,
   with bit-identical answers.
 * **Wire bytes.**  Shipping the hotel-market static table across sites
@@ -25,6 +29,7 @@ import os
 import time
 
 from _bench_util import REPO_ROOT, report, write_json
+from reference_site import ReferenceSitePlanner
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import FederatedEngine, FederationCatalog
 from repro.sim import SimClock
@@ -74,7 +79,10 @@ def build_engine(columnar: bool) -> FederatedEngine:
         [names[i % SITES], names[(i + 1) % SITES]] for i in range(FRAGMENTS)
     ]
     catalog.load_fragmented(table, FRAGMENTS, placement)
-    return FederatedEngine(catalog, columnar=columnar)
+    engine = FederatedEngine(catalog)
+    if not columnar:
+        engine.executor.planner = ReferenceSitePlanner(catalog)
+    return engine
 
 
 def timed_runs(columnar: bool):

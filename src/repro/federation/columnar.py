@@ -239,22 +239,6 @@ def concat(batches: "list[ColumnBatch]") -> "ColumnBatch | None":
     )
 
 
-def envs_batch(envs: "list[dict[str, Any]]") -> ColumnBatch:
-    """Transpose row envs that share their keys into one batch.
-
-    The only env-to-batch adapter: ``Ship`` applies it to what the legacy
-    row-at-a-time site engine hands over.  A bare key becomes an alias of
-    the one qualified column it abbreviates.
-    """
-    keys = list(envs[0])
-    names = [key for key in keys if "." in key]
-    column_of = {name.split(".", 1)[1]: i for i, name in enumerate(names)}
-    aliases = {key: column_of[key] for key in keys if "." not in key}
-    return ColumnBatch(
-        names, [[env[name] for env in envs] for name in names], aliases, len(envs)
-    )
-
-
 # -- filter kernels ------------------------------------------------------------
 
 Kernel = Callable[[ColumnBatch, list[int]], list[int]]
@@ -655,14 +639,6 @@ def value_wire_bytes(value: Any) -> int:
     if isinstance(value, str):
         return 2 + len(value.encode("utf-8"))
     return 2 + len(str(value).encode("utf-8"))
-
-
-def env_wire_bytes(env: dict[str, Any]) -> int:
-    """Naive wire size of one row env (each field counted once)."""
-    values = [v for k, v in env.items() if "." in k]
-    if not values and env:
-        values = list(env.values())
-    return COLUMN_HEADER_BYTES + sum(value_wire_bytes(v) for v in values)
 
 
 @dataclass

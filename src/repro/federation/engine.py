@@ -153,7 +153,6 @@ class FederatedEngine:
         cache: "SemanticCache | None" = None,
         health: "SiteHealthTracker | None" = None,
         retry: RetryPolicy | None = None,
-        columnar: bool = True,
         artifacts=None,
         reopt: ReoptPolicy | None = None,
         governance=None,
@@ -181,7 +180,7 @@ class FederatedEngine:
         # controller alike.
         self.paths = AccessPaths(catalog, cache, artifacts, self.health)
         self.optimizer.paths = self.paths
-        self.executor = Executor(self.paths, retry=self.retry, columnar=columnar)
+        self.executor = Executor(self.paths, retry=self.retry)
         for store in (cache, artifacts):
             if store is None:
                 continue

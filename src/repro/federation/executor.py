@@ -4,10 +4,13 @@ The execution machinery itself lives in :mod:`repro.federation.physical`:
 the optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
 access path), :class:`~repro.federation.physical.PhysicalPlanner` compiles
 it into site-side operators (SiteScan, SiteFilter, SiteProject,
-PartialAggregate), an explicit Ship over the network model, and
-coordinator operators (joins, residual filters, final aggregation, sort,
-limit) that hand column batches upward.  The :class:`Executor` here opens
-the root, drains it into the result table, and settles the timing model:
+PartialAggregate) that work on column batches where the rows live, an
+explicit Ship over the network model, and coordinator operators (joins,
+residual filters, final aggregation, sort, limit) that hand column
+batches upward.  There is one engine: the row-at-a-time site operators it
+replaced survive only as the test oracle ``tests/reference_site.py``.
+The :class:`Executor` here opens the root, drains it into the result
+table, and settles the timing model:
 
 * site-side batches run **in parallel** across their sites -- the scan
   phase costs the *slowest* pipeline, not the sum;
@@ -60,19 +63,10 @@ class Executor:
     and prices scan-level failover.
     """
 
-    def __init__(
-        self,
-        paths: AccessPaths,
-        retry: RetryPolicy | None = None,
-        columnar: bool = True,
-    ) -> None:
+    def __init__(self, paths: AccessPaths, retry: RetryPolicy | None = None) -> None:
         self.paths = paths
         self.planner = PhysicalPlanner(paths.catalog)
         self.retry = retry or RetryPolicy()
-        # Batch-at-a-time columnar site-side execution; False selects the
-        # legacy row-at-a-time path (results are identical -- see
-        # tests/test_columnar_execution.py).
-        self.columnar = columnar
 
     def execute(
         self,
@@ -94,7 +88,6 @@ class Executor:
             retry=self.retry,
             degraded_ok=degraded_ok,
             max_staleness=max_staleness,
-            columnar=self.columnar,
             reuse_artifacts=reuse_artifacts,
             reopt=reopt,
         )

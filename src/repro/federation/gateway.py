@@ -71,9 +71,8 @@ class PlanCache:
     Options that are bound per-*execution* rather than per-plan stay out
     of the key on purpose: ``degraded_ok`` is threaded through
     :meth:`WorkloadManager.submit` at dispatch and never touches the
-    template, and ``columnar`` is an engine-level execution mode, so
-    splitting the key on either would only depress the hit rate without
-    changing semantics.  Entries are never served stale: revalidation
+    template, so splitting the key on it would only depress the hit rate
+    without changing semantics.  Entries are never served stale: revalidation
     against the catalog version *and* the policy signature lives in
     :meth:`FederatedEngine.execute`, so the cache only manages identity
     and eviction.

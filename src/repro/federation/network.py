@@ -4,13 +4,10 @@ Deliberately simple: a base round-trip latency per site pair (overridable
 for specific pairs -- cross-enterprise WAN links cost more than machine-room
 hops) plus a transfer cost.  Local transfers (same site) are free.
 
-Transfer cost comes in two currencies.  The legacy per-row rate
-(:meth:`Network.transfer_seconds`) is kept for row-form payloads and for
-the row engine; the columnar data plane ships encoded column batches and
-is charged per byte (:meth:`Network.transfer_seconds_bytes`), so a
-well-encoded column is genuinely cheaper to move than its raw rows.  The
-default per-byte rate is calibrated so a typical ~40-byte row costs about
-what the per-row rate charged, keeping the two models comparable.
+Transfer is charged per byte (:meth:`Network.transfer_seconds_bytes`):
+the data plane ships encoded column batches, so a well-encoded column is
+genuinely cheaper to move than its raw rows.  The default rate puts a
+typical ~40-byte row at about 1e-5 seconds.
 """
 
 from __future__ import annotations
@@ -22,11 +19,9 @@ class Network:
     def __init__(
         self,
         base_latency: float = 0.02,
-        seconds_per_row: float = 0.00001,
         seconds_per_byte: float = 2.5e-7,
     ) -> None:
         self.base_latency = base_latency
-        self.seconds_per_row = seconds_per_row
         self.seconds_per_byte = seconds_per_byte
         self._pair_latency: dict[tuple[str, str], float] = {}
 
@@ -40,12 +35,6 @@ class Network:
         if site_a == site_b:
             return 0.0
         return self._pair_latency.get(self._key(site_a, site_b), self.base_latency)
-
-    def transfer_seconds(self, site_a: str, site_b: str, rows: int) -> float:
-        """Total seconds to move ``rows`` from one site to another."""
-        if site_a == site_b:
-            return 0.0
-        return self.latency(site_a, site_b) + rows * self.seconds_per_row
 
     def transfer_seconds_bytes(self, site_a: str, site_b: str, nbytes: int) -> float:
         """Total seconds to move ``nbytes`` of encoded payload."""

@@ -332,7 +332,6 @@ class ExecContext:
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
         max_staleness: float | None = None,
-        columnar: bool = True,
         reuse_artifacts: bool = True,
         reopt=None,
     ) -> None:
@@ -344,11 +343,6 @@ class ExecContext:
         self.health = paths.health  # may be None
         self.plan = plan
         self.report = report
-        # Batch-at-a-time columnar execution on the site side.  False runs
-        # the legacy row-at-a-time path; results are identical either way
-        # (the property tests in tests/test_columnar_execution.py hold the
-        # two engines row-for-row equal).
-        self.columnar = columnar
         self.coordinator = plan.coordinator
         self.scan_elapsed = 0.0  # slowest leaf pipeline (scans run in parallel)
         self.coordinator_seconds = 0.0  # serial coordinator work
@@ -521,12 +515,12 @@ class PhysicalOperator:
 class SiteBatch:
     """Rows produced at one site, with the pipeline time spent producing them.
 
-    Under columnar execution ``chunks`` carries the same rows as a list of
-    fixed-size :class:`~repro.federation.columnar.ColumnBatch` slices and
-    ``rows`` stays empty.  ``chunks is None`` means ``rows`` holds the
-    batch in row form: the legacy engine's envs, partial-aggregate group
-    records, or the one column batch an artifact served at the
-    coordinator (nothing was scanned, so it counts as no processed batch).
+    Scanned rows travel in ``chunks``, a list of fixed-size
+    :class:`~repro.federation.columnar.ColumnBatch` slices, and ``rows``
+    stays empty.  ``chunks is None`` means ``rows`` holds what is not a
+    scan's output: partial-aggregate group records (a list), or the one
+    column batch an artifact served at the coordinator.  Neither was
+    scanned in batches, so neither counts as a processed batch.
     """
 
     site: str
@@ -646,28 +640,22 @@ class SiteScan(SiteOperator):
 
         ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
         self.stats.detail = self._describe(assignment)
-        binding = assignment.binding
-        if ctx.columnar:
-            # Wrap each site table's resident column layout in this query's
-            # batch headers (a governed scan's fresh table builds its own);
-            # per-row env dicts are only rebuilt at the Ship boundary.
-            return [
-                SiteBatch(
-                    site,
-                    [],
-                    elapsed,
-                    chunks=columnar.table_chunks(binding, table, ctx.ambiguous),
-                )
-                for site, table, elapsed in table_batches
-            ]
+        return self._site_batches(ctx, assignment.binding, table_batches)
+
+    def _site_batches(
+        self,
+        ctx: ExecContext,
+        binding: str,
+        table_batches: list[tuple[str, Table, float]],
+    ) -> list[SiteBatch]:
+        # Wrap each site table's resident column layout in this query's
+        # batch headers (a governed scan's fresh table builds its own).
         return [
             SiteBatch(
                 site,
-                [
-                    row_env(binding, table.schema, values, ctx.ambiguous)
-                    for values in table.rows
-                ],
+                [],
                 elapsed,
+                chunks=columnar.table_chunks(binding, table, ctx.ambiguous),
             )
             for site, table, elapsed in table_batches
         ]
@@ -1038,6 +1026,24 @@ class SiteScan(SiteOperator):
         return f"{self.scan.table} as {self.scan.binding}: {detail}"
 
 
+def serve_artifact(ctx: ExecContext, artifact, binding: str, agg, age: float):
+    """One stage's output served from ``artifact`` (``age`` seconds old):
+    group records under a split aggregate, else one column batch.  Books
+    the rows, staleness and the work the artifact saved; ``None``, with
+    nothing booked, when the payload does not fit the request."""
+    if agg is not None:
+        rows = artifact.serve_groups(binding, ctx.ambiguous, agg.split.calls)
+    else:
+        rows = artifact.serve_rows(binding, ctx.ambiguous)
+    if rows is None:
+        return None
+    ctx.scan_total_rows += len(rows)
+    ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
+    ctx.report.artifact_rows_saved += artifact.rows_saved
+    ctx.report.artifact_bytes_saved += artifact.bytes_saved
+    return rows
+
+
 class ArtifactSource(SiteOperator):
     """Serve one stage from a plan-embedded committed artifact.
 
@@ -1076,25 +1082,16 @@ class ArtifactSource(SiteOperator):
                 f"artifact for {self.scan.table!r} too stale "
                 f"({age:.1f}s > {ctx.max_staleness:.1f}s)"
             )
-        if self.agg is not None:
-            rows = artifact.serve_groups(
-                self.scan.binding, ctx.ambiguous, self.agg.split.calls
-            )
-        else:
-            rows = artifact.serve_rows(self.scan.binding, ctx.ambiguous)
+        rows = serve_artifact(ctx, artifact, self.scan.binding, self.agg, age)
         if rows is None:
             raise QueryError(
                 f"artifact payload mismatch for {self.scan.binding!r}"
             )
-        ctx.scan_total_rows += len(rows)
         work = ctx.charge_site(ctx.coordinator, len(rows))
         self.stats.seconds = work
-        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
         if ctx.paths.artifacts is not None:
             ctx.paths.artifacts.note_plan_hit(artifact)
         ctx.report.artifact_hits += 1
-        ctx.report.artifact_rows_saved += artifact.rows_saved
-        ctx.report.artifact_bytes_saved += artifact.bytes_saved
         self.stats.detail = (
             f"{self.scan.table} as {self.scan.binding}: "
             f"{describe_artifact_path(assignment)}"
@@ -1117,28 +1114,18 @@ class SiteFilter(SiteOperator):
         kernel_compiled = False
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()
-            if batch.chunks is not None:
-                if not kernel_compiled and batch.chunks:
-                    # Compile once against the first chunk's layout; every
-                    # chunk of the scan shares it.
-                    kernel = columnar.compile_predicate(
-                        self.condition, batch.chunks[0]
-                    )
-                    kernel_compiled = True
-                kept_chunks = [
-                    columnar.filter_batch(chunk, self.condition, kernel)
-                    for chunk in batch.chunks
-                ]
-                work = ctx.charge_site(batch.site, batch.row_count())
-                self.stats.seconds += work
-                out.append(
-                    SiteBatch(batch.site, [], batch.elapsed + work, kept_chunks)
-                )
-                continue
-            kept = [env for env in batch.rows if evaluate(self.condition, env)]
-            work = ctx.charge_site(batch.site, len(batch.rows))
+            if not kernel_compiled and batch.chunks:
+                # Compile once against the first chunk's layout; every
+                # chunk of the scan shares it.
+                kernel = columnar.compile_predicate(self.condition, batch.chunks[0])
+                kernel_compiled = True
+            kept_chunks = [
+                columnar.filter_batch(chunk, self.condition, kernel)
+                for chunk in batch.chunks
+            ]
+            work = ctx.charge_site(batch.site, batch.row_count())
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, kept, batch.elapsed + work))
+            out.append(SiteBatch(batch.site, [], batch.elapsed + work, kept_chunks))
         self.stats.detail = describe_expr(self.condition)
         return out
 
@@ -1161,22 +1148,12 @@ class SiteProject(SiteOperator):
         out = []
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()
-            if batch.chunks is not None:
-                # Column-slice projection: kept columns are shared by
-                # reference, dropped ones simply stop flowing.
-                pruned_chunks = [chunk.project(allowed) for chunk in batch.chunks]
-                work = ctx.charge_site(batch.site, batch.row_count())
-                self.stats.seconds += work
-                out.append(
-                    SiteBatch(batch.site, [], batch.elapsed + work, pruned_chunks)
-                )
-                continue
-            pruned = [
-                {key: env[key] for key in env.keys() & allowed} for env in batch.rows
-            ]
-            work = ctx.charge_site(batch.site, len(batch.rows))
+            # Column-slice projection: kept columns are shared by
+            # reference, dropped ones simply stop flowing.
+            pruned_chunks = [chunk.project(allowed) for chunk in batch.chunks]
+            work = ctx.charge_site(batch.site, batch.row_count())
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, pruned, batch.elapsed + work))
+            out.append(SiteBatch(batch.site, [], batch.elapsed + work, pruned_chunks))
         self.stats.detail = f"keep({', '.join(self.keep)})"
         return out
 
@@ -1274,16 +1251,13 @@ class PartialAggregate(SiteOperator):
         for batch in self.children[0].batches():
             rows_in = batch.row_count()
             self.stats.rows_in += rows_in
-            if batch.chunks is not None:
-                records = self._columnar_records(batch.chunks)
-                if records is None:
-                    # Group keys or aggregate arguments are general
-                    # expressions: materialize envs and take the row path.
-                    records = self._row_records(
-                        [env for chunk in batch.chunks for env in chunk.to_envs()]
-                    )
-            else:
-                records = self._row_records(batch.rows)
+            records = self._columnar_records(batch.chunks)
+            if records is None:
+                # Group keys or aggregate arguments are general
+                # expressions: materialize envs and take the row path.
+                records = self._row_records(
+                    [env for chunk in batch.chunks for env in chunk.to_envs()]
+                )
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, records, batch.elapsed + work))
@@ -1434,7 +1408,7 @@ class PartialAggregate(SiteOperator):
 
 
 def record_wire_bytes(record: Any) -> int:
-    """Deterministic wire size of one row-form shipped record."""
+    """Deterministic wire size of one shipped partial-aggregate record."""
     if isinstance(record, PartialGroup):
         total = 12  # group header: row count + state count + key arity
         for value in record.key:
@@ -1445,8 +1419,6 @@ def record_wire_bytes(record: Any) -> int:
             else:
                 total += columnar.value_wire_bytes(state)
         return total
-    if isinstance(record, dict):
-        return columnar.env_wire_bytes(record)
     return 8
 
 
@@ -1462,8 +1434,8 @@ class Ship(PhysicalOperator):
     reference and never serialize.  What arrives goes on to the
     coordinator operators as column batches: decoded or local chunks as
     they are, an artifact's payload as the one batch it was served as,
-    the legacy row engine's envs transposed once (the only env-to-batch
-    adapter), partial-aggregate group records as a one-column batch.
+    partial-aggregate group records (charged per record byte) as a
+    one-column batch.
     """
 
     name = "Ship"
@@ -1522,10 +1494,8 @@ class Ship(PhysicalOperator):
         if hit is None:
             return None
         artifact, wait, joined = hit
-        if agg is not None:
-            rows = artifact.serve_groups(scan.binding, ctx.ambiguous, agg.split.calls)
-        else:
-            rows = artifact.serve_rows(scan.binding, ctx.ambiguous)
+        age = ctx.catalog.clock.now() - artifact.fetched_at
+        rows = serve_artifact(ctx, artifact, scan.binding, agg, age)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
             # hash-collision guard): recompute instead of serving garbage.
@@ -1533,16 +1503,11 @@ class Ship(PhysicalOperator):
             return None
         serve = ctx.charge_coordinator(len(rows))
         ctx.scan_elapsed = max(ctx.scan_elapsed, wait)
-        ctx.scan_total_rows += len(rows)
-        age = ctx.catalog.clock.now() - artifact.fetched_at
-        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
         if joined:
             ctx.report.artifact_joins += 1
             ctx.report.artifact_join_keys.append(key)
         else:
             ctx.report.artifact_hits += 1
-        ctx.report.artifact_rows_saved += artifact.rows_saved
-        ctx.report.artifact_bytes_saved += artifact.bytes_saved
         self.stats.rows_in = len(rows)
         self.stats.seconds = serve
         label = "joined in-flight stage" if joined else "artifact hit"
@@ -1608,7 +1573,6 @@ class Ship(PhysicalOperator):
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
-        encoded_total = 0
         raw_total = 0
         encode_total = 0.0
         decode_total = 0.0
@@ -1620,67 +1584,51 @@ class Ship(PhysicalOperator):
         for batch in self.children[0].batches():
             stage_sites.add(batch.site)
             local = batch.site == ctx.coordinator
-            if batch.chunks is not None:
+            elapsed = batch.elapsed
+            nbytes = 0
+            if batch.chunks is None:
+                # Partial-aggregate records, or the batch an artifact
+                # served (always coordinator-local).
+                if not local:
+                    nbytes = sum(record_wire_bytes(r) for r in batch.rows)
+                    raw_total += nbytes
+                arrived.extend(row_form_batches(batch.rows))
+            elif local:
+                # Already at the coordinator: no wire, no encoding.
                 batch_count += len(batch.chunks)
-                elapsed = batch.elapsed
-                if local:
-                    # Already at the coordinator: no wire, no encoding.
-                    arrived.extend(batch.chunks)
-                    transfer = 0.0
-                else:
-                    batch_bytes = 0
-                    for chunk in batch.chunks:
-                        encoded = columnar.encode_batch(chunk)
-                        batch_bytes += encoded.encoded_bytes
-                        raw_total += encoded.raw_bytes
-                        arrived.append(columnar.decode_batch(encoded))
-                    encode_seconds = batch_bytes * columnar.ENCODE_SECONDS_PER_BYTE
-                    decode_seconds = batch_bytes * columnar.DECODE_SECONDS_PER_BYTE
-                    ctx.charge_site_seconds(batch.site, encode_seconds)
-                    ctx.charge_coordinator_seconds(decode_seconds)
-                    encode_total += encode_seconds
-                    decode_total += decode_seconds
-                    elapsed += encode_seconds
-                    transfer = network.transfer_seconds_bytes(
-                        batch.site, ctx.coordinator, batch_bytes
-                    )
-                    shipped += batch.row_count()
-                    shipped_bytes += batch_bytes
-                    encoded_total += batch_bytes
-                    sources.add(batch.site)
-                ctx.report.network_seconds += transfer
-                transfer_total += transfer
-                arrival = max(arrival, elapsed + transfer)
-                continue
-            # Row-form batches: partial-aggregate records, an artifact's
-            # served batch, or the legacy row engine when columnar
-            # execution is off.
-            if ctx.columnar and not local:
-                nbytes = sum(record_wire_bytes(r) for r in batch.rows)
-                transfer = network.transfer_seconds_bytes(
-                    batch.site, ctx.coordinator, nbytes
-                )
-                shipped_bytes += nbytes
-                encoded_total += nbytes
-                raw_total += nbytes
+                arrived.extend(batch.chunks)
             else:
-                transfer = network.transfer_seconds(
-                    batch.site, ctx.coordinator, len(batch.rows)
-                )
+                batch_count += len(batch.chunks)
+                for chunk in batch.chunks:
+                    encoded = columnar.encode_batch(chunk)
+                    nbytes += encoded.encoded_bytes
+                    raw_total += encoded.raw_bytes
+                    arrived.append(columnar.decode_batch(encoded))
+                encode_seconds = nbytes * columnar.ENCODE_SECONDS_PER_BYTE
+                decode_seconds = nbytes * columnar.DECODE_SECONDS_PER_BYTE
+                ctx.charge_site_seconds(batch.site, encode_seconds)
+                ctx.charge_coordinator_seconds(decode_seconds)
+                encode_total += encode_seconds
+                decode_total += decode_seconds
+                elapsed += encode_seconds
+            # The network moves nothing, for free, within a site.
+            transfer = network.transfer_seconds_bytes(
+                batch.site, ctx.coordinator, nbytes
+            )
+            if not local:
+                shipped += batch.row_count()
+                shipped_bytes += nbytes
+                sources.add(batch.site)
             ctx.report.network_seconds += transfer
             transfer_total += transfer
-            if not local:
-                shipped += len(batch.rows)
-                sources.add(batch.site)
-            arrival = max(arrival, batch.elapsed + transfer)
-            arrived.extend(row_form_batches(batch.rows))
+            arrival = max(arrival, elapsed + transfer)
         rows = sum(batch.count for batch in arrived)
         ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
         ctx.report.rows_shipped += shipped
         ctx.report.bytes_shipped += shipped_bytes
         self.stats.rows_in = rows
         self.stats.batches = batch_count
-        self.stats.encoded_bytes = encoded_total
+        self.stats.encoded_bytes = shipped_bytes
         self.stats.raw_bytes = raw_total
         self.stats.encode_seconds = encode_total
         self.stats.decode_seconds = decode_total
@@ -1708,13 +1656,12 @@ RECORDS_COLUMN = ["#records"]
 
 
 def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
-    """Row-form content (see :class:`SiteBatch`) as coordinator batches."""
+    """``SiteBatch.rows`` content as coordinator batches: an artifact's
+    served batch as itself, group records as one column of them."""
     if isinstance(rows, columnar.ColumnBatch):
         return [rows]
     if not rows:
         return []
-    if isinstance(rows[0], dict):
-        return [columnar.envs_batch(rows)]
     return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], {}, len(rows))]
 
 

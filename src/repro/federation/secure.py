@@ -89,12 +89,12 @@ class SecureNetwork(Network):
     def __init__(
         self,
         base_latency: float = 0.02,
-        seconds_per_row: float = 0.00001,
+        seconds_per_byte: float = 2.5e-7,
         handshake_seconds: float = 0.08,
         encryption_factor: float = 1.15,
         shared_secret: int = 0xC0FEE,
     ) -> None:
-        super().__init__(base_latency, seconds_per_row)
+        super().__init__(base_latency, seconds_per_byte)
         if encryption_factor < 1.0:
             raise ValueError("encryption cannot speed transfers up")
         self.handshake_seconds = handshake_seconds
@@ -112,15 +112,6 @@ class SecureNetwork(Network):
             )
             self.handshakes_performed += 1
         return self._sessions[key]
-
-    def transfer_seconds(self, site_a: str, site_b: str, rows: int) -> float:
-        if site_a == site_b:
-            return 0.0
-        handshake = 0.0
-        if self._key(site_a, site_b) not in self._sessions:
-            self.session_for(site_a, site_b)
-            handshake = self.handshake_seconds
-        return handshake + super().transfer_seconds(site_a, site_b, rows) * self.encryption_factor
 
     def transfer_seconds_bytes(self, site_a: str, site_b: str, nbytes: int) -> float:
         if site_a == site_b:

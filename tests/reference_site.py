@@ -1,0 +1,223 @@
+"""The row-at-a-time site engine as it stood behind ``columnar=False``.
+
+Until commit 40b1b34 ``FederatedEngine(columnar=False)`` selected a second
+site-side program: ``SiteScan`` built one env dict per row, ``SiteFilter``
+/ ``SiteProject`` / ``PartialAggregate`` looped over those envs, and
+``Ship`` charged the network per row and transposed the envs into one
+batch for the coordinator.  The flag and those branches are gone from
+``src/``; the bodies live on here, verbatim, as the oracle the columnar
+site operators must reproduce -- rows in order, ``rows_fetched``,
+``rows_shipped``, and per operator ``rows_in`` / ``rows_out`` /
+``seconds`` / ``detail`` (``tests/test_reference_site.py``) -- and as the
+"before" side of the E3c micro-bench.  Do not optimise or tidy them.
+
+Each class subclasses its production operator and overrides only the step
+that differed, so access paths, failover, governance, capture and
+artifact handling are the production code on both sides.  What the row
+engine never did, it does not do here either: no column batches are
+counted (``batches=0``), nothing is encoded and no bytes are priced
+(``bytes_shipped`` stays 0; the wire is charged ``latency + rows x
+SECONDS_PER_ROW``, the per-row currency ``Network`` no longer has --
+plain :class:`~repro.federation.network.Network` only, no handshakes).
+
+:class:`ReferenceSitePlanner` is plugged in the way ``ReferencePlanner``
+is: ``engine.executor.planner = ReferenceSitePlanner(catalog)``.  The
+module imports nothing from ``tests``, so ``benchmarks/`` can load it
+with ``tests/`` on ``PYTHONPATH``.
+"""
+
+from typing import Any
+
+from repro.federation import columnar, physical
+from repro.federation.physical import (
+    RECORDS_COLUMN,
+    ExecContext,
+    SiteBatch,
+    describe_expr,
+    row_env,
+)
+from repro.sql.expressions import evaluate
+
+# ``Network(seconds_per_row=...)``'s default, the only value any caller used.
+SECONDS_PER_ROW = 0.00001
+
+
+def envs_batch(envs: "list[dict[str, Any]]") -> columnar.ColumnBatch:
+    """Transpose row envs that share their keys into one batch.
+
+    The only env-to-batch adapter: ``Ship`` applies it to what the legacy
+    row-at-a-time site engine hands over.  A bare key becomes an alias of
+    the one qualified column it abbreviates.
+    """
+    keys = list(envs[0])
+    names = [key for key in keys if "." in key]
+    column_of = {name.split(".", 1)[1]: i for i, name in enumerate(names)}
+    aliases = {key: column_of[key] for key in keys if "." not in key}
+    return columnar.ColumnBatch(
+        names, [[env[name] for env in envs] for name in names], aliases, len(envs)
+    )
+
+
+def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
+    """Row-form content (see :class:`SiteBatch`) as coordinator batches."""
+    if isinstance(rows, columnar.ColumnBatch):
+        return [rows]
+    if not rows:
+        return []
+    if isinstance(rows[0], dict):
+        return [envs_batch(rows)]
+    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], {}, len(rows))]
+
+
+def transfer_seconds(network, site_a: str, site_b: str, rows: int) -> float:
+    """``Network.transfer_seconds``: total seconds to move ``rows``."""
+    if site_a == site_b:
+        return 0.0
+    return network.latency(site_a, site_b) + rows * SECONDS_PER_ROW
+
+
+class SiteScan(physical.SiteScan):
+    def _site_batches(self, ctx: ExecContext, binding, table_batches):
+        return [
+            SiteBatch(
+                site,
+                [
+                    row_env(binding, table.schema, values, ctx.ambiguous)
+                    for values in table.rows
+                ],
+                elapsed,
+            )
+            for site, table, elapsed in table_batches
+        ]
+
+
+class SiteFilter(physical.SiteFilter):
+    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
+        out = []
+        for batch in self.children[0].batches():
+            self.stats.rows_in += batch.row_count()
+            kept = [env for env in batch.rows if evaluate(self.condition, env)]
+            work = ctx.charge_site(batch.site, len(batch.rows))
+            self.stats.seconds += work
+            out.append(SiteBatch(batch.site, kept, batch.elapsed + work))
+        self.stats.detail = describe_expr(self.condition)
+        return out
+
+
+class SiteProject(physical.SiteProject):
+    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
+        allowed = set()
+        for name in self.keep:
+            allowed.add(f"{self.binding}.{name}")
+            allowed.add(name)  # bare key exists only when unambiguous
+        out = []
+        for batch in self.children[0].batches():
+            self.stats.rows_in += batch.row_count()
+            pruned = [
+                {key: env[key] for key in env.keys() & allowed} for env in batch.rows
+            ]
+            work = ctx.charge_site(batch.site, len(batch.rows))
+            self.stats.seconds += work
+            out.append(SiteBatch(batch.site, pruned, batch.elapsed + work))
+        self.stats.detail = f"keep({', '.join(self.keep)})"
+        return out
+
+
+class PartialAggregate(physical.PartialAggregate):
+    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
+        out = []
+        for batch in self.children[0].batches():
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
+            records = self._row_records(batch.rows)
+            work = ctx.charge_site(batch.site, rows_in)
+            self.stats.seconds += work
+            out.append(SiteBatch(batch.site, records, batch.elapsed + work))
+        self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
+        return out
+
+
+class Ship(physical.Ship):
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+        arrived: "list[columnar.ColumnBatch]" = []
+        arrival = 0.0
+        shipped = 0
+        shipped_bytes = 0
+        encoded_total = 0
+        raw_total = 0
+        encode_total = 0.0
+        decode_total = 0.0
+        batch_count = 0
+        transfer_total = 0.0
+        sources = set()
+        stage_sites = set()
+        network = ctx.catalog.network
+        for batch in self.children[0].batches():
+            stage_sites.add(batch.site)
+            local = batch.site == ctx.coordinator
+            # Row-form batches: partial-aggregate records, an artifact's
+            # served batch, or the legacy row engine when columnar
+            # execution is off.  (The chunk arm and the per-byte arm stood
+            # here; neither is reachable with columnar execution off.)
+            transfer = transfer_seconds(
+                network, batch.site, ctx.coordinator, len(batch.rows)
+            )
+            ctx.report.network_seconds += transfer
+            transfer_total += transfer
+            if not local:
+                shipped += len(batch.rows)
+                sources.add(batch.site)
+            arrival = max(arrival, batch.elapsed + transfer)
+            arrived.extend(row_form_batches(batch.rows))
+        rows = sum(batch.count for batch in arrived)
+        ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
+        ctx.report.rows_shipped += shipped
+        ctx.report.bytes_shipped += shipped_bytes
+        self.stats.rows_in = rows
+        self.stats.batches = batch_count
+        self.stats.encoded_bytes = encoded_total
+        self.stats.raw_bytes = raw_total
+        self.stats.encode_seconds = encode_total
+        self.stats.decode_seconds = decode_total
+        # Unpacking arrived rows is coordinator work, as in the old walker.
+        unpack = ctx.charge_coordinator(rows)
+        self.stats.seconds = transfer_total + unpack + encode_total + decode_total
+        self.stats.detail = (
+            f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
+        )
+        if self.stage is not None:
+            binding = self.stage[0].binding
+            ctx.report.stage_runtimes[binding] = (
+                arrival, tuple(sorted(stage_sites))
+            )
+            if ctx.reopt is not None:
+                note = ctx.reopt.describe(binding)
+                if note:
+                    self.stats.detail += f"  [{note}]"
+        self._maybe_capture(ctx, arrived, shipped_bytes, arrival)
+        return arrived
+
+
+REFERENCE_CLASS = {
+    physical.SiteScan: SiteScan,
+    physical.SiteFilter: SiteFilter,
+    physical.SiteProject: SiteProject,
+    physical.PartialAggregate: PartialAggregate,
+    physical.Ship: Ship,
+}
+
+
+class ReferenceSitePlanner(physical.PhysicalPlanner):
+    """Compiles the production tree, then re-classes its site operators and
+    ``Ship`` to the reference ones.  The subclasses add no state, so the
+    planner's construction logic is not copied; coordinator operators and
+    ``ArtifactSource`` stay production."""
+
+    def compile(self, plan: physical.PhysicalPlan) -> physical.PhysicalOperator:
+        root = super().compile(plan)
+        pending = [root]
+        while pending:
+            op = pending.pop()
+            op.__class__ = REFERENCE_CLASS.get(type(op), type(op))
+            pending.extend(op.children)
+        return root

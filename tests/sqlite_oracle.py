@@ -13,7 +13,7 @@ from repro.sim import SimClock
 SITES = 3
 
 
-def federation(tables: dict, columnar: bool = True) -> FederatedEngine:
+def federation(tables: dict) -> FederatedEngine:
     """``{name: (column names, rows)}`` as two-fragment tables on three
     sites, so joined inputs really ship."""
     catalog = FederationCatalog(SimClock())
@@ -22,7 +22,7 @@ def federation(tables: dict, columnar: bool = True) -> FederatedEngine:
         schema = Schema(name, tuple(Field(c, DataType.INTEGER) for c in columns))
         placement = [[names[(i + offset) % SITES]] for i in range(2)]
         catalog.load_fragmented(Table(schema, rows), 2, placement)
-    return FederatedEngine(catalog, columnar=columnar)
+    return FederatedEngine(catalog)
 
 
 def sqlite_answer(tables: dict, sql: str) -> tuple[list[str], list[tuple]]:

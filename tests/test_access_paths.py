@@ -248,3 +248,22 @@ def test_every_benchmark_trace_target_resolves():
 
     unresolved = [t for t in trace.all_targets() if trace.resolve(t) is None]
     assert unresolved == []
+
+
+def test_the_row_site_engine_flag_stays_deleted():
+    """One site engine: no ``columnar=`` on the engine, the executor or the
+    execution context, and no env-to-batch adapter to feed a second one.
+    The row-at-a-time operators live in ``tests/reference_site.py``."""
+    from repro.federation import columnar
+    from repro.federation.executor import Executor
+    from repro.federation.physical import ExecContext
+
+    catalog = orders_catalog()
+    engine = FederatedEngine(catalog)
+    with pytest.raises(TypeError):
+        FederatedEngine(catalog, columnar=False)
+    with pytest.raises(TypeError):
+        Executor(engine.paths, columnar=False)
+    with pytest.raises(TypeError):
+        ExecContext(engine.paths, None, None, columnar=False)
+    assert not hasattr(columnar, "envs_batch")

@@ -1,10 +1,12 @@
 """Columnar engine equivalence and wire-encoding round-trips.
 
-The vectorized data plane (``repro.federation.columnar``) replaces the
+The vectorized data plane (``repro.federation.columnar``) replaced the
 row-at-a-time operator loops but must be *observably identical*: every
 query answers row-for-row (and bit-for-bit, ordering included) what the
-legacy row engine answers, and every column encoding must decode to
-exactly the values that went in -- types, NULLs and float signs included.
+row engine answered -- kept as ``tests/reference_site.py``; the
+accounting-level property lives in ``tests/test_reference_site.py`` --
+and every column encoding must decode to exactly the values that went
+in -- types, NULLs and float signs included.
 These tests state both contracts as hypothesis properties and pin the
 Ship-accounting rules (cache-served, pruned and coordinator-local scans
 never count as shipped) with deterministic regressions.
@@ -32,12 +34,14 @@ from repro.federation.columnar import (
 )
 from repro.sim import SimClock
 from tests.reference_codec import encode_column as reference_encode_column
+from tests.reference_site import ReferenceSitePlanner
 
 
 def build_pair(rows, fragment_count=3, site_count=4, cache=False):
-    """Two engines over *identical* catalogs: columnar on vs off."""
+    """Two engines over *identical* catalogs: the product, and one whose
+    site side is the row-at-a-time reference."""
     engines = []
-    for columnar in (True, False):
+    for reference in (False, True):
         clock = SimClock()
         catalog = FederationCatalog(clock)
         names = [catalog.make_site(f"s{i}").name for i in range(site_count)]
@@ -57,18 +61,25 @@ def build_pair(rows, fragment_count=3, site_count=4, cache=False):
         ]
         catalog.load_fragmented(table, fragment_count, placement)
         engines.append(
-            FederatedEngine(
-                catalog,
-                cache=SemanticCache(clock) if cache else None,
-                columnar=columnar,
+            with_site_engine(
+                FederatedEngine(
+                    catalog, cache=SemanticCache(clock) if cache else None
+                ),
+                reference,
             )
         )
     return engines
 
 
+def with_site_engine(engine, reference):
+    if reference:
+        engine.executor.planner = ReferenceSitePlanner(engine.catalog)
+    return engine
+
+
 def build_join_pair(t_rows, u_rows, fragment_count=2):
     engines = []
-    for columnar in (True, False):
+    for reference in (False, True):
         clock = SimClock()
         catalog = FederationCatalog(clock)
         names = [catalog.make_site(f"s{i}").name for i in range(4)]
@@ -92,7 +103,7 @@ def build_join_pair(t_rows, u_rows, fragment_count=2):
         catalog.load_fragmented(
             Table(u_schema, u_rows, validate=False), fragment_count, placement
         )
-        engines.append(FederatedEngine(catalog, columnar=columnar))
+        engines.append(with_site_engine(FederatedEngine(catalog), reference))
     return engines
 
 
@@ -180,7 +191,7 @@ join_query_strategy = st.sampled_from(
 
 
 class TestEngineEquivalence:
-    """columnar=True vs columnar=False: bit-identical answers, in order."""
+    """Columnar vs reference site engine: bit-identical answers, in order."""
 
     @settings(max_examples=40, deadline=None)
     @given(rows_strategy, filter_query_strategy)
@@ -493,7 +504,7 @@ class TestCodecMatchesReference:
         }  # fmt: skip
 
 
-def single_table_engine(rows, site_count, columnar=True, cache=False):
+def single_table_engine(rows, site_count, reference=False, cache=False):
     clock = SimClock()
     catalog = FederationCatalog(clock)
     names = [catalog.make_site(f"s{i}").name for i in range(site_count)]
@@ -504,10 +515,9 @@ def single_table_engine(rows, site_count, columnar=True, cache=False):
     fragment_count = min(3, max(1, site_count))
     placement = [[names[i % site_count]] for i in range(fragment_count)]
     catalog.load_fragmented(table, fragment_count, placement)
-    return FederatedEngine(
-        catalog,
-        cache=SemanticCache(clock) if cache else None,
-        columnar=columnar,
+    return with_site_engine(
+        FederatedEngine(catalog, cache=SemanticCache(clock) if cache else None),
+        reference,
     )
 
 
@@ -556,11 +566,13 @@ class TestShipAccounting:
     def test_row_engine_counts_same_rows_but_prices_bytes_only_when_columnar(
         self,
     ):
-        vec = single_table_engine(ROWS, site_count=3, columnar=True)
-        row = single_table_engine(ROWS, site_count=3, columnar=False)
+        vec = single_table_engine(ROWS, site_count=3)
+        row = single_table_engine(ROWS, site_count=3, reference=True)
         vec_result = vec.query("select k, tag from t", advance_clock=False)
         row_result = row.query("select k, tag from t", advance_clock=False)
         assert vec_result.report.rows_shipped == row_result.report.rows_shipped
+        assert vec_result.report.bytes_shipped > 0
+        assert row_result.report.bytes_shipped == 0
 
     def test_encoding_beats_naive_rows_on_wire(self):
         """Encoded shipment must land under the naive per-row serialization

@@ -45,11 +45,10 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("columnar", [True, False])
 @pytest.mark.parametrize("tables, sql", CASES)
-def test_empty_inputs_keep_their_columns(tables, sql, columnar):
+def test_empty_inputs_keep_their_columns(tables, sql):
     names, expected = sqlite_answer(tables, sql)
-    result = federation(tables, columnar).query(sql)
+    result = federation(tables).query(sql)
     assert list(result.table.schema.field_names) == names
     if " order by " in sql:
         assert result.table.rows == expected

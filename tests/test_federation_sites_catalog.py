@@ -98,11 +98,11 @@ class TestSite:
 
 class TestNetwork:
     def test_local_transfer_free(self):
-        assert Network().transfer_seconds("a", "a", 10_000) == 0.0
+        assert Network().transfer_seconds_bytes("a", "a", 10_000) == 0.0
 
-    def test_remote_transfer_latency_plus_rows(self):
-        network = Network(base_latency=0.1, seconds_per_row=0.001)
-        assert network.transfer_seconds("a", "b", 100) == pytest.approx(0.2)
+    def test_remote_transfer_latency_plus_bytes(self):
+        network = Network(base_latency=0.1, seconds_per_byte=0.001)
+        assert network.transfer_seconds_bytes("a", "b", 100) == pytest.approx(0.2)
 
     def test_pair_override_is_symmetric(self):
         network = Network(base_latency=0.1)

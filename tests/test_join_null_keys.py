@@ -30,11 +30,10 @@ STATEMENTS = [
 ]
 
 
-@pytest.mark.parametrize("columnar", [True, False])
 @pytest.mark.parametrize("sql", STATEMENTS)
-def test_null_keys_never_match(sql, columnar):
+def test_null_keys_never_match(sql):
     names, expected = sqlite_answer(TABLES, sql)
-    result = federation(TABLES, columnar).query(sql)
+    result = federation(TABLES).query(sql)
     assert list(result.table.schema.field_names) == names
     assert sorted(result.table.rows, key=row_order) == sorted(expected, key=row_order)
 

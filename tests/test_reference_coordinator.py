@@ -50,7 +50,7 @@ A_ROWS = st.lists(st.tuples(KEYS, NUMBERS, TAGS, MIXED, MONEY), max_size=16)
 B_ROWS = st.lists(st.tuples(KEYS, st.integers(0, 40), TAGS), max_size=16)
 
 
-def build_engine(a_rows, b_rows, sites: int, columnar: bool, reference: bool):
+def build_engine(a_rows, b_rows, sites: int, reference: bool):
     catalog = FederationCatalog(SimClock())
     names = [catalog.make_site(f"s{i}").name for i in range(sites)]
     catalog.load_fragmented(
@@ -61,7 +61,7 @@ def build_engine(a_rows, b_rows, sites: int, columnar: bool, reference: bool):
         2,
         [[names[(i + 1) % sites]] for i in range(2)],
     )
-    engine = FederatedEngine(catalog, columnar=columnar)
+    engine = FederatedEngine(catalog)
     if reference:
         engine.executor.planner = ReferencePlanner(catalog)
     return engine
@@ -174,11 +174,10 @@ def outcome(engine, sql):
     b_rows=B_ROWS,
     sql=statements(),
     sites=st.sampled_from([1, 3]),  # coordinator-local, shipped
-    columnar=st.booleans(),
 )
-def test_batch_coordinator_equals_the_reference(a_rows, b_rows, sql, sites, columnar):
-    batch = build_engine(a_rows, b_rows, sites, columnar, reference=False)
-    reference = build_engine(a_rows, b_rows, sites, columnar, reference=True)
+def test_batch_coordinator_equals_the_reference(a_rows, b_rows, sql, sites):
+    batch = build_engine(a_rows, b_rows, sites, reference=False)
+    reference = build_engine(a_rows, b_rows, sites, reference=True)
     assert outcome(batch, sql) == outcome(reference, sql)
     # A second statement on the same engines: site backlogs carried over.
     assert outcome(batch, sql) == outcome(reference, sql)
@@ -199,11 +198,10 @@ SINGLE_TABLE = [
     a_rows=A_ROWS,
     sql=st.sampled_from(SINGLE_TABLE),
     sites=st.sampled_from([1, 3]),
-    columnar=st.booleans(),
 )
-def test_single_table_shapes_equal_the_reference(a_rows, sql, sites, columnar):
-    batch = build_engine(a_rows, [], sites, columnar, reference=False)
-    reference = build_engine(a_rows, [], sites, columnar, reference=True)
+def test_single_table_shapes_equal_the_reference(a_rows, sql, sites):
+    batch = build_engine(a_rows, [], sites, reference=False)
+    reference = build_engine(a_rows, [], sites, reference=True)
     assert outcome(batch, sql) == outcome(reference, sql)
 
 
@@ -222,12 +220,9 @@ LIMITED = [
 def test_limit_counts_only_the_rows_consumed():
     for sql in LIMITED:
         for sites in (1, 3):
-            for columnar in (True, False):
-                batch = build_engine(DENSE_A, DENSE_B, sites, columnar, reference=False)
-                reference = build_engine(
-                    DENSE_A, DENSE_B, sites, columnar, reference=True
-                )
-                seen = outcome(batch, sql)
-                assert seen == outcome(reference, sql)
-                left_ship = [op for op in seen["operators"] if op[0] == "Ship"][0]
-                assert 0 < left_ship[3] < left_ship[2]  # rows_out < rows_in
+            batch = build_engine(DENSE_A, DENSE_B, sites, reference=False)
+            reference = build_engine(DENSE_A, DENSE_B, sites, reference=True)
+            seen = outcome(batch, sql)
+            assert seen == outcome(reference, sql)
+            left_ship = [op for op in seen["operators"] if op[0] == "Ship"][0]
+            assert 0 < left_ship[3] < left_ship[2]  # rows_out < rows_in

@@ -7,6 +7,7 @@ from repro.core.errors import QueryError
 from repro.federation import (
     FederatedEngine,
     FederationCatalog,
+    Network,
     SecureNetwork,
     TamperedPayloadError,
     seal,
@@ -108,16 +109,27 @@ class TestSecureChannels:
         assert establish_session("a", "b", 1) == establish_session("b", "a", 1)
 
     def test_first_transfer_pays_handshake(self):
-        network = SecureNetwork(base_latency=0.1, seconds_per_row=0.001,
+        network = SecureNetwork(base_latency=0.1, seconds_per_byte=0.001,
                                 handshake_seconds=0.5, encryption_factor=1.2)
-        first = network.transfer_seconds("a", "b", 100)
-        second = network.transfer_seconds("a", "b", 100)
+        first = network.transfer_seconds_bytes("a", "b", 100)
+        second = network.transfer_seconds_bytes("a", "b", 100)
         assert first == pytest.approx(0.5 + 0.2 * 1.2)
         assert second == pytest.approx(0.2 * 1.2)
         assert network.handshakes_performed == 1
 
+    def test_secure_byte_rate_is_settable(self):
+        """The rate reaches the model: ten times the rate, ten times the
+        per-byte share of an established session's transfer."""
+        slow = SecureNetwork(base_latency=0.0, seconds_per_byte=1e-5,
+                             handshake_seconds=0.0, encryption_factor=1.0)
+        fast = SecureNetwork(base_latency=0.0, seconds_per_byte=1e-6,
+                             handshake_seconds=0.0, encryption_factor=1.0)
+        assert slow.transfer_seconds_bytes("a", "b", 1000) == pytest.approx(0.01)
+        assert fast.transfer_seconds_bytes("a", "b", 1000) == pytest.approx(0.001)
+        assert SecureNetwork().seconds_per_byte == Network().seconds_per_byte
+
     def test_local_transfer_free_even_secured(self):
-        assert SecureNetwork().transfer_seconds("a", "a", 1000) == 0.0
+        assert SecureNetwork().transfer_seconds_bytes("a", "a", 1000) == 0.0
 
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
