@@ -34,6 +34,7 @@ from repro.federation import (
     FederatedEngine,
     FederationCatalog,
     PlacementStrategy,
+    QueryOptions,
     RetryPolicy,
     place_fragments,
 )
@@ -84,7 +85,7 @@ def plan_query(engine):
     bindings = {statement.table.binding: statement.table.name}
     binding_fields = engine.catalog.binding_fields(bindings)
     plan = build_plan(statement, binding_fields)
-    plan = engine._apply_rewrites(plan, bindings, binding_fields)
+    plan = engine._apply_rewrites(plan, bindings, binding_fields, QueryOptions())
     return engine.optimizer.optimize(plan, None, LIVE_ONLY)
 
 
@@ -113,7 +114,7 @@ def run_workload(strategy, replication, retry=None, max_concurrent_failures=None
         loop.run_until(catalog.clock.now() + WINDOW)
         try:
             result_table, query_report = engine.executor.execute(
-                physical, degraded_ok=degraded_ok
+                physical, QueryOptions(degraded_ok=degraded_ok)
             )
         except SourceUnavailableError:
             failed += 1

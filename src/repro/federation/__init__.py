@@ -69,7 +69,12 @@ from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog, Fragment, TableEntry
 from repro.federation.central import CentralizedOptimizer
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
-from repro.federation.executor import ExecutionReport, Executor, PhysicalPlan
+from repro.federation.executor import (
+    ExecutionReport,
+    Executor,
+    PhysicalPlan,
+    QueryOptions,
+)
 from repro.federation.gateway import Gateway, GatewaySession, Page, PlanCache
 from repro.federation.health import (
     CircuitState,
@@ -132,6 +137,7 @@ __all__ = [
     "CentralizedOptimizer",
     "FederatedEngine",
     "PreparedStatement",
+    "QueryOptions",
     "QueryResult",
     "ExecutionReport",
     "Executor",

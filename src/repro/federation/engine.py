@@ -5,6 +5,11 @@ This is the integrator's query surface (§3.2 C6):
 * :meth:`FederatedEngine.query` -- parse SQL, plan with catalog metadata,
   optimize (agoric by default, the centralized baseline pluggable), execute
   across sites, and charge the response time to the simulation clock.
+  Its keywords (like those of ``prepare`` / ``execute`` / ``explain``) are
+  the statement's answer policy: they become one frozen
+  :class:`~repro.federation.physical.QueryOptions` here, and every layer
+  below -- planning, executor, execution context, re-optimization, the
+  workload manager's handles -- is handed that object by reference.
 * :meth:`FederatedEngine.xpath_query` -- the same integrated content as an
   XML view, queried with XPath.
 * :meth:`FederatedEngine.search` -- the IR surface: synonym/fuzzy/taxonomy
@@ -36,7 +41,7 @@ per-operator accounting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.errors import PartialFailureError, QueryError, SourceUnavailableError
 from repro.core.records import Table
@@ -44,8 +49,19 @@ from repro.federation.access import AccessPaths
 from repro.federation.agoric import AgoricOptimizer
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
-from repro.federation.executor import ExecutionReport, Executor, PhysicalPlan
+from repro.federation.executor import (
+    ExecutionReport,
+    Executor,
+    PhysicalPlan,
+    QueryOptions,
+)
 from repro.federation.health import RetryPolicy, SiteHealthTracker
+from repro.federation.physical import (
+    describe_access_path,
+    describe_expr,
+    describe_governance,
+    describe_pushdown,
+)
 from repro.federation.reopt import ReoptController, ReoptPolicy
 from repro.ir.search import CatalogSearch, SearchMode, SynonymExpander, TaxonomyExpander
 from repro.federation.views import MaterializedView
@@ -67,7 +83,18 @@ from repro.sql.params import (
     statement_has_subqueries,
 )
 from repro.sql.parser import parse_sql
-from repro.sql.planner import PlanNode, build_plan, scans_in
+from repro.sql.planner import (
+    AggregateNode,
+    FilterNode,
+    JoinNode,
+    LimitNode,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    SortNode,
+    build_plan,
+    scans_in,
+)
 from repro.sql.rewrite import (
     AggregateSplitting,
     ProjectionPruning,
@@ -92,6 +119,9 @@ class QueryResult:
     table: Table
     report: ExecutionReport
     plan: PhysicalPlan
+    # The options the query ran under (``rerun_physical`` runs under them
+    # again, so a replanned query keeps its tenant and answer policy).
+    options: QueryOptions
 
 
 @dataclass
@@ -114,14 +144,14 @@ class PreparedStatement:
 
     sql: str
     param_count: int
-    max_staleness: float | None
-    coordinator: str | None
+    # The options the template was planned under.  ``max_staleness``,
+    # ``coordinator`` and ``tenant`` are baked into the plan (access paths,
+    # site assignments, the tenant's compiled RLS/masks -- see
+    # ``policy_signature``), so every execution keeps those three and
+    # rebinds only the per-execution fields.
+    options: QueryOptions
     statement: SelectStatement
     has_subqueries: bool
-    # Tenant the template was compiled for: governance policies (RLS, masks)
-    # are baked into the plan, so the template is only valid for this tenant
-    # under this policy content (see ``policy_signature``).
-    tenant: str | None = None
     # Fast-path template (None on the subquery slow path):
     logical: PlanNode | None = None
     physical: PhysicalPlan | None = None
@@ -131,7 +161,7 @@ class PreparedStatement:
     # next execution replans -- stale unmasked plans can never serve.
     policy_signature: str | None = None
     # Modeled time after which a cached/materialized access path in the
-    # template would exceed ``max_staleness`` (None = no expiry).
+    # template would exceed ``options.max_staleness`` (None = no expiry).
     valid_until: float | None = None
     # Host wall-clock spent in parse+rewrite+optimize at prepare time; the
     # per-statement planning cost that re-execution amortizes away.
@@ -208,8 +238,13 @@ class FederatedEngine:
         reuse_artifacts: bool = True,
         deadline_at: float | None = None,
         tenant: str | None = None,
+        options: QueryOptions | None = None,
     ) -> QueryResult:
         """Answer one SQL query.
+
+        The keywords are the statement's :class:`QueryOptions`, built here
+        once and handed on by reference; a caller that already holds one
+        (the workload manager's handles do) passes ``options`` instead.
 
         ``max_staleness``: ``None`` accepts any materialized copy, a number
         bounds acceptable staleness in seconds, :data:`LIVE_ONLY` forces
@@ -233,60 +268,61 @@ class FederatedEngine:
         agoric bid; without one (or for an ungoverned tenant) the plan is
         unchanged.
         """
-        statement = parse_sql(sql)
-        return self._execute_statement(
-            statement, max_staleness, coordinator, advance_clock, budget,
-            degraded_ok, reuse_artifacts, deadline_at=deadline_at,
-            tenant=tenant,
-        )
+        if options is None:
+            options = QueryOptions(
+                max_staleness=max_staleness,
+                coordinator=coordinator,
+                tenant=tenant,
+                budget=budget,
+                degraded_ok=degraded_ok,
+                reuse_artifacts=reuse_artifacts,
+                deadline_at=deadline_at,
+                advance_clock=advance_clock,
+            )
+        return self._execute_statement(parse_sql(sql), options)
 
     def _execute_statement(
-        self,
-        statement,
-        max_staleness: float | None = None,
-        coordinator: str | None = None,
-        advance_clock: bool = True,
-        budget: float | None = None,
-        degraded_ok: bool = False,
-        reuse_artifacts: bool = True,
-        deadline_at: float | None = None,
-        tenant: str | None = None,
+        self, statement: SelectStatement, options: QueryOptions
     ) -> QueryResult:
-        if budget is not None and not self.optimizer.prices_plans:
+        if options.budget is not None and not self.optimizer.prices_plans:
             raise QueryError(
                 f"optimizer {self.optimizer.name!r} does not price plans, so "
                 "budget= cannot be honored (use the agoric optimizer)"
             )
         # Uncorrelated IN-subqueries run first (semijoin by materialization:
         # the inner membership set is fetched, then shipped into the outer
-        # query's filter).  The same tenant governs the inner selects --
-        # membership lists must not leak rows the policy hides.
+        # query's filter).
+        inner_reports: list[ExecutionReport] = []
         statement.where = self._rewrite_subqueries(
-            statement.where, max_staleness, advance_clock, tenant
+            statement.where, options, inner_reports
         )
         statement.having = self._rewrite_subqueries(
-            statement.having, max_staleness, advance_clock, tenant
+            statement.having, options, inner_reports
         )
         # The tenant's remaining budget caps the bid on top of any
         # caller-supplied cap.  Only a pricing optimizer can exceed it; the
         # others rely on admission-time budget gates instead.
         if self.governance is not None:
-            budget = self.governance.effective_budget(tenant, budget)
-        plan, physical = self._plan(
-            statement, coordinator, max_staleness, tenant, budget
-        )
-        return self._run_physical(
-            plan, physical, max_staleness, advance_clock, degraded_ok,
-            reuse_artifacts, deadline_at=deadline_at, tenant=tenant,
-        )
+            cap = self.governance.effective_budget(options.tenant, options.budget)
+            if cap != options.budget:
+                options = replace(options, budget=cap)
+        plan, physical = self._plan(statement, options)
+        result = self._run_physical(plan, physical, options)
+        # A degraded inner answer must not read as a complete outer one.
+        report = result.report
+        for inner in inner_reports:
+            report.degraded = report.degraded or inner.degraded
+            report.completeness = min(report.completeness, inner.completeness)
+            report.unreachable_fragments.extend(
+                name
+                for name in inner.unreachable_fragments
+                if name not in report.unreachable_fragments
+            )
+            report.dead_sites = sorted({*report.dead_sites, *inner.dead_sites})
+        return result
 
     def _plan(
-        self,
-        statement: SelectStatement,
-        coordinator: str | None,
-        max_staleness: float | None,
-        tenant: str | None,
-        budget: float | None = None,
+        self, statement: SelectStatement, options: QueryOptions
     ) -> tuple[PlanNode, PhysicalPlan]:
         """Build, rewrite and optimize one (subquery-free) statement."""
         bindings = {statement.table.binding: statement.table.name}
@@ -294,8 +330,10 @@ class FederatedEngine:
             bindings[join.table.binding] = join.table.name
         binding_fields = self.catalog.binding_fields(bindings)
         plan = build_plan(statement, binding_fields)
-        plan = self._apply_rewrites(plan, bindings, binding_fields, tenant)
-        physical = self.optimizer.optimize(plan, coordinator, max_staleness, budget)
+        plan = self._apply_rewrites(plan, bindings, binding_fields, options)
+        physical = self.optimizer.optimize(
+            plan, options.coordinator, options.max_staleness, options.budget
+        )
         self._annotate_text_filters(plan, physical)
         return plan, physical
 
@@ -303,20 +341,18 @@ class FederatedEngine:
         self,
         plan: PlanNode,
         physical: PhysicalPlan,
-        max_staleness: float | None,
-        advance_clock: bool,
-        degraded_ok: bool,
-        reuse_artifacts: bool = True,
-        deadline_at: float | None = None,
-        tenant: str | None = None,
+        options: QueryOptions,
+        charge: bool = True,
     ) -> QueryResult:
         """Execute an already-optimized plan and do all the accounting.
 
-        Shared by the parse-per-statement path and prepared-statement
-        execution.  ``physical.optimization_seconds`` is whatever planning
-        this *particular* execution should be charged: the full modeled
-        planning cost for ad-hoc statements, zero for a cached prepared
-        template (that is the speedup being bought).
+        Shared by the parse-per-statement path, prepared-statement
+        execution and :meth:`rerun_physical` (the one caller that passes
+        ``charge=False``: a replan must not debit the tenant's budget a
+        second time).  ``physical.optimization_seconds`` is whatever
+        planning this *particular* execution should be charged: the full
+        modeled planning cost for ad-hoc statements, zero for a cached
+        prepared template (that is the speedup being bought).
         """
         start = self.catalog.clock.now()
         cache_scans = sum(
@@ -328,17 +364,10 @@ class FederatedEngine:
         controller = None
         if self.reopt is not None:
             controller = ReoptController(
-                self.reopt,
-                self.optimizer,
-                self.paths,
-                max_staleness=max_staleness,
-                deadline_at=deadline_at,
+                self.reopt, self.optimizer, self.paths, options
             )
         try:
-            table, report = self.executor.execute(
-                physical, degraded_ok=degraded_ok, max_staleness=max_staleness,
-                reuse_artifacts=reuse_artifacts, reopt=controller,
-            )
+            table, report = self.executor.execute(physical, options, controller)
         except (PartialFailureError, SourceUnavailableError):
             self.metrics.counter("queries.partial_failures").inc()
             raise
@@ -353,14 +382,16 @@ class FederatedEngine:
         report.fragments_total = sum(
             a.total_fragments for a in physical.assignments.values()
         )
+        tenant = options.tenant
         if self.governance is not None and tenant is not None:
             if any(scan.governance is not None for scan in scans_in(plan)):
                 report.governed_tenant = tenant
             # Budgets are priced in the plan's own currency: the execution
             # debits exactly what the optimizer agreed to pay.
-            self.governance.charge(tenant, physical.total_price)
+            if charge:
+                self.governance.charge(tenant, physical.total_price)
 
-        if advance_clock:
+        if options.advance_clock:
             target = start + report.response_seconds
             if target > self.catalog.clock.now():
                 self.catalog.clock.advance_to(target)
@@ -369,7 +400,7 @@ class FederatedEngine:
         # once the producing query's modeled completion passes -- under the
         # workload manager's frozen-clock dispatch that is the window a
         # concurrent identical stage subscribes in.
-        if self.artifacts is not None and reuse_artifacts:
+        if self.artifacts is not None and options.reuse_artifacts:
             completes_at = start + report.response_seconds
             for output in report.stage_outputs:
                 if self.artifacts.begin_stage(output, completes_at):
@@ -381,7 +412,7 @@ class FederatedEngine:
             self._store_in_cache(plan, report)
 
         self.record_report_metrics(report)
-        return QueryResult(table, report, physical)
+        return QueryResult(table, report, physical, options)
 
     # -- prepared statements -----------------------------------------------------
 
@@ -402,18 +433,19 @@ class FederatedEngine:
         fixed at prepare time for the same reason: governance compiles the
         tenant's RLS/mask policy into the template, so the template belongs
         to that tenant (and to that policy content -- a manifest edit
-        replans on the next execution).
+        replans on the next execution).  The three are kept as the
+        template's ``options``.
         """
         wall_start = time.perf_counter()
         statement = parse_sql(sql)
         prepared = PreparedStatement(
             sql=sql,
             param_count=count_parameters(statement),
-            max_staleness=max_staleness,
-            coordinator=coordinator,
+            options=QueryOptions(
+                max_staleness=max_staleness, coordinator=coordinator, tenant=tenant
+            ),
             statement=statement,
             has_subqueries=statement_has_subqueries(statement),
-            tenant=tenant,
         )
         if not prepared.has_subqueries:
             self._plan_prepared(prepared)
@@ -423,25 +455,20 @@ class FederatedEngine:
 
     def _plan_prepared(self, prepared: PreparedStatement) -> None:
         """(Re)build the template plan; stamps catalog version + validity."""
-        plan, physical = self._plan(
-            prepared.statement, prepared.coordinator, prepared.max_staleness,
-            prepared.tenant,
-        )
+        plan, physical = self._plan(prepared.statement, prepared.options)
         prepared.logical = plan
         prepared.physical = physical
         prepared.catalog_version = self.catalog.version
         prepared.policy_signature = (
-            self.governance.signature_for(prepared.tenant)
+            self.governance.signature_for(prepared.options.tenant)
             if self.governance is not None
             else None
         )
         prepared.optimization_seconds = physical.optimization_seconds
-        prepared.valid_until = self._prepared_validity(
-            physical, prepared.max_staleness
-        )
+        prepared.valid_until = self._prepared_validity(physical, prepared.options)
 
     def _prepared_validity(
-        self, physical: PhysicalPlan, max_staleness: float | None
+        self, physical: PhysicalPlan, options: QueryOptions
     ) -> float | None:
         """Modeled time at which the template's access paths go stale.
 
@@ -451,6 +478,7 @@ class FederatedEngine:
         plan stops being an answer the query would accept once the copy's
         age exceeds the bound.
         """
+        max_staleness = options.max_staleness
         if max_staleness is None or max_staleness < 0:
             return None
         now = self.catalog.clock.now()
@@ -473,6 +501,7 @@ class FederatedEngine:
         degraded_ok: bool = False,
         reuse_artifacts: bool = True,
         deadline_at: float | None = None,
+        options: QueryOptions | None = None,
     ) -> QueryResult:
         """Run a prepared statement with ``params`` bound to its ``?`` slots.
 
@@ -481,7 +510,20 @@ class FederatedEngine:
         plan, and execution pays **zero** modeled planning seconds -- plan
         once, bind many.  A stale template replans transparently (counted
         in ``prepared.replans`` and the ``prepared.replans`` metric).
+
+        The execution runs under ``prepared.options`` with the
+        per-execution keywords rebound; ``options`` hands in that object
+        ready-built (derive it from ``prepared.options`` -- the plan-shaping
+        fields are the template's, not the caller's to change).
         """
+        if options is None:
+            options = replace(
+                prepared.options,
+                advance_clock=advance_clock,
+                degraded_ok=degraded_ok,
+                reuse_artifacts=reuse_artifacts,
+                deadline_at=deadline_at,
+            )
         values = check_parameters(prepared.param_count, params)
         prepared.executions += 1
         self.metrics.counter("queries.prepared_executions").inc()
@@ -489,17 +531,8 @@ class FederatedEngine:
         if prepared.has_subqueries:
             # Slow path: the inner select's result is data-dependent, so
             # bind the pristine statement and plan from scratch.
-            statement = bind_statement(prepared.statement, values)
             return self._execute_statement(
-                statement,
-                prepared.max_staleness,
-                prepared.coordinator,
-                advance_clock,
-                None,
-                degraded_ok,
-                reuse_artifacts,
-                deadline_at=deadline_at,
-                tenant=prepared.tenant,
+                bind_statement(prepared.statement, values), options
             )
 
         if (
@@ -511,7 +544,7 @@ class FederatedEngine:
             or (
                 self.governance is not None
                 and prepared.policy_signature
-                != self.governance.signature_for(prepared.tenant)
+                != self.governance.signature_for(prepared.options.tenant)
             )
         ):
             self._plan_prepared(prepared)
@@ -519,65 +552,26 @@ class FederatedEngine:
             self.metrics.counter("prepared.replans").inc()
 
         bound = bind_plan(prepared.logical, values)
-        template = prepared.physical
-        physical = PhysicalPlan(
-            logical=bound,
-            # With adaptive re-opt on, a controller may swap a stage's
-            # assignment mid-execution; copy the dict so migrations never
-            # leak into the cached template.
-            assignments=(
-                dict(template.assignments)
-                if self.reopt is not None
-                else template.assignments
-            ),
-            coordinator=template.coordinator,
-            optimizer=template.optimizer,
-            # Planning was paid at prepare time; re-execution charges none.
-            optimization_seconds=0.0,
-            planner_wall_seconds=0.0,
-            sites_contacted=template.sites_contacted,
-            total_price=template.total_price,
-        )
-        return self._run_physical(
-            bound, physical, prepared.max_staleness, advance_clock, degraded_ok,
-            reuse_artifacts, deadline_at=deadline_at, tenant=prepared.tenant,
-        )
+        return self._run_physical(bound, prepared.physical.replay(bound), options)
 
-    def rerun_physical(
-        self,
-        result: QueryResult,
-        max_staleness: float | None = None,
-        degraded_ok: bool = False,
-        deadline_at: float | None = None,
-    ) -> QueryResult:
+    def rerun_physical(self, result: QueryResult) -> QueryResult:
         """Re-execute an already-planned query against the *current* cluster.
 
         The workload manager calls this when a disturbance (site kill, load
         spike) lands on a running query's pending stages: the original
-        physical plan re-runs with zero additional planning charged, against
-        a frozen clock, so the handle's completion can be rescheduled from
-        whatever the federation looks like now.  Without a re-opt policy the
-        frozen assignments stand and the execution pays failover backoff or
-        congestion inflation; with one, the controller may migrate unstarted
-        stages to healthier replicas.  Either way the answer is bit-identical
-        to the original plan's (replicas hold the same fragment rows).
+        physical plan re-runs under the options the result ran under (the
+        manager's are frozen-clock), with zero additional planning charged
+        and no second debit of the tenant's budget, so the handle's
+        completion can be rescheduled from whatever the federation looks
+        like now.  Without a re-opt policy the frozen assignments stand and
+        the execution pays failover backoff or congestion inflation; with
+        one, the controller may migrate unstarted stages to healthier
+        replicas.  Either way the answer is bit-identical to the original
+        plan's (replicas hold the same fragment rows).
         """
-        template = result.plan
-        physical = PhysicalPlan(
-            logical=template.logical,
-            # Copy so a controller migration never mutates the caller's plan
-            # (which may be a prepared-statement template).
-            assignments=dict(template.assignments),
-            coordinator=template.coordinator,
-            optimizer=template.optimizer,
-            optimization_seconds=0.0,
-            planner_wall_seconds=0.0,
-            sites_contacted=template.sites_contacted,
-            total_price=template.total_price,
-        )
+        logical = result.plan.logical
         return self._run_physical(
-            template.logical, physical, max_staleness, False, degraded_ok,
-            reuse_artifacts=True, deadline_at=deadline_at,
+            logical, result.plan.replay(logical), result.options, charge=False
         )
 
     def record_report_metrics(self, report: ExecutionReport) -> None:
@@ -636,7 +630,7 @@ class FederatedEngine:
             self._record_operator_metrics(report.operators)
 
     def _apply_rewrites(
-        self, plan: PlanNode, bindings, binding_fields, tenant: str | None = None
+        self, plan: PlanNode, bindings, binding_fields, options: QueryOptions
     ) -> PlanNode:
         """The standard rewrite pipeline, applied after pushdown in build_plan.
 
@@ -654,7 +648,7 @@ class FederatedEngine:
         ]
         if self.governance is not None:
             governance_pass = self.governance.injection_pass(
-                tenant, binding_fields
+                options.tenant, binding_fields
             )
             if governance_pass is not None:
                 passes.append(governance_pass)
@@ -730,15 +724,14 @@ class FederatedEngine:
         operator reports its placement site, rows in/out and seconds of
         modeled work.
         """
+        options = QueryOptions(
+            max_staleness=max_staleness, tenant=tenant, advance_clock=False
+        )
+        statement = parse_sql(sql)
         if analyze:
-            statement = parse_sql(sql)
-            result = self._execute_statement(
-                statement, max_staleness, advance_clock=False, tenant=tenant
-            )
-            return self.render_analyze(result)
+            return self.render_analyze(self._execute_statement(statement, options))
 
-        plan, physical = self._plan(parse_sql(sql), None, max_staleness, tenant)
-
+        plan, physical = self._plan(statement, options)
         lines = [
             f"optimizer: {physical.optimizer}  "
             f"coordinator: {physical.coordinator}  "
@@ -794,79 +787,22 @@ class FederatedEngine:
         return "\n".join(lines)
 
     def _explain_node(self, node, physical: PhysicalPlan, depth: int) -> list[str]:
-        from repro.sql.planner import (
-            AggregateNode,
-            FilterNode,
-            JoinNode,
-            LimitNode,
-            ProjectNode,
-            ScanNode,
-            SortNode,
-        )
-
         pad = "  " * depth
         if isinstance(node, ScanNode):
             assignment = physical.assignments[node.binding]
-            if assignment.kind == "view":
-                detail = f"view {assignment.view.name} @ {assignment.view.site_name}"
-            elif assignment.kind == "cache":
-                from repro.federation.physical import describe_cache_path
-
-                detail = describe_cache_path(assignment)
-            elif assignment.kind == "artifact":
-                from repro.federation.physical import describe_artifact_path
-
-                detail = describe_artifact_path(assignment)
-            else:
-                from repro.federation.physical import describe_pruning
-
-                placed = ", ".join(
-                    f"{c.fragment.fragment_id}@{c.site_name}"
-                    for c in assignment.choices
-                )
-                detail = f"fragments [{placed}]{describe_pruning(assignment)}"
-            extras = ""
-            # RLS conjuncts live in the ordinary pushdown list (that is how
-            # they prune and price); attribute them to the policy in the
-            # rendering instead of listing them twice.
-            user_pushdown = node.pushdown
-            if node.governance is not None and node.governance.rls_pushed:
-                user_pushdown = [
-                    p for p in node.pushdown
-                    if p not in node.governance.rls_pushed
-                ]
-            if user_pushdown:
-                predicates = ", ".join(
-                    f"{p.column} {p.op} {p.value!r}" for p in user_pushdown
-                )
-                extras += f" pushdown({predicates})"
+            extras = describe_pushdown(node)
             if node.site_filters:
-                from repro.federation.physical import describe_expr
-
                 rendered = ", ".join(describe_expr(c) for c in node.site_filters)
                 extras += f" site-filter({rendered})"
             if node.needed_columns is not None:
                 extras += f" columns({', '.join(sorted(node.needed_columns))})"
             if assignment.text_filter is not None:
                 extras += f" text-index{assignment.text_filter!r}"
-            if node.governance is not None:
-                from repro.federation.physical import describe_expr
-
-                rls_parts = [
-                    f"{p.column} {p.op} {p.value!r}"
-                    for p in node.governance.rls_pushed
-                ]
-                rls_parts.extend(
-                    describe_expr(c) for c in node.governance.rls_residual
-                )
-                if rls_parts:
-                    extras += (
-                        f" rls(tenant={node.governance.tenant}: "
-                        f"{', '.join(rls_parts)})"
-                    )
-                for column in sorted(node.governance.masks):
-                    extras += f" mask({column})"
-            return [f"{pad}scan {node.table} as {node.binding}: {detail}{extras}"]
+            extras += describe_governance(node)
+            return [
+                f"{pad}scan {node.table} as {node.binding}: "
+                f"{describe_access_path(assignment)}{extras}"
+            ]
         label = {
             FilterNode: "filter",
             JoinNode: "join",
@@ -884,15 +820,27 @@ class FederatedEngine:
             lines.extend(self._explain_node(child, physical, depth + 1))
         return lines
 
-    def _rewrite_subqueries(self, expr, max_staleness, advance_clock, tenant=None):
-        """Replace ``IN (SELECT ...)`` with the materialized value list."""
+    def _rewrite_subqueries(
+        self, expr, options: QueryOptions, inner_reports: list[ExecutionReport]
+    ):
+        """Replace ``IN (SELECT ...)`` with the materialized value list.
+
+        An inner select runs under the outer statement's options -- the
+        same tenant governs it (membership lists must not leak rows the
+        policy hides), and so do its staleness bound, pinned coordinator,
+        degraded-answer policy, artifact reuse, deadline and clock mode.
+        Only ``budget`` is per *plan*: the caller's cap priced the outer
+        plan, so an inner select gets ``None`` plus the tenant's governance
+        cap.  Each inner report is appended to ``inner_reports`` for the
+        caller to fold its degradation into the outer report.
+        """
         if expr is None:
             return None
         if isinstance(expr, InSubquery):
             inner = self._execute_statement(
-                expr.subquery, max_staleness, advance_clock=advance_clock,
-                tenant=tenant,
+                expr.subquery, replace(options, budget=None)
             )
+            inner_reports.append(inner.report)
             if len(inner.table.schema) != 1:
                 raise QueryError(
                     "IN (SELECT ...) subquery must produce exactly one column, "
@@ -904,19 +852,13 @@ class FederatedEngine:
         if isinstance(expr, BinaryOp):
             return BinaryOp(
                 expr.op,
-                self._rewrite_subqueries(
-                    expr.left, max_staleness, advance_clock, tenant
-                ),
-                self._rewrite_subqueries(
-                    expr.right, max_staleness, advance_clock, tenant
-                ),
+                self._rewrite_subqueries(expr.left, options, inner_reports),
+                self._rewrite_subqueries(expr.right, options, inner_reports),
             )
         if isinstance(expr, UnaryOp):
             return UnaryOp(
                 expr.op,
-                self._rewrite_subqueries(
-                    expr.operand, max_staleness, advance_clock, tenant
-                ),
+                self._rewrite_subqueries(expr.operand, options, inner_reports),
             )
         return expr
 

@@ -25,7 +25,7 @@ renders as ``EXPLAIN ANALYZE``.
 
 The physical-plan dataclasses are re-exported here for compatibility:
 ``FragmentChoice``, ``ScanAssignment``, ``PhysicalPlan``,
-``ExecutionReport``.
+``QueryOptions``, ``ExecutionReport``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.federation.physical import (
     FragmentChoice,
     PhysicalPlan,
     PhysicalPlanner,
+    QueryOptions,
     ScanAssignment,
     envs_to_table,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "Executor",
     "FragmentChoice",
     "PhysicalPlan",
+    "QueryOptions",
     "ScanAssignment",
 ]
 
@@ -71,9 +73,7 @@ class Executor:
     def execute(
         self,
         plan: PhysicalPlan,
-        degraded_ok: bool = False,
-        max_staleness: float | None = None,
-        reuse_artifacts: bool = True,
+        options: QueryOptions = QueryOptions(),
         reopt=None,
     ) -> tuple[Table, ExecutionReport]:
         report = ExecutionReport(price=plan.total_price)
@@ -81,16 +81,7 @@ class Executor:
         # optimizer attached a tree (cache swap, text-filter annotation),
         # and operators hold per-execution state.
         root = self.planner.compile(plan)
-        ctx = ExecContext(
-            self.paths,
-            plan,
-            report,
-            retry=self.retry,
-            degraded_ok=degraded_ok,
-            max_staleness=max_staleness,
-            reuse_artifacts=reuse_artifacts,
-            reopt=reopt,
-        )
+        ctx = ExecContext(self.paths, plan, report, self.retry, options, reopt)
 
         batches = []
         try:

@@ -69,10 +69,11 @@ class PlanCache:
     policies share soundly, and a manifest edit changes the signature so
     the edited tenant's next statement misses to a freshly-governed plan.
     Options that are bound per-*execution* rather than per-plan stay out
-    of the key on purpose: ``degraded_ok`` is threaded through
-    :meth:`WorkloadManager.submit` at dispatch and never touches the
-    template, so splitting the key on it would only depress the hit rate
-    without changing semantics.  Entries are never served stale: revalidation
+    of the key on purpose: ``degraded_ok`` (like every other
+    non-plan-shaping field of ``QueryOptions``) is rebound onto the
+    template's options at dispatch and never touches the template, so
+    splitting the key on it would only depress the hit rate without
+    changing semantics.  Entries are never served stale: revalidation
     against the catalog version *and* the policy signature lives in
     :meth:`FederatedEngine.execute`, so the cache only manages identity
     and eviction.

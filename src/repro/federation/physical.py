@@ -150,6 +150,52 @@ class PhysicalPlan:
     # cache swap may change between optimization and execution).
     root: "PhysicalOperator | None" = None
 
+    def replay(self, logical: PlanNode) -> "PhysicalPlan":
+        """This plan's decisions over ``logical`` for one more execution.
+
+        Planning was paid when the template was built, so the copy charges
+        none.  The assignments dict is copied so a re-optimization
+        controller's migration never leaks into the template (which may be
+        a cached prepared statement).
+        """
+        return PhysicalPlan(
+            logical=logical,
+            assignments=dict(self.assignments),
+            coordinator=self.coordinator,
+            optimizer=self.optimizer,
+            sites_contacted=self.sites_contacted,
+            total_price=self.total_price,
+        )
+
+
+@dataclass(frozen=True)
+class QueryOptions:
+    """One statement's answer policy, built once and carried by reference.
+
+    ``FederatedEngine.query`` / ``prepare`` / ``execute`` / ``explain``
+    build it from their keywords; every layer below (engine internals,
+    executor, :class:`ExecContext`, the re-optimization controller, the
+    workload manager's handles) receives this object, never the loose
+    values.  ``max_staleness``, ``coordinator`` and ``tenant`` shape the
+    *plan* (access-path choice, site assignments, compiled governance), so
+    a prepared template is only valid under the three it was planned
+    with; the rest bind per *execution*.
+    """
+
+    # None accepts any materialized copy, a number bounds staleness in
+    # seconds, engine.LIVE_ONLY forces fetch-on-demand.
+    max_staleness: float | None = None
+    coordinator: str | None = None  # pinned coordinator site, or optimizer's pick
+    tenant: str | None = None  # who is asking (governance: RLS, masks, budget)
+    budget: float | None = None  # cap on the plan's total price
+    degraded_ok: bool = False  # accept a partial answer over a typed failure
+    # Whether this execution may consume and publish stage artifacts.
+    reuse_artifacts: bool = True
+    # Absolute sim-clock deadline the re-optimization controller projects
+    # overruns against (the workload manager's, when the query had one).
+    deadline_at: float | None = None
+    advance_clock: bool = True  # charge the response time to the sim clock
+
 
 @dataclass
 class OperatorStats:
@@ -330,9 +376,7 @@ class ExecContext:
         plan: PhysicalPlan,
         report: ExecutionReport,
         retry: RetryPolicy | None = None,
-        degraded_ok: bool = False,
-        max_staleness: float | None = None,
-        reuse_artifacts: bool = True,
+        options: QueryOptions = QueryOptions(),
         reopt=None,
     ) -> None:
         # The engine's access-path seam: the catalog, per-site health
@@ -349,18 +393,16 @@ class ExecContext:
         self.ambiguous = ambiguous_fields(catalog, plan)
         # Fault-tolerance state shared by every scan in this execution.
         self.retry = retry or RetryPolicy()
-        self.degraded_ok = degraded_ok
-        # Whether this execution may *consume* the artifact store.  The
+        # The statement's options, read where they bind: ``degraded_ok`` by
+        # unreachable scans; ``reuse_artifacts`` at the Ship boundary (the
         # workload manager's fallback re-execution sets False so a query
-        # whose joined producer died recomputes independently (and
-        # publishes nothing).
-        self.reuse_artifacts = reuse_artifacts
+        # whose joined producer died recomputes independently and publishes
+        # nothing); ``max_staleness`` by the covering fallback too -- a
+        # LIVE_ONLY query must fail rather than silently serve stale data.
+        self.options = options
         # Adaptive re-optimization controller (repro.federation.reopt), or
         # None for frozen-plan execution.  Ship consults it per stage.
         self.reopt = reopt
-        # The query's staleness bound, honored by the covering fallback too:
-        # a LIVE_ONLY query must fail rather than silently serve stale data.
-        self.max_staleness = max_staleness
         self.retries_used = 0  # failover attempts spent against retry.budget
         self.scan_total_rows = 0  # estimated input rows across all scans
         self.unreachable_rows = 0  # estimated rows behind dead fragments
@@ -812,7 +854,8 @@ class SiteScan(SiteOperator):
         query gets no fallback), so staleness is stamped and the result is
         never re-cached."""
         now = ctx.catalog.clock.now()
-        view = ctx.paths.live_view(assignment.table_name, ctx.max_staleness)
+        max_staleness = ctx.options.max_staleness
+        view = ctx.paths.live_view(assignment.table_name, max_staleness)
         if view is not None:
             table = apply_predicates(view.data, predicates)
             work = ctx.charge_site(view.site_name, len(table))
@@ -828,7 +871,7 @@ class SiteScan(SiteOperator):
             return [(view.site_name, table, work)]
         if ctx.paths.cache is not None:
             found = ctx.paths.cache.lookup_entry(
-                assignment.table_name, list(predicates), ctx.max_staleness
+                assignment.table_name, list(predicates), max_staleness
             )
             if found is not None:
                 table, age = found
@@ -855,7 +898,7 @@ class SiteScan(SiteOperator):
             for site_name in fragment.replica_sites():
                 if not ctx.catalog.site(site_name).up:
                     ctx.dead_sites.add(site_name)
-        if not ctx.degraded_ok:
+        if not ctx.options.degraded_ok:
             raise PartialFailureError(
                 ctx.unreachable_fragments,
                 sorted(ctx.dead_sites),
@@ -879,7 +922,7 @@ class SiteScan(SiteOperator):
                 ctx.unreachable_fragments.append(name)
                 ctx.unreachable_rows += len(view.data)
             ctx.dead_sites.add(view.site_name)
-            if not ctx.degraded_ok:
+            if not ctx.options.degraded_ok:
                 raise PartialFailureError(
                     ctx.unreachable_fragments,
                     sorted(ctx.dead_sites),
@@ -988,39 +1031,10 @@ class SiteScan(SiteOperator):
         return out
 
     def _describe(self, assignment: ScanAssignment) -> str:
-        if assignment.kind == "view":
-            detail = f"view {assignment.view.name} @ {assignment.view.site_name}"
-        elif assignment.kind == "cache":
-            detail = describe_cache_path(assignment)
-        else:
-            placed = ", ".join(
-                f"{c.fragment.fragment_id}@{c.site_name}" for c in assignment.choices
-            )
-            detail = f"fragments [{placed}]{describe_pruning(assignment)}"
-        governance = self.scan.governance
-        pushdown = self.scan.pushdown
-        if governance is not None and governance.rls_pushed:
-            pushdown = [p for p in pushdown if p not in governance.rls_pushed]
-        if pushdown:
-            predicates = ", ".join(
-                f"{p.column} {p.op} {p.value!r}" for p in pushdown
-            )
-            detail += f" pushdown({predicates})"
+        detail = describe_access_path(assignment) + describe_pushdown(self.scan)
         if assignment.text_filter is not None:
             detail += f" text-index{assignment.text_filter!r}"
-        if governance is not None:
-            rls_parts = [
-                f"{p.column} {p.op} {p.value!r}" for p in governance.rls_pushed
-            ]
-            rls_parts.extend(
-                describe_expr(conjunct) for conjunct in governance.rls_residual
-            )
-            if rls_parts:
-                detail += (
-                    f" rls(tenant={governance.tenant}: {', '.join(rls_parts)})"
-                )
-            for column in sorted(governance.masks):
-                detail += f" mask({column})"
+        detail += describe_governance(self.scan)
         for event in self._failover_events:
             detail += f" [{event}]"
         return f"{self.scan.table} as {self.scan.binding}: {detail}"
@@ -1075,12 +1089,13 @@ class ArtifactSource(SiteOperator):
                 f"(v{artifact.key[1]}, catalog v{ctx.catalog.version})"
             )
         age = ctx.catalog.clock.now() - artifact.fetched_at
-        if ctx.max_staleness is not None and (
-            ctx.max_staleness < 0 or age > ctx.max_staleness
+        max_staleness = ctx.options.max_staleness
+        if max_staleness is not None and (
+            max_staleness < 0 or age > max_staleness
         ):
             raise QueryError(
                 f"artifact for {self.scan.table!r} too stale "
-                f"({age:.1f}s > {ctx.max_staleness:.1f}s)"
+                f"({age:.1f}s > {max_staleness:.1f}s)"
             )
         rows = serve_artifact(ctx, artifact, self.scan.binding, self.agg, age)
         if rows is None:
@@ -1478,7 +1493,8 @@ class Ship(PhysicalOperator):
         the remaining wait until the producer's modeled completion)."""
         self._stage_key = None
         store = ctx.paths.artifacts
-        if store is None or self.stage is None or not ctx.reuse_artifacts:
+        options = ctx.options
+        if store is None or self.stage is None or not options.reuse_artifacts:
             return None
         scan, agg = self.stage
         assignment = ctx.plan.assignments.get(scan.binding)
@@ -1490,7 +1506,7 @@ class Ship(PhysicalOperator):
         if key is None:
             return None
         self._stage_key = key  # the capture target if we miss
-        hit = store.acquire(key, ctx.max_staleness)
+        hit = store.acquire(key, options.max_staleness)
         if hit is None:
             return None
         artifact, wait, joined = hit
@@ -1528,7 +1544,11 @@ class Ship(PhysicalOperator):
         report.  The engine registers successful reports' outputs in
         flight; failed executions drop them unseen."""
         key = self._stage_key
-        if ctx.paths.artifacts is None or key is None or not ctx.reuse_artifacts:
+        if (
+            ctx.paths.artifacts is None
+            or key is None
+            or not ctx.options.reuse_artifacts
+        ):
             return
         # Degraded, failed-over, or covering-fallback output is stale or
         # incomplete for the stage's content hash; never publish it.
@@ -2378,6 +2398,52 @@ def describe_artifact_path(assignment: ScanAssignment) -> str:
         f"artifact(stage {artifact.key[0][:8]}, v{artifact.key[1]}, "
         f"rows {artifact.row_count}, age {assignment.artifact_age:.1f}s)"
     )
+
+
+def describe_access_path(assignment: ScanAssignment) -> str:
+    """The access path the optimizer chose for one scan, as EXPLAIN shows it."""
+    if assignment.kind == "view":
+        return f"view {assignment.view.name} @ {assignment.view.site_name}"
+    if assignment.kind == "cache":
+        return describe_cache_path(assignment)
+    if assignment.kind == "artifact":
+        return describe_artifact_path(assignment)
+    placed = ", ".join(
+        f"{c.fragment.fragment_id}@{c.site_name}" for c in assignment.choices
+    )
+    return f"fragments [{placed}]{describe_pruning(assignment)}"
+
+
+def describe_pushdown(scan: ScanNode) -> str:
+    """`` pushdown(...)`` for the predicates the *user* pushed into a scan.
+
+    RLS conjuncts live in the ordinary pushdown list (that is how they
+    prune and price); :func:`describe_governance` attributes them to the
+    policy instead of listing them twice.
+    """
+    pushdown = scan.pushdown
+    governance = scan.governance
+    if governance is not None and governance.rls_pushed:
+        pushdown = [p for p in pushdown if p not in governance.rls_pushed]
+    if not pushdown:
+        return ""
+    predicates = ", ".join(f"{p.column} {p.op} {p.value!r}" for p in pushdown)
+    return f" pushdown({predicates})"
+
+
+def describe_governance(scan: ScanNode) -> str:
+    """`` rls(tenant=...: ...)`` and `` mask(col)`` for a governed scan."""
+    governance = scan.governance
+    if governance is None:
+        return ""
+    detail = ""
+    rls_parts = [f"{p.column} {p.op} {p.value!r}" for p in governance.rls_pushed]
+    rls_parts.extend(describe_expr(c) for c in governance.rls_residual)
+    if rls_parts:
+        detail += f" rls(tenant={governance.tenant}: {', '.join(rls_parts)})"
+    for column in sorted(governance.masks):
+        detail += f" mask({column})"
+    return detail
 
 
 def describe_expr(expr: Expr) -> str:

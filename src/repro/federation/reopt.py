@@ -128,8 +128,7 @@ class ReoptController:
         policy: ReoptPolicy,
         optimizer,
         paths,
-        max_staleness: float | None = None,
-        deadline_at: float | None = None,
+        options,
     ) -> None:
         self.policy = policy
         self.optimizer = optimizer
@@ -137,8 +136,9 @@ class ReoptController:
         self.paths = paths
         self.catalog = paths.catalog
         self.health = paths.health
-        self.max_staleness = max_staleness
-        self.deadline_at = deadline_at
+        # The statement's QueryOptions: the deadline trigger projects
+        # against ``deadline_at``, the twin probe honors ``max_staleness``.
+        self.options = options
         self.attempts = 0
         self.migrations = 0
         self.wasted_seconds = 0.0  # re-quotes that did not migrate
@@ -180,7 +180,7 @@ class ReoptController:
         # solicitation moot — the stage needs no sites.  (On the normal
         # path Ship's artifact probe already ran and missed, so this only
         # fires for executions that disabled artifact *reuse*.)
-        if self._artifact_twin(ctx, scan, agg):
+        if self._artifact_twin(scan, agg):
             self._record(
                 scan.binding, f"{reason}+artifact-twin", False,
                 from_sites, from_sites, 0.0, 0.0, 0.0,
@@ -244,10 +244,10 @@ class ReoptController:
             if factor >= self.policy.congestion_high:
                 self._hot_sites.add(name)
                 return f"congestion:{name}", name
-        if self.deadline_at is not None:
+        if self.options.deadline_at is not None:
             remaining = self._live_makespan(scan, assignment)
             projected = self.catalog.clock.now() + ctx.scan_elapsed + remaining
-            if projected > self.deadline_at:
+            if projected > self.options.deadline_at:
                 return "deadline", None
         return None, None
 
@@ -300,12 +300,14 @@ class ReoptController:
 
     # -- re-solicitation ---------------------------------------------------
 
-    def _artifact_twin(self, ctx, scan, agg) -> bool:
+    def _artifact_twin(self, scan, agg) -> bool:
         artifacts = self.paths.artifacts
-        if artifacts is None or ctx.reuse_artifacts:
+        if artifacts is None or self.options.reuse_artifacts:
             return False  # reuse on: Ship's own artifact probe governs
         key = artifacts.stage_key(self.catalog, scan, agg)
-        return key is not None and artifacts.has_twin(key, self.max_staleness)
+        return key is not None and artifacts.has_twin(
+            key, self.options.max_staleness
+        )
 
     def _requote(self, scan):
         try:

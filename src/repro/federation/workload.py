@@ -57,7 +57,7 @@ from __future__ import annotations
 import enum
 import itertools
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.errors import (
     ContentIntegrationError,
@@ -66,6 +66,7 @@ from repro.core.errors import (
     QueryTimeoutError,
 )
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
+from repro.federation.executor import QueryOptions
 from repro.federation.scheduler import Scheduler, make_scheduler
 from repro.sim.events import EventLoop, ScheduledEvent
 from repro.sim.metrics import MetricsRegistry
@@ -128,8 +129,7 @@ class QueryHandle:
         priority: float,
         submitted_at: float,
         deadline: float | None,
-        max_staleness: float | None,
-        degraded_ok: bool,
+        options: QueryOptions,
         prepared: PreparedStatement | None = None,
         params: tuple = (),
     ) -> None:
@@ -139,8 +139,11 @@ class QueryHandle:
         self.priority = priority
         self.submitted_at = submitted_at
         self.deadline = deadline
-        self.max_staleness = max_staleness
-        self.degraded_ok = degraded_ok
+        # What every engine call for this handle runs under: frozen clock,
+        # the absolute deadline, the submitting tenant (a prepared
+        # template's plan-shaping fields win).  The producer-death fallback
+        # swaps in a copy with artifact reuse off.
+        self.options = options
         # When set, dispatch runs the prepared template with ``params``
         # bound instead of re-parsing ``sql`` (the gateway's fast path).
         self.prepared = prepared
@@ -341,7 +344,7 @@ class WorkloadManager:
             ):
                 raise QueryError(
                     f"prepared statement was planned for tenant "
-                    f"{prepared.tenant!r} under a different governance "
+                    f"{prepared.options.tenant!r} under a different governance "
                     f"policy; prepare it for tenant {owner.name!r}"
                 )
             try:
@@ -352,17 +355,30 @@ class WorkloadManager:
                 raise
             force_degraded = admission == "degrade"
 
+        now = self.loop.clock.now()
+        # Dispatch executes against a frozen clock (occupancy is the
+        # completion event's job); the absolute deadline rides along so the
+        # engine's re-optimization controller (when configured) can migrate
+        # stages that project an overrun.
+        per_execution = dict(
+            degraded_ok=degraded_ok or force_degraded,
+            deadline_at=None if deadline is None else now + deadline,
+            advance_clock=False,
+        )
+        if prepared is not None:
+            options = replace(prepared.options, **per_execution)
+        else:
+            options = QueryOptions(
+                max_staleness=max_staleness, tenant=owner.name, **per_execution
+            )
         handle = QueryHandle(
             seq=next(self._seq),
             sql=sql if sql is not None else prepared.sql,
             tenant=owner,
             priority=priority,
-            submitted_at=self.loop.clock.now(),
+            submitted_at=now,
             deadline=deadline,
-            max_staleness=(
-                max_staleness if prepared is None else prepared.max_staleness
-            ),
-            degraded_ok=degraded_ok or force_degraded,
+            options=options,
             prepared=prepared,
             params=tuple(params),
         )
@@ -416,35 +432,36 @@ class WorkloadManager:
 
         # Execute now (clock frozen) to learn the modeled duration and the
         # site footprint; occupancy is modeled by holding the slot and the
-        # site congestion gauges until the completion event.  The absolute
-        # deadline rides along so the engine's re-optimization controller
-        # (when configured) can migrate stages that project an overrun.
+        # site congestion gauges until the completion event.
+        self._execute(handle)
+
+    def _execute(
+        self, handle: QueryHandle, rerun: QueryResult | None = None
+    ) -> QueryResult | None:
+        """Run ``handle`` on the engine under its options and occupy the
+        result's footprint: the one engine-calling body of dispatch, the
+        producer-death fallback and mid-flight re-planning (``rerun`` is the
+        in-flight result whose plan re-executes instead of planning again).
+        Returns None, with the handle settled as failed, when the engine
+        raised."""
         try:
-            if handle.prepared is not None:
+            if rerun is not None:
+                result = self.engine.rerun_physical(rerun)
+            elif handle.prepared is not None:
                 result = self.engine.execute(
-                    handle.prepared,
-                    handle.params,
-                    advance_clock=False,
-                    degraded_ok=handle.degraded_ok,
-                    deadline_at=self._deadline_at(handle),
+                    handle.prepared, handle.params, options=handle.options
                 )
             else:
-                result = self.engine.query(
-                    handle.sql,
-                    max_staleness=handle.max_staleness,
-                    advance_clock=False,
-                    degraded_ok=handle.degraded_ok,
-                    deadline_at=self._deadline_at(handle),
-                    tenant=owner.name,
-                )
+                result = self.engine.query(handle.sql, options=handle.options)
         except ContentIntegrationError as error:
             self._finish(handle, error=error)
-            return
+            return None
         report = result.report
-        report.queue_wait_seconds = wait
-        report.tenant = owner.name
+        report.queue_wait_seconds = handle.started_at - handle.submitted_at
+        report.tenant = handle.tenant.name
         report.scheduler = self.scheduler.name
         self._occupy(handle, result)
+        return result
 
     def _occupy(self, handle: QueryHandle, result: QueryResult) -> None:
         """Hold the query's modeled footprint until its completion event:
@@ -610,45 +627,10 @@ class WorkloadManager:
         if subscriber._completion_event is not None:
             subscriber._completion_event.cancel()
         self._release_sites(subscriber)
-        try:
-            if subscriber.prepared is not None:
-                result = self.engine.execute(
-                    subscriber.prepared,
-                    subscriber.params,
-                    advance_clock=False,
-                    degraded_ok=subscriber.degraded_ok,
-                    reuse_artifacts=False,
-                    deadline_at=self._deadline_at(subscriber),
-                )
-            else:
-                result = self.engine.query(
-                    subscriber.sql,
-                    max_staleness=subscriber.max_staleness,
-                    advance_clock=False,
-                    degraded_ok=subscriber.degraded_ok,
-                    reuse_artifacts=False,
-                    deadline_at=self._deadline_at(subscriber),
-                    tenant=subscriber.tenant.name,
-                )
-        except ContentIntegrationError as error:
-            self._finish(subscriber, error=error)
-            return
-        report = result.report
-        if subscriber.started_at is not None:
-            report.queue_wait_seconds = (
-                subscriber.started_at - subscriber.submitted_at
-            )
-        report.tenant = subscriber.tenant.name
-        report.scheduler = self.scheduler.name
-        self._occupy(subscriber, result)
+        subscriber.options = replace(subscriber.options, reuse_artifacts=False)
+        self._execute(subscriber)
 
     # -- mid-flight re-planning (DESIGN §5i) --------------------------------
-
-    def _deadline_at(self, handle: QueryHandle) -> float | None:
-        """The handle's absolute deadline on the sim clock, if it has one."""
-        if handle.deadline is None:
-            return None
-        return handle.submitted_at + handle.deadline
 
     def _replan_cap(self) -> int:
         """Per-query replan budget: the engine's re-optimization policy wins
@@ -732,30 +714,17 @@ class WorkloadManager:
         self._release_sites(handle)
         # The rerun must not join its own about-to-die in-flight stages.
         self._abort_stages(handle)
-        try:
-            fresh = self.engine.rerun_physical(
-                result,
-                max_staleness=handle.max_staleness,
-                degraded_ok=handle.degraded_ok,
-                deadline_at=self._deadline_at(handle),
-            )
-        except ContentIntegrationError as error:
-            self._finish(handle, error=error)
+        fresh = self._execute(handle, rerun=result)
+        if fresh is None:
             return
-        report = fresh.report
-        if handle.started_at is not None:
-            report.queue_wait_seconds = handle.started_at - handle.submitted_at
-        report.tenant = handle.tenant.name
-        report.scheduler = self.scheduler.name
         if getattr(self.engine, "reopt", None) is not None:
             # In-flight work the disturbance threw away is charged against
             # adaptivity, not hidden: it lands in the wasted-seconds ledger.
-            report.reopt_wasted_seconds += elapsed
+            fresh.report.reopt_wasted_seconds += elapsed
         handle._replans += 1
         self.replans += 1
         self.metrics.counter("workload.replans").inc()
         self._counter(handle.tenant.name, "replans").inc()
-        self._occupy(handle, fresh)
 
     # -- driving -----------------------------------------------------------
 

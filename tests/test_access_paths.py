@@ -267,3 +267,71 @@ def test_the_row_site_engine_flag_stays_deleted():
     with pytest.raises(TypeError):
         ExecContext(engine.paths, None, None, columnar=False)
     assert not hasattr(columnar, "envs_batch")
+
+
+def test_the_benchmark_keyword_calls_still_bind():
+    """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
+    signature refactor must fail here, not as a broken bench run."""
+    from inspect import signature
+
+    from repro.federation import Gateway, GatewaySession, WorkloadManager
+
+    catalog, sql, params = orders_catalog(), "select id from orders", (1,)
+    signature(FederatedEngine).bind(catalog, governance=None)
+    signature(FederatedEngine).bind(catalog, cache=None, artifacts=None)
+    signature(FederatedEngine.query).bind(None, sql, advance_clock=False)
+    signature(WorkloadManager).bind(
+        None, None, scheduler="weighted-fair", max_in_flight=4
+    )
+    signature(WorkloadManager.register_tenant).bind(None, "t", queue_limit=50)
+    signature(Gateway).bind(None, max_sessions=32, plan_cache_size=64)
+    signature(Gateway.connect).bind(None, tenant="t")
+    signature(GatewaySession.execute).bind(None, sql, params)
+    signature(GatewaySession.submit).bind(None, sql, params)
+
+
+# Where per-statement values may still be spelled as keywords: the public
+# entry points that build a QueryOptions, and QueryOptions itself.
+OPTION_FACADE = {
+    "engine.FederatedEngine.query",
+    "engine.FederatedEngine.execute",
+    "workload.WorkloadManager.submit",
+    "physical.QueryOptions.__init__",
+}
+PER_STATEMENT = {
+    "advance_clock", "degraded_ok", "reuse_artifacts", "deadline_at", "budget"
+}
+
+
+def test_per_statement_values_travel_as_one_options_object():
+    """Below the keyword facade no function in the statement funnel takes
+    a per-statement value as its own parameter: one ``QueryOptions`` is
+    handed on by reference (ROADMAP item 1c stays deleted)."""
+    import inspect
+
+    from repro.federation import engine, executor, physical, reopt, workload
+
+    def functions(module):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, member in vars(module).items():
+            if getattr(member, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(member):
+                yield f"{short}.{name}", member
+            elif inspect.isclass(member):
+                for attr, value in vars(member).items():
+                    value = getattr(value, "__func__", value)
+                    if inspect.isfunction(value):
+                        yield f"{short}.{name}.{attr}", value
+
+    offenders = {}
+    for module in (engine, executor, physical, reopt, workload):
+        for where, fn in functions(module):
+            loose = PER_STATEMENT & set(inspect.signature(fn).parameters)
+            if loose and where not in OPTION_FACADE:
+                offenders[where] = sorted(loose)
+    assert offenders == {}
+    for takes_options in (
+        physical.ExecContext, executor.Executor.execute, reopt.ReoptController
+    ):
+        assert "options" in inspect.signature(takes_options).parameters

@@ -2,6 +2,7 @@
 budget/hysteresis, workload-manager mid-flight replanning, and the
 bit-identity property that makes adaptivity safe."""
 
+import copy
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from repro.federation import (
     ReoptPolicy,
     WorkloadManager,
 )
+from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop, SimClock
+from tests.test_governance import MANIFEST, build_federation
 
 
 def parts_schema():
@@ -385,6 +388,30 @@ class TestWorkloadMidFlightReplan:
         assert [rows_of(h.result()) for h in first] == [
             rows_of(h.result()) for h in second
         ]
+
+
+class TestReplanKeepsItsTenant:
+    """A governed query replanned mid-flight is still its tenant's query."""
+
+    def test_rerun_is_governed_again_and_debits_nothing_more(self):
+        manifest = copy.deepcopy(MANIFEST)
+        manifest["tenants"]["acme"]["budget"] = {"credits": 100.0}
+        catalog = build_federation()
+        governance = GovernanceRegistry(manifest)
+        engine = FederatedEngine(catalog, governance=governance)
+        manager = WorkloadManager(engine, EventLoop(catalog.clock))
+        handle = manager.submit("select order_id from orders", tenant="acme")
+        remaining = governance.remaining_budget("acme")
+        assert remaining < 100.0  # the first execution paid for its plan
+        for site_name in ("s0", "s1", "s2", "s3"):
+            manager.site_event(site_name, "slow")
+        assert manager.replans >= 1
+        assert governance.remaining_budget("acme") == remaining
+        manager.drain(handle)
+        assert handle.result().report.governed_tenant == "acme"
+        # Like ``queries``, the policed count is per execution.
+        policed = engine.metrics.counter("governance.queries_policed").value
+        assert policed == 1 + manager.replans
 
 
 class TestSlowdownInjection:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import PartialFailureError
 from repro.federation import (
+    ArtifactStore,
     BudgetExceededError,
     FederatedEngine,
     FederationCatalog,
@@ -12,7 +14,7 @@ from repro.sim import SimClock
 from repro.sql import parse_sql
 
 
-def make_engine():
+def make_engine(with_artifacts=False):
     clock = SimClock()
     catalog = FederationCatalog(clock)
     names = [catalog.make_site(f"s{i}").name for i in range(2)]
@@ -29,7 +31,9 @@ def make_engine():
     )
     catalog.load_fragmented(suppliers, 1, [[names[0]]])
     catalog.load_fragmented(orders, 1, [[names[1]]])
-    return FederatedEngine(catalog)
+    return FederatedEngine(
+        catalog, artifacts=ArtifactStore(clock) if with_artifacts else None
+    )
 
 
 class TestLeftJoinParsing:
@@ -190,6 +194,37 @@ class TestInSubquery:
                 "select sid from suppliers "
                 "where sid in (select sid, total from orders)"
             )
+
+    # An inner select runs under the outer statement's options.
+    IN_ORDERS = (
+        "select sid from suppliers where sid in (select sid from orders) "
+        "order by sid"
+    )
+
+    def test_inner_select_inherits_degraded_ok(self):
+        engine = make_engine()
+        engine.catalog.site("s1").up = False  # the only replica of orders
+        result = engine.query(self.IN_ORDERS, degraded_ok=True)
+        assert result.table.rows == []  # nothing is known to have ordered
+        # ...and the outer answer says so instead of reading as complete.
+        report = result.report
+        assert report.degraded
+        assert report.completeness < 1.0
+        assert report.unreachable_fragments == ["orders/f0"]
+        assert report.dead_sites == ["s1"]
+
+    def test_dead_inner_fragment_still_raises_without_the_flag(self):
+        engine = make_engine()
+        engine.catalog.site("s1").up = False
+        with pytest.raises(PartialFailureError):
+            engine.query(self.IN_ORDERS)
+
+    def test_inner_select_inherits_reuse_artifacts(self):
+        engine = make_engine(with_artifacts=True)
+        result = engine.query(self.IN_ORDERS, reuse_artifacts=False)
+        assert result.table.column("sid") == ["sup0", "sup1"]
+        store = engine.artifacts
+        assert (store.misses, len(store), store.inflight_keys()) == (0, 0, [])
 
     def test_evaluate_refuses_raw_subquery(self):
         from repro.core.errors import QueryError
