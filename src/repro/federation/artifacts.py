@@ -50,16 +50,7 @@ from dataclasses import dataclass, field
 
 from repro.federation.columnar import ColumnBatch, scan_layout
 from repro.sim.clock import SimClock
-from repro.sql.ast import (
-    Between,
-    BinaryOp,
-    Column,
-    FuncCall,
-    InList,
-    Literal,
-    Star,
-    UnaryOp,
-)
+from repro.sql.ast import Column, render
 from repro.sql.planner import AggregateNode, PlanNode, ScanNode
 
 Env = dict
@@ -71,47 +62,18 @@ Env = dict
 def canonical_expr(expr, binding: str) -> str:
     """Render ``expr`` with the scan's binding alias canonicalized to ``@``.
 
-    This is the hashing analog of ``describe_expr``: two site-filter trees
-    that differ only in the table alias (``i.v < 5`` vs ``items.v < 5`` vs
-    bare ``v < 5``) render identically, which is what lets equivalent
-    sub-plans collide across statement shapes.
+    This is ``describe_expr`` under another column spelling: two
+    site-filter trees that differ only in the table alias (``i.v < 5`` vs
+    ``items.v < 5`` vs bare ``v < 5``) render identically, which is what
+    lets equivalent sub-plans collide across statement shapes.
     """
-    if isinstance(expr, Literal):
-        return repr(expr.value)
-    if isinstance(expr, Column):
-        if expr.qualifier is None or expr.qualifier == binding:
-            return f"@.{expr.name}"
-        return expr.qualified  # foreign binding: keep it distinguishing
-    if isinstance(expr, Star):
-        return "*"
-    if isinstance(expr, BinaryOp):
-        left = canonical_expr(expr.left, binding)
-        right = canonical_expr(expr.right, binding)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, UnaryOp):
-        return f"({expr.op} {canonical_expr(expr.operand, binding)})"
-    if isinstance(expr, FuncCall):
-        args = (
-            "*"
-            if expr.star
-            else ", ".join(canonical_expr(a, binding) for a in expr.args)
-        )
-        return f"{expr.name}({args})"
-    if isinstance(expr, InList):
-        items = ", ".join(canonical_expr(i, binding) for i in expr.items)
-        negated = "not " if expr.negated else ""
-        return f"({canonical_expr(expr.operand, binding)} {negated}in ({items}))"
-    if isinstance(expr, Between):
-        negated = "not " if expr.negated else ""
-        return (
-            f"({canonical_expr(expr.operand, binding)} {negated}between "
-            f"{canonical_expr(expr.low, binding)} and "
-            f"{canonical_expr(expr.high, binding)})"
-        )
-    # Parameters and anything unrecognized render by repr: distinct from
-    # every literal, so an unbound template can never collide with bound
-    # data -- it simply never hits.
-    return repr(expr)
+
+    def spelled(column: Column) -> str:
+        if column.qualifier is None or column.qualifier == binding:
+            return f"@.{column.name}"
+        return column.qualified  # foreign binding: keep it distinguishing
+
+    return render(expr, spelled)
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,11 @@ from repro.federation.views import MaterializedView
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricsRegistry
 from repro.sql.ast import (
-    BinaryOp,
     InList,
     InSubquery,
     Literal,
     SelectStatement,
-    UnaryOp,
+    rebuild,
 )
 from repro.sql.params import (
     bind_plan,
@@ -848,19 +847,9 @@ class FederatedEngine:
                 )
             values = inner.table.column(inner.table.schema.field_names[0])
             items = tuple(Literal(v) for v in values if v is not None)
-            return InList(expr.operand, items, expr.negated)
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._rewrite_subqueries(expr.left, options, inner_reports),
-                self._rewrite_subqueries(expr.right, options, inner_reports),
-            )
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(
-                expr.op,
-                self._rewrite_subqueries(expr.operand, options, inner_reports),
-            )
-        return expr
+            operand = self._rewrite_subqueries(expr.operand, options, inner_reports)
+            return InList(operand, items, expr.negated)
+        return rebuild(expr, self._rewrite_subqueries, options, inner_reports)
 
     def _store_in_cache(self, plan, report) -> None:
         """Remember live fragment-scan results under their predicate region.

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.connect.source import apply_predicates
 from repro.core.errors import (
@@ -50,20 +50,18 @@ from repro.federation.governance import apply_masks as apply_column_masks
 from repro.federation.health import RetryPolicy
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
-    AGGREGATE_FUNCTIONS,
-    Between,
     BinaryOp,
     Column,
     Expr,
     FuncCall,
-    InList,
-    Like,
     Literal,
     OrderItem,
     SelectItem,
     Star,
-    UnaryOp,
+    is_aggregate,
+    rebuild,
 )
+from repro.sql.ast import render as describe_expr  # noqa: F401 -- re-exported
 from repro.sql.expressions import evaluate
 from repro.sql.planner import (
     AggregateNode,
@@ -1183,37 +1181,47 @@ class PartialGroup:
     representative: Env  # first row seen, for non-aggregate expressions
 
 
-def partial_state(call: FuncCall, envs: list[Env]) -> Any:
-    """This site's partial state for one aggregate call over one group."""
+def empty_state(call: FuncCall) -> Any:
+    """The partial state of ``call`` over no rows; refuses a malformed call.
+
+    ``count`` is an int, ``avg`` a ``(total, n)`` pair and ``sum`` / ``min``
+    / ``max`` the value so far, ``None`` until a non-NULL one arrives.
+    ``count(*)`` folds nothing: its state is the group's row count.
+    """
     if call.star:
         if call.name != "count":
             raise QueryError(f"{call.name}(*) is not a valid aggregate")
-        return len(envs)
+        return 0
     if len(call.args) != 1:
         raise QueryError(f"aggregate {call.name} takes exactly one argument")
-    values = [evaluate(call.args[0], env) for env in envs]
-    values = [v for v in values if v is not None]
     if call.name == "count":
-        return len(values)
+        return 0
     if call.name == "avg":
-        if not values:
-            return (None, 0)
-        total = values[0]
-        for value in values[1:]:
-            total = total + value
-        return (total, len(values))
-    if not values:
+        return (None, 0)
+    if call.name in ("sum", "min", "max"):
         return None
-    if call.name == "sum":
-        total = values[0]
-        for value in values[1:]:
-            total = total + value
-        return total
-    if call.name == "min":
-        return min(values)
-    if call.name == "max":
-        return max(values)
     raise QueryError(f"unknown aggregate {call.name!r}")
+
+
+def fold_state(call: FuncCall, state: Any, values: list) -> Any:
+    """``state`` after the group's next argument ``values``: at least one,
+    none of them NULL.
+
+    Sums add left to right onto the running total, so a group folded a
+    chunk at a time performs the additions one pass over its rows would:
+    float results do not depend on where the chunk boundaries fall.
+    """
+    if call.name == "count":
+        return state + len(values)
+    if call.name == "avg":
+        total, seen = state
+        total = reduce(add, values) if seen == 0 else reduce(add, values, total)
+        return (total, seen + len(values))
+    if call.name == "sum":
+        return reduce(add, values) if state is None else reduce(add, values, state)
+    if call.name == "min":
+        return min(values) if state is None else min(state, min(values))
+    return max(values) if state is None else max(state, max(values))
 
 
 def merge_state(call: FuncCall, a: Any, b: Any) -> Any:
@@ -1249,6 +1257,104 @@ def final_value(call: FuncCall, state: Any, group_rows: int) -> Any:
     return state  # count/sum/min/max carry their final value directly
 
 
+def partial_groups(
+    chunks: "list[columnar.ColumnBatch]",
+    group_by: list[Expr],
+    calls: dict[str, FuncCall],
+) -> list[PartialGroup]:
+    """The rows of ``chunks`` grouped, one record per group in
+    first-appearance order, each call's state folded over the group's rows
+    in row order.
+
+    Ungrouped input is the one group of every row, also when there are
+    none; a grouped query over no rows has no group, and then the calls
+    are not even looked at.  Keys and arguments are taken a chunk and a
+    column at a time (see :class:`_Expressions`).  ``calls`` come under
+    their state keys, their ``repr``: a dataclass repr is recursive, so
+    an operator computes it once.
+    """
+    chunks = [chunk for chunk in chunks if chunk.count]
+    if group_by and not chunks:
+        return []
+    # A group will be created: the point where a malformed call is refused.
+    empty = {key: empty_state(call) for key, call in calls.items()}
+    groups: dict[tuple, PartialGroup] = {}
+    for chunk in chunks:
+        expressions = _Expressions(chunk)
+        if group_by:
+            members: dict[tuple, list[int]] = defaultdict(list)
+            for row, key in enumerate(zip(*map(expressions.column, group_by))):
+                members[key].append(row)
+        else:
+            members = {(): range(chunk.count)}
+        # count(*) folds nothing: the group's row count is its state.
+        arguments = [
+            (key, call, expressions.column(call.args[0]))
+            for key, call in calls.items()
+            if not call.star
+        ]
+        for group_key, rows in members.items():
+            group = groups.get(group_key)
+            if group is None:
+                group = groups[group_key] = PartialGroup(
+                    group_key, 0, dict(empty), chunk.env_at(rows[0])
+                )
+            group.count += len(rows)
+            states = group.states
+            for key, call, column in arguments:
+                values = [v for row in rows if (v := column[row]) is not None]
+                if values:
+                    states[key] = fold_state(call, states[key], values)
+    if not groups:  # ungrouped, and no row
+        groups[()] = PartialGroup((), 0, dict(empty), {})
+    for key, call in calls.items():
+        if call.star:
+            for group in groups.values():
+                group.states[key] = group.count
+    return list(groups.values())
+
+
+def _over_states(expr: Expr, calls: dict[str, FuncCall]) -> Expr:
+    """``expr`` with every aggregate call replaced by a column named by the
+    call's state key (no SQL column is spelled like one); the calls are
+    collected into ``calls`` under those keys."""
+    if is_aggregate(expr):
+        key = repr(expr)
+        calls[key] = expr
+        return Column(key)
+    return rebuild(expr, _over_states, calls)
+
+
+def finished_groups(
+    node: AggregateNode, names: list[str], groups: "Iterable[PartialGroup]"
+) -> "list[columnar.ColumnBatch]":
+    """The aggregation's output batch: every group's select items, the
+    groups failing HAVING dropped, in the deterministic order -- by the
+    rows' value representations.
+
+    This is the one evaluator of an expression that may contain aggregate
+    calls: wherever a call stands, it reads as a column, so ``evaluate``
+    runs the rest against the group's representative row extended by the
+    calls' final values.
+    """
+    calls: dict[str, FuncCall] = {}
+    items = [_over_states(item.expr, calls) for item in node.items]
+    having = None if node.having is None else _over_states(node.having, calls)
+    results: list[Env] = []
+    for group in groups:
+        env = dict(group.representative)
+        for key, call in calls.items():
+            env[key] = final_value(call, group.states[key], group.count)
+        # A repeated name holds its last value.
+        out = {name: evaluate(expr, env) for name, expr in zip(names, items)}
+        if having is None or evaluate(having, env):
+            results.append(out)
+    results.sort(key=lambda out: tuple(repr(v) for v in out.values()))
+    names = list(dict.fromkeys(names))
+    columns = [[out[name] for out in results] for name in names]
+    return [columnar.ColumnBatch(names, columns, {}, len(results))]
+
+
 class PartialAggregate(SiteOperator):
     """Aggregate each site's rows locally; ship one record per group."""
 
@@ -1263,160 +1369,16 @@ class PartialAggregate(SiteOperator):
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
+        calls = dict(zip(self._state_keys, self.calls))
         for batch in self.children[0].batches():
             rows_in = batch.row_count()
             self.stats.rows_in += rows_in
-            records = self._columnar_records(batch.chunks)
-            if records is None:
-                # Group keys or aggregate arguments are general
-                # expressions: materialize envs and take the row path.
-                records = self._row_records(
-                    [env for chunk in batch.chunks for env in chunk.to_envs()]
-                )
+            records = partial_groups(batch.chunks, self.node.group_by, calls)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, records, batch.elapsed + work))
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
         return out
-
-    def _row_records(self, envs: list[Env]) -> list[PartialGroup]:
-        groups: dict[tuple, list[Env]] = {}
-        if self.node.group_by:
-            for env in envs:
-                key = tuple(evaluate(g, env) for g in self.node.group_by)
-                groups.setdefault(key, []).append(env)
-        else:
-            groups[()] = list(envs)
-        records = []
-        for key, group_envs in groups.items():
-            states = {
-                state_key: partial_state(call, group_envs)
-                for state_key, call in zip(self._state_keys, self.calls)
-            }
-            records.append(
-                PartialGroup(
-                    key,
-                    len(group_envs),
-                    states,
-                    group_envs[0] if group_envs else {},
-                )
-            )
-        return records
-
-    def _columnar_records(
-        self, chunks: "list[columnar.ColumnBatch]"
-    ) -> list[PartialGroup] | None:
-        """Tight-loop aggregation over column slices.
-
-        Only plain-column group keys and single-column (or ``count(*)``)
-        aggregates vectorize; anything else returns ``None`` and the caller
-        falls back to the row path.  Partial states stream across chunks in
-        row order, so float accumulation performs the exact same
-        left-associated addition sequence as :func:`partial_state` and
-        results stay bit-identical.
-        """
-        if not chunks:
-            return None
-        layout = chunks[0]
-        key_indexes = []
-        for group_expr in self.node.group_by:
-            if not isinstance(group_expr, Column):
-                return None
-            idx = layout.index_of(group_expr.qualified)
-            if idx is None:
-                return None
-            key_indexes.append(idx)
-        specs: list[tuple[str, int | None]] = []
-        for call in self.calls:
-            if call.star:
-                if call.name != "count":
-                    return None
-                specs.append(("count*", None))
-                continue
-            if len(call.args) != 1 or not isinstance(call.args[0], Column):
-                return None
-            if call.name not in ("count", "sum", "avg", "min", "max"):
-                return None
-            idx = layout.index_of(call.args[0].qualified)
-            if idx is None:
-                return None
-            specs.append((call.name, idx))
-
-        def fresh_states() -> list:
-            return [
-                0 if name == "count" else [None, 0] if name == "avg" else None
-                for name, _ in specs
-            ]
-
-        # key -> [row count, representative env, mutable per-call states]
-        groups: dict[tuple, list] = {}
-        for chunk in chunks:
-            cols = chunk.columns
-            if key_indexes:
-                local: dict[tuple, list[int]] = {}
-                for i, key in enumerate(zip(*[cols[k] for k in key_indexes])):
-                    local.setdefault(key, []).append(i)
-            else:
-                local = {(): list(range(chunk.count))}
-            for key, indexes in local.items():
-                acc = groups.get(key)
-                if acc is None:
-                    representative = chunk.env_at(indexes[0]) if indexes else {}
-                    acc = groups[key] = [0, representative, fresh_states()]
-                elif not acc[1] and indexes:
-                    # The () group can be created by an empty chunk; adopt
-                    # the first real row as representative, like the row
-                    # path does.
-                    acc[1] = chunk.env_at(indexes[0])
-                acc[0] += len(indexes)
-                states = acc[2]
-                for s, (name, idx) in enumerate(specs):
-                    if name == "count*":
-                        continue  # the group count is the state
-                    column = cols[idx]
-                    values = [
-                        v for i in indexes if (v := column[i]) is not None
-                    ]
-                    if name == "count":
-                        states[s] += len(values)
-                    elif name == "min":
-                        if values:
-                            low = min(values)
-                            states[s] = (
-                                low if states[s] is None else min(states[s], low)
-                            )
-                    elif name == "max":
-                        if values:
-                            high = max(values)
-                            states[s] = (
-                                high if states[s] is None else max(states[s], high)
-                            )
-                    elif name == "sum":
-                        total = states[s]
-                        for value in values:
-                            total = value if total is None else total + value
-                        states[s] = total
-                    else:  # avg
-                        total, seen = states[s]
-                        for value in values:
-                            total = value if total is None else total + value
-                        states[s] = [total, seen + len(values)]
-
-        records = []
-        for key, (count, representative, states) in groups.items():
-            final_states: dict[str, Any] = {}
-            for state_key, (name, _), state in zip(self._state_keys, specs, states):
-                if name == "count*":
-                    final_states[state_key] = count
-                elif name == "avg":
-                    total, seen = state
-                    final_states[state_key] = (
-                        (None, 0) if seen == 0 else (total, seen)
-                    )
-                else:
-                    final_states[state_key] = state
-            records.append(PartialGroup(key, count, final_states, representative))
-        return records
 
 
 # -- the network boundary ------------------------------------------------------
@@ -2043,17 +2005,9 @@ class Project(PhysicalOperator):
         return self._names
 
 
-def groups_batch(names: list[str], results: list[Env]) -> "list[columnar.ColumnBatch]":
-    """Aggregated groups (one ``{name: value}`` each) as the output batch,
-    in the deterministic order: by the groups' value representations."""
-    results.sort(key=lambda env: tuple(repr(v) for v in env.values()))
-    names = list(dict.fromkeys(names))  # a repeated name holds its last value
-    columns = [[env[name] for env in results] for name in names]
-    return [columnar.ColumnBatch(names, columns, {}, len(results))]
-
-
 class Aggregate(PhysicalOperator):
-    """Whole-group aggregation at the coordinator (multi-table plans)."""
+    """Whole-group aggregation at the coordinator (multi-table plans):
+    the partial fold over everything the child produces, then the finish."""
 
     name = "Aggregate"
 
@@ -2067,18 +2021,12 @@ class Aggregate(PhysicalOperator):
         self.stats.detail = ", ".join(self._names)
 
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
-        node = self.node
-        grouped = _Grouped(self._drain(self.children[0]), node.group_by)
-        results: list[Env] = []
-        for rows in grouped.groups:
-            out: Env = {}
-            for item, name in zip(node.items, self._names):
-                out[name] = grouped.value(item.expr, rows)
-            if node.having is not None:
-                if not bool(grouped.value(node.having, rows)):
-                    continue
-            results.append(out)
-        return groups_batch(self._names, results)
+        return finished_groups(self.node, self._names, self._groups())
+
+    def _groups(self) -> list[PartialGroup]:
+        batch = self._drain(self.children[0])
+        chunks = [] if batch is None else [batch]
+        return partial_groups(chunks, self.node.group_by, self.node.calls())
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -2087,101 +2035,13 @@ class Aggregate(PhysicalOperator):
         return aggregate_names(self.node.items)
 
 
-class _Grouped:
-    """One batch's rows grouped by key, and expressions over a group.
-
-    ``groups`` holds each group's row indexes in first-appearance order;
-    ungrouped input is the one group of every row (also when there are
-    none).  Every aggregate folds its argument column in row order, so a
-    float sum performs the additions the row engine performed.
-    """
-
-    def __init__(
-        self, batch: "columnar.ColumnBatch | None", group_by: list[Expr]
-    ) -> None:
-        self.batch = batch
-        self._arguments: dict[int, Any] = {}  # id(aggregate call) -> column
-        if batch is None:
-            self.groups = [] if group_by else [range(0)]
-            return
-        self._expressions = _Expressions(batch)
-        if not group_by:
-            self.groups = [range(batch.count)]
-            return
-        keyed: dict[tuple, list[int]] = defaultdict(list)
-        keys = zip(*[self._expressions.column(expr) for expr in group_by])
-        for row, key in enumerate(keys):
-            keyed[key].append(row)
-        self.groups = list(keyed.values())
-
-    def value(self, expr: Expr, rows) -> Any:
-        """An expression that may contain aggregate calls, over one group."""
-        if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return self._aggregate(expr, rows)
-        if isinstance(expr, BinaryOp):
-            left = self.value(expr.left, rows)
-            right = self.value(expr.right, rows)
-            return evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), {})
-        # Non-aggregate sub-expression: evaluate against a representative row.
-        if not rows:
-            return evaluate(expr, {})
-        if isinstance(expr, Column):
-            index = self.batch.index_of(expr.qualified)
-            if index is not None:
-                return self.batch.columns[index][rows[0]]
-        return evaluate(expr, self.batch.env_at(rows[0]))
-
-    def _aggregate(self, call: FuncCall, rows) -> Any:
-        if call.star:
-            if call.name != "count":
-                raise QueryError(f"{call.name}(*) is not a valid aggregate")
-            return len(rows)
-        if len(call.args) != 1:
-            raise QueryError(f"aggregate {call.name} takes exactly one argument")
-        values = []
-        if rows:
-            column = self._arguments.get(id(call))
-            if column is None:
-                column = self._arguments[id(call)] = self._expressions.column(
-                    call.args[0]
-                )
-            values = [v for row in rows if (v := column[row]) is not None]
-        if call.name == "count":
-            return len(values)
-        if not values:
-            return None
-        if call.name == "sum":
-            return reduce(add, values)
-        if call.name == "avg":
-            return reduce(add, values) / len(values)
-        if call.name == "min":
-            return min(values)
-        if call.name == "max":
-            return max(values)
-        raise QueryError(f"unknown aggregate {call.name!r}")
-
-
-class FinalAggregate(PhysicalOperator):
+class FinalAggregate(Aggregate):
     """Merge sites' partial aggregate states into final groups."""
 
     name = "FinalAggregate"
 
-    def __init__(self, child: PhysicalOperator, node: AggregateNode) -> None:
-        super().__init__(child)
-        self.node = node
-        assert node.split is not None
-        self.calls = node.split.calls
-        self._state_keys = [repr(call) for call in self.calls]
-        # id(aggregate call in items/having) -> its state key; the node
-        # keeps those expression objects alive as long as this operator.
-        self._item_keys: dict[int, str] = {}
-
-    def open(self, ctx: ExecContext) -> None:
-        super().open(ctx)
-        self._names = aggregate_names(self.node.items)
-        self.stats.detail = ", ".join(self._names)
-
-    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+    def _groups(self) -> list[PartialGroup]:
+        calls = {repr(call): call for call in self.node.split.calls}
         merged: dict[tuple, PartialGroup] = {}
         records = self._drain(self.children[0])
         for record in records.columns[0] if records is not None else ():
@@ -2192,47 +2052,12 @@ class FinalAggregate(PhysicalOperator):
                 )
                 continue
             seen.count += record.count
-            for call, key in zip(self.calls, self._state_keys):
+            for key, call in calls.items():
                 seen.states[key] = merge_state(call, seen.states[key], record.states[key])
             if not seen.representative and record.representative:
                 seen.representative = record.representative
-
-        if not self.node.group_by and not merged:
-            merged[()] = PartialGroup(
-                (), 0, {repr(call): partial_state(call, []) for call in self.calls}, {}
-            )
-
-        results: list[Env] = []
-        for group in merged.values():
-            if group.count == 0 and self.node.group_by:
-                continue
-            out: Env = {}
-            for item, name in zip(self.node.items, self._names):
-                out[name] = self._eval_merged(item.expr, group)
-            if self.node.having is not None:
-                if not bool(self._eval_merged(self.node.having, group)):
-                    continue
-            results.append(out)
-        return groups_batch(self._names, results)
-
-    def _eval_merged(self, expr: Expr, group: PartialGroup) -> Any:
-        if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-            key = self._item_keys.get(id(expr))
-            if key is None:
-                key = self._item_keys[id(expr)] = repr(expr)
-            return final_value(expr, group.states[key], group.count)
-        if isinstance(expr, BinaryOp):
-            left = self._eval_merged(expr.left, group)
-            right = self._eval_merged(expr.right, group)
-            return evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), {})
-        # Non-aggregate sub-expression: evaluate against a representative row.
-        return evaluate(expr, group.representative)
-
-    def _finish(self, ctx: ExecContext) -> None:
-        self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
-
-    def output_names(self) -> list[str] | None:
-        return aggregate_names(self.node.items)
+        # No site sent a record: what aggregating no rows gives.
+        return list(merged.values()) or partial_groups([], self.node.group_by, calls)
 
 
 class Sort(PhysicalOperator):
@@ -2444,37 +2269,6 @@ def describe_governance(scan: ScanNode) -> str:
     for column in sorted(governance.masks):
         detail += f" mask({column})"
     return detail
-
-
-def describe_expr(expr: Expr) -> str:
-    """Compact SQL-ish rendering for EXPLAIN output."""
-    if isinstance(expr, Literal):
-        return repr(expr.value)
-    if isinstance(expr, Column):
-        return expr.qualified
-    if isinstance(expr, Star):
-        return "*"
-    if isinstance(expr, BinaryOp):
-        return f"({describe_expr(expr.left)} {expr.op} {describe_expr(expr.right)})"
-    if isinstance(expr, UnaryOp):
-        return f"({expr.op} {describe_expr(expr.operand)})"
-    if isinstance(expr, FuncCall):
-        args = "*" if expr.star else ", ".join(describe_expr(a) for a in expr.args)
-        return f"{expr.name}({args})"
-    if isinstance(expr, InList):
-        items = ", ".join(describe_expr(i) for i in expr.items)
-        negated = "not " if expr.negated else ""
-        return f"({describe_expr(expr.operand)} {negated}in ({items}))"
-    if isinstance(expr, Between):
-        negated = "not " if expr.negated else ""
-        return (
-            f"({describe_expr(expr.operand)} {negated}between "
-            f"{describe_expr(expr.low)} and {describe_expr(expr.high)})"
-        )
-    if isinstance(expr, Like):
-        negated = "not " if expr.negated else ""
-        return f"({describe_expr(expr.operand)} {negated}like {expr.pattern!r})"
-    return repr(expr)
 
 
 # -- compilation ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Union
 
 # -- expressions ------------------------------------------------------------
 
@@ -105,60 +106,115 @@ Expr = Union[
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of ``expr``, left to right.
+
+    An :class:`InSubquery`'s inner select is its own scope (its columns,
+    aggregates and subqueries belong to it): only the operand is a child.
+    """
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (UnaryOp, Like, InSubquery)):
+        return (expr.operand,)
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Between):
+        return (expr.operand, expr.low, expr.high)
+    return ()  # Literal, Parameter, Column, Star
+
+
+def rebuild(expr: Expr, fn: Callable[..., Expr], *args: Any) -> Expr:
+    """``expr`` with each of its :func:`children` replaced by
+    ``fn(child, *args)``; a leaf is returned as it is.  A rewrite handles
+    the node type it is about and hands every other node here, with itself
+    as ``fn`` and its own arguments as ``args`` (a plain recursive function
+    this way, not a closure over them: a recursive closure is a reference
+    cycle, and statements leave none behind)."""
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, fn(expr.left, *args), fn(expr.right, *args))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, fn(expr.operand, *args))
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, tuple(fn(a, *args) for a in expr.args), expr.star)
+    if isinstance(expr, InList):
+        items = tuple(fn(item, *args) for item in expr.items)
+        return InList(fn(expr.operand, *args), items, expr.negated)
+    if isinstance(expr, InSubquery):
+        return InSubquery(fn(expr.operand, *args), expr.subquery, expr.negated)
+    if isinstance(expr, Between):
+        low, high = fn(expr.low, *args), fn(expr.high, *args)
+        return Between(fn(expr.operand, *args), low, high, expr.negated)
+    if isinstance(expr, Like):
+        return Like(fn(expr.operand, *args), expr.pattern, expr.negated)
+    return expr
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every expression under it, in appearance order."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
+
+
+def is_aggregate(expr: Expr) -> bool:
+    return isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS
+
+
+def aggregate_calls(expr: Expr) -> Iterator[FuncCall]:
+    """The aggregate calls of ``expr`` in appearance order.  What stands
+    inside an aggregate's argument is per-row, not per-group, and is not
+    looked into."""
+    if is_aggregate(expr):
+        yield expr
+    else:
+        for child in children(expr):
+            yield from aggregate_calls(child)
+
+
 def contains_aggregate(expr: Expr) -> bool:
     """True if any aggregate function call appears in ``expr``."""
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, InSubquery):
-        # The inner select's aggregates belong to the inner scope.
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Between):
-        return any(contains_aggregate(e) for e in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, Like):
-        return contains_aggregate(expr.operand)
-    return False
+    return any(map(is_aggregate, walk(expr)))
 
 
 def columns_in(expr: Expr) -> list[Column]:
     """All column references in ``expr``, in appearance order."""
-    found: list[Column] = []
+    return [node for node in walk(expr) if isinstance(node, Column)]
 
-    def walk(node: Expr) -> None:
-        if isinstance(node, Column):
-            found.append(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, InSubquery):
-            walk(node.operand)  # inner select columns are inner-scope
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
 
-    walk(expr)
-    return found
+def render(
+    expr: Expr, column: Callable[[Column], str] = attrgetter("qualified")
+) -> str:
+    """Compact SQL-ish rendering: EXPLAIN's operator details and, with a
+    ``column`` speller that hides the scan's alias, the text a stage's
+    content hash digests."""
+    if isinstance(expr, Literal):
+        return repr(expr.value)
+    if isinstance(expr, Column):
+        return column(expr)
+    if isinstance(expr, Star):
+        return "*"
+    if isinstance(expr, BinaryOp):
+        return f"({render(expr.left, column)} {expr.op} {render(expr.right, column)})"
+    if isinstance(expr, UnaryOp):
+        return f"({expr.op} {render(expr.operand, column)})"
+    if isinstance(expr, FuncCall):
+        args = "*" if expr.star else ", ".join(render(a, column) for a in expr.args)
+        return f"{expr.name}({args})"
+    if isinstance(expr, (InList, Between, Like)):
+        operand = render(expr.operand, column)
+        negated = "not " if expr.negated else ""
+        if isinstance(expr, InList):
+            items = ", ".join(render(i, column) for i in expr.items)
+            return f"({operand} {negated}in ({items}))"
+        if isinstance(expr, Between):
+            low, high = render(expr.low, column), render(expr.high, column)
+            return f"({operand} {negated}between {low} and {high})"
+        return f"({operand} {negated}like {expr.pattern!r})"
+    # Parameters and subqueries render by repr: distinct from every
+    # literal, so an unbound template never collides with bound data.
+    return repr(expr)
 
 
 # -- statement structure -----------------------------------------------------

@@ -18,24 +18,20 @@ trade-off.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.core.errors import QueryError
 from repro.sql.ast import (
-    Between,
-    BinaryOp,
     Expr,
-    FuncCall,
-    InList,
     InSubquery,
     JoinClause,
-    Like,
     Literal,
     OrderItem,
     Parameter,
     SelectItem,
     SelectStatement,
-    UnaryOp,
+    rebuild,
+    walk,
 )
 from repro.sql.planner import (
     AggregateNode,
@@ -51,11 +47,39 @@ from repro.sql.planner import (
 )
 
 
+def statement_exprs(statement: SelectStatement) -> Iterator[Expr]:
+    """The expression in every position of ``statement``."""
+    for item in statement.items:
+        yield item.expr
+    for join in statement.joins:
+        yield join.condition
+    if statement.where is not None:
+        yield statement.where
+    yield from statement.group_by
+    if statement.having is not None:
+        yield statement.having
+    for order in statement.order_by:
+        yield order.expr
+
+
+def _nodes(statement: SelectStatement) -> Iterator[Expr]:
+    """Every expression node of ``statement``'s own scope."""
+    for expr in statement_exprs(statement):
+        yield from walk(expr)
+
+
 def count_parameters(statement: SelectStatement) -> int:
-    """How many distinct ``?`` placeholders ``statement`` carries."""
-    indices: set[int] = set()
-    _collect_statement(statement, indices)
-    return len(indices)
+    """How many distinct ``?`` placeholders ``statement`` carries, those of
+    its ``IN (SELECT ...)`` inner statements included."""
+
+    def indices(scope: SelectStatement) -> Iterator[int]:
+        for node in _nodes(scope):
+            if isinstance(node, Parameter):
+                yield node.index
+            elif isinstance(node, InSubquery):
+                yield from indices(node.subquery)
+
+    return len(set(indices(statement)))
 
 
 def statement_has_subqueries(statement: SelectStatement) -> bool:
@@ -66,79 +90,7 @@ def statement_has_subqueries(statement: SelectStatement) -> bool:
     optimized once and reused -- each execution re-plans from a bound copy
     of the statement.
     """
-
-    def expr_has(expr: Expr | None) -> bool:
-        if expr is None:
-            return False
-        if isinstance(expr, InSubquery):
-            return True
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(expr, attr, None)
-            if child is not None and not isinstance(child, str) and expr_has(child):
-                return True
-        for item in getattr(expr, "args", ()) or ():
-            if expr_has(item):
-                return True
-        for item in getattr(expr, "items", ()) or ():
-            if expr_has(item):
-                return True
-        return False
-
-    if expr_has(statement.where) or expr_has(statement.having):
-        return True
-    if any(expr_has(item.expr) for item in statement.items):
-        return True
-    if any(expr_has(join.condition) for join in statement.joins):
-        return True
-    if any(expr_has(group) for group in statement.group_by):
-        return True
-    return any(expr_has(order.expr) for order in statement.order_by)
-
-
-def _collect_statement(statement: SelectStatement, indices: set[int]) -> None:
-    """Collect parameter indices from every expression position."""
-
-    def walk(expr: Expr | None) -> None:
-        for parameter in _parameters_in(expr):
-            indices.add(parameter.index)
-
-    for item in statement.items:
-        walk(item.expr)
-    for join in statement.joins:
-        walk(join.condition)
-    walk(statement.where)
-    for group in statement.group_by:
-        walk(group)
-    walk(statement.having)
-    for order in statement.order_by:
-        walk(order.expr)
-
-
-def _parameters_in(expr: Expr | None) -> list[Parameter]:
-    found: list[Parameter] = []
-
-    def walk(node: Expr | None) -> None:
-        if node is None:
-            return
-        if isinstance(node, Parameter):
-            found.append(node)
-            return
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, str):
-                walk(child)
-        for item in getattr(node, "args", ()) or ():
-            walk(item)
-        for item in getattr(node, "items", ()) or ():
-            walk(item)
-        subquery = getattr(node, "subquery", None)
-        if subquery is not None:
-            sub_indices: set[int] = set()
-            _collect_statement(subquery, sub_indices)
-            found.extend(Parameter(i) for i in sub_indices)
-
-    walk(expr)
-    return found
+    return any(isinstance(node, InSubquery) for node in _nodes(statement))
 
 
 def bind_expr(expr: Expr | None, values: Sequence[Any]) -> Expr | None:
@@ -147,42 +99,13 @@ def bind_expr(expr: Expr | None, values: Sequence[Any]) -> Expr | None:
         return None
     if isinstance(expr, Parameter):
         return Literal(values[expr.index])
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, bind_expr(expr.left, values), bind_expr(expr.right, values)
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, bind_expr(expr.operand, values))
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(bind_expr(a, values) for a in expr.args),
-            expr.star,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            bind_expr(expr.operand, values),
-            tuple(bind_expr(i, values) for i in expr.items),
-            expr.negated,
-        )
     if isinstance(expr, InSubquery):
         return InSubquery(
             bind_expr(expr.operand, values),
             bind_statement(expr.subquery, values),
             expr.negated,
         )
-    if isinstance(expr, Between):
-        return Between(
-            bind_expr(expr.operand, values),
-            bind_expr(expr.low, values),
-            bind_expr(expr.high, values),
-            expr.negated,
-        )
-    if isinstance(expr, Like):
-        # The pattern itself is a plain string (the grammar requires it).
-        return Like(bind_expr(expr.operand, values), expr.pattern, expr.negated)
-    # Literal, Column, Star are leaves.
-    return expr
+    return rebuild(expr, bind_expr, values)
 
 
 def bind_statement(

@@ -34,11 +34,13 @@ from repro.sql.ast import (
     BinaryOp,
     Column,
     Expr,
+    FuncCall,
     Literal,
     OrderItem,
     SelectItem,
     SelectStatement,
     Star,
+    aggregate_calls,
     columns_in,
     contains_aggregate,
 )
@@ -139,7 +141,7 @@ class AggregateSplit:
     coordinator merges states and evaluates the final select items.
     """
 
-    calls: list[Any]  # list[FuncCall]
+    calls: list[FuncCall]
 
 
 @dataclass
@@ -154,6 +156,15 @@ class AggregateNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def calls(self) -> dict[str, FuncCall]:
+        """The distinct aggregate calls of the select items and HAVING in
+        appearance order, each under its state key -- its ``repr``, which
+        tells ``sum(v + 1)`` from ``sum(v + 1.0)`` where ``==`` does not."""
+        exprs = [item.expr for item in self.items]
+        if self.having is not None:
+            exprs.append(self.having)
+        return {repr(call): call for expr in exprs for call in aggregate_calls(expr)}
 
 
 @dataclass

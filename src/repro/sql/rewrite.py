@@ -32,18 +32,16 @@ from typing import Callable
 from repro.connect.source import Predicate
 from repro.core.errors import QueryError
 from repro.sql.ast import (
-    AGGREGATE_FUNCTIONS,
-    Between,
     BinaryOp,
     Column,
     Expr,
     FuncCall,
-    InList,
-    Like,
+    InSubquery,
     Literal,
+    Parameter,
     Star,
-    UnaryOp,
     columns_in,
+    rebuild,
 )
 from repro.sql.planner import (
     AggregateNode,
@@ -327,35 +325,9 @@ class AggregateSplitting(RewritePass):
 
     def _walk(self, node: PlanNode) -> None:
         if isinstance(node, AggregateNode) and isinstance(node.child, ScanNode):
-            node.split = AggregateSplit(calls=self._aggregate_calls(node))
+            node.split = AggregateSplit(calls=list(node.calls().values()))
         for child in node.children():
             self._walk(child)
-
-    def _aggregate_calls(self, node: AggregateNode) -> list[FuncCall]:
-        calls: dict[str, FuncCall] = {}
-
-        def collect(expr: Expr) -> None:
-            if isinstance(expr, FuncCall):
-                if expr.name in AGGREGATE_FUNCTIONS:
-                    calls.setdefault(repr(expr), expr)
-                    return
-                for arg in expr.args:
-                    collect(arg)
-                return
-            for attr in ("left", "right", "operand", "low", "high"):
-                child = getattr(expr, attr, None)
-                if child is not None:
-                    collect(child)
-            for item in getattr(expr, "items", ()) or ():
-                collect(item)
-
-        for item in node.items:
-            collect(item.expr)
-        for group in node.group_by:
-            collect(group)
-        if node.having is not None:
-            collect(node.having)
-        return list(calls.values())
 
 
 @dataclass(frozen=True)
@@ -497,50 +469,9 @@ def _qualify_policy_expr(
                 f"unknown column {expr.name!r} of table {rule.table!r}"
             )
         return Column(expr.name, qualifier=binding)
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _qualify_policy_expr(expr.left, binding, fields, rule),
-            _qualify_policy_expr(expr.right, binding, fields, rule),
+    if isinstance(expr, (Parameter, Star, InSubquery)):
+        raise QueryError(
+            f"governance policy for tenant {rule.tenant!r} on table "
+            f"{rule.table!r} uses an unsupported row-filter construct: {expr!r}"
         )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(
-            expr.op, _qualify_policy_expr(expr.operand, binding, fields, rule)
-        )
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(
-                _qualify_policy_expr(arg, binding, fields, rule)
-                for arg in expr.args
-            ),
-            expr.star,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _qualify_policy_expr(expr.operand, binding, fields, rule),
-            tuple(
-                _qualify_policy_expr(item, binding, fields, rule)
-                for item in expr.items
-            ),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _qualify_policy_expr(expr.operand, binding, fields, rule),
-            _qualify_policy_expr(expr.low, binding, fields, rule),
-            _qualify_policy_expr(expr.high, binding, fields, rule),
-            expr.negated,
-        )
-    if isinstance(expr, Like):
-        return Like(
-            _qualify_policy_expr(expr.operand, binding, fields, rule),
-            expr.pattern,
-            expr.negated,
-        )
-    raise QueryError(
-        f"governance policy for tenant {rule.tenant!r} on table "
-        f"{rule.table!r} uses an unsupported row-filter construct: {expr!r}"
-    )
+    return rebuild(expr, _qualify_policy_expr, binding, fields, rule)

@@ -13,7 +13,12 @@ site operators must reproduce -- rows in order, ``rows_fetched``,
 
 Each class subclasses its production operator and overrides only the step
 that differed, so access paths, failover, governance, capture and
-artifact handling are the production code on both sides.  What the row
+artifact handling are the production code on both sides.  The row
+aggregator -- ``partial_state`` over a group's envs and
+``PartialAggregate._row_records`` -- was the product's fallback for
+general-expression keys and arguments until the product got one fold over
+column chunks (``physical.partial_groups``); it moved here verbatim and is
+that fold's referee, float bits included.  What the row
 engine never did, it does not do here either: no column batches are
 counted (``batches=0``), nothing is encoded and no bytes are priced
 (``bytes_shipped`` stays 0; the wire is charged ``latency + rows x
@@ -28,14 +33,18 @@ with ``tests/`` on ``PYTHONPATH``.
 
 from typing import Any
 
+from repro.core.errors import QueryError
 from repro.federation import columnar, physical
 from repro.federation.physical import (
     RECORDS_COLUMN,
+    Env,
     ExecContext,
+    PartialGroup,
     SiteBatch,
     describe_expr,
     row_env,
 )
+from repro.sql.ast import FuncCall
 from repro.sql.expressions import evaluate
 
 # ``Network(seconds_per_row=...)``'s default, the only value any caller used.
@@ -123,6 +132,39 @@ class SiteProject(physical.SiteProject):
         return out
 
 
+def partial_state(call: FuncCall, envs: list[Env]) -> Any:
+    """This site's partial state for one aggregate call over one group."""
+    if call.star:
+        if call.name != "count":
+            raise QueryError(f"{call.name}(*) is not a valid aggregate")
+        return len(envs)
+    if len(call.args) != 1:
+        raise QueryError(f"aggregate {call.name} takes exactly one argument")
+    values = [evaluate(call.args[0], env) for env in envs]
+    values = [v for v in values if v is not None]
+    if call.name == "count":
+        return len(values)
+    if call.name == "avg":
+        if not values:
+            return (None, 0)
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+        return (total, len(values))
+    if not values:
+        return None
+    if call.name == "sum":
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+        return total
+    if call.name == "min":
+        return min(values)
+    if call.name == "max":
+        return max(values)
+    raise QueryError(f"unknown aggregate {call.name!r}")
+
+
 class PartialAggregate(physical.PartialAggregate):
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
@@ -135,6 +177,30 @@ class PartialAggregate(physical.PartialAggregate):
             out.append(SiteBatch(batch.site, records, batch.elapsed + work))
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
         return out
+
+    def _row_records(self, envs: list[Env]) -> list[PartialGroup]:
+        groups: dict[tuple, list[Env]] = {}
+        if self.node.group_by:
+            for env in envs:
+                key = tuple(evaluate(g, env) for g in self.node.group_by)
+                groups.setdefault(key, []).append(env)
+        else:
+            groups[()] = list(envs)
+        records = []
+        for key, group_envs in groups.items():
+            states = {
+                state_key: partial_state(call, group_envs)
+                for state_key, call in zip(self._state_keys, self.calls)
+            }
+            records.append(
+                PartialGroup(
+                    key,
+                    len(group_envs),
+                    states,
+                    group_envs[0] if group_envs else {},
+                )
+            )
+        return records
 
 
 class Ship(physical.Ship):

@@ -269,6 +269,46 @@ def test_the_row_site_engine_flag_stays_deleted():
     assert not hasattr(columnar, "envs_batch")
 
 
+def test_there_is_one_aggregate_implementation():
+    """count/sum/avg/min/max start, fold, merge and finish in one function
+    each, which ``PartialAggregate``, ``Aggregate`` and ``FinalAggregate``
+    all go through: the copies stay deleted, and an operator that needs an
+    aggregate extends those four instead of naming the functions again.
+    The row-at-a-time aggregator lives in ``tests/reference_site.py``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.federation import physical
+    from repro.sql.rewrite import AggregateSplitting
+
+    for gone in ("partial_state", "_Grouped", "groups_batch"):
+        assert not hasattr(physical, gone)
+    for owner, gone in (
+        (physical.PartialAggregate, "_row_records"),
+        (physical.PartialAggregate, "_columnar_records"),
+        (physical.FinalAggregate, "_eval_merged"),
+        (AggregateSplitting, "_aggregate_calls"),
+    ):
+        assert not hasattr(owner, gone)
+    assert issubclass(physical.FinalAggregate, physical.Aggregate)
+
+    where = set()  # (file, top-level statement) of every "avg" under src/
+    source_root = Path(repro.__file__).parent
+    for path in source_root.rglob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            if any(
+                isinstance(node, ast.Constant) and node.value == "avg"
+                for node in ast.walk(statement)
+            ):
+                name = getattr(statement, "name", None) or statement.targets[0].id
+                where.add((path.relative_to(source_root).as_posix(), name))
+    assert where == {("sql/ast.py", "AGGREGATE_FUNCTIONS")} | {
+        ("federation/physical.py", function)
+        for function in ("empty_state", "fold_state", "merge_state", "final_value")
+    }
+
+
 def test_the_benchmark_keyword_calls_still_bind():
     """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
     signature refactor must fail here, not as a broken bench run."""

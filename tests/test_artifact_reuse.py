@@ -99,6 +99,34 @@ class TestStageHash:
         )
         assert bare == aliased
 
+    def test_alias_spellings_collide_under_like(self):
+        """The canonical rendering used to forget LIKE: it fell through to
+        ``repr``, alias included, and the two spellings never shared."""
+        catalog = build_federation()
+        store = ArtifactStore(catalog.clock)
+        bare = stage_key_of(catalog, store, "select v from items where k like 'k00%'")
+        aliased = stage_key_of(
+            catalog, store, "select i.v from items i where i.k not like 'k00%'"
+        )
+        assert bare[0] != aliased[0]  # NOT LIKE is another filter
+        aliased = stage_key_of(
+            catalog, store, "select i.v from items i where i.k like 'k00%'"
+        )
+        assert bare == aliased
+
+    def test_digests_of_other_stages_did_not_move(self):
+        """Stage digests are what EXPLAIN and the E15 tables print: sharing
+        the renderer with ``describe_expr`` changed LIKE's text only."""
+        catalog = build_federation()
+        store = ArtifactStore(catalog.clock)
+        rows = "select i.v from items i where i.v + 0 < 3"
+        groups = (
+            "select k, count(*), sum(v) from items where not (v + 0 < 3) "
+            "and k not in ('a', 'b') and v between 1 and 2 * 50 group by k"
+        )
+        assert stage_key_of(catalog, store, rows)[0] == "a4e36af717ef633a"
+        assert stage_key_of(catalog, store, groups)[0] == "248ddce7f03989d8"
+
     def test_different_predicates_do_not_collide(self):
         catalog = build_federation()
         store = ArtifactStore(catalog.clock)
@@ -243,6 +271,14 @@ class TestEngineReuse:
             "select count(*) from items i where i.v < 50"
         )
         assert second.table.rows == first.table.rows
+        assert store.hits == 1
+
+    def test_alias_spelling_still_hits_under_like(self):
+        _, engine, store = make_engine()
+        first = engine.query("select k, v from items i where i.k like 'k00%'")
+        second = engine.query("select k, v from items where k like 'k00%'")
+        assert second.table.rows == first.table.rows != []
+        assert second.report.artifact_hits == 1
         assert store.hits == 1
 
     def test_live_only_bypasses_artifacts(self):

@@ -26,7 +26,7 @@ from repro.federation import (
 )
 from repro.federation.columnar import ColumnBatch, table_chunks
 from repro.federation.governance import GovernanceRegistry
-from repro.federation.physical import ExecContext, SiteBatch
+from repro.federation.physical import ExecContext, PartialGroup, SiteBatch
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
 from repro.workloads import generate_hotels
@@ -151,13 +151,14 @@ class TestInvalidation:
     def test_repartition_is_visible_to_the_next_scan(self, scanned):
         catalog, engine = make_engine()
         before = engine.query(EVERYTHING).table
-        old_tables = {id(table) for table, _ in scanned}
+        # Held, not just their ids: a freed table's address can be reused.
+        old_tables = [table for table, _ in scanned]
         scanned.clear()
         catalog.repartition("parts", 3, [["s0"], ["s1"], ["s2"]])
         after = engine.query(EVERYTHING).table
         assert sorted(after.rows) == sorted(before.rows)
         assert len(scanned) == 3
-        assert not old_tables & {id(table) for table, _ in scanned}
+        assert not set(map(id, old_tables)) & {id(table) for table, _ in scanned}
 
     def test_hotel_market_writes_are_visible(self):
         market = generate_hotels(seed=3, chain_count=4, hotels_per_chain=3)
@@ -271,7 +272,9 @@ class TestNoGarbage:
             leaked = [
                 repr(obj)
                 for obj in gc.garbage
-                if isinstance(obj, (ColumnBatch, SiteBatch, Table, ExecContext))
+                if isinstance(
+                    obj, (ColumnBatch, SiteBatch, Table, ExecContext, PartialGroup)
+                )
             ]
         finally:
             gc.set_debug(flags)

@@ -185,6 +185,31 @@ class TestInSubquery:
         )
         assert result.table.column("sid") == ["sup1"]
 
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "coalesce(sid in (select sid from orders), false)",
+            "(sid in (select sid from orders)) between true and true",
+            "true in (false, sid in (select sid from orders))",
+        ],
+    )
+    def test_subquery_is_rewritten_wherever_it_stands(self, condition):
+        """The rewrite used to look under AND/OR/NOT only, while the test
+        for "has a subquery" looked everywhere: a subquery in a function
+        argument, a BETWEEN or an IN list reached ``evaluate`` raw."""
+        from repro.sql.params import count_parameters, statement_has_subqueries
+
+        engine = make_engine()
+        sql = f"select sid from suppliers where {condition} order by sid"
+        assert statement_has_subqueries(parse_sql(sql))
+        assert engine.query(sql).table.column("sid") == ["sup0", "sup1"]
+        # The inner select's parameters count, and bind, with the outer's.
+        inner = condition.replace("from orders", "from orders where total > ?")
+        sql = f"select sid from suppliers where {inner} and country != ?"
+        assert count_parameters(parse_sql(sql)) == 2
+        bound = engine.execute(engine.prepare(sql), (6, "FR"))
+        assert bound.table.column("sid") == ["sup0"]
+
     def test_multi_column_subquery_rejected(self):
         from repro.core.errors import QueryError
 

@@ -145,7 +145,7 @@ PROJECTIONS = [
     "select k from t where tag = 'alpha' limit 3",
     "select k + v as total, tag from t order by tag, k limit 10",
 ]
-# Plain-column keys and arguments: the tight-loop partial aggregate ...
+# Plain-column keys and arguments: picked from the chunk as they are ...
 TIGHT_AGGREGATES = [
     "select tag, count(*) as n from t group by tag",
     "select tag, count(v) as n, sum(v) as s from t group by tag order by tag",
@@ -159,7 +159,7 @@ TIGHT_AGGREGATES = [
     "select tag, sum(v) + count(*) as score from t group by tag order by tag",
     "select count(*) as n, sum(v) as s from t where k > 1000",  # no input rows
 ]
-# ... general expressions: the partial aggregate's env fallback.
+# ... general expressions: evaluated over each chunk's envs.
 FALLBACK_AGGREGATES = [
     "select tag, sum(v + k) as s from t group by tag",
     "select upper(tag) as u, count(*) as n from t group by upper(tag)",
@@ -229,12 +229,13 @@ def test_multi_chunk_fragments(sql, sites):
 
 def test_the_statements_reach_every_site_operator_and_both_fallbacks():
     """The lists above are only a property over the site engine if they
-    drive it: every site operator, kernel and fallback filters, tight-loop
-    and env-fallback partial aggregates."""
+    drive it: every site operator, kernel and fallback filters, and partial
+    aggregates whose keys and arguments are picked as columns as well as
+    ones that go through ``evaluate`` on a chunk's envs."""
     names = set()
-    kernels, row_records = [], []
+    kernels, to_envs = [], []
     compile_predicate = columnar.compile_predicate
-    partial = physical.PartialAggregate
+    batch_to_envs = columnar.ColumnBatch.to_envs
 
     def compiling(expr, layout, depth=[0]):
         # compile_predicate recurses through the module attribute: keep
@@ -248,27 +249,37 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
             kernels.append(kernel is not None)
         return kernel
 
-    def recording(self, envs, inner=partial._row_records):
-        row_records.append(len(envs))
-        return inner(self, envs)
+    def recording(batch):
+        to_envs.append(batch)
+        return batch_to_envs(batch)
+
+    def aggregating(self, ctx, inner=physical.PartialAggregate._compute):
+        # Its children computed when they were opened: what is recorded is
+        # the aggregate's own doing, not a fallback filter's under it.
+        with mock.patch.object(columnar.ColumnBatch, "to_envs", recording):
+            return inner(self, ctx)
 
     def run(sql):
-        del row_records[:]
+        del to_envs[:]
         seen = outcome(build_engine(DENSE, 3, reference=False), sql)
         if isinstance(seen, dict):
             names.update(op[0] for op in seen["operators"])
 
-    with mock.patch.object(columnar, "compile_predicate", compiling), \
-            mock.patch.object(partial, "_row_records", recording):
+    with mock.patch.object(columnar, "compile_predicate", compiling):
         for sql in FILTERS:
             run(sql)
         assert kernels.count(True) >= 6 and kernels.count(False) >= 6
-        for sql in PROJECTIONS + TIGHT_AGGREGATES:
+    with mock.patch.object(physical.PartialAggregate, "_compute", aggregating):
+        for sql in TIGHT_AGGREGATES:
             run(sql)
-            assert not row_records, sql
+            assert not to_envs, sql
         for sql in FALLBACK_AGGREGATES:
             run(sql)
-            assert sum(row_records) == len(DENSE), sql
+            # Every chunk, once: however many expressions need its envs.
+            assert sum(batch.count for batch in to_envs) == len(DENSE), sql
+            assert len(set(map(id, to_envs))) == len(to_envs) == FRAGMENTS, sql
+    for sql in PROJECTIONS:
+        run(sql)
     assert {"SiteScan", "SiteFilter", "SiteProject", "PartialAggregate", "Ship",
             "FinalAggregate"} <= names  # fmt: skip
 
