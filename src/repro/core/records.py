@@ -10,6 +10,7 @@ view when name-based access is more readable.
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import SchemaError
@@ -49,6 +50,49 @@ class Row(Mapping[str, Any]):
         return f"Row({self.to_dict()!r})"
 
 
+class ColumnOrders:
+    """The sort orders of a table layout's column slices, built on demand.
+
+    An order is ``(values ascending, their row numbers)``; the sort is
+    stable, so equal values stay in row order.  Only a slice whose values
+    have a total order gets one -- ints with floats (no bool), or strings
+    alone, and no NULL or NaN among them: ``<`` on such values never
+    raises, and two bisects find exactly the rows a comparison with a
+    literal keeps.  Slices are told apart by ``id``: the layout keeps them
+    alive and dies together with this object.
+    """
+
+    __slots__ = ("_found", "_numbers")
+
+    def __init__(self) -> None:
+        self._found: dict[int, Any] = {}  # 1: asked for once; None: no order
+        self._numbers: tuple[int, ...] = ()  # row numbers, shared by the orders
+
+    def of(self, column: tuple) -> "tuple[list, list[int]] | None":
+        """The order of one slice, from the second time it is asked for: a
+        table fetched for one statement never pays for a sort.  ``None``
+        the first time, and for a slice without a total order."""
+        key = id(column)
+        found = self._found.get(key, 0)
+        if found == 0:
+            self._found[key] = 1
+            return None
+        if found == 1:
+            found = self._found[key] = self._sorted(column)
+        return found
+
+    def _sorted(self, column: tuple) -> "tuple[list, list[int]] | None":
+        kinds = set(map(type, column))
+        if not (kinds <= {int, float} or kinds == {str}):
+            return None
+        if float in kinds and any(map(ne, column, column)):  # NaN
+            return None
+        if len(self._numbers) < len(column):
+            self._numbers = tuple(range(len(column)))
+        rows = sorted(self._numbers[: len(column)], key=column.__getitem__)
+        return [column[row] for row in rows], rows
+
+
 class Table:
     """A schema plus an ordered list of conforming rows.
 
@@ -57,11 +101,12 @@ class Table:
     ``validate=False`` only on hot internal paths that construct rows from
     already-validated tables.
 
-    The table also owns its *column layout*: :meth:`column_chunks` transposes
+    The table also owns its *column layout*: :meth:`column_layout` transposes
     the rows into fixed-size column slices once and keeps the result until
     ``rows`` is rebound.  Rows and slices are never mutated in place --
     every operation here returns a fresh table -- so the layout can be
-    shared by every scan of the table (see DESIGN §5f).
+    shared by every scan of the table, and a sort order kept beside a
+    slice stays true for as long as the slice lives (see DESIGN §5f).
     """
 
     def __init__(
@@ -83,10 +128,15 @@ class Table:
     @rows.setter
     def rows(self, rows: list[tuple[Any, ...]]) -> None:
         self._rows = rows
-        self._layout: tuple[int, list[tuple[int, tuple]]] | None = None
+        # (batch size, (column chunks, their orders))
+        self._layout: tuple[int, tuple[list, ColumnOrders]] | None = None
 
-    def column_chunks(self, batch_size: int) -> list[tuple[int, tuple]]:
-        """``(row count, columns)`` per ``batch_size``-row slice, in row order.
+    def column_layout(
+        self, batch_size: int
+    ) -> tuple[list[tuple[int, tuple]], ColumnOrders]:
+        """``(chunks, orders)``: ``(row count, columns)`` per
+        ``batch_size``-row slice, in row order, and the sort orders kept
+        beside the slices.
 
         Each column is a tuple of that slice's values.  Built on first use
         and kept until ``rows`` is rebound; callers share the slices and
@@ -99,8 +149,12 @@ class Table:
             for start in range(0, len(rows), batch_size):
                 slice_rows = rows[start : start + batch_size]
                 chunks.append((len(slice_rows), tuple(zip(*slice_rows))))
-            layout = self._layout = (batch_size, chunks)
+            layout = self._layout = (batch_size, (chunks, ColumnOrders()))
         return layout[1]
+
+    def column_chunks(self, batch_size: int) -> list[tuple[int, tuple]]:
+        """The chunks of :meth:`column_layout`."""
+        return self.column_layout(batch_size)[0]
 
     # -- construction helpers ---------------------------------------------
 

@@ -11,7 +11,9 @@ operators pass batches by reference and work on whole columns:
   predicate into a selection-vector function ``kernel(batch, sel) ->
   sel'``.  Conjunctions short-circuit exactly like
   :func:`repro.sql.expressions.evaluate` (the right side only sees rows
-  the left side kept), and the null semantics replicate ``evaluate`` bit
+  the left side kept), a comparison of a column with a literal is
+  answered from the resident chunk's sort order where it has one
+  (:func:`_probe`), and the null semantics replicate ``evaluate`` bit
   for bit -- ``NULL != x`` is True, range comparisons against NULL are
   False, ``x IN (...)`` with a NULL operand is False even under ``NOT
   IN``.  Anything the compiler cannot prove equivalent returns ``None``
@@ -44,9 +46,10 @@ batch at hand, so its values and errors are the row engine's.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice, repeat, tee
+from itertools import compress, islice, repeat, takewhile, tee
 from operator import (
     eq,
     getitem,
@@ -60,7 +63,7 @@ from operator import (
 )
 from typing import Any, Callable
 
-from repro.core.records import Table
+from repro.core.records import ColumnOrders, Table
 from repro.core.values import Money
 from repro.sql.ast import (
     Between,
@@ -73,6 +76,7 @@ from repro.sql.ast import (
     UnaryOp,
 )
 from repro.sql.expressions import evaluate, like_to_regex
+from repro.sql.planner import split_conjuncts
 
 # Rows per batch.  Large enough that per-batch overhead (kernel dispatch,
 # encoding headers) amortizes to noise, small enough that a batch of wide
@@ -107,10 +111,13 @@ class ColumnBatch:
     explicitly so a batch projected down to zero columns still knows how
     many rows it carries.  A scan's ``columns`` are the table's resident,
     shared tuples (see :func:`table_chunks`): operators read them and
-    build new columns, never write into them.
+    build new columns, never write into them.  ``orders`` are that table's
+    :class:`~repro.core.records.ColumnOrders`, which a batch keeps for as
+    long as its columns are resident ones: through ``project``, not
+    through ``take`` / ``slice`` / :func:`concat`.
     """
 
-    __slots__ = ("names", "columns", "aliases", "count", "_index")
+    __slots__ = ("names", "columns", "aliases", "count", "orders", "_index")
 
     def __init__(
         self,
@@ -118,11 +125,13 @@ class ColumnBatch:
         columns: list[list],
         aliases: dict[str, int],
         count: int | None = None,
+        orders: ColumnOrders | None = None,
     ) -> None:
         self.names = names
         self.columns = columns
         self.aliases = aliases
         self.count = count if count is not None else (len(columns[0]) if columns else 0)
+        self.orders = orders
         self._index: dict[str, int] | None = None
 
     def __len__(self) -> int:
@@ -159,22 +168,24 @@ class ColumnBatch:
             stop - start,
         )
 
-    def project(self, allowed: set[str]) -> "ColumnBatch":
-        """Column-slice projection: keep columns whose env key is allowed.
-
-        Kept columns are shared by reference -- projection copies nothing.
-        """
+    def narrowing(self, allowed: set[str]) -> tuple[list[int], list[str], dict]:
+        """``(indexes, names, aliases)`` of the columns whose env key is
+        allowed: the same for every batch of this layout."""
         keep = [j for j, name in enumerate(self.names) if name in allowed]
         remap = {old: new for new, old in enumerate(keep)}
+        aliases = {
+            alias: remap[j]
+            for alias, j in self.aliases.items()
+            if alias in allowed and j in remap
+        }
+        return keep, [self.names[j] for j in keep], aliases
+
+    def project(self, narrow) -> "ColumnBatch":
+        """Column-slice projection onto the ``narrow`` columns
+        (:meth:`narrowing`), shared by reference: it copies nothing."""
+        keep, names, aliases = narrow
         return ColumnBatch(
-            [self.names[j] for j in keep],
-            [self.columns[j] for j in keep],
-            {
-                alias: remap[j]
-                for alias, j in self.aliases.items()
-                if alias in allowed and j in remap
-            },
-            self.count,
+            names, [self.columns[j] for j in keep], aliases, self.count, self.orders
         )
 
     def env_at(self, i: int) -> dict[str, Any]:
@@ -212,15 +223,16 @@ def table_chunks(
     """Wrap one site's scan output table in per-query column-batch headers.
 
     The fixed-size column slices are the table's own resident layout
-    (:meth:`~repro.core.records.Table.column_chunks`): transposed by the
+    (:meth:`~repro.core.records.Table.column_layout`): transposed by the
     first scan of the table, shared by reference with every later one and
     never mutated.  Only the names and aliases belong to the query.
     """
     fields = [field_def.name for field_def in table.schema.fields]
     names, aliases = scan_layout(binding, fields, ambiguous)
+    chunks, orders = table.column_layout(batch_size)
     return [
-        ColumnBatch(names, list(columns), aliases, count)
-        for count, columns in table.column_chunks(batch_size)
+        ColumnBatch(names, list(columns), aliases, count, orders)
+        for count, columns in chunks
     ]
 
 
@@ -241,43 +253,116 @@ def concat(batches: "list[ColumnBatch]") -> "ColumnBatch | None":
 
 # -- filter kernels ------------------------------------------------------------
 
-Kernel = Callable[[ColumnBatch, list[int]], list[int]]
+Kernel = Callable[[ColumnBatch, "list[int] | None"], list[int]]
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=", "contains")
+# Where the rows passing ``column <op> literal`` start and stop among the
+# column's values in ascending order (``None``: at that end of them).
+_CUTS = {
+    "=": (bisect_left, bisect_right),
+    "<": (None, bisect_left),
+    "<=": (None, bisect_right),
+    ">": (bisect_right, None),
+    ">=": (bisect_left, None),
+}
 
 
 def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
     """Compile a predicate into a selection-vector kernel, or ``None``.
 
-    The returned kernel maps an ascending selection vector to the subset
-    of row indexes where the predicate is truthy, preserving order.
+    The returned kernel maps a selection of row numbers -- ``None`` for
+    every row of the batch -- to those of them where the predicate is
+    truthy, in no particular order (:func:`filter_batch` sorts them).
     ``None`` means "not provably equivalent to :func:`evaluate`" -- the
     caller must use the row path for the whole batch.
     """
+    if isinstance(expr, BinaryOp) and expr.op in ("and", "or"):
+        parts = split_conjuncts(expr) if expr.op == "and" else [expr.left, expr.right]
+        kernels = [compile_predicate(part, layout) for part in parts]
+        if None in kernels:
+            return None
+        return _and_kernel(kernels) if expr.op == "and" else _or_kernel(*kernels)
+    if isinstance(expr, UnaryOp) and expr.op == "not":
+        inner = compile_predicate(expr.operand, layout)
+        if inner is None:
+            return None
+
+        def _not(batch: ColumnBatch, sel) -> list[int]:
+            hits = set(inner(batch, sel))
+            rows = range(batch.count) if sel is None else sel
+            return [i for i in rows if i not in hits]
+
+        return _not
+    scan = _scan_kernel(expr, layout)
+    if scan is None:
+        return None
+    probe = getattr(scan, "probe", None)
+
+    def kernel(batch: ColumnBatch, sel) -> list[int]:
+        if sel is None:
+            rows = probe(batch) if probe else None
+            if rows is not None:
+                return rows
+            sel = range(batch.count)
+        return scan(batch, sel)
+
+    kernel.probe = probe
+    return kernel
+
+
+def _and_kernel(conjuncts: list[Kernel]) -> Kernel:
+    # evaluate() short-circuits: a conjunct only ever runs on rows the ones
+    # before it kept, so an error lurking in it surfaces (or not) exactly as
+    # in the row path.  A conjunct answered from a column order cannot
+    # raise, so the leading ones that are may run in any order: the one
+    # keeping the fewest rows goes first, and its rows are all the rest see.
+    probes = (getattr(kernel, "probe", None) for kernel in conjuncts)
+    leading = [
+        (probe, conjuncts[:position] + conjuncts[position + 1 :])
+        for position, probe in enumerate(takewhile(callable, probes))
+    ]
+
+    def _and(batch: ColumnBatch, sel) -> list[int]:
+        rest = conjuncts
+        if sel is None:
+            sel = range(batch.count)
+            for probe, others in leading:
+                rows = probe(batch)
+                if rows is None:
+                    break
+                if rest is conjuncts or len(rows) < len(sel):
+                    sel, rest = rows, others
+        for kernel in rest:
+            sel = kernel(batch, sel)
+        return sel
+
+    return _and
+
+
+def _or_kernel(left: Kernel, right: Kernel) -> Kernel:
+    probe = getattr(right, "probe", None)
+
+    def _or(batch: ColumnBatch, sel) -> list[int]:
+        hits = left(batch, sel)
+        more = probe(batch) if sel is None and probe else None
+        if more is not None:
+            return list(set(hits).union(more))
+        # evaluate() short-circuits: a right side that could raise only
+        # sees rows the left side rejected.
+        taken = set(hits)
+        rows = range(batch.count) if sel is None else sel
+        more = right(batch, [i for i in rows if i not in taken])
+        return sorted(hits + more)
+
+    return _or
+
+
+def _scan_kernel(expr: Expr, layout: ColumnBatch) -> Kernel | None:
+    """The kernel of a predicate that is not AND / OR / NOT, over a
+    selection that spells its rows out.  One that a column order can
+    answer too carries that as ``probe`` (see :func:`_probe`)."""
     if isinstance(expr, BinaryOp):
-        if expr.op == "and":
-            left = compile_predicate(expr.left, layout)
-            right = compile_predicate(expr.right, layout)
-            if left is None or right is None:
-                return None
-            # evaluate() short-circuits: the right side only ever runs on
-            # rows the left side kept, so an error lurking in the right
-            # operand surfaces (or not) exactly as in the row path.
-            return lambda batch, sel: right(batch, left(batch, sel))
-        if expr.op == "or":
-            left = compile_predicate(expr.left, layout)
-            right = compile_predicate(expr.right, layout)
-            if left is None or right is None:
-                return None
-
-            def _or(batch: ColumnBatch, sel: list[int]) -> list[int]:
-                hits = left(batch, sel)
-                taken = set(hits)
-                more = right(batch, [i for i in sel if i not in taken])
-                return _merge_ascending(hits, more)
-
-            return _or
         if expr.op in _COMPARISONS:
             left = _operand(expr.left, layout)
             right = _operand(expr.right, layout)
@@ -286,16 +371,6 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
             return _comparison_kernel(expr.op, left, right)
         return None
     if isinstance(expr, UnaryOp):
-        if expr.op == "not":
-            inner = compile_predicate(expr.operand, layout)
-            if inner is None:
-                return None
-
-            def _not(batch: ColumnBatch, sel: list[int]) -> list[int]:
-                hits = set(inner(batch, sel))
-                return [i for i in sel if i not in hits]
-
-            return _not
         if expr.op in ("is-null", "is-not-null"):
             if not isinstance(expr.operand, Column):
                 return None
@@ -330,23 +405,32 @@ def _operand(expr: Expr, layout: ColumnBatch):
     return None
 
 
-def _merge_ascending(a: list[int], b: list[int]) -> list[int]:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[int] = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] < b[ib]:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return out
+def _probe(idx: int, low_cut, low: Any, high_cut, high: Any):
+    """``probe(batch)``: the rows with ``low <(=) column <(=) high`` as a
+    slice of the column's order, in value order.
+
+    ``None`` for a bound no order answers as ``evaluate`` does (NULL, NaN,
+    a class of its own); ``probe`` returns ``None`` where the column has
+    no order (:class:`ColumnOrders`) or a bound does not compare with its
+    values, and the comprehension decides, or raises, as ever.
+    """
+    for bound in (low, high):
+        if type(bound) not in (bool, int, float, str) or bound != bound:
+            return None
+
+    def probe(batch: ColumnBatch) -> "list[int] | None":
+        orders = batch.orders
+        order = None if orders is None else orders.of(batch.columns[idx])
+        if order is None:
+            return None
+        values, rows = order
+        try:
+            lo = low_cut(values, low) if low_cut else 0
+            return rows[lo : high_cut(values, high) if high_cut else None]
+        except TypeError:
+            return None
+
+    return probe
 
 
 def _comparison_kernel(op: str, left, right) -> Kernel | None:
@@ -371,6 +455,13 @@ def _comparison_kernel(op: str, left, right) -> Kernel | None:
 
 
 def _col_lit_kernel(op: str, idx: int, lit: Any) -> Kernel:
+    scan = _col_lit_scan(op, idx, lit)
+    if op in _CUTS:
+        scan.probe = _probe(idx, _CUTS[op][0], lit, _CUTS[op][1], lit)
+    return scan
+
+
+def _col_lit_scan(op: str, idx: int, lit: Any) -> Kernel:
     if op == "=":
         if lit is None:
             return lambda batch, sel: [
@@ -566,18 +657,17 @@ def _between_kernel(expr: Between, layout: ColumnBatch) -> Kernel | None:
 
     def _between(batch: ColumnBatch, sel: list[int]) -> list[int]:
         col = batch.columns[idx]
-        out = []
         try:
-            for i in sel:
-                v = col[i]
-                if v is None:
-                    continue
-                if (low <= v <= high) != negated:
-                    out.append(i)
+            return [
+                i
+                for i in sel
+                if (v := col[i]) is not None and (low <= v <= high) != negated
+            ]
         except TypeError as error:
             raise KernelFallback() from error
-        return out
 
+    if not negated:
+        _between.probe = _probe(idx, bisect_left, low, bisect_right, high)
     return _between
 
 
@@ -603,22 +693,31 @@ def _like_kernel(expr: Like, layout: ColumnBatch) -> Kernel | None:
 
 
 def filter_batch(
-    batch: ColumnBatch, condition: Expr, kernel: Kernel | None
+    batch: ColumnBatch, condition: Expr, kernel: Kernel | None, narrow=None
 ) -> ColumnBatch:
-    """The rows of ``batch`` on which ``condition`` is truthy.
+    """The rows of ``batch`` on which ``condition`` is truthy, in row
+    order: the batch itself when that is all of them, else a gathered one
+    -- of the ``narrow`` columns alone (:meth:`ColumnBatch.narrowing`)
+    when given.
 
     ``kernel`` is ``compile_predicate(condition, <this layout>)``; without
     one, or when it meets values it cannot decide, every row of the batch
     goes through ``evaluate``, which raises the row engine's exact error.
     """
+    selection = None
     if kernel is not None:
         try:
-            return batch.take(kernel(batch, list(range(batch.count))))
+            selection = kernel(batch, None)
         except KernelFallback:
             pass
-    return batch.take(
-        [i for i, env in enumerate(batch.to_envs()) if evaluate(condition, env)]
-    )
+    if selection is None:
+        selection = [
+            i for i, env in enumerate(batch.to_envs()) if evaluate(condition, env)
+        ]
+    if len(selection) == batch.count:
+        return batch
+    selection.sort()
+    return (batch if narrow is None else batch.project(narrow)).take(selection)
 
 
 # -- wire encodings ------------------------------------------------------------

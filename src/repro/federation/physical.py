@@ -1120,20 +1120,25 @@ class SiteFilter(SiteOperator):
     def __init__(self, child: SiteOperator, condition: Expr) -> None:
         super().__init__(child)
         self.condition = condition
+        # The env keys the SiteProject above keeps (None: there is none):
+        # the rows that pass are gathered in those columns only.
+        self.gather: set[str] | None = None
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
-        kernel: "columnar.Kernel | None" = None
-        kernel_compiled = False
+        compiled = None  # (kernel, columns to gather)
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()
-            if not kernel_compiled and batch.chunks:
-                # Compile once against the first chunk's layout; every
-                # chunk of the scan shares it.
-                kernel = columnar.compile_predicate(self.condition, batch.chunks[0])
-                kernel_compiled = True
+            if compiled is None and batch.chunks:
+                # Once, against the first chunk's layout; every chunk of
+                # the scan shares it.
+                layout = batch.chunks[0]
+                compiled = (
+                    columnar.compile_predicate(self.condition, layout),
+                    None if self.gather is None else layout.narrowing(self.gather),
+                )
             kept_chunks = [
-                columnar.filter_batch(chunk, self.condition, kernel)
+                columnar.filter_batch(chunk, self.condition, *compiled)
                 for chunk in batch.chunks
             ]
             work = ctx.charge_site(batch.site, batch.row_count())
@@ -1152,18 +1157,22 @@ class SiteProject(SiteOperator):
         super().__init__(child)
         self.binding = binding
         self.keep = keep
+        self.allowed = set(keep)  # a bare key exists only when unambiguous
+        self.allowed.update(f"{binding}.{name}" for name in keep)
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        allowed = set()
-        for name in self.keep:
-            allowed.add(f"{self.binding}.{name}")
-            allowed.add(name)  # bare key exists only when unambiguous
         out = []
+        # Resolved once per layout (a filter's gathered chunks have their own).
+        names = narrow = None
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()
             # Column-slice projection: kept columns are shared by
             # reference, dropped ones simply stop flowing.
-            pruned_chunks = [chunk.project(allowed) for chunk in batch.chunks]
+            pruned_chunks = []
+            for chunk in batch.chunks:
+                if chunk.names is not names:
+                    names, narrow = chunk.names, chunk.narrowing(self.allowed)
+                pruned_chunks.append(chunk.project(narrow))
             work = ctx.charge_site(batch.site, batch.row_count())
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, [], batch.elapsed + work, pruned_chunks))
@@ -1258,60 +1267,57 @@ def final_value(call: FuncCall, state: Any, group_rows: int) -> Any:
 
 
 def partial_groups(
-    chunks: "list[columnar.ColumnBatch]",
+    batch: "columnar.ColumnBatch | None",
     group_by: list[Expr],
     calls: dict[str, FuncCall],
 ) -> list[PartialGroup]:
-    """The rows of ``chunks`` grouped, one record per group in
+    """The rows of ``batch`` grouped, one record per group in
     first-appearance order, each call's state folded over the group's rows
     in row order.
 
     Ungrouped input is the one group of every row, also when there are
     none; a grouped query over no rows has no group, and then the calls
-    are not even looked at.  Keys and arguments are taken a chunk and a
-    column at a time (see :class:`_Expressions`).  ``calls`` come under
-    their state keys, their ``repr``: a dataclass repr is recursive, so
-    an operator computes it once.
+    are not even looked at.  Keys and arguments are taken a column at a
+    time (see :class:`_Expressions`).  ``calls`` come under their state
+    keys, their ``repr``: a dataclass repr is recursive, so an operator
+    computes it once.
     """
-    chunks = [chunk for chunk in chunks if chunk.count]
-    if group_by and not chunks:
+    rows_in = 0 if batch is None else batch.count
+    if group_by and not rows_in:
         return []
     # A group will be created: the point where a malformed call is refused.
     empty = {key: empty_state(call) for key, call in calls.items()}
-    groups: dict[tuple, PartialGroup] = {}
-    for chunk in chunks:
-        expressions = _Expressions(chunk)
+    if not rows_in:  # ungrouped, and no row
+        groups = [PartialGroup((), 0, dict(empty), {})]
+    else:
+        expressions = _Expressions(batch)
         if group_by:
             members: dict[tuple, list[int]] = defaultdict(list)
             for row, key in enumerate(zip(*map(expressions.column, group_by))):
                 members[key].append(row)
         else:
-            members = {(): range(chunk.count)}
+            members = {(): range(rows_in)}
         # count(*) folds nothing: the group's row count is its state.
         arguments = [
             (key, call, expressions.column(call.args[0]))
             for key, call in calls.items()
             if not call.star
         ]
+        groups = []
         for group_key, rows in members.items():
-            group = groups.get(group_key)
-            if group is None:
-                group = groups[group_key] = PartialGroup(
-                    group_key, 0, dict(empty), chunk.env_at(rows[0])
-                )
-            group.count += len(rows)
-            states = group.states
+            states = dict(empty)
             for key, call, column in arguments:
                 values = [v for row in rows if (v := column[row]) is not None]
                 if values:
                     states[key] = fold_state(call, states[key], values)
-    if not groups:  # ungrouped, and no row
-        groups[()] = PartialGroup((), 0, dict(empty), {})
+            groups.append(
+                PartialGroup(group_key, len(rows), states, batch.env_at(rows[0]))
+            )
     for key, call in calls.items():
         if call.star:
-            for group in groups.values():
+            for group in groups:
                 group.states[key] = group.count
-    return list(groups.values())
+    return groups
 
 
 def _over_states(expr: Expr, calls: dict[str, FuncCall]) -> Expr:
@@ -1373,7 +1379,10 @@ class PartialAggregate(SiteOperator):
         for batch in self.children[0].batches():
             rows_in = batch.row_count()
             self.stats.rows_in += rows_in
-            records = partial_groups(batch.chunks, self.node.group_by, calls)
+            # One pass over the site's rows: a state is folded once per
+            # group, not once per group and chunk.
+            merged = columnar.concat(batch.chunks)
+            records = partial_groups(merged, self.node.group_by, calls)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, records, batch.elapsed + work))
@@ -2025,8 +2034,7 @@ class Aggregate(PhysicalOperator):
 
     def _groups(self) -> list[PartialGroup]:
         batch = self._drain(self.children[0])
-        chunks = [] if batch is None else [batch]
-        return partial_groups(chunks, self.node.group_by, self.node.calls())
+        return partial_groups(batch, self.node.group_by, self.node.calls())
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -2057,7 +2065,7 @@ class FinalAggregate(Aggregate):
             if not seen.representative and record.representative:
                 seen.representative = record.representative
         # No site sent a record: what aggregating no rows gives.
-        return list(merged.values()) or partial_groups([], self.node.group_by, calls)
+        return list(merged.values()) or partial_groups(None, self.node.group_by, calls)
 
 
 class Sort(PhysicalOperator):
@@ -2336,7 +2344,10 @@ class PhysicalPlanner:
             op = SiteFilter(op, conjoin(list(scan.site_filters)))
         keep = self._kept_columns(scan, plan)
         if keep is not None:
-            op = SiteProject(op, scan.binding, keep)
+            project = SiteProject(op, scan.binding, keep)
+            if isinstance(op, SiteFilter):
+                op.gather = project.allowed
+            op = project
         return op
 
     def _kept_columns(

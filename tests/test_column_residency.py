@@ -7,6 +7,9 @@ statements and replicas, invalidation by writes, isolation from governed
 (masked / row-filtered) scans, equivalence with the transpose-per-scan
 loop it replaced, and that no finished statement -- successful, failed or
 cancelled -- leaves batches or tables behind for the cycle collector.
+The column sort orders kept beside the layout share its lifetime: built by
+the second filter probe of a column, never for a table fetched for one
+statement, reused by replicas, gone with the layout after a write.
 """
 
 import gc
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import DataType, Field, Schema, Table
 from repro.core.errors import PartialFailureError
+from repro.core.records import ColumnOrders
 from repro.federation import (
     FederatedEngine,
     FederationCatalog,
@@ -180,6 +184,99 @@ class TestInvalidation:
             market.apply_random_update(rng)
 
 
+# ``?`` is no literal when the plan is rewritten: the comparison is not
+# pushed into the source but reaches SiteFilter on the resident table.
+PROBE = "select sku from parts where qty >= ?"
+
+
+def probe(engine, low, **options):
+    prepared = engine.prepare(PROBE, tenant=options.get("tenant"))
+    return sorted(engine.execute(prepared, (low,)).table.rows)
+
+
+def skus(rows, low):
+    return sorted((sku,) for sku, _, qty in rows if qty >= low)
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """``(column slice, its order)`` for every slice sorted while the test runs."""
+    seen = []
+    inner = ColumnOrders._sorted
+
+    def spy(orders, column):
+        order = inner(orders, column)
+        seen.append((column, order))
+        return order
+
+    monkeypatch.setattr(ColumnOrders, "_sorted", spy)
+    return seen
+
+
+class TestColumnOrders:
+    def test_the_second_probe_sorts_once_and_replicas_share_the_order(self, sorts):
+        catalog, engine = make_engine()
+        assert probe(engine, 40) == skus(ROWS, 40)
+        assert not sorts  # the first probe builds nothing
+        assert probe(engine, 25) == skus(ROWS, 25)
+        assert len(sorts) == 2  # one chunk of qty per fragment, nothing else
+        built = list(sorts)
+        assert probe(engine, 10) == skus(ROWS, 10)
+        catalog.site("s0").up = False  # both fragments fall to s1 / s2
+        assert probe(engine, 55) == skus(ROWS, 55)
+        assert sorts == built
+        for index, site in enumerate(("s1", "s2")):
+            table = fragment_table(catalog, index, site)
+            ((_, columns),), orders = table.column_layout(columnar.DEFAULT_BATCH_SIZE)
+            qty, order = built[index]
+            assert columns[2] is qty and orders.of(qty) is order
+            assert order == (sorted(qty), sorted(range(len(qty)), key=qty.__getitem__))
+
+    def test_a_table_fetched_for_one_statement_never_owns_an_order(self, sorts):
+        # A governed scan filters and masks into a fresh table ...
+        _, engine = make_engine(governance=GovernanceRegistry(GOVERNED))
+        for low in (40, 25, 40, 10):
+            assert probe(engine, low, tenant="acme") == skus(ROWS, max(low, 30))
+        assert not sorts
+        # ... and a LiveSource builds one per fetch.
+        market = generate_hotels(seed=3, chain_count=4, hotels_per_chain=3)
+        catalog = FederationCatalog(SimClock())
+        for name in SITES:
+            catalog.make_site(name)
+        market.register_sources(
+            catalog, {chain: SITES[i % 3] for i, chain in enumerate(market.chains)}
+        )
+        engine = FederatedEngine(catalog)
+        rng = random.Random(5)
+        prepared = engine.prepare(
+            "select hotel_id from hotel_availability where rooms_available > ?"
+        )
+        for rooms in (0, 3, 0, 5, 3, 0):
+            truth = sorted(
+                (h["hotel_id"],) for h in market.hotels if h["rooms_available"] > rooms
+            )
+            assert sorted(engine.execute(prepared, (rooms,)).table.rows) == truth
+            market.apply_random_update(rng)
+        assert not sorts
+
+    def test_writes_drop_the_orders_with_the_layout(self, sorts):
+        catalog, engine = make_engine()
+        for _ in range(3):
+            assert probe(engine, 40) == skus(ROWS, 40)
+        assert len(sorts) == 2
+        target = fragment_table(catalog, 0)
+        target.rows = [(sku, owner, qty + 100) for sku, owner, qty in target.rows]
+        catalog.notify_table_updated("parts")
+        written = target.rows + fragment_table(catalog, 1).rows
+        assert probe(engine, 40) == skus(written, 40)  # cold again, and right
+        assert probe(engine, 120) == skus(written, 120)
+        assert len(sorts) == 3  # the rebound table alone sorts anew
+        catalog.repartition("parts", 3, [["s0"], ["s1"], ["s2"]])
+        for low in (40, 120, 140):
+            assert probe(engine, low) == skus(written, low)
+        assert len(sorts) == 6 and {len(column) for column, _ in sorts[3:]} == {20}
+
+
 GOVERNED = {
     "version": 1,
     "tenants": {
@@ -226,6 +323,9 @@ class TestNoGarbage:
 
     def succeed_and_cancel(self, engine, manager):
         assert len(engine.query(EVERYTHING).table) == 60
+        # Its batches point at the tables' column orders (built by the
+        # second round), which must not point back.
+        assert probe(engine, 30) == skus(ROWS, 30)
         handles = [
             manager.submit(sql) for sql in (EVERYTHING, self.GROUPED, self.GROUPED)
         ]

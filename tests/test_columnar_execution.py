@@ -33,6 +33,8 @@ from repro.federation.columnar import (
     table_chunks,
 )
 from repro.sim import SimClock
+from repro.sql.ast import Between, BinaryOp, Column, InList, Like, Literal, UnaryOp
+from repro.sql.expressions import evaluate
 from tests.reference_codec import encode_column as reference_encode_column
 from tests.reference_site import ReferenceSitePlanner
 
@@ -237,6 +239,222 @@ class TestEngineEquivalence:
         assert exact_rows(vec.query(sql, advance_clock=False)) == exact_rows(
             row.query(sql, advance_clock=False)
         )
+
+
+# -- filter kernels: selections, and probe against comprehension ---------------
+
+ONE_COLUMN = Schema("c", (Field("c", DataType.INTEGER), Field("d", DataType.STRING)))
+
+
+def resident_chunk(values, probed=3):
+    """One chunk over ``values`` (and a second, string column) as a scan
+    hands it out, each column asked for its order ``probed`` times: three
+    is what the third statement sees."""
+    rows = [(value, f"d{i % 3}") for i, value in enumerate(values)]
+    table = Table(ONE_COLUMN, rows, validate=False)
+    (chunk,) = table_chunks("c", table, set(), max(len(rows), 1))
+    for _ in range(probed - 1):
+        for column in chunk.columns:
+            chunk.orders.of(column)
+    return chunk
+
+
+def filtered(batch, condition):
+    """``filter_batch``'s rows, or the error it raised."""
+    kernel = columnar.compile_predicate(condition, batch)
+    assert kernel is not None
+    try:
+        return columnar.filter_batch(batch, condition, kernel).to_envs()
+    except Exception as error:  # noqa: BLE001 -- compared between paths
+        return type(error).__name__, str(error)
+
+
+C, D = Column("c"), Column("d")
+SELECTION_PREDICATES = [
+    BinaryOp(">=", C, Literal(3)),
+    BinaryOp("=", Literal(4), C),
+    BinaryOp("!=", C, Literal(4)),
+    Between(C, Literal(2), Literal(6)),
+    Between(C, Literal(2), Literal(6), negated=True),
+    InList(C, (Literal(1), Literal(5), Literal(8))),
+    Like(D, "d1"),
+    UnaryOp("is-not-null", C),
+    BinaryOp("contains", D, Literal("2")),
+    BinaryOp("and", BinaryOp("<", C, Literal(8)), BinaryOp(">", C, Literal(1))),
+    BinaryOp("and", BinaryOp("=", D, Literal("d0")), BinaryOp("<=", C, Literal(6))),
+    BinaryOp("or", BinaryOp("<", C, Literal(2)), BinaryOp("=", D, Literal("d2"))),
+    BinaryOp("or", Like(D, "d0"), BinaryOp(">", C, Literal(7))),
+    UnaryOp("not", BinaryOp("<", C, Literal(5))),
+    BinaryOp(
+        "and",
+        BinaryOp("or", BinaryOp(">", C, Literal(6)), BinaryOp("<", C, Literal(3))),
+        UnaryOp("not", BinaryOp("=", D, Literal("d1"))),
+    ),
+]
+
+
+class TestKernelSelections:
+    """A kernel takes every row as ``None`` or spelt out, and any subset in
+    any order -- ``AND`` hands its later conjuncts a slice of a column
+    order -- and keeps the same rows, on a chunk with orders and without."""
+
+    VALUES = [5, 3, 8, 1, 9, 4, 4, 7, 2, 6, 0, 5]
+
+    @pytest.mark.parametrize("probed", [1, 3], ids=["unordered", "ordered"])
+    @pytest.mark.parametrize("condition", SELECTION_PREDICATES, ids=repr)
+    def test_same_rows_for_every_form_of_a_selection(self, condition, probed):
+        chunk = resident_chunk(self.VALUES, probed)
+        kernel = columnar.compile_predicate(condition, chunk)
+        envs = chunk.to_envs()
+        count = chunk.count
+        shuffled = random.Random(3).sample(range(count), count)
+        for sel in (None, range(count), list(range(count)), shuffled,
+                    [1, 4, 5, 9, 11], [9, 1, 11, 5, 4], []):  # fmt: skip
+            rows = range(count) if sel is None else sel
+            expected = sorted(i for i in rows if evaluate(condition, envs[i]))
+            kept = kernel(chunk, sel)
+            assert sorted(kept) == expected and isinstance(kept, list)
+
+    def test_and_drives_from_the_conjunct_keeping_the_fewest_rows(self):
+        chunk = resident_chunk(self.VALUES)
+        wide, narrow = BinaryOp("<", C, Literal(9)), BinaryOp("=", D, Literal("d1"))  # not row 4
+        seen = []
+
+        def spying(kernel):
+            def spy(batch, sel):
+                seen.append(sel)
+                return kernel(batch, sel)
+
+            spy.probe = kernel.probe
+            return spy
+
+        kernels = [
+            spying(columnar.compile_predicate(part, chunk)) for part in (wide, narrow)
+        ]
+        kept = columnar._and_kernel(kernels)(chunk, None)
+        assert sorted(kept) == [1, 7, 10]
+        # Only the wide conjunct ran, over the narrow one's four rows.
+        assert [sorted(sel) for sel in seen] == [[1, 4, 7, 10]]
+
+    def test_all_rows_passing_hands_the_batch_on_and_none_gathers_narrow(self):
+        chunk = resident_chunk(self.VALUES)
+        everything = BinaryOp(">=", C, Literal(0))
+        kernel = columnar.compile_predicate(everything, chunk)
+        assert columnar.filter_batch(chunk, everything, kernel) is chunk
+        some = BinaryOp(">", C, Literal(6))
+        narrow = chunk.narrowing({"c.d", "d"})
+        kept = columnar.filter_batch(
+            chunk, some, columnar.compile_predicate(some, chunk), narrow
+        )
+        assert kept.to_envs() == [{"c.d": d, "d": d} for d in ("d2", "d1", "d1")]
+        assert kept.orders is None and chunk.project(narrow).orders is chunk.orders
+
+
+COLUMN_KINDS = {
+    "int": st.integers(min_value=-6, max_value=6),
+    "float": st.sampled_from([-2.5, -0.0, 0.0, 0.5, 1.0, 3.25, math.inf, -math.inf]),
+    "int/float": st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([-1.5, 0.0, 1.0, 2.5, 9007199254740992.0]),
+        st.just(2**53 + 1),
+    ),
+    "str": st.sampled_from(["", "a", "alpha", "alto", "b", "beta"]),
+    # No order: these keep the comprehension on both sides.
+    "int with NULL": st.one_of(st.none(), st.integers(min_value=-3, max_value=3)),
+    "float with NaN": st.sampled_from([0.5, 1.0, math.nan]),
+    "int with bool": st.one_of(st.booleans(), st.integers(min_value=-2, max_value=2)),
+}
+LITERALS = st.one_of(
+    st.integers(min_value=-7, max_value=7),
+    st.sampled_from([-2.5, -0.0, 0.5, 1.0, 9007199254740992.0, math.inf, math.nan]),
+    st.booleans(),
+    st.sampled_from(["", "alpha", "az", "c"]),
+    st.none(),
+    st.just(2**53 + 1),
+    st.sampled_from([Decimal("1.5"), Money(1, "USD"), (1,)]),  # no probing these
+)
+
+
+class TestProbeMatchesComprehension:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(COLUMN_KINDS)),
+        op=st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "between"]),
+        flipped=st.booleans(),
+        low=LITERALS,
+        high=LITERALS,
+        data=st.data(),
+    )
+    def test_on_one_chunk(self, kind, op, flipped, low, high, data):
+        values = data.draw(st.lists(COLUMN_KINDS[kind], min_size=1, max_size=24))
+        if op == "between":
+            condition = Between(C, Literal(low), Literal(high), negated=flipped)
+        elif flipped:
+            condition = BinaryOp(op, Literal(low), C)
+        else:
+            condition = BinaryOp(op, C, Literal(low))
+        ordered = resident_chunk(values)
+        plain = columnar.ColumnBatch(
+            ordered.names, [list(c) for c in ordered.columns], ordered.aliases
+        )
+        try:
+            expected = [env for env in plain.to_envs() if evaluate(condition, env)]
+        except Exception as error:  # noqa: BLE001
+            expected = type(error).__name__, str(error)
+        assert filtered(plain, condition) == expected
+        assert filtered(ordered, condition) == expected
+
+    def test_the_ordered_side_really_probes(self):
+        """Without this the property above compares the comprehension with
+        itself: orderable column kinds get an order, the rest do not."""
+        for kind, has_order in (("int", True), ("float", True), ("int/float", True),
+                                ("str", True), ("int with NULL", False),
+                                ("float with NaN", False), ("int with bool", False)):  # fmt: skip
+            values = {
+                "int with NULL": [1, None], "float with NaN": [0.5, math.nan],
+                "int with bool": [1, True], "str": ["b", "a"], "float": [0.5, -0.0],
+                "int/float": [2**53 + 1, 9007199254740992.0, 1],
+            }.get(kind, [3, 1, 2])  # fmt: skip
+            chunk = resident_chunk(values)
+            assert (chunk.orders.of(chunk.columns[0]) is not None) == has_order, kind
+        chunk = resident_chunk([3, 1, 2, 1])
+        values, rows = chunk.orders.of(chunk.columns[0])
+        assert (values, rows) == ([1, 1, 2, 3], [1, 3, 2, 0])  # stable
+        probe = columnar.compile_predicate(BinaryOp("<=", C, Literal(2)), chunk).probe
+        assert probe(chunk) == [1, 3, 2]
+        for unanswerable in (None, math.nan, Decimal(1), "x"):
+            kernel = columnar.compile_predicate(
+                BinaryOp("<=", C, Literal(unanswerable)), chunk
+            )
+            assert kernel.probe is None or kernel.probe(chunk) is None
+
+
+class TestFloatSumsOverAnOrderedSelection:
+    """Float addition is not associative: a partial sum must add a group's
+    prices in row order although the filter found the rows in value order."""
+
+    PRICES = [1e16, 0.1, -1e16, 0.2, 0.3, 1e16, 1.5, -1e16, 0.7, 0.1, 2.5, 0.2]
+
+    def test_group_sums_equal_the_reference_bit_for_bit(self):
+        rows = [
+            (i, i % 4, "ab"[i % 2], self.PRICES[i % len(self.PRICES)])
+            for i in range(48)
+        ]
+        in_row_order = sum(r[3] for r in rows if r[2] == "a")
+        in_value_order = sum(sorted(r[3] for r in rows if r[2] == "a"))
+        assert in_row_order != in_value_order  # the fixture can tell
+        vec, row = build_pair(rows, fragment_count=2, site_count=2)
+        sql = (
+            "select tag, sum(price) as s, avg(price) as a, count(*) as n from t "
+            "where price >= ? or k = ? group by tag order by tag"
+        )
+        for run in ("cold", "marked", "ordered"):
+            answers = [
+                exact_rows(engine.execute(engine.prepare(sql), (-2e16, 5)))
+                for engine in (vec, row)
+            ]
+            assert answers[0] == answers[1], run
+            assert answers[0][0][1] == ("float", repr(in_row_order))
 
 
 # Value pools exercising every encoder edge: NULLs, bool-vs-int identity,
