@@ -17,6 +17,7 @@ from typing import Any, Sequence
 from repro.core.errors import QueryError
 from repro.core.records import Table
 from repro.core.schema import Schema
+from repro.core.values import COMPARISONS
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,7 @@ class Predicate:
     op: str  # one of =, !=, <, <=, >, >=, contains
     value: Any
 
-    _OPS = {
-        "=": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a is not None and a < b,
-        "<=": lambda a, b: a is not None and a <= b,
-        ">": lambda a, b: a is not None and a > b,
-        ">=": lambda a, b: a is not None and a >= b,
-        "contains": lambda a, b: a is not None and str(b).lower() in str(a).lower(),
-    }
+    _OPS = COMPARISONS
 
     def __post_init__(self) -> None:
         if self.op not in self._OPS:

@@ -9,9 +9,33 @@ never be silently ignored.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.core.errors import TransformError
+
+
+def _non_null(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    return lambda a, b: a is not None and b is not None and compare(a, b)
+
+
+# What a comparison of two values means, wherever it is evaluated: row-wise
+# in ``sql.expressions.evaluate``, at a source in ``Predicate.matches``.
+# NULL handling is the engine's documented two-valued logic: ``=`` of two
+# NULLs holds and ``!=`` is its negation; every other comparison with a NULL
+# side is false.  An incomparable pair raises ``TypeError`` for the caller
+# to word.  (The column kernels of ``federation.columnar`` compile the same
+# rules and are property-tested against ``evaluate``.)
+COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": _non_null(operator.lt),
+    "<=": _non_null(operator.le),
+    ">": _non_null(operator.gt),
+    ">=": _non_null(operator.ge),
+    "contains": _non_null(lambda a, b: str(b).lower() in str(a).lower()),
+}
 
 
 @dataclass(frozen=True, order=False)

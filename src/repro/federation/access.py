@@ -84,7 +84,7 @@ class AccessPaths:
         consults the rest.
         """
         if self.artifacts is not None and spec is not None:
-            key = self.artifacts.stage_key(self.catalog, spec.scan, spec.agg)
+            key = self.artifacts.stage_key(self.catalog, spec)
             found = self.artifacts.bid(key, max_staleness) if key else None
             if found is not None:
                 artifact, price, age = found

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from repro.federation.columnar import ColumnBatch, scan_layout
 from repro.sim.clock import SimClock
 from repro.sql.ast import Column, render
-from repro.sql.planner import AggregateNode, PlanNode, ScanNode
+from repro.sql.planner import AggregateNode, PlanNode, ScanNode, walk
 
 Env = dict
 
@@ -92,22 +92,15 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
     stage); any other scan ships its filtered/projected rows.
     """
     specs: dict[str, StageSpec] = {}
-
-    def walk(node: PlanNode) -> None:
+    for node in walk(plan):  # parents first: a split aggregate claims its scan
         if (
             isinstance(node, AggregateNode)
             and node.split is not None
             and isinstance(node.child, ScanNode)
         ):
             specs[node.child.binding] = StageSpec(node.child, node)
-            return
-        if isinstance(node, ScanNode):
+        elif isinstance(node, ScanNode) and node.binding not in specs:
             specs[node.binding] = StageSpec(node)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
     return specs
 
 
@@ -275,7 +268,10 @@ def groups_payload(records, binding: str, calls) -> StagePayload:
 
 @dataclass
 class Artifact:
-    """One committed (or in-flight) stage output."""
+    """One stage output, the same object from capture to eviction: ``Ship``
+    builds it into the report on a miss, the engine registers a successful
+    report's artifacts in flight (a failed execution simply drops them, so
+    nothing half-computed ever becomes visible), the store commits it."""
 
     key: "tuple[str, int]"  # (stage hash, catalog version)
     table_name: str
@@ -342,24 +338,6 @@ class Artifact:
                 )
             )
         return records
-
-
-@dataclass
-class StageOutput:
-    """One stage's output as captured by Ship into the ExecutionReport.
-
-    The engine turns successful reports' stage outputs into in-flight
-    registrations; a failed execution simply drops them, so nothing
-    half-computed ever becomes visible.
-    """
-
-    key: "tuple[str, int]"
-    table_name: str
-    payload: StagePayload
-    rows_saved: int
-    bytes_saved: int
-    fetch_seconds: float
-    fetched_at: float
 
 
 @dataclass
@@ -451,9 +429,9 @@ class ArtifactStore:
 
     # -- keying ------------------------------------------------------------
 
-    def stage_key(self, catalog, scan, agg=None) -> "tuple[str, int] | None":
+    def stage_key(self, catalog, spec: StageSpec) -> "tuple[str, int] | None":
         """The current artifact key for one stage, or None if ineligible."""
-        digest = stage_hash(catalog, StageSpec(scan, agg))
+        digest = stage_hash(catalog, spec)
         if digest is None:
             return None
         return (digest, catalog.version)
@@ -503,28 +481,24 @@ class ArtifactStore:
         if key is None:
             return None
         self._sweep()
-        now = self.clock.now()
         artifact = self._artifacts.get(key)
         if artifact is not None and self._servable(artifact, max_staleness):
-            artifact.hits += 1
-            self.hits += 1
-            self._count("artifacts.hits")
-            if self.metrics is not None:
-                self.metrics.histogram("artifacts.hit_age_seconds").observe(
-                    now - artifact.fetched_at
-                )
+            self.book_hit(artifact)
             return artifact, 0.0, False
         stage = self._inflight.get(key)
         if stage is not None and self._servable(stage.artifact, max_staleness):
             self.joins += 1
             self._count("artifacts.joins")
-            return stage.artifact, max(0.0, stage.completes_at - now), True
+            wait = max(0.0, stage.completes_at - self.clock.now())
+            return stage.artifact, wait, True
         self.misses += 1
         self._count("artifacts.misses")
         return None
 
-    def note_plan_hit(self, artifact: Artifact) -> None:
-        """Serve-time accounting for a plan-embedded artifact path."""
+    def book_hit(self, artifact: Artifact) -> None:
+        """Hit accounting for a committed artifact: booked by
+        :meth:`acquire`, and at serve time by a plan-embedded artifact path
+        (whose plan-time :meth:`bid` booked nothing)."""
         artifact.hits += 1
         self.hits += 1
         self._count("artifacts.hits")
@@ -537,11 +511,11 @@ class ArtifactStore:
 
     def begin_stage(
         self,
-        output: StageOutput,
+        artifact: Artifact,
         completes_at: float,
         producer=None,
     ) -> bool:
-        """Register a completing stage's output as in flight.
+        """Register a completing stage's artifact as in flight.
 
         Concurrent queries may join it immediately; it commits to the
         artifact table (under admission) once ``completes_at`` passes.
@@ -549,22 +523,13 @@ class ArtifactStore:
         wins) or the payload exceeds the row budget outright.
         """
         self._sweep()
-        key = output.key
+        key = artifact.key
         if key in self._artifacts or key in self._inflight:
             return False
-        if output.payload.row_count > self.max_rows:
+        if artifact.row_count > self.max_rows:
             self.rejected += 1
             self._count("artifacts.rejected")
             return False
-        artifact = Artifact(
-            key=key,
-            table_name=output.table_name,
-            payload=output.payload,
-            rows_saved=output.rows_saved,
-            bytes_saved=output.bytes_saved,
-            fetch_seconds=output.fetch_seconds,
-            fetched_at=output.fetched_at,
-        )
         self._inflight[key] = _InFlightStage(
             artifact=artifact, completes_at=completes_at, producer=producer
         )

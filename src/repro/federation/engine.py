@@ -401,9 +401,9 @@ class FederatedEngine:
         # concurrent identical stage subscribes in.
         if self.artifacts is not None and options.reuse_artifacts:
             completes_at = start + report.response_seconds
-            for output in report.stage_outputs:
-                if self.artifacts.begin_stage(output, completes_at):
-                    report.artifact_published_keys.append(output.key)
+            for artifact in report.stage_outputs:
+                if self.artifacts.begin_stage(artifact, completes_at):
+                    report.artifact_published_keys.append(artifact.key)
         # Store *after* the response clock has advanced: entries are stamped
         # with the fetch timestamp captured at scan time, so staleness is
         # measured from when the rows were read, never from "now".
@@ -641,10 +641,11 @@ class FederatedEngine:
         splitting only fires once absorbed filters expose an aggregation
         sitting directly on its scan.
         """
-        passes = [
-            TextIndexRewrite(self._text_targets(bindings)),
-            SiteFilterPushdown(binding_fields),
-        ]
+        passes = []
+        targets = self._text_targets(bindings)
+        if targets:  # no indexed table: the rule could claim nothing
+            passes.append(TextIndexRewrite(targets))
+        passes.append(SiteFilterPushdown(binding_fields))
         if self.governance is not None:
             governance_pass = self.governance.injection_pass(
                 options.tenant, binding_fields
@@ -660,18 +661,15 @@ class FederatedEngine:
         return RewritePipeline(passes).run(plan)
 
     def _text_targets(self, bindings: dict[str, str]) -> dict[str, TextIndexTarget]:
-        """What the text-index rewrite may target, per binding."""
+        """What the text-index rewrite may target: the bindings of tables
+        that have a text index (views-by-name have none)."""
         targets: dict[str, TextIndexTarget] = {}
         for binding, table_name in bindings.items():
             entry = self.catalog.tables.get(table_name)
-            if entry is None:
-                continue  # views-by-name have no text index
-            targets[binding] = TextIndexTarget(
-                fields=frozenset(entry.schema.field_names),
-                text_column=(
-                    entry.text_column if entry.text_index is not None else None
-                ),
-            )
+            if entry is not None and entry.text_index is not None:
+                targets[binding] = TextIndexTarget(
+                    frozenset(entry.schema.field_names), entry.text_column
+                )
         return targets
 
     @staticmethod

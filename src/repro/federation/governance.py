@@ -128,7 +128,12 @@ def apply_masks(table: Table, masks: dict[str, str]) -> Table:
 
 @dataclass
 class TablePolicy:
-    """One tenant's view of one table: an RLS predicate plus masks."""
+    """One tenant's view of one table: an RLS predicate plus masks.
+
+    A loaded policy is not edited in place -- its parsed filter and its
+    tenant's signature are computed once per manifest load; reload the
+    manifest to change it.
+    """
 
     table: str
     row_filter: str | None = None
@@ -397,6 +402,7 @@ class GovernanceRegistry:
         self.version = 0
         self.metrics = metrics
         self._tenants: dict[str, TenantPolicy] = {}
+        self._signatures: dict[str, str] = {}
         self._spent: dict[str, float] = {}
         self._buckets: dict[str, _TokenBucket] = {}
         if manifest is not None:
@@ -444,6 +450,9 @@ class GovernanceRegistry:
                 on_exhausted=budget.get("on_exhausted", "reject"),
             )
         self._tenants = tenants
+        self._signatures = {
+            name: policy.signature() for name, policy in tenants.items()
+        }
         self._buckets.clear()
         self.version += 1
         return sorted(tenants)
@@ -492,8 +501,7 @@ class GovernanceRegistry:
         out of their keys), so adding governance for *some* tenants cannot
         cost the rest their cache hit rates.
         """
-        policy = self.policy_for(tenant)
-        return None if policy is None else policy.signature()
+        return self._signatures.get(tenant)
 
     def injection_pass(
         self, tenant: str | None, binding_fields: dict[str, set[str]]

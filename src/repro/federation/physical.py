@@ -45,6 +45,13 @@ from repro.core.records import Table
 from repro.core.schema import DataType, Field, Schema
 from repro.core.values import Money
 from repro.federation import columnar
+from repro.federation.artifacts import (
+    Artifact,
+    StageSpec,
+    groups_payload,
+    rows_payload,
+    stage_fields,
+)
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.governance import apply_masks as apply_column_masks
 from repro.federation.health import RetryPolicy
@@ -73,6 +80,7 @@ from repro.sql.planner import (
     ScanNode,
     SortNode,
     conjoin,
+    item_names,
     scans_in,
     split_conjuncts,
 )
@@ -768,36 +776,21 @@ class SiteScan(SiteOperator):
         batch's pipeline time and spends one unit of the query's retry
         budget.  Returns ``(result, work, delay, site_name)``, or ``None``
         when every candidate failed (the fragment is unreachable); with
-        failover disabled the primary's :class:`SourceUnavailableError`
-        propagates as it did before the failover layer existed.
+        failover disabled the primary is the only candidate and its
+        :class:`SourceUnavailableError` propagates as it did before the
+        failover layer existed.
         """
         fragment = choice.fragment
-        fragment_name = f"{fragment.table_name}/{fragment.fragment_id}"
         retry = ctx.retry
-        if not retry.enabled:
-            site = ctx.catalog.site(choice.site_name)
-            try:
-                result, work, delay = site.execute_scan(
-                    fragment.replicas[choice.site_name], predicates
-                )
-            except SourceUnavailableError as error:
-                if ctx.health is not None:
-                    ctx.health.record_failure(choice.site_name)
-                if error.fragment is None:
-                    error.fragment = fragment_name
-                raise
+        candidates = [choice.site_name]
+        if retry.enabled:
+            siblings = [
+                name for name in fragment.replica_sites() if name != choice.site_name
+            ]
             if ctx.health is not None:
-                ctx.health.record_success(choice.site_name)
-            return result, work, delay, choice.site_name
-
-        siblings = [
-            name for name in fragment.replica_sites() if name != choice.site_name
-        ]
-        if ctx.health is not None:
-            siblings = ctx.health.prefer(siblings)
-        candidates = [choice.site_name] + siblings
+                siblings = ctx.health.prefer(siblings)
+            candidates += siblings
         backoff_delay = 0.0
-        last_error: Exception | None = None
         for index, site_name in enumerate(candidates):
             if index > 0:
                 # A failover attempt: bounded by the per-query budget and
@@ -809,24 +802,17 @@ class SiteScan(SiteOperator):
                 backoff_delay += pause
                 ctx.report.failover_attempts += 1
                 ctx.report.retry_seconds += pause
-            site = ctx.catalog.site(site_name)
-            if not site.up:
-                if ctx.health is not None:
-                    ctx.health.record_failure(site_name)
-                last_error = SourceUnavailableError(
-                    site_name, site=site_name, fragment=fragment_name
-                )
-                continue
             try:
-                result, work, delay = site.execute_scan(
+                result, work, delay = ctx.catalog.site(site_name).execute_scan(
                     fragment.replicas[site_name], predicates
                 )
             except SourceUnavailableError as error:
                 if ctx.health is not None:
                     ctx.health.record_failure(site_name)
                 if error.fragment is None:
-                    error.fragment = fragment_name
-                last_error = error
+                    error.fragment = f"{fragment.table_name}/{fragment.fragment_id}"
+                if not retry.enabled:
+                    raise
                 continue
             if ctx.health is not None:
                 ctx.health.record_success(site_name)
@@ -896,6 +882,12 @@ class SiteScan(SiteOperator):
             for site_name in fragment.replica_sites():
                 if not ctx.catalog.site(site_name).up:
                     ctx.dead_sites.add(site_name)
+        self._degrade_or_fail(ctx)
+
+    @staticmethod
+    def _degrade_or_fail(ctx: ExecContext) -> None:
+        """The query's degraded-answer policy, once something it needs is
+        registered unreachable: carry on partial, or fail structurally."""
         if not ctx.options.degraded_ok:
             raise PartialFailureError(
                 ctx.unreachable_fragments,
@@ -920,12 +912,7 @@ class SiteScan(SiteOperator):
                 ctx.unreachable_fragments.append(name)
                 ctx.unreachable_rows += len(view.data)
             ctx.dead_sites.add(view.site_name)
-            if not ctx.options.degraded_ok:
-                raise PartialFailureError(
-                    ctx.unreachable_fragments,
-                    sorted(ctx.dead_sites),
-                    retries_used=ctx.retries_used,
-                )
+            self._degrade_or_fail(ctx)
             return []
         table = apply_predicates(view.data, predicates)
         work = ctx.charge_site(view.site_name, len(table))
@@ -1038,13 +1025,16 @@ class SiteScan(SiteOperator):
         return f"{self.scan.table} as {self.scan.binding}: {detail}"
 
 
-def serve_artifact(ctx: ExecContext, artifact, binding: str, agg, age: float):
+def serve_artifact(
+    ctx: ExecContext, artifact: Artifact, stage: StageSpec, age: float
+):
     """One stage's output served from ``artifact`` (``age`` seconds old):
     group records under a split aggregate, else one column batch.  Books
     the rows, staleness and the work the artifact saved; ``None``, with
     nothing booked, when the payload does not fit the request."""
-    if agg is not None:
-        rows = artifact.serve_groups(binding, ctx.ambiguous, agg.split.calls)
+    binding = stage.scan.binding
+    if stage.agg is not None:
+        rows = artifact.serve_groups(binding, ctx.ambiguous, stage.agg.split.calls)
     else:
         rows = artifact.serve_rows(binding, ctx.ambiguous)
     if rows is None:
@@ -1069,21 +1059,21 @@ class ArtifactSource(SiteOperator):
 
     name = "ArtifactSource"
 
-    def __init__(self, scan: ScanNode, agg=None) -> None:
+    def __init__(self, stage: StageSpec) -> None:
         super().__init__()
-        self.scan = scan
-        self.agg = agg
+        self.stage = stage
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        assignment = ctx.plan.assignments.get(self.scan.binding)
+        scan = self.stage.scan
+        assignment = ctx.plan.assignments.get(scan.binding)
         artifact = assignment.artifact if assignment is not None else None
         if artifact is None:
             raise QueryError(
-                f"artifact scan for {self.scan.binding!r} has no artifact"
+                f"artifact scan for {scan.binding!r} has no artifact"
             )
         if artifact.key[1] != ctx.catalog.version:
             raise QueryError(
-                f"stale artifact plan for {self.scan.table!r} "
+                f"stale artifact plan for {scan.table!r} "
                 f"(v{artifact.key[1]}, catalog v{ctx.catalog.version})"
             )
         age = ctx.catalog.clock.now() - artifact.fetched_at
@@ -1092,21 +1082,21 @@ class ArtifactSource(SiteOperator):
             max_staleness < 0 or age > max_staleness
         ):
             raise QueryError(
-                f"artifact for {self.scan.table!r} too stale "
+                f"artifact for {scan.table!r} too stale "
                 f"({age:.1f}s > {max_staleness:.1f}s)"
             )
-        rows = serve_artifact(ctx, artifact, self.scan.binding, self.agg, age)
+        rows = serve_artifact(ctx, artifact, self.stage, age)
         if rows is None:
             raise QueryError(
-                f"artifact payload mismatch for {self.scan.binding!r}"
+                f"artifact payload mismatch for {scan.binding!r}"
             )
         work = ctx.charge_site(ctx.coordinator, len(rows))
         self.stats.seconds = work
         if ctx.paths.artifacts is not None:
-            ctx.paths.artifacts.note_plan_hit(artifact)
+            ctx.paths.artifacts.book_hit(artifact)
         ctx.report.artifact_hits += 1
         self.stats.detail = (
-            f"{self.scan.table} as {self.scan.binding}: "
+            f"{scan.table} as {scan.binding}: "
             f"{describe_artifact_path(assignment)}"
         )
         return [SiteBatch(ctx.coordinator, rows, work)]
@@ -1351,12 +1341,10 @@ def finished_groups(
         env = dict(group.representative)
         for key, call in calls.items():
             env[key] = final_value(call, group.states[key], group.count)
-        # A repeated name holds its last value.
         out = {name: evaluate(expr, env) for name, expr in zip(names, items)}
         if having is None or evaluate(having, env):
             results.append(out)
     results.sort(key=lambda out: tuple(repr(v) for v in out.values()))
-    names = list(dict.fromkeys(names))
     columns = [[out[name] for out in results] for name in names]
     return [columnar.ColumnBatch(names, columns, {}, len(results))]
 
@@ -1426,11 +1414,13 @@ class Ship(PhysicalOperator):
 
     name = "Ship"
 
-    def __init__(self, child: "PhysicalOperator", stage=None) -> None:
+    def __init__(
+        self, child: "PhysicalOperator", stage: StageSpec | None = None
+    ) -> None:
         super().__init__(child)
-        # ``(ScanNode, AggregateNode | None)`` when this Ship bounds a
-        # content-hashable stage (the unit of artifact reuse); None for
-        # plan-embedded artifact scans and non-stage shapes.
+        # Set when this Ship bounds a content-hashable stage (the unit of
+        # artifact reuse); None for plan-embedded artifact scans and
+        # non-stage shapes.
         self.stage = stage
         self._stage_key = None
         self._stage_rows_fetched = 0
@@ -1452,7 +1442,7 @@ class Ship(PhysicalOperator):
             # open): the one point where migrating it is free of partial
             # work.  The controller swaps the assignment in place on
             # migrate; SiteScan re-reads it at compute time.
-            ctx.reopt.consider(ctx, self.stage[0], self.stage[1])
+            ctx.reopt.consider(ctx, self.stage)
         before = ctx.report.rows_fetched
         for child in self.children:
             child.open(ctx)
@@ -1467,13 +1457,12 @@ class Ship(PhysicalOperator):
         options = ctx.options
         if store is None or self.stage is None or not options.reuse_artifacts:
             return None
-        scan, agg = self.stage
-        assignment = ctx.plan.assignments.get(scan.binding)
+        assignment = ctx.plan.assignments.get(self.stage.scan.binding)
         if assignment is None or assignment.kind != "fragments":
             # View/cache paths carry their own staleness semantics; the
             # stage hash only describes the base-table fragment scan.
             return None
-        key = store.stage_key(ctx.catalog, scan, agg)
+        key = store.stage_key(ctx.catalog, self.stage)
         if key is None:
             return None
         self._stage_key = key  # the capture target if we miss
@@ -1482,7 +1471,7 @@ class Ship(PhysicalOperator):
             return None
         artifact, wait, joined = hit
         age = ctx.catalog.clock.now() - artifact.fetched_at
-        rows = serve_artifact(ctx, artifact, scan.binding, agg, age)
+        rows = serve_artifact(ctx, artifact, self.stage, age)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
             # hash-collision guard): recompute instead of serving garbage.
@@ -1530,25 +1519,21 @@ class Ship(PhysicalOperator):
             site_scan = site_scan.children[0]
         if not isinstance(site_scan, SiteScan) or not site_scan._capture_ok:
             return
-        from repro.federation import artifacts as artifacts_mod
-
-        scan, agg = self.stage
+        scan, agg = self.stage.scan, self.stage.agg
         try:
             if agg is not None:
                 records = [r for batch in batches for r in batch.columns[0]]
-                payload = artifacts_mod.groups_payload(
-                    records, scan.binding, agg.split.calls
-                )
+                payload = groups_payload(records, scan.binding, agg.split.calls)
             else:
                 entry = ctx.catalog.tables.get(scan.table)
                 if entry is None:
                     return
-                fields = artifacts_mod.stage_fields(entry.schema, scan)
-                payload = artifacts_mod.rows_payload(batches, scan.binding, fields)
+                fields = stage_fields(entry.schema, scan)
+                payload = rows_payload(batches, scan.binding, fields)
         except KeyError:
             return  # rows missing expected columns: not canonically capturable
         ctx.report.stage_outputs.append(
-            artifacts_mod.StageOutput(
+            Artifact(
                 key=key,
                 table_name=scan.table,
                 payload=payload,
@@ -1630,7 +1615,7 @@ class Ship(PhysicalOperator):
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
         if self.stage is not None:
-            binding = self.stage[0].binding
+            binding = self.stage.scan.binding
             ctx.report.stage_runtimes[binding] = (
                 arrival, tuple(sorted(stage_sites))
             )
@@ -2162,39 +2147,10 @@ def expand_items(
 def output_names(
     items: list[SelectItem], plan: PhysicalPlan, catalog: FederationCatalog
 ) -> list[str]:
-    names: list[str] = []
-    used: set[str] = set()
-    for i, item in enumerate(expand_items(items, plan, catalog)):
-        if item.alias:
-            name = item.alias
-        elif isinstance(item.expr, Column):
-            name = item.expr.name
-        elif isinstance(item.expr, FuncCall):
-            name = item.expr.name
-        else:
-            name = f"col{i}"
-        base = name
-        suffix = 1
-        while name in used:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        used.add(name)
-        names.append(name)
-    return names
+    return item_names(expand_items(items, plan, catalog))
 
 
-def aggregate_names(items: list[SelectItem]) -> list[str]:
-    names = []
-    for i, item in enumerate(items):
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, Column):
-            names.append(item.expr.name)
-        elif isinstance(item.expr, FuncCall):
-            names.append(item.expr.name)
-        else:
-            names.append(f"col{i}")
-    return names
+aggregate_names = item_names  # an aggregation's items hold no ``*`` to expand
 
 
 def describe_region(region: "frozenset | None") -> str:
@@ -2297,8 +2253,8 @@ class PhysicalPlanner:
         if isinstance(node, ScanNode):
             assignment = plan.assignments.get(node.binding)
             if assignment is not None and assignment.kind == "artifact":
-                return Ship(ArtifactSource(node))
-            return Ship(self._site_pipeline(node, plan), stage=(node, None))
+                return Ship(ArtifactSource(StageSpec(node)))
+            return Ship(self._site_pipeline(node, plan), StageSpec(node))
         if isinstance(node, FilterNode):
             return Filter(self._node(node.child, plan), node.condition)
         if isinstance(node, JoinNode):
@@ -2320,17 +2276,14 @@ class PhysicalPlanner:
             return Project(self._node(node.child, plan), node.items, node.distinct)
         if isinstance(node, AggregateNode):
             if node.split is not None and isinstance(node.child, ScanNode):
+                stage = StageSpec(node.child, node)
                 assignment = plan.assignments.get(node.child.binding)
                 if assignment is not None and assignment.kind == "artifact":
-                    return FinalAggregate(
-                        Ship(ArtifactSource(node.child, node)), node
-                    )
+                    return FinalAggregate(Ship(ArtifactSource(stage)), node)
                 pipeline = PartialAggregate(
                     self._site_pipeline(node.child, plan), node
                 )
-                return FinalAggregate(
-                    Ship(pipeline, stage=(node.child, node)), node
-                )
+                return FinalAggregate(Ship(pipeline, stage), node)
             return Aggregate(self._node(node.child, plan), node)
         if isinstance(node, SortNode):
             return Sort(self._node(node.child, plan), node.order_by)

@@ -149,13 +149,14 @@ class ReoptController:
 
     # -- the Ship.open hook ------------------------------------------------
 
-    def consider(self, ctx, scan, agg=None) -> bool:
+    def consider(self, ctx, stage) -> bool:
         """Re-evaluate one unstarted stage; swap its assignment on migrate.
 
         Returns True when the stage was migrated.  Every path that does
         not migrate leaves ``ctx.plan.assignments`` untouched, so static
         execution semantics (and bit-identical answers) are the fallback.
         """
+        scan = stage.scan
         assignment = ctx.plan.assignments.get(scan.binding)
         if assignment is None or assignment.kind != "fragments":
             return False  # cache/view/artifact paths have no sites to migrate
@@ -180,7 +181,7 @@ class ReoptController:
         # solicitation moot — the stage needs no sites.  (On the normal
         # path Ship's artifact probe already ran and missed, so this only
         # fires for executions that disabled artifact *reuse*.)
-        if self._artifact_twin(scan, agg):
+        if self._artifact_twin(stage):
             self._record(
                 scan.binding, f"{reason}+artifact-twin", False,
                 from_sites, from_sites, 0.0, 0.0, 0.0,
@@ -300,11 +301,11 @@ class ReoptController:
 
     # -- re-solicitation ---------------------------------------------------
 
-    def _artifact_twin(self, scan, agg) -> bool:
+    def _artifact_twin(self, stage) -> bool:
         artifacts = self.paths.artifacts
         if artifacts is None or self.options.reuse_artifacts:
             return False  # reuse on: Ship's own artifact probe governs
-        key = artifacts.stage_key(self.catalog, scan, agg)
+        key = artifacts.stage_key(self.catalog, stage)
         return key is not None and artifacts.has_twin(
             key, self.options.max_staleness
         )

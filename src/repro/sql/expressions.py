@@ -3,7 +3,8 @@
 An *environment* maps column names (both bare ``price`` and qualified
 ``h.price``) to values.  Null semantics follow pragmatic SQL behaviour:
 comparisons against None are False (not unknown-propagating three-valued
-logic -- a documented simplification), arithmetic with None yields None,
+logic -- a documented simplification; the one table of them is
+:data:`repro.core.values.COMPARISONS`), arithmetic with None yields None,
 and ``IS NULL`` works as expected.
 
 Scalar functions include the object-relational extensions of §4:
@@ -19,6 +20,7 @@ import re
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import QueryError
+from repro.core.values import COMPARISONS
 from repro.ir.fuzzy import combined_similarity
 from repro.sql.ast import (
     Between,
@@ -136,31 +138,14 @@ def _binary(expr: BinaryOp, env: Env) -> Any:
     left = evaluate(expr.left, env)
     right = evaluate(expr.right, env)
 
-    if op in ("=", "!="):
-        if left is None or right is None:
-            equal = left is None and right is None
-        else:
-            equal = left == right
-        return equal if op == "=" else not equal
-    if op in ("<", "<=", ">", ">="):
-        if left is None or right is None:
-            return False
+    compare = COMPARISONS.get(op)
+    if compare is not None:
         try:
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
+            return compare(left, right)
         except TypeError as error:
             raise QueryError(
                 f"cannot compare {left!r} {op} {right!r}: {error}"
             ) from error
-    if op == "contains":
-        if left is None or right is None:
-            return False
-        return str(right).lower() in str(left).lower()
     if op in ("+", "-", "*", "/"):
         if left is None or right is None:
             return None

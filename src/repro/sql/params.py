@@ -33,18 +33,7 @@ from repro.sql.ast import (
     rebuild,
     walk,
 )
-from repro.sql.planner import (
-    AggregateNode,
-    AggregateSplit,
-    FilterNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    ScanGovernance,
-    ScanNode,
-    SortNode,
-)
+from repro.sql.planner import PlanNode
 
 
 def statement_exprs(statement: SelectStatement) -> Iterator[Expr]:
@@ -149,69 +138,7 @@ def bind_plan(node: PlanNode, values: Sequence[Any]) -> PlanNode:
     template.  Source-level pushdown predicates never contain parameters
     (see module docstring), so their list is shallow-copied.
     """
-    if isinstance(node, ScanNode):
-        governance = None
-        if node.governance is not None:
-            # Policy expressions never contain parameters (manifests hold
-            # concrete values), but the lists must not be shared with the
-            # prepared template.
-            governance = ScanGovernance(
-                node.governance.tenant,
-                rls_pushed=list(node.governance.rls_pushed),
-                rls_residual=list(node.governance.rls_residual),
-                masks=dict(node.governance.masks),
-            )
-        return ScanNode(
-            node.table,
-            node.binding,
-            pushdown=list(node.pushdown),
-            site_filters=[bind_expr(e, values) for e in node.site_filters],
-            needed_columns=(
-                set(node.needed_columns)
-                if node.needed_columns is not None
-                else None
-            ),
-            text_filter=node.text_filter,
-            governance=governance,
-        )
-    if isinstance(node, FilterNode):
-        return FilterNode(
-            bind_plan(node.child, values), bind_expr(node.condition, values)
-        )
-    if isinstance(node, JoinNode):
-        return JoinNode(
-            bind_plan(node.left, values),
-            bind_plan(node.right, values),
-            bind_expr(node.condition, values),
-            node.join_type,
-        )
-    if isinstance(node, ProjectNode):
-        return ProjectNode(
-            bind_plan(node.child, values),
-            [SelectItem(bind_expr(i.expr, values), i.alias) for i in node.items],
-            node.distinct,
-        )
-    if isinstance(node, AggregateNode):
-        bound = AggregateNode(
-            bind_plan(node.child, values),
-            [bind_expr(g, values) for g in node.group_by],
-            [SelectItem(bind_expr(i.expr, values), i.alias) for i in node.items],
-            bind_expr(node.having, values),
-        )
-        if node.split is not None:
-            bound.split = AggregateSplit(
-                calls=[bind_expr(c, values) for c in node.split.calls]
-            )
-        return bound
-    if isinstance(node, SortNode):
-        return SortNode(
-            bind_plan(node.child, values),
-            [OrderItem(bind_expr(o.expr, values), o.descending)
-             for o in node.order_by],
-        )
-    if isinstance(node, LimitNode):
-        return LimitNode(bind_plan(node.child, values), node.limit)
-    raise QueryError(f"cannot bind parameters into plan node {node!r}")
+    return node.mapped(bind_plan, bind_expr, values)
 
 
 def check_parameters(expected: int, values: Sequence[Any]) -> tuple:

@@ -26,7 +26,7 @@ computed as site-local partials merged at the coordinator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.connect.source import Predicate
 from repro.core.errors import QueryError
@@ -41,7 +41,6 @@ from repro.sql.ast import (
     SelectStatement,
     Star,
     aggregate_calls,
-    columns_in,
     contains_aggregate,
 )
 
@@ -51,10 +50,36 @@ _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 @dataclass
 class PlanNode:
-    """Base class for logical operators."""
+    """Base class for logical operators.
+
+    A node type declares once what it holds -- :meth:`children`,
+    :meth:`exprs`, :meth:`mapped` -- and every traversal reads those
+    declarations: :func:`walk`, :func:`scans_in`, parameter binding, the
+    rewrite passes and stage formation.  Only compiling a node and
+    labelling it in EXPLAIN are per type.
+    """
 
     def children(self) -> list["PlanNode"]:
         return []
+
+    def replace_children(self, plan_fn: Callable[..., "PlanNode"], *args: Any) -> None:
+        """In place: every child becomes ``plan_fn(child, *args)``."""
+
+    def exprs(self) -> list[Expr]:
+        """The expressions this node itself evaluates, not its children's."""
+        return []
+
+    def mapped(
+        self,
+        plan_fn: Callable[..., "PlanNode"],
+        expr_fn: Callable[..., Expr],
+        *args: Any,
+    ) -> "PlanNode":
+        """A copy with every child replaced by ``plan_fn(child, *args)`` and
+        every expression by ``expr_fn(expr, *args)``: the idiom of
+        :func:`repro.sql.ast.rebuild` one level up -- plain functions plus
+        their arguments, never a closure, so statements leave no cycles."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -101,14 +126,57 @@ class ScanNode(PlanNode):
     text_filter: tuple[str, str] | None = None
     governance: ScanGovernance | None = None
 
+    def exprs(self) -> list[Expr]:
+        return self.site_filters
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "ScanNode":
+        # Annotation containers are copied, never shared: the copy may be
+        # annotated further without dirtying the original.  Pushdown
+        # predicates and policy expressions hold concrete values only.
+        governance = self.governance
+        if governance is not None:
+            governance = ScanGovernance(
+                governance.tenant,
+                list(governance.rls_pushed),
+                list(governance.rls_residual),
+                dict(governance.masks),
+            )
+        needed = self.needed_columns
+        return ScanNode(
+            self.table,
+            self.binding,
+            pushdown=list(self.pushdown),
+            site_filters=[expr_fn(e, *args) for e in self.site_filters],
+            needed_columns=None if needed is None else set(needed),
+            text_filter=self.text_filter,
+            governance=governance,
+        )
+
 
 @dataclass
-class FilterNode(PlanNode):
+class UnaryNode(PlanNode):
+    """A node over one input."""
+
     child: PlanNode
-    condition: Expr
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def replace_children(self, plan_fn, *args) -> None:
+        self.child = plan_fn(self.child, *args)
+
+
+@dataclass
+class FilterNode(UnaryNode):
+    condition: Expr
+
+    def exprs(self) -> list[Expr]:
+        return [self.condition]
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "FilterNode":
+        return FilterNode(
+            plan_fn(self.child, *args), expr_fn(self.condition, *args)
+        )
 
 
 @dataclass
@@ -121,15 +189,40 @@ class JoinNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
 
+    def replace_children(self, plan_fn, *args) -> None:
+        self.left = plan_fn(self.left, *args)
+        self.right = plan_fn(self.right, *args)
+
+    def exprs(self) -> list[Expr]:
+        return [self.condition]
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "JoinNode":
+        return JoinNode(
+            plan_fn(self.left, *args),
+            plan_fn(self.right, *args),
+            expr_fn(self.condition, *args),
+            self.join_type,
+        )
+
+
+def _mapped_items(items: list[SelectItem], expr_fn, args) -> list[SelectItem]:
+    return [SelectItem(expr_fn(item.expr, *args), item.alias) for item in items]
+
 
 @dataclass
-class ProjectNode(PlanNode):
-    child: PlanNode
+class ProjectNode(UnaryNode):
     items: list[SelectItem]
     distinct: bool = False
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    def exprs(self) -> list[Expr]:
+        return [item.expr for item in self.items]
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "ProjectNode":
+        return ProjectNode(
+            plan_fn(self.child, *args),
+            _mapped_items(self.items, expr_fn, args),
+            self.distinct,
+        )
 
 
 @dataclass
@@ -145,8 +238,7 @@ class AggregateSplit:
 
 
 @dataclass
-class AggregateNode(PlanNode):
-    child: PlanNode
+class AggregateNode(UnaryNode):
     group_by: list[Expr]
     items: list[SelectItem]
     having: Expr | None = None
@@ -154,8 +246,21 @@ class AggregateNode(PlanNode):
     # decomposes into site-local partials merged at the coordinator.
     split: AggregateSplit | None = None
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    def exprs(self) -> list[Expr]:
+        having = [] if self.having is None else [self.having]
+        return [*self.group_by, *(item.expr for item in self.items), *having]
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "AggregateNode":
+        split = self.split
+        if split is not None:
+            split = AggregateSplit([expr_fn(call, *args) for call in split.calls])
+        return AggregateNode(
+            plan_fn(self.child, *args),
+            [expr_fn(group, *args) for group in self.group_by],
+            _mapped_items(self.items, expr_fn, args),
+            None if self.having is None else expr_fn(self.having, *args),
+            split,
+        )
 
     def calls(self) -> dict[str, FuncCall]:
         """The distinct aggregate calls of the select items and HAVING in
@@ -168,21 +273,26 @@ class AggregateNode(PlanNode):
 
 
 @dataclass
-class SortNode(PlanNode):
-    child: PlanNode
+class SortNode(UnaryNode):
     order_by: list[OrderItem]
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    def exprs(self) -> list[Expr]:
+        return [order.expr for order in self.order_by]
+
+    def mapped(self, plan_fn, expr_fn, *args) -> "SortNode":
+        order_by = [
+            OrderItem(expr_fn(order.expr, *args), order.descending)
+            for order in self.order_by
+        ]
+        return SortNode(plan_fn(self.child, *args), order_by)
 
 
 @dataclass
-class LimitNode(PlanNode):
-    child: PlanNode
+class LimitNode(UnaryNode):
     limit: int
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    def mapped(self, plan_fn, expr_fn, *args) -> "LimitNode":
+        return LimitNode(plan_fn(self.child, *args), self.limit)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:
@@ -301,22 +411,38 @@ def _resolve_order_aliases(statement: SelectStatement) -> list[OrderItem]:
     return resolved
 
 
+def item_names(items: list[SelectItem]) -> list[str]:
+    """The output column name of each select item: its alias, else the
+    column's or function's own name, else ``col<i>``; a name already taken
+    gets ``_2``, ``_3``, ... so no two output columns share one."""
+    names: list[str] = []
+    for i, item in enumerate(items):
+        base = item.alias
+        if not base and isinstance(item.expr, (Column, FuncCall)):
+            base = item.expr.name
+        name = base = base or f"col{i}"
+        suffix = 1
+        while name in names:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        names.append(name)
+    return names
+
+
 def _rewrite_aggregate_order(statement: SelectStatement) -> list[OrderItem]:
-    """Map ORDER BY keys onto the aggregate's output column names."""
+    """Map ORDER BY keys onto the aggregate's output column names: a key
+    naming an alias, or spelled like a select item, reads that item."""
+    names = item_names(statement.items)
     rewritten = []
     for order in statement.order_by:
         expr = order.expr
-        for i, item in enumerate(statement.items):
-            if item.alias is not None and isinstance(expr, Column) and expr.name == item.alias:
-                expr = Column(item.alias)
-                break
-            if repr(item.expr) == repr(order.expr):
-                name = item.alias
-                if name is None and isinstance(item.expr, Column):
-                    name = item.expr.name
-                if name is None and hasattr(item.expr, "name"):
-                    name = item.expr.name  # FuncCall output name
-                expr = Column(name or f"col{i}")
+        for name, item in zip(names, statement.items):
+            if (
+                item.alias is not None
+                and isinstance(expr, Column)
+                and expr.name == item.alias
+            ) or repr(item.expr) == repr(expr):
+                expr = Column(name)
                 break
         rewritten.append(OrderItem(expr, order.descending))
     return rewritten
@@ -341,37 +467,14 @@ def _validate_aggregate_items(statement: SelectStatement) -> None:
         )
 
 
-def scans_in(plan: PlanNode) -> list[ScanNode]:
-    """All scan leaves of ``plan`` in left-to-right order."""
-    if isinstance(plan, ScanNode):
-        return [plan]
-    found: list[ScanNode] = []
+def walk(plan: PlanNode) -> list[PlanNode]:
+    """``plan`` and every node under it: parents first, left to right."""
+    found = [plan]
     for child in plan.children():
-        found.extend(scans_in(child))
+        found.extend(walk(child))
     return found
 
 
-def referenced_columns(plan: PlanNode) -> list[Column]:
-    """Every column referenced anywhere in the plan's expressions."""
-    columns: list[Column] = []
-    if isinstance(plan, FilterNode):
-        columns.extend(columns_in(plan.condition))
-    elif isinstance(plan, JoinNode):
-        columns.extend(columns_in(plan.condition))
-    elif isinstance(plan, ProjectNode):
-        for item in plan.items:
-            if not isinstance(item.expr, Star):
-                columns.extend(columns_in(item.expr))
-    elif isinstance(plan, AggregateNode):
-        for group in plan.group_by:
-            columns.extend(columns_in(group))
-        for item in plan.items:
-            columns.extend(columns_in(item.expr))
-        if plan.having is not None:
-            columns.extend(columns_in(plan.having))
-    elif isinstance(plan, SortNode):
-        for order in plan.order_by:
-            columns.extend(columns_in(order.expr))
-    for child in plan.children():
-        columns.extend(referenced_columns(child))
-    return columns
+def scans_in(plan: PlanNode) -> list[ScanNode]:
+    """All scan leaves of ``plan`` in left-to-right order."""
+    return [node for node in walk(plan) if isinstance(node, ScanNode)]

@@ -20,14 +20,16 @@ testable in isolation, and extensible:
   and column masks compile into scan annotations, so policy enforcement is
   priced and pruned like any other site work.
 
-Passes mutate scan annotations in place and may restructure filters; they
-never change query answers (see ``tests/test_equivalence_properties.py``).
+The first three are *claim rules* under the one conjunct-placement loop,
+:class:`ConjunctPlacement`, which is also the one home of the outer-join
+guard.  Passes mutate scan annotations in place and may restructure
+filters; they never change query answers (see
+``tests/test_equivalence_properties.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.connect.source import Predicate
 from repro.core.errors import QueryError
@@ -49,15 +51,14 @@ from repro.sql.planner import (
     FilterNode,
     JoinNode,
     PlanNode,
-    ProjectNode,
     ScanGovernance,
     ScanNode,
     _as_pushable,
     _binding_of_column,
     conjoin,
-    referenced_columns,
     scans_in,
     split_conjuncts,
+    walk,
 )
 
 
@@ -82,34 +83,59 @@ class RewritePipeline:
         return plan
 
 
-def null_supplying_bindings(node: PlanNode) -> set[str]:
-    """Bindings on the null-extended (right) side of a LEFT JOIN.
+def null_supplying_bindings(nodes: list[PlanNode]) -> set[str]:
+    """Bindings on the null-extended (right) side of a LEFT JOIN among
+    ``nodes`` (a subtree, walked).
 
     Predicates must not be pushed below the join for these bindings: a
     site-side filter would turn the outer join into an inner one for the
     filtered-out rows.
     """
     found: set[str] = set()
-    if isinstance(node, JoinNode) and node.join_type == "left":
-        found.update(scan.binding for scan in scans_in(node.right))
-    for child in node.children():
-        found |= null_supplying_bindings(child)
+    for node in nodes:
+        if isinstance(node, JoinNode) and node.join_type == "left":
+            found.update(scan.binding for scan in scans_in(node.right))
     return found
 
 
-def _rewrite_filters(
-    node: PlanNode, fn: Callable[[FilterNode], PlanNode]
-) -> PlanNode:
-    """Apply ``fn`` to every FilterNode, bottom-up; ``fn`` may drop it."""
-    for attr in ("child", "left", "right"):
-        if hasattr(node, attr):
-            setattr(node, attr, _rewrite_filters(getattr(node, attr), fn))
-    if isinstance(node, FilterNode):
-        return fn(node)
-    return node
+class ConjunctPlacement(RewritePass):
+    """Moves WHERE conjuncts out of residual filters onto scans.
+
+    This is the one conjunct-placement loop: every filter, bottom-up, has
+    its condition split into conjuncts; each conjunct is offered to the
+    subclass's *claim rule*, which either annotates a scan with it or
+    leaves it; what is left is conjoined again and an emptied filter is
+    dropped.  A rule is only ever offered the scans under the filter that
+    no LEFT JOIN null-extends, so a rule cannot forget the outer-join guard:
+    where a conjunct is evaluated must never change what it means.
+    """
+
+    def run(self, plan: PlanNode) -> PlanNode:
+        plan.replace_children(self.run)
+        if not isinstance(plan, FilterNode):
+            return plan
+        under = walk(plan.child)
+        null_extended = null_supplying_bindings(under)
+        scans = {
+            node.binding: node
+            for node in under
+            if isinstance(node, ScanNode) and node.binding not in null_extended
+        }
+        kept = [
+            conjunct
+            for conjunct in split_conjuncts(plan.condition)
+            if not self.claim(conjunct, scans)
+        ]
+        condition = conjoin(kept)
+        return plan.child if condition is None else FilterNode(plan.child, condition)
+
+    def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
+        """Annotate one of ``scans`` (by binding) with ``conjunct`` and
+        return True, or return False to leave it in the filter."""
+        raise NotImplementedError
 
 
-class PredicatePushdown(RewritePass):
+class PredicatePushdown(ConjunctPlacement):
     """Move ``column op literal`` conjuncts into their scan's pushdown."""
 
     name = "predicate-pushdown"
@@ -117,30 +143,16 @@ class PredicatePushdown(RewritePass):
     def __init__(self, binding_fields: dict[str, set[str]]) -> None:
         self.binding_fields = binding_fields
 
-    def run(self, plan: PlanNode) -> PlanNode:
-        def rewrite(node: FilterNode) -> PlanNode:
-            scans = {scan.binding: scan for scan in scans_in(node.child)}
-            null_extended = null_supplying_bindings(node.child)
-            kept: list[Expr] = []
-            for conjunct in split_conjuncts(node.condition):
-                pushable = _as_pushable(conjunct)
-                if pushable is not None:
-                    column, op, value = pushable
-                    binding = _binding_of_column(column, self.binding_fields)
-                    if (
-                        binding is not None
-                        and binding in scans
-                        and binding not in null_extended
-                    ):
-                        scans[binding].pushdown.append(
-                            Predicate(column.name, op, value)
-                        )
-                        continue
-                kept.append(conjunct)
-            condition = conjoin(kept)
-            return node.child if condition is None else FilterNode(node.child, condition)
-
-        return _rewrite_filters(plan, rewrite)
+    def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
+        pushable = _as_pushable(conjunct)
+        if pushable is None:
+            return False
+        column, op, value = pushable
+        scan = scans.get(_binding_of_column(column, self.binding_fields))
+        if scan is None:
+            return False
+        scan.pushdown.append(Predicate(column.name, op, value))
+        return True
 
 
 @dataclass(frozen=True)
@@ -151,12 +163,12 @@ class TextIndexTarget:
     text_column: str | None = None  # indexed column, None when unindexed
 
 
-class TextIndexRewrite(RewritePass):
+class TextIndexRewrite(ConjunctPlacement):
     """Turn ``MATCH(col, 'q')`` conjuncts into text-index access paths.
 
-    A conjunct is rewritten only when it resolves to exactly one scan whose
-    table has a text index on that column; otherwise it stays a row-wise
-    predicate (the scalar ``match`` fallback keeps answers correct).
+    A conjunct is rewritten only when it resolves to exactly one binding
+    whose table has a text index on that column; otherwise it stays a
+    row-wise predicate (the scalar ``match`` fallback keeps answers correct).
     """
 
     name = "text-index"
@@ -164,25 +176,7 @@ class TextIndexRewrite(RewritePass):
     def __init__(self, targets: dict[str, TextIndexTarget]) -> None:
         self.targets = targets
 
-    def run(self, plan: PlanNode) -> PlanNode:
-        def rewrite(node: FilterNode) -> PlanNode:
-            scans = {scan.binding: scan for scan in scans_in(node.child)}
-            kept: list[Expr] = []
-            for conjunct in split_conjuncts(node.condition):
-                resolved = self._resolve(conjunct, scans)
-                if resolved is not None:
-                    scan, column_name, query_text = resolved
-                    scan.text_filter = (column_name, query_text)
-                    continue
-                kept.append(conjunct)
-            condition = conjoin(kept)
-            return node.child if condition is None else FilterNode(node.child, condition)
-
-        return _rewrite_filters(plan, rewrite)
-
-    def _resolve(
-        self, conjunct: Expr, scans: dict[str, ScanNode]
-    ) -> tuple[ScanNode, str, str] | None:
+    def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
         if not (
             isinstance(conjunct, FuncCall)
             and conjunct.name == "match"
@@ -190,26 +184,24 @@ class TextIndexRewrite(RewritePass):
             and isinstance(conjunct.args[0], Column)
             and isinstance(conjunct.args[1], Literal)
         ):
-            return None
-        column = conjunct.args[0]
-        candidates: list[ScanNode] = []
-        for binding, scan in scans.items():
-            target = self.targets.get(binding)
-            if target is None:
-                continue
-            if column.qualifier is not None and column.qualifier != binding:
-                continue
-            if column.name not in target.fields:
-                continue
-            if target.text_column != column.name:
-                continue
-            candidates.append(scan)
-        if len(candidates) != 1:
-            return None  # ambiguous or unindexed: leave as a row-wise predicate
-        return candidates[0], column.name, str(conjunct.args[1].value)
+            return False
+        column, query = conjunct.args
+        candidates = [
+            binding
+            for binding, target in self.targets.items()
+            if column.qualifier in (None, binding)
+            and column.name in target.fields
+            and target.text_column == column.name
+        ]
+        # Ambiguous or unindexed: leave as a row-wise predicate.
+        scan = scans.get(candidates[0]) if len(candidates) == 1 else None
+        if scan is None:
+            return False
+        scan.text_filter = (column.name, str(query.value))
+        return True
 
 
-class SiteFilterPushdown(RewritePass):
+class SiteFilterPushdown(ConjunctPlacement):
     """Move residual single-binding conjuncts to the owning site.
 
     Source-level pushdown only handles ``column op literal``; everything
@@ -224,25 +216,12 @@ class SiteFilterPushdown(RewritePass):
     def __init__(self, binding_fields: dict[str, set[str]]) -> None:
         self.binding_fields = binding_fields
 
-    def run(self, plan: PlanNode) -> PlanNode:
-        def rewrite(node: FilterNode) -> PlanNode:
-            scans = {scan.binding: scan for scan in scans_in(node.child)}
-            null_extended = null_supplying_bindings(node.child)
-            kept: list[Expr] = []
-            for conjunct in split_conjuncts(node.condition):
-                binding = self._sole_binding(conjunct)
-                if (
-                    binding is not None
-                    and binding in scans
-                    and binding not in null_extended
-                ):
-                    scans[binding].site_filters.append(conjunct)
-                    continue
-                kept.append(conjunct)
-            condition = conjoin(kept)
-            return node.child if condition is None else FilterNode(node.child, condition)
-
-        return _rewrite_filters(plan, rewrite)
+    def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
+        scan = scans.get(self._sole_binding(conjunct))
+        if scan is None:
+            return False
+        scan.site_filters.append(conjunct)
+        return True
 
     def _sole_binding(self, expr: Expr) -> str | None:
         columns = columns_in(expr)
@@ -270,33 +249,20 @@ class ProjectionPruning(RewritePass):
         self.binding_fields = binding_fields
 
     def run(self, plan: PlanNode) -> PlanNode:
-        scans = scans_in(plan)
+        nodes = walk(plan)
+        scans = [node for node in nodes if isinstance(node, ScanNode)]
         needed: dict[str, set[str]] = {scan.binding: set() for scan in scans}
-        full: set[str] = set()
-        self._collect_stars(plan, needed, full)
-        columns = list(referenced_columns(plan))
-        for scan in scans:
-            for conjunct in scan.site_filters:
-                columns.extend(columns_in(conjunct))
-        for column in columns:
-            self._note(column, needed)
+        full: set[str] = set()  # bindings a ``*`` / ``alias.*`` keeps whole
+        for node in nodes:
+            for expr in node.exprs():
+                if isinstance(expr, Star):
+                    full.update(needed if expr.qualifier is None else [expr.qualifier])
+                for column in columns_in(expr):
+                    self._note(column, needed)
         for scan in scans:
             if scan.binding not in full:
                 scan.needed_columns = needed[scan.binding]
         return plan
-
-    def _collect_stars(
-        self, node: PlanNode, needed: dict[str, set[str]], full: set[str]
-    ) -> None:
-        if isinstance(node, ProjectNode):
-            for item in node.items:
-                if isinstance(item.expr, Star):
-                    if item.expr.qualifier is None:
-                        full.update(needed.keys())
-                    else:
-                        full.add(item.expr.qualifier)
-        for child in node.children():
-            self._collect_stars(child, needed, full)
 
     def _note(self, column: Column, needed: dict[str, set[str]]) -> None:
         if column.qualifier is not None:
@@ -320,14 +286,10 @@ class AggregateSplitting(RewritePass):
     name = "aggregate-split"
 
     def run(self, plan: PlanNode) -> PlanNode:
-        self._walk(plan)
+        for node in walk(plan):
+            if isinstance(node, AggregateNode) and isinstance(node.child, ScanNode):
+                node.split = AggregateSplit(calls=list(node.calls().values()))
         return plan
-
-    def _walk(self, node: PlanNode) -> None:
-        if isinstance(node, AggregateNode) and isinstance(node.child, ScanNode):
-            node.split = AggregateSplit(calls=list(node.calls().values()))
-        for child in node.children():
-            self._walk(child)
 
 
 @dataclass(frozen=True)

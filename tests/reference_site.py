@@ -252,7 +252,7 @@ class Ship(physical.Ship):
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
         if self.stage is not None:
-            binding = self.stage[0].binding
+            binding = self.stage.scan.binding
             ctx.report.stage_runtimes[binding] = (
                 arrival, tuple(sorted(stage_sites))
             )

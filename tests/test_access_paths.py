@@ -309,6 +309,94 @@ def test_there_is_one_aggregate_implementation():
     }
 
 
+def test_plan_layer_decisions_have_one_home():
+    """A plan node declares what it holds and traversals read that; WHERE
+    conjuncts are placed by one loop, which owns the outer-join guard;
+    output names and comparison semantics are defined once.  The per-type
+    ladders, the three claim loops, the three naming rules and the second
+    comparison table stay deleted."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import repro
+    from repro.connect.source import Predicate
+    from repro.core.values import COMPARISONS
+    from repro.federation import physical
+    from repro.sql import params, planner, rewrite
+
+    node_types = {
+        name
+        for name, member in vars(planner).items()
+        if inspect.isclass(member)
+        and issubclass(member, planner.PlanNode)
+        and member is not planner.PlanNode
+    }
+    assert {"ScanNode", "FilterNode", "JoinNode", "LimitNode"} <= node_types
+
+    def functions(tree, prefix=""):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                yield from functions(node, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                yield f"{prefix}{node.name}", node
+
+    def calls(function, name):
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+                yield node
+
+    # Compiling a node and labelling it in EXPLAIN are per type; nothing
+    # else tells three node types apart.
+    ladders, probes = set(), set()
+    source_root = Path(repro.__file__).parent
+    for path in source_root.rglob("*.py"):
+        for where, function in functions(ast.parse(path.read_text())):
+            tested = set()
+            for call in calls(function, "isinstance"):
+                tested |= {
+                    node.id
+                    for node in ast.walk(call.args[1])
+                    if isinstance(node, ast.Name)
+                }
+            if len(tested & node_types) >= 3:
+                ladders.add(where)
+            if any(calls(function, "hasattr")) and any(
+                isinstance(node, ast.Constant) and node.value == "child"
+                for node in ast.walk(function)
+            ):
+                probes.add(where)
+    assert ladders == {"PhysicalPlanner._node", "FederatedEngine._explain_node"}
+    assert probes == set()
+
+    bind_plan = inspect.getsource(params.bind_plan)
+    assert len(bind_plan.splitlines()) <= 10
+    assert not any(name in bind_plan for name in node_types)
+    assert not hasattr(rewrite, "_rewrite_filters")
+
+    # One placement loop: the only consumer of a filter's conjuncts and the
+    # only place the null-supplying side of a LEFT JOIN is consulted.
+    splitters, guards = set(), set()
+    tree = ast.parse(inspect.getsource(rewrite))
+    for where, function in functions(tree):
+        for call in calls(function, "split_conjuncts"):
+            if getattr(call.args[0], "attr", None) == "condition":
+                splitters.add(where)
+        if any(calls(function, "null_supplying_bindings")):
+            guards.add(where)
+    assert splitters == guards == {"ConjunctPlacement.run"}
+    for rule in (
+        rewrite.PredicatePushdown, rewrite.TextIndexRewrite, rewrite.SiteFilterPushdown
+    ):
+        assert issubclass(rule, rewrite.ConjunctPlacement)
+        assert "run" not in vars(rule) and "claim" in vars(rule)
+
+    assert physical.aggregate_names is planner.item_names
+    assert "item_names" in physical.output_names.__code__.co_names
+    assert "item_names" in planner._rewrite_aggregate_order.__code__.co_names
+    assert Predicate._OPS is COMPARISONS
+
+
 def test_the_benchmark_keyword_calls_still_bind():
     """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
     signature refactor must fail here, not as a broken bench run."""

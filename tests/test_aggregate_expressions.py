@@ -90,6 +90,39 @@ def test_the_shown_cases():
     assert rows == [(0, 18), (1, 18), (2, 18), (3, 18)]
 
 
+# Select lists whose items would share an output name, and the names given.
+REPEATED = [
+    ("count(*), count(t.v)", ("count", "count_2")),
+    ("min(t.v), max(t.v), min(t.v)", ("min", "max", "min_2")),
+    ("count(*) as n, sum(t.v) as n, t.g + 1, t.g + 1", ("n", "n_2", "col2", "col3")),
+]
+
+
+@pytest.mark.parametrize("source", [SPLIT, JOIN])
+@pytest.mark.parametrize("items,names", REPEATED)
+def test_repeated_output_names_get_a_suffix(items, names, source):
+    """An aggregation names its outputs by the rule a projection uses
+    (``planner.item_names``); it used to fail with ``duplicate field``."""
+    sql = f"select {items} from {source} group by t.g + 1"
+    result = federation(TABLES).query(sql)
+    assert tuple(result.table.schema.field_names) == names
+    rows = sorted(result.table.rows, key=row_order)
+    assert rows == sorted(sqlite_answer(TABLES, sql)[1], key=row_order)
+
+
+@pytest.mark.parametrize("source", [SPLIT, JOIN])
+def test_an_order_key_spelled_like_a_repeated_item_reads_that_item(source):
+    # count(*) ties everywhere; count(t.w) puts the all-NULL group 3 first.
+    sql = (
+        f"select t.g, count(*), count(t.w) from {source} group by t.g "
+        "order by count(t.w), t.g"
+    )
+    result = federation(TABLES).query(sql)
+    assert tuple(result.table.schema.field_names) == ("g", "count", "count_2")
+    assert result.table.rows == sqlite_answer(TABLES, sql)[1]
+    assert [row[0] for row in result.table.rows] == [3, 0, 1, 2]
+
+
 MALFORMED = [
     ("sum(*)", "sum(*) is not a valid aggregate"),
     ("-max(*)", "max(*) is not a valid aggregate"),

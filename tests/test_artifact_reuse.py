@@ -21,7 +21,7 @@ from repro.federation import (
     FederationCatalog,
     WorkloadManager,
 )
-from repro.federation.artifacts import StageOutput, StagePayload, stage_specs
+from repro.federation.artifacts import Artifact, StagePayload, stage_specs
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
@@ -86,7 +86,7 @@ def stage_key_of(catalog, store, sql):
     specs = stage_specs(plan)
     assert len(specs) == 1
     spec = next(iter(specs.values()))
-    return store.stage_key(catalog, spec.scan, spec.agg)
+    return store.stage_key(catalog, spec)
 
 
 class TestStageHash:
@@ -158,7 +158,7 @@ def make_output(key, rows=5, table_name="items", fetch_seconds=1.0, at=0.0):
     payload = StagePayload(
         kind="rows", fields=("v",), rows=[(i,) for i in range(rows)]
     )
-    return StageOutput(
+    return Artifact(
         key=key,
         table_name=table_name,
         payload=payload,

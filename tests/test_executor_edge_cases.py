@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.connect.source import Predicate
 from repro.core import DataType, Field, Money, Schema, Table
 from repro.core.errors import QueryError
 from repro.federation import FederatedEngine, FederationCatalog
 from repro.sim import SimClock
+
+from tests.sqlite_oracle import federation, row_order, sqlite_answer
 
 
 def engine_for(schema, rows, fragments=2):
@@ -82,6 +85,41 @@ class TestEmptyAndNullHandling:
         engine = FederatedEngine(catalog)
         result = engine.query("select l.k from l join r on l.k = r.k2")
         assert result.table.column("k") == ["x"]
+
+    @pytest.mark.parametrize("condition", ["v < {}", "v >= {}", "not (v >= {})"])
+    def test_a_null_comparison_means_the_same_wherever_it_is_evaluated(
+        self, condition
+    ):
+        """An inlined literal is pushed into the source
+        (``Predicate.matches``), a ``?`` travels as a site filter (column
+        kernel), an OR-ed or computed operand is left to ``evaluate``: one
+        comparison table, one answer.  The inlined ``v < null`` used to
+        raise ``cannot apply v < None``."""
+        rows = [(i % 7, None if i % 5 == 0 else i) for i in range(40)]
+        tables = {"items": (("k", "v"), rows)}
+        engine = federation(tables)
+        select = "select k, v from items where "
+        inlined = select + condition.format("null")
+        prepared = engine.prepare(select + condition.format("?"))
+        answers = [
+            engine.query(inlined).table.rows,
+            engine.execute(prepared, (None,)).table.rows,
+            engine.query(inlined + " or k > 100").table.rows,
+            engine.query(select + condition.replace("v", "v + 0").format("null"))
+            .table.rows,
+        ]
+        for answer in answers[1:]:
+            assert sorted(answer, key=row_order) == sorted(answers[0], key=row_order)
+        if not condition.startswith("not"):
+            # NOT over a NULL comparison is two-valued here (ROADMAP 4b).
+            assert answers[0] == sqlite_answer(tables, inlined)[1] == []
+
+    def test_a_hand_built_null_predicate_matches_nothing(self):
+        # ``contains`` used to search for ``str(None)``.
+        for op in ("contains", "<", "<=", ">", ">="):
+            predicate = Predicate("k", op, None)
+            assert not predicate.matches({"k": "none such"})
+            assert not predicate.matches({"k": None})
 
 
 class TestTypesAndExpressions:

@@ -14,6 +14,8 @@ from repro.federation.engine import LIVE_ONLY
 from repro.ir.search import SearchMode
 from repro.sim import EventLoop, SimClock
 
+from tests.sqlite_oracle import sqlite_answer
+
 
 def parts_schema():
     return Schema(
@@ -160,6 +162,40 @@ class TestMatchAccessPath:
             "select sku from parts where match(name, 'drill') and price < 100"
         )
         assert result.table.column("sku") == ["A-3"]
+
+    OUTER = (
+        "select s.supplier_id, p.sku from suppliers s {kind} join parts p "
+        "on s.supplier_id = p.supplier_id where {condition}"
+    )
+
+    def test_match_on_the_null_supplying_side_stays_above_the_join(self):
+        """WHERE runs after the outer join: a text-index probe below it
+        would leave the null-extended rows the WHERE must drop."""
+        engine = make_engine()
+        tables = {}
+        for name in ("suppliers", "parts"):
+            table = engine.query(f"select * from {name}").table
+            tables[name] = (table.schema.field_names, table.rows)
+        like = self.OUTER.format(kind="left", condition="p.name like '%ink%'")
+        expected = sorted(sqlite_answer(tables, like)[1])
+        assert expected == [("sup0", "A-1"), ("sup0", "A-2")]
+        for condition in ("match(p.name, 'ink')", "p.name contains 'ink'"):
+            sql = self.OUTER.format(kind="left", condition=condition)
+            assert sorted(engine.query(sql).table.rows) == expected
+        match = self.OUTER.format(kind="left", condition="match(p.name, 'ink')")
+        lines = [line.strip() for line in engine.explain(match).splitlines()]
+        assert lines.index("filter") < lines.index("left join")
+        assert "text-index" not in engine.explain(match)
+
+    def test_match_under_an_inner_join_keeps_the_text_index(self):
+        engine = make_engine()
+        sql = self.OUTER.format(kind="inner", condition="match(p.name, 'ink')")
+        assert sorted(engine.query(sql).table.rows) == [
+            ("sup0", "A-1"), ("sup0", "A-2")
+        ]
+        text = engine.explain(sql)
+        assert "text-index('name', 'ink')" in text
+        assert "filter" not in text
 
 
 class TestFailover:

@@ -447,7 +447,7 @@ def governed_stage_key(catalog, store, governance, tenant, sql):
     specs = stage_specs(plan)
     assert len(specs) == 1
     spec = next(iter(specs.values()))
-    return store.stage_key(catalog, spec.scan, spec.agg)
+    return store.stage_key(catalog, spec)
 
 
 class TestArtifactHashIsolation:

@@ -86,6 +86,16 @@ class TestCoverageKind:
             region(P("price", "<", 10)), region(P("price", "=", None))
         ) is None
 
+    def test_a_null_valued_bound_is_a_miss(self):
+        # ``price < NULL`` selects nothing; its region covers no other
+        # request and no other region is asked to cover it by a bound.
+        for cached, requested in (
+            (P("price", "<", None), P("price", "<", 5)),
+            (P("price", "<", 5), P("price", "<", None)),
+            (P("price", ">=", None), P("price", "=", 7)),
+        ):
+            assert coverage_kind(region(cached), region(requested)) is None
+
     def test_bound_excluding_value_implies_not_equal(self):
         assert coverage_kind(
             region(P("price", "!=", 9)), region(P("price", "<", 5))

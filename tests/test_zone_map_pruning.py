@@ -188,6 +188,14 @@ class TestFragmentCanMatch:
     def test_incomparable_value_keeps(self):
         assert fragment_can_match(self.zone, [Predicate("qty", ">", "high")])
 
+    def test_null_valued_range_keeps(self):
+        # ``qty < NULL`` selects nothing, but "scan it" is the sound answer
+        # the pruner gives for a bound it cannot place in the interval.
+        for op in ("<", "<=", ">", ">="):
+            unknown = [Predicate("qty", op, None)]
+            assert fragment_can_match(self.zone, unknown)
+            assert 0.0 <= zone_selectivity(self.zone, unknown) <= 1.0
+
 
 class TestSelectivity:
     def test_fallback_matches_seed_constants(self):
