@@ -20,6 +20,11 @@ class QueryError(ContentIntegrationError):
     """A query is syntactically or semantically invalid."""
 
 
+class BindError(QueryError):
+    """Parameter values do not fit a statement's ``?`` placeholders: the
+    wrong number of them, or a value with no SQL literal form."""
+
+
 class WrapperError(ContentIntegrationError):
     """A wrapper failed to fetch or parse content from a source."""
 

@@ -18,20 +18,14 @@ statement paid in queueing.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.core.errors import QueryError
+from repro.core.errors import BindError, QueryError
 from repro.core.records import Table
 from repro.federation.engine import FederatedEngine
 from repro.federation.gateway import PlanCache
 from repro.federation.physical import ExecutionReport, PhysicalPlan
-from repro.sql.parser import SqlParseError
-from repro.sql.sqltext import (
-    count_placeholders,
-    render_literal,
-    replace_placeholders,
-)
+from repro.sql.sqltext import render_literal
 
 if TYPE_CHECKING:  # imported lazily to avoid a module cycle at runtime
     from repro.federation.workload import WorkloadManager
@@ -45,67 +39,21 @@ class InterfaceError(QueryError):
     """Misuse of the DB-API surface (closed cursor, bad parameters...)."""
 
 
-def _quote_literal(value: Any) -> str:
-    """One parameter value as a SQL literal token.
-
-    Non-finite floats and bytes have no spelling in the grammar -- binding
-    them textually would produce unparseable (or silently wrong) SQL, so
-    they are rejected here with a clear error instead of downstream with a
-    confusing one.  Types without a literal form fall back to their string
-    representation, quoted.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InterfaceError(
-            f"cannot bind non-finite float {value!r}: inf/nan have no SQL "
-            "literal form"
-        )
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        raise InterfaceError(
-            "cannot bind bytes: this SQL dialect has no blob literal syntax"
-        )
-    try:
-        return render_literal(value)
-    except ValueError:
-        return "'" + str(value).replace("'", "''") + "'"
-
-
-def _bind(sql: str, parameters: Sequence[Any]) -> str:
-    """Substitute qmark placeholders into the statement text.
-
-    Shares the gateway's segment scanner (:mod:`repro.sql.sqltext`), so a
-    ``?`` inside a single-quoted string (with ``''`` escapes), a
-    double-quoted identifier or a ``--`` line comment is never mistaken
-    for a placeholder.
-    """
-    params = list(parameters)
-    needed = count_placeholders(sql)
-    if needed > len(params):
-        raise InterfaceError("more placeholders than parameters")
-    if needed < len(params):
-        raise InterfaceError(f"{len(params) - needed} unused parameters")
-    return replace_placeholders(sql, lambda i: _quote_literal(params[i]))
-
-
 def _check_bindable(parameters: Sequence[Any]) -> tuple:
-    """Validate parameter values for the prepared (AST-binding) path.
+    """The parameter values, each checked against the binder's one rule.
 
-    The same rejections as :func:`_quote_literal` apply even though no SQL
-    text is rendered: a non-finite float or a bytes value has no SQL-level
-    meaning, and accepting it on one path but not the other would make
-    driver behaviour depend on which grammar position the ``?`` sat in.
+    A value :func:`~repro.sql.sqltext.render_literal` cannot spell has no
+    SQL-level meaning, so it is refused here whichever way the statement
+    will bind -- into the cached template's AST or textually -- rather than
+    letting driver behaviour depend on which grammar position the ``?``
+    sat in.
     """
     values = tuple(parameters)
-    for value in values:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InterfaceError(
-                f"cannot bind non-finite float {value!r}: inf/nan have no "
-                "SQL literal form"
-            )
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            raise InterfaceError(
-                "cannot bind bytes: this SQL dialect has no blob literal "
-                "syntax"
-            )
+    try:
+        for value in values:
+            render_literal(value)
+    except ValueError as error:
+        raise InterfaceError(str(error)) from error
     return values
 
 
@@ -155,19 +103,16 @@ class Cursor:
         connection = self._connection
         values = _check_bindable(parameters)
         try:
-            prepared = connection._plan_cache.get_or_prepare(
-                sql, max_staleness=connection.max_staleness,
-                tenant=connection.tenant,
+            statement = connection._plan_cache.prepare_or_bind(
+                sql, values, connection.max_staleness, tenant=connection.tenant
             )
-        except SqlParseError:
-            if not count_placeholders(sql):
-                raise  # not a placeholder problem: the SQL is just invalid
-            return self._execute_textual(sql, values)
-        if len(values) < prepared.param_count:
-            raise InterfaceError("more placeholders than parameters")
-        if len(values) > prepared.param_count:
+        except BindError as error:
+            raise InterfaceError(str(error)) from error
+        prepared = statement.get("prepared")
+        if prepared is not None and len(values) != prepared.param_count:
             raise InterfaceError(
-                f"{len(values) - prepared.param_count} unused parameters"
+                f"statement takes {prepared.param_count} parameter(s), "
+                f"got {len(values)}"
             )
         if connection.workload is not None:
             # Tenanted execution: the statement goes through admission
@@ -175,39 +120,20 @@ class Cursor:
             # until it resolves -- DB-API callers stay synchronous while the
             # federation underneath runs a concurrent workload.
             handle = connection.workload.submit(
-                prepared=prepared,
-                params=values,
                 tenant=connection.tenant,
                 priority=connection.priority,
                 degraded_ok=connection.degraded_ok,
+                **statement,
             )
             connection.workload.drain(handle)
             result = handle.result()
-        else:
+        elif prepared is not None:
             result = connection.engine.execute(
-                prepared, values, degraded_ok=connection.degraded_ok
+                **statement, degraded_ok=connection.degraded_ok
             )
-        self._install_result(result)
-        return self
-
-    def _execute_textual(self, sql: str, values: tuple) -> "Cursor":
-        """The textual-binding fallback for unpreparable statements."""
-        bound = _bind(sql, values)
-        connection = self._connection
-        if connection.workload is not None:
-            handle = connection.workload.submit(
-                bound,
-                tenant=connection.tenant,
-                priority=connection.priority,
-                max_staleness=connection.max_staleness,
-                degraded_ok=connection.degraded_ok,
-            )
-            connection.workload.drain(handle)
-            result = handle.result()
         else:
             result = connection.engine.query(
-                bound,
-                max_staleness=connection.max_staleness,
+                **statement,
                 degraded_ok=connection.degraded_ok,
                 tenant=connection.tenant,
             )

@@ -12,9 +12,9 @@ once.  This module is that serving layer, sitting in front of the
   returns it.  ``gateway.sessions.active`` / ``.pooled`` gauges and
   ``.opened`` / ``.reused`` counters make pool behaviour observable.
 * **Prepared-statement plan cache.**  Statements are keyed by their
-  *normalized* SQL text (comments stripped, whitespace collapsed, code
-  lowercased -- quoted material verbatim) plus the staleness bound, and
-  the parse + rewrite + optimize work happens once per key:
+  *normalized* SQL text (the lexer's tokens: keyword case, spacing and
+  comments folded, identifiers and literals as written) plus the staleness
+  bound, and the parse + rewrite + optimize work happens once per key:
   :meth:`~repro.federation.engine.FederatedEngine.prepare` builds an
   immutable parameterizable template, every later execution binds values
   into a copy (``gateway.plan_cache.hits``/``misses``).  Stale templates
@@ -37,17 +37,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.errors import QueryError
+from repro.core.errors import BindError, QueryError
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.workload import QueryHandle, WorkloadManager
 from repro.sim.metrics import MetricsRegistry
 from repro.sql.parser import SqlParseError
-from repro.sql.sqltext import (
-    count_placeholders,
-    normalize_sql,
-    render_literal,
-    replace_placeholders,
-)
+from repro.sql.sqltext import normalize_sql, render_literal, replace_placeholders
 
 
 class PlanCache:
@@ -136,6 +131,34 @@ class PlanCache:
         self.metrics.gauge("gateway.plan_cache.size").set(len(self._entries))
         return entry
 
+    def prepare_or_bind(
+        self,
+        sql: str,
+        params: "tuple | list",
+        max_staleness: float | None = None,
+        coordinator: str | None = None,
+        tenant: str | None = None,
+    ) -> dict:
+        """The statement half of a ``WorkloadManager.submit`` call for
+        ``sql``: the cached template with ``params``, or -- for a statement
+        the grammar cannot prepare -- its fully bound text.
+
+        Grammar positions that cannot hold a ``Parameter`` (LIKE patterns,
+        LIMIT counts) fall back to textual binding: the bound text runs ad
+        hoc, planned per statement outside the cache, under the same
+        plan-shaping options the template would have carried.  A statement
+        that does not parse and has nothing to bind is simply invalid; the
+        parser's error stands.
+        """
+        try:
+            prepared = self.get_or_prepare(sql, max_staleness, coordinator, tenant)
+        except SqlParseError:
+            bound = bind_sql_text(sql, params)
+            if bound == sql:
+                raise
+            return dict(sql=bound, max_staleness=max_staleness, coordinator=coordinator)
+        return dict(prepared=prepared, params=params)
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -218,34 +241,15 @@ class GatewaySession:
         """
         self._check_open()
         self.statements += 1
-        workload = self.gateway.workload
-        try:
-            prepared = self.gateway.plan_cache.get_or_prepare(
-                sql, max_staleness=max_staleness, coordinator=self.coordinator,
-                tenant=self.tenant,
-            )
-        except SqlParseError:
-            if not count_placeholders(sql):
-                raise
-            # Grammar positions that cannot hold a Parameter (LIKE
-            # patterns, LIMIT counts) fall back to textual binding: the
-            # fully-bound text plans per-statement, outside the cache.
-            bound_sql = bind_sql_text(sql, params)
-            return workload.submit(
-                bound_sql,
-                tenant=self.tenant,
-                priority=priority,
-                deadline=deadline,
-                max_staleness=max_staleness,
-                degraded_ok=self.degraded_ok,
-            )
-        return workload.submit(
-            prepared=prepared,
-            params=params,
+        statement = self.gateway.plan_cache.prepare_or_bind(
+            sql, params, max_staleness, self.coordinator, self.tenant
+        )
+        return self.gateway.workload.submit(
             tenant=self.tenant,
             priority=priority,
             deadline=deadline,
             degraded_ok=self.degraded_ok,
+            **statement,
         )
 
     def execute(
@@ -313,22 +317,16 @@ class GatewaySession:
 
 
 def bind_sql_text(sql: str, params: "tuple | list") -> str:
-    """Textually substitute ``params`` into the ``?`` slots of ``sql``.
+    """Textually substitute ``params`` into the ``?`` tokens of ``sql``.
 
-    Comment/identifier/escape-aware (a ``?`` inside a string, a
-    double-quoted identifier or a ``--`` comment is not a placeholder).
-    The parameter-count check matches DB-API semantics.
+    A ``?`` inside a string or a ``--`` comment is not a token, so it is
+    not a placeholder.  Raises :class:`BindError` when the counts differ or
+    a value has no SQL literal form.
     """
-    values = tuple(params)
-    needed = count_placeholders(sql)
-    if needed != len(values):
-        raise QueryError(
-            f"statement takes {needed} parameter(s), got {len(values)}"
-        )
     try:
-        return replace_placeholders(sql, lambda i: render_literal(values[i]))
+        return replace_placeholders(sql, [render_literal(v) for v in params])
     except ValueError as error:
-        raise QueryError(str(error)) from error
+        raise BindError(str(error)) from error
 
 
 @dataclass

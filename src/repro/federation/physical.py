@@ -151,10 +151,6 @@ class PhysicalPlan:
     planner_wall_seconds: float = 0.0
     sites_contacted: int = 0
     total_price: float = 0.0
-    # The compiled operator tree.  Optimizers attach one for inspection;
-    # the executor recompiles at execution time (annotations such as the
-    # cache swap may change between optimization and execution).
-    root: "PhysicalOperator | None" = None
 
     def replay(self, logical: PlanNode) -> "PhysicalPlan":
         """This plan's decisions over ``logical`` for one more execution.
@@ -2245,9 +2241,7 @@ class PhysicalPlanner:
         self.catalog = catalog
 
     def compile(self, plan: PhysicalPlan) -> PhysicalOperator:
-        root = self._node(plan.logical, plan)
-        plan.root = root
-        return root
+        return self._node(plan.logical, plan)
 
     def _node(self, node: PlanNode, plan: PhysicalPlan) -> PhysicalOperator:
         if isinstance(node, ScanNode):

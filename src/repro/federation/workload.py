@@ -298,6 +298,7 @@ class WorkloadManager:
         degraded_ok: bool = False,
         prepared: PreparedStatement | None = None,
         params: "tuple | list" = (),
+        coordinator: str | None = None,
     ) -> QueryHandle:
         """Admit one query; returns a handle resolved via the event loop.
 
@@ -309,15 +310,18 @@ class WorkloadManager:
 
         Pass ``prepared`` (with ``params``) instead of ``sql`` to dispatch
         a prepared template through the same admission/scheduling path;
-        the statement's ``max_staleness`` was fixed at prepare time, so
-        the per-submission argument is not accepted alongside it.
+        the statement's ``max_staleness`` and pinned ``coordinator`` were
+        fixed at prepare time, so the per-submission arguments are not
+        accepted alongside it.
         """
         if (sql is None) == (prepared is None):
             raise QueryError("submit() takes exactly one of sql or prepared")
-        if prepared is not None and max_staleness is not None:
+        if prepared is not None and (
+            max_staleness is not None or coordinator is not None
+        ):
             raise QueryError(
-                "max_staleness is fixed at prepare time for prepared "
-                "statements; do not pass it to submit()"
+                "max_staleness and coordinator are fixed at prepare time for "
+                "prepared statements; do not pass them to submit()"
             )
         owner = self.tenant(tenant)
         if deadline is not None and deadline <= 0:
@@ -369,7 +373,10 @@ class WorkloadManager:
             options = replace(prepared.options, **per_execution)
         else:
             options = QueryOptions(
-                max_staleness=max_staleness, tenant=owner.name, **per_execution
+                max_staleness=max_staleness,
+                coordinator=coordinator,
+                tenant=owner.name,
+                **per_execution,
             )
         handle = QueryHandle(
             seq=next(self._seq),
@@ -443,7 +450,9 @@ class WorkloadManager:
         producer-death fallback and mid-flight re-planning (``rerun`` is the
         in-flight result whose plan re-executes instead of planning again).
         Returns None, with the handle settled as failed, when the engine
-        raised."""
+        raised a typed error; anything else it raised settles the handle
+        the same way -- slot, tenant quota and drain accounting released --
+        and propagates, so a bug in one statement cannot wedge the rest."""
         try:
             if rerun is not None:
                 result = self.engine.rerun_physical(rerun)
@@ -456,6 +465,9 @@ class WorkloadManager:
         except ContentIntegrationError as error:
             self._finish(handle, error=error)
             return None
+        except Exception as error:
+            self._finish(handle, error=error)
+            raise
         report = result.report
         report.queue_wait_seconds = handle.started_at - handle.submitted_at
         report.tenant = handle.tenant.name

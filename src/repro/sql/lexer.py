@@ -1,15 +1,22 @@
-"""The SQL lexer.
+"""The SQL lexer: the only code that reads SQL characters.
 
-Produces a flat token stream for the recursive-descent parser.  Keywords are
-case-insensitive; identifiers keep their original case (they are matched
-case-sensitively against schema field names, which this codebase keeps
-lowercase).  String literals use single quotes with ``''`` escaping.
+One compiled token grammar turns a statement into a flat token stream.  The
+recursive-descent parser consumes it, and :mod:`repro.sql.sqltext` derives
+the plan-cache key and the ``?`` substitution from the same stream, so what
+counts as a comment, a string or a placeholder is decided here once.
+Keywords are case-insensitive; identifiers keep their original case (they
+are matched case-sensitively against schema field names, which this
+codebase keeps lowercase).  String literals use single quotes with ``''``
+escaping; ``--`` starts a comment that runs to (not past) the newline.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
+
+from repro.core.errors import QueryError
 
 KEYWORDS = frozenset(
     {
@@ -21,85 +28,59 @@ KEYWORDS = frozenset(
     }
 )
 
-PUNCTUATION = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", "+",
-               "-", "/", ".", "?")
 
-
-class SqlLexError(Exception):
+class SqlLexError(QueryError):
     """Raised when the query contains characters the lexer cannot consume."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "keyword" | "ident" | "number" | "string" | "punct" | "eof"
-    value: str
-    position: int
+    value: str  # keywords lowercased, strings unquoted and unescaped
+    position: int  # offset of the token's first character
+    end: int  # offset one past its last: text[position:end] is the spelling
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
+# Whatever separates tokens is consumed in front of the next one, so every
+# match is one token and the matches tile the text: ``eof`` takes trailing
+# whitespace and comments, ``bad`` is what no token starts with.  A string
+# never ends at a quote that another follows, which leaves it one reading.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s+|--[^\n]*)*
+    (?: (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<punct><=|>=|<>|!=|[=<>(),*+\-/.?])
+      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+# The plan-cache key tokenizes every arriving statement, and a NamedTuple's
+# generated ``__new__`` is a Python-level call around exactly this one.
+_token = partial(tuple.__new__, Token)
 
 
 def tokenize_sql(text: str) -> list[Token]:
     """Tokenize ``text``; always ends with an ``eof`` token."""
     tokens: list[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char.isspace():
-            position += 1
-            continue
-        if char == "-" and text.startswith("--", position):
-            # Line comment: skip to (not past) the newline, which the
-            # whitespace branch then consumes.  Matches the segment
-            # scanner in repro.sql.sqltext, so the plan-cache normalizer
-            # and the grammar agree on what is commentary.
-            end = text.find("\n", position)
-            position = length if end < 0 else end
-            continue
-        if char == "'":
-            value, position = _read_string(text, position)
-            tokens.append(Token("string", value, position))
-            continue
-        number_match = _NUMBER_RE.match(text, position)
-        if number_match and char.isdigit():
-            tokens.append(Token("number", number_match.group(0), position))
-            position = number_match.end()
-            continue
-        ident_match = _IDENT_RE.match(text, position)
-        if ident_match:
-            word = ident_match.group(0)
-            if word.lower() in KEYWORDS:
-                tokens.append(Token("keyword", word.lower(), position))
-            else:
-                tokens.append(Token("ident", word, position))
-            position = ident_match.end()
-            continue
-        for punct in PUNCTUATION:
-            if text.startswith(punct, position):
-                tokens.append(Token("punct", punct, position))
-                position += len(punct)
-                break
-        else:
-            raise SqlLexError(f"unexpected character {char!r} at offset {position}")
-    tokens.append(Token("eof", "", length))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        end = match.end()
+        start = end - len(value)
+        if kind == "word":
+            kind = "ident"
+            if value.lower() in KEYWORDS:
+                kind, value = "keyword", value.lower()
+        elif kind == "string":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "bad":
+            if value == "'":
+                raise SqlLexError(f"unterminated string literal at offset {start}")
+            raise SqlLexError(f"unexpected character {value!r} at offset {start}")
+        tokens.append(_token((kind, value, start, end)))
+        if kind == "eof":
+            break
     return tokens
-
-
-def _read_string(text: str, position: int) -> tuple[str, int]:
-    """Read a single-quoted literal starting at ``position``."""
-    assert text[position] == "'"
-    pieces = []
-    i = position + 1
-    while i < len(text):
-        char = text[i]
-        if char == "'":
-            if i + 1 < len(text) and text[i + 1] == "'":
-                pieces.append("'")
-                i += 2
-                continue
-            return "".join(pieces), i + 1
-        pieces.append(char)
-        i += 1
-    raise SqlLexError(f"unterminated string literal at offset {position}")

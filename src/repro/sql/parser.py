@@ -19,6 +19,7 @@ Grammar (in precedence order for expressions)::
 
 from __future__ import annotations
 
+from repro.core.errors import QueryError
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -43,7 +44,7 @@ from repro.sql.lexer import Token, tokenize_sql
 _COMPARISONS = {"=", "!=", "<>", "<", "<=", ">", ">="}
 
 
-class SqlParseError(Exception):
+class SqlParseError(QueryError):
     """Raised on a syntactically invalid query; carries token position."""
 
 

@@ -1,169 +1,98 @@
-"""Lossless SQL text scanning: placeholders, comments, normalization.
+"""SQL text operations on the lexer's token stream.
 
-The DB-API layer and the gateway both need to look at raw SQL text
-*before* parsing -- to substitute ``?`` placeholders (textual binding
-fallback) and to compute plan-cache keys.  Both must agree on what is
-code and what is quoted material: a ``?`` inside a string literal, a
-double-quoted identifier, or a ``--`` line comment is not a placeholder,
-and two statements differing only in comments or whitespace should hit
-the same cache entry.
-
-This module provides one segment scanner and builds both operations on
-top of it, so they can never drift apart.
+The gateway and the DB-API driver look at a statement's text *before* it
+is parsed: to compute its plan-cache key and to substitute ``?``
+placeholders the grammar cannot hold (the textual-binding fallback).  Both
+read :func:`repro.sql.lexer.tokenize_sql`'s tokens and nothing else, so a
+``?`` inside a string literal or a ``--`` comment is not a placeholder
+because the lexer never made it a token, and two texts share a key exactly
+when the parser would see the same statement.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import math
+from typing import Sequence
 
-# Segment kinds produced by scan_segments:
-#   "code"     -- plain SQL text (keywords, idents, operators, numbers)
-#   "string"   -- a single-quoted literal, quotes included, '' escapes kept
-#   "ident"    -- a double-quoted identifier, quotes included, "" escapes kept
-#   "comment"  -- a ``--`` line comment up to (not including) the newline
+from repro.sql.lexer import Token, tokenize_sql
 
 
-class SqlTextError(ValueError):
-    """Raised on unterminated quoted material."""
-
-
-def scan_segments(sql: str) -> Iterator[tuple[str, str]]:
-    """Split ``sql`` into (kind, text) segments; concatenation round-trips."""
-    i = 0
-    length = len(sql)
-    code_start = 0
-    while i < length:
-        char = sql[i]
-        if char == "'" or char == '"':
-            if code_start < i:
-                yield "code", sql[code_start:i]
-            end = _read_quoted(sql, i, char)
-            yield ("string" if char == "'" else "ident"), sql[i:end]
-            i = end
-            code_start = i
-        elif char == "-" and sql.startswith("--", i):
-            if code_start < i:
-                yield "code", sql[code_start:i]
-            end = sql.find("\n", i)
-            if end < 0:
-                end = length
-            yield "comment", sql[i:end]
-            i = end
-            code_start = i
-        else:
-            i += 1
-    if code_start < length:
-        yield "code", sql[code_start:length]
-
-
-def _read_quoted(sql: str, start: int, quote: str) -> int:
-    """Index one past the closing quote, honoring doubled-quote escapes."""
-    i = start + 1
-    length = len(sql)
-    while i < length:
-        if sql[i] == quote:
-            if i + 1 < length and sql[i + 1] == quote:
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    kind = "string literal" if quote == "'" else "quoted identifier"
-    raise SqlTextError(f"unterminated {kind} starting at offset {start}")
+def _placeholders(sql: str) -> list[Token]:
+    return [
+        token
+        for token in tokenize_sql(sql)
+        if token.kind == "punct" and token.value == "?"
+    ]
 
 
 def count_placeholders(sql: str) -> int:
-    """Number of ``?`` placeholders in code segments of ``sql``."""
-    return sum(
-        text.count("?") for kind, text in scan_segments(sql) if kind == "code"
-    )
+    """Number of ``?`` placeholder tokens in ``sql``."""
+    return len(_placeholders(sql))
 
 
-def replace_placeholders(sql: str, substitute: Callable[[int], str]) -> str:
-    """Replace each code-segment ``?`` with ``substitute(ordinal)``.
+def replace_placeholders(sql: str, literals: Sequence[str]) -> str:
+    """Replace the i-th ``?`` token with ``literals[i]``.
 
-    Placeholders inside string literals, double-quoted identifiers, and
-    ``--`` comments are left untouched.
+    Everything between the placeholders -- comments, spacing, string
+    literals -- is copied through as spelled.  Raises :class:`ValueError`
+    unless there is exactly one literal per placeholder.
     """
+    slots = _placeholders(sql)
+    if len(slots) != len(literals):
+        raise ValueError(
+            f"statement takes {len(slots)} parameter(s), got {len(literals)}"
+        )
     pieces: list[str] = []
-    ordinal = 0
-    for kind, text in scan_segments(sql):
-        if kind != "code" or "?" not in text:
-            pieces.append(text)
-            continue
-        parts = text.split("?")
-        pieces.append(parts[0])
-        for part in parts[1:]:
-            pieces.append(substitute(ordinal))
-            pieces.append(part)
-            ordinal += 1
+    copied = 0
+    for slot, literal in zip(slots, literals):
+        pieces += (sql[copied:slot.position], literal)
+        copied = slot.end
+    pieces.append(sql[copied:])
     return "".join(pieces)
 
 
 def render_literal(value) -> str:
     """Render a Python value as a SQL literal token.
 
-    Raises :class:`ValueError` for values with no SQL spelling: non-finite
-    floats (``inf``/``nan`` are not literals the grammar accepts) and bytes
-    (no blob literal syntax in this dialect).  Callers map this to their
-    interface-level error type.
+    This is the one bindability rule: ``None``, bools, ints, finite floats
+    and strings have a spelling in the grammar; anything else (``inf`` /
+    ``nan``, bytes -- the dialect has no blob syntax -- or a type the
+    engine was never told about) raises :class:`ValueError`, which each
+    client facade maps to its own error class.
     """
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
-    if isinstance(value, int):
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
         return repr(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(
-                f"cannot render non-finite float {value!r} as a SQL literal"
-            )
-        return repr(value)
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        raise ValueError(
-            "cannot render bytes as a SQL literal; this dialect has no "
-            "blob literal syntax"
-        )
     if isinstance(value, str):
-        escaped = value.replace("'", "''")
-        return f"'{escaped}'"
+        return "'" + value.replace("'", "''") + "'"
     raise ValueError(
-        f"cannot render {type(value).__name__} value {value!r} as a SQL literal"
+        f"cannot bind {type(value).__name__} value {value!r}: it has no SQL "
+        "literal form"
     )
 
 
 def normalize_sql(sql: str) -> str:
-    """Canonical cache-key form of a statement.
+    """Canonical plan-cache key form of a statement.
 
-    Strips comments, collapses runs of whitespace in code to single
-    spaces, and lowercases code text (the grammar's keywords are
-    case-insensitive and schema names are kept lowercase).  Quoted
-    strings and identifiers pass through verbatim -- their case and
-    spacing are semantic.
+    The tokens, single-spaced, folding exactly what the parser folds:
+    keyword case, whitespace, comments, and the case of a function name (an
+    identifier directly before ``(``).  Identifier and alias case, number
+    spellings and string literals are semantic and kept as written.
     """
-    out: list[str] = []
-    pending_space = False
-    for kind, text in scan_segments(sql):
-        if kind == "comment":
-            # A comment ends a token just as the newline after it would;
-            # keep a separator so "a--c\nb" doesn't fuse into "ab".
-            pending_space = True
-            continue
-        if kind == "code":
-            if text[:1].isspace():
-                pending_space = True
-            body = " ".join(text.lower().split())
-            if not body:
-                continue
-            if pending_space and out:
-                out.append(" ")
-            out.append(body)
-            pending_space = text[-1:].isspace()
+    tokens = tokenize_sql(sql)
+    parts: list[str] = []
+    for token, following in zip(tokens, tokens[1:]):
+        if token.kind == "string":
+            parts.append(sql[token.position:token.end])
+        elif (
+            token.kind == "ident"
+            and following.kind == "punct"
+            and following.value == "("
+        ):
+            parts.append(token.value.lower())
         else:
-            # Quoted material passes through verbatim; spacing adjacent to
-            # it is preserved as a single separator.
-            if pending_space and out:
-                out.append(" ")
-            out.append(text)
-            pending_space = False
-    return "".join(out)
+            parts.append(token.value)
+    return " ".join(parts)

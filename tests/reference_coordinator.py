@@ -591,9 +591,7 @@ class ReferencePlanner(physical.PhysicalPlanner):
     """Compiles the coordinator half of a plan into the reference operators."""
 
     def compile(self, plan: physical.PhysicalPlan) -> physical.PhysicalOperator:
-        root = Batches(self._reference(plan.logical, plan))
-        plan.root = root
-        return root
+        return Batches(self._reference(plan.logical, plan))
 
     def _reference(self, node: PlanNode, plan: physical.PhysicalPlan):
         if isinstance(node, ScanNode) or (

@@ -397,6 +397,59 @@ def test_plan_layer_decisions_have_one_home():
     assert Predicate._OPS is COMPARISONS
 
 
+def test_sql_text_has_one_scanner_and_one_prepare_or_bind():
+    """``sql/lexer.py`` is the only reader of SQL characters: the segment
+    scanner, its error class and the DB-API's private binder stay deleted,
+    the plan-cache key and the placeholder operations are built on
+    ``tokenize_sql``, and the prepared-or-textual fork is written once."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    source_root = Path(repro.__file__).parent
+    defined, callees, forks = set(), {}, set()
+    for path in source_root.rglob("*.py"):
+        where = path.relative_to(source_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if where == "sql/sqltext.py":
+                callees[node.name] = {
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+            if where.startswith("federation/") and isinstance(node, ast.FunctionDef):
+                if any(
+                    isinstance(handler, ast.ExceptHandler)
+                    and handler.type is not None
+                    and "SqlParseError" in ast.dump(handler.type)
+                    for handler in ast.walk(node)
+                ):
+                    forks.add(f"{where}:{node.name}")
+    assert not defined & {
+        "scan_segments", "_read_quoted", "SqlTextError",
+        "_execute_textual", "_bind", "_quote_literal",
+    }
+
+    def reaches_lexer(name, seen=()):
+        return "tokenize_sql" in callees[name] or any(
+            reaches_lexer(callee, (*seen, name))
+            for callee in callees[name] & (callees.keys() - set(seen))
+        )
+
+    for built_on_tokens in (
+        "normalize_sql", "count_placeholders", "replace_placeholders"
+    ):
+        assert reaches_lexer(built_on_tokens)
+    assert forks == {
+        "federation/gateway.py:prepare_or_bind",
+        "federation/governance.py:_parse_row_filter",
+    }
+
+
 def test_the_benchmark_keyword_calls_still_bind():
     """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
     signature refactor must fail here, not as a broken bench run."""

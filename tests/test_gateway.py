@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DataType, Field, Schema, Table
-from repro.core.errors import QueryError
+from repro.core.errors import ContentIntegrationError, QueryError
 from repro.federation import (
     FederatedEngine,
     FederationCatalog,
     Gateway,
     WorkloadManager,
 )
+from repro.federation import dbapi
 from repro.federation.gateway import PlanCache, bind_sql_text
 from repro.sim import EventLoop, SimClock
+from repro.sql.lexer import SqlLexError
 from repro.sql.parser import SqlParseError
 
 
@@ -94,6 +96,30 @@ class TestPlanCache:
             session.execute("select count(*) from items where k = 'K0001'")
             session.execute("select count(*) from items where k = 'k0001'")
         # Different string literals are different statements.
+        assert gateway.plan_cache.misses == 2
+
+    @pytest.mark.parametrize("first, second", [("V", "v"), ("v", "V")])
+    def test_identifier_case_keys_separately(self, first, second):
+        """Regression: the key lower-cased identifiers the lexer keeps as
+        written, so whichever of ``select V`` (unknown column) and
+        ``select v`` came first decided what the other one did."""
+        _, _, gateway = make_gateway()
+        sql = "select {} from items where k = ?"
+        with gateway.connect() as session:
+            for column in (first, second):
+                if column == "v":
+                    assert session.execute(sql.format(column), ("k0001",)).rows == [(1,)]
+                else:
+                    with pytest.raises(QueryError, match="unknown column 'V'"):
+                        session.execute(sql.format(column), ("k0001",))
+
+    @pytest.mark.parametrize("first, second", [("A", "a"), ("a", "A")])
+    def test_alias_case_names_its_own_output(self, first, second):
+        _, _, gateway = make_gateway()
+        sql = "select k as {} from items where k = ?"
+        with gateway.connect() as session:
+            for alias in (first, second):
+                assert session.execute(sql.format(alias), ("k0001",)).columns == (alias,)
         assert gateway.plan_cache.misses == 2
 
     def test_staleness_bound_keys_separately(self):
@@ -371,6 +397,115 @@ class TestTextualFallback:
         with gateway.connect() as session:
             with pytest.raises(SqlParseError):
                 session.execute("select from from items")
+
+
+    def test_fallback_keeps_the_pinned_coordinator(self):
+        _, _, gateway = make_gateway()
+        with gateway.connect(coordinator="s2") as session:
+            outcome = session.execute(
+                "select k from items where k like ?", ("k000%",)
+            )
+        assert outcome.prepared is None
+        assert outcome.result.plan.coordinator == "s2"
+
+
+MALFORMED = [
+    ("select v from items limit ?", (1.5,)),
+    ("select v from items limit ?", (-1,)),
+    ("select v from items limit ?", ("x",)),
+    ("select v from items where k like ? and", ("k%",)),
+]
+
+
+class TestMalformedStatementsHoldNoSlot:
+    """Regression: a statement whose *bound* text does not parse failed
+    inside a dispatched slot with an error the manager did not settle; two
+    of them (``max_in_flight=2``) stalled every tenant's later statements."""
+
+    def assert_at_baseline(self, manager):
+        assert manager.in_flight == 0 and manager._unfinished == 0
+        assert all(tenant.running == 0 for tenant in manager.tenants.values())
+
+    def test_through_a_gateway_session(self):
+        _, _, gateway = make_gateway()
+        with gateway.connect(tenant="acme") as session:
+            for sql, params in MALFORMED:
+                with pytest.raises(QueryError):
+                    session.execute(sql, params)
+                self.assert_at_baseline(gateway.workload)
+        with gateway.connect(tenant="bolt") as other:
+            assert other.execute(QUERY, (30,)).rows == [(30,)]
+
+    def test_through_a_workload_attached_dbapi_cursor(self):
+        _, engine, gateway = make_gateway()
+        manager = gateway.workload
+        cursor = dbapi.connect(engine, workload=manager, tenant="acme").cursor()
+        for sql, params in MALFORMED:
+            with pytest.raises(QueryError):
+                cursor.execute(sql, params)
+            self.assert_at_baseline(manager)
+        with gateway.connect(tenant="bolt") as other:
+            assert other.execute(QUERY, (30,)).rows == [(30,)]
+
+    def test_an_untyped_engine_failure_settles_and_propagates(self, monkeypatch):
+        _, engine, gateway = make_gateway()
+        monkeypatch.setattr(
+            engine, "query", lambda *args, **kwargs: 1 / 0, raising=True
+        )
+        with pytest.raises(ZeroDivisionError):
+            gateway.workload.submit("select k from items")
+        self.assert_at_baseline(gateway.workload)
+
+    def test_unterminated_string_is_one_error_on_every_entry_path(self):
+        _, engine, gateway = make_gateway()
+        sql = "select k from items where k = 'oops"
+        with gateway.connect() as session:
+            with pytest.raises(SqlLexError):
+                session.execute(sql)
+        with pytest.raises(SqlLexError):
+            dbapi.connect(engine).cursor().execute(sql)
+        with pytest.raises(SqlLexError):
+            engine.query(sql)
+        assert issubclass(SqlLexError, QueryError)
+        assert issubclass(SqlParseError, QueryError)
+
+    def test_double_quoted_identifier_is_refused_at_the_door(self):
+        _, _, gateway = make_gateway()
+        with gateway.connect() as session:
+            with pytest.raises(SqlLexError):
+                session.execute('select "k" from items where v < ?', (3,))
+        self.assert_at_baseline(gateway.workload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sql=st.one_of(
+            st.text(max_size=60),
+            st.lists(
+                st.sampled_from(
+                    "select k v from items where like limit and ? ?  , ( ) * "
+                    "'k%' '' ' -- \n = < 1 1.5 count".split(" ")
+                ),
+                max_size=14,
+            ).map(" ".join),
+        ),
+        params=st.lists(
+            st.one_of(
+                st.none(), st.booleans(), st.integers(), st.floats(),
+                st.text(max_size=5), st.binary(max_size=3),
+            ),
+            max_size=3,
+        ).map(tuple),
+    )
+    def test_front_door_fuzz(self, sql, params):
+        """Untrusted text with arbitrary parameters answers or raises a
+        typed error, and never leaves a slot behind."""
+        _, _, gateway = make_gateway()
+        with gateway.connect() as session:
+            try:
+                session.execute(sql, params)
+            except ContentIntegrationError:
+                pass
+        self.assert_at_baseline(gateway.workload)
 
 
 class TestParameterErrors:

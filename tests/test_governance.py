@@ -130,13 +130,14 @@ class TestManifestValidation:
         assert any("rot13" in e for e in validate_manifest(manifest))
 
     def test_unparseable_row_filter_is_flagged(self):
-        manifest = {
-            "version": 1,
-            "tenants": {
-                "t": {"tables": {"orders": {"row_filter": "region = = 'EU'"}}}
-            },
-        }
-        assert any("does not parse" in e for e in validate_manifest(manifest))
+        # The parser's refusal, and the lexer's (a double-quoted string, an
+        # unterminated one), which used to escape as an untyped error.
+        for row_filter in ("region = = 'EU'", 'region = "EU"', "region = 'EU"):
+            manifest = {
+                "version": 1,
+                "tenants": {"t": {"tables": {"orders": {"row_filter": row_filter}}}},
+            }
+            assert any("does not parse" in e for e in validate_manifest(manifest))
 
     def test_parameter_in_row_filter_is_flagged(self):
         manifest = {

@@ -1,6 +1,8 @@
 """Tests for the SQL lexer and parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sql import (
     Between,
@@ -17,6 +19,7 @@ from repro.sql import (
     parse_sql,
     tokenize_sql,
 )
+from repro.sql.sqltext import count_placeholders, normalize_sql
 
 
 class TestLexer:
@@ -78,6 +81,84 @@ class TestLexer:
     def test_commented_statement_parses(self):
         plan = parse_sql("select a from t where b = 1 -- why is this slow")
         assert plan is not None
+
+
+# The E14 statement shapes (plus an aliased one with a string literal), as
+# (kind, text) lexemes a client fleet may spell differently.
+def _shape(text):
+    kinds = {"count": "fn", "(": "p", ")": "p", "*": "p", ",": "p", "<": "p",
+             "=": "p", "?": "p", "items": "id", "k": "id", "v": "id", "a": "id"}
+    return [
+        ("str", word[1:-1]) if word[0] == "'" else (kinds.get(word, "kw"), word)
+        for word in text.split(" ")
+    ]
+
+
+SHAPES = [
+    _shape("select count ( * ) from items where v < ?"),
+    _shape("select k , v from items where v between ? and ?"),
+    _shape("select v from items where k = ?"),
+    _shape("select k from items where k like ?"),
+    _shape("select k as a from items where k = 'it''s?k0001' and v < ?"),
+]
+SEPARATORS = ["", " ", "  \t", "\n", " -- is ? 'odd\n", "--\n"]
+
+
+@st.composite
+def spellings(draw, shape):
+    """One way of writing ``shape``: keyword / function-name / identifier /
+    string-literal case varied, lexemes separated by whitespace runs and
+    comments holding decoy ``?`` and quotes."""
+    text, previous = draw(st.sampled_from(SEPARATORS)), None
+    for kind, word in shape:
+        separator = draw(st.sampled_from(SEPARATORS))
+        if previous in ("kw", "fn", "id") and kind in ("kw", "fn", "id"):
+            separator = separator or " "
+        cases = [word, word.upper()] + ([word.title()] if kind in ("kw", "fn") else [])
+        written = draw(st.sampled_from(cases))
+        if kind == "str":
+            written = "'" + written.replace("'", "''") + "'"
+        text += separator + written
+        previous = kind
+    return text + draw(st.sampled_from(SEPARATORS))
+
+
+def parsers_view(text):
+    """The token stream up to what the parser folds besides keyword case:
+    the case of a function name."""
+    tokens = tokenize_sql(text)
+    return [
+        (
+            token.kind,
+            token.value.lower()
+            if token.kind == "ident" and (following.kind, following.value) == ("punct", "(")
+            else token.value,
+        )
+        for token, following in zip(tokens, tokens[1:])
+    ]
+
+
+class TestPlanCacheKeyReadsTheLexersTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_key_equal_iff_parser_sees_the_same_tokens(self, data):
+        shape = data.draw(st.sampled_from(SHAPES))
+        first = data.draw(spellings(shape))
+        second = data.draw(spellings(shape))
+        assert (normalize_sql(first) == normalize_sql(second)) == (
+            parsers_view(first) == parsers_view(second)
+        )
+        for text in (first, second):
+            assert count_placeholders(text) == sum(
+                lexeme == ("p", "?") for lexeme in shape
+            )
+        if ("kw", "like") not in shape and normalize_sql(first) == normalize_sql(second):
+            # What the key is for: one cached template serves both texts.
+            assert parse_sql(first) == parse_sql(second)
+
+    def test_different_shapes_never_share_a_key(self):
+        keys = {normalize_sql(" ".join(word for _, word in shape)) for shape in SHAPES}
+        assert len(keys) == len(SHAPES)
 
 
 class TestParserBasics:

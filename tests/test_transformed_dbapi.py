@@ -247,18 +247,14 @@ class TestDbApiBindingFixes:
         assert cursor.fetchall() == [("A-9",)]
 
     def test_bind_leaves_comments_and_quoted_identifiers_alone(self):
-        from repro.federation.dbapi import _bind
+        from repro.federation.gateway import bind_sql_text
 
         assert (
-            _bind("select a from t where b = ? -- b = ?", ("x",))
+            bind_sql_text("select a from t where b = ? -- b = ?", ("x",))
             == "select a from t where b = 'x' -- b = ?"
         )
         assert (
-            _bind('select "a?b" from t where c = ?', (1,))
-            == 'select "a?b" from t where c = 1'
-        )
-        assert (
-            _bind("select a from t where b = 'it''s ?' and c = ?", (2,))
+            bind_sql_text("select a from t where b = 'it''s ?' and c = ?", (2,))
             == "select a from t where b = 'it''s ?' and c = 2"
         )
 
@@ -285,6 +281,25 @@ class TestDbApiBindingFixes:
         for bad in (b"blob", bytearray(b"blob"), memoryview(b"blob")):
             with pytest.raises(InterfaceError):
                 cursor.execute("select sku from parts where sku = ?", (bad,))
+
+    def test_unknown_types_rejected_on_both_paths(self):
+        """Regression: a value with no SQL literal was bound raw into a
+        prepared template but quoted as ``str(value)`` on the textual path,
+        so what it meant depended on where the ``?`` sat."""
+        from decimal import Decimal
+
+        cursor = self.make_connection().cursor()
+        for bad in (Decimal("3"), object(), (1, 2)):
+            with pytest.raises(InterfaceError):
+                cursor.execute("select sku from parts where price = ?", (bad,))
+            with pytest.raises(InterfaceError):
+                cursor.execute("select sku from parts where sku like ?", (bad,))
+
+    def test_textual_path_checks_the_parameter_count(self):
+        cursor = self.make_connection().cursor()
+        for parameters in ((), ("A-1%", "A-2%")):
+            with pytest.raises(InterfaceError):
+                cursor.execute("select sku from parts where sku like ?", parameters)
 
     def test_finite_floats_still_bind(self):
         cursor = self.make_connection().cursor()
