@@ -9,7 +9,7 @@ traffic shapes such a front door actually sees:
 * **Steady state.**  Open-loop Poisson arrivals at 85% of federation
   capacity, Zipf-skewed across six tenants, with a per-statement
   deadline.  The SLO report is per-tenant: QPS, P50/P95/P99 latency,
-  shed / timeout / error rates, plus the plan-cache hit rate (three SQL
+  shed / timeout / error rates, plus the plan-cache hit rate (four SQL
   shapes repeat with fresh bindings, so the cache should absorb nearly
   all planning).
 * **Diurnal curve and flash crowd.**  A sinusoidal day/night rate and a
@@ -81,10 +81,9 @@ _SUMMARY: dict = {}
 
 # -- statement mix -------------------------------------------------------------
 #
-# Three parameterizable shapes (the plan-cache scenario: one template each,
-# fresh bindings per execution) plus a LIKE shape whose pattern slot cannot
-# hold a placeholder -- it exercises the textual-binding fallback on every
-# arrival.  The BETWEEN shape is deliberately spelled in upper case: the
+# Four parameterizable shapes (the plan-cache scenario: one template each,
+# fresh bindings per execution); the LIKE shape's placeholder is its
+# pattern.  The BETWEEN shape is deliberately spelled in upper case: the
 # normalized cache key must fold it together with any other spelling.
 
 
@@ -111,7 +110,6 @@ STATEMENTS = [
     ("select v from items where k = ?", _point_params),
     ("select k from items where k like ?", _like_params),
 ]
-PREPARABLE_SHAPES = 3  # the LIKE shape falls back to textual binding
 
 
 def build():
@@ -253,9 +251,9 @@ def test_e14_steady_state_slo(benchmark):
     # Every arrival was offered; Zipf skew puts t0 well above t5.
     assert sum(o.offered for o in outcomes.values()) == QUERIES
     assert outcomes["t0"].offered > 2 * outcomes["t5"].offered
-    # One template per preparable SQL shape: misses stay at the shape count
+    # One template per SQL shape: misses stay at the shape count
     # no matter how many executions, so the hit rate approaches 1.
-    assert cache.misses == PREPARABLE_SHAPES
+    assert cache.misses == len(STATEMENTS)
     assert cache.hit_rate > 0.99
     # Under 85% load with a bounded queue and deadline the federation keeps
     # its promises: everything completes or is visibly shed/timed out, and
@@ -394,7 +392,7 @@ def test_e14_prepared_speedup(benchmark):
     """Prepare-once/execute-many collapses planning to one optimization
     per SQL shape, and beats parse-per-statement wall clock."""
     rng = random.Random(SEED + 3)
-    shapes = STATEMENTS[:PREPARABLE_SHAPES]
+    shapes = STATEMENTS
     workload = [
         (sql, params_fn(rng))
         for sql, params_fn in (

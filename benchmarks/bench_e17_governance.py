@@ -64,8 +64,8 @@ BUDGET_QUERIES = int(os.environ.get("E17_BUDGET_QUERIES", "300"))
 _SUMMARY: dict = {}
 
 
-# The preparable E14 shapes (the LIKE shape exercises textual binding and
-# adds nothing to governance, so it stays out of the comparison mix).
+# Three of E14's four shapes (its LIKE shape adds nothing to governance,
+# so it stays out of the comparison mix).
 
 
 def _threshold_params(rng):

@@ -21,6 +21,10 @@ far down), so the gate compares *shapes*, not exact numbers:
   baseline.  Misses are one-per-SQL-shape, so the smoke run's hit rate is
   a little lower than the full run's; a cache keying bug sends it toward
   zero.
+* **Plan-cache misses** must equal the planning table's shape count
+  exactly, at any scale: the mix's statements are all templates, so a shape
+  that silently stops being preparable (or a key that stops folding
+  spellings) shows as one miss too few or too many.
 * **Error rate** must be exactly zero, at any scale.
 * **Wall-clock prepared-statement speedup** must stay above
   ``MIN_SPEEDUP`` -- absolute wall numbers do not transport across
@@ -88,6 +92,13 @@ def main(argv: "list[str]") -> int:
         failures.append(
             f"plan-cache hit rate {hit_rate:.4f} below baseline "
             f"{baseline['plan_cache']['hit_rate']:.4f} - {HIT_RATE_SLACK}"
+        )
+
+    misses, shapes = fresh["plan_cache"]["misses"], fresh["planning"]["shapes"]
+    print(f"plan-cache misses {misses} (bar: exactly {shapes}, one per shape)")
+    if misses != shapes:
+        failures.append(
+            f"plan-cache misses {misses} != {shapes} SQL shapes in the mix"
         )
 
     speedup = fresh["planning"]["wall_speedup"]

@@ -675,9 +675,9 @@ def _like_kernel(expr: Like, layout: ColumnBatch) -> Kernel | None:
     if not isinstance(expr.operand, Column):
         return None
     idx = layout.index_of(expr.operand.qualified)
-    if idx is None:
+    if idx is None or not isinstance(expr.pattern, Literal):
         return None
-    regex = like_to_regex(expr.pattern)
+    regex = like_to_regex(expr.pattern.value)
     negated = expr.negated
 
     def _like(batch: ColumnBatch, sel: list[int]) -> list[int]:

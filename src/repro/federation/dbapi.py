@@ -43,10 +43,8 @@ def _check_bindable(parameters: Sequence[Any]) -> tuple:
     """The parameter values, each checked against the binder's one rule.
 
     A value :func:`~repro.sql.sqltext.render_literal` cannot spell has no
-    SQL-level meaning, so it is refused here whichever way the statement
-    will bind -- into the cached template's AST or textually -- rather than
-    letting driver behaviour depend on which grammar position the ``?``
-    sat in.
+    SQL-level meaning, so it is refused here, whichever grammar position
+    its ``?`` sits in.
     """
     values = tuple(parameters)
     try:
@@ -95,48 +93,42 @@ class Cursor:
 
         Statements route through the connection's prepared-statement plan
         cache: the first execution of a SQL shape pays parse + rewrite +
-        optimize, repeats bind values into the cached template.  Grammar
-        positions that cannot hold a placeholder (``LIKE ?``, ``LIMIT ?``)
-        fall back to textual binding per-statement.
+        optimize, repeats bind values into the cached template.  A value
+        that does not fit its placeholder (``LIKE ?`` with a number,
+        ``LIMIT ?`` with ``-1``) is an :class:`InterfaceError`.
         """
         self._check_open()
         connection = self._connection
         values = _check_bindable(parameters)
-        try:
-            statement = connection._plan_cache.prepare_or_bind(
-                sql, values, connection.max_staleness, tenant=connection.tenant
-            )
-        except BindError as error:
-            raise InterfaceError(str(error)) from error
-        prepared = statement.get("prepared")
-        if prepared is not None and len(values) != prepared.param_count:
+        prepared = connection._plan_cache.get_or_prepare(
+            sql, connection.max_staleness, tenant=connection.tenant
+        )
+        if len(values) != prepared.param_count:
             raise InterfaceError(
                 f"statement takes {prepared.param_count} parameter(s), "
                 f"got {len(values)}"
             )
-        if connection.workload is not None:
-            # Tenanted execution: the statement goes through admission
-            # control and the scheduler, and the driver runs the event loop
-            # until it resolves -- DB-API callers stay synchronous while the
-            # federation underneath runs a concurrent workload.
-            handle = connection.workload.submit(
-                tenant=connection.tenant,
-                priority=connection.priority,
-                degraded_ok=connection.degraded_ok,
-                **statement,
-            )
-            connection.workload.drain(handle)
-            result = handle.result()
-        elif prepared is not None:
-            result = connection.engine.execute(
-                **statement, degraded_ok=connection.degraded_ok
-            )
-        else:
-            result = connection.engine.query(
-                **statement,
-                degraded_ok=connection.degraded_ok,
-                tenant=connection.tenant,
-            )
+        try:
+            if connection.workload is not None:
+                # Tenanted execution: the statement goes through admission
+                # control and the scheduler, and the driver runs the event
+                # loop until it resolves -- DB-API callers stay synchronous
+                # while the federation underneath runs a concurrent workload.
+                handle = connection.workload.submit(
+                    tenant=connection.tenant,
+                    priority=connection.priority,
+                    degraded_ok=connection.degraded_ok,
+                    prepared=prepared,
+                    params=values,
+                )
+                connection.workload.drain(handle)
+                result = handle.result()
+            else:
+                result = connection.engine.execute(
+                    prepared, values, degraded_ok=connection.degraded_ok
+                )
+        except BindError as error:
+            raise InterfaceError(str(error)) from error
         self._install_result(result)
         return self
 

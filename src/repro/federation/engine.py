@@ -66,7 +66,7 @@ from repro.federation.reopt import ReoptController, ReoptPolicy
 from repro.ir.search import CatalogSearch, SearchMode, SynonymExpander, TaxonomyExpander
 from repro.federation.views import MaterializedView
 from repro.sim.events import EventLoop
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import Held, MetricsRegistry
 from repro.sql.ast import (
     InList,
     InSubquery,
@@ -199,6 +199,9 @@ class FederatedEngine:
         self.health = health or SiteHealthTracker(catalog.clock)
         self.retry = retry or RetryPolicy()
         self.metrics = metrics or MetricsRegistry()
+        # What record_report_metrics feeds on every statement.
+        self._counters = Held(self.metrics.counter)
+        self._histograms = Held(self.metrics.histogram)
         self.cache = cache
         # The content-hashed stage artifact store (an ArtifactStore from
         # repro.federation.artifacts, or None to disable stage reuse).
@@ -581,50 +584,41 @@ class FederatedEngine:
         planning and execution) surface the same counters as
         :meth:`query`.
         """
-        self.metrics.counter("queries").inc()
-        self.metrics.histogram("query.response_seconds").observe(report.response_seconds)
-        self.metrics.histogram("query.staleness_seconds").observe(report.staleness_seconds)
-        self.metrics.counter("rows.fetched").inc(report.rows_fetched)
-        self.metrics.counter("rows.shipped").inc(report.rows_shipped)
-        self.metrics.counter("bytes.shipped").inc(report.bytes_shipped)
+        counters, histograms = self._counters, self._histograms
+        counters["queries"].inc()
+        histograms["query.response_seconds"].observe(report.response_seconds)
+        histograms["query.staleness_seconds"].observe(report.staleness_seconds)
+        counters["rows.fetched"].inc(report.rows_fetched)
+        counters["rows.shipped"].inc(report.rows_shipped)
+        counters["bytes.shipped"].inc(report.bytes_shipped)
         if report.failover_attempts:
-            self.metrics.counter("failover.attempts").inc(report.failover_attempts)
+            counters["failover.attempts"].inc(report.failover_attempts)
         if report.failovers:
-            self.metrics.counter("failover.successes").inc(report.failovers)
+            counters["failover.successes"].inc(report.failovers)
         if report.retry_seconds:
-            self.metrics.counter("failover.retry_seconds").inc(report.retry_seconds)
+            counters["failover.retry_seconds"].inc(report.retry_seconds)
         if report.degraded:
-            self.metrics.counter("queries.degraded").inc()
+            counters["queries.degraded"].inc()
         if report.artifact_rows_saved:
-            self.metrics.counter("artifacts.rows_saved").inc(
-                report.artifact_rows_saved
-            )
+            counters["artifacts.rows_saved"].inc(report.artifact_rows_saved)
         if report.artifact_bytes_saved:
-            self.metrics.counter("artifacts.bytes_saved").inc(
-                report.artifact_bytes_saved
-            )
+            counters["artifacts.bytes_saved"].inc(report.artifact_bytes_saved)
         if report.reoptimizations:
-            self.metrics.counter("reopt.attempts").inc(report.reoptimizations)
+            counters["reopt.attempts"].inc(report.reoptimizations)
         if report.migrated_stages:
-            self.metrics.counter("reopt.migrations").inc(report.migrated_stages)
+            counters["reopt.migrations"].inc(report.migrated_stages)
         if report.reopt_wasted_seconds:
-            self.metrics.counter("reopt.wasted_seconds").inc(
-                report.reopt_wasted_seconds
-            )
+            counters["reopt.wasted_seconds"].inc(report.reopt_wasted_seconds)
         if report.governed_tenant is not None:
-            self.metrics.counter("governance.queries_policed").inc()
+            counters["governance.queries_policed"].inc()
         if report.rows_filtered_by_rls:
-            self.metrics.counter("governance.rows_filtered_by_rls").inc(
+            counters["governance.rows_filtered_by_rls"].inc(
                 report.rows_filtered_by_rls
             )
-        self.metrics.histogram("query.completeness").observe(report.completeness)
+        histograms["query.completeness"].observe(report.completeness)
         if report.fragments_total:
-            self.metrics.counter("pruning.fragments_pruned").inc(
-                report.fragments_pruned
-            )
-            self.metrics.counter("pruning.fragments_total").inc(
-                report.fragments_total
-            )
+            counters["pruning.fragments_pruned"].inc(report.fragments_pruned)
+            counters["pruning.fragments_total"].inc(report.fragments_total)
         if report.operators is not None:
             self._record_operator_metrics(report.operators)
 
@@ -684,25 +678,21 @@ class FederatedEngine:
 
     def _record_operator_metrics(self, operators) -> None:
         """Feed the per-operator stats tree into the metrics registry."""
+        counters = self._counters
         for stats in operators.walk():
-            self.metrics.counter(f"operator.{stats.name}.rows_out").inc(
-                stats.rows_out
-            )
-            self.metrics.histogram(f"operator.{stats.name}.seconds").observe(
-                stats.seconds
-            )
+            name = stats.name
+            counters["operator", name, "rows_out"].inc(stats.rows_out)
+            self._histograms["operator", name, "seconds"].observe(stats.seconds)
             if stats.batches:
-                self.metrics.counter(
-                    f"operator.{stats.name}.batches_processed"
-                ).inc(stats.batches)
+                counters["operator", name, "batches_processed"].inc(stats.batches)
             if stats.encode_seconds:
-                self.metrics.counter(
-                    f"operator.{stats.name}.encode_seconds"
-                ).inc(stats.encode_seconds)
+                counters["operator", name, "encode_seconds"].inc(
+                    stats.encode_seconds
+                )
             if stats.decode_seconds:
-                self.metrics.counter(
-                    f"operator.{stats.name}.decode_seconds"
-                ).inc(stats.decode_seconds)
+                counters["operator", name, "decode_seconds"].inc(
+                    stats.decode_seconds
+                )
 
     def explain(
         self,

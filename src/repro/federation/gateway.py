@@ -41,7 +41,6 @@ from repro.core.errors import BindError, QueryError
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.workload import QueryHandle, WorkloadManager
 from repro.sim.metrics import MetricsRegistry
-from repro.sql.parser import SqlParseError
 from repro.sql.sqltext import normalize_sql, render_literal, replace_placeholders
 
 
@@ -88,6 +87,10 @@ class PlanCache:
         self._entries: "OrderedDict[tuple[str, float | None, str | None, str | None], PreparedStatement]" = (
             OrderedDict()
         )
+        # Statement text as written -> its normalized form, so a text seen
+        # before is not tokenized again.  A pure function of the text (never
+        # stale); oldest spelling out beyond ``capacity``.
+        self._normalized: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -102,12 +105,23 @@ class PlanCache:
         coordinator: str | None = None,
         tenant: str | None = None,
     ) -> PreparedStatement:
-        """The cached template for ``sql``, preparing (and caching) on miss."""
+        """The cached template for ``sql``, preparing (and caching) on miss.
+
+        A ``?`` may stand wherever the grammar takes a literal, so every
+        statement with placeholders has a template; text that does not
+        parse raises the parser's error here, before anything is admitted.
+        """
         governance = getattr(self.engine, "governance", None)
         signature = (
             governance.signature_for(tenant) if governance is not None else None
         )
-        key = (normalize_sql(sql), max_staleness, coordinator, signature)
+        normalized = self._normalized.get(sql)
+        if normalized is None:
+            normalized = normalize_sql(sql)
+            self._normalized[sql] = normalized
+            if len(self._normalized) > self.capacity:
+                self._normalized.popitem(last=False)
+        key = (normalized, max_staleness, coordinator, signature)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -118,9 +132,8 @@ class PlanCache:
             sql, max_staleness=max_staleness, coordinator=coordinator,
             tenant=tenant,
         )
-        # Count the miss only once the statement proves preparable, so
-        # unpreparable statements (textual-binding fallback) don't depress
-        # the hit rate on every execution.
+        # Counted only once the statement proved preparable: text that does
+        # not parse is no miss.
         self.misses += 1
         self.metrics.counter("gateway.plan_cache.misses").inc()
         self._entries[key] = entry
@@ -130,34 +143,6 @@ class PlanCache:
             self.metrics.counter("gateway.plan_cache.evictions").inc()
         self.metrics.gauge("gateway.plan_cache.size").set(len(self._entries))
         return entry
-
-    def prepare_or_bind(
-        self,
-        sql: str,
-        params: "tuple | list",
-        max_staleness: float | None = None,
-        coordinator: str | None = None,
-        tenant: str | None = None,
-    ) -> dict:
-        """The statement half of a ``WorkloadManager.submit`` call for
-        ``sql``: the cached template with ``params``, or -- for a statement
-        the grammar cannot prepare -- its fully bound text.
-
-        Grammar positions that cannot hold a ``Parameter`` (LIKE patterns,
-        LIMIT counts) fall back to textual binding: the bound text runs ad
-        hoc, planned per statement outside the cache, under the same
-        plan-shaping options the template would have carried.  A statement
-        that does not parse and has nothing to bind is simply invalid; the
-        parser's error stands.
-        """
-        try:
-            prepared = self.get_or_prepare(sql, max_staleness, coordinator, tenant)
-        except SqlParseError:
-            bound = bind_sql_text(sql, params)
-            if bound == sql:
-                raise
-            return dict(sql=bound, max_staleness=max_staleness, coordinator=coordinator)
-        return dict(prepared=prepared, params=params)
 
     @property
     def hit_rate(self) -> float:
@@ -183,8 +168,7 @@ class GatewayResult:
     """What a synchronous gateway execution hands back to the client."""
 
     result: QueryResult
-    # None when the statement took the textual-binding fallback.
-    prepared: PreparedStatement | None
+    prepared: PreparedStatement  # the cached template the statement ran on
 
     @property
     def rows(self) -> list[tuple]:
@@ -234,22 +218,22 @@ class GatewaySession:
     ) -> QueryHandle:
         """Admit one statement; the handle resolves as the loop runs.
 
-        The statement is prepared through the plan cache (or bound
-        textually when the grammar cannot hold a placeholder, e.g.
-        ``LIKE ?``) and dispatched via the workload manager under this
-        session's tenant.
+        The statement is prepared through the plan cache -- text that does
+        not parse raises here, holding no slot -- and dispatched with
+        ``params`` via the workload manager under this session's tenant.
         """
         self._check_open()
         self.statements += 1
-        statement = self.gateway.plan_cache.prepare_or_bind(
-            sql, params, max_staleness, self.coordinator, self.tenant
+        prepared = self.gateway.plan_cache.get_or_prepare(
+            sql, max_staleness, self.coordinator, self.tenant
         )
         return self.gateway.workload.submit(
             tenant=self.tenant,
             priority=priority,
             deadline=deadline,
             degraded_ok=self.degraded_ok,
-            **statement,
+            prepared=prepared,
+            params=params,
         )
 
     def execute(
@@ -317,7 +301,9 @@ class GatewaySession:
 
 
 def bind_sql_text(sql: str, params: "tuple | list") -> str:
-    """Textually substitute ``params`` into the ``?`` tokens of ``sql``.
+    """Textually substitute ``params`` into the ``?`` tokens of ``sql``:
+    the ad-hoc client's binder (no template, no plan cache), which no
+    gateway or DB-API statement passes through.
 
     A ``?`` inside a string or a ``--`` comment is not a token, so it is
     not a placeholder.  Raises :class:`BindError` when the counts differ or

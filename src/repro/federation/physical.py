@@ -2282,7 +2282,7 @@ class PhysicalPlanner:
         if isinstance(node, SortNode):
             return Sort(self._node(node.child, plan), node.order_by)
         if isinstance(node, LimitNode):
-            return Limit(self._node(node.child, plan), node.limit)
+            return Limit(self._node(node.child, plan), evaluate(node.limit, {}))
         raise QueryError(f"cannot compile plan node {node!r}")
 
     def _site_pipeline(self, scan: ScanNode, plan: PhysicalPlan) -> SiteOperator:

@@ -69,7 +69,7 @@ from repro.federation.engine import FederatedEngine, PreparedStatement, QueryRes
 from repro.federation.executor import QueryOptions
 from repro.federation.scheduler import Scheduler, make_scheduler
 from repro.sim.events import EventLoop, ScheduledEvent
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import Held, MetricsRegistry
 
 
 @dataclass
@@ -248,6 +248,10 @@ class WorkloadManager:
         self.scheduler = make_scheduler(scheduler)
         self.max_in_flight = max_in_flight
         self.metrics = metrics or engine.metrics
+        # Per-tenant and per-site instruments, held once resolved.
+        self._counters = Held(self.metrics.counter)
+        self._gauges = Held(self.metrics.gauge)
+        self._histograms = Held(self.metrics.histogram)
         self.tenants: dict[str, Tenant] = {}
         self.in_flight = 0
         self.dispatched = 0  # lifetime dispatches
@@ -273,7 +277,7 @@ class WorkloadManager:
         if tenant.name in self.tenants:
             raise QueryError(f"tenant {tenant.name!r} already registered")
         self.tenants[tenant.name] = tenant
-        self._gauge(tenant.name, "queue_depth").set(0)
+        self._gauges["workload", tenant.name, "queue_depth"].set(0)
         return tenant
 
     def tenant(self, name: str) -> Tenant:
@@ -331,7 +335,7 @@ class WorkloadManager:
             and self.scheduler.queued_for(owner.name) >= owner.queue_limit
         ):
             owner.rejected += 1
-            self._counter(owner.name, "rejected").inc()
+            self._counters["workload", owner.name, "rejected"].inc()
             raise QueryRejectedError(owner.name, owner.queue_limit)
 
         # Governance admission rides the same shedding path as the bounded
@@ -355,7 +359,7 @@ class WorkloadManager:
                 admission = governance.admit(owner.name, self.loop.clock.now())
             except QueryRejectedError:
                 owner.rejected += 1
-                self._counter(owner.name, "rejected").inc()
+                self._counters["workload", owner.name, "rejected"].inc()
                 raise
             force_degraded = admission == "degrade"
 
@@ -390,7 +394,7 @@ class WorkloadManager:
             params=tuple(params),
         )
         owner.submitted += 1
-        self._counter(owner.name, "admitted").inc()
+        self._counters["workload", owner.name, "admitted"].inc()
         self.scheduler.push(handle)
         self._unfinished += 1
         if deadline is not None:
@@ -400,7 +404,7 @@ class WorkloadManager:
                 name=f"wlm-deadline:{handle.seq}",
             )
         self._dispatch()
-        self._gauge(owner.name, "queue_depth").set(
+        self._gauges["workload", owner.name, "queue_depth"].set(
             self.scheduler.queued_for(owner.name)
         )
         return handle
@@ -429,13 +433,13 @@ class WorkloadManager:
         owner.running += 1
         self.in_flight += 1
         self.dispatched += 1
-        self.metrics.gauge("workload.in_flight").set(self.in_flight)
-        self.metrics.counter("workload.dispatches").inc()
-        self._gauge(owner.name, "queue_depth").set(
+        self._gauges["workload.in_flight"].set(self.in_flight)
+        self._counters["workload.dispatches"].inc()
+        self._gauges["workload", owner.name, "queue_depth"].set(
             self.scheduler.queued_for(owner.name)
         )
         wait = now - handle.submitted_at
-        self._histogram(owner.name, "queue_wait_seconds").observe(wait)
+        self._histograms["workload", owner.name, "queue_wait_seconds"].observe(wait)
 
         # Execute now (clock frozen) to learn the modeled duration and the
         # site footprint; occupancy is modeled by holding the slot and the
@@ -488,9 +492,7 @@ class WorkloadManager:
         for site_name in handle._busy_sites:
             site = catalog.site(site_name)
             site.scan_started()
-            self.metrics.gauge(f"site.{site_name}.active_scans").set(
-                site.active_scans
-            )
+            self._gauges["site", site_name, "active_scans"].set(site.active_scans)
         store = getattr(self.engine, "artifacts", None)
         if store is not None:
             if report.artifact_published_keys:
@@ -510,9 +512,7 @@ class WorkloadManager:
         for site_name in handle._busy_sites:
             site = catalog.site(site_name)
             site.scan_finished()
-            self.metrics.gauge(f"site.{site_name}.active_scans").set(
-                site.active_scans
-            )
+            self._gauges["site", site_name, "active_scans"].set(site.active_scans)
         handle._busy_sites = ()
 
     def _complete(self, handle: QueryHandle, result: QueryResult) -> None:
@@ -533,7 +533,7 @@ class WorkloadManager:
         owner.running -= 1
         self.in_flight -= 1
         self._unfinished -= 1
-        self.metrics.gauge("workload.in_flight").set(self.in_flight)
+        self._gauges["workload.in_flight"].set(self.in_flight)
         if error is not None:
             # Keep the traceback's line info but free its frames' locals:
             # they are the failed execution's operators, context and tables.
@@ -541,17 +541,17 @@ class WorkloadManager:
             handle.state = QueryState.FAILED
             handle.error = error
             owner.failed += 1
-            self._counter(owner.name, "failed").inc()
+            self._counters["workload", owner.name, "failed"].inc()
         else:
             assert result is not None
             handle.state = QueryState.COMPLETED
             handle._result = result
             owner.completed += 1
-            self._counter(owner.name, "completed").inc()
-            self._histogram(owner.name, "service_seconds").observe(
+            self._counters["workload", owner.name, "completed"].inc()
+            self._histograms["workload", owner.name, "service_seconds"].observe(
                 result.report.response_seconds
             )
-            self._histogram(owner.name, "total_seconds").observe(
+            self._histograms["workload", owner.name, "total_seconds"].observe(
                 now - handle.submitted_at
             )
         self._dispatch()
@@ -568,9 +568,9 @@ class WorkloadManager:
         handle.error = QueryTimeoutError(owner.name, handle.deadline or 0.0, waited)
         owner.timed_out += 1
         self._unfinished -= 1
-        self._counter(owner.name, "timed_out").inc()
-        self._histogram(owner.name, "queue_wait_seconds").observe(waited)
-        self._gauge(owner.name, "queue_depth").set(
+        self._counters["workload", owner.name, "timed_out"].inc()
+        self._histograms["workload", owner.name, "queue_wait_seconds"].observe(waited)
+        self._gauges["workload", owner.name, "queue_depth"].set(
             self.scheduler.queued_for(owner.name)
         )
 
@@ -597,8 +597,8 @@ class WorkloadManager:
             handle.error = QueryError(f"query #{handle.seq} cancelled")
             owner.failed += 1
             self._unfinished -= 1
-            self._counter(owner.name, "failed").inc()
-            self._gauge(owner.name, "queue_depth").set(
+            self._counters["workload", owner.name, "failed"].inc()
+            self._gauges["workload", owner.name, "queue_depth"].set(
                 self.scheduler.queued_for(owner.name)
             )
             return True
@@ -735,8 +735,8 @@ class WorkloadManager:
             fresh.report.reopt_wasted_seconds += elapsed
         handle._replans += 1
         self.replans += 1
-        self.metrics.counter("workload.replans").inc()
-        self._counter(handle.tenant.name, "replans").inc()
+        self._counters["workload.replans"].inc()
+        self._counters["workload", handle.tenant.name, "replans"].inc()
 
     # -- driving -----------------------------------------------------------
 
@@ -776,14 +776,3 @@ class WorkloadManager:
             f"in_flight={self.in_flight}/{self.max_in_flight}, "
             f"queued={self.queued}, tenants={sorted(self.tenants)})"
         )
-
-    # -- metrics helpers ---------------------------------------------------
-
-    def _counter(self, tenant_name: str, what: str):
-        return self.metrics.counter(f"workload.{tenant_name}.{what}")
-
-    def _gauge(self, tenant_name: str, what: str):
-        return self.metrics.gauge(f"workload.{tenant_name}.{what}")
-
-    def _histogram(self, tenant_name: str, what: str):
-        return self.metrics.histogram(f"workload.{tenant_name}.{what}")

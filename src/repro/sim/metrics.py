@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 # Histograms keep at most this many raw samples by default.  Large enough
 # that percentile error is negligible for experiment readouts, small enough
@@ -140,6 +141,26 @@ class Histogram:
             self._count - 1
         )
         return math.sqrt(variance)
+
+
+class Held(dict):
+    """Instruments resolved once each: ``held[key]`` is ``lookup(name)``
+    the first time ``key`` is asked for and a plain dict hit after, so a
+    per-statement caller holds the instrument itself instead of formatting
+    its name and probing the registry again.  ``key`` is the instrument's
+    name, or the tuple of its dot-separated parts.  Nothing resolves before
+    it is used: a registry's snapshot lists exactly the instruments it
+    would have without this, in the order they were first touched.
+    """
+
+    def __init__(self, lookup: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.lookup = lookup
+
+    def __missing__(self, key: "str | tuple[str, ...]") -> Any:
+        name = key if isinstance(key, str) else ".".join(key)
+        instrument = self[key] = self.lookup(name)
+        return instrument
 
 
 class MetricsRegistry:

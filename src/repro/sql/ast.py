@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Union
 
+from repro.core.errors import BindError
+
 # -- expressions ------------------------------------------------------------
 
 
@@ -93,9 +95,20 @@ class Between:
 
 @dataclass(frozen=True)
 class Like:
+    """``operand [NOT] LIKE pattern``.  The pattern is a string literal or
+    a ``?`` that binds to one: a bound value of any other type is refused
+    here, where binding builds the node."""
+
     operand: "Expr"
-    pattern: str
+    pattern: "Literal | Parameter"
     negated: bool = False
+
+    def __post_init__(self) -> None:
+        pattern = self.pattern
+        if isinstance(pattern, Literal) and not isinstance(pattern.value, str):
+            raise BindError(
+                f"LIKE needs a string pattern, got {pattern.value!r}"
+            )
 
 
 Expr = Union[
@@ -114,8 +127,10 @@ def children(expr: Expr) -> tuple[Expr, ...]:
     """
     if isinstance(expr, BinaryOp):
         return (expr.left, expr.right)
-    if isinstance(expr, (UnaryOp, Like, InSubquery)):
+    if isinstance(expr, (UnaryOp, InSubquery)):
         return (expr.operand,)
+    if isinstance(expr, Like):
+        return (expr.operand, expr.pattern)
     if isinstance(expr, FuncCall):
         return expr.args
     if isinstance(expr, InList):
@@ -147,7 +162,7 @@ def rebuild(expr: Expr, fn: Callable[..., Expr], *args: Any) -> Expr:
         low, high = fn(expr.low, *args), fn(expr.high, *args)
         return Between(fn(expr.operand, *args), low, high, expr.negated)
     if isinstance(expr, Like):
-        return Like(fn(expr.operand, *args), expr.pattern, expr.negated)
+        return Like(fn(expr.operand, *args), fn(expr.pattern, *args), expr.negated)
     return expr
 
 
@@ -211,7 +226,7 @@ def render(
         if isinstance(expr, Between):
             low, high = render(expr.low, column), render(expr.high, column)
             return f"({operand} {negated}between {low} and {high})"
-        return f"({operand} {negated}like {expr.pattern!r})"
+        return f"({operand} {negated}like {render(expr.pattern, column)})"
     # Parameters and subqueries render by repr: distinct from every
     # literal, so an unbound template never collides with bound data.
     return repr(expr)
@@ -258,5 +273,5 @@ class SelectStatement:
     group_by: list[Expr] = field(default_factory=list)
     having: Expr | None = None
     order_by: list[OrderItem] = field(default_factory=list)
-    limit: int | None = None
+    limit: Literal | Parameter | None = None  # the count, or the ``?`` it binds to
     distinct: bool = False

@@ -17,6 +17,7 @@ meaningful).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import QueryError
@@ -40,8 +41,13 @@ from repro.sql.ast import (
 Env = Mapping[str, Any]
 
 
+@lru_cache(maxsize=256)
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex."""
+    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex.
+
+    Memoised: ``evaluate`` asks once per row and a site filter once per
+    fragment layout, always for the statement's one short pattern.
+    """
     parts = []
     for char in pattern:
         if char == "%":
@@ -113,7 +119,8 @@ def evaluate(expr: Expr, env: Env) -> Any:
         value = evaluate(expr.operand, env)
         if value is None:
             return False
-        hit = like_to_regex(expr.pattern).fullmatch(str(value)) is not None
+        pattern = evaluate(expr.pattern, env)
+        hit = like_to_regex(pattern).fullmatch(str(value)) is not None
         return hit != expr.negated
     if isinstance(expr, InSubquery):
         raise QueryError(

@@ -49,6 +49,8 @@ def statement_exprs(statement: SelectStatement) -> Iterator[Expr]:
         yield statement.having
     for order in statement.order_by:
         yield order.expr
+    if statement.limit is not None:
+        yield statement.limit
 
 
 def _nodes(statement: SelectStatement) -> Iterator[Expr]:
@@ -125,7 +127,7 @@ def bind_statement(
             OrderItem(bind_expr(o.expr, values), o.descending)
             for o in statement.order_by
         ],
-        limit=statement.limit,
+        limit=bind_expr(statement.limit, values),
         distinct=statement.distinct,
     )
 

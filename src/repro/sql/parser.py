@@ -4,17 +4,21 @@ Grammar (in precedence order for expressions)::
 
     statement  := SELECT [DISTINCT] items FROM table_ref join* [WHERE expr]
                   [GROUP BY expr_list [HAVING expr]]
-                  [ORDER BY order_list] [LIMIT n]
+                  [ORDER BY order_list] [LIMIT (integer | '?')]
     join       := [INNER] JOIN table_ref ON expr
     expr       := or_expr
     or_expr    := and_expr (OR and_expr)*
     and_expr   := not_expr (AND not_expr)*
     not_expr   := NOT not_expr | predicate
-    predicate  := additive [comparison | LIKE | IN | BETWEEN | IS [NOT] NULL
-                  | CONTAINS]
+    predicate  := additive [comparison | [NOT] LIKE (string | '?') | IN
+                  | BETWEEN | IS [NOT] NULL | CONTAINS]
     additive   := multiplicative (('+'|'-') multiplicative)*
     multiplicative := primary (('*'|'/') primary)*
-    primary    := literal | column | func '(' args ')' | '(' expr ')' | '-' primary
+    primary    := literal | '?' | column | func '(' args ')' | '(' expr ')'
+                  | '-' primary
+
+A ``?`` may stand wherever a literal token may -- a primary, a LIKE
+pattern, the LIMIT count -- and placeholders are numbered left to right.
 """
 
 from __future__ import annotations
@@ -156,9 +160,12 @@ class _Parser:
         if self.at_keyword("limit"):
             self.advance()
             token = self.peek()
-            if token.kind != "number" or "." in token.value:
+            if self.at_punct("?"):
+                limit = self._parameter()
+            elif token.kind == "number" and token.value.isdigit():
+                limit = Literal(int(self.advance().value))
+            else:
                 raise SqlParseError(f"LIMIT needs an integer at offset {token.position}")
-            limit = int(self.advance().value)
 
         if require_eof and self.peek().kind != "eof":
             raise SqlParseError(
@@ -271,9 +278,11 @@ class _Parser:
         if self.at_keyword("like"):
             self.advance()
             token = self.peek()
+            if self.at_punct("?"):
+                return Like(left, self._parameter(), negated)
             if token.kind != "string":
                 raise SqlParseError(f"LIKE needs a string pattern at offset {token.position}")
-            return Like(left, self.advance().value, negated)
+            return Like(left, Literal(self.advance().value), negated)
 
         if self.at_keyword("in"):
             self.advance()
@@ -341,10 +350,7 @@ class _Parser:
             self.advance()
             return Literal(None)
         if self.at_punct("?"):
-            self.advance()
-            parameter = Parameter(self.parameter_count)
-            self.parameter_count += 1
-            return parameter
+            return self._parameter()
         if self.at_punct("-"):
             self.advance()
             return UnaryOp("-", self._primary())
@@ -369,6 +375,11 @@ class _Parser:
         raise SqlParseError(
             f"unexpected token {token.value!r} at offset {token.position}"
         )
+
+    def _parameter(self) -> Parameter:
+        self.expect_punct("?")
+        self.parameter_count += 1
+        return Parameter(self.parameter_count - 1)
 
     def _func_call(self, name: str) -> FuncCall:
         self.expect_punct("(")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.connect.source import Predicate
-from repro.core.errors import QueryError
+from repro.core.errors import BindError, QueryError
 from repro.sql.ast import (
     BinaryOp,
     Column,
@@ -37,6 +37,7 @@ from repro.sql.ast import (
     FuncCall,
     Literal,
     OrderItem,
+    Parameter,
     SelectItem,
     SelectStatement,
     Star,
@@ -289,10 +290,26 @@ class SortNode(UnaryNode):
 
 @dataclass
 class LimitNode(UnaryNode):
-    limit: int
+    """Keep the first ``limit`` rows.  The count is a literal or a ``?``
+    that binds to one: a bound value that is not a row count is refused
+    here, where binding builds the node."""
+
+    limit: Literal | Parameter
+
+    def __post_init__(self) -> None:
+        limit = self.limit
+        if isinstance(limit, Literal) and (
+            type(limit.value) is not int or limit.value < 0
+        ):
+            raise BindError(
+                f"LIMIT needs a non-negative integer, got {limit.value!r}"
+            )
+
+    def exprs(self) -> list[Expr]:
+        return [self.limit]
 
     def mapped(self, plan_fn, expr_fn, *args) -> "LimitNode":
-        return LimitNode(plan_fn(self.child, *args), self.limit)
+        return LimitNode(plan_fn(self.child, *args), expr_fn(self.limit, *args))
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

@@ -1,12 +1,12 @@
 """SQL text operations on the lexer's token stream.
 
-The gateway and the DB-API driver look at a statement's text *before* it
-is parsed: to compute its plan-cache key and to substitute ``?``
-placeholders the grammar cannot hold (the textual-binding fallback).  Both
-read :func:`repro.sql.lexer.tokenize_sql`'s tokens and nothing else, so a
-``?`` inside a string literal or a ``--`` comment is not a placeholder
-because the lexer never made it a token, and two texts share a key exactly
-when the parser would see the same statement.
+What is done to a statement's text *before* it is parsed: the plan cache
+computes its key, and an ad-hoc client (no template) substitutes literals
+for its ``?`` placeholders.  Both read
+:func:`repro.sql.lexer.tokenize_sql`'s tokens and nothing else, so a ``?``
+inside a string literal or a ``--`` comment is not a placeholder because
+the lexer never made it a token, and two texts share a key exactly when the
+parser would see the same statement.
 """
 
 from __future__ import annotations

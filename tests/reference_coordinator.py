@@ -625,5 +625,5 @@ class ReferencePlanner(physical.PhysicalPlanner):
         if isinstance(node, SortNode):
             return Sort(self._reference(node.child, plan), node.order_by)
         if isinstance(node, LimitNode):
-            return Limit(self._reference(node.child, plan), node.limit)
+            return Limit(self._reference(node.child, plan), node.limit.value)
         raise QueryError(f"cannot compile plan node {node!r}")

@@ -401,20 +401,27 @@ def test_sql_text_has_one_scanner_and_one_prepare_or_bind():
     """``sql/lexer.py`` is the only reader of SQL characters: the segment
     scanner, its error class and the DB-API's private binder stay deleted,
     the plan-cache key and the placeholder operations are built on
-    ``tokenize_sql``, and the prepared-or-textual fork is written once."""
+    ``tokenize_sql``, and there is no prepared-or-textual fork: a ``?``
+    stands wherever a literal may, so the textual arm stays deleted and
+    nothing under ``src/`` -- ``GatewaySession.submit`` and
+    ``Cursor.execute`` least of all -- calls the text binder."""
     import ast
     from pathlib import Path
 
     import repro
 
     source_root = Path(repro.__file__).parent
-    defined, callees, forks = set(), {}, set()
+    defined, callees, forks, callers = set(), {}, set(), {}
     for path in source_root.rglob("*.py"):
         where = path.relative_to(source_root).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defined.add(node.name)
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    called = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    callers.setdefault(called, set()).add(node.name)
             if where == "sql/sqltext.py":
                 callees[node.name] = {
                     call.func.id
@@ -431,8 +438,10 @@ def test_sql_text_has_one_scanner_and_one_prepare_or_bind():
                     forks.add(f"{where}:{node.name}")
     assert not defined & {
         "scan_segments", "_read_quoted", "SqlTextError",
-        "_execute_textual", "_bind", "_quote_literal",
+        "_execute_textual", "_bind", "_quote_literal", "prepare_or_bind",
     }
+    assert "bind_sql_text" not in callers
+    assert callers["replace_placeholders"] == {"bind_sql_text"}
 
     def reaches_lexer(name, seen=()):
         return "tokenize_sql" in callees[name] or any(
@@ -444,10 +453,7 @@ def test_sql_text_has_one_scanner_and_one_prepare_or_bind():
         "normalize_sql", "count_placeholders", "replace_placeholders"
     ):
         assert reaches_lexer(built_on_tokens)
-    assert forks == {
-        "federation/gateway.py:prepare_or_bind",
-        "federation/governance.py:_parse_row_filter",
-    }
+    assert forks == {"federation/governance.py:_parse_row_filter"}
 
 
 def test_the_benchmark_keyword_calls_still_bind():

@@ -277,13 +277,13 @@ SELECTION_PREDICATES = [
     Between(C, Literal(2), Literal(6)),
     Between(C, Literal(2), Literal(6), negated=True),
     InList(C, (Literal(1), Literal(5), Literal(8))),
-    Like(D, "d1"),
+    Like(D, Literal("d1")),
     UnaryOp("is-not-null", C),
     BinaryOp("contains", D, Literal("2")),
     BinaryOp("and", BinaryOp("<", C, Literal(8)), BinaryOp(">", C, Literal(1))),
     BinaryOp("and", BinaryOp("=", D, Literal("d0")), BinaryOp("<=", C, Literal(6))),
     BinaryOp("or", BinaryOp("<", C, Literal(2)), BinaryOp("=", D, Literal("d2"))),
-    BinaryOp("or", Like(D, "d0"), BinaryOp(">", C, Literal(7))),
+    BinaryOp("or", Like(D, Literal("d0")), BinaryOp(">", C, Literal(7))),
     UnaryOp("not", BinaryOp("<", C, Literal(5))),
     BinaryOp(
         "and",

@@ -2,10 +2,11 @@
 
 Covers the prepared-statement plan cache (normalized-SQL keying, LRU
 eviction, invalidation on repartition and base-table updates), the session
-pool (reuse, exhaustion, idle cap), cursor-token pagination, the
-textual-binding fallback for grammar positions that cannot hold a
-placeholder, and the load-bearing property: gateway-prepared execution is
-row-identical to direct ``engine.query`` for randomized bindings.
+pool (reuse, exhaustion, idle cap), cursor-token pagination, ``?`` in the
+LIKE-pattern and LIMIT-count positions (templates like any other, where a
+textual-binding fallback once ran), and the load-bearing property:
+gateway-prepared execution is row-identical to direct ``engine.query`` for
+randomized bindings.
 """
 
 import pytest
@@ -378,9 +379,13 @@ class TestTextualFallback:
             outcome = session.execute(
                 "select k from items where k like ?", ("k000%",)
             )
+            again = session.execute(
+                "select k from items where k like ?", ("k001%",)
+            )
         assert outcome.rows == direct
-        assert outcome.prepared is None  # not served from the plan cache
-        assert gateway.plan_cache.misses == 0
+        assert outcome.prepared is not None  # a template like any other
+        assert again.prepared is outcome.prepared
+        assert (gateway.plan_cache.misses, gateway.plan_cache.hits) == (1, 1)
 
     def test_fallback_binding_quotes_strings(self):
         assert (
@@ -405,22 +410,38 @@ class TestTextualFallback:
             outcome = session.execute(
                 "select k from items where k like ?", ("k000%",)
             )
-        assert outcome.prepared is None
+        assert outcome.prepared is not None
+        assert outcome.prepared.physical.coordinator == "s2"
         assert outcome.result.plan.coordinator == "s2"
 
 
 MALFORMED = [
+    # A value that does not fit its placeholder fails at bind, in a slot
+    # the manager settles ...
     ("select v from items limit ?", (1.5,)),
     ("select v from items limit ?", (-1,)),
     ("select v from items limit ?", ("x",)),
+    ("select v from items limit ?", (True,)),
+    ("select v from items limit ?", (None,)),
+    ("select v from items where k like ?", (None,)),
+    ("select v from items where k not like ?", (5,)),
+    ("select v from items where v in (select v from items limit ?)", (-1,)),
+    ("select v from items where v in (select v from items where k like ?)", (5,)),
+    # ... and text that does not parse fails at the door, before one is taken.
     ("select v from items where k like ? and", ("k%",)),
+    ("select v from items limit ? ?", (1, 2)),
+    ("select v from items limit 1?", (5,)),
+    ("select v ? from items", (-5,)),
+    ("select v from items where k is ?", (None,)),
 ]
 
 
 class TestMalformedStatementsHoldNoSlot:
     """Regression: a statement whose *bound* text does not parse failed
     inside a dispatched slot with an error the manager did not settle; two
-    of them (``max_in_flight=2``) stalled every tenant's later statements."""
+    of them (``max_in_flight=2``) stalled every tenant's later statements.
+    (The last three once *answered*: their pasted text read as ``limit
+    15``, ``v - 5`` and ``k is NULL``, the value changing the statement.)"""
 
     def assert_at_baseline(self, manager):
         assert manager.in_flight == 0 and manager._unfinished == 0
@@ -506,6 +527,86 @@ class TestMalformedStatementsHoldNoSlot:
             except ContentIntegrationError:
                 pass
         self.assert_at_baseline(gateway.workload)
+
+
+# What 50 fixed statements leave in the registry, as the commit before the
+# instruments were held (``sim.metrics.Held``) listed it: names in the
+# order they were first touched.
+SNAPSHOT_KEYS = (
+    "gateway.sessions.opened queries.prepared gateway.plan_cache.misses "
+    "workload.acme.admitted workload.dispatches queries.prepared_executions "
+    "queries rows.fetched rows.shipped bytes.shipped "
+    "pruning.fragments_pruned pruning.fragments_total "
+    "operator.FinalAggregate.rows_out operator.Ship.rows_out "
+    "operator.PartialAggregate.rows_out operator.SiteProject.rows_out "
+    "operator.SiteProject.batches_processed operator.SiteFilter.rows_out "
+    "operator.SiteFilter.batches_processed operator.SiteScan.rows_out "
+    "operator.SiteScan.batches_processed workload.acme.completed "
+    "workload.bolt.admitted operator.Project.rows_out "
+    "operator.Ship.batches_processed operator.Ship.encode_seconds "
+    "operator.Ship.decode_seconds workload.bolt.completed "
+    "operator.Limit.rows_out operator.Sort.rows_out "
+    "operator.HashJoin.rows_out gateway.plan_cache.hits "
+    "gateway.sessions.active gateway.sessions.pooled "
+    "gateway.plan_cache.size workload.acme.queue_depth workload.in_flight "
+    "site.s0.active_scans site.s1.active_scans workload.bolt.queue_depth "
+    "site.s2.active_scans workload.acme.queue_wait_seconds.count "
+    "workload.acme.queue_wait_seconds.mean query.response_seconds.count "
+    "query.response_seconds.mean query.staleness_seconds.count "
+    "query.staleness_seconds.mean query.completeness.count "
+    "query.completeness.mean operator.FinalAggregate.seconds.count "
+    "operator.FinalAggregate.seconds.mean operator.Ship.seconds.count "
+    "operator.Ship.seconds.mean operator.PartialAggregate.seconds.count "
+    "operator.PartialAggregate.seconds.mean "
+    "operator.SiteProject.seconds.count operator.SiteProject.seconds.mean "
+    "operator.SiteFilter.seconds.count operator.SiteFilter.seconds.mean "
+    "operator.SiteScan.seconds.count operator.SiteScan.seconds.mean "
+    "workload.acme.service_seconds.count workload.acme.service_seconds.mean "
+    "workload.acme.total_seconds.count workload.acme.total_seconds.mean "
+    "workload.bolt.queue_wait_seconds.count "
+    "workload.bolt.queue_wait_seconds.mean operator.Project.seconds.count "
+    "operator.Project.seconds.mean workload.bolt.service_seconds.count "
+    "workload.bolt.service_seconds.mean workload.bolt.total_seconds.count "
+    "workload.bolt.total_seconds.mean operator.Limit.seconds.count "
+    "operator.Limit.seconds.mean operator.Sort.seconds.count "
+    "operator.Sort.seconds.mean operator.HashJoin.seconds.count "
+    "operator.HashJoin.seconds.mean "
+).split()
+SNAPSHOT_SHA256 = "6e1577a672e7f59dc3adb7e29813b26b7b24d8426c84103a008e642c6b16e248"
+SNAPSHOT_STATEMENTS = [
+    ("select count(*) from items where v < ?", lambda i: (i * 7 % 120,)),
+    ("SELECT k, v FROM items WHERE v BETWEEN ? AND ?", lambda i: (i, i + 20)),
+    ("select v from items where k = ?", lambda i: (f"k{i * 3 % 120:04d}",)),
+    (
+        "select a.k, b.v from items a join items b on a.v = b.v "
+        "where a.v < ? order by a.k limit 5",
+        lambda i: (i,),
+    ),
+    (
+        "select count(*), max(v) from items where v + 0 > ? "
+        "and k not in (?, 'k0001')",
+        lambda i: (i, f"k{i:04d}"),
+    ),
+]
+
+
+def test_held_instruments_leave_the_registry_snapshot_as_it_was():
+    """Metric names, their order and every value: holding ``Counter`` /
+    ``Gauge`` / ``Histogram`` objects instead of looking each up by a
+    formatted name per statement changed none of them."""
+    import hashlib
+
+    _, _, gateway = make_gateway()
+    sessions = [gateway.connect(tenant=tenant) for tenant in ("acme", "bolt")]
+    for i in range(50):
+        sql, params = SNAPSHOT_STATEMENTS[i % len(SNAPSHOT_STATEMENTS)]
+        sessions[i % 2].execute(sql, params(i))
+    for session in sessions:
+        session.close()
+    snapshot = gateway.metrics.snapshot()
+    assert list(snapshot) == SNAPSHOT_KEYS
+    digest = hashlib.sha256(repr(list(snapshot.items())).encode()).hexdigest()
+    assert digest == SNAPSHOT_SHA256
 
 
 class TestParameterErrors:

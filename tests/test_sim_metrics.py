@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import MetricsRegistry
-from repro.sim.metrics import DEFAULT_RESERVOIR_SIZE
+from repro.sim.metrics import DEFAULT_RESERVOIR_SIZE, Held
 
 
 class TestCounter:
@@ -147,3 +147,22 @@ class TestRegistry:
         assert snapshot["load"] == 0.5
         assert snapshot["latency.count"] == 1.0
         assert snapshot["latency.mean"] == 2.0
+
+
+class TestHeld:
+    def test_resolves_each_instrument_once_and_only_when_used(self):
+        metrics = MetricsRegistry()
+        looked_up = []
+
+        def lookup(name):
+            looked_up.append(name)
+            return metrics.counter(name)
+
+        held = Held(lookup)
+        assert metrics.snapshot() == {}  # holding resolves nothing
+        for _ in range(3):
+            held["queries"].inc()
+            held["workload", "t.0", "admitted"].inc(2)
+        assert looked_up == ["queries", "workload.t.0.admitted"]
+        assert held["queries"] is metrics.counter("queries")
+        assert metrics.snapshot() == {"queries": 3, "workload.t.0.admitted": 6}

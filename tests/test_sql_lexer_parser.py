@@ -218,7 +218,7 @@ class TestParserBasics:
         statement = parse_sql("select * from parts order by price desc, sku limit 5")
         assert statement.order_by[0].descending
         assert not statement.order_by[1].descending
-        assert statement.limit == 5
+        assert statement.limit == Literal(5)
 
     def test_limit_requires_integer(self):
         with pytest.raises(SqlParseError):
@@ -275,7 +275,7 @@ class TestParserExpressions:
     def test_like(self):
         expr = self.where("name like '%ink%'")
         assert isinstance(expr, Like)
-        assert expr.pattern == "%ink%"
+        assert expr.pattern == Literal("%ink%")
 
     def test_not_like(self):
         assert self.where("name not like 'x%'").negated

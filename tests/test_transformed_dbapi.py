@@ -5,10 +5,10 @@ import pytest
 from repro.connect.source import LiveSource, Predicate
 from repro.connect.transformed import PipelineSource
 from repro.core import DataType, Field, Schema, Table
-from repro.federation import FederatedEngine, FederationCatalog
+from repro.federation import FederatedEngine, FederationCatalog, WorkloadManager
 from repro.federation.dbapi import InterfaceError, connect
 from repro.federation.engine import LIVE_ONLY
-from repro.sim import SimClock
+from repro.sim import EventLoop, SimClock
 from repro.workbench import CastColumn, FilterRows, Pipeline, RenameColumns
 
 
@@ -259,11 +259,34 @@ class TestDbApiBindingFixes:
         )
 
     def test_like_placeholder_binds_textually(self):
-        # LIKE patterns cannot hold a placeholder in the grammar, so the
-        # driver falls back to comment/escape-aware textual binding.
+        # (Named for the textual-binding fallback this position once took:
+        # a LIKE pattern is a placeholder like any other now.)
         cursor = self.make_connection().cursor()
         cursor.execute("select sku from parts where sku like ?", ("A-1%",))
         assert cursor.fetchall() == [("A-1",)]
+        cursor.execute("select sku from parts where sku like ? limit ?", ("A-%", 2))
+        assert len(cursor.fetchall()) == 2
+        assert cursor._connection._plan_cache.misses == 2
+
+    def test_a_value_that_does_not_fit_its_placeholder_is_an_interface_error(self):
+        direct = self.make_connection()
+        engine = direct.engine
+        manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
+        tenanted = connect(engine, workload=manager, tenant="acme")
+        for connection in (direct, tenanted):
+            cursor = connection.cursor()
+            for sql, bad in [
+                ("select sku from parts limit ?", -1),
+                ("select sku from parts limit ?", 1.5),
+                ("select sku from parts limit ?", True),
+                ("select sku from parts where sku like ?", 5),
+                ("select sku from parts where sku not like ?", None),
+            ]:
+                with pytest.raises(InterfaceError):
+                    cursor.execute(sql, (bad,))
+            cursor.execute("select sku from parts order by sku limit ?", (1,))
+            assert cursor.fetchall() == [("A-0",)]
+        assert manager.in_flight == 0
 
     # -- unbindable values -------------------------------------------------
 
@@ -272,7 +295,7 @@ class TestDbApiBindingFixes:
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InterfaceError):
                 cursor.execute("select sku from parts where price > ?", (bad,))
-            # The textual-fallback path rejects them identically.
+            # ... whichever grammar position the placeholder sits in.
             with pytest.raises(InterfaceError):
                 cursor.execute("select sku from parts where sku like ?", (bad,))
 
