@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.errors import QueryError
-from repro.core.records import Table
+from repro.core.records import Table, column_probe, column_scan
 from repro.core.schema import Schema
 from repro.core.values import COMPARISONS
 
@@ -45,10 +45,58 @@ class Predicate:
 
 
 def apply_predicates(table: Table, predicates: Sequence[Predicate]) -> Table:
-    """Filter ``table`` by all ``predicates`` (helper for sources)."""
+    """The rows of ``table`` passing all ``predicates``, in row order: the
+    table itself when that is all of them, so it keeps its column layout.
+
+    The column kernels run over that layout a chunk at a time, each conjunct
+    on the rows the ones before kept; leading conjuncts a column order
+    answers cannot raise, so the one keeping the fewest rows goes first (as
+    ``federation.columnar``'s AND does).
+    """
     if not predicates:
         return table
-    return table.where(lambda row: all(p.matches(row.to_dict()) for p in predicates))
+    names = table.schema.field_names
+    for p in predicates:
+        if p.column not in names:
+            raise QueryError(
+                f"pushed-down predicate {p.column} {p.op} {p.value!r} names "
+                f"no column of {table.schema.name!r}"
+            )
+    conjuncts = [
+        (names.index(p.column), column_scan(p.op, p.value), column_probe(p.op, p.value))
+        for p in predicates
+    ]
+    chunks, orders = table.column_layout()
+    rows, kept, start = table.rows, [], 0
+    for count, columns in chunks:
+        chunk_rows = rows[start : start + count]
+        start += count
+        sel, rest = range(count), conjuncts
+        for position, (index, _, probe) in enumerate(conjuncts):
+            hits = probe and probe(orders, columns[index])
+            if hits is None:
+                break
+            if rest is conjuncts or len(hits) < len(sel):
+                sel, rest = hits, conjuncts[:position] + conjuncts[position + 1 :]
+        try:
+            for index, scan, _ in rest:
+                sel = scan(columns[index], sel)
+        except Exception:
+            # Whatever the kernel met, the scalar rule words it: the first
+            # offending value in row order.
+            for values in chunk_rows:
+                row = dict(zip(names, values))
+                all(p.matches(row) for p in predicates)
+            raise
+        if len(sel) == count:
+            kept += chunk_rows
+        else:
+            kept += map(chunk_rows.__getitem__, sorted(sel))
+    if len(kept) == len(rows):
+        return table
+    filtered = Table(table.schema, validate=False)
+    filtered.rows = kept
+    return filtered
 
 
 @dataclass

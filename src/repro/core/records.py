@@ -10,11 +10,18 @@ view when name-based access is more readable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import SchemaError
 from repro.core.schema import Schema
+
+# Rows per column slice, and so per batch of a scan.  Large enough that
+# per-batch overhead (kernel dispatch, encoding headers) amortizes to noise,
+# small enough that a batch of wide strings stays cache-resident and
+# pipelined operators keep peak memory bounded (see DESIGN §5f).
+DEFAULT_BATCH_SIZE = 1024
 
 
 class Row(Mapping[str, Any]):
@@ -93,6 +100,94 @@ class ColumnOrders:
         return [column[row] for row in rows], rows
 
 
+# -- the column form of ``core.values.COMPARISONS`` ------------------------------
+# ``column <op> literal`` over a column slice, for a source's pushed predicates
+# (``connect.source.apply_predicates``) and a filter's kernels
+# (``federation.columnar``) alike; property-tested against the scalar rule.
+
+
+def column_scan(op: str, lit: Any) -> Callable[[Sequence, Iterable[int]], list[int]]:
+    """``scan(column, sel)``: the row numbers in ``sel`` whose value passes
+    ``COMPARISONS[op](value, lit)``, in ``sel``'s order.  An incomparable
+    pair raises ``TypeError`` for the caller to word, as the scalar does."""
+    if op == "=":
+        if lit is None:
+            return lambda col, sel: [i for i in sel if col[i] is None]
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and v == lit
+        ]
+    if op == "!=":
+        if lit is None:
+            return lambda col, sel: [i for i in sel if col[i] is not None]
+        return lambda col, sel: [i for i in sel if (v := col[i]) is None or v != lit]
+    if lit is None:  # every other comparison with a NULL side is false
+        return lambda col, sel: []
+    if op == "contains":
+        needle = str(lit).lower()
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and needle in str(v).lower()
+        ]
+    if op == "<":
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and v < lit
+        ]
+    if op == "<=":
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and v <= lit
+        ]
+    if op == ">":
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and v > lit
+        ]
+    return lambda col, sel: [  # >=
+        i for i in sel if (v := col[i]) is not None and v >= lit
+    ]
+
+
+# Where the rows passing ``column <op> literal`` start and stop among the
+# column's values in ascending order (``None``: at that end of them).
+_CUTS = {
+    "=": (bisect_left, bisect_right),
+    "<": (None, bisect_left),
+    "<=": (None, bisect_right),
+    ">": (bisect_right, None),
+    ">=": (bisect_left, None),
+}
+
+
+def order_probe(low_cut, low: Any, high_cut, high: Any):
+    """``probe(orders, column)``: the rows with ``low <(=) column <(=) high``
+    as a slice of the column's order, in value order.
+
+    ``None`` for a bound no order answers as the scalar rule does (NULL,
+    NaN, a class of its own); ``probe`` returns ``None`` where the column
+    has no order (:class:`ColumnOrders`) or a bound does not compare with
+    its values, and the scan decides, or raises, as ever.
+    """
+    for bound in (low, high):
+        if type(bound) not in (bool, int, float, str) or bound != bound:
+            return None
+
+    def probe(orders: "ColumnOrders | None", column: tuple) -> "list[int] | None":
+        order = None if orders is None else orders.of(column)
+        if order is None:
+            return None
+        values, rows = order
+        try:
+            lo = low_cut(values, low) if low_cut else 0
+            return rows[lo : high_cut(values, high) if high_cut else None]
+        except TypeError:
+            return None
+
+    return probe
+
+
+def column_probe(op: str, lit: Any):
+    """The :func:`order_probe` answering ``column <op> lit``, if one can."""
+    cuts = _CUTS.get(op)
+    return None if cuts is None else order_probe(cuts[0], lit, cuts[1], lit)
+
+
 class Table:
     """A schema plus an ordered list of conforming rows.
 
@@ -132,7 +227,7 @@ class Table:
         self._layout: tuple[int, tuple[list, ColumnOrders]] | None = None
 
     def column_layout(
-        self, batch_size: int
+        self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> tuple[list[tuple[int, tuple]], ColumnOrders]:
         """``(chunks, orders)``: ``(row count, columns)`` per
         ``batch_size``-row slice, in row order, and the sort orders kept
@@ -196,14 +291,6 @@ class Table:
         projected = Table(self.schema.project(names), validate=False)
         projected.rows = [tuple(row[i] for i in indexes) for row in self.rows]
         return projected
-
-    def where(self, predicate: Callable[[Row], bool]) -> "Table":
-        """Return a table with only rows satisfying ``predicate``."""
-        kept = Table(self.schema, validate=False)
-        kept.rows = [
-            values for values in self.rows if predicate(Row(self.schema, values))
-        ]
-        return kept
 
     def extended(self, table_name: str | None = None) -> "Table":
         """Return a shallow copy (rows shared) optionally renaming the schema."""

@@ -25,8 +25,8 @@ def _non_null(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]
 # NULL handling is the engine's documented two-valued logic: ``=`` of two
 # NULLs holds and ``!=`` is its negation; every other comparison with a NULL
 # side is false.  An incomparable pair raises ``TypeError`` for the caller
-# to word.  (The column kernels of ``federation.columnar`` compile the same
-# rules and are property-tested against ``evaluate``.)
+# to word.  (``core.records.column_scan`` is these rules over a whole column;
+# it and the kernels of ``federation.columnar`` are property-tested.)
 COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
     "!=": operator.ne,

@@ -1,26 +1,29 @@
 """The columnar data plane: batches, filter kernels and wire encodings.
 
-ROADMAP item 1 (and the langbridge worker data plane it cites): the hot
-path of the executor should move *columns*, not per-row ``dict`` envs.  A
+What moves between operators is *columns*, not per-row ``dict`` envs.  A
 :class:`ColumnBatch` is one fixed-size slice of one scan's output held as
 parallel per-column value arrays (nulls are in-band ``None``; kernels that
-need an explicit view call :meth:`ColumnBatch.null_mask`).  Site-side
-operators pass batches by reference and work on whole columns:
+need an explicit view call :meth:`ColumnBatch.null_mask`).  Operators pass
+batches by reference and work on whole columns:
 
-* **Filter kernels** (:func:`compile_predicate`) compile a residual
-  predicate into a selection-vector function ``kernel(batch, sel) ->
-  sel'``.  Conjunctions short-circuit exactly like
+* **Filter kernels** (:func:`compile_predicate`) compile a predicate into
+  a selection-vector function ``kernel(batch, sel) -> sel'``; running one
+  (:func:`filter_batch`) is the one way rows of a batch are kept -- a site
+  filter, a scan's text-index hits and residual RLS, a coordinator filter.
+  Conjunctions short-circuit exactly like
   :func:`repro.sql.expressions.evaluate` (the right side only sees rows
-  the left side kept), a comparison of a column with a literal is
-  answered from the resident chunk's sort order where it has one
-  (:func:`_probe`), and the null semantics replicate ``evaluate`` bit
-  for bit -- ``NULL != x`` is True, range comparisons against NULL are
-  False, ``x IN (...)`` with a NULL operand is False even under ``NOT
-  IN``.  Anything the compiler cannot prove equivalent returns ``None``
-  and the operator falls back to per-row ``evaluate`` over the same batch,
-  so behavior (including errors) is identical by construction; a kernel
-  that discovers an incomparable pair mid-flight raises
-  :class:`KernelFallback` for the same reason.
+  the left side kept); a comparison of a column with a literal is the
+  column form of ``core.values.COMPARISONS``
+  (:func:`repro.core.records.column_scan`, shared with the sources'
+  pushdown) and is answered from the resident chunk's sort order where it
+  has one (:func:`repro.core.records.order_probe`); the null semantics
+  replicate ``evaluate`` bit for bit -- ``NULL != x`` is True, range
+  comparisons against NULL are False, ``x IN (...)`` with a NULL operand
+  is False even under ``NOT IN``.  Anything the compiler cannot prove
+  equivalent returns ``None`` and the batch goes through per-row
+  ``evaluate``, so behavior (including errors) is identical by
+  construction; a kernel that meets an incomparable pair mid-flight
+  raises ``TypeError`` to the same effect.
 * **Wire encodings** (:func:`encode_batch` / :func:`decode_batch`): the
   Ship operator serializes each column under the cheapest of seven
   self-describing encodings -- plain, dictionary (low-cardinality
@@ -63,8 +66,15 @@ from operator import (
 )
 from typing import Any, Callable
 
-from repro.core.records import ColumnOrders, Table
-from repro.core.values import Money
+from repro.core.records import (
+    DEFAULT_BATCH_SIZE,
+    ColumnOrders,
+    Table,
+    column_probe,
+    column_scan,
+    order_probe,
+)
+from repro.core.values import COMPARISONS, Money
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -78,12 +88,6 @@ from repro.sql.ast import (
 from repro.sql.expressions import evaluate, like_to_regex
 from repro.sql.planner import split_conjuncts
 
-# Rows per batch.  Large enough that per-batch overhead (kernel dispatch,
-# encoding headers) amortizes to noise, small enough that a batch of wide
-# strings stays cache-resident and pipelined operators keep peak memory
-# bounded (see DESIGN §5f for the measured tradeoff).
-DEFAULT_BATCH_SIZE = 1024
-
 # Modeled (de)serialization cost, charged per *encoded* byte: encoding is
 # producer-site work, decoding is coordinator work.  Deterministic by
 # construction -- these never read the host clock.
@@ -95,26 +99,20 @@ DECODE_SECONDS_PER_BYTE = 1e-9
 COLUMN_HEADER_BYTES = 4
 
 
-class KernelFallback(Exception):
-    """A compiled kernel hit a case it cannot decide (e.g. incomparable
-    types mid-column); the caller must re-run the batch through the row
-    path, which reproduces ``evaluate``'s exact behavior and errors."""
-
-
 class ColumnBatch:
     """One fixed-size slice of a scan's rows, stored column-wise.
 
     ``names`` are the qualified env keys (``binding.field``); ``aliases``
     maps bare field names to column indexes for fields that are
-    unambiguous across the query's scans (mirroring
-    :func:`repro.federation.physical.row_env`).  ``count`` is tracked
-    explicitly so a batch projected down to zero columns still knows how
-    many rows it carries.  A scan's ``columns`` are the table's resident,
-    shared tuples (see :func:`table_chunks`): operators read them and
-    build new columns, never write into them.  ``orders`` are that table's
-    :class:`~repro.core.records.ColumnOrders`, which a batch keeps for as
-    long as its columns are resident ones: through ``project``, not
-    through ``take`` / ``slice`` / :func:`concat`.
+    unambiguous across the query's scans (see :func:`scan_layout`).
+    ``count`` is tracked explicitly so a batch projected down to zero
+    columns still knows how many rows it carries.  A scan's ``columns``
+    are the table's resident, shared tuples (see :func:`table_chunks`):
+    operators read them and build new columns, never write into them.
+    ``orders`` are that table's :class:`~repro.core.records.ColumnOrders`,
+    which a batch keeps for as long as its columns are resident ones:
+    through ``project`` and a :func:`filter_batch` that drops no row, not
+    through ``take`` / ``slice`` / :func:`concat` or a masked column.
     """
 
     __slots__ = ("names", "columns", "aliases", "count", "orders", "_index")
@@ -256,16 +254,6 @@ def concat(batches: "list[ColumnBatch]") -> "ColumnBatch | None":
 Kernel = Callable[[ColumnBatch, "list[int] | None"], list[int]]
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=", "contains")
-# Where the rows passing ``column <op> literal`` start and stop among the
-# column's values in ascending order (``None``: at that end of them).
-_CUTS = {
-    "=": (bisect_left, bisect_right),
-    "<": (None, bisect_left),
-    "<=": (None, bisect_right),
-    ">": (bisect_right, None),
-    ">=": (bisect_left, None),
-}
 
 
 def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
@@ -361,9 +349,9 @@ def _or_kernel(left: Kernel, right: Kernel) -> Kernel:
 def _scan_kernel(expr: Expr, layout: ColumnBatch) -> Kernel | None:
     """The kernel of a predicate that is not AND / OR / NOT, over a
     selection that spells its rows out.  One that a column order can
-    answer too carries that as ``probe`` (see :func:`_probe`)."""
+    answer too carries that as ``probe`` (see :func:`_batch_probe`)."""
     if isinstance(expr, BinaryOp):
-        if expr.op in _COMPARISONS:
+        if expr.op in COMPARISONS:
             left = _operand(expr.left, layout)
             right = _operand(expr.right, layout)
             if left is None or right is None:
@@ -405,32 +393,12 @@ def _operand(expr: Expr, layout: ColumnBatch):
     return None
 
 
-def _probe(idx: int, low_cut, low: Any, high_cut, high: Any):
-    """``probe(batch)``: the rows with ``low <(=) column <(=) high`` as a
-    slice of the column's order, in value order.
-
-    ``None`` for a bound no order answers as ``evaluate`` does (NULL, NaN,
-    a class of its own); ``probe`` returns ``None`` where the column has
-    no order (:class:`ColumnOrders`) or a bound does not compare with its
-    values, and the comprehension decides, or raises, as ever.
-    """
-    for bound in (low, high):
-        if type(bound) not in (bool, int, float, str) or bound != bound:
-            return None
-
-    def probe(batch: ColumnBatch) -> "list[int] | None":
-        orders = batch.orders
-        order = None if orders is None else orders.of(batch.columns[idx])
-        if order is None:
-            return None
-        values, rows = order
-        try:
-            lo = low_cut(values, low) if low_cut else 0
-            return rows[lo : high_cut(values, high) if high_cut else None]
-        except TypeError:
-            return None
-
-    return probe
+def _batch_probe(idx: int, probe):
+    """A core probe (:func:`~repro.core.records.order_probe`) as
+    ``probe(batch)`` over column ``idx`` and the batch's orders."""
+    if probe is None:
+        return None
+    return lambda batch: probe(batch.orders, batch.columns[idx])
 
 
 def _comparison_kernel(op: str, left, right) -> Kernel | None:
@@ -455,68 +423,13 @@ def _comparison_kernel(op: str, left, right) -> Kernel | None:
 
 
 def _col_lit_kernel(op: str, idx: int, lit: Any) -> Kernel:
-    scan = _col_lit_scan(op, idx, lit)
-    if op in _CUTS:
-        scan.probe = _probe(idx, _CUTS[op][0], lit, _CUTS[op][1], lit)
-    return scan
+    scan = column_scan(op, lit)
 
+    def kernel(batch: ColumnBatch, sel: list[int]) -> list[int]:
+        return scan(batch.columns[idx], sel)
 
-def _col_lit_scan(op: str, idx: int, lit: Any) -> Kernel:
-    if op == "=":
-        if lit is None:
-            return lambda batch, sel: [
-                i for i in sel if batch.columns[idx][i] is None
-            ]
-
-        def _eq(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [i for i in sel if (v := col[i]) is not None and v == lit]
-
-        return _eq
-    if op == "!=":
-        if lit is None:
-            return lambda batch, sel: [
-                i for i in sel if batch.columns[idx][i] is not None
-            ]
-
-        def _ne(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [i for i in sel if (v := col[i]) is None or v != lit]
-
-        return _ne
-    if op == "contains":
-        if lit is None:
-            return lambda batch, sel: []
-        needle = str(lit).lower()
-
-        def _contains(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [
-                i
-                for i in sel
-                if (v := col[i]) is not None and needle in str(v).lower()
-            ]
-
-        return _contains
-    # Range comparisons: NULL on either side is False; an incomparable
-    # pair aborts the kernel so the row path can raise its exact error.
-    if lit is None:
-        return lambda batch, sel: []
-
-    def _range(batch: ColumnBatch, sel: list[int]) -> list[int]:
-        col = batch.columns[idx]
-        try:
-            if op == "<":
-                return [i for i in sel if (v := col[i]) is not None and v < lit]
-            if op == "<=":
-                return [i for i in sel if (v := col[i]) is not None and v <= lit]
-            if op == ">":
-                return [i for i in sel if (v := col[i]) is not None and v > lit]
-            return [i for i in sel if (v := col[i]) is not None and v >= lit]
-        except TypeError as error:
-            raise KernelFallback() from error
-
-    return _range
+    kernel.probe = _batch_probe(idx, column_probe(op, lit))
+    return kernel
 
 
 def _col_col_kernel(op: str, a: int, b: int) -> Kernel | None:
@@ -553,40 +466,37 @@ def _col_col_kernel(op: str, a: int, b: int) -> Kernel | None:
 
     def _range(batch: ColumnBatch, sel: list[int]) -> list[int]:
         ca, cb = batch.columns[a], batch.columns[b]
-        try:
-            if op == "<":
-                return [
-                    i
-                    for i in sel
-                    if (x := ca[i]) is not None
-                    and (y := cb[i]) is not None
-                    and x < y
-                ]
-            if op == "<=":
-                return [
-                    i
-                    for i in sel
-                    if (x := ca[i]) is not None
-                    and (y := cb[i]) is not None
-                    and x <= y
-                ]
-            if op == ">":
-                return [
-                    i
-                    for i in sel
-                    if (x := ca[i]) is not None
-                    and (y := cb[i]) is not None
-                    and x > y
-                ]
+        if op == "<":
             return [
                 i
                 for i in sel
                 if (x := ca[i]) is not None
                 and (y := cb[i]) is not None
-                and x >= y
+                and x < y
             ]
-        except TypeError as error:
-            raise KernelFallback() from error
+        if op == "<=":
+            return [
+                i
+                for i in sel
+                if (x := ca[i]) is not None
+                and (y := cb[i]) is not None
+                and x <= y
+            ]
+        if op == ">":
+            return [
+                i
+                for i in sel
+                if (x := ca[i]) is not None
+                and (y := cb[i]) is not None
+                and x > y
+            ]
+        return [
+            i
+            for i in sel
+            if (x := ca[i]) is not None
+            and (y := cb[i]) is not None
+            and x >= y
+        ]
 
     return _range
 
@@ -657,17 +567,16 @@ def _between_kernel(expr: Between, layout: ColumnBatch) -> Kernel | None:
 
     def _between(batch: ColumnBatch, sel: list[int]) -> list[int]:
         col = batch.columns[idx]
-        try:
-            return [
-                i
-                for i in sel
-                if (v := col[i]) is not None and (low <= v <= high) != negated
-            ]
-        except TypeError as error:
-            raise KernelFallback() from error
+        return [
+            i
+            for i in sel
+            if (v := col[i]) is not None and (low <= v <= high) != negated
+        ]
 
     if not negated:
-        _between.probe = _probe(idx, bisect_left, low, bisect_right, high)
+        _between.probe = _batch_probe(
+            idx, order_probe(bisect_left, low, bisect_right, high)
+        )
     return _between
 
 
@@ -701,14 +610,15 @@ def filter_batch(
     when given.
 
     ``kernel`` is ``compile_predicate(condition, <this layout>)``; without
-    one, or when it meets values it cannot decide, every row of the batch
-    goes through ``evaluate``, which raises the row engine's exact error.
+    one, or when it meets an incomparable pair (``TypeError``), every row
+    of the batch goes through ``evaluate``, which raises the row engine's
+    exact error.
     """
     selection = None
     if kernel is not None:
         try:
             selection = kernel(batch, None)
-        except KernelFallback:
+        except TypeError:
             pass
     if selection is None:
         selection = [

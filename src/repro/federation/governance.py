@@ -10,7 +10,7 @@ post-filter.  A manifest names, per tenant:
   governed table.  :class:`~repro.sql.rewrite.GovernanceInjection` splits
   it into conjuncts during rewrite; pushable ones join the scan's ordinary
   pushdown list (pruning zone maps, scoping semantic-cache regions, priced
-  by selectivity), the rest run row-wise at the owning site before masking.
+  by selectivity), the rest filter the scan's chunks at its site before masking.
 * **column masks** (``masks``): per-column mask styles applied at the
   scan's output, ahead of any shipping, caching or joining.
 * **rate limits**: a deterministic token bucket on the simulation clock,
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import QueryError, QueryRejectedError
-from repro.core.records import Table
 from repro.sql.ast import Expr, columns_in
 from repro.sql.params import statement_has_subqueries
 from repro.sql.parser import SqlParseError, parse_sql
@@ -96,31 +95,6 @@ def mask_value(style: str, value: Any) -> Any:
         text = str(value)
         return "*" * max(0, len(text) - 4) + text[-4:]
     raise PolicyError(f"unknown mask style {style!r}")
-
-
-def apply_masks(table: Table, masks: dict[str, str]) -> Table:
-    """A copy of ``table`` with each masked column's values replaced.
-
-    The input table is never mutated -- scans may hand the same captured
-    table to the semantic cache, which must keep raw values (regions are
-    keyed by predicates, and every consumer re-masks per its own policy).
-    """
-    styles: dict[int, str] = {
-        table.schema.index_of(name): style
-        for name, style in masks.items()
-        if name in table.schema.field_names
-    }
-    if not styles:
-        return table
-    masked = Table(table.schema, validate=False)
-    masked.rows = [
-        tuple(
-            mask_value(styles[i], value) if i in styles else value
-            for i, value in enumerate(row)
-        )
-        for row in table.rows
-    ]
-    return masked
 
 
 # -- compiled policies --------------------------------------------------------

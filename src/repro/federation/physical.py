@@ -53,7 +53,7 @@ from repro.federation.artifacts import (
     stage_fields,
 )
 from repro.federation.catalog import FederationCatalog, Fragment
-from repro.federation.governance import apply_masks as apply_column_masks
+from repro.federation.governance import mask_value
 from repro.federation.health import RetryPolicy
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
@@ -61,6 +61,7 @@ from repro.sql.ast import (
     Column,
     Expr,
     FuncCall,
+    InList,
     Literal,
     OrderItem,
     SelectItem,
@@ -358,17 +359,6 @@ def ambiguous_fields(catalog: FederationCatalog, plan: PhysicalPlan) -> set[str]
     return ambiguous
 
 
-def row_env(
-    binding: str, schema: Schema, values: tuple, ambiguous: set[str]
-) -> Env:
-    env: Env = {}
-    for field_def, value in zip(schema.fields, values):
-        env[f"{binding}.{field_def.name}"] = value
-        if field_def.name not in ambiguous:
-            env[field_def.name] = value
-    return env
-
-
 class ExecContext:
     """Shared state for one execution of a physical plan."""
 
@@ -610,6 +600,26 @@ class SiteOperator(PhysicalOperator):
 # -- site-side operators -------------------------------------------------------
 
 
+def chunk_filter(condition: Expr, gather: "set[str] | None" = None):
+    """``keep(chunks)``: one scan's chunks less the rows on which
+    ``condition`` is not truthy (:func:`columnar.filter_batch`), gathered in
+    the ``gather`` env keys alone when given.  Compiled once, against the
+    first chunk met: every chunk of a scan shares its layout."""
+    compiled = None  # (kernel, columns to gather)
+
+    def keep(chunks: "list[columnar.ColumnBatch]") -> "list[columnar.ColumnBatch]":
+        nonlocal compiled
+        if compiled is None and chunks:
+            layout = chunks[0]
+            compiled = (
+                columnar.compile_predicate(condition, layout),
+                None if gather is None else layout.narrowing(gather),
+            )
+        return [columnar.filter_batch(chunk, condition, *compiled) for chunk in chunks]
+
+    return keep
+
+
 class SiteScan(SiteOperator):
     """Materialize one scan's access path at the sites that own the rows."""
 
@@ -645,9 +655,7 @@ class SiteScan(SiteOperator):
         else:
             raise QueryError(f"unknown scan kind {assignment.kind!r}")
 
-        if assignment.text_filter is not None:
-            table_batches = self._apply_text_filter(ctx, assignment, table_batches)
-        elif assignment.kind == "fragments":
+        if assignment.text_filter is None and assignment.kind == "fragments":
             # Expose the live result so the engine's semantic cache can
             # remember this predicate region (text-filtered scans are not
             # cacheable under the pushdown key alone).  The capture carries
@@ -674,35 +682,38 @@ class SiteScan(SiteOperator):
                     combined, now, self.stats.seconds
                 )
 
-        # Governance enforcement happens *after* the capture: cached regions
-        # keep raw rows under their predicate key (every consumer scan
-        # re-applies its own residual RLS and masks right here, so rows a
-        # policy hides still never leave the site pipeline), and *before*
-        # the columnar transpose so masked values flow through the same
-        # kernels as any other column.
-        table_batches = self._apply_governance(ctx, table_batches)
-
-        ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
         self.stats.detail = self._describe(assignment)
-        return self._site_batches(ctx, assignment.binding, table_batches)
+        return self._site_batches(ctx, assignment, table_batches)
 
     def _site_batches(
         self,
         ctx: ExecContext,
-        binding: str,
+        assignment: ScanAssignment,
         table_batches: list[tuple[str, Table, float]],
     ) -> list[SiteBatch]:
-        # Wrap each site table's resident column layout in this query's
-        # batch headers (a governed scan's fresh table builds its own).
-        return [
+        """Each table's resident column layout under this query's batch
+        headers, less the rows the text index and the residual RLS reject,
+        masks applied.  Governance runs *after* the capture: cached regions
+        keep raw rows under their predicate key, every consumer scan
+        re-applies its own residual RLS and masks right here, and rows a
+        policy hides never leave the site pipeline.
+        """
+        batches = [
             SiteBatch(
                 site,
                 [],
                 elapsed,
-                chunks=columnar.table_chunks(binding, table, ctx.ambiguous),
+                columnar.table_chunks(assignment.binding, table, ctx.ambiguous),
             )
             for site, table, elapsed in table_batches
         ]
+        if assignment.text_filter is not None:
+            keep = chunk_filter(self._text_condition(ctx, assignment))
+            for batch in batches:
+                batch.chunks = keep(batch.chunks)
+        self._apply_governance(ctx, batches)
+        ctx.report.rows_fetched += sum(batch.row_count() for batch in batches)
+        return batches
 
     # each access path returns [(site_name, table, elapsed_seconds)]
 
@@ -933,83 +944,62 @@ class SiteScan(SiteOperator):
         )
         return [(ctx.coordinator, table, work)]
 
-    def _apply_text_filter(
-        self,
-        ctx: ExecContext,
-        assignment: ScanAssignment,
-        table_batches: list[tuple[str, Table, float]],
-    ) -> list[tuple[str, Table, float]]:
+    @staticmethod
+    def _text_condition(ctx: ExecContext, assignment: ScanAssignment) -> Expr:
+        """The text index's hits as a condition on the scan's key column."""
         entry = ctx.catalog.entry(assignment.table_name)
         if entry.text_index is None or entry.key_column is None:
             raise QueryError(
                 f"MATCH on {assignment.table_name!r} but no text index is registered"
             )
         _, query = assignment.text_filter
-        hits = {
-            hit.doc_id
-            for hit in entry.text_index.search(
-                query, limit=entry.estimated_rows() or 1000
-            )
-        }
-        filtered_batches = []
-        for site, table, elapsed in table_batches:
-            key_index = table.schema.index_of(entry.key_column)
-            filtered = Table(table.schema, validate=False)
-            filtered.rows = [row for row in table.rows if row[key_index] in hits]
-            filtered_batches.append((site, filtered, elapsed))
-        return filtered_batches
+        hits = entry.text_index.search(query, limit=entry.estimated_rows() or 1000)
+        return InList(
+            Column(entry.key_column, assignment.binding),
+            tuple(Literal(doc_id) for doc_id in {hit.doc_id for hit in hits}),
+        )
 
-    def _apply_governance(
-        self,
-        ctx: ExecContext,
-        table_batches: list[tuple[str, Table, float]],
-    ) -> list[tuple[str, Table, float]]:
+    def _apply_governance(self, ctx: ExecContext, batches: list[SiteBatch]) -> None:
         """Residual RLS then column masks, per batch, as charged site work.
 
         Pushed RLS conjuncts already ran inside the access path (source
         pushdown / view / cache residual application); what remains here is
-        the policy work the optimizers priced as ordinary row volume:
-        row-wise evaluation of non-pushable RLS conjuncts on *raw* values,
-        then masking at the scan's output.  New tables are built instead of
-        mutating inputs -- the semantic-cache capture may hold the same
-        Table object.
+        the policy work the optimizers priced as ordinary row volume: the
+        non-pushable RLS conjuncts over the *raw* columns, then masking at
+        the scan's output.
         """
         governance = self.scan.governance
         if governance is None:
-            return table_batches
-        residual = (
-            conjoin(list(governance.rls_residual))
+            return
+        keep = (
+            chunk_filter(conjoin(list(governance.rls_residual)))
             if governance.rls_residual
             else None
         )
-        out: list[tuple[str, Table, float]] = []
-        for site, table, elapsed in table_batches:
-            if residual is not None:
-                kept = [
-                    values
-                    for values in table.rows
-                    if evaluate(
-                        residual,
-                        row_env(
-                            self.scan.binding, table.schema, values,
-                            ctx.ambiguous,
-                        ),
-                    )
-                ]
-                ctx.report.rows_filtered_by_rls += len(table.rows) - len(kept)
-                work = ctx.charge_site(site, len(table.rows))
+        for batch in batches:
+            if keep is not None:
+                rows_in = batch.row_count()
+                batch.chunks = keep(batch.chunks)
+                ctx.report.rows_filtered_by_rls += rows_in - batch.row_count()
+                work = ctx.charge_site(batch.site, rows_in)
                 self.stats.seconds += work
-                elapsed += work
-                filtered = Table(table.schema, validate=False)
-                filtered.rows = kept
-                table = filtered
+                batch.elapsed += work
             if governance.masks:
-                work = ctx.charge_site(site, len(table.rows))
+                work = ctx.charge_site(batch.site, batch.row_count())
                 self.stats.seconds += work
-                elapsed += work
-                table = apply_column_masks(table, governance.masks)
-            out.append((site, table, elapsed))
-        return out
+                batch.elapsed += work
+                batch.chunks = [self._masked(chunk) for chunk in batch.chunks]
+
+    def _masked(self, chunk: "columnar.ColumnBatch") -> "columnar.ColumnBatch":
+        # Masked columns are new lists beside the shared ones: the table
+        # (the semantic-cache capture may hold it) keeps its raw values, and
+        # the batch gives up the table's orders, which know resident slices.
+        columns = list(chunk.columns)
+        for name, style in self.scan.governance.masks.items():
+            index = chunk.index_of(f"{self.scan.binding}.{name}")
+            if index is not None:
+                columns[index] = [mask_value(style, v) for v in columns[index]]
+        return columnar.ColumnBatch(chunk.names, columns, chunk.aliases, chunk.count)
 
     def _describe(self, assignment: ScanAssignment) -> str:
         detail = describe_access_path(assignment) + describe_pushdown(self.scan)
@@ -1112,21 +1102,10 @@ class SiteFilter(SiteOperator):
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
-        compiled = None  # (kernel, columns to gather)
+        keep = chunk_filter(self.condition, self.gather)
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()
-            if compiled is None and batch.chunks:
-                # Once, against the first chunk's layout; every chunk of
-                # the scan shares it.
-                layout = batch.chunks[0]
-                compiled = (
-                    columnar.compile_predicate(self.condition, layout),
-                    None if self.gather is None else layout.narrowing(self.gather),
-                )
-            kept_chunks = [
-                columnar.filter_batch(chunk, self.condition, *compiled)
-                for chunk in batch.chunks
-            ]
+            kept_chunks = keep(batch.chunks)
             work = ctx.charge_site(batch.site, batch.row_count())
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, [], batch.elapsed + work, kept_chunks))

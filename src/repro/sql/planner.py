@@ -91,7 +91,7 @@ class ScanGovernance:
     security conjuncts that were pushable land in the scan's ordinary
     ``pushdown`` list (and are echoed in ``rls_pushed`` so EXPLAIN can
     attribute them), the rest stay here as ``rls_residual`` expressions the
-    owning site evaluates row-wise *before* masking; ``masks`` maps column
+    owning site filters its chunks by *before* masking; ``masks`` maps column
     name to mask style applied at the scan's output.  The annotation rides
     the logical plan, so the optimizers price policy work like any other
     site work and the artifact hash can fold it into the stage identity.
@@ -112,7 +112,7 @@ class ScanNode(PlanNode):
     rows ship to the coordinator:
 
     * ``site_filters`` -- residual conjuncts referencing only this binding,
-      evaluated row-wise at the site (a physical ``SiteFilter`` operator);
+      evaluated at the site (a physical ``SiteFilter`` operator);
     * ``needed_columns`` -- the only columns any later operator reads
       (``None`` means all; a physical ``SiteProject`` operator);
     * ``text_filter`` -- a ``(column, query)`` text-index access path;

@@ -322,7 +322,7 @@ class GovernanceInjection(RewritePass):
     * pushable RLS conjuncts join ``scan.pushdown`` -- they prune zone maps,
       scope semantic-cache regions, and are priced by selectivity exactly
       like user predicates; non-pushable conjuncts become ``rls_residual``
-      expressions the site evaluates row-wise before masking.  RLS pushes
+      expressions the site filters its chunks by before masking.  RLS pushes
       below LEFT JOINs too: the policy filters the table *before* the join,
       so the null-supplying exclusion that protects user predicates does
       not apply.

@@ -12,8 +12,17 @@ site operators must reproduce -- rows in order, ``rows_fetched``,
 "before" side of the E3c micro-bench.  Do not optimise or tidy them.
 
 Each class subclasses its production operator and overrides only the step
-that differed, so access paths, failover, governance, capture and
-artifact handling are the production code on both sides.  The row
+that differed, so access paths (source pushdown included), failover,
+capture and artifact handling are the production code on both sides.
+What follows the access path in a scan is no longer shared: when the
+product's ``SiteScan`` began to keep rows of column chunks -- text-index
+hits and residual RLS through ``columnar.filter_batch``, masks a column at
+a time -- its row-at-a-time text filter, its per-row
+``evaluate(residual, row_env(...))``, ``governance.apply_masks`` and
+``physical.row_env`` moved here verbatim (``SiteScan._site_batches``), so
+governed and text-filtered scans are compared across two implementations.
+(Pushdown has its own referee: ``tests/test_apply_predicates.py`` holds
+``apply_predicates`` to the scalar ``Predicate.matches``.)  The row
 aggregator -- ``partial_state`` over a group's envs and
 ``PartialAggregate._row_records`` -- was the product's fallback for
 general-expression keys and arguments until the product got one fold over
@@ -34,7 +43,10 @@ with ``tests/`` on ``PYTHONPATH``.
 from typing import Any
 
 from repro.core.errors import QueryError
+from repro.core.records import Table
+from repro.core.schema import Schema
 from repro.federation import columnar, physical
+from repro.federation.governance import mask_value
 from repro.federation.physical import (
     RECORDS_COLUMN,
     Env,
@@ -42,10 +54,10 @@ from repro.federation.physical import (
     PartialGroup,
     SiteBatch,
     describe_expr,
-    row_env,
 )
 from repro.sql.ast import FuncCall
 from repro.sql.expressions import evaluate
+from repro.sql.planner import conjoin
 
 # ``Network(seconds_per_row=...)``'s default, the only value any caller used.
 SECONDS_PER_ROW = 0.00001
@@ -85,19 +97,113 @@ def transfer_seconds(network, site_a: str, site_b: str, rows: int) -> float:
     return network.latency(site_a, site_b) + rows * SECONDS_PER_ROW
 
 
+def row_env(
+    binding: str, schema: Schema, values: tuple, ambiguous: set[str]
+) -> Env:
+    env: Env = {}
+    for field_def, value in zip(schema.fields, values):
+        env[f"{binding}.{field_def.name}"] = value
+        if field_def.name not in ambiguous:
+            env[field_def.name] = value
+    return env
+
+
+def apply_masks(table: Table, masks: dict[str, str]) -> Table:
+    """A copy of ``table`` with each masked column's values replaced."""
+    styles: dict[int, str] = {
+        table.schema.index_of(name): style
+        for name, style in masks.items()
+        if name in table.schema.field_names
+    }
+    if not styles:
+        return table
+    masked = Table(table.schema, validate=False)
+    masked.rows = [
+        tuple(
+            mask_value(styles[i], value) if i in styles else value
+            for i, value in enumerate(row)
+        )
+        for row in table.rows
+    ]
+    return masked
+
+
 class SiteScan(physical.SiteScan):
-    def _site_batches(self, ctx: ExecContext, binding, table_batches):
+    def _site_batches(self, ctx: ExecContext, assignment, table_batches):
+        if assignment.text_filter is not None:
+            table_batches = self._apply_text_filter(ctx, assignment, table_batches)
+        table_batches = self._apply_governance(ctx, table_batches)
+        ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
         return [
             SiteBatch(
                 site,
                 [
-                    row_env(binding, table.schema, values, ctx.ambiguous)
+                    row_env(assignment.binding, table.schema, values, ctx.ambiguous)
                     for values in table.rows
                 ],
                 elapsed,
             )
             for site, table, elapsed in table_batches
         ]
+
+    def _apply_text_filter(self, ctx, assignment, table_batches):
+        entry = ctx.catalog.entry(assignment.table_name)
+        if entry.text_index is None or entry.key_column is None:
+            raise QueryError(
+                f"MATCH on {assignment.table_name!r} but no text index is registered"
+            )
+        _, query = assignment.text_filter
+        hits = {
+            hit.doc_id
+            for hit in entry.text_index.search(
+                query, limit=entry.estimated_rows() or 1000
+            )
+        }
+        filtered_batches = []
+        for site, table, elapsed in table_batches:
+            key_index = table.schema.index_of(entry.key_column)
+            filtered = Table(table.schema, validate=False)
+            filtered.rows = [row for row in table.rows if row[key_index] in hits]
+            filtered_batches.append((site, filtered, elapsed))
+        return filtered_batches
+
+    def _apply_governance(self, ctx, table_batches):
+        governance = self.scan.governance
+        if governance is None:
+            return table_batches
+        residual = (
+            conjoin(list(governance.rls_residual))
+            if governance.rls_residual
+            else None
+        )
+        out = []
+        for site, table, elapsed in table_batches:
+            if residual is not None:
+                kept = [
+                    values
+                    for values in table.rows
+                    if evaluate(
+                        residual,
+                        row_env(
+                            self.scan.binding, table.schema, values,
+                            ctx.ambiguous,
+                        ),
+                    )
+                ]
+                ctx.report.rows_filtered_by_rls += len(table.rows) - len(kept)
+                work = ctx.charge_site(site, len(table.rows))
+                self.stats.seconds += work
+                elapsed += work
+                filtered = Table(table.schema, validate=False)
+                filtered.rows = kept
+                table = filtered
+            if governance.masks:
+                work = ctx.charge_site(site, len(table.rows))
+                self.stats.seconds += work
+                elapsed += work
+                table = apply_masks(table, governance.masks)
+            out.append((site, table, elapsed))
+        return out
 
 
 class SiteFilter(physical.SiteFilter):

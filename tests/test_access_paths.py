@@ -456,6 +456,59 @@ def test_sql_text_has_one_scanner_and_one_prepare_or_bind():
     assert forks == {"federation/governance.py:_parse_row_filter"}
 
 
+def test_rows_of_a_table_are_kept_one_way():
+    """``column <op> literal`` over a column has one definition, under
+    ``core``, which the sources' pushdown and the filter kernels both
+    import; a scan keeps rows of column chunks only, so the row-at-a-time
+    matchers (``Table.where``, ``row_env``, per-row masks and text filter)
+    stay deleted from ``src/`` -- they live in ``tests/reference_site.py``
+    -- and the connectors and ``core`` stay below ``sql`` / ``federation``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    source_root = Path(repro.__file__).parent
+    defined, called, imports = {}, {}, {}
+    for path in source_root.rglob("*.py"):
+        where = path.relative_to(source_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(where)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                called.setdefault(name, set()).add(where)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    imports.setdefault(where, set()).add((node.module, alias.name))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imports.setdefault(where, set()).add((alias.name, None))
+
+    deleted = {
+        "row_env", "where", "apply_masks", "_apply_text_filter",
+        "_col_lit_scan", "_probe", "KernelFallback",
+    }  # fmt: skip
+    assert not deleted & defined.keys()
+    assert not {"row_env", "where", "apply_masks"} & called.keys()
+    scan_path = {"connect/source.py", "federation/physical.py", "federation/cache.py"}
+    assert not (called["Row"] | called["to_dict"]) & scan_path
+
+    assert defined["column_scan"] == defined["order_probe"] == ["core/records.py"]
+    for user in ("connect/source.py", "federation/columnar.py"):
+        assert ("repro.core.records", "column_scan") in imports[user]
+        assert ("repro.core.records", "column_probe") in imports[user]
+    assert called["column_scan"] == {"connect/source.py", "federation/columnar.py"}
+
+    for where, modules in imports.items():
+        if where.startswith("connect/") or where in ("core/records.py", "core/values.py"):
+            above = {
+                module for module, _ in modules
+                if (module or "").startswith(("repro.sql", "repro.federation"))
+            }  # fmt: skip
+            assert not above, (where, above)
+
+
 def test_the_benchmark_keyword_calls_still_bind():
     """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
     signature refactor must fail here, not as a broken bench run."""

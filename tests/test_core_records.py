@@ -70,10 +70,6 @@ class TestTableOperations:
         assert projected.schema.field_names == ("qty", "part_id")
         assert projected.rows[0] == (5, "p1")
 
-    def test_where(self):
-        heavy = parts_table().where(lambda r: (r["qty"] or 0) >= 10)
-        assert heavy.column("part_id") == ["p2"]
-
     def test_union_all(self):
         doubled = parts_table().union_all(parts_table())
         assert len(doubled) == 6

@@ -90,11 +90,12 @@ class TestEmptyAndNullHandling:
     def test_a_null_comparison_means_the_same_wherever_it_is_evaluated(
         self, condition
     ):
-        """An inlined literal is pushed into the source
-        (``Predicate.matches``), a ``?`` travels as a site filter (column
-        kernel), an OR-ed or computed operand is left to ``evaluate``: one
-        comparison table, one answer.  The inlined ``v < null`` used to
-        raise ``cannot apply v < None``."""
+        """An inlined literal is pushed into the source and a ``?`` travels
+        as a site filter: both run the column form of the comparison
+        (``core.records.column_scan``), over the same resident layout.  An
+        OR-ed or computed operand is left to ``evaluate``, the scalar form
+        (``core.values.COMPARISONS``).  Two homes, one answer.  The inlined
+        ``v < null`` used to raise ``cannot apply v < None``."""
         rows = [(i % 7, None if i % 5 == 0 else i) for i in range(40)]
         tables = {"items": (("k", "v"), rows)}
         engine = federation(tables)

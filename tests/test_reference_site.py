@@ -48,13 +48,16 @@ T = Schema(
 FRAGMENTS = 3
 
 
-def build_engine(rows, sites, reference, replicas=1, governance=None):
+def build_engine(rows, sites, reference, replicas=1, governance=None, text=False):
     catalog = FederationCatalog(SimClock())
     names = [catalog.make_site(f"s{i}").name for i in range(sites)]
     placement = [
         [names[(i + r) % sites] for r in range(replicas)] for i in range(FRAGMENTS)
     ]
-    catalog.load_fragmented(Table(T, rows, validate=False), FRAGMENTS, placement)
+    table = Table(T, rows, validate=False)
+    catalog.load_fragmented(table, FRAGMENTS, placement)
+    if text:  # ``match(tag, ...)`` becomes the scan's text-index access path
+        catalog.build_text_index("t", "tag", table, "k")
     engine = FederatedEngine(catalog, governance=governance)
     if reference:
         engine.executor.planner = ReferenceSitePlanner(catalog)
@@ -105,17 +108,30 @@ def outcome(engine, sql, params=None, **options):
 PASSES = ("cold", "marked", "ordered")
 
 
-def assert_same(rows, sql, sites, params=None):
+def assert_same(rows, sql, sites, params=None, manifest=None, text=False, **options):
     """Three executions on one product / reference engine pair.  Backlogs
     carry over, so from the second on queue delays may differ (the
     product's encode work sits in the shipping sites' backlogs): there
-    everything but the operators' seconds is compared."""
-    engines = [build_engine(rows, sites, reference) for reference in (False, True)]
+    everything but the operators' seconds is compared.  Returns what the
+    product's last execution showed."""
+    engines = [
+        build_engine(
+            rows,
+            sites,
+            reference,
+            governance=None if manifest is None else GovernanceRegistry(manifest),
+            text=text,
+        )
+        for reference in (False, True)
+    ]
     for run in PASSES:
-        product, reference = (outcome(engine, sql, params) for engine in engines)
+        product, reference = (
+            outcome(engine, sql, params, **options) for engine in engines
+        )
         if run != "cold" and isinstance(product, dict) and isinstance(reference, dict):
             del product["seconds"], reference["seconds"]
         assert product == reference, run
+    return product
 
 
 TAGS = st.sampled_from(["alpha", "alto", "beta", "b"])
@@ -404,19 +420,35 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
             "FinalAggregate"} <= names  # fmt: skip
 
 
+# The reference has its own row-at-a-time governance and text filter
+# (``tests/reference_site.py``): these compare two implementations.
 GOVERNED = {
     "version": 1,
     "tenants": {
         "acme": {
             "tables": {
                 "t": {
-                    # Not sargable: a residual evaluated row-wise at the scan.
+                    # Not sargable: a residual the scan filters its chunks by.
                     "row_filter": "v + 0 >= 0",
                     "masks": {"tag": "redact"},
                 }
             }
         },
         "globex": {"tables": {"t": {"row_filter": "k >= 0"}}},  # pushed down
+        "initech": {  # one conjunct pushed, one residual; two more mask styles
+            "tables": {
+                "t": {
+                    "row_filter": "k >= 0 and v + 0 >= 0",
+                    "masks": {"tag": "hash", "price": "null"},
+                }
+            }
+        },
+        # Masks alone; ``v`` changes type under its mask.
+        "umbrella": {"tables": {"t": {"masks": {"tag": "last4", "v": "redact"}}}},
+        # ``tag`` stays raw, so ``match(tag, ...)`` keeps its text index.
+        "hooli": {
+            "tables": {"t": {"row_filter": "v + 0 >= 0", "masks": {"price": "null"}}}
+        },
     },
 }
 GOVERNED_STATEMENTS = [
@@ -424,30 +456,49 @@ GOVERNED_STATEMENTS = [
     "select k, tag from t where price > 2",
     "select tag, count(*) as n, sum(v) as s from t group by tag",
     "select count(*) as n from t where v + 1 > k",
+    "select k, v, tag, price from t where tag = '***' or price is null",  # masked
 ]
 
 
 @pytest.mark.parametrize("sites", [1, 3])
-@pytest.mark.parametrize("tenant", ["acme", "globex", None])
+@pytest.mark.parametrize("tenant", ["acme", "globex", "initech", "umbrella", None])
 @pytest.mark.parametrize("sql", GOVERNED_STATEMENTS)
 def test_governed_scans(sql, tenant, sites):
-    product, reference = (
-        outcome(
-            build_engine(
-                DENSE, sites, reference, governance=GovernanceRegistry(GOVERNED)
-            ),
-            sql,
-            tenant=tenant,
-        )
-        for reference in (False, True)
-    )
-    assert product == reference
-    scan_detail = product["operators"][-1][4]
-    if tenant == "acme":
-        assert product["rows_filtered_by_rls"] > 0
-        assert "mask(tag)" in scan_detail
-    else:
+    for chunk_rows in (4, columnar.DEFAULT_BATCH_SIZE):
+        with small_chunks(chunk_rows):
+            product = assert_same(DENSE, sql, sites, manifest=GOVERNED, tenant=tenant)
+        if not isinstance(product, dict):  # '***' + 1: both raised alike
+            assert tenant == "umbrella" and "v + 1" in sql
+            continue
+        scan_detail = product["operators"][-1][4]
+        if tenant in ("acme", "initech"):
+            assert product["rows_filtered_by_rls"] > 0
+            assert "mask(tag)" in scan_detail
         assert ("rls(tenant=globex" in scan_detail) == (tenant == "globex")
+        assert ("k >= 0" in scan_detail) == (tenant in ("globex", "initech"))
+
+
+TEXT_STATEMENTS = [
+    "select k, tag from t where match(tag, 'alpha')",
+    "select k, v from t where match(tag, 'alto') and v > 0",
+    "select k, v, price from t where match(tag, 'beta') and v + 1 > k",
+    "select tag, count(*) as n, sum(v) as s from t where match(tag, 'b') group by tag",
+    "select k from t where match(tag, 'nosuchword')",
+]
+
+
+@pytest.mark.parametrize("sites", [1, 3])
+@pytest.mark.parametrize("tenant", ["hooli", "globex", None])
+@pytest.mark.parametrize("sql", TEXT_STATEMENTS)
+def test_text_filtered_scans(sql, tenant, sites):
+    """The text index's hits keep rows of the scan (by key, ``k``), ahead
+    of the tenant's residual RLS and masks."""
+    for chunk_rows in (4, columnar.DEFAULT_BATCH_SIZE):
+        with small_chunks(chunk_rows):
+            product = assert_same(
+                DENSE, sql, sites, manifest=GOVERNED, text=True, tenant=tenant
+            )
+        assert "text-index('tag'," in product["operators"][-1][4]
 
 
 @pytest.mark.parametrize("sql", ["select k, tag from t where v > 0",
