@@ -33,6 +33,11 @@ class Predicate:
     def __post_init__(self) -> None:
         if self.op not in self._OPS:
             raise ValueError(f"unsupported predicate operator {self.op!r}")
+        if self.op == "contains" and not isinstance(self.value, (str, type(None))):
+            # The needle is the value's text: 1, True and 1.0 are equal (and
+            # hash alike) but search for '1', 'True' and '1.0', so two
+            # regions may only compare equal on the text.
+            object.__setattr__(self, "value", str(self.value))
 
     def matches(self, row: dict[str, Any]) -> bool:
         try:

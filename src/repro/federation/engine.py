@@ -112,52 +112,32 @@ LIVE_ONLY = -1.0
 
 
 @dataclass
-class QueryResult:
-    """Rows plus full accounting for one query."""
-
-    table: Table
-    report: ExecutionReport
-    plan: PhysicalPlan
-    # The options the query ran under (``rerun_physical`` runs under them
-    # again, so a replanned query keeps its tenant and answer policy).
-    options: QueryOptions
-
-
-@dataclass
 class PreparedStatement:
-    """A statement parsed, rewritten and optimized once, executed many times.
+    """One statement's template: what every execution runs (DESIGN §5g).
 
-    The fast path (no subqueries) holds an immutable logical-plan template
-    with :class:`~repro.sql.ast.Parameter` nodes still in place plus the
-    optimizer's physical decisions; each :meth:`FederatedEngine.execute`
-    binds values into a fresh copy of the plan and runs it, paying zero
-    modeled optimization seconds.  The template is stamped with the catalog
-    version it planned against and (for staleness-sensitive access paths) a
-    modeled-time validity bound -- when either expires the next execution
-    replans transparently.
-
-    Statements containing ``IN (SELECT ...)`` take a slow path: the inner
-    select materializes data-dependent membership lists, so every execution
-    binds the pristine statement and plans from scratch.
+    One built by :meth:`FederatedEngine.prepare` for a statement without
+    subqueries holds an immutable logical plan, :class:`~repro.sql.ast.Parameter`
+    nodes still in place, plus the optimizer's physical decisions: each
+    execution binds values into a fresh copy and pays zero modeled planning
+    seconds, and a stale one replans in place.  One without a plan --
+    ``IN (SELECT ...)`` membership lists are data, an ad-hoc statement runs
+    once -- is planned by each execution, which is charged for it.
     """
 
     sql: str
     param_count: int
-    # The options the template was planned under.  ``max_staleness``,
-    # ``coordinator`` and ``tenant`` are baked into the plan (access paths,
-    # site assignments, the tenant's compiled RLS/masks -- see
-    # ``policy_signature``), so every execution keeps those three and
-    # rebinds only the per-execution fields.
+    # What the template was compiled under: ``max_staleness``,
+    # ``coordinator`` and the policy *signature* of ``tenant`` shape it.
+    # Any tenant with that signature may execute it, under its own name
+    # and on its own ledger.
     options: QueryOptions
     statement: SelectStatement
     has_subqueries: bool
-    # Fast-path template (None on the subquery slow path):
-    logical: PlanNode | None = None
+    logical: PlanNode | None = None  # the reusable plan, if it holds one
     physical: PhysicalPlan | None = None
     catalog_version: int = -1
-    # Content hash of the tenant's governance policy at plan time (None for
-    # ungoverned tenants); a manifest edit changes the signature and the
-    # next execution replans -- stale unmasked plans can never serve.
+    # Content hash of the compiling tenant's governance policy (None for
+    # ungoverned tenants); an edit makes its owner's next execution replan.
     policy_signature: str | None = None
     # Modeled time after which a cached/materialized access path in the
     # template would exceed ``options.max_staleness`` (None = no expiry).
@@ -169,6 +149,20 @@ class PreparedStatement:
     optimization_seconds: float = 0.0
     executions: int = 0
     replans: int = 0
+
+
+@dataclass
+class QueryResult:
+    """Rows plus full accounting for one execution, and what was executed."""
+
+    table: Table
+    report: ExecutionReport
+    plan: PhysicalPlan
+    # What ``rerun_physical`` re-executes: the options the execution ran
+    # under (so a replan keeps its tenant), its template and bound values.
+    options: QueryOptions
+    prepared: PreparedStatement
+    params: tuple
 
 
 class FederatedEngine:
@@ -242,7 +236,8 @@ class FederatedEngine:
         tenant: str | None = None,
         options: QueryOptions | None = None,
     ) -> QueryResult:
-        """Answer one SQL query.
+        """Answer one SQL query: a one-shot template, planned by -- and its
+        modeled planning seconds charged to -- this execution.
 
         The keywords are the statement's :class:`QueryOptions`, built here
         once and handed on by reference; a caller that already holds one
@@ -266,9 +261,9 @@ class FederatedEngine:
 
         ``tenant`` names who is asking.  With a governance registry
         attached, the tenant's RLS predicates and column masks compile into
-        the plan during rewrite and its remaining cost budget caps the
-        agoric bid; without one (or for an ungoverned tenant) the plan is
-        unchanged.
+        the plan during rewrite, its remaining cost budget caps the agoric
+        bid and its ledger is debited the plan's price; without one (or for
+        an ungoverned tenant) the plan is unchanged.
         """
         if options is None:
             options = QueryOptions(
@@ -281,37 +276,127 @@ class FederatedEngine:
                 deadline_at=deadline_at,
                 advance_clock=advance_clock,
             )
-        return self._execute_statement(parse_sql(sql), options)
+        return self._run_statement(
+            self._template(sql, parse_sql(sql), options), (), options
+        )
 
-    def _execute_statement(
-        self, statement: SelectStatement, options: QueryOptions
+    # -- the statement lifecycle (DESIGN §5g) -------------------------------------
+
+    def _template(
+        self,
+        sql: str,
+        statement: SelectStatement,
+        options: QueryOptions,
+        plan: bool = False,
+    ) -> PreparedStatement:
+        """Step 1: ``statement``'s template, stamped; with ``plan``, holding
+        a reusable plan if the statement can have one."""
+        prepared = PreparedStatement(
+            sql=sql,
+            param_count=count_parameters(statement),
+            options=options,
+            statement=statement,
+            has_subqueries=statement_has_subqueries(statement),
+        )
+        self._compile(prepared, options, plan and not prepared.has_subqueries)
+        return prepared
+
+    def _signature(self, tenant: str | None) -> str | None:
+        if self.governance is None:
+            return None
+        return self.governance.signature_for(tenant)
+
+    def _compile(
+        self, prepared: PreparedStatement, options: QueryOptions, plan: bool
+    ) -> None:
+        """(Re)build the template's plan, if it is to hold one, then stamp
+        what it was compiled against; a plan that cannot be bought leaves
+        the template as it was."""
+        if plan:
+            logical, physical = self._plan(prepared.statement, options)
+            prepared.logical = logical
+            prepared.physical = physical
+            prepared.optimization_seconds = physical.optimization_seconds
+            prepared.valid_until = self._prepared_validity(physical, options)
+        prepared.catalog_version = self.catalog.version
+        prepared.policy_signature = self._signature(options.tenant)
+
+    def _run_statement(
+        self,
+        prepared: PreparedStatement,
+        values: tuple,
+        options: QueryOptions,
+        paid: bool = False,
+        replay: PhysicalPlan | None = None,
     ) -> QueryResult:
-        if options.budget is not None and not self.optimizer.prices_plans:
+        """Steps 2-5, the one body every execution runs: *validate* the
+        template for ``options.tenant``, *bind* ``values`` (planning where
+        the template holds no valid plan), *run*, *settle*.  ``paid``: an
+        earlier execution of this admitted statement was debited for it
+        (:meth:`rerun_physical`); ``replay``: its plan, to re-run as it is.
+        """
+        # 2. validate: may this tenant run the template?  (Whether its plan
+        # is still an answer is asked below, of templates that hold one.)
+        foreign = prepared.policy_signature != self._signature(options.tenant)
+        if foreign and options.tenant != prepared.options.tenant:
             raise QueryError(
-                f"optimizer {self.optimizer.name!r} does not price plans, so "
-                "budget= cannot be honored (use the agoric optimizer)"
+                f"prepared statement was planned for tenant "
+                f"{prepared.options.tenant!r} under a different governance "
+                f"policy; prepare it for tenant {options.tenant!r}"
             )
-        # Uncorrelated IN-subqueries run first (semijoin by materialization:
-        # the inner membership set is fetched, then shipped into the outer
-        # query's filter).
+        # 3. bind.
         inner_reports: list[ExecutionReport] = []
-        statement.where = self._rewrite_subqueries(
-            statement.where, options, inner_reports
-        )
-        statement.having = self._rewrite_subqueries(
-            statement.having, options, inner_reports
-        )
-        # The tenant's remaining budget caps the bid on top of any
-        # caller-supplied cap.  Only a pricing optimizer can exceed it; the
-        # others rely on admission-time budget gates instead.
-        if self.governance is not None:
-            cap = self.governance.effective_budget(options.tenant, options.budget)
-            if cap != options.budget:
-                options = replace(options, budget=cap)
-        plan, physical = self._plan(statement, options)
-        result = self._run_physical(plan, physical, options)
-        # A degraded inner answer must not read as a complete outer one.
-        report = result.report
+        if replay is not None:
+            plan = replay.logical
+            physical = replay.replay(plan)
+        elif prepared.logical is None:
+            # No plan to reuse: this execution buys one, and is charged its
+            # modeled planning seconds.  Uncorrelated IN-subqueries run
+            # first (semijoin by materialization: the inner membership set
+            # is fetched, then shipped into the outer query's filter).
+            statement = prepared.statement
+            if values:
+                statement = bind_statement(statement, values)
+            if prepared.has_subqueries:
+                inner_options = replace(options, budget=None)
+
+                def answer(subquery: SelectStatement) -> Table:
+                    inner = self._run_statement(
+                        self._template(prepared.sql, subquery, inner_options),
+                        (),
+                        inner_options,
+                        paid,
+                    )
+                    inner_reports.append(inner.report)
+                    return inner.table
+
+                statement = replace(
+                    statement,
+                    where=self._rewrite_subqueries(statement.where, answer),
+                    having=self._rewrite_subqueries(statement.having, answer),
+                )
+            options = self._bidding(options)
+            plan, physical = self._plan(statement, options)
+        else:
+            if (
+                foreign
+                or prepared.catalog_version != self.catalog.version
+                or (
+                    prepared.valid_until is not None
+                    and self.catalog.clock.now() > prepared.valid_until
+                )
+            ):
+                # A stale plan is rebought in place and amortized like the
+                # first: the execution that tripped it pays no planning.
+                self._compile(prepared, self._bidding(options), plan=True)
+                prepared.replans += 1
+                self.metrics.counter("prepared.replans").inc()
+            plan = bind_plan(prepared.logical, values)
+            physical = prepared.physical.replay(plan)
+        # 4. run.
+        table, report = self._run_physical(plan, physical, options)
+        # 5. settle.  A degraded inner answer must not read as a complete
+        # outer one.
         for inner in inner_reports:
             report.degraded = report.degraded or inner.degraded
             report.completeness = min(report.completeness, inner.completeness)
@@ -321,7 +406,27 @@ class FederatedEngine:
                 if name not in report.unreachable_fragments
             )
             report.dead_sites = sorted({*report.dead_sites, *inner.dead_sites})
-        return result
+        # Budgets are priced in the plan's own currency: the tenant that
+        # asked is debited what the optimizer agreed to pay, once.
+        if self.governance is not None and not paid:
+            self.governance.charge(options.tenant, physical.total_price)
+        return QueryResult(table, report, physical, options, prepared, values)
+
+    def _bidding(self, options: QueryOptions) -> QueryOptions:
+        """``options`` as an execution that *plans* bids under them: the
+        tenant's remaining budget caps the bid on top of any caller-supplied
+        cap.  Only a pricing optimizer can exceed it; the others rely on
+        admission-time budget gates instead."""
+        if options.budget is not None and not self.optimizer.prices_plans:
+            raise QueryError(
+                f"optimizer {self.optimizer.name!r} does not price plans, so "
+                "budget= cannot be honored (use the agoric optimizer)"
+            )
+        if self.governance is not None:
+            cap = self.governance.effective_budget(options.tenant, options.budget)
+            if cap != options.budget:
+                options = replace(options, budget=cap)
+        return options
 
     def _plan(
         self, statement: SelectStatement, options: QueryOptions
@@ -336,25 +441,17 @@ class FederatedEngine:
         physical = self.optimizer.optimize(
             plan, options.coordinator, options.max_staleness, options.budget
         )
-        self._annotate_text_filters(plan, physical)
         return plan, physical
 
     def _run_physical(
-        self,
-        plan: PlanNode,
-        physical: PhysicalPlan,
-        options: QueryOptions,
-        charge: bool = True,
-    ) -> QueryResult:
-        """Execute an already-optimized plan and do all the accounting.
+        self, plan: PlanNode, physical: PhysicalPlan, options: QueryOptions
+    ) -> tuple[Table, ExecutionReport]:
+        """Step 4: execute an optimized plan and do its accounting.
 
-        Shared by the parse-per-statement path, prepared-statement
-        execution and :meth:`rerun_physical` (the one caller that passes
-        ``charge=False``: a replan must not debit the tenant's budget a
-        second time).  ``physical.optimization_seconds`` is whatever
-        planning this *particular* execution should be charged: the full
-        modeled planning cost for ad-hoc statements, zero for a cached
-        prepared template (that is the speedup being bought).
+        ``physical.optimization_seconds`` is whatever planning this
+        *particular* execution should be charged: the full modeled planning
+        cost when the execution planned, zero for a template's replayed
+        plan (that is the speedup being bought).
         """
         start = self.catalog.clock.now()
         cache_scans = sum(
@@ -384,14 +481,9 @@ class FederatedEngine:
         report.fragments_total = sum(
             a.total_fragments for a in physical.assignments.values()
         )
-        tenant = options.tenant
-        if self.governance is not None and tenant is not None:
+        if self.governance is not None and options.tenant is not None:
             if any(scan.governance is not None for scan in scans_in(plan)):
-                report.governed_tenant = tenant
-            # Budgets are priced in the plan's own currency: the execution
-            # debits exactly what the optimizer agreed to pay.
-            if charge:
-                self.governance.charge(tenant, physical.total_price)
+                report.governed_tenant = options.tenant
 
         if options.advance_clock:
             target = start + report.response_seconds
@@ -414,7 +506,7 @@ class FederatedEngine:
             self._store_in_cache(plan, report)
 
         self.record_report_metrics(report)
-        return QueryResult(table, report, physical, options)
+        return table, report
 
     # -- prepared statements -----------------------------------------------------
 
@@ -429,45 +521,23 @@ class FederatedEngine:
 
         ``?`` placeholders become :class:`~repro.sql.ast.Parameter` nodes
         that survive planning; :meth:`execute` binds values into a copy of
-        the template.  ``max_staleness`` is fixed at prepare time because it
-        shapes access-path choice (a plan reading a materialized view is
-        only valid for queries that tolerate its staleness).  ``tenant`` is
-        fixed at prepare time for the same reason: governance compiles the
-        tenant's RLS/mask policy into the template, so the template belongs
-        to that tenant (and to that policy content -- a manifest edit
-        replans on the next execution).  The three are kept as the
-        template's ``options``.
+        the template.  ``max_staleness`` and ``coordinator`` are fixed at
+        prepare time because they shape the plan (a plan reading a
+        materialized view is only valid for queries that tolerate its
+        staleness).  ``tenant`` names whose governance policy compiles into
+        the template, which belongs to that policy *content*: any tenant
+        with the same signature may execute it (and is billed), and a
+        manifest edit replans on the tenant's next execution.  Preparing
+        buys nothing, so no budget caps it.
         """
         wall_start = time.perf_counter()
-        statement = parse_sql(sql)
-        prepared = PreparedStatement(
-            sql=sql,
-            param_count=count_parameters(statement),
-            options=QueryOptions(
-                max_staleness=max_staleness, coordinator=coordinator, tenant=tenant
-            ),
-            statement=statement,
-            has_subqueries=statement_has_subqueries(statement),
+        options = QueryOptions(
+            max_staleness=max_staleness, coordinator=coordinator, tenant=tenant
         )
-        if not prepared.has_subqueries:
-            self._plan_prepared(prepared)
+        prepared = self._template(sql, parse_sql(sql), options, plan=True)
         prepared.prepare_wall_seconds = time.perf_counter() - wall_start
         self.metrics.counter("queries.prepared").inc()
         return prepared
-
-    def _plan_prepared(self, prepared: PreparedStatement) -> None:
-        """(Re)build the template plan; stamps catalog version + validity."""
-        plan, physical = self._plan(prepared.statement, prepared.options)
-        prepared.logical = plan
-        prepared.physical = physical
-        prepared.catalog_version = self.catalog.version
-        prepared.policy_signature = (
-            self.governance.signature_for(prepared.options.tenant)
-            if self.governance is not None
-            else None
-        )
-        prepared.optimization_seconds = physical.optimization_seconds
-        prepared.valid_until = self._prepared_validity(physical, prepared.options)
 
     def _prepared_validity(
         self, physical: PhysicalPlan, options: QueryOptions
@@ -507,16 +577,17 @@ class FederatedEngine:
     ) -> QueryResult:
         """Run a prepared statement with ``params`` bound to its ``?`` slots.
 
-        Fast path: the cached template is revalidated (catalog version and
-        staleness bound), values are bound into a fresh copy of the logical
-        plan, and execution pays **zero** modeled planning seconds -- plan
-        once, bind many.  A stale template replans transparently (counted
-        in ``prepared.replans`` and the ``prepared.replans`` metric).
+        A template that holds a plan is revalidated, values are bound into
+        a fresh copy of it, and execution pays **zero** modeled planning
+        seconds -- plan once, bind many.  A stale one replans transparently
+        (counted in ``prepared.replans`` and the ``prepared.replans``
+        metric); one without (``IN (SELECT ...)``) plans per execution.
 
         The execution runs under ``prepared.options`` with the
         per-execution keywords rebound; ``options`` hands in that object
-        ready-built (derive it from ``prepared.options`` -- the plan-shaping
-        fields are the template's, not the caller's to change).
+        ready-built (derive it from ``prepared.options`` -- staleness bound
+        and coordinator are the template's; ``tenant`` is whoever asks, and
+        must share the template's policy signature).
         """
         if options is None:
             options = replace(
@@ -529,51 +600,36 @@ class FederatedEngine:
         values = check_parameters(prepared.param_count, params)
         prepared.executions += 1
         self.metrics.counter("queries.prepared_executions").inc()
+        return self._run_statement(prepared, values, options)
 
-        if prepared.has_subqueries:
-            # Slow path: the inner select's result is data-dependent, so
-            # bind the pristine statement and plan from scratch.
-            return self._execute_statement(
-                bind_statement(prepared.statement, values), options
-            )
-
-        if (
-            prepared.catalog_version != self.catalog.version
-            or (
-                prepared.valid_until is not None
-                and self.catalog.clock.now() > prepared.valid_until
-            )
-            or (
-                self.governance is not None
-                and prepared.policy_signature
-                != self.governance.signature_for(prepared.options.tenant)
-            )
-        ):
-            self._plan_prepared(prepared)
-            prepared.replans += 1
-            self.metrics.counter("prepared.replans").inc()
-
-        bound = bind_plan(prepared.logical, values)
-        return self._run_physical(bound, prepared.physical.replay(bound), options)
-
-    def rerun_physical(self, result: QueryResult) -> QueryResult:
-        """Re-execute an already-planned query against the *current* cluster.
+    def rerun_physical(self, result: QueryResult, fresh: bool = False) -> QueryResult:
+        """Re-execute an admitted statement against the *current* cluster:
+        the one re-execution entry, and never a second debit of the
+        tenant's budget.
 
         The workload manager calls this when a disturbance (site kill, load
         spike) lands on a running query's pending stages: the original
         physical plan re-runs under the options the result ran under (the
-        manager's are frozen-clock), with zero additional planning charged
-        and no second debit of the tenant's budget, so the handle's
-        completion can be rescheduled from whatever the federation looks
-        like now.  Without a re-opt policy the frozen assignments stand and
-        the execution pays failover backoff or congestion inflation; with
-        one, the controller may migrate unstarted stages to healthier
-        replicas.  Either way the answer is bit-identical to the original
-        plan's (replicas hold the same fragment rows).
+        manager's are frozen-clock), with zero additional planning charged,
+        so the handle's completion can be rescheduled from whatever the
+        federation looks like now.  Without a re-opt policy the frozen
+        assignments stand and the execution pays failover backoff or
+        congestion inflation; with one, the controller may migrate
+        unstarted stages to healthier replicas.  Either way the answer is
+        bit-identical to the original plan's (replicas hold the same
+        fragment rows).  ``fresh=True`` is for a statement whose plan died
+        with an in-flight stage producer it had joined: the whole lifecycle
+        runs again with artifact reuse off.
         """
-        logical = result.plan.logical
-        return self._run_physical(
-            logical, result.plan.replay(logical), result.options, charge=False
+        options = result.options
+        if fresh:
+            options = replace(options, reuse_artifacts=False)
+        return self._run_statement(
+            result.prepared,
+            result.params,
+            options,
+            paid=True,
+            replay=None if fresh else result.plan,
         )
 
     def record_report_metrics(self, report: ExecutionReport) -> None:
@@ -666,16 +722,6 @@ class FederatedEngine:
                 )
         return targets
 
-    @staticmethod
-    def _annotate_text_filters(plan: PlanNode, physical: PhysicalPlan) -> None:
-        """Copy scan-level text-index annotations onto the assignments."""
-        for scan in scans_in(plan):
-            if scan.text_filter is None:
-                continue
-            assignment = physical.assignments.get(scan.binding)
-            if assignment is not None:
-                assignment.text_filter = scan.text_filter
-
     def _record_operator_metrics(self, operators) -> None:
         """Feed the per-operator stats tree into the metrics registry."""
         counters = self._counters
@@ -714,11 +760,10 @@ class FederatedEngine:
         options = QueryOptions(
             max_staleness=max_staleness, tenant=tenant, advance_clock=False
         )
-        statement = parse_sql(sql)
         if analyze:
-            return self.render_analyze(self._execute_statement(statement, options))
+            return self.render_analyze(self.query(sql, options=options))
 
-        plan, physical = self._plan(statement, options)
+        plan, physical = self._plan(parse_sql(sql), options)
         lines = [
             f"optimizer: {physical.optimizer}  "
             f"coordinator: {physical.coordinator}  "
@@ -783,8 +828,8 @@ class FederatedEngine:
                 extras += f" site-filter({rendered})"
             if node.needed_columns is not None:
                 extras += f" columns({', '.join(sorted(node.needed_columns))})"
-            if assignment.text_filter is not None:
-                extras += f" text-index{assignment.text_filter!r}"
+            if node.text_filter is not None:
+                extras += f" text-index{node.text_filter!r}"
             extras += describe_governance(node)
             return [
                 f"{pad}scan {node.table} as {node.binding}: "
@@ -807,37 +852,32 @@ class FederatedEngine:
             lines.extend(self._explain_node(child, physical, depth + 1))
         return lines
 
-    def _rewrite_subqueries(
-        self, expr, options: QueryOptions, inner_reports: list[ExecutionReport]
-    ):
+    def _rewrite_subqueries(self, expr, answer):
         """Replace ``IN (SELECT ...)`` with the materialized value list.
 
-        An inner select runs under the outer statement's options -- the
-        same tenant governs it (membership lists must not leak rows the
-        policy hides), and so do its staleness bound, pinned coordinator,
-        degraded-answer policy, artifact reuse, deadline and clock mode.
-        Only ``budget`` is per *plan*: the caller's cap priced the outer
-        plan, so an inner select gets ``None`` plus the tenant's governance
-        cap.  Each inner report is appended to ``inner_reports`` for the
-        caller to fold its degradation into the outer report.
+        ``answer(subquery)`` runs an inner select as a one-shot template of
+        its own under the outer statement's options -- the same tenant
+        governs it (membership lists must not leak rows the policy hides)
+        and is debited for it, and so do its staleness bound, pinned
+        coordinator, degraded-answer policy, artifact reuse, deadline and
+        clock mode.  Only ``budget`` is per *plan*: the caller's cap priced
+        the outer plan, so an inner select gets ``None`` plus the tenant's
+        governance cap.  Its report is kept for the outer one to fold in.
         """
         if expr is None:
             return None
         if isinstance(expr, InSubquery):
-            inner = self._execute_statement(
-                expr.subquery, replace(options, budget=None)
-            )
-            inner_reports.append(inner.report)
-            if len(inner.table.schema) != 1:
+            table = answer(expr.subquery)
+            if len(table.schema) != 1:
                 raise QueryError(
                     "IN (SELECT ...) subquery must produce exactly one column, "
-                    f"got {len(inner.table.schema)}"
+                    f"got {len(table.schema)}"
                 )
-            values = inner.table.column(inner.table.schema.field_names[0])
+            values = table.column(table.schema.field_names[0])
             items = tuple(Literal(v) for v in values if v is not None)
-            operand = self._rewrite_subqueries(expr.operand, options, inner_reports)
+            operand = self._rewrite_subqueries(expr.operand, answer)
             return InList(operand, items, expr.negated)
-        return rebuild(expr, self._rewrite_subqueries, options, inner_reports)
+        return rebuild(expr, self._rewrite_subqueries, answer)
 
     def _store_in_cache(self, plan, report) -> None:
         """Remember live fragment-scan results under their predicate region.

@@ -78,8 +78,8 @@ class Executor:
     ) -> tuple[Table, ExecutionReport]:
         report = ExecutionReport(price=plan.total_price)
         # Recompile every time: assignments may have changed since the
-        # optimizer attached a tree (cache swap, text-filter annotation),
-        # and operators hold per-execution state.
+        # optimizer attached a tree (cache swap), and operators hold
+        # per-execution state.
         root = self.planner.compile(plan)
         ctx = ExecContext(self.paths, plan, report, self.retry, options, reopt)
 

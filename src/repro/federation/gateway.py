@@ -62,15 +62,13 @@ class PlanCache:
     some tenants costs the rest nothing), tenants with byte-identical
     policies share soundly, and a manifest edit changes the signature so
     the edited tenant's next statement misses to a freshly-governed plan.
-    Options that are bound per-*execution* rather than per-plan stay out
-    of the key on purpose: ``degraded_ok`` (like every other
-    non-plan-shaping field of ``QueryOptions``) is rebound onto the
-    template's options at dispatch and never touches the template, so
-    splitting the key on it would only depress the hit rate without
-    changing semantics.  Entries are never served stale: revalidation
-    against the catalog version *and* the policy signature lives in
-    :meth:`FederatedEngine.execute`, so the cache only manages identity
-    and eviction.
+    Everything else binds per *execution* and stays out of the key on
+    purpose: ``degraded_ok`` and the other answer-policy fields, and the
+    tenant's *name* -- whoever executes a shared template is named on its
+    report and billed for it.  Entries are never served stale or to the
+    wrong policy: validation against the catalog version *and* the asking
+    tenant's signature is the engine's (DESIGN §5g), so the cache only
+    manages identity and eviction.
     """
 
     def __init__(
@@ -168,7 +166,11 @@ class GatewayResult:
     """What a synchronous gateway execution hands back to the client."""
 
     result: QueryResult
-    prepared: PreparedStatement  # the cached template the statement ran on
+
+    @property
+    def prepared(self) -> PreparedStatement:
+        """The cached template the statement ran on."""
+        return self.result.prepared
 
     @property
     def rows(self) -> list[tuple]:
@@ -253,8 +255,7 @@ class GatewaySession:
             max_staleness=max_staleness,
         )
         self.gateway.workload.drain(handle)
-        result = handle.result()
-        return GatewayResult(result=result, prepared=handle.prepared)
+        return GatewayResult(handle.result())
 
     def execute_paged(
         self,

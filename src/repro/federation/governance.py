@@ -547,9 +547,11 @@ class GovernanceRegistry:
         The tenant's remaining balance caps any caller-supplied budget.  An
         exhausted ``degrade`` tenant is *not* capped (a zero cap would fail
         every plan); admission already forced ``degraded_ok`` and counted
-        the degradation.  An exhausted ``reject`` tenant gets a zero cap so
-        even direct engine calls (bypassing workload admission) fail closed
-        under the agoric optimizer.
+        the degradation.  An exhausted ``reject`` tenant gets a zero cap, so
+        under the agoric optimizer every execution that *plans* fails
+        closed, direct engine calls included.  The engine asks only then
+        (DESIGN §5g): an execution replaying a prepared template buys
+        nothing, is not capped, and is gated by workload admission alone.
         """
         remaining = self.remaining_budget(tenant) if tenant is not None else None
         if remaining is None:

@@ -112,7 +112,6 @@ class ScanAssignment:
     kind: str  # "fragments" | "view" | "cache" | "artifact"
     choices: list[FragmentChoice] = field(default_factory=list)
     view: MaterializedView | None = None
-    text_filter: tuple[str, str] | None = None  # (column, query) -> use text index
     cached_table: "Table | None" = None  # for kind "cache"
     cached_staleness: float = 0.0
     cached_region: "frozenset | None" = None  # the predicate region served
@@ -179,17 +178,20 @@ class QueryOptions:
     build it from their keywords; every layer below (engine internals,
     executor, :class:`ExecContext`, the re-optimization controller, the
     workload manager's handles) receives this object, never the loose
-    values.  ``max_staleness``, ``coordinator`` and ``tenant`` shape the
-    *plan* (access-path choice, site assignments, compiled governance), so
-    a prepared template is only valid under the three it was planned
-    with; the rest bind per *execution*.
+    values.  ``max_staleness``, ``coordinator`` and the *policy signature*
+    of ``tenant`` shape the plan (access-path choice, site assignments,
+    compiled governance), so a prepared template is only valid under the
+    three it was compiled with.  ``tenant`` itself is identity and binds
+    per *execution* with the rest: it names whose report, bid cap and
+    ledger the execution is (DESIGN §5g lists the step each field binds
+    at).
     """
 
     # None accepts any materialized copy, a number bounds staleness in
     # seconds, engine.LIVE_ONLY forces fetch-on-demand.
     max_staleness: float | None = None
     coordinator: str | None = None  # pinned coordinator site, or optimizer's pick
-    tenant: str | None = None  # who is asking (governance: RLS, masks, budget)
+    tenant: str | None = None  # who is asking (governance: policy, budget, bill)
     budget: float | None = None  # cap on the plan's total price
     degraded_ok: bool = False  # accept a partial answer over a typed failure
     # Whether this execution may consume and publish stage artifacts.
@@ -655,7 +657,7 @@ class SiteScan(SiteOperator):
         else:
             raise QueryError(f"unknown scan kind {assignment.kind!r}")
 
-        if assignment.text_filter is None and assignment.kind == "fragments":
+        if self.scan.text_filter is None and assignment.kind == "fragments":
             # Expose the live result so the engine's semantic cache can
             # remember this predicate region (text-filtered scans are not
             # cacheable under the pushdown key alone).  The capture carries
@@ -707,8 +709,8 @@ class SiteScan(SiteOperator):
             )
             for site, table, elapsed in table_batches
         ]
-        if assignment.text_filter is not None:
-            keep = chunk_filter(self._text_condition(ctx, assignment))
+        if self.scan.text_filter is not None:
+            keep = chunk_filter(self._text_condition(ctx))
             for batch in batches:
                 batch.chunks = keep(batch.chunks)
         self._apply_governance(ctx, batches)
@@ -944,18 +946,17 @@ class SiteScan(SiteOperator):
         )
         return [(ctx.coordinator, table, work)]
 
-    @staticmethod
-    def _text_condition(ctx: ExecContext, assignment: ScanAssignment) -> Expr:
+    def _text_condition(self, ctx: ExecContext) -> Expr:
         """The text index's hits as a condition on the scan's key column."""
-        entry = ctx.catalog.entry(assignment.table_name)
+        entry = ctx.catalog.entry(self.scan.table)
         if entry.text_index is None or entry.key_column is None:
             raise QueryError(
-                f"MATCH on {assignment.table_name!r} but no text index is registered"
+                f"MATCH on {self.scan.table!r} but no text index is registered"
             )
-        _, query = assignment.text_filter
+        _, query = self.scan.text_filter
         hits = entry.text_index.search(query, limit=entry.estimated_rows() or 1000)
         return InList(
-            Column(entry.key_column, assignment.binding),
+            Column(entry.key_column, self.scan.binding),
             tuple(Literal(doc_id) for doc_id in {hit.doc_id for hit in hits}),
         )
 
@@ -1003,8 +1004,8 @@ class SiteScan(SiteOperator):
 
     def _describe(self, assignment: ScanAssignment) -> str:
         detail = describe_access_path(assignment) + describe_pushdown(self.scan)
-        if assignment.text_filter is not None:
-            detail += f" text-index{assignment.text_filter!r}"
+        if self.scan.text_filter is not None:
+            detail += f" text-index{self.scan.text_filter!r}"
         detail += describe_governance(self.scan)
         for event in self._failover_events:
             detail += f" [{event}]"

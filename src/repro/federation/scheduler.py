@@ -30,7 +30,7 @@ queue-shaped, not just SQL submissions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class Scheduler:
@@ -181,7 +181,3 @@ def make_scheduler(spec: "str | Scheduler") -> Scheduler:
         known = ", ".join(sorted(set(_SCHEDULERS)))
         raise ValueError(f"unknown scheduler {spec!r} (known: {known})")
     return _SCHEDULERS[spec]()
-
-
-def scheduler_names() -> Iterable[str]:
-    return sorted(set(_SCHEDULERS))

@@ -254,14 +254,6 @@ _TYPE_WIRE_BYTES = {
 }
 
 
-def estimated_row_bytes(schema) -> int:
-    """Naive wire bytes per row of ``schema``."""
-    total = 0
-    for field_def in schema.fields:
-        total += _TYPE_WIRE_BYTES.get(field_def.dtype.name, 8)
-    return max(1, total)
-
-
 # Without statistics, assume column encoding halves the payload -- the
 # conservative end of what dictionary/RLE/delta achieve on real columns.
 _DEFAULT_ENCODING_RATIO = 0.5

@@ -23,7 +23,7 @@ from typing import Callable
 from repro.core.errors import QueryError
 from repro.core.records import Table
 from repro.core.schema import Schema
-from repro.sim.events import EventLoop, ScheduledEvent
+from repro.sim.events import EventLoop
 
 
 class MaterializedView:
@@ -52,7 +52,6 @@ class MaterializedView:
         self.refresh_failures = 0  # scheduled refreshes lost to dead sources
         self.refresh_cost_seconds = 0.0
         self.rows_served = 0  # rows produced by SiteScan reads of this view
-        self._event: ScheduledEvent | None = None
 
     # -- refresh -----------------------------------------------------------
 
@@ -76,16 +75,11 @@ class MaterializedView:
                 f"view {self.name!r} has no positive refresh interval to schedule"
             )
         self.refresh(loop.clock.now(), cost_seconds)
-        self._event = loop.schedule_every(
+        loop.schedule_every(
             self.refresh_interval,
             lambda: self.refresh(loop.clock.now(), cost_seconds),
             name=f"refresh:{self.name}",
         )
-
-    def detach(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
 
     # -- freshness ---------------------------------------------------------------
 

@@ -67,6 +67,7 @@ from repro.core.errors import (
 )
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.executor import QueryOptions
+from repro.federation.reopt import ReoptPolicy
 from repro.federation.scheduler import Scheduler, make_scheduler
 from repro.sim.events import EventLoop, ScheduledEvent
 from repro.sim.metrics import Held, MetricsRegistry
@@ -139,13 +140,13 @@ class QueryHandle:
         self.priority = priority
         self.submitted_at = submitted_at
         self.deadline = deadline
-        # What every engine call for this handle runs under: frozen clock,
-        # the absolute deadline, the submitting tenant (a prepared
-        # template's plan-shaping fields win).  The producer-death fallback
-        # swaps in a copy with artifact reuse off.
+        # What dispatch runs under: frozen clock, the absolute deadline, the
+        # submitting tenant (a prepared template's staleness bound and
+        # coordinator win).  A re-execution runs under the options of the
+        # in-flight result it replaces.
         self.options = options
         # When set, dispatch runs the prepared template with ``params``
-        # bound instead of re-parsing ``sql`` (the gateway's fast path).
+        # bound instead of re-parsing ``sql`` (the gateway's path).
         self.prepared = prepared
         self.params = params
         self.state = QueryState.QUEUED
@@ -233,12 +234,9 @@ class WorkloadManager:
         scheduler: "str | Scheduler" = "weighted-fair",
         max_in_flight: int = 4,
         metrics: MetricsRegistry | None = None,
-        max_replans: int = 2,
     ) -> None:
         if max_in_flight < 1:
             raise QueryError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if max_replans < 0:
-            raise QueryError(f"max_replans must be >= 0, got {max_replans}")
         if loop.clock is not engine.catalog.clock:
             raise QueryError(
                 "workload manager's event loop must share the engine's clock"
@@ -255,8 +253,6 @@ class WorkloadManager:
         self.tenants: dict[str, Tenant] = {}
         self.in_flight = 0
         self.dispatched = 0  # lifetime dispatches
-        self.max_replans = max_replans  # per-query cap when the engine has
-        # no re-optimization policy of its own (engine.reopt wins otherwise)
         self.replans = 0  # lifetime mid-flight re-executions
         self._seq = itertools.count()
         self._unfinished = 0  # queued + running
@@ -316,7 +312,9 @@ class WorkloadManager:
         a prepared template through the same admission/scheduling path;
         the statement's ``max_staleness`` and pinned ``coordinator`` were
         fixed at prepare time, so the per-submission arguments are not
-        accepted alongside it.
+        accepted alongside it.  Either way the statement runs under, and is
+        billed to, ``tenant``; a template compiled for another policy
+        signature is refused by the engine (the handle fails).
         """
         if (sql is None) == (prepared is None):
             raise QueryError("submit() takes exactly one of sql or prepared")
@@ -346,15 +344,6 @@ class WorkloadManager:
         force_degraded = False
         governance = getattr(self.engine, "governance", None)
         if governance is not None:
-            if prepared is not None and (
-                getattr(prepared, "policy_signature", None)
-                != governance.signature_for(owner.name)
-            ):
-                raise QueryError(
-                    f"prepared statement was planned for tenant "
-                    f"{prepared.options.tenant!r} under a different governance "
-                    f"policy; prepare it for tenant {owner.name!r}"
-                )
             try:
                 admission = governance.admit(owner.name, self.loop.clock.now())
             except QueryRejectedError:
@@ -368,20 +357,15 @@ class WorkloadManager:
         # completion event's job); the absolute deadline rides along so the
         # engine's re-optimization controller (when configured) can migrate
         # stages that project an overrun.
-        per_execution = dict(
+        options = replace(
+            prepared.options
+            if prepared is not None
+            else QueryOptions(max_staleness=max_staleness, coordinator=coordinator),
+            tenant=owner.name,
             degraded_ok=degraded_ok or force_degraded,
             deadline_at=None if deadline is None else now + deadline,
             advance_clock=False,
         )
-        if prepared is not None:
-            options = replace(prepared.options, **per_execution)
-        else:
-            options = QueryOptions(
-                max_staleness=max_staleness,
-                coordinator=coordinator,
-                tenant=owner.name,
-                **per_execution,
-            )
         handle = QueryHandle(
             seq=next(self._seq),
             sql=sql if sql is not None else prepared.sql,
@@ -447,19 +431,23 @@ class WorkloadManager:
         self._execute(handle)
 
     def _execute(
-        self, handle: QueryHandle, rerun: QueryResult | None = None
+        self,
+        handle: QueryHandle,
+        rerun: QueryResult | None = None,
+        fresh: bool = False,
     ) -> QueryResult | None:
-        """Run ``handle`` on the engine under its options and occupy the
-        result's footprint: the one engine-calling body of dispatch, the
-        producer-death fallback and mid-flight re-planning (``rerun`` is the
-        in-flight result whose plan re-executes instead of planning again).
+        """Run ``handle`` on the engine and occupy the result's footprint:
+        the one engine-calling body of dispatch (under the handle's
+        options), mid-flight re-planning (``rerun`` is the in-flight result
+        whose plan re-executes) and the producer-death fallback (``rerun``
+        re-enters the lifecycle ``fresh``, artifact reuse off).
         Returns None, with the handle settled as failed, when the engine
         raised a typed error; anything else it raised settles the handle
         the same way -- slot, tenant quota and drain accounting released --
         and propagates, so a bug in one statement cannot wedge the rest."""
         try:
             if rerun is not None:
-                result = self.engine.rerun_physical(rerun)
+                result = self.engine.rerun_physical(rerun, fresh)
             elif handle.prepared is not None:
                 result = self.engine.execute(
                     handle.prepared, handle.params, options=handle.options
@@ -629,7 +617,7 @@ class WorkloadManager:
         The re-execution disables artifact reuse entirely -- the fallback
         must not join another doomed stage, and it publishes nothing -- and
         replaces the subscriber's pending completion with one scheduled off
-        the fresh, independent execution.
+        the fresh, independent execution (paid for at dispatch, not again).
         """
         if subscriber.state is not QueryState.RUNNING:
             return
@@ -639,18 +627,9 @@ class WorkloadManager:
         if subscriber._completion_event is not None:
             subscriber._completion_event.cancel()
         self._release_sites(subscriber)
-        subscriber.options = replace(subscriber.options, reuse_artifacts=False)
-        self._execute(subscriber)
+        self._execute(subscriber, rerun=subscriber._inflight_result, fresh=True)
 
     # -- mid-flight re-planning (DESIGN §5i) --------------------------------
-
-    def _replan_cap(self) -> int:
-        """Per-query replan budget: the engine's re-optimization policy wins
-        when configured, else the manager's own ``max_replans`` default."""
-        policy = getattr(self.engine, "reopt", None)
-        if policy is not None:
-            return policy.max_replans
-        return self.max_replans
 
     def watch(self, injector) -> None:
         """Wire a :class:`~repro.federation.availability.FailureInjector`'s
@@ -692,7 +671,10 @@ class WorkloadManager:
         """
         if handle.state is not QueryState.RUNNING:
             return False
-        if handle._replans >= self._replan_cap():
+        # The engine's re-opt policy caps replans (its default without one).
+        policy = getattr(self.engine, "reopt", None)
+        cap = ReoptPolicy.max_replans if policy is None else policy.max_replans
+        if handle._replans >= cap:
             return False
         result = handle._inflight_result
         if result is None or handle._executed_at is None:

@@ -70,11 +70,6 @@ class Element(Node):
 
     # -- traversal -----------------------------------------------------------
 
-    def iter_children_elements(self) -> Iterator["Element"]:
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-
     def iter_descendants(self) -> Iterator[Node]:
         """Yield all descendant nodes in document order."""
         for child in self.children:

@@ -4,7 +4,7 @@ A statement parsed with ``?`` placeholders carries :class:`~repro.sql.ast.Parame
 nodes, numbered left to right.  Plans built from such a statement are
 *templates*: parse + rewrite + optimize happen once, and each execution
 substitutes that call's values with :func:`bind_plan` (or
-:func:`bind_statement` for the subquery slow path) into a fresh copy, so
+:func:`bind_statement` for templates that hold no plan) into a fresh copy, so
 the prepared plan itself stays immutable and reusable.
 
 Parameterized comparisons deliberately do **not** become source-level
@@ -76,10 +76,10 @@ def count_parameters(statement: SelectStatement) -> int:
 def statement_has_subqueries(statement: SelectStatement) -> bool:
     """True if any ``IN (SELECT ...)`` appears anywhere in the statement.
 
-    Subquery statements take the prepared slow path: the inner select
+    A subquery statement's template holds no plan: the inner select
     materializes a data-dependent IN list, so the outer plan cannot be
-    optimized once and reused -- each execution re-plans from a bound copy
-    of the statement.
+    optimized once and reused -- each execution plans from a bound copy of
+    the statement.
     """
     return any(isinstance(node, InSubquery) for node in _nodes(statement))
 
@@ -104,9 +104,8 @@ def bind_statement(
 ) -> SelectStatement:
     """A deep copy of ``statement`` with parameters bound to ``values``.
 
-    Used by the prepared-statement slow path (statements with subqueries,
-    which must re-plan per execution because the subquery materializes
-    data-dependent IN lists).
+    Used where an execution plans (statements with subqueries, whose
+    inner selects materialize data-dependent IN lists).
     """
     return SelectStatement(
         items=[

@@ -112,10 +112,6 @@ class Lineage:
         for trace in self.columns.values():
             trace.steps.append(description)
 
-    def record_step_on_all(self, description: str) -> None:
-        for trace in self.columns.values():
-            trace.steps.append(description)
-
     def mark_broken(self, reason: str) -> None:
         """An opaque step destroyed row-level provenance (the ETL failure)."""
         self.broken = True

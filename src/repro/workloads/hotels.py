@@ -87,9 +87,6 @@ class HotelMarket:
     def static_table(self) -> Table:
         return Table.from_dicts(STATIC_SCHEMA, self.static_rows())
 
-    def availability_table(self) -> Table:
-        return Table.from_dicts(AVAILABILITY_SCHEMA, self.availability_rows())
-
     # -- the traveler's ground truth -----------------------------------------------
 
     def matching_hotels(

@@ -130,7 +130,7 @@ def apply_masks(table: Table, masks: dict[str, str]) -> Table:
 
 class SiteScan(physical.SiteScan):
     def _site_batches(self, ctx: ExecContext, assignment, table_batches):
-        if assignment.text_filter is not None:
+        if self.scan.text_filter is not None:
             table_batches = self._apply_text_filter(ctx, assignment, table_batches)
         table_batches = self._apply_governance(ctx, table_batches)
         ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
@@ -152,7 +152,7 @@ class SiteScan(physical.SiteScan):
             raise QueryError(
                 f"MATCH on {assignment.table_name!r} but no text index is registered"
             )
-        _, query = assignment.text_filter
+        _, query = self.scan.text_filter
         hits = {
             hit.doc_id
             for hit in entry.text_index.search(

@@ -509,6 +509,65 @@ def test_rows_of_a_table_are_kept_one_way():
             assert not above, (where, above)
 
 
+def test_a_statement_has_one_lifecycle_and_one_debit():
+    """Every execution reaches ``_run_physical`` through the one lifecycle
+    body; the second and third bodies, the plan step's post-edit of the
+    optimizer's output and the manager's replan knob stay deleted; who is
+    asking is validated, capped and billed in one place each (DESIGN §5g)."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    source_root = Path(repro.__file__).parent
+    defined, callers, assigns, reads = set(), {}, {}, {}
+    for path in source_root.rglob("*.py"):
+        where = path.relative_to(source_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(where)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    f"{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                )
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                    callers.setdefault(inner.func.attr, []).append(node.name)
+                targets = getattr(inner, "targets", None) or [
+                    getattr(inner, "target", None)
+                ]
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and isinstance(
+                        inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)
+                    ):
+                        assigns.setdefault(target.attr, set()).add(node.name)
+    assert not defined & {
+        "_execute_statement", "_plan_prepared", "_annotate_text_filters",
+        "_replan_cap", "ScanAssignment.text_filter",
+    }
+    assert "ScanAssignment.kind" in defined  # the scan above can see fields
+    assert callers["_run_physical"] == ["_run_statement"]
+    assert callers["charge"] == ["_run_statement"]
+    assert callers["effective_budget"] == ["_bidding"]
+    assert assigns["policy_signature"] == {"_compile"}
+    assert "federation/workload.py" not in reads["policy_signature"]
+    assert sorted(set(callers["_run_statement"])) == [
+        "_run_statement", "answer", "execute", "query", "rerun_physical"
+    ]  # itself: ``answer``, the inner select of an IN (SELECT ...)
+    assert callers["rerun_physical"] == ["_execute"]
+    from inspect import signature
+
+    from repro.federation import WorkloadManager
+
+    assert "max_replans" not in signature(WorkloadManager).parameters
+
+
 def test_the_benchmark_keyword_calls_still_bind():
     """The exact keyword calls ``benchmarks/e2e/workloads.py`` makes: a
     signature refactor must fail here, not as a broken bench run."""

@@ -293,7 +293,7 @@ class TestWorkloadMidFlightReplan:
 
     SQL = "select sku from parts where price > 1"
 
-    def build(self, reopt=None, max_replans=None):
+    def build(self, reopt=None):
         clock = SimClock()
         catalog = FederationCatalog(clock)
         for i in range(4):
@@ -303,8 +303,7 @@ class TestWorkloadMidFlightReplan:
         )
         engine = FederatedEngine(catalog, reopt=reopt)
         loop = EventLoop(clock)
-        kwargs = {} if max_replans is None else {"max_replans": max_replans}
-        manager = WorkloadManager(engine, loop, max_in_flight=2, **kwargs)
+        manager = WorkloadManager(engine, loop, max_in_flight=2)
         injector = FailureInjector(
             loop, catalog, mttf=1e9, mttr=1e9, rng=random.Random(7)
         )
@@ -360,13 +359,6 @@ class TestWorkloadMidFlightReplan:
             ReoptPolicy(max_replans=0)
         )
         injector.slow_at("s0", at=0.001, duration=5.0, factor=6.0)
-        handles = [manager.submit(self.SQL) for _ in range(4)]
-        manager.drain(*handles)
-        assert manager.replans == 0
-
-    def test_manager_replan_cap_used_without_engine_policy(self):
-        engine, loop, manager, injector = self.build(None, max_replans=0)
-        injector.fail_at("s0", at=0.001)
         handles = [manager.submit(self.SQL) for _ in range(4)]
         manager.drain(*handles)
         assert manager.replans == 0

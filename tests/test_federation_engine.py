@@ -13,6 +13,7 @@ from repro.federation import (
 from repro.federation.engine import LIVE_ONLY
 from repro.ir.search import SearchMode
 from repro.sim import EventLoop, SimClock
+from repro.sql.planner import scans_in
 
 from tests.sqlite_oracle import sqlite_answer
 
@@ -148,13 +149,15 @@ class TestMatchAccessPath:
         result = engine.query("select sku from parts where match(name, 'drill')")
         assert sorted(result.table.column("sku")) == ["A-3", "A-4"]
         assert engine.catalog.entry("parts").text_index is not None
-        assert result.plan.assignments["parts"].text_filter == ("name", "drill")
+        (scan,) = scans_in(result.plan.logical)
+        assert scan.text_filter == ("name", "drill")
 
     def test_match_on_unindexed_column_falls_back(self):
         engine = make_engine()
         result = engine.query("select sku from parts where match(sku, 'A-1')")
         assert result.table.column("sku") == ["A-1"]
-        assert result.plan.assignments["parts"].text_filter is None
+        (scan,) = scans_in(result.plan.logical)
+        assert scan.text_filter is None
 
     def test_match_combined_with_other_predicates(self):
         engine = make_engine()

@@ -705,8 +705,11 @@ class TestWorkloadIntegration:
     def test_prepared_for_other_policy_is_refused(self):
         catalog, engine, _, manager = make_manager(MANIFEST)
         prepared = engine.prepare("select * from orders", tenant="acme")
-        with pytest.raises(QueryError):
-            manager.submit(prepared=prepared, params=(), tenant="beta")
+        # The engine refuses at validation, so the refusal is the handle's.
+        refused = manager.submit(prepared=prepared, params=(), tenant="beta")
+        with pytest.raises(QueryError, match="different governance policy"):
+            refused.result()
+        assert manager.in_flight == 0
         # Same declared policy is fine even under a different tenant name.
         handle = manager.submit(
             prepared=prepared, params=(), tenant="acme-staging"

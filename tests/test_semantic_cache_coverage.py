@@ -1,14 +1,20 @@
 """Unit tests for implication-aware coverage and cost-aware cache policy."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.connect.source import Predicate
 from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import QueryError
 from repro.federation.cache import (
     SemanticCache,
     coverage_kind,
+    predicate_implies,
     region_covers,
 )
+from repro.federation.stats import ZoneMap, fragment_can_match, zone_selectivity
 from repro.sim import SimClock
 from repro.sim.metrics import MetricsRegistry
 
@@ -259,3 +265,63 @@ class TestAdmissionAndEviction:
         assert metrics.counter("cache.rejected").value == 1
         assert metrics.counter("cache.invalidations").value == 1
         assert metrics.histogram("cache.entry_age_seconds").count == 1
+
+
+POOL = [
+    None, 0, 1, 2, -1, 1.0, 1.5, 2.0, float("nan"), float("inf"),
+    True, False, "a", "b", "ab", "A", "", " 1", "1",
+]
+PREDICATES = [
+    P("c", op, value)
+    for op in ("=", "!=", "<", "<=", ">", ">=", "contains")
+    for value in POOL
+]
+
+
+class TestReasoningAboutPredicatesIsSound:
+    """The two modules that *reason* about predicates instead of applying
+    them -- ``cache.predicate_implies`` and ``stats.fragment_can_match`` --
+    swept by brute force with the scalar ``Predicate.matches`` as referee.
+    A comparison the scalar rule refuses (``'a' < 1``) keeps no row."""
+
+    @staticmethod
+    def keeps(predicate, value):
+        try:
+            return predicate.matches({"c": value})
+        except QueryError:
+            return False
+
+    def test_an_implied_predicate_keeps_every_value_the_implying_one_keeps(self):
+        unsound = [
+            (p, q, value)
+            for p, q in itertools.product(PREDICATES, repeat=2)
+            if predicate_implies(p, q)
+            for value in POOL
+            if self.keeps(p, value) and not self.keeps(q, value)
+        ]
+        assert unsound == []
+
+    def test_needles_that_compare_equal_are_not_one_region(self):
+        # 1 == True == 1.0 (and hash alike), but the needles are their text.
+        one, true, float_one = (P("c", "contains", v) for v in (1, True, 1.0))
+        assert len({one, true, float_one}) == 3
+        assert one == P("c", "contains", "1")
+        assert coverage_kind(region(one), region(true)) is None
+        assert coverage_kind(region(one), region(float_one)) == "implication"
+        assert coverage_kind(region(float_one), region(one)) is None
+
+    def test_a_pruned_fragment_holds_no_matching_row(self):
+        schema = Schema("t", (Field("c", DataType.STRING),))
+        rng = random.Random(7)
+        for _ in range(400):
+            table = Table(schema, validate=False)
+            table.rows = [
+                (rng.choice(POOL),) for _ in range(rng.randint(1, 4))
+            ]
+            zone = ZoneMap.from_table(table)
+            for predicate in PREDICATES:
+                assert 0.0 <= zone_selectivity(zone, [predicate]) <= 1.0
+                if fragment_can_match(zone, [predicate]) is False:
+                    assert not any(
+                        self.keeps(predicate, value) for (value,) in table.rows
+                    ), (table.rows, predicate)
