@@ -69,12 +69,7 @@ from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog, Fragment, TableEntry
 from repro.federation.central import CentralizedOptimizer
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
-from repro.federation.executor import (
-    ExecutionReport,
-    Executor,
-    PhysicalPlan,
-    QueryOptions,
-)
+from repro.federation.executor import Executor
 from repro.federation.gateway import Gateway, GatewaySession, Page, PlanCache
 from repro.federation.health import (
     CircuitState,
@@ -82,7 +77,13 @@ from repro.federation.health import (
     SiteHealth,
     SiteHealthTracker,
 )
-from repro.federation.physical import OperatorStats, PhysicalPlanner
+from repro.federation.physical import (
+    ExecutionReport,
+    OperatorStats,
+    PhysicalPlan,
+    PhysicalPlanner,
+    QueryOptions,
+)
 from repro.federation.reopt import ReoptController, ReoptEvent, ReoptPolicy
 from repro.federation.loadbalance import (
     LeastLoadedPolicy,

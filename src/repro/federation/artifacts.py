@@ -22,7 +22,9 @@ equivalent consumer:
   artifact to the optimizers alongside fragments, materialized
   views and the semantic cache; the bid prices a coordinator-local pass
   over the materialized rows -- near-zero scan work and zero shipped
-  bytes -- so a warm artifact usually wins the market.
+  bytes -- so a warm artifact usually wins the market.  The ``Ship`` that
+  bounds the stage serves a chosen artifact exactly as it serves one its
+  run-time probe finds: one coordinator pass, one booked hit.
 * **Runtime publication and reuse.**  A ``Ship`` whose stage misses
   executes normally and publishes its output through the report; the
   engine registers it *in flight* until the query's modeled completion,
@@ -497,8 +499,8 @@ class ArtifactStore:
 
     def book_hit(self, artifact: Artifact) -> None:
         """Hit accounting for a committed artifact: booked by
-        :meth:`acquire`, and at serve time by a plan-embedded artifact path
-        (whose plan-time :meth:`bid` booked nothing)."""
+        :meth:`acquire`, and by the ``Ship`` that serves a plan-embedded
+        artifact (whose plan-time :meth:`bid` booked nothing)."""
         artifact.hits += 1
         self.hits += 1
         self._count("artifacts.hits")

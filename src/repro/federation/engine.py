@@ -49,14 +49,12 @@ from repro.federation.access import AccessPaths
 from repro.federation.agoric import AgoricOptimizer
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
-from repro.federation.executor import (
-    ExecutionReport,
-    Executor,
-    PhysicalPlan,
-    QueryOptions,
-)
+from repro.federation.executor import Executor
 from repro.federation.health import RetryPolicy, SiteHealthTracker
 from repro.federation.physical import (
+    ExecutionReport,
+    PhysicalPlan,
+    QueryOptions,
     describe_access_path,
     describe_expr,
     describe_governance,
@@ -471,10 +469,9 @@ class FederatedEngine:
             self.metrics.counter("queries.partial_failures").inc()
             raise
         # Only *modeled* optimization seconds reach the simulated response
-        # time (DESIGN §7 determinism); the host's real planning time is
-        # reported out-of-band.
+        # time (DESIGN §7 determinism); the host's real planning time stays
+        # on the plan (``planner_wall_seconds``).
         report.response_seconds += physical.optimization_seconds
-        report.planner_wall_seconds = physical.planner_wall_seconds
         report.fragments_pruned = sum(
             a.pruned_fragments for a in physical.assignments.values()
         )

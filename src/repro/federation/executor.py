@@ -22,10 +22,6 @@ The report records response time, per-site work, rows fetched vs rows
 actually shipped across the network, worst-case access-path staleness, and
 a per-operator stats tree (rows in/out, seconds, placement) that the engine
 renders as ``EXPLAIN ANALYZE``.
-
-The physical-plan dataclasses are re-exported here for compatibility:
-``FragmentChoice``, ``ScanAssignment``, ``PhysicalPlan``,
-``QueryOptions``, ``ExecutionReport``.
 """
 
 from __future__ import annotations
@@ -34,26 +30,13 @@ from repro.core.records import Table
 from repro.federation.access import AccessPaths
 from repro.federation.health import RetryPolicy
 from repro.federation.physical import (
-    Env,
     ExecContext,
     ExecutionReport,
-    FragmentChoice,
     PhysicalPlan,
     PhysicalPlanner,
     QueryOptions,
-    ScanAssignment,
     envs_to_table,
 )
-
-__all__ = [
-    "Env",
-    "ExecutionReport",
-    "Executor",
-    "FragmentChoice",
-    "PhysicalPlan",
-    "QueryOptions",
-    "ScanAssignment",
-]
 
 
 class Executor:
@@ -76,7 +59,7 @@ class Executor:
         options: QueryOptions = QueryOptions(),
         reopt=None,
     ) -> tuple[Table, ExecutionReport]:
-        report = ExecutionReport(price=plan.total_price)
+        report = ExecutionReport()
         # Recompile every time: assignments may have changed since the
         # optimizer attached a tree (cache swap), and operators hold
         # per-execution state.

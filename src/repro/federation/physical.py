@@ -21,6 +21,14 @@ operators split across two placements:
   says how many rows it still wants, and an operator pulls no more input
   than producing those takes (see :meth:`PhysicalOperator.next`).
 
+A materialized copy is served one way per kind, whoever found it: a stage
+artifact by the ``Ship`` boundary (every scan compiles to one ``Ship`` over
+its site pipeline, and an artifact the optimizer embedded in the plan is
+served like one the store's run-time probe found, the pipeline unopened);
+a view at its host or a cache region at the coordinator by
+:meth:`SiteScan._serve_copy`, for a planned scan and the covering fallback
+alike.
+
 Every operator records rows in/out, seconds of modeled work and its
 placement site in :class:`OperatorStats`; the engine renders the tree as
 ``EXPLAIN ANALYZE`` and feeds it to the metrics registry.
@@ -116,7 +124,7 @@ class ScanAssignment:
     cached_staleness: float = 0.0
     cached_region: "frozenset | None" = None  # the predicate region served
     # For kind "artifact": the committed stage artifact the plan embeds
-    # (validity re-checked against the catalog version at execution time).
+    # (validity re-checked against the catalog version at the Ship).
     artifact: "Any | None" = None
     artifact_age: float = 0.0  # age in seconds at plan time (EXPLAIN)
     # Zone-map partition elimination accounting for kind "fragments":
@@ -278,9 +286,7 @@ class ExecutionReport:
     bytes_shipped: int = 0  # encoded wire bytes behind those shipped rows
     rows_returned: int = 0
     staleness_seconds: float = 0.0
-    network_seconds: float = 0.0
     site_work: dict[str, float] = field(default_factory=dict)
-    price: float = 0.0
     failovers: int = 0  # scans successfully re-routed after a site died mid-query
     failover_attempts: int = 0  # re-route attempts, successful or not
     retry_seconds: float = 0.0  # modeled backoff latency charged for retries
@@ -290,9 +296,6 @@ class ExecutionReport:
     degraded: bool = False
     unreachable_fragments: list[str] = field(default_factory=list)
     dead_sites: list[str] = field(default_factory=list)
-    # Host wall-clock the planner spent (kept out of response_seconds so
-    # simulated time stays deterministic -- DESIGN §7).
-    planner_wall_seconds: float = 0.0
     # Zone-map partition elimination: fragments skipped / considered.
     fragments_pruned: int = 0
     fragments_total: int = 0
@@ -553,10 +556,9 @@ class SiteBatch:
 
     Scanned rows travel in ``chunks``, a list of fixed-size
     :class:`~repro.federation.columnar.ColumnBatch` slices, and ``rows``
-    stays empty.  ``chunks is None`` means ``rows`` holds what is not a
-    scan's output: partial-aggregate group records (a list), or the one
-    column batch an artifact served at the coordinator.  Neither was
-    scanned in batches, so neither counts as a processed batch.
+    stays empty.  ``chunks is None`` means ``rows`` holds partial-aggregate
+    group records, which were not scanned in batches and so do not count
+    as processed batches.
     """
 
     site: str
@@ -645,15 +647,10 @@ class SiteScan(SiteOperator):
         # its output is stale or incomplete for the predicate region.
         self._capture_ok = True
 
-        if assignment.kind == "view":
-            table_batches = self._view_batches(ctx, assignment, predicates)
-            ctx.report.staleness_seconds = max(
-                ctx.report.staleness_seconds, assignment.view.staleness(now)
-            )
-        elif assignment.kind == "fragments":
+        if assignment.kind == "fragments":
             table_batches = self._fragment_batches(ctx, assignment, predicates)
-        elif assignment.kind == "cache":
-            table_batches = self._cache_batches(ctx, assignment)
+        elif assignment.kind in ("view", "cache"):
+            table_batches = self._planned_copy(ctx, assignment, predicates)
         else:
             raise QueryError(f"unknown scan kind {assignment.kind!r}")
 
@@ -760,9 +757,15 @@ class SiteScan(SiteOperator):
             batches.append((site_name, result.table, delay + work))
         if lost:
             self._capture_ok = False
-            fallback = self._covering_fallback(ctx, assignment, predicates)
-            if fallback is not None:
-                return fallback
+            copy = self._covering_fallback(ctx, assignment, predicates)
+            if copy is not None:
+                ctx.report.failovers += 1
+                self._failover_events.append(
+                    f"failover → view {copy.view.name}@{copy.view.site_name}"
+                    if copy.kind == "view"
+                    else "failover → cache region"
+                )
+                return self._serve_copy(ctx, copy, predicates)
             self._register_unreachable(ctx, lost)
         return batches
 
@@ -839,43 +842,28 @@ class SiteScan(SiteOperator):
 
     def _covering_fallback(
         self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> list[tuple[str, Table, float]] | None:
-        """Last resort for dead fragments: answer the *whole* scan from a
-        covering copy -- a live whole-table materialized view, else a cache
-        region covering the pushdown.  The answer is complete but possibly
-        stale (within the query's own ``max_staleness`` bound -- a LIVE_ONLY
-        query gets no fallback), so staleness is stamped and the result is
-        never re-cached."""
-        now = ctx.catalog.clock.now()
+    ) -> ScanAssignment | None:
+        """Last resort for dead fragments: the copy that answers the
+        *whole* scan -- a live whole-table materialized view, else a cache
+        region covering the pushdown -- as the assignment a planned copy
+        would carry; the caller serves it like one.  The answer is complete
+        but possibly stale (within the query's own ``max_staleness`` bound
+        -- a LIVE_ONLY query gets no fallback), and never re-cached."""
         max_staleness = ctx.options.max_staleness
-        view = ctx.paths.live_view(assignment.table_name, max_staleness)
+        binding, table_name = assignment.binding, assignment.table_name
+        view = ctx.paths.live_view(table_name, max_staleness)
         if view is not None:
-            table = apply_predicates(view.data, predicates)
-            work = ctx.charge_site(view.site_name, len(table))
-            self.stats.seconds += work
-            view.rows_served += len(table)
-            ctx.report.staleness_seconds = max(
-                ctx.report.staleness_seconds, view.staleness(now)
-            )
-            ctx.report.failovers += 1
-            self._failover_events.append(
-                f"failover → view {view.name}@{view.site_name}"
-            )
-            return [(view.site_name, table, work)]
+            return ScanAssignment(binding, table_name, "view", view=view)
         if ctx.paths.cache is not None:
             found = ctx.paths.cache.lookup_entry(
-                assignment.table_name, list(predicates), max_staleness
+                table_name, list(predicates), max_staleness
             )
             if found is not None:
                 table, age = found
-                work = ctx.charge_site(ctx.coordinator, len(table))
-                self.stats.seconds += work
-                ctx.report.staleness_seconds = max(
-                    ctx.report.staleness_seconds, age
+                return ScanAssignment(
+                    binding, table_name, "cache",
+                    cached_table=table, cached_staleness=age,
                 )
-                ctx.report.failovers += 1
-                self._failover_events.append("failover → cache region")
-                return [(ctx.coordinator, table, work)]
         return None
 
     def _register_unreachable(
@@ -904,47 +892,50 @@ class SiteScan(SiteOperator):
                 retries_used=ctx.retries_used,
             )
 
-    def _view_batches(
+    def _planned_copy(
         self, ctx: ExecContext, assignment: ScanAssignment, predicates
     ) -> list[tuple[str, Table, float]]:
+        """A view or cache scan the optimizer chose: its rows are the scan's
+        input, and a view whose one host is down -- there is no replica to
+        fail over to -- registers the whole scan unreachable under the
+        query's degraded-answer policy."""
         view = assignment.view
-        if view is None or view.data is None:
-            raise QueryError(f"view scan for {assignment.table_name!r} has no data")
-        ctx.scan_total_rows += len(view.data)
-        if not ctx.catalog.site(view.site_name).up:
-            # A view has exactly one host -- there is no replica to fail over
-            # to.  Register the whole scan unreachable and apply the query's
-            # degraded-answer policy.
+        rows = view.data if view is not None else assignment.cached_table
+        if rows is None:
+            raise QueryError(
+                f"{assignment.kind} scan for {assignment.table_name!r} has no rows"
+            )
+        ctx.scan_total_rows += len(rows)
+        if view is not None and not ctx.catalog.site(view.site_name).up:
             self._capture_ok = False
             name = f"view:{view.name}"
             if name not in ctx.unreachable_fragments:
                 ctx.unreachable_fragments.append(name)
-                ctx.unreachable_rows += len(view.data)
+                ctx.unreachable_rows += len(rows)
             ctx.dead_sites.add(view.site_name)
             self._degrade_or_fail(ctx)
             return []
-        table = apply_predicates(view.data, predicates)
-        work = ctx.charge_site(view.site_name, len(table))
-        self.stats.seconds += work
-        view.rows_served += len(table)
-        return [(view.site_name, table, work)]
+        return self._serve_copy(ctx, assignment, predicates)
 
-    def _cache_batches(
-        self, ctx: ExecContext, assignment: ScanAssignment
+    def _serve_copy(
+        self, ctx: ExecContext, copy: ScanAssignment, predicates
     ) -> list[tuple[str, Table, float]]:
-        """Serve a scan from the engine's semantic cache (coordinator-local)."""
-        table = assignment.cached_table
-        if table is None:
-            raise QueryError(
-                f"cache scan for {assignment.table_name!r} has no cached rows"
-            )
-        ctx.scan_total_rows += len(table)
-        work = ctx.charge_site(ctx.coordinator, len(table))
+        """Serve a materialized copy, planned or found by the covering
+        fallback: a view at its host with the pushdown applied, or a cache
+        region (its rows already reduced to the pushdown) at the
+        coordinator.  One pass is charged where the copy lives and the
+        copy's age is stamped on the report."""
+        view = copy.view
+        if view is not None:
+            site, table = view.site_name, apply_predicates(view.data, predicates)
+            age = view.staleness(ctx.catalog.clock.now())
+            view.rows_served += len(table)
+        else:
+            site, table, age = ctx.coordinator, copy.cached_table, copy.cached_staleness
+        work = ctx.charge_site(site, len(table))
         self.stats.seconds += work
-        ctx.report.staleness_seconds = max(
-            ctx.report.staleness_seconds, assignment.cached_staleness
-        )
-        return [(ctx.coordinator, table, work)]
+        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
+        return [(site, table, work)]
 
     def _text_condition(self, ctx: ExecContext) -> Expr:
         """The text index's hits as a condition on the scan's key column."""
@@ -1010,83 +1001,6 @@ class SiteScan(SiteOperator):
         for event in self._failover_events:
             detail += f" [{event}]"
         return f"{self.scan.table} as {self.scan.binding}: {detail}"
-
-
-def serve_artifact(
-    ctx: ExecContext, artifact: Artifact, stage: StageSpec, age: float
-):
-    """One stage's output served from ``artifact`` (``age`` seconds old):
-    group records under a split aggregate, else one column batch.  Books
-    the rows, staleness and the work the artifact saved; ``None``, with
-    nothing booked, when the payload does not fit the request."""
-    binding = stage.scan.binding
-    if stage.agg is not None:
-        rows = artifact.serve_groups(binding, ctx.ambiguous, stage.agg.split.calls)
-    else:
-        rows = artifact.serve_rows(binding, ctx.ambiguous)
-    if rows is None:
-        return None
-    ctx.scan_total_rows += len(rows)
-    ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-    ctx.report.artifact_rows_saved += artifact.rows_saved
-    ctx.report.artifact_bytes_saved += artifact.bytes_saved
-    return rows
-
-
-class ArtifactSource(SiteOperator):
-    """Serve one stage from a plan-embedded committed artifact.
-
-    This is the compiled form of an optimizer-chosen ``"artifact"`` scan
-    assignment: a coordinator-local pass over the materialized stage
-    output -- no site work, no wire bytes.  Like every other decision
-    embedded in a prepared plan, validity is re-checked against the live
-    catalog at execution time; a version mismatch raises so the engine
-    replans instead of serving pre-write rows.
-    """
-
-    name = "ArtifactSource"
-
-    def __init__(self, stage: StageSpec) -> None:
-        super().__init__()
-        self.stage = stage
-
-    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        scan = self.stage.scan
-        assignment = ctx.plan.assignments.get(scan.binding)
-        artifact = assignment.artifact if assignment is not None else None
-        if artifact is None:
-            raise QueryError(
-                f"artifact scan for {scan.binding!r} has no artifact"
-            )
-        if artifact.key[1] != ctx.catalog.version:
-            raise QueryError(
-                f"stale artifact plan for {scan.table!r} "
-                f"(v{artifact.key[1]}, catalog v{ctx.catalog.version})"
-            )
-        age = ctx.catalog.clock.now() - artifact.fetched_at
-        max_staleness = ctx.options.max_staleness
-        if max_staleness is not None and (
-            max_staleness < 0 or age > max_staleness
-        ):
-            raise QueryError(
-                f"artifact for {scan.table!r} too stale "
-                f"({age:.1f}s > {max_staleness:.1f}s)"
-            )
-        rows = serve_artifact(ctx, artifact, self.stage, age)
-        if rows is None:
-            raise QueryError(
-                f"artifact payload mismatch for {scan.binding!r}"
-            )
-        work = ctx.charge_site(ctx.coordinator, len(rows))
-        self.stats.seconds = work
-        if ctx.paths.artifacts is not None:
-            ctx.paths.artifacts.book_hit(artifact)
-        ctx.report.artifact_hits += 1
-        self.stats.detail = (
-            f"{scan.table} as {scan.binding}: "
-            f"{describe_artifact_path(assignment)}"
-        )
-        return [SiteBatch(ctx.coordinator, rows, work)]
 
 
 class SiteFilter(SiteOperator):
@@ -1383,21 +1297,19 @@ class Ship(PhysicalOperator):
     per encoded byte; coordinator-local batches are handed over by
     reference and never serialize.  What arrives goes on to the
     coordinator operators as column batches: decoded or local chunks as
-    they are, an artifact's payload as the one batch it was served as,
-    partial-aggregate group records (charged per record byte) as a
-    one-column batch.
+    they are, partial-aggregate group records (charged per record byte) as
+    a one-column batch.
+
+    Before any of that, the boundary serves the stage from a materialized
+    artifact when one applies (:meth:`_artifact_rows`); the site pipeline
+    is then never opened.
     """
 
     name = "Ship"
 
-    def __init__(
-        self, child: "PhysicalOperator", stage: StageSpec | None = None
-    ) -> None:
+    def __init__(self, child: "PhysicalOperator", stage: StageSpec) -> None:
         super().__init__(child)
-        # Set when this Ship bounds a content-hashable stage (the unit of
-        # artifact reuse); None for plan-embedded artifact scans and
-        # non-stage shapes.
-        self.stage = stage
+        self.stage = stage  # the content-hashable unit of artifact reuse
         self._stage_key = None
         self._stage_rows_fetched = 0
 
@@ -1413,7 +1325,7 @@ class Ship(PhysicalOperator):
             # any scan work for this stage.
             self._rows = BatchCursor(row_form_batches(served))
             return
-        if ctx.reopt is not None and self.stage is not None:
+        if ctx.reopt is not None:
             # The stage is unstarted (artifact miss, site pipeline not yet
             # open): the one point where migrating it is free of partial
             # work.  The controller swaps the assignment in place on
@@ -1425,40 +1337,85 @@ class Ship(PhysicalOperator):
         self._stage_rows_fetched = ctx.report.rows_fetched - before
 
     def _artifact_rows(self, ctx: ExecContext):
-        """Serve this stage from the artifact store: a committed-artifact
-        hit (wait 0) or a join onto an identical in-flight stage (charged
-        the remaining wait until the producer's modeled completion)."""
+        """Serve this stage from an artifact, whichever finder found it.
+
+        The optimizer embeds a committed artifact in the plan (an
+        ``"artifact"`` assignment); like every decision a prepared plan
+        carries it is re-checked here, and a stale or mismatched one raises
+        rather than serve pre-write rows.  Otherwise a fragment scan probes
+        the store: a committed-artifact hit (wait 0) or a join onto an
+        identical in-flight stage (charged the remaining wait until the
+        producer's modeled completion).  Either way the rows, staleness
+        and saved work are booked, one coordinator pass is charged and one
+        hit (or join) counted.
+        """
         self._stage_key = None
         store = ctx.paths.artifacts
-        options = ctx.options
-        if store is None or self.stage is None or not options.reuse_artifacts:
+        if store is None:
             return None
-        assignment = ctx.plan.assignments.get(self.stage.scan.binding)
-        if assignment is None or assignment.kind != "fragments":
+        options = ctx.options
+        scan = self.stage.scan
+        assignment = ctx.plan.assignments.get(scan.binding)
+        planned = assignment is not None and assignment.kind == "artifact"
+        if planned:
+            artifact, wait, joined = assignment.artifact, 0.0, False
+            if artifact.key[1] != ctx.catalog.version:
+                raise QueryError(
+                    f"stale artifact plan for {scan.table!r} "
+                    f"(v{artifact.key[1]}, catalog v{ctx.catalog.version})"
+                )
+        else:
             # View/cache paths carry their own staleness semantics; the
             # stage hash only describes the base-table fragment scan.
-            return None
-        key = store.stage_key(ctx.catalog, self.stage)
-        if key is None:
-            return None
-        self._stage_key = key  # the capture target if we miss
-        hit = store.acquire(key, options.max_staleness)
-        if hit is None:
-            return None
-        artifact, wait, joined = hit
+            if (
+                not options.reuse_artifacts
+                or assignment is None
+                or assignment.kind != "fragments"
+            ):
+                return None
+            key = store.stage_key(ctx.catalog, self.stage)
+            if key is None:
+                return None
+            self._stage_key = key  # the capture target if we miss
+            hit = store.acquire(key, options.max_staleness)
+            if hit is None:
+                return None
+            artifact, wait, joined = hit
         age = ctx.catalog.clock.now() - artifact.fetched_at
-        rows = serve_artifact(ctx, artifact, self.stage, age)
+        max_staleness = options.max_staleness
+        if planned and max_staleness is not None and (
+            max_staleness < 0 or age > max_staleness
+        ):
+            raise QueryError(
+                f"artifact for {scan.table!r} too stale "
+                f"({age:.1f}s > {max_staleness:.1f}s)"
+            )
+        if self.stage.agg is not None:
+            calls = self.stage.agg.split.calls
+            rows = artifact.serve_groups(scan.binding, ctx.ambiguous, calls)
+        else:
+            rows = artifact.serve_rows(scan.binding, ctx.ambiguous)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
-            # hash-collision guard): recompute instead of serving garbage.
+            # hash-collision guard): never serve garbage -- a planned
+            # artifact raises, a probe hit recomputes.
+            if planned:
+                raise QueryError(f"artifact payload mismatch for {scan.binding!r}")
             self._stage_key = None
             return None
+        ctx.scan_total_rows += len(rows)
+        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
+        ctx.report.artifact_rows_saved += artifact.rows_saved
+        ctx.report.artifact_bytes_saved += artifact.bytes_saved
         serve = ctx.charge_coordinator(len(rows))
         ctx.scan_elapsed = max(ctx.scan_elapsed, wait)
+        key = artifact.key
         if joined:
             ctx.report.artifact_joins += 1
             ctx.report.artifact_join_keys.append(key)
         else:
+            if planned:  # the probe's acquire booked its own hit
+                store.book_hit(artifact)
             ctx.report.artifact_hits += 1
         self.stats.rows_in = len(rows)
         self.stats.seconds = serve
@@ -1479,12 +1436,8 @@ class Ship(PhysicalOperator):
         """On an artifact miss, publish this stage's output through the
         report.  The engine registers successful reports' outputs in
         flight; failed executions drop them unseen."""
-        key = self._stage_key
-        if (
-            ctx.paths.artifacts is None
-            or key is None
-            or not ctx.options.reuse_artifacts
-        ):
+        key = self._stage_key  # set only by a probe that reuse allowed
+        if key is None:
             return
         # Degraded, failed-over, or covering-fallback output is stale or
         # incomplete for the stage's content hash; never publish it.
@@ -1493,7 +1446,7 @@ class Ship(PhysicalOperator):
         site_scan = self.children[0]
         while site_scan.children:
             site_scan = site_scan.children[0]
-        if not isinstance(site_scan, SiteScan) or not site_scan._capture_ok:
+        if not site_scan._capture_ok:
             return
         scan, agg = self.stage.scan, self.stage.agg
         try:
@@ -1538,9 +1491,7 @@ class Ship(PhysicalOperator):
             local = batch.site == ctx.coordinator
             elapsed = batch.elapsed
             nbytes = 0
-            if batch.chunks is None:
-                # Partial-aggregate records, or the batch an artifact
-                # served (always coordinator-local).
+            if batch.chunks is None:  # partial-aggregate records
                 if not local:
                     nbytes = sum(record_wire_bytes(r) for r in batch.rows)
                     raw_total += nbytes
@@ -1571,7 +1522,6 @@ class Ship(PhysicalOperator):
                 shipped += batch.row_count()
                 shipped_bytes += nbytes
                 sources.add(batch.site)
-            ctx.report.network_seconds += transfer
             transfer_total += transfer
             arrival = max(arrival, elapsed + transfer)
         rows = sum(batch.count for batch in arrived)
@@ -1590,15 +1540,12 @@ class Ship(PhysicalOperator):
         self.stats.detail = (
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
-        if self.stage is not None:
-            binding = self.stage.scan.binding
-            ctx.report.stage_runtimes[binding] = (
-                arrival, tuple(sorted(stage_sites))
-            )
-            if ctx.reopt is not None:
-                note = ctx.reopt.describe(binding)
-                if note:
-                    self.stats.detail += f"  [{note}]"
+        binding = self.stage.scan.binding
+        ctx.report.stage_runtimes[binding] = (arrival, tuple(sorted(stage_sites)))
+        if ctx.reopt is not None:
+            note = ctx.reopt.describe(binding)
+            if note:
+                self.stats.detail += f"  [{note}]"
         self._maybe_capture(ctx, arrived, shipped_bytes, arrival)
         return arrived
 
@@ -1608,8 +1555,9 @@ RECORDS_COLUMN = ["#records"]
 
 
 def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
-    """``SiteBatch.rows`` content as coordinator batches: an artifact's
-    served batch as itself, group records as one column of them."""
+    """What reaches the coordinator outside a site's chunks, as coordinator
+    batches: the batch an artifact served as itself, group records (a
+    site's ``SiteBatch.rows`` or an artifact's) as one column of them."""
     if isinstance(rows, columnar.ColumnBatch):
         return [rows]
     if not rows:
@@ -2225,9 +2173,6 @@ class PhysicalPlanner:
 
     def _node(self, node: PlanNode, plan: PhysicalPlan) -> PhysicalOperator:
         if isinstance(node, ScanNode):
-            assignment = plan.assignments.get(node.binding)
-            if assignment is not None and assignment.kind == "artifact":
-                return Ship(ArtifactSource(StageSpec(node)))
             return Ship(self._site_pipeline(node, plan), StageSpec(node))
         if isinstance(node, FilterNode):
             return Filter(self._node(node.child, plan), node.condition)
@@ -2250,14 +2195,12 @@ class PhysicalPlanner:
             return Project(self._node(node.child, plan), node.items, node.distinct)
         if isinstance(node, AggregateNode):
             if node.split is not None and isinstance(node.child, ScanNode):
-                stage = StageSpec(node.child, node)
-                assignment = plan.assignments.get(node.child.binding)
-                if assignment is not None and assignment.kind == "artifact":
-                    return FinalAggregate(Ship(ArtifactSource(stage)), node)
                 pipeline = PartialAggregate(
                     self._site_pipeline(node.child, plan), node
                 )
-                return FinalAggregate(Ship(pipeline, stage), node)
+                return FinalAggregate(
+                    Ship(pipeline, StageSpec(node.child, node)), node
+                )
             return Aggregate(self._node(node.child, plan), node)
         if isinstance(node, SortNode):
             return Sort(self._node(node.child, plan), node.order_by)

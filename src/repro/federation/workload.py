@@ -66,7 +66,7 @@ from repro.core.errors import (
     QueryTimeoutError,
 )
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
-from repro.federation.executor import QueryOptions
+from repro.federation.physical import QueryOptions
 from repro.federation.reopt import ReoptPolicy
 from repro.federation.scheduler import Scheduler, make_scheduler
 from repro.sim.events import EventLoop, ScheduledEvent

@@ -12,8 +12,9 @@ site operators must reproduce -- rows in order, ``rows_fetched``,
 "before" side of the E3c micro-bench.  Do not optimise or tidy them.
 
 Each class subclasses its production operator and overrides only the step
-that differed, so access paths (source pushdown included), failover,
-capture and artifact handling are the production code on both sides.
+that differed, so access paths (source pushdown included), the serving of
+views and cache regions, failover, capture and artifact serving at the
+``Ship`` boundary are the production code on both sides.
 What follows the access path in a scan is no longer shared: when the
 product's ``SiteScan`` began to keep rows of column chunks -- text-index
 hits and residual RLS through ``columnar.filter_batch``, masks a column at
@@ -80,9 +81,8 @@ def envs_batch(envs: "list[dict[str, Any]]") -> columnar.ColumnBatch:
 
 
 def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
-    """Row-form content (see :class:`SiteBatch`) as coordinator batches."""
-    if isinstance(rows, columnar.ColumnBatch):
-        return [rows]
+    """Row-form content -- the row engine's envs, or partial-aggregate
+    records -- as coordinator batches."""
     if not rows:
         return []
     if isinstance(rows[0], dict):
@@ -327,14 +327,14 @@ class Ship(physical.Ship):
         for batch in self.children[0].batches():
             stage_sites.add(batch.site)
             local = batch.site == ctx.coordinator
-            # Row-form batches: partial-aggregate records, an artifact's
-            # served batch, or the legacy row engine when columnar
-            # execution is off.  (The chunk arm and the per-byte arm stood
-            # here; neither is reachable with columnar execution off.)
+            # Row-form batches: partial-aggregate records, or the legacy
+            # row engine when columnar execution is off.  (The chunk arm
+            # and the per-byte arm stood here; neither is reachable with
+            # columnar execution off.  An artifact is served before the
+            # pipeline opens, by the production ``Ship.open``.)
             transfer = transfer_seconds(
                 network, batch.site, ctx.coordinator, len(batch.rows)
             )
-            ctx.report.network_seconds += transfer
             transfer_total += transfer
             if not local:
                 shipped += len(batch.rows)
@@ -382,8 +382,8 @@ REFERENCE_CLASS = {
 class ReferenceSitePlanner(physical.PhysicalPlanner):
     """Compiles the production tree, then re-classes its site operators and
     ``Ship`` to the reference ones.  The subclasses add no state, so the
-    planner's construction logic is not copied; coordinator operators and
-    ``ArtifactSource`` stay production."""
+    planner's construction logic is not copied; coordinator operators stay
+    production."""
 
     def compile(self, plan: physical.PhysicalPlan) -> physical.PhysicalOperator:
         root = super().compile(plan)

@@ -634,3 +634,93 @@ def test_per_statement_values_travel_as_one_options_object():
         physical.ExecContext, executor.Executor.execute, reopt.ReoptController
     ):
         assert "options" in inspect.signature(takes_options).parameters
+
+
+def test_a_materialized_copy_is_served_one_way():
+    """An artifact is served at the ``Ship`` boundary whichever finder found
+    it (no site operator serves one, and the planner has no artifact
+    branch); a view or cache region is served by one ``SiteScan`` step,
+    which the covering fallback reaches instead of charging, stamping and
+    counting by hand; the report keeps no copy of a plan figure; and the
+    physical dataclasses are imported from ``physical`` (DESIGN §5k)."""
+    import ast
+    from dataclasses import fields
+    from pathlib import Path
+
+    import repro
+    from repro.federation.physical import ExecutionReport
+
+    source_root = Path(repro.__file__).parent
+    repo_root = source_root.parent.parent
+    site_operators, serving_callers, through_executor = set(), set(), set()
+    site_scan = planner_node = None
+    for path in sorted(
+        path
+        for part in ("src", "tests", "benchmarks", "examples")
+        for path in (repo_root / part).rglob("*.py")
+    ):
+        where = path.relative_to(repo_root).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "SiteOperator" in {
+                getattr(base, "id", None) for base in node.bases
+            }:
+                site_operators.add(node.name)
+            if isinstance(node, ast.ImportFrom) and node.module == (
+                "repro.federation.executor"
+            ):
+                through_executor |= {alias.name for alias in node.names}
+        if not where.startswith("src/"):
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                called = isinstance(node, ast.Call) and getattr(node.func, "attr", "")
+                if called in ("serve_rows", "serve_groups", "book_hit"):
+                    serving_callers.add(f"{path.name}:{getattr(top, 'name', '')}")
+            if where.endswith("federation/physical.py"):
+                if getattr(top, "name", None) == "SiteScan":
+                    site_scan = top
+                if getattr(top, "name", None) == "PhysicalPlanner":
+                    planner_node = next(
+                        f for f in top.body if getattr(f, "name", None) == "_node"
+                    )
+
+    assert site_operators == {
+        "SiteScan", "SiteFilter", "SiteProject", "PartialAggregate"
+    }  # fmt: skip
+    assert serving_callers == {"artifacts.py:ArtifactStore", "physical.py:Ship"}
+    assert not any(
+        isinstance(node, ast.Constant) and node.value == "artifact"
+        for node in ast.walk(planner_node)
+    )
+
+    def count(tree, test):
+        return sum(1 for node in ast.walk(tree) if test(node))
+
+    def is_call(node, name):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (
+            getattr(func, "id", None), getattr(func, "attr", None)
+        )
+
+    assert count(site_scan, lambda n: is_call(n, "apply_predicates")) == 1
+    assert count(
+        site_scan,
+        lambda n: isinstance(n, ast.Assign)
+        and getattr(n.targets[0], "attr", None) == "staleness_seconds"
+        and is_call(n.value, "max"),
+    ) == 1  # fmt: skip
+    (fallback,) = (
+        f for f in site_scan.body if getattr(f, "name", None) == "_covering_fallback"
+    )
+    assert not count(fallback, lambda n: is_call(n, "charge_site"))
+
+    def writes_an_attribute(node):  # a stamp or a count
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        return any(isinstance(target, ast.Attribute) for target in targets)
+
+    assert not count(fallback, writes_an_attribute)
+
+    names = {field.name for field in fields(ExecutionReport)}
+    assert not names & {"price", "planner_wall_seconds", "network_seconds"}
+    assert through_executor == {"Executor"}

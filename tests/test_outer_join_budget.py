@@ -119,7 +119,7 @@ class TestBudgetProtocol:
         engine = make_engine()
         result = engine.query("select sid from suppliers", budget=100.0)
         assert len(result.table) == 3
-        assert result.report.price <= 100.0
+        assert result.plan.total_price <= 100.0
 
     def test_unaffordable_query_refused(self):
         engine = make_engine()
@@ -129,7 +129,7 @@ class TestBudgetProtocol:
 
     def test_loaded_market_prices_higher(self):
         engine = make_engine()
-        baseline = engine.query("select sid from suppliers").report.price
+        baseline = engine.query("select sid from suppliers").plan.total_price
         engine.catalog.site("s0").enqueue(100.0)  # only replica is swamped
         with pytest.raises(BudgetExceededError):
             engine.query("select sid from suppliers", budget=baseline * 2)

@@ -412,8 +412,7 @@ class TestDeterminism:
             + plan.sites_contacted * opt.per_bid_seconds
         )
         assert plan.optimization_seconds == pytest.approx(expected)
-        assert plan.planner_wall_seconds > 0.0
-        assert result.report.planner_wall_seconds == plan.planner_wall_seconds
+        assert plan.planner_wall_seconds > 0.0  # reported on the plan only
 
     @pytest.mark.parametrize(
         "optimizer",
