@@ -39,7 +39,8 @@ class Predicate:
             # regions may only compare equal on the text.
             object.__setattr__(self, "value", str(self.value))
 
-    def matches(self, row: dict[str, Any]) -> bool:
+    def matches(self, row: dict[str, Any]) -> bool | None:
+        """Whether ``row`` passes; ``None`` (unknown) with a NULL side."""
         try:
             return self._OPS[self.op](row.get(self.column), self.value)
         except TypeError as error:

@@ -108,20 +108,20 @@ class ColumnOrders:
 
 def column_scan(op: str, lit: Any) -> Callable[[Sequence, Iterable[int]], list[int]]:
     """``scan(column, sel)``: the row numbers in ``sel`` whose value passes
-    ``COMPARISONS[op](value, lit)``, in ``sel``'s order.  An incomparable
-    pair raises ``TypeError`` for the caller to word, as the scalar does."""
+    ``COMPARISONS[op](value, lit)``, in ``sel``'s order.  A NULL literal
+    keeps no row and a NULL cell is never kept: with a NULL side the
+    comparison is unknown.  An incomparable pair raises ``TypeError`` for
+    the caller to word, as the scalar does."""
+    if lit is None:
+        return lambda col, sel: []
     if op == "=":
-        if lit is None:
-            return lambda col, sel: [i for i in sel if col[i] is None]
         return lambda col, sel: [
             i for i in sel if (v := col[i]) is not None and v == lit
         ]
     if op == "!=":
-        if lit is None:
-            return lambda col, sel: [i for i in sel if col[i] is not None]
-        return lambda col, sel: [i for i in sel if (v := col[i]) is None or v != lit]
-    if lit is None:  # every other comparison with a NULL side is false
-        return lambda col, sel: []
+        return lambda col, sel: [
+            i for i in sel if (v := col[i]) is not None and v != lit
+        ]
     if op == "contains":
         needle = str(lit).lower()
         return lambda col, sel: [

@@ -16,25 +16,25 @@ from typing import Any, Callable
 from repro.core.errors import TransformError
 
 
-def _non_null(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
-    return lambda a, b: a is not None and b is not None and compare(a, b)
+def _known(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
+    return lambda a, b: None if a is None or b is None else compare(a, b)
 
 
 # What a comparison of two values means, wherever it is evaluated: row-wise
 # in ``sql.expressions.evaluate``, at a source in ``Predicate.matches``.
-# NULL handling is the engine's documented two-valued logic: ``=`` of two
-# NULLs holds and ``!=`` is its negation; every other comparison with a NULL
-# side is false.  An incomparable pair raises ``TypeError`` for the caller
-# to word.  (``core.records.column_scan`` is these rules over a whole column;
-# it and the kernels of ``federation.columnar`` are property-tested.)
-COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": _non_null(operator.lt),
-    "<=": _non_null(operator.le),
-    ">": _non_null(operator.gt),
-    ">=": _non_null(operator.ge),
-    "contains": _non_null(lambda a, b: str(b).lower() in str(a).lower()),
+# The one NULL rule is SQL's: a comparison with a NULL side is unknown
+# (``None``), ``=`` and ``!=`` included, and a filter keeps a row only where
+# its condition is true.  An incomparable pair raises ``TypeError`` for the
+# caller to word.  (``core.records.column_scan`` is these rules over a whole
+# column; it and the kernels of ``federation.columnar`` are property-tested.)
+COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": _known(operator.eq),
+    "!=": _known(operator.ne),
+    "<": _known(operator.lt),
+    "<=": _known(operator.le),
+    ">": _known(operator.gt),
+    ">=": _known(operator.ge),
+    "contains": _known(lambda a, b: str(b).lower() in str(a).lower()),
 }
 
 

@@ -82,25 +82,28 @@ def predicate_implies(requested: Predicate, cached: Predicate) -> bool:
     column = cached.column
     try:
         if requested.op == "=":
-            if requested.value is None:
-                return False  # NULL rows need the =-with-None edge cases
             if cached.op == "contains" and not isinstance(requested.value, str):
                 return False  # str(1) vs str(1.0): repr-level, not value-level
             # Every row satisfying the request has this exact value, so the
             # cached predicate holds for the row iff it holds for the value.
-            return cached.matches({column: requested.value})
+            return bool(cached.matches({column: requested.value}))
         if cached.op in _RANGE_OPS and requested.op in _RANGE_OPS:
             return _bound_implies(requested, cached)
         if cached.op == "!=":
             if requested.op == "!=":
                 return bool(requested.value == cached.value)
             if requested.op in _RANGE_OPS:
-                # A bound that excludes the forbidden value implies !=.
-                return not requested.matches({column: cached.value})
+                # A bound that excludes the forbidden value implies != (and
+                # an unknown one, a NULL bound or a NULL value, does not).
+                return requested.matches({column: cached.value}) is False
             return False
         if cached.op == "contains" and requested.op == "contains":
-            # Containing the longer needle implies containing any substring.
-            return str(cached.value).lower() in str(requested.value).lower()
+            # Containing the longer needle implies containing any substring
+            # (and a NULL needle is contained in nothing).
+            return (
+                cached.value is not None
+                and str(cached.value).lower() in str(requested.value).lower()
+            )
     except (TypeError, QueryError):
         # Incomparable values (Predicate.matches wraps the TypeError in a
         # QueryError): conservatively a miss.

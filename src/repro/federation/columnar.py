@@ -10,20 +10,22 @@ batches by reference and work on whole columns:
   a selection-vector function ``kernel(batch, sel) -> sel'``; running one
   (:func:`filter_batch`) is the one way rows of a batch are kept -- a site
   filter, a scan's text-index hits and residual RLS, a coordinator filter.
-  Conjunctions short-circuit exactly like
-  :func:`repro.sql.expressions.evaluate` (the right side only sees rows
-  the left side kept); a comparison of a column with a literal is the
-  column form of ``core.values.COMPARISONS``
+  A kernel answers one question, "where is the predicate true": a
+  comparison with a NULL side is unknown and an unknown row is not kept,
+  and a NOT never reaches a kernel, because the parser pushed it down to
+  the atoms (:func:`repro.sql.ast.negate`).  So AND keeps what every
+  conjunct keeps, each seeing only the rows the ones before it kept, and
+  OR what either side keeps.  A comparison of a column with a literal is
+  the column form of ``core.values.COMPARISONS``
   (:func:`repro.core.records.column_scan`, shared with the sources'
   pushdown) and is answered from the resident chunk's sort order where it
-  has one (:func:`repro.core.records.order_probe`); the null semantics
-  replicate ``evaluate`` bit for bit -- ``NULL != x`` is True, range
-  comparisons against NULL are False, ``x IN (...)`` with a NULL operand
-  is False even under ``NOT IN``.  Anything the compiler cannot prove
-  equivalent returns ``None`` and the batch goes through per-row
-  ``evaluate``, so behavior (including errors) is identical by
-  construction; a kernel that meets an incomparable pair mid-flight
-  raises ``TypeError`` to the same effect.
+  has one (:func:`repro.core.records.order_probe`).  Anything the compiler
+  cannot prove equivalent returns ``None`` and the batch goes through
+  per-row :func:`repro.sql.expressions.evaluate`; a kernel that meets an
+  incomparable pair mid-flight raises ``TypeError`` to the same effect,
+  so the row path words the error.  (A later conjunct never sees a row an
+  earlier one left unknown, where ``evaluate`` still evaluates it: README's
+  divergence table.)
 * **Wire encodings** (:func:`encode_batch` / :func:`decode_batch`): the
   Ship operator serializes each column under the cheapest of seven
   self-describing encodings -- plain, dictionary (low-cardinality
@@ -261,7 +263,7 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
 
     The returned kernel maps a selection of row numbers -- ``None`` for
     every row of the batch -- to those of them where the predicate is
-    truthy, in no particular order (:func:`filter_batch` sorts them).
+    true, in no particular order (:func:`filter_batch` sorts them).
     ``None`` means "not provably equivalent to :func:`evaluate`" -- the
     caller must use the row path for the whole batch.
     """
@@ -271,17 +273,6 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
         if None in kernels:
             return None
         return _and_kernel(kernels) if expr.op == "and" else _or_kernel(*kernels)
-    if isinstance(expr, UnaryOp) and expr.op == "not":
-        inner = compile_predicate(expr.operand, layout)
-        if inner is None:
-            return None
-
-        def _not(batch: ColumnBatch, sel) -> list[int]:
-            hits = set(inner(batch, sel))
-            rows = range(batch.count) if sel is None else sel
-            return [i for i in rows if i not in hits]
-
-        return _not
     scan = _scan_kernel(expr, layout)
     if scan is None:
         return None
@@ -300,9 +291,10 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
 
 
 def _and_kernel(conjuncts: list[Kernel]) -> Kernel:
-    # evaluate() short-circuits: a conjunct only ever runs on rows the ones
-    # before it kept, so an error lurking in it surfaces (or not) exactly as
-    # in the row path.  A conjunct answered from a column order cannot
+    # A conjunct only ever runs on rows the ones before it kept, so an error
+    # lurking in it surfaces (or not) as in the row path, which skips the
+    # rows they made false -- but evaluates the unknown ones (README's
+    # divergence table).  A conjunct answered from a column order cannot
     # raise, so the leading ones that are may run in any order: the one
     # keeping the fewest rows goes first, and its rows are all the rest see.
     probes = (getattr(kernel, "probe", None) for kernel in conjuncts)
@@ -347,9 +339,9 @@ def _or_kernel(left: Kernel, right: Kernel) -> Kernel:
 
 
 def _scan_kernel(expr: Expr, layout: ColumnBatch) -> Kernel | None:
-    """The kernel of a predicate that is not AND / OR / NOT, over a
-    selection that spells its rows out.  One that a column order can
-    answer too carries that as ``probe`` (see :func:`_batch_probe`)."""
+    """The kernel of a predicate that is not AND / OR, over a selection
+    that spells its rows out.  One that a column order can answer too
+    carries that as ``probe`` (see :func:`_batch_probe`)."""
     if isinstance(expr, BinaryOp):
         if expr.op in COMPARISONS:
             left = _operand(expr.left, layout)
@@ -432,73 +424,14 @@ def _col_lit_kernel(op: str, idx: int, lit: Any) -> Kernel:
     return kernel
 
 
-def _col_col_kernel(op: str, a: int, b: int) -> Kernel | None:
-    if op == "=" or op == "!=":
-        want_equal = op == "="
+def _col_col_kernel(op: str, a: int, b: int) -> Kernel:
+    compare = COMPARISONS[op]  # unknown (None) where either side is NULL
 
-        def _eq(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            ca, cb = batch.columns[a], batch.columns[b]
-            out = []
-            for i in sel:
-                x, y = ca[i], cb[i]
-                if x is None or y is None:
-                    equal = x is None and y is None
-                else:
-                    equal = bool(x == y)
-                if equal is want_equal:
-                    out.append(i)
-            return out
-
-        return _eq
-    if op == "contains":
-
-        def _contains(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            ca, cb = batch.columns[a], batch.columns[b]
-            return [
-                i
-                for i in sel
-                if (x := ca[i]) is not None
-                and (y := cb[i]) is not None
-                and str(y).lower() in str(x).lower()
-            ]
-
-        return _contains
-
-    def _range(batch: ColumnBatch, sel: list[int]) -> list[int]:
+    def _compare(batch: ColumnBatch, sel: list[int]) -> list[int]:
         ca, cb = batch.columns[a], batch.columns[b]
-        if op == "<":
-            return [
-                i
-                for i in sel
-                if (x := ca[i]) is not None
-                and (y := cb[i]) is not None
-                and x < y
-            ]
-        if op == "<=":
-            return [
-                i
-                for i in sel
-                if (x := ca[i]) is not None
-                and (y := cb[i]) is not None
-                and x <= y
-            ]
-        if op == ">":
-            return [
-                i
-                for i in sel
-                if (x := ca[i]) is not None
-                and (y := cb[i]) is not None
-                and x > y
-            ]
-        return [
-            i
-            for i in sel
-            if (x := ca[i]) is not None
-            and (y := cb[i]) is not None
-            and x >= y
-        ]
+        return [i for i in sel if compare(ca[i], cb[i])]
 
-    return _range
+    return _compare
 
 
 def _lit_col_contains_kernel(lit: Any, idx: int) -> Kernel:
@@ -524,10 +457,16 @@ def _in_list_kernel(expr: InList, layout: ColumnBatch) -> Kernel | None:
     idx = layout.index_of(expr.operand.qualified)
     if idx is None:
         return None
-    if not all(isinstance(item, Literal) for item in expr.items):
+    # An empty list (an empty subquery's) is left to the row path: NOT IN
+    # it is true for NULL too.
+    if not expr.items or not all(isinstance(item, Literal) for item in expr.items):
         return None
-    values = [item.value for item in expr.items]
+    values = [item.value for item in expr.items if item.value is not None]
     negated = expr.negated
+    if negated and len(values) < len(expr.items):
+        # NOT IN a list holding NULL is never true: unknown where no item
+        # matches, false where one does.
+        return lambda batch, sel: []
     try:
         value_set: set | None = set(values)
     except TypeError:
@@ -539,7 +478,7 @@ def _in_list_kernel(expr: InList, layout: ColumnBatch) -> Kernel | None:
         for i in sel:
             v = col[i]
             if v is None:
-                continue  # NULL IN / NOT IN is False either way
+                continue  # NULL [NOT] IN is unknown
             if value_set is not None:
                 try:
                     hit = v in value_set

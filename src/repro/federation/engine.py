@@ -850,7 +850,8 @@ class FederatedEngine:
         return lines
 
     def _rewrite_subqueries(self, expr, answer):
-        """Replace ``IN (SELECT ...)`` with the materialized value list.
+        """Replace ``IN (SELECT ...)`` with the materialized value list,
+        NULLs included (one makes a ``NOT IN`` unknown where nothing matches).
 
         ``answer(subquery)`` runs an inner select as a one-shot template of
         its own under the outer statement's options -- the same tenant
@@ -871,7 +872,7 @@ class FederatedEngine:
                     f"got {len(table.schema)}"
                 )
             values = table.column(table.schema.field_names[0])
-            items = tuple(Literal(v) for v in values if v is not None)
+            items = tuple(map(Literal, values))
             operand = self._rewrite_subqueries(expr.operand, answer)
             return InList(operand, items, expr.negated)
         return rebuild(expr, self._rewrite_subqueries, answer)

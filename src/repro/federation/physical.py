@@ -91,7 +91,6 @@ from repro.sql.planner import (
     conjoin,
     item_names,
     scans_in,
-    split_conjuncts,
 )
 
 if TYPE_CHECKING:  # access.py imports this module's plan dataclasses
@@ -1665,7 +1664,6 @@ class _JoinBase(PhysicalOperator):
             right = _side_by_side(
                 [self._ctx.empty_batch(binding) for binding in self.right_bindings]
             )
-        null_keys = null_rejecting_keys(self.condition)
         right_envs = right.to_envs()
         left_rows: list[int] = []
         right_rows: list[int] = []
@@ -1675,11 +1673,6 @@ class _JoinBase(PhysicalOperator):
                 # Every right env has the same keys, so each overwrites
                 # the one before it: ``env`` is this pair's merged row.
                 env.update(right_env)
-                if any(
-                    evaluate(a, env) is None or evaluate(b, env) is None
-                    for a, b in null_keys
-                ):
-                    continue
                 if evaluate(self.condition, env):
                     matched = True
                     left_rows.append(i)
@@ -1693,23 +1686,6 @@ class _JoinBase(PhysicalOperator):
         self.stats.seconds += ctx.charge_coordinator(
             self.stats.rows_in + self._extra_charge
         )
-
-
-def null_rejecting_keys(condition: Expr) -> list[tuple[Column, Column]]:
-    """The ``col = col`` conjuncts AND-ed at the top of an ON condition.
-
-    An equi-join key never matches NULL, whichever join operator runs the
-    condition; anywhere else ``=`` keeps the engine's two-valued
-    ``NULL = NULL``.
-    """
-    return [
-        (conjunct.left, conjunct.right)
-        for conjunct in split_conjuncts(condition)
-        if isinstance(conjunct, BinaryOp)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, Column)
-        and isinstance(conjunct.right, Column)
-    ]
 
 
 def _side_by_side(

@@ -132,15 +132,10 @@ def _predicate_satisfiable(
     predicate: Predicate, stats: ColumnStats, row_count: int
 ) -> bool:
     """Can *some* value in the fragment satisfy this one predicate?"""
-    non_null = row_count - stats.null_count
+    if predicate.value is None or stats.null_count == row_count:
+        return False  # a comparison with a NULL side is never true
     column = predicate.column
-    if predicate.op == "=" and predicate.value is None:
-        # ``= NULL`` matches only null cells (Predicate uses == semantics).
-        return stats.null_count > 0
     if predicate.op in _RANGE_OPS or predicate.op == "=":
-        # Range comparisons and non-null equality never match null cells.
-        if non_null == 0:
-            return False
         if stats.minimum is None:
             return True  # no range statistics: assume satisfiable
         # All values lie in [minimum, maximum]; the predicate excludes the
@@ -156,22 +151,13 @@ def _predicate_satisfiable(
         except (TypeError, QueryError):
             return True  # incomparable: conservatively satisfiable
         return True
-    if predicate.op == "!=":
-        # Null cells satisfy ``!=`` (None != v), so nulls keep the fragment.
-        if stats.null_count > 0:
+    if predicate.op == "!=" and stats.distinct == 1 and stats.minimum is not None:
+        try:
+            # Every non-null value is the forbidden one.
+            return not bool(stats.minimum == predicate.value == stats.maximum)
+        except (TypeError, QueryError):
             return True
-        if stats.distinct == 1 and stats.minimum is not None:
-            try:
-                # A single-valued fragment equal to the forbidden value.
-                return not bool(stats.minimum == predicate.value == stats.maximum)
-            except (TypeError, QueryError):
-                return True
-        return True
-    if predicate.op == "contains":
-        # contains never matches null cells; beyond that, min/max say
-        # nothing about substrings.
-        return non_null > 0
-    return True
+    return True  # and min / max say nothing about ``contains``
 
 
 def zone_selectivity(
@@ -216,20 +202,14 @@ def _predicate_fraction(predicate: Predicate, zone: ZoneMap) -> float:
     if stats is None:
         return _FALLBACK_FRACTION.get(predicate.op, 0.5)
     rows = zone.row_count
-    non_null_fraction = (rows - stats.null_count) / rows
-    null_fraction = stats.null_count / rows
     op, value = predicate.op, predicate.value
+    if value is None or stats.distinct <= 0:
+        return 0.0  # a NULL literal, or no non-null cell: nothing passes
+    non_null_fraction = (rows - stats.null_count) / rows
     if op == "=":
-        if value is None:
-            return null_fraction
-        if stats.distinct <= 0:
-            return 0.0
         return non_null_fraction / stats.distinct
     if op == "!=":
-        # Null cells pass (None != v is True under Predicate semantics).
-        if stats.distinct <= 0:
-            return null_fraction
-        return null_fraction + non_null_fraction * (1.0 - 1.0 / stats.distinct)
+        return non_null_fraction * (1.0 - 1.0 / stats.distinct)
     if op in _RANGE_OPS:
         interpolated = _range_fraction(op, value, stats)
         if interpolated is None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Union
 
@@ -164,6 +164,34 @@ def rebuild(expr: Expr, fn: Callable[..., Expr], *args: Any) -> Expr:
     if isinstance(expr, Like):
         return Like(fn(expr.operand, *args), fn(expr.pattern, *args), expr.negated)
     return expr
+
+
+# The comparison true exactly where another is false; with a NULL side both
+# are unknown, so under the one NULL rule it is that comparison's NOT.
+_COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+
+
+def negate(expr: Expr) -> Expr:
+    """``NOT expr``, pushed down to its atoms.
+
+    De Morgan through AND / OR; a comparison becomes its complement; IS
+    NULL and IS NOT NULL swap; IN, BETWEEN and LIKE toggle ``negated``.
+    Under three-valued logic each step is exact, so a filter kernel only
+    ever answers "where is it true".  Anything else is wrapped in
+    ``UnaryOp("not", ...)``, which the row path evaluates.  The parser's
+    NOT calls this, and it is the one builder of that node."""
+    if isinstance(expr, BinaryOp):
+        if expr.op in ("and", "or"):
+            op = "or" if expr.op == "and" else "and"
+            return BinaryOp(op, negate(expr.left), negate(expr.right))
+        if expr.op in _COMPLEMENT:
+            return BinaryOp(_COMPLEMENT[expr.op], expr.left, expr.right)
+    if isinstance(expr, UnaryOp) and expr.op in ("is-null", "is-not-null"):
+        op = "is-not-null" if expr.op == "is-null" else "is-null"
+        return UnaryOp(op, expr.operand)
+    if isinstance(expr, (InList, InSubquery, Between, Like)):
+        return replace(expr, negated=not expr.negated)
+    return UnaryOp("not", expr)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:

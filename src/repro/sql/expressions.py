@@ -1,11 +1,12 @@
 """Expression evaluation over row environments.
 
 An *environment* maps column names (both bare ``price`` and qualified
-``h.price``) to values.  Null semantics follow pragmatic SQL behaviour:
-comparisons against None are False (not unknown-propagating three-valued
-logic -- a documented simplification; the one table of them is
-:data:`repro.core.values.COMPARISONS`), arithmetic with None yields None,
-and ``IS NULL`` works as expected.
+``h.price``) to values.  NULL follows SQL's three-valued logic, with
+``None`` as unknown: a comparison with a NULL side is unknown (the one
+table of comparisons is :data:`repro.core.values.COMPARISONS`), and so are
+IN, BETWEEN and LIKE of a NULL operand; AND, OR and NOT are Kleene's;
+arithmetic with None yields None, and ``IS NULL`` works as expected.  A
+filter keeps a row only where its condition is true.
 
 Scalar functions include the object-relational extensions of §4:
 ``fuzzy(a, b)`` returns :func:`repro.ir.fuzzy.combined_similarity` and
@@ -102,23 +103,31 @@ def evaluate(expr: Expr, env: Env) -> Any:
     if isinstance(expr, FuncCall):
         return _call(expr, env)
     if isinstance(expr, InList):
+        # An OR of ``=`` over the items: true on a match, else unknown if
+        # any ``=`` was.  No items (an empty subquery) is false.
         value = evaluate(expr.operand, env)
-        if value is None:
-            return False
-        hit = any(evaluate(item, env) == value for item in expr.items)
-        return hit != expr.negated
+        hit = False
+        for item in expr.items:
+            equal = _compare("=", value, evaluate(item, env))
+            if equal:
+                hit = True
+                break
+            if equal is None:
+                hit = None
+        return _not(hit) if expr.negated else hit
     if isinstance(expr, Between):
+        # ``low <= value AND value <= high``.
         value = evaluate(expr.operand, env)
-        if value is None:
-            return False
         low = evaluate(expr.low, env)
         high = evaluate(expr.high, env)
-        hit = low <= value <= high
-        return hit != expr.negated
+        hit = _truth(_compare("<=", low, value))
+        if hit is not False:  # true or unknown: the upper bound decides
+            hit = _truth(_compare("<=", value, high)) and hit
+        return _not(hit) if expr.negated else hit
     if isinstance(expr, Like):
         value = evaluate(expr.operand, env)
         if value is None:
-            return False
+            return None
         pattern = evaluate(expr.pattern, env)
         hit = like_to_regex(pattern).fullmatch(str(value)) is not None
         return hit != expr.negated
@@ -137,22 +146,23 @@ def evaluate(expr: Expr, env: Env) -> Any:
 
 def _binary(expr: BinaryOp, env: Env) -> Any:
     op = expr.op
-    if op == "and":
-        return bool(evaluate(expr.left, env)) and bool(evaluate(expr.right, env))
-    if op == "or":
-        return bool(evaluate(expr.left, env)) or bool(evaluate(expr.right, env))
+    if op == "and" or op == "or":
+        # A false side decides AND and a true side decides OR; the right
+        # side is evaluated unless the left one decided.
+        decisive = op == "or"
+        left = _truth(evaluate(expr.left, env))
+        if left is decisive:
+            return decisive
+        right = _truth(evaluate(expr.right, env))
+        if right is decisive:
+            return decisive
+        return None if left is None or right is None else not decisive
 
     left = evaluate(expr.left, env)
     right = evaluate(expr.right, env)
 
-    compare = COMPARISONS.get(op)
-    if compare is not None:
-        try:
-            return compare(left, right)
-        except TypeError as error:
-            raise QueryError(
-                f"cannot compare {left!r} {op} {right!r}: {error}"
-            ) from error
+    if op in COMPARISONS:
+        return _compare(op, left, right)
     if op in ("+", "-", "*", "/"):
         if left is None or right is None:
             return None
@@ -173,9 +183,24 @@ def _binary(expr: BinaryOp, env: Env) -> Any:
     raise QueryError(f"unknown operator {op!r}")
 
 
+def _compare(op: str, left: Any, right: Any) -> Any:
+    try:
+        return COMPARISONS[op](left, right)
+    except TypeError as error:
+        raise QueryError(f"cannot compare {left!r} {op} {right!r}: {error}") from error
+
+
+def _truth(value: Any) -> bool | None:
+    return None if value is None else bool(value)
+
+
+def _not(value: Any) -> bool | None:
+    return None if value is None else not value
+
+
 def _unary(expr: UnaryOp, env: Env) -> Any:
     if expr.op == "not":
-        return not bool(evaluate(expr.operand, env))
+        return _not(evaluate(expr.operand, env))
     if expr.op == "-":
         value = evaluate(expr.operand, env)
         return None if value is None else -value

@@ -19,6 +19,7 @@ Grammar (in precedence order for expressions)::
 
 A ``?`` may stand wherever a literal token may -- a primary, a LIKE
 pattern, the LIMIT count -- and placeholders are numbered left to right.
+A NOT is pushed down to the atoms as it is parsed (:func:`~repro.sql.ast.negate`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.sql.ast import (
     Star,
     TableRef,
     UnaryOp,
+    negate,
 )
 from repro.sql.lexer import Token, tokenize_sql
 
@@ -253,7 +255,7 @@ class _Parser:
     def _not_expr(self) -> Expr:
         if self.at_keyword("not"):
             self.advance()
-            return UnaryOp("not", self._not_expr())
+            return negate(self._not_expr())
         return self._predicate()
 
     def _predicate(self) -> Expr:

@@ -10,14 +10,12 @@ batch operators must reproduce -- rows in order, and per operator
 ``response_seconds`` and EXPLAIN ANALYZE do not move
 (``tests/test_reference_coordinator.py``).  Do not optimise or tidy them.
 
-Two deliberate deviations from that commit, both marked below:
-
-* ``_JoinBase._null_right`` builds its all-NULL env through
-  :func:`null_env`; ``ExecContext`` no longer carries ``null_envs``.
-* ``_nested_loop`` applies the NULL-key rule (an AND-ed ``col = col``
-  conjunct of an ON condition never matches NULL) -- the one behaviour
-  change that landed with the batch operators, with sqlite3 as its
-  oracle in ``tests/test_join_null_keys.py``.
+One deliberate deviation from that commit: ``_JoinBase._null_right``
+builds its all-NULL env through :func:`null_env`; ``ExecContext`` no
+longer carries ``null_envs``.  Conditions are evaluated by today's
+:func:`~repro.sql.expressions.evaluate`, so these operators follow the
+engine's one NULL rule (``NULL = NULL`` is unknown, and a join key never
+matches NULL, with sqlite3 as the oracle in ``tests/test_join_null_keys.py``).
 
 :class:`ReferencePlanner` compiles a plan into these operators.  The
 site side, ``Ship`` and ``FinalAggregate`` are the production ones;
@@ -38,7 +36,6 @@ from repro.federation.physical import (
     aggregate_names,
     describe_expr,
     expand_items,
-    null_rejecting_keys,
     output_names,
     schema_of,
 )
@@ -278,16 +275,10 @@ def _nested_loop(
     outer: bool,
     null_right: Env,
 ) -> Iterator[Env]:
-    null_keys = null_rejecting_keys(condition)
     for left_env in left_envs:
         matched = False
         for right_env in right_envs:
             merged = {**left_env, **right_env}
-            if any(
-                evaluate(a, merged) is None or evaluate(b, merged) is None
-                for a, b in null_keys
-            ):
-                continue
             if evaluate(condition, merged):
                 matched = True
                 yield merged

@@ -724,3 +724,83 @@ def test_a_materialized_copy_is_served_one_way():
     names = {field.name for field in fields(ExecutionReport)}
     assert not names & {"price", "planner_wall_seconds", "network_seconds"}
     assert through_executor == {"Executor"}
+
+
+def _python_files(*parts):
+    from pathlib import Path
+
+    import repro
+
+    repo_root = Path(repro.__file__).parent.parent.parent
+    for part in parts:
+        for path in sorted((repo_root / part).rglob("*.py")):
+            yield path.relative_to(repo_root).as_posix(), path
+
+
+def _not_builders():
+    """(file, top-level definition) of every ``UnaryOp("not", ...)`` call."""
+    import ast
+
+    found = set()
+    for where, path in _python_files("src", "tests", "benchmarks", "examples"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "UnaryOp"
+                    and node.args
+                    and getattr(node.args[0], "value", None) == "not"
+                ):
+                    found.add((where, getattr(top, "name", None)))
+    return found
+
+
+def _not_in_the_kernels():
+    import ast
+    import inspect
+
+    from repro.federation import columnar
+
+    tree = ast.parse(inspect.getsource(columnar))
+    return [n.lineno for n in ast.walk(tree) if getattr(n, "value", None) == "not"]
+
+
+def _null_key_patch():
+    import ast
+
+    return [
+        where
+        for where, path in _python_files("src", "tests")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "name", None) == "null_rejecting_keys"
+    ]
+
+
+def _comparisons_not_unknown_on_null():
+    from repro.core.values import COMPARISONS
+
+    return [
+        (op, args)
+        for op, compare in COMPARISONS.items()
+        for other in (None, 0, 1, "", "a", True, 1.5)
+        for args in ((None, other), (other, None))
+        if compare(*args) is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "rule, found, allowed",
+    [
+        ("NOT is built by sql.ast.negate alone", _not_builders,
+         {("src/repro/sql/ast.py", "negate")}),
+        ("no filter kernel negates", _not_in_the_kernels, []),
+        ("no join patches NULL = NULL", _null_key_patch, []),
+        ("a comparison with a NULL side is unknown", _comparisons_not_unknown_on_null, []),
+    ],  # fmt: skip
+    ids=["one-not-builder", "no-not-kernel", "no-null-key-patch", "null-is-unknown"],
+)
+def test_null_has_one_rule_and_not_one_home(rule, found, allowed):
+    """The one NULL rule lives in ``core.values.COMPARISONS``; NOT is pushed
+    to the atoms as it is parsed, so the complement kernel and the join's
+    NULL-key patch stay deleted and nothing else builds a NOT node."""
+    assert found() == allowed, rule

@@ -33,7 +33,16 @@ from repro.federation.columnar import (
     table_chunks,
 )
 from repro.sim import SimClock
-from repro.sql.ast import Between, BinaryOp, Column, InList, Like, Literal, UnaryOp
+from repro.sql.ast import (
+    Between,
+    BinaryOp,
+    Column,
+    InList,
+    Like,
+    Literal,
+    UnaryOp,
+    negate,
+)
 from repro.sql.expressions import evaluate
 from tests.reference_codec import encode_column as reference_encode_column
 from tests.reference_site import ReferenceSitePlanner
@@ -284,11 +293,11 @@ SELECTION_PREDICATES = [
     BinaryOp("and", BinaryOp("=", D, Literal("d0")), BinaryOp("<=", C, Literal(6))),
     BinaryOp("or", BinaryOp("<", C, Literal(2)), BinaryOp("=", D, Literal("d2"))),
     BinaryOp("or", Like(D, Literal("d0")), BinaryOp(">", C, Literal(7))),
-    UnaryOp("not", BinaryOp("<", C, Literal(5))),
+    negate(BinaryOp("<", C, Literal(5))),
     BinaryOp(
         "and",
         BinaryOp("or", BinaryOp(">", C, Literal(6)), BinaryOp("<", C, Literal(3))),
-        UnaryOp("not", BinaryOp("=", D, Literal("d1"))),
+        negate(BinaryOp("=", D, Literal("d1"))),
     ),
 ]
 

@@ -111,9 +111,7 @@ class TestEmptyAndNullHandling:
         ]
         for answer in answers[1:]:
             assert sorted(answer, key=row_order) == sorted(answers[0], key=row_order)
-        if not condition.startswith("not"):
-            # NOT over a NULL comparison is two-valued here (ROADMAP 4b).
-            assert answers[0] == sqlite_answer(tables, inlined)[1] == []
+        assert answers[0] == sqlite_answer(tables, inlined)[1] == []
 
     def test_a_hand_built_null_predicate_matches_nothing(self):
         # ``contains`` used to search for ``str(None)``.
@@ -196,6 +194,13 @@ class TestErrorPaths:
         engine = parts_engine([("a", 1.0, "t")])
         with pytest.raises(QueryError):
             engine.query("select sku from parts where price > 'abc'")
+
+    def test_type_confused_between_is_a_query_error(self):
+        # BETWEEN is two comparisons, and its error is worded like ``<``'s,
+        # not a bare TypeError.
+        engine = parts_engine([("a", 1.0, "t")])
+        with pytest.raises(QueryError, match="cannot compare"):
+            engine.query("select sku from parts where price + 0 between 'a' and 5")
 
     def test_sum_star_rejected(self):
         engine = parts_engine([("a", 1.0, "t")])

@@ -20,6 +20,7 @@ from repro.federation import (
     ArtifactStore,
     FederatedEngine,
     FederationCatalog,
+    Gateway,
     SemanticCache,
     WorkloadManager,
 )
@@ -44,8 +45,9 @@ from repro.sql.rewrite import (
 )
 
 
-def build_federation(sites=4):
-    """``orders(order_id, region, email, total)`` fragmented over 4 sites."""
+def build_federation(sites=4, rows=None):
+    """``orders(order_id, region, email, total)`` fragmented over 4 sites:
+    ``rows``, or 40 orders alternating EU / US."""
     catalog = FederationCatalog(SimClock())
     for i in range(sites):
         catalog.make_site(f"s{i}")
@@ -58,10 +60,11 @@ def build_federation(sites=4):
             Field("total", DataType.FLOAT),
         ),
     )
-    rows = [
-        (f"o{i:03d}", "EU" if i % 2 else "US", f"user{i}@example.com", float(i))
-        for i in range(40)
-    ]
+    if rows is None:
+        rows = [
+            (f"o{i:03d}", "EU" if i % 2 else "US", f"user{i}@example.com", float(i))
+            for i in range(40)
+        ]
     catalog.load_fragmented(Table(schema, rows), 2, [["s0", "s1"], ["s2", "s3"]])
     return catalog
 
@@ -327,6 +330,49 @@ class TestGovernedExecution:
         result = engine.query("select * from orders", tenant="acme")
         after = governance.remaining_budget("acme")
         assert before - after == pytest.approx(result.plan.total_price)
+
+
+class TestRowFilterOnNull:
+    """A row filter keeps a row only where it is true.  ``region != 'EU'``
+    is unknown on a NULL region, so the tenant must never see that row:
+    pushed into the source, or left as a residual the site runs, on every
+    way a statement reaches the engine."""
+
+    SQL = "select order_id, region from orders where total >= ?"
+    ROWS = [
+        (f"o{i:03d}", (None, "EU", "US")[i % 3], f"user{i}@example.com", float(i))
+        for i in range(30)
+    ]
+
+    @pytest.mark.parametrize("path", ["direct", "prepared", "gateway"])
+    @pytest.mark.parametrize(
+        "row_filter", ["region != 'EU'", "region != 'EU' or total > 1e9"],
+        ids=["pushed", "residual"],
+    )
+    def test_the_tenant_sees_no_null_region_row(self, row_filter, path):
+        manifest = {
+            "version": 1,
+            "tenants": {"acme": {"tables": {"orders": {"row_filter": row_filter}}}},
+        }
+        engine = FederatedEngine(
+            build_federation(rows=self.ROWS), governance=GovernanceRegistry(manifest)
+        )
+        scan = engine.prepare(self.SQL, tenant="acme").logical
+        while scan.children():
+            scan = scan.children()[0]
+        pushed = bool(scan.governance.rls_pushed)
+        assert pushed == (row_filter == "region != 'EU'")
+        if path == "direct":
+            result = engine.query(self.SQL.replace("?", "0"), tenant="acme")
+        elif path == "prepared":
+            result = engine.execute(engine.prepare(self.SQL, tenant="acme"), (0,))
+        else:
+            manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
+            with Gateway(manager).connect(tenant="acme") as session:
+                result = session.execute(self.SQL, (0,)).result
+        assert sorted(result.table.rows) == sorted(
+            (order_id, region) for order_id, region, _, _ in self.ROWS if region == "US"
+        )
 
 
 class TestExplainRendering:

@@ -2,10 +2,11 @@
 
 ``a join b on a.k = b.k`` compiles to ``HashJoin``, which never matched a
 NULL key; add a residual (``... and a.x > 1``) and the same ON condition
-compiles to ``NestedLoopJoin``, whose ``evaluate`` says ``NULL = NULL`` is
-true -- so the two disagreed, and the second disagreed with SQL.  Top-level
-AND-ed ``col = col`` conjuncts of an ON condition now reject NULL on either
-side in both.  sqlite3 is the oracle.
+compiles to ``NestedLoopJoin``, whose ``evaluate`` used to say
+``NULL = NULL`` is true -- so the two disagreed, and the second disagreed
+with SQL.  Under the one NULL rule ``NULL = NULL`` is unknown and an ON
+condition keeps a pair only where it is true, in both.  sqlite3 is the
+oracle.
 """
 
 import pytest
@@ -45,9 +46,10 @@ def test_the_shown_case():
     assert sorted(rows, key=row_order) == [(1, 10, 100), (2, 30, 300)]
 
 
-def test_equality_under_or_stays_two_valued():
-    """Only AND-ed key conjuncts reject NULL; ``NULL = NULL`` under OR is
-    still true in this engine (ROADMAP item 4), unlike SQL."""
+def test_equality_under_or_is_unknown_on_null():
+    """``NULL = NULL`` is unknown wherever it stands, under OR too: no key
+    conjunct is singled out, the one NULL rule does it."""
     sql = "select a.x, b.y from a join b on a.k = b.k or a.x > 1000"
     rows = federation(TABLES).query(sql).table.rows
-    assert (20, 200) in rows
+    assert (20, 200) not in rows
+    assert sorted(rows) == sorted(sqlite_answer(TABLES, sql)[1])

@@ -189,7 +189,7 @@ FILTERS = [
     "select k from t where tag not like '%a' order by k limit 9",
     "select k, price from t where price > 1.5 or price < -1.5",
     "select k from t where v = k",
-    "select k, v from t where v = price or tag = 'b'",  # NULL = NULL holds here
+    "select k, v from t where v = price or tag = 'b'",  # NULL = NULL: unknown
     "select k, v from t where v != k order by k, v limit 12",
     "select k from t where tag is null or v is not null",
     "select k, v from t where v + 1 > k",

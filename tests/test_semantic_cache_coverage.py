@@ -269,7 +269,7 @@ class TestAdmissionAndEviction:
 
 POOL = [
     None, 0, 1, 2, -1, 1.0, 1.5, 2.0, float("nan"), float("inf"),
-    True, False, "a", "b", "ab", "A", "", " 1", "1",
+    True, False, "a", "b", "ab", "A", "", " 1", "1", "none",
 ]
 PREDICATES = [
     P("c", op, value)

@@ -34,13 +34,14 @@ class TestEvaluation:
         check("a = 'x'", {"a": "x"}, True)
         check("a != 'x'", {"a": "y"}, True)
 
-    def test_null_comparisons_are_false(self):
-        check("a > 1", {"a": None}, False)
-        check("a = 1", {"a": None}, False)
-        check("a != 1", {"a": None}, True)
+    def test_null_comparisons_are_unknown(self):
+        for text in ("a > 1", "a = 1", "a != 1", "not a = 1", "1 < a"):
+            assert evaluate(expr_of(text), {"a": None}) is None, text
 
     def test_null_equality_with_null_literal(self):
-        check("a = null", {"a": None}, True)
+        # NULL = NULL is unknown, not true; IS NULL is how to ask.
+        assert evaluate(expr_of("a = null"), {"a": None}) is None
+        assert evaluate(expr_of("a != null"), {"a": 1}) is None
 
     def test_is_null(self):
         check("a is null", {"a": None}, True)
@@ -58,7 +59,7 @@ class TestEvaluation:
         check("a / 2 = 3", {"a": 6}, True)
 
     def test_arithmetic_with_null_is_null(self):
-        assert evaluate(expr_of("a + 1 = 2"), {"a": None}) is False
+        assert evaluate(expr_of("a + 1 = 2"), {"a": None}) is None
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(QueryError):
@@ -86,7 +87,7 @@ class TestEvaluation:
 
     def test_contains(self):
         check("d contains 'Fine Widget'", {"d": "a fine widget indeed"}, True)
-        check("d contains 'x'", {"d": None}, False)
+        assert evaluate(expr_of("d contains 'x'"), {"d": None}) is None
 
     def test_scalar_functions(self):
         check("upper(name) = 'INK'", {"name": "ink"}, True)

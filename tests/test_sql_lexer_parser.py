@@ -258,9 +258,16 @@ class TestParserExpressions:
         assert expr.right.op == "and"
 
     def test_not(self):
-        expr = self.where("not a = 1")
-        assert isinstance(expr, UnaryOp)
-        assert expr.op == "not"
+        # NOT is pushed down to the atoms as it is parsed.
+        assert self.where("not a = 1") == BinaryOp("!=", Column("a"), Literal(1))
+        assert self.where("not (a < 1 or b is null)") == BinaryOp(
+            "and",
+            BinaryOp(">=", Column("a"), Literal(1)),
+            UnaryOp("is-not-null", Column("b")),
+        )
+        assert self.where("not a in (1)").negated
+        expr = self.where("not match(a, 'x')")
+        assert isinstance(expr, UnaryOp) and expr.op == "not"
 
     def test_parentheses_override(self):
         expr = self.where("(a = 1 or b = 2) and c = 3")

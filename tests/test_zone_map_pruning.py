@@ -157,22 +157,38 @@ class TestFragmentCanMatch:
         assert not fragment_can_match(self.zone, [Predicate("qty", "=", 42)])
         assert fragment_can_match(self.zone, [Predicate("qty", "=", 15)])
 
-    def test_equality_null_needs_nulls(self):
+    def test_equality_with_null_prunes(self):
+        # ``= NULL`` is unknown on every row, NULL cells included.
         assert not fragment_can_match(self.zone, [Predicate("qty", "=", None)])
         with_nulls = ZoneMap(
             row_count=3,
             columns={"qty": ColumnStats(minimum=1, maximum=2, null_count=1, distinct=2)},
         )
-        assert fragment_can_match(with_nulls, [Predicate("qty", "=", None)])
+        assert not fragment_can_match(with_nulls, [Predicate("qty", "=", None)])
+        assert zone_selectivity(with_nulls, [Predicate("qty", "=", None)]) == 0.0
 
     def test_range_on_all_null_column_prunes(self):
         all_null = ZoneMap(
             row_count=4, columns={"qty": ColumnStats(null_count=4, distinct=0)}
         )
-        # None fails every range comparison, so no row can pass.
-        assert not fragment_can_match(all_null, [Predicate("qty", ">", 0)])
-        # ... but None != v is True, so inequality keeps the fragment.
-        assert fragment_can_match(all_null, [Predicate("qty", "!=", 0)])
+        # A NULL cell passes no comparison, ``!=`` included.
+        for op in ("=", "!=", "<", ">", "contains"):
+            assert not fragment_can_match(all_null, [Predicate("qty", op, 0)])
+
+    def test_not_equal_ignores_null_cells(self):
+        # The non-null cells are all 7, so ``!= 7`` keeps no row.
+        constant_with_nulls = ZoneMap(
+            row_count=5,
+            columns={"qty": ColumnStats(minimum=7, maximum=7, null_count=2, distinct=1)},
+        )
+        assert not fragment_can_match(constant_with_nulls, [Predicate("qty", "!=", 7)])
+        # ... and the estimate counts non-null cells only: 6 of 10, 2/3 of them.
+        three_values = ZoneMap(
+            row_count=10,
+            columns={"qty": ColumnStats(minimum=1, maximum=3, null_count=4, distinct=3)},
+        )
+        estimate = zone_selectivity(three_values, [Predicate("qty", "!=", 2)])
+        assert estimate == pytest.approx(0.6 * 2 / 3)
 
     def test_not_equal_single_valued_fragment_prunes(self):
         constant = ZoneMap(
@@ -188,13 +204,12 @@ class TestFragmentCanMatch:
     def test_incomparable_value_keeps(self):
         assert fragment_can_match(self.zone, [Predicate("qty", ">", "high")])
 
-    def test_null_valued_range_keeps(self):
-        # ``qty < NULL`` selects nothing, but "scan it" is the sound answer
-        # the pruner gives for a bound it cannot place in the interval.
-        for op in ("<", "<=", ">", ">="):
+    def test_null_valued_range_prunes(self):
+        # ``qty < NULL`` is unknown on every row, so it selects nothing.
+        for op in ("<", "<=", ">", ">=", "!=", "contains"):
             unknown = [Predicate("qty", op, None)]
-            assert fragment_can_match(self.zone, unknown)
-            assert 0.0 <= zone_selectivity(self.zone, unknown) <= 1.0
+            assert not fragment_can_match(self.zone, unknown)
+            assert zone_selectivity(self.zone, unknown) == 0.0
 
 
 class TestSelectivity:
