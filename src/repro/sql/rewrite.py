@@ -23,8 +23,8 @@ testable in isolation, and extensible:
 The first three are *claim rules* under the one conjunct-placement loop,
 :class:`ConjunctPlacement`, which is also the one home of the outer-join
 guard.  Passes mutate scan annotations in place and may restructure
-filters; they never change query answers (see
-``tests/test_equivalence_properties.py``).
+filters; they never change query answers (sqlite3 referees that in
+``tests/test_against_sqlite.py``).
 """
 
 from __future__ import annotations

@@ -1,0 +1,434 @@
+"""The engine's answers, refereed by sqlite3.
+
+A Hypothesis grammar over the supported dialect, on one fixed fixture of
+NULL-bearing int, float, str and bool columns:
+
+* select lists of columns, ``+ - *`` arithmetic and selected predicates;
+* WHERE: comparisons, IN / NOT IN over lists and subqueries, BETWEEN,
+  LIKE / NOT LIKE, IS [NOT] NULL and nested NOT / AND / OR;
+* inner and left joins on an equi-key with an optional residual conjunct;
+* GROUP BY / HAVING over ``count(*)``, ``count``, ``sum``, ``avg``, ``min``
+  and ``max``, and DISTINCT;
+* ORDER BY a total key, then LIMIT.
+
+Each example draws one value per switch the engine has -- optimizer, reuse
+stores, a governed tenant, re-optimization, the entry (ad hoc with the
+literals inlined, or prepared or through a gateway session with ``?``) and
+the layout (1, 2 or 4 fragments; one replica, or two with a replica's site
+down after the first execution) -- and runs each statement three times
+(column orders answer a filter from the second).  Rows and floats are
+compared by ``benchmarks.e2e.oracle.rows_match``, and the engine's value
+types must be exact.  The grammar leaves out exactly README's divergence
+table: CASE, ``%`` and ``/`` are never written, the fixture holds no NaN,
+no aggregate is DISTINCT, and the sides of a comparison are both numbers,
+both strings or both booleans.
+"""
+
+from typing import NamedTuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from benchmarks.e2e.oracle import rows_match
+from repro.core import DataType, Field
+from repro.core.errors import PartialFailureError
+from repro.federation import Gateway, ReoptPolicy, WorkloadManager
+from repro.federation.governance import GovernanceRegistry
+from repro.sim import EventLoop
+
+from tests.sqlite_oracle import (
+    OPTIMIZERS,
+    federation,
+    joined,
+    literal,
+    phrase,
+    sql,
+    sqlite_answer,
+)
+
+I, F, S, B = DataType.INTEGER, DataType.FLOAT, DataType.STRING, DataType.BOOLEAN
+# k is t's key.  As join keys, u.k repeats 1, holds a NULL and a 20 no t.k
+# matches, and t.v repeats values and holds NULLs.  The s = 'b' group's v and
+# x are all NULL; most other groups have non-NULL values on more than one
+# of 2 or 4 fragments (rows are dealt round-robin), so partial aggregates
+# merge.  The floats are dyadic, so sums are exact in any order.
+TABLES = {
+    "t": (
+        (Field("k", I), Field("v", I), Field("x", F), Field("s", S), Field("b", B)),
+        [(1, 1, 0.5, "ab", True), (2, None, None, "b", False),
+         (3, 3, None, "abc", None), (4, 4, -2.0, None, True),
+         (5, None, None, "b", True), (6, 2, 3.75, "ca", False),
+         (7, None, 0.5, None, None), (8, 3, 1.25, "ab", False),
+         (9, 4, 3.75, "ca", True), (10, 1, -2.0, "abc", False),
+         (11, 2, 0.5, "ab", None), (12, None, 1.25, None, True)],  # fmt: skip
+    ),
+    "u": (
+        (Field("k", I), Field("w", I), Field("s", S)),
+        [(1, 10, "ab"), (1, None, "b"), (3, 2, None), (None, 4, "ab"),
+         (4, None, "c"), (20, 1, "ca")],  # fmt: skip
+    ),
+}
+TYPES = {I: int, F: float, S: str, B: bool}
+
+
+def columns_of(table, prefix=""):
+    return {prefix + f.name: TYPES[f.dtype] for f in TABLES[table][0]}
+
+
+# -- the grammar ---------------------------------------------------------------
+
+NUMBER = (int, float)
+KINDS = (NUMBER, (str,), (bool,))
+ANY = NUMBER + (str, bool)
+LITERALS = [None, *range(-2, 6), -2.0, 0.5, 1.25, "", "a", "ab", "b", "ca", True, False]
+PATTERNS = st.sampled_from(["%", "a%", "A%", "%b", "_b%", "a_", "_", "%a%c"])
+COMPARE = st.sampled_from([" = ", " != ", " <> ", " < ", " <= ", " > ", " >= "])
+ARITHMETIC = st.sampled_from([" + ", " - ", " * "])
+AND_OR = st.sampled_from([" and ", " or "])
+AGGREGATES = {"count": ANY, "sum": NUMBER, "avg": NUMBER, "min": ANY, "max": ANY}
+
+
+def literals(kinds):
+    values = [value for value in LITERALS if value is None or type(value) in kinds]
+    return st.sampled_from(values).map(literal)
+
+
+def subqueries(column):
+    return st.one_of(
+        st.just(sql(f"(select {column} from u)")),
+        phrase(f"(select {column} from u where w > ", literals(NUMBER), ")"),
+        phrase(
+            f"(select {column} from u where w is null or k > ", literals(NUMBER), ")"
+        ),
+    )
+
+
+def nested(atoms):
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            phrase("not (", inner, ")"),
+            phrase("(", inner, ")", AND_OR, "(", inner, ")"),
+        ),
+        max_leaves=3,
+    )
+
+
+class Grammar:
+    """The strategies over one FROM clause's columns (name -> type)."""
+
+    def __init__(self, columns):
+        self.columns = columns
+        self.atomic = self._weighted(subquery=False)
+        self.plain = nested(self.atomic)  # no subquery
+        self.predicates = nested(self._weighted(subquery=True))
+
+    def _weighted(self, subquery):
+        """Atomic predicates, numbers twice as often as strings or booleans."""
+        atomic = {kinds: self._atomic(kinds, subquery) for kinds in KINDS}
+        return st.sampled_from([NUMBER, *KINDS]).flatmap(atomic.__getitem__)
+
+    def column(self, kinds):
+        return st.sampled_from([c for c, t in self.columns.items() if t in kinds])
+
+    def _operands(self, kinds):
+        atoms = st.one_of(self.column(kinds), literals(kinds))
+        return atoms | phrase(atoms, ARITHMETIC, atoms) if kinds == NUMBER else atoms
+
+    def _subjects(self, kinds):
+        """Operands that hold a column, so the predicate is not a constant."""
+        column = self.column(kinds)
+        if kinds != NUMBER:
+            return column
+        return column | phrase(column, ARITHMETIC, self._operands(kinds))
+
+    def _atomic(self, kinds, subquery):
+        subjects, operands = self._subjects(kinds), self._operands(kinds)
+        atoms = st.one_of(self.column(kinds), literals(kinds))
+        items = st.lists(atoms, min_size=1, max_size=3).map(joined)
+        forms = [
+            # ``column <op> literal`` either way round is sargable: pushed
+            # into the source, zone-map pruned, a cache region.
+            phrase(self.column(kinds), COMPARE, literals(kinds)),
+            phrase(literals(kinds), COMPARE, self.column(kinds)),
+            phrase(subjects, COMPARE, operands),
+            phrase(operands, st.sampled_from([" is null", " is not null"])),
+            phrase(subjects, st.sampled_from([" in (", " not in ("]), items, ")"),
+            phrase(
+                subjects, st.sampled_from([" between ", " not between "]),
+                operands, " and ", operands,
+            ),  # fmt: skip
+        ]
+        if kinds == (str,):
+            like = st.sampled_from([" like ", " not like "])
+            forms.append(phrase(self.column(kinds), like, PATTERNS.map(literal)))
+        if subquery and kinds != (bool,):
+            in_subquery = st.sampled_from([" in ", " not in "])
+            column = "k" if kinds == NUMBER else "s"
+            forms.append(phrase(subjects, in_subquery, subqueries(column)))
+        return st.one_of(*forms)
+
+    def select_items(self):
+        """(select item, the type of its non-NULL values)."""
+        columns = [(c, kind) for c, kind in self.columns.items() if kind in NUMBER]
+        numbers = [(literal(v), type(v)) for v in LITERALS if type(v) in NUMBER]
+        numbers += columns
+
+        def arithmetic(a, op, b):
+            return sql(a[0], op, b[0]), float if float in (a[1], b[1]) else int
+
+        return st.one_of(
+            st.sampled_from(sorted(self.columns.items())),
+            st.builds(
+                arithmetic,
+                st.sampled_from(columns),
+                ARITHMETIC,
+                st.sampled_from(numbers),
+            ),
+            self.plain.map(lambda p: (p, bool)),
+        )
+
+    def aggregates(self):
+        def call(name, column):
+            kind = {"count": int, "avg": float}.get(name, self.columns[column])
+            return sql(f"{name}({column})"), kind
+
+        return st.one_of(
+            st.just((sql("count(*)"), int)),
+            *(
+                st.builds(call, st.just(name), self.column(kinds))
+                for name, kinds in AGGREGATES.items()
+            ),
+        )
+
+    def having(self):
+        numeric = st.one_of(
+            st.just("count(*)"),
+            phrase(st.sampled_from(sorted(AGGREGATES)), "(", self.column(NUMBER), ")"),
+        )
+        comparison = phrase(numeric, COMPARE, literals(NUMBER))
+        return phrase(st.sampled_from(["", "not "]), "(", comparison, ")")
+
+
+T = Grammar(columns_of("t"))
+JOINED = Grammar({**columns_of("t", "t."), **columns_of("u", "u.")})
+JOIN_KEYS = [("t.k", "u.k"), ("t.v", "u.k"), ("t.v", "u.w")]
+
+
+class Statement(NamedTuple):
+    text: tuple  # (inlined, template, values)
+    types: tuple  # the type of each output column's non-NULL values
+    ordered: bool = False
+    narrowed: bool = False  # first run served by a cache region when reuse is on
+
+
+@st.composite
+def statements(draw):
+    join = draw(st.sampled_from([None, None, " join ", " left join "]))
+    grammar, source = (T, ("t",)) if join is None else (JOINED, ())
+    if join is not None:
+        left, right = draw(st.sampled_from(JOIN_KEYS))
+        residual = draw(st.none() | JOINED.atomic)
+        source = (f"t{join}u on {left} = {right}",)
+        source += () if residual is None else (" and ", residual)
+    where = draw(st.none() | grammar.predicates)
+    clauses = () if where is None else (" where ", where)
+    if draw(st.booleans()):
+        # Not t's key: its groups are single rows, which merge no partials.
+        group_keys = grammar.column(ANY).filter(lambda c: c not in ("k", "t.k"))
+        key = draw(st.none() | group_keys)
+        items = draw(st.lists(grammar.aggregates(), min_size=1, max_size=3))
+        distinct, keys = "", []
+        if key is not None:
+            items, keys = [(key, grammar.columns[key]), *items], ["c0"]
+            having = draw(st.none() | grammar.having())
+            clauses += (f" group by {key}",)
+            clauses += () if having is None else (" having ", having)
+    else:
+        items = draw(st.lists(grammar.select_items(), min_size=1, max_size=3))
+        distinct = draw(st.sampled_from(["", "distinct "]))
+        keys = [f"c{i}" for i in range(len(items))]
+    ordered = bool(keys) and draw(st.booleans())
+    if ordered:
+        directions = [draw(st.sampled_from(["", " desc"])) for _ in keys]
+        clauses += (" order by ", ", ".join(map(str.__add__, keys, directions)))
+        count = draw(st.none() | st.integers(0, 4))
+        clauses += () if count is None else (" limit ", literal(count))
+    columns = joined([sql(item, f" as c{i}") for i, (item, _) in enumerate(items)])
+    text = sql(f"select {distinct}", columns, " from ", *source, *clauses)
+    return Statement(text, tuple(kind for _, kind in items), ordered)
+
+
+NARROWING = f"select {', '.join(T.columns)} from t where "
+# ``v > c`` caches a region that also answers the narrower ``v > c + d``
+# or ``v = c + d``, leaving ``k <= e`` a residual.
+NARROWING_PAIRS = st.builds(
+    lambda c, op, d, e: [
+        Statement(sql(NARROWING, "v > ", literal(c)), tuple(T.columns.values())),
+        Statement(
+            sql(NARROWING, "v", op, literal(c + d), " and k <= ", literal(e)),
+            tuple(T.columns.values()),
+            narrowed=True,
+        ),
+    ],
+    st.integers(-2, 2),
+    st.sampled_from([" > ", " = "]),
+    st.integers(1, 2),
+    st.integers(2, 12),
+)
+
+# One or two drawn statements three times in four, else a narrowing pair.
+STATEMENTS = st.sampled_from([False, False, False, True]).flatmap(
+    lambda narrowing: NARROWING_PAIRS
+    if narrowing
+    else st.lists(statements(), min_size=1, max_size=2)
+)
+
+# -- the switches --------------------------------------------------------------
+
+MASKS = {
+    "redact": "update t set s = '***' where s is not null",
+    "null": "update t set s = null",
+}
+
+
+class Switches(NamedTuple):
+    optimizer: str
+    reuse: bool
+    policy: tuple | None  # (row filter, mask style on t.s)
+    reopt: bool
+    entry: str
+    fragments: int
+    down: str | None  # two replicas, and this site down after the first execution
+
+
+SWITCHES = st.builds(
+    Switches,
+    st.sampled_from(sorted(OPTIMIZERS)),
+    st.booleans(),
+    st.none() | st.tuples(T.atomic.map(lambda p: p[0]), st.sampled_from(sorted(MASKS))),
+    st.booleans(),
+    st.sampled_from(["ad hoc", "prepared", "gateway"]),
+    st.sampled_from([1, 2, 4]),
+    st.none() | st.sampled_from(["s0", "s1", "s2"]),
+)
+
+
+def expected(switches, statement):
+    """sqlite's column names and rows; a governed tenant's ``t`` is the
+    table its policy leaves, made by sqlite from the raw rows."""
+    if switches.policy is None:
+        return sqlite_answer(TABLES, statement.text[0])
+    row_filter, mask = switches.policy
+    prelude = (f"create table t as select * from raw where {row_filter}", MASKS[mask])
+    tables = {"raw": TABLES["t"], "u": TABLES["u"]}
+    return sqlite_answer(tables, statement.text[0], prelude)
+
+
+def answers(switches, statements):
+    """Yield (statement, run, result): each statement three times, in turn,
+    on one engine."""
+    governance, tenant = None, None
+    if switches.policy is not None:
+        row_filter, mask = switches.policy
+        policy = {"row_filter": row_filter, "masks": {"s": mask}}
+        manifest = {"version": 1, "tenants": {"tenant": {"tables": {"t": policy}}}}
+        governance, tenant = GovernanceRegistry(manifest), "tenant"
+    engine = federation(
+        TABLES,
+        OPTIMIZERS[switches.optimizer],
+        switches.reuse,
+        fragments=switches.fragments,
+        replicas=1 if switches.down is None else 2,
+        governance=governance,
+        reopt=ReoptPolicy() if switches.reopt else None,
+    )
+    if switches.entry == "gateway":
+        manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
+        session = Gateway(manager).connect(tenant=tenant or "default")
+    for statement in statements:
+        inlined, template, values = statement.text
+        if switches.entry == "prepared":
+            prepared = engine.prepare(template, tenant=tenant)
+        for run in range(3):
+            if switches.entry == "ad hoc":
+                result = engine.query(inlined, tenant=tenant)
+            elif switches.entry == "prepared":
+                result = engine.execute(prepared, values)
+            else:
+                result = session.execute(template, values).result
+            yield statement, run, result
+            if switches.down is not None:
+                engine.catalog.site(switches.down).up = False
+
+
+def is_fully_pruned(assignment):
+    """A zero-price fragment plan whose zone maps proved every fragment
+    empty -- it legitimately outbids even a covering cache region."""
+    return (
+        assignment.kind == "fragments"
+        and assignment.total_fragments > 0
+        and assignment.pruned_fragments >= assignment.total_fragments
+    )
+
+
+# Derandomized: every run checks the same 500 examples, so a fault one of
+# them shows is shown on every run, by the same falsifying example.
+@settings(
+    max_examples=500,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(switches=SWITCHES, statements=STATEMENTS)
+def test_a_statement_answers_what_sqlite_answers(switches, statements):
+    """Two statements share each engine, so with reuse on the second may be
+    answered from a cache region or an artifact the first left behind."""
+    wants = {statement: expected(switches, statement) for statement in statements}
+    for statement, run, result in answers(switches, statements):
+        names, want = wants[statement]
+        rows = result.table.rows
+        assert list(result.table.schema.field_names) == names
+        assert rows_match(rows, want, statement.ordered), (run, rows)
+        for row in rows:
+            for value, kind in zip(row, statement.types, strict=True):
+                assert value is None or type(value) is kind, (run, row)
+        if switches.reuse and statement.narrowed and run == 0:
+            assignment = result.plan.assignments["t"]
+            assert assignment.kind == "cache" or is_fully_pruned(assignment)
+
+
+# -- degraded answers ------------------------------------------------------------
+# ``t`` on s0 / s1, ``u`` on s1 / s2, and s2 down: half of ``u`` answers.  A
+# degraded answer must be some of the content, never content that is not
+# there: it raises, or it is within sqlite's full answer.
+
+KEYS = [(1,), (2,), (3,), (4,)]
+DEGRADED = {"t": (("k",), KEYS), "u": (("x",), KEYS)}
+NOT_MONOTONE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: an anti-join over a degraded input"
+)
+
+
+@pytest.mark.parametrize(
+    "sql_text",
+    [
+        "select k from t where k in (select x from u)",
+        pytest.param(
+            "select k from t where k not in (select x from u)", marks=NOT_MONOTONE
+        ),
+        pytest.param(
+            "select t.k from t left join u on t.k = u.x where u.x is null",
+            marks=NOT_MONOTONE,
+        ),
+    ],
+)
+def test_a_degraded_answer_is_within_the_full_answer(sql_text):
+    engine = federation(DEGRADED)
+    engine.catalog.site("s2").up = False
+    try:
+        rows = engine.query(sql_text, degraded_ok=True).table.rows
+    except PartialFailureError:
+        return
+    assert set(rows) <= set(sqlite_answer(DEGRADED, sql_text)[1])

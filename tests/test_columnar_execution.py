@@ -1,12 +1,11 @@
-"""Columnar engine equivalence and wire-encoding round-trips.
+"""Columnar kernels and wire-encoding round-trips.
 
 The vectorized data plane (``repro.federation.columnar``) replaced the
-row-at-a-time operator loops but must be *observably identical*: every
-query answers row-for-row (and bit-for-bit, ordering included) what the
-row engine answered -- kept as ``tests/reference_site.py``; the
-accounting-level property lives in ``tests/test_reference_site.py`` --
-and every column encoding must decode to exactly the values that went
-in -- types, NULLs and float signs included.
+row-at-a-time operator loops.  Its answers are refereed by sqlite3
+(``tests/test_against_sqlite.py``) and its accounting by the row engine it
+replaced (``tests/test_reference_site.py``); here every form of a filter
+kernel keeps the same rows, and every column encoding must decode to
+exactly the values that went in -- types, NULLs and float signs included.
 These tests state both contracts as hypothesis properties and pin the
 Ship-accounting rules (cache-served, pruned and coordinator-local scans
 never count as shipped) with deterministic regressions.
@@ -48,7 +47,7 @@ from tests.reference_codec import encode_column as reference_encode_column
 from tests.reference_site import ReferenceSitePlanner
 
 
-def build_pair(rows, fragment_count=3, site_count=4, cache=False):
+def build_pair(rows, fragment_count=3, site_count=4):
     """Two engines over *identical* catalogs: the product, and one whose
     site side is the row-at-a-time reference."""
     engines = []
@@ -71,14 +70,7 @@ def build_pair(rows, fragment_count=3, site_count=4, cache=False):
             for i in range(fragment_count)
         ]
         catalog.load_fragmented(table, fragment_count, placement)
-        engines.append(
-            with_site_engine(
-                FederatedEngine(
-                    catalog, cache=SemanticCache(clock) if cache else None
-                ),
-                reference,
-            )
-        )
+        engines.append(with_site_engine(FederatedEngine(catalog), reference))
     return engines
 
 
@@ -88,166 +80,12 @@ def with_site_engine(engine, reference):
     return engine
 
 
-def build_join_pair(t_rows, u_rows, fragment_count=2):
-    engines = []
-    for reference in (False, True):
-        clock = SimClock()
-        catalog = FederationCatalog(clock)
-        names = [catalog.make_site(f"s{i}").name for i in range(4)]
-        t_schema = Schema(
-            "t",
-            (
-                Field("k", DataType.INTEGER),
-                Field("v", DataType.INTEGER),
-                Field("tag", DataType.STRING),
-            ),
-        )
-        u_schema = Schema(
-            "u", (Field("k", DataType.INTEGER), Field("w", DataType.INTEGER))
-        )
-        placement = [
-            [names[i % 4], names[(i + 1) % 4]] for i in range(fragment_count)
-        ]
-        catalog.load_fragmented(
-            Table(t_schema, t_rows, validate=False), fragment_count, placement
-        )
-        catalog.load_fragmented(
-            Table(u_schema, u_rows, validate=False), fragment_count, placement
-        )
-        engines.append(with_site_engine(FederatedEngine(catalog), reference))
-    return engines
-
-
 def exact_rows(result):
     """Ordered, type-tagged row images: catches bool/int and 0.0/-0.0."""
     return [
         tuple((type(v).__name__, repr(v)) for v in row)
         for row in result.table.rows
     ]
-
-
-rows_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=-20, max_value=20),
-        st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),
-        st.one_of(st.none(), st.sampled_from(["alpha", "alto", "beta", "b"])),
-        st.one_of(
-            st.none(),
-            st.floats(min_value=-100, max_value=100, allow_nan=False),
-        ),
-    ),
-    min_size=0,
-    max_size=60,
-)
-
-filter_query_strategy = st.sampled_from(
-    [
-        "select k, v from t where v > 0",
-        "select k, v, tag, price from t where v >= 10 and k < 5",
-        "select k from t where tag = 'alpha' or v < -10",
-        "select k, tag from t where not (v > 0)",
-        "select k from t where tag != 'beta' and price <= 50",
-        "select k, v from t where k in (0, 3, -7)",
-        "select k from t where tag not in ('alpha', 'b')",
-        "select k, v from t where v between -5 and 5",
-        "select k, tag from t where tag like 'al%'",
-        "select k from t where tag not like '%a' order by k limit 9",
-        "select k, price from t where price > 1.5 or price < -1.5",
-        "select k from t where v = k",
-        "select k, v from t where v != k order by k, v limit 12",
-    ]
-)
-
-aggregate_query_strategy = st.sampled_from(
-    [
-        "select tag, count(*) as n from t group by tag order by tag",
-        "select tag, count(v) as n, sum(v) as s from t group by tag order by tag",
-        "select count(*) as n, max(v) as m, min(price) as lo from t",
-        "select tag, avg(price) as a from t where k >= 0 group by tag order by tag",
-        "select min(tag) as lo, max(tag) as hi from t where v > -10",
-        "select avg(v) as a, sum(price) as s from t where tag like 'a%'",
-    ]
-)
-
-join_rows_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=-8, max_value=8),
-        st.one_of(st.none(), st.integers(min_value=-30, max_value=30)),
-        st.sampled_from(["a", "b", "c"]),
-    ),
-    min_size=0,
-    max_size=40,
-)
-
-u_rows_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=-8, max_value=8),
-        st.one_of(st.none(), st.integers(min_value=-20, max_value=20)),
-    ),
-    min_size=0,
-    max_size=25,
-)
-
-join_query_strategy = st.sampled_from(
-    [
-        "select t.k, u.w from t join u on t.k = u.k",
-        "select t.k, t.v, u.w from t join u on t.k = u.k "
-        "where t.v > 0 and u.w < 20",
-        "select t.k, u.w from t left join u on t.k = u.k where t.tag = 'a'",
-        "select t.tag, count(u.w) as n from t left join u on t.k = u.k "
-        "group by t.tag order by t.tag",
-        "select t.k from t join u on t.k = u.k where t.v > 0 or u.w > 0",
-    ]
-)
-
-
-class TestEngineEquivalence:
-    """Columnar vs reference site engine: bit-identical answers, in order."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, filter_query_strategy)
-    def test_filters_identical(self, rows, sql):
-        vec, row = build_pair(rows)
-        assert exact_rows(vec.query(sql, advance_clock=False)) == exact_rows(
-            row.query(sql, advance_clock=False)
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, aggregate_query_strategy)
-    def test_aggregates_identical_including_float_bits(self, rows, sql):
-        vec, row = build_pair(rows)
-        assert exact_rows(vec.query(sql, advance_clock=False)) == exact_rows(
-            row.query(sql, advance_clock=False)
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(join_rows_strategy, u_rows_strategy, join_query_strategy)
-    def test_joins_identical(self, t_rows, u_rows, sql):
-        vec, row = build_join_pair(t_rows, u_rows)
-        assert exact_rows(vec.query(sql, advance_clock=False)) == exact_rows(
-            row.query(sql, advance_clock=False)
-        )
-
-    @settings(max_examples=20, deadline=None)
-    @given(rows_strategy, filter_query_strategy)
-    def test_rows_shipped_identical(self, rows, sql):
-        """The accounting the market prices on must not depend on the
-        execution style -- same plan, same shipped-row count."""
-        vec, row = build_pair(rows)
-        vec_result = vec.query(sql, advance_clock=False)
-        row_result = row.query(sql, advance_clock=False)
-        assert vec_result.report.rows_shipped == row_result.report.rows_shipped
-        assert vec_result.report.rows_fetched == row_result.report.rows_fetched
-
-    @settings(max_examples=15, deadline=None)
-    @given(rows_strategy, filter_query_strategy)
-    def test_cache_hits_identical(self, rows, sql):
-        vec, row = build_pair(rows, cache=True)
-        for engine in (vec, row):
-            engine.query(sql, advance_clock=False)  # warm
-        assert exact_rows(vec.query(sql, advance_clock=False)) == exact_rows(
-            row.query(sql, advance_clock=False)
-        )
 
 
 # -- filter kernels: selections, and probe against comprehension ---------------

@@ -9,7 +9,8 @@ the oracle for names and rows alike.
 
 import pytest
 
-from tests.sqlite_oracle import federation, row_order, sqlite_answer
+from benchmarks.e2e.oracle import rows_match
+from tests.sqlite_oracle import federation, sqlite_answer
 
 A_ROWS = [(1, 10), (2, 20), (3, 30), (None, 40)]
 B_ROWS = [(1, 100), (2, 200), (2, 250)]
@@ -50,9 +51,4 @@ def test_empty_inputs_keep_their_columns(tables, sql):
     names, expected = sqlite_answer(tables, sql)
     result = federation(tables).query(sql)
     assert list(result.table.schema.field_names) == names
-    if " order by " in sql:
-        assert result.table.rows == expected
-    else:
-        assert sorted(result.table.rows, key=row_order) == sorted(
-            expected, key=row_order
-        )
+    assert rows_match(result.table.rows, expected, ordered=" order by " in sql)

@@ -8,7 +8,8 @@ from repro.core.errors import QueryError
 from repro.federation import FederatedEngine, FederationCatalog
 from repro.sim import SimClock
 
-from tests.sqlite_oracle import federation, row_order, sqlite_answer
+from benchmarks.e2e.oracle import rows_match
+from tests.sqlite_oracle import federation, sqlite_answer
 
 
 def engine_for(schema, rows, fragments=2):
@@ -110,7 +111,7 @@ class TestEmptyAndNullHandling:
             .table.rows,
         ]
         for answer in answers[1:]:
-            assert sorted(answer, key=row_order) == sorted(answers[0], key=row_order)
+            assert rows_match(answer, answers[0], ordered=False)
         assert answers[0] == sqlite_answer(tables, inlined)[1] == []
 
     def test_a_hand_built_null_predicate_matches_nothing(self):

@@ -4,9 +4,8 @@ Covers the prepared-statement plan cache (normalized-SQL keying, LRU
 eviction, invalidation on repartition and base-table updates), the session
 pool (reuse, exhaustion, idle cap), cursor-token pagination, ``?`` in the
 LIKE-pattern and LIMIT-count positions (templates like any other, where a
-textual-binding fallback once ran), and the load-bearing property:
-gateway-prepared execution is row-identical to direct ``engine.query`` for
-randomized bindings.
+textual-binding fallback once ran).  That a gateway session answers what
+sqlite3 answers is one switch of ``tests/test_against_sqlite.py``.
 """
 
 import pytest
@@ -622,54 +621,3 @@ class TestParameterErrors:
             with pytest.raises(QueryError):
                 session.execute(QUERY, (1, 2))
 
-
-class TestPreparedDirectEquivalence:
-    """Gateway-prepared execution answers exactly like direct engine.query."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        low=st.integers(min_value=-5, max_value=125),
-        span=st.integers(min_value=0, max_value=60),
-    )
-    def test_between_bindings_match_direct(self, low, span):
-        _, engine, gateway = make_gateway()
-        sql = "select k, v from items where v between ? and ? order by v"
-        direct = engine.query(
-            f"select k, v from items where v between {low} and {low + span} "
-            "order by v",
-            advance_clock=False,
-        ).table.rows
-        with gateway.connect() as session:
-            assert session.execute(sql, (low, low + span)).rows == direct
-
-    @settings(max_examples=25, deadline=None)
-    @given(key=st.integers(min_value=0, max_value=130))
-    def test_point_lookup_bindings_match_direct(self, key):
-        _, engine, gateway = make_gateway()
-        literal = f"k{key:04d}"
-        direct = engine.query(
-            f"select v from items where k = '{literal}'", advance_clock=False
-        ).table.rows
-        with gateway.connect() as session:
-            assert (
-                session.execute(
-                    "select v from items where k = ?", (literal,)
-                ).rows
-                == direct
-            )
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        threshold=st.integers(min_value=-10, max_value=130),
-        repeats=st.integers(min_value=1, max_value=3),
-    )
-    def test_repeated_executions_stay_identical(self, threshold, repeats):
-        """The template is immutable: binding N times never drifts."""
-        _, engine, gateway = make_gateway()
-        direct = engine.query(
-            f"select count(*) from items where v < {threshold}",
-            advance_clock=False,
-        ).table.rows
-        with gateway.connect() as session:
-            for _ in range(repeats):
-                assert session.execute(QUERY, (threshold,)).rows == direct

@@ -35,7 +35,8 @@ from repro.sim import EventLoop, SimClock
 from repro.sql.params import bind_plan
 from repro.sql.parser import parse_sql
 from repro.sql.sqltext import count_placeholders, render_literal
-from tests.sqlite_oracle import row_order, sqlite_answer
+from benchmarks.e2e.oracle import rows_match
+from tests.sqlite_oracle import sqlite_answer
 
 OPTIMIZERS = {
     "agoric": AgoricOptimizer,
@@ -120,9 +121,7 @@ class TestPreparedEqualsInlinedEqualsSqlite:
             bound = engine.execute(prepared, params).table.rows
             adhoc = engine.query(inlined, tenant=tenant).table.rows
             assert bound == adhoc
-            if not ordered:
-                bound, expected = sorted(bound, key=row_order), sorted(expected, key=row_order)
-            assert bound == expected
+            assert rows_match(bound, expected, ordered)
         assert prepared.replans == 0
 
     @pytest.mark.parametrize("tenant", [None, "acme"], ids=["ungoverned", "last4"])
