@@ -43,7 +43,6 @@ from repro.core.errors import ContentIntegrationError, QueryError
 from repro.federation.access import AccessPaths, FragmentSlot, place
 from repro.federation.catalog import FederationCatalog
 from repro.federation.physical import PhysicalPlan, ScanAssignment
-from repro.federation.stats import fallback_selectivity
 from repro.sql.planner import PlanNode, ScanNode, scans_in
 
 
@@ -111,17 +110,6 @@ class AgoricOptimizer:
         self.paths = AccessPaths(catalog)
 
     # -- bidding -----------------------------------------------------------
-
-    @staticmethod
-    def estimated_selectivity(scan: ScanNode) -> float:
-        """Statistics-free selectivity of the scan's pushed-down predicates.
-
-        The textbook constants (equality ~10%, range ~30%, multiplied per
-        conjunct, floored), kept as the estimate of last resort for sources
-        with no zone maps.  When a fragment carries statistics the broker
-        uses :func:`repro.federation.stats.fragment_selectivity` instead.
-        """
-        return fallback_selectivity(scan.pushdown)
 
     def collect_bids(
         self, scan: ScanNode

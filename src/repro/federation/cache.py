@@ -152,18 +152,6 @@ def coverage_kind(
     return "implication"
 
 
-def region_covers(
-    cached: frozenset[Predicate],
-    requested: frozenset[Predicate],
-    implication: bool = True,
-) -> bool:
-    """True when the cached region is guaranteed to contain the request."""
-    kind = coverage_kind(cached, requested)
-    if kind is None:
-        return False
-    return implication or kind == "verbatim"
-
-
 class SemanticCache:
     """A TTL'd, benefit-evicted cache of answered predicate regions."""
 

@@ -48,10 +48,10 @@ class Executor:
     and prices scan-level failover.
     """
 
-    def __init__(self, paths: AccessPaths, retry: RetryPolicy | None = None) -> None:
+    def __init__(self, paths: AccessPaths, retry: RetryPolicy) -> None:
         self.paths = paths
         self.planner = PhysicalPlanner(paths.catalog)
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
 
     def execute(
         self,

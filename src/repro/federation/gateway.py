@@ -147,9 +147,6 @@ class PlanCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 @dataclass
 class Page:

@@ -371,9 +371,9 @@ class ExecContext:
         paths: AccessPaths,
         plan: PhysicalPlan,
         report: ExecutionReport,
-        retry: RetryPolicy | None = None,
-        options: QueryOptions = QueryOptions(),
-        reopt=None,
+        retry: RetryPolicy,
+        options: QueryOptions,
+        reopt,
     ) -> None:
         # The engine's access-path seam: the catalog, per-site health
         # memory, and the semantic cache / artifact store the covering
@@ -388,7 +388,7 @@ class ExecContext:
         self.coordinator_seconds = 0.0  # serial coordinator work
         self.ambiguous = ambiguous_fields(catalog, plan)
         # Fault-tolerance state shared by every scan in this execution.
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
         # The statement's options, read where they bind: ``degraded_ok`` by
         # unreachable scans; ``reuse_artifacts`` at the Ship boundary (the
         # workload manager's fallback re-execution sets False so a query

@@ -255,19 +255,13 @@ class TestSelectivityAwareBidding:
         assert filtered.total_price < full.total_price
 
     def test_selectivity_heuristics(self):
-        from repro.sql.planner import ScanNode
         from repro.connect.source import Predicate
+        from repro.federation.stats import fallback_selectivity as estimate
 
-        def scan_with(*predicates):
-            node = ScanNode("t", "t")
-            node.pushdown.extend(predicates)
-            return node
-
-        estimate = AgoricOptimizer.estimated_selectivity
-        assert estimate(scan_with()) == 1.0
-        assert estimate(scan_with(Predicate("a", "=", 1))) == pytest.approx(0.1)
-        assert estimate(scan_with(Predicate("a", ">", 1))) == pytest.approx(0.3)
-        many = scan_with(*[Predicate("a", "=", i) for i in range(9)])
+        assert estimate([]) == 1.0
+        assert estimate([Predicate("a", "=", 1)]) == pytest.approx(0.1)
+        assert estimate([Predicate("a", ">", 1)]) == pytest.approx(0.3)
+        many = [Predicate("a", "=", i) for i in range(9)]
         assert estimate(many) == pytest.approx(0.01)  # floored
 
 

@@ -12,7 +12,6 @@ from repro.federation.cache import (
     SemanticCache,
     coverage_kind,
     predicate_implies,
-    region_covers,
 )
 from repro.federation.stats import ZoneMap, fragment_can_match, zone_selectivity
 from repro.sim import SimClock
@@ -144,9 +143,8 @@ class TestCoverageKind:
 
     def test_region_covers_verbatim_mode(self):
         cached, requested = region(P("a", "<", 5)), region(P("a", "<", 3))
-        assert region_covers(cached, requested)
-        assert not region_covers(cached, requested, implication=False)
-        assert region_covers(cached, cached, implication=False)
+        assert coverage_kind(cached, requested) == "implication"
+        assert coverage_kind(cached, cached) == "verbatim"
 
 
 def make_table(n=10):
