@@ -52,6 +52,18 @@ def write_json(name: str, payload: dict) -> str:
     return path
 
 
+def merge_json(name: str, update: dict) -> str:
+    """Fold ``update``'s sections into ``<name>.json``, keeping the rest
+    (several benches contribute to one summary)."""
+    path = os.path.join(REPO_ROOT, f"{name}.json")
+    payload = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            payload = json.load(f)
+    payload.update(update)
+    return write_json(name, payload)
+
+
 def _fmt(cell) -> str:
     if isinstance(cell, float):
         if cell == 0:

@@ -27,11 +27,10 @@ modeled, deterministic quantities so the determinism double-run diff
 stays byte-identical (DESIGN.md §7).
 """
 
-import json
 import os
 import time
 
-from _bench_util import REPO_ROOT, report, write_json
+from _bench_util import merge_json, report
 from reference_site import ReferenceSitePlanner
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import FederatedEngine, FederationCatalog
@@ -125,17 +124,6 @@ def exact(result):
 WARM = 3  # executions on one engine: cold, orders marked, orders built
 
 
-def merge_bench_json(update: dict) -> None:
-    """Fold a section into BENCH_E3.json (both tests contribute)."""
-    path = os.path.join(REPO_ROOT, "BENCH_E3.json")
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as f:
-            payload = json.load(f)
-    payload.update(update)
-    write_json("BENCH_E3", payload)
-
-
 def test_e3c_columnar_throughput(benchmark):
     vec_result, vec_samples = timed_runs(columnar=True)
     row_result, row_samples = timed_runs(columnar=False)
@@ -166,7 +154,8 @@ def test_e3c_columnar_throughput(benchmark):
         ],
     )
 
-    merge_bench_json(
+    merge_json(
+        "BENCH_E3",
         {
             "query": QUERY,
             "rows": ROWS,
@@ -254,7 +243,8 @@ def test_e3c_wire_bytes_on_hotels(benchmark):
         ],
     )
 
-    merge_bench_json(
+    merge_json(
+        "BENCH_E3",
         {
             "hotel_wire": {
                 "rows": len(table),

@@ -15,11 +15,19 @@ statistics collection grows linearly with the number of sites.
 
 An ablation compares agoric greedy all-replica bidding against sampled
 bidding (contact at most k replicas), the knob Mariposa brokers use.
+
+The same claim on the clock: wall microseconds per ``optimize`` at 4, 64
+and 512 sites go into ``BENCH_E3.json`` (machine-dependent, so never into
+the ``results/`` tables, which must stay byte-identical), and the bench
+fails when the agoric median at 512 sites exceeds ``MAX_WALL_RATIO`` times
+the one at 4 sites.
 """
 
 import random
+import statistics
+import time
 
-from _bench_util import report
+from _bench_util import merge_json, report
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import (
     AgoricOptimizer,
@@ -119,6 +127,67 @@ def test_e3_agoric_flat_centralized_linear(benchmark):
     catalog = build_catalog(256)
     agoric = AgoricOptimizer(catalog)
     benchmark(lambda: agoric.optimize(plan_for(catalog)))
+
+
+WALL_SITE_COUNTS = [4, 64, 512]
+WALL_REPEATS = 300  # optimizations timed per optimizer and federation size
+MAX_WALL_RATIO = 2.0  # agoric wall us at 512 sites over 4 sites
+
+
+def median_wall_us(runs) -> list[float]:
+    """Median wall microseconds of each ``(optimizer, plan)`` in ``runs``.
+
+    The runs take turns, one optimization each per round, so a slow spell
+    on a shared box lands on every federation size alike and the ratio
+    between sizes stays put.
+    """
+    samples = [[] for _ in runs]
+    for round_index in range(20 + WALL_REPEATS):  # the first 20 warm up
+        for (optimizer, plan), timings in zip(runs, samples):
+            started = time.perf_counter()
+            optimizer.optimize(plan)
+            if round_index >= 20:
+                timings.append(time.perf_counter() - started)
+    return [round(statistics.median(timings) * 1e6, 1) for timings in samples]
+
+
+def test_e3_planning_wall_clock():
+    """The scaling claim on the host's clock, beside the modeled table."""
+    catalogs = [build_catalog(site_count) for site_count in WALL_SITE_COUNTS]
+    plans = [plan_for(catalog) for catalog in catalogs]
+    agoric = [AgoricOptimizer(catalog) for catalog in catalogs]
+    central = [
+        # A fresh statistics round per query, as in the modeled table.
+        CentralizedOptimizer(catalog, stats_refresh_interval=0.0)
+        for catalog in catalogs
+    ]
+    agoric_us = median_wall_us(list(zip(agoric, plans)))
+    central_us = median_wall_us(list(zip(central, plans)))
+    sweep = {
+        str(site_count): {
+            "agoric_us": agoric_us[i],
+            "agoric_bids": agoric[i].optimize(plans[i]).sites_contacted,
+            "central_us": central_us[i],
+        }
+        for i, site_count in enumerate(WALL_SITE_COUNTS)
+    }
+    first, last = WALL_SITE_COUNTS[0], WALL_SITE_COUNTS[-1]
+    ratio = sweep[str(last)]["agoric_us"] / sweep[str(first)]["agoric_us"]
+    merge_json(
+        "BENCH_E3",
+        {
+            "optimizer_wall": {
+                "repeats": WALL_REPEATS,
+                "sites": sweep,
+                "agoric_ratio": round(ratio, 2),
+            }
+        },
+    )
+    assert all(row["agoric_bids"] == FRAGMENTS * REPLICATION for row in sweep.values())
+    assert ratio <= MAX_WALL_RATIO, (
+        f"agoric planning costs {ratio:.2f}x more at {last} sites than at "
+        f"{first}: an O(sites) term is back on the bid path"
+    )
 
 
 def test_e3_ablation_bid_sampling(benchmark):

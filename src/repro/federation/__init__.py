@@ -57,7 +57,7 @@ The pieces:
 """
 
 from repro.federation.access import AccessPaths, FragmentSlot
-from repro.federation.agoric import AgoricOptimizer, Bid, BudgetExceededError
+from repro.federation.agoric import AgoricOptimizer, BudgetExceededError
 from repro.federation.availability import (
     AvailabilityProbe,
     FailureInjector,
@@ -123,7 +123,6 @@ __all__ = [
     "AccessPaths",
     "FragmentSlot",
     "AgoricOptimizer",
-    "Bid",
     "BudgetExceededError",
     "AvailabilityProbe",
     "FailureInjector",

@@ -134,19 +134,22 @@ class AccessPaths:
     # -- fragment scans ----------------------------------------------------
 
     def live_replicas(self, fragment: Fragment) -> list[str]:
-        site = self.catalog.site
-        return [name for name in fragment.replica_sites() if site(name).up]
+        sites = self.catalog.sites
+        return [name for name in fragment.replica_sites() if sites[name].up]
+
+    # Only a site in the tracker's troubled set can have an open circuit
+    # or a risk above zero; the rest pass both checks without asking.
 
     def without_open_breakers(self, names: list[str]) -> list[str]:
-        if self.health is None:
+        if self.health is None or not self.health.troubled:
             return names
-        allow = self.health.allow
-        return [name for name in names if allow(name)]
+        troubled, allow = self.health.troubled, self.health.allow
+        return [name for name in names if name not in troubled or allow(name)]
 
     def risk_multiplier(self, site_name: str) -> float:
         """Availability-aware pricing: recent failures inflate a site's
         cost (the expected price of a mid-scan failover)."""
-        if self.health is None:
+        if self.health is None or site_name not in self.health.troubled:
             return 1.0
         return self.health.price_multiplier(site_name)
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from repro.core.errors import ContentIntegrationError, QueryError
 from repro.federation.access import AccessPaths, FragmentSlot, place
@@ -61,29 +60,6 @@ class BudgetExceededError(ContentIntegrationError):
         super().__init__(
             f"cheapest plan costs {required:.4f}, over the budget {budget:.4f}"
         )
-
-
-@dataclass(frozen=True)
-class Bid:
-    """One site's offer to scan one fragment.
-
-    ``congestion`` is the live service-time inflation factor the site quoted
-    under (1.0 = idle): the bid's price already includes it, so sites busy
-    with concurrent in-flight queries price themselves out of the market --
-    the workload manager's congestion gauge feeds straight into the agoric
-    economics.
-    """
-
-    site_name: str
-    fragment_id: str
-    price: float
-    est_seconds: float
-    queue_delay: float
-    congestion: float = 1.0
-    # Estimated *encoded* wire bytes this fragment ships to the coordinator
-    # (zone-map-informed; identical across a fragment's replicas, so the
-    # shipping term never flips replica tie-breaks).
-    est_bytes: int = 0
 
 
 class AgoricOptimizer:
@@ -113,16 +89,17 @@ class AgoricOptimizer:
 
     def collect_bids(
         self, scan: ScanNode
-    ) -> tuple[ScanAssignment, list[tuple[FragmentSlot, list[Bid]]]]:
+    ) -> tuple[ScanAssignment, list[tuple[FragmentSlot, float, str, int]]]:
         """Solicit bids for every fragment of the scan that needs a site.
 
         Pruned and unreachable fragments (see
         :meth:`AccessPaths.fragment_candidates`) solicit nothing and cost
         no broker work.  Returns the still-unplaced assignment and, per
-        slot, the bids cheapest first.
+        slot, ``(slot, price, site_name, bids solicited)`` of the winning
+        bid: the least ``(price, site_name)``, so ties break by site name.
         """
         assignment, slots = self.paths.fragment_candidates(scan)
-        site_of = self.catalog.site
+        sites = self.catalog.sites
         risk = self.paths.risk_multiplier
         per_byte = self.catalog.network.seconds_per_byte
         solicited = []
@@ -132,26 +109,17 @@ class AgoricOptimizer:
                 live = sorted(self.rng.sample(live, self.sample_size))
             # Shipping is priced in encoded bytes at the network tariff.
             ship_price = est_bytes * per_byte
-            bids = []
+            best = None
             for site_name in live:
-                site = site_of(site_name)
+                site = sites[site_name]
                 quote = site.quote_scan(
                     fragment.replicas[site_name], row_fraction=selectivity
                 )
-                bids.append(
-                    Bid(
-                        site_name=site_name,
-                        fragment_id=fragment.fragment_id,
-                        price=site.price_quote(quote) * risk(site_name)
-                        + ship_price,
-                        est_seconds=quote.seconds,
-                        queue_delay=quote.queue_delay,
-                        congestion=quote.congestion,
-                        est_bytes=est_bytes,
-                    )
-                )
-            bids.sort(key=lambda b: (b.price, b.site_name))
-            solicited.append((slot, bids))
+                price = site.price_quote(quote) * risk(site_name) + ship_price
+                bid = (price, site_name)
+                if best is None or bid < best:
+                    best = bid
+            solicited.append((slot, *best, len(live)))
         return assignment, solicited
 
     # -- optimization --------------------------------------------------------------
@@ -228,10 +196,10 @@ class AgoricOptimizer:
         assignment, solicited = self.collect_bids(scan)
         price = 0.0
         contacted = 0
-        for slot, bids in solicited:
-            contacted += len(bids)
-            price += bids[0].price
-            place(assignment, slot, bids[0].site_name)
+        for slot, bid_price, site_name, bids in solicited:
+            contacted += bids
+            price += bid_price
+            place(assignment, slot, site_name)
         return assignment, price, contacted
 
     def requote_scan(self, scan: ScanNode) -> tuple[ScanAssignment, float, float]:

@@ -127,6 +127,10 @@ class SiteHealthTracker:
         self.half_open_successes = half_open_successes
         self.trips = 0  # lifetime circuit-open transitions
         self._sites: dict[str, SiteHealth] = {}
+        # Sites with a nonzero failure streak or a circuit not yet closed.
+        # Every other site is CLOSED at zero risk, whatever its record says,
+        # so a planner asks about one replica with a set lookup.
+        self.troubled: set[str] = set()
 
     def health(self, site_name: str) -> SiteHealth:
         if site_name not in self._sites:
@@ -137,6 +141,7 @@ class SiteHealthTracker:
 
     def record_failure(self, site_name: str) -> None:
         record = self.health(site_name)
+        self.troubled.add(site_name)
         record.consecutive_failures += 1
         record.total_failures += 1
         record.last_failure_at = self.clock.now()
@@ -159,6 +164,7 @@ class SiteHealthTracker:
         record.last_success_at = self.clock.now()
         if record.opened_at is None:
             record.consecutive_failures = 0
+            self.troubled.discard(site_name)
             return
         if self.state(site_name) is not CircuitState.HALF_OPEN:
             # Forced traffic against a fully open circuit is not a
@@ -171,6 +177,7 @@ class SiteHealthTracker:
             record.opened_at = None
             record.consecutive_failures = 0
             record.probe_successes = 0
+            self.troubled.discard(site_name)
 
     # -- breaker -----------------------------------------------------------
 

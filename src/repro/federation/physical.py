@@ -794,13 +794,6 @@ class SiteScan(SiteOperator):
         fragment = choice.fragment
         retry = ctx.retry
         candidates = [choice.site_name]
-        if retry.enabled:
-            siblings = [
-                name for name in fragment.replica_sites() if name != choice.site_name
-            ]
-            if ctx.health is not None:
-                siblings = ctx.health.prefer(siblings)
-            candidates += siblings
         backoff_delay = 0.0
         for index, site_name in enumerate(candidates):
             if index > 0:
@@ -824,6 +817,15 @@ class SiteScan(SiteOperator):
                     error.fragment = f"{fragment.table_name}/{fragment.fragment_id}"
                 if not retry.enabled:
                     raise
+                if index == 0:
+                    # The planned site failed: only now line up its
+                    # siblings, best bet first; the loop walks on into them.
+                    siblings = [
+                        name for name in fragment.replica_sites() if name != site_name
+                    ]
+                    if ctx.health is not None:
+                        siblings = ctx.health.prefer(siblings)
+                    candidates += siblings
                 continue
             if ctx.health is not None:
                 ctx.health.record_success(site_name)

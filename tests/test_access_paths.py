@@ -423,6 +423,7 @@ GONE = {
     "_probe", "KernelFallback",  # row-at-a-time matchers
     "_execute_statement", "_plan_prepared", "_annotate_text_filters",
     "_replan_cap", "ScanAssignment.text_filter",  # second lifecycle bodies
+    "Bid",  # a per-replica bid object: the auction keeps a running minimum
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
