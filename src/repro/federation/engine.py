@@ -76,8 +76,6 @@ from repro.sql.params import (
     bind_plan,
     bind_statement,
     check_parameters,
-    count_parameters,
-    statement_has_subqueries,
 )
 from repro.sql.parser import parse_sql
 from repro.sql.planner import (
@@ -291,10 +289,10 @@ class FederatedEngine:
         a reusable plan if the statement can have one."""
         prepared = PreparedStatement(
             sql=sql,
-            param_count=count_parameters(statement),
+            param_count=statement.parameter_count,
             options=options,
             statement=statement,
-            has_subqueries=statement_has_subqueries(statement),
+            has_subqueries=statement.has_subqueries,
         )
         self._compile(prepared, options, plan and not prepared.has_subqueries)
         return prepared

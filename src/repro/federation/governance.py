@@ -39,7 +39,6 @@ from typing import Any
 
 from repro.core.errors import QueryError, QueryRejectedError
 from repro.sql.ast import Expr, columns_in
-from repro.sql.params import statement_has_subqueries
 from repro.sql.parser import SqlParseError, parse_sql
 from repro.sql.rewrite import GovernanceInjection, GovernanceRule
 
@@ -172,7 +171,7 @@ def _parse_row_filter(table: str, row_filter: str) -> Expr:
         raise PolicyError(
             f"row_filter for table {table!r} does not parse: {exc}"
         ) from exc
-    if statement.where is None or statement_has_subqueries(statement):
+    if statement.where is None or statement.has_subqueries:
         raise PolicyError(
             f"row_filter for table {table!r} must be a plain predicate "
             "(no subqueries)"

@@ -303,3 +303,8 @@ class SelectStatement:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Literal | Parameter | None = None  # the count, or the ``?`` it binds to
     distinct: bool = False
+    # Stamped by the parser, outside equality and repr: how many ``?`` the
+    # statement carries (its inner selects' included), and whether an
+    # ``IN (SELECT ...)`` sits in its own scope.
+    parameter_count: int = field(default=0, compare=False, repr=False)
+    has_subqueries: bool = field(default=False, compare=False, repr=False)

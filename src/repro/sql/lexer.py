@@ -3,7 +3,9 @@
 One compiled token grammar turns a statement into a flat token stream.  The
 recursive-descent parser consumes it, and :mod:`repro.sql.sqltext` derives
 the plan-cache key and the ``?`` substitution from the same stream, so what
-counts as a comment, a string or a placeholder is decided here once.
+counts as a comment, a string or a placeholder is decided here once.  The
+stream of the last text scanned is remembered, so a plan-cache miss -- key,
+then parse, of one ``str`` object -- reads the characters once.
 Keywords are case-insensitive; identifiers keep their original case (they
 are matched case-sensitively against schema field names, which this
 codebase keeps lowercase).  String literals use single quotes with ``''``
@@ -61,9 +63,22 @@ _TOKEN_RE = re.compile(
 # generated ``__new__`` is a Python-level call around exactly this one.
 _token = partial(tuple.__new__, Token)
 
+# The last text scanned and its tokens.  Keyed by identity: holding the
+# ``str`` keeps its id from being reused, and a token stream is a pure
+# function of the text.
+_last: tuple = (None, [])
+
 
 def tokenize_sql(text: str) -> list[Token]:
-    """Tokenize ``text``; always ends with an ``eof`` token."""
+    """Tokenize ``text``; always ends with an ``eof`` token.
+
+    Called again with the same ``str`` object, it returns the same list
+    without rescanning, so the list is read-only for every consumer.
+    """
+    global _last
+    last_text, last_tokens = _last  # one read: another thread may replace it
+    if text is last_text:
+        return last_tokens
     tokens: list[Token] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
@@ -83,4 +98,5 @@ def tokenize_sql(text: str) -> list[Token]:
         tokens.append(_token((kind, value, start, end)))
         if kind == "eof":
             break
+    _last = (text, tokens)
     return tokens

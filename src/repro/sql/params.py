@@ -18,7 +18,7 @@ trade-off.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.core.errors import QueryError
 from repro.sql.ast import (
@@ -31,57 +31,8 @@ from repro.sql.ast import (
     SelectItem,
     SelectStatement,
     rebuild,
-    walk,
 )
 from repro.sql.planner import PlanNode
-
-
-def statement_exprs(statement: SelectStatement) -> Iterator[Expr]:
-    """The expression in every position of ``statement``."""
-    for item in statement.items:
-        yield item.expr
-    for join in statement.joins:
-        yield join.condition
-    if statement.where is not None:
-        yield statement.where
-    yield from statement.group_by
-    if statement.having is not None:
-        yield statement.having
-    for order in statement.order_by:
-        yield order.expr
-    if statement.limit is not None:
-        yield statement.limit
-
-
-def _nodes(statement: SelectStatement) -> Iterator[Expr]:
-    """Every expression node of ``statement``'s own scope."""
-    for expr in statement_exprs(statement):
-        yield from walk(expr)
-
-
-def count_parameters(statement: SelectStatement) -> int:
-    """How many distinct ``?`` placeholders ``statement`` carries, those of
-    its ``IN (SELECT ...)`` inner statements included."""
-
-    def indices(scope: SelectStatement) -> Iterator[int]:
-        for node in _nodes(scope):
-            if isinstance(node, Parameter):
-                yield node.index
-            elif isinstance(node, InSubquery):
-                yield from indices(node.subquery)
-
-    return len(set(indices(statement)))
-
-
-def statement_has_subqueries(statement: SelectStatement) -> bool:
-    """True if any ``IN (SELECT ...)`` appears anywhere in the statement.
-
-    A subquery statement's template holds no plan: the inner select
-    materializes a data-dependent IN list, so the outer plan cannot be
-    optimized once and reused -- each execution plans from a bound copy of
-    the statement.
-    """
-    return any(isinstance(node, InSubquery) for node in _nodes(statement))
 
 
 def bind_expr(expr: Expr | None, values: Sequence[Any]) -> Expr | None:
@@ -105,7 +56,8 @@ def bind_statement(
     """A deep copy of ``statement`` with parameters bound to ``values``.
 
     Used where an execution plans (statements with subqueries, whose
-    inner selects materialize data-dependent IN lists).
+    inner selects materialize data-dependent IN lists).  The copy keeps the
+    parser's subquery stamp and carries no placeholder.
     """
     return SelectStatement(
         items=[
@@ -128,6 +80,7 @@ def bind_statement(
         ],
         limit=bind_expr(statement.limit, values),
         distinct=statement.distinct,
+        has_subqueries=statement.has_subqueries,
     )
 
 
@@ -137,9 +90,14 @@ def bind_plan(node: PlanNode, values: Sequence[Any]) -> PlanNode:
     Scan annotations are copied, not shared: the bound plan is free to be
     mutated by execution-time passes without dirtying the prepared
     template.  Source-level pushdown predicates never contain parameters
-    (see module docstring), so their list is shallow-copied.
+    (see module docstring), so their list is shallow-copied.  Without
+    values every expression is shared: AST nodes are frozen.
     """
-    return node.mapped(bind_plan, bind_expr, values)
+    return node.mapped(bind_plan, bind_expr if values else _shared, values)
+
+
+def _shared(expr: Expr, values: Sequence[Any]) -> Expr:
+    return expr
 
 
 def check_parameters(expected: int, values: Sequence[Any]) -> tuple:

@@ -19,7 +19,10 @@ Grammar (in precedence order for expressions)::
 
 A ``?`` may stand wherever a literal token may -- a primary, a LIKE
 pattern, the LIMIT count -- and placeholders are numbered left to right.
-A NOT is pushed down to the atoms as it is parsed (:func:`~repro.sql.ast.negate`).
+Each statement, inner selects included, is stamped with its placeholder
+count and whether an ``IN (SELECT ...)`` sits in its own scope, so no one
+walks the tree for either.  A NOT is pushed down to the atoms as it is
+parsed (:func:`~repro.sql.ast.negate`).
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class _Parser:
         # ``?`` placeholders are numbered left to right in parse order,
         # shared across subqueries (one parameter list per statement).
         self.parameter_count = 0
+        # Whether the statement being parsed has met an IN (SELECT ...).
+        self.has_subqueries = False
 
     # -- token plumbing ------------------------------------------------------
 
@@ -107,6 +112,8 @@ class _Parser:
     # -- statement -----------------------------------------------------------
 
     def parse_statement(self, require_eof: bool = True) -> SelectStatement:
+        first_parameter, enclosing = self.parameter_count, self.has_subqueries
+        self.has_subqueries = False
         self.expect_keyword("select")
         distinct = False
         if self.at_keyword("distinct"):
@@ -174,6 +181,7 @@ class _Parser:
                 f"unexpected trailing input at offset {self.peek().position}: "
                 f"{self.peek().value!r}"
             )
+        has_subqueries, self.has_subqueries = self.has_subqueries, enclosing
         return SelectStatement(
             items=items,
             table=table,
@@ -184,6 +192,8 @@ class _Parser:
             order_by=order_by,
             limit=limit,
             distinct=distinct,
+            parameter_count=self.parameter_count - first_parameter,
+            has_subqueries=has_subqueries,
         )
 
     def _select_items(self) -> list[SelectItem]:
@@ -292,6 +302,7 @@ class _Parser:
             if self.at_keyword("select"):
                 subquery = self.parse_statement(require_eof=False)
                 self.expect_punct(")")
+                self.has_subqueries = True
                 return InSubquery(left, subquery, negated)
             items = [self.parse_expr()]
             while self.at_punct(","):

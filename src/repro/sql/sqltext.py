@@ -6,7 +6,9 @@ for its ``?`` placeholders.  Both read
 :func:`repro.sql.lexer.tokenize_sql`'s tokens and nothing else, so a ``?``
 inside a string literal or a ``--`` comment is not a placeholder because
 the lexer never made it a token, and two texts share a key exactly when the
-parser would see the same statement.
+parser would see the same statement.  The key is computed first: a text that
+then misses the plan cache is parsed from the tokens the key was built on
+(the lexer remembers the last text it scanned), so it is scanned once.
 """
 
 from __future__ import annotations

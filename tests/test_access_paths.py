@@ -424,6 +424,8 @@ GONE = {
     "_execute_statement", "_plan_prepared", "_annotate_text_filters",
     "_replan_cap", "ScanAssignment.text_filter",  # second lifecycle bodies
     "Bid",  # a per-replica bid object: the auction keeps a running minimum
+    "count_parameters", "statement_has_subqueries",
+    "statement_exprs",  # tree walks for the figures the parser stamps
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")

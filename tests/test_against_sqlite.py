@@ -432,3 +432,31 @@ def test_a_degraded_answer_is_within_the_full_answer(sql_text):
     except PartialFailureError:
         return
     assert set(rows) <= set(sqlite_answer(DEGRADED, sql_text)[1])
+
+
+# -- text match: the index against the scalar fallback ---------------------------
+# ``make_engine``'s ``parts`` has a text index on ``name``: ``match(name, q)``
+# alone is answered from it, OR-ed with a false conjunct by the scalar
+# fallback.  Both should answer by one rule (FTS5's), which sqlite then
+# referees.
+
+TWO_MATCH_RULES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the text index and the scalar match disagree",
+)
+
+
+@TWO_MATCH_RULES
+@pytest.mark.parametrize("query", ["dril", "cord", "in", "ink black"])
+def test_text_index_and_scalar_fallback_agree(query):
+    from tests.test_federation_engine import make_engine
+
+    engine = make_engine()
+    indexed = f"select sku from parts where match(name, '{query}')"
+    fallback = f"{indexed} or 1 = 0"
+    assert "text-index" in engine.explain(indexed)
+    assert "text-index" not in engine.explain(fallback)
+    assert sorted(engine.query(indexed).table.rows) == sorted(
+        engine.query(fallback).table.rows
+    )

@@ -197,17 +197,16 @@ class TestInSubquery:
         """The rewrite used to look under AND/OR/NOT only, while the test
         for "has a subquery" looked everywhere: a subquery in a function
         argument, a BETWEEN or an IN list reached ``evaluate`` raw."""
-        from repro.sql.params import count_parameters, statement_has_subqueries
-
         engine = make_engine()
         sql = f"select sid from suppliers where {condition} order by sid"
-        assert statement_has_subqueries(parse_sql(sql))
+        assert engine.prepare(sql).has_subqueries
         assert engine.query(sql).table.column("sid") == ["sup0", "sup1"]
         # The inner select's parameters count, and bind, with the outer's.
         inner = condition.replace("from orders", "from orders where total > ?")
         sql = f"select sid from suppliers where {inner} and country != ?"
-        assert count_parameters(parse_sql(sql)) == 2
-        bound = engine.execute(engine.prepare(sql), (6, "FR"))
+        prepared = engine.prepare(sql)
+        assert prepared.param_count == 2
+        bound = engine.execute(prepared, (6, "FR"))
         assert bound.table.column("sid") == ["sup0"]
 
     def test_multi_column_subquery_rejected(self):

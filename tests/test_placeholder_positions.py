@@ -102,6 +102,12 @@ SHAPES = [
         ("%0", 7),
         True,
     ),
+    (
+        "select k from items where v in (select v from items where v in "
+        "(select v from items where k like ?) and v < ?)",
+        ("%1_", 40),
+        False,
+    ),
 ]
 
 

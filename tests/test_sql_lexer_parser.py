@@ -161,6 +161,45 @@ class TestPlanCacheKeyReadsTheLexersTokens:
         assert len(keys) == len(SHAPES)
 
 
+class TestAnArrivingStatementIsScannedOnce:
+    """The plan-cache key and the parse of a miss share one lex."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Every text the lexer's grammar really scans (memo answers are
+        not scans), from a memo that remembers nothing."""
+        from repro.sql import lexer
+
+        grammar, texts = lexer._TOKEN_RE, []
+
+        class Counting:
+            def finditer(self, text):
+                texts.append(text)
+                return grammar.finditer(text)
+
+        monkeypatch.setattr(lexer, "_TOKEN_RE", Counting())
+        monkeypatch.setattr(lexer, "_last", (None, []), raising=False)
+        return texts
+
+    def test_gateway_miss_then_hit_then_ad_hoc_query(self, scans):
+        from repro.federation import Gateway, WorkloadManager
+        from repro.sim import EventLoop
+        from tests.test_federation_engine import make_engine
+
+        engine = make_engine()
+        manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
+        session = Gateway(manager).connect()
+        sql = "select sku from parts where price > ? order by sku"
+        assert session.execute(sql, (50,)).rows == [("A-3",), ("A-4",)]
+        assert scans == [sql]  # the miss: key and parse
+        scans.clear()
+        assert session.execute(sql, (100,)).rows == [("A-4",)]
+        assert scans == []  # the hit
+        ad_hoc = "select sku from parts where price < 1"
+        assert engine.query(ad_hoc).table.rows == [("A-5",)]
+        assert scans == [ad_hoc]
+
+
 class TestParserBasics:
     def test_select_star(self):
         statement = parse_sql("select * from parts")
