@@ -16,6 +16,8 @@ file system" (§4).
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from typing import Any, Sequence
 
@@ -105,8 +107,9 @@ class ErpGateway(ContentSource):
 class CsvConnector(ContentSource):
     """Parses CSV text against a declared schema.
 
-    Handles quoted fields (with doubled-quote escapes) and coerces values to
-    the schema's types; blank cells become None.
+    Records are read by :func:`csv.reader` (quoted cells, doubled-quote
+    escapes, quoted newlines), and values are coerced to the schema's types;
+    blank cells become None.  Empty or whitespace-only lines are skipped.
     """
 
     def __init__(self, name: str, schema: Schema, text: str, has_header: bool = True) -> None:
@@ -115,18 +118,21 @@ class CsvConnector(ContentSource):
         self._table = self._parse(text, has_header)
 
     def _parse(self, text: str, has_header: bool) -> Table:
-        lines = [line for line in text.splitlines() if line.strip()]
-        if has_header and lines:
-            header = _split_csv_line(lines[0])
+        records = [
+            cells
+            for cells in csv.reader(io.StringIO(text))
+            if len(cells) > 1 or (cells and cells[0].strip())
+        ]
+        if has_header and records:
+            header = records[0]
             expected = list(self.schema.field_names)
             if header != expected:
                 raise SchemaError(
                     f"CSV header {header!r} does not match schema fields {expected!r}"
                 )
-            lines = lines[1:]
+            records = records[1:]
         rows = []
-        for line in lines:
-            cells = _split_csv_line(line)
+        for cells in records:
             if len(cells) != len(self.schema):
                 raise SchemaError(
                     f"CSV row has {len(cells)} cells, schema needs {len(self.schema)}"
@@ -207,35 +213,6 @@ class XmlConnector(ContentSource):
 
     def estimated_cost(self) -> float:
         return 0.01
-
-
-def _split_csv_line(line: str) -> list[str]:
-    """Split one CSV line, honouring double-quoted cells."""
-    cells = []
-    buffer = []
-    in_quotes = False
-    i = 0
-    while i < len(line):
-        char = line[i]
-        if in_quotes:
-            if char == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    buffer.append('"')
-                    i += 1
-                else:
-                    in_quotes = False
-            else:
-                buffer.append(char)
-        elif char == '"':
-            in_quotes = True
-        elif char == ",":
-            cells.append("".join(buffer))
-            buffer = []
-        else:
-            buffer.append(char)
-        i += 1
-    cells.append("".join(buffer))
-    return cells
 
 
 def _coerce_cell(text: str, dtype: DataType) -> Any:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import is_
 from typing import Any, Sequence
 
 from repro.core.errors import QueryError
@@ -144,10 +146,18 @@ class ContentSource(abc.ABC):
 class LiveSource(ContentSource):
     """A source over *mutable* operational state (Characteristic 5).
 
-    ``rows_fn`` re-reads the owner's live state on every fetch, so updates
-    between fetches are always visible -- this is the fetch-on-demand path
-    volatile content (hotel rooms, airline seats, spot prices) flows
-    through.
+    ``rows_fn`` is called on every fetch, so updates between fetches are
+    always visible -- this is the fetch-on-demand path volatile content
+    (hotel rooms, airline seats, spot prices) flows through.
+
+    What is re-read is not always re-admitted: when every value of the
+    fetched rows is the *same object* as in the table the last fetch
+    admitted (and the row count is the same), that table is served again,
+    with its resident column layout and orders (DESIGN §5f).  Otherwise a
+    new table is built and validated, and kept.  Identity is exact for what
+    validation admits -- str, int, float, bool, None and the frozen
+    ``Money`` -- where ``==`` is not (``5 == 5.0``, ``0.0 == -0.0``); a
+    false mismatch only costs a rebuild.
     """
 
     def __init__(
@@ -163,9 +173,16 @@ class LiveSource(ContentSource):
         self._rows_fn = rows_fn
         self._cost = cost_seconds
         self._estimated_rows = estimated_rows
+        self._table = Table(schema)  # the last table admitted
 
     def fetch(self, predicates: Sequence[Predicate] = ()) -> FetchResult:
-        table = Table.from_dicts(self.schema, self._rows_fn())
+        names = self.schema.field_names
+        rows = [tuple(map(row.get, names)) for row in self._rows_fn()]
+        table = self._table
+        if len(rows) != len(table.rows) or not all(
+            map(is_, chain.from_iterable(rows), chain.from_iterable(table.rows))
+        ):
+            table = self._table = Table(self.schema, rows)
         return FetchResult(
             apply_predicates(table, predicates), cost_seconds=self._cost
         )

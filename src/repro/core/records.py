@@ -11,6 +11,7 @@ view when name-based access is more readable.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -301,15 +302,18 @@ class Table:
         copy.rows = list(self.rows)
         return copy
 
-    def union_all(self, other: "Table") -> "Table":
-        """Concatenate two union-compatible tables."""
-        if not self.schema.union_compatible(other.schema):
-            raise SchemaError(
-                f"tables {self.schema.name!r} and {other.schema.name!r} "
-                "are not union-compatible"
-            )
+    def union_all(self, *others: "Table") -> "Table":
+        """Concatenate union-compatible tables, in one pass."""
+        for other in others:
+            if other.schema is not self.schema and not self.schema.union_compatible(
+                other.schema
+            ):
+                raise SchemaError(
+                    f"tables {self.schema.name!r} and {other.schema.name!r} "
+                    "are not union-compatible"
+                )
         combined = Table(self.schema, validate=False)
-        combined.rows = self.rows + other.rows
+        combined.rows = [*self.rows, *chain.from_iterable(t.rows for t in others)]
         return combined
 
     def sorted_by(self, name: str, descending: bool = False) -> "Table":

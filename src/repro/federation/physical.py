@@ -669,9 +669,8 @@ class SiteScan(SiteOperator):
             # one attached no union of the fragment tables is built.
             if self._capture_ok and ctx.paths.cache is not None:
                 if table_batches:
-                    combined = table_batches[0][1]
-                    for _, extra, _ in table_batches[1:]:
-                        combined = combined.union_all(extra)
+                    first, *rest = (table for _, table, _ in table_batches)
+                    combined = first.union_all(*rest) if rest else first
                 else:
                     combined = Table(
                         ctx.catalog.entry(assignment.table_name).schema, []

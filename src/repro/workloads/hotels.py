@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.connect.source import LiveSource
 from repro.core.records import Table
@@ -73,16 +74,9 @@ class HotelMarket:
         ]
 
     def availability_rows(self, chain: str | None = None) -> list[dict]:
-        return [
-            {
-                "hotel_id": h["hotel_id"],
-                "rooms_available": h["rooms_available"],
-                "reserve_rooms": h["reserve_rooms"],
-                "corporate_rate": h["corporate_rate"],
-            }
-            for h in self.hotels
-            if chain is None or h["chain"] == chain
-        ]
+        return _availability(
+            h for h in self.hotels if chain is None or h["chain"] == chain
+        )
 
     def static_table(self) -> Table:
         return Table.from_dicts(STATIC_SCHEMA, self.static_rows())
@@ -153,17 +147,25 @@ class HotelMarket:
         reservation system.  Static data lands replicated on the first two
         sites (it is cheap and slow-changing).  The catalog is remembered
         so market writes raise its base-table update notifications.
+
+        Each chain's reservation system reads its own hotels (the market's
+        dicts, in market order) and no other chain's; the hotels a chain
+        has are fixed here, as its fragment's row estimate is.
         """
         self._catalogs.append(catalog)
         catalog.create_table("hotel_availability", AVAILABILITY_SCHEMA)
+        by_chain: dict[str, list[dict]] = {chain: [] for chain in self.chains}
+        for hotel in self.hotels:
+            by_chain[hotel["chain"]].append(hotel)
         for i, chain in enumerate(self.chains):
             site_name = chain_sites[chain]
-            rows = len(self.availability_rows(chain))
+            hotels = by_chain[chain]
+            rows = len(hotels)
             fragment = catalog.add_fragment("hotel_availability", f"chain-{i}", rows)
             source = LiveSource(
                 f"availability@{chain}",
                 AVAILABILITY_SCHEMA,
-                lambda chain=chain: self.availability_rows(chain),
+                lambda hotels=hotels: _availability(hotels),
                 cost_seconds=fetch_cost,
                 estimated_rows=rows,
             )
@@ -173,6 +175,19 @@ class HotelMarket:
         catalog.load_fragmented(
             self.static_table(), 1, [static_sites], scan_cost_seconds=0.01
         )
+
+
+def _availability(hotels: Iterable[dict]) -> list[dict]:
+    """The volatile columns of ``hotels``, one row each, in order."""
+    return [
+        {
+            "hotel_id": h["hotel_id"],
+            "rooms_available": h["rooms_available"],
+            "reserve_rooms": h["reserve_rooms"],
+            "corporate_rate": h["corporate_rate"],
+        }
+        for h in hotels
+    ]
 
 
 def generate_hotels(

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from repro.connect.gateways import ErpGateway, ErpSystem
 from repro.connect.source import LiveSource, Predicate, StaticSource, apply_predicates
 from repro.core import DataType, Field, Schema, Table
-from repro.core.errors import QueryError
+from repro.core.errors import QueryError, SchemaError
 from repro.core.records import DEFAULT_BATCH_SIZE
 from repro.core.values import COMPARISONS, Money
 from repro.federation import AgoricOptimizer, FederatedEngine, FederationCatalog
 from repro.federation.cache import SemanticCache
 from repro.sim import SimClock
 from repro.sql.planner import scans_in
+from repro.workloads.hotels import AVAILABILITY_SCHEMA, generate_hotels
 
 # -- the property ------------------------------------------------------------------
 
@@ -240,3 +241,104 @@ def test_an_incomparable_pushdown_is_worded_by_the_scalar_rule(entry):
         entry()
     assert str(caught.value).startswith(INCOMPARABLE)
     assert isinstance(caught.value.__cause__, TypeError)
+
+
+# -- satellite: a live source re-serves the table whose values did not change -----
+
+
+def live_market(chains):
+    market = generate_hotels(seed=1, chain_count=chains, hotels_per_chain=2)
+    catalog = FederationCatalog(SimClock())
+    market.register_sources(
+        catalog, {chain: catalog.make_site(chain).name for chain in market.chains}
+    )
+    return market, catalog
+
+
+def live_sources(catalog):
+    return [
+        catalog.site(site).source(source)
+        for fragment in catalog.entry("hotel_availability").fragments
+        for site, source in fragment.replicas.items()
+    ]
+
+
+def test_unchanged_rows_are_served_the_admitted_table():
+    market, catalog = live_market(1)
+    (source,) = live_sources(catalog)
+    admitted = source.fetch().table
+    assert source.fetch().table is admitted
+    kept = source.fetch([Predicate("rooms_available", ">", -1)]).table
+    assert kept is admitted  # every row passes: the table itself
+    market.hotels[0]["rooms_available"] += 1
+    assert source.fetch().table is not admitted
+
+
+@pytest.mark.parametrize("old, new", [(200, 200.0), (0.0, -0.0)], ids=repr)
+def test_an_equal_but_distinct_value_is_admitted_anew(old, new):
+    """``==`` would re-serve ``200`` for ``200.0`` and ``0.0`` for ``-0.0``."""
+    market, catalog = live_market(2)
+    engine = FederatedEngine(catalog)
+    sql = "select corporate_rate from hotel_availability where hotel_id = 'chain-00-h0'"
+    answers = []
+    for value in (old, new):
+        market.hotels[0]["corporate_rate"] = value
+        ((rate,),) = engine.query(sql).table.rows
+        answers.append((type(rate), math.copysign(1.0, rate)))
+    assert answers == [(type(v), math.copysign(1.0, v)) for v in (old, new)]
+
+
+def test_an_invalid_value_is_refused_on_every_fetch_until_fixed():
+    market, catalog = live_market(1)
+    (source,) = live_sources(catalog)
+    admitted = source.fetch().table
+    hotel = market.hotels[0]
+    rooms, hotel["rooms_available"] = hotel["rooms_available"], "many"
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="'many'"):
+            source.fetch()
+    hotel["rooms_available"] = rooms
+    assert source.fetch().table is admitted
+    hotel["rooms_available"] = rooms + 1
+    assert source.fetch().table.rows[0][1] == rooms + 1
+
+
+def test_adding_or_removing_a_row_admits_a_new_table():
+    rows = [{"k": 1, "v": "a"}]
+    source = LiveSource("live-items", ITEMS, lambda: rows)
+    admitted = source.fetch().table
+    rows.append({"k": 2, "v": "b"})
+    grown = source.fetch().table
+    assert grown is not admitted and grown.rows == [(1, "a"), (2, "b")]
+    rows.pop()
+    shrunk = source.fetch().table
+    assert shrunk is not grown and shrunk.rows == admitted.rows
+
+
+def test_a_fifty_fragment_capture_is_the_old_union_all_fold(monkeypatch):
+    market, catalog = live_market(50)
+    stored = []
+    monkeypatch.setattr(
+        SemanticCache, "store", lambda self, name, where, table, **_: stored.append(table)
+    )
+    engine = FederatedEngine(catalog, cache=SemanticCache(catalog.clock))
+    engine.query("select hotel_id from hotel_availability where rooms_available > 0")
+    tables = [
+        source.fetch([Predicate("rooms_available", ">", 0)]).table
+        for source in live_sources(catalog)
+    ]
+    rows = tables[0].rows
+    for table in tables[1:]:  # the fold the capture ran before
+        rows = rows + table.rows
+    (capture,) = stored
+    assert capture.rows == rows and capture.schema is AVAILABILITY_SCHEMA
+    # One fragment is passed through; an incompatible one is refused as before.
+    stored.clear()
+    market, catalog = live_market(1)
+    engine = FederatedEngine(catalog, cache=SemanticCache(catalog.clock))
+    engine.query("select hotel_id from hotel_availability")
+    (capture,) = stored
+    assert capture is live_sources(catalog)[0].fetch().table
+    odd = Table(Schema("odd", (Field("k", DataType.STRING),)), [("x",)])
+    with pytest.raises(SchemaError, match="'hotel_availability' and 'odd'"):
+        tables[0].union_all(*tables[1:25], odd, *tables[25:])

@@ -58,8 +58,8 @@ def make_engine(**engine_kwargs):
     return catalog, FederatedEngine(catalog, **engine_kwargs)
 
 
-def fragment_table(catalog, index, site=None):
-    fragment = catalog.entry("parts").fragments[index]
+def fragment_table(catalog, index, site=None, table="parts"):
+    fragment = catalog.entry(table).fragments[index]
     site = site or fragment.replica_sites()[0]
     return catalog.site(site).source(fragment.replicas[site]).fetch().table
 
@@ -238,7 +238,9 @@ class TestColumnOrders:
         for low in (40, 25, 40, 10):
             assert probe(engine, low, tenant="acme") == skus(ROWS, max(low, 30))
         assert not sorts
-        # ... and a LiveSource builds one per fetch.
+        # ... and a LiveSource admits one for a chain whose rows changed,
+        # which owns no order after its statement; an untouched chain's
+        # table is served again, and sorts on its second probe.
         market = generate_hotels(seed=3, chain_count=4, hotels_per_chain=3)
         catalog = FederationCatalog(SimClock())
         for name in SITES:
@@ -247,17 +249,42 @@ class TestColumnOrders:
             catalog, {chain: SITES[i % 3] for i, chain in enumerate(market.chains)}
         )
         engine = FederatedEngine(catalog)
-        rng = random.Random(5)
         prepared = engine.prepare(
             "select hotel_id from hotel_availability where rooms_available > ?"
         )
-        for rooms in (0, 3, 0, 5, 3, 0):
+
+        def run(rooms):
             truth = sorted(
                 (h["hotel_id"],) for h in market.hotels if h["rooms_available"] > rooms
             )
             assert sorted(engine.execute(prepared, (rooms,)).table.rows) == truth
-            market.apply_random_update(rng)
-        assert not sorts
+            return [
+                fragment_table(catalog, index, table="hotel_availability")
+                for index in range(4)
+            ]
+
+        tables = run(0)
+        first = tables[3]
+        for step, rooms in enumerate((3, 0, 5, 3, 0)):
+            changed = step % 3  # chain 3 is never written
+            market.hotels[3 * changed + step % 2]["rooms_available"] += 1
+            sorted_before = len(sorts)
+            again = run(rooms)
+            fresh = again[changed]
+            assert fresh is not tables[changed]
+            ((_, columns),), _ = fresh.column_layout(columnar.DEFAULT_BATCH_SIZE)
+            assert not any(
+                column is mine for column, _ in sorts[sorted_before:] for mine in columns
+            )
+            assert all(
+                table is old
+                for index, (table, old) in enumerate(zip(again, tables))
+                if index != changed
+            )
+            tables = again
+        assert tables[3] is first
+        ((_, columns),), _ = first.column_layout(columnar.DEFAULT_BATCH_SIZE)
+        assert any(column is columns[1] for column, _ in sorts)  # rooms_available
 
     def test_writes_drop_the_orders_with_the_layout(self, sorts):
         catalog, engine = make_engine()

@@ -123,6 +123,11 @@ class TestCsvConnector:
         with pytest.raises(SchemaError):
             CsvConnector("csv", self.schema(), "sku,name,price,active\nA-1,x\n")
 
+    def test_blank_lines_skipped_and_empty_cells_null(self):
+        text = "sku,name,price,active\n\n   \n,,,\nA-1,ink,1.0,true\n"
+        rows = CsvConnector("csv", self.schema(), text).fetch().table.rows
+        assert rows == [(None, None, None, None), ("A-1", "ink", 1.0, True)]
+
     def test_no_header_mode(self):
         connector = CsvConnector(
             "csv", self.schema(), "A-1,ink,1.0,true\n", has_header=False

@@ -1,8 +1,9 @@
-"""The stdlib as referee for the hand-written XPath, HTML and CSV readers.
+"""The stdlib as referee for the hand-written XPath and HTML readers, and
+for the CSV connector that now reads with it.
 
-Each case is input on which ours and the stdlib's disagree today, marked a
-strict xfail: it turns XPASS (red) when ROADMAP item 5 makes the two agree,
-and the mark goes then.
+A case on which ours and the stdlib's still disagree is marked a strict
+xfail: it turns XPASS (red) when ROADMAP item 5 makes the two agree, and
+the mark goes then.
 """
 
 import csv
@@ -57,7 +58,6 @@ def test_html_quoted_gt_matches_html_parser():
     assert (paragraph.attrs, paragraph.get_text()) == (referee.attrs, referee.text)
 
 
-@DIVERGES
 def test_csv_quoted_newline_matches_csv_reader():
     text = 'a,b\n"x\ny",z\n'
     schema = Schema("t", (Field("a", DataType.STRING), Field("b", DataType.STRING)))
