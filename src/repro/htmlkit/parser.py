@@ -1,22 +1,23 @@
-"""A tolerant HTML tokenizer and tree builder.
+"""A tolerant HTML tree builder over the stdlib tokenizer.
 
 Supplier sites in the simulated web (and in the real world the paper
-describes) emit imperfect HTML.  This parser never raises on malformed
-markup; its recovery rules are the pragmatic subset a screen-scraper needs:
+describes) emit imperfect HTML.  :class:`html.parser.HTMLParser` reads the
+characters -- tags, quoted and unquoted attributes, entities, comments and
+``<script>``/``<style>`` raw text -- and this module builds the tree.  It
+never raises on malformed markup; its recovery rules are the pragmatic
+subset a screen-scraper needs:
 
 * void elements (``<br>``, ``<img>``, ...) never take children;
 * an unexpected close tag pops up to its nearest matching open tag, or is
   ignored if no such tag is open;
 * ``<li>``, ``<tr>``, ``<td>``, ``<th>``, ``<option>`` and ``<p>`` implicitly
   close a previous unclosed sibling of the same kind;
-* ``<script>``/``<style>`` content is treated as raw text;
 * unterminated documents close all open elements at end of input.
 """
 
 from __future__ import annotations
 
-import re
-from html import unescape
+from html.parser import HTMLParser
 
 from repro.htmlkit.dom import Comment, Element, TextNode
 
@@ -24,8 +25,6 @@ VOID_ELEMENTS = frozenset(
     {"area", "base", "br", "col", "embed", "hr", "img", "input",
      "link", "meta", "param", "source", "track", "wbr"}
 )
-
-RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 
 # When a tag in this map opens, any open element whose tag is in the mapped
 # set is implicitly closed first (the common malformed-table/list pattern).
@@ -38,26 +37,41 @@ IMPLICIT_CLOSERS: dict[str, frozenset[str]] = {
     "tr": frozenset({"td", "th", "tr"}),
 }
 
-_ATTR_RE = re.compile(
-    r"""([a-zA-Z_:][-a-zA-Z0-9_:.]*)       # attribute name
-        (?:\s*=\s*
-            (?:"([^"]*)"                   # double-quoted value
-              |'([^']*)'                   # single-quoted value
-              |([^\s>]+)                   # unquoted value
-            )
-        )?""",
-    re.VERBOSE,
-)
 
+class _TreeBuilder(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Element("document")
+        self.stack: list[Element] = [self.root]
 
-def _parse_attributes(text: str) -> dict[str, str]:
-    """Parse the attribute portion of a start tag into a dict."""
-    attrs: dict[str, str] = {}
-    for match in _ATTR_RE.finditer(text):
-        name = match.group(1).lower()
-        value = match.group(2) or match.group(3) or match.group(4) or ""
-        attrs[name] = unescape(value)
-    return attrs
+    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+        closers = IMPLICIT_CLOSERS.get(tag)
+        if closers:
+            while len(self.stack) > 1 and self.stack[-1].tag in closers:
+                self.stack.pop()
+        element = Element(tag, {name: value or "" for name, value in attrs})
+        self.stack[-1].append(element)
+        if tag not in VOID_ELEMENTS:
+            self.stack.append(element)
+
+    def handle_endtag(self, tag: str) -> None:
+        for depth in range(len(self.stack) - 1, 0, -1):
+            if self.stack[depth].tag == tag:
+                del self.stack[depth:]
+                return
+
+    def handle_data(self, data: str) -> None:
+        self.stack[-1].append(TextNode(data))
+
+    def handle_comment(self, data: str) -> None:
+        self.stack[-1].append(Comment(data))
+
+    def close(self) -> None:
+        super().close()
+        # An unterminated <script>/<style> is left unread in ``rawdata``.
+        if self.rawdata:
+            self.handle_data(self.rawdata)
+            self.rawdata = ""
 
 
 def parse_html(markup: str) -> Element:
@@ -66,96 +80,7 @@ def parse_html(markup: str) -> Element:
     Always succeeds; malformed input yields the best-effort tree described
     in the module docstring.
     """
-    root = Element("document")
-    stack: list[Element] = [root]
-    position = 0
-    length = len(markup)
-
-    def flush_text(text: str) -> None:
-        if text:
-            stack[-1].append(TextNode(unescape(text)))
-
-    while position < length:
-        lt = markup.find("<", position)
-        if lt == -1:
-            flush_text(markup[position:])
-            break
-        flush_text(markup[position:lt])
-
-        # Comment
-        if markup.startswith("<!--", lt):
-            end = markup.find("-->", lt + 4)
-            if end == -1:
-                stack[-1].append(Comment(markup[lt + 4:]))
-                break
-            stack[-1].append(Comment(markup[lt + 4:end]))
-            position = end + 3
-            continue
-
-        # Doctype / processing instruction: skip to '>'
-        if markup.startswith("<!", lt) or markup.startswith("<?", lt):
-            end = markup.find(">", lt)
-            position = length if end == -1 else end + 1
-            continue
-
-        gt = markup.find(">", lt)
-        if gt == -1:
-            # Trailing '<' garbage: treat as text.
-            flush_text(markup[lt:])
-            break
-        tag_body = markup[lt + 1:gt].strip()
-        position = gt + 1
-
-        if not tag_body:
-            continue
-
-        if tag_body.startswith("/"):
-            _handle_close_tag(stack, tag_body[1:].strip().lower())
-            continue
-
-        self_closing = tag_body.endswith("/")
-        if self_closing:
-            tag_body = tag_body[:-1].rstrip()
-        name_match = re.match(r"[a-zA-Z][-a-zA-Z0-9_:]*", tag_body)
-        if not name_match:
-            # '<' followed by a non-tag (e.g. "< 5"): treat literally.
-            flush_text(markup[lt:gt + 1])
-            continue
-        tag = name_match.group(0).lower()
-        attrs = _parse_attributes(tag_body[name_match.end():])
-
-        closers = IMPLICIT_CLOSERS.get(tag)
-        if closers:
-            while len(stack) > 1 and stack[-1].tag in closers:
-                stack.pop()
-
-        element = Element(tag, attrs)
-        stack[-1].append(element)
-
-        if self_closing or tag in VOID_ELEMENTS:
-            continue
-
-        if tag in RAW_TEXT_ELEMENTS:
-            close = markup.lower().find(f"</{tag}", position)
-            if close == -1:
-                element.append(TextNode(markup[position:]))
-                break
-            element.append(TextNode(markup[position:close]))
-            end = markup.find(">", close)
-            position = length if end == -1 else end + 1
-            continue
-
-        stack.append(element)
-
-    return root
-
-
-def _handle_close_tag(stack: list[Element], tag: str) -> None:
-    """Pop the stack to the nearest matching open tag; ignore if absent."""
-    for depth in range(len(stack) - 1, 0, -1):
-        if stack[depth].tag == tag:
-            del stack[depth:]
-            return
-    # No matching open tag: tolerate and ignore.
-
-
+    builder = _TreeBuilder()
+    builder.feed(markup)
+    builder.close()
+    return builder.root

@@ -5,9 +5,10 @@ XML-based query access like XQuery ... in the meantime ... XPath and XSLT".
 This package supplies the XML machinery the rest of the system uses:
 
 * :class:`~repro.xmlkit.model.XmlElement` -- an ordered element tree.
-* :func:`~repro.xmlkit.parser.parse_xml` -- a strict, well-formedness-
-  checking parser (unlike the tolerant HTML parser: B2B XML feeds are
-  contracts, so errors must surface).
+* :func:`~repro.xmlkit.parser.parse_xml` -- a strict tree builder over
+  :mod:`xml.parsers.expat`, which checks well-formedness (unlike the
+  tolerant HTML parser: B2B XML feeds are contracts, so errors must
+  surface).
 * :func:`~repro.xmlkit.xpath.xpath` -- an XPath 1.0 subset evaluator used
   for XML queries over integrated views.
 * :class:`~repro.xmlkit.transform.XmlTransformer` -- declarative template

@@ -12,10 +12,17 @@ from typing import Iterator
 
 
 def xml_escape(text: str, quote: bool = False) -> str:
-    """Escape ``&``, ``<``, ``>`` (and quotes when serializing attributes)."""
-    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape ``&``, ``<``, ``>`` (and quotes when serializing attributes).
+
+    Characters a parser normalises away are written as references: ``\\r``
+    everywhere, and tab and newline inside attribute values.
+    """
+    escaped = (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
     if quote:
-        escaped = escaped.replace('"', "&quot;")
+        escaped = escaped.replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
     return escaped
 
 

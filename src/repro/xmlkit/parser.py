@@ -1,29 +1,20 @@
-"""A strict XML parser.
+"""A strict XML tree builder over ``expat``.
 
 Unlike the tolerant HTML parser, XML here is *validated for well-formedness*:
 B2B feeds and "legislated formats" (§3.1 Characteristic 4) are contracts, and
 a malformed document must be rejected loudly rather than guessed at.
-
-Supported: elements, attributes (quoted), self-closing tags, character data,
-the five predefined entities plus numeric character references, comments,
-CDATA sections, XML declarations and processing instructions (skipped).
-Not supported (not needed by the reproduction): DTDs and namespaces beyond
-treating ``ns:tag`` as an opaque tag name.
+:mod:`xml.parsers.expat` reads the characters and checks well-formedness
+(names, attribute syntax, entity and character references, comments, the
+end-of-line and attribute-value normalisation); this module builds the
+:class:`~repro.xmlkit.model.XmlElement` tree.  Namespaces are not processed:
+``ns:tag`` is an opaque tag name.
 """
 
 from __future__ import annotations
 
-import re
+from xml.parsers import expat
 
 from repro.xmlkit.model import XmlElement
-
-_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
-
-_NAME_RE = re.compile(r"[A-Za-z_][-A-Za-z0-9_.:]*")
-_ATTR_RE = re.compile(
-    r"""\s*([A-Za-z_][-A-Za-z0-9_.:]*)\s*=\s*("([^"]*)"|'([^']*)')"""
-)
-_ENTITY_RE = re.compile(r"&(#x?[0-9A-Fa-f]+|[A-Za-z]+);")
 
 
 class XmlParseError(Exception):
@@ -34,130 +25,54 @@ class XmlParseError(Exception):
         super().__init__(f"{message} (at offset {position})")
 
 
-def _decode_entities(text: str, position: int) -> str:
-    def replace(match: re.Match[str]) -> str:
-        body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        if body in _ENTITIES:
-            return _ENTITIES[body]
-        raise XmlParseError(f"unknown entity &{body};", position)
-
-    return _ENTITY_RE.sub(replace, text)
-
-
 def parse_xml(markup: str) -> XmlElement:
     """Parse ``markup`` and return its single root element.
 
-    Raises :class:`XmlParseError` on any well-formedness violation.
+    Adjacent character data is one text child; a CDATA section is a text
+    child of its own.  Raises :class:`XmlParseError` on any well-formedness
+    violation, with ``position`` a character offset into ``markup``.
     """
-    position = 0
-    length = len(markup)
-    root: XmlElement | None = None
-    stack: list[XmlElement] = []
+    document = XmlElement("")
+    stack = [document]
+    joining: XmlElement | None = None  # its last text child takes more data
 
-    def emit_text(text: str, at: int) -> None:
-        if not stack:
-            if text.strip():
-                raise XmlParseError("character data outside root element", at)
-            return
-        decoded = _decode_entities(text, at)
-        if decoded:
-            stack[-1].append(decoded)
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal joining
+        stack.append(stack[-1].append(XmlElement(tag, attrs)))
+        joining = None
 
-    while position < length:
-        lt = markup.find("<", position)
-        if lt == -1:
-            emit_text(markup[position:], position)
-            break
-        emit_text(markup[position:lt], position)
-
-        if markup.startswith("<!--", lt):
-            end = markup.find("-->", lt + 4)
-            if end == -1:
-                raise XmlParseError("unterminated comment", lt)
-            position = end + 3
-            continue
-
-        if markup.startswith("<![CDATA[", lt):
-            end = markup.find("]]>", lt + 9)
-            if end == -1:
-                raise XmlParseError("unterminated CDATA section", lt)
-            if not stack:
-                raise XmlParseError("CDATA outside root element", lt)
-            stack[-1].append(markup[lt + 9:end])
-            position = end + 3
-            continue
-
-        if markup.startswith("<?", lt):
-            end = markup.find("?>", lt + 2)
-            if end == -1:
-                raise XmlParseError("unterminated processing instruction", lt)
-            position = end + 2
-            continue
-
-        if markup.startswith("<!", lt):
-            end = markup.find(">", lt)
-            if end == -1:
-                raise XmlParseError("unterminated declaration", lt)
-            position = end + 1
-            continue
-
-        gt = markup.find(">", lt)
-        if gt == -1:
-            raise XmlParseError("unterminated tag", lt)
-        body = markup[lt + 1:gt]
-        position = gt + 1
-
-        if body.startswith("/"):
-            tag = body[1:].strip()
-            if not stack:
-                raise XmlParseError(f"close tag </{tag}> with no open element", lt)
-            if stack[-1].tag != tag:
-                raise XmlParseError(
-                    f"mismatched close tag </{tag}>, expected </{stack[-1].tag}>", lt
-                )
-            stack.pop()
-            continue
-
-        self_closing = body.endswith("/")
-        if self_closing:
-            body = body[:-1]
-
-        name_match = _NAME_RE.match(body)
-        if not name_match:
-            raise XmlParseError(f"invalid tag {body[:20]!r}", lt)
-        tag = name_match.group(0)
-
-        attrs: dict[str, str] = {}
-        rest = body[name_match.end():]
-        consumed = 0
-        for match in _ATTR_RE.finditer(rest):
-            if match.start() != consumed and rest[consumed:match.start()].strip():
-                raise XmlParseError(f"malformed attributes in <{tag}>", lt)
-            name = match.group(1)
-            if name in attrs:
-                raise XmlParseError(f"duplicate attribute {name!r} in <{tag}>", lt)
-            raw = match.group(3) if match.group(3) is not None else match.group(4)
-            attrs[name] = _decode_entities(raw, lt)
-            consumed = match.end()
-        if rest[consumed:].strip():
-            raise XmlParseError(f"malformed attributes in <{tag}>", lt)
-
-        element = XmlElement(tag, attrs)
-        if stack:
-            stack[-1].append(element)
-        elif root is None:
-            root = element
+    def text(data: str) -> None:
+        nonlocal joining
+        if joining is stack[-1]:
+            stack[-1].children[-1] += data
         else:
-            raise XmlParseError("multiple root elements", lt)
-        if not self_closing:
-            stack.append(element)
+            stack[-1].append(data)
+            joining = stack[-1]
 
-    if stack:
-        raise XmlParseError(f"unclosed element <{stack[-1].tag}>", length)
-    if root is None:
-        raise XmlParseError("no root element", 0)
+    def start_cdata() -> None:
+        nonlocal joining
+        stack[-1].append("")
+        joining = stack[-1]
+
+    def end_cdata() -> None:
+        nonlocal joining
+        joining = None
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda tag: stack.pop()
+    parser.CharacterDataHandler = text
+    parser.StartCdataSectionHandler = start_cdata
+    parser.EndCdataSectionHandler = end_cdata
+    try:
+        parser.Parse(markup, True)
+    except expat.ExpatError as error:
+        consumed = markup.encode("utf-8")[: max(parser.ErrorByteIndex, 0)]
+        position = len(consumed.decode("utf-8", "ignore"))
+        raise XmlParseError(expat.ErrorString(error.code), position) from None
+    except UnicodeEncodeError as error:
+        raise XmlParseError("unencodable character", error.start) from None
+    (root,) = document.children
+    root.parent = None
     return root

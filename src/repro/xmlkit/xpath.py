@@ -19,8 +19,10 @@ Supported grammar::
                 | '[' 'contains(' (('@' NAME) | 'text()' | NAME) ',' literal ')' ']'
                 | '[' 'last()' ']'
 
-``//`` selects descendants-or-self.  Results are element lists, or string
-lists when the final step is ``@attr`` or ``text()``.
+``//`` selects descendants, and the root too when the path starts with it.
+A step's predicates, positional ones included, apply to each parent's
+matches in turn.  Results are element lists, or string lists when the final
+step is ``@attr`` or ``text()``.
 """
 
 from __future__ import annotations
@@ -181,6 +183,24 @@ def _apply_predicates(candidates: list[XmlElement], predicates: list[_Predicate]
     return current
 
 
+def _per_parent(matched: list[XmlElement], predicates: list[_Predicate]) -> list[XmlElement]:
+    """Apply a step's predicates to each parent's matches, as XPath does.
+
+    ``matched`` is in document order and so is the result.
+    """
+    if not predicates:
+        return matched
+    siblings: dict[int, list[XmlElement]] = {}
+    for element in matched:
+        siblings.setdefault(id(element.parent), []).append(element)
+    kept = {
+        id(element)
+        for group in siblings.values()
+        for element in _apply_predicates(group, predicates)
+    }
+    return [element for element in matched if id(element) in kept]
+
+
 def xpath(root: XmlElement, path: str) -> list[XmlElement] | list[str]:
     """Evaluate ``path`` against ``root`` (the document element).
 
@@ -197,15 +217,10 @@ def xpath(root: XmlElement, path: str) -> list[XmlElement] | list[str]:
             if step_index != len(steps) - 1:
                 raise XPathError("attribute step must be final")
             name = step.test[1:]
-            scope: list[XmlElement] = []
-            for element in context:
-                if step.descendant:
-                    scope.append(element)
-                    scope.extend(element.iter_descendants())
-                else:
-                    scope.append(element)
-            values = [e.attrs[name] for e in scope if name in e.attrs]
-            return values
+            scope = context
+            if step.descendant:
+                scope = [d for e in context for d in (e, *e.iter_descendants())]
+            return [e.attrs[name] for e in scope if name in e.attrs]
         if step.test == "text()":
             if step_index != len(steps) - 1:
                 raise XPathError("text() step must be final")
@@ -226,28 +241,17 @@ def xpath(root: XmlElement, path: str) -> list[XmlElement] | list[str]:
         next_context: list[XmlElement] = []
         for element in context:
             if step.descendant:
-                candidates = [element, *element.iter_descendants()]
-                matched = [
-                    c for c in candidates if step.test == "*" or c.tag == step.test
-                ]
-            elif is_first and not path_is_relative(path):
+                # A leading '//' starts above the root, so the root is a
+                # candidate; a later '//' looks below its context only.
+                candidates = element.iter_descendants()
+                if is_first:
+                    candidates = [element, *candidates]
+            elif is_first and path.startswith("/"):
                 # Absolute first step tests the root element itself.
-                matched = (
-                    [element]
-                    if step.test == "*" or element.tag == step.test
-                    else []
-                )
+                candidates = [element]
             else:
-                matched = [
-                    c
-                    for c in element.child_elements()
-                    if step.test == "*" or c.tag == step.test
-                ]
-            next_context.extend(_apply_predicates(matched, step.predicates))
+                candidates = element.child_elements()
+            matched = [c for c in candidates if step.test == "*" or c.tag == step.test]
+            next_context.extend(_per_parent(matched, step.predicates))
         context = next_context
     return context
-
-
-def path_is_relative(path: str) -> bool:
-    """True when ``path`` does not start at the document root."""
-    return not path.startswith("/")

@@ -104,6 +104,15 @@ class TestStrictParsing:
             "<1tag/>",  # invalid name
             "<a><![CDATA[open</a>",  # unterminated CDATA
             "<!-- unterminated",  # unterminated comment
+            "<a>x & y</a>",  # bare ampersand
+            "<a b='<'/>",  # '<' in an attribute value
+            "<a>]]></a>",  # CDATA end outside a CDATA section
+            "<a>&#0;</a>",  # reference to a character XML does not allow
+            "<a>&#xD800;</a>",  # reference to a surrogate
+            "<a b='1'c='2'/>",  # no space between attributes
+            "<a>\x01</a>",  # control character
+            "<a><!-- x -- y --></a>",  # '--' inside a comment
+            "<a>\ud800</a>",  # lone surrogate in the string
         ],
     )
     def test_malformed_documents_rejected(self, bad):
@@ -115,6 +124,22 @@ class TestStrictParsing:
             parse_xml("<a><b></c></a>")
         assert excinfo.value.position > 0
 
+    def test_error_position_counts_characters_not_bytes(self):
+        positions = []
+        for markup in ("<a>e<b></c></a>", "<a>é<b></c></a>"):
+            with pytest.raises(XmlParseError) as excinfo:
+                parse_xml(markup)
+            positions.append(excinfo.value.position)
+        assert positions[0] == positions[1]
+
+    def test_non_ascii_names_and_text(self):
+        root = parse_xml("<é>ü</é>")
+        assert (root.tag, root.text) == ("é", "ü")
+
+    def test_adjacent_text_is_one_child_and_cdata_its_own(self):
+        root = parse_xml("<a>x&amp;<!-- c -->y<![CDATA[<z>]]>w<b/>v</a>")
+        assert root.children == ["x&y", "<z>", "w", XmlElement("b"), "v"]
+
     def test_whitespace_outside_root_allowed(self):
         assert parse_xml("  <a/>  \n").tag == "a"
 
@@ -123,16 +148,20 @@ class TestStrictParsing:
             parse_xml("<a/>trailing")
 
 
+# XML's end-of-line and attribute-value normalisation rewrite a literal
+# \r, and a tab or newline inside an attribute; the escaping must survive it.
+WHITESPACE_AND_PRINTABLE = st.characters(
+    min_codepoint=32, max_codepoint=126, include_characters="\t\n\r"
+)
+
+
 @st.composite
 def xml_trees(draw, depth=0):
     tag = draw(st.sampled_from(["a", "b", "c", "item", "price"]))
     attrs = draw(
         st.dictionaries(
             st.sampled_from(["x", "y", "sku"]),
-            st.text(
-                alphabet=st.characters(min_codepoint=32, max_codepoint=126),
-                max_size=8,
-            ),
+            st.text(alphabet=WHITESPACE_AND_PRINTABLE, max_size=8),
             max_size=2,
         )
     )
@@ -140,9 +169,7 @@ def xml_trees(draw, depth=0):
     if depth < 2:
         for child in draw(st.lists(xml_trees(depth=depth + 1), max_size=3)):
             element.append(child)
-    text = draw(
-        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=10)
-    )
+    text = draw(st.text(alphabet=WHITESPACE_AND_PRINTABLE, max_size=10))
     if text:
         element.append(text)
     return element
