@@ -8,8 +8,12 @@ batches by reference and work on whole columns:
 
 * **Filter kernels** (:func:`compile_predicate`) compile a predicate into
   a selection-vector function ``kernel(batch, sel) -> sel'``; running one
-  (:func:`filter_batch`) is the one way rows of a batch are kept -- a site
+  (:func:`select_rows`) is the one way rows of a batch are kept -- a site
   filter, a scan's text-index hits and residual RLS, a coordinator filter.
+  Selecting copies nothing: a site batch stays its resident chunks plus
+  their sorted kept rows, and :func:`gather` copies those rows out only
+  for a consumer that needs them as a batch of their own (``Ship``, a
+  mask, the coordinator's :func:`filter_batch`).
   A kernel answers one question, "where is the predicate true": a
   comparison with a NULL side is unknown and an unknown row is not kept,
   and a NOT never reaches a kernel, because the parser pushed it down to
@@ -113,7 +117,7 @@ class ColumnBatch:
     operators read them and build new columns, never write into them.
     ``orders`` are that table's :class:`~repro.core.records.ColumnOrders`,
     which a batch keeps for as long as its columns are resident ones:
-    through ``project`` and a :func:`filter_batch` that drops no row, not
+    through ``project`` and a :func:`select_rows`, which only selects, not
     through ``take`` / ``slice`` / :func:`concat` or a masked column.
     """
 
@@ -195,13 +199,17 @@ class ColumnBatch:
             env[alias] = self.columns[j][i]
         return env
 
-    def to_envs(self) -> list[dict[str, Any]]:
-        """Per-row env dicts, for expressions that have no column form."""
+    def to_envs(self, selection: "list[int] | None" = None) -> list[dict[str, Any]]:
+        """Per-row env dicts, for expressions that have no column form: of
+        the ``selection``'s rows alone when given, in its order."""
+        rows = range(self.count) if selection is None else selection
         keys = list(self.names) + list(self.aliases)
         if not keys:
-            return [{} for _ in range(self.count)]
+            return [{} for _ in rows]
         cols = self.columns + [self.columns[j] for j in self.aliases.values()]
-        return [dict(zip(keys, values)) for values in zip(*cols)]
+        if selection is None:
+            return [dict(zip(keys, values)) for values in zip(*cols)]
+        return [dict(zip(keys, [col[i] for col in cols])) for i in rows]
 
 
 def scan_layout(
@@ -263,7 +271,7 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
 
     The returned kernel maps a selection of row numbers -- ``None`` for
     every row of the batch -- to those of them where the predicate is
-    true, in no particular order (:func:`filter_batch` sorts them).
+    true, in no particular order (:func:`select_rows` sorts them).
     ``None`` means "not provably equivalent to :func:`evaluate`" -- the
     caller must use the row path for the whole batch.
     """
@@ -540,33 +548,49 @@ def _like_kernel(expr: Like, layout: ColumnBatch) -> Kernel | None:
     return _like
 
 
-def filter_batch(
-    batch: ColumnBatch, condition: Expr, kernel: Kernel | None, narrow=None
-) -> ColumnBatch:
-    """The rows of ``batch`` on which ``condition`` is truthy, in row
-    order: the batch itself when that is all of them, else a gathered one
-    -- of the ``narrow`` columns alone (:meth:`ColumnBatch.narrowing`)
-    when given.
+def select_rows(
+    batch: ColumnBatch,
+    condition: Expr,
+    kernel: Kernel | None,
+    selection: "list[int] | None" = None,
+) -> "list[int] | None":
+    """The rows of ``selection`` -- every row of ``batch`` for ``None`` --
+    on which ``condition`` is truthy, sorted; ``None`` when that is every
+    row of the batch.  Nothing is gathered (see :func:`gather`).
 
     ``kernel`` is ``compile_predicate(condition, <this layout>)``; without
-    one, or when it meets an incomparable pair (``TypeError``), every row
-    of the batch goes through ``evaluate``, which raises the row engine's
-    exact error.
+    one, or when it meets an incomparable pair (``TypeError``), the rows go
+    through ``evaluate``, which raises the row engine's exact error.  A row
+    outside ``selection`` is never looked at.
     """
-    selection = None
+    kept = None
     if kernel is not None:
         try:
-            selection = kernel(batch, None)
+            kept = kernel(batch, selection)
         except TypeError:
             pass
-    if selection is None:
-        selection = [
-            i for i, env in enumerate(batch.to_envs()) if evaluate(condition, env)
-        ]
-    if len(selection) == batch.count:
-        return batch
-    selection.sort()
-    return (batch if narrow is None else batch.project(narrow)).take(selection)
+    if kept is None:
+        rows = range(batch.count) if selection is None else selection
+        envs = batch.to_envs(selection)
+        kept = [i for i, env in zip(rows, envs) if evaluate(condition, env)]
+    if len(kept) == batch.count:
+        return None
+    kept.sort()
+    return kept
+
+
+def gather(batch: ColumnBatch, selection: "list[int] | None") -> ColumnBatch:
+    """The rows a :func:`select_rows` selection names as a batch of their
+    own: ``batch`` itself for ``None``, else a copy of those rows."""
+    return batch if selection is None else batch.take(selection)
+
+
+def filter_batch(
+    batch: ColumnBatch, condition: Expr, kernel: Kernel | None
+) -> ColumnBatch:
+    """The rows of ``batch`` on which ``condition`` is truthy, in row
+    order: the batch itself when that is all of them, else a gathered one."""
+    return gather(batch, select_rows(batch, condition, kernel))
 
 
 # -- wire encodings ------------------------------------------------------------

@@ -555,20 +555,33 @@ class SiteBatch:
 
     Scanned rows travel in ``chunks``, a list of fixed-size
     :class:`~repro.federation.columnar.ColumnBatch` slices, and ``rows``
-    stays empty.  ``chunks is None`` means ``rows`` holds partial-aggregate
-    group records, which were not scanned in batches and so do not count
-    as processed batches.
+    stays empty.  ``selections`` says, chunk by chunk, which rows are still
+    in: a sorted list of row numbers (:func:`columnar.select_rows`), or
+    ``None`` for all of them.  A filter only narrows selections; the kept
+    rows are copied out when a consumer needs them as a batch of their own
+    (``Ship``, a mask), and the partial aggregate folds through them.
+    ``chunks is None`` means ``rows`` holds partial-aggregate group records,
+    which were not scanned in batches and so do not count as processed
+    batches.
     """
 
     site: str
     rows: list
     elapsed: float  # queue delay + site-side work along this batch's pipeline
     chunks: "list[columnar.ColumnBatch] | None" = None
+    selections: "list[list[int] | None] | None" = None  # one per chunk
+
+    def kept(self) -> "Iterator[tuple[columnar.ColumnBatch, list[int] | None]]":
+        """``(chunk, selection)`` pairs, in order."""
+        return zip(self.chunks, self.selections)
 
     def row_count(self) -> int:
-        if self.chunks is not None:
-            return sum(chunk.count for chunk in self.chunks)
-        return len(self.rows)
+        if self.chunks is None:
+            return len(self.rows)
+        count = 0
+        for chunk, selection in zip(self.chunks, self.selections):
+            count += chunk.count if selection is None else len(selection)
+        return count
 
 
 class SiteOperator(PhysicalOperator):
@@ -603,22 +616,20 @@ class SiteOperator(PhysicalOperator):
 # -- site-side operators -------------------------------------------------------
 
 
-def chunk_filter(condition: Expr, gather: "set[str] | None" = None):
-    """``keep(chunks)``: one scan's chunks less the rows on which
-    ``condition`` is not truthy (:func:`columnar.filter_batch`), gathered in
-    the ``gather`` env keys alone when given.  Compiled once, against the
-    first chunk met: every chunk of a scan shares its layout."""
-    compiled = None  # (kernel, columns to gather)
+def chunk_filter(condition: Expr):
+    """``keep(batch)``: a site batch's selections narrowed to the rows on
+    which ``condition`` is truthy (:func:`columnar.select_rows`); no row is
+    copied.  Compiled once, against the first chunk met: every chunk of a
+    scan shares its layout."""
+    compiled = []  # the kernel, once there was a chunk to compile against
 
-    def keep(chunks: "list[columnar.ColumnBatch]") -> "list[columnar.ColumnBatch]":
-        nonlocal compiled
-        if compiled is None and chunks:
-            layout = chunks[0]
-            compiled = (
-                columnar.compile_predicate(condition, layout),
-                None if gather is None else layout.narrowing(gather),
-            )
-        return [columnar.filter_batch(chunk, condition, *compiled) for chunk in chunks]
+    def keep(batch: SiteBatch) -> "list[list[int] | None]":
+        if not compiled and batch.chunks:
+            compiled.append(columnar.compile_predicate(condition, batch.chunks[0]))
+        return [
+            columnar.select_rows(chunk, condition, compiled[0], selection)
+            for chunk, selection in batch.kept()
+        ]
 
     return keep
 
@@ -695,19 +706,14 @@ class SiteScan(SiteOperator):
         re-applies its own residual RLS and masks right here, and rows a
         policy hides never leave the site pipeline.
         """
-        batches = [
-            SiteBatch(
-                site,
-                [],
-                elapsed,
-                columnar.table_chunks(assignment.binding, table, ctx.ambiguous),
-            )
-            for site, table, elapsed in table_batches
-        ]
+        batches = []
+        for site, table, elapsed in table_batches:
+            chunks = columnar.table_chunks(assignment.binding, table, ctx.ambiguous)
+            batches.append(SiteBatch(site, [], elapsed, chunks, [None] * len(chunks)))
         if self.scan.text_filter is not None:
             keep = chunk_filter(self._text_condition(ctx))
             for batch in batches:
-                batch.chunks = keep(batch.chunks)
+                batch.selections = keep(batch)
         self._apply_governance(ctx, batches)
         ctx.report.rows_fetched += sum(batch.row_count() for batch in batches)
         return batches
@@ -971,7 +977,7 @@ class SiteScan(SiteOperator):
         for batch in batches:
             if keep is not None:
                 rows_in = batch.row_count()
-                batch.chunks = keep(batch.chunks)
+                batch.selections = keep(batch)
                 ctx.report.rows_filtered_by_rls += rows_in - batch.row_count()
                 work = ctx.charge_site(batch.site, rows_in)
                 self.stats.seconds += work
@@ -980,7 +986,12 @@ class SiteScan(SiteOperator):
                 work = ctx.charge_site(batch.site, batch.row_count())
                 self.stats.seconds += work
                 batch.elapsed += work
-                batch.chunks = [self._masked(chunk) for chunk in batch.chunks]
+                # A mask writes new columns: of the kept rows alone.
+                batch.chunks = [
+                    self._masked(columnar.gather(chunk, selection))
+                    for chunk, selection in batch.kept()
+                ]
+                batch.selections = [None] * len(batch.chunks)
 
     def _masked(self, chunk: "columnar.ColumnBatch") -> "columnar.ColumnBatch":
         # Masked columns are new lists beside the shared ones: the table
@@ -1011,19 +1022,21 @@ class SiteFilter(SiteOperator):
     def __init__(self, child: SiteOperator, condition: Expr) -> None:
         super().__init__(child)
         self.condition = condition
-        # The env keys the SiteProject above keeps (None: there is none):
-        # the rows that pass are gathered in those columns only.
-        self.gather: set[str] | None = None
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
-        keep = chunk_filter(self.condition, self.gather)
+        keep = chunk_filter(self.condition)
         for batch in self.children[0].batches():
-            self.stats.rows_in += batch.row_count()
-            kept_chunks = keep(batch.chunks)
-            work = ctx.charge_site(batch.site, batch.row_count())
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
+            selections = keep(batch)
+            work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, [], batch.elapsed + work, kept_chunks))
+            out.append(
+                SiteBatch(
+                    batch.site, [], batch.elapsed + work, batch.chunks, selections
+                )
+            )
         self.stats.detail = describe_expr(self.condition)
         return out
 
@@ -1042,32 +1055,70 @@ class SiteProject(SiteOperator):
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
-        # Resolved once per layout (a filter's gathered chunks have their own).
-        names = narrow = None
+        narrow = None  # resolved once: every chunk of a scan shares its layout
         for batch in self.children[0].batches():
-            self.stats.rows_in += batch.row_count()
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
             # Column-slice projection: kept columns are shared by
-            # reference, dropped ones simply stop flowing.
-            pruned_chunks = []
-            for chunk in batch.chunks:
-                if chunk.names is not names:
-                    names, narrow = chunk.names, chunk.narrowing(self.allowed)
-                pruned_chunks.append(chunk.project(narrow))
-            work = ctx.charge_site(batch.site, batch.row_count())
+            # reference, dropped ones simply stop flowing, and the
+            # selections pass on as they are.
+            if narrow is None and batch.chunks:
+                narrow = batch.chunks[0].narrowing(self.allowed)
+            pruned_chunks = [chunk.project(narrow) for chunk in batch.chunks]
+            work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, [], batch.elapsed + work, pruned_chunks))
+            out.append(
+                SiteBatch(
+                    batch.site,
+                    [],
+                    batch.elapsed + work,
+                    pruned_chunks,
+                    batch.selections,
+                )
+            )
         self.stats.detail = f"keep({', '.join(self.keep)})"
         return out
 
 
-@dataclass
 class PartialGroup:
-    """One group's partial aggregate state, computed at a site."""
+    """One group's partial aggregate state, computed at a site.
 
-    key: tuple
-    count: int  # rows in the group (count(*), avg denominators)
-    states: dict[str, Any]  # repr(aggregate call) -> partial state
-    representative: Env  # first row seen, for non-aggregate expressions
+    ``representative`` is the group's first row as an env, for the
+    non-aggregate expressions.  A fold gives it as ``first``, the batch and
+    row number it is read from, and the env is built the first time
+    something reads it: most site groups are merged into another one and
+    never are.
+    """
+
+    __slots__ = ("key", "count", "states", "_representative", "_first")
+
+    def __init__(
+        self,
+        key: tuple,
+        count: int,  # rows in the group (count(*), avg denominators)
+        states: dict[str, Any],  # repr(aggregate call) -> partial state
+        representative: Env | None = None,
+        first: "tuple[columnar.ColumnBatch, int] | None" = None,
+    ) -> None:
+        self.key = key
+        self.count = count
+        self.states = states
+        self._representative = representative
+        self._first = first
+
+    @property
+    def representative(self) -> Env:
+        if self._representative is None:
+            first, self._first = self._first, None
+            self._representative = {} if first is None else first[0].env_at(first[1])
+        return self._representative
+
+    def copy(self) -> "PartialGroup":
+        """The same group with states of its own, its representative
+        still unbuilt if it was."""
+        return PartialGroup(
+            self.key, self.count, dict(self.states), self._representative, self._first
+        )
 
 
 def empty_state(call: FuncCall) -> Any:
@@ -1147,56 +1198,123 @@ def final_value(call: FuncCall, state: Any, group_rows: int) -> Any:
 
 
 def partial_groups(
-    batch: "columnar.ColumnBatch | None",
+    parts: "Iterable[tuple[columnar.ColumnBatch, list[int] | None]]",
     group_by: list[Expr],
     calls: dict[str, FuncCall],
 ) -> list[PartialGroup]:
-    """The rows of ``batch`` grouped, one record per group in
+    """The kept rows of ``parts`` grouped, one record per group in
     first-appearance order, each call's state folded over the group's rows
-    in row order.
+    in row order, batch after batch.
 
-    Ungrouped input is the one group of every row, also when there are
-    none; a grouped query over no rows has no group, and then the calls
-    are not even looked at.  Keys and arguments are taken a column at a
-    time (see :class:`_Expressions`).  ``calls`` come under their state
-    keys, their ``repr``: a dataclass repr is recursive, so an operator
-    computes it once.
+    ``parts`` are ``(batch, selection)`` pairs, a selection naming the
+    batch's rows still in (``None``: all of them).  The fold reads through
+    the selections and copies no batch: keys and arguments are taken a
+    column at a time and evaluated on kept rows only (see
+    :class:`_Expressions`), every key column before any argument; a group's
+    argument values are collected across the batches and folded once; and
+    its representative row is built only when it is read.  Ungrouped input
+    is the one group of every row, also when there are none; a grouped
+    query over no rows has no group, and then the calls are not even
+    looked at.  ``calls`` come under their state keys, their ``repr``: a
+    dataclass repr is recursive, so an operator computes it once.
     """
-    rows_in = 0 if batch is None else batch.count
-    if group_by and not rows_in:
+    kept = [
+        (batch, rows, _Expressions(batch, selection))
+        for batch, selection in parts
+        if (rows := range(batch.count) if selection is None else selection)
+    ]
+    if group_by and not kept:
         return []
     # A group will be created: the point where a malformed call is refused.
     empty = {key: empty_state(call) for key, call in calls.items()}
-    if not rows_in:  # ungrouped, and no row
-        groups = [PartialGroup((), 0, dict(empty), {})]
-    else:
-        expressions = _Expressions(batch)
-        if group_by:
-            members: dict[tuple, list[int]] = defaultdict(list)
-            for row, key in enumerate(zip(*map(expressions.column, group_by))):
-                members[key].append(row)
-        else:
-            members = {(): range(rows_in)}
-        # count(*) folds nothing: the group's row count is its state.
-        arguments = [
-            (key, call, expressions.column(call.args[0]))
-            for key, call in calls.items()
-            if not call.star
-        ]
-        groups = []
-        for group_key, rows in members.items():
-            states = dict(empty)
-            for key, call, column in arguments:
-                values = [v for row in rows if (v := column[row]) is not None]
-                if values:
-                    states[key] = fold_state(call, states[key], values)
-            groups.append(
-                PartialGroup(group_key, len(rows), states, batch.env_at(rows[0]))
-            )
-    for key, call in calls.items():
-        if call.star:
-            for group in groups:
-                group.states[key] = group.count
+    arguments = [(key, call) for key, call in calls.items() if not call.star]
+    keys = [_group_keys(expressions, rows, group_by) for _, rows, expressions in kept]
+    scanned = [
+        (batch, rows, batch_keys, [expressions.column(c.args[0]) for _, c in arguments])
+        for (batch, rows, expressions), batch_keys in zip(kept, keys)
+    ]
+    collected = (_grouped if group_by else _ungrouped)(scanned, len(arguments))
+    # count(*) folds nothing: its state is the group's row count.
+    stars = [key for key, call in calls.items() if call.star]
+    lone_key = len(group_by) == 1
+    groups = []
+    for key, count, first, group_values in collected:
+        states = dict(empty)
+        for (state_key, call), values in zip(arguments, group_values):
+            if values:
+                states[state_key] = fold_state(call, states[state_key], values)
+        for state_key in stars:
+            states[state_key] = count
+        key = (key,) if lone_key else key
+        groups.append(PartialGroup(key, count, states, first=first))
+    if not groups and not group_by:  # ungrouped, and no row
+        groups.append(PartialGroup((), 0, empty, {}))
+    return groups
+
+
+def _group_keys(
+    expressions: "_Expressions", rows: "list[int] | range", group_by: list[Expr]
+):
+    """One batch's group keys, read by row number: ``None`` for no key, a
+    lone key's values, a tuple of several keys' values per row."""
+    if not group_by:
+        return None
+    if len(group_by) == 1:
+        return expressions.column(group_by[0])
+    columns = [expressions.column(expr) for expr in group_by]
+    values = [[column[row] for row in rows] for column in columns]
+    return dict(zip(rows, zip(*values)))
+
+
+def _ungrouped(scanned, width: int) -> list:
+    """The one group of the ``scanned`` rows as :func:`_grouped` gives
+    groups, or none when there is no row."""
+    if not scanned:
+        return []
+    values: list[list] = [[] for _ in range(width)]
+    for _, rows, _, columns in scanned:
+        for seen, column in zip(values, columns):
+            seen += [v for row in rows if (v := column[row]) is not None]
+    batch, rows, _, _ = scanned[0]
+    count = sum(len(rows) for _, rows, _, _ in scanned)
+    return [((), count, (batch, rows[0]), values)]
+
+
+def _grouped(scanned, width: int) -> list:
+    """``(key, row count, (batch, first row), non-NULL values per
+    argument)`` per group of the ``scanned`` rows, in first-appearance
+    order.
+
+    A lone key groups on its raw values, with the 1-tuple's dict semantics
+    (1, 1.0 and True are one group under the key seen first, a NaN is its
+    own).  One loop over a batch's rows groups them and collects the first
+    argument's values, NULLs included -- the row numbers when there is no
+    argument -- so a group's count is how many it holds; every further
+    argument is one more loop.
+    """
+    members: dict[Any, list] = {}  # group key -> the first argument's values
+    firsts: dict[Any, tuple] = {}
+    more: list[dict[Any, list]] = [defaultdict(list) for _ in range(width - 1)]
+    for batch, rows, keys, columns in scanned:
+        lead, *others = columns or [range(batch.count)]
+        for row in rows:
+            key = keys[row]
+            seen = members.get(key)
+            if seen is None:
+                members[key] = seen = []
+                firsts[key] = (batch, row)
+            seen.append(lead[row])
+        for seen, column in zip(more, others):
+            for row in rows:
+                seen[keys[row]].append(column[row])
+    groups = []
+    for key, lead in members.items():
+        values = []
+        if width:
+            values.append([v for v in lead if v is not None])
+            for seen in more:
+                values.append([v for v in seen[key] if v is not None])
+        groups.append((key, len(lead), firsts[key], values))
     return groups
 
 
@@ -1257,10 +1375,8 @@ class PartialAggregate(SiteOperator):
         for batch in self.children[0].batches():
             rows_in = batch.row_count()
             self.stats.rows_in += rows_in
-            # One pass over the site's rows: a state is folded once per
-            # group, not once per group and chunk.
-            merged = columnar.concat(batch.chunks)
-            records = partial_groups(merged, self.node.group_by, calls)
+            # Straight through the filter's selections: no row is copied.
+            records = partial_groups(batch.kept(), self.node.group_by, calls)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(SiteBatch(batch.site, records, batch.elapsed + work))
@@ -1497,13 +1613,17 @@ class Ship(PhysicalOperator):
                     raw_total += nbytes
                 arrived.extend(row_form_batches(batch.rows))
             elif local:
-                # Already at the coordinator: no wire, no encoding.
+                # Already at the coordinator: no wire, no encoding.  The
+                # kept rows are gathered here, as they are for the wire.
                 batch_count += len(batch.chunks)
-                arrived.extend(batch.chunks)
+                arrived.extend(
+                    columnar.gather(chunk, selection)
+                    for chunk, selection in batch.kept()
+                )
             else:
                 batch_count += len(batch.chunks)
-                for chunk in batch.chunks:
-                    encoded = columnar.encode_batch(chunk)
+                for chunk, selection in batch.kept():
+                    encoded = columnar.encode_batch(columnar.gather(chunk, selection))
                     nbytes += encoded.encoded_bytes
                     raw_total += encoded.raw_bytes
                     arrived.append(columnar.decode_batch(encoded))
@@ -1572,13 +1692,18 @@ class _Expressions:
     """Evaluates expressions over one batch, a whole column at a time.
 
     A plain column is picked and a literal repeated; any other expression
-    has no column form and goes through ``evaluate`` on the batch's
-    per-row envs (built once, only then), so its values and errors are
-    exactly the row engine's.
+    has no column form and goes through ``evaluate`` on the per-row envs
+    of the batch's rows -- of the ``selection``'s alone when one is given
+    -- built once, only then, so its values and errors are exactly the row
+    engine's.  A column is read by row number: with a selection, an
+    evaluated one holds the selected rows alone.
     """
 
-    def __init__(self, batch: "columnar.ColumnBatch") -> None:
+    def __init__(
+        self, batch: "columnar.ColumnBatch", selection: "list[int] | None" = None
+    ) -> None:
         self.batch = batch
+        self.selection = selection
         self._envs: list[Env] | None = None
 
     def column(self, expr: Expr):
@@ -1590,8 +1715,9 @@ class _Expressions:
         elif isinstance(expr, Literal):
             return [expr.value] * batch.count
         if self._envs is None:
-            self._envs = batch.to_envs()
-        return [evaluate(expr, env) for env in self._envs]
+            self._envs = batch.to_envs(self.selection)
+        values = [evaluate(expr, env) for env in self._envs]
+        return values if self.selection is None else dict(zip(self.selection, values))
 
 
 class Filter(PhysicalOperator):
@@ -1920,7 +2046,8 @@ class Aggregate(PhysicalOperator):
 
     def _groups(self) -> list[PartialGroup]:
         batch = self._drain(self.children[0])
-        return partial_groups(batch, self.node.group_by, self.node.calls())
+        parts = () if batch is None else [(batch, None)]
+        return partial_groups(parts, self.node.group_by, self.node.calls())
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -1940,18 +2067,16 @@ class FinalAggregate(Aggregate):
         records = self._drain(self.children[0])
         for record in records.columns[0] if records is not None else ():
             seen = merged.get(record.key)
-            if seen is None:
-                merged[record.key] = PartialGroup(
-                    record.key, record.count, dict(record.states), record.representative
-                )
+            if seen is None or not seen.count:
+                # A group of no row (the ungrouped one of a site that had
+                # none) holds empty states, which merge into the record's.
+                merged[record.key] = record.copy()
                 continue
             seen.count += record.count
             for key, call in calls.items():
                 seen.states[key] = merge_state(call, seen.states[key], record.states[key])
-            if not seen.representative and record.representative:
-                seen.representative = record.representative
         # No site sent a record: what aggregating no rows gives.
-        return list(merged.values()) or partial_groups(None, self.node.group_by, calls)
+        return list(merged.values()) or partial_groups((), self.node.group_by, calls)
 
 
 class Sort(PhysicalOperator):
@@ -2191,10 +2316,7 @@ class PhysicalPlanner:
             op = SiteFilter(op, conjoin(list(scan.site_filters)))
         keep = self._kept_columns(scan, plan)
         if keep is not None:
-            project = SiteProject(op, scan.binding, keep)
-            if isinstance(op, SiteFilter):
-                op.gather = project.allowed
-            op = project
+            op = SiteProject(op, scan.binding, keep)
         return op
 
     def _kept_columns(

@@ -17,7 +17,7 @@ views and cache regions, failover, capture and artifact serving at the
 ``Ship`` boundary are the production code on both sides.
 What follows the access path in a scan is no longer shared: when the
 product's ``SiteScan`` began to keep rows of column chunks -- text-index
-hits and residual RLS through ``columnar.filter_batch``, masks a column at
+hits and residual RLS through ``columnar.select_rows``, masks a column at
 a time -- its row-at-a-time text filter, its per-row
 ``evaluate(residual, row_env(...))``, ``governance.apply_masks`` and
 ``physical.row_env`` moved here verbatim (``SiteScan._site_batches``), so

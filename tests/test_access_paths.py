@@ -435,6 +435,11 @@ FUNNEL = tuple(F + f"{m}.py:" for m in ("engine", "executor", "physical", "reopt
                                          "workload"))  # fmt: skip
 OPTION_FACADE = {ENGINE + "query", ENGINE + "execute", PHYSICAL + "QueryOptions",
                  F + "workload.py:WorkloadManager.submit"}  # fmt: skip
+# The site plane selects rows and folds through the selections; the kept
+# rows are copied out only where a consumer needs a batch of its own.
+SITE_PLANE = tuple(PHYSICAL + name for name in (
+    "SiteScan", "SiteFilter", "SiteProject", "PartialAggregate", "chunk_filter",
+    "partial_groups", "_group_keys", "_ungrouped", "_grouped"))  # fmt: skip
 TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.execute",
                  F + "reopt.py:ReoptController.__init__")  # fmt: skip
 
@@ -539,6 +544,14 @@ GUARDS = [
                  if h.startswith(FUNNEL) and params & PER_STATEMENT}, OPTION_FACADE),
     ("options_object-taken", "the executor, its context and re-opt take the object",
      lambda ix: {h for h in TAKES_OPTIONS if "options" not in ix.params.get(h, ())}, set()),
+    ("late_materialisation-site-copies-nothing", "no site operator takes or concats",
+     lambda ix: {h for name in ("take", "concat", "filter_batch")
+                 for h in ix.callers(name) if h.startswith(SITE_PLANE)}, set()),
+    ("late_materialisation-gatherers", "Ship and a mask gather the kept rows",
+     lambda ix: (ix.callers("gather"), {h for h in ix.assigns["gather"]
+                                        if h.startswith("src/")}),
+     ({PHYSICAL + "Ship._produce", PHYSICAL + "SiteScan._apply_governance",
+       F + "columnar.py:filter_batch"}, set())),
     ("served_one_way-site-operators", "no site operator serves an artifact",
      lambda ix: ix.holding(ix.bases, "SiteOperator", ""),
      {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "PartialAggregate")}),

@@ -9,7 +9,9 @@ loop it replaced, and that no finished statement -- successful, failed or
 cancelled -- leaves batches or tables behind for the cycle collector.
 The column sort orders kept beside the layout share its lifetime: built by
 the second filter probe of a column, never for a table fetched for one
-statement, reused by replicas, gone with the layout after a write.
+statement, reused by replicas, gone with the layout after a write.  And a
+filtered chunk stays the layout plus a selection: the site plane copies
+no row on scan_agg's statements.
 """
 
 import gc
@@ -27,6 +29,7 @@ from repro.federation import (
     FederationCatalog,
     WorkloadManager,
     columnar,
+    physical,
 )
 from repro.federation.columnar import ColumnBatch, table_chunks
 from repro.federation.governance import GovernanceRegistry
@@ -441,3 +444,135 @@ class TestWarmEqualsFresh:
         expected = flatten(reference_chunks("b", fresh, ambiguous, batch_size))
         assert flatten(table_chunks("b", warm, ambiguous, batch_size)) == expected
         assert flatten(table_chunks("b", fresh, ambiguous, batch_size)) == expected
+
+
+# scan_agg's two statement shapes (benchmarks/e2e/workloads.py), over a
+# parts table with the benchmark's columns.
+SCAN_PARTS = Schema(
+    "parts",
+    (
+        Field("sku", DataType.STRING),
+        Field("supplier", DataType.STRING),
+        Field("price", DataType.FLOAT),
+        Field("qty", DataType.INTEGER),
+    ),
+)
+SCAN_GROUPED = (
+    "select supplier, count(*) as n, sum(price) as total from parts "
+    "where price >= ? or supplier = ? group by supplier order by supplier"
+)
+SCAN_RANGE = (
+    "select count(*) as n, sum(qty) as q from parts "
+    "where qty < ? and price between ? and ?"
+)
+
+
+class TestTheSitePlaneCopiesNoRow:
+    """A filtered chunk stays its resident columns plus a selection: no
+    site operator gathers a row (``ColumnBatch.take``) or joins chunks
+    (``columnar.concat``) on scan_agg's statements, and the partial
+    aggregate builds a group's representative env only for the groups the
+    result reads -- one ``env_at`` per result group, not per site group."""
+
+    CHUNK_ROWS = 8
+
+    def make_engine(self):
+        rng = random.Random(5)
+        rows = [
+            (
+                f"part-{i:03d}",
+                f"sup-{rng.randrange(6):02d}",
+                round(rng.uniform(0.0, 1000.0), 2),
+                rng.randrange(50),
+            )
+            for i in range(160)
+        ]
+        catalog = FederationCatalog(SimClock())
+        for name in SITES:
+            catalog.make_site(name)
+        catalog.load_fragmented(
+            Table(SCAN_PARTS, rows), 4, [["s0", "s1"], ["s1"], ["s2"], ["s2", "s0"]]
+        )
+        return rows, FederatedEngine(catalog)
+
+    @pytest.mark.parametrize(
+        "sql, params",
+        [(SCAN_GROUPED, (600.0, "sup-03")), (SCAN_RANGE, (30, 100.0, 700.0))],
+        ids=["grouped", "range"],
+    )
+    def test_no_take_no_concat_and_one_env_per_result_group(
+        self, monkeypatch, sql, params
+    ):
+        rows, engine = self.make_engine()
+        copies, envs, site = [], [], []
+        take, concat, env_at = ColumnBatch.take, columnar.concat, ColumnBatch.env_at
+        open_site = physical.SiteOperator.open
+
+        def site_open(operator, ctx):
+            site.append(operator)
+            try:
+                open_site(operator, ctx)
+            finally:
+                site.pop()
+
+        def taking(batch, selection):
+            if site:
+                copies.append(("take", type(site[-1]).__name__))
+            return take(batch, selection)
+
+        def concatenating(batches):
+            if site:
+                copies.append(("concat", type(site[-1]).__name__))
+            return concat(batches)
+
+        def env(batch, i):
+            envs.append(i)
+            return env_at(batch, i)
+
+        inner = columnar.table_chunks
+        monkeypatch.setattr(
+            columnar,
+            "table_chunks",
+            lambda binding, table, ambiguous: inner(
+                binding, table, ambiguous, self.CHUNK_ROWS
+            ),
+        )
+        monkeypatch.setattr(physical.SiteOperator, "open", site_open)
+        monkeypatch.setattr(ColumnBatch, "take", taking)
+        monkeypatch.setattr(columnar, "concat", concatenating)
+        monkeypatch.setattr(ColumnBatch, "env_at", env)
+        prepared = engine.prepare(sql)
+        for _ in range(3):  # cold, marked, ordered: the probe path included
+            del envs[:]
+            result = engine.execute(prepared, params)
+            operators = {stats.name for stats in result.report.operators.walk()}
+            assert {"SiteFilter", "PartialAggregate", "FinalAggregate"} <= operators
+            assert copies == []
+            assert len(envs) == len(result.table.rows)
+        # Site partial sums add in another order than one loop: totals to
+        # the last bits are the reference engine's business.
+        expected = expected_scan_agg(sql, params, rows)
+        assert [row[:-1] for row in result.table.rows] == [r[:-1] for r in expected]
+        assert [row[-1] for row in result.table.rows] == pytest.approx(
+            [r[-1] for r in expected]
+        )
+        # Every fragment spans several chunks, and the grouped statement
+        # merges more site groups than it returns.
+        catalog = engine.catalog
+        assert min(len(fragment_table(catalog, i)) for i in range(4)) > self.CHUNK_ROWS
+        if sql == SCAN_GROUPED:
+            assert result.report.rows_shipped > len(result.table.rows)
+
+
+def expected_scan_agg(sql, params, rows):
+    """The two statements' answers, by a loop over the rows in order."""
+    if sql == SCAN_RANGE:
+        top, low, high = params
+        kept = [qty for _, _, price, qty in rows if qty < top and low <= price <= high]
+        return [(len(kept), sum(kept))]
+    floor, supplier = params
+    groups: dict = {}
+    for _, name, price, _ in rows:
+        if price >= floor or name == supplier:
+            groups.setdefault(name, []).append(price)
+    return [(name, len(prices), sum(prices)) for name, prices in sorted(groups.items())]

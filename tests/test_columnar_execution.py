@@ -187,14 +187,20 @@ class TestKernelSelections:
         chunk = resident_chunk(self.VALUES)
         everything = BinaryOp(">=", C, Literal(0))
         kernel = columnar.compile_predicate(everything, chunk)
+        assert columnar.select_rows(chunk, everything, kernel) is None
         assert columnar.filter_batch(chunk, everything, kernel) is chunk
+        # Selecting copies nothing; the kept rows of the narrowed chunk are
+        # gathered when asked for, in those columns alone.
         some = BinaryOp(">", C, Literal(6))
-        narrow = chunk.narrowing({"c.d", "d"})
-        kept = columnar.filter_batch(
-            chunk, some, columnar.compile_predicate(some, chunk), narrow
+        selection = columnar.select_rows(
+            chunk, some, columnar.compile_predicate(some, chunk)
         )
+        assert selection == [2, 4, 7]
+        narrowed = chunk.project(chunk.narrowing({"c.d", "d"}))
+        kept = columnar.gather(narrowed, selection)
         assert kept.to_envs() == [{"c.d": d, "d": d} for d in ("d2", "d1", "d1")]
-        assert kept.orders is None and chunk.project(narrow).orders is chunk.orders
+        assert kept.orders is None and narrowed.orders is chunk.orders
+        assert narrowed.to_envs(selection) == kept.to_envs()
 
 
 COLUMN_KINDS = {

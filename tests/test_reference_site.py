@@ -257,13 +257,27 @@ TIGHT_AGGREGATES = [
     "select tag, sum(price) as s from t group by tag having count(*) > 2",
     "select tag, sum(v) + count(*) as score from t group by tag order by tag",
     "select count(*) as n, sum(v) as s from t where k > 1000",  # no input rows
+    # Site filters, which the fold reads through: one every row passes, one
+    # that empties whole 4-row chunks of DENSE, and count(*) alone.
+    "select tag, sum(price) as s, count(*) as n from t "
+    "where k between -100 and 100 group by tag",
+    "select tag, max(price) as m, sum(v) as s from t where v between 0 and 7 "
+    "group by tag order by tag",
+    "select count(*) as n from t where k >= 1 or tag = 'b'",
+    # A lone key groups on its raw values: 1 and True one group, NULL one,
+    # a NaN its own.
+    "select v, count(*) as n, sum(price) as s from t group by v",
+    "select price, count(*) as n from t group by price",
 ]
-# ... general expressions: evaluated over each chunk's envs.
+# ... general expressions: evaluated over the envs of each chunk's kept rows.
 FALLBACK_AGGREGATES = [
     "select tag, sum(v + k) as s from t group by tag",
     "select upper(tag) as u, count(*) as n from t group by upper(tag)",
     "select k + 1 as bucket, min(v) as lo, avg(price) as a from t group by k + 1",
     "select max(v * 2) as m, count(v + 1) as n from t",
+    # Arguments are evaluated on the rows the site filter kept alone (the OR
+    # keeps it a site filter, not a pushdown): 100 / 0 is never computed.
+    "select tag, sum(100 / v) as s from t where v > 0 or v < 0 group by tag",
 ]
 AGGREGATES = TIGHT_AGGREGATES + FALLBACK_AGGREGATES
 EVERY_STATEMENT = FILTERS + PROJECTIONS + AGGREGATES
@@ -289,9 +303,12 @@ class TestColumnarSiteEngineEqualsTheReference:
         assert_same(rows, sql, sites)
 
     @settings(max_examples=120, deadline=None)
-    @given(ROWS, st.sampled_from(AGGREGATES), SITES)
-    def test_partial_aggregates_including_float_bits(self, rows, sql, sites):
-        assert_same(rows, sql, sites)
+    @given(ROWS, st.sampled_from(AGGREGATES), SITES, CHUNK_ROWS)
+    def test_partial_aggregates_including_float_bits(
+        self, rows, sql, sites, chunk_rows
+    ):
+        with small_chunks(chunk_rows):
+            assert_same(rows, sql, sites)
 
 
 # -- deterministic shapes --------------------------------------------------------
@@ -326,6 +343,20 @@ def test_multi_chunk_fragments(sql, sites):
 def test_multi_chunk_fragments_parametrised(statement, sites):
     with small_chunks(4):
         assert_same(DENSE, *statement[:1], sites, statement[1])
+
+
+# Every third v is 0, beside kept rows of the same 4-row chunk.
+ZEROS = [(i, (i % 3) * (i - 7), ["alpha", "b"][i % 2], i / 4) for i in range(30)]
+
+
+@pytest.mark.parametrize("sites", [1, 3])
+def test_a_row_the_filter_rejected_is_never_evaluated(sites):
+    """``100 / v`` raises on v = 0, which the site filter rejects: the fold
+    evaluates its argument on the kept rows alone, as the reference does."""
+    (sql,) = (sql for sql in FALLBACK_AGGREGATES if "100 / v" in sql)
+    with small_chunks(4):
+        product = assert_same(ZEROS, sql, sites)
+    assert isinstance(product, dict) and product["rows"] != "[]"
 
 
 def fragment_tables(engine):
@@ -385,9 +416,9 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
             kernels.append(kernel is not None)
         return kernel
 
-    def recording(batch):
-        to_envs.append(batch)
-        return batch_to_envs(batch)
+    def recording(batch, selection=None):
+        to_envs.append((batch, selection))
+        return batch_to_envs(batch, selection)
 
     def aggregating(self, ctx, inner=physical.PartialAggregate._compute):
         # Its children computed when they were opened: what is recorded is
@@ -411,9 +442,16 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
             assert not to_envs, sql
         for sql in FALLBACK_AGGREGATES:
             run(sql)
-            # Every chunk, once: however many expressions need its envs.
-            assert sum(batch.count for batch in to_envs) == len(DENSE), sql
-            assert len(set(map(id, to_envs))) == len(to_envs) == FRAGMENTS, sql
+            # Every chunk, once: however many expressions need its envs,
+            # and of the rows the filter kept alone.
+            # (The one filtered statement keeps the rows where v is not 0.)
+            kept = sum(1 for row in DENSE if row[1]) if "where" in sql else len(DENSE)
+            assert sum(
+                batch.count if selection is None else len(selection)
+                for batch, selection in to_envs
+            ) == kept, sql
+            assert len({id(batch) for batch, _ in to_envs}) == len(to_envs), sql
+            assert len(to_envs) == FRAGMENTS, sql
     for sql in PROJECTIONS:
         run(sql)
     assert {"SiteScan", "SiteFilter", "SiteProject", "PartialAggregate", "Ship",
