@@ -5,8 +5,9 @@ Stonebraker and Hellerstein, as three cooperating layers plus the substrates
 they depend on:
 
 * **Connect** (:mod:`repro.connect`) -- wrappers over heterogeneous sources:
-  scraped (simulated) supplier web sites, ERP-style gateways, CSV/XML files,
-  with semi-automatic wrapper induction.
+  scraped (simulated) supplier web sites, live reads of an owner's
+  operational state, and CSV extracts, with semi-automatic wrapper
+  induction.
 * **Workbench** (:mod:`repro.workbench`) -- content mapping: declarative
   transforms with lineage, currency/unit normalization, synonym tables,
   hierarchical taxonomies with a semi-automatic matcher, discrepancy

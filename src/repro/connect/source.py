@@ -1,24 +1,29 @@
 """The ContentSource protocol: what the federation sees of any connector.
 
-Every way of getting content -- scraping a site, querying an ERP gateway,
-reading a file -- ends in an object with a schema, a ``fetch`` method taking
-optional pushed-down predicates, and cost/availability metadata the
-federated optimizer uses.  This uniformity is what lets the optimizer treat
-"a scraped web site" and "a relational gateway" as interchangeable access
-paths (§3.2).
+Every way of getting content -- scraping a site, reading an owner's
+operational state, holding fixed content -- ends in an object with a schema,
+a ``fetch`` method taking optional pushed-down predicates, and
+cost/availability metadata the federated optimizer uses.  This uniformity is
+what lets the optimizer treat "a scraped web site" and "an owner's live
+system" as interchangeable access paths (§3.2).  A supplier's file drop is
+not a source of its own: :func:`read_csv` loads it into a
+:class:`~repro.core.records.Table` that any source can hold.
 """
 
 from __future__ import annotations
 
 import abc
+import csv
+import io
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import is_
 from typing import Any, Sequence
 
-from repro.core.errors import QueryError
+from repro.core.errors import QueryError, SchemaError
 from repro.core.records import Table, column_probe, column_scan
-from repro.core.schema import Schema
+from repro.core.schema import DataType, Field, Schema
 from repro.core.values import COMPARISONS
 
 
@@ -215,3 +220,68 @@ class StaticSource(ContentSource):
 
     def estimated_cost(self) -> float:
         return self._cost
+
+
+# A sign, digits grouped by thousands or not, and for a decimal a fraction
+# and an exponent (a digit first, before or after the point): what ``int``
+# and ``float`` read once the commas go.
+_INTEGER = re.compile(r"[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)", re.ASCII)
+_DECIMAL = re.compile(
+    r"[+-]?(?=\.?\d)(?:\d{1,3}(?:,\d{3})+|\d*)(?:\.\d*)?(?:[eE][+-]?\d+)?", re.ASCII
+)
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def read_csv(schema: Schema, text: str) -> Table:
+    """A CSV extract with a header row, read against ``schema``.
+
+    Records are read by :func:`csv.reader` (quoted cells, doubled-quote
+    escapes, quoted newlines); empty or whitespace-only lines are skipped.
+    The header must name the schema's fields in order.  Cells are stripped
+    and a blank cell is NULL; a cell its column's type cannot hold is a
+    :class:`SchemaError` naming its row's line, its column and its text.
+    """
+    reader = csv.reader(io.StringIO(text))
+    records = (
+        cells for cells in reader if len(cells) > 1 or (cells and cells[0].strip())
+    )
+    header = next(records, None)
+    if header is not None and header != list(schema.field_names):
+        raise SchemaError(
+            f"CSV header {header!r} does not match schema fields "
+            f"{list(schema.field_names)!r}"
+        )
+    rows = []
+    for cells in records:
+        line = reader.line_num  # where the record ends
+        if len(cells) != len(schema):
+            raise SchemaError(
+                f"CSV row at line {line} has {len(cells)} cells, "
+                f"schema needs {len(schema)}"
+            )
+        rows.append(
+            tuple(
+                _read_cell(cell, field, line)
+                for cell, field in zip(cells, schema.fields)
+            )
+        )
+    return Table(schema, rows)
+
+
+def _read_cell(text: str, field: Field, line: int) -> Any:
+    text, dtype = text.strip(), field.dtype
+    if not text:
+        return None
+    if dtype in (DataType.STRING, DataType.TEXT):
+        return text
+    if dtype is DataType.INTEGER and _INTEGER.fullmatch(text):
+        return int(text.replace(",", ""))
+    if dtype in (DataType.FLOAT, DataType.TIMESTAMP) and _DECIMAL.fullmatch(text):
+        return float(text.replace(",", ""))
+    if dtype is DataType.BOOLEAN and text.lower() in _BOOLEANS:
+        return _BOOLEANS[text.lower()]
+    raise SchemaError(
+        f"CSV row at line {line}, column {field.name!r}: "
+        f"cannot read {text!r} as {dtype.value}"
+    )

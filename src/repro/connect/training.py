@@ -79,45 +79,3 @@ class WrapperTrainingSession:
         self.accepted = True
         self.human_actions += 1
         return self._wrapper
-
-    # -- convenience driver -----------------------------------------------------
-
-    def train_against(
-        self,
-        truth: list[dict[str, str]],
-        max_rounds: int = 10,
-    ) -> InducedWrapper:
-        """Simulate a diligent manager: mark records until the preview is
-        perfect against ``truth``, then accept.  Used by tests/benchmarks to
-        measure human cost; a real GUI would drive the same calls."""
-        if not truth:
-            raise WrapperError("cannot train against an empty record set")
-        proposal = self.mark_record(truth[0])
-        for _ in range(max_rounds):
-            if proposal.learned and self._matches(proposal.records, truth):
-                return self.accept()
-            misread = self._first_misread(proposal.records, truth)
-            if misread is None:
-                return self.accept()
-            proposal = self.mark_record(misread)
-        raise WrapperError(
-            f"training did not converge within {max_rounds} rounds; "
-            "this page family needs an expert-written wrapper"
-        )
-
-    @staticmethod
-    def _normalize(record: dict[str, str]) -> dict[str, str]:
-        return {k: " ".join(str(v).split()) for k, v in record.items()}
-
-    def _matches(self, extracted: list[dict[str, str]], truth: list[dict[str, str]]) -> bool:
-        extracted_normalized = [self._normalize(r) for r in extracted]
-        return all(self._normalize(t) in extracted_normalized for t in truth)
-
-    def _first_misread(
-        self, extracted: list[dict[str, str]], truth: list[dict[str, str]]
-    ) -> dict[str, str] | None:
-        extracted_normalized = [self._normalize(r) for r in extracted]
-        for record in truth:
-            if self._normalize(record) not in extracted_normalized:
-                return record
-        return None

@@ -136,40 +136,6 @@ class ContentIntegrationSystem:
         )
         return wrapper.fetch().table
 
-    def onboard_from_listing(
-        self,
-        listing,
-        credentials: tuple[str, str] | None = None,
-    ) -> Table:
-        """Scrape and normalize a supplier straight from its registry listing.
-
-        The high-level supplier-enablement path (§3.1 C2/C4): the UDDI-like
-        :class:`~repro.connect.registry.SupplierListing` carries everything
-        needed -- catalog URL, layout hint, currency -- so onboarding is one
-        call instead of a hand-written wrapper plus transformations.
-        ``credentials`` is (user, password) for login-protected sites.
-        """
-        login = None
-        if listing.requires_login:
-            if credentials is None:
-                raise WrapperError(
-                    f"listing {listing.supplier!r} requires login credentials"
-                )
-            login = (
-                f"http://{listing.host}/login",
-                {"user": credentials[0], "password": credentials[1]},
-            )
-        wrapper = WebSourceWrapper(
-            listing.supplier,
-            WebClient(self.web),
-            listing.catalog_url,
-            default_wrapper(listing.layout_hint),
-            coercers={"qty": int_coercer},
-            login=login,
-        )
-        raw = wrapper.fetch().table
-        return self.normalize(raw, listing.supplier, listing.currency)
-
     # -- Workbench ---------------------------------------------------------------
 
     def normalization_pipeline(self, supplier_name: str, default_currency: str) -> Pipeline:

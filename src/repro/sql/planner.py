@@ -9,7 +9,7 @@ price), and the logical tree is what they bid on.
 Pushdown: the WHERE clause is split into conjuncts; any conjunct of the form
 ``column op literal`` whose column binds to exactly one scan becomes a
 :class:`~repro.connect.source.Predicate` attached to that scan, so sources
-(ERP gateways, scraped sites, fragments) filter locally.  Everything else
+(live sources, scraped sites, fragments) filter locally.  Everything else
 stays in a residual :class:`FilterNode`.  The pushdown itself is a rewrite
 pass (:class:`repro.sql.rewrite.PredicatePushdown`); :func:`build_plan`
 applies it when given binding fields, and the engine layers further passes

@@ -426,6 +426,11 @@ GONE = {
     "Bid",  # a per-replica bid object: the auction keeps a running minimum
     "count_parameters", "statement_has_subqueries",
     "statement_exprs",  # tree walks for the figures the parser stamps
+    "ErpSystem", "ErpGateway", "CsvConnector", "XmlConnector", "PipelineSource",
+    "_coerce_cell", "ContentIntegrationSystem.onboard_from_listing",
+    "WrapperTrainingSession.train_against", "WrapperTrainingSession._matches",
+    "WrapperTrainingSession._first_misread",
+    "WrapperTrainingSession._normalize",  # sources and helpers only tests reached
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
@@ -575,6 +580,12 @@ GUARDS = [
     ("served_one_way-executor-exports", "physical dataclasses come from physical",
      lambda ix: {name for imported in ix.imports.values()
                  for m, name in imported if m == "repro.federation.executor"}, {"Executor"}),
+    ("one_per_relationship-every-source-kind-runs",
+     "a ContentSource kind is built outside its module by src/, a bench or an example",
+     lambda ix: {leaf(h) for h in ix.holding(ix.bases, "ContentSource")
+                 if not any(where.startswith(("src/", "benchmarks/", "examples/"))
+                            and where.partition(":")[0] != h.partition(":")[0]
+                            for where, _ in ix.calls[leaf(h)])}, set()),
     ("null_has_one_rule-one-not-builder", "NOT is built by sql.ast.negate alone",
      lambda ix: {top(h) for h, first in ix.calls["UnaryOp"] if first == "not"},
      {S + "ast.py:negate"}),

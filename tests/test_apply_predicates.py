@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connect.gateways import ErpGateway, ErpSystem
 from repro.connect.source import LiveSource, Predicate, StaticSource, apply_predicates
 from repro.core import DataType, Field, Schema, Table
 from repro.core.errors import QueryError, SchemaError
@@ -147,12 +146,6 @@ def live_source():
     return LiveSource("live-items", ITEMS, lambda: rows)
 
 
-def erp_gateway():
-    erp = ErpSystem("erp", SimClock())
-    erp.load_table(Table(ITEMS, ITEM_ROWS))
-    return ErpGateway("erp-items", erp, "items")
-
-
 def cache_residual():
     """A cached whole-table region serving a narrower request."""
     cache = SemanticCache(SimClock())
@@ -165,7 +158,7 @@ def cache_residual():
     return Residual()
 
 
-SOURCES = [static_source, live_source, erp_gateway, cache_residual]
+SOURCES = [static_source, live_source, cache_residual]
 
 
 @pytest.mark.parametrize("make", SOURCES, ids=lambda make: make.__name__)

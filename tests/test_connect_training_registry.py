@@ -48,33 +48,6 @@ class TestWrapperTrainingSession:
         with pytest.raises(WrapperError):
             session.mark_record(RECORDS[1])
 
-    def test_train_against_counts_human_cost(self):
-        session = WrapperTrainingSession(("sku", "name"), render_page(RECORDS))
-        wrapper = session.train_against(RECORDS)
-        assert session.accepted
-        assert session.human_actions == 2  # converged on the first mark
-        assert wrapper.extract(render_page(RECORDS)) == RECORDS
-
-    def test_train_against_nonconvergent_template_raises(self):
-        # Disjunctive rows: the LR family cannot express the optional <em>.
-        rows = []
-        for i, r in enumerate(RECORDS * 3):
-            decoration = " <em>(sale)</em>" if i % 2 == 0 else ""
-            rows.append(
-                f"<tr><td class='s'>{r['sku']}{decoration}</td>"
-                f"<td class='n'>{r['name']}</td></tr>"
-            )
-        page = "<table>" + "".join(rows) + "</table>"
-        truth = [dict(r) for r in RECORDS * 3]
-        session = WrapperTrainingSession(("sku", "name"), page)
-        with pytest.raises(WrapperError):
-            session.train_against(truth, max_rounds=5)
-
-    def test_empty_truth_rejected(self):
-        session = WrapperTrainingSession(("sku",), render_page(RECORDS))
-        with pytest.raises(WrapperError):
-            session.train_against([])
-
 
 def integrator_schema():
     return Schema(

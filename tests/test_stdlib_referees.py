@@ -1,10 +1,11 @@
 """The stdlib as referee for XPath, and for the HTML and CSV readers built
 on it.
 
-``html.parser`` tokenizes our HTML and ``csv`` reads our CSV, so for those
-the cases below pin what the tree builder and the connector make of the
-tokens.  XPath is still ours: a grammar of the supported subset is checked
-against ``ElementTree.findall`` on generated documents.
+``html.parser`` tokenizes our HTML, so the cases below pin what the tree
+builder makes of the tokens.  ``csv`` reads our CSV records, but the typed
+cells and NULLs are ours: rows ``csv.writer`` writes must come back from
+``read_csv`` unchanged.  XPath is still ours: a grammar of the supported
+subset is checked against ``ElementTree.findall`` on generated documents.
 """
 
 import csv
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connect.gateways import CsvConnector
+from repro.connect.source import read_csv
 from repro.core import DataType, Field, Schema
 from repro.core.errors import SchemaError
 from repro.htmlkit import parse_html
@@ -172,7 +173,64 @@ def test_csv_quoted_newline_matches_csv_reader():
     schema = Schema("t", (Field("a", DataType.STRING), Field("b", DataType.STRING)))
     header, *rows = csv.reader(io.StringIO(text))
     try:
-        ours = CsvConnector("t", schema, text).fetch().table.rows
+        ours = read_csv(schema, text).rows
     except SchemaError:
         ours = None
     assert ours == [tuple(row) for row in rows]
+
+
+# A string cell is drawn non-empty and without surrounding whitespace: the
+# loader strips cells and reads a blank one as NULL (both pinned below).
+CELLS = {
+    DataType.STRING: st.text(st.sampled_from('ab ,"\n\r\t;\u00e9'), min_size=1).filter(
+        lambda text: text == text.strip()
+    ),
+    DataType.INTEGER: st.integers(),
+    DataType.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    DataType.BOOLEAN: st.booleans(),
+}
+
+
+@st.composite
+def typed_rows(draw):
+    """A schema of two to four typed columns and rows for it, NULLs among them."""
+    dtypes = draw(st.lists(st.sampled_from(list(CELLS)), min_size=2, max_size=4))
+    schema = Schema("t", tuple(Field(f"c{i}", d) for i, d in enumerate(dtypes)))
+    cells = [st.none() | CELLS[dtype] for dtype in dtypes]
+    return schema, draw(st.lists(st.tuples(*cells), max_size=6))
+
+
+def written(schema, rows):
+    """The extract ``csv.writer`` writes: a header row, NULL as a blank cell."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(schema.field_names)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(typed_rows())
+def test_rows_csv_writer_writes_read_back_unchanged(drawn):
+    schema, rows = drawn
+    assert read_csv(schema, written(schema, rows)).rows == rows
+
+
+TWO_STRINGS = Schema("t", (Field("a", DataType.STRING), Field("b", DataType.STRING)))
+
+
+def test_csv_cells_are_stripped():
+    rows = read_csv(TWO_STRINGS, written(TWO_STRINGS, [(" ink ", "x\n")])).rows
+    assert rows == [("ink", "x")]
+
+
+def test_csv_empty_string_reads_as_null():
+    rows = read_csv(TWO_STRINGS, written(TWO_STRINGS, [("", "x")])).rows
+    assert rows == [(None, "x")]
+
+
+def test_csv_one_column_null_row_reads_as_a_blank_line():
+    """``csv.writer`` writes a lone NULL as ``""``, which the loader skips
+    with the blank lines; with two columns or more a NULL row is ``,``."""
+    schema = Schema("t", (Field("a", DataType.INTEGER),))
+    assert read_csv(schema, written(schema, [(1,), (None,), (2,)])).rows == [(1,), (2,)]

@@ -128,49 +128,6 @@ class TestServingSurfaces:
         assert result.table.to_dicts() == [{"n": 100}]
 
 
-class TestRegistryOnboarding:
-    def test_onboard_from_listing_one_call(self):
-        from repro.connect import SupplierListing
-
-        system, workload = build_system()
-        system.add_compute_sites(2)
-        spec = workload.suppliers[0]
-        listing = SupplierListing(
-            supplier=spec.name,
-            host=f"{spec.name}.example",
-            catalog_url=f"http://{spec.name}.example/catalog?page=1",
-            access="scrape",
-            fields=("sku", "name", "price", "qty"),
-            layout_hint=spec.layout,
-            currency=spec.currency,
-            price_style=spec.price_style,
-        )
-        table = system.onboard_from_listing(listing)
-        assert len(table) == 15
-        assert all(c == "USD" for c in table.column("currency"))
-
-    def test_onboarding_login_site_needs_credentials(self):
-        from repro.connect import SupplierListing
-        from repro.connect.sitegen import build_supplier_site
-        from repro.core.errors import WrapperError
-
-        system = ContentIntegrationSystem(seed=5)
-        products = [{"sku": "P-1", "name": "widget", "price": 2.0,
-                     "currency": "USD", "qty": 5}]
-        site = build_supplier_site("locked.example", products, requires_login=True)
-        system.register_supplier(site)
-        listing = SupplierListing(
-            supplier="locked", host="locked.example",
-            catalog_url=site.catalog_url(), access="scrape",
-            fields=("sku", "name", "price", "qty"), layout_hint="table",
-            requires_login=True,
-        )
-        with pytest.raises(WrapperError):
-            system.onboard_from_listing(listing)
-        table = system.onboard_from_listing(listing, credentials=("buyer", "secret"))
-        assert len(table) == 1
-
-
 class TestPaperExamples:
     def test_refills_query_reaches_ink_and_lead(self):
         """§3.1 C3: 'a user who requests information about refills can be

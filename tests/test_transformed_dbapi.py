@@ -1,101 +1,11 @@
-"""Tests for transform-on-demand sources and the DB-API surface."""
+"""Tests for the DB-API surface."""
 
 import pytest
 
-from repro.connect.source import LiveSource, Predicate
-from repro.connect.transformed import PipelineSource
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import FederatedEngine, FederationCatalog, WorkloadManager
 from repro.federation.dbapi import InterfaceError, connect
-from repro.federation.engine import LIVE_ONLY
 from repro.sim import EventLoop, SimClock
-from repro.workbench import CastColumn, FilterRows, Pipeline, RenameColumns
-
-
-RAW_SCHEMA = Schema(
-    "raw_feed",
-    (
-        Field("item", DataType.STRING),
-        Field("price_text", DataType.STRING),
-        Field("stock", DataType.STRING),
-    ),
-)
-
-
-def make_state():
-    return [
-        {"item": "A-1", "price_text": "5.00", "stock": "10"},
-        {"item": "A-2", "price_text": "6.50", "stock": "0"},
-        {"item": "A-3", "price_text": "2.25", "stock": "4"},
-    ]
-
-
-def view_pipeline():
-    return Pipeline(
-        "clean",
-        [
-            RenameColumns({"item": "sku"}),
-            CastColumn("price_text", DataType.FLOAT),
-            RenameColumns({"price_text": "price"}),
-            CastColumn("stock", DataType.INTEGER),
-            FilterRows(lambda row: row["stock"] > 0, "in stock"),
-        ],
-    )
-
-
-class TestPipelineSource:
-    def make(self, state):
-        base = LiveSource("feed", RAW_SCHEMA, lambda: list(state), cost_seconds=0.2)
-        return PipelineSource("clean_feed", base, view_pipeline())
-
-    def test_schema_comes_from_the_pipeline(self):
-        source = self.make(make_state())
-        assert source.schema.field_names == ("sku", "price", "stock")
-        assert source.schema.field_named("price").dtype is DataType.FLOAT
-
-    def test_fetch_transforms_on_demand(self):
-        state = make_state()
-        source = self.make(state)
-        result = source.fetch()
-        assert result.table.column("sku") == ["A-1", "A-3"]  # A-2 filtered
-        assert result.table.column("price") == [5.0, 2.25]
-
-    def test_view_is_live(self):
-        state = make_state()
-        source = self.make(state)
-        state[1]["stock"] = "7"  # restock A-2
-        assert source.fetch().table.column("sku") == ["A-1", "A-2", "A-3"]
-
-    def test_predicates_apply_to_view_schema(self):
-        source = self.make(make_state())
-        result = source.fetch([Predicate("price", "<", 3.0)])
-        assert result.table.column("sku") == ["A-3"]
-
-    def test_lineage_reaches_through_the_view(self):
-        source = self.make(make_state())
-        source.fetch()
-        assert source.last_lineage.explain("price")[0] == "source feed(price_text)"
-        assert source.last_lineage.origin_of(1).row_index == 2  # A-3 was raw row 2
-
-    def test_cost_includes_transform(self):
-        source = self.make(make_state())
-        assert source.estimated_cost() > 0.2
-
-    def test_materialized_vs_on_demand_is_one_parameter(self):
-        """The paper's data-independence claim, end to end."""
-        state = make_state()
-        clock = SimClock()
-        catalog = FederationCatalog(clock)
-        catalog.make_site("s0")
-        catalog.register_external_table("clean_feed", self.make(state), "s0")
-        engine = FederatedEngine(catalog)
-        engine.create_materialized_view("clean_feed_mv", "clean_feed", "s0")
-
-        state[1]["stock"] = "7"  # the world changes
-        cached = engine.query("select sku from clean_feed", max_staleness=None)
-        live = engine.query("select sku from clean_feed", max_staleness=LIVE_ONLY)
-        assert "A-2" not in cached.table.column("sku")
-        assert "A-2" in live.table.column("sku")
 
 
 class TestDbApi:
