@@ -16,8 +16,8 @@ arrival schedule runs twice:
 * **Control** -- no artifact store; every query fetches site rows.
 * **Reuse** -- an :class:`ArtifactStore`; repeats hit committed stage
   artifacts, concurrent identical stages join the in-flight producer
-  instead of recomputing, and each write makes prior artifacts
-  unreachable (the catalog version is half the key).
+  instead of recomputing, and each write (a whole-table notify) leaves
+  no part of a prior artifact current, so the listener drops them all.
 
 The gate: the reuse run executes strictly fewer site rows and ships
 strictly fewer bytes, returns bit-identical rows for every arrival, and
@@ -238,8 +238,8 @@ def test_e15_zipfian_reuse(benchmark):
     assert reuse["inflight_joins"] >= 1
     assert reuse["artifact_hits"] > 0
     assert control["failed"] == reuse["failed"] == 0
-    # Every write found something to invalidate (version-bump alone would
-    # leave artifacts stranded; the listener drops them eagerly).
+    # Every write found something to invalidate: a whole-table write
+    # stales every part, and the listener drops what has none left.
     assert store.invalidations > 0
     # The alias spelling of the hot aggregate shares its hash: the two hot
     # statements together cannot have missed more often than the write

@@ -13,10 +13,10 @@ equivalent consumer:
   partial-aggregate spec.  Binding aliases are canonicalized away, so
   ``select v from items i where i.v < 5`` and ``select v from items where
   v < 5`` collide -- across tenants, sessions and SQL spellings.  The
-  artifact key is ``(stage hash, catalog version)``: the version half is
-  exactly the prepared-statement validity stamp from PR 7, so any
-  repartition or base-table write makes every older artifact unreachable
-  by construction.
+  stage hash is the artifact key.  What the stage read is kept in parts,
+  one per fragment of the base table, each tagged with the content epoch
+  it was read at (:mod:`repro.federation.parts`); an artifact serves whole
+  only while every part is current.
 * **A fourth access path.**
   :meth:`repro.federation.access.AccessPaths.offers` offers a completed
   artifact to the optimizers alongside fragments, materialized
@@ -34,10 +34,12 @@ equivalent consumer:
   the producer's completion instead of recomputing, paying only the
   remaining wait.  If the producer dies mid-flight, subscribers fall back
   to independent execution (once -- the fallback itself never joins).
-* **Invalidation.**  The store listens on the catalog's base-table update
-  bus exactly like the semantic cache; a write drops the table's
-  artifacts and in-flight stages, and the catalog-version key half keeps
-  any survivor unreachable anyway.
+* **Invalidation and refresh.**  The store listens on the catalog's
+  base-table update bus exactly like the semantic cache; a write drops
+  the table's artifacts and in-flight stages that have no current part
+  left.  A stage whose committed artifact has stale parts re-runs its site
+  pipeline over the stale fragments alone, serves the current parts beside
+  them and publishes the spliced artifact (``Ship``'s refresh).
 
 Payloads are stored in a binding-agnostic canonical form (bare column
 names, canonical aggregate-call keys) and rebuilt per consumer, so a hit
@@ -51,6 +53,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.federation.columnar import ColumnBatch, scan_layout
+from repro.federation.parts import Part, all_current, any_current
 from repro.sim.clock import SimClock
 from repro.sql.ast import Column, render
 from repro.sql.planner import AggregateNode, PlanNode, ScanNode, walk
@@ -275,18 +278,29 @@ class Artifact:
     report's artifacts in flight (a failed execution simply drops them, so
     nothing half-computed ever becomes visible), the store commits it."""
 
-    key: "tuple[str, int]"  # (stage hash, catalog version)
+    key: str  # the stage hash
     table_name: str
     payload: StagePayload
     rows_saved: int  # site rows the producing stage executed
     bytes_saved: int  # wire bytes the producing stage shipped
     fetch_seconds: float  # stage pipeline seconds a hit avoids
-    fetched_at: float  # simulated time the producing stage ran
+    fetched_at: float  # simulated time the oldest part was read
     hits: int = 0
+    # One per fragment of the table, in payload order; none for an
+    # artifact built whole, current until its table's next write.
+    parts: tuple[Part, ...] = ()
 
     @property
     def row_count(self) -> int:
         return self.payload.row_count
+
+    @property
+    def current(self) -> bool:
+        return all_current(self.parts)
+
+    @property
+    def partly_current(self) -> bool:
+        return any_current(self.parts)
 
     def benefit(self) -> float:
         """What evicting this artifact throws away (semantic-cache economy)."""
@@ -379,11 +393,12 @@ class ArtifactStore:
         self.serve_seconds_per_row = serve_seconds_per_row
         self.price_per_second = price_per_second
         self.metrics = metrics  # optional MetricsRegistry, attached by the engine
-        self._artifacts: "dict[tuple[str, int], Artifact]" = {}
-        self._inflight: "dict[tuple[str, int], _InFlightStage]" = {}
+        self._artifacts: "dict[str, Artifact]" = {}
+        self._inflight: "dict[str, _InFlightStage]" = {}
         self.hits = 0
         self.joins = 0
         self.misses = 0
+        self.refreshes = 0
         self.published = 0
         self.invalidations = 0
         self.evictions = 0
@@ -431,31 +446,38 @@ class ArtifactStore:
 
     # -- keying ------------------------------------------------------------
 
-    def stage_key(self, catalog, spec: StageSpec) -> "tuple[str, int] | None":
-        """The current artifact key for one stage, or None if ineligible."""
-        digest = stage_hash(catalog, spec)
-        if digest is None:
-            return None
-        return (digest, catalog.version)
+    def stage_key(self, catalog, spec: StageSpec) -> str | None:
+        """The artifact key for one stage, or None if ineligible."""
+        return stage_hash(catalog, spec)
 
     # -- lookup paths ------------------------------------------------------
 
     def bid(
-        self, key: "tuple[str, int]", max_staleness: float | None = None
+        self, key: str, max_staleness: float | None = None
     ) -> "tuple[Artifact, float, float] | None":
-        """Plan-time offer: ``(artifact, price, age)`` for a *committed*
-        artifact, or None.  Books no hit/miss accounting -- the serve-time
-        paths do -- so planning does not double count."""
+        """Plan-time offer: ``(artifact, price, age)`` for a *committed*,
+        current artifact, or None.  Books no hit/miss accounting -- the
+        serve-time paths do -- so planning does not double count."""
         self._sweep()
         artifact = self._artifacts.get(key)
-        if artifact is None or not self._servable(artifact, max_staleness):
+        if not self._whole(artifact, max_staleness):
             return None
         seconds = artifact.row_count * self.serve_seconds_per_row
         age = self.clock.now() - artifact.fetched_at
         return artifact, seconds * self.price_per_second, age
 
+    def _whole(
+        self, artifact: "Artifact | None", max_staleness: float | None
+    ) -> bool:
+        """Servable whole: every part current, and fresh enough."""
+        return (
+            artifact is not None
+            and artifact.current
+            and self._servable(artifact, max_staleness)
+        )
+
     def has_twin(
-        self, key: "tuple[str, int] | None", max_staleness: float | None = None
+        self, key: str | None, max_staleness: float | None = None
     ) -> bool:
         """Migration probe (DESIGN §5i): does a servable committed *or*
         in-flight twin of this stage exist?  Books no accounting -- the
@@ -464,31 +486,31 @@ class ArtifactStore:
         if key is None:
             return False
         self._sweep()
-        artifact = self._artifacts.get(key)
-        if artifact is not None and self._servable(artifact, max_staleness):
-            return True
         stage = self._inflight.get(key)
-        return stage is not None and self._servable(stage.artifact, max_staleness)
+        return self._whole(self._artifacts.get(key), max_staleness) or (
+            stage is not None and self._whole(stage.artifact, max_staleness)
+        )
 
     def acquire(
-        self, key: "tuple[str, int] | None", max_staleness: float | None = None
+        self, key: str | None, max_staleness: float | None = None
     ) -> "tuple[Artifact, float, bool] | None":
         """Runtime lookup: ``(artifact, wait_seconds, joined_in_flight)``.
 
         A committed artifact serves immediately (wait 0).  An in-flight
         stage serves its already-materialized payload but charges the
         remaining wait until the producer's modeled completion -- that is
-        the stage *join*.  Books hit/join/miss accounting.
+        the stage *join*.  Only an artifact whose every part is current
+        serves.  Books hit/join/miss accounting.
         """
         if key is None:
             return None
         self._sweep()
         artifact = self._artifacts.get(key)
-        if artifact is not None and self._servable(artifact, max_staleness):
+        if self._whole(artifact, max_staleness):
             self.book_hit(artifact)
             return artifact, 0.0, False
         stage = self._inflight.get(key)
-        if stage is not None and self._servable(stage.artifact, max_staleness):
+        if stage is not None and self._whole(stage.artifact, max_staleness):
             self.joins += 1
             self._count("artifacts.joins")
             wait = max(0.0, stage.completes_at - self.clock.now())
@@ -496,6 +518,24 @@ class ArtifactStore:
         self.misses += 1
         self._count("artifacts.misses")
         return None
+
+    def refreshable(
+        self, key: str, max_staleness: float | None = None
+    ) -> Artifact | None:
+        """After a miss: the committed artifact of this stage that is stale
+        in parts but has current ones, fresh enough to serve them, for the
+        caller to *refresh* (re-run the stale fragments alone).  Books a
+        refresh."""
+        artifact = self._artifacts.get(key)
+        if (
+            artifact is None
+            or not artifact.partly_current
+            or not self._servable(artifact, max_staleness)
+        ):
+            return None
+        self.refreshes += 1
+        self._count("artifacts.refreshes")
+        return artifact
 
     def book_hit(self, artifact: Artifact) -> None:
         """Hit accounting for a committed artifact: booked by
@@ -520,13 +560,16 @@ class ArtifactStore:
         """Register a completing stage's artifact as in flight.
 
         Concurrent queries may join it immediately; it commits to the
-        artifact table (under admission) once ``completes_at`` passes.
-        Returns False when the key is already present (first producer
-        wins) or the payload exceeds the row budget outright.
+        artifact table (under admission) once ``completes_at`` passes,
+        replacing a committed artifact of the same stage that had stale
+        parts.  Returns False when the key is already in flight or
+        committed current (first producer wins) or the payload exceeds the
+        row budget outright.
         """
         self._sweep()
         key = artifact.key
-        if key in self._artifacts or key in self._inflight:
+        committed = self._artifacts.get(key)
+        if key in self._inflight or (committed is not None and committed.current):
             return False
         if artifact.row_count > self.max_rows:
             self.rejected += 1
@@ -537,7 +580,7 @@ class ArtifactStore:
         )
         return True
 
-    def subscribe(self, key: "tuple[str, int]", subscriber) -> bool:
+    def subscribe(self, key: str, subscriber) -> bool:
         """Record that ``subscriber`` joined the in-flight stage at ``key``."""
         stage = self._inflight.get(key)
         if stage is None:
@@ -545,7 +588,7 @@ class ArtifactStore:
         stage.subscribers.append(subscriber)
         return True
 
-    def set_producer(self, key: "tuple[str, int]", producer) -> None:
+    def set_producer(self, key: str, producer) -> None:
         stage = self._inflight.get(key)
         if stage is not None:
             stage.producer = producer
@@ -594,16 +637,20 @@ class ArtifactStore:
     # -- invalidation ------------------------------------------------------
 
     def invalidate_table(self, table_name: str) -> int:
-        """Drop all artifacts and in-flight stages of one base table.
+        """Drop the table's artifacts and in-flight stages that have no
+        current part left: one built whole, or one whose every fragment
+        was written.  An artifact with a current part stays for the next
+        probe of its stage to refresh.
 
         Subscribed queries keep the results they already joined (their
         answers reflect the pre-write snapshot they were dispatched
         against, the simulation's execute-at-dispatch semantics); the drop
-        only prevents *new* reuse of the stale content.  The catalog
-        version bump makes surviving keys unreachable regardless.
+        only prevents *new* reuse of the stale content.
         """
         doomed = [
-            k for k, a in self._artifacts.items() if a.table_name == table_name
+            k
+            for k, a in self._artifacts.items()
+            if a.table_name == table_name and not a.partly_current
         ]
         for key in doomed:
             del self._artifacts[key]
@@ -611,6 +658,7 @@ class ArtifactStore:
             k
             for k, s in self._inflight.items()
             if s.artifact.table_name == table_name
+            and not s.artifact.partly_current
         ]
         for key in doomed_inflight:
             del self._inflight[key]
@@ -625,7 +673,7 @@ class ArtifactStore:
     def stored_rows(self) -> int:
         return sum(a.row_count for a in self._artifacts.values())
 
-    def inflight_keys(self) -> "list[tuple[str, int]]":
+    def inflight_keys(self) -> "list[str]":
         return list(self._inflight)
 
     def __len__(self) -> int:

@@ -23,17 +23,30 @@ benefit is ``rows x saved fetch seconds``, entries larger than the row
 budget are refused outright, and when the budget overflows the
 lowest-benefit entries go first (the entry being stored competes too, so a
 worthless result is simply not admitted).  Entries also expire by age.
+
+An entry the engine stores keeps its region's rows *in parts*, one per
+fragment of the table (a pruned fragment's part is empty), each tagged with
+the content epoch it was read at (:class:`repro.federation.parts.Part`).
+A region serves only while every part is current; a write to one fragment
+leaves the others' parts in place, and a scan that re-reads just the stale
+fragments refills them.  A region stored whole, with no parts, is current
+until its table's next write.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.connect.source import Predicate, apply_predicates
 from repro.core.errors import QueryError
 from repro.core.records import Table
+from repro.federation.parts import Part, all_current, any_current, current_spans
 from repro.sim.clock import SimClock
+
+if TYPE_CHECKING:
+    from repro.federation.catalog import Fragment
 
 _RANGE_OPS = ("<", "<=", ">", ">=")
 
@@ -42,15 +55,21 @@ _RANGE_OPS = ("<", "<=", ">", ">=")
 class CacheEntry:
     table_name: str
     region: frozenset[Predicate]
-    table: Table
-    as_of: float  # simulated time the rows were *fetched* (not stored)
+    table: Table  # the parts' rows, part after part
+    as_of: float  # simulated time the oldest part was *fetched* (not stored)
     fetch_seconds: float = 0.0  # what re-fetching this region would cost
     hits: int = 0
     last_used: float = 0.0
+    # One per fragment, in ``table`` order; none for a region stored whole.
+    parts: tuple[Part, ...] = ()
 
     def benefit(self) -> float:
         """What evicting this entry throws away: rows x saved fetch seconds."""
         return len(self.table) * self.fetch_seconds
+
+    @property
+    def current(self) -> bool:
+        return all_current(self.parts)
 
 
 @dataclass
@@ -211,7 +230,7 @@ class SemanticCache:
         requested = frozenset(predicates)
         found: tuple[tuple, CacheEntry, str] | None = None
         for key, entry in list(self._entries.items()):
-            if entry.table_name != table_name:
+            if entry.table_name != table_name or not entry.current:
                 continue
             if self._expired(entry, max_staleness):
                 # Too stale for this request's *effective* bound (the
@@ -310,40 +329,93 @@ class SemanticCache:
         self,
         table_name: str,
         predicates: "list[Predicate] | tuple[Predicate, ...]",
-        table: Table,
+        table: "Table | list[tuple[Fragment, int, Table | None]]",
         as_of: float | None = None,
         fetch_seconds: float = 0.0,
     ) -> bool:
         """Remember that ``table`` answers ``predicates``; returns admission.
 
-        ``as_of`` is the simulated time the rows were fetched -- callers
-        that execute before advancing the clock must pass it explicitly, or
-        staleness would be measured from store time and underestimated.
-        Entries larger than the whole row budget are refused, and a
-        stored entry competes on benefit immediately: if it is the least
-        valuable thing in an overflowing cache it is not admitted at all.
+        ``table`` is the region's rows whole, or a scan's capture: one
+        ``(fragment, epoch read at, rows)`` per fragment of the table, in
+        fragment order, where ``rows`` is ``None`` for a fragment the scan
+        did not re-read -- its part is kept from the region already stored,
+        and a capture with a gap no current stored part fills is not
+        admitted.  ``as_of`` is the simulated time the rows were fetched --
+        callers that execute before advancing the clock must pass it
+        explicitly, or staleness would be measured from store time and
+        underestimated.  Entries larger than the whole row budget are
+        refused, and a stored entry competes on benefit immediately: if it
+        is the least valuable thing in an overflowing cache it is not
+        admitted at all.
         """
+        key = (table_name, frozenset(predicates))
+        now = self.clock.now()
+        fetched = now if as_of is None else as_of
+        parts: tuple[Part, ...] = ()
+        if not isinstance(table, Table):
+            spliced = self._splice(self._entries.get(key), table, fetched)
+            if spliced is None:
+                return False
+            table, parts, stored_seconds = spliced
+            fetch_seconds = max(fetch_seconds, stored_seconds)
+            fetched = min(part.fetched_at for part in parts)
         if len(table) > self.max_rows:
             self.rejected += 1
             self._count("cache.rejected")
             return False
-        key = (table_name, frozenset(predicates))
-        now = self.clock.now()
         self._entries[key] = CacheEntry(
             table_name,
             key[1],
             table,
-            as_of=now if as_of is None else as_of,
+            as_of=fetched,
             fetch_seconds=fetch_seconds,
             last_used=now,
+            parts=parts,
         )
         self._entries.move_to_end(key)
         self._evict()
         return key in self._entries
 
+    @staticmethod
+    def _splice(stored: "CacheEntry | None", capture, fetched_at: float):
+        """The capture's parts over the stored entry's current ones:
+        ``(table, parts, stored fetch seconds)``, or None for a gap or a
+        capture that read nothing.  A capture read whole is the one fold
+        of its tables, which also refuses a table of another schema."""
+        reads = [read for _, _, read in capture if read is not None]
+        if not reads:
+            return None  # nothing was read: the stored entry stands as is
+        first, *rest = reads
+        table = first.union_all(*rest) if rest else first
+        kept = {} if stored is None else current_spans(stored.parts)
+        parts, rows = [], []
+        for fragment, epoch, read in capture:
+            if read is not None:
+                parts.append(Part(fragment, epoch, len(read), fetched_at))
+                rows += read.rows
+            elif fragment.fragment_id in kept:
+                part, start, stop = kept[fragment.fragment_id]
+                parts.append(part)
+                rows += stored.table.rows[start:stop]
+            else:
+                return None
+        if len(reads) == len(capture):
+            return table, tuple(parts), 0.0
+        # A refill: the kept parts' rows in between, in fragment order.
+        table = Table(first.schema, rows, validate=False)
+        return table, tuple(parts), stored.fetch_seconds
+
     def invalidate_table(self, table_name: str) -> int:
-        """Drop all regions of one table (on known base updates)."""
-        doomed = [k for k, e in self._entries.items() if e.table_name == table_name]
+        """Drop the table's regions that have no current part left (on
+        known base updates): a region stored whole, or one whose every
+        fragment was written.  A region with a current part stays, serving
+        nothing until a scan refills its stale parts."""
+        doomed = [
+            key
+            for key, entry in self._entries.items()
+            if entry.table_name == table_name
+            and not any_current(entry.parts)
+        ]
         for key in doomed:
             del self._entries[key]
         self.invalidations += len(doomed)

@@ -38,6 +38,11 @@ class Fragment:
     # by a base-table update) and disables partition elimination for this
     # fragment -- pruning must stay sound under stale statistics.
     zone_map: ZoneMap | None = None
+    # Content epoch: moves whenever this fragment's rows may have changed
+    # (a notified write, a replica placed or dropped).  Stored answers tag
+    # each fragment's share with the epoch it was read at (a
+    # ``repro.federation.parts.Part``) and serve it only while the two match.
+    epoch: int = 0
 
     def replica_sites(self) -> list[str]:
         return sorted(self.replicas)
@@ -74,17 +79,6 @@ class FederationCatalog:
         self.version = 0
         # Base-table update listeners (semantic caches, view schedulers...).
         self._update_listeners: list = []
-        # Zone-map statistics describe fragment *content*, so any base-table
-        # update makes them untrustworthy: drop them (pruning falls back to
-        # scanning every fragment, which is always sound).
-        self.on_table_updated(self._invalidate_zone_maps)
-
-    def _invalidate_zone_maps(self, table_name: str) -> None:
-        entry = self.tables.get(table_name)
-        if entry is None:
-            return
-        for fragment in entry.fragments:
-            fragment.zone_map = None
 
     # -- base-table update notifications -------------------------------------
 
@@ -98,9 +92,30 @@ class FederationCatalog:
         """
         self._update_listeners.append(callback)
 
-    def notify_table_updated(self, table_name: str) -> None:
-        """Tell listeners that ``table_name``'s base content changed."""
+    def notify_table_updated(
+        self, table_name: str, fragment: str | None = None
+    ) -> None:
+        """Tell listeners that ``table_name``'s base content changed: the
+        fragment whose id is ``fragment``, or every fragment (``None``).
+
+        Each written fragment's epoch moves, so stored parts read from it
+        stop being current, and its zone map is dropped: statistics
+        describe content, and pruning without them scans the fragment,
+        which is always sound.  The catalog version moves on every write,
+        so prepared plans (which embed stored rows) re-prepare.
+        """
+        entry = self.tables.get(table_name)
+        written = [] if entry is None else [
+            each
+            for each in entry.fragments
+            if fragment is None or each.fragment_id == fragment
+        ]
+        if fragment is not None and not written:
+            raise QueryError(f"unknown fragment {fragment!r} of {table_name!r}")
         self.version += 1
+        for each in written:
+            each.epoch += 1
+            each.zone_map = None
         for callback in list(self._update_listeners):
             callback(table_name)
 
@@ -154,12 +169,14 @@ class FederationCatalog:
         local_name = f"{fragment.table_name}/{fragment.fragment_id}"
         site.host(source, local_name)
         fragment.replicas[site_name] = local_name
+        fragment.epoch += 1
         self.version += 1
 
     def drop_replica(self, fragment: Fragment, site_name: str) -> None:
         local_name = fragment.replicas.pop(site_name, None)
         if local_name is not None and site_name in self.sites:
             self.sites[site_name].unhost(local_name)
+        fragment.epoch += 1
         self.version += 1
 
     # -- bulk loading helpers -----------------------------------------------------

@@ -24,8 +24,9 @@ This is the integrator's query surface (§3.2 C6):
   regions (verbatim or implied: ``price < 5`` covers ``price < 3``) to the
   optimizer as a priced access path *bidding* against fragments and views,
   live scan results are admitted by benefit (rows x saved fetch seconds),
-  and base-table update notifications from the catalog invalidate the
-  affected regions.
+  kept in one part per fragment, and a base-table update notification
+  stales the written fragments' parts (a region serves only while every
+  part is current; a refresh re-reads the stale fragments alone).
 
 Before optimization the logical plan runs through the engine's rewrite
 pipeline (:mod:`repro.sql.rewrite`): ``MATCH(column, 'query')`` predicates
@@ -878,8 +879,10 @@ class FederatedEngine:
     def _store_in_cache(self, plan, report) -> None:
         """Remember live fragment-scan results under their predicate region.
 
-        Each capture carries the fetch timestamp (``as_of`` for staleness)
-        and the site work the scan cost (the benefit a future hit saves).
+        Each capture carries its rows per fragment, tagged with the epochs
+        read (a refresh's capture refills the stale parts of its region),
+        the fetch timestamp (``as_of`` for staleness) and the site work the
+        scan cost (the benefit a future hit saves).
         """
         for scan in scans_in(plan):
             capture = report.scan_tables.get(scan.binding)
@@ -888,7 +891,7 @@ class FederatedEngine:
             self.cache.store(
                 scan.table,
                 scan.pushdown,
-                capture.table,
+                capture.parts,
                 as_of=capture.fetched_at,
                 fetch_seconds=capture.fetch_seconds,
             )

@@ -1,0 +1,57 @@
+"""Stored answers kept in parts, one per fragment, tagged by content epoch.
+
+The semantic cache keeps a region's rows and the artifact store a stage's
+output as one part per fragment of the base table (a pruned fragment's part
+is empty), each tagged with the fragment's content epoch when it was read
+(:attr:`repro.federation.catalog.Fragment.epoch`).  A stored answer serves
+whole only while every part is current; a write to one fragment makes that
+part stale and leaves the others servable, so re-reading the stale
+fragments alone brings the answer back.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from repro.federation.catalog import Fragment
+
+
+class Part(NamedTuple):
+    """``size`` rows (or group records) of a stored answer, read from
+    ``fragment`` at content epoch ``epoch``, at simulated time
+    ``fetched_at``.  (A tuple: a refresh builds fifty of them, and a
+    frozen dataclass costs about three times as much to build.)"""
+
+    fragment: "Fragment"
+    epoch: int
+    size: int
+    fetched_at: float
+
+    @property
+    def current(self) -> bool:
+        """Whether the fragment still holds what was read."""
+        return self.fragment.epoch == self.epoch
+
+
+def all_current(parts: Sequence[Part]) -> bool:
+    """Every part current (an answer with no parts is vacuously so)."""
+    return all(part.fragment.epoch == part.epoch for part in parts)
+
+
+def any_current(parts: Sequence[Part]) -> bool:
+    """Some part current: what a write leaves of a stored answer."""
+    return any(part.fragment.epoch == part.epoch for part in parts)
+
+
+def current_spans(parts: Sequence[Part]) -> "dict[str, tuple[Part, int, int]]":
+    """Fragment id -> ``(part, start, stop)`` for each current part, where
+    the stored rows (or records) hold the parts one after another."""
+    spans = {}
+    start = 0
+    for part in parts:
+        stop = start + part.size
+        if part.current:
+            spans[part.fragment.fragment_id] = (part, start, stop)
+        start = stop
+    return spans

@@ -24,7 +24,9 @@ operators split across two placements:
 A materialized copy is served one way per kind, whoever found it: a stage
 artifact by the ``Ship`` boundary (every scan compiles to one ``Ship`` over
 its site pipeline, and an artifact the optimizer embedded in the plan is
-served like one the store's run-time probe found, the pipeline unopened);
+served like one the store's run-time probe found, the pipeline unopened,
+and one whose parts went stale in places is refreshed there: the stale
+fragments' pipeline runs alone and the current parts are served beside it);
 a view at its host or a cache region at the coordinator by
 :meth:`SiteScan._serve_copy`, for a planned scan and the covering fallback
 alike.
@@ -37,7 +39,7 @@ placement site in :class:`OperatorStats`; the engine renders the tree as
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
@@ -63,6 +65,7 @@ from repro.federation.artifacts import (
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.governance import mask_value
 from repro.federation.health import RetryPolicy
+from repro.federation.parts import Part, current_spans
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
     BinaryOp,
@@ -123,7 +126,7 @@ class ScanAssignment:
     cached_staleness: float = 0.0
     cached_region: "frozenset | None" = None  # the predicate region served
     # For kind "artifact": the committed stage artifact the plan embeds
-    # (validity re-checked against the catalog version at the Ship).
+    # (its parts re-checked for currency at the Ship).
     artifact: "Any | None" = None
     artifact_age: float = 0.0  # age in seconds at plan time (EXPLAIN)
     # Zone-map partition elimination accounting for kind "fragments":
@@ -139,6 +142,22 @@ class ScanAssignment:
     # (the site may have repaired) and otherwise applies the query's
     # degraded-answer policy -- availability is an execution-time property.
     unreachable: list[Fragment] = field(default_factory=list)
+    # For a refresh: the ids of the fragments this execution re-runs (the
+    # stage artifact's stale parts); None when it runs every fragment.
+    rerun: "frozenset[str] | None" = None
+
+    def narrowed(self, fragment_ids: "frozenset[str]") -> "ScanAssignment":
+        """This placement over ``fragment_ids`` alone, for a refresh."""
+        return replace(
+            self,
+            choices=[
+                c for c in self.choices if c.fragment.fragment_id in fragment_ids
+            ],
+            unreachable=[
+                f for f in self.unreachable if f.fragment_id in fragment_ids
+            ],
+            rerun=fragment_ids,
+        )
 
 
 @dataclass
@@ -263,14 +282,18 @@ class OperatorStats:
 class ScanCapture:
     """One live fragment scan's output, kept for the semantic cache.
 
-    ``fetched_at`` is the simulated clock at the moment the sources were
-    read -- the engine stamps cache entries with it so staleness is measured
-    from the fetch, not from whenever the store happens to run.
-    ``fetch_seconds`` is the site work the scan cost, i.e. what a future
-    cache hit saves (the benefit term in admission/eviction).
+    ``parts`` holds one ``(fragment, epoch read at, rows)`` per fragment of
+    the table in fragment order -- a pruned fragment's rows are an empty
+    table, and a refresh's not re-read fragments have ``None`` (the cache
+    keeps their stored parts).  ``fetched_at`` is the simulated clock at
+    the moment the sources were read -- the engine stamps cache entries
+    with it so staleness is measured from the fetch, not from whenever the
+    store happens to run.  ``fetch_seconds`` is the site work the scan
+    cost, i.e. what a future cache hit saves (the benefit term in
+    admission/eviction).
     """
 
-    table: Table
+    parts: "list[tuple[Fragment, int, Table | None]]"
     fetched_at: float
     fetch_seconds: float = 0.0
 
@@ -570,6 +593,7 @@ class SiteBatch:
     elapsed: float  # queue delay + site-side work along this batch's pipeline
     chunks: "list[columnar.ColumnBatch] | None" = None
     selections: "list[list[int] | None] | None" = None  # one per chunk
+    fragment: Fragment | None = None  # the fragment read; None for a copy
 
     def kept(self) -> "Iterator[tuple[columnar.ColumnBatch, list[int] | None]]":
         """``(chunk, selection)`` pairs, in order."""
@@ -677,27 +701,38 @@ class SiteScan(SiteOperator):
             # answer as any.  Failover fallbacks and degraded scans are
             # excluded (_capture_ok): their output is stale or partial.
             # The semantic cache is the capture's only reader, so without
-            # one attached no union of the fragment tables is built.
+            # one attached no parts are gathered.
             if self._capture_ok and ctx.paths.cache is not None:
-                if table_batches:
-                    first, *rest = (table for _, table, _ in table_batches)
-                    combined = first.union_all(*rest) if rest else first
-                else:
-                    combined = Table(
-                        ctx.catalog.entry(assignment.table_name).schema, []
-                    )
                 ctx.report.scan_tables[assignment.binding] = ScanCapture(
-                    combined, now, self.stats.seconds
+                    self._capture_parts(ctx, assignment, table_batches),
+                    now,
+                    self.stats.seconds,
                 )
 
         self.stats.detail = self._describe(assignment)
         return self._site_batches(ctx, assignment, table_batches)
 
+    @staticmethod
+    def _capture_parts(ctx: ExecContext, assignment, table_batches):
+        """One ``(fragment, epoch, rows)`` per fragment of the table: what
+        was read, an empty table for a pruned fragment, and ``None`` for a
+        fragment a refresh did not re-run."""
+        entry = ctx.catalog.entry(assignment.table_name)
+        read = {fragment.fragment_id: table for _, table, _, fragment in table_batches}
+        rerun, empty = assignment.rerun, Table(entry.schema, [])
+        parts = []
+        for fragment in entry.fragments:
+            rows = read.get(fragment.fragment_id)
+            if rows is None and (rerun is None or fragment.fragment_id in rerun):
+                rows = empty
+            parts.append((fragment, fragment.epoch, rows))
+        return parts
+
     def _site_batches(
         self,
         ctx: ExecContext,
         assignment: ScanAssignment,
-        table_batches: list[tuple[str, Table, float]],
+        table_batches: "list[tuple[str, Table, float, Fragment | None]]",
     ) -> list[SiteBatch]:
         """Each table's resident column layout under this query's batch
         headers, less the rows the text index and the residual RLS reject,
@@ -707,9 +742,11 @@ class SiteScan(SiteOperator):
         policy hides never leave the site pipeline.
         """
         batches = []
-        for site, table, elapsed in table_batches:
+        for site, table, elapsed, fragment in table_batches:
             chunks = columnar.table_chunks(assignment.binding, table, ctx.ambiguous)
-            batches.append(SiteBatch(site, [], elapsed, chunks, [None] * len(chunks)))
+            batches.append(
+                SiteBatch(site, [], elapsed, chunks, [None] * len(chunks), fragment)
+            )
         if self.scan.text_filter is not None:
             keep = chunk_filter(self._text_condition(ctx))
             for batch in batches:
@@ -718,11 +755,12 @@ class SiteScan(SiteOperator):
         ctx.report.rows_fetched += sum(batch.row_count() for batch in batches)
         return batches
 
-    # each access path returns [(site_name, table, elapsed_seconds)]
+    # each access path returns [(site_name, table, elapsed_seconds,
+    # fragment read or None for a copy)]
 
     def _fragment_batches(
         self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> list[tuple[str, Table, float]]:
+    ) -> "list[tuple[str, Table, float, Fragment | None]]":
         choices = list(assignment.choices)
         lost: list[FragmentChoice] = []
         # Fragments with no live replica at plan time are retried now -- the
@@ -734,12 +772,12 @@ class SiteScan(SiteOperator):
             else:
                 choices.append(FragmentChoice(fragment, preferred))
         if not choices and not lost:
-            if (
+            if assignment.rerun is not None or (
                 assignment.total_fragments > 0
                 and assignment.pruned_fragments >= assignment.total_fragments
             ):
-                # Every fragment was eliminated by its zone map: the scan is
-                # provably empty, no site does any work.
+                # Every fragment (a refresh: every stale one) was eliminated
+                # by its zone map: provably empty, no site does any work.
                 return []
             raise QueryError(
                 f"scan of {assignment.table_name!r} has no fragment choices"
@@ -758,7 +796,7 @@ class SiteScan(SiteOperator):
                 ctx.report.site_work.get(site_name, 0.0) + work
             )
             self.stats.seconds += work
-            batches.append((site_name, result.table, delay + work))
+            batches.append((site_name, result.table, delay + work, choice.fragment))
         if lost:
             self._capture_ok = False
             copy = self._covering_fallback(ctx, assignment, predicates)
@@ -900,7 +938,7 @@ class SiteScan(SiteOperator):
 
     def _planned_copy(
         self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> list[tuple[str, Table, float]]:
+    ) -> "list[tuple[str, Table, float, None]]":
         """A view or cache scan the optimizer chose: its rows are the scan's
         input, and a view whose one host is down -- there is no replica to
         fail over to -- registers the whole scan unreachable under the
@@ -925,7 +963,7 @@ class SiteScan(SiteOperator):
 
     def _serve_copy(
         self, ctx: ExecContext, copy: ScanAssignment, predicates
-    ) -> list[tuple[str, Table, float]]:
+    ) -> "list[tuple[str, Table, float, None]]":
         """Serve a materialized copy, planned or found by the covering
         fallback: a view at its host with the pushdown applied, or a cache
         region (its rows already reduced to the pushdown) at the
@@ -941,7 +979,7 @@ class SiteScan(SiteOperator):
         work = ctx.charge_site(site, len(table))
         self.stats.seconds += work
         ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-        return [(site, table, work)]
+        return [(site, table, work, None)]
 
     def _text_condition(self, ctx: ExecContext) -> Expr:
         """The text index's hits as a condition on the scan's key column."""
@@ -1034,7 +1072,12 @@ class SiteFilter(SiteOperator):
             self.stats.seconds += work
             out.append(
                 SiteBatch(
-                    batch.site, [], batch.elapsed + work, batch.chunks, selections
+                    batch.site,
+                    [],
+                    batch.elapsed + work,
+                    batch.chunks,
+                    selections,
+                    batch.fragment,
                 )
             )
         self.stats.detail = describe_expr(self.condition)
@@ -1074,6 +1117,7 @@ class SiteProject(SiteOperator):
                     batch.elapsed + work,
                     pruned_chunks,
                     batch.selections,
+                    batch.fragment,
                 )
             )
         self.stats.detail = f"keep({', '.join(self.keep)})"
@@ -1379,7 +1423,11 @@ class PartialAggregate(SiteOperator):
             records = partial_groups(batch.kept(), self.node.group_by, calls)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, records, batch.elapsed + work))
+            out.append(
+                SiteBatch(
+                    batch.site, records, batch.elapsed + work, fragment=batch.fragment
+                )
+            )
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
         return out
 
@@ -1418,7 +1466,9 @@ class Ship(PhysicalOperator):
 
     Before any of that, the boundary serves the stage from a materialized
     artifact when one applies (:meth:`_artifact_rows`); the site pipeline
-    is then never opened.
+    is then never opened.  An artifact current in parts only is refreshed
+    instead: the pipeline runs over the stale fragments alone and the
+    current parts are served beside its output (:meth:`_refreshed`).
     """
 
     name = "Ship"
@@ -1428,12 +1478,16 @@ class Ship(PhysicalOperator):
         self.stage = stage  # the content-hashable unit of artifact reuse
         self._stage_key = None
         self._stage_rows_fetched = 0
+        # A refresh's (stale artifact, un-narrowed assignment, re-run
+        # fragment ids), else None.
+        self._refresh = None
 
     def open(self, ctx: ExecContext) -> None:
         self.stats = OperatorStats(self.name, site=ctx.coordinator)
         self._ctx = ctx
         self._closed = False
         self._rows = None
+        self._refresh = None
         served = self._artifact_rows(ctx)
         if served is not None:
             # The whole site-side pipeline is skipped: children are never
@@ -1448,8 +1502,14 @@ class Ship(PhysicalOperator):
             # migrate; SiteScan re-reads it at compute time.
             ctx.reopt.consider(ctx, self.stage)
         before = ctx.report.rows_fetched
-        for child in self.children:
-            child.open(ctx)
+        try:
+            for child in self.children:
+                child.open(ctx)
+        finally:
+            if self._refresh is not None:
+                # The pipeline has read its narrowed assignment: the plan
+                # goes back to the whole stage, which a replay of it runs.
+                ctx.plan.assignments[self.stage.scan.binding] = self._refresh[1]
         self._stage_rows_fetched = ctx.report.rows_fetched - before
 
     def _artifact_rows(self, ctx: ExecContext):
@@ -1463,7 +1523,9 @@ class Ship(PhysicalOperator):
         identical in-flight stage (charged the remaining wait until the
         producer's modeled completion).  Either way the rows, staleness
         and saved work are booked, one coordinator pass is charged and one
-        hit (or join) counted.
+        hit (or join) counted.  A probe that finds the artifact stale in
+        parts narrows this execution's assignment to the stale fragments
+        and serves nothing yet: the pipeline runs, then :meth:`_refreshed`.
         """
         self._stage_key = None
         store = ctx.paths.artifacts
@@ -1475,11 +1537,8 @@ class Ship(PhysicalOperator):
         planned = assignment is not None and assignment.kind == "artifact"
         if planned:
             artifact, wait, joined = assignment.artifact, 0.0, False
-            if artifact.key[1] != ctx.catalog.version:
-                raise QueryError(
-                    f"stale artifact plan for {scan.table!r} "
-                    f"(v{artifact.key[1]}, catalog v{ctx.catalog.version})"
-                )
+            if not artifact.current:
+                raise QueryError(f"stale artifact plan for {scan.table!r}")
         else:
             # View/cache paths carry their own staleness semantics; the
             # stage hash only describes the base-table fragment scan.
@@ -1495,6 +1554,13 @@ class Ship(PhysicalOperator):
             self._stage_key = key  # the capture target if we miss
             hit = store.acquire(key, options.max_staleness)
             if hit is None:
+                stale = store.refreshable(key, options.max_staleness)
+                if stale is not None:
+                    rerun = frozenset(
+                        p.fragment.fragment_id for p in stale.parts if not p.current
+                    )
+                    self._refresh = (stale, assignment, rerun)
+                    ctx.plan.assignments[scan.binding] = assignment.narrowed(rerun)
                 return None
             artifact, wait, joined = hit
         age = ctx.catalog.clock.now() - artifact.fetched_at
@@ -1536,22 +1602,79 @@ class Ship(PhysicalOperator):
         self.stats.rows_in = len(rows)
         self.stats.seconds = serve
         label = "joined in-flight stage" if joined else "artifact hit"
-        self.stats.detail = (
-            f"{label} {key[0][:8]} v{key[1]} "
-            f"(age {age:.1f}s, wait {wait:.2f}s)"
-        )
+        self.stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
         return rows
+
+    def _refreshed(self, ctx: ExecContext, slots: list) -> "tuple[list, str]":
+        """A refresh's output slots and its EXPLAIN note.
+
+        The re-run fragments' batches and the stale artifact's current
+        parts, in fragment order; the parts are one coordinator pass,
+        charged once, and report the oldest part's age as staleness.  A
+        re-run that fell back to a copy of the whole scan (a view, a cache
+        region) is answered by that copy alone: serving parts beside it
+        would repeat their rows.
+        """
+        artifact, unnarrowed, rerun = self._refresh
+        scan = self.stage.scan
+        entry = ctx.catalog.entry(scan.table)
+
+        def note(served: int) -> str:
+            ids = [f.fragment_id for f in entry.fragments if f.fragment_id in rerun]
+            return (
+                f"artifact refresh {artifact.key[:8]}: {served}/"
+                f"{len(artifact.parts)} parts served, re-ran {', '.join(ids)}"
+            )
+
+        if any(read is None for read, _ in slots):
+            return slots, note(0)
+        if self.stage.agg is not None:
+            calls = self.stage.agg.split.calls
+            served = artifact.serve_groups(scan.binding, ctx.ambiguous, calls)
+        else:
+            served = artifact.serve_rows(scan.binding, ctx.ambiguous)
+        if served is None:
+            raise QueryError(f"artifact payload mismatch for {scan.binding!r}")
+        spans = current_spans(artifact.parts)
+        read = {fragment.fragment_id: out for fragment, out in slots}
+        spliced = []
+        for fragment in entry.fragments:
+            if fragment.fragment_id in read:
+                spliced.append((fragment, read[fragment.fragment_id]))
+            elif fragment.fragment_id in spans:
+                part, start, stop = spans[fragment.fragment_id]
+                if isinstance(served, columnar.ColumnBatch):
+                    out = [served.slice(start, stop)] if stop > start else []
+                else:
+                    out = row_form_batches(served[start:stop])
+                spliced.append((part, out))
+        parts = [part for part, _, _ in spans.values()]
+        count = sum(part.size for part in parts)
+        placed = {c.fragment.fragment_id for c in unnarrowed.choices}
+        placed.update(f.fragment_id for f in unnarrowed.unreachable)
+        ctx.scan_total_rows += sum(
+            p.fragment.estimated_rows for p in parts if p.fragment.fragment_id in placed
+        )
+        age = ctx.catalog.clock.now() - min(part.fetched_at for part in parts)
+        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
+        self.stats.rows_in += count
+        self.stats.seconds += ctx.charge_coordinator(count)
+        return spliced, note(len(parts))
 
     def _maybe_capture(
         self,
         ctx: ExecContext,
+        slots: list,
         batches: "list[columnar.ColumnBatch]",
         shipped_bytes: int,
         arrival: float,
     ) -> None:
-        """On an artifact miss, publish this stage's output through the
-        report.  The engine registers successful reports' outputs in
-        flight; failed executions drop them unseen."""
+        """On an artifact miss or refresh, publish this stage's output
+        through the report, one part per fragment: ``slots`` pairs what
+        each slice of ``batches`` came from -- the fragment read, or a
+        refresh's served part -- with the slice.  The engine registers
+        successful reports' outputs in flight; failed executions drop them
+        unseen."""
         key = self._stage_key  # set only by a probe that reuse allowed
         if key is None:
             return
@@ -1565,32 +1688,54 @@ class Ship(PhysicalOperator):
         if not site_scan._capture_ok:
             return
         scan, agg = self.stage.scan, self.stage.agg
+        entry = ctx.catalog.tables.get(scan.table)
+        if entry is None or any(read is None for read, _ in slots):
+            return
         try:
             if agg is not None:
                 records = [r for batch in batches for r in batch.columns[0]]
                 payload = groups_payload(records, scan.binding, agg.split.calls)
             else:
-                entry = ctx.catalog.tables.get(scan.table)
-                if entry is None:
-                    return
                 fields = stage_fields(entry.schema, scan)
                 payload = rows_payload(batches, scan.binding, fields)
         except KeyError:
             return  # rows missing expected columns: not canonically capturable
+        now = ctx.catalog.clock.now()
+        parts = [
+            read
+            if isinstance(read, Part)
+            else Part(read, read.epoch, sum(batch.count for batch in out), now)
+            for read, out in slots
+        ]
+        # A fragment no slot came from was pruned: an empty part.
+        seen = {part.fragment.fragment_id for part in parts}
+        parts += [
+            Part(fragment, fragment.epoch, 0, now)
+            for fragment in entry.fragments
+            if fragment.fragment_id not in seen
+        ]
+        saved = (self._stage_rows_fetched, shipped_bytes, arrival)
+        if self._refresh is not None:
+            # A hit on the spliced artifact avoids the whole stage, as the
+            # artifact it refreshes measured it.
+            old = self._refresh[0]
+            saved = (old.rows_saved, old.bytes_saved, old.fetch_seconds)
         ctx.report.stage_outputs.append(
             Artifact(
                 key=key,
                 table_name=scan.table,
                 payload=payload,
-                rows_saved=self._stage_rows_fetched,
-                bytes_saved=shipped_bytes,
-                fetch_seconds=arrival,
-                fetched_at=ctx.catalog.clock.now(),
+                rows_saved=saved[0],
+                bytes_saved=saved[1],
+                fetch_seconds=saved[2],
+                fetched_at=min(part.fetched_at for part in parts),
+                parts=tuple(parts),
             )
         )
 
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
-        arrived: "list[columnar.ColumnBatch]" = []
+        # (fragment read, its arrived batches), one per site batch.
+        slots: list = []
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
@@ -1604,6 +1749,8 @@ class Ship(PhysicalOperator):
         network = ctx.catalog.network
         for batch in self.children[0].batches():
             stage_sites.add(batch.site)
+            arrived: "list[columnar.ColumnBatch]" = []
+            slots.append((batch.fragment, arrived))
             local = batch.site == ctx.coordinator
             elapsed = batch.elapsed
             nbytes = 0
@@ -1644,7 +1791,7 @@ class Ship(PhysicalOperator):
                 sources.add(batch.site)
             transfer_total += transfer
             arrival = max(arrival, elapsed + transfer)
-        rows = sum(batch.count for batch in arrived)
+        rows = sum(batch.count for _, out in slots for batch in out)
         ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
         ctx.report.rows_shipped += shipped
         ctx.report.bytes_shipped += shipped_bytes
@@ -1660,13 +1807,17 @@ class Ship(PhysicalOperator):
         self.stats.detail = (
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
+        if self._refresh is not None:
+            slots, note = self._refreshed(ctx, slots)
+            self.stats.detail = f"{note}; {self.stats.detail}"
         binding = self.stage.scan.binding
         ctx.report.stage_runtimes[binding] = (arrival, tuple(sorted(stage_sites)))
         if ctx.reopt is not None:
             note = ctx.reopt.describe(binding)
             if note:
                 self.stats.detail += f"  [{note}]"
-        self._maybe_capture(ctx, arrived, shipped_bytes, arrival)
+        arrived = [batch for _, out in slots for batch in out]
+        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival)
         return arrived
 
 
@@ -2210,7 +2361,7 @@ def describe_artifact_path(assignment: ScanAssignment) -> str:
     """The artifact access path as EXPLAIN shows it: stage key plus age."""
     artifact = assignment.artifact
     return (
-        f"artifact(stage {artifact.key[0][:8]}, v{artifact.key[1]}, "
+        f"artifact(stage {artifact.key[:8]}, "
         f"rows {artifact.row_count}, age {assignment.artifact_age:.1f}s)"
     )
 

@@ -195,6 +195,10 @@ class ReoptController:
             )
             return False
         fresh, modeled = quote
+        if assignment.rerun is not None:
+            # A refresh re-runs its stale fragments alone: a migration
+            # moves them, never the rest of the table back in.
+            fresh = fresh.narrowed(assignment.rerun)
         self.modeled_seconds += modeled
         risk = self.paths.risk_multiplier
         old_price = self._live_makespan(scan, assignment, risk)

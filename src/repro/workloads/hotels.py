@@ -99,7 +99,8 @@ class HotelMarket:
     # -- volatility ---------------------------------------------------------------------
 
     def apply_random_update(self, rng: random.Random) -> None:
-        """One booking / cancellation / rate move at a random hotel."""
+        """One booking / cancellation / rate move at a random hotel; the
+        registered catalogs hear that its chain's fragment was written."""
         hotel = rng.choice(self.hotels)
         roll = rng.random()
         if roll < 0.5:  # booking
@@ -112,9 +113,10 @@ class HotelMarket:
             hotel["corporate_rate"] = round(hotel["corporate_rate"] * factor, 2)
         self.updates_applied += 1
         # Availability is the volatile table (C5): every booking is a base
-        # update, and registered federations must drop covering cache regions.
+        # update of one chain's fragment, whose stored parts go stale.
+        fragment = chain_fragment(self.chains.index(hotel["chain"]))
         for catalog in self._catalogs:
-            catalog.notify_table_updated("hotel_availability")
+            catalog.notify_table_updated("hotel_availability", fragment)
 
     def schedule_volatility(
         self, loop: EventLoop, rng: random.Random, mean_interval: float
@@ -161,7 +163,7 @@ class HotelMarket:
             site_name = chain_sites[chain]
             hotels = by_chain[chain]
             rows = len(hotels)
-            fragment = catalog.add_fragment("hotel_availability", f"chain-{i}", rows)
+            fragment = catalog.add_fragment("hotel_availability", chain_fragment(i), rows)
             source = LiveSource(
                 f"availability@{chain}",
                 AVAILABILITY_SCHEMA,
@@ -175,6 +177,11 @@ class HotelMarket:
         catalog.load_fragmented(
             self.static_table(), 1, [static_sites], scan_cost_seconds=0.01
         )
+
+
+def chain_fragment(index: int) -> str:
+    """The availability fragment id of the ``index``-th chain."""
+    return f"chain-{index}"
 
 
 def _availability(hotels: Iterable[dict]) -> list[dict]:

@@ -133,7 +133,7 @@ class SiteScan(physical.SiteScan):
         if self.scan.text_filter is not None:
             table_batches = self._apply_text_filter(ctx, assignment, table_batches)
         table_batches = self._apply_governance(ctx, table_batches)
-        ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
+        ctx.report.rows_fetched += sum(len(t) for _, t, _, _ in table_batches)
         return [
             SiteBatch(
                 site,
@@ -142,8 +142,9 @@ class SiteScan(physical.SiteScan):
                     for values in table.rows
                 ],
                 elapsed,
+                fragment=fragment,
             )
-            for site, table, elapsed in table_batches
+            for site, table, elapsed, fragment in table_batches
         ]
 
     def _apply_text_filter(self, ctx, assignment, table_batches):
@@ -160,11 +161,11 @@ class SiteScan(physical.SiteScan):
             )
         }
         filtered_batches = []
-        for site, table, elapsed in table_batches:
+        for site, table, elapsed, fragment in table_batches:
             key_index = table.schema.index_of(entry.key_column)
             filtered = Table(table.schema, validate=False)
             filtered.rows = [row for row in table.rows if row[key_index] in hits]
-            filtered_batches.append((site, filtered, elapsed))
+            filtered_batches.append((site, filtered, elapsed, fragment))
         return filtered_batches
 
     def _apply_governance(self, ctx, table_batches):
@@ -177,7 +178,7 @@ class SiteScan(physical.SiteScan):
             else None
         )
         out = []
-        for site, table, elapsed in table_batches:
+        for site, table, elapsed, fragment in table_batches:
             if residual is not None:
                 kept = [
                     values
@@ -202,7 +203,7 @@ class SiteScan(physical.SiteScan):
                 self.stats.seconds += work
                 elapsed += work
                 table = apply_masks(table, governance.masks)
-            out.append((site, table, elapsed))
+            out.append((site, table, elapsed, fragment))
         return out
 
 
@@ -214,7 +215,9 @@ class SiteFilter(physical.SiteFilter):
             kept = [env for env in batch.rows if evaluate(self.condition, env)]
             work = ctx.charge_site(batch.site, len(batch.rows))
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, kept, batch.elapsed + work))
+            out.append(
+                SiteBatch(batch.site, kept, batch.elapsed + work, fragment=batch.fragment)
+            )
         self.stats.detail = describe_expr(self.condition)
         return out
 
@@ -233,7 +236,11 @@ class SiteProject(physical.SiteProject):
             ]
             work = ctx.charge_site(batch.site, len(batch.rows))
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, pruned, batch.elapsed + work))
+            out.append(
+                SiteBatch(
+                    batch.site, pruned, batch.elapsed + work, fragment=batch.fragment
+                )
+            )
         self.stats.detail = f"keep({', '.join(self.keep)})"
         return out
 
@@ -280,7 +287,11 @@ class PartialAggregate(physical.PartialAggregate):
             records = self._row_records(batch.rows)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
-            out.append(SiteBatch(batch.site, records, batch.elapsed + work))
+            out.append(
+                SiteBatch(
+                    batch.site, records, batch.elapsed + work, fragment=batch.fragment
+                )
+            )
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
         return out
 
@@ -311,7 +322,7 @@ class PartialAggregate(physical.PartialAggregate):
 
 class Ship(physical.Ship):
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
-        arrived: "list[columnar.ColumnBatch]" = []
+        slots = []  # (fragment read, its arrived batches), one per site batch
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
@@ -340,7 +351,8 @@ class Ship(physical.Ship):
                 shipped += len(batch.rows)
                 sources.add(batch.site)
             arrival = max(arrival, batch.elapsed + transfer)
-            arrived.extend(row_form_batches(batch.rows))
+            slots.append((batch.fragment, row_form_batches(batch.rows)))
+        arrived = [batch for _, out in slots for batch in out]
         rows = sum(batch.count for batch in arrived)
         ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
         ctx.report.rows_shipped += shipped
@@ -366,7 +378,7 @@ class Ship(physical.Ship):
                 note = ctx.reopt.describe(binding)
                 if note:
                     self.stats.detail += f"  [{note}]"
-        self._maybe_capture(ctx, arrived, shipped_bytes, arrival)
+        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival)
         return arrived
 
 

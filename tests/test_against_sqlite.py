@@ -16,7 +16,12 @@ stores, a governed tenant, re-optimization, the entry (ad hoc with the
 literals inlined, or prepared or through a gateway session with ``?``) and
 the layout (1, 2 or 4 fragments; one replica, or two with a replica's site
 down after the first execution) -- and runs each statement three times
-(column orders answer a filter from the second).  Rows and floats are
+(column orders answer a filter from the second).  A second property adds a
+write: one fragment of ``t`` changes between the statements' runs and the
+catalog hears of it by fragment id or for the whole table, so with reuse on
+the runs after it refresh stale parts of cache regions and stage artifacts
+-- over zone-map-pruned fragments and partial-aggregate stages too -- and
+under ``LIVE_ONLY`` serve none.  Rows and floats are
 compared by ``benchmarks.e2e.oracle.rows_match``, and the engine's value
 types must be exact.  The grammar leaves out exactly README's divergence
 table: CASE, ``%`` and ``/`` are never written, the fixture holds no NaN,
@@ -31,9 +36,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.oracle import rows_match
-from repro.core import DataType, Field
+from repro.connect.source import StaticSource
+from repro.core import DataType, Field, Table
 from repro.core.errors import PartialFailureError
 from repro.federation import Gateway, ReoptPolicy, WorkloadManager
+from repro.federation.engine import LIVE_ONLY
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop
 
@@ -315,20 +322,62 @@ SWITCHES = st.builds(
 )
 
 
-def expected(switches, statement):
+def expected(switches, statement, tables=TABLES):
     """sqlite's column names and rows; a governed tenant's ``t`` is the
     table its policy leaves, made by sqlite from the raw rows."""
     if switches.policy is None:
-        return sqlite_answer(TABLES, statement.text[0])
+        return sqlite_answer(tables, statement.text[0])
     row_filter, mask = switches.policy
     prelude = (f"create table t as select * from raw where {row_filter}", MASKS[mask])
-    tables = {"raw": TABLES["t"], "u": TABLES["u"]}
+    tables = {"raw": tables["t"], "u": tables["u"]}
     return sqlite_answer(tables, statement.text[0], prelude)
 
 
-def answers(switches, statements):
+class Write(NamedTuple):
+    """One fragment of ``t`` rewritten between the runs: ``fragment`` (an
+    index, taken modulo the layout's fragment count), notified by its id or
+    as the whole table, and every statement run ``LIVE_ONLY`` or not."""
+
+    fragment: int
+    whole: bool
+    live_only: bool
+
+
+# A notify by fragment id three times in four, and LIVE_ONLY one in four.
+ONE_IN_FOUR = st.sampled_from([False, False, False, True])
+WRITES = st.builds(Write, st.integers(0, 3), ONE_IN_FOUR, ONE_IN_FOUR)
+
+
+def written(fragments, index):
+    """``TABLES`` after the write, and fragment ``index``'s new rows: its
+    ``v`` moved up by one and one row added, whose ``k`` no zone map of
+    the old rows allows."""
+    columns, rows = TABLES["t"]
+    dealt = [list(rows[i::fragments]) for i in range(fragments)]  # as loaded
+    dealt[index] = [
+        (k, v if v is None else v + 1, x, s, b) for k, v, x, s, b in dealt[index]
+    ] + [(13 + index, 5, 2.5, "ab", True)]
+    tables = {**TABLES, "t": (columns, [row for part in dealt for row in part])}
+    return tables, dealt[index]
+
+
+def write(engine, fragments, change):
+    """Host fragment ``change.fragment``'s new rows at each of its replicas,
+    then notify the catalog."""
+    index = change.fragment % fragments
+    catalog = engine.catalog
+    entry = catalog.entry("t")
+    fragment = entry.fragments[index]
+    table = Table(entry.schema, written(fragments, index)[1])
+    for site_name, local_name in fragment.replicas.items():
+        catalog.site(site_name).host(StaticSource(local_name, table), local_name)
+    catalog.notify_table_updated("t", None if change.whole else fragment.fragment_id)
+
+
+def answers(switches, statements, change=None):
     """Yield (statement, run, result): each statement three times, in turn,
-    on one engine."""
+    on one engine; with a ``change``, then :func:`write` and each statement
+    three times more (runs 3 to 5)."""
     governance, tenant = None, None
     if switches.policy is not None:
         row_filter, mask = switches.policy
@@ -347,20 +396,41 @@ def answers(switches, statements):
     if switches.entry == "gateway":
         manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
         session = Gateway(manager).connect(tenant=tenant or "default")
-    for statement in statements:
-        inlined, template, values = statement.text
-        if switches.entry == "prepared":
-            prepared = engine.prepare(template, tenant=tenant)
-        for run in range(3):
-            if switches.entry == "ad hoc":
-                result = engine.query(inlined, tenant=tenant)
-            elif switches.entry == "prepared":
-                result = engine.execute(prepared, values)
-            else:
-                result = session.execute(template, values).result
-            yield statement, run, result
-            if switches.down is not None:
-                engine.catalog.site(switches.down).up = False
+    staleness = LIVE_ONLY if change is not None and change.live_only else None
+    for phase in range(1 if change is None else 2):
+        if phase:
+            write(engine, switches.fragments, change)
+        for statement in statements:
+            inlined, template, values = statement.text
+            if switches.entry == "prepared":
+                prepared = engine.prepare(
+                    template, tenant=tenant, max_staleness=staleness
+                )
+            for run in range(3 * phase, 3 * phase + 3):
+                if switches.entry == "ad hoc":
+                    result = engine.query(
+                        inlined, tenant=tenant, max_staleness=staleness
+                    )
+                elif switches.entry == "prepared":
+                    result = engine.execute(prepared, values)
+                else:
+                    result = session.execute(
+                        template, values, max_staleness=staleness
+                    ).result
+                yield statement, run, result
+                if switches.down is not None:
+                    engine.catalog.site(switches.down).up = False
+
+
+def assert_answers(statement, run, result, want):
+    """``result`` has sqlite's column names and rows, and exact types."""
+    names, rows_wanted = want
+    rows = result.table.rows
+    assert list(result.table.schema.field_names) == names
+    assert rows_match(rows, rows_wanted, statement.ordered), (run, rows)
+    for row in rows:
+        for value, kind in zip(row, statement.types, strict=True):
+            assert value is None or type(value) is kind, (run, row)
 
 
 def is_fully_pruned(assignment):
@@ -387,16 +457,73 @@ def test_a_statement_answers_what_sqlite_answers(switches, statements):
     answered from a cache region or an artifact the first left behind."""
     wants = {statement: expected(switches, statement) for statement in statements}
     for statement, run, result in answers(switches, statements):
-        names, want = wants[statement]
-        rows = result.table.rows
-        assert list(result.table.schema.field_names) == names
-        assert rows_match(rows, want, statement.ordered), (run, rows)
-        for row in rows:
-            for value, kind in zip(row, statement.types, strict=True):
-                assert value is None or type(value) is kind, (run, row)
+        assert_answers(statement, run, result, wants[statement])
         if switches.reuse and statement.narrowed and run == 0:
             assignment = result.plan.assignments["t"]
             assert assignment.kind == "cache" or is_fully_pruned(assignment)
+
+
+# ``k >= c`` over ``t`` dealt round-robin prunes fragments by their zone maps
+# (f0 of four holds k = 1, 5, 9), grouped or not; the write's new row is
+# what a written fragment's dropped zone map no longer rules out.
+PRUNED = st.builds(
+    lambda c, grouped: [
+        Statement(
+            sql("select s as c0, count(*) as c1, sum(v) as c2 from t where k >= ",
+                literal(c), " group by s"),
+            (str, int, int),
+        )
+        if grouped
+        else Statement(sql("select k as c0, v as c1 from t where k >= ", literal(c)),
+                       (int, int))
+    ],
+    st.integers(9, 16),
+    st.booleans(),
+)  # fmt: skip
+
+
+def serves_no_part(result):
+    """No stored answer in the plan or the run: every scan read live."""
+    report = result.report
+    return (
+        all(a.kind == "fragments" for a in result.plan.assignments.values())
+        and report.artifact_hits == report.artifact_joins == 0
+        and not any(
+            "artifact" in stats.detail for stats in report.operators.walk()
+        )
+    )
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    # With the reuse stores three times in four: they are what a write stales.
+    switches=st.tuples(SWITCHES, ONE_IN_FOUR).map(
+        lambda drawn: drawn[0]._replace(reuse=not drawn[1])
+    ),
+    statements=st.sampled_from([False, False, True]).flatmap(
+        lambda pruned: PRUNED if pruned else STATEMENTS
+    ),
+    change=WRITES,
+)
+def test_a_statement_after_a_write_answers_what_sqlite_answers(
+    switches, statements, change
+):
+    """Every answer after the write is sqlite's over the current content,
+    however much of it the reuse stores kept."""
+    after, _ = written(switches.fragments, change.fragment % switches.fragments)
+    wants = {
+        statement: (expected(switches, statement), expected(switches, statement, after))
+        for statement in statements
+    }
+    for statement, run, result in answers(switches, statements, change):
+        assert_answers(statement, run, result, wants[statement][run >= 3])
+        if change.live_only:
+            assert serves_no_part(result), run
 
 
 # -- degraded answers ------------------------------------------------------------

@@ -308,13 +308,10 @@ def test_adding_or_removing_a_row_admits_a_new_table():
     assert shrunk is not grown and shrunk.rows == admitted.rows
 
 
-def test_a_fifty_fragment_capture_is_the_old_union_all_fold(monkeypatch):
+def test_a_fifty_fragment_capture_is_the_old_union_all_fold():
     market, catalog = live_market(50)
-    stored = []
-    monkeypatch.setattr(
-        SemanticCache, "store", lambda self, name, where, table, **_: stored.append(table)
-    )
-    engine = FederatedEngine(catalog, cache=SemanticCache(catalog.clock))
+    cache = SemanticCache(catalog.clock)
+    engine = FederatedEngine(catalog, cache=cache)
     engine.query("select hotel_id from hotel_availability where rooms_available > 0")
     tables = [
         source.fetch([Predicate("rooms_available", ">", 0)]).table
@@ -323,15 +320,16 @@ def test_a_fifty_fragment_capture_is_the_old_union_all_fold(monkeypatch):
     rows = tables[0].rows
     for table in tables[1:]:  # the fold the capture ran before
         rows = rows + table.rows
-    (capture,) = stored
-    assert capture.rows == rows and capture.schema is AVAILABILITY_SCHEMA
+    (stored,) = cache._entries.values()
+    assert stored.table.rows == rows and stored.table.schema is AVAILABILITY_SCHEMA
+    assert [part.size for part in stored.parts] == [len(t) for t in tables]
     # One fragment is passed through; an incompatible one is refused as before.
-    stored.clear()
     market, catalog = live_market(1)
-    engine = FederatedEngine(catalog, cache=SemanticCache(catalog.clock))
+    cache = SemanticCache(catalog.clock)
+    engine = FederatedEngine(catalog, cache=cache)
     engine.query("select hotel_id from hotel_availability")
-    (capture,) = stored
-    assert capture is live_sources(catalog)[0].fetch().table
+    (stored,) = cache._entries.values()
+    assert stored.table is live_sources(catalog)[0].fetch().table
     odd = Table(Schema("odd", (Field("k", DataType.STRING),)), [("x",)])
     with pytest.raises(SchemaError, match="'hotel_availability' and 'odd'"):
         tables[0].union_all(*tables[1:25], odd, *tables[25:])

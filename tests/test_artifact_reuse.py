@@ -1,28 +1,35 @@
 """Tests for content-hashed stage artifacts and in-flight stage sharing.
 
-Covers the canonical stage hash (alias-insensitivity, catalog-version
-keying), the ArtifactStore's economy (admission, benefit eviction, TTL,
+Covers the canonical stage hash (alias-insensitivity; the digest is the
+whole key), the ArtifactStore's economy (admission, benefit eviction, TTL,
 staleness bounds), the load-bearing correctness property -- an artifact
-hit, an in-flight join and a cold recompute all return bit-identical
-rows -- write-driven invalidation (a base-table update or a repartition
-makes stale artifacts unreachable), the workload manager's in-flight
-subscription protocol, and the fault-injection path: a producer cancelled
-mid-flight falls its subscribers back to independent execution.
+hit, an in-flight join, a refresh and a cold recompute all return
+bit-identical rows -- write-driven invalidation (a whole-table write or a
+repartition drops every part; a one-fragment write or a replica drop stales
+that fragment's part alone, and the next probe re-runs it), a refresh under
+faults and re-optimization, the workload manager's in-flight subscription
+protocol, and the fault-injection path: a producer cancelled mid-flight
+falls its subscribers back to independent execution.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connect.source import StaticSource
 from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import PartialFailureError
 from repro.federation import (
     ArtifactStore,
     FederatedEngine,
     FederationCatalog,
+    QueryOptions,
+    ReoptPolicy,
     WorkloadManager,
 )
 from repro.federation.artifacts import Artifact, StagePayload, stage_specs
 from repro.federation.engine import LIVE_ONLY
+from repro.federation.parts import Part
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
@@ -54,13 +61,32 @@ def build_federation(sites=3, fragments=6, rows_per_fragment=20, **site_kwargs):
     return catalog
 
 
-def make_engine(artifacts=True, **store_kwargs):
+def make_engine(artifacts=True, reopt=None, **store_kwargs):
     catalog = build_federation()
     store = (
         ArtifactStore(catalog.clock, **store_kwargs) if artifacts else None
     )
-    engine = FederatedEngine(catalog, artifacts=store)
+    engine = FederatedEngine(catalog, artifacts=store, reopt=reopt)
     return catalog, engine, store
+
+
+def rewrite_fragment(catalog, fragment_id, rows, notify=True):
+    """Give one fragment of ``items`` new rows at every replica, and tell
+    the catalog which fragment was written."""
+    entry = catalog.entry("items")
+    fragment = next(f for f in entry.fragments if f.fragment_id == fragment_id)
+    table = Table(entry.schema, rows)
+    for site_name, local_name in fragment.replicas.items():
+        catalog.site(site_name).host(StaticSource(local_name, table), local_name)
+    if notify:
+        catalog.notify_table_updated("items", fragment_id)
+    return fragment
+
+
+def fragment_rows(fragment_id, bound):
+    """How many of a fragment's original rows have ``v < bound``."""
+    index = int(fragment_id[1:])
+    return len([v for v in range(index, 120, 6) if v < bound])
 
 
 def logical_plan(catalog, sql):
@@ -108,7 +134,7 @@ class TestStageHash:
         aliased = stage_key_of(
             catalog, store, "select i.v from items i where i.k not like 'k00%'"
         )
-        assert bare[0] != aliased[0]  # NOT LIKE is another filter
+        assert bare != aliased  # NOT LIKE is another filter
         aliased = stage_key_of(
             catalog, store, "select i.v from items i where i.k like 'k00%'"
         )
@@ -126,10 +152,10 @@ class TestStageHash:
             "select k, count(*), sum(v) from items where {} "
             "and k not in ('a', 'b') and v between 1 and 2 * 50 group by k"
         )
-        assert stage_key_of(catalog, store, rows)[0] == "a4e36af717ef633a"
+        assert stage_key_of(catalog, store, rows) == "a4e36af717ef633a"
         for spelling in ("not (v + 0 < 3)", "v + 0 >= 3"):
             key = stage_key_of(catalog, store, groups.format(spelling))
-            assert key[0] == "44f3d8360c3e4435"
+            assert key == "44f3d8360c3e4435"
 
     def test_different_predicates_do_not_collide(self):
         catalog = build_federation()
@@ -147,18 +173,26 @@ class TestStageHash:
         )
         assert rows != agg
 
-    def test_catalog_version_is_the_second_key_half(self):
+    def test_a_write_keeps_the_key_and_moves_the_epochs(self):
+        """The key is the content digest alone: what a write changes is
+        the written fragments' epochs, which the artifact's parts check."""
         catalog = build_federation()
         store = ArtifactStore(catalog.clock)
         sql = "select count(*) from items"
         before = stage_key_of(catalog, store, sql)
+        fragments = catalog.entry("items").fragments
+        epochs = [f.epoch for f in fragments]
         catalog.notify_table_updated("items")
-        after = stage_key_of(catalog, store, sql)
-        assert before[0] == after[0]  # same content digest
-        assert before[1] != after[1]  # different version half
+        assert stage_key_of(catalog, store, sql) == before
+        assert [f.epoch - e for f, e in zip(fragments, epochs)] == [1] * 6
+        catalog.notify_table_updated("items", "f2")
+        assert stage_key_of(catalog, store, sql) == before
+        assert [f.epoch - e for f, e in zip(fragments, epochs)] == [1, 1, 2, 1, 1, 1]
 
 
-def make_output(key, rows=5, table_name="items", fetch_seconds=1.0, at=0.0):
+def make_output(
+    key, rows=5, table_name="items", fetch_seconds=1.0, at=0.0, parts=()
+):
     payload = StagePayload(
         kind="rows", fields=("v",), rows=[(i,) for i in range(rows)]
     )
@@ -170,6 +204,7 @@ def make_output(key, rows=5, table_name="items", fetch_seconds=1.0, at=0.0):
         bytes_saved=rows * 8,
         fetch_seconds=fetch_seconds,
         fetched_at=at,
+        parts=parts,
     )
 
 
@@ -247,6 +282,30 @@ class TestStoreLifecycle:
         assert len(store) == 0 and not store.inflight_keys()
         assert store.invalidations == 2
 
+    def test_invalidate_table_keeps_what_has_a_current_part(self):
+        """Parted artifacts: a one-fragment write leaves the other parts
+        current, so the artifact stays (for a refresh, never whole); a
+        whole-table write leaves none, and it goes like the rest."""
+        catalog = build_federation(fragments=2)
+        f0, f1 = catalog.entry("items").fragments
+        clock = catalog.clock
+        store = ArtifactStore(clock)
+        parts = (Part(f0, f0.epoch, 3, 0.0), Part(f1, f1.epoch, 2, 0.0))
+        store.begin_stage(make_output("done", parts=parts), completes_at=0.0)
+        clock.advance(1.0)
+        store._sweep()
+        store.begin_stage(make_output("flying", parts=parts), completes_at=99.0)
+        catalog.notify_table_updated("items", "f0")
+        assert store.invalidate_table("items") == 0
+        assert len(store) == 1 and store.inflight_keys() == ["flying"]
+        assert store.bid("done") is None  # stale in part: not offered whole
+        assert store.acquire("done") is None and store.misses == 1
+        assert not store.refreshable("done").current  # handed out to refresh
+        assert store.refreshes == 1 and store.hits == 0
+        catalog.notify_table_updated("items")
+        assert store.invalidate_table("items") == 2
+        assert len(store) == 0 and not store.inflight_keys()
+
 
 AGG_SQL = "select count(*), sum(v) from items where v < 77"
 ROWS_SQL = "select k, v from items where v < 33"
@@ -311,6 +370,15 @@ class TestEngineReuse:
         rendered = engine.render_analyze(engine.query(AGG_SQL))
         assert "artifact reuse: hits 1" in rendered
 
+    def test_explain_analyze_says_why_a_stage_re_ran(self):
+        """A refresh's Ship names the digest, the parts it served and the
+        fragments it re-ran; the pipeline below it scanned those alone
+        (f2's one new row with v < 33, beside 27 served rows)."""
+        catalog, engine, _ = make_engine()
+        engine.query(ROWS_SQL)
+        rewrite_fragment(catalog, "f2", [("n0", 2), ("n1", 40)])
+        assert engine.explain(ROWS_SQL, analyze=True) + "\n" == GOLDEN_REFRESH
+
     @settings(max_examples=12, deadline=None)
     @given(bound=st.integers(min_value=0, max_value=120))
     def test_property_hit_matches_cold_recompute(self, bound):
@@ -325,6 +393,18 @@ class TestEngineReuse:
         assert store.hits == 1
 
 
+GOLDEN_REFRESH = """\
+optimizer: agoric  coordinator: s0  price: 0.0514
+response: 0.025250s  rows fetched: 1  shipped: 0  returned: 28  bytes shipped: 0
+pruned fragments 0/6
+Project  @ s0  rows_in=28 rows_out=28  seconds=0.001400  k, v
+  Ship  @ s0  rows_in=28 rows_out=28  seconds=0.001400  batches=1  \
+artifact refresh b6e6a9df: 5/6 parts served, re-ran f2; coordinator-local
+    SiteScan  @ s0  rows_in=0 rows_out=1  seconds=0.000050  batches=1  \
+items as items: fragments [f2@s0] pushdown(v < 33)
+"""
+
+
 class TestInvalidation:
     def test_write_makes_artifacts_unreachable(self):
         catalog, engine, store = make_engine()
@@ -337,12 +417,28 @@ class TestInvalidation:
         assert after.report.artifact_hits == 0
         assert after.report.rows_fetched > 0
 
+    def test_a_fragment_write_refreshes_that_fragment_alone(self):
+        catalog, engine, store = make_engine()
+        engine.query(AGG_SQL)
+        rewrite_fragment(catalog, "f3", [("n0", 3), ("n1", 5), ("n2", 90)])
+        store._sweep()
+        assert len(store) == 1  # the other five parts survive the write
+        refreshed = engine.query(AGG_SQL)
+        cold = engine.query(AGG_SQL, reuse_artifacts=False)
+        assert refreshed.table.rows == cold.table.rows
+        assert refreshed.report.artifact_hits == 0
+        assert refreshed.report.rows_fetched == 2  # f3's rows with v < 77
+        after = engine.query(AGG_SQL)
+        assert after.report.artifact_hits == 1
+        assert after.report.rows_fetched == 0
+        assert after.table.rows == cold.table.rows
+
     def test_repartition_makes_artifacts_unreachable(self):
         catalog, engine, store = make_engine()
         engine.query(AGG_SQL)
-        # A replica placement change bumps the catalog version without
-        # firing the update listeners: the stored artifact survives but
-        # its key's version half can never be constructed again.
+        # A replica placement change moves the fragment's epoch without
+        # firing the update listeners: the stored artifact survives, stale
+        # in that part, and is never served whole again.
         fragment = catalog.entry("items").fragments[0]
         victim = sorted(fragment.replicas)[0]
         catalog.drop_replica(fragment, victim)
@@ -351,6 +447,108 @@ class TestInvalidation:
         after = engine.query(AGG_SQL)
         assert after.report.artifact_hits == 0
         assert after.report.rows_fetched > 0
+
+    def test_a_replica_drop_refreshes_that_fragment_alone(self):
+        catalog, engine, store = make_engine()
+        first = engine.query(AGG_SQL)
+        fragment = catalog.entry("items").fragments[0]
+        catalog.drop_replica(fragment, sorted(fragment.replicas)[0])
+        after = engine.query(AGG_SQL)
+        assert after.table.rows == first.table.rows
+        assert after.report.rows_fetched == fragment_rows("f0", 77)
+        assert store.refreshes == 1
+
+
+class TestRefreshUnderFaults:
+    """f0 loses its s1 replica (its part goes stale) and s0, its one
+    remaining site, goes down: the refresh re-runs f0 alone, and must end
+    as the same statement with no artifact to refresh would."""
+
+    def stale_f0_on_a_dead_site(self, **engine_kwargs):
+        catalog, engine, store = make_engine(**engine_kwargs)
+        engine.query(AGG_SQL)
+        store._sweep()
+        f0 = catalog.entry("items").fragments[0]
+        assert sorted(f0.replicas) == ["s0", "s1"]
+        catalog.drop_replica(f0, "s1")
+        return catalog, engine, store
+
+    @pytest.mark.parametrize("degraded_ok", [True, False])
+    def test_a_refresh_whose_fragment_is_down_ends_as_a_cold_run(self, degraded_ok):
+        catalog, engine, store = self.stale_f0_on_a_dead_site()
+        catalog.site("s0").up = False
+        runs = []
+        for reuse in (True, False):
+            try:
+                runs.append(
+                    engine.query(AGG_SQL, degraded_ok=degraded_ok, reuse_artifacts=reuse)
+                )
+            except PartialFailureError as error:
+                runs.append(error.unreachable_fragments)
+        refreshed, cold = runs
+        assert store.refreshes == 1
+        if degraded_ok:
+            assert refreshed.table.rows == cold.table.rows
+            for report in (refreshed.report, cold.report):
+                assert report.degraded and report.unreachable_fragments == ["items/f0"]
+            assert refreshed.report.completeness == cold.report.completeness < 1.0
+        else:
+            assert refreshed == cold == ["items/f0"]
+
+    @pytest.mark.parametrize("degraded_ok", [True, False])
+    def test_a_failed_or_degraded_refresh_publishes_nothing(self, degraded_ok):
+        """And the old artifact's current parts stay servable: once f0's
+        site is back, the next refresh re-runs f0 alone."""
+        catalog, engine, store = self.stale_f0_on_a_dead_site()
+        catalog.site("s0").up = False
+        (old,) = store._artifacts.values()
+        try:
+            assert engine.query(AGG_SQL, degraded_ok=degraded_ok).report.degraded
+        except PartialFailureError:
+            assert not degraded_ok
+        assert store.refreshes == 1
+        assert store.published == 1 and not store.inflight_keys()
+        assert list(store._artifacts.values()) == [old]
+        catalog.site("s0").up = True
+        again = engine.query(AGG_SQL)
+        assert store.refreshes == 2
+        assert again.report.rows_fetched == fragment_rows("f0", 77)
+        assert again.table.rows == engine.query(AGG_SQL, reuse_artifacts=False).table.rows
+
+    def test_a_refresh_failing_over_to_a_whole_copy_serves_no_part(self):
+        """The covering fallback answers the whole scan: served parts
+        beside it would count their rows twice."""
+        catalog, engine, store = self.stale_f0_on_a_dead_site()
+        early = engine.prepare(AGG_SQL).physical  # planned before the view
+        engine.create_materialized_view("items_copy", "items", "s2")
+        catalog.site("s0").up = False
+        served = []
+        for reuse in (True, False):
+            plan = early.replay(early.logical)
+            table, report = engine.executor.execute(
+                plan, QueryOptions(reuse_artifacts=reuse)
+            )
+            assert report.failovers >= 1 and not report.degraded
+            served.append(table.rows)
+        assert store.refreshes == 1
+        assert served[0] == served[1] == [(77, sum(range(77)))]
+
+    def test_a_migration_does_not_widen_a_refresh(self):
+        catalog, engine, store = make_engine(reopt=ReoptPolicy())
+        engine.query(AGG_SQL)
+        rewrite_fragment(catalog, "f0", [("n0", 1), ("n1", 2)])
+        prepared = engine.prepare(AGG_SQL)
+        f0 = prepared.physical.assignments["items"].choices[0]
+        assert f0.fragment.fragment_id == "f0"
+        catalog.site(f0.site_name).up = False
+        result = engine.execute(prepared)
+        assert result.report.migrated_stages == 1
+        assert result.report.rows_fetched == 2  # f0 alone, on its other site
+        (event,) = result.report.reopt_events
+        assert event.from_sites == (f0.site_name,)
+        assert len(event.to_sites) == 1 and event.to_sites != event.from_sites
+        cold = engine.query(AGG_SQL, reuse_artifacts=False)
+        assert result.table.rows == cold.table.rows
 
 
 def make_manager(max_in_flight=4, artifacts=True, **store_kwargs):

@@ -7,6 +7,7 @@ import pytest
 from repro.connect.source import LiveSource
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import (
+    ArtifactStore,
     CentralizedOptimizer,
     FederatedEngine,
     FederationCatalog,
@@ -97,9 +98,39 @@ class TestEngineCache:
     def test_invalidation_forces_refetch(self):
         engine, cache = make_engine()
         engine.query("select sku from parts")
-        cache.invalidate_table("parts")
+        engine.catalog.notify_table_updated("parts")  # every fragment written
+        assert len(cache) == 0
         result = engine.query("select sku from parts")
         assert result.plan.assignments["parts"].kind == "fragments"
+
+    def test_a_fragment_write_refetches_that_fragment_alone(self):
+        """With an artifact store to narrow the stage, a one-fragment write
+        re-reads that fragment; the region keeps the other parts and is
+        refilled, so the next plan serves it again."""
+        clock = SimClock()
+        catalog = FederationCatalog(clock)
+        names = [catalog.make_site(f"s{i}").name for i in range(2)]
+        schema = Schema(
+            "parts", (Field("sku", DataType.STRING), Field("price", DataType.FLOAT))
+        )
+        table = Table(schema, [(f"A-{i}", float(i)) for i in range(100)])
+        catalog.load_fragmented(table, 4, [[names[i % 2]] for i in range(4)])
+        cache = SemanticCache(clock)
+        engine = FederatedEngine(catalog, cache=cache, artifacts=ArtifactStore(clock))
+        sql = "select sku from parts where price >= 10"
+        first = engine.query(sql)
+        catalog.notify_table_updated("parts", "f1")
+        (entry,) = cache._entries.values()
+        assert [part.current for part in entry.parts] == [True, False, True, True]
+        refreshed = engine.query(sql)
+        assert refreshed.plan.assignments["parts"].kind == "fragments"
+        assert refreshed.report.rows_fetched == 22  # f1's rows with price >= 10
+        assert sorted(refreshed.table.rows) == sorted(first.table.rows)
+        (entry,) = cache._entries.values()
+        assert entry.current
+        # Another stage over the same region: no artifact, the region serves.
+        other = engine.query("select price from parts where price >= 10")
+        assert other.plan.assignments["parts"].kind == "cache"
 
     def test_implication_hit_applies_residual(self):
         engine, cache = make_engine()
@@ -151,6 +182,33 @@ class TestEngineCache:
         assert second.plan.assignments["inv"].kind == "fragments"
         assert len(second.table) == 3
         assert cache.invalidations == 1
+
+    def test_a_fragment_update_keeps_the_region_but_stops_serving_it(self):
+        """A one-fragment write drops nothing: the region keeps its other
+        parts, serves no answer while one is stale, and a full re-read
+        (no artifact store narrows it) replaces it."""
+        clock = SimClock()
+        catalog = FederationCatalog(clock)
+        catalog.make_site("s0")
+        schema = Schema("inv", (Field("qty", DataType.INTEGER),))
+        catalog.create_table("inv", schema)
+        shelves = {"a": [{"qty": 1}], "b": [{"qty": 2}]}
+        for name, rows in shelves.items():
+            fragment = catalog.add_fragment("inv", name, 1)
+            source = LiveSource(
+                f"inv-{name}@s0", schema, lambda rows=rows: list(rows), cost_seconds=0.5
+            )
+            catalog.place_replica(fragment, "s0", source)
+        cache = SemanticCache(clock)
+        engine = FederatedEngine(catalog, cache=cache)
+        engine.query("select qty from inv")
+        shelves["b"].append({"qty": 3})
+        catalog.notify_table_updated("inv", "b")
+        assert cache.invalidations == 0 and len(cache) == 1
+        second = engine.query("select qty from inv")
+        assert second.plan.assignments["inv"].kind == "fragments"
+        assert sorted(second.table.rows) == [(1,), (2,), (3,)]
+        assert engine.query("select qty from inv").plan.assignments["inv"].kind == "cache"
 
     def test_hotel_write_invalidates_availability_regions(self):
         clock = SimClock()

@@ -342,7 +342,7 @@ class TestBoundSpellingEqualsInlinedSpelling:
         limited = stage_key_of(
             catalog, store, "select v from items where k not like 'k00%' limit 3"
         )
-        assert (like[0], limited[0]) == ("0d12457c8f7b1326", "737fcd538c53b5c4")
+        assert (like, limited) == ("0d12457c8f7b1326", "737fcd538c53b5c4")
 
     def test_explain_analyze_reads_the_same(self):
         from tests.test_artifact_reuse import build_federation
