@@ -316,17 +316,6 @@ class Table:
         combined.rows = [*self.rows, *chain.from_iterable(t.rows for t in others)]
         return combined
 
-    def sorted_by(self, name: str, descending: bool = False) -> "Table":
-        """Return a copy sorted by one column (None sorts first)."""
-        index = self.schema.index_of(name)
-        ordered = Table(self.schema, validate=False)
-        ordered.rows = sorted(
-            self.rows,
-            key=lambda row: (row[index] is not None, row[index]),
-            reverse=descending,
-        )
-        return ordered
-
     def limit(self, n: int) -> "Table":
         """Return a copy with at most the first ``n`` rows."""
         if n < 0:

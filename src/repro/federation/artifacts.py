@@ -9,11 +9,12 @@ equivalent consumer:
 * **Content hashing.**  :func:`stage_hash` canonically digests the
   pushed-down operator subtree of one stage: the base table and its
   fragment set, the source-level pushdown predicates, the site-filter
-  conjuncts, the projected column set, and (for split aggregations) the
-  partial-aggregate spec.  Binding aliases are canonicalized away, so
-  ``select v from items i where i.v < 5`` and ``select v from items where
-  v < 5`` collide -- across tenants, sessions and SQL spellings.  The
-  stage hash is the artifact key.  What the stage read is kept in parts,
+  conjuncts, the projected column set, a top-k stage's key, direction and
+  bound k, and (for split aggregations) the partial-aggregate spec.
+  Binding aliases are canonicalized away, so ``select v from items i
+  where i.v < 5`` and ``select v from items where v < 5`` collide --
+  across tenants, sessions and SQL spellings.  The stage hash is the
+  artifact key.  What the stage read is kept in parts,
   one per fragment of the base table, each tagged with the content epoch
   it was read at (:mod:`repro.federation.parts`); an artifact serves whole
   only while every part is current.
@@ -90,11 +91,17 @@ class StageSpec:
 
 
 def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
-    """The reusable stages of a logical plan, keyed by scan binding.
+    """The stages of a logical plan a plan may embed an artifact for, keyed
+    by scan binding.
 
     Mirrors the physical planner's stage formation: a split aggregation
     directly over a scan ships partial-aggregate records (one agg-inclusive
-    stage); any other scan ships its filtered/projected rows.
+    stage); any other scan ships its filtered/projected rows -- each
+    fragment's top k alone when the scan carries a top-k mark, which the
+    stage digest covers.  A top-k stage is left out: only its ``Ship``'s
+    run-time probe serves it, because a Sort that cannot show the truncated
+    answer exact re-runs the plan's assignments with the mark off, and an
+    embedded truncated artifact would then answer the untruncated stage.
     """
     specs: dict[str, StageSpec] = {}
     for node in walk(plan):  # parents first: a split aggregate claims its scan
@@ -104,7 +111,11 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
             and isinstance(node.child, ScanNode)
         ):
             specs[node.child.binding] = StageSpec(node.child, node)
-        elif isinstance(node, ScanNode) and node.binding not in specs:
+        elif (
+            isinstance(node, ScanNode)
+            and node.binding not in specs
+            and node.top_k is None
+        ):
             specs[node.binding] = StageSpec(node)
     return specs
 
@@ -146,6 +157,13 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
         ),
         "columns=" + ",".join(stage_fields(entry.schema, scan)),
     ]
+    if scan.top_k is not None:
+        # A truncated output answers only the same truncation.
+        order = scan.top_k.order
+        parts.append(
+            f"top-k={canonical_expr(order.expr, scan.binding)}"
+            f"{' desc' if order.descending else ''} {render(scan.top_k.limit)}"
+        )
     governance = getattr(scan, "governance", None)
     if governance is not None and (governance.rls_residual or governance.masks):
         # Governed stages capture post-RLS, post-mask rows, so the policy

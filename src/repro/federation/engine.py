@@ -98,6 +98,7 @@ from repro.sql.rewrite import (
     SiteFilterPushdown,
     TextIndexRewrite,
     TextIndexTarget,
+    TopKPushdown,
 )
 from repro.xmlkit.model import XmlElement
 from repro.xmlkit.xpath import xpath
@@ -685,7 +686,8 @@ class FederatedEngine:
         predicates off masked columns) but before projection pruning (whose
         column sets must include hoisted site filters); and aggregate
         splitting only fires once absorbed filters expose an aggregation
-        sitting directly on its scan.
+        sitting directly on its scan.  The top-k mark reads the finished
+        scans (a governed scan ranks its masked values, as they ship).
         """
         passes = []
         targets = self._text_targets(bindings)
@@ -702,6 +704,7 @@ class FederatedEngine:
             [
                 ProjectionPruning(binding_fields),
                 AggregateSplitting(),
+                TopKPushdown(binding_fields),
             ]
         )
         return RewritePipeline(passes).run(plan)
@@ -810,6 +813,8 @@ class FederatedEngine:
                 f"pruned fragments {report.fragments_pruned}/"
                 f"{report.fragments_total}"
             )
+        if report.top_k_restart is not None:
+            lines.append(report.top_k_restart)
         if report.operators is not None:
             lines.extend(report.operators.tree_lines())
         return "\n".join(lines)
@@ -827,6 +832,13 @@ class FederatedEngine:
             if node.text_filter is not None:
                 extras += f" text-index{node.text_filter!r}"
             extras += describe_governance(node)
+            if node.top_k is not None:
+                order = node.top_k.order
+                extras += (
+                    f" top-k({describe_expr(order.expr)}"
+                    f"{' desc' if order.descending else ''}, "
+                    f"{describe_expr(node.top_k.limit)})"
+                )
             return [
                 f"{pad}scan {node.table} as {node.binding}: "
                 f"{describe_access_path(assignment)}{extras}"

@@ -3,7 +3,7 @@
 The execution machinery itself lives in :mod:`repro.federation.physical`:
 the optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
 access path), :class:`~repro.federation.physical.PhysicalPlanner` compiles
-it into site-side operators (SiteScan, SiteFilter, SiteProject,
+it into site-side operators (SiteScan, SiteFilter, SiteProject, SiteTopK,
 PartialAggregate) that work on column batches where the rows live, an
 explicit Ship over the network model, and coordinator operators (joins,
 residual filters, final aggregation, sort, limit) that hand column
@@ -16,7 +16,10 @@ table, and settles the timing model:
   phase costs the *slowest* pipeline, not the sum;
 * every second of work lands on some site's backlog, so concurrent
   queries interfere realistically -- which makes load balancing measurable;
-* response time is slowest-scan-pipeline plus serial coordinator work.
+* response time is slowest-scan-pipeline plus serial coordinator work;
+* a top-k stage (``SiteTopK``) whose answer the coordinator ``Sort`` cannot
+  show exact is re-run as the ordinary plan, after it: the attempt's work
+  and response time stay charged (:class:`TopKRestart`).
 
 The report records response time, per-site work, rows fetched vs rows
 actually shipped across the network, worst-case access-path staleness, and
@@ -25,6 +28,8 @@ renders as ``EXPLAIN ANALYZE``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.core.records import Table
 from repro.federation.access import AccessPaths
@@ -35,8 +40,10 @@ from repro.federation.physical import (
     PhysicalPlan,
     PhysicalPlanner,
     QueryOptions,
+    TopKRestart,
     envs_to_table,
 )
+from repro.sql.rewrite import without_top_k
 
 
 class Executor:
@@ -60,25 +67,37 @@ class Executor:
         reopt=None,
     ) -> tuple[Table, ExecutionReport]:
         report = ExecutionReport()
-        # Recompile every time: assignments may have changed since the
-        # optimizer attached a tree (cache swap), and operators hold
-        # per-execution state.
-        root = self.planner.compile(plan)
-        ctx = ExecContext(self.paths, plan, report, self.retry, options, reopt)
+        restarted = 0.0  # response seconds of a top-k attempt that missed
+        while True:
+            # Recompile every time: assignments may have changed since the
+            # optimizer attached a tree (cache swap), and operators hold
+            # per-execution state.
+            root = self.planner.compile(plan)
+            ctx = ExecContext(self.paths, plan, report, self.retry, options, reopt)
+            batches = []
+            try:
+                root.open(ctx)
+                while (batch := root.next()) is not None:
+                    batches.append(batch)
+            except TopKRestart as miss:
+                # The truncated attempt did its work: settle and charge it,
+                # then run the ordinary plan after it, into the same report.
+                root.close()
+                restarted = ctx.scan_elapsed + ctx.coordinator_seconds
+                report.top_k_restart = str(miss)
+                plan = replace(plan, logical=without_top_k(plan.logical))
+                continue
+            except BaseException:
+                # A failed statement settles nothing but must not keep its
+                # batches alive through the (possibly cached) plan's tree.
+                root.close(settle=False)
+                raise
+            root.close()
+            break
 
-        batches = []
-        try:
-            root.open(ctx)
-            while (batch := root.next()) is not None:
-                batches.append(batch)
-        except BaseException:
-            # A failed statement settles nothing but must not keep its
-            # batches alive through the (possibly cached) plan's tree.
-            root.close(settle=False)
-            raise
-        root.close()
-
-        report.response_seconds = ctx.scan_elapsed + ctx.coordinator_seconds
+        report.response_seconds = (
+            restarted + ctx.scan_elapsed + ctx.coordinator_seconds
+        )
         if reopt is not None:
             # Every re-quote costs modeled time whether or not it migrated
             # -- the economy pays for its own adaptivity.

@@ -20,13 +20,17 @@ if TYPE_CHECKING:
 class Part(NamedTuple):
     """``size`` rows (or group records) of a stored answer, read from
     ``fragment`` at content epoch ``epoch``, at simulated time
-    ``fetched_at``.  (A tuple: a refresh builds fifty of them, and a
-    frozen dataclass costs about three times as much to build.)"""
+    ``fetched_at``; for a top-k stage whose ``SiteTopK`` dropped rows of
+    this fragment, ``cut`` holds the fragment's boundary key, ``(key,)``,
+    which a served part hands the coordinator ``Sort`` as a run would.
+    (A tuple: a refresh builds fifty of them, and a frozen dataclass costs
+    about three times as much to build.)"""
 
     fragment: "Fragment"
     epoch: int
     size: int
     fetched_at: float
+    cut: "tuple | None" = None
 
     @property
     def current(self) -> bool:

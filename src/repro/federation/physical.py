@@ -5,11 +5,11 @@ the optimizer chose.  :class:`PhysicalPlanner` compiles it into a tree of
 operators split across two placements:
 
 * **Site-side operators** (:class:`SiteScan`, :class:`SiteFilter`,
-  :class:`SiteProject`, :class:`PartialAggregate`) run at the site that
-  owns the rows and charge *that* site's backlog.  They produce
-  :class:`SiteBatch` objects -- per-site row batches that remember how much
-  pipeline time they took -- so fragment scans still cost the slowest
-  assignment, not the sum.
+  :class:`SiteProject`, :class:`SiteTopK`, :class:`PartialAggregate`) run
+  at the site that owns the rows and charge *that* site's backlog.  They
+  produce :class:`SiteBatch` objects -- per-site row batches that remember
+  how much pipeline time they took -- so fragment scans still cost the
+  slowest assignment, not the sum.
 * An explicit :class:`Ship` operator moves each batch over the network
   model to the coordinator, accounting the transfer and the rows shipped.
 * **Coordinator operators** (:class:`Filter`, :class:`Project`,
@@ -362,6 +362,9 @@ class ExecutionReport:
         default_factory=dict
     )
     operators: OperatorStats | None = None  # per-operator stats tree
+    # Why a top-k stage's answer was not known exact, when the ordinary
+    # plan ran after it (EXPLAIN ANALYZE prints it).
+    top_k_restart: str | None = None
 
 
 # -- execution context ---------------------------------------------------------
@@ -427,6 +430,9 @@ class ExecContext:
         self.unreachable_rows = 0  # estimated rows behind dead fragments
         self.unreachable_fragments: list[str] = []
         self.dead_sites: set[str] = set()
+        # (fragment, boundary key) of each fragment a SiteTopK cut, as the
+        # Ship of the top-k stage received or served it.
+        self.top_k_cuts: list[tuple[str, Any]] = []
 
     def empty_batch(self, binding: str) -> "columnar.ColumnBatch":
         """The layout of one scan's output, with no rows: what an outer
@@ -585,7 +591,8 @@ class SiteBatch:
     (``Ship``, a mask), and the partial aggregate folds through them.
     ``chunks is None`` means ``rows`` holds partial-aggregate group records,
     which were not scanned in batches and so do not count as processed
-    batches.
+    batches.  ``cut`` is ``(boundary key,)`` once a :class:`SiteTopK`
+    dropped rows of the batch.
     """
 
     site: str
@@ -594,6 +601,7 @@ class SiteBatch:
     chunks: "list[columnar.ColumnBatch] | None" = None
     selections: "list[list[int] | None] | None" = None  # one per chunk
     fragment: Fragment | None = None  # the fragment read; None for a copy
+    cut: "tuple | None" = None
 
     def kept(self) -> "Iterator[tuple[columnar.ColumnBatch, list[int] | None]]":
         """``(chunk, selection)`` pairs, in order."""
@@ -701,8 +709,14 @@ class SiteScan(SiteOperator):
             # answer as any.  Failover fallbacks and degraded scans are
             # excluded (_capture_ok): their output is stale or partial.
             # The semantic cache is the capture's only reader, so without
-            # one attached no parts are gathered.
-            if self._capture_ok and ctx.paths.cache is not None:
+            # one attached no parts are gathered.  A truncated scan neither
+            # captures nor refills: a miss re-runs it as the ordinary plan,
+            # and that run is what the cache learns from.
+            if (
+                self._capture_ok
+                and ctx.paths.cache is not None
+                and top_k_bound(self.scan) is None
+            ):
                 ctx.report.scan_tables[assignment.binding] = ScanCapture(
                     self._capture_parts(ctx, assignment, table_batches),
                     now,
@@ -1122,6 +1136,88 @@ class SiteProject(SiteOperator):
             )
         self.stats.detail = f"keep({', '.join(self.keep)})"
         return out
+
+
+class SiteTopK(SiteOperator):
+    """Ship each fragment's top k rows by the Sort's first key, not all.
+
+    The last operator of a top-k scan's pipeline, so it ranks exactly the
+    values ``Ship`` sends.  A batch (one fragment) of more than k kept rows
+    has its selections narrowed to the rows whose first key ranks within
+    the first k -- every row tied with the k-th stays -- and remembers that
+    k-th key as its boundary (``cut``): every row it dropped ranks strictly
+    after it.  Keys rank in :func:`_sort_key`'s order, the coordinator's.
+    Ranking is site work per row in; a batch of k rows or fewer passes on
+    unranked and uncharged.  A key the site cannot evaluate leaves the
+    batch whole: the coordinator evaluates it as the ordinary plan would.
+    """
+
+    name = "SiteTopK"
+
+    def __init__(self, child: SiteOperator, order: OrderItem, k: int) -> None:
+        super().__init__(child)
+        self.order = order
+        self.k = k
+
+    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
+        out = []
+        for batch in self.children[0].batches():
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
+            selections, cut, work = batch.selections, None, 0.0
+            if rows_in > self.k:
+                selections, cut = self._top(batch)
+                work = ctx.charge_site(batch.site, rows_in)
+                self.stats.seconds += work
+            out.append(
+                SiteBatch(
+                    batch.site,
+                    [],
+                    batch.elapsed + work,
+                    batch.chunks,
+                    selections,
+                    batch.fragment,
+                    cut,
+                )
+            )
+        order = self.order
+        self.stats.detail = (
+            f"top {self.k} by {describe_expr(order.expr)}"
+            + (" desc" if order.descending else "")
+        )
+        return out
+
+    def _top(self, batch: SiteBatch) -> "tuple[list, tuple | None]":
+        """The batch's selections narrowed to its top k, with the boundary;
+        as they were, with no boundary, when no row ranks after the k-th or
+        a key does not evaluate."""
+        expr, descending = self.order.expr, self.order.descending
+        rows, values = [], []
+        try:
+            for chunk, selection in batch.kept():
+                column = _Expressions(chunk, selection).column(expr)
+                if selection is None:
+                    rows.append(range(chunk.count))
+                    values += column
+                else:
+                    rows.append(selection)
+                    values += [column[i] for i in selection]
+        except QueryError:
+            return batch.selections, None
+        keys = _sort_keys(values)
+        edge = sorted(keys, reverse=descending)[self.k - 1]
+        ranked = iter(keys)  # zip takes as many keys as a chunk has rows
+        selections, kept = [], 0
+        for chunk_rows, selection in zip(rows, batch.selections):
+            if descending:
+                chosen = [r for r, key in zip(chunk_rows, ranked) if not key < edge]
+            else:
+                chosen = [r for r, key in zip(chunk_rows, ranked) if not key > edge]
+            kept += len(chosen)
+            selections.append(chosen if len(chosen) < len(chunk_rows) else selection)
+        if kept == len(keys):
+            return batch.selections, None
+        return selections, (edge if keys is values else values[keys.index(edge)],)
 
 
 class PartialGroup:
@@ -1586,6 +1682,7 @@ class Ship(PhysicalOperator):
             self._stage_key = None
             return None
         ctx.scan_total_rows += len(rows)
+        _note_cuts(ctx, artifact.parts)
         ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
         ctx.report.artifact_rows_saved += artifact.rows_saved
         ctx.report.artifact_bytes_saved += artifact.bytes_saved
@@ -1649,6 +1746,7 @@ class Ship(PhysicalOperator):
                     out = row_form_batches(served[start:stop])
                 spliced.append((part, out))
         parts = [part for part, _, _ in spans.values()]
+        _note_cuts(ctx, parts)
         count = sum(part.size for part in parts)
         placed = {c.fragment.fragment_id for c in unnarrowed.choices}
         placed.update(f.fragment_id for f in unnarrowed.unreachable)
@@ -1668,13 +1766,15 @@ class Ship(PhysicalOperator):
         batches: "list[columnar.ColumnBatch]",
         shipped_bytes: int,
         arrival: float,
+        cuts: dict,
     ) -> None:
         """On an artifact miss or refresh, publish this stage's output
         through the report, one part per fragment: ``slots`` pairs what
         each slice of ``batches`` came from -- the fragment read, or a
-        refresh's served part -- with the slice.  The engine registers
-        successful reports' outputs in flight; failed executions drop them
-        unseen."""
+        refresh's served part -- with the slice, and ``cuts`` holds the
+        boundary of each fragment read that a ``SiteTopK`` cut.  The engine
+        registers successful reports' outputs in flight; failed executions
+        drop them unseen."""
         key = self._stage_key  # set only by a probe that reuse allowed
         if key is None:
             return
@@ -1704,7 +1804,13 @@ class Ship(PhysicalOperator):
         parts = [
             read
             if isinstance(read, Part)
-            else Part(read, read.epoch, sum(batch.count for batch in out), now)
+            else Part(
+                read,
+                read.epoch,
+                sum(batch.count for batch in out),
+                now,
+                cuts.get(read.fragment_id),
+            )
             for read, out in slots
         ]
         # A fragment no slot came from was pruned: an empty part.
@@ -1736,6 +1842,7 @@ class Ship(PhysicalOperator):
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         # (fragment read, its arrived batches), one per site batch.
         slots: list = []
+        cuts = {}  # fragment read -> its top-k boundary, where one was cut
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
@@ -1751,6 +1858,11 @@ class Ship(PhysicalOperator):
             stage_sites.add(batch.site)
             arrived: "list[columnar.ColumnBatch]" = []
             slots.append((batch.fragment, arrived))
+            if batch.cut is not None:
+                fragment = batch.fragment
+                label = batch.site if fragment is None else fragment.fragment_id
+                cuts[label] = batch.cut
+                ctx.top_k_cuts.append((label, batch.cut[0]))
             local = batch.site == ctx.coordinator
             elapsed = batch.elapsed
             nbytes = 0
@@ -1817,8 +1929,15 @@ class Ship(PhysicalOperator):
             if note:
                 self.stats.detail += f"  [{note}]"
         arrived = [batch for _, out in slots for batch in out]
-        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival)
+        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
         return arrived
+
+
+def _note_cuts(ctx: ExecContext, parts) -> None:
+    """Hand the coordinator the top-k boundaries of the parts served."""
+    ctx.top_k_cuts += [
+        (part.fragment.fragment_id, part.cut[0]) for part in parts if part.cut
+    ]
 
 
 # What a row-form batch of partial-aggregate records travels as: one column.
@@ -2230,14 +2349,50 @@ class FinalAggregate(Aggregate):
         return list(merged.values()) or partial_groups((), self.node.group_by, calls)
 
 
+class TopKRestart(Exception):
+    """A top-k stage's answer is not known exact: the executor re-runs the
+    plan with the mark off.  The message says why, for EXPLAIN ANALYZE."""
+
+
+def check_top_k(
+    ctx: ExecContext, k: int, rows: int, kth: Any, descending: bool
+) -> None:
+    """Raise :class:`TopKRestart` unless the sorted answer is exact.
+
+    It is when there are at least ``k`` rows and the k-th row's first key
+    ``kth`` ranks no later than every cut fragment's boundary: each row a
+    ``SiteTopK`` dropped ranks strictly after its boundary, so after the
+    k-th row.  (A key that compares false both ways, NaN, restarts.)
+    """
+    cuts = ctx.top_k_cuts
+    if not cuts:
+        return
+    if rows < k:
+        raise TopKRestart(f"top-k restart: {rows} rows, fewer than {k}")
+    key = _sort_key(kth)
+    for label, boundary in cuts:
+        edge = _sort_key(boundary)
+        if not (edge <= key if descending else key <= edge):
+            raise TopKRestart(
+                f"top-k restart: {label} boundary {boundary!r} ranks before row {k}"
+            )
+
+
 class Sort(PhysicalOperator):
-    """Blocking multi-key sort at the coordinator."""
+    """Blocking multi-key sort at the coordinator.
+
+    Over a top-k stage it learns ``k`` and checks its answer
+    (:func:`check_top_k`) before serving a row.
+    """
 
     name = "Sort"
 
-    def __init__(self, child: PhysicalOperator, order_by: list[OrderItem]) -> None:
+    def __init__(
+        self, child: PhysicalOperator, order_by: list[OrderItem], k: int | None = None
+    ) -> None:
         super().__init__(child)
         self.order_by = order_by
+        self.k = k
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
@@ -2250,13 +2405,19 @@ class Sort(PhysicalOperator):
         if self._rows is None:
             batch = self._drain(self.children[0])
             order = list(range(batch.count if batch else 0))
+            first = None  # the first key's values
             if order:
                 expressions = _Expressions(batch)
                 # Stable sorts applied in reverse order give multi-key
                 # semantics.
                 for item in reversed(self.order_by):
-                    keys = _sort_keys(expressions.column(item.expr))
+                    first = expressions.column(item.expr)
+                    keys = _sort_keys(first)
                     order.sort(key=keys.__getitem__, reverse=item.descending)
+            k = self.k
+            if k is not None:
+                kth = first[order[k - 1]] if len(order) >= k else None
+                check_top_k(self._ctx, k, len(order), kth, self.order_by[0].descending)
             self._rows = [batch, order, 0]  # input, its sorted order, rows served
         batch, order, served = self._rows
         if served == len(order):
@@ -2456,7 +2617,7 @@ class PhysicalPlanner:
                 )
             return Aggregate(self._node(node.child, plan), node)
         if isinstance(node, SortNode):
-            return Sort(self._node(node.child, plan), node.order_by)
+            return Sort(self._node(node.child, plan), node.order_by, top_k_bound(node))
         if isinstance(node, LimitNode):
             return Limit(self._node(node.child, plan), evaluate(node.limit, {}))
         raise QueryError(f"cannot compile plan node {node!r}")
@@ -2468,6 +2629,9 @@ class PhysicalPlanner:
         keep = self._kept_columns(scan, plan)
         if keep is not None:
             op = SiteProject(op, scan.binding, keep)
+        k = top_k_bound(scan)
+        if k is not None:
+            op = SiteTopK(op, scan.top_k.order, k)
         return op
 
     def _kept_columns(
@@ -2483,6 +2647,15 @@ class PhysicalPlanner:
         if keep >= fields:
             return None  # nothing to prune
         return tuple(sorted(keep))
+
+
+def top_k_bound(node: PlanNode) -> int | None:
+    """k of the top-k stage under ``node`` (a Sort, or the scan itself), or
+    None when nothing under it ships a truncated stage."""
+    for scan in scans_in(node):
+        if scan.top_k is not None:
+            return scan.top_k.bound
+    return None
 
 
 # -- output construction -------------------------------------------------------

@@ -58,6 +58,7 @@ from repro.sql.rewrite import (
     SiteFilterPushdown,
     TextIndexRewrite,
     TextIndexTarget,
+    TopKPushdown,
 )
 
 __all__ = [
@@ -98,4 +99,5 @@ __all__ = [
     "SiteFilterPushdown",
     "TextIndexRewrite",
     "TextIndexTarget",
+    "TopKPushdown",
 ]

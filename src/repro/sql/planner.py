@@ -18,8 +18,9 @@ splitting) on top -- see :mod:`repro.sql.rewrite`.
 
 Scan nodes carry the physical-placement annotations those passes write:
 ``site_filters`` (residual conjuncts evaluable at the owning site),
-``needed_columns`` (projection pruning) and ``text_filter`` (text-index
-access path).  Aggregate nodes carry ``split`` when the aggregation can be
+``needed_columns`` (projection pruning), ``text_filter`` (text-index
+access path) and ``top_k`` (a per-fragment top-k under ORDER BY ...
+LIMIT).  Aggregate nodes carry ``split`` when the aggregation can be
 computed as site-local partials merged at the coordinator.
 """
 
@@ -70,6 +71,12 @@ class PlanNode:
         """The expressions this node itself evaluates, not its children's."""
         return []
 
+    def row_sources(self) -> list["PlanNode"]:
+        """The children whose every row reaches this node's output whole --
+        as itself or as part of a wider row -- or not at all: no row is
+        invented for them and none of their values changes."""
+        return []
+
     def mapped(
         self,
         plan_fn: Callable[..., "PlanNode"],
@@ -103,6 +110,27 @@ class ScanGovernance:
     masks: dict[str, str] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class ScanTopK:
+    """A LIMIT's per-fragment top-k, pushed to one scan.
+
+    Written by :class:`repro.sql.rewrite.TopKPushdown`: ``order`` is the
+    Sort's first key (it reads this scan's columns alone) and ``limit`` the
+    LIMIT's count, a literal or a ``?`` until bound.
+    """
+
+    order: OrderItem
+    limit: Literal | Parameter
+
+    @property
+    def bound(self) -> int | None:
+        """k, once the count is bound and there is something to rank."""
+        limit = self.limit
+        if isinstance(limit, Literal) and limit.value > 0:
+            return limit.value
+        return None
+
+
 @dataclass
 class ScanNode(PlanNode):
     """Read one base table (through whatever source the catalog maps it to).
@@ -116,7 +144,9 @@ class ScanNode(PlanNode):
     * ``needed_columns`` -- the only columns any later operator reads
       (``None`` means all; a physical ``SiteProject`` operator);
     * ``text_filter`` -- a ``(column, query)`` text-index access path;
-    * ``governance`` -- compiled per-tenant RLS / mask policy, if any.
+    * ``governance`` -- compiled per-tenant RLS / mask policy, if any;
+    * ``top_k`` -- ship each fragment's top k rows alone (a physical
+      ``SiteTopK`` operator; the coordinator ``Sort`` checks the answer).
     """
 
     table: str
@@ -126,6 +156,7 @@ class ScanNode(PlanNode):
     needed_columns: set[str] | None = None
     text_filter: tuple[str, str] | None = None
     governance: ScanGovernance | None = None
+    top_k: ScanTopK | None = None
 
     def exprs(self) -> list[Expr]:
         return self.site_filters
@@ -143,6 +174,10 @@ class ScanNode(PlanNode):
                 dict(governance.masks),
             )
         needed = self.needed_columns
+        top_k = self.top_k
+        if top_k is not None:
+            order = OrderItem(expr_fn(top_k.order.expr, *args), top_k.order.descending)
+            top_k = ScanTopK(order, expr_fn(top_k.limit, *args))
         return ScanNode(
             self.table,
             self.binding,
@@ -151,6 +186,7 @@ class ScanNode(PlanNode):
             needed_columns=None if needed is None else set(needed),
             text_filter=self.text_filter,
             governance=governance,
+            top_k=top_k,
         )
 
 
@@ -174,6 +210,9 @@ class FilterNode(UnaryNode):
     def exprs(self) -> list[Expr]:
         return [self.condition]
 
+    def row_sources(self) -> list[PlanNode]:
+        return [self.child]
+
     def mapped(self, plan_fn, expr_fn, *args) -> "FilterNode":
         return FilterNode(
             plan_fn(self.child, *args), expr_fn(self.condition, *args)
@@ -196,6 +235,10 @@ class JoinNode(PlanNode):
 
     def exprs(self) -> list[Expr]:
         return [self.condition]
+
+    def row_sources(self) -> list[PlanNode]:
+        # A left join invents NULL rows for its right side.
+        return [self.left, self.right] if self.join_type == "inner" else [self.left]
 
     def mapped(self, plan_fn, expr_fn, *args) -> "JoinNode":
         return JoinNode(

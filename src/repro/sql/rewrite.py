@@ -18,7 +18,10 @@ testable in isolation, and extensible:
   site-local partials merged at the coordinator;
 * :class:`GovernanceInjection` -- per-tenant row-level-security predicates
   and column masks compile into scan annotations, so policy enforcement is
-  priced and pruned like any other site work.
+  priced and pruned like any other site work;
+* :class:`TopKPushdown` -- under ``ORDER BY ... LIMIT k`` the scan the first
+  order key reads ships each fragment's top k rows alone (Carey & Kossmann's
+  Stop(N) below the join, checked and restarted at the coordinator Sort).
 
 The first three are *claim rules* under the one conjunct-placement loop,
 :class:`ConjunctPlacement`, which is also the one home of the outer-join
@@ -45,14 +48,19 @@ from repro.sql.ast import (
     columns_in,
     rebuild,
 )
+from repro.sql.params import bind_plan
 from repro.sql.planner import (
     AggregateNode,
     AggregateSplit,
     FilterNode,
     JoinNode,
+    LimitNode,
     PlanNode,
+    ProjectNode,
     ScanGovernance,
     ScanNode,
+    ScanTopK,
+    SortNode,
     _as_pushable,
     _binding_of_column,
     conjoin,
@@ -217,22 +225,23 @@ class SiteFilterPushdown(ConjunctPlacement):
         self.binding_fields = binding_fields
 
     def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
-        scan = scans.get(self._sole_binding(conjunct))
+        # A constant predicate has no binding: it stays at the coordinator.
+        scan = scans.get(sole_binding(conjunct, self.binding_fields))
         if scan is None:
             return False
         scan.site_filters.append(conjunct)
         return True
 
-    def _sole_binding(self, expr: Expr) -> str | None:
-        columns = columns_in(expr)
-        if not columns:
-            return None  # constant predicate: leave at the coordinator
-        bindings = {
-            _binding_of_column(column, self.binding_fields) for column in columns
-        }
-        if len(bindings) == 1 and None not in bindings:
-            return next(iter(bindings))
-        return None
+
+def sole_binding(expr: Expr, binding_fields: dict[str, set[str]]) -> str | None:
+    """The one binding every column of ``expr`` belongs to; None when it
+    reads none, several, or an ambiguous bare name."""
+    bindings = {
+        _binding_of_column(column, binding_fields) for column in columns_in(expr)
+    }
+    if len(bindings) == 1 and None not in bindings:
+        return next(iter(bindings))
+    return None
 
 
 class ProjectionPruning(RewritePass):
@@ -290,6 +299,68 @@ class AggregateSplitting(RewritePass):
             if isinstance(node, AggregateNode) and isinstance(node.child, ScanNode):
                 node.split = AggregateSplit(calls=list(node.calls().values()))
         return plan
+
+
+class TopKPushdown(RewritePass):
+    """Mark the scan whose fragments may each ship their top k rows alone.
+
+    Applies to ``LIMIT k`` over a Sort (through a non-DISTINCT Project, as
+    a plan without aggregates has one) when the Sort's *first* key reads
+    the columns of one binding B, and the path from the Sort down to B's
+    scan passes only through nodes that hand B's rows on whole or drop
+    them (:meth:`~repro.sql.planner.PlanNode.row_sources`: filters, inner
+    joins on either side, the preserved side of a left join).  So never
+    through an aggregate, DISTINCT or the null-supplying side of a left
+    join, and never for ``limit 0``.  The mark is all this pass does: the
+    physical compile reads it (``SiteTopK`` at B's sites, k at the Sort).
+    """
+
+    name = "top-k"
+
+    def __init__(self, binding_fields: dict[str, set[str]]) -> None:
+        self.binding_fields = binding_fields
+
+    def run(self, plan: PlanNode) -> PlanNode:
+        if not isinstance(plan, LimitNode):
+            return plan
+        limit = plan.limit
+        sort = _sort_under(plan.child)
+        if sort is None or (isinstance(limit, Literal) and limit.value == 0):
+            return plan
+        first = sort.order_by[0]
+        binding = sole_binding(first.expr, self.binding_fields)
+        node = sort.child
+        while not isinstance(node, ScanNode):
+            node = next(
+                (
+                    child
+                    for child in node.row_sources()
+                    if any(scan.binding == binding for scan in scans_in(child))
+                ),
+                None,
+            )
+            if node is None:
+                return plan
+        if node.binding == binding:
+            node.top_k = ScanTopK(first, limit)
+        return plan
+
+
+def without_top_k(plan: PlanNode) -> PlanNode:
+    """A copy of a bound plan with the top-k mark off: the ordinary plan,
+    which a Sort that cannot show its truncated answer exact re-runs."""
+    copy = bind_plan(plan, ())
+    for scan in scans_in(copy):
+        scan.top_k = None
+    return copy
+
+
+def _sort_under(node: PlanNode) -> SortNode | None:
+    """The Sort a LIMIT takes its rows from, through a non-DISTINCT
+    Project: row for row, so its first k rows are the Sort's first k."""
+    if isinstance(node, ProjectNode) and not node.distinct:
+        node = node.child
+    return node if isinstance(node, SortNode) else None
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ longer carries ``null_envs``.  Conditions are evaluated by today's
 engine's one NULL rule (``NULL = NULL`` is unknown, and a join key never
 matches NULL, with sqlite3 as the oracle in ``tests/test_join_null_keys.py``).
 
+A second one: ``Sort`` takes the ``k`` of a top-k stage below it and runs
+the production :func:`~repro.federation.physical.check_top_k` on its
+sorted rows before yielding any, so a truncated stage whose answer is not
+known exact restarts here exactly as it does in production (the site
+pipelines it pulls from are production ones, ``SiteTopK`` included).
+
 :class:`ReferencePlanner` compiles a plan into these operators.  The
 site side, ``Ship`` and ``FinalAggregate`` are the production ones;
 :class:`Rows` turns their batches into the env stream these operators
@@ -33,11 +39,13 @@ from repro.federation.physical import (
     ExecContext,
     OperatorStats,
     _sort_key,
+    check_top_k,
     aggregate_names,
     describe_expr,
     expand_items,
     output_names,
     schema_of,
+    top_k_bound,
 )
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -408,9 +416,12 @@ class Sort(PhysicalOperator):
 
     name = "Sort"
 
-    def __init__(self, child: PhysicalOperator, order_by: list[OrderItem]) -> None:
+    def __init__(
+        self, child: PhysicalOperator, order_by: list[OrderItem], k: int | None
+    ) -> None:
         super().__init__(child)
         self.order_by = order_by
+        self.k = k
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
@@ -431,6 +442,10 @@ class Sort(PhysicalOperator):
                 key=lambda env: _sort_key(evaluate(order.expr, env)),
                 reverse=order.descending,
             )
+        k, first = self.k, self.order_by[0]
+        if k is not None:
+            kth = evaluate(first.expr, envs[k - 1]) if len(envs) >= k else None
+            check_top_k(ctx, k, len(envs), kth, first.descending)
         yield from envs
 
     def _finish(self, ctx: ExecContext) -> None:
@@ -615,7 +630,9 @@ class ReferencePlanner(physical.PhysicalPlanner):
         if isinstance(node, AggregateNode):
             return Aggregate(self._reference(node.child, plan), node)
         if isinstance(node, SortNode):
-            return Sort(self._reference(node.child, plan), node.order_by)
+            return Sort(
+                self._reference(node.child, plan), node.order_by, top_k_bound(node)
+            )
         if isinstance(node, LimitNode):
             return Limit(self._reference(node.child, plan), node.limit.value)
         raise QueryError(f"cannot compile plan node {node!r}")

@@ -35,6 +35,12 @@ counted (``batches=0``), nothing is encoded and no bytes are priced
 SECONDS_PER_ROW``, the per-row currency ``Network`` no longer has --
 plain :class:`~repro.federation.network.Network` only, no handshakes).
 
+``SiteTopK`` came after the row engine, so it has no verbatim body: the
+one here is the same rule written one env at a time -- rank the batch's
+envs by ``_sort_key`` of the first order key, keep every env tied with the
+k-th, remember its key -- and so referees the selection-narrowing one.
+``Ship`` hands the boundaries on as the production one does.
+
 :class:`ReferenceSitePlanner` is plugged in the way ``ReferencePlanner``
 is: ``engine.executor.planner = ReferenceSitePlanner(catalog)``.  The
 module imports nothing from ``tests``, so ``benchmarks/`` can load it
@@ -54,6 +60,7 @@ from repro.federation.physical import (
     ExecContext,
     PartialGroup,
     SiteBatch,
+    _sort_key,
     describe_expr,
 )
 from repro.sql.ast import FuncCall
@@ -245,6 +252,46 @@ class SiteProject(physical.SiteProject):
         return out
 
 
+class SiteTopK(physical.SiteTopK):
+    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
+        expr, descending, k = self.order.expr, self.order.descending, self.k
+        out = []
+        for batch in self.children[0].batches():
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
+            kept, cut, work = batch.rows, None, 0.0
+            if rows_in > k:
+                try:
+                    keys = [_sort_key(evaluate(expr, env)) for env in batch.rows]
+                except QueryError:
+                    keys = []  # the coordinator evaluates it, as unmarked
+                if keys:
+                    edge = sorted(keys, reverse=descending)[k - 1]
+                    ranked = [
+                        env
+                        for env, key in zip(batch.rows, keys)
+                        if not (key < edge if descending else key > edge)
+                    ]
+                    if len(ranked) < rows_in:
+                        kept = ranked
+                        cut = (evaluate(expr, batch.rows[keys.index(edge)]),)
+                work = ctx.charge_site(batch.site, rows_in)
+                self.stats.seconds += work
+            out.append(
+                SiteBatch(
+                    batch.site,
+                    kept,
+                    batch.elapsed + work,
+                    fragment=batch.fragment,
+                    cut=cut,
+                )
+            )
+        self.stats.detail = f"top {k} by {describe_expr(expr)}" + (
+            " desc" if descending else ""
+        )
+        return out
+
+
 def partial_state(call: FuncCall, envs: list[Env]) -> Any:
     """This site's partial state for one aggregate call over one group."""
     if call.star:
@@ -323,6 +370,7 @@ class PartialAggregate(physical.PartialAggregate):
 class Ship(physical.Ship):
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         slots = []  # (fragment read, its arrived batches), one per site batch
+        cuts = {}  # fragment read -> its top-k boundary, where one was cut
         arrival = 0.0
         shipped = 0
         shipped_bytes = 0
@@ -352,6 +400,11 @@ class Ship(physical.Ship):
                 sources.add(batch.site)
             arrival = max(arrival, batch.elapsed + transfer)
             slots.append((batch.fragment, row_form_batches(batch.rows)))
+            if batch.cut is not None:
+                fragment = batch.fragment
+                label = batch.site if fragment is None else fragment.fragment_id
+                cuts[label] = batch.cut
+                ctx.top_k_cuts.append((label, batch.cut[0]))
         arrived = [batch for _, out in slots for batch in out]
         rows = sum(batch.count for batch in arrived)
         ctx.scan_elapsed = max(ctx.scan_elapsed, arrival)
@@ -378,7 +431,7 @@ class Ship(physical.Ship):
                 note = ctx.reopt.describe(binding)
                 if note:
                     self.stats.detail += f"  [{note}]"
-        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival)
+        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
         return arrived
 
 
@@ -386,6 +439,7 @@ REFERENCE_CLASS = {
     physical.SiteScan: SiteScan,
     physical.SiteFilter: SiteFilter,
     physical.SiteProject: SiteProject,
+    physical.SiteTopK: SiteTopK,
     physical.PartialAggregate: PartialAggregate,
     physical.Ship: Ship,
 }

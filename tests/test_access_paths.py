@@ -431,6 +431,7 @@ GONE = {
     "WrapperTrainingSession.train_against", "WrapperTrainingSession._matches",
     "WrapperTrainingSession._first_misread",
     "WrapperTrainingSession._normalize",  # sources and helpers only tests reached
+    "Table.sorted_by",  # a second ordering rule: the coordinator Sort is the one
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
@@ -443,8 +444,8 @@ OPTION_FACADE = {ENGINE + "query", ENGINE + "execute", PHYSICAL + "QueryOptions"
 # The site plane selects rows and folds through the selections; the kept
 # rows are copied out only where a consumer needs a batch of its own.
 SITE_PLANE = tuple(PHYSICAL + name for name in (
-    "SiteScan", "SiteFilter", "SiteProject", "PartialAggregate", "chunk_filter",
-    "partial_groups", "_group_keys", "_ungrouped", "_grouped"))  # fmt: skip
+    "SiteScan", "SiteFilter", "SiteProject", "SiteTopK", "PartialAggregate",
+    "chunk_filter", "partial_groups", "_group_keys", "_ungrouped", "_grouped"))  # fmt: skip
 TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.execute",
                  F + "reopt.py:ReoptController.__init__")  # fmt: skip
 
@@ -559,7 +560,8 @@ GUARDS = [
        F + "columnar.py:filter_batch"}, set())),
     ("served_one_way-site-operators", "no site operator serves an artifact",
      lambda ix: ix.holding(ix.bases, "SiteOperator", ""),
-     {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "PartialAggregate")}),
+     {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",
+                             "PartialAggregate")}),
     ("served_one_way-serving-callers", "an artifact is served at the Ship boundary",
      lambda ix: {top(h) for name in ("serve_rows", "serve_groups", "book_hit")
                  for h in ix.callers(name)},

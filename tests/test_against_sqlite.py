@@ -9,7 +9,10 @@ NULL-bearing int, float, str and bool columns:
 * inner and left joins on an equi-key with an optional residual conjunct;
 * GROUP BY / HAVING over ``count(*)``, ``count``, ``sum``, ``avg``, ``min``
   and ``max``, and DISTINCT;
-* ORDER BY a total key, then LIMIT.
+* ORDER BY a total key, then LIMIT -- and a family of its own, joins under
+  ORDER BY ... LIMIT 1 to 4, where each fragment of the binding the first
+  key reads may ship its top k alone and the coordinator Sort must notice
+  when the join dropped too many of them.
 
 Each example draws one value per switch the engine has -- optimizer, reuse
 stores, a governed tenant, re-optimization, the entry (ad hoc with the
@@ -231,8 +234,11 @@ class Statement(NamedTuple):
 
 
 @st.composite
-def statements(draw):
-    join = draw(st.sampled_from([None, None, " join ", " left join "]))
+def statements(draw, top_k=False):
+    """A drawn statement; with ``top_k``, a join under ORDER BY ... LIMIT
+    1 to 4 with no grouping and no DISTINCT."""
+    joins = [" join ", " left join "] if top_k else [None, None, " join ", " left join "]
+    join = draw(st.sampled_from(joins))
     grammar, source = (T, ("t",)) if join is None else (JOINED, ())
     if join is not None:
         left, right = draw(st.sampled_from(JOIN_KEYS))
@@ -241,7 +247,7 @@ def statements(draw):
         source += () if residual is None else (" and ", residual)
     where = draw(st.none() | grammar.predicates)
     clauses = () if where is None else (" where ", where)
-    if draw(st.booleans()):
+    if not top_k and draw(st.booleans()):
         # Not t's key: its groups are single rows, which merge no partials.
         group_keys = grammar.column(ANY).filter(lambda c: c not in ("k", "t.k"))
         key = draw(st.none() | group_keys)
@@ -254,13 +260,13 @@ def statements(draw):
             clauses += () if having is None else (" having ", having)
     else:
         items = draw(st.lists(grammar.select_items(), min_size=1, max_size=3))
-        distinct = draw(st.sampled_from(["", "distinct "]))
+        distinct = "" if top_k else draw(st.sampled_from(["", "distinct "]))
         keys = [f"c{i}" for i in range(len(items))]
-    ordered = bool(keys) and draw(st.booleans())
+    ordered = bool(keys) and (top_k or draw(st.booleans()))
     if ordered:
         directions = [draw(st.sampled_from(["", " desc"])) for _ in keys]
         clauses += (" order by ", ", ".join(map(str.__add__, keys, directions)))
-        count = draw(st.none() | st.integers(0, 4))
+        count = draw(st.integers(1, 4) if top_k else st.none() | st.integers(0, 4))
         clauses += () if count is None else (" limit ", literal(count))
     columns = joined([sql(item, f" as c{i}") for i, (item, _) in enumerate(items)])
     text = sql(f"select {distinct}", columns, " from ", *source, *clauses)
@@ -285,11 +291,12 @@ NARROWING_PAIRS = st.builds(
     st.integers(2, 12),
 )
 
-# One or two drawn statements three times in four, else a narrowing pair.
-STATEMENTS = st.sampled_from([False, False, False, True]).flatmap(
-    lambda narrowing: NARROWING_PAIRS
-    if narrowing
-    else st.lists(statements(), min_size=1, max_size=2)
+# One or two drawn statements half the time, else a narrowing pair or one or
+# two top-k statements.
+STATEMENTS = st.sampled_from(["drawn", "drawn", "narrowing", "top-k"]).flatmap(
+    lambda family: NARROWING_PAIRS
+    if family == "narrowing"
+    else st.lists(statements(top_k=family == "top-k"), min_size=1, max_size=2)
 )
 
 # -- the switches --------------------------------------------------------------

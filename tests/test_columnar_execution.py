@@ -777,7 +777,10 @@ def golden_engine():
 # modeled response and the EXPLAIN ANALYZE text of both join_ship shapes,
 # and of LIMIT over an unsorted join and over a residual filter (streaming
 # shapes that stop pulling mid-input), as the row-at-a-time coordinator
-# produced them (commit 3e6200c).
+# produced them (commit 3e6200c).  join_top's parts scan has carried a
+# SiteTopK since the per-fragment top-k: no fragment here holds more than
+# 100 qualifying rows, so it passes every batch on unranked and uncharged,
+# and every other figure is the one that commit produced.
 GOLDEN_LIMIT_OVER_JOIN = (
     "select p.sku, s.region from parts p "
     "join suppliers s on p.supplier = s.supplier limit 5"
@@ -797,6 +800,7 @@ GOLDEN_ACCOUNTING = [
             ("Sort", 177, 100),
             ("HashJoin", 217, 177),
             ("Ship", 177, 177),
+            ("SiteTopK", 177, 177),
             ("SiteProject", 177, 177),
             ("SiteScan", 0, 177),
             ("Ship", 40, 40),
@@ -812,8 +816,9 @@ Limit  @ s0  rows_in=100 rows_out=100  seconds=0.000000  100
     Sort  @ s0  rows_in=177 rows_out=100  seconds=0.008850  p.price desc, p.sku
       HashJoin  @ s0  rows_in=217 rows_out=177  seconds=0.010850  (p.supplier = s.supplier)
         Ship  @ s0  rows_in=177 rows_out=177  seconds=0.089131  batches=8  bytes=1109/2600 (2.34x)  encode=0.000002 decode=0.000001  from s1, s2
-          SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, sku, supplier)
-            SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
+          SiteTopK  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.000000  batches=8  top 100 by p.price desc
+            SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, sku, supplier)
+              SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
         Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
           SiteProject  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  keep(region, supplier)
             SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]

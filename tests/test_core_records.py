@@ -78,14 +78,6 @@ class TestTableOperations:
         with pytest.raises(SchemaError):
             parts_table().union_all(parts_table().project(["part_id"]))
 
-    def test_sorted_by_places_none_first(self):
-        ordered = parts_table().sorted_by("qty")
-        assert ordered.column("part_id") == ["p3", "p1", "p2"]
-
-    def test_sorted_descending(self):
-        ordered = parts_table().sorted_by("qty", descending=True)
-        assert ordered.column("part_id") == ["p2", "p1", "p3"]
-
     def test_limit(self):
         assert len(parts_table().limit(2)) == 2
         assert len(parts_table().limit(0)) == 0

@@ -530,7 +530,12 @@ class TestMalformedStatementsHoldNoSlot:
 
 # What 50 fixed statements leave in the registry, as the commit before the
 # instruments were held (``sim.metrics.Held``) listed it: names in the
-# order they were first touched.
+# order they were first touched.  Since the per-fragment top-k, the
+# ``order by a.k limit 5`` join ships each fragment's top 5 of ``a``: four
+# ``operator.SiteTopK`` names join the list, and shipped rows and bytes,
+# the join's and sort's rows and the response means move with them.  With
+# the top-k mark left off, the list and digest are the earlier ones
+# (6e1577a6...).
 SNAPSHOT_KEYS = (
     "gateway.sessions.opened queries.prepared gateway.plan_cache.misses "
     "workload.acme.admitted workload.dispatches queries.prepared_executions "
@@ -545,7 +550,8 @@ SNAPSHOT_KEYS = (
     "operator.Ship.batches_processed operator.Ship.encode_seconds "
     "operator.Ship.decode_seconds workload.bolt.completed "
     "operator.Limit.rows_out operator.Sort.rows_out "
-    "operator.HashJoin.rows_out gateway.plan_cache.hits "
+    "operator.HashJoin.rows_out operator.SiteTopK.rows_out "
+    "operator.SiteTopK.batches_processed gateway.plan_cache.hits "
     "gateway.sessions.active gateway.sessions.pooled "
     "gateway.plan_cache.size workload.acme.queue_depth workload.in_flight "
     "site.s0.active_scans site.s1.active_scans workload.bolt.queue_depth "
@@ -569,9 +575,10 @@ SNAPSHOT_KEYS = (
     "workload.bolt.total_seconds.mean operator.Limit.seconds.count "
     "operator.Limit.seconds.mean operator.Sort.seconds.count "
     "operator.Sort.seconds.mean operator.HashJoin.seconds.count "
-    "operator.HashJoin.seconds.mean "
+    "operator.HashJoin.seconds.mean operator.SiteTopK.seconds.count "
+    "operator.SiteTopK.seconds.mean "
 ).split()
-SNAPSHOT_SHA256 = "6e1577a672e7f59dc3adb7e29813b26b7b24d8426c84103a008e642c6b16e248"
+SNAPSHOT_SHA256 = "2a82ffcd50df37c5580e2312b672e51bf1adc07a61ef0fb54df4eb3bdad95750"
 SNAPSHOT_STATEMENTS = [
     ("select count(*) from items where v < ?", lambda i: (i * 7 % 120,)),
     ("SELECT k, v FROM items WHERE v BETWEEN ? AND ?", lambda i: (i, i + 20)),
