@@ -4,13 +4,14 @@ This walks the shortest path through the system described in
 "Content Integration for E-Business" (SIGMOD 2001):
 
     wrap supplier sites -> normalize content -> publish to the federation
-    -> ask ad hoc SQL and fuzzy search queries.
+    -> ask SQL through the DB-API driver, and fuzzy search queries.
 
 Run with:  python examples/quickstart.py
 """
 
 from repro.connect.sitegen import build_supplier_site
 from repro.core.system import ContentIntegrationSystem
+from repro.federation import Gateway, WorkloadManager, dbapi
 from repro.ir.search import SearchMode
 
 # Two suppliers with different layouts, currencies and price formats --
@@ -56,13 +57,20 @@ def main() -> None:
     # --- Integrate: publish with replication, then query --------------------
     system.publish_catalog(unified, 1, [[sites[0], sites[1]]])
 
-    result = system.query(
-        "select sku, name, price from catalog where price < 10 order by price"
-    )
-    print("\ncheap items (SQL):")
-    for row in result.table.to_dicts():
-        print(f"  {row['sku']:<10} {row['name']:<35} ${row['price']:.2f}")
-    print(f"  (answered in {result.report.response_seconds:.3f} simulated seconds)")
+    # Query applications see a PEP 249 driver (§4's "ODBC or JDBC
+    # interface"): one pooled gateway session behind the connection.
+    gateway = Gateway(WorkloadManager(system.engine, system.loop))
+    with dbapi.connect(gateway) as connection:
+        cursor = connection.cursor()
+        cursor.execute(
+            "select sku, name, price from catalog where price < ? order by price",
+            (10,),
+        )
+        print("\ncheap items (SQL):")
+        for sku, name, price in cursor.fetchall():
+            print(f"  {sku:<10} {name:<35} ${price:.2f}")
+        seconds = cursor.last_report.response_seconds
+        print(f"  (answered in {seconds:.3f} simulated seconds)")
 
     # Fuzzy search: the paper's "drlls: crdlss" must find cordless drills.
     hits = system.search("drlls: crdlss", mode=SearchMode.FUZZY)

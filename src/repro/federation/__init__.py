@@ -51,9 +51,10 @@ The pieces:
   weighted fair), and the per-site congestion gauges that feed concurrency
   back into the agoric prices.
 * :mod:`repro.federation.gateway` -- the client-facing serving layer:
-  pooled sessions, a prepared-statement plan cache keyed by normalized
-  SQL, and cursor-token result pagination, all dispatching through the
-  workload manager.
+  pooled sessions and a prepared-statement plan cache keyed by normalized
+  SQL, dispatching through the workload manager.
+* :mod:`repro.federation.dbapi` -- the PEP 249 driver: a connection holds
+  one gateway session, and a cursor pages its result with ``fetchmany``.
 """
 
 from repro.federation.access import AccessPaths, FragmentSlot
@@ -70,7 +71,7 @@ from repro.federation.catalog import FederationCatalog, Fragment, TableEntry
 from repro.federation.central import CentralizedOptimizer
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.executor import Executor
-from repro.federation.gateway import Gateway, GatewaySession, Page, PlanCache
+from repro.federation.gateway import Gateway, GatewaySession, PlanCache
 from repro.federation.health import (
     CircuitState,
     RetryPolicy,
@@ -144,7 +145,6 @@ __all__ = [
     "PhysicalPlan",
     "Gateway",
     "GatewaySession",
-    "Page",
     "PlanCache",
     "CircuitState",
     "RetryPolicy",

@@ -358,23 +358,6 @@ class FederationCatalog:
             fragment.zone_map = ZoneMap.from_table(fragment_table)
         return entry
 
-    def register_external_table(
-        self,
-        name: str,
-        source: ContentSource,
-        site_name: str,
-        estimated_rows: int | None = None,
-    ) -> TableEntry:
-        """A table served live by one wrapper/gateway source (fetch on demand)."""
-        entry = self.create_table(name, source.schema.project(
-            source.schema.field_names, new_name=name
-        ))
-        fragment = self.add_fragment(
-            name, "f0", estimated_rows or source.estimated_rows()
-        )
-        self.place_replica(fragment, site_name, source)
-        return entry
-
     # -- text indexes ----------------------------------------------------------------
 
     def build_text_index(self, table_name: str, column: str, data: Table, key_column: str) -> InvertedIndex:

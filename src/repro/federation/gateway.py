@@ -22,11 +22,9 @@ once.  This module is that serving layer, sitting in front of the
   version and its staleness bound at execution time, so repartitions and
   base-table updates transparently replan rather than answer from a dead
   topology.
-* **Pagination.**  :meth:`GatewaySession.execute_paged` returns the
-  first :class:`Page` of a result with an opaque cursor token;
-  :meth:`Gateway.fetch_page` walks the remainder without re-running the
-  query.  Tokens are deterministic counters, not timestamps, so paged
-  runs replay byte-identically (DESIGN §7).
+
+Clients that want a PEP 249 cursor (and ``fetchmany`` paging) connect
+through :mod:`repro.federation.dbapi`, which wraps one session.
 
 Everything dispatches through the workload manager, so gateway traffic
 is admitted, queued, scheduled and priced exactly like any other load.
@@ -149,16 +147,6 @@ class PlanCache:
 
 
 @dataclass
-class Page:
-    """One page of a paginated result set."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    # Opaque token for Gateway.fetch_page; None when the set is exhausted.
-    cursor: str | None
-
-
-@dataclass
 class GatewayResult:
     """What a synchronous gateway execution hands back to the client."""
 
@@ -173,19 +161,15 @@ class GatewayResult:
     def rows(self) -> list[tuple]:
         return self.result.table.rows
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return tuple(self.result.table.schema.field_names)
-
 
 class GatewaySession:
     """One pooled client connection to the gateway.
 
     Sessions are tenant-scoped: every statement executed on the session is
     admitted under the session's tenant (and degraded-answer policy).  Use
-    the session synchronously (:meth:`execute` / :meth:`execute_paged`) or
-    asynchronously (:meth:`submit`, resolving handles via the workload
-    manager's event loop).
+    the session synchronously (:meth:`execute`) or asynchronously
+    (:meth:`submit`, resolving handles via the workload manager's event
+    loop).
     """
 
     def __init__(
@@ -201,9 +185,6 @@ class GatewaySession:
         self.coordinator = coordinator  # pinned coordinator site, or None
         self.closed = False
         self.statements = 0  # lifetime statements across checkouts
-        # Cursor tokens opened by this checkout; closed on release so a
-        # reused session never leaks another tenant's result set.
-        self._cursors: set[str] = set()
 
     # -- statement execution ----------------------------------------------
 
@@ -254,27 +235,6 @@ class GatewaySession:
         self.gateway.workload.drain(handle)
         return GatewayResult(handle.result())
 
-    def execute_paged(
-        self,
-        sql: str,
-        params: "tuple | list" = (),
-        limit: int = 100,
-        priority: float = 0.0,
-        max_staleness: float | None = None,
-    ) -> Page:
-        """Execute and return the first ``limit`` rows plus a cursor.
-
-        The full result is computed once and held by the gateway; walk the
-        remainder with :meth:`Gateway.fetch_page`.
-        """
-        self._check_open()
-        outcome = self.execute(
-            sql, params, priority=priority, max_staleness=max_staleness
-        )
-        return self.gateway._open_cursor(
-            outcome.columns, outcome.rows, limit, session=self
-        )
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -313,18 +273,6 @@ def bind_sql_text(sql: str, params: "tuple | list") -> str:
         raise BindError(str(error)) from error
 
 
-@dataclass
-class _Cursor:
-    """Server-side state behind one pagination token."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    position: int = 0
-    # The session checkout that opened the cursor; releasing the session
-    # expires the cursor, so tokens never outlive their tenant's checkout.
-    session: "GatewaySession | None" = None
-
-
 class Gateway:
     """Session pool + plan cache in front of one workload manager."""
 
@@ -353,8 +301,6 @@ class Gateway:
         # tenant name -> idle sessions ready for reuse (LIFO: the most
         # recently released session is the warmest).
         self._idle: dict[str, list[GatewaySession]] = {}
-        self._cursors: dict[str, _Cursor] = {}
-        self._cursor_seq = 0
 
     # -- session pool ------------------------------------------------------
 
@@ -396,12 +342,6 @@ class Gateway:
         return session
 
     def _release(self, session: GatewaySession) -> None:
-        # Expire the checkout's open cursors first: a pooled session may be
-        # re-acquired by a different tenant, and a surviving token would let
-        # that tenant page through the previous tenant's result set.
-        for token in list(session._cursors):
-            self.close_cursor(token)
-        session._cursors.clear()
         self.active_sessions -= 1
         self.metrics.gauge("gateway.sessions.active").set(self.active_sessions)
         free = self._idle.setdefault(session.tenant, [])
@@ -413,58 +353,6 @@ class Gateway:
         self.metrics.gauge("gateway.sessions.pooled").set(
             sum(len(free) for free in self._idle.values())
         )
-
-    # -- pagination --------------------------------------------------------
-
-    def _open_cursor(
-        self,
-        columns: tuple[str, ...],
-        rows: list[tuple],
-        limit: int,
-        session: GatewaySession | None = None,
-    ) -> Page:
-        if limit < 1:
-            raise QueryError(f"page limit must be >= 1, got {limit}")
-        first = rows[:limit]
-        if len(rows) <= limit:
-            return Page(columns=columns, rows=first, cursor=None)
-        self._cursor_seq += 1
-        token = f"c{self._cursor_seq}"
-        self._cursors[token] = _Cursor(
-            columns=columns, rows=rows, position=limit, session=session
-        )
-        if session is not None:
-            session._cursors.add(token)
-        self.metrics.gauge("gateway.cursors.open").set(len(self._cursors))
-        return Page(columns=columns, rows=first, cursor=token)
-
-    def fetch_page(self, cursor_token: str, limit: int = 100) -> Page:
-        """The next ``limit`` rows behind ``cursor_token``.
-
-        The returned page carries the token to continue with (the same
-        one) or ``None`` once the set is exhausted, at which point the
-        server-side cursor is dropped.  An unknown or exhausted token
-        raises :class:`QueryError`.
-        """
-        if limit < 1:
-            raise QueryError(f"page limit must be >= 1, got {limit}")
-        cursor = self._cursors.get(cursor_token)
-        if cursor is None:
-            raise QueryError(f"unknown or exhausted cursor {cursor_token!r}")
-        rows = cursor.rows[cursor.position : cursor.position + limit]
-        cursor.position += len(rows)
-        if cursor.position >= len(cursor.rows):
-            self.close_cursor(cursor_token)
-            return Page(columns=cursor.columns, rows=rows, cursor=None)
-        return Page(columns=cursor.columns, rows=rows, cursor=cursor_token)
-
-    def close_cursor(self, cursor_token: str) -> None:
-        """Drop a cursor early (a client abandoning a paged result)."""
-        cursor = self._cursors.pop(cursor_token, None)
-        if cursor is not None:
-            if cursor.session is not None:
-                cursor.session._cursors.discard(cursor_token)
-            self.metrics.gauge("gateway.cursors.open").set(len(self._cursors))
 
     def __repr__(self) -> str:
         return (

@@ -571,13 +571,6 @@ class GovernanceRegistry:
             return
         self._spent[tenant] = self._spent.get(tenant, 0.0) + price
 
-    def reset_budget(self, tenant: str | None = None) -> None:
-        """Refill budgets (one tenant, or all): the operator's top-up knob."""
-        if tenant is None:
-            self._spent.clear()
-        else:
-            self._spent.pop(tenant, None)
-
     # -- metrics -------------------------------------------------------------
 
     def _count(self, what: str, amount: int = 1) -> None:

@@ -112,21 +112,3 @@ def combined_similarity(a: str, b: str, edit_weight: float = 0.5) -> float:
         " ".join(sorted(consonant_skeleton(normalized_b).split())),
     )
     return max(direct, 0.95 * skeleton)
-
-
-def best_matches(
-    query: str,
-    candidates: list[str],
-    limit: int = 5,
-    minimum: float = 0.0,
-) -> list[tuple[str, float]]:
-    """Rank ``candidates`` by combined similarity to ``query``.
-
-    Ties break by candidate string so results are deterministic.
-    """
-    scored = [
-        (candidate, combined_similarity(query, candidate)) for candidate in candidates
-    ]
-    scored = [(c, s) for c, s in scored if s >= minimum]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:limit]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.errors import QueryError
+from repro.core.errors import BindError
 from repro.sql.ast import (
     Expr,
     InSubquery,
@@ -104,7 +104,7 @@ def check_parameters(expected: int, values: Sequence[Any]) -> tuple:
     """Validate a binding's arity; returns the values as a tuple."""
     bound = tuple(values)
     if len(bound) != expected:
-        raise QueryError(
+        raise BindError(
             f"prepared statement takes {expected} parameter(s), "
             f"got {len(bound)}"
         )

@@ -1,4 +1,4 @@
-"""XML substrate: model, strict parser, XPath subset, and XSLT-like transforms.
+"""XML substrate: model, strict parser, XPath subset and XQuery FLWOR.
 
 Characteristic 6 requires content integration engines to answer "emerging
 XML-based query access like XQuery ... in the meantime ... XPath and XSLT".
@@ -11,14 +11,12 @@ This package supplies the XML machinery the rest of the system uses:
   surface).
 * :func:`~repro.xmlkit.xpath.xpath` -- an XPath 1.0 subset evaluator used
   for XML queries over integrated views.
-* :class:`~repro.xmlkit.transform.XmlTransformer` -- declarative template
-  rules in the spirit of XSLT, used by wrappers and syndication to reshape
-  documents ("sender-makes-right").
+* :func:`~repro.xmlkit.xquery.xquery` -- an XQuery FLWOR subset over the
+  same documents.
 """
 
 from repro.xmlkit.model import XmlElement, xml_escape
 from repro.xmlkit.parser import XmlParseError, parse_xml
-from repro.xmlkit.transform import TemplateRule, XmlTransformer
 from repro.xmlkit.xpath import XPathError, xpath
 from repro.xmlkit.xquery import XQueryError, xquery
 
@@ -27,8 +25,6 @@ __all__ = [
     "xml_escape",
     "XmlParseError",
     "parse_xml",
-    "TemplateRule",
-    "XmlTransformer",
     "XPathError",
     "xpath",
     "XQueryError",

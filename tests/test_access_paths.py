@@ -292,9 +292,11 @@ class SourceIndex:
         self.callees, self.assigns = defaultdict(set), defaultdict(list)
         self.imports, self.names = defaultdict(set), defaultdict(set)  # by file, home
         self.strings, self.tested, self.excepts = (defaultdict(set) for _ in range(3))
+        self.files = []
         for part in ("src", "tests", "benchmarks", "examples"):
             for path in sorted((root / part).rglob("*.py")):
                 where = path.relative_to(root).as_posix()
+                self.files.append(where)
                 self._visit(where, "", ast.parse(path.read_text()))
 
     def _visit(self, where, scope, node):
@@ -407,7 +409,37 @@ def unbuilt_on_tokens(ix):
     return {"normalize_sql", "count_placeholders", "replace_placeholders"} - reached
 
 
+def dotted(where):
+    """The module a file under src/ is (a package's __init__.py is the package)."""
+    return where[4:-3].removesuffix("/__init__").replace("/", ".")
+
+
+def unimported(ix):
+    """The public modules under src/ that no other file under src/,
+    benchmarks/ or examples/ imports.  A package re-exporting a module's
+    names is no use of it; importing a re-exported name is."""
+    inits = {w for w in ix.files if w.startswith("src/") and w.endswith("/__init__.py")}
+    reexports, uses, reached = {}, [], set()  # reached: (file, module)
+    for user in ix.files:
+        for m, name in ix.imports[user]:
+            if user in inits and (m or "").startswith(dotted(user) + "."):
+                reexports[dotted(user), name] = m
+            elif user.startswith(("src/", "benchmarks/", "examples/")):
+                uses.append((user, m or "", name))
+    for user, m, name in uses:
+        reached |= {(user, m), (user, f"{m}.{name}")}
+        while (m := reexports.get((m, name))) is not None:
+            reached.add((user, m))
+    return {dotted(w) for w in ix.files if w.startswith("src/")
+            and not any(part.startswith("_") for part in dotted(w).split("."))
+            and not any(user != w and (m == dotted(w) or m.startswith(dotted(w) + "."))
+                        for user, m in reached)}
+
+
 F, S = "src/repro/federation/", "src/repro/sql/"
+DBAPI = F + "dbapi.py"
+# The gateway's state and services, none of which the DB-API may touch.
+BEHIND_THE_DOOR = ("PlanCache", "plan_cache", "engine", "workload", "submit", "drain")
 ENGINE, PHYSICAL = F + "engine.py:FederatedEngine.", F + "physical.py:"
 REWRITE, PLANNER = S + "rewrite.py:", S + "planner.py:"
 BIND_PLAN, FALLBACK = S + "params.py:bind_plan", PHYSICAL + "SiteScan._covering_fallback"
@@ -432,6 +464,12 @@ GONE = {
     "WrapperTrainingSession._first_misread",
     "WrapperTrainingSession._normalize",  # sources and helpers only tests reached
     "Table.sorted_by",  # a second ordering rule: the coordinator Sort is the one
+    "Page", "_Cursor", "execute_paged", "fetch_page", "_open_cursor", "close_cursor",
+    "GatewayResult.columns",  # a second result cursor: dbapi's fetchmany pages
+    "connect.workload", "connect.priority", "connect.max_staleness",
+    "_install_result",  # the DB-API's own submit/drain copy of GatewaySession.execute
+    "XmlTransformer", "TemplateRule", "best_matches", "register_external_table",
+    "reset_budget",  # definitions only tests reached
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
@@ -588,6 +626,13 @@ GUARDS = [
                  if not any(where.startswith(("src/", "benchmarks/", "examples/"))
                             and where.partition(":")[0] != h.partition(":")[0]
                             for where, _ in ix.calls[leaf(h)])}, set()),
+    ("one_door-every-module-runs",
+     "a public module under src/ is imported by src/, a bench or an example",
+     unimported, {"repro.connect.agent"}),
+    ("one_door-dbapi-is-a-session-face", "the DB-API reaches the federation by a session",
+     lambda ix: ({n for n in BEHIND_THE_DOOR if ix.holding(ix.names, n, DBAPI)},
+                 {m for m, _ in ix.imports[DBAPI] if m.startswith("repro.federation")}),
+     (set(), {"repro.federation.gateway"})),
     ("null_has_one_rule-one-not-builder", "NOT is built by sql.ast.negate alone",
      lambda ix: {top(h) for h, first in ix.calls["UnaryOp"] if first == "not"},
      {S + "ast.py:negate"}),

@@ -170,7 +170,8 @@ class TestEngineCache:
         schema = Schema("inv", (Field("qty", DataType.INTEGER),))
         rows = [{"qty": 1}, {"qty": 2}]
         source = LiveSource("inv@s0", schema, lambda: list(rows), cost_seconds=0.5)
-        catalog.register_external_table("inv", source, "s0")
+        catalog.create_table("inv", schema)
+        catalog.place_replica(catalog.add_fragment("inv", "f0", 2), "s0", source)
         cache = SemanticCache(clock)
         engine = FederatedEngine(catalog, cache=cache)
 

@@ -167,13 +167,6 @@ class TestCatalog:
         with pytest.raises(QueryError):
             catalog.create_table("parts", parts_schema())
 
-    def test_register_external_table(self):
-        catalog = self.make()
-        source = StaticSource("hotel_feed", parts_table(4))
-        entry = catalog.register_external_table("hotels", source, "s0")
-        assert entry.estimated_rows() == 4
-        assert catalog.site("s0").hosts("hotels/f0")
-
     def test_drop_replica(self):
         catalog = self.make()
         entry = catalog.load_fragmented(parts_table(), 1, [["s0", "s1"]])

@@ -2,8 +2,8 @@
 
 Covers the prepared-statement plan cache (normalized-SQL keying, LRU
 eviction, invalidation on repartition and base-table updates), the session
-pool (reuse, exhaustion, idle cap), cursor-token pagination, ``?`` in the
-LIKE-pattern and LIMIT-count positions (templates like any other, where a
+pool (reuse, exhaustion, idle cap), paging a DB-API cursor with
+``fetchmany``, ``?`` in the LIKE-pattern and LIMIT-count positions (templates like any other, where a
 textual-binding fallback once ran).  That a gateway session answers what
 sqlite3 answers is one switch of ``tests/test_against_sqlite.py``.
 """
@@ -117,9 +117,11 @@ class TestPlanCache:
     def test_alias_case_names_its_own_output(self, first, second):
         _, _, gateway = make_gateway()
         sql = "select k as {} from items where k = ?"
-        with gateway.connect() as session:
+        with dbapi.connect(gateway) as connection:
+            cursor = connection.cursor()
             for alias in (first, second):
-                assert session.execute(sql.format(alias), ("k0001",)).columns == (alias,)
+                cursor.execute(sql.format(alias), ("k0001",))
+                assert [column[0] for column in cursor.description] == [alias]
         assert gateway.plan_cache.misses == 2
 
     def test_staleness_bound_keys_separately(self):
@@ -279,93 +281,75 @@ class TestSessionPool:
 
 
 class TestPagination:
+    """PEP 249's ``fetchmany`` is the one paging API.  The rows live on the
+    client cursor, so a closed connection's cursor pages nothing."""
+
     def test_page_walk_covers_all_rows_in_order(self):
         _, engine, gateway = make_gateway()
         sql = "select k, v from items order by v"
         direct = engine.query(sql, advance_clock=False).table.rows
-        with gateway.connect() as session:
-            page = session.execute_paged(sql, limit=50)
-            walked = list(page.rows)
-            token = page.cursor
-            while token is not None:
-                page = gateway.fetch_page(token, limit=50)
-                walked.extend(page.rows)
-                token = page.cursor
-        assert walked == direct
-        # The cursor was dropped on exhaustion.
-        assert gateway.metrics.gauge("gateway.cursors.open").value == 0
-
-    def test_single_page_result_has_no_cursor(self):
-        _, _, gateway = make_gateway()
-        with gateway.connect() as session:
-            page = session.execute_paged(QUERY, (10,), limit=5)
-        assert page.rows == [(10,)]
-        assert page.cursor is None
-
-    def test_unknown_cursor_raises(self):
-        _, _, gateway = make_gateway()
-        with pytest.raises(QueryError):
-            gateway.fetch_page("c999")
-
-    def test_exhausted_cursor_raises_on_reuse(self):
-        _, _, gateway = make_gateway()
-        with gateway.connect() as session:
-            page = session.execute_paged("select k from items", limit=100)
-            token = page.cursor
-            last = gateway.fetch_page(token, limit=100)
-            assert last.cursor is None
-            with pytest.raises(QueryError):
-                gateway.fetch_page(token)
+        walked = []
+        with dbapi.connect(gateway) as connection:
+            cursor = connection.cursor().execute(sql)
+            while page := cursor.fetchmany(50):
+                assert len(page) == min(50, len(direct) - len(walked))
+                walked.extend(page)
+        assert len(direct) == 120 and walked == direct
 
     def test_session_release_expires_open_cursors(self):
-        """Regression: a cursor token must not survive its session's release.
+        """Regression: a result must not survive its session's release.
 
-        Pre-fix, a released (pooled) session's cursors stayed fetchable, so
-        the next tenant to re-acquire the pooled session -- or anyone
-        holding the token -- could keep paging through the previous
-        tenant's result set.
+        Once, a released (pooled) session's paging cursors stayed
+        fetchable, so whoever re-acquired the pooled session -- or held
+        the token -- could keep paging through the previous checkout's
+        result set.  Now the rows live on the DB-API cursor, which refuses
+        to fetch once its connection is closed, also while the pooled
+        session it ran on is checked out again.
         """
         _, _, gateway = make_gateway()
-        session = gateway.connect(tenant="acme")
-        page = session.execute_paged("select k from items", limit=10)
-        token = page.cursor
-        assert token is not None
-        session.close()
-        # The release expired the cursor: the token is dead...
-        with pytest.raises(QueryError):
-            gateway.fetch_page(token)
-        # ...and no server-side state leaked.
-        assert gateway.metrics.gauge("gateway.cursors.open").value == 0
-        # The pooled session re-acquired by another tenant starts clean.
-        other = gateway.connect(tenant="bolt")
-        assert other._cursors == set()
-        other.close()
+        connection = dbapi.connect(gateway, tenant="acme")
+        cursor = connection.cursor().execute("select k from items")
+        assert len(cursor.fetchmany(10)) == 10
+        connection.close()
+        with pytest.raises(dbapi.InterfaceError):
+            cursor.fetchmany(10)
+        again = dbapi.connect(gateway, tenant="acme")
+        assert again._session is connection._session  # the pooled session
+        connection.close()  # a second close does not release it again
+        assert gateway.active_sessions == 1
+        with pytest.raises(dbapi.InterfaceError):
+            cursor.fetchall()
+        with pytest.raises(dbapi.InterfaceError):
+            again.cursor().fetchall()  # nothing executed on this checkout
+        other = dbapi.connect(gateway, tenant="bolt").cursor()
+        assert other.execute(QUERY, (10,)).fetchall() == [(10,)]
+        again.close()
 
     def test_abandoned_cursors_do_not_leak_across_checkouts(self):
-        """Open/release many paged sessions: the cursor table stays empty."""
-        _, _, gateway = make_gateway()
+        """Close many connections with unfetched cursors: every session
+        goes back to the pool (four checkouts would exhaust it)."""
+        _, _, gateway = make_gateway(max_sessions=4)
+        cursors = []
         for _ in range(8):
-            session = gateway.connect(tenant="acme")
-            page = session.execute_paged("select k from items", limit=10)
-            assert page.cursor is not None  # multi-page: state was held
-            session.close()  # never walked: release must reclaim it
-        assert gateway.metrics.gauge("gateway.cursors.open").value == 0
-        assert gateway._cursors == {}
+            connection = dbapi.connect(gateway, tenant="acme")
+            cursors.append(connection.cursor().execute("select k from items"))
+            connection.close()  # never fetched: release must still reclaim it
+        assert gateway.active_sessions == 0 and gateway.sessions_opened == 1
+        assert gateway.metrics.gauge("gateway.sessions.active").value == 0
+        for cursor in cursors:
+            with pytest.raises(dbapi.InterfaceError):
+                cursor.fetchone()
 
     def test_close_cursor_abandons_the_walk(self):
         _, _, gateway = make_gateway()
-        with gateway.connect() as session:
-            page = session.execute_paged("select k from items", limit=10)
-        gateway.close_cursor(page.cursor)
-        assert gateway.metrics.gauge("gateway.cursors.open").value == 0
-        with pytest.raises(QueryError):
-            gateway.fetch_page(page.cursor)
-
-    def test_page_limit_must_be_positive(self):
-        _, _, gateway = make_gateway()
-        with gateway.connect() as session:
-            with pytest.raises(QueryError):
-                session.execute_paged("select k from items", limit=0)
+        with dbapi.connect(gateway) as connection:
+            cursor = connection.cursor().execute("select k from items")
+            assert len(cursor.fetchmany(10)) == 10
+            cursor.close()
+            with pytest.raises(dbapi.InterfaceError):
+                cursor.fetchmany(10)
+            fresh = connection.cursor().execute("select k from items")
+            assert len(fresh.fetchall()) == 120
 
 
 class TestTextualFallback:
@@ -457,9 +441,11 @@ class TestMalformedStatementsHoldNoSlot:
             assert other.execute(QUERY, (30,)).rows == [(30,)]
 
     def test_through_a_workload_attached_dbapi_cursor(self):
-        _, engine, gateway = make_gateway()
+        # (Named for the workload= argument the driver once took: a DB-API
+        # connection is a gateway session now.)
+        _, _, gateway = make_gateway()
         manager = gateway.workload
-        cursor = dbapi.connect(engine, workload=manager, tenant="acme").cursor()
+        cursor = dbapi.connect(gateway, tenant="acme").cursor()
         for sql, params in MALFORMED:
             with pytest.raises(QueryError):
                 cursor.execute(sql, params)
@@ -483,7 +469,7 @@ class TestMalformedStatementsHoldNoSlot:
             with pytest.raises(SqlLexError):
                 session.execute(sql)
         with pytest.raises(SqlLexError):
-            dbapi.connect(engine).cursor().execute(sql)
+            dbapi.connect(gateway).cursor().execute(sql)
         with pytest.raises(SqlLexError):
             engine.query(sql)
         assert issubclass(SqlLexError, QueryError)

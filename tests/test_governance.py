@@ -26,6 +26,7 @@ from repro.federation import (
 )
 from repro.federation import dbapi
 from repro.federation.artifacts import stage_specs
+from repro.federation.gateway import PlanCache
 from repro.federation.governance import (
     BudgetExhaustedError,
     GovernanceRegistry,
@@ -461,7 +462,7 @@ class TestPreparedRevalidation:
 
     def test_plan_cache_keys_on_signature_not_tenant_name(self):
         _, engine, _ = make_engine()
-        cache = dbapi.PlanCache(engine)
+        cache = PlanCache(engine)
         sql = "select order_id from orders where total > ?"
         acme = cache.get_or_prepare(sql, tenant="acme")
         staging = cache.get_or_prepare(sql, tenant="acme-staging")
@@ -471,7 +472,7 @@ class TestPreparedRevalidation:
 
     def test_ungoverned_tenants_share_one_cache_entry(self):
         _, engine, _ = make_engine()
-        cache = dbapi.PlanCache(engine)
+        cache = PlanCache(engine)
         sql = "select order_id from orders"
         a = cache.get_or_prepare(sql, tenant="walkin-1")
         b = cache.get_or_prepare(sql, tenant="walkin-2")
@@ -728,16 +729,6 @@ class TestCostBudgets:
             0.0006
         )
 
-    def test_reset_budget_restores_admission(self):
-        catalog, engine, governance, manager = make_manager(TIGHT_BUDGET)
-        self.exhaust(governance, "frugal")
-        with pytest.raises(BudgetExhaustedError):
-            manager.submit(QUERY, tenant="frugal")
-        governance.reset_budget("frugal")
-        handle = manager.submit(QUERY, tenant="frugal")
-        manager.drain(handle)
-        assert handle.done
-
 
 class TestWorkloadIntegration:
     def test_submitted_sql_is_governed(self):
@@ -765,9 +756,7 @@ class TestWorkloadIntegration:
 
     def test_dbapi_connection_is_governed(self):
         catalog, engine, _, manager = make_manager(MANIFEST)
-        connection = dbapi.connect(
-            engine, workload=manager.loop and manager, tenant="acme"
-        )
+        connection = dbapi.connect(Gateway(manager), tenant="acme")
         cursor = connection.cursor()
         cursor.execute("select region, email from orders where total > ?", (0.0,))
         rows = cursor.fetchall()

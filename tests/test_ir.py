@@ -15,7 +15,7 @@ from repro.ir import (
     ngrams,
     tokenize,
 )
-from repro.ir.fuzzy import best_matches, token_set_similarity
+from repro.ir.fuzzy import token_set_similarity
 
 
 class TestTokenize:
@@ -91,15 +91,6 @@ class TestCombinedSimilarity:
     def test_token_set_similarity(self):
         assert token_set_similarity("black india ink", "india ink black") == 1.0
         assert token_set_similarity("black ink", "blue ink") == pytest.approx(1 / 3)
-
-    def test_best_matches_ranked_and_deterministic(self):
-        candidates = ["cordless drills", "corded drills", "steel beams"]
-        ranked = best_matches("drlls crdlss", candidates, limit=2)
-        assert ranked[0][0] == "cordless drills"
-        assert len(ranked) == 2
-
-    def test_best_matches_minimum_filter(self):
-        assert best_matches("ink", ["steel beams"], minimum=0.9) == []
 
 
 def build_index():

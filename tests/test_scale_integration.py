@@ -11,6 +11,7 @@ import random
 
 from repro.connect.sitegen import build_supplier_site
 from repro.core.system import ContentIntegrationSystem
+from repro.federation import Gateway, WorkloadManager
 from repro.federation.dbapi import connect
 from repro.ir.search import SearchMode
 from repro.workbench.syndication import PricingRule, Recipient
@@ -101,7 +102,8 @@ class TestScale:
         assert "scan catalog" in system.engine.explain(
             "select sku from catalog where price > 100"
         )
-        cursor = connect(system.engine).cursor()
+        gateway = Gateway(WorkloadManager(system.engine, system.loop))
+        cursor = connect(gateway).cursor()
         cursor.execute("select count(*) from catalog where price > ?", (100,))
         assert cursor.fetchone()[0] > 0
 

@@ -1,25 +1,36 @@
-"""Tests for the DB-API surface."""
+"""Tests for the DB-API surface: a PEP 249 face over one gateway session."""
 
 import pytest
 
 from repro.core import DataType, Field, Schema, Table
-from repro.federation import FederatedEngine, FederationCatalog, WorkloadManager
+from repro.federation import (
+    FederatedEngine,
+    FederationCatalog,
+    Gateway,
+    WorkloadManager,
+)
 from repro.federation.dbapi import InterfaceError, connect
 from repro.sim import EventLoop, SimClock
 
 
+def make_gateway(fragments=1):
+    """parts (10 rows) over two sites: one RF=2 fragment, or two RF=1 ones."""
+    clock = SimClock()
+    catalog = FederationCatalog(clock)
+    names = [catalog.make_site(f"s{i}").name for i in range(2)]
+    schema = Schema(
+        "parts",
+        (Field("sku", DataType.STRING), Field("price", DataType.FLOAT)),
+    )
+    table = Table(schema, [(f"A-{i}", float(i)) for i in range(10)])
+    placement = [names] if fragments == 1 else [[name] for name in names]
+    catalog.load_fragmented(table, fragments, placement)
+    return Gateway(WorkloadManager(FederatedEngine(catalog), EventLoop(clock)))
+
+
 class TestDbApi:
     def make_connection(self):
-        clock = SimClock()
-        catalog = FederationCatalog(clock)
-        names = [catalog.make_site(f"s{i}").name for i in range(2)]
-        schema = Schema(
-            "parts",
-            (Field("sku", DataType.STRING), Field("price", DataType.FLOAT)),
-        )
-        table = Table(schema, [(f"A-{i}", float(i)) for i in range(10)])
-        catalog.load_fragmented(table, 1, [names])
-        return connect(FederatedEngine(catalog))
+        return connect(make_gateway())
 
     def test_execute_and_fetchall(self):
         with self.make_connection() as connection:
@@ -83,7 +94,10 @@ class TestDbApi:
         cursor = self.make_connection().cursor()
         cursor.execute("select sku from parts order by sku")
         assert len(cursor.fetchmany(4)) == 4
-        assert len(cursor.fetchmany(100)) == 6
+        assert cursor.fetchmany(0) == cursor.fetchmany(-1) == []  # moves nothing
+        assert cursor.fetchmany() == [("A-4",)]  # arraysize rows
+        assert len(cursor.fetchmany(100)) == 5
+        assert cursor.fetchmany(100) == []
 
     def test_closed_cursor_refuses(self):
         cursor = self.make_connection().cursor()
@@ -121,29 +135,11 @@ class TestDbApiBindingFixes:
     def make_connection(self):
         return TestDbApi.make_connection(self)
 
-    def make_failover_connection(self, degraded_ok=False, tenanted=False):
+    def make_failover_connection(self, degraded_ok=False, tenant="default"):
         """parts split over two RF=1 fragments, so one dead site degrades."""
-        from repro.federation import WorkloadManager
-        from repro.sim import EventLoop
-
-        clock = SimClock()
-        catalog = FederationCatalog(clock)
-        names = [catalog.make_site(f"s{i}").name for i in range(2)]
-        schema = Schema(
-            "parts",
-            (Field("sku", DataType.STRING), Field("price", DataType.FLOAT)),
-        )
-        table = Table(schema, [(f"A-{i}", float(i)) for i in range(10)])
-        catalog.load_fragmented(table, 2, [[names[0]], [names[1]]])
-        engine = FederatedEngine(catalog)
-        if tenanted:
-            manager = WorkloadManager(engine, EventLoop(clock))
-            connection = connect(
-                engine, workload=manager, tenant="acme", degraded_ok=degraded_ok
-            )
-        else:
-            connection = connect(engine, degraded_ok=degraded_ok)
-        return connection, engine
+        gateway = make_gateway(fragments=2)
+        connection = connect(gateway, tenant=tenant, degraded_ok=degraded_ok)
+        return connection, gateway.engine
 
     # -- placeholder scanning (comments, quoted identifiers) ---------------
 
@@ -171,19 +167,18 @@ class TestDbApiBindingFixes:
     def test_like_placeholder_binds_textually(self):
         # (Named for the textual-binding fallback this position once took:
         # a LIKE pattern is a placeholder like any other now.)
-        cursor = self.make_connection().cursor()
+        gateway = make_gateway()
+        cursor = connect(gateway).cursor()
         cursor.execute("select sku from parts where sku like ?", ("A-1%",))
         assert cursor.fetchall() == [("A-1",)]
         cursor.execute("select sku from parts where sku like ? limit ?", ("A-%", 2))
         assert len(cursor.fetchall()) == 2
-        assert cursor._connection._plan_cache.misses == 2
+        assert gateway.plan_cache.misses == 2
 
     def test_a_value_that_does_not_fit_its_placeholder_is_an_interface_error(self):
-        direct = self.make_connection()
-        engine = direct.engine
-        manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
-        tenanted = connect(engine, workload=manager, tenant="acme")
-        for connection in (direct, tenanted):
+        gateway = make_gateway()
+        manager = gateway.workload
+        for connection in (connect(gateway), connect(gateway, tenant="acme")):
             cursor = connection.cursor()
             for sql, bad in [
                 ("select sku from parts limit ?", -1),
@@ -266,6 +261,7 @@ class TestDbApiBindingFixes:
             engine.catalog.site(name).up = False
 
     def test_degraded_ok_direct_path(self):
+        # (Named for the engine-only path the default tenant once took.)
         connection, engine = self.make_failover_connection(degraded_ok=True)
         self.kill_first_fragment(engine)
         cursor = connection.cursor()
@@ -276,7 +272,7 @@ class TestDbApiBindingFixes:
 
     def test_degraded_ok_tenanted_path(self):
         connection, engine = self.make_failover_connection(
-            degraded_ok=True, tenanted=True
+            degraded_ok=True, tenant="acme"
         )
         self.kill_first_fragment(engine)
         cursor = connection.cursor()
@@ -287,23 +283,27 @@ class TestDbApiBindingFixes:
     def test_without_degraded_ok_partial_failure_raises(self):
         from repro.core.errors import PartialFailureError
 
-        for tenanted in (False, True):
+        for tenant in ("default", "acme"):
             connection, engine = self.make_failover_connection(
-                degraded_ok=False, tenanted=tenanted
+                degraded_ok=False, tenant=tenant
             )
             self.kill_first_fragment(engine)
             with pytest.raises(PartialFailureError):
                 connection.cursor().execute("select sku from parts")
 
-    # -- the per-connection plan cache -------------------------------------
+    # -- the gateway's shared plan cache ------------------------------------
 
     def test_repeated_statements_plan_once(self):
-        connection = self.make_connection()
-        cursor = connection.cursor()
-        for threshold in (2, 4, 6, 8):
+        gateway = make_gateway()
+        cursor = connect(gateway).cursor()
+        for threshold in (2, 4):
             cursor.execute("select sku from parts where price > ?", (threshold,))
-        assert connection._plan_cache.misses == 1
-        assert connection._plan_cache.hits == 3
+        # A second connection (another tenant, too) shares the same plans.
+        other = connect(gateway, tenant="acme").cursor()
+        for threshold in (6, 8):
+            other.execute("select sku from parts where price > ?", (threshold,))
+        assert gateway.plan_cache.misses == 1
+        assert gateway.plan_cache.hits == 3
 
     def test_prepared_and_textual_paths_answer_identically(self):
         prepared_cursor = self.make_connection().cursor()

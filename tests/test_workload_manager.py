@@ -21,6 +21,7 @@ from repro.core.errors import (
 from repro.federation import (
     FederatedEngine,
     FederationCatalog,
+    Gateway,
     Tenant,
     WorkloadManager,
     make_scheduler,
@@ -352,10 +353,8 @@ class TestReportingSurface:
 
 class TestDbapiTenancy:
     def test_connection_routes_through_workload_manager(self):
-        _, engine, loop, manager = make_manager(max_in_flight=1)
-        connection = dbapi.connect(
-            engine, workload=manager, tenant="partner-a", priority=1.0
-        )
+        _, _, _, manager = make_manager(max_in_flight=1)
+        connection = dbapi.connect(Gateway(manager), tenant="partner-a")
         cursor = connection.cursor()
         cursor.execute("select count(*) from items where v < ?", (50,))
         assert cursor.fetchone() == (50,)
@@ -363,17 +362,13 @@ class TestDbapiTenancy:
         assert cursor.last_report.queue_wait_seconds >= 0.0
         assert manager.tenants["partner-a"].completed == 1
 
-    def test_tenant_without_workload_rejected(self):
-        _, engine, _, _ = make_manager()
-        with pytest.raises(dbapi.InterfaceError):
-            dbapi.connect(engine, tenant="acme")
-
     def test_plain_connection_still_works(self):
-        _, engine, _, _ = make_manager()
-        cursor = dbapi.connect(engine).cursor()
+        _, _, _, manager = make_manager()
+        cursor = dbapi.connect(Gateway(manager)).cursor()
         cursor.execute(QUERY)
         assert cursor.fetchone() == (120,)
-        assert cursor.last_report.tenant is None
+        assert cursor.last_report.tenant == "default"
+        assert manager.tenants["default"].completed == 1
 
 
 POOL = [

@@ -1,8 +1,8 @@
-"""Unit tests for the XPath subset and XSLT-like transformer."""
+"""Unit tests for the XPath subset."""
 
 import pytest
 
-from repro.xmlkit import XmlElement, XmlTransformer, XPathError, parse_xml, xpath
+from repro.xmlkit import XPathError, parse_xml, xpath
 
 CATALOG = parse_xml(
     """
@@ -109,75 +109,3 @@ class TestErrors:
         with pytest.raises(XPathError):
             xpath(CATALOG, bad)
 
-
-class TestTransformer:
-    def test_identity_by_default(self):
-        transformer = XmlTransformer()
-        result = transformer.transform_document(CATALOG)
-        assert result == CATALOG
-        assert result is not CATALOG
-
-    def test_single_rule_rewrites_one_tag(self):
-        transformer = XmlTransformer()
-
-        @transformer.rule("price")
-        def dollars_only(element, t):
-            rewritten = XmlElement("price", {"currency": "USD"})
-            rewritten.append(element.text)
-            return [rewritten]
-
-        result = transformer.transform_document(CATALOG)
-        currencies = {p.get("currency") for p in xpath(result, "//price")}
-        assert currencies == {"USD"}
-        # Everything else untouched.
-        assert len(xpath(result, "//item")) == 3
-
-    def test_rule_can_drop_elements(self):
-        transformer = XmlTransformer()
-        transformer.add_rule("supplier[@name='bolt-co']", lambda e, t: [])
-        result = transformer.transform_document(CATALOG)
-        assert len(xpath(result, "//supplier")) == 1
-
-    def test_rule_can_rename_and_restructure(self):
-        transformer = XmlTransformer()
-
-        @transformer.rule("item")
-        def to_product(element, t):
-            product = XmlElement("product", {"id": element.get("sku") or ""})
-            for node in t.apply_children(element):
-                product.append(node)
-            return [product]
-
-        result = transformer.transform_document(CATALOG)
-        assert len(xpath(result, "//product")) == 3
-        assert xpath(result, "//product/@id") == ["A-1", "A-2", "B-1"]
-
-    def test_first_matching_rule_wins(self):
-        transformer = XmlTransformer()
-        transformer.add_rule("name", lambda e, t: [XmlElement("first")])
-        transformer.add_rule("name", lambda e, t: [XmlElement("second")])
-        result = transformer.transform_document(CATALOG)
-        assert len(xpath(result, "//first")) == 3
-        assert xpath(result, "//second") == []
-
-    def test_star_rule_matches_everything(self):
-        transformer = XmlTransformer()
-        counter = {"n": 0}
-
-        def count(element, t):
-            counter["n"] += 1
-            copy = XmlElement(element.tag, dict(element.attrs))
-            for node in t.apply_children(element):
-                copy.append(node)
-            return [copy]
-
-        transformer.add_rule("*", count)
-        transformer.transform_document(CATALOG)
-        # catalog + 2 suppliers + 3 items + 3 names + 3 prices
-        assert counter["n"] == 12
-
-    def test_document_transform_requires_single_root(self):
-        transformer = XmlTransformer()
-        transformer.add_rule("catalog", lambda e, t: [XmlElement("a"), XmlElement("b")])
-        with pytest.raises(ValueError):
-            transformer.transform_document(CATALOG)
