@@ -10,9 +10,11 @@ view when name-based access is more readable.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import ne
+from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import SchemaError
@@ -88,6 +90,25 @@ class ColumnOrders:
         if found == 1:
             found = self._found[key] = self._sorted(column)
         return found
+
+    def carried(self, pairs: "Iterable[tuple[tuple, tuple]]") -> "ColumnOrders":
+        """A fresh object for a rebuilt layout, keyed by its new slices:
+        ``pairs`` are ``(old slice, new slice)``.  A mark carries over as a
+        mark; a built order (or a found absence of one) only to a slice
+        that was not rebuilt, and a rebuilt slice gets a mark instead.
+
+        This object is never re-keyed in place: batches still holding the
+        old slices keep asking it, and a freed old slice's ``id`` can come
+        back as another column's new slice, which would be handed the
+        wrong order.
+        """
+        fresh = ColumnOrders()
+        fresh._numbers = self._numbers
+        found = self._found
+        for old, new in pairs:
+            if id(old) in found:
+                fresh._found[id(new)] = found[id(old)] if new is old else 1
+        return fresh
 
     def _sorted(self, column: tuple) -> "tuple[list, list[int]] | None":
         kinds = set(map(type, column))
@@ -189,6 +210,33 @@ def column_probe(op: str, lit: Any):
     return None if cuts is None else order_probe(cuts[0], lit, cuts[1], lit)
 
 
+def _compacted(chunks: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """``chunks`` with the same cells in fewer, closer objects.
+
+    A column whose cells are all ``str`` or ``None`` holds one object per
+    distinct value, shared across the chunks; a column of exact ``float``
+    values with no NaN holds freshly packed, bit-identical floats.  Every
+    other column keeps the row's own objects: ints, bools, mixed numeric
+    types, subclasses, :class:`~repro.core.values.Money`, and NaN-bearing
+    floats, since a NaN is a group key by identity alone and one NaN object
+    must not become two.  A kept column keeps its slices, too.
+    """
+    if not chunks or not chunks[0][1]:  # no rows, or no columns
+        return chunks
+    columns = [list(slices) for slices in zip(*(cols for _, cols in chunks))]
+    for position, slices in enumerate(columns):
+        cells = list(chain.from_iterable(slices))
+        kinds = set(map(type, cells))
+        if kinds <= {str, NoneType}:
+            one = dict(zip(cells, cells)).__getitem__  # an object per value
+            columns[position] = [tuple(map(one, column)) for column in slices]
+        elif kinds == {float} and not any(map(ne, cells, cells)):
+            columns[position] = [
+                tuple(array("d", column).tolist()) for column in slices
+            ]
+    return [(count, rebuilt) for (count, _), rebuilt in zip(chunks, zip(*columns))]
+
+
 class Table:
     """A schema plus an ordered list of conforming rows.
 
@@ -198,11 +246,14 @@ class Table:
     already-validated tables.
 
     The table also owns its *column layout*: :meth:`column_layout` transposes
-    the rows into fixed-size column slices once and keeps the result until
-    ``rows`` is rebound.  Rows and slices are never mutated in place --
-    every operation here returns a fresh table -- so the layout can be
-    shared by every scan of the table, and a sort order kept beside a
-    slice stays true for as long as the slice lives (see DESIGN §5f).
+    the rows into fixed-size column slices and keeps the result until
+    ``rows`` is rebound; the second use compacts it once (one object per
+    distinct string, packed floats).  Rows and slices are never mutated in
+    place -- every operation here returns a fresh table, and compaction
+    builds new slices beside ``rows`` without touching them -- so the
+    layout can be shared by every scan of the table, and a sort order kept
+    beside a slice stays true for as long as the slice lives (see DESIGN
+    §5f).
     """
 
     def __init__(
@@ -224,8 +275,8 @@ class Table:
     @rows.setter
     def rows(self, rows: list[tuple[Any, ...]]) -> None:
         self._rows = rows
-        # (batch size, (column chunks, their orders))
-        self._layout: tuple[int, tuple[list, ColumnOrders]] | None = None
+        # (batch size, compacted?, (column chunks, their orders))
+        self._layout: tuple[int, bool, tuple[list, ColumnOrders]] | None = None
 
     def column_layout(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -235,8 +286,13 @@ class Table:
         beside the slices.
 
         Each column is a tuple of that slice's values.  Built on first use
-        and kept until ``rows`` is rebound; callers share the slices and
-        must not mutate them.
+        and kept until ``rows`` is rebound or another ``batch_size`` is
+        asked for; callers share the slices and must not mutate them.  The
+        second use at the same size rebuilds the slices once in compact
+        form (:func:`_compacted`), equal cell for cell, and keys fresh
+        orders by them (:meth:`ColumnOrders.carried`): a table read by one
+        statement never pays for it, and batches holding the first slices
+        keep the first orders.  ``rows`` stay as they are.
         """
         layout = self._layout
         if layout is None or layout[0] != batch_size:
@@ -245,8 +301,17 @@ class Table:
             for start in range(0, len(rows), batch_size):
                 slice_rows = rows[start : start + batch_size]
                 chunks.append((len(slice_rows), tuple(zip(*slice_rows))))
-            layout = self._layout = (batch_size, (chunks, ColumnOrders()))
-        return layout[1]
+            layout = self._layout = (batch_size, False, (chunks, ColumnOrders()))
+        elif not layout[1]:
+            chunks, orders = layout[2]
+            compact = _compacted(chunks)
+            slices = zip(
+                chain.from_iterable(columns for _, columns in chunks),
+                chain.from_iterable(columns for _, columns in compact),
+            )
+            orders = orders.carried(slices)
+            layout = self._layout = (batch_size, True, (compact, orders))
+        return layout[2]
 
     def column_chunks(self, batch_size: int) -> list[tuple[int, tuple]]:
         """The chunks of :meth:`column_layout`."""

@@ -1426,11 +1426,14 @@ def _grouped(scanned, width: int) -> list:
     order.
 
     A lone key groups on its raw values, with the 1-tuple's dict semantics
-    (1, 1.0 and True are one group under the key seen first, a NaN is its
-    own).  One loop over a batch's rows groups them and collects the first
-    argument's values, NULLs included -- the row numbers when there is no
-    argument -- so a group's count is how many it holds; every further
-    argument is one more loop.
+    (1, 1.0 and True are one group under the key seen first; a NaN equals
+    nothing, so each NaN object is a group of its own, and one NaN object
+    shared by several rows is one key -- why a compacted layout never
+    repacks a column holding a NaN: :meth:`Table.column_layout`).  One
+    loop over a batch's rows groups them and collects the first argument's
+    values, NULLs included -- the row numbers when there is no argument --
+    so a group's count is how many it holds; every further argument is one
+    more loop.
     """
     members: dict[Any, list] = {}  # group key -> the first argument's values
     firsts: dict[Any, tuple] = {}

@@ -1,9 +1,10 @@
 """The fragment-resident column layout (DESIGN §5f) and its lifetime.
 
-A table's chunked column layout is built by the first columnar scan, kept
-by the :class:`~repro.core.records.Table` until its ``rows`` are rebound,
-and handed to every later scan by reference.  Covered here: sharing across
-statements and replicas, invalidation by writes, isolation from governed
+A table's chunked column layout is built by the first columnar scan,
+compacted once by the second, kept by the :class:`~repro.core.records.Table`
+until its ``rows`` are rebound, and handed to every later scan by
+reference.  Covered here: sharing across statements and replicas from the
+second use on, invalidation by writes, isolation from governed
 (masked / row-filtered) scans, equivalence with the transpose-per-scan
 loop it replaced, and that no finished statement -- successful, failed or
 cancelled -- leaves batches or tables behind for the cycle collector.
@@ -16,6 +17,7 @@ no row on scan_agg's statements.
 
 import gc
 import random
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -102,30 +104,50 @@ def flatten(chunks):
     ]
 
 
-class TestSharedLayout:
-    def test_two_scans_of_a_fragment_share_column_objects(self, scanned):
-        _, engine = make_engine()
-        first = engine.query(EVERYTHING).table
-        cold = list(scanned)
-        scanned.clear()
-        assert len(engine.query("select p.qty from parts p").table) == 60
-        assert sorted(first.rows) == sorted(ROWS)
-        for (table, chunks), (again, rewrapped) in zip(
-            sorted(cold, key=lambda pair: id(pair[0])),
-            sorted(scanned, key=lambda pair: id(pair[0])),
-        ):
-            assert table is again
-            assert [c.names for c in chunks] != [c.names for c in rewrapped]
-            for chunk, other in zip(chunks, rewrapped, strict=True):
-                assert chunk is not other and chunk.columns is not other.columns
-                assert all(
-                    a is b for a, b in zip(chunk.columns, other.columns, strict=True)
-                )
+def cells(columns):
+    """Every cell of ``columns`` as ``(type, repr)``: equal and alike."""
+    return [[(type(v), repr(v)) for v in column] for column in columns]
 
-    def test_replica_on_another_site_shares_the_layout(self, scanned):
+
+class TestSharedLayout:
+    def test_two_scans_of_a_fragment_share_column_objects(self, scanned, compactions):
+        _, engine = make_engine()
+        statements = [EVERYTHING, EVERYTHING, "select p.qty from parts p", EVERYTHING]
+        qtys = [(qty,) for _, _, qty in ROWS]
+        scans = []
+        for sql in statements:
+            scanned.clear()
+            rows = engine.query(sql).table.rows
+            assert sorted(rows) == sorted(ROWS if sql == EVERYTHING else qtys)
+            scans.append(sorted(scanned, key=lambda pair: id(pair[0])))
+        first, second, *later = scans
+        # The second use compacts each fragment's layout once; the first
+        # scan's columns equal the compacted ones in value, type and repr.
+        assert len(compactions) == 2
+        for (table, chunks), (again, compact) in zip(first, second, strict=True):
+            assert table is again
+            for chunk, other in zip(chunks, compact, strict=True):
+                assert not all(map(is_, chunk.columns, other.columns))
+                assert cells(chunk.columns) == cells(other.columns)
+        # From the second use on, every scan shares every column object.
+        for scan in later:
+            for (table, chunks), (again, rewrapped) in zip(second, scan, strict=True):
+                assert table is again
+                for chunk, other in zip(chunks, rewrapped, strict=True):
+                    assert chunk is not other and chunk.columns is not other.columns
+                    assert all(map(is_, chunk.columns, other.columns))
+        assert [c.names for _, chunks in second for c in chunks] != [
+            c.names for _, chunks in later[0] for c in chunks
+        ]
+        assert len(compactions) == 2
+
+    def test_replica_on_another_site_shares_the_layout(self, scanned, compactions):
         catalog, engine = make_engine()
         engine.query(EVERYTHING)
+        scanned.clear()
+        engine.query(EVERYTHING)  # the second use compacts
         warm = {id(col) for _, chunks in scanned for c in chunks for col in c.columns}
+        assert len(compactions) == 2
         scanned.clear()
         catalog.site("s0").up = False  # both fragments fall to s1 / s2
         result = engine.query(EVERYTHING)
@@ -133,16 +155,20 @@ class TestSharedLayout:
         assert "s0" not in result.report.site_work
         again = {id(col) for _, chunks in scanned for c in chunks for col in c.columns}
         assert again == warm
+        assert len(compactions) == 2
         assert fragment_table(catalog, 0, "s1") is fragment_table(catalog, 0, "s0")
 
 
 class TestInvalidation:
-    def test_rebinding_rows_drops_the_layout(self):
+    def test_rebinding_rows_drops_the_layout(self, compactions):
         table = Table(PARTS, ROWS[:10])
         layout = table.column_chunks(4)
-        assert table.column_chunks(4) is layout
-        assert [count for count, _ in layout] == [4, 4, 2]
-        assert table.column_chunks(8) is not layout  # one slot, keyed by size
+        compact = table.column_chunks(4)  # the second use compacts, once
+        assert compact is not layout and compact == layout
+        assert table.column_chunks(4) is compact
+        assert len(compactions) == 1
+        assert [count for count, _ in compact] == [4, 4, 2]
+        assert table.column_chunks(8) is not compact  # one slot, keyed by size
         table.rows = ROWS[10:13]
         assert table.column_chunks(4) == [(3, tuple(zip(*ROWS[10:13])))]
 
