@@ -14,11 +14,12 @@ internal systems."  This package supplies both ends of that range, one
 * :mod:`repro.connect.wrapper` -- regex and DOM wrappers turning pages into
   :class:`~repro.core.records.Table` rows (Cohera Connect's two wrapper
   modes, §4), and :class:`~repro.connect.wrapper.WebSourceWrapper`, the
-  scraping kind.
+  scraping kind, which navigates through the browser agent.
 * :mod:`repro.connect.induction` -- semi-automatic wrapper induction from
   labeled examples, with fix-by-example repair (§3.1 C1).
-* :mod:`repro.connect.agent` -- a scripted browser agent handling logins,
-  cookies and pagination (§4: "automatically navigate complex web pages").
+* :mod:`repro.connect.agent` -- the browser agent every scrape navigates
+  with: form logins, cookies and pagination (§4: "automatically navigate
+  complex web pages").
 * :mod:`repro.connect.source` -- the protocol the federation queries, and
   the other kinds: :class:`~repro.connect.source.LiveSource` reads an
   owner's operational state directly on every fetch,
@@ -27,7 +28,7 @@ internal systems."  This package supplies both ends of that range, one
   table.
 """
 
-from repro.connect.agent import BrowserAgent, NavigationScript
+from repro.connect.agent import BrowserAgent
 from repro.connect.induction import InducedWrapper, WrapperInducer
 from repro.connect.simweb import (
     HttpRequest,
@@ -44,7 +45,6 @@ from repro.connect.wrapper import DomWrapper, RegexWrapper, WebSourceWrapper
 
 __all__ = [
     "BrowserAgent",
-    "NavigationScript",
     "InducedWrapper",
     "WrapperInducer",
     "HttpRequest",

@@ -1,73 +1,28 @@
-"""A scripted browser agent.
+"""The browser agent: the navigator every scrape uses.
 
 Cohera Connect "includes a full-function web browser agent, which can
 automatically navigate complex web pages, correctly managing issues like
 DHTML, JavaScript, cookies, passwords, and HTTPS" (§4).  Our analog drives
 the simulated web: it keeps a current page, fills and submits forms (logins),
-follows links by selector or by link text, and collects pages while walking
-pagination -- all through a :class:`~repro.connect.simweb.WebClient`, so
-cookies and HTTPS policies are honoured automatically.
-
-Navigation can be driven imperatively (call methods) or declaratively via
-:class:`NavigationScript`, which is how trained wrappers store their access
-recipe ("how to access some data", §3.1 C1) next to their parse recipe.
+follows links and walks a listing's "next page" links -- all through a
+:class:`~repro.connect.simweb.WebClient`, so cookies, redirects and HTTPS
+policies are honoured automatically.  Every relative link or form action is
+resolved against the current page with :func:`urllib.parse.urljoin`.
+:class:`~repro.connect.wrapper.WebSourceWrapper` logs in and pages through a
+catalog with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator
+from urllib.parse import urlencode, urljoin, urlsplit
 
-from repro.connect.simweb import HttpResponse, WebClient, build_url, parse_url
+from repro.connect.simweb import HttpResponse, WebClient
 from repro.core.errors import WrapperError
 from repro.htmlkit import Element, parse_html
 
-
-@dataclass(frozen=True)
-class Goto:
-    url: str
-
-
-@dataclass(frozen=True)
-class SubmitForm:
-    """Fill and submit the first form matching ``form_selector``."""
-
-    fields: dict[str, str]
-    form_selector: str = "form"
-
-
-@dataclass(frozen=True)
-class FollowLink:
-    """Follow the first anchor matching a selector or containing text."""
-
-    selector: str = "a"
-    text: str | None = None
-
-
-@dataclass(frozen=True)
-class Collect:
-    """Record the current page body under a label."""
-
-    label: str = "page"
-
-
-@dataclass(frozen=True)
-class CollectAllPages:
-    """Collect the current page, then keep following ``next_selector``."""
-
-    next_selector: str = "a.next"
-    label: str = "page"
-    max_pages: int = 1000
-
-
-Step = Union[Goto, SubmitForm, FollowLink, Collect, CollectAllPages]
-
-
-@dataclass
-class NavigationScript:
-    """A stored access recipe: an ordered list of navigation steps."""
-
-    steps: list[Step] = field(default_factory=list)
+# The link a listing page points to its next page with.
+NEXT_SELECTOR = "a.next"
 
 
 class BrowserAgent:
@@ -77,9 +32,6 @@ class BrowserAgent:
         self.client = client
         self.current_url: str | None = None
         self.current_body: str = ""
-        self.collected: list[tuple[str, str]] = []  # (label, body)
-
-    # -- imperative API -----------------------------------------------------
 
     @property
     def dom(self) -> Element:
@@ -93,13 +45,14 @@ class BrowserAgent:
     def submit_form(
         self, fields: dict[str, str], form_selector: str = "form"
     ) -> HttpResponse:
-        """Fill the named inputs of the first matching form and submit it."""
+        """Fill the named inputs of the first matching form and submit it to
+        the form's own action with its own method."""
         self._require_page()
         forms = self.dom.select(form_selector)
         if not forms:
             raise WrapperError(f"no form matching {form_selector!r} on {self.current_url!r}")
         form = forms[0]
-        action = form.get("action") or parse_url(self.current_url).path
+        target = urljoin(self.current_url, form.get("action") or "")
         method = (form.get("method") or "get").upper()
 
         # Pre-fill declared inputs (keeps hidden fields), then overlay values.
@@ -110,72 +63,31 @@ class BrowserAgent:
                 data[name] = input_element.get("value") or ""
         data.update(fields)
 
-        target = self._absolutize(action)
         if method == "POST":
             response = self.client.post(target, data)
         else:
-            response = self.client.get(build_url(*_merge_params(target, data)))
+            target = urlsplit(target)._replace(query=urlencode(data)).geturl()
+            response = self.client.get(target)
         self._land(target, response)
         return response
 
-    def follow_link(self, selector: str = "a", text: str | None = None) -> HttpResponse:
-        """Follow the first matching anchor; optionally require link text."""
-        self._require_page()
-        for anchor in self.dom.select(selector):
-            if anchor.tag != "a":
-                continue
-            if text is not None and text.lower() not in anchor.get_text().lower():
-                continue
-            href = anchor.get("href")
-            if not href:
-                continue
-            target = self._absolutize(href)
-            response = self.client.get(target)
-            self._land(target, response)
-            return response
-        raise WrapperError(
-            f"no link matching selector={selector!r} text={text!r} "
-            f"on {self.current_url!r}"
-        )
+    def follow_link(self, selector: str = "a") -> HttpResponse:
+        """Follow the first anchor matching ``selector`` that has an href."""
+        href = self._link(selector)
+        if href is None:
+            raise WrapperError(f"no link matching {selector!r} on {self.current_url!r}")
+        return self.goto(href)
 
-    def collect(self, label: str = "page") -> None:
-        self._require_page()
-        self.collected.append((label, self.current_body))
-
-    def collect_all_pages(
-        self, next_selector: str = "a.next", label: str = "page", max_pages: int = 1000
-    ) -> int:
-        """Collect this page and every page reachable via the next link."""
-        self._require_page()
-        count = 0
-        for _ in range(max_pages):
-            self.collect(label)
-            count += 1
-            try:
-                self.follow_link(next_selector)
-            except WrapperError:
-                break
-        return count
-
-    # -- declarative API ------------------------------------------------------
-
-    def run(self, script: NavigationScript) -> list[str]:
-        """Execute a stored script; return the collected page bodies."""
-        self.collected.clear()
-        for step in script.steps:
-            if isinstance(step, Goto):
-                self.goto(step.url)
-            elif isinstance(step, SubmitForm):
-                self.submit_form(step.fields, step.form_selector)
-            elif isinstance(step, FollowLink):
-                self.follow_link(step.selector, step.text)
-            elif isinstance(step, Collect):
-                self.collect(step.label)
-            elif isinstance(step, CollectAllPages):
-                self.collect_all_pages(step.next_selector, step.label, step.max_pages)
-            else:
-                raise WrapperError(f"unknown navigation step {step!r}")
-        return [body for _, body in self.collected]
+    def pages(self, url: str) -> Iterator[str]:
+        """The body of ``url``, then of each page its :data:`NEXT_SELECTOR`
+        link leads to, until a page has none.  A page answering with an
+        error status raises :class:`WrapperError`."""
+        while url is not None:
+            status = self.goto(url).status
+            if status >= 400:
+                raise WrapperError(f"fetching {url!r} returned status {status}")
+            yield self.current_body
+            url = self._link(NEXT_SELECTOR)
 
     # -- internals ---------------------------------------------------------------
 
@@ -187,23 +99,11 @@ class BrowserAgent:
         self.current_url = url
         self.current_body = response.body
 
-    def _absolutize(self, href: str) -> str:
-        if "://" in href:
-            return href
-        base = parse_url(self.current_url)
-        if not href.startswith("/"):
-            href = "/" + href
-        path, _, query = href.partition("?")
-        params = {}
-        if query:
-            for pair in query.split("&"):
-                key, _, value = pair.partition("=")
-                params[key] = value
-        return build_url(base.scheme, base.host, path, params)
-
-
-def _merge_params(url: str, extra: dict[str, str]) -> tuple[str, str, str, dict[str, str]]:
-    parsed = parse_url(url)
-    params = dict(parsed.params)
-    params.update(extra)
-    return parsed.scheme, parsed.host, parsed.path, params
+    def _link(self, selector: str) -> str | None:
+        """The absolute URL of the first matching anchor with an href."""
+        self._require_page()
+        for anchor in self.dom.select(selector):
+            href = anchor.get("href")
+            if anchor.tag == "a" and href:
+                return urljoin(self.current_url, href)
+        return None

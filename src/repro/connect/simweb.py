@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
-from urllib.parse import parse_qsl, quote, urlencode
+from urllib.parse import parse_qsl, quote, urlencode, urljoin
 
 from repro.core.errors import SourceUnavailableError, WrapperError
 from repro.sim.clock import SimClock
@@ -170,17 +170,21 @@ class SimulatedWeb:
         return sorted(self._sites)
 
 
+# Redirects one request may follow before it is taken for a loop.
+MAX_REDIRECTS = 5
+
+
 class WebClient:
     """An HTTP client with a cookie jar, redirects and latency accounting.
 
     This is the fetch half of a wrapper: it performs requests against the
     simulated web, advancing the shared clock by each site's latency, storing
-    cookies per host, and following up to ``max_redirects`` redirects.
+    cookies per host, and following up to :data:`MAX_REDIRECTS` redirects,
+    each ``Location`` resolved against the URL that answered.
     """
 
-    def __init__(self, web: SimulatedWeb, max_redirects: int = 5) -> None:
+    def __init__(self, web: SimulatedWeb) -> None:
         self.web = web
-        self.max_redirects = max_redirects
         self.cookie_jars: dict[str, dict[str, str]] = {}
         self.requests_made = 0
         self.time_spent = 0.0
@@ -224,10 +228,8 @@ class WebClient:
         self.cookies_for(parsed.host).update(response.set_cookies)
 
         if response.redirect_to is not None:
-            if _redirects >= self.max_redirects:
+            if _redirects >= MAX_REDIRECTS:
                 raise WrapperError(f"too many redirects fetching {url!r}")
-            target = response.redirect_to
-            if target.startswith("/"):
-                target = f"{parsed.scheme}://{parsed.host}{target}"
+            target = urljoin(url, response.redirect_to)
             return self._request("GET", target, {}, headers, _redirects + 1)
         return response

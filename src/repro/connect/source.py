@@ -16,7 +16,7 @@ import abc
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import is_
 from typing import Any, Sequence
@@ -118,8 +118,6 @@ class FetchResult:
 
     table: Table
     cost_seconds: float = 0.0
-    fetched_at: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.table)

@@ -10,8 +10,9 @@ navigating the Document Object Model" (§4).  Both modes are here:
 
 A page wrapper only understands *one page*.  :class:`WebSourceWrapper`
 lifts a page wrapper into a full :class:`~repro.connect.source.ContentSource`:
-it logs in if required, walks pagination links, extracts every page, coerces
-field types and reports the simulated fetch cost -- the unit the federated
+through the :class:`~repro.connect.agent.BrowserAgent` it logs in if
+required and walks pagination links, then extracts every page, coerces field
+types and reports the simulated fetch cost -- the unit the federated
 optimizer reasons about.
 """
 
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import abc
 import re
+from itertools import islice
 from typing import Any, Callable, Sequence
 
-from repro.connect.simweb import WebClient, build_url, parse_url
+from repro.connect.agent import BrowserAgent
+from repro.connect.simweb import WebClient, parse_url
 from repro.connect.source import ContentSource, FetchResult, Predicate, apply_predicates
 from repro.core.errors import SourceUnavailableError, WrapperError
 from repro.core.records import Table
@@ -114,7 +117,10 @@ def float_coercer(text: str) -> float | None:
         return None
 
 
-_COERCER_TYPES: dict[str, DataType] = {}
+# A bound on the pages one fetch walks, and the rows a scraped source is
+# assumed to hold before it is first fetched.
+MAX_PAGES = 1000
+EXPECTED_ROWS = 1000
 
 
 class WebSourceWrapper(ContentSource):
@@ -133,10 +139,11 @@ class WebSourceWrapper(ContentSource):
     coercers:
         Optional per-field type coercion; uncoerced fields stay strings.
     login:
-        Optional ``(login_url, form)`` performed once before scraping.
-    next_selector:
-        CSS selector for the "next page" link; pagination follows it until
-        absent or ``max_pages`` is reached.
+        Optional ``(login_url, fields)``: once, before the first scrape, the
+        agent opens the login page and submits its form with ``fields``.
+
+    Pages are walked by a :class:`~repro.connect.agent.BrowserAgent` along
+    their "next page" links, at most :data:`MAX_PAGES` of them per fetch.
     """
 
     def __init__(
@@ -147,19 +154,14 @@ class WebSourceWrapper(ContentSource):
         page_wrapper: PageWrapper,
         coercers: dict[str, Coercer] | None = None,
         login: tuple[str, dict[str, str]] | None = None,
-        next_selector: str = "a.next",
-        max_pages: int = 1000,
-        expected_rows: int = 1000,
     ) -> None:
         self.name = name
         self.client = client
+        self.agent = BrowserAgent(client)
         self.start_url = start_url
         self.page_wrapper = page_wrapper
         self.coercers = dict(coercers or {})
         self.login = login
-        self.next_selector = next_selector
-        self.max_pages = max_pages
-        self._expected_rows = expected_rows
         self.schema = self._build_schema()
         self._logged_in = False
 
@@ -179,8 +181,9 @@ class WebSourceWrapper(ContentSource):
     def _ensure_login(self) -> None:
         if self.login is None or self._logged_in:
             return
-        url, form = self.login
-        response = self.client.post(url, form)
+        url, fields = self.login
+        self.agent.goto(url)
+        response = self.agent.submit_form(fields)
         if response.status >= 400:
             raise WrapperError(f"login to {url!r} failed with status {response.status}")
         self._logged_in = True
@@ -196,44 +199,14 @@ class WebSourceWrapper(ContentSource):
     def fetch(self, predicates: Sequence[Predicate] = ()) -> FetchResult:
         started = self.client.time_spent
         self._ensure_login()
-
-        rows: list[tuple[Any, ...]] = []
-        url = self.start_url
-        base = parse_url(self.start_url)
-        for _ in range(self.max_pages):
-            response = self.client.get(url)
-            if response.status >= 400:
-                raise WrapperError(
-                    f"fetching {url!r} for source {self.name!r} "
-                    f"returned status {response.status}"
-                )
-            rows.extend(self._coerce(r) for r in self.page_wrapper.extract(response.body))
-            next_url = self._find_next(response.body, base)
-            if next_url is None:
-                break
-            url = next_url
-
+        rows = [
+            self._coerce(record)
+            for body in islice(self.agent.pages(self.start_url), MAX_PAGES)
+            for record in self.page_wrapper.extract(body)
+        ]
         table = Table(self.schema, rows, validate=False)
         table = apply_predicates(table, predicates)
-        cost = self.client.time_spent - started
-        return FetchResult(
-            table,
-            cost_seconds=cost,
-            fetched_at=self.client.web.clock.now(),
-            metadata={"pages": self.client.requests_made},
-        )
-
-    def _find_next(self, markup: str, base) -> str | None:
-        document = parse_html(markup)
-        links = document.select(self.next_selector)
-        if not links:
-            return None
-        href = links[0].get("href")
-        if not href:
-            return None
-        if href.startswith("/"):
-            return build_url(base.scheme, base.host, *_split_path_params(href))
-        return href
+        return FetchResult(table, cost_seconds=self.client.time_spent - started)
 
     def is_available(self) -> bool:
         try:
@@ -242,19 +215,9 @@ class WebSourceWrapper(ContentSource):
             return False
 
     def estimated_rows(self) -> int:
-        return self._expected_rows
+        return EXPECTED_ROWS
 
     def estimated_cost(self) -> float:
+        # A catalog page lists about 25 rows.
         site = self.client.web.site(parse_url(self.start_url).host)
-        pages = max(1, self._expected_rows // 25)
-        return site.latency * pages
-
-
-def _split_path_params(href: str) -> tuple[str, dict[str, str]]:
-    path, _, query = href.partition("?")
-    params = {}
-    if query:
-        for pair in query.split("&"):
-            key, _, value = pair.partition("=")
-            params[key] = value
-    return path, params
+        return site.latency * (EXPECTED_ROWS // 25)

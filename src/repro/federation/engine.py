@@ -51,6 +51,7 @@ from repro.federation.agoric import AgoricOptimizer
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
 from repro.federation.executor import Executor
+from repro.federation.governance import PolicyError
 from repro.federation.health import RetryPolicy, SiteHealthTracker
 from repro.federation.physical import (
     ExecutionReport,
@@ -183,7 +184,15 @@ class FederatedEngine:
         # Per-tenant governance (a GovernanceRegistry from
         # repro.federation.governance, or None): RLS predicates and column
         # masks compile into every plan built for a governed tenant, and
-        # budgets cap agoric bids.
+        # budgets cap agoric bids.  A policy naming a table or column the
+        # catalog lacks would never apply, so it is refused here.
+        if governance is not None:
+            errors = governance.validate_against_catalog(catalog)
+            if errors:
+                raise PolicyError(
+                    "governance manifest does not match the catalog: "
+                    + "; ".join(errors)
+                )
         self.governance = governance
         # Adaptive mid-query re-optimization policy (DESIGN §5i), or None
         # to keep every plan frozen at dispatch.

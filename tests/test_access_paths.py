@@ -628,7 +628,7 @@ GUARDS = [
                             for where, _ in ix.calls[leaf(h)])}, set()),
     ("one_door-every-module-runs",
      "a public module under src/ is imported by src/, a bench or an example",
-     unimported, {"repro.connect.agent"}),
+     unimported, set()),
     ("one_door-dbapi-is-a-session-face", "the DB-API reaches the federation by a session",
      lambda ix: ({n for n in BEHIND_THE_DOOR if ix.holding(ix.names, n, DBAPI)},
                  {m for m, _ in ix.imports[DBAPI] if m.startswith("repro.federation")}),

@@ -1,15 +1,8 @@
-"""Tests for wrapper induction and the scripted browser agent."""
+"""Tests for wrapper induction and the browser agent."""
 
 import pytest
 
-from repro.connect import (
-    BrowserAgent,
-    NavigationScript,
-    SimulatedWeb,
-    WebClient,
-    WrapperInducer,
-)
-from repro.connect.agent import Collect, CollectAllPages, FollowLink, Goto, SubmitForm
+from repro.connect import BrowserAgent, SimulatedWeb, WebClient, WrapperInducer
 from repro.connect.induction import common_prefix, common_suffix
 from repro.connect.sitegen import build_supplier_site
 from repro.core.errors import WrapperError
@@ -124,14 +117,9 @@ class TestBrowserAgent:
     def test_login_then_collect_all_pages(self):
         web, supplier = make_login_site()
         agent = BrowserAgent(WebClient(web))
-        script = NavigationScript(
-            [
-                Goto("http://private.example/login"),
-                SubmitForm({"user": "buyer", "password": "secret"}),
-                CollectAllPages(next_selector="a.next"),
-            ]
-        )
-        pages = agent.run(script)
+        agent.goto("http://private.example/login")
+        agent.submit_form({"user": "buyer", "password": "secret"})
+        pages = list(agent.pages(supplier.catalog_url()))
         assert len(pages) == 3
         assert "P-0" in pages[0]
         assert "P-54" in pages[-1]
@@ -142,19 +130,12 @@ class TestBrowserAgent:
         agent.goto(supplier.catalog_url())
         assert agent.dom.find("form") is not None
 
-    def test_follow_link_by_text(self):
-        web, supplier = make_login_site()
-        agent = BrowserAgent(WebClient(web))
-        agent.goto("http://private.example/")
-        agent.follow_link(text="Page 2")
-        assert agent.dom.find("form") is not None  # redirected to login
-
     def test_follow_missing_link_raises(self):
         web, _ = make_login_site()
         agent = BrowserAgent(WebClient(web))
         agent.goto("http://private.example/")
         with pytest.raises(WrapperError):
-            agent.follow_link(text="no such link")
+            agent.follow_link("a.no-such-link")
 
     def test_submit_form_requires_a_form(self):
         web, _ = make_login_site()
@@ -167,7 +148,9 @@ class TestBrowserAgent:
         web, _ = make_login_site()
         agent = BrowserAgent(WebClient(web))
         with pytest.raises(WrapperError):
-            agent.collect()
+            agent.submit_form({"user": "buyer"})
+        with pytest.raises(WrapperError):
+            agent.follow_link()
 
     def test_bad_credentials_do_not_establish_session(self):
         web, supplier = make_login_site()
@@ -177,26 +160,3 @@ class TestBrowserAgent:
         assert response.status == 401
         agent.goto(supplier.catalog_url())
         assert agent.dom.find("form") is not None  # still locked out
-
-    def test_collect_step(self):
-        web, _ = make_login_site()
-        agent = BrowserAgent(WebClient(web))
-        pages = agent.run(
-            NavigationScript([Goto("http://private.example/"), Collect("index")])
-        )
-        assert len(pages) == 1
-        assert agent.collected[0][0] == "index"
-
-    def test_follow_link_step_in_script(self):
-        web, _ = make_login_site()
-        agent = BrowserAgent(WebClient(web))
-        pages = agent.run(
-            NavigationScript(
-                [
-                    Goto("http://private.example/"),
-                    FollowLink(selector="ul.pages a"),
-                    Collect(),
-                ]
-            )
-        )
-        assert len(pages) == 1

@@ -75,6 +75,14 @@ def make_web():
     def bounce(request):
         return HttpResponse.redirect("/greet?name=redirected")
 
+    @site.route("/dir/bounce")
+    def relative_bounce(request):
+        return HttpResponse.redirect("greet?name=relative")
+
+    @site.route("/dir/greet")
+    def dir_greet(request):
+        return HttpResponse(body=f"dir hello {request.params.get('name', '')}")
+
     @site.route("/loop")
     def loop(request):
         return HttpResponse.redirect("/loop")
@@ -166,6 +174,11 @@ class TestWebClient:
         web, _ = make_web()
         response = WebClient(web).get("http://shop.example/bounce")
         assert response.body == "hello redirected"
+
+    def test_relative_redirect_resolves_against_the_answering_url(self):
+        web, _ = make_web()
+        response = WebClient(web).get("http://shop.example/dir/bounce")
+        assert response.body == "dir hello relative"
 
     def test_redirect_loop_detected(self):
         web, _ = make_web()

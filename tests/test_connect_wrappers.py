@@ -4,9 +4,11 @@ import pytest
 
 from repro.connect import (
     DomWrapper,
+    HttpResponse,
     RegexWrapper,
     SimulatedWeb,
     WebClient,
+    WebSite,
     WebSourceWrapper,
 )
 from repro.connect.sitegen import build_supplier_site, format_price
@@ -170,8 +172,9 @@ class TestWebSourceWrapper:
         web, supplier, _ = make_site()
         wrapper = self.make_wrapper(web, supplier)
         result = wrapper.fetch()
-        # 3 catalog pages at 0.2s latency each.
+        # 3 catalog pages at 0.2s latency each, one request apiece.
         assert result.cost_seconds == pytest.approx(0.6)
+        assert wrapper.client.requests_made == 3
 
     def test_predicates_filter_result(self):
         web, supplier, _ = make_site()
@@ -192,7 +195,14 @@ class TestWebSourceWrapper:
             web, supplier,
             login=(supplier.login_url(), {"user": "buyer", "password": "secret"}),
         )
+        result = wrapper.fetch()
+        assert len(result.table) == 60
+        # GET the login form, POST it and follow its redirect, then 3 pages.
+        assert wrapper.client.requests_made == 6
+        assert result.cost_seconds == pytest.approx(1.2)
+        # The session cookie is kept: a refetch walks the pages alone.
         assert len(wrapper.fetch().table) == 60
+        assert wrapper.client.requests_made == 9
 
     def test_login_failure_raises(self):
         web, supplier, _ = make_site(requires_login=True)
@@ -216,6 +226,38 @@ class TestWebSourceWrapper:
         assert wrapper.fetch().table.to_dicts()[1]["qty"] == 10
         products[1]["qty"] = 0
         assert wrapper.fetch().table.to_dicts()[1]["qty"] == 0
+
+
+def scrape_two_pages(path, next_href):
+    """Scrape a site whose page at ``path`` links to a second page by
+    ``next_href``; the second page shows the query it was asked with."""
+    web = SimulatedWeb(SimClock())
+    site = WebSite("links.example")
+
+    @site.route(path)
+    def page(request):
+        if "page" not in request.params:
+            return HttpResponse(
+                body=f"<p class='v'>first</p><a class='next' href='{next_href}'>Next</a>"
+            )
+        return HttpResponse(body=f"<p class='v'>{sorted(request.params.items())}</p>")
+
+    web.register(site)
+    wrapper = WebSourceWrapper(
+        "links", WebClient(web), f"http://links.example{path}",
+        DomWrapper("p.v", {"v": "."}),
+    )
+    return [row[0] for row in wrapper.fetch().table.rows]
+
+
+class TestNextLinkUrls:
+    def test_escaped_query_reaches_the_site_decoded_once(self):
+        values = scrape_two_pages("/c", "/c?page=2&amp;q=a%20b")
+        assert values == ["first", str([("page", "2"), ("q", "a b")])]
+
+    def test_relative_next_link_resolves_against_the_page(self):
+        values = scrape_two_pages("/d/c", "c?page=2")
+        assert values == ["first", str([("page", "2")])]
 
 
 class TestCoercers:

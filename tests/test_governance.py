@@ -304,16 +304,30 @@ class TestGovernedExecution:
         )
 
     def test_policy_with_unknown_column_fails_closed(self):
-        _, engine, _ = make_engine(
-            manifest={
-                "version": 1,
-                "tenants": {
-                    "t": {"tables": {"orders": {"row_filter": "ssn = 'x'"}}}
-                },
-            }
-        )
+        bad = {
+            "version": 1,
+            "tenants": {"t": {"tables": {"orders": {"row_filter": "ssn = 'x'"}}}},
+        }
+        with pytest.raises(PolicyError, match="ssn"):
+            make_engine(manifest=bad)
+        # The same manifest reloaded after construction fails the query
+        # closed in the rewrite.
+        _, engine, governance = make_engine()
+        governance.load_manifest(bad)
         with pytest.raises(QueryError):
             engine.query("select * from orders", tenant="t")
+
+    def test_policy_on_a_misspelled_table_is_refused(self):
+        def manifest(table):
+            return {
+                "version": 1,
+                "tenants": {"t": {"tables": {table: {"row_filter": "region = 'EU'"}}}},
+            }
+
+        _, engine, _ = make_engine(manifest=manifest("orders"))
+        assert len(engine.query("select * from orders", tenant="t").table) == 20
+        with pytest.raises(PolicyError, match="unknown table 'ordres'"):
+            make_engine(manifest=manifest("ordres"))
 
     def test_budget_charged_after_execution(self):
         _, engine, governance = make_engine(
