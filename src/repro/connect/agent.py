@@ -39,7 +39,7 @@ class BrowserAgent:
 
     def goto(self, url: str) -> HttpResponse:
         response = self.client.get(url)
-        self._land(url, response)
+        self._land(response)
         return response
 
     def submit_form(
@@ -68,7 +68,7 @@ class BrowserAgent:
         else:
             target = urlsplit(target)._replace(query=urlencode(data)).geturl()
             response = self.client.get(target)
-        self._land(target, response)
+        self._land(response)
         return response
 
     def follow_link(self, selector: str = "a") -> HttpResponse:
@@ -95,8 +95,10 @@ class BrowserAgent:
         if self.current_url is None:
             raise WrapperError("agent has no current page; goto() first")
 
-    def _land(self, url: str, response: HttpResponse) -> None:
-        self.current_url = url
+    def _land(self, response: HttpResponse) -> None:
+        """Land on the page that answered: after a redirect, relative links
+        resolve against where the site sent us, not where we asked."""
+        self.current_url = response.url
         self.current_body = response.body
 
     def _link(self, selector: str) -> str | None:

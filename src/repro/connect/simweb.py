@@ -12,7 +12,7 @@ C1) -- has a concrete analog here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 from urllib.parse import parse_qsl, quote, urlencode, urljoin
 
@@ -75,6 +75,7 @@ class HttpResponse:
     content_type: str = "text/html"
     set_cookies: dict[str, str] = field(default_factory=dict)
     redirect_to: str | None = None
+    url: str = ""  # the URL that answered, after any redirects (set by WebClient)
 
     @classmethod
     def not_found(cls, path: str) -> "HttpResponse":
@@ -232,4 +233,4 @@ class WebClient:
                 raise WrapperError(f"too many redirects fetching {url!r}")
             target = urljoin(url, response.redirect_to)
             return self._request("GET", target, {}, headers, _redirects + 1)
-        return response
+        return replace(response, url=url)

@@ -23,10 +23,10 @@ equivalent consumer:
   artifact to the optimizers alongside fragments, materialized
   views and the semantic cache; the bid prices a coordinator-local pass
   over the materialized rows -- near-zero scan work and zero shipped
-  bytes -- so a warm artifact usually wins the market.  The ``Ship`` that
-  bounds the stage serves a chosen artifact exactly as it serves one its
-  run-time probe finds: one coordinator pass, one booked hit.
-* **Runtime publication and reuse.**  A ``Ship`` whose stage misses
+  bytes -- so a warm artifact usually wins the market.  The stage
+  (:mod:`repro.federation.stage`) serves a chosen artifact exactly as it
+  serves one its run-time probe finds: one coordinator pass, one booked hit.
+* **Runtime publication and reuse.**  A stage that misses
   executes normally and publishes its output through the report; the
   engine registers it *in flight* until the query's modeled completion,
   then it commits under benefit-based admission (rows saved x stage
@@ -40,7 +40,7 @@ equivalent consumer:
   the table's artifacts and in-flight stages that have no current part
   left.  A stage whose committed artifact has stale parts re-runs its site
   pipeline over the stale fragments alone, serves the current parts beside
-  them and publishes the spliced artifact (``Ship``'s refresh).
+  them and publishes the spliced artifact (the stage's narrowing).
 
 Payloads are stored in a binding-agnostic canonical form (bare column
 names, canonical aggregate-call keys) and rebuilt per consumer, so a hit
@@ -98,7 +98,7 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
     directly over a scan ships partial-aggregate records (one agg-inclusive
     stage); any other scan ships its filtered/projected rows -- each
     fragment's top k alone when the scan carries a top-k mark, which the
-    stage digest covers.  A top-k stage is left out: only its ``Ship``'s
+    stage digest covers.  A top-k stage is left out: only its own
     run-time probe serves it, because a Sort that cannot show the truncated
     answer exact re-runs the plan's assignments with the mark off, and an
     embedded truncated artifact would then answer the untruncated stage.
@@ -291,8 +291,8 @@ def groups_payload(records, binding: str, calls) -> StagePayload:
 
 @dataclass
 class Artifact:
-    """One stage output, the same object from capture to eviction: ``Ship``
-    builds it into the report on a miss, the engine registers a successful
+    """One stage output, the same object from capture to eviction: the
+    stage builds it into the report on a miss, the engine registers a successful
     report's artifacts in flight (a failed execution simply drops them, so
     nothing half-computed ever becomes visible), the store commits it."""
 
@@ -557,7 +557,7 @@ class ArtifactStore:
 
     def book_hit(self, artifact: Artifact) -> None:
         """Hit accounting for a committed artifact: booked by
-        :meth:`acquire`, and by the ``Ship`` that serves a plan-embedded
+        :meth:`acquire`, and by the stage that serves a plan-embedded
         artifact (whose plan-time :meth:`bid` booked nothing)."""
         artifact.hits += 1
         self.hits += 1

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 from repro.connect.source import Predicate, apply_predicates
 from repro.core.errors import QueryError
 from repro.core.records import Table
-from repro.federation.parts import Part, all_current, any_current, current_spans
+from repro.federation.parts import Part, all_current, any_current, splice
 from repro.sim.clock import SimClock
 
 if TYPE_CHECKING:
@@ -353,7 +353,7 @@ class SemanticCache:
         fetched = now if as_of is None else as_of
         parts: tuple[Part, ...] = ()
         if not isinstance(table, Table):
-            spliced = self._splice(self._entries.get(key), table, fetched)
+            spliced = self._assemble(self._entries.get(key), table, fetched)
             if spliced is None:
                 return False
             table, parts, stored_seconds = spliced
@@ -377,33 +377,36 @@ class SemanticCache:
         return key in self._entries
 
     @staticmethod
-    def _splice(stored: "CacheEntry | None", capture, fetched_at: float):
+    def _assemble(stored: "CacheEntry | None", capture, fetched_at: float):
         """The capture's parts over the stored entry's current ones:
         ``(table, parts, stored fetch seconds)``, or None for a gap or a
         capture that read nothing.  A capture read whole is the one fold
         of its tables, which also refuses a table of another schema."""
-        reads = [read for _, _, read in capture if read is not None]
+        reads = {f.fragment_id: (e, rows) for f, e, rows in capture if rows is not None}
         if not reads:
             return None  # nothing was read: the stored entry stands as is
-        first, *rest = reads
-        table = first.union_all(*rest) if rest else first
-        kept = {} if stored is None else current_spans(stored.parts)
-        parts, rows = [], []
-        for fragment, epoch, read in capture:
-            if read is not None:
-                parts.append(Part(fragment, epoch, len(read), fetched_at))
-                rows += read.rows
-            elif fragment.fragment_id in kept:
-                part, start, stop = kept[fragment.fragment_id]
-                parts.append(part)
-                rows += stored.table.rows[start:stop]
-            else:
-                return None
+        spliced = splice(
+            [fragment for fragment, _, _ in capture],
+            reads,
+            () if stored is None else stored.parts,
+            lambda start, stop: stored.table.rows[start:stop],
+        )
+        if len(spliced) < len(capture):
+            return None  # a fragment neither read nor kept current
+        parts = tuple(
+            part if isinstance(part, Part) else Part(part, got[0], len(got[1]), fetched_at)
+            for part, got in spliced
+        )
+        first, *rest = [table for _, table in reads.values()]
         if len(reads) == len(capture):
-            return table, tuple(parts), 0.0
+            return (first.union_all(*rest) if rest else first), parts, 0.0
         # A refill: the kept parts' rows in between, in fragment order.
-        table = Table(first.schema, rows, validate=False)
-        return table, tuple(parts), stored.fetch_seconds
+        rows = [
+            row
+            for part, got in spliced
+            for row in (got if isinstance(part, Part) else got[1].rows)
+        ]
+        return Table(first.schema, rows, validate=False), parts, stored.fetch_seconds
 
     def invalidate_table(self, table_name: str) -> int:
         """Drop the table's regions that have no current part left (on

@@ -7,8 +7,10 @@ it into site-side operators (SiteScan, SiteFilter, SiteProject, SiteTopK,
 PartialAggregate) that work on column batches where the rows live, an
 explicit Ship over the network model, and coordinator operators (joins,
 residual filters, final aggregation, sort, limit) that hand column
-batches upward.  There is one engine: the row-at-a-time site operators it
-replaced survive only as the test oracle ``tests/reference_site.py``.
+batches upward; each scan's reuse decisions are its stage's
+(:mod:`repro.federation.stage`).  There is one engine: the row-at-a-time
+site operators it replaced survive only as the test oracle
+``tests/reference_site.py``.
 The :class:`Executor` here opens the root, drains it into the result
 table, and settles the timing model:
 
@@ -82,6 +84,8 @@ class Executor:
             except TopKRestart as miss:
                 # The truncated attempt did its work: settle and charge it,
                 # then run the ordinary plan after it, into the same report.
+                # Its stages take back what they captured for the stores.
+                ctx.superseded = True
                 root.close()
                 restarted = ctx.scan_elapsed + ctx.coordinator_seconds
                 report.top_k_restart = str(miss)

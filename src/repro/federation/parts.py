@@ -6,7 +6,8 @@ is empty), each tagged with the fragment's content epoch when it was read
 (:attr:`repro.federation.catalog.Fragment.epoch`).  A stored answer serves
 whole only while every part is current; a write to one fragment makes that
 part stale and leaves the others servable, so re-reading the stale
-fragments alone brings the answer back.
+fragments alone brings the answer back (:func:`splice`, the one splice both
+stores use, each slicing its own payload).
 """
 
 from __future__ import annotations
@@ -48,14 +49,23 @@ def any_current(parts: Sequence[Part]) -> bool:
     return any(part.fragment.epoch == part.epoch for part in parts)
 
 
-def current_spans(parts: Sequence[Part]) -> "dict[str, tuple[Part, int, int]]":
-    """Fragment id -> ``(part, start, stop)`` for each current part, where
-    the stored rows (or records) hold the parts one after another."""
-    spans = {}
-    start = 0
-    for part in parts:
+def splice(fragments, read: dict, stored: Sequence[Part], cut) -> list:
+    """Per fragment of ``fragments``, in order: ``(fragment, read[id])`` for
+    one read again, else ``(part, cut(start, stop))`` for a current part of
+    ``stored``, whose payload holds the parts one after another (``cut``
+    slices the store's own payload).  A fragment in neither is left out."""
+    spans, start = {}, 0
+    for part in stored:
         stop = start + part.size
         if part.current:
             spans[part.fragment.fragment_id] = (part, start, stop)
         start = stop
-    return spans
+    spliced = []
+    for fragment in fragments:
+        fragment_id = fragment.fragment_id
+        if fragment_id in read:
+            spliced.append((fragment, read[fragment_id]))
+        elif fragment_id in spans:
+            part, start, stop = spans[fragment_id]
+            spliced.append((part, cut(start, stop)))
+    return spliced

@@ -21,15 +21,12 @@ operators split across two placements:
   says how many rows it still wants, and an operator pulls no more input
   than producing those takes (see :meth:`PhysicalOperator.next`).
 
-A materialized copy is served one way per kind, whoever found it: a stage
-artifact by the ``Ship`` boundary (every scan compiles to one ``Ship`` over
-its site pipeline, and an artifact the optimizer embedded in the plan is
-served like one the store's run-time probe found, the pipeline unopened,
-and one whose parts went stale in places is refreshed there: the stale
-fragments' pipeline runs alone and the current parts are served beside it);
-a view at its host or a cache region at the coordinator by
-:meth:`SiteScan._serve_copy`, for a planned scan and the covering fallback
-alike.
+Every scan compiles to one ``Ship`` over its site pipeline, and both hold
+the one :class:`~repro.federation.stage.Stage` of that scan: every reuse
+decision -- serve an artifact, a view or a cache region whole, narrow to
+the stale fragments, fail over, capture for the stores -- is the stage's
+(DESIGN §5h "Stage lifecycle"); ``Ship`` and ``SiteScan`` move and scan
+rows.
 
 Every operator records rows in/out, seconds of modeled work and its
 placement site in :class:`OperatorStats`; the engine renders the tree as
@@ -45,27 +42,16 @@ from itertools import chain, repeat
 from operator import add
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.connect.source import apply_predicates
-from repro.core.errors import (
-    PartialFailureError,
-    QueryError,
-    SourceUnavailableError,
-)
+from repro.core.errors import QueryError
 from repro.core.records import Table
 from repro.core.schema import DataType, Field, Schema
 from repro.core.values import Money
 from repro.federation import columnar
-from repro.federation.artifacts import (
-    Artifact,
-    StageSpec,
-    groups_payload,
-    rows_payload,
-    stage_fields,
-)
+from repro.federation.artifacts import StageSpec
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.governance import mask_value
 from repro.federation.health import RetryPolicy
-from repro.federation.parts import Part, current_spans
+from repro.federation.stage import Stage
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
     BinaryOp,
@@ -142,12 +128,10 @@ class ScanAssignment:
     # (the site may have repaired) and otherwise applies the query's
     # degraded-answer policy -- availability is an execution-time property.
     unreachable: list[Fragment] = field(default_factory=list)
-    # For a refresh: the ids of the fragments this execution re-runs (the
-    # stage artifact's stale parts); None when it runs every fragment.
-    rerun: "frozenset[str] | None" = None
 
     def narrowed(self, fragment_ids: "frozenset[str]") -> "ScanAssignment":
-        """This placement over ``fragment_ids`` alone, for a refresh."""
+        """This placement over ``fragment_ids`` alone: what a refresh runs
+        (the stage holds it; the plan keeps the whole placement)."""
         return replace(
             self,
             choices=[
@@ -156,7 +140,6 @@ class ScanAssignment:
             unreachable=[
                 f for f in self.unreachable if f.fragment_id in fragment_ids
             ],
-            rerun=fragment_ids,
         )
 
 
@@ -402,8 +385,8 @@ class ExecContext:
         reopt,
     ) -> None:
         # The engine's access-path seam: the catalog, per-site health
-        # memory, and the semantic cache / artifact store the covering
-        # fallback and the Ship boundary consult.
+        # memory, and the semantic cache / artifact store each stage
+        # consults (repro.federation.stage).
         self.paths = paths
         self.catalog = catalog = paths.catalog
         self.health = paths.health  # may be None
@@ -423,7 +406,7 @@ class ExecContext:
         # LIVE_ONLY query must fail rather than silently serve stale data.
         self.options = options
         # Adaptive re-optimization controller (repro.federation.reopt), or
-        # None for frozen-plan execution.  Ship consults it per stage.
+        # None for frozen-plan execution.  Each stage consults it once.
         self.reopt = reopt
         self.retries_used = 0  # failover attempts spent against retry.budget
         self.scan_total_rows = 0  # estimated input rows across all scans
@@ -433,6 +416,9 @@ class ExecContext:
         # (fragment, boundary key) of each fragment a SiteTopK cut, as the
         # Ship of the top-k stage received or served it.
         self.top_k_cuts: list[tuple[str, Any]] = []
+        # Set when a top-k restart re-runs the plan after this attempt: its
+        # stages settle their work but take their captures back.
+        self.superseded = False
 
     def empty_batch(self, binding: str) -> "columnar.ColumnBatch":
         """The layout of one scan's output, with no rows: what an outer
@@ -667,80 +653,26 @@ def chunk_filter(condition: Expr):
 
 
 class SiteScan(SiteOperator):
-    """Materialize one scan's access path at the sites that own the rows."""
+    """Scan one stage's input where the rows live.
+
+    The stage runs the access path (:meth:`Stage.run
+    <repro.federation.stage.Stage.run>`: placement, failover, a copy served
+    whole, degrade-or-fail); this operator lays the rows it read out as
+    column chunks, keeps the text index's hits, and applies the residual
+    RLS and the masks."""
 
     name = "SiteScan"
 
-    def __init__(self, scan: ScanNode) -> None:
+    def __init__(self, stage: Stage) -> None:
         super().__init__()
-        self.scan = scan
-        self._failover_events: list[str] = []
-        self._capture_ok = True
+        self.stage = stage
+        self.scan = stage.scan
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        assignment = ctx.plan.assignments.get(self.scan.binding)
-        if assignment is None:
-            raise QueryError(f"no assignment for scan {self.scan.binding!r}")
-        predicates = self.scan.pushdown
-        now = ctx.catalog.clock.now()
-        self._failover_events = []
-        # A scan that failed over to a covering view/cache region, or that
-        # lost fragments to dead sites, must not feed the semantic cache:
-        # its output is stale or incomplete for the predicate region.
-        self._capture_ok = True
-
-        if assignment.kind == "fragments":
-            table_batches = self._fragment_batches(ctx, assignment, predicates)
-        elif assignment.kind in ("view", "cache"):
-            table_batches = self._planned_copy(ctx, assignment, predicates)
-        else:
-            raise QueryError(f"unknown scan kind {assignment.kind!r}")
-
-        if self.scan.text_filter is None and assignment.kind == "fragments":
-            # Expose the live result so the engine's semantic cache can
-            # remember this predicate region (text-filtered scans are not
-            # cacheable under the pushdown key alone).  The capture carries
-            # the fetch timestamp and the site work it cost: staleness is
-            # measured from the fetch, benefit from the work saved.  Pruned
-            # fragments contribute no rows by construction (their zone maps
-            # prove them empty under the pushdown), so the capture still
-            # answers the full predicate region -- including a *fully*
-            # pruned scan, whose provably empty table is as complete an
-            # answer as any.  Failover fallbacks and degraded scans are
-            # excluded (_capture_ok): their output is stale or partial.
-            # The semantic cache is the capture's only reader, so without
-            # one attached no parts are gathered.  A truncated scan neither
-            # captures nor refills: a miss re-runs it as the ordinary plan,
-            # and that run is what the cache learns from.
-            if (
-                self._capture_ok
-                and ctx.paths.cache is not None
-                and top_k_bound(self.scan) is None
-            ):
-                ctx.report.scan_tables[assignment.binding] = ScanCapture(
-                    self._capture_parts(ctx, assignment, table_batches),
-                    now,
-                    self.stats.seconds,
-                )
-
+        table_batches = self.stage.run(ctx, self.stats)
+        assignment = self.stage.assignment
         self.stats.detail = self._describe(assignment)
         return self._site_batches(ctx, assignment, table_batches)
-
-    @staticmethod
-    def _capture_parts(ctx: ExecContext, assignment, table_batches):
-        """One ``(fragment, epoch, rows)`` per fragment of the table: what
-        was read, an empty table for a pruned fragment, and ``None`` for a
-        fragment a refresh did not re-run."""
-        entry = ctx.catalog.entry(assignment.table_name)
-        read = {fragment.fragment_id: table for _, table, _, fragment in table_batches}
-        rerun, empty = assignment.rerun, Table(entry.schema, [])
-        parts = []
-        for fragment in entry.fragments:
-            rows = read.get(fragment.fragment_id)
-            if rows is None and (rerun is None or fragment.fragment_id in rerun):
-                rows = empty
-            parts.append((fragment, fragment.epoch, rows))
-        return parts
 
     def _site_batches(
         self,
@@ -768,232 +700,6 @@ class SiteScan(SiteOperator):
         self._apply_governance(ctx, batches)
         ctx.report.rows_fetched += sum(batch.row_count() for batch in batches)
         return batches
-
-    # each access path returns [(site_name, table, elapsed_seconds,
-    # fragment read or None for a copy)]
-
-    def _fragment_batches(
-        self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> "list[tuple[str, Table, float, Fragment | None]]":
-        choices = list(assignment.choices)
-        lost: list[FragmentChoice] = []
-        # Fragments with no live replica at plan time are retried now -- the
-        # site may have repaired between optimization and execution.
-        for fragment in assignment.unreachable:
-            preferred = self._preferred_replica(ctx, fragment)
-            if preferred is None:
-                lost.append(FragmentChoice(fragment, ""))
-            else:
-                choices.append(FragmentChoice(fragment, preferred))
-        if not choices and not lost:
-            if assignment.rerun is not None or (
-                assignment.total_fragments > 0
-                and assignment.pruned_fragments >= assignment.total_fragments
-            ):
-                # Every fragment (a refresh: every stale one) was eliminated
-                # by its zone map: provably empty, no site does any work.
-                return []
-            raise QueryError(
-                f"scan of {assignment.table_name!r} has no fragment choices"
-            )
-        ctx.scan_total_rows += sum(
-            c.fragment.estimated_rows for c in choices + lost
-        )
-        batches = []
-        for choice in choices:
-            outcome = self._scan_with_failover(ctx, choice, predicates)
-            if outcome is None:
-                lost.append(choice)
-                continue
-            result, work, delay, site_name = outcome
-            ctx.report.site_work[site_name] = (
-                ctx.report.site_work.get(site_name, 0.0) + work
-            )
-            self.stats.seconds += work
-            batches.append((site_name, result.table, delay + work, choice.fragment))
-        if lost:
-            self._capture_ok = False
-            copy = self._covering_fallback(ctx, assignment, predicates)
-            if copy is not None:
-                ctx.report.failovers += 1
-                self._failover_events.append(
-                    f"failover → view {copy.view.name}@{copy.view.site_name}"
-                    if copy.kind == "view"
-                    else "failover → cache region"
-                )
-                return self._serve_copy(ctx, copy, predicates)
-            self._register_unreachable(ctx, lost)
-        return batches
-
-    def _preferred_replica(self, ctx: ExecContext, fragment: Fragment) -> str | None:
-        """Best replica to (re)try for a fragment the planner gave up on."""
-        replicas = fragment.replica_sites()
-        if not replicas:
-            return None
-        candidates = ctx.paths.live_replicas(fragment) or replicas
-        if ctx.health is not None:
-            return ctx.health.prefer(candidates)[0]
-        return candidates[0]
-
-    def _scan_with_failover(self, ctx: ExecContext, choice, predicates):
-        """Run one fragment scan, rerouting to live replicas if the chosen
-        site died after optimization (§3.2 C8's robustness under "issues
-        that lie outside the control of the query system").
-
-        Each re-route charges a modeled exponential-backoff pause to the
-        batch's pipeline time and spends one unit of the query's retry
-        budget.  Returns ``(result, work, delay, site_name)``, or ``None``
-        when every candidate failed (the fragment is unreachable); with
-        failover disabled the primary is the only candidate and its
-        :class:`SourceUnavailableError` propagates as it did before the
-        failover layer existed.
-        """
-        fragment = choice.fragment
-        retry = ctx.retry
-        candidates = [choice.site_name]
-        backoff_delay = 0.0
-        for index, site_name in enumerate(candidates):
-            if index > 0:
-                # A failover attempt: bounded by the per-query budget and
-                # charged a backoff pause that escalates per attempt.
-                if ctx.retries_used >= retry.budget:
-                    break
-                pause = retry.backoff_seconds(index - 1)
-                ctx.retries_used += 1
-                backoff_delay += pause
-                ctx.report.failover_attempts += 1
-                ctx.report.retry_seconds += pause
-            try:
-                result, work, delay = ctx.catalog.site(site_name).execute_scan(
-                    fragment.replicas[site_name], predicates
-                )
-            except SourceUnavailableError as error:
-                if ctx.health is not None:
-                    ctx.health.record_failure(site_name)
-                if error.fragment is None:
-                    error.fragment = f"{fragment.table_name}/{fragment.fragment_id}"
-                if not retry.enabled:
-                    raise
-                if index == 0:
-                    # The planned site failed: only now line up its
-                    # siblings, best bet first; the loop walks on into them.
-                    siblings = [
-                        name for name in fragment.replica_sites() if name != site_name
-                    ]
-                    if ctx.health is not None:
-                        siblings = ctx.health.prefer(siblings)
-                    candidates += siblings
-                continue
-            if ctx.health is not None:
-                ctx.health.record_success(site_name)
-            if site_name != choice.site_name:
-                ctx.report.failovers += 1
-                self._failover_events.append(
-                    f"failover {choice.site_name}→{site_name}, "
-                    f"+{backoff_delay:.2f}s retry"
-                )
-            return result, work, delay + backoff_delay, site_name
-        # Unreachable: the pauses were still spent waiting -- they bound the
-        # scan phase's elapsed time even though no batch carries them.
-        ctx.scan_elapsed = max(ctx.scan_elapsed, backoff_delay)
-        return None
-
-    def _covering_fallback(
-        self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> ScanAssignment | None:
-        """Last resort for dead fragments: the copy that answers the
-        *whole* scan -- a live whole-table materialized view, else a cache
-        region covering the pushdown -- as the assignment a planned copy
-        would carry; the caller serves it like one.  The answer is complete
-        but possibly stale (within the query's own ``max_staleness`` bound
-        -- a LIVE_ONLY query gets no fallback), and never re-cached."""
-        max_staleness = ctx.options.max_staleness
-        binding, table_name = assignment.binding, assignment.table_name
-        view = ctx.paths.live_view(table_name, max_staleness)
-        if view is not None:
-            return ScanAssignment(binding, table_name, "view", view=view)
-        if ctx.paths.cache is not None:
-            found = ctx.paths.cache.lookup_entry(
-                table_name, list(predicates), max_staleness
-            )
-            if found is not None:
-                table, age = found
-                return ScanAssignment(
-                    binding, table_name, "cache",
-                    cached_table=table, cached_staleness=age,
-                )
-        return None
-
-    def _register_unreachable(
-        self, ctx: ExecContext, lost: list[FragmentChoice]
-    ) -> None:
-        """Record dead fragments; degrade gracefully or fail structurally."""
-        for choice in lost:
-            fragment = choice.fragment
-            name = f"{fragment.table_name}/{fragment.fragment_id}"
-            if name not in ctx.unreachable_fragments:
-                ctx.unreachable_fragments.append(name)
-                ctx.unreachable_rows += fragment.estimated_rows
-            for site_name in fragment.replica_sites():
-                if not ctx.catalog.site(site_name).up:
-                    ctx.dead_sites.add(site_name)
-        self._degrade_or_fail(ctx)
-
-    @staticmethod
-    def _degrade_or_fail(ctx: ExecContext) -> None:
-        """The query's degraded-answer policy, once something it needs is
-        registered unreachable: carry on partial, or fail structurally."""
-        if not ctx.options.degraded_ok:
-            raise PartialFailureError(
-                ctx.unreachable_fragments,
-                sorted(ctx.dead_sites),
-                retries_used=ctx.retries_used,
-            )
-
-    def _planned_copy(
-        self, ctx: ExecContext, assignment: ScanAssignment, predicates
-    ) -> "list[tuple[str, Table, float, None]]":
-        """A view or cache scan the optimizer chose: its rows are the scan's
-        input, and a view whose one host is down -- there is no replica to
-        fail over to -- registers the whole scan unreachable under the
-        query's degraded-answer policy."""
-        view = assignment.view
-        rows = view.data if view is not None else assignment.cached_table
-        if rows is None:
-            raise QueryError(
-                f"{assignment.kind} scan for {assignment.table_name!r} has no rows"
-            )
-        ctx.scan_total_rows += len(rows)
-        if view is not None and not ctx.catalog.site(view.site_name).up:
-            self._capture_ok = False
-            name = f"view:{view.name}"
-            if name not in ctx.unreachable_fragments:
-                ctx.unreachable_fragments.append(name)
-                ctx.unreachable_rows += len(rows)
-            ctx.dead_sites.add(view.site_name)
-            self._degrade_or_fail(ctx)
-            return []
-        return self._serve_copy(ctx, assignment, predicates)
-
-    def _serve_copy(
-        self, ctx: ExecContext, copy: ScanAssignment, predicates
-    ) -> "list[tuple[str, Table, float, None]]":
-        """Serve a materialized copy, planned or found by the covering
-        fallback: a view at its host with the pushdown applied, or a cache
-        region (its rows already reduced to the pushdown) at the
-        coordinator.  One pass is charged where the copy lives and the
-        copy's age is stamped on the report."""
-        view = copy.view
-        if view is not None:
-            site, table = view.site_name, apply_predicates(view.data, predicates)
-            age = view.staleness(ctx.catalog.clock.now())
-            view.rows_served += len(table)
-        else:
-            site, table, age = ctx.coordinator, copy.cached_table, copy.cached_staleness
-        work = ctx.charge_site(site, len(table))
-        self.stats.seconds += work
-        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-        return [(site, table, work, None)]
 
     def _text_condition(self, ctx: ExecContext) -> Expr:
         """The text index's hits as a condition on the scan's key column."""
@@ -1061,7 +767,7 @@ class SiteScan(SiteOperator):
         if self.scan.text_filter is not None:
             detail += f" text-index{self.scan.text_filter!r}"
         detail += describe_governance(self.scan)
-        for event in self._failover_events:
+        for event in self.stage.events:
             detail += f" [{event}]"
         return f"{self.scan.table} as {self.scan.binding}: {detail}"
 
@@ -1563,284 +1269,39 @@ class Ship(PhysicalOperator):
     they are, partial-aggregate group records (charged per record byte) as
     a one-column batch.
 
-    Before any of that, the boundary serves the stage from a materialized
-    artifact when one applies (:meth:`_artifact_rows`); the site pipeline
-    is then never opened.  An artifact current in parts only is refreshed
-    instead: the pipeline runs over the stale fragments alone and the
-    current parts are served beside its output (:meth:`_refreshed`).
+    Every reuse decision is the stage's (:mod:`repro.federation.stage`):
+    ``open`` probes it first, and a stage served whole from an artifact
+    never opens the site pipeline; a narrowed one's output is spliced with
+    the parts it serves, and the output is captured for the stores.
     """
 
     name = "Ship"
 
-    def __init__(self, child: "PhysicalOperator", stage: StageSpec) -> None:
+    def __init__(self, child: "PhysicalOperator", stage: Stage) -> None:
         super().__init__(child)
-        self.stage = stage  # the content-hashable unit of artifact reuse
-        self._stage_key = None
-        self._stage_rows_fetched = 0
-        # A refresh's (stale artifact, un-narrowed assignment, re-run
-        # fragment ids), else None.
-        self._refresh = None
+        self.stage = stage
 
     def open(self, ctx: ExecContext) -> None:
         self.stats = OperatorStats(self.name, site=ctx.coordinator)
         self._ctx = ctx
         self._closed = False
         self._rows = None
-        self._refresh = None
-        served = self._artifact_rows(ctx)
+        served = self.stage.probe(ctx, self.stats)
         if served is not None:
             # The whole site-side pipeline is skipped: children are never
             # opened (their close() guards make that safe) and no site does
             # any scan work for this stage.
             self._rows = BatchCursor(row_form_batches(served))
             return
-        if ctx.reopt is not None:
-            # The stage is unstarted (artifact miss, site pipeline not yet
-            # open): the one point where migrating it is free of partial
-            # work.  The controller swaps the assignment in place on
-            # migrate; SiteScan re-reads it at compute time.
-            ctx.reopt.consider(ctx, self.stage)
         before = ctx.report.rows_fetched
-        try:
-            for child in self.children:
-                child.open(ctx)
-        finally:
-            if self._refresh is not None:
-                # The pipeline has read its narrowed assignment: the plan
-                # goes back to the whole stage, which a replay of it runs.
-                ctx.plan.assignments[self.stage.scan.binding] = self._refresh[1]
-        self._stage_rows_fetched = ctx.report.rows_fetched - before
+        for child in self.children:
+            child.open(ctx)
+        self.stage.rows_fetched = ctx.report.rows_fetched - before
 
-    def _artifact_rows(self, ctx: ExecContext):
-        """Serve this stage from an artifact, whichever finder found it.
-
-        The optimizer embeds a committed artifact in the plan (an
-        ``"artifact"`` assignment); like every decision a prepared plan
-        carries it is re-checked here, and a stale or mismatched one raises
-        rather than serve pre-write rows.  Otherwise a fragment scan probes
-        the store: a committed-artifact hit (wait 0) or a join onto an
-        identical in-flight stage (charged the remaining wait until the
-        producer's modeled completion).  Either way the rows, staleness
-        and saved work are booked, one coordinator pass is charged and one
-        hit (or join) counted.  A probe that finds the artifact stale in
-        parts narrows this execution's assignment to the stale fragments
-        and serves nothing yet: the pipeline runs, then :meth:`_refreshed`.
-        """
-        self._stage_key = None
-        store = ctx.paths.artifacts
-        if store is None:
-            return None
-        options = ctx.options
-        scan = self.stage.scan
-        assignment = ctx.plan.assignments.get(scan.binding)
-        planned = assignment is not None and assignment.kind == "artifact"
-        if planned:
-            artifact, wait, joined = assignment.artifact, 0.0, False
-            if not artifact.current:
-                raise QueryError(f"stale artifact plan for {scan.table!r}")
-        else:
-            # View/cache paths carry their own staleness semantics; the
-            # stage hash only describes the base-table fragment scan.
-            if (
-                not options.reuse_artifacts
-                or assignment is None
-                or assignment.kind != "fragments"
-            ):
-                return None
-            key = store.stage_key(ctx.catalog, self.stage)
-            if key is None:
-                return None
-            self._stage_key = key  # the capture target if we miss
-            hit = store.acquire(key, options.max_staleness)
-            if hit is None:
-                stale = store.refreshable(key, options.max_staleness)
-                if stale is not None:
-                    rerun = frozenset(
-                        p.fragment.fragment_id for p in stale.parts if not p.current
-                    )
-                    self._refresh = (stale, assignment, rerun)
-                    ctx.plan.assignments[scan.binding] = assignment.narrowed(rerun)
-                return None
-            artifact, wait, joined = hit
-        age = ctx.catalog.clock.now() - artifact.fetched_at
-        max_staleness = options.max_staleness
-        if planned and max_staleness is not None and (
-            max_staleness < 0 or age > max_staleness
-        ):
-            raise QueryError(
-                f"artifact for {scan.table!r} too stale "
-                f"({age:.1f}s > {max_staleness:.1f}s)"
-            )
-        if self.stage.agg is not None:
-            calls = self.stage.agg.split.calls
-            rows = artifact.serve_groups(scan.binding, ctx.ambiguous, calls)
-        else:
-            rows = artifact.serve_rows(scan.binding, ctx.ambiguous)
-        if rows is None:
-            # Payload-kind or call mismatch under an identical digest (a
-            # hash-collision guard): never serve garbage -- a planned
-            # artifact raises, a probe hit recomputes.
-            if planned:
-                raise QueryError(f"artifact payload mismatch for {scan.binding!r}")
-            self._stage_key = None
-            return None
-        ctx.scan_total_rows += len(rows)
-        _note_cuts(ctx, artifact.parts)
-        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-        ctx.report.artifact_rows_saved += artifact.rows_saved
-        ctx.report.artifact_bytes_saved += artifact.bytes_saved
-        serve = ctx.charge_coordinator(len(rows))
-        ctx.scan_elapsed = max(ctx.scan_elapsed, wait)
-        key = artifact.key
-        if joined:
-            ctx.report.artifact_joins += 1
-            ctx.report.artifact_join_keys.append(key)
-        else:
-            if planned:  # the probe's acquire booked its own hit
-                store.book_hit(artifact)
-            ctx.report.artifact_hits += 1
-        self.stats.rows_in = len(rows)
-        self.stats.seconds = serve
-        label = "joined in-flight stage" if joined else "artifact hit"
-        self.stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
-        return rows
-
-    def _refreshed(self, ctx: ExecContext, slots: list) -> "tuple[list, str]":
-        """A refresh's output slots and its EXPLAIN note.
-
-        The re-run fragments' batches and the stale artifact's current
-        parts, in fragment order; the parts are one coordinator pass,
-        charged once, and report the oldest part's age as staleness.  A
-        re-run that fell back to a copy of the whole scan (a view, a cache
-        region) is answered by that copy alone: serving parts beside it
-        would repeat their rows.
-        """
-        artifact, unnarrowed, rerun = self._refresh
-        scan = self.stage.scan
-        entry = ctx.catalog.entry(scan.table)
-
-        def note(served: int) -> str:
-            ids = [f.fragment_id for f in entry.fragments if f.fragment_id in rerun]
-            return (
-                f"artifact refresh {artifact.key[:8]}: {served}/"
-                f"{len(artifact.parts)} parts served, re-ran {', '.join(ids)}"
-            )
-
-        if any(read is None for read, _ in slots):
-            return slots, note(0)
-        if self.stage.agg is not None:
-            calls = self.stage.agg.split.calls
-            served = artifact.serve_groups(scan.binding, ctx.ambiguous, calls)
-        else:
-            served = artifact.serve_rows(scan.binding, ctx.ambiguous)
-        if served is None:
-            raise QueryError(f"artifact payload mismatch for {scan.binding!r}")
-        spans = current_spans(artifact.parts)
-        read = {fragment.fragment_id: out for fragment, out in slots}
-        spliced = []
-        for fragment in entry.fragments:
-            if fragment.fragment_id in read:
-                spliced.append((fragment, read[fragment.fragment_id]))
-            elif fragment.fragment_id in spans:
-                part, start, stop = spans[fragment.fragment_id]
-                if isinstance(served, columnar.ColumnBatch):
-                    out = [served.slice(start, stop)] if stop > start else []
-                else:
-                    out = row_form_batches(served[start:stop])
-                spliced.append((part, out))
-        parts = [part for part, _, _ in spans.values()]
-        _note_cuts(ctx, parts)
-        count = sum(part.size for part in parts)
-        placed = {c.fragment.fragment_id for c in unnarrowed.choices}
-        placed.update(f.fragment_id for f in unnarrowed.unreachable)
-        ctx.scan_total_rows += sum(
-            p.fragment.estimated_rows for p in parts if p.fragment.fragment_id in placed
-        )
-        age = ctx.catalog.clock.now() - min(part.fetched_at for part in parts)
-        ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
-        self.stats.rows_in += count
-        self.stats.seconds += ctx.charge_coordinator(count)
-        return spliced, note(len(parts))
-
-    def _maybe_capture(
-        self,
-        ctx: ExecContext,
-        slots: list,
-        batches: "list[columnar.ColumnBatch]",
-        shipped_bytes: int,
-        arrival: float,
-        cuts: dict,
-    ) -> None:
-        """On an artifact miss or refresh, publish this stage's output
-        through the report, one part per fragment: ``slots`` pairs what
-        each slice of ``batches`` came from -- the fragment read, or a
-        refresh's served part -- with the slice, and ``cuts`` holds the
-        boundary of each fragment read that a ``SiteTopK`` cut.  The engine
-        registers successful reports' outputs in flight; failed executions
-        drop them unseen."""
-        key = self._stage_key  # set only by a probe that reuse allowed
-        if key is None:
-            return
-        # Degraded, failed-over, or covering-fallback output is stale or
-        # incomplete for the stage's content hash; never publish it.
-        if ctx.unreachable_rows or ctx.unreachable_fragments:
-            return
-        site_scan = self.children[0]
-        while site_scan.children:
-            site_scan = site_scan.children[0]
-        if not site_scan._capture_ok:
-            return
-        scan, agg = self.stage.scan, self.stage.agg
-        entry = ctx.catalog.tables.get(scan.table)
-        if entry is None or any(read is None for read, _ in slots):
-            return
-        try:
-            if agg is not None:
-                records = [r for batch in batches for r in batch.columns[0]]
-                payload = groups_payload(records, scan.binding, agg.split.calls)
-            else:
-                fields = stage_fields(entry.schema, scan)
-                payload = rows_payload(batches, scan.binding, fields)
-        except KeyError:
-            return  # rows missing expected columns: not canonically capturable
-        now = ctx.catalog.clock.now()
-        parts = [
-            read
-            if isinstance(read, Part)
-            else Part(
-                read,
-                read.epoch,
-                sum(batch.count for batch in out),
-                now,
-                cuts.get(read.fragment_id),
-            )
-            for read, out in slots
-        ]
-        # A fragment no slot came from was pruned: an empty part.
-        seen = {part.fragment.fragment_id for part in parts}
-        parts += [
-            Part(fragment, fragment.epoch, 0, now)
-            for fragment in entry.fragments
-            if fragment.fragment_id not in seen
-        ]
-        saved = (self._stage_rows_fetched, shipped_bytes, arrival)
-        if self._refresh is not None:
-            # A hit on the spliced artifact avoids the whole stage, as the
-            # artifact it refreshes measured it.
-            old = self._refresh[0]
-            saved = (old.rows_saved, old.bytes_saved, old.fetch_seconds)
-        ctx.report.stage_outputs.append(
-            Artifact(
-                key=key,
-                table_name=scan.table,
-                payload=payload,
-                rows_saved=saved[0],
-                bytes_saved=saved[1],
-                fetch_seconds=saved[2],
-                fetched_at=min(part.fetched_at for part in parts),
-                parts=tuple(parts),
-            )
-        )
+    def close(self, settle: bool = True) -> None:
+        if not getattr(self, "_closed", True):
+            self.stage.release(self._ctx)
+        super().close(settle)
 
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         # (fragment read, its arrived batches), one per site batch.
@@ -1922,8 +1383,8 @@ class Ship(PhysicalOperator):
         self.stats.detail = (
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
-        if self._refresh is not None:
-            slots, note = self._refreshed(ctx, slots)
+        if self.stage.stale is not None:
+            slots, note = self.stage.spliced(ctx, slots, self.stats)
             self.stats.detail = f"{note}; {self.stats.detail}"
         binding = self.stage.scan.binding
         ctx.report.stage_runtimes[binding] = (arrival, tuple(sorted(stage_sites)))
@@ -1932,15 +1393,8 @@ class Ship(PhysicalOperator):
             if note:
                 self.stats.detail += f"  [{note}]"
         arrived = [batch for _, out in slots for batch in out]
-        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
+        self.stage.capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
         return arrived
-
-
-def _note_cuts(ctx: ExecContext, parts) -> None:
-    """Hand the coordinator the top-k boundaries of the parts served."""
-    ctx.top_k_cuts += [
-        (part.fragment.fragment_id, part.cut[0]) for part in parts if part.cut
-    ]
 
 
 # What a row-form batch of partial-aggregate records travels as: one column.
@@ -2590,7 +2044,8 @@ class PhysicalPlanner:
 
     def _node(self, node: PlanNode, plan: PhysicalPlan) -> PhysicalOperator:
         if isinstance(node, ScanNode):
-            return Ship(self._site_pipeline(node, plan), StageSpec(node))
+            stage = Stage(StageSpec(node))
+            return Ship(self._site_pipeline(stage, plan), stage)
         if isinstance(node, FilterNode):
             return Filter(self._node(node.child, plan), node.condition)
         if isinstance(node, JoinNode):
@@ -2612,12 +2067,9 @@ class PhysicalPlanner:
             return Project(self._node(node.child, plan), node.items, node.distinct)
         if isinstance(node, AggregateNode):
             if node.split is not None and isinstance(node.child, ScanNode):
-                pipeline = PartialAggregate(
-                    self._site_pipeline(node.child, plan), node
-                )
-                return FinalAggregate(
-                    Ship(pipeline, StageSpec(node.child, node)), node
-                )
+                stage = Stage(StageSpec(node.child, node))
+                pipeline = PartialAggregate(self._site_pipeline(stage, plan), node)
+                return FinalAggregate(Ship(pipeline, stage), node)
             return Aggregate(self._node(node.child, plan), node)
         if isinstance(node, SortNode):
             return Sort(self._node(node.child, plan), node.order_by, top_k_bound(node))
@@ -2625,8 +2077,9 @@ class PhysicalPlanner:
             return Limit(self._node(node.child, plan), evaluate(node.limit, {}))
         raise QueryError(f"cannot compile plan node {node!r}")
 
-    def _site_pipeline(self, scan: ScanNode, plan: PhysicalPlan) -> SiteOperator:
-        op: SiteOperator = SiteScan(scan)
+    def _site_pipeline(self, stage: Stage, plan: PhysicalPlan) -> SiteOperator:
+        scan = stage.scan
+        op: SiteOperator = SiteScan(stage)
         if scan.site_filters:
             op = SiteFilter(op, conjoin(list(scan.site_filters)))
         keep = self._kept_columns(scan, plan)

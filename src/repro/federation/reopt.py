@@ -13,13 +13,14 @@ triggering signal fires:
 * the workload-manager deadline projects an overrun from the remaining
   stage's live cost estimate.
 
-The unit of migration is the Ship-bounded stage (the same boundary the
-artifact store hashes): :class:`ReoptController.consider` runs inside
-``Ship.open`` *after* the artifact probe and *before* any site does scan
-work, so a migrated stage has not started anywhere.  A re-solicitation
-first probes the :class:`ArtifactStore` for a committed or in-flight twin
-(if one exists the stage needs no sites at all), then asks the session
-optimizer to re-quote the residual placement at live prices.  The
+The unit of migration is the stage (:mod:`repro.federation.stage`, the
+same boundary the artifact store hashes): :class:`ReoptController.consider`
+runs as the stage's run step begins, *after* its artifact probe and
+*before* any site does scan work, so a migrated stage has not started
+anywhere.  A re-solicitation first probes the :class:`ArtifactStore` for
+a committed or in-flight twin (if one exists the stage needs no sites at
+all), then asks the session optimizer to re-quote the residual placement
+at live prices.  The
 migration only happens when the fresh placement covers every fragment the
 original covered and beats the original's *live re-priced* cost by at
 least ``min_improvement`` — otherwise the original assignment stands, the
@@ -120,7 +121,7 @@ class ReoptController:
 
     Created by the engine for each execution when a :class:`ReoptPolicy`
     is configured, threaded through :class:`ExecContext`, and consulted by
-    every stage-bounding ``Ship`` just before its site pipeline opens.
+    every stage (:mod:`repro.federation.stage`) just before it runs.
     """
 
     def __init__(
@@ -147,77 +148,76 @@ class ReoptController:
         self._hot_sites: set[str] = set()  # congestion hysteresis state
         self._considered: set[str] = set()  # one attempt per stage
 
-    # -- the Ship.open hook ------------------------------------------------
+    # -- the stage's run hook ----------------------------------------------
 
-    def consider(self, ctx, stage) -> bool:
-        """Re-evaluate one unstarted stage; swap its assignment on migrate.
-
-        Returns True when the stage was migrated.  Every path that does
-        not migrate leaves ``ctx.plan.assignments`` untouched, so static
+    def consider(self, ctx, stage):
+        """Re-evaluate one unstarted stage: on migrate the plan gets the
+        fresh placement and the stage runs it (a refresh: over its stale
+        fragments alone), returned; else None.  Every path that does not
+        migrate leaves ``ctx.plan.assignments`` untouched, so static
         execution semantics (and bit-identical answers) are the fallback.
         """
         scan = stage.scan
-        assignment = ctx.plan.assignments.get(scan.binding)
+        assignment = stage.assignment
         if assignment is None or assignment.kind != "fragments":
-            return False  # cache/view/artifact paths have no sites to migrate
+            return None  # cache/view/artifact paths have no sites to migrate
         if not assignment.choices or scan.binding in self._considered:
-            return False
+            return None
         reason, bad_site = self._trigger(ctx, scan, assignment)
         if reason is None:
-            return False
+            return None
         if bad_site is not None and not self._can_move_off(
             assignment, bad_site
         ):
             # Every fragment on the degraded site is pinned there (no other
             # live, allowed replica): a re-solicitation provably cannot
             # migrate anything, so don't pay the market round trip for it.
-            return False
+            return None
         if self.attempts >= self.policy.max_attempts:
-            return False  # budget exhausted: the trigger is ignored
+            return None  # budget exhausted: the trigger is ignored
         self._considered.add(scan.binding)
         self.attempts += 1
         from_sites = tuple(sorted({c.site_name for c in assignment.choices}))
         # Migration probe: a committed or in-flight twin makes the whole
         # solicitation moot — the stage needs no sites.  (On the normal
-        # path Ship's artifact probe already ran and missed, so this only
-        # fires for executions that disabled artifact *reuse*.)
-        if self._artifact_twin(stage):
+        # path the stage's artifact probe already ran and missed, so this
+        # only fires for executions that disabled artifact *reuse*.)
+        if self._artifact_twin(stage.spec):
             self._record(
                 scan.binding, f"{reason}+artifact-twin", False,
                 from_sites, from_sites, 0.0, 0.0, 0.0,
             )
-            return False
+            return None
         quote = self._requote(scan)
         if quote is None:
             self._record(
                 scan.binding, reason, False, from_sites, from_sites,
                 0.0, float("inf"), float("inf"),
             )
-            return False
+            return None
         fresh, modeled = quote
-        if assignment.rerun is not None:
-            # A refresh re-runs its stale fragments alone: a migration
-            # moves them, never the rest of the table back in.
-            fresh = fresh.narrowed(assignment.rerun)
+        # A refresh re-runs its stale fragments alone: a migration moves
+        # them, never the rest of the table back in.
+        run = fresh if stage.rerun is None else fresh.narrowed(stage.rerun)
         self.modeled_seconds += modeled
         risk = self.paths.risk_multiplier
         old_price = self._live_makespan(scan, assignment, risk)
-        new_price = self._live_makespan(scan, fresh, risk)
-        to_sites = tuple(sorted({c.site_name for c in fresh.choices}))
-        if not self._migratable(assignment, fresh, old_price, new_price):
+        new_price = self._live_makespan(scan, run, risk)
+        to_sites = tuple(sorted({c.site_name for c in run.choices}))
+        if not self._migratable(assignment, run, old_price, new_price):
             self.wasted_seconds += modeled
             self._record(
                 scan.binding, reason, False, from_sites, to_sites,
                 modeled, old_price, new_price,
             )
-            return False
+            return None
         ctx.plan.assignments[scan.binding] = fresh
         self.migrations += 1
         self._record(
             scan.binding, reason, True, from_sites, to_sites,
             modeled, old_price, new_price,
         )
-        return True
+        return run
 
     def describe(self, binding: str) -> str | None:
         """EXPLAIN ANALYZE detail for a stage's last re-opt event."""
@@ -308,7 +308,7 @@ class ReoptController:
     def _artifact_twin(self, stage) -> bool:
         artifacts = self.paths.artifacts
         if artifacts is None or self.options.reuse_artifacts:
-            return False  # reuse on: Ship's own artifact probe governs
+            return False  # reuse on: the stage's own artifact probe governs
         key = artifacts.stage_key(self.catalog, stage)
         return key is not None and artifacts.has_twin(
             key, self.options.max_staleness

@@ -431,7 +431,7 @@ class Ship(physical.Ship):
                 note = ctx.reopt.describe(binding)
                 if note:
                     self.stats.detail += f"  [{note}]"
-        self._maybe_capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
+        self.stage.capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
         return arrived
 
 

@@ -321,6 +321,8 @@ class SourceIndex:
                 for target in targets:
                     if isinstance(target, ast.Attribute):
                         self.assigns[target.attr].append(home)
+                    elif isinstance(target, ast.Subscript):  # x.name[key] = ...
+                        self.assigns[f"{_name(target.value)}[]"].append(home)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}".lstrip(".")
                 defined = f"{where}:{inner}"
@@ -442,7 +444,8 @@ DBAPI = F + "dbapi.py"
 BEHIND_THE_DOOR = ("PlanCache", "plan_cache", "engine", "workload", "submit", "drain")
 ENGINE, PHYSICAL = F + "engine.py:FederatedEngine.", F + "physical.py:"
 REWRITE, PLANNER = S + "rewrite.py:", S + "planner.py:"
-BIND_PLAN, FALLBACK = S + "params.py:bind_plan", PHYSICAL + "SiteScan._covering_fallback"
+STAGE = F + "stage.py:"
+BIND_PLAN, FALLBACK = S + "params.py:bind_plan", STAGE + "Stage._covering_fallback"
 GONE = {
     "envs_batch",  # the second site engine's env-to-batch adapter
     "partial_state", "_Grouped", "groups_batch", "PartialAggregate._row_records",
@@ -470,6 +473,8 @@ GONE = {
     "_install_result",  # the DB-API's own submit/drain copy of GatewaySession.execute
     "XmlTransformer", "TemplateRule", "best_matches", "register_external_table",
     "reset_budget",  # definitions only tests reached
+    "ScanAssignment.rerun", "_maybe_capture", "_capture_parts", "_refreshed",
+    "current_spans", "_splice",  # reuse decisions made outside the stage
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
@@ -600,15 +605,16 @@ GUARDS = [
      lambda ix: ix.holding(ix.bases, "SiteOperator", ""),
      {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",
                              "PartialAggregate")}),
-    ("served_one_way-serving-callers", "an artifact is served at the Ship boundary",
+    ("served_one_way-serving-callers", "an artifact is served by the stage",
      lambda ix: {top(h) for name in ("serve_rows", "serve_groups", "book_hit")
                  for h in ix.callers(name)},
-     {F + "artifacts.py:ArtifactStore", PHYSICAL + "Ship"}),
+     {F + "artifacts.py:ArtifactStore", STAGE + "Stage"}),
     ("served_one_way-no-planner-branch", "the physical planner has no artifact branch",
      lambda ix: ix.holding(ix.strings, "artifact", PHYSICAL + "PhysicalPlanner._node"), set()),
-    ("served_one_way-one-serving-step", "one SiteScan step filters and stamps a copy",
-     lambda ix: tuple(sum(h.startswith(PHYSICAL + "SiteScan.") for h in homes) for homes in (
-         [h for h, _ in ix.calls["apply_predicates"]], ix.assigns["staleness_seconds"])), (1, 1)),
+    ("served_one_way-one-serving-step", "one stage step filters a copy, one stamps an age",
+     lambda ix: tuple({h for h in homes if h.startswith((PHYSICAL, STAGE))} for homes in (
+         [h for h, _ in ix.calls["apply_predicates"]], ix.assigns["staleness_seconds"])),
+     ({STAGE + "Stage._serve_copy"}, {STAGE + "Stage._stamp"})),
     ("served_one_way-fallback-charges-nothing", "the covering fallback only plans",
      lambda ix: ix.callers("charge_site", FALLBACK), set()),
     ("served_one_way-fallback-writes-nothing", "it stamps and counts nothing by hand",
@@ -620,6 +626,17 @@ GUARDS = [
     ("served_one_way-executor-exports", "physical dataclasses come from physical",
      lambda ix: {name for imported in ix.imports.values()
                  for m, name in imported if m == "repro.federation.executor"}, {"Executor"}),
+    ("one_stage-plan-writers", "a plan's assignments are written by the optimizers "
+     "and ReoptController.consider alone: a stage's narrowing stays on the stage",
+     lambda ix: {h for h in ix.assigns["assignments[]"] if h.startswith("src/")},
+     {F + f"{m}.py:{c}.optimize" for m, c in (("agoric", "AgoricOptimizer"),
+      ("central", "CentralizedOptimizer"), ("loadbalance", "PolicyOptimizer"))}
+     | {F + "reopt.py:ReoptController.consider"}),
+    ("one_stage-one-splice", "one splice of stored parts, in parts.py, for both stores",
+     lambda ix: (ix.callers("splice"),
+                 {h for h in ix.params if h.startswith("src/") and leaf(h) == "splice"}),
+     ({STAGE + "Stage.spliced", F + "cache.py:SemanticCache._assemble"},
+      {F + "parts.py:splice"})),
     ("one_per_relationship-every-source-kind-runs",
      "a ContentSource kind is built outside its module by src/, a bench or an example",
      lambda ix: {leaf(h) for h in ix.holding(ix.bases, "ContentSource")

@@ -541,7 +541,7 @@ def test_a_statement_after_a_write_answers_what_sqlite_answers(
 KEYS = [(1,), (2,), (3,), (4,)]
 DEGRADED = {"t": (("k",), KEYS), "u": (("x",), KEYS)}
 NOT_MONOTONE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: an anti-join over a degraded input"
+    strict=True, reason="ROADMAP item 1: an anti-join over a degraded input"
 )
 
 

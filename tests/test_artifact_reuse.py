@@ -25,15 +25,16 @@ from repro.federation import (
     FederationCatalog,
     QueryOptions,
     ReoptPolicy,
+    SemanticCache,
     WorkloadManager,
 )
-from repro.federation.artifacts import Artifact, StagePayload, stage_specs
+from repro.federation.artifacts import Artifact, StagePayload, StageSpec, stage_specs
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.parts import Part
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
-from repro.sql.planner import build_plan
+from repro.sql.planner import build_plan, scans_in
 from repro.sql.rewrite import (
     AggregateSplitting,
     ProjectionPruning,
@@ -61,12 +62,17 @@ def build_federation(sites=3, fragments=6, rows_per_fragment=20, **site_kwargs):
     return catalog
 
 
-def make_engine(artifacts=True, reopt=None, **store_kwargs):
+def make_engine(artifacts=True, reopt=None, cache=False, **store_kwargs):
     catalog = build_federation()
     store = (
         ArtifactStore(catalog.clock, **store_kwargs) if artifacts else None
     )
-    engine = FederatedEngine(catalog, artifacts=store, reopt=reopt)
+    engine = FederatedEngine(
+        catalog,
+        artifacts=store,
+        reopt=reopt,
+        cache=SemanticCache(catalog.clock) if cache else None,
+    )
     return catalog, engine, store
 
 
@@ -549,6 +555,58 @@ class TestRefreshUnderFaults:
         assert len(event.to_sites) == 1 and event.to_sites != event.from_sites
         cold = engine.query(AGG_SQL, reuse_artifacts=False)
         assert result.table.rows == cold.table.rows
+
+    def test_a_failed_refresh_leaves_no_narrowing_behind(self):
+        """The narrowing to f0 lives on the stage: when its re-run raises,
+        the plan still holds the whole placement, nothing went in flight,
+        and the cache region f0's move staled is not refilled."""
+        catalog, engine, store = self.stale_f0_on_a_dead_site(cache=True)
+        (region,) = engine.cache._entries.values()
+        template = engine.prepare(AGG_SQL).physical
+        plan = template.replay(template.logical)
+        planned = plan.assignments["items"]
+        catalog.site("s0").up = False
+        with pytest.raises(PartialFailureError):
+            engine.executor.execute(plan)
+        assert plan.assignments["items"] is planned
+        with pytest.raises(PartialFailureError):
+            engine.query(AGG_SQL)
+        assert store.refreshes == 2 and not store.inflight_keys()
+        (kept,) = engine.cache._entries.values()
+        assert kept is region and not region.current
+
+    def test_a_refresh_the_top_k_check_re_runs_publishes_nothing(self):
+        """a's top-k stage and b's stage each refresh f2 alone.  f2's new
+        rows rank first but have no partner (b keeps v >= 0), so the Sort
+        cannot show the answer exact and the plan re-runs unmarked: the
+        attempt's refreshed top-k stage is not registered in flight (the
+        committed one stays, stale in f2), the plan holds whole placements,
+        and every cached region is current."""
+        catalog, engine, store = make_engine(cache=True)
+        first = engine.query(TOP_SQL)
+        assert first.report.top_k_restart is None
+        (scan,) = [s for s in scans_in(engine.prepare(TOP_SQL).logical) if s.top_k]
+        top_key = store.stage_key(catalog, StageSpec(scan))
+        store._sweep()
+        old = store._artifacts[top_key]
+        rewrite_fragment(catalog, "f2", [("n0", -5), ("n1", -4), ("n2", -3)])
+        result = engine.query(TOP_SQL)
+        assert result.report.top_k_restart == (
+            "top-k restart: f2 boundary -4 ranks before row 2"
+        )
+        assert store.refreshes == 3  # the top-k stage, then b's once per attempt
+        assert top_key not in store.inflight_keys()
+        assert store._artifacts[top_key] is old and not old.current
+        assert [len(result.plan.assignments[b].choices) for b in "ab"] == [6, 6]
+        assert all(entry.current for entry in engine.cache._entries.values())
+        cold = engine.query(TOP_SQL, reuse_artifacts=False)
+        assert result.table.rows == cold.table.rows == [("k0000",), ("k0001",)]
+
+
+TOP_SQL = (
+    "select a.k as c0 from items a join items b on a.k = b.k "
+    "where b.v >= 0 order by a.v limit 2"
+)
 
 
 def make_manager(max_in_flight=4, artifacts=True, **store_kwargs):

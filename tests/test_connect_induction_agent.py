@@ -3,6 +3,7 @@
 import pytest
 
 from repro.connect import BrowserAgent, SimulatedWeb, WebClient, WrapperInducer
+from repro.connect.simweb import HttpResponse, WebSite
 from repro.connect.induction import common_prefix, common_suffix
 from repro.connect.sitegen import build_supplier_site
 from repro.core.errors import WrapperError
@@ -129,6 +130,23 @@ class TestBrowserAgent:
         agent = BrowserAgent(WebClient(web))
         agent.goto(supplier.catalog_url())
         assert agent.dom.find("form") is not None
+
+    def test_a_relative_link_after_a_redirect_resolves_where_the_site_answered(self):
+        """``/start`` redirects to ``/shop/list``, whose ``href='more'`` is
+        ``/shop/more``: resolved against the URL asked for, it was ``/more``."""
+        web = SimulatedWeb(SimClock())
+        site = WebSite("h.example")
+        listing = "<html><body><a class='next' href='more'>more</a></body></html>"
+        site.add_route("/start", lambda r: HttpResponse.redirect("/shop/list"))
+        site.add_route("/shop/list", lambda r: HttpResponse(body=listing))
+        site.add_route("/shop/more", lambda r: HttpResponse(body="more parts"))
+        web.register(site)
+        agent = BrowserAgent(WebClient(web))
+        agent.goto("http://h.example/start")
+        assert agent.current_url == "http://h.example/shop/list"
+        response = agent.follow_link("a.next")
+        assert (response.status, response.body) == (200, "more parts")
+        assert agent.current_url == "http://h.example/shop/more"
 
     def test_follow_missing_link_raises(self):
         web, _ = make_login_site()

@@ -213,10 +213,12 @@ class TestAccountingParity:
 class TestSiteOperatorProtocol:
     def test_site_operator_refuses_direct_iteration(self):
         from repro.core.errors import QueryError
+        from repro.federation.artifacts import StageSpec
         from repro.federation.physical import SiteScan
+        from repro.federation.stage import Stage
         from repro.sql.planner import ScanNode
 
-        operator = SiteScan(ScanNode("parts", "parts"))
+        operator = SiteScan(Stage(StageSpec(ScanNode("parts", "parts"))))
         operator._closed = False
         operator._batches = []
         with pytest.raises(QueryError):

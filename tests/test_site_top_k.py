@@ -226,11 +226,12 @@ def test_a_truncated_stage_is_served_only_to_the_same_truncation():
     top3 = answers_as_sqlite(engine, top2.replace("limit 2", "limit 3"))
     assert top3.report.artifact_hits == 0
     # A served truncated stage hands the Sort its parts' boundaries: the
-    # restart case restarts on a hit as it did on the run that stored it.
-    assert engine.query(RESTART).report.top_k_restart is not None
+    # restart case restarts on a hit of the stage an exact statement stored,
+    # as it does on a run.
+    answers_as_sqlite(engine, "select k as c0 from t order by c0 desc limit 1")
     hit = answers_as_sqlite(engine, RESTART)
-    assert hit.report.artifact_hits >= 1
     assert hit.report.top_k_restart is not None
+    assert hit.report.artifact_hits == 1  # the truncated stage, before the restart
 
 
 def test_the_stage_digest_covers_key_direction_and_k():
