@@ -43,8 +43,16 @@ def write_json(name: str, payload: dict) -> str:
     the ``results/`` tables -- the tables must stay byte-identical across
     runs (DESIGN.md §7, CI determinism job), while these JSON files are
     the regression-gate inputs and vary with the machine.
+
+    An existing file's ``"gate"`` list (the contract ``check_gates.py``
+    reads) is carried forward: no bench computes its own gates.
     """
     path = os.path.join(REPO_ROOT, f"{name}.json")
+    if os.path.exists(path):
+        with open(path) as f:
+            gate = json.load(f).get("gate")
+        if gate is not None:
+            payload = {**payload, "gate": gate}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

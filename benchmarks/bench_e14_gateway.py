@@ -210,6 +210,8 @@ def test_e14_steady_state_slo(benchmark):
             "timeout_rate": round(outcome.rate(outcome.timed_out), 4),
             "error_rate": round(outcome.rate(outcome.failed), 4),
         }
+        # The share refused either way, as one figure for the SLO gate.
+        stats["shed_timeout_rate"] = stats["shed_rate"] + stats["timeout_rate"]
         tenant_stats[tenant] = stats
         rows.append([
             tenant, outcome.offered, outcome.completed,

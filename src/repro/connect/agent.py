@@ -71,13 +71,6 @@ class BrowserAgent:
         self._land(response)
         return response
 
-    def follow_link(self, selector: str = "a") -> HttpResponse:
-        """Follow the first anchor matching ``selector`` that has an href."""
-        href = self._link(selector)
-        if href is None:
-            raise WrapperError(f"no link matching {selector!r} on {self.current_url!r}")
-        return self.goto(href)
-
     def pages(self, url: str) -> Iterator[str]:
         """The body of ``url``, then of each page its :data:`NEXT_SELECTOR`
         link leads to, until a page has none.  A page answering with an

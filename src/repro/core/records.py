@@ -46,10 +46,6 @@ class Row(Mapping[str, Any]):
         return len(self._values)
 
     @property
-    def values_tuple(self) -> tuple[Any, ...]:
-        return self._values
-
-    @property
     def schema(self) -> Schema:
         return self._schema
 
@@ -312,10 +308,6 @@ class Table:
             orders = orders.carried(slices)
             layout = self._layout = (batch_size, True, (compact, orders))
         return layout[2]
-
-    def column_chunks(self, batch_size: int) -> list[tuple[int, tuple]]:
-        """The chunks of :meth:`column_layout`."""
-        return self.column_layout(batch_size)[0]
 
     # -- construction helpers ---------------------------------------------
 

@@ -691,9 +691,6 @@ class ArtifactStore:
     def stored_rows(self) -> int:
         return sum(a.row_count for a in self._artifacts.values())
 
-    def inflight_keys(self) -> "list[str]":
-        return list(self._inflight)
-
     def __len__(self) -> int:
         return len(self._artifacts)
 

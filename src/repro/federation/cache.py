@@ -442,11 +442,6 @@ class SemanticCache:
     def cached_rows(self) -> int:
         return sum(len(e.table) for e in self._entries.values())
 
-    def entry_ages(self) -> list[float]:
-        """Current entries' ages in seconds (for dashboards and tests)."""
-        now = self.clock.now()
-        return [now - e.as_of for e in self._entries.values()]
-
     def __len__(self) -> int:
         return len(self._entries)
 

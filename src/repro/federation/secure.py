@@ -113,6 +113,10 @@ class SecureNetwork(Network):
             self.handshakes_performed += 1
         return self._sessions[key]
 
+    @staticmethod
+    def _key(site_a: str, site_b: str) -> tuple[str, str]:
+        return (site_a, site_b) if site_a <= site_b else (site_b, site_a)
+
     def transfer_seconds_bytes(self, site_a: str, site_b: str, nbytes: int) -> float:
         if site_a == site_b:
             return 0.0

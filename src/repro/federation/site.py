@@ -93,10 +93,6 @@ class Site:
             )
         return self._sources[name]
 
-    @property
-    def hosted_names(self) -> list[str]:
-        return sorted(self._sources)
-
     # -- load model ------------------------------------------------------------
 
     def backlog(self) -> float:

@@ -78,17 +78,6 @@ def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
     return intersection / union
 
 
-def token_set_similarity(a: str, b: str) -> float:
-    """Jaccard overlap of *word* token sets -- order-insensitive."""
-    tokens_a = set(tokenize(a))
-    tokens_b = set(tokenize(b))
-    if not tokens_a and not tokens_b:
-        return 1.0
-    if not tokens_a or not tokens_b:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
-
-
 def combined_similarity(a: str, b: str, edit_weight: float = 0.5) -> float:
     """Blend of edit-distance and n-gram similarity over whole strings.
 

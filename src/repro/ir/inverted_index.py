@@ -70,10 +70,6 @@ class InvertedIndex:
         del self._doc_lengths[doc_id]
 
     @property
-    def document_count(self) -> int:
-        return len(self._doc_lengths)
-
-    @property
     def vocabulary(self) -> set[str]:
         return set(self._postings)
 

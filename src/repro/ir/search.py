@@ -17,7 +17,7 @@ not depend on the workbench:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Protocol
+from typing import Callable, Protocol
 
 from repro.ir.inverted_index import InvertedIndex, SearchHit
 from repro.ir.tokenize import tokenize
@@ -57,11 +57,6 @@ class CatalogSearch:
         self.taxonomy_expander = taxonomy_expander
         self.fuzzy_limit = fuzzy_limit
         self.fuzzy_minimum = fuzzy_minimum
-
-    # -- indexing -----------------------------------------------------------
-
-    def add_document(self, doc_id: Hashable, text: str) -> None:
-        self.index.add(doc_id, text)
 
     # -- querying ------------------------------------------------------------
 

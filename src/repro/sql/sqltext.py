@@ -27,11 +27,6 @@ def _placeholders(sql: str) -> list[Token]:
     ]
 
 
-def count_placeholders(sql: str) -> int:
-    """Number of ``?`` placeholder tokens in ``sql``."""
-    return len(_placeholders(sql))
-
-
 def replace_placeholders(sql: str, literals: Sequence[str]) -> str:
     """Replace the i-th ``?`` token with ``literals[i]``.
 

@@ -78,7 +78,3 @@ class EtlJob:
         )
         self.runs.append(run)
         return run
-
-    @property
-    def total_extract_seconds(self) -> float:
-        return sum(run.extract_seconds for run in self.runs)

@@ -103,6 +103,3 @@ class Warehouse:
             (self.staleness(name) for name in referenced), default=float("inf")
         )
         return result
-
-    def table_names(self) -> list[str]:
-        return sorted(self.loaded_at)

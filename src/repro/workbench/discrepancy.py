@@ -202,22 +202,12 @@ class DiscrepancyReport:
     def fixable(self) -> list[Discrepancy]:
         return [f for f in self.findings if f.has_suggestion]
 
-    def by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
 
 class DiscrepancyDetector:
     """Runs a rule set and (optionally) applies suggested fixes."""
 
     def __init__(self, rules: Sequence[DiscrepancyRule] = ()) -> None:
         self.rules: list[DiscrepancyRule] = list(rules)
-
-    def add_rule(self, rule: DiscrepancyRule) -> "DiscrepancyDetector":
-        self.rules.append(rule)
-        return self
 
     def run(self, table: Table) -> DiscrepancyReport:
         findings: list[Discrepancy] = []

@@ -71,12 +71,6 @@ class Lineage:
         lines.extend(trace.steps)
         return lines
 
-    def source_columns_of(self, column: str) -> tuple[str, ...]:
-        """The original source columns feeding ``column``."""
-        if column not in self.columns:
-            raise LookupError(f"no lineage for column {column!r}")
-        return self.columns[column].source_columns
-
     # -- mutation hooks used by transform steps ---------------------------------
 
     def record_rename(self, old: str, new: str, description: str) -> None:

@@ -223,9 +223,6 @@ class MatchSession:
             if decision.master_code is not None
         }
 
-    def is_complete(self) -> bool:
-        return not self.pending()
-
     def _suggestion(self, source_code: str) -> MatchSuggestion:
         if source_code not in self.suggestions:
             raise TaxonomyError(f"unknown source category {source_code!r}")

@@ -113,13 +113,6 @@ class UnitNormalizer:
             raise TransformError(f"non-positive unit factor {factor!r}")
         self._units[unit.lower()] = (family, factor)
 
-    def family_of(self, unit: str) -> str:
-        return self._lookup(unit)[0]
-
-    def to_canonical(self, quantity: float, unit: str) -> float:
-        """Convert ``quantity unit`` into the family's canonical unit."""
-        return quantity * self._lookup(unit)[1]
-
     def convert(self, quantity: float, from_unit: str, to_unit: str) -> float:
         from_family, from_factor = self._lookup(from_unit)
         to_family, to_factor = self._lookup(to_unit)

@@ -114,11 +114,6 @@ class Taxonomy:
         self.node(code)  # validates
         self._assignments.setdefault(code, set()).add(item_id)
 
-    def assigned_to(self, code: str) -> set[Hashable]:
-        """Products assigned to exactly this category."""
-        self.node(code)
-        return set(self._assignments.get(code, set()))
-
     def items_under(self, code: str) -> set[Hashable]:
         """Products at this category *and all descendants* (§3.1 C3)."""
         node = self.node(code)

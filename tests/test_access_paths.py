@@ -408,7 +408,7 @@ def unbuilt_on_tokens(ix):
     reached = {"tokenize_sql"}
     while grown := {name for name, names in calls.items() if names & reached} - reached:
         reached |= grown
-    return {"normalize_sql", "count_placeholders", "replace_placeholders"} - reached
+    return {"normalize_sql", "replace_placeholders"} - reached
 
 
 def dotted(where):
@@ -475,6 +475,14 @@ GONE = {
     "reset_budget",  # definitions only tests reached
     "ScanAssignment.rerun", "_maybe_capture", "_capture_parts", "_refreshed",
     "current_spans", "_splice",  # reuse decisions made outside the stage
+    "Warehouse.table_names", "EtlJob.total_extract_seconds", "UnitNormalizer.family_of",
+    "UnitNormalizer.to_canonical", "MatchSession.is_complete",
+    "Lineage.source_columns_of", "DiscrepancyReport.by_rule",
+    "DiscrepancyDetector.add_rule", "Taxonomy.assigned_to", "Site.hosted_names",
+    "ArtifactStore.inflight_keys", "SemanticCache.entry_ages", "Network.set_latency",
+    "BrowserAgent.follow_link", "token_set_similarity", "InvertedIndex.document_count",
+    "CatalogSearch.add_document", "Row.values_tuple", "Table.column_chunks",
+    "count_placeholders",  # public surface nothing but tests named
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")

@@ -238,7 +238,7 @@ class TestStoreLifecycle:
     def test_oversized_stage_rejected(self):
         store = ArtifactStore(SimClock(), max_rows=3)
         assert not store.begin_stage(make_output(("k", 1), rows=5), 0.0)
-        assert store.rejected == 1 and not store.inflight_keys()
+        assert store.rejected == 1 and not store._inflight
 
     def test_lowest_benefit_evicted_first(self):
         clock = SimClock()
@@ -285,7 +285,7 @@ class TestStoreLifecycle:
         store.begin_stage(make_output(("flying", 1)), completes_at=99.0)
         dropped = store.invalidate_table("items")
         assert dropped == 2
-        assert len(store) == 0 and not store.inflight_keys()
+        assert len(store) == 0 and not store._inflight
         assert store.invalidations == 2
 
     def test_invalidate_table_keeps_what_has_a_current_part(self):
@@ -303,14 +303,14 @@ class TestStoreLifecycle:
         store.begin_stage(make_output("flying", parts=parts), completes_at=99.0)
         catalog.notify_table_updated("items", "f0")
         assert store.invalidate_table("items") == 0
-        assert len(store) == 1 and store.inflight_keys() == ["flying"]
+        assert len(store) == 1 and list(store._inflight) == ["flying"]
         assert store.bid("done") is None  # stale in part: not offered whole
         assert store.acquire("done") is None and store.misses == 1
         assert not store.refreshable("done").current  # handed out to refresh
         assert store.refreshes == 1 and store.hits == 0
         catalog.notify_table_updated("items")
         assert store.invalidate_table("items") == 2
-        assert len(store) == 0 and not store.inflight_keys()
+        assert len(store) == 0 and not store._inflight
 
 
 AGG_SQL = "select count(*), sum(v) from items where v < 77"
@@ -513,7 +513,7 @@ class TestRefreshUnderFaults:
         except PartialFailureError:
             assert not degraded_ok
         assert store.refreshes == 1
-        assert store.published == 1 and not store.inflight_keys()
+        assert store.published == 1 and not store._inflight
         assert list(store._artifacts.values()) == [old]
         catalog.site("s0").up = True
         again = engine.query(AGG_SQL)
@@ -571,7 +571,7 @@ class TestRefreshUnderFaults:
         assert plan.assignments["items"] is planned
         with pytest.raises(PartialFailureError):
             engine.query(AGG_SQL)
-        assert store.refreshes == 2 and not store.inflight_keys()
+        assert store.refreshes == 2 and not store._inflight
         (kept,) = engine.cache._entries.values()
         assert kept is region and not region.current
 
@@ -595,7 +595,7 @@ class TestRefreshUnderFaults:
             "top-k restart: f2 boundary -4 ranks before row 2"
         )
         assert store.refreshes == 3  # the top-k stage, then b's once per attempt
-        assert top_key not in store.inflight_keys()
+        assert top_key not in store._inflight
         assert store._artifacts[top_key] is old and not old.current
         assert [len(result.plan.assignments[b].choices) for b in "ab"] == [6, 6]
         assert all(entry.current for entry in engine.cache._entries.values())
@@ -671,7 +671,7 @@ class TestInFlightSharing:
         joiner = manager.submit(AGG_SQL)
         manager.cancel(producer)
         manager.drain(joiner)
-        assert not store.inflight_keys()
+        assert not store._inflight
         assert len(store) == 0  # the fallback never re-registers the stage
 
     def test_cancel_queued_query(self):

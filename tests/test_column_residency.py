@@ -162,15 +162,15 @@ class TestSharedLayout:
 class TestInvalidation:
     def test_rebinding_rows_drops_the_layout(self, compactions):
         table = Table(PARTS, ROWS[:10])
-        layout = table.column_chunks(4)
-        compact = table.column_chunks(4)  # the second use compacts, once
+        layout = table.column_layout(4)[0]
+        compact = table.column_layout(4)[0]  # the second use compacts, once
         assert compact is not layout and compact == layout
-        assert table.column_chunks(4) is compact
+        assert table.column_layout(4)[0] is compact
         assert len(compactions) == 1
         assert [count for count, _ in compact] == [4, 4, 2]
-        assert table.column_chunks(8) is not compact  # one slot, keyed by size
+        assert table.column_layout(8)[0] is not compact  # one slot, keyed by size
         table.rows = ROWS[10:13]
-        assert table.column_chunks(4) == [(3, tuple(zip(*ROWS[10:13])))]
+        assert table.column_layout(4)[0] == [(3, tuple(zip(*ROWS[10:13])))]
 
     def test_fragment_write_is_visible_to_the_next_scan(self):
         catalog, engine = make_engine()
@@ -355,7 +355,7 @@ class TestGovernedScansLeaveTheLayoutAlone:
         catalog, engine = make_engine(governance=GovernanceRegistry(GOVERNED))
         engine.query(EVERYTHING)  # builds the shared layout
         tables = [fragment_table(catalog, i) for i in range(2)]
-        layouts = [t.column_chunks(columnar.DEFAULT_BATCH_SIZE) for t in tables]
+        layouts = [t.column_layout(columnar.DEFAULT_BATCH_SIZE)[0] for t in tables]
         snapshots = [[(n, tuple(cols)) for n, cols in layout] for layout in layouts]
 
         governed = engine.query(EVERYTHING, tenant="acme")
@@ -367,7 +367,7 @@ class TestGovernedScansLeaveTheLayoutAlone:
         assert sorted(plain.table.rows) == sorted(ROWS)
 
         for table, layout, snapshot in zip(tables, layouts, snapshots):
-            assert table.column_chunks(columnar.DEFAULT_BATCH_SIZE) is layout
+            assert table.column_layout(columnar.DEFAULT_BATCH_SIZE)[0] is layout
             assert [(n, tuple(cols)) for n, cols in layout] == snapshot
 
 

@@ -142,18 +142,11 @@ class TestBrowserAgent:
         site.add_route("/shop/more", lambda r: HttpResponse(body="more parts"))
         web.register(site)
         agent = BrowserAgent(WebClient(web))
-        agent.goto("http://h.example/start")
+        pages = agent.pages("http://h.example/start")
+        assert next(pages) == listing
         assert agent.current_url == "http://h.example/shop/list"
-        response = agent.follow_link("a.next")
-        assert (response.status, response.body) == (200, "more parts")
+        assert list(pages) == ["more parts"]
         assert agent.current_url == "http://h.example/shop/more"
-
-    def test_follow_missing_link_raises(self):
-        web, _ = make_login_site()
-        agent = BrowserAgent(WebClient(web))
-        agent.goto("http://private.example/")
-        with pytest.raises(WrapperError):
-            agent.follow_link("a.no-such-link")
 
     def test_submit_form_requires_a_form(self):
         web, _ = make_login_site()
@@ -167,8 +160,6 @@ class TestBrowserAgent:
         agent = BrowserAgent(WebClient(web))
         with pytest.raises(WrapperError):
             agent.submit_form({"user": "buyer"})
-        with pytest.raises(WrapperError):
-            agent.follow_link()
 
     def test_bad_credentials_do_not_establish_session(self):
         web, supplier = make_login_site()

@@ -39,7 +39,7 @@ class TestRow:
 
     def test_values_tuple(self):
         row = next(iter(parts_table()))
-        assert row.values_tuple == ("p1", "bolt", 5)
+        assert tuple(row.values()) == ("p1", "bolt", 5)
 
 
 class TestTableConstruction:

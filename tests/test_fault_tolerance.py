@@ -299,7 +299,7 @@ class TestSatelliteFixes:
     def test_quote_scan_on_down_site_raises(self):
         engine = make_engine()
         site = engine.catalog.site("s0")
-        source_name = next(iter(site.hosted_names))
+        source_name = next(iter(site._sources))
         site.up = False
         with pytest.raises(SourceUnavailableError) as excinfo:
             site.quote_scan(source_name)

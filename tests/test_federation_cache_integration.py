@@ -158,7 +158,7 @@ class TestEngineCache:
         engine, cache = make_engine()
         result = engine.query("select sku from parts")
         assert result.report.response_seconds >= 1.0  # scan cost is 1s
-        ages = cache.entry_ages()
+        ages = [cache.clock.now() - e.as_of for e in cache._entries.values()]
         assert len(ages) == 1
         assert ages[0] == pytest.approx(result.report.response_seconds, abs=0.5)
         assert ages[0] > 0.9

@@ -34,7 +34,6 @@ class TestSite:
     def test_hosting(self):
         _, site = self.make()
         assert site.hosts("parts")
-        assert site.hosted_names == ["parts"]
         site.unhost("parts")
         assert not site.hosts("parts")
 
@@ -103,16 +102,6 @@ class TestNetwork:
     def test_remote_transfer_latency_plus_bytes(self):
         network = Network(base_latency=0.1, seconds_per_byte=0.001)
         assert network.transfer_seconds_bytes("a", "b", 100) == pytest.approx(0.2)
-
-    def test_pair_override_is_symmetric(self):
-        network = Network(base_latency=0.1)
-        network.set_latency("a", "b", 0.5)
-        assert network.latency("b", "a") == 0.5
-        assert network.latency("a", "c") == 0.1
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Network().set_latency("a", "b", -1)
 
 
 class TestCatalog:
@@ -188,7 +177,7 @@ class TestCatalog:
         data = parts_table(5)
         catalog.load_fragmented(data, 1, [["s0"]])
         index = catalog.build_text_index("parts", "name", data, "sku")
-        assert index.document_count == 5
+        assert len(index._doc_lengths) == 5
         entry = catalog.entry("parts")
         assert entry.text_column == "name"
         assert entry.key_column == "sku"

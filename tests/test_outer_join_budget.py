@@ -248,7 +248,7 @@ class TestInSubquery:
         result = engine.query(self.IN_ORDERS, reuse_artifacts=False)
         assert result.table.column("sid") == ["sup0", "sup1"]
         store = engine.artifacts
-        assert (store.misses, len(store), store.inflight_keys()) == (0, 0, [])
+        assert (store.misses, len(store), list(store._inflight)) == (0, 0, [])
 
     def test_evaluate_refuses_raw_subquery(self):
         from repro.core.errors import QueryError

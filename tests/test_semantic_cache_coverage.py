@@ -207,7 +207,6 @@ class TestAdmissionAndEviction:
         cache.store("t", [], make_table(), as_of=4.0)
         _, age = cache.lookup_entry("t", [])
         assert age == pytest.approx(6.0)
-        assert cache.entry_ages() == [pytest.approx(6.0)]
 
     def test_per_call_staleness_bound_overrides_store_default(self):
         """Regression: a caller with a *looser* per-query staleness bound

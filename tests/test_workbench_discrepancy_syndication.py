@@ -96,7 +96,7 @@ class TestDiscrepancyRules:
         assert len(report) == 3
         assert len(report.errors()) == 2
         assert len(report.fixable()) == 1
-        assert report.by_rule()["missing(name)"] == 1
+        assert [f.rule for f in report.findings].count("missing(name)") == 1
 
     def test_findings_sorted_by_row(self):
         detector = DiscrepancyDetector([DuplicateKeyRule(["sku"]), MissingValueRule("name")])

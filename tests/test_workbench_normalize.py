@@ -72,8 +72,8 @@ class TestUnitNormalizer:
 
     def test_to_canonical(self):
         units = UnitNormalizer()
-        assert units.to_canonical(100.0, "cm") == pytest.approx(1.0)
-        assert units.family_of("oz") == "mass"
+        assert units.convert(100.0, "cm", "m") == pytest.approx(1.0)
+        assert units.convert(1.0, "oz", "g") == pytest.approx(28.349523125)
 
     def test_cross_family_rejected(self):
         with pytest.raises(TransformError):

@@ -72,7 +72,10 @@ class TestTaxonomyProperties:
             taxonomy.assign(codes[index % len(codes)], item)
         for code in codes:
             under = taxonomy.items_under(code)
-            assert taxonomy.assigned_to(code) <= under
+            assert {
+                item for index, item in assignments
+                if codes[index % len(codes)] == code
+            } <= under
             node = taxonomy.node(code)
             for child in node.children:
                 assert taxonomy.items_under(child.code) <= under

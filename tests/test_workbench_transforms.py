@@ -95,14 +95,14 @@ class TestIndividualSteps:
         )
         result = Pipeline("p", [step]).run(raw_table())
         assert result.table.column("label")[0] == "A-1:black ink"
-        assert set(result.lineage.source_columns_of("label")) == {"sku", "item"}
+        assert set(result.lineage.columns["label"].source_columns) == {"sku", "item"}
 
     def test_split_column(self):
         result = Pipeline("p", [SplitColumn("sku", ["family", "number"], "-")]).run(raw_table())
         assert result.table.column("family") == ["A", "A", "A"]
         assert result.table.column("number") == ["1", "2", "3"]
         assert not result.table.schema.has_field("sku")
-        assert result.lineage.source_columns_of("family") == ("sku",)
+        assert result.lineage.columns["family"].source_columns == ("sku",)
 
     def test_split_pads_missing_parts(self):
         table = Table(raw_schema(), [("NODASH", "x", "1", "1")])
@@ -114,7 +114,7 @@ class TestIndividualSteps:
             "p", [MergeColumns(["sku", "item"], "title", joiner=" | ")]
         ).run(raw_table())
         assert result.table.column("title")[0] == "A-1 | black ink"
-        assert set(result.lineage.source_columns_of("title")) == {"sku", "item"}
+        assert set(result.lineage.columns["title"].source_columns) == {"sku", "item"}
 
     def test_filter_rows_updates_row_origins(self):
         result = Pipeline(

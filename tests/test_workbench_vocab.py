@@ -112,7 +112,7 @@ class TestTaxonomy:
         master.assign("27.11", "p-drill")
         assert master.items_under("44.10") == {"p-ink", "p-lead"}
         assert master.items_under("44") == {"p-ink", "p-lead"}
-        assert master.assigned_to("44.10") == set()
+        assert master.items_under("27.11") == {"p-drill"}
 
     def test_assign_validates_code(self):
         with pytest.raises(TaxonomyError):
@@ -198,7 +198,7 @@ class TestMatchSession:
                 session.accept(suggestion.source_code)
             else:
                 session.reject(suggestion.source_code)
-        assert session.is_complete()
+        assert not session.pending()
         assert session.human_decisions == len(
             [s for s in session.suggestions.values() if s.status != "auto"]
         )

@@ -185,7 +185,7 @@ class TestRepartition:
     def test_old_replicas_dropped(self):
         catalog, names = self.build()
         catalog.repartition("t", 1, [[names[3]]])
-        assert not catalog.site(names[0]).hosted_names
+        assert not catalog.site(names[0])._sources
         assert catalog.site(names[3]).hosts("t/f0")
 
     def test_placement_mismatch_rejected(self):
