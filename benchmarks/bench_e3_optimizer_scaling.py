@@ -36,7 +36,7 @@ from repro.federation import (
     FederationCatalog,
 )
 from repro.sim import SimClock
-from repro.sql import build_plan, parse_sql
+from repro.sql import build_plan, parse_sql, resolve
 
 SITE_COUNTS = [4, 16, 64, 256, 512]
 FRAGMENTS = 4
@@ -63,8 +63,7 @@ def build_catalog(site_count: int) -> FederationCatalog:
 
 def plan_for(catalog):
     statement = parse_sql("select sku from catalog where price > 100")
-    fields = catalog.binding_fields({"catalog": "catalog"})
-    return build_plan(statement, fields)
+    return build_plan(resolve(statement, catalog.binding_fields))
 
 
 def test_e3_agoric_flat_centralized_linear(benchmark):
@@ -203,7 +202,7 @@ def test_e3_ablation_bid_sampling(benchmark):
 
     def plan():
         statement = parse_sql("select sku from wide")
-        return build_plan(statement, catalog.binding_fields({"wide": "wide"}))
+        return build_plan(resolve(statement, catalog.binding_fields))
 
     rows = []
     for sample in [None, 8, 3]:

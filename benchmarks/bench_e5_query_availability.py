@@ -41,7 +41,7 @@ from repro.federation import (
 from repro.federation.engine import LIVE_ONLY
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
-from repro.sql.planner import build_plan
+from repro.sql.planner import build_plan, resolve
 
 SITES = [f"s{i}" for i in range(8)]
 FRAGMENTS = 16
@@ -81,11 +81,8 @@ def build(strategy, replication, retry=None, max_concurrent_failures=None):
 
 def plan_query(engine):
     """Plan QUERY through the engine's own rewrite + optimizer machinery."""
-    statement = parse_sql(QUERY)
-    bindings = {statement.table.binding: statement.table.name}
-    binding_fields = engine.catalog.binding_fields(bindings)
-    plan = build_plan(statement, binding_fields)
-    plan = engine._apply_rewrites(plan, bindings, binding_fields, QueryOptions())
+    statement = resolve(parse_sql(QUERY), engine.catalog.binding_fields)
+    plan = engine._apply_rewrites(build_plan(statement), statement, QueryOptions())
     return engine.optimizer.optimize(plan, None, LIVE_ONLY)
 
 

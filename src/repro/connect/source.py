@@ -133,10 +133,6 @@ class ContentSource(abc.ABC):
     def fetch(self, predicates: Sequence[Predicate] = ()) -> FetchResult:
         """Retrieve (a predicate-filtered view of) the source's content."""
 
-    def is_available(self) -> bool:
-        """Whether a fetch right now is expected to succeed."""
-        return True
-
     def estimated_rows(self) -> int:
         """Optimizer statistic: expected row count of an unfiltered fetch."""
         return 1000

@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 from repro.connect.agent import BrowserAgent
 from repro.connect.simweb import WebClient, parse_url
 from repro.connect.source import ContentSource, FetchResult, Predicate, apply_predicates
-from repro.core.errors import SourceUnavailableError, WrapperError
+from repro.core.errors import WrapperError
 from repro.core.records import Table
 from repro.core.schema import DataType, Field, Schema
 from repro.htmlkit import parse_html
@@ -207,12 +207,6 @@ class WebSourceWrapper(ContentSource):
         table = Table(self.schema, rows, validate=False)
         table = apply_predicates(table, predicates)
         return FetchResult(table, cost_seconds=self.client.time_spent - started)
-
-    def is_available(self) -> bool:
-        try:
-            return self.client.web.site(parse_url(self.start_url).host).up
-        except SourceUnavailableError:
-            return False
 
     def estimated_rows(self) -> int:
         return EXPECTED_ROWS

@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.federation.columnar import ColumnBatch, scan_layout
+from repro.federation.columnar import ColumnBatch, scan_names
 from repro.federation.parts import Part, all_current, any_current
 from repro.sim.clock import SimClock
 from repro.sql.ast import Column, render
@@ -231,7 +231,7 @@ class StagePayload:
     ``fields`` order) or ``"groups"`` (partial-aggregate records).  Serving
     rebuilds the consumer-shaped form -- qualified env keys, ``repr(call)``
     state keys -- from this canonical one, so the payload is reusable under
-    any alias or ambiguity set.
+    any alias.
     """
 
     kind: str  # "rows" | "groups"
@@ -267,14 +267,11 @@ def groups_payload(records, binding: str, calls) -> StagePayload:
         states = {
             canonical_by_repr[key]: state for key, state in record.states.items()
         }
-        representative: dict[str, object] = {}
-        for key, value in record.representative.items():
-            if "." in key:
-                qualifier, bare = key.split(".", 1)
-                if qualifier == binding:
-                    representative[bare] = value
-            else:
-                representative.setdefault(key, value)
+        # Every key is ``binding.field``: the scan's own columns.
+        representative = {
+            key.split(".", 1)[1]: value
+            for key, value in record.representative.items()
+        }
         groups.append(
             CanonicalGroup(
                 key=tuple(record.key),
@@ -326,20 +323,20 @@ class Artifact:
 
     # -- consumer-shaped serving (see StagePayload) ------------------------
 
-    def serve_rows(self, binding: str, ambiguous: "set[str]"):
+    def serve_rows(self, binding: str):
         """The stage's rows as one column batch under the consumer's
         binding, or None on kind mismatch (a hash collision guard, not an
         expected path)."""
         payload = self.payload
         if payload.kind != "rows":
             return None
-        names, aliases = scan_layout(binding, payload.fields, ambiguous)
+        names = scan_names(binding, payload.fields)
         columns = [list(column) for column in zip(*payload.rows)]
         if not columns:
             columns = [[] for _ in names]
-        return ColumnBatch(names, columns, aliases, len(payload.rows))
+        return ColumnBatch(names, columns, len(payload.rows))
 
-    def serve_groups(self, binding: str, ambiguous: "set[str]", calls):
+    def serve_groups(self, binding: str, calls):
         """Rebuild fresh PartialGroup records for an aggregate consumer.
 
         Records are rebuilt per serve (the coordinator's final merge
@@ -358,11 +355,10 @@ class Artifact:
                 if canonical not in group.states:
                     return None
                 states[repr(call)] = group.states[canonical]
-            representative: Env = {}
-            for name, value in group.representative.items():
-                representative[f"{binding}.{name}"] = value
-                if name not in ambiguous:
-                    representative[name] = value
+            representative: Env = {
+                f"{binding}.{name}": value
+                for name, value in group.representative.items()
+            }
             records.append(
                 PartialGroup(
                     key=group.key,

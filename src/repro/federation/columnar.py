@@ -108,32 +108,31 @@ COLUMN_HEADER_BYTES = 4
 class ColumnBatch:
     """One fixed-size slice of a scan's rows, stored column-wise.
 
-    ``names`` are the qualified env keys (``binding.field``); ``aliases``
-    maps bare field names to column indexes for fields that are
-    unambiguous across the query's scans (see :func:`scan_layout`).
-    ``count`` is tracked explicitly so a batch projected down to zero
-    columns still knows how many rows it carries.  A scan's ``columns``
-    are the table's resident, shared tuples (see :func:`table_chunks`):
-    operators read them and build new columns, never write into them.
-    ``orders`` are that table's :class:`~repro.core.records.ColumnOrders`,
-    which a batch keeps for as long as its columns are resident ones:
-    through ``project`` and a :func:`select_rows`, which only selects, not
-    through ``take`` / ``slice`` / :func:`concat` or a masked column.
+    ``names`` are the env keys a resolved column reads: ``binding.field``
+    below the projection (see :func:`table_chunks`), the output names above
+    it -- one key per column, since name resolution left no bare name a
+    batch must answer to.  ``count`` is tracked explicitly so a batch
+    projected down to zero columns still knows how many rows it carries.  A
+    scan's ``columns`` are the table's resident, shared tuples (see
+    :func:`table_chunks`): operators read them and build new columns, never
+    write into them.  ``orders`` are that table's
+    :class:`~repro.core.records.ColumnOrders`, which a batch keeps for as
+    long as its columns are resident ones: through ``project`` and a
+    :func:`select_rows`, which only selects, not through ``take`` /
+    ``slice`` / :func:`concat` or a masked column.
     """
 
-    __slots__ = ("names", "columns", "aliases", "count", "orders", "_index")
+    __slots__ = ("names", "columns", "count", "orders", "_index")
 
     def __init__(
         self,
         names: list[str],
         columns: list[list],
-        aliases: dict[str, int],
         count: int | None = None,
         orders: ColumnOrders | None = None,
     ) -> None:
         self.names = names
         self.columns = columns
-        self.aliases = aliases
         self.count = count if count is not None else (len(columns[0]) if columns else 0)
         self.orders = orders
         self._index: dict[str, int] | None = None
@@ -142,12 +141,10 @@ class ColumnBatch:
         return self.count
 
     def index_of(self, key: str) -> int | None:
-        """Column index for a qualified or (unambiguous) bare env key."""
+        """Column index for an env key (``Column.key``)."""
         index = self._index
         if index is None:
-            index = {name: i for i, name in enumerate(self.names)}
-            index.update(self.aliases)
-            self._index = index
+            index = self._index = {name: i for i, name in enumerate(self.names)}
         return index.get(key)
 
     def null_mask(self, column_index: int) -> list[bool]:
@@ -159,7 +156,6 @@ class ColumnBatch:
         return ColumnBatch(
             self.names,
             [[column[i] for i in selection] for column in self.columns],
-            self.aliases,
             len(selection),
         )
 
@@ -168,79 +164,58 @@ class ColumnBatch:
         return ColumnBatch(
             self.names,
             [column[start:stop] for column in self.columns],
-            self.aliases,
             stop - start,
         )
 
-    def narrowing(self, allowed: set[str]) -> tuple[list[int], list[str], dict]:
-        """``(indexes, names, aliases)`` of the columns whose env key is
-        allowed: the same for every batch of this layout."""
+    def narrowing(self, allowed: set[str]) -> tuple[list[int], list[str]]:
+        """``(indexes, names)`` of the columns whose env key is allowed:
+        the same for every batch of this layout."""
         keep = [j for j, name in enumerate(self.names) if name in allowed]
-        remap = {old: new for new, old in enumerate(keep)}
-        aliases = {
-            alias: remap[j]
-            for alias, j in self.aliases.items()
-            if alias in allowed and j in remap
-        }
-        return keep, [self.names[j] for j in keep], aliases
+        return keep, [self.names[j] for j in keep]
 
     def project(self, narrow) -> "ColumnBatch":
         """Column-slice projection onto the ``narrow`` columns
         (:meth:`narrowing`), shared by reference: it copies nothing."""
-        keep, names, aliases = narrow
+        keep, names = narrow
         return ColumnBatch(
-            names, [self.columns[j] for j in keep], aliases, self.count, self.orders
+            names, [self.columns[j] for j in keep], self.count, self.orders
         )
 
     def env_at(self, i: int) -> dict[str, Any]:
-        """One row's env (qualified keys plus unambiguous bare keys)."""
-        env = {name: column[i] for name, column in zip(self.names, self.columns)}
-        for alias, j in self.aliases.items():
-            env[alias] = self.columns[j][i]
-        return env
+        """One row's env."""
+        return {name: column[i] for name, column in zip(self.names, self.columns)}
 
     def to_envs(self, selection: "list[int] | None" = None) -> list[dict[str, Any]]:
         """Per-row env dicts, for expressions that have no column form: of
         the ``selection``'s rows alone when given, in its order."""
         rows = range(self.count) if selection is None else selection
-        keys = list(self.names) + list(self.aliases)
+        keys, cols = self.names, self.columns
         if not keys:
             return [{} for _ in rows]
-        cols = self.columns + [self.columns[j] for j in self.aliases.values()]
         if selection is None:
             return [dict(zip(keys, values)) for values in zip(*cols)]
         return [dict(zip(keys, [col[i] for col in cols])) for i in rows]
 
 
-def scan_layout(
-    binding: str, fields, ambiguous: set[str]
-) -> tuple[list[str], dict[str, int]]:
-    """The ``(names, aliases)`` of one scan's batches: its field names
-    qualified by the binding, and the unambiguous ones bare as well."""
-    names = [f"{binding}.{name}" for name in fields]
-    aliases = {name: i for i, name in enumerate(fields) if name not in ambiguous}
-    return names, aliases
+def scan_names(binding: str, fields) -> list[str]:
+    """One scan's batch names: its field names qualified by the binding."""
+    return [f"{binding}.{name}" for name in fields]
 
 
 def table_chunks(
-    binding: str,
-    table: Table,
-    ambiguous: set[str],
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    binding: str, table: Table, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> list[ColumnBatch]:
     """Wrap one site's scan output table in per-query column-batch headers.
 
     The fixed-size column slices are the table's own resident layout
     (:meth:`~repro.core.records.Table.column_layout`): transposed by the
     first scan of the table, shared by reference with every later one and
-    never mutated.  Only the names and aliases belong to the query.
+    never mutated.  Only the names belong to the query.
     """
-    fields = [field_def.name for field_def in table.schema.fields]
-    names, aliases = scan_layout(binding, fields, ambiguous)
+    names = scan_names(binding, table.schema.field_names)
     chunks, orders = table.column_layout(batch_size)
     return [
-        ColumnBatch(names, list(columns), aliases, count, orders)
-        for count, columns in chunks
+        ColumnBatch(names, list(columns), count, orders) for count, columns in chunks
     ]
 
 
@@ -254,9 +229,7 @@ def concat(batches: "list[ColumnBatch]") -> "ColumnBatch | None":
     for batch in batches[1:]:
         for column, more in zip(columns, batch.columns):
             column.extend(more)
-    return ColumnBatch(
-        first.names, columns, first.aliases, sum(b.count for b in batches)
-    )
+    return ColumnBatch(first.names, columns, sum(b.count for b in batches))
 
 
 # -- filter kernels ------------------------------------------------------------
@@ -362,7 +335,7 @@ def _scan_kernel(expr: Expr, layout: ColumnBatch) -> Kernel | None:
         if expr.op in ("is-null", "is-not-null"):
             if not isinstance(expr.operand, Column):
                 return None
-            idx = layout.index_of(expr.operand.qualified)
+            idx = layout.index_of(expr.operand.key)
             if idx is None:
                 return None
             want_null = expr.op == "is-null"
@@ -386,7 +359,7 @@ def _operand(expr: Expr, layout: ColumnBatch):
     if isinstance(expr, Literal):
         return ("lit", expr.value)
     if isinstance(expr, Column):
-        idx = layout.index_of(expr.qualified)
+        idx = layout.index_of(expr.key)
         if idx is None:
             return None
         return ("col", idx)
@@ -462,7 +435,7 @@ def _lit_col_contains_kernel(lit: Any, idx: int) -> Kernel:
 def _in_list_kernel(expr: InList, layout: ColumnBatch) -> Kernel | None:
     if not isinstance(expr.operand, Column):
         return None
-    idx = layout.index_of(expr.operand.qualified)
+    idx = layout.index_of(expr.operand.key)
     if idx is None:
         return None
     # An empty list (an empty subquery's) is left to the row path: NOT IN
@@ -504,7 +477,7 @@ def _in_list_kernel(expr: InList, layout: ColumnBatch) -> Kernel | None:
 def _between_kernel(expr: Between, layout: ColumnBatch) -> Kernel | None:
     if not isinstance(expr.operand, Column):
         return None
-    idx = layout.index_of(expr.operand.qualified)
+    idx = layout.index_of(expr.operand.key)
     if idx is None:
         return None
     if not (isinstance(expr.low, Literal) and isinstance(expr.high, Literal)):
@@ -530,7 +503,7 @@ def _between_kernel(expr: Between, layout: ColumnBatch) -> Kernel | None:
 def _like_kernel(expr: Like, layout: ColumnBatch) -> Kernel | None:
     if not isinstance(expr.operand, Column):
         return None
-    idx = layout.index_of(expr.operand.qualified)
+    idx = layout.index_of(expr.operand.key)
     if idx is None or not isinstance(expr.pattern, Literal):
         return None
     regex = like_to_regex(expr.pattern.value)
@@ -630,7 +603,6 @@ class EncodedBatch:
     """One ColumnBatch on the wire."""
 
     names: list[str]
-    aliases: dict[str, int]
     count: int
     columns: list[EncodedColumn]
 
@@ -1033,7 +1005,6 @@ def encode_batch(batch: ColumnBatch) -> EncodedBatch:
     """Serialize a batch column-by-column for the wire."""
     return EncodedBatch(
         names=list(batch.names),
-        aliases=dict(batch.aliases),
         count=batch.count,
         columns=[
             encode_column(name, column)
@@ -1047,6 +1018,5 @@ def decode_batch(encoded: EncodedBatch) -> ColumnBatch:
     return ColumnBatch(
         list(encoded.names),
         [decode_column(column) for column in encoded.columns],
-        dict(encoded.aliases),
         encoded.count,
     )

@@ -90,6 +90,7 @@ from repro.sql.planner import (
     ScanNode,
     SortNode,
     build_plan,
+    resolve,
     scans_in,
 )
 from repro.sql.rewrite import (
@@ -98,7 +99,6 @@ from repro.sql.rewrite import (
     RewritePipeline,
     SiteFilterPushdown,
     TextIndexRewrite,
-    TextIndexTarget,
     TopKPushdown,
 )
 from repro.xmlkit.model import XmlElement
@@ -284,10 +284,16 @@ class FederatedEngine:
                 advance_clock=advance_clock,
             )
         return self._run_statement(
-            self._template(sql, parse_sql(sql), options), (), options
+            self._template(sql, self._parse(sql), options), (), options
         )
 
     # -- the statement lifecycle (DESIGN §5g) -------------------------------------
+
+    def _parse(self, sql: str) -> SelectStatement:
+        """Parse ``sql`` and resolve its every name against the catalog:
+        a statement naming a column no binding holds, or one two bindings
+        hold bare, is refused here, before any plan or site work."""
+        return resolve(parse_sql(sql), self.catalog.binding_fields)
 
     def _template(
         self,
@@ -438,13 +444,8 @@ class FederatedEngine:
     def _plan(
         self, statement: SelectStatement, options: QueryOptions
     ) -> tuple[PlanNode, PhysicalPlan]:
-        """Build, rewrite and optimize one (subquery-free) statement."""
-        bindings = {statement.table.binding: statement.table.name}
-        for join in statement.joins:
-            bindings[join.table.binding] = join.table.name
-        binding_fields = self.catalog.binding_fields(bindings)
-        plan = build_plan(statement, binding_fields)
-        plan = self._apply_rewrites(plan, bindings, binding_fields, options)
+        """Build, rewrite and optimize one resolved, subquery-free statement."""
+        plan = self._apply_rewrites(build_plan(statement), statement, options)
         physical = self.optimizer.optimize(
             plan, options.coordinator, options.max_staleness, options.budget
         )
@@ -540,7 +541,7 @@ class FederatedEngine:
         options = QueryOptions(
             max_staleness=max_staleness, coordinator=coordinator, tenant=tenant
         )
-        prepared = self._template(sql, parse_sql(sql), options, plan=True)
+        prepared = self._template(sql, self._parse(sql), options, plan=True)
         prepared.prepare_wall_seconds = time.perf_counter() - wall_start
         self.metrics.counter("queries.prepared").inc()
         return prepared
@@ -685,7 +686,7 @@ class FederatedEngine:
             self._record_operator_metrics(report.operators)
 
     def _apply_rewrites(
-        self, plan: PlanNode, bindings, binding_fields, options: QueryOptions
+        self, plan: PlanNode, statement: SelectStatement, options: QueryOptions
     ) -> PlanNode:
         """The standard rewrite pipeline, applied after pushdown in build_plan.
 
@@ -699,35 +700,28 @@ class FederatedEngine:
         scans (a governed scan ranks its masked values, as they ship).
         """
         passes = []
-        targets = self._text_targets(bindings)
+        targets = self._text_targets(statement)
         if targets:  # no indexed table: the rule could claim nothing
             passes.append(TextIndexRewrite(targets))
-        passes.append(SiteFilterPushdown(binding_fields))
+        passes.append(SiteFilterPushdown())
         if self.governance is not None:
             governance_pass = self.governance.injection_pass(
-                options.tenant, binding_fields
+                options.tenant, statement.scope
             )
             if governance_pass is not None:
                 passes.append(governance_pass)
-        passes.extend(
-            [
-                ProjectionPruning(binding_fields),
-                AggregateSplitting(),
-                TopKPushdown(binding_fields),
-            ]
-        )
+        passes.extend([ProjectionPruning(), AggregateSplitting(), TopKPushdown()])
         return RewritePipeline(passes).run(plan)
 
-    def _text_targets(self, bindings: dict[str, str]) -> dict[str, TextIndexTarget]:
-        """What the text-index rewrite may target: the bindings of tables
-        that have a text index (views-by-name have none)."""
-        targets: dict[str, TextIndexTarget] = {}
-        for binding, table_name in bindings.items():
-            entry = self.catalog.tables.get(table_name)
+    def _text_targets(self, statement: SelectStatement) -> dict[str, str | None]:
+        """What the text-index rewrite may target: binding -> indexed
+        column, for the tables that have a text index (views-by-name have
+        none)."""
+        targets: dict[str, str | None] = {}
+        for ref in (statement.table, *(join.table for join in statement.joins)):
+            entry = self.catalog.tables.get(ref.name)
             if entry is not None and entry.text_index is not None:
-                targets[binding] = TextIndexTarget(
-                    frozenset(entry.schema.field_names), entry.text_column
-                )
+                targets[ref.binding] = entry.text_column
         return targets
 
     def _record_operator_metrics(self, operators) -> None:
@@ -771,7 +765,7 @@ class FederatedEngine:
         if analyze:
             return self.render_analyze(self.query(sql, options=options))
 
-        plan, physical = self._plan(parse_sql(sql), options)
+        plan, physical = self._plan(self._parse(sql), options)
         lines = [
             f"optimizer: {physical.optimizer}  "
             f"coordinator: {physical.coordinator}  "

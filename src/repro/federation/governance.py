@@ -477,9 +477,10 @@ class GovernanceRegistry:
         return self._signatures.get(tenant)
 
     def injection_pass(
-        self, tenant: str | None, binding_fields: dict[str, set[str]]
+        self, tenant: str | None, scope: dict[str, set[str]]
     ) -> GovernanceInjection | None:
-        """The rewrite pass enforcing ``tenant``'s policy, or None."""
+        """The rewrite pass enforcing ``tenant``'s policy over a statement
+        of the resolved ``scope`` (binding -> field names), or None."""
         policy = self.policy_for(tenant)
         if policy is None or not policy.tables:
             return None
@@ -492,7 +493,7 @@ class GovernanceRegistry:
             )
             for table_name, table_policy in policy.tables.items()
         }
-        return GovernanceInjection(rules=rules, binding_fields=binding_fields)
+        return GovernanceInjection(rules=rules, scope=scope)
 
     # -- admission: rate limits and budget gates ----------------------------
 

@@ -360,18 +360,6 @@ def schema_of(catalog: FederationCatalog, assignment: ScanAssignment) -> Schema:
     return catalog.entry(assignment.table_name).schema
 
 
-def ambiguous_fields(catalog: FederationCatalog, plan: PhysicalPlan) -> set[str]:
-    """Field names appearing in more than one scan's schema."""
-    seen: set[str] = set()
-    ambiguous: set[str] = set()
-    for assignment in plan.assignments.values():
-        for name in schema_of(catalog, assignment).field_names:
-            if name in seen:
-                ambiguous.add(name)
-            seen.add(name)
-    return ambiguous
-
-
 class ExecContext:
     """Shared state for one execution of a physical plan."""
 
@@ -388,14 +376,13 @@ class ExecContext:
         # memory, and the semantic cache / artifact store each stage
         # consults (repro.federation.stage).
         self.paths = paths
-        self.catalog = catalog = paths.catalog
+        self.catalog = paths.catalog
         self.health = paths.health  # may be None
         self.plan = plan
         self.report = report
         self.coordinator = plan.coordinator
         self.scan_elapsed = 0.0  # slowest leaf pipeline (scans run in parallel)
         self.coordinator_seconds = 0.0  # serial coordinator work
-        self.ambiguous = ambiguous_fields(catalog, plan)
         # Fault-tolerance state shared by every scan in this execution.
         self.retry = retry
         # The statement's options, read where they bind: ``degraded_ok`` by
@@ -425,10 +412,8 @@ class ExecContext:
         join null-extends with when that side delivered no batch to take
         the layout from."""
         schema = schema_of(self.catalog, self.plan.assignments[binding])
-        names, aliases = columnar.scan_layout(
-            binding, schema.field_names, self.ambiguous
-        )
-        return columnar.ColumnBatch(names, [[] for _ in names], aliases, 0)
+        names = columnar.scan_names(binding, schema.field_names)
+        return columnar.ColumnBatch(names, [[] for _ in names], 0)
 
     def charge_site(self, site_name: str, rows: int) -> float:
         """Enqueue per-row work on a site's backlog; returns work seconds."""
@@ -556,7 +541,8 @@ class PhysicalOperator:
         """Settle accounting once, when the operator closes."""
 
     def output_names(self) -> list[str] | None:
-        """Column names this operator produces (None: derive from env keys)."""
+        """The output column names, where the operator names them: a
+        projection or an aggregation, and the Sort or Limit above one."""
         return None
 
     def stats_tree(self) -> OperatorStats:
@@ -689,7 +675,7 @@ class SiteScan(SiteOperator):
         """
         batches = []
         for site, table, elapsed, fragment in table_batches:
-            chunks = columnar.table_chunks(assignment.binding, table, ctx.ambiguous)
+            chunks = columnar.table_chunks(assignment.binding, table)
             batches.append(
                 SiteBatch(site, [], elapsed, chunks, [None] * len(chunks), fragment)
             )
@@ -711,7 +697,7 @@ class SiteScan(SiteOperator):
         _, query = self.scan.text_filter
         hits = entry.text_index.search(query, limit=entry.estimated_rows() or 1000)
         return InList(
-            Column(entry.key_column, self.scan.binding),
+            Column(entry.key_column, self.scan.binding, self.scan.binding),
             tuple(Literal(doc_id) for doc_id in {hit.doc_id for hit in hits}),
         )
 
@@ -760,7 +746,7 @@ class SiteScan(SiteOperator):
             index = chunk.index_of(f"{self.scan.binding}.{name}")
             if index is not None:
                 columns[index] = [mask_value(style, v) for v in columns[index]]
-        return columnar.ColumnBatch(chunk.names, columns, chunk.aliases, chunk.count)
+        return columnar.ColumnBatch(chunk.names, columns, chunk.count)
 
     def _describe(self, assignment: ScanAssignment) -> str:
         detail = describe_access_path(assignment) + describe_pushdown(self.scan)
@@ -813,8 +799,7 @@ class SiteProject(SiteOperator):
         super().__init__(child)
         self.binding = binding
         self.keep = keep
-        self.allowed = set(keep)  # a bare key exists only when unambiguous
-        self.allowed.update(f"{binding}.{name}" for name in keep)
+        self.allowed = set(columnar.scan_names(binding, keep))
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
@@ -1203,7 +1188,7 @@ def finished_groups(
             results.append(out)
     results.sort(key=lambda out: tuple(repr(v) for v in out.values()))
     columns = [[out[name] for out in results] for name in names]
-    return [columnar.ColumnBatch(names, columns, {}, len(results))]
+    return [columnar.ColumnBatch(names, columns, len(results))]
 
 
 class PartialAggregate(SiteOperator):
@@ -1409,7 +1394,7 @@ def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
         return [rows]
     if not rows:
         return []
-    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], {}, len(rows))]
+    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], len(rows))]
 
 
 # -- coordinator operators -----------------------------------------------------
@@ -1436,7 +1421,7 @@ class _Expressions:
     def column(self, expr: Expr):
         batch = self.batch
         if isinstance(expr, Column):
-            index = batch.index_of(expr.qualified)
+            index = batch.index_of(expr.key)
             if index is not None:
                 return batch.columns[index]
         elif isinstance(expr, Literal):
@@ -1467,15 +1452,11 @@ class Filter(PhysicalOperator):
         if batch is None:
             return None
         self.stats.rows_in += batch.count
-        compiled = self._rows  # (names, aliases, kernel) of the last layout
-        if (
-            compiled is None
-            or compiled[0] != batch.names
-            or compiled[1] != batch.aliases
-        ):
+        compiled = self._rows  # (names, kernel) of the last layout
+        if compiled is None or compiled[0] != batch.names:
             kernel = columnar.compile_predicate(self.condition, batch)
-            compiled = self._rows = (batch.names, batch.aliases, kernel)
-        return columnar.filter_batch(batch, self.condition, compiled[2])
+            compiled = self._rows = (batch.names, kernel)
+        return columnar.filter_batch(batch, self.condition, compiled[1])
 
     def _finish(self, ctx: ExecContext) -> None:
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
@@ -1545,17 +1526,14 @@ class _JoinBase(PhysicalOperator):
 def _side_by_side(
     batches: "list[columnar.ColumnBatch]", count: int = 0
 ) -> "columnar.ColumnBatch":
-    """One batch with the columns of all ``batches`` (``count`` rows each);
-    on a clash of bare names the later batch wins, as merged envs did."""
+    """One batch with the columns of all ``batches`` (``count`` rows each):
+    their bindings differ, so no two of their names do."""
     names: list[str] = []
     columns: list = []
-    aliases: dict[str, int] = {}
     for batch in batches:
-        for alias, index in batch.aliases.items():
-            aliases[alias] = len(names) + index
         names += batch.names
         columns += batch.columns
-    return columnar.ColumnBatch(names, columns, aliases, count)
+    return columnar.ColumnBatch(names, columns, count)
 
 
 def _null_padded(right: "columnar.ColumnBatch", outer: bool):
@@ -1566,7 +1544,6 @@ def _null_padded(right: "columnar.ColumnBatch", outer: bool):
     return columnar.ColumnBatch(
         right.names,
         [[*column, None] for column in right.columns],
-        right.aliases,
         right.count,  # the padding is no row of the input
     )
 
@@ -1623,10 +1600,10 @@ class _Probe:
 class HashJoin(_JoinBase):
     """Build on the right input, stream probes from the left.
 
-    The equality keys are resolved at runtime against the layout of each
-    input's first rows (qualified names may or may not be present
-    depending on the projection); when they do not resolve, the operator
-    degrades to a nested-loop evaluation of the same condition.
+    The equality keys are matched at runtime against the layout of each
+    input's first rows (either side of the condition may name either
+    input); when they do not match, the operator degrades to a
+    nested-loop evaluation of the same condition.
     """
 
     name = "HashJoin"
@@ -1678,7 +1655,7 @@ class HashJoin(_JoinBase):
         the left rows hold the other one."""
         if build is None:
             return None
-        a, b = self.condition.left.qualified, self.condition.right.qualified
+        a, b = self.condition.left.key, self.condition.right.key
         for left_key, right_key in ((a, b), (b, a)):
             index = build.index_of(right_key)
             if first.index_of(left_key) is not None and index is not None:
@@ -1727,7 +1704,6 @@ class Project(PhysicalOperator):
         out = columnar.ColumnBatch(
             self._names,
             [expressions.column(item.expr) for item in self._expanded],
-            {},
             batch.count,
         )
         if not self.distinct:
@@ -1935,7 +1911,7 @@ def expand_items(
             if item.expr.qualifier is not None and item.expr.qualifier != binding:
                 continue
             for field_def in schema_of(catalog, assignment).fields:
-                expanded.append(SelectItem(Column(field_def.name, qualifier=binding)))
+                expanded.append(SelectItem(Column(field_def.name, binding, binding)))
     return expanded
 
 
@@ -2120,31 +2096,12 @@ def top_k_bound(node: PlanNode) -> int | None:
 def envs_to_table(
     root: PhysicalOperator, batches: "list[columnar.ColumnBatch]"
 ) -> Table:
-    """The result table of the batches ``root`` produced.  (Per-row envs
-    are gone; the name stays because the benchmark's trace targets it.)"""
-    batches = [batch for batch in batches if batch.count]
+    """The result table of the batches ``root`` produced: a statement's
+    plan ends in its projection or its aggregation, whose batches hold the
+    output columns under their names.  (Per-row envs are gone; the name
+    stays because the benchmark's trace targets it.)"""
     names = root.output_names()
-    if names is None:
-        # Bare scan/filter/join tree (no projection): emit every bare
-        # (unqualified) name, in the first rows' order.
-        names = []
-        if batches:
-            first = batches[0]
-            names = [k for k in (*first.names, *first.aliases) if "." not in k]
-    whole = columnar.concat(
-        [
-            columnar.ColumnBatch(
-                names,
-                [
-                    [None] * batch.count if index is None else batch.columns[index]
-                    for index in map(batch.index_of, names)
-                ],
-                {},
-                batch.count,
-            )
-            for batch in batches
-        ]
-    )
+    whole = columnar.concat([batch for batch in batches if batch.count])
     columns = whole.columns if whole is not None else [[] for _ in names]
     fields = [
         Field(_safe_name(name), _infer_dtype(column))

@@ -118,7 +118,7 @@ class Stage:
                 f"artifact for {scan.table!r} too stale "
                 f"({age:.1f}s > {max_staleness:.1f}s)"
             )
-        rows = self._served(ctx, artifact)
+        rows = self._served(artifact)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
             # hash-collision guard): never serve garbage -- a planned
@@ -148,13 +148,13 @@ class Stage:
         stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
         return rows
 
-    def _served(self, ctx, artifact):
+    def _served(self, artifact):
         """The artifact's payload as this stage reads it (group records or
         one column batch), None on a mismatch."""
         if self.spec.agg is not None:
             calls = self.spec.agg.split.calls
-            return artifact.serve_groups(self.scan.binding, ctx.ambiguous, calls)
-        return artifact.serve_rows(self.scan.binding, ctx.ambiguous)
+            return artifact.serve_groups(self.scan.binding, calls)
+        return artifact.serve_rows(self.scan.binding)
 
     @staticmethod
     def _stamp(ctx, age: float) -> None:
@@ -180,7 +180,7 @@ class Stage:
 
         if any(read is None for read, _ in slots):
             return slots, note(0)
-        served = self._served(ctx, artifact)
+        served = self._served(artifact)
         if served is None:
             raise QueryError(f"artifact payload mismatch for {self.scan.binding!r}")
         if isinstance(served, columnar.ColumnBatch):

@@ -13,7 +13,9 @@ similarity function and ``MATCH(column, 'query')`` full-text predicate
 backed by :mod:`repro.ir`.
 
 The output of :func:`~repro.sql.parser.parse_sql` is an AST;
-:func:`~repro.sql.planner.build_plan` turns it into a logical operator tree
+:func:`~repro.sql.planner.resolve` binds each of its columns to the table
+binding that holds it, and :func:`~repro.sql.planner.build_plan` turns the
+resolved statement into a logical operator tree
 whose leaves are table scans with pushable predicates -- the unit the
 federated optimizers place onto sites.
 """
@@ -48,6 +50,7 @@ from repro.sql.planner import (
     ScanNode,
     SortNode,
     build_plan,
+    resolve,
 )
 from repro.sql.rewrite import (
     AggregateSplitting,
@@ -57,7 +60,6 @@ from repro.sql.rewrite import (
     RewritePipeline,
     SiteFilterPushdown,
     TextIndexRewrite,
-    TextIndexTarget,
     TopKPushdown,
 )
 
@@ -91,6 +93,7 @@ __all__ = [
     "ScanNode",
     "SortNode",
     "build_plan",
+    "resolve",
     "AggregateSplitting",
     "PredicatePushdown",
     "ProjectionPruning",
@@ -98,6 +101,5 @@ __all__ = [
     "RewritePipeline",
     "SiteFilterPushdown",
     "TextIndexRewrite",
-    "TextIndexTarget",
     "TopKPushdown",
 ]

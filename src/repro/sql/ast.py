@@ -32,11 +32,22 @@ class Parameter:
 @dataclass(frozen=True)
 class Column:
     name: str
-    qualifier: str | None = None  # table alias
+    qualifier: str | None = None  # table alias, as written
+    # The scan binding the name resolved to (``repro.sql.planner.resolve``),
+    # outside equality and repr: resolving changes what a column reads,
+    # never how it prints, keys an aggregate state or digests a stage.
+    binding: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def qualified(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
+
+    @property
+    def key(self) -> str:
+        """The env / batch key this column reads: ``binding.name`` once
+        resolved (a scan's columns are keyed so), else as written."""
+        owner = self.binding or self.qualifier
+        return f"{owner}.{self.name}" if owner else self.name
 
 
 @dataclass(frozen=True)
@@ -308,3 +319,8 @@ class SelectStatement:
     # ``IN (SELECT ...)`` sits in its own scope.
     parameter_count: int = field(default=0, compare=False, repr=False)
     has_subqueries: bool = field(default=False, compare=False, repr=False)
+    # Stamped by ``repro.sql.planner.resolve``: each FROM binding's field
+    # names; ``None`` until the statement's names are resolved.
+    scope: "dict[str, set[str]] | None" = field(
+        default=None, compare=False, repr=False
+    )

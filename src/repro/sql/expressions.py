@@ -1,12 +1,13 @@
 """Expression evaluation over row environments.
 
-An *environment* maps column names (both bare ``price`` and qualified
-``h.price``) to values.  NULL follows SQL's three-valued logic, with
-``None`` as unknown: a comparison with a NULL side is unknown (the one
-table of comparisons is :data:`repro.core.values.COMPARISONS`), and so are
-IN, BETWEEN and LIKE of a NULL operand; AND, OR and NOT are Kleene's;
-arithmetic with None yields None, and ``IS NULL`` works as expected.  A
-filter keeps a row only where its condition is true.
+An *environment* maps column keys to values: a resolved column reads
+``binding.name`` (``h.price``), an output column its bare name.  NULL
+follows SQL's three-valued logic, with ``None`` as unknown: a comparison
+with a NULL side is unknown (the one table of comparisons is
+:data:`repro.core.values.COMPARISONS`), and so are IN, BETWEEN and LIKE of
+a NULL operand; AND, OR and NOT are Kleene's; arithmetic with None yields
+None, and ``IS NULL`` works as expected.  A filter keeps a row only where
+its condition is true.
 
 Scalar functions include the object-relational extensions of §4:
 ``fuzzy(a, b)`` returns :func:`repro.ir.fuzzy.combined_similarity` and
@@ -88,11 +89,9 @@ def evaluate(expr: Expr, env: Env) -> Any:
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Column):
-        key = expr.qualified
+        key = expr.key
         if key in env:
             return env[key]
-        if expr.qualifier is None and expr.name in env:
-            return env[expr.name]
         raise QueryError(f"unknown column {key!r}")
     if isinstance(expr, Star):
         raise QueryError("'*' is only valid in a SELECT list")

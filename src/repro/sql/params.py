@@ -57,7 +57,8 @@ def bind_statement(
 
     Used where an execution plans (statements with subqueries, whose
     inner selects materialize data-dependent IN lists).  The copy keeps the
-    parser's subquery stamp and carries no placeholder.
+    parser's subquery stamp and the resolved scope, and carries no
+    placeholder.
     """
     return SelectStatement(
         items=[
@@ -81,6 +82,7 @@ def bind_statement(
         limit=bind_expr(statement.limit, values),
         distinct=statement.distinct,
         has_subqueries=statement.has_subqueries,
+        scope=statement.scope,
     )
 
 

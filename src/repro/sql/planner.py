@@ -6,15 +6,19 @@ reproduction happens *below* the logical plan: the federated optimizers in
 :mod:`repro.federation` decide which site executes each scan (and at what
 price), and the logical tree is what they bid on.
 
+Names are resolved once, before any plan exists: :func:`resolve` maps every
+column of a parsed statement to the scan binding that holds it, or refuses
+the statement, and every consumer below reads ``Column.binding``.
+
 Pushdown: the WHERE clause is split into conjuncts; any conjunct of the form
-``column op literal`` whose column binds to exactly one scan becomes a
-:class:`~repro.connect.source.Predicate` attached to that scan, so sources
-(live sources, scraped sites, fragments) filter locally.  Everything else
-stays in a residual :class:`FilterNode`.  The pushdown itself is a rewrite
-pass (:class:`repro.sql.rewrite.PredicatePushdown`); :func:`build_plan`
-applies it when given binding fields, and the engine layers further passes
-(text-index access, site-local filters, projection pruning, aggregate
-splitting) on top -- see :mod:`repro.sql.rewrite`.
+``column op literal`` becomes a :class:`~repro.connect.source.Predicate`
+attached to its column's scan, so sources (live sources, scraped sites,
+fragments) filter locally.  Everything else stays in a residual
+:class:`FilterNode`.  The pushdown itself is a rewrite pass
+(:class:`repro.sql.rewrite.PredicatePushdown`) that :func:`build_plan`
+applies, and the engine layers further passes (text-index access,
+site-local filters, projection pruning, aggregate splitting) on top -- see
+:mod:`repro.sql.rewrite`.
 
 Scan nodes carry the physical-placement annotations those passes write:
 ``site_filters`` (residual conjuncts evaluable at the owning site),
@@ -26,7 +30,7 @@ computed as site-local partials merged at the coordinator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.connect.source import Predicate
@@ -36,6 +40,8 @@ from repro.sql.ast import (
     Column,
     Expr,
     FuncCall,
+    InSubquery,
+    JoinClause,
     Literal,
     OrderItem,
     Parameter,
@@ -43,7 +49,10 @@ from repro.sql.ast import (
     SelectStatement,
     Star,
     aggregate_calls,
+    columns_in,
     contains_aggregate,
+    rebuild,
+    render,
 )
 
 _PUSHABLE_OPS = {"=", "!=", "<", "<=", ">", ">="}
@@ -386,32 +395,144 @@ def _as_pushable(expr: Expr) -> tuple[Column, str, Any] | None:
     return None
 
 
-def _binding_of_column(
-    column: Column,
-    binding_fields: dict[str, set[str]],
-) -> str | None:
-    """Which scan binding does ``column`` belong to, if unambiguous?"""
-    if column.qualifier is not None:
-        return column.qualifier if column.qualifier in binding_fields else None
-    owners = [b for b, fields in binding_fields.items() if column.name in fields]
-    return owners[0] if len(owners) == 1 else None
+def owner(expr: Expr) -> str | None:
+    """The one binding every column of ``expr`` resolved to; None when it
+    reads no column, or columns of several bindings or of none."""
+    bindings = {column.binding for column in columns_in(expr)}
+    return bindings.pop() if len(bindings) == 1 else None
 
 
-def build_plan(
+# -- name resolution -----------------------------------------------------------
+
+
+def resolve(
     statement: SelectStatement,
-    binding_fields: dict[str, set[str]] | None = None,
-) -> PlanNode:
-    """Build the logical plan for ``statement``.
+    binding_fields: Callable[[dict[str, str]], dict[str, set[str]]],
+) -> SelectStatement:
+    """``statement`` with every column resolved to the binding that holds
+    it: the one place a name is looked up.
 
-    ``binding_fields`` maps each table binding (alias) to its field names;
-    when provided, single-table comparison conjuncts are pushed into their
-    scan.  Without it every predicate stays in the residual filter (still
-    correct, just less pushdown).
+    ``binding_fields`` maps a FROM clause's bindings (alias -> table) to
+    their field names -- :meth:`FederationCatalog.binding_fields`.  Select
+    items, WHERE, GROUP BY and HAVING read the whole FROM clause, a JOIN's
+    ON the bindings joined so far (the rows it is evaluated on); ORDER BY
+    reads the select aliases first, and above an aggregate nothing but its
+    output columns; each ``IN (SELECT ...)`` is resolved in its own scope.
+    An unknown name, an unknown qualifier or a bare name two bindings hold
+    raises :class:`QueryError` naming the column and the bindings searched.
+    The copy carries its scope (binding -> field names) as ``scope``.
     """
-    bindings = [statement.table.binding] + [j.table.binding for j in statement.joins]
-    if len(set(bindings)) != len(bindings):
-        raise QueryError(f"duplicate table binding in query: {bindings!r}")
+    tables = [statement.table, *(join.table for join in statement.joins)]
+    bindings = {table.binding: table.name for table in tables}
+    if len(bindings) != len(tables):
+        raise QueryError(
+            f"duplicate table binding in query: {[t.binding for t in tables]!r}"
+        )
+    scope = binding_fields(bindings)
+    joined = {statement.table.binding: scope[statement.table.binding]}
+    joins = []
+    for join in statement.joins:
+        joined[join.table.binding] = scope[join.table.binding]
+        condition = _resolved(join.condition, joined, binding_fields)
+        joins.append(JoinClause(join.table, condition, join.join_type))
+    items = [
+        SelectItem(_resolved(item.expr, scope, binding_fields), item.alias)
+        for item in statement.items
+    ]
+    group_by = [_resolved(g, scope, binding_fields) for g in statement.group_by]
+    if not statement.order_by:
+        order_by = []
+    elif group_by or any(contains_aggregate(item.expr) for item in items):
+        order_by = _rewrite_aggregate_order(items, statement.order_by)
+    else:
+        # An alias names its (resolved) item; any other key reads the FROM
+        # clause, as the Sort below the projection does.
+        aliases = {item.alias: item.expr for item in items if item.alias is not None}
+        order_by = []
+        for order in statement.order_by:
+            expr = order.expr
+            named = isinstance(expr, Column) and expr.qualifier is None
+            if named and expr.name in aliases:
+                expr = aliases[expr.name]
+            else:
+                expr = _resolved(expr, scope, binding_fields)
+            order_by.append(OrderItem(expr, order.descending))
+    return replace(
+        statement,
+        items=items,
+        joins=joins,
+        where=_resolved(statement.where, scope, binding_fields),
+        group_by=group_by,
+        having=_resolved(statement.having, scope, binding_fields),
+        order_by=order_by,
+        scope=scope,
+    )
 
+
+def _resolved(expr: Expr | None, scope: dict[str, set[str]], binding_fields):
+    """A copy of ``expr`` with each column's binding set (see :func:`resolve`)."""
+    if isinstance(expr, Column):
+        return Column(expr.name, expr.qualifier, _owner(expr, scope))
+    if expr is None or isinstance(expr, (Literal, Parameter)):
+        return expr
+    if isinstance(expr, Star):
+        if expr.qualifier is not None and expr.qualifier not in scope:
+            raise QueryError(
+                f"unknown table binding {expr.qualifier!r} in "
+                f"'{expr.qualifier}.*' (searched {', '.join(scope)})"
+            )
+        return expr
+    if isinstance(expr, InSubquery):
+        return InSubquery(
+            _resolved(expr.operand, scope, binding_fields),
+            resolve(expr.subquery, binding_fields),
+            expr.negated,
+        )
+    return rebuild(expr, _resolved, scope, binding_fields)
+
+
+def _owner(column: Column, scope: dict[str, set[str]]) -> str:
+    """The binding in ``scope`` that holds ``column``, or a QueryError."""
+    if column.qualifier is not None:
+        fields = scope.get(column.qualifier)
+        if fields is not None and column.name in fields:
+            return column.qualifier
+        why = f": no table binding {column.qualifier!r}" if fields is None else ""
+        raise QueryError(
+            f"unknown column {column.qualified!r}{why} "
+            f"(searched {', '.join(scope)})"
+        )
+    owners = [binding for binding, fields in scope.items() if column.name in fields]
+    if len(owners) == 1:
+        return owners[0]
+    if owners:
+        raise QueryError(
+            f"ambiguous column {column.name!r}: held by {' and '.join(owners)} "
+            f"(searched {', '.join(scope)})"
+        )
+    raise QueryError(
+        f"unknown column {column.name!r} (searched {', '.join(scope)})"
+    )
+
+
+def _output_column(expr: Expr, names: list[str]) -> Expr:
+    """An ORDER BY key above an aggregate, whose columns can only be the
+    aggregate's output columns ``names``."""
+    if isinstance(expr, Column):
+        if expr.qualifier is None and expr.name in names:
+            return expr
+        raise QueryError(
+            f"unknown column {expr.qualified!r} (searched the aggregate's "
+            f"output: {', '.join(names)})"
+        )
+    return rebuild(expr, _output_column, names)
+
+
+def build_plan(statement: SelectStatement) -> PlanNode:
+    """Build the logical plan for a :func:`resolve`-d ``statement``:
+    single-table comparison conjuncts are pushed into their scan (an
+    unresolved statement's columns name no scan, so none is).
+    """
     scans: dict[str, ScanNode] = {
         statement.table.binding: ScanNode(statement.table.name, statement.table.binding)
     }
@@ -425,13 +546,11 @@ def build_plan(
         )
 
     if statement.where is not None:
-        plan = FilterNode(plan, statement.where)
-    if binding_fields is not None:
         # Predicate splitting is a composable rewrite pass; build_plan
-        # applies it so callers with schema knowledge always get pushdown.
+        # applies it so every plan gets pushdown.
         from repro.sql.rewrite import PredicatePushdown
 
-        plan = PredicatePushdown(binding_fields).run(plan)
+        plan = PredicatePushdown().run(FilterNode(plan, statement.where))
 
     has_aggregates = bool(statement.group_by) or any(
         contains_aggregate(item.expr) for item in statement.items
@@ -440,35 +559,21 @@ def build_plan(
         _validate_aggregate_items(statement)
         plan = AggregateNode(plan, statement.group_by, statement.items, statement.having)
         if statement.order_by:
-            # Post-aggregation, only output columns exist: rewrite each order
-            # key that textually matches a select item into its output name.
-            plan = SortNode(plan, _rewrite_aggregate_order(statement))
+            # Post-aggregation, only output columns exist: resolve rewrote
+            # each order key into them.
+            plan = SortNode(plan, statement.order_by)
     else:
         if statement.having is not None:
             raise QueryError("HAVING requires GROUP BY or aggregates")
         if statement.order_by:
             # Sort *below* the projection so order keys may reference any
-            # underlying column; alias references resolve to their item expr.
-            plan = SortNode(plan, _resolve_order_aliases(statement))
+            # underlying column; resolve put an alias's item expr in its place.
+            plan = SortNode(plan, statement.order_by)
         plan = ProjectNode(plan, statement.items, statement.distinct)
 
     if statement.limit is not None:
         plan = LimitNode(plan, statement.limit)
     return plan
-
-
-def _resolve_order_aliases(statement: SelectStatement) -> list[OrderItem]:
-    """Replace ORDER BY references to select aliases with their expressions."""
-    alias_map = {
-        item.alias: item.expr for item in statement.items if item.alias is not None
-    }
-    resolved = []
-    for order in statement.order_by:
-        expr = order.expr
-        if isinstance(expr, Column) and expr.qualifier is None and expr.name in alias_map:
-            expr = alias_map[expr.name]
-        resolved.append(OrderItem(expr, order.descending))
-    return resolved
 
 
 def item_names(items: list[SelectItem]) -> list[str]:
@@ -489,14 +594,17 @@ def item_names(items: list[SelectItem]) -> list[str]:
     return names
 
 
-def _rewrite_aggregate_order(statement: SelectStatement) -> list[OrderItem]:
+def _rewrite_aggregate_order(
+    items: list[SelectItem], order_by: list[OrderItem]
+) -> list[OrderItem]:
     """Map ORDER BY keys onto the aggregate's output column names: a key
-    naming an alias, or spelled like a select item, reads that item."""
-    names = item_names(statement.items)
+    naming an alias, or spelled like a select item, reads that item; any
+    other key may read output columns alone."""
+    names = item_names(items)
     rewritten = []
-    for order in statement.order_by:
+    for order in order_by:
         expr = order.expr
-        for name, item in zip(names, statement.items):
+        for name, item in zip(names, items):
             if (
                 item.alias is not None
                 and isinstance(expr, Column)
@@ -504,6 +612,8 @@ def _rewrite_aggregate_order(statement: SelectStatement) -> list[OrderItem]:
             ) or repr(item.expr) == repr(expr):
                 expr = Column(name)
                 break
+        else:
+            expr = _output_column(expr, names)
         rewritten.append(OrderItem(expr, order.descending))
     return rewritten
 
@@ -523,7 +633,7 @@ def _validate_aggregate_items(statement: SelectStatement) -> None:
         ):
             continue
         raise QueryError(
-            f"select item {item.expr!r} is neither aggregated nor grouped"
+            f"select item {render(item.expr)} is neither aggregated nor grouped"
         )
 
 

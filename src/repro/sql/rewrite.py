@@ -25,8 +25,10 @@ testable in isolation, and extensible:
 
 The first three are *claim rules* under the one conjunct-placement loop,
 :class:`ConjunctPlacement`, which is also the one home of the outer-join
-guard.  Passes mutate scan annotations in place and may restructure
-filters; they never change query answers (sqlite3 referees that in
+guard.  Every pass reads a column's scan from ``Column.binding``, which
+:func:`repro.sql.planner.resolve` set before the plan was built.  Passes
+mutate scan annotations in place and may restructure filters; they never
+change query answers (sqlite3 referees that in
 ``tests/test_against_sqlite.py``).
 """
 
@@ -62,8 +64,8 @@ from repro.sql.planner import (
     ScanTopK,
     SortNode,
     _as_pushable,
-    _binding_of_column,
     conjoin,
+    owner,
     scans_in,
     split_conjuncts,
     walk,
@@ -148,40 +150,30 @@ class PredicatePushdown(ConjunctPlacement):
 
     name = "predicate-pushdown"
 
-    def __init__(self, binding_fields: dict[str, set[str]]) -> None:
-        self.binding_fields = binding_fields
-
     def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
         pushable = _as_pushable(conjunct)
         if pushable is None:
             return False
         column, op, value = pushable
-        scan = scans.get(_binding_of_column(column, self.binding_fields))
+        scan = scans.get(column.binding)
         if scan is None:
             return False
         scan.pushdown.append(Predicate(column.name, op, value))
         return True
 
 
-@dataclass(frozen=True)
-class TextIndexTarget:
-    """What :class:`TextIndexRewrite` needs to know about one binding."""
-
-    fields: frozenset[str]
-    text_column: str | None = None  # indexed column, None when unindexed
-
-
 class TextIndexRewrite(ConjunctPlacement):
     """Turn ``MATCH(col, 'q')`` conjuncts into text-index access paths.
 
-    A conjunct is rewritten only when it resolves to exactly one binding
-    whose table has a text index on that column; otherwise it stays a
-    row-wise predicate (the scalar ``match`` fallback keeps answers correct).
+    A conjunct is rewritten only when its column's binding reads a table
+    with a text index on that column (``targets``: binding -> indexed
+    column); otherwise it stays a row-wise predicate (the scalar ``match``
+    fallback keeps answers correct).
     """
 
     name = "text-index"
 
-    def __init__(self, targets: dict[str, TextIndexTarget]) -> None:
+    def __init__(self, targets: dict[str, str | None]) -> None:
         self.targets = targets
 
     def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
@@ -194,17 +186,9 @@ class TextIndexRewrite(ConjunctPlacement):
         ):
             return False
         column, query = conjunct.args
-        candidates = [
-            binding
-            for binding, target in self.targets.items()
-            if column.qualifier in (None, binding)
-            and column.name in target.fields
-            and target.text_column == column.name
-        ]
-        # Ambiguous or unindexed: leave as a row-wise predicate.
-        scan = scans.get(candidates[0]) if len(candidates) == 1 else None
-        if scan is None:
-            return False
+        scan = scans.get(column.binding)
+        if scan is None or self.targets.get(scan.binding) != column.name:
+            return False  # unindexed: leave as a row-wise predicate
         scan.text_filter = (column.name, str(query.value))
         return True
 
@@ -221,41 +205,22 @@ class SiteFilterPushdown(ConjunctPlacement):
 
     name = "site-filter"
 
-    def __init__(self, binding_fields: dict[str, set[str]]) -> None:
-        self.binding_fields = binding_fields
-
     def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
         # A constant predicate has no binding: it stays at the coordinator.
-        scan = scans.get(sole_binding(conjunct, self.binding_fields))
+        scan = scans.get(owner(conjunct))
         if scan is None:
             return False
         scan.site_filters.append(conjunct)
         return True
 
 
-def sole_binding(expr: Expr, binding_fields: dict[str, set[str]]) -> str | None:
-    """The one binding every column of ``expr`` belongs to; None when it
-    reads none, several, or an ambiguous bare name."""
-    bindings = {
-        _binding_of_column(column, binding_fields) for column in columns_in(expr)
-    }
-    if len(bindings) == 1 and None not in bindings:
-        return next(iter(bindings))
-    return None
-
-
 class ProjectionPruning(RewritePass):
-    """Record, per scan, the only columns any later operator reads.
-
-    Conservative on unqualified names: an ambiguous column counts as needed
-    by every binding whose schema has it.  ``SELECT *`` (optionally
-    qualified) keeps the matching bindings whole.
+    """Record, per scan, the only columns any later operator reads: each
+    column counts for the binding it resolved to, and ``SELECT *``
+    (optionally qualified) keeps the matching bindings whole.
     """
 
     name = "projection-pruning"
-
-    def __init__(self, binding_fields: dict[str, set[str]]) -> None:
-        self.binding_fields = binding_fields
 
     def run(self, plan: PlanNode) -> PlanNode:
         nodes = walk(plan)
@@ -267,20 +232,12 @@ class ProjectionPruning(RewritePass):
                 if isinstance(expr, Star):
                     full.update(needed if expr.qualifier is None else [expr.qualifier])
                 for column in columns_in(expr):
-                    self._note(column, needed)
+                    if column.binding in needed:  # not an output column
+                        needed[column.binding].add(column.name)
         for scan in scans:
             if scan.binding not in full:
                 scan.needed_columns = needed[scan.binding]
         return plan
-
-    def _note(self, column: Column, needed: dict[str, set[str]]) -> None:
-        if column.qualifier is not None:
-            if column.qualifier in needed:
-                needed[column.qualifier].add(column.name)
-            return
-        for binding, fields in self.binding_fields.items():
-            if binding in needed and column.name in fields:
-                needed[binding].add(column.name)
 
 
 class AggregateSplitting(RewritePass):
@@ -317,9 +274,6 @@ class TopKPushdown(RewritePass):
 
     name = "top-k"
 
-    def __init__(self, binding_fields: dict[str, set[str]]) -> None:
-        self.binding_fields = binding_fields
-
     def run(self, plan: PlanNode) -> PlanNode:
         if not isinstance(plan, LimitNode):
             return plan
@@ -328,7 +282,7 @@ class TopKPushdown(RewritePass):
         if sort is None or (isinstance(limit, Literal) and limit.value == 0):
             return plan
         first = sort.order_by[0]
-        binding = sole_binding(first.expr, self.binding_fields)
+        binding = owner(first.expr)
         node = sort.child
         while not isinstance(node, ScanNode):
             node = next(
@@ -407,7 +361,8 @@ class GovernanceInjection(RewritePass):
     name = "governance"
 
     rules: dict[str, GovernanceRule] = field(default_factory=dict)
-    binding_fields: dict[str, set[str]] = field(default_factory=dict)
+    # The resolved statement's scope: each binding's field names.
+    scope: dict[str, set[str]] = field(default_factory=dict)
 
     def run(self, plan: PlanNode) -> PlanNode:
         for scan in scans_in(plan):
@@ -418,7 +373,7 @@ class GovernanceInjection(RewritePass):
         return plan
 
     def _govern(self, scan: ScanNode, rule: GovernanceRule) -> None:
-        fields = self.binding_fields.get(scan.binding, set())
+        fields = self.scope.get(scan.binding, set())
         masks: dict[str, str] = {}
         for column_name, style in rule.masks:
             if column_name not in fields:
@@ -458,7 +413,7 @@ class GovernanceInjection(RewritePass):
                 scan.site_filters.append(
                     BinaryOp(
                         predicate.op,
-                        Column(predicate.column, qualifier=scan.binding),
+                        Column(predicate.column, scan.binding, scan.binding),
                         Literal(predicate.value),
                     )
                 )
@@ -476,7 +431,7 @@ class GovernanceInjection(RewritePass):
         scan.site_filters.append(
             FuncCall(
                 "match",
-                (Column(column_name, qualifier=scan.binding), Literal(query_text)),
+                (Column(column_name, scan.binding, scan.binding), Literal(query_text)),
             )
         )
 
@@ -501,7 +456,7 @@ def _qualify_policy_expr(
                 f"governance policy for tenant {rule.tenant!r} filters "
                 f"unknown column {expr.name!r} of table {rule.table!r}"
             )
-        return Column(expr.name, qualifier=binding)
+        return Column(expr.name, binding, binding)
     if isinstance(expr, (Parameter, Star, InSubquery)):
         raise QueryError(
             f"governance policy for tenant {rule.tenant!r} on table "

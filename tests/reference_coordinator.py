@@ -79,7 +79,7 @@ def null_env(ctx: ExecContext, binding: str) -> Env:
     if assignment is None:
         return {}
     schema = schema_of(ctx.catalog, assignment)
-    return row_env(binding, schema, (None,) * len(schema), ctx.ambiguous)
+    return row_env(binding, schema, (None,) * len(schema))
 
 
 # -- verbatim from repro/federation/physical.py @ 3e6200c ----------------------
@@ -306,7 +306,7 @@ def equality_keys(
         return None
     if left_env is None or right_env is None:
         return None
-    a, b = condition.left.qualified, condition.right.qualified
+    a, b = condition.left.key, condition.right.key
     if a in left_env and b in right_env:
         return a, b
     if b in left_env and a in right_env:
@@ -581,7 +581,7 @@ class Batches(physical.PhysicalOperator):
         # them by name, as ``env.get(name)`` did.
         names = list(envs[0])
         return columnar.ColumnBatch(
-            names, [[env.get(name) for env in envs] for name in names], {}, len(envs)
+            names, [[env.get(name) for env in envs] for name in names], len(envs)
         )
 
     def close(self, settle: bool = True) -> None:

@@ -75,15 +75,11 @@ def envs_batch(envs: "list[dict[str, Any]]") -> columnar.ColumnBatch:
     """Transpose row envs that share their keys into one batch.
 
     The only env-to-batch adapter: ``Ship`` applies it to what the legacy
-    row-at-a-time site engine hands over.  A bare key becomes an alias of
-    the one qualified column it abbreviates.
+    row-at-a-time site engine hands over.
     """
-    keys = list(envs[0])
-    names = [key for key in keys if "." in key]
-    column_of = {name.split(".", 1)[1]: i for i, name in enumerate(names)}
-    aliases = {key: column_of[key] for key in keys if "." not in key}
+    names = list(envs[0])
     return columnar.ColumnBatch(
-        names, [[env[name] for env in envs] for name in names], aliases, len(envs)
+        names, [[env[name] for env in envs] for name in names], len(envs)
     )
 
 
@@ -94,7 +90,7 @@ def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
         return []
     if isinstance(rows[0], dict):
         return [envs_batch(rows)]
-    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], {}, len(rows))]
+    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], len(rows))]
 
 
 def transfer_seconds(network, site_a: str, site_b: str, rows: int) -> float:
@@ -104,15 +100,11 @@ def transfer_seconds(network, site_a: str, site_b: str, rows: int) -> float:
     return network.latency(site_a, site_b) + rows * SECONDS_PER_ROW
 
 
-def row_env(
-    binding: str, schema: Schema, values: tuple, ambiguous: set[str]
-) -> Env:
-    env: Env = {}
-    for field_def, value in zip(schema.fields, values):
-        env[f"{binding}.{field_def.name}"] = value
-        if field_def.name not in ambiguous:
-            env[field_def.name] = value
-    return env
+def row_env(binding: str, schema: Schema, values: tuple) -> Env:
+    return {
+        f"{binding}.{field_def.name}": value
+        for field_def, value in zip(schema.fields, values)
+    }
 
 
 def apply_masks(table: Table, masks: dict[str, str]) -> Table:
@@ -145,7 +137,7 @@ class SiteScan(physical.SiteScan):
             SiteBatch(
                 site,
                 [
-                    row_env(assignment.binding, table.schema, values, ctx.ambiguous)
+                    row_env(assignment.binding, table.schema, values)
                     for values in table.rows
                 ],
                 elapsed,
@@ -192,10 +184,7 @@ class SiteScan(physical.SiteScan):
                     for values in table.rows
                     if evaluate(
                         residual,
-                        row_env(
-                            self.scan.binding, table.schema, values,
-                            ctx.ambiguous,
-                        ),
+                        row_env(self.scan.binding, table.schema, values),
                     )
                 ]
                 ctx.report.rows_filtered_by_rls += len(table.rows) - len(kept)
@@ -231,10 +220,7 @@ class SiteFilter(physical.SiteFilter):
 
 class SiteProject(physical.SiteProject):
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        allowed = set()
-        for name in self.keep:
-            allowed.add(f"{self.binding}.{name}")
-            allowed.add(name)  # bare key exists only when unambiguous
+        allowed = {f"{self.binding}.{name}" for name in self.keep}
         out = []
         for batch in self.children[0].batches():
             self.stats.rows_in += batch.row_count()

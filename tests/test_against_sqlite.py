@@ -32,6 +32,7 @@ no aggregate is DISTINCT, and the sides of a comparison are both numbers,
 both strings or both booleans.
 """
 
+import sqlite3
 from typing import NamedTuple
 
 import pytest
@@ -41,8 +42,8 @@ from hypothesis import strategies as st
 from benchmarks.e2e.oracle import rows_match
 from repro.connect.source import StaticSource
 from repro.core import DataType, Field, Table
-from repro.core.errors import PartialFailureError
-from repro.federation import Gateway, ReoptPolicy, WorkloadManager
+from repro.core.errors import PartialFailureError, QueryError
+from repro.federation import Gateway, ReoptPolicy, WorkloadManager, dbapi
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop
@@ -381,10 +382,8 @@ def write(engine, fragments, change):
     catalog.notify_table_updated("t", None if change.whole else fragment.fragment_id)
 
 
-def answers(switches, statements, change=None):
-    """Yield (statement, run, result): each statement three times, in turn,
-    on one engine; with a ``change``, then :func:`write` and each statement
-    three times more (runs 3 to 5)."""
+def engine_for(switches):
+    """The federation the switches build, and the tenant that asks."""
     governance, tenant = None, None
     if switches.policy is not None:
         row_filter, mask = switches.policy
@@ -400,6 +399,14 @@ def answers(switches, statements, change=None):
         governance=governance,
         reopt=ReoptPolicy() if switches.reopt else None,
     )
+    return engine, tenant
+
+
+def answers(switches, statements, change=None):
+    """Yield (statement, run, result): each statement three times, in turn,
+    on one engine; with a ``change``, then :func:`write` and each statement
+    three times more (runs 3 to 5)."""
+    engine, tenant = engine_for(switches)
     if switches.entry == "gateway":
         manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
         session = Gateway(manager).connect(tenant=tenant or "default")
@@ -531,6 +538,128 @@ def test_a_statement_after_a_write_answers_what_sqlite_answers(
         assert_answers(statement, run, result, wants[statement][run >= 3])
         if change.live_only:
             assert serves_no_part(result), run
+
+
+# -- names: unknown and ambiguous -------------------------------------------------
+# A statement with one name put in one slot of it.  The name is refused by
+# sqlite3 when it prepares the text (no such column, ambiguous column name),
+# or it is a column of the statement's scope: the engine must refuse exactly
+# the former, with a QueryError that names it, before any row is read --
+# under every switch, through every entry (a DB-API cursor the fourth), and
+# whatever the zone maps prune: ``k >= c`` keeps every fragment of ``t`` at
+# c = 0 and none at c = 13.  No drawn name is an output alias (sqlite reads
+# those in WHERE) or a column of an enclosing scope (sqlite correlates it).
+
+UNKNOWN = ["nope", "t.nope", "x.k", "zz"]
+SLOTS = {  # slot -> (select list, the text after ``where {key} >= c``)
+    "select": ("{name} as c0", ""),
+    "where": ("{key} as c0", " and {name} is not null"),
+    "order by": ("{key} as c0", " order by {name}"),
+    "group by": ("count(*) as c0", " group by {name}"),
+    "having": ("count(*) as c0", " group by {key} having count({name}) > 0"),
+    "in": ("{key} as c0", " and {key} in (select {name} from u)"),
+}
+# The names each slot may draw over ``t`` alone and over ``t join u``
+# besides its refused ones; IN's inner select reads ``u`` alone.
+T_NAMES = ["k", "v", "x", "s", "t.k", "t.v"]
+JOIN_NAMES = ["v", "x", "w", "t.k", "t.v", "u.s"]
+IN_NAMES = ["k", "w", "u.k", "u.w"]
+
+
+@st.composite
+def named(draw, refused, join=None):
+    """A statement with one drawn name in one slot: over ``t``, or over
+    ``t {join} u`` with the name in the ON clause as one more slot."""
+    slots = sorted(SLOTS) if join is None else sorted({*SLOTS, "on"} - {"in"})
+    slot = draw(st.sampled_from(slots))
+    names = IN_NAMES if slot == "in" else T_NAMES if join is None else JOIN_NAMES
+    name = draw(st.sampled_from(refused + names))
+    source, key = "t", "k"
+    if join is not None:
+        residual = f" and {name} is not null" if slot == "on" else ""
+        source, key = f"t{join}u on t.k = u.k{residual}", "t.k"
+    items, rest = SLOTS.get(slot, ("{key} as c0", ""))
+    fill = {"name": name, "key": key}
+    pruning = literal(draw(st.sampled_from([0, 5, 9, 13])))
+    text = sql(
+        f"select {items.format(**fill)} from {source} where {key} >= ",
+        pruning,
+        rest.format(**fill),
+    )
+    return Statement(text, ()), name
+
+
+UNKNOWN_NAMES = st.sampled_from([None, " join ", " left join "]).flatmap(
+    lambda join: named(UNKNOWN, join)
+)
+# Bare ``k`` and ``s`` are columns of both ``t`` and ``u``.
+AMBIGUOUS_NAMES = st.sampled_from([" join ", " left join "]).flatmap(
+    lambda join: named(["k", "s"], join)
+)
+# The existing switches, with a DB-API cursor as a fourth entry.
+ENTRY_SWITCHES = st.tuples(
+    SWITCHES, st.sampled_from(["ad hoc", "prepared", "gateway", "dbapi"])
+).map(lambda drawn: drawn[0]._replace(entry=drawn[1]))
+
+
+def run_once(switches, statement):
+    """``statement`` run once through the switches' entry: (column names,
+    rows), or the QueryError it raised."""
+    engine, tenant = engine_for(switches)
+    inlined, template, values = statement.text
+    tenant = tenant or "default"
+    gateway = Gateway(WorkloadManager(engine, EventLoop(engine.catalog.clock)))
+    try:
+        if switches.entry == "dbapi":
+            cursor = dbapi.connect(gateway, tenant=tenant).cursor()
+            cursor.execute(template, values)
+            return [column[0] for column in cursor.description], cursor.fetchall()
+        if switches.entry == "ad hoc":
+            table = engine.query(inlined, tenant=tenant).table
+        elif switches.entry == "prepared":
+            prepared = engine.prepare(template, tenant=tenant)
+            table = engine.execute(prepared, values).table
+        else:
+            table = gateway.connect(tenant).execute(template, values).result.table
+    except QueryError as error:
+        return error
+    return list(table.schema.field_names), table.rows
+
+
+def assert_refused_like_sqlite(switches, statement, name):
+    try:
+        want = expected(switches, statement)
+    except sqlite3.OperationalError:
+        want = None
+    got = run_once(switches, statement)
+    if want is None:
+        assert isinstance(got, QueryError), got
+        assert not isinstance(got, dbapi.InterfaceError)
+        assert repr(name) in str(got), got
+    else:
+        assert not isinstance(got, QueryError), got
+        assert got[0] == want[0]
+        assert rows_match(got[1], want[1], False), got[1]
+
+
+NAME_SETTINGS = settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@NAME_SETTINGS
+@given(switches=ENTRY_SWITCHES, drawn=UNKNOWN_NAMES)
+def test_an_unknown_name_is_refused_when_sqlite_refuses_it(switches, drawn):
+    assert_refused_like_sqlite(switches, *drawn)
+
+
+@NAME_SETTINGS
+@given(switches=ENTRY_SWITCHES, drawn=AMBIGUOUS_NAMES)
+def test_an_ambiguous_name_is_refused_when_sqlite_refuses_it(switches, drawn):
+    assert_refused_like_sqlite(switches, *drawn)
 
 
 # -- degraded answers ------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.federation.parts import Part
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
-from repro.sql.planner import build_plan, scans_in
+from repro.sql.planner import build_plan, resolve, scans_in
 from repro.sql.rewrite import (
     AggregateSplitting,
     ProjectionPruning,
@@ -97,18 +97,9 @@ def fragment_rows(fragment_id, bound):
 
 def logical_plan(catalog, sql):
     """Parse + rewrite one statement the way the engine does."""
-    statement = parse_sql(sql)
-    bindings = {statement.table.binding: statement.table.name}
-    for join in statement.joins:
-        bindings[join.table.binding] = join.table.name
-    binding_fields = catalog.binding_fields(bindings)
-    plan = build_plan(statement, binding_fields)
+    plan = build_plan(resolve(parse_sql(sql), catalog.binding_fields))
     pipeline = RewritePipeline(
-        [
-            SiteFilterPushdown(binding_fields),
-            ProjectionPruning(binding_fields),
-            AggregateSplitting(),
-        ]
+        [SiteFilterPushdown(), ProjectionPruning(), AggregateSplitting()]
     )
     return pipeline.run(plan)
 

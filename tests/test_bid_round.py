@@ -23,7 +23,7 @@ from repro.federation import (
     SiteHealthTracker,
 )
 from repro.sim import SimClock
-from repro.sql import build_plan, parse_sql
+from repro.sql import build_plan, parse_sql, resolve
 from repro.sql.planner import scans_in
 
 PARTS = Schema(
@@ -55,7 +55,7 @@ def federation(site_count):
 
 
 def plan_for(catalog, sql):
-    return build_plan(parse_sql(sql), catalog.binding_fields({"parts": "parts"}))
+    return build_plan(resolve(parse_sql(sql), catalog.binding_fields))
 
 
 # -- the auction ---------------------------------------------------------------

@@ -75,8 +75,8 @@ def scanned(monkeypatch):
     seen = []
     inner = columnar.table_chunks
 
-    def spy(binding, table, ambiguous, *args):
-        chunks = inner(binding, table, ambiguous, *args)
+    def spy(binding, table, *args):
+        chunks = inner(binding, table, *args)
         seen.append((table, chunks))
         return chunks
 
@@ -84,22 +84,20 @@ def scanned(monkeypatch):
     return seen
 
 
-def reference_chunks(binding, table, ambiguous, batch_size):
+def reference_chunks(binding, table, batch_size):
     """The transpose-per-scan loop ``table_chunks`` used to run."""
-    fields = table.schema.fields
-    names = [f"{binding}.{f.name}" for f in fields]
-    aliases = {f.name: i for i, f in enumerate(fields) if f.name not in ambiguous}
+    names = [f"{binding}.{f.name}" for f in table.schema.fields]
     chunks = []
     for start in range(0, len(table.rows), batch_size):
         slice_rows = table.rows[start : start + batch_size]
         columns = [list(column) for column in zip(*slice_rows)]
-        chunks.append(ColumnBatch(names, columns, aliases, len(slice_rows)))
+        chunks.append(ColumnBatch(names, columns, len(slice_rows)))
     return chunks
 
 
 def flatten(chunks):
     return [
-        (c.names, c.aliases, c.count, [list(col) for col in c.columns], c.to_envs())
+        (c.names, c.count, [list(col) for col in c.columns], c.to_envs())
         for c in chunks
     ]
 
@@ -450,11 +448,10 @@ class TestWarmEqualsFresh:
         width=st.integers(0, 3),
         rows=st.integers(0, 40),
         batch_size=st.integers(1, 17),
-        ambiguous=st.sets(st.sampled_from(["c0", "c1", "c2"])),
         data=st.data(),
     )
     def test_table_chunks_on_a_warm_table_matches_the_transposing_loop(
-        self, width, rows, batch_size, ambiguous, data
+        self, width, rows, batch_size, data
     ):
         schema = Schema(
             "t", tuple(Field(f"c{i}", DataType.STRING) for i in range(width))
@@ -465,11 +462,11 @@ class TestWarmEqualsFresh:
             )
         )
         warm = Table(schema, content, validate=False)
-        table_chunks("other", warm, set(), batch_size)  # someone scanned first
+        table_chunks("other", warm, batch_size)  # someone scanned first
         fresh = Table(schema, content, validate=False)
-        expected = flatten(reference_chunks("b", fresh, ambiguous, batch_size))
-        assert flatten(table_chunks("b", warm, ambiguous, batch_size)) == expected
-        assert flatten(table_chunks("b", fresh, ambiguous, batch_size)) == expected
+        expected = flatten(reference_chunks("b", fresh, batch_size))
+        assert flatten(table_chunks("b", warm, batch_size)) == expected
+        assert flatten(table_chunks("b", fresh, batch_size)) == expected
 
 
 # scan_agg's two statement shapes (benchmarks/e2e/workloads.py), over a
@@ -559,9 +556,7 @@ class TestTheSitePlaneCopiesNoRow:
         monkeypatch.setattr(
             columnar,
             "table_chunks",
-            lambda binding, table, ambiguous: inner(
-                binding, table, ambiguous, self.CHUNK_ROWS
-            ),
+            lambda binding, table: inner(binding, table, self.CHUNK_ROWS),
         )
         monkeypatch.setattr(physical.SiteOperator, "open", site_open)
         monkeypatch.setattr(ColumnBatch, "take", taking)

@@ -99,7 +99,7 @@ def resident_chunk(values, probed=3):
     is what the third statement sees."""
     rows = [(value, f"d{i % 3}") for i, value in enumerate(values)]
     table = Table(ONE_COLUMN, rows, validate=False)
-    (chunk,) = table_chunks("c", table, set(), max(len(rows), 1))
+    (chunk,) = table_chunks("c", table, max(len(rows), 1))
     for _ in range(probed - 1):
         for column in chunk.columns:
             chunk.orders.of(column)
@@ -116,7 +116,8 @@ def filtered(batch, condition):
         return type(error).__name__, str(error)
 
 
-C, D = Column("c"), Column("d")
+# Resolved, as name resolution leaves them: the chunks key them ``c.c``, ``c.d``.
+C, D = Column("c", binding="c"), Column("d", binding="c")
 SELECTION_PREDICATES = [
     BinaryOp(">=", C, Literal(3)),
     BinaryOp("=", Literal(4), C),
@@ -196,9 +197,9 @@ class TestKernelSelections:
             chunk, some, columnar.compile_predicate(some, chunk)
         )
         assert selection == [2, 4, 7]
-        narrowed = chunk.project(chunk.narrowing({"c.d", "d"}))
+        narrowed = chunk.project(chunk.narrowing({"c.d"}))
         kept = columnar.gather(narrowed, selection)
-        assert kept.to_envs() == [{"c.d": d, "d": d} for d in ("d2", "d1", "d1")]
+        assert kept.to_envs() == [{"c.d": d} for d in ("d2", "d1", "d1")]
         assert kept.orders is None and narrowed.orders is chunk.orders
         assert narrowed.to_envs(selection) == kept.to_envs()
 
@@ -248,7 +249,7 @@ class TestProbeMatchesComprehension:
             condition = BinaryOp(op, C, Literal(low))
         ordered = resident_chunk(values)
         plain = columnar.ColumnBatch(
-            ordered.names, [list(c) for c in ordered.columns], ordered.aliases
+            ordered.names, [list(c) for c in ordered.columns]
         )
         try:
             expected = [env for env in plain.to_envs() if evaluate(condition, env)]
@@ -405,7 +406,7 @@ class TestEncodingRoundTrips:
             "t", (Field("k", DataType.INTEGER), Field("tag", DataType.STRING))
         )
         table = Table(schema, rows, validate=False)
-        for chunk in table_chunks("t", table, ambiguous=set(), batch_size=16):
+        for chunk in table_chunks("t", table, batch_size=16):
             decoded = decode_batch(encode_batch(chunk))
             assert decoded.to_envs() == chunk.to_envs()
             assert decoded.count == chunk.count

@@ -213,13 +213,6 @@ class TestWebSourceWrapper:
         with pytest.raises(WrapperError):
             wrapper.fetch()
 
-    def test_availability_tracks_site_state(self):
-        web, supplier, _ = make_site()
-        wrapper = self.make_wrapper(web, supplier)
-        assert wrapper.is_available()
-        supplier.site.up = False
-        assert not wrapper.is_available()
-
     def test_volatile_content_seen_on_refetch(self):
         web, supplier, products = make_site()
         wrapper = self.make_wrapper(web, supplier)

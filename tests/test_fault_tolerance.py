@@ -24,7 +24,7 @@ from repro.federation import (
     place_fragments,
 )
 from repro.sim import EventLoop, SimClock
-from repro.sql import build_plan, parse_sql
+from repro.sql import build_plan, parse_sql, resolve
 
 
 def parts_schema():
@@ -55,10 +55,7 @@ def make_engine(retry=None, site_count=4, replicas=None):
 
 def plan_for(engine, sql="select sku from parts"):
     return engine.optimizer.optimize(
-        build_plan(
-            parse_sql(sql),
-            engine.catalog.binding_fields({"parts": "parts"}),
-        )
+        build_plan(resolve(parse_sql(sql), engine.catalog.binding_fields))
     )
 
 

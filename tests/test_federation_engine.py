@@ -397,13 +397,11 @@ class TestSemanticCache:
 class TestExecutionFailover:
     def test_scan_reroutes_when_site_dies_after_optimization(self):
         engine = make_engine()
-        from repro.sql import build_plan, parse_sql
+        from repro.sql import build_plan, parse_sql, resolve
 
+        statement = parse_sql("select sku from parts")
         plan = engine.optimizer.optimize(
-            build_plan(
-                parse_sql("select sku from parts"),
-                engine.catalog.binding_fields({"parts": "parts"}),
-            )
+            build_plan(resolve(statement, engine.catalog.binding_fields))
         )
         # Kill whichever sites the optimizer chose, *after* planning.
         for assignment in plan.assignments.values():
@@ -415,13 +413,11 @@ class TestExecutionFailover:
 
     def test_all_replicas_dead_still_fails(self):
         engine = make_engine()
-        from repro.sql import build_plan, parse_sql
+        from repro.sql import build_plan, parse_sql, resolve
 
+        statement = parse_sql("select sku from parts")
         plan = engine.optimizer.optimize(
-            build_plan(
-                parse_sql("select sku from parts"),
-                engine.catalog.binding_fields({"parts": "parts"}),
-            )
+            build_plan(resolve(statement, engine.catalog.binding_fields))
         )
         for name in ("s0", "s1", "s2", "s3"):
             engine.catalog.site(name).up = False

@@ -16,7 +16,7 @@ from repro.federation import (
     SnapshotLoadPolicy,
 )
 from repro.sim import SimClock
-from repro.sql import build_plan, parse_sql
+from repro.sql import build_plan, parse_sql, resolve
 
 
 def make_catalog(site_count=4, fragment_count=2, replication=2):
@@ -38,9 +38,7 @@ def make_catalog(site_count=4, fragment_count=2, replication=2):
 
 
 def plan_for(catalog, sql="select sku from parts"):
-    statement = parse_sql(sql)
-    fields = catalog.binding_fields({statement.table.binding: statement.table.name})
-    return build_plan(statement, fields)
+    return build_plan(resolve(parse_sql(sql), catalog.binding_fields))
 
 
 class TestAgoricOptimizer:

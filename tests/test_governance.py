@@ -37,7 +37,7 @@ from repro.federation.governance import (
 )
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
-from repro.sql.planner import build_plan
+from repro.sql.planner import build_plan, resolve
 from repro.sql.rewrite import (
     AggregateSplitting,
     ProjectionPruning,
@@ -495,16 +495,14 @@ class TestPreparedRevalidation:
 
 
 def governed_stage_key(catalog, store, governance, tenant, sql):
-    statement = parse_sql(sql)
-    bindings = {statement.table.binding: statement.table.name}
-    binding_fields = catalog.binding_fields(bindings)
-    plan = build_plan(statement, binding_fields)
-    passes = [SiteFilterPushdown(binding_fields)]
+    statement = resolve(parse_sql(sql), catalog.binding_fields)
+    plan = build_plan(statement)
+    passes = [SiteFilterPushdown()]
     if governance is not None:
-        injection = governance.injection_pass(tenant, binding_fields)
+        injection = governance.injection_pass(tenant, statement.scope)
         if injection is not None:
             passes.append(injection)
-    passes += [ProjectionPruning(binding_fields), AggregateSplitting()]
+    passes += [ProjectionPruning(), AggregateSplitting()]
     plan = RewritePipeline(passes).run(plan)
     specs = stage_specs(plan)
     assert len(specs) == 1

@@ -174,8 +174,8 @@ class TestOnTheEngine:
         scanned = []
         inner = columnar.table_chunks
 
-        def spy(binding, table, ambiguous, *args):
-            chunks = inner(binding, table, ambiguous, *args)
+        def spy(binding, table, *args):
+            chunks = inner(binding, table, *args)
             scanned.append((table, chunks))  # held: no id is reused
             return chunks
 

@@ -194,12 +194,10 @@ class TestAccountingParity:
 
         # Plan while everything is up, then kill a chosen site: the SiteScan
         # reroutes to the surviving replica mid-execution.
-        from repro.sql import build_plan, parse_sql
+        from repro.sql import build_plan, parse_sql, resolve
 
         statement = parse_sql("select sku from parts")
-        plan = build_plan(
-            statement, engine.catalog.binding_fields({"parts": "parts"})
-        )
+        plan = build_plan(resolve(statement, engine.catalog.binding_fields))
         physical = engine.optimizer.optimize(plan)
         chosen = physical.assignments["parts"].choices[0].site_name
         engine.catalog.site(chosen).up = False

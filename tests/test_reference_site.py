@@ -325,8 +325,8 @@ def small_chunks(size):
     and partial states stream across chunk boundaries."""
     inner = columnar.table_chunks
 
-    def chunked(binding, table, ambiguous):
-        return inner(binding, table, ambiguous, size)
+    def chunked(binding, table):
+        return inner(binding, table, size)
 
     return mock.patch.object(columnar, "table_chunks", chunked)
 
