@@ -6,8 +6,8 @@ spike on one replica site, then a hard kill of another -- under an
 open-loop query stream near saturation, and compares three configurations facing the
 *identical* disturbance schedule:
 
-* **adaptive (agoric + re-opt)** -- the engine carries a
-  :class:`~repro.federation.reopt.ReoptPolicy`; the workload manager's
+* **adaptive (agoric + re-opt)** -- the engine is built with
+  ``reopt=True``; the workload manager's
   disturbance wakeups re-execute affected in-flight queries and the
   re-optimization controller migrates their unstarted stages to healthy
   replicas at live prices.
@@ -40,8 +40,8 @@ from repro.federation import (
     FailureInjector,
     FederatedEngine,
     FederationCatalog,
-    ReoptPolicy,
     WorkloadManager,
+    reopt,
 )
 from repro.sim import EventLoop, SimClock
 
@@ -60,10 +60,9 @@ QUERY_MIX = [
 # placement leaves every fragment at least one live replica.
 SPIKE_SITE, SPIKE_FRACTION, SPIKE_FACTOR = "s0", 0.25, 8.0
 KILL_SITE, KILL_FRACTION = "s1", 0.55
-POLICY = ReoptPolicy()
 
 
-def build(optimizer_factory=None, reopt=None):
+def build(optimizer_factory=None, adaptive=False):
     """items(k, v) hash-fragmented with RF=2 ring placement over 3 sites."""
     catalog = FederationCatalog(SimClock())
     for name in SITES:
@@ -79,7 +78,7 @@ def build(optimizer_factory=None, reopt=None):
     ]
     catalog.load_fragmented(table, FRAGMENTS, placement)
     optimizer = optimizer_factory(catalog) if optimizer_factory else None
-    engine = FederatedEngine(catalog, optimizer=optimizer, reopt=reopt)
+    engine = FederatedEngine(catalog, optimizer=optimizer, reopt=adaptive)
     loop = EventLoop(catalog.clock)
     return catalog, engine, loop
 
@@ -109,9 +108,9 @@ def arrival_schedule():
     ]
 
 
-def run_config(arrivals, optimizer_factory=None, reopt=None, disturb=True):
+def run_config(arrivals, optimizer_factory=None, adaptive=False, disturb=True):
     """Drive one configuration through the shared stream + disturbances."""
-    _, engine, loop = build(optimizer_factory, reopt=reopt)
+    _, engine, loop = build(optimizer_factory, adaptive=adaptive)
     manager = WorkloadManager(engine, loop, max_in_flight=SLOTS)
     injector = FailureInjector(
         loop, engine.catalog, mttf=1e9, mttr=1e9, rng=random.Random(SEED + 1)
@@ -163,10 +162,10 @@ def test_e16_adaptive_beats_static_under_degradation(benchmark):
         catalog, stats_refresh_interval=300.0
     )
 
-    adaptive = run_config(arrivals, reopt=POLICY)
+    adaptive = run_config(arrivals, adaptive=True)
     static_agoric = run_config(arrivals)
     static_central = run_config(arrivals, optimizer_factory=central)
-    undisturbed = run_config(arrivals, reopt=POLICY, disturb=False)
+    undisturbed = run_config(arrivals, adaptive=True, disturb=False)
 
     identical = (
         adaptive["answers"] == static_agoric["answers"]
@@ -218,11 +217,11 @@ def test_e16_adaptive_beats_static_under_degradation(benchmark):
             },
             "kill": {"site": KILL_SITE, "fraction": KILL_FRACTION},
             "policy": {
-                "max_attempts": POLICY.max_attempts,
-                "congestion_high": POLICY.congestion_high,
-                "congestion_low": POLICY.congestion_low,
-                "min_improvement": POLICY.min_improvement,
-                "max_replans": POLICY.max_replans,
+                "max_attempts": reopt.MAX_ATTEMPTS,
+                "congestion_high": reopt.CONGESTION_HIGH,
+                "congestion_low": reopt.CONGESTION_LOW,
+                "min_improvement": reopt.MIN_IMPROVEMENT,
+                "max_replans": reopt.MAX_REPLANS,
             },
             "identical_results": identical,
             "speedup_vs_static_agoric": round(speedup_agoric, 4),
@@ -242,7 +241,7 @@ def test_e16_adaptive_beats_static_under_degradation(benchmark):
     assert adaptive["replans"] > 0
     assert adaptive["reoptimizations"] > 0
     assert adaptive["migrated_stages"] >= 1
-    assert adaptive["max_reopts_per_query"] <= POLICY.max_attempts
+    assert adaptive["max_reopts_per_query"] <= reopt.MAX_ATTEMPTS
     # ... and it paid off against both static baselines.
     assert adaptive["mean_s"] < static_agoric["mean_s"]
     assert adaptive["mean_s"] < static_central["mean_s"]
@@ -252,4 +251,4 @@ def test_e16_adaptive_beats_static_under_degradation(benchmark):
     assert undisturbed["reoptimizations"] == 0
 
     smoke = arrivals[: max(4, QUERIES // 10)]
-    benchmark(lambda: run_config(smoke, reopt=POLICY))
+    benchmark(lambda: run_config(smoke, adaptive=True))

@@ -15,7 +15,7 @@ Three measurements:
 * RF=2 + single-site failures, **failover on**: every fragment always has a
   live replica, so the success rate must be 1.0 and failovers must fire.
 * The identical workload and failure schedule with **failover off**
-  (``RetryPolicy(enabled=False)``): queries die with
+  (``FederatedEngine(failover=False)``): queries die with
   ``SourceUnavailableError`` -- the ablation that shows the failover layer
   is doing the work.
 * Unconstrained failures with ``degraded_ok=True``, swept over the §3.2 C8
@@ -35,7 +35,6 @@ from repro.federation import (
     FederationCatalog,
     PlacementStrategy,
     QueryOptions,
-    RetryPolicy,
     place_fragments,
 )
 from repro.federation.engine import LIVE_ONLY
@@ -57,7 +56,7 @@ TOTAL_ROWS = FRAGMENTS * ROWS_PER_FRAGMENT
 QUERIES = int(os.environ.get("E5Q_QUERIES", "200"))
 
 
-def build(strategy, replication, retry=None, max_concurrent_failures=None):
+def build(strategy, replication, failover=True, max_concurrent_failures=None):
     placement = place_fragments(strategy, FRAGMENTS, SITES, replication)
     catalog = FederationCatalog(SimClock())
     for name in SITES:
@@ -75,7 +74,7 @@ def build(strategy, replication, retry=None, max_concurrent_failures=None):
         rng=random.Random(FAILURE_SEED),
         max_concurrent_failures=max_concurrent_failures,
     ).start()
-    engine = FederatedEngine(catalog, retry=retry)
+    engine = FederatedEngine(catalog, failover=failover)
     return catalog, loop, engine
 
 
@@ -86,7 +85,7 @@ def plan_query(engine):
     return engine.optimizer.optimize(plan, None, LIVE_ONLY)
 
 
-def run_workload(strategy, replication, retry=None, max_concurrent_failures=None,
+def run_workload(strategy, replication, failover=True, max_concurrent_failures=None,
                  degraded_ok=False):
     """Plan, advance the window (failures land here), then execute.
 
@@ -95,7 +94,7 @@ def run_workload(strategy, replication, retry=None, max_concurrent_failures=None
     on/off comparison really is the same history twice.
     """
     catalog, loop, engine = build(
-        strategy, replication, retry, max_concurrent_failures
+        strategy, replication, failover, max_concurrent_failures
     )
     succeeded = 0
     failed = 0
@@ -143,7 +142,7 @@ def test_e5_failover_keeps_queries_alive(benchmark):
     without_failover = run_workload(
         PlacementStrategy.FRAGMENT_REPLICATE,
         2,
-        retry=RetryPolicy(enabled=False),
+        failover=False,
         max_concurrent_failures=1,
     )
 

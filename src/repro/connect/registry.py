@@ -80,9 +80,6 @@ class SupplierRegistry:
             )
         self._listings[listing.supplier] = listing
 
-    def withdraw(self, supplier: str) -> None:
-        self._listings.pop(supplier, None)
-
     def listing(self, supplier: str) -> SupplierListing:
         if supplier not in self._listings:
             raise WrapperError(f"no registry listing for supplier {supplier!r}")

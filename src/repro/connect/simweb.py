@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Callable
-from urllib.parse import parse_qsl, quote, urlencode, urljoin
+from urllib.parse import parse_qsl, urljoin
 
 from repro.core.errors import SourceUnavailableError, WrapperError
 from repro.sim.clock import SimClock
@@ -44,11 +44,6 @@ def parse_url(url: str) -> ParsedUrl:
     path, question, query_text = path_query.partition("?")
     query = tuple(parse_qsl(query_text)) if question else ()
     return ParsedUrl(scheme, host, path or "/", query)
-
-
-def build_url(scheme: str, host: str, path: str, params: dict[str, str] | None = None) -> str:
-    query = f"?{urlencode(params)}" if params else ""
-    return f"{scheme}://{host}{quote(path)}{query}"
 
 
 @dataclass

@@ -38,8 +38,7 @@ The pieces:
 * :mod:`repro.federation.availability` -- failure injection, placement
   strategies, availability probes ("some of the content all of the time").
 * :mod:`repro.federation.health` -- per-site failure memory, the half-open
-  circuit breaker, availability-aware risk pricing, and the retry/backoff
-  policy that bounds scan-level failover.
+  circuit breaker and availability-aware risk pricing.
 * :mod:`repro.federation.reopt` -- adaptive mid-query re-optimization:
   migrate *unstarted* stages of a running plan when the cluster degrades
   (circuit opens, congestion spikes, deadline projects an overrun).
@@ -74,7 +73,6 @@ from repro.federation.executor import Executor
 from repro.federation.gateway import Gateway, GatewaySession, PlanCache
 from repro.federation.health import (
     CircuitState,
-    RetryPolicy,
     SiteHealth,
     SiteHealthTracker,
 )
@@ -85,7 +83,7 @@ from repro.federation.physical import (
     PhysicalPlanner,
     QueryOptions,
 )
-from repro.federation.reopt import ReoptController, ReoptEvent, ReoptPolicy
+from repro.federation.reopt import ReoptController, ReoptEvent
 from repro.federation.loadbalance import (
     LeastLoadedPolicy,
     PolicyOptimizer,
@@ -147,14 +145,12 @@ __all__ = [
     "GatewaySession",
     "PlanCache",
     "CircuitState",
-    "RetryPolicy",
     "SiteHealth",
     "SiteHealthTracker",
     "OperatorStats",
     "PhysicalPlanner",
     "ReoptController",
     "ReoptEvent",
-    "ReoptPolicy",
     "LeastLoadedPolicy",
     "PolicyOptimizer",
     "RandomPolicy",

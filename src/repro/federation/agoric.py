@@ -28,8 +28,9 @@ the local serving cost and the broker weighs it against the sites' and
 views' asks -- a warm cache usually undercuts everything, and the chosen
 path shows up in EXPLAIN as ``cache(region ..., age ...)``.
 
-Optimization latency is *modeled* (one parallel bid round-trip plus
-per-bid processing) and charged to the query, as is the real CPU time
+Optimization latency is *modeled* (one parallel bid round trip,
+:data:`BID_ROUND_TRIP_SECONDS`, plus :data:`PER_BID_SECONDS` per bid) and
+charged to the query, as is the real CPU time
 spent brokering.
 """
 
@@ -44,6 +45,10 @@ from repro.federation.catalog import FederationCatalog
 from repro.federation.physical import PhysicalPlan, ScanAssignment
 from repro.sql.planner import PlanNode, ScanNode, scans_in
 
+# Modeled brokering latency: one parallel bid round trip per auction, plus
+# this much processing per bid received.
+BID_ROUND_TRIP_SECONDS = 0.02
+PER_BID_SECONDS = 0.0002
 
 class BudgetExceededError(ContentIntegrationError):
     """The market's asking price exceeds the query's budget.
@@ -73,14 +78,10 @@ class AgoricOptimizer:
         catalog: FederationCatalog,
         sample_size: int | None = None,
         rng: random.Random | None = None,
-        bid_round_trip_seconds: float = 0.02,
-        per_bid_seconds: float = 0.0002,
     ) -> None:
         self.catalog = catalog
         self.sample_size = sample_size
         self.rng = rng or random.Random(0)
-        self.bid_round_trip_seconds = bid_round_trip_seconds
-        self.per_bid_seconds = per_bid_seconds
         # The engine assigns its own AccessPaths here so cache regions,
         # stage artifacts and site health join the market.
         self.paths = AccessPaths(catalog)
@@ -172,7 +173,7 @@ class AgoricOptimizer:
         if budget is not None and total_price > budget:
             raise BudgetExceededError(budget, total_price)
 
-        modeled_seconds = self.bid_round_trip_seconds + contacted * self.per_bid_seconds
+        modeled_seconds = BID_ROUND_TRIP_SECONDS + contacted * PER_BID_SECONDS
         # DESIGN §7: only *modeled* seconds reach the simulated clock; the
         # host's real brokering time is reported separately so two identical
         # seeded runs stay byte-identical.
@@ -212,5 +213,5 @@ class AgoricOptimizer:
         Returns ``(assignment, price, modeled_seconds)``.
         """
         assignment, price, contacted = self._auction(scan)
-        modeled = self.bid_round_trip_seconds + contacted * self.per_bid_seconds
+        modeled = BID_ROUND_TRIP_SECONDS + contacted * PER_BID_SECONDS
         return assignment, price, modeled

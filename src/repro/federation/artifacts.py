@@ -44,8 +44,8 @@ equivalent consumer:
 
 Payloads are stored in a binding-agnostic canonical form (bare column
 names, canonical aggregate-call keys) and rebuilt per consumer, so a hit
-is bit-identical to recomputation no matter which alias or ambiguity set
-the consuming query uses.
+is bit-identical to recomputation no matter which alias the consuming
+query uses.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ from repro.federation.parts import Part, all_current, any_current
 from repro.sim.clock import SimClock
 from repro.sql.ast import Column, render
 from repro.sql.planner import AggregateNode, PlanNode, ScanNode, walk
+
+# An artifact's bid: one coordinator pass over its rows at this many
+# seconds per row, priced at this much per second.
+SERVE_SECONDS_PER_ROW = 0.00002
+PRICE_PER_SECOND = 1.0
 
 Env = dict
 
@@ -385,28 +390,17 @@ class ArtifactStore:
 
     ``max_rows`` bounds the total materialized rows (admission refuses
     oversized stages; overflow evicts lowest benefit first, exactly the
-    semantic cache's policy).  ``serve_seconds_per_row`` and
-    ``price_per_second`` shape the bid an artifact makes in the optimizer
-    market.  ``max_age_seconds`` is the store's own TTL (None = none);
-    per-call staleness bounds always override it for serveability, the
-    same contract the semantic cache honors.
+    semantic cache's policy).  :data:`SERVE_SECONDS_PER_ROW` and
+    :data:`PRICE_PER_SECOND` shape the bid an artifact makes in the
+    optimizer market.  An artifact has no age limit of its own: each
+    call's staleness bound decides whether it is served, the same contract
+    the semantic cache honors.
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        max_rows: int = 100_000,
-        max_age_seconds: float | None = None,
-        serve_seconds_per_row: float = 0.00002,
-        price_per_second: float = 1.0,
-        metrics=None,
-    ) -> None:
+    def __init__(self, clock: SimClock, max_rows: int = 100_000) -> None:
         self.clock = clock
         self.max_rows = max_rows
-        self.max_age_seconds = max_age_seconds
-        self.serve_seconds_per_row = serve_seconds_per_row
-        self.price_per_second = price_per_second
-        self.metrics = metrics  # optional MetricsRegistry, attached by the engine
+        self.metrics = None  # the engine's MetricsRegistry, attached by it
         self._artifacts: "dict[str, Artifact]" = {}
         self._inflight: "dict[str, _InFlightStage]" = {}
         self.hits = 0
@@ -433,29 +427,20 @@ class ArtifactStore:
     # -- freshness ---------------------------------------------------------
 
     def _servable(self, artifact: Artifact, max_staleness: float | None) -> bool:
-        if max_staleness is not None and max_staleness < 0:
-            return False  # LIVE_ONLY: no materialized path at all
-        limit = (
-            max_staleness if max_staleness is not None else self.max_age_seconds
-        )
-        if limit is None:
+        if max_staleness is None:
             return True
-        return (self.clock.now() - artifact.fetched_at) <= limit
+        if max_staleness < 0:
+            return False  # LIVE_ONLY: no materialized path at all
+        return (self.clock.now() - artifact.fetched_at) <= max_staleness
 
     def _sweep(self) -> None:
         """Commit in-flight stages whose producer's modeled completion has
-        passed, and reclaim artifacts dead by the store's own TTL."""
+        passed."""
         now = self.clock.now()
         for key, stage in list(self._inflight.items()):
             if stage.completes_at <= now:
                 del self._inflight[key]
                 self._admit(stage.artifact)
-        if self.max_age_seconds is not None:
-            for key, artifact in list(self._artifacts.items()):
-                if (now - artifact.fetched_at) > self.max_age_seconds:
-                    del self._artifacts[key]
-                    self.evictions += 1
-                    self._count("artifacts.evictions")
         self._gauge_rows()
 
     # -- keying ------------------------------------------------------------
@@ -476,9 +461,9 @@ class ArtifactStore:
         artifact = self._artifacts.get(key)
         if not self._whole(artifact, max_staleness):
             return None
-        seconds = artifact.row_count * self.serve_seconds_per_row
+        seconds = artifact.row_count * SERVE_SECONDS_PER_ROW
         age = self.clock.now() - artifact.fetched_at
-        return artifact, seconds * self.price_per_second, age
+        return artifact, seconds * PRICE_PER_SECOND, age
 
     def _whole(
         self, artifact: "Artifact | None", max_staleness: float | None

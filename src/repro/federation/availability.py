@@ -111,7 +111,6 @@ class FailureInjector:
         mttf: float,
         mttr: float,
         rng: random.Random,
-        site_names: list[str] | None = None,
         max_concurrent_failures: int | None = None,
     ) -> None:
         if mttf <= 0 or mttr <= 0:
@@ -125,7 +124,7 @@ class FailureInjector:
         self.mttf = mttf
         self.mttr = mttr
         self.rng = rng
-        self.site_names = site_names or sorted(catalog.sites)
+        self.site_names = sorted(catalog.sites)
         self.max_concurrent_failures = max_concurrent_failures
         self.failures = 0
         self.repairs = 0

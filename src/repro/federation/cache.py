@@ -22,7 +22,10 @@ Admission and eviction are cost-aware rather than plain LRU: an entry's
 benefit is ``rows x saved fetch seconds``, entries larger than the row
 budget are refused outright, and when the budget overflows the
 lowest-benefit entries go first (the entry being stored competes too, so a
-worthless result is simply not admitted).  Entries also expire by age.
+worthless result is simply not admitted).  An entry has no age limit of its
+own: each lookup's ``max_staleness`` bound decides whether it is fresh
+enough to serve that request.  A bid is a local pass over the entry's rows,
+:data:`SERVE_SECONDS_PER_ROW` each, priced at :data:`PRICE_PER_SECOND`.
 
 An entry the engine stores keeps its region's rows *in parts*, one per
 fragment of the table (a pruned fragment's part is empty), each tagged with
@@ -49,6 +52,10 @@ if TYPE_CHECKING:
     from repro.federation.catalog import Fragment
 
 _RANGE_OPS = ("<", "<=", ">", ">=")
+# A cache bid: a local pass over the entry's rows at this many seconds per
+# row, priced at this much per second.
+SERVE_SECONDS_PER_ROW = 0.00005
+PRICE_PER_SECOND = 1.0
 
 
 @dataclass
@@ -172,27 +179,20 @@ def coverage_kind(
 
 
 class SemanticCache:
-    """A TTL'd, benefit-evicted cache of answered predicate regions."""
+    """A benefit-evicted cache of answered predicate regions."""
 
     def __init__(
         self,
         clock: SimClock,
         max_rows: int = 100_000,
-        max_staleness: float | None = None,
         coverage: str = "implication",
-        serve_seconds_per_row: float = 0.00005,
-        price_per_second: float = 1.0,
-        metrics=None,
     ) -> None:
         if coverage not in ("implication", "verbatim"):
             raise ValueError(f"unknown coverage policy {coverage!r}")
         self.clock = clock
         self.max_rows = max_rows
-        self.max_staleness = max_staleness
         self.coverage = coverage
-        self.serve_seconds_per_row = serve_seconds_per_row
-        self.price_per_second = price_per_second
-        self.metrics = metrics  # optional MetricsRegistry, attached by the engine
+        self.metrics = None  # the engine's MetricsRegistry, attached by it
         self._entries: "OrderedDict[tuple[str, frozenset[Predicate]], CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -215,10 +215,9 @@ class SemanticCache:
     # -- lookup ------------------------------------------------------------
 
     def _expired(self, entry: CacheEntry, max_staleness: float | None) -> bool:
-        limit = max_staleness if max_staleness is not None else self.max_staleness
-        if limit is None:
+        if max_staleness is None:
             return False
-        return (self.clock.now() - entry.as_of) > limit
+        return (self.clock.now() - entry.as_of) > max_staleness
 
     def _find(
         self,
@@ -229,21 +228,11 @@ class SemanticCache:
         """Find a covering entry, book hit/miss accounting, return it."""
         requested = frozenset(predicates)
         found: tuple[tuple, CacheEntry, str] | None = None
-        for key, entry in list(self._entries.items()):
+        for key, entry in self._entries.items():
             if entry.table_name != table_name or not entry.current:
                 continue
             if self._expired(entry, max_staleness):
-                # Too stale for this request's *effective* bound (the
-                # per-call bound when given, else the store default).  A
-                # caller with a laxer bound than the store TTL must still
-                # be served, so the per-call bound decides serveability;
-                # the store's own TTL only decides whether the entry is
-                # dead for everyone and can be reclaimed now.
-                if self._expired(entry, self.max_staleness):
-                    del self._entries[key]
-                    self.evictions += 1
-                    self._count("cache.evictions")
-                continue
+                continue  # too stale for this request's bound
             kind = coverage_kind(entry.region, requested)
             if kind is None or (self.coverage == "verbatim" and kind != "verbatim"):
                 continue
@@ -313,14 +302,14 @@ class SemanticCache:
             return None
         entry, kind = found
         residual = [p for p in predicates if p not in entry.region]
-        seconds = len(entry.table) * self.serve_seconds_per_row
+        seconds = len(entry.table) * SERVE_SECONDS_PER_ROW
         return CacheBid(
             table=apply_predicates(entry.table, residual),
             age=self.clock.now() - entry.as_of,
             region=entry.region,
             kind=kind,
             est_seconds=seconds,
-            price=seconds * self.price_per_second,
+            price=seconds * PRICE_PER_SECOND,
         )
 
     # -- admission & eviction ----------------------------------------------

@@ -88,7 +88,7 @@ class FederationCatalog:
         Sources that mutate a table's content (workload writers, ETL jobs,
         repartitioning) call :meth:`notify_table_updated`; anything holding
         derived answers -- the engine's semantic cache above all -- listens
-        here so staleness is bounded by invalidation, not only by TTL.
+        here so staleness is bounded by invalidation, not only by age.
         """
         self._update_listeners.append(callback)
 
@@ -416,9 +416,7 @@ class FederationCatalog:
         return [
             view
             for view in self.views.values()
-            if view.base_table == table_name
-            and view.covers_whole_table
-            and view.is_fresh(max_staleness, now)
+            if view.base_table == table_name and view.is_fresh(max_staleness, now)
         ]
 
     # -- planner support -------------------------------------------------------------------

@@ -14,7 +14,7 @@ optimizer, so here it is, with the two properties the paper indicts:
   queries is routed by minutes-old load data -- the adaptivity failure E4
   measures.
 * **Compile-time enumeration.**  Within a query it *jointly* enumerates
-  fragment-to-site assignments (up to ``max_combinations``) to minimize the
+  fragment-to-site assignments (up to :data:`MAX_COMBINATIONS`) to minimize the
   estimated makespan under the snapshot, falling back to per-fragment
   greedy above the cap.  The enumeration is real work, measured and charged.
 
@@ -33,6 +33,13 @@ from repro.federation.catalog import FederationCatalog
 from repro.federation.physical import PhysicalPlan, ScanAssignment
 from repro.sql.planner import PlanNode, ScanNode, scans_in
 
+# Modeled statistics collection: one round trip plus per-site processing.
+STATS_ROUND_TRIP_SECONDS = 0.02
+PER_SITE_STAT_SECONDS = 0.001
+# Modeled enumeration work per (combination x fragment) evaluated, and the
+# joint-enumeration cap above which placement falls back to greedy.
+PER_COMBINATION_SECONDS = 2e-6
+MAX_COMBINATIONS = 4096
 
 class CentralizedOptimizer:
     """Compile-time cost-based placement using a global statistics snapshot."""
@@ -44,17 +51,9 @@ class CentralizedOptimizer:
         self,
         catalog: FederationCatalog,
         stats_refresh_interval: float = 300.0,
-        stats_round_trip_seconds: float = 0.02,
-        per_site_stat_seconds: float = 0.001,
-        per_combination_seconds: float = 2e-6,
-        max_combinations: int = 4096,
     ) -> None:
         self.catalog = catalog
         self.stats_refresh_interval = stats_refresh_interval
-        self.stats_round_trip_seconds = stats_round_trip_seconds
-        self.per_site_stat_seconds = per_site_stat_seconds
-        self.per_combination_seconds = per_combination_seconds
-        self.max_combinations = max_combinations
         # The engine assigns its own AccessPaths here so cache regions,
         # stage artifacts and site health inform placement.
         self.paths = AccessPaths(catalog)
@@ -81,8 +80,8 @@ class CentralizedOptimizer:
         self._snapshot_at = self.catalog.clock.now()
         self.snapshots_taken += 1
         return (
-            self.stats_round_trip_seconds
-            + len(self.catalog.sites) * self.per_site_stat_seconds
+            STATS_ROUND_TRIP_SECONDS
+            + len(self.catalog.sites) * PER_SITE_STAT_SECONDS
         )
 
     def _stats_cost_if_due(self) -> float:
@@ -136,12 +135,12 @@ class CentralizedOptimizer:
         combinations = 1
         for slot in slots:
             combinations *= len(slot.replicas)
-            if combinations > self.max_combinations:
+            if combinations > MAX_COMBINATIONS:
                 break
 
-        if slots and combinations <= self.max_combinations:
+        if slots and combinations <= MAX_COMBINATIONS:
             sites, evaluated = self._exhaustive(slots)
-            modeled += evaluated * self.per_combination_seconds * max(1, len(slots))
+            modeled += evaluated * PER_COMBINATION_SECONDS * max(1, len(slots))
         else:
             sites, seconds = self._greedy(slots)
             modeled += seconds

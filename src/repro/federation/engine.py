@@ -52,7 +52,7 @@ from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
 from repro.federation.executor import Executor
 from repro.federation.governance import PolicyError
-from repro.federation.health import RetryPolicy, SiteHealthTracker
+from repro.federation.health import SiteHealthTracker
 from repro.federation.physical import (
     ExecutionReport,
     PhysicalPlan,
@@ -62,7 +62,7 @@ from repro.federation.physical import (
     describe_governance,
     describe_pushdown,
 )
-from repro.federation.reopt import ReoptController, ReoptPolicy
+from repro.federation.reopt import ReoptController
 from repro.ir.search import CatalogSearch, SearchMode, SynonymExpander, TaxonomyExpander
 from repro.federation.views import MaterializedView
 from repro.sim.events import EventLoop
@@ -171,12 +171,10 @@ class FederatedEngine:
         self,
         catalog: FederationCatalog,
         optimizer=None,
-        metrics: MetricsRegistry | None = None,
         cache: "SemanticCache | None" = None,
-        health: "SiteHealthTracker | None" = None,
-        retry: RetryPolicy | None = None,
+        failover: bool = True,
         artifacts=None,
-        reopt: ReoptPolicy | None = None,
+        reopt: bool = False,
         governance=None,
     ) -> None:
         self.catalog = catalog
@@ -194,12 +192,11 @@ class FederatedEngine:
                     + "; ".join(errors)
                 )
         self.governance = governance
-        # Adaptive mid-query re-optimization policy (DESIGN §5i), or None
-        # to keep every plan frozen at dispatch.
+        # Adaptive mid-query re-optimization (DESIGN §5i); off keeps every
+        # plan frozen at dispatch.
         self.reopt = reopt
-        self.health = health or SiteHealthTracker(catalog.clock)
-        self.retry = retry or RetryPolicy()
-        self.metrics = metrics or MetricsRegistry()
+        self.health = SiteHealthTracker(catalog.clock)
+        self.metrics = MetricsRegistry()
         # What record_report_metrics feeds on every statement.
         self._counters = Held(self.metrics.counter)
         self._histograms = Held(self.metrics.histogram)
@@ -213,15 +210,16 @@ class FederatedEngine:
         # controller alike.
         self.paths = AccessPaths(catalog, cache, artifacts, self.health)
         self.optimizer.paths = self.paths
-        self.executor = Executor(self.paths, retry=self.retry)
+        # Scan-level failover; off, the first dead site fails the statement.
+        self.executor = Executor(self.paths, failover)
         for store in (cache, artifacts):
             if store is None:
                 continue
             if store.metrics is None:
                 store.metrics = self.metrics
             # Base-table updates invalidate the table's cached regions and
-            # stage artifacts; TTL alone is a fallback, not the
-            # correctness story.
+            # stage artifacts: a staleness bound alone would still serve
+            # pre-write rows.
             self.catalog.on_table_updated(store.invalidate_table)
         if governance is not None and governance.metrics is None:
             governance.metrics = self.metrics
@@ -238,8 +236,6 @@ class FederatedEngine:
         advance_clock: bool = True,
         budget: float | None = None,
         degraded_ok: bool = False,
-        reuse_artifacts: bool = True,
-        deadline_at: float | None = None,
         tenant: str | None = None,
         options: QueryOptions | None = None,
     ) -> QueryResult:
@@ -279,8 +275,6 @@ class FederatedEngine:
                 tenant=tenant,
                 budget=budget,
                 degraded_ok=degraded_ok,
-                reuse_artifacts=reuse_artifacts,
-                deadline_at=deadline_at,
                 advance_clock=advance_clock,
             )
         return self._run_statement(
@@ -469,10 +463,8 @@ class FederatedEngine:
             self.metrics.counter("cache.scan_hits").inc(cache_scans)
 
         controller = None
-        if self.reopt is not None:
-            controller = ReoptController(
-                self.reopt, self.optimizer, self.paths, options
-            )
+        if self.reopt:
+            controller = ReoptController(self.optimizer, self.paths, options)
         try:
             table, report = self.executor.execute(physical, options, controller)
         except (PartialFailureError, SourceUnavailableError):
@@ -578,8 +570,6 @@ class FederatedEngine:
         params: "tuple | list" = (),
         advance_clock: bool = True,
         degraded_ok: bool = False,
-        reuse_artifacts: bool = True,
-        deadline_at: float | None = None,
         options: QueryOptions | None = None,
     ) -> QueryResult:
         """Run a prepared statement with ``params`` bound to its ``?`` slots.
@@ -601,8 +591,6 @@ class FederatedEngine:
                 prepared.options,
                 advance_clock=advance_clock,
                 degraded_ok=degraded_ok,
-                reuse_artifacts=reuse_artifacts,
-                deadline_at=deadline_at,
             )
         values = check_parameters(prepared.param_count, params)
         prepared.executions += 1

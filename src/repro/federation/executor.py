@@ -35,7 +35,6 @@ from dataclasses import replace
 
 from repro.core.records import Table
 from repro.federation.access import AccessPaths
-from repro.federation.health import RetryPolicy
 from repro.federation.physical import (
     ExecContext,
     ExecutionReport,
@@ -53,14 +52,14 @@ class Executor:
 
     ``paths`` is the engine's :class:`~repro.federation.access.AccessPaths`
     (catalog, health memory that receives every scan outcome, and the
-    cache / artifact store consulted at execution time); ``retry`` bounds
-    and prices scan-level failover.
+    cache / artifact store consulted at execution time); ``failover=False``
+    makes the first failed scan fail the statement instead of re-routing it.
     """
 
-    def __init__(self, paths: AccessPaths, retry: RetryPolicy) -> None:
+    def __init__(self, paths: AccessPaths, failover: bool) -> None:
         self.paths = paths
         self.planner = PhysicalPlanner(paths.catalog)
-        self.retry = retry
+        self.failover = failover
 
     def execute(
         self,
@@ -75,7 +74,9 @@ class Executor:
             # optimizer attached a tree (cache swap), and operators hold
             # per-execution state.
             root = self.planner.compile(plan)
-            ctx = ExecContext(self.paths, plan, report, self.retry, options, reopt)
+            ctx = ExecContext(
+                self.paths, plan, report, options, reopt, self.failover
+            )
             batches = []
             try:
                 root.open(ctx)

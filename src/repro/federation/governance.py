@@ -371,9 +371,9 @@ class GovernanceRegistry:
     epoch.
     """
 
-    def __init__(self, manifest: Any = None, metrics: Any = None) -> None:
+    def __init__(self, manifest: Any = None) -> None:
         self.version = 0
-        self.metrics = metrics
+        self.metrics = None  # the engine's MetricsRegistry, attached by it
         self._tenants: dict[str, TenantPolicy] = {}
         self._signatures: dict[str, str] = {}
         self._spent: dict[str, float] = {}

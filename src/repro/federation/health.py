@@ -9,22 +9,22 @@ that memory:
 * :class:`SiteHealthTracker` records every observed scan outcome per site:
   consecutive failures, totals, and last failure/success times on the
   simulation clock.
-* A simple **half-open circuit breaker**: after ``failure_threshold``
+* A simple **half-open circuit breaker**: after :data:`FAILURE_THRESHOLD`
   consecutive failures a site's circuit opens; while open, planners avoid
-  it when an alternative replica exists.  After ``cooldown_seconds`` the
-  circuit goes half-open and probes are allowed through; a streak of
-  ``half_open_successes`` consecutive probe successes closes it, any
+  it when an alternative replica exists.  After :data:`COOLDOWN_SECONDS`
+  the circuit goes half-open and probes are allowed through; a streak of
+  :data:`HALF_OPEN_SUCCESSES` consecutive probe successes closes it, any
   failure re-opens it (one lucky probe against a still-sick site must
   not fully restore trust).
 * **Availability-aware pricing**: :meth:`SiteHealthTracker.price_multiplier`
-  inflates a flaky site's bid by up to ``1 + max_price_penalty``; the
-  penalty decays linearly over ``risk_decay_seconds`` since the last
+  inflates a flaky site's bid by up to ``1 + MAX_PRICE_PENALTY``; the
+  penalty decays linearly over :data:`RISK_DECAY_SECONDS` since the last
   failure, so a site earns its way back into the market by staying up --
   the adaptive half of the agoric story applied to *availability* instead
   of load.
-* :class:`RetryPolicy` bounds the executor's failover: a per-query retry
-  budget and an exponential backoff schedule whose modeled pauses are
-  charged to the simulated response time.
+
+The executor's failover, which feeds the tracker, is bounded and priced by
+the retry budget and backoff constants of :mod:`repro.federation.stage`.
 
 All three optimizers consult the tracker (the engine attaches its tracker
 to whatever optimizer it is built with, exactly as it attaches the
@@ -37,6 +37,17 @@ import enum
 from dataclasses import dataclass
 
 from repro.sim.clock import SimClock
+
+# Consecutive failures that open a site's circuit.
+FAILURE_THRESHOLD = 3
+# How long an open circuit stays open before it half-opens for probes.
+COOLDOWN_SECONDS = 60.0
+# Consecutive half-open probe successes that close the circuit again.
+HALF_OPEN_SUCCESSES = 2
+# The risk penalty decays linearly to zero over this long after a failure.
+RISK_DECAY_SECONDS = 600.0
+# A site at full risk asks ``1 + MAX_PRICE_PENALTY`` times its price.
+MAX_PRICE_PENALTY = 4.0
 
 
 class CircuitState(enum.Enum):
@@ -60,71 +71,11 @@ class SiteHealth:
     probe_successes: int = 0  # consecutive half-open probe successes
 
 
-@dataclass
-class RetryPolicy:
-    """Bounds and prices the executor's scan-level failover.
-
-    ``budget`` is per *query*: the total number of failover attempts (site
-    re-routes after a failed or dead primary) one execution may spend.
-    Each attempt is charged a modeled pause of
-    ``backoff_base_seconds * backoff_multiplier ** attempts_so_far``
-    (capped), accumulated into the scan pipeline's elapsed time -- so a
-    query that survives on retries pays for them in simulated latency, and
-    two identical seeded runs stay byte-identical.
-
-    ``enabled=False`` reproduces the pre-failover engine: the first dead
-    site aborts the query with :class:`~repro.core.errors.SourceUnavailableError`.
-    """
-
-    enabled: bool = True
-    budget: int = 8
-    backoff_base_seconds: float = 0.02
-    backoff_multiplier: float = 2.0
-    backoff_cap_seconds: float = 1.0
-
-    def backoff_seconds(self, retry_index: int) -> float:
-        """The modeled pause before retry number ``retry_index`` (0-based)."""
-        pause = self.backoff_base_seconds * (
-            self.backoff_multiplier ** max(0, retry_index)
-        )
-        return min(self.backoff_cap_seconds, pause)
-
-
 class SiteHealthTracker:
     """Remembers per-site scan outcomes; prices risk; breaks circuits."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 60.0,
-        risk_decay_seconds: float = 600.0,
-        max_price_penalty: float = 4.0,
-        half_open_successes: int = 2,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if cooldown_seconds <= 0:
-            # A non-positive cooldown half-opens a tripped circuit on the
-            # very next state() call, defeating the breaker entirely.
-            raise ValueError(
-                f"cooldown_seconds must be > 0, got {cooldown_seconds}"
-            )
-        if risk_decay_seconds <= 0:
-            # risk_penalty divides by this decay horizon.
-            raise ValueError(
-                f"risk_decay_seconds must be > 0, got {risk_decay_seconds}"
-            )
-        if half_open_successes < 1:
-            raise ValueError(
-                f"half_open_successes must be >= 1, got {half_open_successes}"
-            )
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.risk_decay_seconds = risk_decay_seconds
-        self.max_price_penalty = max_price_penalty
-        self.half_open_successes = half_open_successes
         self.trips = 0  # lifetime circuit-open transitions
         self._sites: dict[str, SiteHealth] = {}
         # Sites with a nonzero failure streak or a circuit not yet closed.
@@ -147,7 +98,7 @@ class SiteHealthTracker:
         record.last_failure_at = self.clock.now()
         record.probe_successes = 0  # any failure breaks the closing streak
         if (
-            record.consecutive_failures >= self.failure_threshold
+            record.consecutive_failures >= FAILURE_THRESHOLD
             and record.opened_at is None
         ):
             record.opened_at = self.clock.now()
@@ -173,7 +124,7 @@ class SiteHealthTracker:
         # Half-open probe: one lucky success against a still-sick site
         # must not fully restore trust.  Only a streak closes the circuit.
         record.probe_successes += 1
-        if record.probe_successes >= self.half_open_successes:
+        if record.probe_successes >= HALF_OPEN_SUCCESSES:
             record.opened_at = None
             record.consecutive_failures = 0
             record.probe_successes = 0
@@ -185,7 +136,7 @@ class SiteHealthTracker:
         record = self._sites.get(site_name)
         if record is None or record.opened_at is None:
             return CircuitState.CLOSED
-        if self.clock.now() - record.opened_at >= self.cooldown_seconds:
+        if self.clock.now() - record.opened_at >= COOLDOWN_SECONDS:
             return CircuitState.HALF_OPEN
         return CircuitState.OPEN
 
@@ -200,7 +151,7 @@ class SiteHealthTracker:
         """A [0, 1] risk factor: 0 = no recent failures, 1 = tripped now.
 
         Scales with how close the site is to (or past) the trip threshold
-        and decays linearly over ``risk_decay_seconds`` since the last
+        and decays linearly over :data:`RISK_DECAY_SECONDS` since the last
         failure, so stale incidents stop distorting prices.
         """
         record = self._sites.get(site_name)
@@ -210,14 +161,14 @@ class SiteHealthTracker:
             or record.last_failure_at is None
         ):
             return 0.0
-        severity = min(1.0, record.consecutive_failures / self.failure_threshold)
+        severity = min(1.0, record.consecutive_failures / FAILURE_THRESHOLD)
         age = self.clock.now() - record.last_failure_at
-        freshness = max(0.0, 1.0 - age / self.risk_decay_seconds)
+        freshness = max(0.0, 1.0 - age / RISK_DECAY_SECONDS)
         return severity * freshness
 
     def price_multiplier(self, site_name: str) -> float:
-        """Inflate a flaky site's ask: ``1 + max_price_penalty * risk``."""
-        return 1.0 + self.max_price_penalty * self.risk_penalty(site_name)
+        """Inflate a flaky site's ask: ``1 + MAX_PRICE_PENALTY * risk``."""
+        return 1.0 + MAX_PRICE_PENALTY * self.risk_penalty(site_name)
 
     def prefer(self, site_names: list[str]) -> list[str]:
         """Order candidate sites best-bet first (risk, then name).

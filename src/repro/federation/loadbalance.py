@@ -84,11 +84,10 @@ class PolicyOptimizer:
 
     prices_plans = False  # policies place, they do not price
 
-    def __init__(self, catalog: FederationCatalog, policy: ReplicaPolicy,
-                 name: str | None = None) -> None:
+    def __init__(self, catalog: FederationCatalog, policy: ReplicaPolicy) -> None:
         self.catalog = catalog
         self.policy = policy
-        self.name = name or f"policy:{type(policy).__name__}"
+        self.name = f"policy:{type(policy).__name__}"
         # The engine assigns its own AccessPaths here so cache regions,
         # stage artifacts and open circuit breakers steer the policy.
         self.paths = AccessPaths(catalog)

@@ -50,7 +50,6 @@ from repro.federation import columnar
 from repro.federation.artifacts import StageSpec
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.governance import mask_value
-from repro.federation.health import RetryPolicy
 from repro.federation.stage import Stage
 from repro.federation.views import MaterializedView
 from repro.sql.ast import (
@@ -184,10 +183,12 @@ class QueryOptions:
     """One statement's answer policy, built once and carried by reference.
 
     ``FederatedEngine.query`` / ``prepare`` / ``execute`` / ``explain``
-    build it from their keywords; every layer below (engine internals,
-    executor, :class:`ExecContext`, the re-optimization controller, the
-    workload manager's handles) receives this object, never the loose
-    values.  ``max_staleness``, ``coordinator`` and the *policy signature*
+    build it from their keywords (``reuse_artifacts`` and ``deadline_at``
+    have none: the workload manager and ``rerun_physical`` set them, and a
+    caller that needs them passes ``options=``); every layer below (engine
+    internals, executor, :class:`ExecContext`, the re-optimization
+    controller, the workload manager's handles) receives this object,
+    never the loose values.  ``max_staleness``, ``coordinator`` and the *policy signature*
     of ``tenant`` shape the plan (access-path choice, site assignments,
     compiled governance), so a prepared template is only valid under the
     three it was compiled with.  ``tenant`` itself is identity and binds
@@ -368,9 +369,9 @@ class ExecContext:
         paths: AccessPaths,
         plan: PhysicalPlan,
         report: ExecutionReport,
-        retry: RetryPolicy,
         options: QueryOptions,
         reopt,
+        failover: bool,
     ) -> None:
         # The engine's access-path seam: the catalog, per-site health
         # memory, and the semantic cache / artifact store each stage
@@ -383,8 +384,9 @@ class ExecContext:
         self.coordinator = plan.coordinator
         self.scan_elapsed = 0.0  # slowest leaf pipeline (scans run in parallel)
         self.coordinator_seconds = 0.0  # serial coordinator work
-        # Fault-tolerance state shared by every scan in this execution.
-        self.retry = retry
+        # Whether a failed scan re-routes to another replica (the stage's
+        # retry budget bounds it) or raises at once.
+        self.failover = failover
         # The statement's options, read where they bind: ``degraded_ok`` by
         # unreachable scans; ``reuse_artifacts`` at the Ship boundary (the
         # workload manager's fallback re-execution sets False so a query
@@ -395,7 +397,7 @@ class ExecContext:
         # Adaptive re-optimization controller (repro.federation.reopt), or
         # None for frozen-plan execution.  Each stage consults it once.
         self.reopt = reopt
-        self.retries_used = 0  # failover attempts spent against retry.budget
+        self.retries_used = 0  # failover attempts spent against RETRY_BUDGET
         self.scan_total_rows = 0  # estimated input rows across all scans
         self.unreachable_rows = 0  # estimated rows behind dead fragments
         self.unreachable_fragments: list[str] = []

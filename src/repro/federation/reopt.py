@@ -7,9 +7,9 @@ triggering signal fires:
 
 * a :class:`SiteHealthTracker` circuit is open on a site holding pending
   work, or the site is down outright;
-* a site's live ``congestion_factor()`` crosses a configurable high
-  watermark (with a low watermark providing hysteresis so a site that
-  fired must cool off before it can fire again);
+* a site's live ``congestion_factor()`` reaches :data:`CONGESTION_HIGH`
+  (with :data:`CONGESTION_LOW` providing hysteresis so a site that fired
+  must cool off below it before it can fire again);
 * the workload-manager deadline projects an overrun from the remaining
   stage's live cost estimate.
 
@@ -23,16 +23,19 @@ all), then asks the session optimizer to re-quote the residual placement
 at live prices.  The
 migration only happens when the fresh placement covers every fragment the
 original covered and beats the original's *live re-priced* cost by at
-least ``min_improvement`` — otherwise the original assignment stands, the
+least :data:`MIN_IMPROVEMENT` — otherwise the original assignment stands, the
 modeled re-solicitation seconds are booked as waste, and the answer stays
 bit-identical to static execution by construction (replicas hold the same
 fragment rows, so *which* replica scans them never changes the result).
 
-Attempts are bounded by a per-query budget, each stage is considered at
-most once per execution, and the modeled seconds every re-solicitation
-costs (bid round trips for agoric, a forced statistics refresh for the
-centralized baseline) are charged into the query's response time — the
-economy pays for its own adaptivity.
+Attempts are bounded by a per-query budget (:data:`MAX_ATTEMPTS`), each
+stage is considered at most once per execution, the workload manager
+re-plans one in-flight query at most :data:`MAX_REPLANS` times, and the
+modeled seconds every re-solicitation costs (bid round trips for agoric, a
+forced statistics refresh for the centralized baseline) are charged into
+the query's response time — the economy pays for its own adaptivity.
+``FederatedEngine(reopt=True)`` turns the machinery on; the tuning above
+is fixed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,22 @@ from repro.core.errors import QueryError, SourceUnavailableError
 from repro.federation.health import CircuitState
 from repro.federation.stats import fragment_selectivity
 
-__all__ = ["ReoptEvent", "ReoptPolicy", "ReoptController"]
+__all__ = ["ReoptEvent", "ReoptController"]
+
+# Per-query re-solicitation budget: how many stages one execution may
+# re-quote; once spent, the remaining triggers are ignored.
+MAX_ATTEMPTS = 3
+# Congestion watermarks on ``Site.congestion_factor()``: a site fires at
+# the high one and cannot fire again (within one execution) until it drops
+# below the low one.
+CONGESTION_HIGH = 3.0
+CONGESTION_LOW = 1.5
+# Thrash damping: a fresh placement must beat the original's live
+# re-priced cost by this fraction, or the original stands.
+MIN_IMPROVEMENT = 0.1
+# How many times the workload manager re-plans one in-flight query after
+# cluster disturbances (site kill / load spike wakeups).
+MAX_REPLANS = 2
 
 
 @dataclass(frozen=True)
@@ -68,70 +86,15 @@ class ReoptEvent:
         return f"reopt {self.reason}: kept original assignment"
 
 
-@dataclass
-class ReoptPolicy:
-    """Configuration for adaptive mid-query re-optimization.
-
-    Attached to a :class:`FederatedEngine` via ``reopt=ReoptPolicy(...)``;
-    ``None`` (the default) keeps plans frozen at dispatch.
-    """
-
-    # Per-query re-solicitation budget: how many stages one execution may
-    # re-quote.  Exhausted budget means remaining triggers are ignored.
-    max_attempts: int = 3
-    # Congestion trigger watermarks on Site.congestion_factor().  A site
-    # fires when its factor reaches ``congestion_high`` and cannot fire
-    # again (within one execution) until it drops below ``congestion_low``.
-    congestion_high: float = 3.0
-    congestion_low: float = 1.5
-    # Thrash damping: a fresh placement must beat the original's live
-    # re-priced cost by this fraction, or the original stands.
-    min_improvement: float = 0.1
-    # How many times the workload manager may re-plan one in-flight query
-    # after cluster disturbances (site kill / load spike wakeups).
-    max_replans: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.congestion_low < 1.0:
-            raise ValueError(
-                "congestion_low must be >= 1.0 (an idle site's factor), "
-                f"got {self.congestion_low}"
-            )
-        if self.congestion_high <= self.congestion_low:
-            raise ValueError(
-                "hysteresis needs congestion_high > congestion_low, got "
-                f"high={self.congestion_high} low={self.congestion_low}"
-            )
-        if not 0.0 <= self.min_improvement < 1.0:
-            raise ValueError(
-                f"min_improvement must be in [0, 1), got {self.min_improvement}"
-            )
-        if self.max_replans < 0:
-            raise ValueError(
-                f"max_replans must be >= 0, got {self.max_replans}"
-            )
-
-
 class ReoptController:
     """Per-execution re-optimization state: triggers, budget, hysteresis.
 
-    Created by the engine for each execution when a :class:`ReoptPolicy`
-    is configured, threaded through :class:`ExecContext`, and consulted by
+    Created by the engine for each execution when it was built with
+    ``reopt=True``, threaded through :class:`ExecContext`, and consulted by
     every stage (:mod:`repro.federation.stage`) just before it runs.
     """
 
-    def __init__(
-        self,
-        policy: ReoptPolicy,
-        optimizer,
-        paths,
-        options,
-    ) -> None:
-        self.policy = policy
+    def __init__(self, optimizer, paths, options) -> None:
         self.optimizer = optimizer
         # The engine's AccessPaths: catalog, health memory, artifact store.
         self.paths = paths
@@ -173,7 +136,7 @@ class ReoptController:
             # live, allowed replica): a re-solicitation provably cannot
             # migrate anything, so don't pay the market round trip for it.
             return None
-        if self.attempts >= self.policy.max_attempts:
+        if self.attempts >= MAX_ATTEMPTS:
             return None  # budget exhausted: the trigger is ignored
         self._considered.add(scan.binding)
         self.attempts += 1
@@ -243,10 +206,10 @@ class ReoptController:
                 return f"circuit-open:{name}", name
             factor = site.congestion_factor()
             if name in self._hot_sites:
-                if factor < self.policy.congestion_low:
+                if factor < CONGESTION_LOW:
                     self._hot_sites.discard(name)  # cooled off: re-arm
                 continue  # hysteresis: holds until below the low watermark
-            if factor >= self.policy.congestion_high:
+            if factor >= CONGESTION_HIGH:
                 self._hot_sites.add(name)
                 return f"congestion:{name}", name
         if self.options.deadline_at is not None:
@@ -334,7 +297,7 @@ class ReoptController:
             return False
         if old_price == float("inf"):
             return True  # incumbent infeasible (dead site): any cover wins
-        return new_price < old_price * (1.0 - self.policy.min_improvement)
+        return new_price < old_price * (1.0 - MIN_IMPROVEMENT)
 
     def _record(
         self,

@@ -39,6 +39,15 @@ from repro.federation.artifacts import (
 )
 from repro.federation.parts import Part, splice
 
+# Scan-level failover: one execution may spend this many re-routes after a
+# failed or dead primary, and re-route ``i`` (0-based) pauses
+# ``min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** i)``
+# modeled seconds, charged to the scan pipeline's elapsed time.
+RETRY_BUDGET = 8
+BACKOFF_BASE_SECONDS = 0.02
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_SECONDS = 1.0
+
 
 class Stage:
     """One ``Ship``'s stage for one execution (the planner builds one per
@@ -324,16 +333,18 @@ class Stage:
         failover layer existed.
         """
         fragment = choice.fragment
-        retry = ctx.retry
         candidates = [choice.site_name]
         backoff_delay = 0.0
         for index, site_name in enumerate(candidates):
             if index > 0:
                 # A failover attempt: bounded by the per-query budget and
                 # charged a backoff pause that escalates per attempt.
-                if ctx.retries_used >= retry.budget:
+                if ctx.retries_used >= RETRY_BUDGET:
                     break
-                pause = retry.backoff_seconds(index - 1)
+                pause = min(
+                    BACKOFF_CAP_SECONDS,
+                    BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** (index - 1),
+                )
                 ctx.retries_used += 1
                 backoff_delay += pause
                 ctx.report.failover_attempts += 1
@@ -347,7 +358,7 @@ class Stage:
                     ctx.health.record_failure(site_name)
                 if error.fragment is None:
                     error.fragment = f"{fragment.table_name}/{fragment.fragment_id}"
-                if not retry.enabled:
+                if not ctx.failover:
                     raise
                 if index == 0:
                     # The planned site failed: only now line up its

@@ -27,7 +27,7 @@ from repro.sim.events import EventLoop
 
 
 class MaterializedView:
-    """A named, periodically refreshed copy of (part of) a base table."""
+    """A named, periodically refreshed copy of a whole base table."""
 
     def __init__(
         self,
@@ -37,7 +37,6 @@ class MaterializedView:
         refresh_fn: "Callable[[], Table] | None",
         site_name: str,
         refresh_interval: float | None = None,
-        covers_whole_table: bool = True,
     ) -> None:
         self.name = name
         self.base_table = base_table
@@ -45,7 +44,6 @@ class MaterializedView:
         self.refresh_fn = refresh_fn
         self.site_name = site_name
         self.refresh_interval = refresh_interval
-        self.covers_whole_table = covers_whole_table
         self.data: Table | None = None
         self.as_of: float = float("-inf")
         self.refresh_count = 0

@@ -31,11 +31,12 @@ overlaps many in-flight queries on the shared simulation clock:
   a :class:`~repro.federation.availability.FailureInjector`; when a site
   fails or slows under a running query that still has *unstarted* stage
   work there, the manager tears up the remaining work and re-executes the
-  plan at today's prices (``FederatedEngine.rerun_physical``).  With a
-  :class:`~repro.federation.reopt.ReoptPolicy` on the engine the
-  re-execution migrates pending stages to healthier replicas; without one
-  it re-prices the original assignments under the degraded cluster -- the
-  adaptive-vs-static contrast experiment E16 measures.
+  plan at today's prices (``FederatedEngine.rerun_physical``), at most
+  :data:`~repro.federation.reopt.MAX_REPLANS` times per query.  On an
+  engine built with ``reopt=True`` the re-execution migrates pending stages
+  to healthier replicas; without it it re-prices the original assignments
+  under the degraded cluster -- the adaptive-vs-static contrast experiment
+  E16 measures.
 
 Execution model: the simulator executes a query's operator tree at dispatch
 time (clock frozen) to learn its modeled duration and site footprint, then
@@ -67,10 +68,10 @@ from repro.core.errors import (
 )
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.physical import QueryOptions
-from repro.federation.reopt import ReoptPolicy
+from repro.federation.reopt import MAX_REPLANS
 from repro.federation.scheduler import Scheduler, make_scheduler
 from repro.sim.events import EventLoop, ScheduledEvent
-from repro.sim.metrics import Held, MetricsRegistry
+from repro.sim.metrics import Held
 
 
 @dataclass
@@ -233,7 +234,6 @@ class WorkloadManager:
         loop: EventLoop,
         scheduler: "str | Scheduler" = "weighted-fair",
         max_in_flight: int = 4,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_in_flight < 1:
             raise QueryError(f"max_in_flight must be >= 1, got {max_in_flight}")
@@ -245,7 +245,7 @@ class WorkloadManager:
         self.loop = loop
         self.scheduler = make_scheduler(scheduler)
         self.max_in_flight = max_in_flight
-        self.metrics = metrics or engine.metrics
+        self.metrics = engine.metrics
         # Per-tenant and per-site instruments, held once resolved.
         self._counters = Held(self.metrics.counter)
         self._gauges = Held(self.metrics.gauge)
@@ -671,10 +671,7 @@ class WorkloadManager:
         """
         if handle.state is not QueryState.RUNNING:
             return False
-        # The engine's re-opt policy caps replans (its default without one).
-        policy = getattr(self.engine, "reopt", None)
-        cap = ReoptPolicy.max_replans if policy is None else policy.max_replans
-        if handle._replans >= cap:
+        if handle._replans >= MAX_REPLANS:
             return False
         result = handle._inflight_result
         if result is None or handle._executed_at is None:
@@ -711,7 +708,7 @@ class WorkloadManager:
         fresh = self._execute(handle, rerun=result)
         if fresh is None:
             return
-        if getattr(self.engine, "reopt", None) is not None:
+        if self.engine.reopt:
             # In-flight work the disturbance threw away is charged against
             # adaptivity, not hidden: it lands in the wasted-seconds ledger.
             fresh.report.reopt_wasted_seconds += elapsed

@@ -17,6 +17,12 @@ from typing import Hashable
 from repro.ir.fuzzy import consonant_skeleton, levenshtein_similarity, ngram_jaccard
 from repro.ir.tokenize import ngrams, tokenize
 
+# The vocabulary n-gram index's gram length (fuzzy candidate generation).
+NGRAM_SIZE = 3
+# A fuzzy expansion keeps at most this many terms scoring at least this much.
+FUZZY_LIMIT = 3
+FUZZY_MINIMUM = 0.55
+
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -34,11 +40,10 @@ class InvertedIndex:
     which is plenty for catalog-scale text.
     """
 
-    def __init__(self, ngram_size: int = 3) -> None:
+    def __init__(self) -> None:
         self._postings: dict[str, dict[Hashable, int]] = defaultdict(dict)
         self._doc_lengths: dict[Hashable, float] = {}
         self._vocabulary_grams: dict[str, set[str]] = defaultdict(set)
-        self._ngram_size = ngram_size
 
     # -- maintenance ---------------------------------------------------------
 
@@ -49,7 +54,7 @@ class InvertedIndex:
         counts = Counter(tokenize(text))
         for term, count in counts.items():
             self._postings[term][doc_id] = count
-            for gram in ngrams(term, self._ngram_size):
+            for gram in ngrams(term, NGRAM_SIZE):
                 self._vocabulary_grams[gram].add(term)
         self._doc_lengths[doc_id] = math.sqrt(
             sum((1 + math.log(c)) ** 2 for c in counts.values())
@@ -65,7 +70,7 @@ class InvertedIndex:
                 del posting[doc_id]
                 if not posting:
                     del self._postings[term]
-                    for gram in ngrams(term, self._ngram_size):
+                    for gram in ngrams(term, NGRAM_SIZE):
                         self._vocabulary_grams[gram].discard(term)
         del self._doc_lengths[doc_id]
 
@@ -83,7 +88,7 @@ class InvertedIndex:
         """Ranked search over pre-expanded terms (synonym/fuzzy pipelines)."""
         return self._score([t.lower() for t in terms], limit)
 
-    def fuzzy_expand(self, term: str, limit: int = 3, minimum: float = 0.55) -> list[str]:
+    def fuzzy_expand(self, term: str) -> list[str]:
         """Return indexed vocabulary terms most similar to ``term``.
 
         Candidate generation goes through the vocabulary n-gram index (cheap),
@@ -94,7 +99,7 @@ class InvertedIndex:
         # catalog text itself contains misspellings, so an exact vocabulary
         # hit ("blck") does not mean the user's intent ("black") is absent.
         candidates: Counter[str] = Counter()
-        for gram in ngrams(term, self._ngram_size):
+        for gram in ngrams(term, NGRAM_SIZE):
             for vocab_term in self._vocabulary_grams.get(gram, ()):
                 candidates[vocab_term] += 1
         term_skeleton = consonant_skeleton(term)
@@ -103,16 +108,16 @@ class InvertedIndex:
             if vocab_term == term:
                 continue
             direct = 0.5 * levenshtein_similarity(term, vocab_term) + 0.5 * ngram_jaccard(
-                term, vocab_term, self._ngram_size
+                term, vocab_term, NGRAM_SIZE
             )
             # Vowel-dropped abbreviations ("drlls") score poorly directly but
             # align on consonant skeletons; take the better view.
             skeleton = levenshtein_similarity(term_skeleton, consonant_skeleton(vocab_term))
             score = max(direct, 0.9 * skeleton)
-            if score >= minimum:
+            if score >= FUZZY_MINIMUM:
                 scored.append((vocab_term, score))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return [t for t, _ in scored[:limit]]
+        return [t for t, _ in scored[:FUZZY_LIMIT]]
 
     def _score(self, terms: list[str], limit: int) -> list[SearchHit]:
         if not terms or not self._doc_lengths:

@@ -49,14 +49,10 @@ class CatalogSearch:
         index: InvertedIndex | None = None,
         synonyms: SynonymExpander | None = None,
         taxonomy_expander: TaxonomyExpander | None = None,
-        fuzzy_limit: int = 3,
-        fuzzy_minimum: float = 0.55,
     ) -> None:
         self.index = index or InvertedIndex()
         self.synonyms = synonyms
         self.taxonomy_expander = taxonomy_expander
-        self.fuzzy_limit = fuzzy_limit
-        self.fuzzy_minimum = fuzzy_minimum
 
     # -- querying ------------------------------------------------------------
 
@@ -92,9 +88,7 @@ class CatalogSearch:
         recovered: list[str] = []
         if mode in (SearchMode.FUZZY, SearchMode.FULL):
             for token in base_terms:
-                expansions = self.index.fuzzy_expand(
-                    token, self.fuzzy_limit, self.fuzzy_minimum
-                )
+                expansions = self.index.fuzzy_expand(token)
                 for expansion in expansions:
                     push(expansion)
                 # Best non-identical expansion reconstructs the intended word.

@@ -60,9 +60,5 @@ class SimClock:
         self._now = float(timestamp)
         return self._now
 
-    def elapsed_since(self, timestamp: float) -> float:
-        """Return seconds elapsed between ``timestamp`` and now."""
-        return self._now - timestamp
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now!r})"

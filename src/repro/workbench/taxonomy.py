@@ -5,16 +5,16 @@ Characteristic 3: taxonomies are "usually arranged in a semantic hierarchy
 at the matching levels as well as those below them", and "taxonomies should
 be browseable and searchable in the same manner as the data itself".
 
-A :class:`Taxonomy` is a forest of coded categories.  Products (any
-hashable ids) are *assigned* to categories; :meth:`items_under` implements
-the paper's descendant-inclusive retrieval, and :meth:`expand_query`
-produces extra search terms for :class:`repro.ir.search.CatalogSearch`.
+A :class:`Taxonomy` is a forest of coded categories.  Its
+:meth:`expand_query` implements the paper's descendant-inclusive retrieval:
+a phrase matching a category label yields search terms for that category
+and everything below it, for :class:`repro.ir.search.CatalogSearch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from typing import Iterator
 
 from repro.core.errors import TaxonomyError
 
@@ -52,13 +52,12 @@ class TaxonomyNode:
 
 
 class Taxonomy:
-    """A named forest of categories with product assignments."""
+    """A named forest of coded categories."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._nodes: dict[str, TaxonomyNode] = {}
         self._roots: list[TaxonomyNode] = []
-        self._assignments: dict[str, set[Hashable]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -106,21 +105,6 @@ class Taxonomy:
 
     def __contains__(self, code: str) -> bool:
         return code in self._nodes
-
-    # -- product assignment & retrieval ----------------------------------------
-
-    def assign(self, code: str, item_id: Hashable) -> None:
-        """Classify one product under a category."""
-        self.node(code)  # validates
-        self._assignments.setdefault(code, set()).add(item_id)
-
-    def items_under(self, code: str) -> set[Hashable]:
-        """Products at this category *and all descendants* (§3.1 C3)."""
-        node = self.node(code)
-        items = set(self._assignments.get(code, set()))
-        for descendant in node.descendants():
-            items |= self._assignments.get(descendant.code, set())
-        return items
 
     # -- query expansion ---------------------------------------------------------
 

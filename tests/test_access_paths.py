@@ -25,6 +25,7 @@ from repro.federation import (
     SiteHealthTracker,
 )
 from repro.federation.governance import GovernanceRegistry
+from repro.federation.health import FAILURE_THRESHOLD
 from repro.sim import SimClock
 from repro.sql import build_plan, parse_sql, resolve
 
@@ -63,7 +64,7 @@ def scan_for(catalog, sql):
 
 
 def trip(health, site_name):
-    for _ in range(health.failure_threshold):
+    for _ in range(FAILURE_THRESHOLD):
         health.record_failure(site_name)
 
 
@@ -288,6 +289,8 @@ class SourceIndex:
     def __init__(self, root):
         self.params, self.bases, self.lines = {}, {}, {}  # by defining home
         self.calls = defaultdict(list)  # callee -> [(home, first argument)]
+        self.passes = defaultdict(list)  # callee -> [(home, positional count, keywords)]
+        self.options = {}  # a defining home -> (positional parameters, defaulted ones)
         self.callees, self.assigns = defaultdict(set), defaultdict(list)
         self.imports, self.names = defaultdict(set), defaultdict(set)  # by file, home
         self.strings, self.tested, self.excepts = (defaultdict(set) for _ in range(3))
@@ -312,6 +315,10 @@ class SourceIndex:
                 first = first.value if isinstance(first, ast.Constant) else _name(first)
                 self.calls[name].append((home, first))
                 self.callees[home].add(name)
+                count = len(child.args)
+                if any(isinstance(arg, ast.Starred) for arg in child.args):
+                    count = None  # *args may fill every position
+                self.passes[name].append((home, count, {k.arg for k in child.keywords}))
                 if name == "isinstance" and len(child.args) == 2:
                     self.tested[home] |= set(map(_name, ast.walk(child.args[1])))
             elif isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -331,6 +338,7 @@ class SourceIndex:
                 self.lines[defined] = child.end_lineno - child.lineno + 1
                 if not isinstance(child, ast.ClassDef):
                     self.functions.add(defined)
+                    self.options[defined] = _options(child.args)
             elif isinstance(child, ast.ImportFrom):
                 self.imports[where] |= {(child.module, a.name) for a in child.names}
             elif isinstance(child, ast.Import):
@@ -363,6 +371,15 @@ class SourceIndex:
 
 def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _options(args):
+    """A signature's positional parameters after the first (``self``), and
+    the parameters that have a default."""
+    positional = [a.arg for a in (*args.posonlyargs, *args.args)][1:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return tuple(positional), tuple(defaulted)
 
 
 def _params(node):
@@ -429,6 +446,25 @@ def unnamed(ix):
         if (where.startswith("src/") and not name.startswith("_")
                 and f"{where}:{owner}" not in ix.functions and words[name] <= 0):
             found.add(home)
+    return found
+
+
+def unset_options(ix):
+    """The defaulted parameters of a public class's ``__init__`` under
+    federation/ or ir/ that no call under src/, benchmarks/ or examples/
+    passes, by keyword or by position (a ``**kwargs`` pass names none)."""
+    found = set()
+    for home, (positional, defaulted) in ix.options.items():
+        where, _, qualname = home.partition(":")
+        owner, _, name = qualname.rpartition(".")
+        if (name != "__init__" or "." in owner or owner.startswith("_")
+                or not where.startswith((F, "src/repro/ir/"))):
+            continue
+        passed = set()
+        for caller, count, keywords in ix.passes[owner]:
+            if caller.startswith(("src/", "benchmarks/", "examples/")):
+                passed |= set(positional[:count]) | keywords
+        found |= {f"{owner}.{option}" for option in defaulted if option not in passed}
     return found
 
 
@@ -508,6 +544,26 @@ GONE = {
     "GovernanceInjection.binding_fields", "ambiguous_fields", "scan_layout",
     "EncodedBatch.aliases", "ColumnBatch.aliases", "ExecContext.ambiguous",  # late names
     "is_available",  # public surface nothing but tests named
+    "ReoptPolicy", "RetryPolicy", "backoff_seconds",  # tuning no shipped caller set
+    "build_url", "SupplierRegistry.withdraw", "SimClock.elapsed_since", "Taxonomy.assign",
+    "Taxonomy.items_under",  # definitions only tests reached
+}  # fmt: skip
+# The retry budget and backoff schedule of scan-level failover.
+RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
+                   "BACKOFF_CAP_SECONDS")  # fmt: skip
+# Options no shipped caller sets, each kept for the reason given.
+SITES = "describes a simulated site; benches set some through make_site(**kwargs)"
+NETWORK = "describes the simulated network; the network tests set it"
+UNSET_OPTIONS = {
+    "ArtifactStore.max_rows": "its only setter is the eviction test in test_artifact_reuse",
+    **{f"Site.{name}": SITES for name in (
+        "cpu_seconds_per_row", "price_per_second", "load_price_factor", "congestion_alpha")},
+    **{f"{owner}.{name}": NETWORK for owner in ("Network", "SecureNetwork")
+       for name in ("base_latency", "seconds_per_byte")},
+    **{f"SecureNetwork.{name}": NETWORK for name in (
+        "handshake_seconds", "encryption_factor", "shared_secret")},
+    "FederationCatalog.network": NETWORK,
+    "Gateway.max_idle": "sizes the deployment's idle session pool; the gateway tests set it",
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
@@ -532,12 +588,11 @@ GUARDS = [
      lambda ix: ix.holding(ix.params, "columnar"), set()),
     ("stays_deleted-every-definition-is-named",
      "a public definition under src/ is named by src/, a bench or an example",
-     unnamed, {"src/repro/" + home for home in (
-         "connect/simweb.py:build_url", "connect/registry.py:SupplierRegistry.withdraw",
-         "sim/clock.py:SimClock.elapsed_since", "workbench/taxonomy.py:Taxonomy.assign",
-         "htmlkit/parser.py:_TreeBuilder.handle_starttag",  # HTMLParser callbacks
-         "htmlkit/parser.py:_TreeBuilder.handle_endtag",
-         "htmlkit/parser.py:_TreeBuilder.handle_comment")}),
+     unnamed, {"src/repro/htmlkit/parser.py:_TreeBuilder." + name for name in (
+         "handle_starttag", "handle_endtag", "handle_comment")}),  # HTMLParser callbacks
+    ("one_value-every-option-is-set",
+     "a public __init__ option under federation/ or ir/ is set by a shipped caller",
+     unset_options, set(UNSET_OPTIONS)),
     ("one_resolution-resolver-takes-the-fields",
      "a name is looked up in the catalog's fields by the resolver alone",
      lambda ix: ix.holding(ix.params, "binding_fields"),
@@ -584,8 +639,10 @@ GUARDS = [
     ("one_home-one-comparison-table", "pushdown compares with core.values.COMPARISONS",
      lambda ix: module("connect.source").Predicate._OPS
      is module("core.values").COMPARISONS, True),
-    ("one_home-one-default-retry-policy", "a RetryPolicy is built by the engine alone",
-     lambda ix: ix.callers("RetryPolicy"), {ENGINE + "__init__"}),
+    ("one_home-one-default-retry-policy", "the retry budget and backoff are defined once",
+     lambda ix: {h for h in ix.names
+                 if h.startswith("src/") and h.partition(":")[2] in RETRY_CONSTANTS},
+     {STAGE + name for name in RETRY_CONSTANTS}),
     ("one_scanner-built-on-tokens", "the plan-cache key and placeholders read tokens",
      unbuilt_on_tokens, set()),
     ("one_scanner-no-text-binder", "nothing under src/ calls the ad-hoc client's binder",

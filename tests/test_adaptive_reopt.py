@@ -14,10 +14,18 @@ from repro.federation import (
     FailureInjector,
     FederatedEngine,
     FederationCatalog,
-    ReoptPolicy,
+    QueryOptions,
     WorkloadManager,
 )
+from repro.federation.reopt import (
+    CONGESTION_HIGH,
+    CONGESTION_LOW,
+    MAX_ATTEMPTS,
+    MAX_REPLANS,
+    MIN_IMPROVEMENT,
+)
 from repro.federation.governance import GovernanceRegistry
+from repro.federation.health import FAILURE_THRESHOLD
 from repro.sim import EventLoop, SimClock
 from tests.test_governance import MANIFEST, build_federation
 
@@ -46,7 +54,7 @@ PARTS_ROWS = [(f"A-{i}", float(i)) for i in range(12)]
 SUPPLIER_ROWS = [(f"A-{i}", float(100 + i)) for i in range(12)]
 
 
-def build_engine(reopt=None, with_suppliers=False, parts_replicas=None):
+def build_engine(reopt=False, with_suppliers=False, parts_replicas=None):
     """Four sites, 'parts' in two fragments with RF=2 each by default."""
     clock = SimClock()
     catalog = FederationCatalog(clock)
@@ -79,32 +87,13 @@ def fragment_sites(physical):
 
 
 class TestReoptPolicyValidation:
+    """The re-optimization tuning is fixed (repro.federation.reopt)."""
+
     def test_defaults_are_valid(self):
-        policy = ReoptPolicy()
-        assert policy.max_attempts >= 1
-        assert policy.congestion_high > policy.congestion_low >= 1.0
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            ReoptPolicy(max_attempts=0)
-
-    def test_rejects_low_watermark_below_idle(self):
-        with pytest.raises(ValueError, match="congestion_low"):
-            ReoptPolicy(congestion_low=0.5)
-
-    def test_rejects_inverted_hysteresis(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            ReoptPolicy(congestion_high=1.5, congestion_low=1.5)
-
-    def test_rejects_bad_improvement_fraction(self):
-        with pytest.raises(ValueError, match="min_improvement"):
-            ReoptPolicy(min_improvement=1.0)
-        with pytest.raises(ValueError, match="min_improvement"):
-            ReoptPolicy(min_improvement=-0.1)
-
-    def test_rejects_negative_replan_cap(self):
-        with pytest.raises(ValueError, match="max_replans"):
-            ReoptPolicy(max_replans=-1)
+        assert MAX_ATTEMPTS >= 1 and MAX_REPLANS >= 0
+        # Hysteresis above an idle site's factor of 1.0.
+        assert CONGESTION_HIGH > CONGESTION_LOW >= 1.0
+        assert 0.0 <= MIN_IMPROVEMENT < 1.0
 
 
 class TestEngineReopt:
@@ -122,7 +111,7 @@ class TestEngineReopt:
         return prepared, victim
 
     def test_site_down_triggers_migration(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         engine.catalog.site(victim).up = False
         result = engine.execute(prepared)
@@ -140,7 +129,7 @@ class TestEngineReopt:
         assert rows_of(result) == rows_of(healthy)
 
     def test_migration_never_pollutes_the_prepared_template(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         before = fragment_sites(prepared.physical)
         engine.catalog.site(victim).up = False
@@ -148,7 +137,7 @@ class TestEngineReopt:
         assert fragment_sites(prepared.physical) == before
 
     def test_congestion_spike_triggers_migration(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         engine.catalog.site(victim).set_slowdown(5.0)
         result = engine.execute(prepared)
@@ -159,20 +148,20 @@ class TestEngineReopt:
         assert event.new_price < event.old_price
 
     def test_circuit_open_triggers_migration(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
-        for _ in range(engine.health.failure_threshold):
+        for _ in range(FAILURE_THRESHOLD):
             engine.health.record_failure(victim)
         result = engine.execute(prepared)
         (event,) = result.report.reopt_events
         assert event.reason == f"circuit-open:{victim}"
 
     def test_deadline_overrun_triggers_resolicitation(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, _ = self.prepared_victim(engine)
         # An absolute deadline already in the past projects an overrun for
         # any remaining stage.
-        result = engine.execute(prepared, deadline_at=0.0)
+        result = engine.execute(prepared, options=QueryOptions(deadline_at=0.0))
         report = result.report
         assert report.reoptimizations == 1
         assert report.reopt_events[0].reason == "deadline"
@@ -180,7 +169,7 @@ class TestEngineReopt:
         assert rows_of(result) == rows_of(healthy)
 
     def test_undisturbed_execution_reopts_nothing(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         result = engine.query("select sku from parts")
         report = result.report
         assert report.reoptimizations == 0
@@ -193,7 +182,7 @@ class TestEngineReopt:
         # harder: the trigger fires and the re-quote runs, but the fresh
         # placement cannot beat the incumbent, so the migration is refused
         # and the re-solicitation cost lands in the waste ledger.
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         victim_choice = next(
             choice
@@ -223,7 +212,7 @@ class TestEngineReopt:
         # Fragment replicas pinned to single sites: nothing *can* migrate,
         # so the controller refuses to pay the market round trip at all.
         engine = build_engine(
-            reopt=ReoptPolicy(), parts_replicas=[["s0"], ["s2"]]
+            reopt=True, parts_replicas=[["s0"], ["s2"]]
         )
         prepared, victim = self.prepared_victim(engine)
         engine.catalog.site(victim).set_slowdown(5.0)
@@ -238,28 +227,27 @@ class TestEngineReopt:
         assert rows_of(result) == rows_of(healthy)
 
     def test_attempt_budget_bounds_resolicitations(self):
-        sql = (
-            "select p.sku from parts p join suppliers s on p.sku = s.sku"
+        # One more stage than the budget: parts and suppliers, each read
+        # under enough aliases to give MAX_ATTEMPTS + 1 scans.
+        aliases = [f"{'ps'[i % 2]}{i}" for i in range(MAX_ATTEMPTS + 1)]
+        tables = [("parts", "suppliers")[i % 2] for i in range(len(aliases))]
+        sql = f"select {aliases[0]}.sku from {tables[0]} {aliases[0]}" + "".join(
+            f" join {table} {alias} on {alias}.sku = {aliases[0]}.sku"
+            for table, alias in zip(tables[1:], aliases[1:])
         )
-        engine = build_engine(
-            reopt=ReoptPolicy(max_attempts=1), with_suppliers=True
-        )
+        engine = build_engine(reopt=True, with_suppliers=True)
         prepared = engine.prepare(sql)
         # A past deadline triggers on every stage, but the budget admits
-        # exactly one re-solicitation.
-        result = engine.execute(prepared, deadline_at=0.0)
+        # MAX_ATTEMPTS re-solicitations.
+        result = engine.execute(prepared, options=QueryOptions(deadline_at=0.0))
         report = result.report
-        assert report.reoptimizations == 1
-        assert len(report.reopt_events) == 1
-        unlimited = build_engine(
-            reopt=ReoptPolicy(max_attempts=3), with_suppliers=True
-        )
-        roomy = unlimited.execute(unlimited.prepare(sql), deadline_at=0.0)
-        assert roomy.report.reoptimizations > 1
-        assert rows_of(result) == rows_of(roomy)
+        assert report.reoptimizations == MAX_ATTEMPTS
+        assert len(report.reopt_events) == MAX_ATTEMPTS
+        static = build_engine(with_suppliers=True)
+        assert rows_of(result) == rows_of(static.query(sql))
 
     def test_reopt_cost_charged_into_response_time(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         baseline = engine.execute(prepared).report.response_seconds
         engine.catalog.site(victim).set_slowdown(5.0)
@@ -270,7 +258,7 @@ class TestEngineReopt:
         assert baseline > 0.0
 
     def test_explain_analyze_renders_reopt_line(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         engine.catalog.site(victim).up = False
         result = engine.execute(prepared)
@@ -280,7 +268,7 @@ class TestEngineReopt:
         assert "reopt site-down" in rendered
 
     def test_reopt_metrics_recorded(self):
-        engine = build_engine(reopt=ReoptPolicy())
+        engine = build_engine(reopt=True)
         prepared, victim = self.prepared_victim(engine)
         engine.catalog.site(victim).up = False
         engine.execute(prepared)
@@ -293,7 +281,7 @@ class TestWorkloadMidFlightReplan:
 
     SQL = "select sku from parts where price > 1"
 
-    def build(self, reopt=None):
+    def build(self, reopt=False):
         clock = SimClock()
         catalog = FederationCatalog(clock)
         for i in range(4):
@@ -320,7 +308,7 @@ class TestWorkloadMidFlightReplan:
         return manager, handles
 
     def test_slowdown_and_kill_trigger_replans(self):
-        manager, handles = self.run_disturbed(ReoptPolicy())
+        manager, handles = self.run_disturbed(True)
         assert manager.replans > 0
         assert manager.metrics.counter("workload.replans").value == (
             manager.replans
@@ -328,16 +316,16 @@ class TestWorkloadMidFlightReplan:
         assert sum(h.result().report.migrated_stages for h in handles) >= 1
 
     def test_disturbed_answers_bit_identical_to_fault_free(self):
-        _, adaptive = self.run_disturbed(ReoptPolicy())
-        _, static = self.run_disturbed(None)
-        _, fault_free = self.run_disturbed(None, disturb=False)
+        _, adaptive = self.run_disturbed(True)
+        _, static = self.run_disturbed(False)
+        _, fault_free = self.run_disturbed(False, disturb=False)
         reference = [rows_of(h.result()) for h in fault_free]
         assert [rows_of(h.result()) for h in adaptive] == reference
         assert [rows_of(h.result()) for h in static] == reference
 
     def test_adaptive_beats_static_under_disturbance(self):
-        _, adaptive = self.run_disturbed(ReoptPolicy())
-        _, static = self.run_disturbed(None)
+        _, adaptive = self.run_disturbed(True)
+        _, static = self.run_disturbed(False)
 
         def mean_latency(handles):
             return sum(
@@ -347,7 +335,7 @@ class TestWorkloadMidFlightReplan:
         assert mean_latency(adaptive) < mean_latency(static)
 
     def test_repair_and_recovery_events_are_ignored(self):
-        engine, loop, manager, injector = self.build(ReoptPolicy())
+        engine, loop, manager, injector = self.build(True)
         handles = [manager.submit(self.SQL) for _ in range(2)]
         manager.site_event("s0", "repair")
         manager.site_event("s0", "recover")
@@ -355,24 +343,28 @@ class TestWorkloadMidFlightReplan:
         assert manager.replans == 0
 
     def test_replan_cap_zero_freezes_in_flight_queries(self):
-        engine, loop, manager, injector = self.build(
-            ReoptPolicy(max_replans=0)
-        )
-        injector.slow_at("s0", at=0.001, duration=5.0, factor=6.0)
-        handles = [manager.submit(self.SQL) for _ in range(4)]
+        engine, loop, manager, injector = self.build()
+        handles = [manager.submit(self.SQL) for _ in range(2)]
+        # More disturbances than the cap: each re-plans every running
+        # query until it has been re-planned MAX_REPLANS times, then none.
+        for _ in range(MAX_REPLANS + 2):
+            for site in ("s0", "s1", "s2", "s3"):
+                manager.site_event(site, "slow")
+        assert [h._replans for h in handles] == [MAX_REPLANS] * len(handles)
+        assert manager.replans == MAX_REPLANS * len(handles)
         manager.drain(*handles)
-        assert manager.replans == 0
+        assert manager.replans == MAX_REPLANS * len(handles)
 
     def test_wasted_seconds_ledger_charges_torn_up_work(self):
-        manager, handles = self.run_disturbed(ReoptPolicy())
+        manager, handles = self.run_disturbed(True)
         wasted = sum(
             h.result().report.reopt_wasted_seconds for h in handles
         )
         assert wasted > 0.0  # the discarded in-flight work is not hidden
 
     def test_same_seed_same_schedule_is_deterministic(self):
-        first_manager, first = self.run_disturbed(ReoptPolicy())
-        second_manager, second = self.run_disturbed(ReoptPolicy())
+        first_manager, first = self.run_disturbed(True)
+        second_manager, second = self.run_disturbed(True)
         assert first_manager.replans == second_manager.replans
         assert [
             h.result().report.response_seconds for h in first
@@ -522,14 +514,13 @@ class TestAdaptiveEquivalenceProperty:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(disturbance, max_size=4))
     def test_adaptive_answers_match_fault_free_static(self, schedule):
-        policy = ReoptPolicy()
-        adaptive = self.run_schedule(schedule, policy)
-        fault_free = self.run_schedule([], None)
+        adaptive = self.run_schedule(schedule, True)
+        fault_free = self.run_schedule([], False)
         assert [rows_of(h.result()) for h in adaptive] == [
             rows_of(h.result()) for h in fault_free
         ]
         for handle in adaptive:
             report = handle.result().report
             # The per-execution re-solicitation budget is never exceeded.
-            assert report.reoptimizations <= policy.max_attempts
-            assert handle._replans <= policy.max_replans
+            assert report.reoptimizations <= MAX_ATTEMPTS
+            assert handle._replans <= MAX_REPLANS

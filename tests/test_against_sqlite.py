@@ -43,7 +43,7 @@ from benchmarks.e2e.oracle import rows_match
 from repro.connect.source import StaticSource
 from repro.core import DataType, Field, Table
 from repro.core.errors import PartialFailureError, QueryError
-from repro.federation import Gateway, ReoptPolicy, WorkloadManager, dbapi
+from repro.federation import Gateway, WorkloadManager, dbapi
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop
@@ -397,7 +397,7 @@ def engine_for(switches):
         fragments=switches.fragments,
         replicas=1 if switches.down is None else 2,
         governance=governance,
-        reopt=ReoptPolicy() if switches.reopt else None,
+        reopt=switches.reopt,
     )
     return engine, tenant
 

@@ -24,7 +24,6 @@ from repro.federation import (
     FederatedEngine,
     FederationCatalog,
     QueryOptions,
-    ReoptPolicy,
     SemanticCache,
     WorkloadManager,
 )
@@ -62,7 +61,7 @@ def build_federation(sites=3, fragments=6, rows_per_fragment=20, **site_kwargs):
     return catalog
 
 
-def make_engine(artifacts=True, reopt=None, cache=False, **store_kwargs):
+def make_engine(artifacts=True, reopt=False, cache=False, **store_kwargs):
     catalog = build_federation()
     store = (
         ArtifactStore(catalog.clock, **store_kwargs) if artifacts else None
@@ -244,16 +243,6 @@ class TestStoreLifecycle:
         assert store.acquire(("dear", 1))[2] is False
         assert store.acquire(("cheap", 1)) is None
 
-    def test_store_ttl_reclaims(self):
-        clock = SimClock()
-        store = ArtifactStore(clock, max_age_seconds=5.0)
-        store.begin_stage(make_output(("k", 1), at=0.0), completes_at=0.0)
-        clock.advance(1.0)
-        assert store.acquire(("k", 1)) is not None
-        clock.advance(10.0)
-        assert store.acquire(("k", 1)) is None
-        assert store.evictions == 1
-
     def test_per_call_staleness_bound(self):
         clock = SimClock()
         store = ArtifactStore(clock)
@@ -421,7 +410,7 @@ class TestInvalidation:
         store._sweep()
         assert len(store) == 1  # the other five parts survive the write
         refreshed = engine.query(AGG_SQL)
-        cold = engine.query(AGG_SQL, reuse_artifacts=False)
+        cold = engine.query(AGG_SQL, options=QueryOptions(reuse_artifacts=False))
         assert refreshed.table.rows == cold.table.rows
         assert refreshed.report.artifact_hits == 0
         assert refreshed.report.rows_fetched == 2  # f3's rows with v < 77
@@ -478,7 +467,9 @@ class TestRefreshUnderFaults:
         for reuse in (True, False):
             try:
                 runs.append(
-                    engine.query(AGG_SQL, degraded_ok=degraded_ok, reuse_artifacts=reuse)
+                    engine.query(AGG_SQL, options=QueryOptions(
+                        degraded_ok=degraded_ok, reuse_artifacts=reuse
+                    ))
                 )
             except PartialFailureError as error:
                 runs.append(error.unreachable_fragments)
@@ -510,7 +501,8 @@ class TestRefreshUnderFaults:
         again = engine.query(AGG_SQL)
         assert store.refreshes == 2
         assert again.report.rows_fetched == fragment_rows("f0", 77)
-        assert again.table.rows == engine.query(AGG_SQL, reuse_artifacts=False).table.rows
+        cold = engine.query(AGG_SQL, options=QueryOptions(reuse_artifacts=False))
+        assert again.table.rows == cold.table.rows
 
     def test_a_refresh_failing_over_to_a_whole_copy_serves_no_part(self):
         """The covering fallback answers the whole scan: served parts
@@ -531,7 +523,7 @@ class TestRefreshUnderFaults:
         assert served[0] == served[1] == [(77, sum(range(77)))]
 
     def test_a_migration_does_not_widen_a_refresh(self):
-        catalog, engine, store = make_engine(reopt=ReoptPolicy())
+        catalog, engine, store = make_engine(reopt=True)
         engine.query(AGG_SQL)
         rewrite_fragment(catalog, "f0", [("n0", 1), ("n1", 2)])
         prepared = engine.prepare(AGG_SQL)
@@ -544,7 +536,7 @@ class TestRefreshUnderFaults:
         (event,) = result.report.reopt_events
         assert event.from_sites == (f0.site_name,)
         assert len(event.to_sites) == 1 and event.to_sites != event.from_sites
-        cold = engine.query(AGG_SQL, reuse_artifacts=False)
+        cold = engine.query(AGG_SQL, options=QueryOptions(reuse_artifacts=False))
         assert result.table.rows == cold.table.rows
 
     def test_a_failed_refresh_leaves_no_narrowing_behind(self):
@@ -590,7 +582,7 @@ class TestRefreshUnderFaults:
         assert store._artifacts[top_key] is old and not old.current
         assert [len(result.plan.assignments[b].choices) for b in "ab"] == [6, 6]
         assert all(entry.current for entry in engine.cache._entries.values())
-        cold = engine.query(TOP_SQL, reuse_artifacts=False)
+        cold = engine.query(TOP_SQL, options=QueryOptions(reuse_artifacts=False))
         assert result.table.rows == cold.table.rows == [("k0000",), ("k0001",)]
 
 

@@ -22,6 +22,7 @@ from repro.federation import (
     Site,
     SiteHealthTracker,
 )
+from repro.federation.health import FAILURE_THRESHOLD
 from repro.sim import SimClock
 from repro.sql import build_plan, parse_sql, resolve
 from repro.sql.planner import scans_in
@@ -73,9 +74,9 @@ def markets(draw):
         for i in range(fragments)
     ]
     catalog.load_fragmented(Table(PARTS, PARTS_ROWS), fragments, placement)
-    tracker = SiteHealthTracker(catalog.clock, failure_threshold=2)
+    tracker = SiteHealthTracker(catalog.clock)
     for name in names:
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, FAILURE_THRESHOLD + 1))):
             tracker.record_failure(name)
     # 60 s half-opens every tripped circuit; 700 s has decayed every risk.
     catalog.clock.advance(draw(st.sampled_from([0.0, 30.0, 60.0, 700.0])))
@@ -254,7 +255,7 @@ SITES = ["s0", "s1", "s2", "s3"]
 )
 def test_troubled_set_answers_as_the_tracker_does(steps):
     clock = SimClock()
-    tracker = SiteHealthTracker(clock, failure_threshold=2, cooldown_seconds=60.0)
+    tracker = SiteHealthTracker(clock)
     paths = AccessPaths(FederationCatalog(clock), health=tracker)
     for action, site, seconds in steps:
         if action == "fail":

@@ -7,7 +7,6 @@ from repro.connect.simweb import (
     SimulatedWeb,
     WebClient,
     WebSite,
-    build_url,
     parse_url,
 )
 from repro.core.errors import SourceUnavailableError, WrapperError
@@ -34,12 +33,6 @@ class TestParseUrl:
     def test_missing_host_rejected(self):
         with pytest.raises(WrapperError):
             parse_url("http:///catalog")
-
-    def test_build_url_round_trip(self):
-        url = build_url("http", "h.example", "/a", {"x": "1"})
-        parsed = parse_url(url)
-        assert parsed.path == "/a"
-        assert parsed.params == {"x": "1"}
 
 
 def make_web():

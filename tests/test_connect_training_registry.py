@@ -105,12 +105,6 @@ class TestSupplierRegistry:
                 SupplierListing("x", "x.example", "http://x.example", "file", ())
             )
 
-    def test_withdraw(self):
-        registry = make_registry()
-        registry.withdraw("weird-co")
-        assert len(registry) == 2
-        registry.withdraw("ghost")  # no-op
-
     def test_discover_by_required_fields(self):
         registry = make_registry()
         found = registry.discover(required_fields={"sku", "price"})

@@ -19,10 +19,12 @@ from repro.federation import (
     FederatedEngine,
     FederationCatalog,
     PlacementStrategy,
-    RetryPolicy,
+    QueryOptions,
     SiteHealthTracker,
     place_fragments,
 )
+from repro.federation.health import HALF_OPEN_SUCCESSES, RISK_DECAY_SECONDS
+from repro.federation.stage import BACKOFF_BASE_SECONDS, RETRY_BUDGET
 from repro.sim import EventLoop, SimClock
 from repro.sql import build_plan, parse_sql, resolve
 
@@ -40,17 +42,17 @@ def parts_schema():
 PARTS_ROWS = [(f"A-{i}", float(i)) for i in range(12)]
 
 
-def make_engine(retry=None, site_count=4, replicas=None):
-    """Four sites, 'parts' in two fragments, RF=2 each by default."""
+def make_engine(failover=True, site_count=4, replicas=None):
+    """Four sites, 'parts' in two fragments, RF=2 each by default (one
+    fragment per entry of ``replicas`` otherwise)."""
     clock = SimClock()
     catalog = FederationCatalog(clock)
     for i in range(site_count):
         catalog.make_site(f"s{i}")
     table = Table(parts_schema(), PARTS_ROWS)
-    catalog.load_fragmented(
-        table, 2, replicas or [["s0", "s1"], ["s2", "s3"]]
-    )
-    return FederatedEngine(catalog, retry=retry)
+    replicas = replicas or [["s0", "s1"], ["s2", "s3"]]
+    catalog.load_fragmented(table, len(replicas), replicas)
+    return FederatedEngine(catalog, failover=failover)
 
 
 def plan_for(engine, sql="select sku from parts"):
@@ -73,7 +75,7 @@ class TestScanFailover:
         assert report.retry_seconds > 0.0
         # Every failover's backoff pause flows into the scan pipeline, so
         # the response is at least as long as the modeled retries.
-        assert report.response_seconds >= engine.retry.backoff_seconds(0)
+        assert report.response_seconds >= BACKOFF_BASE_SECONDS
 
     def test_failover_event_in_operator_stats(self):
         engine = make_engine()
@@ -86,15 +88,25 @@ class TestScanFailover:
         assert any("retry" in d for d in details)
 
     def test_retry_budget_zero_forbids_failover(self):
-        engine = make_engine(retry=RetryPolicy(budget=0))
+        # One more fragment than the budget has re-routes, each on its own
+        # pair of sites: with every planned primary dead, the last fragment
+        # finds the budget spent and stays unreachable.
+        fragments = RETRY_BUDGET + 1
+        engine = make_engine(
+            site_count=2 * fragments,
+            replicas=[[f"s{2 * i}", f"s{2 * i + 1}"] for i in range(fragments)],
+        )
         plan = plan_for(engine)
         for choice in plan.assignments["parts"].choices:
             engine.catalog.site(choice.site_name).up = False
         with pytest.raises(PartialFailureError):
             engine.executor.execute(plan)
+        _, report = engine.executor.execute(plan, QueryOptions(degraded_ok=True))
+        assert report.failovers == report.failover_attempts == RETRY_BUDGET
+        assert len(report.unreachable_fragments) == 1
 
     def test_failover_disabled_reproduces_raw_failure(self):
-        engine = make_engine(retry=RetryPolicy(enabled=False))
+        engine = make_engine(failover=False)
         plan = plan_for(engine)
         dead = plan.assignments["parts"].choices[0].site_name
         engine.catalog.site(dead).up = False
@@ -175,11 +187,9 @@ class TestDegradedAnswers:
 
 
 class TestSiteHealthTracker:
-    def make(self, **kwargs):
+    def make(self):
         clock = SimClock()
-        defaults = dict(failure_threshold=3, cooldown_seconds=60.0)
-        defaults.update(kwargs)
-        return clock, SiteHealthTracker(clock, **defaults)
+        return clock, SiteHealthTracker(clock)
 
     def test_circuit_trips_at_threshold(self):
         _, tracker = self.make()
@@ -192,7 +202,7 @@ class TestSiteHealthTracker:
         assert tracker.trips == 1
 
     def test_half_open_after_cooldown_and_close_on_success_streak(self):
-        clock, tracker = self.make()  # default half_open_successes=2
+        clock, tracker = self.make()  # HALF_OPEN_SUCCESSES == 2
         for _ in range(3):
             tracker.record_failure("s0")
         clock.advance(60.0)
@@ -206,17 +216,18 @@ class TestSiteHealthTracker:
         assert tracker.health("s0").consecutive_failures == 0
 
     def test_single_probe_streak_closes_immediately(self):
-        clock, tracker = self.make(half_open_successes=1)
+        clock, tracker = self.make()
         for _ in range(3):
             tracker.record_failure("s0")
         clock.advance(60.0)
-        tracker.record_success("s0")
+        for _ in range(HALF_OPEN_SUCCESSES):
+            tracker.record_success("s0")
         assert tracker.state("s0") is CircuitState.CLOSED
 
     def test_flapping_site_never_closes_on_alternating_probes(self):
         # Regression for the flap that motivated the streak: a site that
         # alternates probe success / probe failure must stay broken.
-        clock, tracker = self.make(half_open_successes=2)
+        clock, tracker = self.make()
         for _ in range(3):
             tracker.record_failure("s0")
         for _ in range(5):
@@ -233,26 +244,13 @@ class TestSiteHealthTracker:
         assert tracker.state("s0") is CircuitState.CLOSED
 
     def test_success_while_fully_open_earns_nothing(self):
-        clock, tracker = self.make(half_open_successes=1)
+        clock, tracker = self.make()
         for _ in range(3):
             tracker.record_failure("s0")
         assert tracker.state("s0") is CircuitState.OPEN
         tracker.record_success("s0")  # forced traffic, not a probe
         assert tracker.state("s0") is CircuitState.OPEN
         assert tracker.health("s0").probe_successes == 0
-
-    def test_tracker_rejects_degenerate_parameters(self):
-        clock = SimClock()
-        with pytest.raises(ValueError, match="cooldown_seconds"):
-            SiteHealthTracker(clock, cooldown_seconds=0.0)
-        with pytest.raises(ValueError, match="cooldown_seconds"):
-            SiteHealthTracker(clock, cooldown_seconds=-5.0)
-        with pytest.raises(ValueError, match="risk_decay_seconds"):
-            SiteHealthTracker(clock, risk_decay_seconds=0.0)
-        with pytest.raises(ValueError, match="half_open_successes"):
-            SiteHealthTracker(clock, half_open_successes=0)
-        with pytest.raises(ValueError, match="failure_threshold"):
-            SiteHealthTracker(clock, failure_threshold=0)
 
     def test_failed_half_open_probe_reopens(self):
         clock, tracker = self.make()
@@ -264,13 +262,13 @@ class TestSiteHealthTracker:
         assert tracker.state("s0") is CircuitState.OPEN
 
     def test_risk_penalty_decays(self):
-        clock, tracker = self.make(risk_decay_seconds=100.0)
+        clock, tracker = self.make()
         tracker.record_failure("s0")
         fresh = tracker.risk_penalty("s0")
         assert fresh > 0.0
-        clock.advance(50.0)
+        clock.advance(RISK_DECAY_SECONDS / 2)
         assert 0.0 < tracker.risk_penalty("s0") < fresh
-        clock.advance(60.0)
+        clock.advance(RISK_DECAY_SECONDS / 2 + 10.0)
         assert tracker.risk_penalty("s0") == 0.0
         assert tracker.price_multiplier("s0") == 1.0
 

@@ -20,7 +20,7 @@ from repro.sim import SimClock
 from repro.workloads.hotels import generate_hotels
 
 
-def make_engine(cache_staleness=None):
+def make_engine():
     clock = SimClock()
     catalog = FederationCatalog(clock)
     names = [catalog.make_site(f"s{i}").name for i in range(2)]
@@ -30,7 +30,7 @@ def make_engine(cache_staleness=None):
     )
     table = Table(schema, [(f"A-{i}", float(i)) for i in range(100)])
     catalog.load_fragmented(table, 1, [names], scan_cost_seconds=1.0)
-    cache = SemanticCache(clock, max_rows=10_000, max_staleness=cache_staleness)
+    cache = SemanticCache(clock, max_rows=10_000)
     return FederatedEngine(catalog, cache=cache), cache
 
 

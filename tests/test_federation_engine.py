@@ -364,14 +364,6 @@ class TestSemanticCache:
         assert cache.lookup("t", [], max_staleness=50.0) is None  # too stale here
         assert cache.lookup("t", [], max_staleness=500.0) is not None  # still cached
 
-    def test_cache_own_ttl_evicts(self):
-        clock = SimClock()
-        cache = SemanticCache(clock, max_rows=100, max_staleness=60.0)
-        cache.store("t", [], self.table())
-        clock.advance(100.0)
-        assert cache.lookup("t", []) is None
-        assert len(cache) == 0
-
     def test_lru_eviction_by_rows(self):
         _, cache = self.make_cache()
         cache.store("t", [Predicate("a", "=", 1)], self.table(60))

@@ -15,6 +15,8 @@ from repro.federation import (
     RoundRobinPolicy,
     SnapshotLoadPolicy,
 )
+from repro.federation.agoric import BID_ROUND_TRIP_SECONDS
+from repro.federation.central import MAX_COMBINATIONS
 from repro.sim import SimClock
 from repro.sql import build_plan, parse_sql, resolve
 
@@ -84,10 +86,8 @@ class TestAgoricOptimizer:
 
     def test_optimization_seconds_includes_bid_round(self):
         catalog = make_catalog()
-        physical = AgoricOptimizer(catalog, bid_round_trip_seconds=0.5).optimize(
-            plan_for(catalog)
-        )
-        assert physical.optimization_seconds >= 0.5
+        physical = AgoricOptimizer(catalog).optimize(plan_for(catalog))
+        assert physical.optimization_seconds >= BID_ROUND_TRIP_SECONDS
 
     def test_coordinator_is_a_chosen_site(self):
         catalog = make_catalog()
@@ -144,8 +144,8 @@ class TestCentralizedOptimizer:
 
     def test_greedy_fallback_above_combination_cap(self):
         catalog = make_catalog(site_count=8, fragment_count=8, replication=4)
-        optimizer = CentralizedOptimizer(catalog, max_combinations=10)
-        physical = optimizer.optimize(plan_for(catalog))
+        assert 4**8 > MAX_COMBINATIONS  # 8 fragments x 4 replicas each
+        physical = CentralizedOptimizer(catalog).optimize(plan_for(catalog))
         assert len(physical.assignments["parts"].choices) == 8
 
     def test_down_replica_not_chosen(self):

@@ -9,6 +9,7 @@ from repro.federation import (
     BudgetExceededError,
     FederatedEngine,
     FederationCatalog,
+    QueryOptions,
 )
 from repro.sim import SimClock
 from repro.sql import parse_sql
@@ -245,7 +246,7 @@ class TestInSubquery:
 
     def test_inner_select_inherits_reuse_artifacts(self):
         engine = make_engine(with_artifacts=True)
-        result = engine.query(self.IN_ORDERS, reuse_artifacts=False)
+        result = engine.query(self.IN_ORDERS, options=QueryOptions(reuse_artifacts=False))
         assert result.table.column("sid") == ["sup0", "sup1"]
         store = engine.artifacts
         assert (store.misses, len(store), list(store._inflight)) == (0, 0, [])

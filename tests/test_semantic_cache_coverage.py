@@ -13,9 +13,10 @@ from repro.federation.cache import (
     coverage_kind,
     predicate_implies,
 )
+from repro.federation.catalog import FederationCatalog
+from repro.federation.engine import FederatedEngine
 from repro.federation.stats import ZoneMap, fragment_can_match, zone_selectivity
 from repro.sim import SimClock
-from repro.sim.metrics import MetricsRegistry
 
 
 def P(column, op, value):
@@ -209,16 +210,11 @@ class TestAdmissionAndEviction:
         assert age == pytest.approx(6.0)
 
     def test_per_call_staleness_bound_overrides_store_default(self):
-        """Regression: a caller with a *looser* per-query staleness bound
-        than the store default must still be served.
-
-        Pre-fix, ``_find`` first applied the store default and evicted the
-        entry before the per-call bound was ever consulted, so a query
-        happy with 100s-old rows missed (and destroyed) an entry that was
-        only 10s old under a 5s store default.
-        """
+        """Regression: a caller with a loose per-query staleness bound is
+        served, and the lookup evicts nothing -- only the per-call bound
+        decides whether an entry is fresh enough."""
         clock = SimClock()
-        cache = SemanticCache(clock, max_staleness=5.0)
+        cache = SemanticCache(clock)
         cache.store("t", [], make_table(), as_of=0.0)
         clock.advance(10.0)
         found = cache.lookup_entry("t", [], max_staleness=100.0)
@@ -227,30 +223,22 @@ class TestAdmissionAndEviction:
         assert age == pytest.approx(10.0)
         assert cache.hits == 1 and cache.evictions == 0
 
-    def test_store_default_still_applies_when_call_passes_none(self):
-        clock = SimClock()
-        cache = SemanticCache(clock, max_staleness=5.0)
-        cache.store("t", [], make_table(), as_of=0.0)
-        clock.advance(10.0)
-        assert cache.lookup_entry("t", []) is None
-        # Dead by the store's own TTL *and* unserveable here: reclaimed.
-        assert cache.evictions == 1 and len(cache) == 0
-
     def test_tighter_per_call_bound_skips_but_keeps_fresh_entry(self):
         clock = SimClock()
-        cache = SemanticCache(clock, max_staleness=100.0)
+        cache = SemanticCache(clock)
         cache.store("t", [], make_table(), as_of=0.0)
         clock.advance(10.0)
-        # Too stale for this strict caller, but alive by the store TTL:
-        # the entry stays for laxer queries.
+        # Too stale for this strict caller: the entry stays for laxer
+        # queries.
         assert cache.lookup_entry("t", [], max_staleness=1.0) is None
         assert cache.evictions == 0 and len(cache) == 1
         assert cache.lookup_entry("t", [], max_staleness=50.0) is not None
 
     def test_metrics_registry_sees_cache_traffic(self):
         clock = SimClock()
-        metrics = MetricsRegistry()
-        cache = SemanticCache(clock, max_rows=50, metrics=metrics)
+        cache = SemanticCache(clock, max_rows=50)
+        # The engine attaches its registry to the cache it is built with.
+        metrics = FederatedEngine(FederationCatalog(clock), cache=cache).metrics
         cache.store("t", [P("a", "<", 9)], make_table(9))
         cache.lookup("t", [P("a", "<", 3)])
         cache.lookup("t", [P("a", ">", 3)])

@@ -50,12 +50,6 @@ class TestSimClock:
         clock.advance_to(4.0)
         assert clock.now() == 4.0
 
-    def test_elapsed_since(self):
-        clock = SimClock()
-        start = clock.now()
-        clock.advance(12.0)
-        assert clock.elapsed_since(start) == 12.0
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=50))
     def test_clock_is_monotone_under_any_advances(self, steps):
         clock = SimClock()

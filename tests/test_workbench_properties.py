@@ -64,22 +64,6 @@ class TestTaxonomyProperties:
             for descendant in descendants:
                 assert node in list(descendant.ancestors())
 
-    @settings(max_examples=50)
-    @given(taxonomies(), st.lists(st.tuples(st.integers(0, 11), identifier), max_size=20))
-    def test_items_under_is_superset_of_assigned(self, taxonomy, assignments):
-        codes = [n.code for n in taxonomy.all_nodes()]
-        for index, item in assignments:
-            taxonomy.assign(codes[index % len(codes)], item)
-        for code in codes:
-            under = taxonomy.items_under(code)
-            assert {
-                item for index, item in assignments
-                if codes[index % len(codes)] == code
-            } <= under
-            node = taxonomy.node(code)
-            for child in node.children:
-                assert taxonomy.items_under(child.code) <= under
-
     @settings(max_examples=30)
     @given(taxonomies())
     def test_path_starts_at_a_root(self, taxonomy):

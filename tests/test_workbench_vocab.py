@@ -105,19 +105,6 @@ class TestTaxonomy:
         with pytest.raises(TaxonomyError):
             build_master().add_category("x", "X", parent_code="ghost")
 
-    def test_items_under_includes_descendants(self):
-        master = build_master()
-        master.assign("44.10.1", "p-ink")
-        master.assign("44.10.2", "p-lead")
-        master.assign("27.11", "p-drill")
-        assert master.items_under("44.10") == {"p-ink", "p-lead"}
-        assert master.items_under("44") == {"p-ink", "p-lead"}
-        assert master.items_under("27.11") == {"p-drill"}
-
-    def test_assign_validates_code(self):
-        with pytest.raises(TaxonomyError):
-            build_master().assign("ghost", "p1")
-
     def test_expand_query_reaches_descendants(self):
         master = build_master()
         terms = master.expand_query("refills")

@@ -29,6 +29,7 @@ from repro.federation import (
     fragment_selectivity,
     zone_selectivity,
 )
+from repro.federation.agoric import BID_ROUND_TRIP_SECONDS, PER_BID_SECONDS
 from repro.sim import SimClock
 
 
@@ -421,11 +422,7 @@ class TestDeterminism:
             "select id from orders where qty < 10", advance_clock=False
         )
         plan = result.plan
-        opt = engine.optimizer
-        expected = (
-            opt.bid_round_trip_seconds
-            + plan.sites_contacted * opt.per_bid_seconds
-        )
+        expected = BID_ROUND_TRIP_SECONDS + plan.sites_contacted * PER_BID_SECONDS
         assert plan.optimization_seconds == pytest.approx(expected)
         assert plan.planner_wall_seconds > 0.0  # reported on the plan only
 
