@@ -77,31 +77,29 @@ class AccessPaths:
     ) -> Iterator[tuple[ScanAssignment, float]]:
         """Yield ``(assignment, price)`` for every path that answers the
         scan *whole* without touching its fragments, tightest first: the
-        stage's committed artifact, a covering cache region, a view.
+        stage's committed artifact, a covering cache region, a view.  An
+        artifact or a region is named, never held: the optimizer that takes
+        one sets its ``placement``, and the stage resolves the name when it
+        runs.
 
-        Lazy on purpose: the stores book hit/miss accounting when asked to
-        bid, so a pre-empting optimizer that stops at the first offer never
+        Lazy on purpose: the semantic cache books a miss when asked to bid,
+        so a pre-empting optimizer that stops at the first offer never
         consults the rest.
         """
         if self.artifacts is not None and spec is not None:
             key = self.artifacts.stage_key(self.catalog, spec)
-            found = self.artifacts.bid(key, max_staleness) if key else None
-            if found is not None:
-                artifact, price, age = found
-                yield ScanAssignment(
-                    scan.binding, scan.table, "artifact",
-                    artifact=artifact, artifact_age=age,
-                ), price
+            price = self.artifacts.bid(key, max_staleness) if key else None
+            if price is not None:
+                yield ScanAssignment(scan.binding, scan.table, "artifact"), price
         # Text-filtered scans are never cache-served: their answers depend
         # on the text index, not the pushdown region the cache is keyed by.
         if self.cache is not None and scan.text_filter is None:
             bid = self.cache.bid(scan.table, scan.pushdown, max_staleness)
             if bid is not None:
+                region, price = bid
                 yield ScanAssignment(
-                    scan.binding, scan.table, "cache",
-                    cached_table=bid.table, cached_staleness=bid.age,
-                    cached_region=bid.region,
-                ), bid.price
+                    scan.binding, scan.table, "cache", cached_region=region
+                ), price
         # A view queried by its own name always serves the view -- from a
         # live host; catalog.direct_view raises if the site is down.
         view = self.catalog.direct_view(scan.table) or self.live_view(

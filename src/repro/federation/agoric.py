@@ -26,7 +26,9 @@ So do semantic-cache regions: when the engine's cache holds a covering
 predicate region, :meth:`repro.federation.cache.SemanticCache.bid` quotes
 the local serving cost and the broker weighs it against the sites' and
 views' asks -- a warm cache usually undercuts everything, and the chosen
-path shows up in EXPLAIN as ``cache(region ..., age ...)``.
+path shows up in EXPLAIN as ``cache(region ...) else fragments [...]``:
+the plan names the region and keeps the auction's placement, which the
+stage runs when the region is gone at execution.
 
 Optimization latency is *modeled* (one parallel bid round trip,
 :data:`BID_ROUND_TRIP_SECONDS`, plus :data:`PER_BID_SECONDS` per bid) and
@@ -151,6 +153,7 @@ class AgoricOptimizer:
             market = list(
                 self.paths.offers(scan, specs.get(scan.binding), max_staleness)
             )
+            placed = None
             try:
                 placed, price, solicited = self._auction(scan)
             except QueryError:
@@ -165,8 +168,12 @@ class AgoricOptimizer:
                     # which beats a partial fragment plan at any price.
                     price = float("inf")
                 market.append((placed, price))
-            # Cheapest wins; ties go to the tighter (earlier) path.
+            # Cheapest wins; ties go to the tighter (earlier) path.  A named
+            # artifact or region keeps the auction's placement, which runs
+            # when the copy is gone at execution.
             assignment, price = min(market, key=lambda offer: offer[1])
+            if assignment.kind in ("cache", "artifact"):
+                assignment.placement = placed
             assignments[scan.binding] = assignment
             total_price += price
 

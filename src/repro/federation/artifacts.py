@@ -451,19 +451,16 @@ class ArtifactStore:
 
     # -- lookup paths ------------------------------------------------------
 
-    def bid(
-        self, key: str, max_staleness: float | None = None
-    ) -> "tuple[Artifact, float, float] | None":
-        """Plan-time offer: ``(artifact, price, age)`` for a *committed*,
-        current artifact, or None.  Books no hit/miss accounting -- the
-        serve-time paths do -- so planning does not double count."""
+    def bid(self, key: str, max_staleness: float | None = None) -> float | None:
+        """Plan-time offer: the price of serving a *committed*, current
+        artifact, or None.  Books no hit/miss accounting -- the stage's
+        :meth:`acquire` does when the plan runs -- so planning does not
+        double count."""
         self._sweep()
         artifact = self._artifacts.get(key)
         if not self._whole(artifact, max_staleness):
             return None
-        seconds = artifact.row_count * SERVE_SECONDS_PER_ROW
-        age = self.clock.now() - artifact.fetched_at
-        return artifact, seconds * PRICE_PER_SECOND, age
+        return artifact.row_count * SERVE_SECONDS_PER_ROW * PRICE_PER_SECOND
 
     def _whole(
         self, artifact: "Artifact | None", max_staleness: float | None
@@ -506,7 +503,13 @@ class ArtifactStore:
         self._sweep()
         artifact = self._artifacts.get(key)
         if self._whole(artifact, max_staleness):
-            self.book_hit(artifact)
+            artifact.hits += 1
+            self.hits += 1
+            self._count("artifacts.hits")
+            if self.metrics is not None:
+                self.metrics.histogram("artifacts.hit_age_seconds").observe(
+                    self.clock.now() - artifact.fetched_at
+                )
             return artifact, 0.0, False
         stage = self._inflight.get(key)
         if stage is not None and self._whole(stage.artifact, max_staleness):
@@ -535,18 +538,6 @@ class ArtifactStore:
         self.refreshes += 1
         self._count("artifacts.refreshes")
         return artifact
-
-    def book_hit(self, artifact: Artifact) -> None:
-        """Hit accounting for a committed artifact: booked by
-        :meth:`acquire`, and by the stage that serves a plan-embedded
-        artifact (whose plan-time :meth:`bid` booked nothing)."""
-        artifact.hits += 1
-        self.hits += 1
-        self._count("artifacts.hits")
-        if self.metrics is not None:
-            self.metrics.histogram("artifacts.hit_age_seconds").observe(
-                self.clock.now() - artifact.fetched_at
-            )
 
     # -- publication lifecycle ---------------------------------------------
 

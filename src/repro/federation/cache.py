@@ -79,18 +79,6 @@ class CacheEntry:
         return all_current(self.parts)
 
 
-@dataclass
-class CacheBid:
-    """The cache's offer to serve one scan, priced like any access path."""
-
-    table: Table  # residual predicates already applied
-    age: float
-    region: frozenset[Predicate]
-    kind: str  # "verbatim" | "implication"
-    est_seconds: float
-    price: float
-
-
 def predicate_implies(requested: Predicate, cached: Predicate) -> bool:
     """True when one requested predicate alone implies the cached one.
 
@@ -222,13 +210,19 @@ class SemanticCache:
     def _find(
         self,
         table_name: str,
-        predicates: "list[Predicate] | tuple[Predicate, ...]",
+        requested: frozenset[Predicate],
         max_staleness: float | None,
-    ) -> tuple[CacheEntry, str] | None:
-        """Find a covering entry, book hit/miss accounting, return it."""
-        requested = frozenset(predicates)
-        found: tuple[tuple, CacheEntry, str] | None = None
-        for key, entry in self._entries.items():
+        region: frozenset[Predicate] | None = None,
+    ) -> tuple[tuple, CacheEntry, str] | None:
+        """The current, fresh-enough entry whose region covers the request,
+        as ``(key, entry, coverage kind)``: the first found, or with
+        ``region`` -- a key a plan named -- the one stored at exactly that
+        key (one dict lookup, no search).  Books a miss when none does."""
+        keys = self._entries
+        if region is not None:
+            keys = [key for key in [(table_name, region)] if key in self._entries]
+        for key in keys:
+            entry = self._entries[key]
             if entry.table_name != table_name or not entry.current:
                 continue
             if self._expired(entry, max_staleness):
@@ -236,27 +230,10 @@ class SemanticCache:
             kind = coverage_kind(entry.region, requested)
             if kind is None or (self.coverage == "verbatim" and kind != "verbatim"):
                 continue
-            found = (key, entry, kind)
-            break
-        if found is None:
-            self.misses += 1
-            self._count("cache.misses")
-            return None
-        key, entry, kind = found
-        now = self.clock.now()
-        self._entries.move_to_end(key)
-        entry.hits += 1
-        entry.last_used = now
-        self.hits += 1
-        self._count("cache.hits")
-        if kind == "verbatim":
-            self.verbatim_hits += 1
-            self._count("cache.verbatim_hits")
-        else:
-            self.implication_hits += 1
-            self._count("cache.implication_hits")
-        self._observe("cache.entry_age_seconds", now - entry.as_of)
-        return entry, kind
+            return key, entry, kind
+        self.misses += 1
+        self._count("cache.misses")
+        return None
 
     def lookup(
         self,
@@ -273,44 +250,50 @@ class SemanticCache:
         table_name: str,
         predicates: "list[Predicate] | tuple[Predicate, ...]" = (),
         max_staleness: float | None = None,
+        region: frozenset[Predicate] | None = None,
     ) -> tuple[Table, float] | None:
-        """Like :meth:`lookup` but also returns the entry's age in seconds."""
-        found = self._find(table_name, predicates, max_staleness)
+        """Like :meth:`lookup` but also returns the entry's age in seconds;
+        with ``region``, only the entry a plan named by that key answers.
+        Books one hit or one miss."""
+        found = self._find(table_name, frozenset(predicates), max_staleness, region)
         if found is None:
             return None
-        entry, _ = found
+        key, entry, kind = found
+        now = self.clock.now()
+        self._entries.move_to_end(key)
+        entry.hits += 1
+        entry.last_used = now
+        self.hits += 1
+        self._count("cache.hits")
+        if kind == "verbatim":
+            self.verbatim_hits += 1
+            self._count("cache.verbatim_hits")
+        else:
+            self.implication_hits += 1
+            self._count("cache.implication_hits")
+        self._observe("cache.entry_age_seconds", now - entry.as_of)
         residual = [p for p in predicates if p not in entry.region]
-        return (
-            apply_predicates(entry.table, residual),
-            self.clock.now() - entry.as_of,
-        )
+        return apply_predicates(entry.table, residual), now - entry.as_of
 
     def bid(
         self,
         table_name: str,
         predicates: "list[Predicate] | tuple[Predicate, ...]" = (),
         max_staleness: float | None = None,
-    ) -> CacheBid | None:
-        """Quote serving this scan from cache, priced like any access path.
+    ) -> tuple[frozenset[Predicate], float] | None:
+        """Quote serving this scan from cache, priced like any access path:
+        ``(the covering region's key, price)``, or None (a miss, booked).
 
         The modeled cost is a local pass over the cached entry's rows (the
         residual filter); there is no network and no remote backlog, which
-        is exactly why a warm cache usually wins the auction.
+        is exactly why a warm cache usually wins the auction.  The hit is
+        booked when a plan that took the bid runs and looks its region up.
         """
-        found = self._find(table_name, predicates, max_staleness)
+        found = self._find(table_name, frozenset(predicates), max_staleness)
         if found is None:
             return None
-        entry, kind = found
-        residual = [p for p in predicates if p not in entry.region]
-        seconds = len(entry.table) * SERVE_SECONDS_PER_ROW
-        return CacheBid(
-            table=apply_predicates(entry.table, residual),
-            age=self.clock.now() - entry.as_of,
-            region=entry.region,
-            kind=kind,
-            est_seconds=seconds,
-            price=seconds * PRICE_PER_SECOND,
-        )
+        entry = found[1]
+        return entry.region, len(entry.table) * SERVE_SECONDS_PER_ROW * PRICE_PER_SECOND
 
     # -- admission & eviction ----------------------------------------------
 

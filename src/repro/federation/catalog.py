@@ -73,9 +73,10 @@ class FederationCatalog:
         self.tables: dict[str, TableEntry] = {}
         self.views: dict[str, MaterializedView] = {}
         # Monotonic counter over planning-relevant metadata: new tables or
-        # views, fragment/replica changes, and base-table updates all bump
-        # it.  Prepared statements stamp the version they planned against
-        # and replan when it moves (gateway plan-cache invalidation).
+        # views and fragment/replica changes bump it.  Prepared statements
+        # stamp the version they planned against and replan when it moves
+        # (gateway plan-cache invalidation).  Content writes move fragment
+        # epochs instead: a plan names its stored copies and holds no rows.
         self.version = 0
         # Base-table update listeners (semantic caches, view schedulers...).
         self._update_listeners: list = []
@@ -101,8 +102,10 @@ class FederationCatalog:
         Each written fragment's epoch moves, so stored parts read from it
         stop being current, and its zone map is dropped: statistics
         describe content, and pruning without them scans the fragment,
-        which is always sound.  The catalog version moves on every write,
-        so prepared plans (which embed stored rows) re-prepare.
+        which is always sound.  The catalog version does not move: a
+        prepared plan holds no stored rows, only names its copies resolve
+        at execution, and re-prepares only when a fragment its zone maps
+        pruned was written.
         """
         entry = self.tables.get(table_name)
         written = [] if entry is None else [
@@ -112,7 +115,6 @@ class FederationCatalog:
         ]
         if fragment is not None and not written:
             raise QueryError(f"unknown fragment {fragment!r} of {table_name!r}")
-        self.version += 1
         for each in written:
             each.epoch += 1
             each.zone_map = None

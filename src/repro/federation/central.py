@@ -125,7 +125,12 @@ class CentralizedOptimizer:
                 None,
             )
             if offer is not None:
-                assignments[scan.binding] = offer[0]
+                copy = offer[0]
+                if copy.kind in ("cache", "artifact"):
+                    # Placed outside the enumeration, charged nothing: what
+                    # the stage runs should the copy be gone by then.
+                    copy.placement, _, _ = self._greedy_placement(scan)
+                assignments[scan.binding] = copy
                 continue
             assignment, scan_slots = self.paths.fragment_candidates(scan)
             assignments[scan.binding] = assignment
@@ -173,12 +178,17 @@ class CentralizedOptimizer:
         Returns ``(assignment, makespan, modeled_seconds)``.
         """
         modeled = self._refresh_stats()
+        assignment, makespan, seconds = self._greedy_placement(scan)
+        return assignment, makespan, modeled + seconds
+
+    def _greedy_placement(self, scan: ScanNode) -> tuple[ScanAssignment, float, float]:
+        """One scan placed by :meth:`_greedy` under the current snapshot:
+        ``(assignment, makespan, modeled seconds)``."""
         assignment, slots = self.paths.fragment_candidates(scan)
         sites, seconds = self._greedy(slots)
-        modeled += seconds
         for slot, site_name in zip(slots, sites):
             place(assignment, slot, site_name)
-        return assignment, self._estimate_makespan(slots, sites), modeled
+        return assignment, self._estimate_makespan(slots, sites), seconds
 
     def _scan_seconds(self, slot: FragmentSlot, site_name: str) -> float:
         return self.catalog.site(site_name).quote_scan(

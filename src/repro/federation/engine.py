@@ -135,6 +135,9 @@ class PreparedStatement:
     logical: PlanNode | None = None  # the reusable plan, if it holds one
     physical: PhysicalPlan | None = None
     catalog_version: int = -1
+    # The ``(fragment, epoch)`` pairs the plan's zone maps ruled out: a
+    # prune reads content, so a write to one of them re-prepares.
+    pruned: tuple = ()
     # Content hash of the compiling tenant's governance policy (None for
     # ungoverned tenants); an edit makes its owner's next execution replan.
     policy_signature: str | None = None
@@ -325,6 +328,7 @@ class FederatedEngine:
             prepared.physical = physical
             prepared.optimization_seconds = physical.optimization_seconds
             prepared.valid_until = self._prepared_validity(physical, options)
+            prepared.pruned = self._pruned(physical)
         prepared.catalog_version = self.catalog.version
         prepared.policy_signature = self._signature(options.tenant)
 
@@ -388,6 +392,7 @@ class FederatedEngine:
             if (
                 foreign
                 or prepared.catalog_version != self.catalog.version
+                or any(f.epoch != epoch for f, epoch in prepared.pruned)
                 or (
                     prepared.valid_until is not None
                     and self.catalog.clock.now() > prepared.valid_until
@@ -456,12 +461,6 @@ class FederatedEngine:
         plan (that is the speedup being bought).
         """
         start = self.catalog.clock.now()
-        cache_scans = sum(
-            1 for a in physical.assignments.values() if a.kind == "cache"
-        )
-        if cache_scans:
-            self.metrics.counter("cache.scan_hits").inc(cache_scans)
-
         controller = None
         if self.reopt:
             controller = ReoptController(self.optimizer, self.paths, options)
@@ -541,28 +540,37 @@ class FederatedEngine:
     def _prepared_validity(
         self, physical: PhysicalPlan, options: QueryOptions
     ) -> float | None:
-        """Modeled time at which the template's access paths go stale.
+        """Modeled time at which the template's views go stale.
 
-        Fragment scans read live content and never expire here (catalog
-        version changes cover topology).  View and cache paths serve copies
-        stamped at fetch time: under a numeric ``max_staleness`` bound the
-        plan stops being an answer the query would accept once the copy's
-        age exceeds the bound.
+        A plan reads fragments, and names cache regions and artifacts that
+        each execution resolves against its own ``max_staleness``, so none
+        of those expire here (catalog version changes cover topology).  A
+        view is planned by its freshness: under a numeric bound the plan
+        stops being an answer the query would accept once the view's age
+        exceeds it.
         """
         max_staleness = options.max_staleness
         if max_staleness is None or max_staleness < 0:
             return None
-        now = self.catalog.clock.now()
-        bounds: list[float] = []
-        for assignment in physical.assignments.values():
-            if assignment.kind == "view" and assignment.view is not None:
-                bounds.append(assignment.view.as_of + max_staleness)
-            elif assignment.kind == "cache":
-                as_of = now - assignment.cached_staleness
-                bounds.append(as_of + max_staleness)
-            elif assignment.kind == "artifact" and assignment.artifact is not None:
-                bounds.append(assignment.artifact.fetched_at + max_staleness)
+        bounds = [
+            assignment.view.as_of + max_staleness
+            for assignment in physical.assignments.values()
+            if assignment.kind == "view" and assignment.view is not None
+        ]
         return min(bounds) if bounds else None
+
+    def _pruned(self, physical: PhysicalPlan) -> tuple:
+        """The ``(fragment, epoch)`` pairs the plan's zone maps ruled out,
+        a named copy's placement's among them."""
+        stamp = []
+        for assignment in physical.assignments.values():
+            placed = assignment.placement or assignment
+            if placed.pruned_fragments:
+                kept = {c.fragment.fragment_id for c in placed.choices}
+                kept |= {f.fragment_id for f in placed.unreachable}
+                fragments = self.catalog.entry(placed.table_name).fragments
+                stamp += [(f, f.epoch) for f in fragments if f.fragment_id not in kept]
+        return tuple(stamp)
 
     def execute(
         self,

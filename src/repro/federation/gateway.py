@@ -19,9 +19,11 @@ once.  This module is that serving layer, sitting in front of the
   immutable parameterizable template, every later execution binds values
   into a copy (``gateway.plan_cache.hits``/``misses``).  Stale templates
   are *not* served: the engine revalidates each one against the catalog
-  version and its staleness bound at execution time, so repartitions and
-  base-table updates transparently replan rather than answer from a dead
-  topology.
+  version, its views' staleness bound and the epochs of the fragments its
+  zone maps pruned at execution time, so a repartition transparently
+  replans rather than answer from a dead topology.  A base-table update
+  replans nothing else: the template names its cache regions and
+  artifacts, and each execution resolves them against current content.
 
 Clients that want a PEP 249 cursor (and ``fetchmany`` paging) connect
 through :mod:`repro.federation.dbapi`, which wraps one session.

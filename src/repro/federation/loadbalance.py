@@ -106,9 +106,14 @@ class PolicyOptimizer:
                 self.paths.offers(scan, specs.get(scan.binding), max_staleness),
                 None,
             )
-            assignments[scan.binding] = (
-                offer[0] if offer is not None else self._place(scan)
-            )
+            if offer is None:
+                assignments[scan.binding] = self._place(scan)
+                continue
+            copy = offer[0]
+            if copy.kind in ("cache", "artifact"):
+                # What the stage runs should the copy be gone by then.
+                copy.placement = self._place(scan)
+            assignments[scan.binding] = copy
         return PhysicalPlan(
             logical=plan,
             assignments=assignments,

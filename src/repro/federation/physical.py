@@ -107,13 +107,13 @@ class ScanAssignment:
     kind: str  # "fragments" | "view" | "cache" | "artifact"
     choices: list[FragmentChoice] = field(default_factory=list)
     view: MaterializedView | None = None
-    cached_table: "Table | None" = None  # for kind "cache"
-    cached_staleness: float = 0.0
-    cached_region: "frozenset | None" = None  # the predicate region served
-    # For kind "artifact": the committed stage artifact the plan embeds
-    # (its parts re-checked for currency at the Ship).
-    artifact: "Any | None" = None
-    artifact_age: float = 0.0  # age in seconds at plan time (EXPLAIN)
+    # A plan names a stored copy and holds none of its rows: kind "cache"
+    # names its region by ``(table_name, cached_region)``, kind "artifact"
+    # names the stage alone (its key is computed when the stage runs).
+    # Either carries the fragment placement the optimizer priced, which
+    # the stage runs when the copy is gone or too stale by then.
+    cached_region: "frozenset | None" = None
+    placement: "ScanAssignment | None" = None
     # Zone-map partition elimination accounting for kind "fragments":
     # of ``total_fragments`` in the catalog, ``pruned_fragments`` were
     # proven empty under the scan's predicates and get no choice at all.
@@ -1945,31 +1945,16 @@ def describe_pruning(assignment: ScanAssignment) -> str:
     )
 
 
-def describe_cache_path(assignment: ScanAssignment) -> str:
-    """The cache access path as EXPLAIN shows it: region plus entry age."""
-    return (
-        f"cache(region {describe_region(assignment.cached_region)}, "
-        f"age {assignment.cached_staleness:.1f}s)"
-    )
-
-
-def describe_artifact_path(assignment: ScanAssignment) -> str:
-    """The artifact access path as EXPLAIN shows it: stage key plus age."""
-    artifact = assignment.artifact
-    return (
-        f"artifact(stage {artifact.key[:8]}, "
-        f"rows {artifact.row_count}, age {assignment.artifact_age:.1f}s)"
-    )
-
-
 def describe_access_path(assignment: ScanAssignment) -> str:
-    """The access path the optimizer chose for one scan, as EXPLAIN shows it."""
+    """The access path the optimizer chose for one scan, as EXPLAIN shows
+    it; a named copy shows the placement it falls back to."""
     if assignment.kind == "view":
         return f"view {assignment.view.name} @ {assignment.view.site_name}"
-    if assignment.kind == "cache":
-        return describe_cache_path(assignment)
-    if assignment.kind == "artifact":
-        return describe_artifact_path(assignment)
+    if assignment.placement is not None:  # a named cache region or artifact
+        copy = "artifact(stage)"
+        if assignment.kind == "cache":
+            copy = f"cache(region {describe_region(assignment.cached_region)})"
+        return f"{copy} else {describe_access_path(assignment.placement)}"
     placed = ", ".join(
         f"{c.fragment.fragment_id}@{c.site_name}" for c in assignment.choices
     )

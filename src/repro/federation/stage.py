@@ -6,11 +6,13 @@ aggregate runs at the sites -- from the fragments to the coordinator: the
 site pipeline and the ``Ship`` over it.  Every reuse decision for it is
 made by the one :class:`Stage` the planner hands both operators:
 
-* **probe** (``Ship.open``): a plan-embedded artifact, a store hit, a join
-  onto an identical in-flight stage, or an artifact current in parts;
-* **serve whole** the artifact, a planned view or cache region, or the
-  covering fallback's copy -- or **narrow** to the stale fragments, whose
-  output :meth:`Stage.spliced` serves beside the current parts;
+* **probe** (``Ship.open``): resolve the copy the plan names -- a plan
+  holds a cache region's key or an artifact's stage, never their rows, and
+  the fragment placement to run when the copy is gone -- then a store hit,
+  a join onto an identical in-flight stage, or an artifact current in parts;
+* **serve whole** the artifact, a planned view or named cache region, or
+  the covering fallback's copy -- or **narrow** to the stale fragments,
+  whose output :meth:`Stage.spliced` serves beside the current parts;
 * **run** (``SiteScan``, inside ``SiteOperator.open``): re-optimization may
   migrate the unstarted placement, each fragment scan fails over, and what
   stays unreachable degrades the answer or fails it;
@@ -60,6 +62,7 @@ class Stage:
         # stale fragments (ids ``rerun``) of the artifact ``stale``.
         self.assignment = self.stale = self.rerun = None
         self.key = None  # the store's key for this stage, when reuse applies
+        self.region = None  # a named cache region's (rows, age), once resolved
         self.complete = True  # no fragment lost, no fallback copy served
         self.read = None  # fragment id -> rows read, kept for a capture
         self.artifact = None  # the output captured for the store
@@ -69,73 +72,53 @@ class Stage:
     # -- probe: serve whole from an artifact, or narrow ---------------------
 
     def probe(self, ctx, stats):
-        """Serve the stage from an artifact, whichever finder found it, or
-        narrow this run to a part-current artifact's stale fragments; None
-        when the pipeline runs.
+        """Resolve the copy the plan names, then serve the stage from an
+        artifact or narrow this run to a part-current artifact's stale
+        fragments; None when the pipeline runs.
 
-        The optimizer embeds a committed artifact in the plan (an
-        ``"artifact"`` assignment); like every decision a prepared plan
-        carries it is re-checked here, and a stale or mismatched one raises
-        rather than serve pre-write rows.  Otherwise a fragment scan probes
-        the store: a committed-artifact hit (wait 0) or a join onto an
-        identical in-flight stage (charged the remaining wait until the
-        producer's modeled completion).  Either way the rows, staleness and
-        saved work are booked, one coordinator pass is charged and one hit
-        (or join) counted.
+        A fragment scan probes the store: a committed-artifact hit (wait 0)
+        or a join onto an identical in-flight stage (charged the remaining
+        wait until the producer's modeled completion).  Either way the
+        rows, staleness and saved work are booked, one coordinator pass is
+        charged and one hit (or join) counted.
         """
         scan = self.scan
-        self.assignment = assignment = ctx.plan.assignments.get(scan.binding)
+        self.assignment = assignment = self._resolve(
+            ctx, ctx.plan.assignments.get(scan.binding)
+        )
         store = ctx.paths.artifacts
-        if store is None:
-            return None
         options = ctx.options
-        planned = assignment is not None and assignment.kind == "artifact"
-        if planned:
-            artifact, wait, joined = assignment.artifact, 0.0, False
-            if not artifact.current:
-                raise QueryError(f"stale artifact plan for {scan.table!r}")
-        else:
-            # View/cache paths carry their own staleness semantics; the
-            # stage hash only describes the base-table fragment scan.
-            if (
-                not options.reuse_artifacts
-                or assignment is None
-                or assignment.kind != "fragments"
-            ):
-                return None
-            key = store.stage_key(ctx.catalog, self.spec)
-            if key is None:
-                return None
-            self.key = key  # the capture target if we miss
-            hit = store.acquire(key, options.max_staleness)
-            if hit is None:
-                stale = store.refreshable(key, options.max_staleness)
-                if stale is not None:
-                    self.stale = stale
-                    self.rerun = frozenset(
-                        p.fragment.fragment_id for p in stale.parts if not p.current
-                    )
-                    self.assignment = assignment.narrowed(self.rerun)
-                return None
-            artifact, wait, joined = hit
-        age = ctx.catalog.clock.now() - artifact.fetched_at
-        max_staleness = options.max_staleness
-        if planned and max_staleness is not None and (
-            max_staleness < 0 or age > max_staleness
+        # View/cache paths carry their own staleness semantics; the stage
+        # hash only describes the base-table fragment scan.
+        if (
+            store is None
+            or not options.reuse_artifacts
+            or assignment is None
+            or assignment.kind != "fragments"
         ):
-            raise QueryError(
-                f"artifact for {scan.table!r} too stale "
-                f"({age:.1f}s > {max_staleness:.1f}s)"
-            )
+            return None
+        key = store.stage_key(ctx.catalog, self.spec)
+        if key is None:
+            return None
+        self.key = key  # the capture target if we miss
+        hit = store.acquire(key, options.max_staleness)
+        if hit is None:
+            stale = store.refreshable(key, options.max_staleness)
+            if stale is not None:
+                self.stale = stale
+                self.rerun = frozenset(
+                    p.fragment.fragment_id for p in stale.parts if not p.current
+                )
+                self.assignment = assignment.narrowed(self.rerun)
+            return None
+        artifact, wait, joined = hit
         rows = self._served(artifact)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
-            # hash-collision guard): never serve garbage -- a planned
-            # artifact raises, a probe hit recomputes.
-            if planned:
-                raise QueryError(f"artifact payload mismatch for {scan.binding!r}")
+            # hash-collision guard): never serve garbage -- recompute.
             self.key = None
             return None
+        age = ctx.catalog.clock.now() - artifact.fetched_at
         ctx.scan_total_rows += len(rows)
         _note_cuts(ctx, artifact.parts)
         self._stamp(ctx, age)
@@ -148,14 +131,32 @@ class Stage:
             ctx.report.artifact_joins += 1
             ctx.report.artifact_join_keys.append(key)
         else:
-            if planned:  # the probe's acquire booked its own hit
-                store.book_hit(artifact)
             ctx.report.artifact_hits += 1
         stats.rows_in = len(rows)
         stats.seconds = serve
         label = "joined in-flight stage" if joined else "artifact hit"
         stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
         return rows
+
+    def _resolve(self, ctx, assignment):
+        """What this execution runs for the plan's ``assignment``: a cache
+        region the plan names by its key serves when current and fresh
+        enough (one hit or miss booked); a gone one, and a named artifact
+        -- which the store probe finds, or narrows, as any fragment scan's
+        -- run the placement the optimizer priced."""
+        if assignment is None or assignment.kind not in ("cache", "artifact"):
+            return assignment
+        if assignment.kind == "cache":
+            self.region = ctx.paths.cache.lookup_entry(
+                assignment.table_name,
+                self.scan.pushdown,
+                ctx.options.max_staleness,
+                region=assignment.cached_region,
+            )
+            if self.region is not None:
+                return assignment
+            self.events.append("cache region gone → placement")
+        return assignment.placement
 
     def _served(self, artifact):
         """The artifact's payload as this stage reads it (group records or
@@ -204,6 +205,7 @@ class Stage:
         _note_cuts(ctx, parts)
         count = sum(part.size for part in parts)
         whole = ctx.plan.assignments[self.scan.binding]  # never narrowed
+        whole = whole.placement or whole
         placed = {c.fragment.fragment_id for c in whole.choices}
         placed |= {f.fragment_id for f in whole.unreachable}
         ctx.scan_total_rows += sum(
@@ -295,13 +297,14 @@ class Stage:
             self.complete = False
             copy = self._covering_fallback(ctx, assignment, predicates)
             if copy is not None:
+                view, region = copy
                 ctx.report.failovers += 1
                 self.events.append(
-                    f"failover → view {copy.view.name}@{copy.view.site_name}"
-                    if copy.kind == "view"
+                    f"failover → view {view.name}@{view.site_name}"
+                    if view is not None
                     else "failover → cache region"
                 )
-                return self._serve_copy(ctx, copy, predicates, stats)
+                return self._serve_copy(ctx, view, region, predicates, stats)
             _register_unreachable(ctx, [
                 (f"{f.table_name}/{f.fragment_id}", f.estimated_rows, f.replica_sites())
                 for f in lost
@@ -388,34 +391,30 @@ class Stage:
     def _covering_fallback(ctx, assignment, predicates):
         """Last resort for dead fragments: the copy that answers the
         *whole* scan -- a live whole-table materialized view, else a cache
-        region covering the pushdown -- as the assignment a planned copy
-        would carry; the caller serves it like one.  The answer is complete
-        but possibly stale (within the query's own ``max_staleness`` bound
-        -- a LIVE_ONLY query gets no fallback), and never re-cached."""
+        region covering the pushdown -- as ``(view, None)`` or ``(None,
+        (rows, age))``; the caller serves it like a planned one.  The
+        answer is complete but possibly stale (within the query's own
+        ``max_staleness`` bound -- a LIVE_ONLY query gets no fallback), and
+        never re-cached."""
         max_staleness = ctx.options.max_staleness
-        binding, table_name = assignment.binding, assignment.table_name
-        view = ctx.paths.live_view(table_name, max_staleness)
+        view = ctx.paths.live_view(assignment.table_name, max_staleness)
         if view is not None:
-            return physical.ScanAssignment(binding, table_name, "view", view=view)
+            return view, None
         if ctx.paths.cache is not None:
             found = ctx.paths.cache.lookup_entry(
-                table_name, list(predicates), max_staleness
+                assignment.table_name, list(predicates), max_staleness
             )
             if found is not None:
-                table, age = found
-                return physical.ScanAssignment(
-                    binding, table_name, "cache",
-                    cached_table=table, cached_staleness=age,
-                )
+                return None, found
         return None
 
     def _planned_copy(self, ctx, assignment, predicates, stats) -> list:
-        """A view or cache scan the optimizer chose: its rows are the scan's
-        input, and a view whose one host is down -- there is no replica to
-        fail over to -- registers the whole scan unreachable under the
-        query's degraded-answer policy."""
+        """A view the optimizer chose, or the named cache region the probe
+        resolved: its rows are the scan's input, and a view whose one host
+        is down -- there is no replica to fail over to -- registers the
+        whole scan unreachable under the query's degraded-answer policy."""
         view = assignment.view
-        rows = view.data if view is not None else assignment.cached_table
+        rows = view.data if view is not None else self.region[0]
         if rows is None:
             raise QueryError(
                 f"{assignment.kind} scan for {assignment.table_name!r} has no rows"
@@ -426,21 +425,20 @@ class Stage:
             lost = [(f"view:{view.name}", len(rows), [view.site_name])]
             _register_unreachable(ctx, lost)
             return []
-        return self._serve_copy(ctx, assignment, predicates, stats)
+        return self._serve_copy(ctx, view, self.region, predicates, stats)
 
-    def _serve_copy(self, ctx, copy, predicates, stats) -> list:
+    def _serve_copy(self, ctx, view, region, predicates, stats) -> list:
         """Serve a materialized copy, planned or found by the covering
         fallback: a view at its host with the pushdown applied, or a cache
-        region (its rows already reduced to the pushdown) at the
-        coordinator.  One pass is charged where the copy lives and the
-        copy's age is stamped on the report."""
-        view = copy.view
+        region's ``(rows, age)`` (its rows already reduced to the pushdown)
+        at the coordinator.  One pass is charged where the copy lives and
+        the copy's age is stamped on the report."""
         if view is not None:
             site, table = view.site_name, apply_predicates(view.data, predicates)
             age = view.staleness(ctx.catalog.clock.now())
             view.rows_served += len(table)
         else:
-            site, table, age = ctx.coordinator, copy.cached_table, copy.cached_staleness
+            site, (table, age) = ctx.coordinator, region
         work = ctx.charge_site(site, len(table))
         stats.seconds += work
         self._stamp(ctx, age)
@@ -506,7 +504,7 @@ class Stage:
             report, artifact = ctx.report, self.artifact
             report.scan_tables.pop(self.scan.binding, None)
             report.stage_outputs = [a for a in report.stage_outputs if a is not artifact]
-        self.read = self.stale = self.artifact = None
+        self.read = self.stale = self.artifact = self.region = None
 
 
 def _register_unreachable(ctx, lost) -> None:

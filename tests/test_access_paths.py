@@ -547,6 +547,7 @@ GONE = {
     "ReoptPolicy", "RetryPolicy", "backoff_seconds",  # tuning no shipped caller set
     "build_url", "SupplierRegistry.withdraw", "SimClock.elapsed_since", "Taxonomy.assign",
     "Taxonomy.items_under",  # definitions only tests reached
+    "book_hit", "CacheBid",  # a plan that held its artifact or region's rows
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -580,6 +581,9 @@ SITE_PLANE = tuple(PHYSICAL + name for name in (
     "chunk_filter", "partial_groups", "_group_keys", "_ungrouped", "_grouped"))  # fmt: skip
 TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.execute",
                  F + "reopt.py:ReoptController.__init__")  # fmt: skip
+# What a plan once held of a stored copy: its rows, its artifact, their ages.
+COPY_CONTENT = {"cached_table", "cached_staleness", "artifact", "artifact_age"}
+CATALOG = F + "catalog.py:FederationCatalog."
 
 GUARDS = [
     ("stays_deleted", "what moved to its one home is not defined again",
@@ -712,9 +716,8 @@ GUARDS = [
      {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",
                              "PartialAggregate")}),
     ("served_one_way-serving-callers", "an artifact is served by the stage",
-     lambda ix: {top(h) for name in ("serve_rows", "serve_groups", "book_hit")
-                 for h in ix.callers(name)},
-     {F + "artifacts.py:ArtifactStore", STAGE + "Stage"}),
+     lambda ix: {top(h) for name in ("serve_rows", "serve_groups")
+                 for h in ix.callers(name)}, {STAGE + "Stage"}),
     ("served_one_way-no-planner-branch", "the physical planner has no artifact branch",
      lambda ix: ix.holding(ix.strings, "artifact", PHYSICAL + "PhysicalPlanner._node"), set()),
     ("served_one_way-one-serving-step", "one stage step filters a copy, one stamps an age",
@@ -743,6 +746,16 @@ GUARDS = [
                  {h for h in ix.params if h.startswith("src/") and leaf(h) == "splice"}),
      ({STAGE + "Stage.spliced", F + "cache.py:SemanticCache._assemble"},
       {F + "parts.py:splice"})),
+    ("one_path-plans-hold-no-content", "a plan names its copies: no src/ home passes "
+     "a ScanAssignment rows, an artifact or an age, and it has no field for them",
+     lambda ix: ({h for h, _, keywords in ix.passes["ScanAssignment"]
+                  if h.startswith("src/") and keywords & COPY_CONTENT},
+                 ix.params[PHYSICAL + "ScanAssignment"] & COPY_CONTENT), (set(), set())),
+    ("one_version-content-moves-epochs", "a write moves fragment epochs: the catalog "
+     "version moves on schema, placement and view changes alone",
+     lambda ix: {h for h in ix.assigns["version"] if h.startswith(CATALOG)},
+     {CATALOG + m for m in ("__init__", "create_table", "add_fragment", "place_replica",
+                            "drop_replica", "register_view")}),
     ("one_per_relationship-every-source-kind-runs",
      "a ContentSource kind is built outside its module by src/, a bench or an example",
      lambda ix: {leaf(h) for h in ix.holding(ix.bases, "ContentSource")

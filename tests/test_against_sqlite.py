@@ -405,21 +405,24 @@ def engine_for(switches):
 def answers(switches, statements, change=None):
     """Yield (statement, run, result): each statement three times, in turn,
     on one engine; with a ``change``, then :func:`write` and each statement
-    three times more (runs 3 to 5)."""
+    three times more (runs 3 to 5).  A prepared statement is prepared once,
+    before its first run, and executed across the write."""
     engine, tenant = engine_for(switches)
     if switches.entry == "gateway":
         manager = WorkloadManager(engine, EventLoop(engine.catalog.clock))
         session = Gateway(manager).connect(tenant=tenant or "default")
     staleness = LIVE_ONLY if change is not None and change.live_only else None
+    templates = {}
     for phase in range(1 if change is None else 2):
         if phase:
             write(engine, switches.fragments, change)
         for statement in statements:
             inlined, template, values = statement.text
-            if switches.entry == "prepared":
-                prepared = engine.prepare(
+            if switches.entry == "prepared" and statement not in templates:
+                templates[statement] = engine.prepare(
                     template, tenant=tenant, max_staleness=staleness
                 )
+            prepared = templates.get(statement)
             for run in range(3 * phase, 3 * phase + 3):
                 if switches.entry == "ad hoc":
                     result = engine.query(
@@ -528,16 +531,32 @@ def test_a_statement_after_a_write_answers_what_sqlite_answers(
     switches, statements, change
 ):
     """Every answer after the write is sqlite's over the current content,
-    however much of it the reuse stores kept."""
-    after, _ = written(switches.fragments, change.fragment % switches.fragments)
+    however much of it the reuse stores kept.  A template executed across
+    the write re-prepares only when its plan's zone maps pruned a written
+    fragment: a prune reads content, a named copy is resolved per run."""
+    index = change.fragment % switches.fragments
+    after, _ = written(switches.fragments, index)
     wants = {
         statement: (expected(switches, statement), expected(switches, statement, after))
         for statement in statements
     }
+    rewritten = {
+        f"f{i}" for i in range(switches.fragments) if change.whole or i == index
+    }
+    pruned = {}  # statement -> the ids of t's fragments its plan pruned
     for statement, run, result in answers(switches, statements, change):
         assert_answers(statement, run, result, wants[statement][run >= 3])
         if change.live_only:
             assert serves_no_part(result), run
+        if switches.entry == "ad hoc":
+            continue
+        template = result.prepared
+        if run < 3:
+            pruned[statement] = {
+                f.fragment_id for f, _ in template.pruned if f.table_name == "t"
+            }
+        else:
+            assert template.replans == bool(pruned[statement] & rewritten), run
 
 
 # -- names: unknown and ambiguous -------------------------------------------------

@@ -586,6 +586,78 @@ class TestRefreshUnderFaults:
         assert result.table.rows == cold.table.rows == [("k0000",), ("k0001",)]
 
 
+class TestNamedArtifact:
+    """A template planned after its stage's artifact committed names the
+    stage and keeps the auction's placement; execution resolves the name.
+    A write re-prepares nothing: a gone artifact runs the placement, with
+    failover and the degraded-answer policy, and a part-stale one
+    refreshes its stale fragments alone."""
+
+    def named(self):
+        catalog, engine, store = make_engine()
+        engine.query(AGG_SQL)
+        store._sweep()
+        prepared = engine.prepare(AGG_SQL)
+        assignment = prepared.physical.assignments["items"]
+        assert assignment.kind == "artifact"
+        assert len(assignment.placement.choices) == 6
+        assert engine.execute(prepared).report.artifact_hits == 1
+        return catalog, engine, store, prepared
+
+    def cold(self, engine, **options):
+        return engine.query(AGG_SQL, options=QueryOptions(reuse_artifacts=False, **options))
+
+    def test_a_gone_artifact_runs_the_placement(self):
+        catalog, engine, store, prepared = self.named()
+        catalog.notify_table_updated("items")
+        assert len(store) == 0
+        misses = store.misses
+        result = engine.execute(prepared)
+        assert store.misses == misses + 1
+        assert result.report.artifact_hits == 0
+        assert result.report.rows_fetched == 77
+        assert result.table.rows == self.cold(engine).table.rows
+        assert prepared.replans == 0
+
+    def test_a_gone_artifact_fails_over_off_a_dead_planned_site(self):
+        catalog, engine, store, prepared = self.named()
+        catalog.notify_table_updated("items")
+        placement = prepared.physical.assignments["items"].placement
+        catalog.site(placement.choices[0].site_name).up = False
+        result = engine.execute(prepared)
+        assert result.report.failovers >= 1 and not result.report.degraded
+        assert result.table.rows == [(77, sum(range(77)))]
+        assert prepared.replans == 0
+
+    @pytest.mark.parametrize("degraded_ok", [True, False])
+    def test_a_gone_artifact_degrades_as_a_fragment_plan_does(self, degraded_ok):
+        catalog, engine, store, prepared = self.named()
+        catalog.notify_table_updated("items")
+        for name in ("s0", "s1"):  # both replicas of f0
+            catalog.site(name).up = False
+        if not degraded_ok:
+            with pytest.raises(PartialFailureError) as named:
+                engine.execute(prepared)
+            with pytest.raises(PartialFailureError) as cold:
+                self.cold(engine)
+            assert named.value.unreachable_fragments == cold.value.unreachable_fragments
+            return
+        result = engine.execute(prepared, degraded_ok=True)
+        cold = self.cold(engine, degraded_ok=True)
+        assert result.report.degraded and "items/f0" in result.report.unreachable_fragments
+        assert result.table.rows == cold.table.rows
+        assert result.report.completeness == cold.report.completeness < 1.0
+
+    def test_a_part_stale_artifact_narrows_not_raises(self):
+        catalog, engine, store, prepared = self.named()
+        rewrite_fragment(catalog, "f3", [("n0", 3), ("n1", 5), ("n2", 90)])
+        result = engine.execute(prepared)
+        assert store.refreshes == 1
+        assert result.report.rows_fetched == 2  # f3's rows with v < 77
+        assert result.table.rows == self.cold(engine).table.rows
+        assert prepared.replans == 0
+
+
 TOP_SQL = (
     "select a.k as c0 from items a join items b on a.k = b.k "
     "where b.v >= 0 order by a.v limit 2"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.connect.source import LiveSource
 from repro.core import DataType, Field, Schema, Table
+from repro.core.errors import PartialFailureError
 from repro.federation import (
     ArtifactStore,
     CentralizedOptimizer,
@@ -18,9 +19,10 @@ from repro.federation import (
 from repro.federation.engine import LIVE_ONLY
 from repro.sim import SimClock
 from repro.workloads.hotels import generate_hotels
+from tests.test_gateway import write_row
 
 
-def make_engine():
+def make_engine(optimizer=None):
     clock = SimClock()
     catalog = FederationCatalog(clock)
     names = [catalog.make_site(f"s{i}").name for i in range(2)]
@@ -31,7 +33,10 @@ def make_engine():
     table = Table(schema, [(f"A-{i}", float(i)) for i in range(100)])
     catalog.load_fragmented(table, 1, [names], scan_cost_seconds=1.0)
     cache = SemanticCache(clock, max_rows=10_000)
-    return FederatedEngine(catalog, cache=cache), cache
+    engine = FederatedEngine(
+        catalog, optimizer=optimizer and optimizer(catalog), cache=cache
+    )
+    return engine, cache
 
 
 class TestEngineCache:
@@ -144,7 +149,8 @@ class TestEngineCache:
         engine, _ = make_engine()
         engine.query("select sku from parts where price < 50")
         text = engine.explain("select sku from parts where price < 20")
-        assert "cache(region price < 50, age" in text
+        # The plan names the region and the placement it falls back to.
+        assert "cache(region price < 50) else fragments [f0@s0]" in text
         analyzed = engine.explain(
             "select sku from parts where price < 20", analyze=True
         )
@@ -266,3 +272,80 @@ class TestEngineCache:
         # The text-filtered result must not be stored under the bare region.
         follow_up = engine.query("select sku from parts")
         assert len(follow_up.table) == 100
+
+
+NAMED_SQL = "select sku from parts where price < 50"
+OPTIMIZERS = [
+    None,
+    CentralizedOptimizer,
+    lambda catalog: PolicyOptimizer(catalog, RoundRobinPolicy()),
+]
+
+
+class TestNamedRegion:
+    """A template planned over a cached region names it by its key and
+    keeps the placement its optimizer priced; each execution looks the
+    key up.  A write re-prepares nothing: a gone or too-stale region
+    (one miss) runs the placement, with failover and the degraded-answer
+    policy, and that run refills the region."""
+
+    def named(self, optimizer=None, max_staleness=None):
+        engine, cache = make_engine(optimizer)
+        engine.query(NAMED_SQL)
+        prepared = engine.prepare(NAMED_SQL, max_staleness=max_staleness)
+        assignment = prepared.physical.assignments["parts"]
+        assert assignment.kind == "cache"
+        assert [c.fragment.fragment_id for c in assignment.placement.choices] == ["f0"]
+        return engine, cache, prepared
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_a_gone_region_runs_the_placement(self, optimizer):
+        engine, cache, prepared = self.named(optimizer)
+        write_row(engine.catalog, "parts", "f0", ("NEW", 1.5))
+        assert len(cache) == 0  # the region's one part was written
+        misses, hits = cache.misses, cache.hits
+        result = engine.execute(prepared)
+        assert (cache.misses, cache.hits) == (misses + 1, hits)
+        assert len(result.table) == 51 and ("NEW",) in result.table.rows
+        assert prepared.replans == 0
+        # The placement's run refilled the region, which serves the next.
+        again = engine.execute(prepared)
+        assert (cache.misses, cache.hits) == (misses + 1, hits + 1)
+        assert sorted(again.table.rows) == sorted(result.table.rows)
+
+    def test_a_region_past_the_bound_runs_the_placement(self):
+        engine, cache, prepared = self.named(max_staleness=5.0)
+        clock = engine.catalog.clock
+        clock.advance_to(clock.now() + 10.0)
+        misses = cache.misses
+        result = engine.execute(prepared)
+        assert cache.misses == misses + 1
+        assert len(result.table) == 50
+        assert result.report.staleness_seconds == 0.0
+        assert prepared.replans == 0
+
+    def test_a_gone_region_fails_over_off_a_dead_planned_site(self):
+        engine, cache, prepared = self.named()
+        engine.catalog.notify_table_updated("parts")
+        placement = prepared.physical.assignments["parts"].placement
+        engine.catalog.site(placement.choices[0].site_name).up = False
+        result = engine.execute(prepared)
+        assert result.report.failovers == 1 and not result.report.degraded
+        assert len(result.table) == 50
+        assert prepared.replans == 0
+
+    @pytest.mark.parametrize("degraded_ok", [True, False])
+    def test_a_gone_region_degrades_as_a_fragment_plan_does(self, degraded_ok):
+        engine, cache, prepared = self.named()
+        engine.catalog.notify_table_updated("parts")
+        for name in ("s0", "s1"):
+            engine.catalog.site(name).up = False
+        if not degraded_ok:
+            with pytest.raises(PartialFailureError) as raised:
+                engine.execute(prepared)
+            assert raised.value.unreachable_fragments == ["parts/f0"]
+            return
+        result = engine.execute(prepared, degraded_ok=True)
+        assert result.report.degraded
+        assert result.report.unreachable_fragments == ["parts/f0"]
+        assert result.table.rows == []

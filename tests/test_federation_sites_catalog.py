@@ -5,7 +5,7 @@ import pytest
 from repro.connect.source import Predicate, StaticSource
 from repro.core import DataType, Field, Schema, Table
 from repro.core.errors import QueryError, SourceUnavailableError
-from repro.federation import FederationCatalog, Network, Site
+from repro.federation import FederationCatalog, MaterializedView, Network, Site
 from repro.sim import SimClock
 
 
@@ -163,6 +163,37 @@ class TestCatalog:
         catalog.drop_replica(fragment, "s0")
         assert fragment.replica_sites() == ["s1"]
         assert not catalog.site("s0").hosts("parts/f0")
+
+    def test_metadata_moves_the_version_and_a_write_moves_epochs(self):
+        """Prepared plans replan on ``version``: schema, placement and view
+        changes move it; a content write moves the written fragments'
+        epochs instead (a plan names its stored copies, holding no rows)."""
+        catalog = self.make()
+        moved = []
+
+        def change(step):
+            before = catalog.version
+            step()
+            moved.append(catalog.version > before)
+
+        change(lambda: catalog.create_table("bins", parts_schema()))
+        change(lambda: catalog.add_fragment("bins", "f0", 0))
+        (fragment,) = catalog.entry("bins").fragments
+        source = StaticSource("bins-f0", Table(parts_schema(), []))
+        change(lambda: catalog.place_replica(fragment, "s0", source))
+        change(lambda: catalog.drop_replica(fragment, "s0"))
+        view = MaterializedView("bins_v", "bins", parts_schema(), None, "s1")
+        change(lambda: catalog.register_view(view))
+        entry = catalog.load_fragmented(parts_table(), 2, [["s0"], ["s1"]])
+        change(lambda: catalog.repartition("parts", 3, [["s0"], ["s1"], ["s2"]]))
+        assert moved == [True] * 6
+        version, epochs = catalog.version, [f.epoch for f in entry.fragments]
+        catalog.notify_table_updated("parts", "f1")
+        catalog.notify_table_updated("parts")
+        assert catalog.version == version
+        assert [f.epoch for f in entry.fragments] == [
+            epochs[0] + 1, epochs[1] + 2, epochs[2] + 1
+        ]
 
     def test_binding_fields(self):
         catalog = self.make()

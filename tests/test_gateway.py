@@ -1,7 +1,7 @@
 """Tests for the query gateway: the serving layer in front of the federation.
 
 Covers the prepared-statement plan cache (normalized-SQL keying, LRU
-eviction, invalidation on repartition and base-table updates), the session
+eviction, invalidation on repartition, none on base-table updates), the session
 pool (reuse, exhaustion, idle cap), paging a DB-API cursor with
 ``fetchmany``, ``?`` in the LIKE-pattern and LIMIT-count positions (templates like any other, where a
 textual-binding fallback once ran).  That a gateway session answers what
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connect.source import StaticSource
 from repro.core import DataType, Field, Schema, Table
 from repro.core.errors import ContentIntegrationError, QueryError
 from repro.federation import (
@@ -46,6 +47,19 @@ def build_federation(sites=3, fragments=6, rows_per_fragment=20):
     engine = FederatedEngine(catalog)
     loop = EventLoop(catalog.clock)
     return catalog, engine, loop
+
+
+def write_row(catalog, table_name, fragment_id, row):
+    """Host fragment ``fragment_id`` of ``table_name`` with ``row`` added at
+    each of its replicas, then notify the catalog of that one write."""
+    entry = catalog.entry(table_name)
+    (fragment,) = [f for f in entry.fragments if f.fragment_id == fragment_id]
+    site_name, local_name = next(iter(fragment.replicas.items()))
+    rows = catalog.site(site_name).source(local_name).fetch().table.rows
+    table = Table(entry.schema, [*rows, row])
+    for site_name, local_name in fragment.replicas.items():
+        catalog.site(site_name).host(StaticSource(local_name, table), local_name)
+    catalog.notify_table_updated(table_name, fragment_id)
 
 
 def make_gateway(max_sessions=4, max_idle=2, plan_cache_size=8, **federation_kwargs):
@@ -218,21 +232,21 @@ class TestPlanCache:
             assert template.replans == 1
             assert outcome.rows == [(60,)]
 
-    def test_base_table_update_invalidates_cached_plan(self):
+    def test_base_table_update_replans_nothing(self):
         catalog, _, gateway = make_gateway()
         with gateway.connect() as session:
             before = session.execute(QUERY, (999,))
             assert before.rows == [(120,)]
             template = before.prepared
             assert template.replans == 0
-            # An update notification bumps the catalog version; the cached
-            # template must replan rather than answer from the old plan's
-            # access-path choices.
-            catalog.notify_table_updated("items")
+            # A write moves the written fragment's epoch, not the catalog
+            # version: the template names no stored rows, so it answers
+            # the new content without replanning.
+            write_row(catalog, "items", "f0", ("k9999", 5))
             after = session.execute(QUERY, (999,))
             assert after.prepared is template
-            assert template.replans == 1
-            assert after.rows == [(120,)]
+            assert template.replans == 0
+            assert after.rows == [(121,)]
 
 
 class TestSessionPool:

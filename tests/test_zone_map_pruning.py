@@ -21,8 +21,10 @@ from repro.federation import (
     FederatedEngine,
     FederationCatalog,
     FragmentSlot,
+    Gateway,
     PolicyOptimizer,
     RoundRobinPolicy,
+    WorkloadManager,
     ZoneMap,
     fallback_selectivity,
     fragment_can_match,
@@ -30,7 +32,8 @@ from repro.federation import (
     zone_selectivity,
 )
 from repro.federation.agoric import BID_ROUND_TRIP_SECONDS, PER_BID_SECONDS
-from repro.sim import SimClock
+from repro.sim import EventLoop, SimClock
+from tests.test_gateway import write_row
 
 
 ORDERS_SCHEMA = Schema(
@@ -472,3 +475,65 @@ class TestPrunedUnprunedEquivalence:
         assert answers(pruned.query(sql, advance_clock=False)) == answers(
             seed.query(sql, advance_clock=False)
         )
+
+
+def template_runs(engine, entry):
+    """``run(sql, params)``: a template executed through ``entry`` -- engine
+    prepare/execute, or one gateway session's plan cache -- as ``(result,
+    its template)``, the template kept across runs."""
+    if entry == "prepared":
+        templates = {}
+
+        def run(sql, params):
+            prepared = templates.setdefault(sql, engine.prepare(sql))
+            return engine.execute(prepared, params), prepared
+
+        return run
+    loop = EventLoop(engine.catalog.clock)
+    session = Gateway(WorkloadManager(engine, loop)).connect()
+
+    def run(sql, params):
+        result = session.execute(sql, params).result
+        return result, result.prepared
+
+    return run
+
+
+class TestPruneStamp:
+    """A zone-map prune reads content -- an empty fragment is pruned even
+    under ``?`` parameters -- so a template that pruned a fragment re-plans
+    when that fragment is written; one that pruned none plans nothing."""
+
+    SQL = "select id from orders where qty >= ?"
+
+    @pytest.mark.parametrize("entry", ["prepared", "gateway"])
+    def test_a_write_to_a_pruned_empty_fragment_is_answered(self, entry):
+        # Three rows dealt over four fragments: f3 is empty.
+        engine = build_engine(
+            rows=orders_rows(3), fragment_count=4, site_count=4, range_column=None
+        )
+        run = template_runs(engine, entry)
+        before, template = run(self.SQL, (0,))
+        assert answers(before) == ["(0,)", "(1,)", "(2,)"]
+        assert template.physical.assignments["orders"].pruned_fragments == 1
+        write_row(engine.catalog, "orders", "f3", (3, 3, "t0"))
+        after, again = run(self.SQL, (0,))
+        assert answers(after) == ["(0,)", "(1,)", "(2,)", "(3,)"]
+        assert again is template
+        assert template.replans == 1
+
+    @pytest.mark.parametrize("entry", ["prepared", "gateway"])
+    def test_a_template_that_pruned_nothing_replans_nothing(self, entry):
+        engine = build_engine(fragment_count=4, site_count=4, range_column=None)
+        run = template_runs(engine, entry)
+        before, template = run(self.SQL, (150,))
+        assert template.physical.assignments["orders"].pruned_fragments == 0
+        assert len(before.table) == 10
+        version = engine.catalog.version
+        write_row(engine.catalog, "orders", "f1", (999, 155, "t0"))
+        assert engine.catalog.version == version
+        after, again = run(self.SQL, (150,))
+        assert again is template
+        assert template.replans == 0
+        assert len(after.table) == 11
+        assert "(999,)" in answers(after)
