@@ -19,7 +19,8 @@ The engine builds one instance and assigns it to its optimizer's
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from dataclasses import replace
+from typing import Callable, Iterator, NamedTuple
 
 from repro.core.errors import QueryError
 from repro.federation.artifacts import StageSpec, stage_specs
@@ -73,33 +74,39 @@ class AccessPaths:
         return stage_specs(plan) if self.artifacts is not None else {}
 
     def offers(
-        self, scan: ScanNode, spec: StageSpec | None, max_staleness: float | None
+        self,
+        scan: ScanNode,
+        spec: StageSpec | None,
+        max_staleness: float | None,
+        placer: Callable[[], ScanAssignment],
     ) -> Iterator[tuple[ScanAssignment, float]]:
         """Yield ``(assignment, price)`` for every path that answers the
         scan *whole* without touching its fragments, tightest first: the
         stage's committed artifact, a covering cache region, a view.  An
-        artifact or a region is named, never held: the optimizer that takes
-        one sets its ``placement``, and the stage resolves the name when it
-        runs.
+        artifact or a region is named, never held, and labels the
+        optimizer's own fragment placement -- ``placer()``, asked once and
+        only for a copy -- which the stage runs when the copy is gone at
+        execution.
 
         Lazy on purpose: the semantic cache books a miss when asked to bid,
-        so a pre-empting optimizer that stops at the first offer never
-        consults the rest.
+        and a placer may draw on its policy's state, so a pre-empting
+        optimizer that stops at the first offer never consults the rest.
         """
+        placement = None
         if self.artifacts is not None and spec is not None:
             key = self.artifacts.stage_key(self.catalog, spec)
             price = self.artifacts.bid(key, max_staleness) if key else None
             if price is not None:
-                yield ScanAssignment(scan.binding, scan.table, "artifact"), price
+                placement = placer()
+                yield replace(placement, kind="artifact"), price
         # Text-filtered scans are never cache-served: their answers depend
         # on the text index, not the pushdown region the cache is keyed by.
         if self.cache is not None and scan.text_filter is None:
             bid = self.cache.bid(scan.table, scan.pushdown, max_staleness)
             if bid is not None:
                 region, price = bid
-                yield ScanAssignment(
-                    scan.binding, scan.table, "cache", cached_region=region
-                ), price
+                placement = placement or placer()
+                yield replace(placement, kind="cache", cached_region=region), price
         # A view queried by its own name always serves the view -- from a
         # live host; catalog.direct_view raises if the site is down.
         view = self.catalog.direct_view(scan.table) or self.live_view(
@@ -202,12 +209,13 @@ class AccessPaths:
         view's rows), else the alphabetically-first live site."""
         rows_by_site: dict[str, int] = {}
         for assignment in assignments.values():
-            for choice in assignment.choices:
-                rows_by_site[choice.site_name] = (
-                    rows_by_site.get(choice.site_name, 0)
-                    + choice.fragment.estimated_rows
-                )
-            if assignment.kind == "view":
+            if assignment.kind == "fragments":  # not a priced copy's placement
+                for choice in assignment.choices:
+                    rows_by_site[choice.site_name] = (
+                        rows_by_site.get(choice.site_name, 0)
+                        + choice.fragment.estimated_rows
+                    )
+            elif assignment.kind == "view":
                 view = assignment.view
                 rows_by_site[view.site_name] = (
                     rows_by_site.get(view.site_name, 0) + len(view.data)

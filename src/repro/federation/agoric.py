@@ -27,8 +27,8 @@ predicate region, :meth:`repro.federation.cache.SemanticCache.bid` quotes
 the local serving cost and the broker weighs it against the sites' and
 views' asks -- a warm cache usually undercuts everything, and the chosen
 path shows up in EXPLAIN as ``cache(region ...) else fragments [...]``:
-the plan names the region and keeps the auction's placement, which the
-stage runs when the region is gone at execution.
+the region is a label on the auction's placement, which the stage runs
+when the region is gone at execution.
 
 Optimization latency is *modeled* (one parallel bid round trip,
 :data:`BID_ROUND_TRIP_SECONDS`, plus :data:`PER_BID_SECONDS` per bid) and
@@ -147,20 +147,20 @@ class AgoricOptimizer:
         specs = self.paths.stage_specs(plan)
 
         for scan in scans_in(plan):
-            # All four access paths compete on price in the same market:
-            # a committed stage artifact, the semantic cache's local bid, a
-            # fresh-enough materialized view, and the sites' fragment asks.
-            market = list(
-                self.paths.offers(scan, specs.get(scan.binding), max_staleness)
-            )
-            placed = None
             try:
                 placed, price, solicited = self._auction(scan)
             except QueryError:
-                # No fragments to bid on (e.g. a view queried by name).
-                if not market:
-                    raise QueryError(f"no access path for table {scan.table!r}")
-            else:
+                placed = None  # no fragments to bid on (e.g. a view queried by name)
+            # All four access paths compete on price in the same market:
+            # a committed stage artifact, the semantic cache's local bid, a
+            # fresh-enough materialized view, and the sites' fragment asks.
+            # A named artifact or region labels the auction's placement.
+            market = list(
+                self.paths.offers(
+                    scan, specs.get(scan.binding), max_staleness, lambda: placed
+                )
+            )
+            if placed is not None:
                 contacted += solicited
                 if placed.unreachable and market:
                     # Part of the table is behind dead sites: a covering
@@ -168,12 +168,10 @@ class AgoricOptimizer:
                     # which beats a partial fragment plan at any price.
                     price = float("inf")
                 market.append((placed, price))
-            # Cheapest wins; ties go to the tighter (earlier) path.  A named
-            # artifact or region keeps the auction's placement, which runs
-            # when the copy is gone at execution.
+            elif not market:
+                raise QueryError(f"no access path for table {scan.table!r}")
+            # Cheapest wins; ties go to the tighter (earlier) path.
             assignment, price = min(market, key=lambda offer: offer[1])
-            if assignment.kind in ("cache", "artifact"):
-                assignment.placement = placed
             assignments[scan.binding] = assignment
             total_price += price
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.connect.source import Predicate, apply_predicates
@@ -215,12 +216,13 @@ class SemanticCache:
         region: frozenset[Predicate] | None = None,
     ) -> tuple[tuple, CacheEntry, str] | None:
         """The current, fresh-enough entry whose region covers the request,
-        as ``(key, entry, coverage kind)``: the first found, or with
-        ``region`` -- a key a plan named -- the one stored at exactly that
-        key (one dict lookup, no search).  Books a miss when none does."""
+        as ``(key, entry, coverage kind)``: the first found, and with
+        ``region`` -- a key a plan named -- the entry at that key first (one
+        dict lookup), so a named region that is gone, stale or too old is
+        found again by covering.  Books a miss when none does."""
         keys = self._entries
-        if region is not None:
-            keys = [key for key in [(table_name, region)] if key in self._entries]
+        if (table_name, region) in keys:
+            keys = chain([(table_name, region)], keys)
         for key in keys:
             entry = self._entries[key]
             if entry.table_name != table_name or not entry.current:
@@ -253,8 +255,9 @@ class SemanticCache:
         region: frozenset[Predicate] | None = None,
     ) -> tuple[Table, float] | None:
         """Like :meth:`lookup` but also returns the entry's age in seconds;
-        with ``region``, only the entry a plan named by that key answers.
-        Books one hit or one miss."""
+        with ``region``, the entry a plan named by that key answers first,
+        and any other covering entry when it cannot.  Books one hit or one
+        miss."""
         found = self._find(table_name, frozenset(predicates), max_staleness, region)
         if found is None:
             return None

@@ -119,18 +119,20 @@ class CentralizedOptimizer:
             # artifact, a covering cache region, a fresh view -- costs a
             # local pass with no remote queue: under any snapshot that is
             # the cheapest feasible plan, so the tightest one is taken
-            # before placement is enumerated.
+            # before placement is enumerated.  A named artifact or region
+            # labels a greedy placement, made outside the enumeration and
+            # charged nothing: what the stage runs should the copy be gone.
             offer = next(
-                self.paths.offers(scan, specs.get(scan.binding), max_staleness),
+                self.paths.offers(
+                    scan,
+                    specs.get(scan.binding),
+                    max_staleness,
+                    lambda: self._greedy_placement(scan)[0],
+                ),
                 None,
             )
             if offer is not None:
-                copy = offer[0]
-                if copy.kind in ("cache", "artifact"):
-                    # Placed outside the enumeration, charged nothing: what
-                    # the stage runs should the copy be gone by then.
-                    copy.placement, _, _ = self._greedy_placement(scan)
-                assignments[scan.binding] = copy
+                assignments[scan.binding] = offer[0]
                 continue
             assignment, scan_slots = self.paths.fragment_candidates(scan)
             assignments[scan.binding] = assignment

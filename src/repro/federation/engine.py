@@ -473,12 +473,10 @@ class FederatedEngine:
         # time (DESIGN §7 determinism); the host's real planning time stays
         # on the plan (``planner_wall_seconds``).
         report.response_seconds += physical.optimization_seconds
-        report.fragments_pruned = sum(
-            a.pruned_fragments for a in physical.assignments.values()
-        )
-        report.fragments_total = sum(
-            a.total_fragments for a in physical.assignments.values()
-        )
+        # Pruning is counted over fragment plans, not a priced copy's label.
+        placed = [a for a in physical.assignments.values() if a.kind == "fragments"]
+        report.fragments_pruned = sum(a.pruned_fragments for a in placed)
+        report.fragments_total = sum(a.total_fragments for a in placed)
         if self.governance is not None and options.tenant is not None:
             if any(scan.governance is not None for scan in scans_in(plan)):
                 report.governed_tenant = options.tenant
@@ -563,8 +561,7 @@ class FederatedEngine:
         """The ``(fragment, epoch)`` pairs the plan's zone maps ruled out,
         a named copy's placement's among them."""
         stamp = []
-        for assignment in physical.assignments.values():
-            placed = assignment.placement or assignment
+        for placed in physical.assignments.values():
             if placed.pruned_fragments:
                 kept = {c.fragment.fragment_id for c in placed.choices}
                 kept |= {f.fragment_id for f in placed.unreachable}

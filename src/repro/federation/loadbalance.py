@@ -101,19 +101,16 @@ class PolicyOptimizer:
         for scan in scans_in(plan):
             # No replica beats an answer that is already materialized: the
             # stage's artifact, a covering cache region or a fresh view
-            # pre-empts the replica choice entirely.
+            # pre-empts the replica choice entirely.  A named artifact or
+            # region labels the policy's placement: what the stage runs
+            # should the copy be gone by then.
             offer = next(
-                self.paths.offers(scan, specs.get(scan.binding), max_staleness),
+                self.paths.offers(
+                    scan, specs.get(scan.binding), max_staleness, lambda: self._place(scan)
+                ),
                 None,
             )
-            if offer is None:
-                assignments[scan.binding] = self._place(scan)
-                continue
-            copy = offer[0]
-            if copy.kind in ("cache", "artifact"):
-                # What the stage runs should the copy be gone by then.
-                copy.placement = self._place(scan)
-            assignments[scan.binding] = copy
+            assignments[scan.binding] = self._place(scan) if offer is None else offer[0]
         return PhysicalPlan(
             logical=plan,
             assignments=assignments,

@@ -107,20 +107,19 @@ class ScanAssignment:
     kind: str  # "fragments" | "view" | "cache" | "artifact"
     choices: list[FragmentChoice] = field(default_factory=list)
     view: MaterializedView | None = None
-    # A plan names a stored copy and holds none of its rows: kind "cache"
+    # A priced copy is a label on its fragment placement: kind "cache"
     # names its region by ``(table_name, cached_region)``, kind "artifact"
-    # names the stage alone (its key is computed when the stage runs).
-    # Either carries the fragment placement the optimizer priced, which
-    # the stage runs when the copy is gone or too stale by then.
+    # names the stage alone (its key is computed when the stage runs), and
+    # the choices below are what the stage runs when the copy is gone or
+    # too stale by then.  A plan holds none of the copy's rows.
     cached_region: "frozenset | None" = None
-    placement: "ScanAssignment | None" = None
-    # Zone-map partition elimination accounting for kind "fragments":
-    # of ``total_fragments`` in the catalog, ``pruned_fragments`` were
-    # proven empty under the scan's predicates and get no choice at all.
+    # Zone-map partition elimination accounting for a placement: of
+    # ``total_fragments`` in the catalog, ``pruned_fragments`` were proven
+    # empty under the scan's predicates and get no choice at all.
     pruned_fragments: int = 0
     total_fragments: int = 0
-    # Optimizer's estimate of encoded wire bytes this scan ships to the
-    # coordinator (0 for coordinator-local paths such as cache scans).
+    # Optimizer's estimate of encoded wire bytes the placement or view
+    # ships to the coordinator.
     est_bytes: int = 0
     # Fragments that had no live replica at *plan* time.  The optimizers
     # record them instead of refusing to plan: the executor retries them
@@ -1948,17 +1947,18 @@ def describe_pruning(assignment: ScanAssignment) -> str:
 def describe_access_path(assignment: ScanAssignment) -> str:
     """The access path the optimizer chose for one scan, as EXPLAIN shows
     it; a named copy shows the placement it falls back to."""
-    if assignment.kind == "view":
+    kind = assignment.kind
+    if kind == "view":
         return f"view {assignment.view.name} @ {assignment.view.site_name}"
-    if assignment.placement is not None:  # a named cache region or artifact
-        copy = "artifact(stage)"
-        if assignment.kind == "cache":
-            copy = f"cache(region {describe_region(assignment.cached_region)})"
-        return f"{copy} else {describe_access_path(assignment.placement)}"
     placed = ", ".join(
         f"{c.fragment.fragment_id}@{c.site_name}" for c in assignment.choices
     )
-    return f"fragments [{placed}]{describe_pruning(assignment)}"
+    path = f"fragments [{placed}]{describe_pruning(assignment)}"
+    if kind == "cache":
+        return f"cache(region {describe_region(assignment.cached_region)}) else {path}"
+    if kind == "artifact":
+        return f"artifact(stage) else {path}"
+    return path
 
 
 def describe_pushdown(scan: ScanNode) -> str:

@@ -114,16 +114,16 @@ class ReoptController:
     # -- the stage's run hook ----------------------------------------------
 
     def consider(self, ctx, stage):
-        """Re-evaluate one unstarted stage: on migrate the plan gets the
-        fresh placement and the stage runs it (a refresh: over its stale
-        fragments alone), returned; else None.  Every path that does not
-        migrate leaves ``ctx.plan.assignments`` untouched, so static
-        execution semantics (and bit-identical answers) are the fallback.
+        """Re-evaluate one unstarted stage that is about to run its
+        fragment placement -- never a served view or copy, which has no
+        sites to migrate: on migrate the plan gets the fresh placement and
+        the stage runs it (a refresh: over its stale fragments alone),
+        returned; else None.  Every path that does not migrate leaves
+        ``ctx.plan.assignments`` untouched, so static execution semantics
+        (and bit-identical answers) are the fallback.
         """
         scan = stage.scan
         assignment = stage.assignment
-        if assignment is None or assignment.kind != "fragments":
-            return None  # cache/view/artifact paths have no sites to migrate
         if not assignment.choices or scan.binding in self._considered:
             return None
         reason, bad_site = self._trigger(ctx, scan, assignment)

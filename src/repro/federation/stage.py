@@ -6,16 +6,18 @@ aggregate runs at the sites -- from the fragments to the coordinator: the
 site pipeline and the ``Ship`` over it.  Every reuse decision for it is
 made by the one :class:`Stage` the planner hands both operators:
 
-* **probe** (``Ship.open``): resolve the copy the plan names -- a plan
-  holds a cache region's key or an artifact's stage, never their rows, and
-  the fragment placement to run when the copy is gone -- then a store hit,
-  a join onto an identical in-flight stage, or an artifact current in parts;
-* **serve whole** the artifact, a planned view or named cache region, or
-  the covering fallback's copy -- or **narrow** to the stale fragments,
-  whose output :meth:`Stage.spliced` serves beside the current parts;
-* **run** (``SiteScan``, inside ``SiteOperator.open``): re-optimization may
-  migrate the unstarted placement, each fragment scan fails over, and what
-  stays unreachable degrades the answer or fails it;
+* **probe** (``Ship.open``): find the copy the plan priced -- a plan's
+  cache region or artifact is a label on its fragment placement, naming
+  the copy by key or by stage and holding none of its rows: a region is
+  asked of the cache once; otherwise a store hit, a join onto an identical
+  in-flight stage, or an artifact current in parts;
+* **serve whole** the artifact, a planned view, a found region or the
+  covering fallback's copy -- or **narrow** to the stale fragments, whose
+  output :meth:`Stage.spliced` serves beside the current parts;
+* **run** (``SiteScan``, inside ``SiteOperator.open``): a copy not served
+  runs the assignment's own placement -- re-optimization may migrate it
+  while unstarted, each fragment scan fails over, and what stays
+  unreachable degrades the answer or fails it;
 * **capture**: a complete run -- no fragment lost, no fallback copy -- hands
   the report its rows per fragment (the semantic cache's ``ScanCapture``)
   and, from the ``Ship``, its output per fragment (the store's ``Artifact``);
@@ -62,7 +64,7 @@ class Stage:
         # stale fragments (ids ``rerun``) of the artifact ``stale``.
         self.assignment = self.stale = self.rerun = None
         self.key = None  # the store's key for this stage, when reuse applies
-        self.region = None  # a named cache region's (rows, age), once resolved
+        self.region = None  # a priced cache region's (rows, age), once found
         self.complete = True  # no fragment lost, no fallback copy served
         self.read = None  # fragment id -> rows read, kept for a capture
         self.artifact = None  # the output captured for the store
@@ -72,29 +74,39 @@ class Stage:
     # -- probe: serve whole from an artifact, or narrow ---------------------
 
     def probe(self, ctx, stats):
-        """Resolve the copy the plan names, then serve the stage from an
+        """Find the copy the plan priced, then serve the stage from an
         artifact or narrow this run to a part-current artifact's stale
         fragments; None when the pipeline runs.
 
-        A fragment scan probes the store: a committed-artifact hit (wait 0)
-        or a join onto an identical in-flight stage (charged the remaining
-        wait until the producer's modeled completion).  Either way the
-        rows, staleness and saved work are booked, one coordinator pass is
-        charged and one hit (or join) counted.
+        A scan priced at a cache region asks the cache once (one hit or
+        miss booked): a region found is served when the stage runs.  Any
+        other fragment scan -- a gone region's, a named artifact's --
+        probes the store: a committed-artifact hit (wait 0) or a join onto
+        an identical in-flight stage (charged the remaining wait until the
+        producer's modeled completion).  Either way the rows, staleness and
+        saved work are booked, one coordinator pass is charged and one hit
+        (or join) counted.
         """
-        scan = self.scan
-        self.assignment = assignment = self._resolve(
-            ctx, ctx.plan.assignments.get(scan.binding)
-        )
+        scan, options = self.scan, ctx.options
+        self.assignment = assignment = ctx.plan.assignments.get(scan.binding)
+        if assignment is not None and assignment.kind == "cache":
+            self.region = ctx.paths.cache.lookup_entry(
+                assignment.table_name,
+                scan.pushdown,
+                options.max_staleness,
+                region=assignment.cached_region,
+            )
+            if self.region is None:
+                self.events.append("cache region gone → placement")
         store = ctx.paths.artifacts
-        options = ctx.options
-        # View/cache paths carry their own staleness semantics; the stage
+        # A view or a region carries its own staleness semantics; the stage
         # hash only describes the base-table fragment scan.
         if (
             store is None
             or not options.reuse_artifacts
             or assignment is None
-            or assignment.kind != "fragments"
+            or assignment.kind == "view"
+            or self.region is not None
         ):
             return None
         key = store.stage_key(ctx.catalog, self.spec)
@@ -137,26 +149,6 @@ class Stage:
         label = "joined in-flight stage" if joined else "artifact hit"
         stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
         return rows
-
-    def _resolve(self, ctx, assignment):
-        """What this execution runs for the plan's ``assignment``: a cache
-        region the plan names by its key serves when current and fresh
-        enough (one hit or miss booked); a gone one, and a named artifact
-        -- which the store probe finds, or narrows, as any fragment scan's
-        -- run the placement the optimizer priced."""
-        if assignment is None or assignment.kind not in ("cache", "artifact"):
-            return assignment
-        if assignment.kind == "cache":
-            self.region = ctx.paths.cache.lookup_entry(
-                assignment.table_name,
-                self.scan.pushdown,
-                ctx.options.max_staleness,
-                region=assignment.cached_region,
-            )
-            if self.region is not None:
-                return assignment
-            self.events.append("cache region gone → placement")
-        return assignment.placement
 
     def _served(self, artifact):
         """The artifact's payload as this stage reads it (group records or
@@ -205,7 +197,6 @@ class Stage:
         _note_cuts(ctx, parts)
         count = sum(part.size for part in parts)
         whole = ctx.plan.assignments[self.scan.binding]  # never narrowed
-        whole = whole.placement or whole
         placed = {c.fragment.fragment_id for c in whole.choices}
         placed |= {f.fragment_id for f in whole.unreachable}
         ctx.scan_total_rows += sum(
@@ -223,23 +214,20 @@ class Stage:
         read or None for a copy)]``: its placement's fragments scanned with
         failover, or a planned or fallback copy served whole; the site work
         is charged to ``stats``."""
-        if ctx.reopt is not None:  # unstarted: migrating it wastes nothing
-            migrated = ctx.reopt.consider(ctx, self)
-            if migrated is not None:
-                self.assignment = migrated
         assignment = self.assignment
         if assignment is None:
             raise QueryError(f"no assignment for scan {self.scan.binding!r}")
         predicates = self.scan.pushdown
+        if assignment.kind == "view" or self.region is not None:
+            return self._planned_copy(ctx, assignment, predicates, stats)
+        if ctx.reopt is not None:  # unstarted: migrating it wastes nothing
+            migrated = ctx.reopt.consider(ctx, self)
+            if migrated is not None:
+                self.assignment = assignment = migrated
         now = ctx.catalog.clock.now()
-        if assignment.kind == "fragments":
-            batches = self._fragment_batches(ctx, assignment, predicates, stats)
-        elif assignment.kind in ("view", "cache"):
-            batches = self._planned_copy(ctx, assignment, predicates, stats)
-        else:
-            raise QueryError(f"unknown scan kind {assignment.kind!r}")
+        batches = self._fragment_batches(ctx, assignment, predicates, stats)
         cache = ctx.paths.cache
-        if not self.complete or assignment.kind != "fragments":
+        if not self.complete:
             return batches
         if cache is not None or self.key is not None:
             self.read = {f.fragment_id: table for _, table, _, f in batches}
@@ -409,10 +397,11 @@ class Stage:
         return None
 
     def _planned_copy(self, ctx, assignment, predicates, stats) -> list:
-        """A view the optimizer chose, or the named cache region the probe
-        resolved: its rows are the scan's input, and a view whose one host
-        is down -- there is no replica to fail over to -- registers the
-        whole scan unreachable under the query's degraded-answer policy."""
+        """A view the optimizer chose, or the cache region the probe found
+        for a scan priced at one: its rows are the scan's input, and a view
+        whose one host is down -- there is no replica to fail over to --
+        registers the whole scan unreachable under the query's
+        degraded-answer policy."""
         view = assignment.view
         rows = view.data if view is not None else self.region[0]
         if rows is None:

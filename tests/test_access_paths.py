@@ -548,6 +548,7 @@ GONE = {
     "build_url", "SupplierRegistry.withdraw", "SimClock.elapsed_since", "Taxonomy.assign",
     "Taxonomy.items_under",  # definitions only tests reached
     "book_hit", "CacheBid",  # a plan that held its artifact or region's rows
+    "Stage._resolve",  # a named copy's second run path: a copy runs as itself
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -583,6 +584,7 @@ TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.ex
                  F + "reopt.py:ReoptController.__init__")  # fmt: skip
 # What a plan once held of a stored copy: its rows, its artifact, their ages.
 COPY_CONTENT = {"cached_table", "cached_staleness", "artifact", "artifact_age"}
+COPY_KINDS = {"cache", "artifact"}
 CATALOG = F + "catalog.py:FederationCatalog."
 
 GUARDS = [
@@ -751,6 +753,19 @@ GUARDS = [
      lambda ix: ({h for h, _, keywords in ix.passes["ScanAssignment"]
                   if h.startswith("src/") and keywords & COPY_CONTENT},
                  ix.params[PHYSICAL + "ScanAssignment"] & COPY_CONTENT), (set(), set())),
+    ("one_copy-no-nested-placement", "a priced copy is its own placement: ScanAssignment "
+     "has no placement field, and no src/ home reads one",
+     lambda ix: ("placement" in ix.params[PHYSICAL + "ScanAssignment"],
+                 {w for w, text in ix.texts.items()
+                  if w.startswith("src/") and re.search(r"\.placement\b", text)}),
+     (False, set())),
+    ("one_copy-offers-label-the-placement", "AccessPaths.offers alone builds a cache or "
+     "artifact assignment, and no optimizer sets a copy's fields by hand",
+     lambda ix: ({h for h in ix.callers("ScanAssignment") | ix.callers("replace")
+                  if h.startswith(F) and ix.strings[h] & COPY_KINDS},
+                 {h for name in ix.params[PHYSICAL + "ScanAssignment"] | {"placement"}
+                  for h in ix.assigns[name] if leaf(h) == "optimize"}),
+     ({F + "access.py:AccessPaths.offers"}, set())),
     ("one_version-content-moves-epochs", "a write moves fragment epochs: the catalog "
      "version moves on schema, placement and view changes alone",
      lambda ix: {h for h in ix.assigns["version"] if h.startswith(CATALOG)},

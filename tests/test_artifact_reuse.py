@@ -588,7 +588,8 @@ class TestRefreshUnderFaults:
 
 class TestNamedArtifact:
     """A template planned after its stage's artifact committed names the
-    stage and keeps the auction's placement; execution resolves the name.
+    stage, as a label on the auction's placement; execution probes the
+    store.
     A write re-prepares nothing: a gone artifact runs the placement, with
     failover and the degraded-answer policy, and a part-stale one
     refreshes its stale fragments alone."""
@@ -600,7 +601,7 @@ class TestNamedArtifact:
         prepared = engine.prepare(AGG_SQL)
         assignment = prepared.physical.assignments["items"]
         assert assignment.kind == "artifact"
-        assert len(assignment.placement.choices) == 6
+        assert len(assignment.choices) == 6
         assert engine.execute(prepared).report.artifact_hits == 1
         return catalog, engine, store, prepared
 
@@ -622,7 +623,7 @@ class TestNamedArtifact:
     def test_a_gone_artifact_fails_over_off_a_dead_planned_site(self):
         catalog, engine, store, prepared = self.named()
         catalog.notify_table_updated("items")
-        placement = prepared.physical.assignments["items"].placement
+        placement = prepared.physical.assignments["items"]
         catalog.site(placement.choices[0].site_name).up = False
         result = engine.execute(prepared)
         assert result.report.failovers >= 1 and not result.report.degraded

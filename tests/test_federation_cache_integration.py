@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.connect.source import LiveSource
+from repro.connect.source import LiveSource, Predicate
 from repro.core import DataType, Field, Schema, Table
 from repro.core.errors import PartialFailureError
 from repro.federation import (
@@ -283,11 +283,11 @@ OPTIMIZERS = [
 
 
 class TestNamedRegion:
-    """A template planned over a cached region names it by its key and
-    keeps the placement its optimizer priced; each execution looks the
-    key up.  A write re-prepares nothing: a gone or too-stale region
-    (one miss) runs the placement, with failover and the degraded-answer
-    policy, and that run refills the region."""
+    """A template planned over a cached region names it by its key, as a
+    label on the placement its optimizer priced; each execution looks the
+    key up, then any covering region.  A write re-prepares nothing: a gone
+    or too-stale region (one miss) runs the placement, with failover and
+    the degraded-answer policy, and that run refills the region."""
 
     def named(self, optimizer=None, max_staleness=None):
         engine, cache = make_engine(optimizer)
@@ -295,7 +295,7 @@ class TestNamedRegion:
         prepared = engine.prepare(NAMED_SQL, max_staleness=max_staleness)
         assignment = prepared.physical.assignments["parts"]
         assert assignment.kind == "cache"
-        assert [c.fragment.fragment_id for c in assignment.placement.choices] == ["f0"]
+        assert [c.fragment.fragment_id for c in assignment.choices] == ["f0"]
         return engine, cache, prepared
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -313,6 +313,64 @@ class TestNamedRegion:
         assert (cache.misses, cache.hits) == (misses + 1, hits + 1)
         assert sorted(again.table.rows) == sorted(result.table.rows)
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_a_gone_implication_named_region_is_found_again(self, optimizer):
+        """``price < 30`` planned over the wider ``price < 50`` region: once
+        a write drops that region, the run stores ``price < 30`` under its
+        own key, and the next executions find it by covering."""
+        engine, cache = make_engine(optimizer)
+        engine.query(NAMED_SQL)
+        prepared = engine.prepare("select sku from parts where price < 30")
+        assert prepared.physical.assignments["parts"].cached_region == frozenset(
+            {Predicate("price", "<", 50)}
+        )
+        engine.catalog.notify_table_updated("parts", "f0")
+        booked = []
+        for _ in range(4):
+            misses, hits = cache.misses, cache.hits
+            result = engine.execute(prepared)
+            assert len(result.table) == 30
+            # A fragment read leaves a capture; a served region leaves none.
+            read = sum(len(c.parts[0][2]) for c in result.report.scan_tables.values())
+            booked.append((cache.misses - misses, cache.hits - hits, read))
+        assert booked == [(1, 0, 30)] + [(0, 1, 0)] * 3
+        assert prepared.replans == 0
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_a_priced_copy_counts_as_no_fragment_scan(self, optimizer):
+        """A copy's assignment carries its placement, but the coordinator
+        and the report's pruning counts read only fragment plans."""
+        clock = SimClock()
+        catalog = FederationCatalog(clock)
+        for name in ("s0", "s1"):
+            catalog.make_site(name)
+        schema = Schema(
+            "parts", (Field("sku", DataType.STRING), Field("price", DataType.FLOAT))
+        )
+        table = Table(schema, [(f"A-{i}", float(i)) for i in range(100)])
+        catalog.load_range_partitioned(table, "price", 4, [["s1"]] * 4)
+        engine = FederatedEngine(
+            catalog,
+            optimizer=optimizer and optimizer(catalog),
+            cache=SemanticCache(clock),
+            artifacts=ArtifactStore(clock),
+        )
+        seen = []
+        for sql in ("select sku from parts where price < 20",) * 2 + (
+            "select price from parts where price < 20",
+        ):
+            result = engine.query(sql)
+            report = result.report
+            seen.append((
+                result.plan.assignments["parts"].kind,
+                report.fragments_pruned,
+                report.fragments_total,
+                result.plan.coordinator,
+            ))
+        assert seen == [
+            ("fragments", 3, 4, "s1"), ("artifact", 0, 0, "s0"), ("cache", 0, 0, "s0")
+        ]
+
     def test_a_region_past_the_bound_runs_the_placement(self):
         engine, cache, prepared = self.named(max_staleness=5.0)
         clock = engine.catalog.clock
@@ -327,7 +385,7 @@ class TestNamedRegion:
     def test_a_gone_region_fails_over_off_a_dead_planned_site(self):
         engine, cache, prepared = self.named()
         engine.catalog.notify_table_updated("parts")
-        placement = prepared.physical.assignments["parts"].placement
+        placement = prepared.physical.assignments["parts"]
         engine.catalog.site(placement.choices[0].site_name).up = False
         result = engine.execute(prepared)
         assert result.report.failovers == 1 and not result.report.degraded
