@@ -105,8 +105,8 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
     fragment's top k alone when the scan carries a top-k mark, which the
     stage digest covers.  A top-k stage is left out: only its own
     run-time probe serves it, because a Sort that cannot show the truncated
-    answer exact re-runs the plan's assignments with the mark off, and an
-    embedded truncated artifact would then answer the untruncated stage.
+    answer exact starts the stage again with the mark off, and an embedded
+    truncated artifact would then answer the untruncated stage.
     """
     specs: dict[str, StageSpec] = {}
     for node in walk(plan):  # parents first: a split aggregate claims its scan

@@ -253,11 +253,11 @@ class SemanticCache:
         predicates: "list[Predicate] | tuple[Predicate, ...]" = (),
         max_staleness: float | None = None,
         region: frozenset[Predicate] | None = None,
-    ) -> tuple[Table, float] | None:
-        """Like :meth:`lookup` but also returns the entry's age in seconds;
-        with ``region``, the entry a plan named by that key answers first,
-        and any other covering entry when it cannot.  Books one hit or one
-        miss."""
+    ) -> "tuple[Table, float, frozenset[Predicate]] | None":
+        """Like :meth:`lookup` but also returns the entry's age in seconds
+        and the region it was stored under; with ``region``, the entry a
+        plan named by that key answers first, and any other covering entry
+        when it cannot.  Books one hit or one miss."""
         found = self._find(table_name, frozenset(predicates), max_staleness, region)
         if found is None:
             return None
@@ -276,7 +276,7 @@ class SemanticCache:
             self._count("cache.implication_hits")
         self._observe("cache.entry_age_seconds", now - entry.as_of)
         residual = [p for p in predicates if p not in entry.region]
-        return apply_predicates(entry.table, residual), now - entry.as_of
+        return apply_predicates(entry.table, residual), now - entry.as_of, entry.region
 
     def bid(
         self,

@@ -1,18 +1,12 @@
-"""The distributed executor: drives a compiled physical operator tree.
+"""The distributed executor: drives a statement's stages and operator tree.
 
-The execution machinery itself lives in :mod:`repro.federation.physical`:
-the optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
-access path), :class:`~repro.federation.physical.PhysicalPlanner` compiles
-it into site-side operators (SiteScan, SiteFilter, SiteProject, SiteTopK,
-PartialAggregate) that work on column batches where the rows live, an
-explicit Ship over the network model, and coordinator operators (joins,
-residual filters, final aggregation, sort, limit) that hand column
-batches upward; each scan's reuse decisions are its stage's
-(:mod:`repro.federation.stage`).  There is one engine: the row-at-a-time
-site operators it replaced survive only as the test oracle
-``tests/reference_site.py``.
-The :class:`Executor` here opens the root, drains it into the result
-table, and settles the timing model:
+The optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
+access path); :class:`~repro.federation.physical.PhysicalPlanner` compiles
+it into site-side operators, an explicit Ship per stage and coordinator
+operators (:mod:`repro.federation.physical`), and each scan's reuse
+decisions are its stage's (:mod:`repro.federation.stage`).  The
+:class:`Executor` here starts every stage, opens the root, drains it into
+the result table, and settles the timing model:
 
 * site-side batches run **in parallel** across their sites -- the scan
   phase costs the *slowest* pipeline, not the sum;
@@ -20,8 +14,9 @@ table, and settles the timing model:
   queries interfere realistically -- which makes load balancing measurable;
 * response time is slowest-scan-pipeline plus serial coordinator work;
 * a top-k stage (``SiteTopK``) whose answer the coordinator ``Sort`` cannot
-  show exact is re-run as the ordinary plan, after it: the attempt's work
-  and response time stay charged (:class:`TopKRestart`).
+  show exact starts again, untruncated, under the ordinary plan after it;
+  every other stage's output is kept, and the attempt's work and response
+  time stay charged (:class:`TopKRestart`).
 
 The report records response time, per-site work, rows fetched vs rows
 actually shipped across the network, worst-case access-path staleness, and
@@ -68,41 +63,45 @@ class Executor:
         reopt=None,
     ) -> tuple[Table, ExecutionReport]:
         report = ExecutionReport()
-        restarted = 0.0  # response seconds of a top-k attempt that missed
+        ctx = ExecContext(self.paths, plan, report, options, reopt, self.failover)
+        root, stages = self.planner.compile(plan)
         while True:
-            # Recompile every time: assignments may have changed since the
-            # optimizer attached a tree (cache swap), and operators hold
-            # per-execution state.
-            root = self.planner.compile(plan)
-            ctx = ExecContext(
-                self.paths, plan, report, options, reopt, self.failover
-            )
             batches = []
             try:
+                for stage in stages:
+                    if stage.output is None:  # not kept across a restart
+                        stage.start(ctx)
                 root.open(ctx)
                 while (batch := root.next()) is not None:
                     batches.append(batch)
             except TopKRestart as miss:
                 # The truncated attempt did its work: settle and charge it,
-                # then run the ordinary plan after it, into the same report.
-                # Its stages take back what they captured for the stores.
-                ctx.superseded = True
+                # then run the ordinary plan after it.  Every finished stage
+                # but the truncated one keeps its output and its captures.
                 root.close()
-                restarted = ctx.scan_elapsed + ctx.coordinator_seconds
+                report.response_seconds = ctx.scan_elapsed + ctx.coordinator_seconds
+                ctx.scan_elapsed = ctx.coordinator_seconds = 0.0
+                ctx.top_k_cuts = []
                 report.top_k_restart = str(miss)
-                plan = replace(plan, logical=without_top_k(plan.logical))
+                done = {
+                    stage.scan.binding: stage
+                    for stage in stages
+                    if stage.output is not None and stage.scan.top_k is None
+                }
+                ctx.captured = [s for s in ctx.captured if s.scan.binding in done]
+                ctx.plan = plan = replace(plan, logical=without_top_k(plan.logical))
+                root, stages = self.planner.compile(plan)
+                for stage in stages:
+                    if stage.scan.binding in done:
+                        stage.keep(done[stage.scan.binding])
                 continue
             except BaseException:
-                # A failed statement settles nothing but must not keep its
-                # batches alive through the (possibly cached) plan's tree.
                 root.close(settle=False)
                 raise
             root.close()
             break
 
-        report.response_seconds = (
-            restarted + ctx.scan_elapsed + ctx.coordinator_seconds
-        )
+        report.response_seconds += ctx.scan_elapsed + ctx.coordinator_seconds
         if reopt is not None:
             # Every re-quote costs modeled time whether or not it migrated
             # -- the economy pays for its own adaptivity.
@@ -113,15 +112,17 @@ class Executor:
             report.reopt_events = list(reopt.events)
         table = envs_to_table(root, batches)
         report.rows_returned = len(table.rows)
+        for stage in ctx.captured:  # the stages that answered, in that order
+            if stage.scan_capture is not None:
+                report.scan_tables[stage.scan.binding] = stage.scan_capture
+            if stage.artifact is not None:
+                report.stage_outputs.append(stage.artifact)
         report.operators = root.stats_tree()
         report.unreachable_fragments = list(ctx.unreachable_fragments)
         report.dead_sites = sorted(ctx.dead_sites)
         if ctx.unreachable_rows > 0:
             report.degraded = True
-            if ctx.scan_total_rows > 0:
-                report.completeness = (
-                    ctx.scan_total_rows - ctx.unreachable_rows
-                ) / ctx.scan_total_rows
-            else:
-                report.completeness = 0.0
+            total = sum(stage.total_rows for stage in stages)
+            lost = ctx.unreachable_rows
+            report.completeness = (total - lost) / total if total else 0.0
         return table, report

@@ -22,11 +22,11 @@ operators split across two placements:
   than producing those takes (see :meth:`PhysicalOperator.next`).
 
 Every scan compiles to one ``Ship`` over its site pipeline, and both hold
-the one :class:`~repro.federation.stage.Stage` of that scan: every reuse
-decision -- serve an artifact, a view or a cache region whole, narrow to
-the stale fragments, fail over, capture for the stores -- is the stage's
-(DESIGN §5h "Stage lifecycle"); ``Ship`` and ``SiteScan`` move and scan
-rows.
+the one :class:`~repro.federation.stage.Stage` of that scan, which the
+executor starts before the tree opens: every reuse decision -- serve an
+artifact, a view or a cache region whole, narrow to the stale fragments,
+fail over, capture for the stores -- is the stage's (DESIGN §5h "Stage
+lifecycle"); ``Ship`` and ``SiteScan`` move and scan rows.
 
 Every operator records rows in/out, seconds of modeled work and its
 placement site in :class:`OperatorStats`; the engine renders the tree as
@@ -35,6 +35,7 @@ placement site in :class:`OperatorStats`; the engine renders the tree as
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -263,18 +264,13 @@ class OperatorStats:
 
 @dataclass
 class ScanCapture:
-    """One live fragment scan's output, kept for the semantic cache.
-
-    ``parts`` holds one ``(fragment, epoch read at, rows)`` per fragment of
-    the table in fragment order -- a pruned fragment's rows are an empty
-    table, and a refresh's not re-read fragments have ``None`` (the cache
-    keeps their stored parts).  ``fetched_at`` is the simulated clock at
-    the moment the sources were read -- the engine stamps cache entries
-    with it so staleness is measured from the fetch, not from whenever the
-    store happens to run.  ``fetch_seconds`` is the site work the scan
-    cost, i.e. what a future cache hit saves (the benefit term in
-    admission/eviction).
-    """
+    """One complete fragment scan's rows, kept for the semantic cache:
+    ``parts`` holds ``(fragment, epoch read at, rows)`` per fragment of the
+    table in fragment order (a pruned fragment's rows empty, a refresh's
+    not re-read ones ``None``: the cache keeps their stored parts);
+    ``fetched_at`` is the clock when the sources were read, so staleness is
+    measured from the fetch; ``fetch_seconds`` is the site work the scan
+    cost, what a future hit saves (the benefit in admission/eviction)."""
 
     parts: "list[tuple[Fragment, int, Table | None]]"
     fetched_at: float
@@ -361,7 +357,7 @@ def schema_of(catalog: FederationCatalog, assignment: ScanAssignment) -> Schema:
 
 
 class ExecContext:
-    """Shared state for one execution of a physical plan."""
+    """Shared state for one execution of a statement, top-k restart included."""
 
     def __init__(
         self,
@@ -387,7 +383,7 @@ class ExecContext:
         # retry budget bounds it) or raises at once.
         self.failover = failover
         # The statement's options, read where they bind: ``degraded_ok`` by
-        # unreachable scans; ``reuse_artifacts`` at the Ship boundary (the
+        # unreachable scans; ``reuse_artifacts`` by the stage's probe (the
         # workload manager's fallback re-execution sets False so a query
         # whose joined producer died recomputes independently and publishes
         # nothing); ``max_staleness`` by the covering fallback too -- a
@@ -397,16 +393,15 @@ class ExecContext:
         # None for frozen-plan execution.  Each stage consults it once.
         self.reopt = reopt
         self.retries_used = 0  # failover attempts spent against RETRY_BUDGET
-        self.scan_total_rows = 0  # estimated input rows across all scans
         self.unreachable_rows = 0  # estimated rows behind dead fragments
         self.unreachable_fragments: list[str] = []
         self.dead_sites: set[str] = set()
         # (fragment, boundary key) of each fragment a SiteTopK cut, as the
         # Ship of the top-k stage received or served it.
         self.top_k_cuts: list[tuple[str, Any]] = []
-        # Set when a top-k restart re-runs the plan after this attempt: its
-        # stages settle their work but take their captures back.
-        self.superseded = False
+        # The stages whose Ship handed their output back, in order: the
+        # report's captures (a top-k restart drops the truncated attempt's).
+        self.captured: list[Stage] = []
 
     def empty_batch(self, binding: str) -> "columnar.ColumnBatch":
         """The layout of one scan's output, with no rows: what an outer
@@ -484,11 +479,12 @@ class PhysicalOperator:
         self.stats = OperatorStats(self.name)
 
     def open(self, ctx: ExecContext) -> None:
-        self.stats = OperatorStats(self.name, site=ctx.coordinator)
+        self.stats.site = ctx.coordinator
         self._ctx = ctx
         self._closed = False
         for child in self.children:
-            child.open(ctx)
+            if not isinstance(child, SiteOperator):  # its stage opened it
+                child.open(ctx)
         self._rows = None
 
     def next(self, want: int | None = None) -> "columnar.ColumnBatch | None":
@@ -507,14 +503,12 @@ class PhysicalOperator:
 
     def close(self, settle: bool = True) -> None:
         """Settle accounting (skipped when the execution failed) and drop
-        per-execution state: the batches would otherwise stay pinned by
-        this operator until the plan is next compiled."""
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        if settle:
-            self._finish(self._ctx)
-        for child in self.children:
+        per-execution state, the batches this operator pins."""
+        if not getattr(self, "_closed", True):
+            self._closed = True
+            if settle:
+                self._finish(self._ctx)
+        for child in self.children:  # a started site pipeline under an unopened Ship
             child.close(settle)
         self._rows = self._batches = self._ctx = None
 
@@ -593,7 +587,6 @@ class SiteOperator(PhysicalOperator):
     """An operator that runs where the data lives, producing per-site batches."""
 
     def open(self, ctx: ExecContext) -> None:
-        self.stats = OperatorStats(self.name)
         self._ctx = ctx
         self._closed = False
         for child in self.children:
@@ -1255,41 +1248,28 @@ class Ship(PhysicalOperator):
     they are, partial-aggregate group records (charged per record byte) as
     a one-column batch.
 
-    Every reuse decision is the stage's (:mod:`repro.federation.stage`):
-    ``open`` probes it first, and a stage served whole from an artifact
-    never opens the site pipeline; a narrowed one's output is spliced with
-    the parts it serves, and the output is captured for the stores.
+    The executor started the stage (:mod:`repro.federation.stage`) before
+    this operator opened; the Ship hands what it shipped back to the stage,
+    whose output the coordinator gets.  A stage served whole, or kept
+    across a top-k restart, ships nothing.
     """
 
     name = "Ship"
 
-    def __init__(self, child: "PhysicalOperator", stage: Stage) -> None:
+    def __init__(self, child: "SiteOperator", stage: Stage) -> None:
         super().__init__(child)
         self.stage = stage
+        # A proxy: the pipeline's SiteScan holds the stage, by reference count.
+        stage.pipeline, stage.stats = weakref.proxy(child), self.stats
 
-    def open(self, ctx: ExecContext) -> None:
-        self.stats = OperatorStats(self.name, site=ctx.coordinator)
-        self._ctx = ctx
-        self._closed = False
-        self._rows = None
-        served = self.stage.probe(ctx, self.stats)
-        if served is not None:
-            # The whole site-side pipeline is skipped: children are never
-            # opened (their close() guards make that safe) and no site does
-            # any scan work for this stage.
-            self._rows = BatchCursor(row_form_batches(served))
-            return
-        before = ctx.report.rows_fetched
-        for child in self.children:
-            child.open(ctx)
-        self.stage.rows_fetched = ctx.report.rows_fetched - before
+    def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
+        if self._rows is None:
+            if self.stage.output is None:  # not served whole, nor kept
+                self._produce(self._ctx)  # ships, and the stage captures
+            self._rows = BatchCursor(self.stage.output)
+        return self._rows.pull(want)
 
-    def close(self, settle: bool = True) -> None:
-        if not getattr(self, "_closed", True):
-            self.stage.release(self._ctx)
-        super().close(settle)
-
-    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+    def _produce(self, ctx: ExecContext) -> None:
         # (fragment read, its arrived batches), one per site batch.
         slots: list = []
         cuts = {}  # fragment read -> its top-k boundary, where one was cut
@@ -1369,9 +1349,6 @@ class Ship(PhysicalOperator):
         self.stats.detail = (
             f"from {', '.join(sorted(sources))}" if sources else "coordinator-local"
         )
-        if self.stage.stale is not None:
-            slots, note = self.stage.spliced(ctx, slots, self.stats)
-            self.stats.detail = f"{note}; {self.stats.detail}"
         binding = self.stage.scan.binding
         ctx.report.stage_runtimes[binding] = (arrival, tuple(sorted(stage_sites)))
         if ctx.reopt is not None:
@@ -1380,7 +1357,6 @@ class Ship(PhysicalOperator):
                 self.stats.detail += f"  [{note}]"
         arrived = [batch for _, out in slots for batch in out]
         self.stage.capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
-        return arrived
 
 
 # What a row-form batch of partial-aggregate records travels as: one column.
@@ -1784,8 +1760,9 @@ class FinalAggregate(Aggregate):
 
 
 class TopKRestart(Exception):
-    """A top-k stage's answer is not known exact: the executor re-runs the
-    plan with the mark off.  The message says why, for EXPLAIN ANALYZE."""
+    """A top-k stage's answer is not known exact: the executor runs the
+    plan with the mark off, starting the truncated stage again.  The
+    message says why, for EXPLAIN ANALYZE."""
 
 
 def check_top_k(
@@ -2002,18 +1979,20 @@ class PhysicalPlanner:
     def __init__(self, catalog: FederationCatalog) -> None:
         self.catalog = catalog
 
-    def compile(self, plan: PhysicalPlan) -> PhysicalOperator:
-        return self._node(plan.logical, plan)
+    def compile(self, plan: PhysicalPlan) -> "tuple[PhysicalOperator, list[Stage]]":
+        """The coordinator tree, and its stages in the order the executor
+        starts them: one per ``Ship``, left to right."""
+        stages: list[Stage] = []
+        return self._node(plan.logical, plan, stages), stages
 
-    def _node(self, node: PlanNode, plan: PhysicalPlan) -> PhysicalOperator:
+    def _node(self, node: PlanNode, plan: PhysicalPlan, stages) -> PhysicalOperator:
         if isinstance(node, ScanNode):
-            stage = Stage(StageSpec(node))
-            return Ship(self._site_pipeline(stage, plan), stage)
+            return self._ship(StageSpec(node), plan, stages)
         if isinstance(node, FilterNode):
-            return Filter(self._node(node.child, plan), node.condition)
+            return Filter(self._node(node.child, plan, stages), node.condition)
         if isinstance(node, JoinNode):
-            left = self._node(node.left, plan)
-            right = self._node(node.right, plan)
+            left = self._node(node.left, plan, stages)
+            right = self._node(node.right, plan, stages)
             right_bindings = [scan.binding for scan in scans_in(node.right)]
             condition = node.condition
             if (
@@ -2027,20 +2006,26 @@ class PhysicalPlanner:
                 left, right, condition, node.join_type, right_bindings
             )
         if isinstance(node, ProjectNode):
-            return Project(self._node(node.child, plan), node.items, node.distinct)
+            child = self._node(node.child, plan, stages)
+            return Project(child, node.items, node.distinct)
         if isinstance(node, AggregateNode):
             if node.split is not None and isinstance(node.child, ScanNode):
-                stage = Stage(StageSpec(node.child, node))
-                pipeline = PartialAggregate(self._site_pipeline(stage, plan), node)
-                return FinalAggregate(Ship(pipeline, stage), node)
-            return Aggregate(self._node(node.child, plan), node)
+                ship = self._ship(StageSpec(node.child, node), plan, stages)
+                return FinalAggregate(ship, node)
+            return Aggregate(self._node(node.child, plan, stages), node)
         if isinstance(node, SortNode):
-            return Sort(self._node(node.child, plan), node.order_by, top_k_bound(node))
+            child = self._node(node.child, plan, stages)
+            return Sort(child, node.order_by, top_k_bound(node))
         if isinstance(node, LimitNode):
-            return Limit(self._node(node.child, plan), evaluate(node.limit, {}))
+            child = self._node(node.child, plan, stages)
+            return Limit(child, evaluate(node.limit, {}))
         raise QueryError(f"cannot compile plan node {node!r}")
 
-    def _site_pipeline(self, stage: Stage, plan: PhysicalPlan) -> SiteOperator:
+    def _ship(self, spec: StageSpec, plan: PhysicalPlan, stages: list) -> Ship:
+        """A new stage's site pipeline -- with the partial aggregate of a
+        split one -- under its ``Ship``."""
+        stage = Stage(spec)
+        stages.append(stage)
         scan = stage.scan
         op: SiteOperator = SiteScan(stage)
         if scan.site_filters:
@@ -2051,7 +2036,9 @@ class PhysicalPlanner:
         k = top_k_bound(scan)
         if k is not None:
             op = SiteTopK(op, scan.top_k.order, k)
-        return op
+        if spec.agg is not None:
+            op = PartialAggregate(op, spec.agg)
+        return Ship(op, stage)
 
     def _kept_columns(
         self, scan: ScanNode, plan: PhysicalPlan

@@ -1,31 +1,35 @@
-"""A stage's one lifecycle: probe → serve whole | narrow → run → capture →
-release (DESIGN §5h "Stage lifecycle").
+"""A stage's one lifecycle: start (probe → serve whole | narrow → run) →
+ship → capture (DESIGN §5h "Stage lifecycle").
 
 A *stage* is one scan -- with its split aggregate when the partial
 aggregate runs at the sites -- from the fragments to the coordinator: the
 site pipeline and the ``Ship`` over it.  Every reuse decision for it is
-made by the one :class:`Stage` the planner hands both operators:
+made by the one :class:`Stage` the planner hands both operators and the
+executor, which starts each stage of a statement, in compile order, before
+the coordinator tree opens:
 
-* **probe** (``Ship.open``): find the copy the plan priced -- a plan's
-  cache region or artifact is a label on its fragment placement, naming
-  the copy by key or by stage and holding none of its rows: a region is
-  asked of the cache once; otherwise a store hit, a join onto an identical
-  in-flight stage, or an artifact current in parts;
+* **probe**: find the copy the plan priced -- a plan's cache region or
+  artifact is a label on its fragment placement, naming the copy by key or
+  by stage and holding none of its rows: a region is asked of the cache
+  once; otherwise a store hit, a join onto an identical in-flight stage,
+  or an artifact current in parts;
 * **serve whole** the artifact, a planned view, a found region or the
-  covering fallback's copy -- or **narrow** to the stale fragments, whose
-  output :meth:`Stage.spliced` serves beside the current parts;
+  covering fallback's copy -- or **narrow** to the stale fragments;
 * **run** (``SiteScan``, inside ``SiteOperator.open``): a copy not served
   runs the assignment's own placement -- re-optimization may migrate it
   while unstarted, each fragment scan fails over, and what stays
   unreachable degrades the answer or fails it;
-* **capture**: a complete run -- no fragment lost, no fallback copy -- hands
-  the report its rows per fragment (the semantic cache's ``ScanCapture``)
-  and, from the ``Ship``, its output per fragment (the store's ``Artifact``);
-* **release** (``Ship.close``): an attempt a top-k restart superseded takes
-  its captures back, and the per-execution state is dropped.
+* **capture**, as the ``Ship`` hands the shipped batches back: a narrowed
+  run's are spliced with the current parts, and a complete run -- no
+  fragment lost, no fallback copy -- keeps its rows per fragment for the
+  semantic cache (``ScanCapture``) and its output per fragment for the
+  store (``Artifact``).
 
-A narrowing lives on the stage alone: the plan's assignments are written
-only by the optimizers and ``ReoptController.consider``.
+A top-k restart starts the truncated stage alone again: every other
+finished stage serves its output to the recompiled ``Ship``
+(:meth:`Stage.keep`).  A narrowing lives on the stage alone: the plan's
+assignments are written only by the optimizers and
+``ReoptController.consider``.
 """
 
 from __future__ import annotations
@@ -54,50 +58,72 @@ BACKOFF_CAP_SECONDS = 1.0
 
 
 class Stage:
-    """One ``Ship``'s stage for one execution (the planner builds one per
-    ``Ship`` it compiles, and the executor compiles per execution)."""
+    """One ``Ship``'s stage for one execution, built by the planner with the
+    ``Ship``, which hands it the site pipeline and the stats it books to."""
 
     def __init__(self, spec: StageSpec) -> None:
         self.spec = spec  # the content-hashable unit of artifact reuse
         self.scan = spec.scan
+        self.pipeline = self.stats = None  # set by the Ship over this stage
         # What this execution runs: planned, migrated, or narrowed to the
         # stale fragments (ids ``rerun``) of the artifact ``stale``.
         self.assignment = self.stale = self.rerun = None
         self.key = None  # the store's key for this stage, when reuse applies
         self.region = None  # a priced cache region's (rows, age), once found
         self.complete = True  # no fragment lost, no fallback copy served
-        self.read = None  # fragment id -> rows read, kept for a capture
-        self.artifact = None  # the output captured for the store
-        self.rows_fetched = 0  # rows the stage's scan produced (the Ship counts)
+        self.total_rows = 0  # estimated input rows, for the answer's completeness
+        # Fragment id -> rows read, with the site work it cost, for a capture.
+        self.read, self.fetch_seconds = None, 0.0
+        self.rows_fetched = 0  # rows the stage's scan produced
+        # What it hands on: the coordinator's batches, once known, and what
+        # a capture keeps for the semantic cache and for the store.
+        self.output = self.scan_capture = self.artifact = None
         self.events: list[str] = []  # failover notes for EXPLAIN
+
+    def start(self, ctx) -> None:
+        """Probe; then the stage is served whole, or its site pipeline
+        runs (narrowed, when an artifact is current in parts)."""
+        self.probe(ctx)
+        if self.output is None:
+            before = ctx.report.rows_fetched
+            self.pipeline.open(ctx)
+            self.rows_fetched = ctx.report.rows_fetched - before
+
+    def keep(self, done: "Stage") -> None:
+        """Serve what ``done`` -- this stage in the attempt a top-k restart
+        cut short -- handed the coordinator, booked there once."""
+        self.output, self.total_rows = done.output, done.total_rows
+        self.stats.rows_in = sum(batch.count for batch in done.output)
+        self.stats.detail = "kept from the attempt before the top-k restart"
 
     # -- probe: serve whole from an artifact, or narrow ---------------------
 
-    def probe(self, ctx, stats):
-        """Find the copy the plan priced, then serve the stage from an
-        artifact or narrow this run to a part-current artifact's stale
-        fragments; None when the pipeline runs.
-
-        A scan priced at a cache region asks the cache once (one hit or
-        miss booked): a region found is served when the stage runs.  Any
-        other fragment scan -- a gone region's, a named artifact's --
-        probes the store: a committed-artifact hit (wait 0) or a join onto
-        an identical in-flight stage (charged the remaining wait until the
-        producer's modeled completion).  Either way the rows, staleness and
-        saved work are booked, one coordinator pass is charged and one hit
-        (or join) counted.
-        """
+    def probe(self, ctx) -> None:
+        """Find the copy the plan priced.  A scan priced at a cache region
+        asks the cache once (one hit or miss booked), and a region found is
+        served when the stage runs.  Any other fragment scan probes the
+        store: a committed-artifact hit (wait 0) or a join onto an identical
+        in-flight stage (charged the wait until the producer's modeled
+        completion) is the stage's ``output`` -- its rows, staleness and
+        saved work booked, one coordinator pass charged, one hit (or join)
+        counted -- and an artifact current in parts narrows the run."""
         scan, options = self.scan, ctx.options
         self.assignment = assignment = ctx.plan.assignments.get(scan.binding)
         if assignment is not None and assignment.kind == "cache":
-            self.region = ctx.paths.cache.lookup_entry(
+            found = ctx.paths.cache.lookup_entry(
                 assignment.table_name,
                 scan.pushdown,
                 options.max_staleness,
                 region=assignment.cached_region,
             )
-            if self.region is None:
+            if found is None:
                 self.events.append("cache region gone → placement")
+            else:
+                rows, age, served = found
+                self.region = (rows, age)
+                if served != assignment.cached_region:
+                    region = physical.describe_region(served)
+                    self.events.append(f"served by cache region {region}")
         store = ctx.paths.artifacts
         # A view or a region carries its own staleness semantics; the stage
         # hash only describes the base-table fragment scan.
@@ -108,10 +134,10 @@ class Stage:
             or assignment.kind == "view"
             or self.region is not None
         ):
-            return None
+            return
         key = store.stage_key(ctx.catalog, self.spec)
         if key is None:
-            return None
+            return
         self.key = key  # the capture target if we miss
         hit = store.acquire(key, options.max_staleness)
         if hit is None:
@@ -122,16 +148,16 @@ class Stage:
                     p.fragment.fragment_id for p in stale.parts if not p.current
                 )
                 self.assignment = assignment.narrowed(self.rerun)
-            return None
+            return
         artifact, wait, joined = hit
         rows = self._served(artifact)
         if rows is None:
             # Payload-kind or call mismatch under an identical digest (a
             # hash-collision guard): never serve garbage -- recompute.
             self.key = None
-            return None
+            return
         age = ctx.catalog.clock.now() - artifact.fetched_at
-        ctx.scan_total_rows += len(rows)
+        self.total_rows += len(rows)
         _note_cuts(ctx, artifact.parts)
         self._stamp(ctx, age)
         ctx.report.artifact_rows_saved += artifact.rows_saved
@@ -144,11 +170,11 @@ class Stage:
             ctx.report.artifact_join_keys.append(key)
         else:
             ctx.report.artifact_hits += 1
-        stats.rows_in = len(rows)
-        stats.seconds = serve
+        self.stats.rows_in = len(rows)
+        self.stats.seconds = serve
         label = "joined in-flight stage" if joined else "artifact hit"
-        stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
-        return rows
+        self.stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
+        self.output = physical.row_form_batches(rows)
 
     def _served(self, artifact):
         """The artifact's payload as this stage reads it (group records or
@@ -163,49 +189,44 @@ class Stage:
         """A served copy's age, as the answer's staleness."""
         ctx.report.staleness_seconds = max(ctx.report.staleness_seconds, age)
 
-    def spliced(self, ctx, slots: list, stats) -> "tuple[list, str]":
+    def spliced(self, ctx, slots: list) -> list:
         """A narrowed run's output slots with the refreshed artifact's
-        current parts served beside them, in fragment order, and the EXPLAIN
-        note.  The parts are one coordinator pass, charged once, and report
-        the oldest part's age as staleness.  A run that fell back to a copy
-        of the whole scan (a view, a cache region) is answered by that copy
-        alone: serving parts beside it would repeat their rows."""
-        artifact, rerun = self.stale, self.rerun
-        entry = ctx.catalog.entry(self.scan.table)
-
-        def note(served: int) -> str:
-            ids = [f.fragment_id for f in entry.fragments if f.fragment_id in rerun]
-            return (
-                f"artifact refresh {artifact.key[:8]}: {served}/"
-                f"{len(artifact.parts)} parts served, re-ran {', '.join(ids)}"
+        current parts served beside them, in fragment order, noted on the
+        Ship's EXPLAIN line.  The parts are one coordinator pass, charged
+        once, and report the oldest part's age as staleness.  A run that
+        fell back to a copy of the whole scan (a view, a cache region) is
+        answered by that copy alone: parts beside it would repeat rows."""
+        artifact, entry, parts = self.stale, ctx.catalog.entry(self.scan.table), []
+        if all(read is not None for read, _ in slots):
+            served = self._served(artifact)
+            if served is None:
+                raise QueryError(f"artifact payload mismatch for {self.scan.binding!r}")
+            if isinstance(served, columnar.ColumnBatch):
+                def cut(start, stop):
+                    return [served.slice(start, stop)] if stop > start else []
+            else:
+                def cut(start, stop):
+                    return physical.row_form_batches(served[start:stop])
+            read = {fragment.fragment_id: out for fragment, out in slots}
+            slots = splice(entry.fragments, read, artifact.parts, cut)
+            parts = [part for part, _ in slots if isinstance(part, Part)]
+            _note_cuts(ctx, parts)
+            count = sum(part.size for part in parts)
+            whole = ctx.plan.assignments[self.scan.binding]  # never narrowed
+            placed = {c.fragment.fragment_id for c in whole.choices}
+            placed |= {f.fragment_id for f in whole.unreachable}
+            self.total_rows += sum(
+                p.fragment.estimated_rows for p in parts if p.fragment.fragment_id in placed
             )
-
-        if any(read is None for read, _ in slots):
-            return slots, note(0)
-        served = self._served(artifact)
-        if served is None:
-            raise QueryError(f"artifact payload mismatch for {self.scan.binding!r}")
-        if isinstance(served, columnar.ColumnBatch):
-            def cut(start, stop):
-                return [served.slice(start, stop)] if stop > start else []
-        else:
-            def cut(start, stop):
-                return physical.row_form_batches(served[start:stop])
-        read = {fragment.fragment_id: out for fragment, out in slots}
-        spliced = splice(entry.fragments, read, artifact.parts, cut)
-        parts = [part for part, _ in spliced if isinstance(part, Part)]
-        _note_cuts(ctx, parts)
-        count = sum(part.size for part in parts)
-        whole = ctx.plan.assignments[self.scan.binding]  # never narrowed
-        placed = {c.fragment.fragment_id for c in whole.choices}
-        placed |= {f.fragment_id for f in whole.unreachable}
-        ctx.scan_total_rows += sum(
-            p.fragment.estimated_rows for p in parts if p.fragment.fragment_id in placed
+            self._stamp(ctx, ctx.catalog.clock.now() - min(p.fetched_at for p in parts))
+            self.stats.rows_in += count
+            self.stats.seconds += ctx.charge_coordinator(count)
+        ids = [f.fragment_id for f in entry.fragments if f.fragment_id in self.rerun]
+        self.stats.detail = (
+            f"artifact refresh {artifact.key[:8]}: {len(parts)}/{len(artifact.parts)}"
+            f" parts served, re-ran {', '.join(ids)}; {self.stats.detail}"
         )
-        self._stamp(ctx, ctx.catalog.clock.now() - min(p.fetched_at for p in parts))
-        stats.rows_in += count
-        stats.seconds += ctx.charge_coordinator(count)
-        return spliced, note(len(parts))
+        return slots
 
     # -- run: placement, failover, degrade-or-fail -------------------------
 
@@ -224,30 +245,11 @@ class Stage:
             migrated = ctx.reopt.consider(ctx, self)
             if migrated is not None:
                 self.assignment = assignment = migrated
-        now = ctx.catalog.clock.now()
         batches = self._fragment_batches(ctx, assignment, predicates, stats)
-        cache = ctx.paths.cache
-        if not self.complete:
-            return batches
-        if cache is not None or self.key is not None:
+        if self.complete and (ctx.paths.cache is not None or self.key is not None):
+            # The rows before governance: each consumer re-applies its own.
             self.read = {f.fragment_id: table for _, table, _, f in batches}
-        # The cache learns the predicate region from the rows before
-        # governance (each consumer re-applies its own); not from a text-
-        # filtered scan (the pushdown key does not say what it answered), nor
-        # a truncated one (a miss re-runs it as the ordinary plan).
-        if (
-            cache is not None
-            and self.scan.text_filter is None
-            and physical.top_k_bound(self.scan) is None
-        ):
-            entry = ctx.catalog.entry(assignment.table_name)
-            empty = Table(entry.schema, [])
-            parts = [
-                (f, f.epoch, empty if self._pruned(f) else self.read.get(f.fragment_id))
-                for f in entry.fragments
-            ]
-            capture = physical.ScanCapture(parts, now, stats.seconds)
-            ctx.report.scan_tables[assignment.binding] = capture
+            self.fetch_seconds = stats.seconds
         return batches
 
     def _fragment_batches(self, ctx, assignment, predicates, stats) -> list:
@@ -267,8 +269,8 @@ class Stage:
                 # by its zone map: provably empty, no site does any work.
                 return []
             raise QueryError(f"scan of {assignment.table_name!r} has no fragment choices")
-        ctx.scan_total_rows += sum(c.fragment.estimated_rows for c in choices)
-        ctx.scan_total_rows += sum(f.estimated_rows for f in lost)
+        self.total_rows += sum(c.fragment.estimated_rows for c in choices)
+        self.total_rows += sum(f.estimated_rows for f in lost)
         batches = []
         for choice in choices:
             outcome = self._scan_with_failover(ctx, choice, predicates)
@@ -377,13 +379,11 @@ class Stage:
 
     @staticmethod
     def _covering_fallback(ctx, assignment, predicates):
-        """Last resort for dead fragments: the copy that answers the
-        *whole* scan -- a live whole-table materialized view, else a cache
-        region covering the pushdown -- as ``(view, None)`` or ``(None,
-        (rows, age))``; the caller serves it like a planned one.  The
-        answer is complete but possibly stale (within the query's own
-        ``max_staleness`` bound -- a LIVE_ONLY query gets no fallback), and
-        never re-cached."""
+        """Last resort for dead fragments: the copy that answers the whole
+        scan -- a live whole-table view, else a cache region covering the
+        pushdown -- as ``(view, None)`` or ``(None, (rows, age))``, served
+        like a planned one: complete, stale within the query's own
+        ``max_staleness`` (LIVE_ONLY gets none), and never re-cached."""
         max_staleness = ctx.options.max_staleness
         view = ctx.paths.live_view(assignment.table_name, max_staleness)
         if view is not None:
@@ -393,7 +393,7 @@ class Stage:
                 assignment.table_name, list(predicates), max_staleness
             )
             if found is not None:
-                return None, found
+                return None, found[:2]
         return None
 
     def _planned_copy(self, ctx, assignment, predicates, stats) -> list:
@@ -408,7 +408,7 @@ class Stage:
             raise QueryError(
                 f"{assignment.kind} scan for {assignment.table_name!r} has no rows"
             )
-        ctx.scan_total_rows += len(rows)
+        self.total_rows += len(rows)
         if view is not None and not ctx.catalog.site(view.site_name).up:
             self.complete = False
             lost = [(f"view:{view.name}", len(rows), [view.site_name])]
@@ -433,7 +433,7 @@ class Stage:
         self._stamp(ctx, age)
         return [(site, table, work, None)]
 
-    # -- capture and release -------------------------------------------------
+    # -- capture ------------------------------------------------------------
 
     def _pruned(self, fragment) -> bool:
         """A fragment the run did not read and no stored part answers for:
@@ -444,17 +444,40 @@ class Stage:
         )
 
     def capture(self, ctx, slots, batches, shipped_bytes, arrival, cuts) -> None:
-        """A complete run's output as an artifact for the store, one part
-        per fragment in output order: ``slots`` pairs what each slice of
-        ``batches`` came from -- the fragment read, or a served part -- with
-        the slice, ``cuts`` holds the boundary of each fragment read that a
-        ``SiteTopK`` cut, and a pruned fragment is an empty part.  The
-        engine registers a successful report's outputs in flight; a failed
-        execution drops them unseen."""
-        if self.key is None or self.read is None:
-            return  # no reuse, or the output is stale or incomplete
+        """Take the ``batches`` its ``Ship`` shipped as the stage's output
+        (``slots`` pairs each slice with the fragment read, ``cuts`` the
+        reads a ``SiteTopK`` cut with their boundaries): a narrowed run's
+        spliced, then a complete run captured.  The semantic cache gets the
+        rows read per fragment -- not of a text-filtered scan (the pushdown
+        key does not say what it answered), nor a truncated one -- and the
+        store the output, one part per fragment, a pruned one empty.  The
+        executor reports the captures of the stages that answered."""
+        if self.stale is not None:
+            slots = self.spliced(ctx, slots)
+            batches = [batch for _, out in slots for batch in out]
+        self.output = batches
+        ctx.captured.append(self)
+        if self.read is None:
+            return  # the output is stale or incomplete
         scan, agg = self.scan, self.spec.agg
         entry = ctx.catalog.entry(scan.table)
+        now = ctx.catalog.clock.now()
+        if (
+            ctx.paths.cache is not None
+            and scan.text_filter is None
+            and physical.top_k_bound(scan) is None
+        ):
+            empty = Table(entry.schema, [])
+            self.scan_capture = physical.ScanCapture(
+                [
+                    (f, f.epoch, empty if self._pruned(f) else self.read.get(f.fragment_id))
+                    for f in entry.fragments
+                ],
+                now,
+                self.fetch_seconds,
+            )
+        if self.key is None:
+            return  # no artifact reuse
         try:
             if agg is not None:
                 records = [r for batch in batches for r in batch.columns[0]]
@@ -464,7 +487,6 @@ class Stage:
                 payload = rows_payload(batches, scan.binding, fields)
         except KeyError:
             return  # rows missing expected columns: not canonically capturable
-        now = ctx.catalog.clock.now()
         parts = [
             read if isinstance(read, Part) else Part(
                 read, read.epoch, sum(b.count for b in out), now, cuts.get(read.fragment_id)
@@ -482,18 +504,6 @@ class Stage:
         self.artifact = Artifact(
             self.key, scan.table, payload, *saved, fetched_at, parts=tuple(parts)
         )
-        ctx.report.stage_outputs.append(self.artifact)
-
-    def release(self, ctx) -> None:
-        """End the stage's execution.  A top-k attempt the plan re-ran takes
-        its captures back out of the report -- the stores learn only from
-        the attempt that answered -- and the per-execution state is
-        dropped."""
-        if ctx.superseded:
-            report, artifact = ctx.report, self.artifact
-            report.scan_tables.pop(self.scan.binding, None)
-            report.stage_outputs = [a for a in report.stage_outputs if a is not artifact]
-        self.read = self.stale = self.artifact = self.region = None
 
 
 def _register_unreachable(ctx, lost) -> None:

@@ -302,7 +302,7 @@ class TopKPushdown(RewritePass):
 
 def without_top_k(plan: PlanNode) -> PlanNode:
     """A copy of a bound plan with the top-k mark off: the ordinary plan,
-    which a Sort that cannot show its truncated answer exact re-runs."""
+    run after a Sort that cannot show its truncated answer exact."""
     copy = bind_plan(plan, ())
     for scan in scans_in(copy):
         scan.top_k = None

@@ -597,22 +597,25 @@ class Batches(physical.PhysicalOperator):
 class ReferencePlanner(physical.PhysicalPlanner):
     """Compiles the coordinator half of a plan into the reference operators."""
 
-    def compile(self, plan: physical.PhysicalPlan) -> physical.PhysicalOperator:
-        return Batches(self._reference(plan.logical, plan))
+    def compile(self, plan: physical.PhysicalPlan):
+        stages = []  # the production Ships' stages, for the executor to start
+        return Batches(self._reference(plan.logical, plan, stages)), stages
 
-    def _reference(self, node: PlanNode, plan: physical.PhysicalPlan):
+    def _reference(
+        self, node: PlanNode, plan: physical.PhysicalPlan, stages: list
+    ):
         if isinstance(node, ScanNode) or (
             isinstance(node, AggregateNode)
             and node.split is not None
             and isinstance(node.child, ScanNode)
         ):
             # Ship, or FinalAggregate over Ship: production operators.
-            return Rows(self._node(node, plan))
+            return Rows(self._node(node, plan, stages))
         if isinstance(node, FilterNode):
-            return Filter(self._reference(node.child, plan), node.condition)
+            return Filter(self._reference(node.child, plan, stages), node.condition)
         if isinstance(node, JoinNode):
-            left = self._reference(node.left, plan)
-            right = self._reference(node.right, plan)
+            left = self._reference(node.left, plan, stages)
+            right = self._reference(node.right, plan, stages)
             right_bindings = [scan.binding for scan in scans_in(node.right)]
             condition = node.condition
             if (
@@ -626,13 +629,13 @@ class ReferencePlanner(physical.PhysicalPlanner):
                 left, right, condition, node.join_type, right_bindings
             )
         if isinstance(node, ProjectNode):
-            return Project(self._reference(node.child, plan), node.items, node.distinct)
+            child = self._reference(node.child, plan, stages)
+            return Project(child, node.items, node.distinct)
         if isinstance(node, AggregateNode):
-            return Aggregate(self._reference(node.child, plan), node)
+            return Aggregate(self._reference(node.child, plan, stages), node)
         if isinstance(node, SortNode):
-            return Sort(
-                self._reference(node.child, plan), node.order_by, top_k_bound(node)
-            )
+            child = self._reference(node.child, plan, stages)
+            return Sort(child, node.order_by, top_k_bound(node))
         if isinstance(node, LimitNode):
-            return Limit(self._reference(node.child, plan), node.limit.value)
+            return Limit(self._reference(node.child, plan, stages), node.limit.value)
         raise QueryError(f"cannot compile plan node {node!r}")

@@ -437,11 +437,11 @@ class ReferenceSitePlanner(physical.PhysicalPlanner):
     planner's construction logic is not copied; coordinator operators stay
     production."""
 
-    def compile(self, plan: physical.PhysicalPlan) -> physical.PhysicalOperator:
-        root = super().compile(plan)
+    def compile(self, plan: physical.PhysicalPlan):
+        root, stages = super().compile(plan)
         pending = [root]
         while pending:
             op = pending.pop()
             op.__class__ = REFERENCE_CLASS.get(type(op), type(op))
             pending.extend(op.children)
-        return root
+        return root, stages

@@ -549,6 +549,7 @@ GONE = {
     "Taxonomy.items_under",  # definitions only tests reached
     "book_hit", "CacheBid",  # a plan that held its artifact or region's rows
     "Stage._resolve",  # a named copy's second run path: a copy runs as itself
+    "Stage.release",  # a take-back: the report holds the stages that answered
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -743,6 +744,13 @@ GUARDS = [
      {F + f"{m}.py:{c}.optimize" for m, c in (("agoric", "AgoricOptimizer"),
       ("central", "CentralizedOptimizer"), ("loadbalance", "PolicyOptimizer"))}
      | {F + "reopt.py:ReoptController.consider"}),
+    ("one_stage-one-driver", "Executor.execute alone starts a stage, no Ship defines "
+     "an open or close calling a Stage method, and ExecContext has no superseded field",
+     lambda ix: (ix.callers("start", F),
+                 {h for h in ix.functions if h.partition(":")[2] in ("Ship.open", "Ship.close")
+                  and ix.callees[h] & {leaf(m) for m in ix.params if m.startswith(STAGE)}},
+                 ix.holding(ix.names, "superseded") | ix.holding(ix.strings, "superseded")),
+     ({F + "executor.py:Executor.execute"}, set(), set())),
     ("one_stage-one-splice", "one splice of stored parts, in parts.py, for both stores",
      lambda ix: (ix.callers("splice"),
                  {h for h in ix.params if h.startswith("src/") and leaf(h) == "splice"}),

@@ -97,7 +97,7 @@ class TestReoptPolicyValidation:
 
 
 class TestEngineReopt:
-    """Triggers fire inside Ship.open; migration swaps only the live copy."""
+    """Triggers fire as a stage starts; migration swaps only the live copy."""
 
     def prepared_victim(self, engine, sql="select sku from parts"):
         """Prepare while healthy; return (prepared, first assigned site)."""

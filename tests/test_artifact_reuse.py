@@ -561,10 +561,11 @@ class TestRefreshUnderFaults:
     def test_a_refresh_the_top_k_check_re_runs_publishes_nothing(self):
         """a's top-k stage and b's stage each refresh f2 alone.  f2's new
         rows rank first but have no partner (b keeps v >= 0), so the Sort
-        cannot show the answer exact and the plan re-runs unmarked: the
-        attempt's refreshed top-k stage is not registered in flight (the
-        committed one stays, stale in f2), the plan holds whole placements,
-        and every cached region is current."""
+        cannot show the answer exact and the plan runs unmarked, starting
+        a's stage alone again: b refreshes once, the attempt's refreshed
+        top-k stage is not registered in flight (the committed one stays,
+        stale in f2), the plan holds whole placements, and every cached
+        region is current."""
         catalog, engine, store = make_engine(cache=True)
         first = engine.query(TOP_SQL)
         assert first.report.top_k_restart is None
@@ -577,7 +578,7 @@ class TestRefreshUnderFaults:
         assert result.report.top_k_restart == (
             "top-k restart: f2 boundary -4 ranks before row 2"
         )
-        assert store.refreshes == 3  # the top-k stage, then b's once per attempt
+        assert store.refreshes == 2  # the top-k stage and b's, each once
         assert top_key not in store._inflight
         assert store._artifacts[top_key] is old and not old.current
         assert [len(result.plan.assignments[b].choices) for b in "ab"] == [6, 6]

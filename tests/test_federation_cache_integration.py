@@ -336,6 +336,24 @@ class TestNamedRegion:
         assert booked == [(1, 0, 30)] + [(0, 1, 0)] * 3
         assert prepared.replans == 0
 
+    def test_explain_names_the_region_that_served(self):
+        """The plan still prices ``price < 50``; EXPLAIN ANALYZE says that
+        the ``price < 30`` region found by covering served the scan.  The
+        named region serving itself adds no note."""
+        engine, cache = make_engine()
+        engine.query(NAMED_SQL)
+        prepared = engine.prepare("select sku from parts where price < 30")
+        named = engine.render_analyze(engine.execute(prepared))
+        engine.catalog.notify_table_updated("parts", "f0")
+        engine.execute(prepared)  # runs f0, stores price < 30
+        served = engine.render_analyze(engine.execute(prepared))
+        (line,) = [line for line in served.splitlines() if "SiteScan" in line]
+        assert line.endswith(
+            "parts as parts: cache(region price < 50) else fragments [f0@s0] "
+            "pushdown(price < 30) [served by cache region price < 30]"
+        ), line
+        assert "served by" not in named
+
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_a_priced_copy_counts_as_no_fragment_scan(self, optimizer):
         """A copy's assignment carries its placement, but the coordinator

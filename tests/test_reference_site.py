@@ -555,3 +555,23 @@ def test_failover_to_a_replica(sql):
     assert product == reference
     assert product["failovers"][0] >= 1
     assert "failover" in product["operators"][-1][4]
+
+
+def test_a_refresh_answers_as_the_production_engine():
+    """A narrowed stage ships its stale fragment alone, and the Ship hands
+    the batches to the stage, which serves the current parts beside them:
+    the reference site engine answers a refresh as the columnar one."""
+    from tests.test_artifact_reuse import ROWS_SQL, make_engine, rewrite_fragment
+
+    answers = []
+    for reference in (False, True):
+        catalog, engine, store = make_engine()
+        if reference:
+            engine.executor.planner = ReferenceSitePlanner(catalog)
+        engine.query(ROWS_SQL)
+        store._sweep()
+        rewrite_fragment(catalog, "f0", [("n0", 1), ("n1", 2)])
+        result = engine.query(ROWS_SQL)
+        assert store.refreshes == 1
+        answers.append(sorted(result.table.rows))
+    assert len(answers[0]) == 29 and answers[1] == answers[0]

@@ -206,8 +206,8 @@ class TestAdmissionAndEviction:
         cache = SemanticCache(clock)
         clock.advance(10.0)
         cache.store("t", [], make_table(), as_of=4.0)
-        _, age = cache.lookup_entry("t", [])
-        assert age == pytest.approx(6.0)
+        _, age, region = cache.lookup_entry("t", [])
+        assert age == pytest.approx(6.0) and region == frozenset()
 
     def test_per_call_staleness_bound_overrides_store_default(self):
         """Regression: a caller with a loose per-query staleness bound is
@@ -219,7 +219,7 @@ class TestAdmissionAndEviction:
         clock.advance(10.0)
         found = cache.lookup_entry("t", [], max_staleness=100.0)
         assert found is not None
-        _, age = found
+        _, age, _ = found
         assert age == pytest.approx(10.0)
         assert cache.hits == 1 and cache.evictions == 0
 

@@ -7,6 +7,7 @@ and EXPLAIN ANALYZE says why.  sqlite referees every answer here; the
 grammar in ``tests/test_against_sqlite.py`` does so under every switch.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,9 +17,12 @@ from benchmarks.e2e.workloads import JOIN_ROWS, JOIN_TOP, build_parts_world, par
 from repro.federation.artifacts import StageSpec, stage_hash
 from repro.federation.gateway import bind_sql_text
 from repro.federation.governance import GovernanceRegistry
+from repro.federation.site import Site
 from repro.sql.planner import scans_in
 from repro.sql.rewrite import without_top_k
 
+from tests.reference_coordinator import ReferencePlanner
+from tests.reference_site import ReferenceSitePlanner
 from tests.sqlite_oracle import federation, sqlite_answer
 
 # t.k is 1..12, dealt round-robin over two fragments: f0 holds the odd keys,
@@ -105,28 +109,65 @@ def test_a_join_that_drops_every_fragments_top_rows_restarts():
     assert restarted.response_seconds > ordinary.response_seconds
 
 
-@pytest.mark.parametrize(
-    "sql, why",
-    [
-        # Three rows survive the join where four are asked for: a cut
-        # fragment might have held the fourth.
-        (
-            "select t.k as c0 from t join u on t.k = u.k and u.w > 4 "
-            "order by c0 limit 4",
-            "3 rows, fewer than 4",
-        ),
-        # u's f1 ships w = 1 (k = 20, no partner) and cuts at it; row 1 is
-        # f0's w = 2, so an unshipped row of f1 could rank before it.
-        (
-            "select u.w as c0 from u join t on u.k = t.k order by c0 limit 1",
-            "f1 boundary 1 ranks before row 1",
-        ),
-    ],
-)
+def test_a_restart_starts_only_the_truncated_stage(monkeypatch):
+    """u's stage is not truncated: the restart serves its output again,
+    so each u fragment is scanned once, and t's, started again
+    untruncated, twice."""
+    engine = federation(TABLES)
+    scanned = Counter()
+    execute_scan = Site.execute_scan
+
+    def counting(site, source_name, predicates=()):
+        scanned[source_name] += 1
+        return execute_scan(site, source_name, predicates)
+
+    monkeypatch.setattr(Site, "execute_scan", counting)
+    assert answers_as_sqlite(engine, RESTART).report.top_k_restart is not None
+
+    def scans(table):  # per fragment: each has one replica
+        fragments = engine.catalog.entry(table).fragments
+        return [scanned[source] for f in fragments for source in f.replicas.values()]
+
+    assert (scans("u"), scans("t")) == ([1, 1], [2, 2])
+
+
+RESTART_WHY = [
+    # Three rows survive the join where four are asked for: a cut
+    # fragment might have held the fourth.
+    (
+        "select t.k as c0 from t join u on t.k = u.k and u.w > 4 "
+        "order by c0 limit 4",
+        "3 rows, fewer than 4",
+    ),
+    # u's f1 ships w = 1 (k = 20, no partner) and cuts at it; row 1 is
+    # f0's w = 2, so an unshipped row of f1 could rank before it.
+    (
+        "select u.w as c0 from u join t on u.k = t.k order by c0 limit 1",
+        "f1 boundary 1 ranks before row 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("sql, why", RESTART_WHY)
 def test_the_restart_says_why(sql, why):
     engine = federation(TABLES)
     result = answers_as_sqlite(engine, sql)
     assert result.report.top_k_restart == f"top-k restart: {why}"
+
+
+@pytest.mark.parametrize("planner", [ReferenceSitePlanner, ReferencePlanner])
+@pytest.mark.parametrize("sql", [RESTART] + [sql for sql, _ in RESTART_WHY])
+def test_the_reference_planners_restart_alike(planner, sql):
+    """The oracles' trees plug into the same executor: the stages it
+    starts, keeps and starts again give their answer and shipping too."""
+    production = federation(TABLES).query(sql)
+    engine = federation(TABLES)
+    engine.executor.planner = planner(engine.catalog)
+    reference = answers_as_sqlite(engine, sql)
+    assert reference.table.rows == production.table.rows
+    assert reference.report.top_k_restart == production.report.top_k_restart
+    assert reference.report.top_k_restart is not None
+    assert reference.report.rows_shipped == production.report.rows_shipped
 
 
 def test_the_restart_is_billed_once():
