@@ -31,20 +31,22 @@ batches by reference and work on whole columns:
   earlier one left unknown, where ``evaluate`` still evaluates it: README's
   divergence table.)
 * **Wire encodings** (:func:`encode_batch` / :func:`decode_batch`): the
-  Ship operator serializes each column under the cheapest of seven
+  Ship operator sizes each column under the cheapest of seven
   self-describing encodings -- plain, dictionary (low-cardinality
   columns), run-length (sorted/flag columns), zigzag-varint delta (int
   columns), two-bit flags, scaled decimals (short-decimal float columns)
   and front-coded prefixes (sorted-ish string columns).  Encoded sizes
   use a fixed byte model (:func:`value_wire_bytes`), so
   ``bytes_shipped`` is deterministic (DESIGN §7) and the network can
-  charge per byte instead of per row; candidates are only sized, with
-  whole-column passes, and the winner alone is built (DESIGN §5f).
-  Decoding is exact: every encoding round-trips values (and their
-  types) unchanged.
+  charge per byte instead of per row.  The network is a byte model: the
+  codec only sizes, with whole-column passes, and a payload is built when
+  something reads it -- :func:`decode_column` and the codec's tests,
+  never a query (DESIGN §5f).  Decoding is exact: every encoding
+  round-trips values (and their types) unchanged, though NaNs keyed
+  together come back as one object.
 
-Batches flow all the way to the result table: ``Ship`` hands decoded (or
-coordinator-local, by reference) batches to the coordinator operators,
+Batches flow all the way to the result table: ``Ship`` hands the batches
+it gathered, remote or coordinator-local, to the coordinator operators,
 which join, filter, project, sort and aggregate over whole columns
 (DESIGN §5f).  :meth:`ColumnBatch.to_envs` survives as the fallback's
 helper only: an expression with no column form (a scalar function,
@@ -588,14 +590,29 @@ def value_wire_bytes(value: Any) -> int:
 
 @dataclass
 class EncodedColumn:
-    """One column serialized under its cheapest encoding."""
+    """One column under its cheapest encoding: the sizes the wire charges,
+    and the payload that encoding serializes the column to.
+
+    :func:`encode_column` only sizes.  It keeps the ``values`` it sized,
+    and :attr:`payload` is built from them the first time something reads
+    it (:func:`decode_column`, a test of the codec); ``Ship`` reads the
+    sizes alone, so no query builds one.  A codec that builds its payload
+    up front passes it as ``built``.
+    """
 
     name: str
     encoding: str  # plain | dict | rle | delta | bits | scaled | prefix
     count: int
-    payload: Any
+    built: Any  # the payload once built, else None
     encoded_bytes: int
     raw_bytes: int
+    values: Any = None  # what was sized
+
+    @property
+    def payload(self) -> Any:
+        if self.built is None:
+            self.built = _build_payload(self.encoding, self.values)
+        return self.built
 
 
 @dataclass
@@ -688,6 +705,11 @@ def _codes(distinct: dict, keys) -> list:
     return list(map(code_of.__getitem__, keys))
 
 
+def _deltas(ints) -> list:
+    """Each int minus the one before it."""
+    return list(map(sub, islice(ints, 1, None), ints))
+
+
 def _varint_bytes(deltas: list) -> int:
     """Total zigzag-varint bytes of ``deltas``.
 
@@ -750,22 +772,32 @@ def _shared_prefix_lengths(strings, budget: int) -> "list[int] | None":
     return lengths
 
 
+def _suffix_bytes(strings, shared: list) -> int:
+    """UTF-8 bytes of each string past the characters it shares with the
+    one before: for ASCII text, every character not shared."""
+    text = "".join(strings)
+    if text.isascii():
+        return len(text) - sum(shared)
+    suffixes = map(getitem, strings, map(slice, shared, repeat(None)))
+    return len("".join(suffixes).encode("utf-8"))
+
+
 def encode_column(name: str, values: list) -> EncodedColumn:
-    """Serialize one column under the cheapest applicable encoding.
+    """Size one column under the cheapest applicable encoding.
 
     Candidates are tried in a fixed order -- dict, rle, delta, bits,
     scaled, prefix -- and one replaces the incumbent only when strictly
     smaller, so an earlier candidate wins ties: order and tie rule are
     part of the byte model.  Each candidate is only *sized*; a size only
     grows as entries are added, so a candidate is dropped as soon as a
-    lower bound on it reaches the incumbent, and the payload is built
-    for the winner alone.
+    lower bound on it reaches the incumbent.  No payload is built: the
+    winner's is built from ``values`` when it is read.
     """
     count = len(values)
     if count < 2:
         # One entry plus any candidate's own header never undercuts plain.
         raw = COLUMN_HEADER_BYTES + sum(map(value_wire_bytes, values))
-        return EncodedColumn(name, "plain", count, list(values), raw, raw)
+        return EncodedColumn(name, "plain", count, None, raw, raw, values)
     kinds = set(map(type, values))
     if not kinds <= _PLAIN_TYPES:
         return _encode_opaque(name, values)
@@ -790,9 +822,8 @@ def encode_column(name: str, values: list) -> EncodedColumn:
     if entries < count:
         # Dictionary: first-appearance codes.
         if entries <= 65536:
-            if keys is values:
-                dict_values = list(distinct)
-            else:
+            dict_values = distinct  # the first of each value, in order
+            if keys is not values:
                 dict_values = _first_values(distinct, keys, values)
             dict_size = (
                 COLUMN_HEADER_BYTES
@@ -820,8 +851,7 @@ def encode_column(name: str, values: list) -> EncodedColumn:
     if kinds == _INT_ONLY:
         delta_size = COLUMN_HEADER_BYTES + _DELTA_BASE_BYTES
         if delta_size + count - 1 < size:
-            deltas = list(map(sub, islice(values, 1, None), values))
-            delta_size += _varint_bytes(deltas)
+            delta_size += _varint_bytes(_deltas(values))
             if delta_size < size:
                 encoding, size = "delta", delta_size
 
@@ -846,8 +876,7 @@ def encode_column(name: str, values: list) -> EncodedColumn:
                 except (OverflowError, ValueError):  # inf, nan: no scale fits
                     break
                 if scaled is not None:
-                    deltas = list(map(sub, islice(scaled, 1, None), scaled))
-                    scaled_size += _varint_bytes(deltas)
+                    scaled_size += _varint_bytes(_deltas(scaled))
                     if scaled_size < size:
                         encoding, size = "scaled", scaled_size
                     break
@@ -861,30 +890,11 @@ def encode_column(name: str, values: list) -> EncodedColumn:
         prefix_size = COLUMN_HEADER_BYTES + count + len(strings)
         shared = _shared_prefix_lengths(strings, size - prefix_size)
         if shared is not None:
-            suffixes = list(
-                map(getitem, strings, map(slice, shared, repeat(None)))
-            )
-            prefix_size += _utf8_bytes(suffixes)
+            prefix_size += _suffix_bytes(strings, shared)
             if prefix_size < size:
                 encoding, size = "prefix", prefix_size
 
-    if encoding in ("plain", "bits"):
-        payload: Any = list(values)
-    elif encoding == "dict":
-        payload = (dict_values, _codes(distinct, keys))
-    elif encoding == "rle":
-        starts = [0, *compress(range(1, count), changes), count]
-        payload = list(zip(heads, map(sub, islice(starts, 1, None), starts)))
-    elif encoding == "delta":
-        payload = (values[0], deltas)
-    elif encoding == "scaled":
-        payload = (scale, scaled[0], deltas)
-    elif _NONE in kinds:
-        front_coded = zip(shared, suffixes)
-        payload = [None if v is None else next(front_coded) for v in values]
-    else:
-        payload = list(zip(shared, suffixes))
-    return EncodedColumn(name, encoding, count, payload, size, raw)
+    return EncodedColumn(name, encoding, count, None, size, raw, values)
 
 
 def _opaque_runs(values):
@@ -947,13 +957,33 @@ def _encode_opaque(name: str, values: list) -> EncodedColumn:
     else:
         encoding, size = "rle", rle_size
 
+    return EncodedColumn(name, encoding, count, None, size, raw, values)
+
+
+def _build_payload(encoding: str, values) -> Any:
+    """The payload :func:`encode_column` sized ``values`` under
+    ``encoding`` at: what the wire would carry, built only when read."""
     if encoding == "dict":
-        payload: Any = (dict_values, _codes(distinct, keys))
-    elif encoding == "rle":
-        payload = list(_opaque_runs(values))
-    else:
-        payload = list(values)
-    return EncodedColumn(name, encoding, count, payload, size, raw)
+        keys = list(map(_value_key, values))
+        distinct = dict.fromkeys(keys)
+        return (_first_values(distinct, keys, values), _codes(distinct, keys))
+    if encoding == "rle":
+        return list(_opaque_runs(values))
+    if encoding == "delta":
+        return (values[0], _deltas(values))
+    if encoding == "scaled":  # under the first scale that fits, as sized
+        for scale in (10, 100):
+            ints = _scaled_ints(values, scale)
+            if ints is not None:
+                return (scale, ints[0], _deltas(ints))
+    if encoding == "prefix":
+        strings = [value for value in values if value is not None]
+        # A budget no suffix can reach: the scan runs to the end.
+        shared = _shared_prefix_lengths(strings, sum(map(len, strings)) + 1)
+        suffixes = map(getitem, strings, map(slice, shared, repeat(None)))
+        front_coded = zip(shared, suffixes)
+        return [None if value is None else next(front_coded) for value in values]
+    return list(values)  # plain, bits
 
 
 def decode_column(column: EncodedColumn) -> list:
@@ -1002,7 +1032,7 @@ def decode_column(column: EncodedColumn) -> list:
 
 
 def encode_batch(batch: ColumnBatch) -> EncodedBatch:
-    """Serialize a batch column-by-column for the wire."""
+    """Size a batch column by column for the wire."""
     return EncodedBatch(
         names=list(batch.names),
         count=batch.count,

@@ -1239,14 +1239,15 @@ class Ship(PhysicalOperator):
 
     The slowest (pipeline + transfer) batch sets the parallel-scan phase's
     elapsed time; batches not already at the coordinator count as shipped,
-    in rows *and* in encoded wire bytes.  Column batches are serialized
-    per-column under the cheapest encoding (encode work charged to the
-    producing site, decode work to the coordinator) and the network charges
-    per encoded byte; coordinator-local batches are handed over by
-    reference and never serialize.  What arrives goes on to the
-    coordinator operators as column batches: decoded or local chunks as
-    they are, partial-aggregate group records (charged per record byte) as
-    a one-column batch.
+    in rows *and* in encoded wire bytes.  The wire is a byte model: each
+    kept chunk is gathered once, and a remote one is *sized* per column
+    under the cheapest encoding (encode work charged to the producing site,
+    decode work to the coordinator, both per encoded byte, as is the
+    network), never serialized; coordinator-local batches cost no bytes.
+    What arrives goes on to the coordinator operators as column batches:
+    the gathered chunks themselves, cell for cell the resident objects,
+    and partial-aggregate group records (charged per record byte) as a
+    one-column batch.
 
     The executor started the stage (:mod:`repro.federation.stage`) before
     this operator opened; the Ship hands what it shipped back to the stage,
@@ -1301,28 +1302,28 @@ class Ship(PhysicalOperator):
                     nbytes = sum(record_wire_bytes(r) for r in batch.rows)
                     raw_total += nbytes
                 arrived.extend(row_form_batches(batch.rows))
-            elif local:
-                # Already at the coordinator: no wire, no encoding.  The
-                # kept rows are gathered here, as they are for the wire.
-                batch_count += len(batch.chunks)
-                arrived.extend(
-                    columnar.gather(chunk, selection)
-                    for chunk, selection in batch.kept()
-                )
             else:
                 batch_count += len(batch.chunks)
-                for chunk, selection in batch.kept():
-                    encoded = columnar.encode_batch(columnar.gather(chunk, selection))
-                    nbytes += encoded.encoded_bytes
-                    raw_total += encoded.raw_bytes
-                    arrived.append(columnar.decode_batch(encoded))
-                encode_seconds = nbytes * columnar.ENCODE_SECONDS_PER_BYTE
-                decode_seconds = nbytes * columnar.DECODE_SECONDS_PER_BYTE
-                ctx.charge_site_seconds(batch.site, encode_seconds)
-                ctx.charge_coordinator_seconds(decode_seconds)
-                encode_total += encode_seconds
-                decode_total += decode_seconds
-                elapsed += encode_seconds
+                gathered = [
+                    columnar.gather(chunk, selection)
+                    for chunk, selection in batch.kept()
+                ]
+                arrived.extend(gathered)
+                if not local:
+                    # Sized for the wire, not serialized: what arrives is
+                    # the gathered batch itself, and the model still
+                    # charges the encode and the decode per byte.
+                    for part in gathered:
+                        encoded = columnar.encode_batch(part)
+                        nbytes += encoded.encoded_bytes
+                        raw_total += encoded.raw_bytes
+                    encode_seconds = nbytes * columnar.ENCODE_SECONDS_PER_BYTE
+                    decode_seconds = nbytes * columnar.DECODE_SECONDS_PER_BYTE
+                    ctx.charge_site_seconds(batch.site, encode_seconds)
+                    ctx.charge_coordinator_seconds(decode_seconds)
+                    encode_total += encode_seconds
+                    decode_total += decode_seconds
+                    elapsed += encode_seconds
             # The network moves nothing, for free, within a site.
             transfer = network.transfer_seconds_bytes(
                 batch.site, ctx.coordinator, nbytes

@@ -714,6 +714,9 @@ GUARDS = [
                                         if h.startswith("src/")}),
      ({PHYSICAL + "Ship._produce", PHYSICAL + "SiteScan._apply_governance",
        F + "columnar.py:filter_batch"}, set())),
+    ("one_wire-ship-never-decodes", "the wire is sized: no src/ home decodes but the codec",
+     lambda ix: ix.callers("decode_batch") | ix.callers("decode_column"),
+     {F + "columnar.py:decode_batch"}),
     ("served_one_way-site-operators", "no site operator serves an artifact",
      lambda ix: ix.holding(ix.bases, "SiteOperator", ""),
      {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",

@@ -953,6 +953,16 @@ class TestGoldenWireAccounting:
             },
         } == golden
 
+    def test_no_payload_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            columnar, "_build_payload", lambda *args: built.append(args)
+        )
+        engine = golden_engine()
+        for param in GOLDEN_WIRE:
+            assert engine.query(param.values[0]).report.bytes_shipped > 0
+        assert built == []
+
     @pytest.mark.parametrize(
         "sql, response_seconds, operators, explain", GOLDEN_ACCOUNTING
     )

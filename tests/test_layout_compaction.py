@@ -8,9 +8,11 @@ objects.  Checked here, over drawn columns of every kind: each compacted
 cell is its row cell in value, type and ``repr``; the rule's columns and
 only those are rebuilt; ``rows`` stay as they were; and a column order
 answers the same rows before and after, also one built before the
-compaction.  Then three engine-level cases: a pushdown's fresh table is
-never compacted, a NaN object shared by two rows stays one group, and an
-unchanged ``LiveSource`` fetch re-serves its compacted table.
+compaction.  Then the engine-level cases: a pushdown's fresh table is
+never compacted, a NaN object shared by two rows stays one group (also
+across a join, whether its table ships or not), a shipped column is the
+resident one's objects, and an unchanged ``LiveSource`` fetch re-serves
+its compacted table.
 """
 
 import math
@@ -160,6 +162,17 @@ def make_catalog():
     return catalog
 
 
+def m_and_n_engine(m_rows, m_site):
+    """``m(k, j)`` on ``m_site`` and 300 rows of ``n(j)`` on s1, which
+    draw the coordinator there."""
+    catalog = make_catalog()
+    m = Schema("m", (Field("k", DataType.FLOAT), Field("j", DataType.INTEGER)))
+    n = Schema("n", (Field("j", DataType.INTEGER),))
+    catalog.load_fragmented(Table(m, m_rows), 1, [[m_site]])
+    catalog.load_fragmented(Table(n, [(j,) for j in range(300)]), 1, [["s1"]])
+    return FederatedEngine(catalog)
+
+
 class TestOnTheEngine:
     def test_a_pushdowns_fresh_table_is_never_compacted(
         self, monkeypatch, compactions
@@ -209,6 +222,39 @@ class TestOnTheEngine:
         answers = [repr(engine.query(sql).table.rows) for _ in range(3)]
         assert len(compactions) == 1  # compacted, the NaN column left alone
         assert answers == ["[(1.5, 1, 2), (2.5, 1, 4), (nan, 1, 5), (nan, 2, 4)]"] * 3
+
+    def test_nan_groups_do_not_depend_on_placement(self):
+        # The same NaN probe across a join, with m shipped to the
+        # coordinator and with m beside it: the wire keeps the objects.
+        nan = float("nan")
+        rows = [(nan, 1), (1.5, 1), (float("nan"), 1), (2.5, 1), (nan, 1)]
+        sql = "select m.k, count(*) from m join n on m.j = n.j group by m.k"
+        for m_site, shipped in (("s0", len(rows)), ("s1", 0)):
+            result = m_and_n_engine(rows, m_site).query(sql)
+            assert result.report.rows_shipped == shipped
+            assert sorted(map(repr, result.table.rows)) == [
+                "(1.5, 1)", "(2.5, 1)", "(nan, 1)", "(nan, 2)"
+            ]  # fmt: skip
+
+    def test_a_shipped_scaled_column_is_the_resident_one(self, monkeypatch):
+        rows = [(1.0 + i * 0.25, 1) for i in range(40)]
+        encodings = []
+        inner = columnar.encode_batch
+
+        def spy(batch):
+            encoded = inner(batch)
+            encodings.extend((c.name, c.encoding) for c in encoded.columns)
+            return encoded
+
+        monkeypatch.setattr(columnar, "encode_batch", spy)
+        result = m_and_n_engine(rows, "s0").query(
+            "select m.k from m join n on m.j = n.j"
+        )
+        assert result.report.rows_shipped == len(rows)
+        assert ("m.k", "scaled") in encodings
+        resident = {id(k) for k, _ in rows}  # rows holds them: no id reused
+        assert len(result.table) == len(rows)
+        assert all(id(k) in resident for (k,) in result.table.rows)
 
     def test_an_unchanged_live_source_re_serves_its_compacted_table(
         self, compactions
