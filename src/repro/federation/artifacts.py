@@ -64,8 +64,6 @@ from repro.sql.planner import AggregateNode, PlanNode, ScanNode, walk
 SERVE_SECONDS_PER_ROW = 0.00002
 PRICE_PER_SECOND = 1.0
 
-Env = dict
-
 
 # -- canonical stage digests ---------------------------------------------------
 
@@ -218,35 +216,27 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
 # -- canonical payloads --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalGroup:
-    """One partial-aggregate group in binding-agnostic form."""
-
-    key: tuple
-    count: int
-    states: "dict[str, object]"  # canonical call string -> partial state
-    representative: "dict[str, object]"  # bare field name -> value
-
-
 @dataclass
 class StagePayload:
     """A stage's materialized output, stored binding-agnostically.
 
     ``kind`` is ``"rows"`` (filtered/projected scan output: value tuples in
-    ``fields`` order) or ``"groups"`` (partial-aggregate records).  Serving
-    rebuilds the consumer-shaped form -- qualified env keys, ``repr(call)``
-    state keys -- from this canonical one, so the payload is reusable under
-    any alias.
+    ``fields`` order) or ``"groups"``: the partial aggregate's batch of
+    groups (``physical.partial_groups``) in ``groups``, its keys and states
+    under their canonical expressions, and each group's first row a number
+    into ``rows``.  Serving renames the canonical form to the consumer's
+    -- qualified field names, ``repr(call)`` state keys -- so the payload
+    is reusable under any alias.
     """
 
     kind: str  # "rows" | "groups"
     fields: tuple[str, ...] = ()
     rows: list[tuple] = field(default_factory=list)
-    groups: list[CanonicalGroup] = field(default_factory=list)
+    groups: ColumnBatch | None = None
 
     @property
     def row_count(self) -> int:
-        return len(self.rows) if self.kind == "rows" else len(self.groups)
+        return len(self.rows) if self.kind == "rows" else self.groups.count
 
 
 def rows_payload(batches, binding: str, fields: tuple[str, ...]) -> StagePayload:
@@ -264,28 +254,39 @@ def rows_payload(batches, binding: str, fields: tuple[str, ...]) -> StagePayload
     return StagePayload(kind="rows", fields=fields, rows=rows)
 
 
-def groups_payload(records, binding: str, calls) -> StagePayload:
-    """Canonicalize a partial-aggregate stage's records into a payload."""
-    canonical_by_repr = {repr(call): canonical_expr(call, binding) for call in calls}
-    groups = []
-    for record in records:
-        states = {
-            canonical_by_repr[key]: state for key, state in record.states.items()
-        }
-        # Every key is ``binding.field``: the scan's own columns.
-        representative = {
-            key.split(".", 1)[1]: value
-            for key, value in record.representative.items()
-        }
-        groups.append(
-            CanonicalGroup(
-                key=tuple(record.key),
-                count=record.count,
-                states=states,
-                representative=representative,
-            )
-        )
-    return StagePayload(kind="groups", groups=groups)
+def groups_payload(batches, binding: str, agg: AggregateNode) -> StagePayload:
+    """Canonicalize a partial-aggregate stage's batches of groups into one
+    payload batch; each group's first row is kept as a value tuple, the
+    scan's fields in its batch's order."""
+    from repro.federation.physical import PARTIAL_FIRST, PARTIAL_ROWS
+
+    names = [
+        *(canonical_expr(expr, binding) for expr in agg.group_by),
+        PARTIAL_ROWS,
+        *(canonical_expr(call, binding) for call in agg.split.calls),
+        PARTIAL_FIRST,
+    ]
+    columns: list[list] = [[] for _ in names]
+    for batch in batches:
+        for column, more in zip(columns, batch.columns):
+            column.extend(more)
+    firsts = [first for first in columns[-1] if first is not None]
+    # Every name is ``binding.field``: the scan's own columns.
+    fields = () if not firsts else tuple(
+        name.split(".", 1)[1] for name in firsts[0][0].names
+    )
+    rows = [tuple(column[row] for column in batch.columns) for batch, row in firsts]
+    numbers = iter(range(len(rows)))
+    columns[-1] = [None if first is None else next(numbers) for first in columns[-1]]
+    groups = ColumnBatch(names, columns, len(columns[-1]))
+    return StagePayload(kind="groups", fields=fields, rows=rows, groups=groups)
+
+
+def _rows_batch(binding: str, fields: tuple[str, ...], rows: list) -> ColumnBatch:
+    """Value tuples in ``fields`` order as one batch under ``binding``."""
+    names = scan_names(binding, fields)
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in names]
+    return ColumnBatch(names, columns, len(rows))
 
 
 # -- the stored artifact -------------------------------------------------------
@@ -335,44 +336,32 @@ class Artifact:
         payload = self.payload
         if payload.kind != "rows":
             return None
-        names = scan_names(binding, payload.fields)
-        columns = [list(column) for column in zip(*payload.rows)]
-        if not columns:
-            columns = [[] for _ in names]
-        return ColumnBatch(names, columns, len(payload.rows))
+        return _rows_batch(binding, payload.fields, payload.rows)
 
-    def serve_groups(self, binding: str, calls):
-        """Rebuild fresh PartialGroup records for an aggregate consumer.
+    def serve_groups(self, binding: str, agg: AggregateNode):
+        """The stage's batch of groups under the consumer's names, its
+        states in the consumer's call order, or None on a kind or call
+        mismatch.  The columns are the stored ones: a merge builds its own."""
+        from repro.federation.physical import partial_names
 
-        Records are rebuilt per serve (the coordinator's final merge
-        mutates its copies) and states are re-keyed from canonical call
-        strings to the consumer's ``repr(call)`` keys.
-        """
-        from repro.federation.physical import PartialGroup
-
-        if self.payload.kind != "groups":
+        payload, calls = self.payload, agg.split.calls
+        if payload.kind != "groups":
             return None
-        records = []
-        for group in self.payload.groups:
-            states = {}
-            for call in calls:
-                canonical = canonical_expr(call, binding)
-                if canonical not in group.states:
-                    return None
-                states[repr(call)] = group.states[canonical]
-            representative: Env = {
-                f"{binding}.{name}": value
-                for name, value in group.representative.items()
-            }
-            records.append(
-                PartialGroup(
-                    key=group.key,
-                    count=group.count,
-                    states=states,
-                    representative=representative,
-                )
-            )
-        return records
+        stored = payload.groups
+        states = [stored.index_of(canonical_expr(call, binding)) for call in calls]
+        if None in states:
+            return None
+        width = len(agg.group_by)
+        firsts = _rows_batch(binding, payload.fields, payload.rows)
+        return ColumnBatch(
+            partial_names(agg.group_by, [repr(call) for call in calls]),
+            [
+                *stored.columns[: width + 1],
+                *(stored.columns[j] for j in states),
+                [None if row is None else (firsts, row) for row in stored.columns[-1]],
+            ],
+            stored.count,
+        )
 
 
 @dataclass

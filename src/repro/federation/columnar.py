@@ -681,6 +681,15 @@ def _wire_bytes(values, kinds) -> int:
     return total
 
 
+def plain_wire_bytes(values) -> int:
+    """``sum(map(value_wire_bytes, values))``: the plain wire types in
+    whole-column passes, any other type one value at a time."""
+    kinds = set(map(type, values))
+    if kinds <= _PLAIN_TYPES:
+        return _wire_bytes(values, kinds)
+    return sum(map(value_wire_bytes, values))
+
+
 def _value_key(value: Any) -> tuple:
     """What makes two values the same dictionary entry or the same run.
 

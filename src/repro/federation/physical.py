@@ -39,7 +39,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -522,15 +522,15 @@ class PhysicalOperator:
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         return []
 
-    def _drain(self, child: "PhysicalOperator") -> "columnar.ColumnBatch | None":
-        """Pull ``child`` dry, counting its rows in: one batch holding them
-        all, or ``None`` when there are none."""
+    def _drain(self, child: "PhysicalOperator") -> "list[columnar.ColumnBatch]":
+        """Pull ``child`` dry, counting its rows in: the batches that hold
+        any, in order (``columnar.concat`` makes them one)."""
         batches = []
         while (batch := child.next()) is not None:
             if batch.count:
                 self.stats.rows_in += batch.count
                 batches.append(batch)
-        return columnar.concat(batches)
+        return batches
 
     def _finish(self, ctx: ExecContext) -> None:
         """Settle accounting once, when the operator closes."""
@@ -556,14 +556,14 @@ class SiteBatch:
     ``None`` for all of them.  A filter only narrows selections; the kept
     rows are copied out when a consumer needs them as a batch of their own
     (``Ship``, a mask), and the partial aggregate folds through them.
-    ``chunks is None`` means ``rows`` holds partial-aggregate group records,
-    which were not scanned in batches and so do not count as processed
-    batches.  ``cut`` is ``(boundary key,)`` once a :class:`SiteTopK`
-    dropped rows of the batch.
+    ``chunks is None`` means ``rows`` is a partial aggregate's batch of
+    groups (:func:`partial_groups`), which was not scanned in chunks and so
+    does not count as a processed batch.  ``cut`` is ``(boundary key,)``
+    once a :class:`SiteTopK` dropped rows of the batch.
     """
 
     site: str
-    rows: list
+    rows: "list | columnar.ColumnBatch"
     elapsed: float  # queue delay + site-side work along this batch's pipeline
     chunks: "list[columnar.ColumnBatch] | None" = None
     selections: "list[list[int] | None] | None" = None  # one per chunk
@@ -905,45 +905,19 @@ class SiteTopK(SiteOperator):
         return selections, (edge if keys is values else values[keys.index(edge)],)
 
 
-class PartialGroup:
-    """One group's partial aggregate state, computed at a site.
+# A batch of partial-aggregate groups (:func:`partial_groups`) holds, in
+# this order: one column per group key, the groups' row counts, one state
+# column per aggregate call under its state key, and where each group's
+# first row is, ``(batch, row)`` -- ``None`` for the group of no row.
+PARTIAL_ROWS, PARTIAL_FIRST = "#rows", "#first"
 
-    ``representative`` is the group's first row as an env, for the
-    non-aggregate expressions.  A fold gives it as ``first``, the batch and
-    row number it is read from, and the env is built the first time
-    something reads it: most site groups are merged into another one and
-    never are.
-    """
 
-    __slots__ = ("key", "count", "states", "_representative", "_first")
-
-    def __init__(
-        self,
-        key: tuple,
-        count: int,  # rows in the group (count(*), avg denominators)
-        states: dict[str, Any],  # repr(aggregate call) -> partial state
-        representative: Env | None = None,
-        first: "tuple[columnar.ColumnBatch, int] | None" = None,
-    ) -> None:
-        self.key = key
-        self.count = count
-        self.states = states
-        self._representative = representative
-        self._first = first
-
-    @property
-    def representative(self) -> Env:
-        if self._representative is None:
-            first, self._first = self._first, None
-            self._representative = {} if first is None else first[0].env_at(first[1])
-        return self._representative
-
-    def copy(self) -> "PartialGroup":
-        """The same group with states of its own, its representative
-        still unbuilt if it was."""
-        return PartialGroup(
-            self.key, self.count, dict(self.states), self._representative, self._first
-        )
+def partial_names(group_by: list[Expr], state_keys) -> list[str]:
+    """A batch of groups' column names.  A key that is a plain column goes
+    under that column's key, so a select item naming it reads the key; any
+    other key under its ``repr``, which no SQL column is spelled like."""
+    keys = [expr.key if isinstance(expr, Column) else repr(expr) for expr in group_by]
+    return [*keys, PARTIAL_ROWS, *state_keys, PARTIAL_FIRST]
 
 
 def empty_state(call: FuncCall) -> Any:
@@ -968,113 +942,113 @@ def empty_state(call: FuncCall) -> Any:
     raise QueryError(f"unknown aggregate {call.name!r}")
 
 
-def fold_state(call: FuncCall, state: Any, values: list) -> Any:
-    """``state`` after the group's next argument ``values``: at least one,
-    none of them NULL.
+def fold_state(call: FuncCall, groups: list) -> list:
+    """Each group's state of ``call``, a column: ``groups`` holds a list of
+    argument values per group, in row order with its NULLs, and only a
+    list holding a NULL is filtered (``count(*)``: the row counts).
 
-    Sums add left to right onto the running total, so a group folded a
-    chunk at a time performs the additions one pass over its rows would:
-    float results do not depend on where the chunk boundaries fall.
+    Sums add left to right onto the running total, so a group's float
+    total does not depend on how its rows were split into batches.
     """
-    if call.name == "count":
-        return state + len(values)
-    if call.name == "avg":
-        total, seen = state
-        total = reduce(add, values) if seen == 0 else reduce(add, values, total)
-        return (total, seen + len(values))
-    if call.name == "sum":
-        return reduce(add, values) if state is None else reduce(add, values, state)
-    if call.name == "min":
-        return min(values) if state is None else min(state, min(values))
-    return max(values) if state is None else max(state, max(values))
-
-
-def merge_state(call: FuncCall, a: Any, b: Any) -> Any:
-    """Combine two sites' partial states for one aggregate call."""
-    if call.star or call.name == "count":
-        return a + b
-    if call.name == "avg":
-        (total_a, n_a), (total_b, n_b) = a, b
-        if n_a == 0:
-            return b
-        if n_b == 0:
-            return a
-        return (total_a + total_b, n_a + n_b)
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if call.name == "sum":
-        return a + b
-    if call.name == "min":
-        return min(a, b)
-    if call.name == "max":
-        return max(a, b)
-    raise QueryError(f"unknown aggregate {call.name!r}")
-
-
-def final_value(call: FuncCall, state: Any, group_rows: int) -> Any:
     if call.star:
-        return group_rows
+        return groups
+    empty = empty_state(call)
+    groups = [
+        values if None not in values else [v for v in values if v is not None]
+        for values in groups
+    ]
+    if call.name == "count":
+        return list(map(len, groups))
     if call.name == "avg":
-        total, count = state
-        return None if count == 0 else total / count
-    return state  # count/sum/min/max carry their final value directly
+        return [
+            (reduce(add, values), len(values)) if values else empty for values in groups
+        ]
+    if call.name == "sum":
+        return [reduce(add, values) if values else empty for values in groups]
+    if call.name == "min":
+        return [min(values) if values else empty for values in groups]
+    return [max(values) if values else empty for values in groups]
+
+
+def merge_state(call: FuncCall, merged: list, into: list[int], states: list) -> None:
+    """Merge one site's ``states`` of ``call`` into the ``merged`` column:
+    state ``i`` into ``merged[into[i]]``, appended as a new group's when
+    ``into[i]`` is the column's length."""
+    if call.star or call.name == "count":
+        combine = add
+    elif call.name == "avg":  # a (total, n) pair: one of no value is the other
+
+        def combine(a, b):
+            return b if a[1] == 0 else a if b[1] == 0 else (a[0] + b[0], a[1] + b[1])
+    else:
+        pick = {"sum": add, "min": min, "max": max}.get(call.name)
+        if pick is None:
+            raise QueryError(f"unknown aggregate {call.name!r}")
+
+        def combine(a, b):
+            return b if a is None else a if b is None else pick(a, b)
+    for target, state in zip(into, states):
+        if target == len(merged):
+            merged.append(state)
+        else:
+            merged[target] = combine(merged[target], state)
+
+
+def final_value(call: FuncCall, states: list, counts: list) -> list:
+    """Each group's value of ``call``, from its state and row count."""
+    if call.star:
+        return counts
+    if call.name == "avg":
+        return [None if n == 0 else total / n for total, n in states]
+    return states  # count/sum/min/max carry their final value directly
 
 
 def partial_groups(
     parts: "Iterable[tuple[columnar.ColumnBatch, list[int] | None]]",
     group_by: list[Expr],
     calls: dict[str, FuncCall],
-) -> list[PartialGroup]:
-    """The kept rows of ``parts`` grouped, one record per group in
-    first-appearance order, each call's state folded over the group's rows
-    in row order, batch after batch.
+) -> "columnar.ColumnBatch":
+    """The kept rows of ``parts`` grouped into one batch of groups (see
+    :data:`PARTIAL_ROWS`), in first-appearance order, each call's state
+    folded over the group's rows in row order, batch after batch.
 
     ``parts`` are ``(batch, selection)`` pairs, a selection naming the
     batch's rows still in (``None``: all of them).  The fold reads through
     the selections and copies no batch: keys and arguments are taken a
     column at a time and evaluated on kept rows only (see
-    :class:`_Expressions`), every key column before any argument; a group's
-    argument values are collected across the batches and folded once; and
-    its representative row is built only when it is read.  Ungrouped input
-    is the one group of every row, also when there are none; a grouped
-    query over no rows has no group, and then the calls are not even
-    looked at.  ``calls`` come under their state keys, their ``repr``: a
-    dataclass repr is recursive, so an operator computes it once.
+    :class:`_Expressions`), every key column before any argument; one loop
+    groups the rows, and the states are then folded a column at a time; a
+    group's first row is only pointed at.  Ungrouped input is the one
+    group of every row, also when there are none; a grouped query over no
+    rows has no group, and then the calls are not even looked at.
+    ``calls`` come under their state keys, their ``repr``: a dataclass
+    repr is recursive, so an operator computes it once.
     """
     kept = [
         (batch, rows, _Expressions(batch, selection))
         for batch, selection in parts
         if (rows := range(batch.count) if selection is None else selection)
     ]
+    names = partial_names(group_by, calls)
     if group_by and not kept:
-        return []
-    # A group will be created: the point where a malformed call is refused.
-    empty = {key: empty_state(call) for key, call in calls.items()}
-    arguments = [(key, call) for key, call in calls.items() if not call.star]
+        return columnar.ColumnBatch(names, [[] for _ in names], 0)
+    for call in calls.values():  # a group will be created: a malformed call is refused
+        empty_state(call)
+    arguments = [call for call in calls.values() if not call.star]
     keys = [_group_keys(expressions, rows, group_by) for _, rows, expressions in kept]
     scanned = [
-        (batch, rows, batch_keys, [expressions.column(c.args[0]) for _, c in arguments])
+        (batch, rows, batch_keys, [expressions.column(c.args[0]) for c in arguments])
         for (batch, rows, expressions), batch_keys in zip(kept, keys)
     ]
-    collected = (_grouped if group_by else _ungrouped)(scanned, len(arguments))
-    # count(*) folds nothing: its state is the group's row count.
-    stars = [key for key, call in calls.items() if call.star]
-    lone_key = len(group_by) == 1
-    groups = []
-    for key, count, first, group_values in collected:
-        states = dict(empty)
-        for (state_key, call), values in zip(arguments, group_values):
-            if values:
-                states[state_key] = fold_state(call, states[state_key], values)
-        for state_key in stars:
-            states[state_key] = count
-        key = (key,) if lone_key else key
-        groups.append(PartialGroup(key, count, states, first=first))
-    if not groups and not group_by:  # ungrouped, and no row
-        groups.append(PartialGroup((), 0, empty, {}))
-    return groups
+    grouped = _grouped if group_by else _ungrouped
+    keys, counts, firsts, values = grouped(scanned, len(arguments))
+    folded = iter(values)
+    states = [
+        fold_state(call, counts if call.star else next(folded))
+        for call in calls.values()
+    ]
+    keys = [keys] if len(group_by) == 1 else list(zip(*keys)) if group_by else []
+    return columnar.ColumnBatch(names, [*keys, counts, *states, firsts], len(counts))
 
 
 def _group_keys(
@@ -1091,24 +1065,23 @@ def _group_keys(
     return dict(zip(rows, zip(*values)))
 
 
-def _ungrouped(scanned, width: int) -> list:
+def _ungrouped(scanned, width: int) -> tuple:
     """The one group of the ``scanned`` rows as :func:`_grouped` gives
-    groups, or none when there is no row."""
-    if not scanned:
-        return []
+    groups, also when there is no row."""
     values: list[list] = [[] for _ in range(width)]
+    count = 0
     for _, rows, _, columns in scanned:
+        count += len(rows)
         for seen, column in zip(values, columns):
-            seen += [v for row in rows if (v := column[row]) is not None]
-    batch, rows, _, _ = scanned[0]
-    count = sum(len(rows) for _, rows, _, _ in scanned)
-    return [((), count, (batch, rows[0]), values)]
+            seen += map(column.__getitem__, rows)
+    first = (scanned[0][0], scanned[0][1][0]) if scanned else None
+    return [()], [count], [first], [[seen] for seen in values]
 
 
-def _grouped(scanned, width: int) -> list:
-    """``(key, row count, (batch, first row), non-NULL values per
-    argument)`` per group of the ``scanned`` rows, in first-appearance
-    order.
+def _grouped(scanned, width: int) -> tuple:
+    """``(keys, row counts, (batch, first row)s, values per argument)`` of
+    the groups of the ``scanned`` rows, in first-appearance order; an
+    argument's values are one list per group, NULLs included.
 
     A lone key groups on its raw values, with the 1-tuple's dict semantics
     (1, 1.0 and True are one group under the key seen first; a NaN equals
@@ -1116,12 +1089,11 @@ def _grouped(scanned, width: int) -> list:
     shared by several rows is one key -- why a compacted layout never
     repacks a column holding a NaN: :meth:`Table.column_layout`).  One
     loop over a batch's rows groups them and collects the first argument's
-    values, NULLs included -- the row numbers when there is no argument --
-    so a group's count is how many it holds; every further argument is one
-    more loop.
+    values -- the row numbers when there is no argument -- so a group's
+    count is how many it holds; every further argument is one more loop.
     """
     members: dict[Any, list] = {}  # group key -> the first argument's values
-    firsts: dict[Any, tuple] = {}
+    firsts: list[tuple] = []
     more: list[dict[Any, list]] = [defaultdict(list) for _ in range(width - 1)]
     for batch, rows, keys, columns in scanned:
         lead, *others = columns or [range(batch.count)]
@@ -1130,20 +1102,15 @@ def _grouped(scanned, width: int) -> list:
             seen = members.get(key)
             if seen is None:
                 members[key] = seen = []
-                firsts[key] = (batch, row)
+                firsts.append((batch, row))
             seen.append(lead[row])
         for seen, column in zip(more, others):
             for row in rows:
                 seen[keys[row]].append(column[row])
-    groups = []
-    for key, lead in members.items():
-        values = []
-        if width:
-            values.append([v for v in lead if v is not None])
-            for seen in more:
-                values.append([v for v in seen[key] if v is not None])
-        groups.append((key, len(lead), firsts[key], values))
-    return groups
+    keys = list(members)
+    leads = list(members.values())
+    values = [leads, *([seen[key] for key in keys] for seen in more)] if width else []
+    return keys, list(map(len, leads)), firsts, values
 
 
 def _over_states(expr: Expr, calls: dict[str, FuncCall]) -> Expr:
@@ -1158,35 +1125,43 @@ def _over_states(expr: Expr, calls: dict[str, FuncCall]) -> Expr:
 
 
 def finished_groups(
-    node: AggregateNode, names: list[str], groups: "Iterable[PartialGroup]"
+    node: AggregateNode, names: list[str], groups: "columnar.ColumnBatch"
 ) -> "list[columnar.ColumnBatch]":
     """The aggregation's output batch: every group's select items, the
     groups failing HAVING dropped, in the deterministic order -- by the
     rows' value representations.
 
     This is the one evaluator of an expression that may contain aggregate
-    calls: wherever a call stands, it reads as a column, so ``evaluate``
-    runs the rest against the group's representative row extended by the
-    calls' final values.
+    calls: wherever a call stands, it reads as a column of the calls' final
+    values, and the items and HAVING are evaluated over one batch of the
+    key columns and those (:class:`_Expressions`): a key or a call is
+    read as a column, and only any other expression is evaluated, against
+    each group's first row extended by its row of that batch.
     """
     calls: dict[str, FuncCall] = {}
     items = [_over_states(item.expr, calls) for item in node.items]
     having = None if node.having is None else _over_states(node.having, calls)
-    results: list[Env] = []
-    for group in groups:
-        env = dict(group.representative)
-        for key, call in calls.items():
-            env[key] = final_value(call, group.states[key], group.count)
-        out = {name: evaluate(expr, env) for name, expr in zip(names, items)}
-        if having is None or evaluate(having, env):
-            results.append(out)
-    results.sort(key=lambda out: tuple(repr(v) for v in out.values()))
-    columns = [[out[name] for out in results] for name in names]
+    width = groups.names.index(PARTIAL_ROWS)
+    counts = groups.columns[width]
+    finals = [
+        final_value(call, groups.columns[groups.index_of(key)], counts)
+        for key, call in calls.items()
+    ]
+    keys = groups.columns[:width]
+    finished = columnar.ColumnBatch(
+        [*groups.names[:width], *calls], [*keys, *finals], groups.count
+    )
+    expressions = _Expressions(finished, firsts=groups.columns[-1])
+    rows = zip(*[expressions.column(expr) for expr in items])
+    if having is not None:
+        rows = compress(rows, expressions.column(having))
+    results = sorted(rows, key=lambda row: tuple(map(repr, row)))
+    columns = [list(column) for column in zip(*results)] or [[] for _ in names]
     return [columnar.ColumnBatch(names, columns, len(results))]
 
 
 class PartialAggregate(SiteOperator):
-    """Aggregate each site's rows locally; ship one record per group."""
+    """Aggregate each site's rows locally; ship one batch of groups."""
 
     name = "PartialAggregate"
 
@@ -1204,12 +1179,12 @@ class PartialAggregate(SiteOperator):
             rows_in = batch.row_count()
             self.stats.rows_in += rows_in
             # Straight through the filter's selections: no row is copied.
-            records = partial_groups(batch.kept(), self.node.group_by, calls)
+            groups = partial_groups(batch.kept(), self.node.group_by, calls)
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(
                 SiteBatch(
-                    batch.site, records, batch.elapsed + work, fragment=batch.fragment
+                    batch.site, groups, batch.elapsed + work, fragment=batch.fragment
                 )
             )
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
@@ -1219,19 +1194,20 @@ class PartialAggregate(SiteOperator):
 # -- the network boundary ------------------------------------------------------
 
 
-def record_wire_bytes(record: Any) -> int:
-    """Deterministic wire size of one shipped partial-aggregate record."""
-    if isinstance(record, PartialGroup):
-        total = 12  # group header: row count + state count + key arity
-        for value in record.key:
-            total += columnar.value_wire_bytes(value)
-        for state in record.states.values():
-            if isinstance(state, tuple):
-                total += sum(columnar.value_wire_bytes(v) for v in state)
-            else:
-                total += columnar.value_wire_bytes(state)
-        return total
-    return 8
+def partial_wire_bytes(groups: "columnar.ColumnBatch") -> int:
+    """Deterministic wire size of a batch of groups, as records: per group
+    a 12-byte header (row count, state count, key arity), then its keys and
+    its states as plain values, a ``(total, n)`` state as its two values.
+    Where a group's first row is does not travel."""
+    width = groups.names.index(PARTIAL_ROWS)
+    total = 12 * groups.count
+    for column in groups.columns[:width]:
+        total += columnar.plain_wire_bytes(column)
+    for column in groups.columns[width + 1 : -1]:
+        if column and type(column[0]) is tuple:
+            column = list(chain.from_iterable(column))
+        total += columnar.plain_wire_bytes(column)
+    return total
 
 
 class Ship(PhysicalOperator):
@@ -1246,8 +1222,8 @@ class Ship(PhysicalOperator):
     network), never serialized; coordinator-local batches cost no bytes.
     What arrives goes on to the coordinator operators as column batches:
     the gathered chunks themselves, cell for cell the resident objects,
-    and partial-aggregate group records (charged per record byte) as a
-    one-column batch.
+    and a partial aggregate's batch of groups, sized a column at a time as
+    records (:func:`partial_wire_bytes`).
 
     The executor started the stage (:mod:`repro.federation.stage`) before
     this operator opened; the Ship hands what it shipped back to the stage,
@@ -1297,11 +1273,11 @@ class Ship(PhysicalOperator):
             local = batch.site == ctx.coordinator
             elapsed = batch.elapsed
             nbytes = 0
-            if batch.chunks is None:  # partial-aggregate records
+            if batch.chunks is None:  # a batch of partial-aggregate groups
                 if not local:
-                    nbytes = sum(record_wire_bytes(r) for r in batch.rows)
+                    nbytes = partial_wire_bytes(batch.rows)
                     raw_total += nbytes
-                arrived.extend(row_form_batches(batch.rows))
+                arrived.append(batch.rows)
             else:
                 batch_count += len(batch.chunks)
                 gathered = [
@@ -1360,21 +1336,6 @@ class Ship(PhysicalOperator):
         self.stage.capture(ctx, slots, arrived, shipped_bytes, arrival, cuts)
 
 
-# What a row-form batch of partial-aggregate records travels as: one column.
-RECORDS_COLUMN = ["#records"]
-
-
-def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
-    """What reaches the coordinator outside a site's chunks, as coordinator
-    batches: the batch an artifact served as itself, group records (a
-    site's ``SiteBatch.rows`` or an artifact's) as one column of them."""
-    if isinstance(rows, columnar.ColumnBatch):
-        return [rows]
-    if not rows:
-        return []
-    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], len(rows))]
-
-
 # -- coordinator operators -----------------------------------------------------
 
 
@@ -1386,14 +1347,20 @@ class _Expressions:
     of the batch's rows -- of the ``selection``'s alone when one is given
     -- built once, only then, so its values and errors are exactly the row
     engine's.  A column is read by row number: with a selection, an
-    evaluated one holds the selected rows alone.
+    evaluated one holds the selected rows alone.  Over a batch of finished
+    groups, ``firsts`` says where each group's first row is, and a row's
+    env extends that row's.
     """
 
     def __init__(
-        self, batch: "columnar.ColumnBatch", selection: "list[int] | None" = None
+        self,
+        batch: "columnar.ColumnBatch",
+        selection: "list[int] | None" = None,
+        firsts: "list | None" = None,
     ) -> None:
         self.batch = batch
         self.selection = selection
+        self.firsts = firsts
         self._envs: list[Env] | None = None
 
     def column(self, expr: Expr):
@@ -1406,6 +1373,11 @@ class _Expressions:
             return [expr.value] * batch.count
         if self._envs is None:
             self._envs = batch.to_envs(self.selection)
+            if self.firsts is not None:
+                self._envs = [
+                    {**({} if first is None else first[0].env_at(first[1])), **env}
+                    for first, env in zip(self.firsts, self._envs)
+                ]
         values = [evaluate(expr, env) for env in self._envs]
         return values if self.selection is None else dict(zip(self.selection, values))
 
@@ -1607,7 +1579,7 @@ class HashJoin(_JoinBase):
         """Build on the whole right input and resolve the keys against
         the first left rows."""
         left, right = self.children
-        build = self._drain(right)
+        build = columnar.concat(self._drain(right))
         # One row is the least any demand takes; how many more it takes
         # depends on the fanout, known once the first rows named the key.
         first_want = None if want is None else 1
@@ -1619,8 +1591,7 @@ class HashJoin(_JoinBase):
             if probe is not None:
                 probe.pending = BatchCursor([probe.join(first)])
                 return probe
-            rest = self._drain(left)
-            first = columnar.concat([first] if rest is None else [first, rest])
+            first = columnar.concat([first, *self._drain(left)])
         # Keys did not resolve (empty input or non-column condition form):
         # fall back to nested-loop semantics over the same condition.
         self.stats.detail = f"nested-loop fallback {describe_expr(self.condition)}"
@@ -1649,8 +1620,8 @@ class NestedLoopJoin(_JoinBase):
     name = "NestedLoopJoin"
 
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
-        right = self._drain(self.children[1])
-        return self._nested_loop(self._drain(self.children[0]), right)
+        right = columnar.concat(self._drain(self.children[1]))
+        return self._nested_loop(columnar.concat(self._drain(self.children[0])), right)
 
 
 class Project(PhysicalOperator):
@@ -1725,9 +1696,8 @@ class Aggregate(PhysicalOperator):
     def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
         return finished_groups(self.node, self._names, self._groups())
 
-    def _groups(self) -> list[PartialGroup]:
-        batch = self._drain(self.children[0])
-        parts = () if batch is None else [(batch, None)]
+    def _groups(self) -> "columnar.ColumnBatch":
+        parts = [(batch, None) for batch in self._drain(self.children[0])]
         return partial_groups(parts, self.node.group_by, self.node.calls())
 
     def _finish(self, ctx: ExecContext) -> None:
@@ -1742,22 +1712,53 @@ class FinalAggregate(Aggregate):
 
     name = "FinalAggregate"
 
-    def _groups(self) -> list[PartialGroup]:
-        calls = {repr(call): call for call in self.node.split.calls}
-        merged: dict[tuple, PartialGroup] = {}
-        records = self._drain(self.children[0])
-        for record in records.columns[0] if records is not None else ():
-            seen = merged.get(record.key)
-            if seen is None or not seen.count:
+    def _groups(self) -> "columnar.ColumnBatch":
+        batches, node = self._drain(self.children[0]), self.node
+        return merged_groups(batches, node.group_by, node.split.calls)
+
+
+def merged_groups(
+    batches: "list[columnar.ColumnBatch]", group_by: list[Expr], calls: list[FuncCall]
+) -> "columnar.ColumnBatch":
+    """Sites' batches of groups merged by key into one, in arrival order: a
+    group's row counts added, its states merged (:func:`merge_state`), its
+    first row the first arrival's."""
+    width = len(group_by)
+    index: dict = {}  # group key -> its row in the merged batch
+    keys, counts, firsts, targets = [], [], [], []
+    for batch in batches:
+        columns = batch.columns
+        keyed = zip(*columns[:width]) if width else repeat((), batch.count)
+        into = []
+        arrived = columns[0] if width == 1 else keyed
+        for key, count, first in zip(arrived, columns[width], columns[-1]):
+            target = index.setdefault(key, len(counts))
+            if target == len(counts):
+                keys.append(key)
+                counts.append(count)
+                firsts.append(first)
+            elif counts[target]:
+                counts[target] += count
+            else:
                 # A group of no row (the ungrouped one of a site that had
-                # none) holds empty states, which merge into the record's.
-                merged[record.key] = record.copy()
-                continue
-            seen.count += record.count
-            for key, call in calls.items():
-                seen.states[key] = merge_state(call, seen.states[key], record.states[key])
-        # No site sent a record: what aggregating no rows gives.
-        return list(merged.values()) or partial_groups((), self.node.group_by, calls)
+                # none) holds empty states: the arriving one's merge into
+                # them, and its key and first row replace.
+                keys[target], counts[target], firsts[target] = key, count, first
+            into.append(target)
+        targets.append(into)
+    state_keys = [repr(call) for call in calls]
+    if not counts:  # no site sent a group: what aggregating no rows gives
+        return partial_groups((), group_by, dict(zip(state_keys, calls)))
+    states = []
+    for j, call in enumerate(calls, start=width + 1):
+        merged = counts if call.star else []
+        if not call.star:
+            for batch, into in zip(batches, targets):
+                merge_state(call, merged, into, batch.columns[j])
+        states.append(merged)
+    keys = [keys] if width == 1 else [list(column) for column in zip(*keys)]
+    names = partial_names(group_by, state_keys)
+    return columnar.ColumnBatch(names, [*keys, counts, *states, firsts], len(counts))
 
 
 class TopKRestart(Exception):
@@ -1815,7 +1816,7 @@ class Sort(PhysicalOperator):
 
     def _next(self, want: int | None) -> "columnar.ColumnBatch | None":
         if self._rows is None:
-            batch = self._drain(self.children[0])
+            batch = columnar.concat(self._drain(self.children[0]))
             order = list(range(batch.count if batch else 0))
             first = None  # the first key's values
             if order:

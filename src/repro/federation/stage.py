@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.connect.source import apply_predicates
 from repro.core.errors import PartialFailureError, QueryError, SourceUnavailableError
 from repro.core.records import Table
-from repro.federation import columnar, physical
+from repro.federation import physical
 from repro.federation.artifacts import (
     Artifact,
     StageSpec,
@@ -150,19 +150,19 @@ class Stage:
                 self.assignment = assignment.narrowed(self.rerun)
             return
         artifact, wait, joined = hit
-        rows = self._served(artifact)
-        if rows is None:
+        served = self._served(artifact)
+        if served is None:
             # Payload-kind or call mismatch under an identical digest (a
             # hash-collision guard): never serve garbage -- recompute.
             self.key = None
             return
         age = ctx.catalog.clock.now() - artifact.fetched_at
-        self.total_rows += len(rows)
+        self.total_rows += served.count
         _note_cuts(ctx, artifact.parts)
         self._stamp(ctx, age)
         ctx.report.artifact_rows_saved += artifact.rows_saved
         ctx.report.artifact_bytes_saved += artifact.bytes_saved
-        serve = ctx.charge_coordinator(len(rows))
+        serve = ctx.charge_coordinator(served.count)
         ctx.scan_elapsed = max(ctx.scan_elapsed, wait)
         key = artifact.key
         if joined:
@@ -170,18 +170,17 @@ class Stage:
             ctx.report.artifact_join_keys.append(key)
         else:
             ctx.report.artifact_hits += 1
-        self.stats.rows_in = len(rows)
+        self.stats.rows_in = served.count
         self.stats.seconds = serve
         label = "joined in-flight stage" if joined else "artifact hit"
         self.stats.detail = f"{label} {key[:8]} (age {age:.1f}s, wait {wait:.2f}s)"
-        self.output = physical.row_form_batches(rows)
+        self.output = [served]
 
     def _served(self, artifact):
-        """The artifact's payload as this stage reads it (group records or
-        one column batch), None on a mismatch."""
+        """The artifact's payload as this stage reads it, one column batch
+        (of rows, or of groups), None on a mismatch."""
         if self.spec.agg is not None:
-            calls = self.spec.agg.split.calls
-            return artifact.serve_groups(self.scan.binding, calls)
+            return artifact.serve_groups(self.scan.binding, self.spec.agg)
         return artifact.serve_rows(self.scan.binding)
 
     @staticmethod
@@ -201,12 +200,10 @@ class Stage:
             served = self._served(artifact)
             if served is None:
                 raise QueryError(f"artifact payload mismatch for {self.scan.binding!r}")
-            if isinstance(served, columnar.ColumnBatch):
-                def cut(start, stop):
-                    return [served.slice(start, stop)] if stop > start else []
-            else:
-                def cut(start, stop):
-                    return physical.row_form_batches(served[start:stop])
+
+            def cut(start, stop):
+                return [served.slice(start, stop)] if stop > start else []
+
             read = {fragment.fragment_id: out for fragment, out in slots}
             slots = splice(entry.fragments, read, artifact.parts, cut)
             parts = [part for part, _ in slots if isinstance(part, Part)]
@@ -480,8 +477,7 @@ class Stage:
             return  # no artifact reuse
         try:
             if agg is not None:
-                records = [r for batch in batches for r in batch.columns[0]]
-                payload = groups_payload(records, scan.binding, agg.split.calls)
+                payload = groups_payload(batches, scan.binding, agg)
             else:
                 fields = stage_fields(entry.schema, scan)
                 payload = rows_payload(batches, scan.binding, fields)

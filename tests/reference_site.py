@@ -28,7 +28,10 @@ aggregator -- ``partial_state`` over a group's envs and
 ``PartialAggregate._row_records`` -- was the product's fallback for
 general-expression keys and arguments until the product got one fold over
 column chunks (``physical.partial_groups``); it moved here verbatim and is
-that fold's referee, float bits included.  What the row
+that fold's referee, float bits included.  Since partial aggregates cross
+the wire as one batch of groups, ``_row_records`` lays its per-group
+records out as that batch's rows (``physical.partial_names``), its
+``partial_state`` fold unchanged.  What the row
 engine never did, it does not do here either: no column batches are
 counted (``batches=0``), nothing is encoded and no bytes are priced
 (``bytes_shipped`` stays 0; the wire is charged ``latency + rows x
@@ -55,10 +58,8 @@ from repro.core.schema import Schema
 from repro.federation import columnar, physical
 from repro.federation.governance import mask_value
 from repro.federation.physical import (
-    RECORDS_COLUMN,
     Env,
     ExecContext,
-    PartialGroup,
     SiteBatch,
     _sort_key,
     describe_expr,
@@ -84,13 +85,13 @@ def envs_batch(envs: "list[dict[str, Any]]") -> columnar.ColumnBatch:
 
 
 def row_form_batches(rows) -> "list[columnar.ColumnBatch]":
-    """Row-form content -- the row engine's envs, or partial-aggregate
-    records -- as coordinator batches."""
+    """What a site hands over -- the row engine's envs, or a partial
+    aggregate's batch of groups -- as coordinator batches."""
+    if isinstance(rows, columnar.ColumnBatch):
+        return [rows]
     if not rows:
         return []
-    if isinstance(rows[0], dict):
-        return [envs_batch(rows)]
-    return [columnar.ColumnBatch(RECORDS_COLUMN, [rows], len(rows))]
+    return [envs_batch(rows)]
 
 
 def transfer_seconds(network, site_a: str, site_b: str, rows: int) -> float:
@@ -328,7 +329,10 @@ class PartialAggregate(physical.PartialAggregate):
         self.stats.detail = ", ".join(describe_expr(c) for c in self.calls)
         return out
 
-    def _row_records(self, envs: list[Env]) -> list[PartialGroup]:
+    def _row_records(self, envs: list[Env]) -> columnar.ColumnBatch:
+        """One record per group, a record a row of the batch of groups the
+        production fold makes (``physical.partial_names``): its key
+        values, row count, one state per call and its first row."""
         groups: dict[tuple, list[Env]] = {}
         if self.node.group_by:
             for env in envs:
@@ -336,21 +340,16 @@ class PartialAggregate(physical.PartialAggregate):
                 groups.setdefault(key, []).append(env)
         else:
             groups[()] = list(envs)
+        representatives = [group_envs[0] for group_envs in groups.values() if group_envs]
+        firsts = envs_batch(representatives) if representatives else None
         records = []
         for key, group_envs in groups.items():
-            states = {
-                state_key: partial_state(call, group_envs)
-                for state_key, call in zip(self._state_keys, self.calls)
-            }
-            records.append(
-                PartialGroup(
-                    key,
-                    len(group_envs),
-                    states,
-                    group_envs[0] if group_envs else {},
-                )
-            )
-        return records
+            states = [partial_state(call, group_envs) for call in self.calls]
+            first = (firsts, len(records)) if group_envs else None
+            records.append((*key, len(group_envs), *states, first))
+        names = physical.partial_names(self.node.group_by, self._state_keys)
+        columns = [list(column) for column in zip(*records)] or [[] for _ in names]
+        return columnar.ColumnBatch(names, columns, len(records))
 
 
 class Ship(physical.Ship):

@@ -550,6 +550,8 @@ GONE = {
     "book_hit", "CacheBid",  # a plan that held its artifact or region's rows
     "Stage._resolve",  # a named copy's second run path: a copy runs as itself
     "Stage.release",  # a take-back: the report holds the stages that answered
+    "PartialGroup", "record_wire_bytes", "CanonicalGroup",
+    "row_form_batches",  # a group record per group: groups travel as one batch
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -580,7 +582,8 @@ OPTION_FACADE = {ENGINE + "query", ENGINE + "execute", PHYSICAL + "QueryOptions"
 # rows are copied out only where a consumer needs a batch of its own.
 SITE_PLANE = tuple(PHYSICAL + name for name in (
     "SiteScan", "SiteFilter", "SiteProject", "SiteTopK", "PartialAggregate",
-    "chunk_filter", "partial_groups", "_group_keys", "_ungrouped", "_grouped"))  # fmt: skip
+    "chunk_filter", "partial_groups", "_group_keys", "_ungrouped", "_grouped",
+    "fold_state"))  # fmt: skip
 TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.execute",
                  F + "reopt.py:ReoptController.__init__")  # fmt: skip
 # What a plan once held of a stored copy: its rows, its artifact, their ages.
