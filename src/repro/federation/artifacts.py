@@ -42,10 +42,12 @@ equivalent consumer:
   pipeline over the stale fragments alone, serves the current parts beside
   them and publishes the spliced artifact (the stage's narrowing).
 
-Payloads are stored in a binding-agnostic canonical form (bare column
-names, canonical aggregate-call keys) and rebuilt per consumer, so a hit
-is bit-identical to recomputation no matter which alias the consuming
-query uses.
+A payload is one column batch stored under binding-agnostic canonical
+names (bare column names, canonical aggregate-call keys) and served to each
+consumer under its own names with the stored columns, read-only by the
+:class:`~repro.federation.columnar.ColumnBatch` contract, so a hit is
+bit-identical to recomputation no matter which alias the consuming query
+uses, and costs no copy.
 """
 
 from __future__ import annotations
@@ -218,45 +220,46 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
 
 @dataclass
 class StagePayload:
-    """A stage's materialized output, stored binding-agnostically.
+    """A stage's materialized output: one column batch, stored
+    binding-agnostically.
 
-    ``kind`` is ``"rows"`` (filtered/projected scan output: value tuples in
-    ``fields`` order) or ``"groups"``: the partial aggregate's batch of
-    groups (``physical.partial_groups``) in ``groups``, its keys and states
-    under their canonical expressions, and each group's first row a number
-    into ``rows``.  Serving renames the canonical form to the consumer's
-    -- qualified field names, ``repr(call)`` state keys -- so the payload
-    is reusable under any alias.
+    ``kind`` is ``"rows"`` (filtered/projected scan output, under its bare
+    field names) or ``"groups"``: the partial aggregate's batch of groups
+    (``physical.partial_groups``), its keys and states under their
+    canonical expressions and each group's first row a number into
+    ``firsts``, the first rows under their bare field names.  Serving
+    renames the canonical names to the consumer's -- qualified field names,
+    ``repr(call)`` state keys -- and hands out the stored columns, which
+    no consumer writes, so the payload is reusable under any alias.
     """
 
     kind: str  # "rows" | "groups"
-    fields: tuple[str, ...] = ()
-    rows: list[tuple] = field(default_factory=list)
-    groups: ColumnBatch | None = None
+    batch: ColumnBatch
+    firsts: ColumnBatch | None = None
 
     @property
     def row_count(self) -> int:
-        return len(self.rows) if self.kind == "rows" else self.groups.count
+        return self.batch.count
 
 
 def rows_payload(batches, binding: str, fields: tuple[str, ...]) -> StagePayload:
-    """Canonicalize a rows stage's output batches into a payload; raises
-    KeyError when a batch lacks one of ``fields``."""
-    rows: list[tuple] = []
+    """Concatenate a rows stage's output batches' ``fields`` columns into a
+    payload; raises KeyError when a batch lacks one of them."""
+    columns: list[list] = [[] for _ in fields]
+    count = 0
     for batch in batches:
-        if not fields:
-            rows.extend([()] * batch.count)
-            continue
         indexes = [batch.index_of(f"{binding}.{name}") for name in fields]
         if None in indexes:
             raise KeyError(fields[indexes.index(None)])
-        rows.extend(zip(*[batch.columns[i] for i in indexes]))
-    return StagePayload(kind="rows", fields=fields, rows=rows)
+        for column, index in zip(columns, indexes):
+            column.extend(batch.columns[index])
+        count += batch.count
+    return StagePayload("rows", ColumnBatch(list(fields), columns, count))
 
 
 def groups_payload(batches, binding: str, agg: AggregateNode) -> StagePayload:
     """Canonicalize a partial-aggregate stage's batches of groups into one
-    payload batch; each group's first row is kept as a value tuple, the
+    payload batch; each group's first row is gathered into ``firsts``, the
     scan's fields in its batch's order."""
     from repro.federation.physical import PARTIAL_FIRST, PARTIAL_ROWS
 
@@ -272,21 +275,25 @@ def groups_payload(batches, binding: str, agg: AggregateNode) -> StagePayload:
             column.extend(more)
     firsts = [first for first in columns[-1] if first is not None]
     # Every name is ``binding.field``: the scan's own columns.
-    fields = () if not firsts else tuple(
+    fields = [] if not firsts else [
         name.split(".", 1)[1] for name in firsts[0][0].names
-    )
-    rows = [tuple(column[row] for column in batch.columns) for batch, row in firsts]
-    numbers = iter(range(len(rows)))
+    ]
+    first_columns = [
+        [batch.columns[j][row] for batch, row in firsts] for j in range(len(fields))
+    ]
+    numbers = iter(range(len(firsts)))
     columns[-1] = [None if first is None else next(numbers) for first in columns[-1]]
-    groups = ColumnBatch(names, columns, len(columns[-1]))
-    return StagePayload(kind="groups", fields=fields, rows=rows, groups=groups)
+    return StagePayload(
+        "groups",
+        ColumnBatch(names, columns, len(columns[-1])),
+        ColumnBatch(fields, first_columns, len(firsts)),
+    )
 
 
-def _rows_batch(binding: str, fields: tuple[str, ...], rows: list) -> ColumnBatch:
-    """Value tuples in ``fields`` order as one batch under ``binding``."""
-    names = scan_names(binding, fields)
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in names]
-    return ColumnBatch(names, columns, len(rows))
+def _renamed(binding: str, batch: ColumnBatch) -> ColumnBatch:
+    """A stored batch of bare field names under ``binding``: its columns."""
+    names = scan_names(binding, batch.names)
+    return ColumnBatch(names, list(batch.columns), batch.count)
 
 
 # -- the stored artifact -------------------------------------------------------
@@ -331,12 +338,12 @@ class Artifact:
 
     def serve_rows(self, binding: str):
         """The stage's rows as one column batch under the consumer's
-        binding, or None on kind mismatch (a hash collision guard, not an
-        expected path)."""
+        binding -- the stored columns, renamed -- or None on kind mismatch
+        (a hash collision guard, not an expected path)."""
         payload = self.payload
         if payload.kind != "rows":
             return None
-        return _rows_batch(binding, payload.fields, payload.rows)
+        return _renamed(binding, payload.batch)
 
     def serve_groups(self, binding: str, agg: AggregateNode):
         """The stage's batch of groups under the consumer's names, its
@@ -347,12 +354,12 @@ class Artifact:
         payload, calls = self.payload, agg.split.calls
         if payload.kind != "groups":
             return None
-        stored = payload.groups
+        stored = payload.batch
         states = [stored.index_of(canonical_expr(call, binding)) for call in calls]
         if None in states:
             return None
         width = len(agg.group_by)
-        firsts = _rows_batch(binding, payload.fields, payload.rows)
+        firsts = _renamed(binding, payload.firsts)
         return ColumnBatch(
             partial_names(agg.group_by, [repr(call) for call in calls]),
             [

@@ -356,7 +356,9 @@ class SemanticCache:
         """The capture's parts over the stored entry's current ones:
         ``(table, parts, stored fetch seconds)``, or None for a gap or a
         capture that read nothing.  A capture read whole is the one fold
-        of its tables, which also refuses a table of another schema."""
+        of its tables, which also refuses a table of another schema; a
+        refill joins the re-read tables' rows and the stored rows a run of
+        current parts at a time (:func:`splice`), in fragment order."""
         reads = {f.fragment_id: (e, rows) for f, e, rows in capture if rows is not None}
         if not reads:
             return None  # nothing was read: the stored entry stands as is
@@ -375,13 +377,12 @@ class SemanticCache:
         first, *rest = [table for _, table in reads.values()]
         if len(reads) == len(capture):
             return (first.union_all(*rest) if rest else first), parts, 0.0
-        # A refill: the kept parts' rows in between, in fragment order.
-        rows = [
-            row
-            for part, got in spliced
-            for row in (got if isinstance(part, Part) else got[1].rows)
-        ]
-        return Table(first.schema, rows, validate=False), parts, stored.fetch_seconds
+        rows: list = []
+        for part, got in spliced:
+            rows += got if isinstance(part, Part) else got[1].rows
+        table = Table(first.schema, validate=False)
+        table.rows = rows  # already rows of this schema: no copy
+        return table, parts, stored.fetch_seconds
 
     def invalidate_table(self, table_name: str) -> int:
         """Drop the table's regions that have no current part left (on

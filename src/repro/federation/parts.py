@@ -7,7 +7,10 @@ is empty), each tagged with the fragment's content epoch when it was read
 whole only while every part is current; a write to one fragment makes that
 part stale and leaves the others servable, so re-reading the stale
 fragments alone brings the answer back (:func:`splice`, the one splice both
-stores use, each slicing its own payload).
+stores use, each slicing its own payload).  A splice costs what was re-read,
+not what was kept: the kept parts are cut from the payload a run of
+neighbours at a time, so the current parts on either side of one written
+fragment come out as two slices, whatever the number of fragments.
 """
 
 from __future__ import annotations
@@ -51,21 +54,44 @@ def any_current(parts: Sequence[Part]) -> bool:
 
 def splice(fragments, read: dict, stored: Sequence[Part], cut) -> list:
     """Per fragment of ``fragments``, in order: ``(fragment, read[id])`` for
-    one read again, else ``(part, cut(start, stop))`` for a current part of
-    ``stored``, whose payload holds the parts one after another (``cut``
-    slices the store's own payload).  A fragment in neither is left out."""
+    one read again, else ``(part, payload)`` for a current part of
+    ``stored``, whose payload holds the parts one after another.  A fragment
+    in neither is left out.
+
+    The stored payload is cut (``cut(start, stop)`` slices the store's own
+    payload) once per *run*: current parts that follow each other here and
+    in the payload -- an empty part, such as a pruned fragment's, follows
+    anything.  The run's first part carries its slice and the rest ``[]``,
+    so a refresh of one fragment of fifty hands on three pieces, not
+    fifty-one."""
     spans, start = {}, 0
     for part in stored:
         stop = start + part.size
         if part.current:
             spans[part.fragment.fragment_id] = (part, start, stop)
         start = stop
-    spliced = []
+    spliced, runs, run = [], [], None  # run: [its first slot, start, stop]
     for fragment in fragments:
         fragment_id = fragment.fragment_id
         if fragment_id in read:
             spliced.append((fragment, read[fragment_id]))
-        elif fragment_id in spans:
-            part, start, stop = spans[fragment_id]
-            spliced.append((part, cut(start, stop)))
+            run = None
+            continue
+        if fragment_id not in spans:
+            continue
+        part, start, stop = spans[fragment_id]
+        if run is None:
+            run = [len(spliced), start, stop]
+            runs.append(run)
+        elif start < stop:  # an empty part joins any run
+            if run[1] == run[2]:  # the run so far is empty: its rows start here
+                run[1:] = start, stop
+            elif run[2] == start:  # the next rows in the payload
+                run[2] = stop
+            else:
+                run = [len(spliced), start, stop]
+                runs.append(run)
+        spliced.append((part, []))
+    for first, start, stop in runs:
+        spliced[first] = (spliced[first][0], cut(start, stop))
     return spliced

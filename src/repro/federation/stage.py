@@ -191,10 +191,13 @@ class Stage:
     def spliced(self, ctx, slots: list) -> list:
         """A narrowed run's output slots with the refreshed artifact's
         current parts served beside them, in fragment order, noted on the
-        Ship's EXPLAIN line.  The parts are one coordinator pass, charged
-        once, and report the oldest part's age as staleness.  A run that
-        fell back to a copy of the whole scan (a view, a cache region) is
-        answered by that copy alone: parts beside it would repeat rows."""
+        Ship's EXPLAIN line: each run of neighbouring current parts is one
+        slice of the served batch (:func:`~repro.federation.parts.splice`),
+        so what a refresh adds is a batch per run, not per part.  The parts
+        are one coordinator pass, charged once, and report the oldest
+        part's age as staleness.  A run that fell back to a copy of the
+        whole scan (a view, a cache region) is answered by that copy alone:
+        parts beside it would repeat rows."""
         artifact, entry, parts = self.stale, ctx.catalog.entry(self.scan.table), []
         if all(read is not None for read, _ in slots):
             served = self._served(artifact)
@@ -432,13 +435,14 @@ class Stage:
 
     # -- capture ------------------------------------------------------------
 
-    def _pruned(self, fragment) -> bool:
-        """A fragment the run did not read and no stored part answers for:
-        its zone map proved it empty (a refresh reads only stale ones)."""
-        fragment_id = fragment.fragment_id
-        return fragment_id not in self.read and (
-            self.rerun is None or fragment_id in self.rerun
-        )
+    def _pruned(self, fragments) -> set:
+        """The ids of the fragments the run did not read and no stored part
+        answers for: their zone maps proved them empty (a refresh reads
+        only stale ones)."""
+        unread = self.rerun
+        if unread is None:
+            unread = [fragment.fragment_id for fragment in fragments]
+        return {fragment_id for fragment_id in unread if fragment_id not in self.read}
 
     def capture(self, ctx, slots, batches, shipped_bytes, arrival, cuts) -> None:
         """Take the ``batches`` its ``Ship`` shipped as the stage's output
@@ -458,18 +462,16 @@ class Stage:
             return  # the output is stale or incomplete
         scan, agg = self.scan, self.spec.agg
         entry = ctx.catalog.entry(scan.table)
+        pruned = self._pruned(entry.fragments)
         now = ctx.catalog.clock.now()
         if (
             ctx.paths.cache is not None
             and scan.text_filter is None
             and physical.top_k_bound(scan) is None
         ):
-            empty = Table(entry.schema, [])
+            rows = dict.fromkeys(pruned, Table(entry.schema, [])) | self.read
             self.scan_capture = physical.ScanCapture(
-                [
-                    (f, f.epoch, empty if self._pruned(f) else self.read.get(f.fragment_id))
-                    for f in entry.fragments
-                ],
+                [(f, f.epoch, rows.get(f.fragment_id)) for f in entry.fragments],
                 now,
                 self.fetch_seconds,
             )
@@ -489,7 +491,7 @@ class Stage:
             )
             for read, out in slots
         ]
-        parts += [Part(f, f.epoch, 0, now) for f in entry.fragments if self._pruned(f)]
+        parts += [Part(f, f.epoch, 0, now) for f in entry.fragments if f.fragment_id in pruned]
         old = self.stale  # a hit on a refresh avoids the whole stage, as it measured
         saved = (
             (self.rows_fetched, shipped_bytes, arrival)

@@ -552,6 +552,8 @@ GONE = {
     "Stage.release",  # a take-back: the report holds the stages that answered
     "PartialGroup", "record_wire_bytes", "CanonicalGroup",
     "row_form_batches",  # a group record per group: groups travel as one batch
+    "_rows_batch", "StagePayload.rows", "StagePayload.fields",
+    "StagePayload.groups",  # a payload of value tuples: a payload is one column batch
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",

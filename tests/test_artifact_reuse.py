@@ -28,8 +28,10 @@ from repro.federation import (
     WorkloadManager,
 )
 from repro.federation.artifacts import Artifact, StagePayload, StageSpec, stage_specs
+from repro.federation.columnar import ColumnBatch
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.parts import Part
+from repro.federation.stage import Stage
 from repro.federation.workload import QueryState
 from repro.sim import EventLoop, SimClock
 from repro.sql.parser import parse_sql
@@ -189,9 +191,7 @@ class TestStageHash:
 def make_output(
     key, rows=5, table_name="items", fetch_seconds=1.0, at=0.0, parts=()
 ):
-    payload = StagePayload(
-        kind="rows", fields=("v",), rows=[(i,) for i in range(rows)]
-    )
+    payload = StagePayload(kind="rows", batch=ColumnBatch(["v"], [list(range(rows))]))
     return Artifact(
         key=key,
         table_name=table_name,
@@ -443,6 +443,82 @@ class TestInvalidation:
         assert after.table.rows == first.table.rows
         assert after.report.rows_fetched == fragment_rows("f0", 77)
         assert store.refreshes == 1
+
+
+JOIN_SQL = (
+    "select a.k, a.v, b.v from items a join items b on a.k = b.k "
+    "where a.v < 33 and b.v < 50 order by b.v desc limit 5"
+)
+
+
+class TestARefreshCostsWhatItReRead:
+    def test_a_refresh_hands_on_a_batch_per_run(self, monkeypatch):
+        """One written fragment of twelve: the refreshed stage hands the
+        coordinator the served parts before it, the re-read fragment and
+        the served parts after it -- three batches, not thirteen -- and
+        both stores still hold a part per fragment, at the epoch read."""
+        catalog = build_federation(fragments=12)
+        store, cache = ArtifactStore(catalog.clock), SemanticCache(catalog.clock)
+        engine = FederatedEngine(catalog, artifacts=store, cache=cache)
+        engine.query(ROWS_SQL)
+        rewrite_fragment(catalog, "f5", [("n0", 2), ("n1", 40)])
+        control = build_federation(fragments=12)
+        rewrite_fragment(control, "f5", [("n0", 2), ("n1", 40)])
+        want = FederatedEngine(control).query(ROWS_SQL).table.rows
+        outputs, capture = [], Stage.capture
+
+        def recording(stage, *args):
+            capture(stage, *args)
+            outputs.append(stage.output)
+
+        monkeypatch.setattr(Stage, "capture", recording)
+        refreshed = engine.query(ROWS_SQL)
+        assert refreshed.table.rows == want
+        assert store.refreshes == 1
+        assert len(outputs) == 1 and len(outputs[0]) <= 3
+        store._sweep()
+        (artifact,) = store._artifacts.values()
+        (region,) = cache._entries.values()
+        ids = [f.fragment_id for f in catalog.entry("items").fragments]
+        for parts, rows in (
+            (artifact.parts, artifact.row_count),
+            (region.parts, len(region.table)),
+        ):
+            assert sorted(p.fragment.fragment_id for p in parts) == sorted(ids)
+            assert all(p.epoch == p.fragment.epoch for p in parts)
+            assert sum(p.size for p in parts) == rows == len(refreshed.table.rows)
+
+    def test_a_served_rows_artifact_is_never_written(self, monkeypatch):
+        """A rows artifact is served as its stored columns, renamed: the
+        Project over it, and the HashJoin, Sort and Limit over it twice,
+        leave them as they were captured."""
+        _, engine, store = make_engine()
+        _, control, _ = make_engine(artifacts=False)
+        first = engine.query(ROWS_SQL)
+        store._sweep()
+        (artifact,) = store._artifacts.values()
+        stored = artifact.payload.batch.columns
+        captured = [list(column) for column in stored]
+        served, serve_rows = [], Artifact.serve_rows
+
+        def recording(served_from, binding):
+            batch = serve_rows(served_from, binding)
+            if served_from is artifact:
+                served.append(batch)
+            return batch
+
+        monkeypatch.setattr(Artifact, "serve_rows", recording)
+        again = engine.query(ROWS_SQL)
+        joined = [engine.query(JOIN_SQL) for _ in range(2)]
+        want = control.query(ROWS_SQL).table.rows
+        assert again.table.rows == first.table.rows == want
+        want = control.query(JOIN_SQL).table.rows
+        assert [r.table.rows for r in joined] == [want, want]
+        names = [batch.names for batch in served]
+        assert names == [["items.k", "items.v"], ["a.k", "a.v"], ["a.k", "a.v"]]
+        for batch in served:
+            assert all(mine is theirs for mine, theirs in zip(batch.columns, stored))
+        assert stored == captured
 
 
 class TestRefreshUnderFaults:
