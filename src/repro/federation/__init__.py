@@ -26,14 +26,19 @@ The pieces:
   unacceptable: a centralized compile-time cost-based optimizer that
   enumerates site assignments against a periodically refreshed statistics
   snapshot.
-* :mod:`repro.federation.physical` -- the physical operator IR: site-side
-  operators (SiteScan/SiteFilter/SiteProject/PartialAggregate) charge the
-  owning site, an explicit Ship crosses the network model, and streaming
-  coordinator operators (joins, final aggregation, sort, limit) each
-  record rows in/out, seconds and placement.
-* :mod:`repro.federation.executor` -- compiles physical plans into that
-  operator tree and drives it: parallel fragment scans, per-site
-  accounting, EXPLAIN ANALYZE stats.
+* :mod:`repro.federation.physical` -- the physical operator IR: the plan
+  types, the operator protocol, the explicit Ship that crosses the
+  network model, and the planner that compiles a physical plan into an
+  operator tree.  Its site-side operators
+  (SiteScan/SiteFilter/SiteProject/SiteTopK/PartialAggregate, in
+  :mod:`repro.federation.site_ops`) charge the owning site; its streaming
+  coordinator operators (filter, joins, aggregation, sort, limit, in
+  :mod:`repro.federation.coordinator_ops`) charge the coordinator; each
+  records rows in/out, seconds and placement
+  (:mod:`repro.federation.report`).
+* :mod:`repro.federation.executor` -- drives that operator tree: starts
+  each stage, then the parallel fragment scans and the coordinator,
+  per-site accounting, EXPLAIN ANALYZE stats.
 * :mod:`repro.federation.loadbalance` -- replica-choice policies.
 * :mod:`repro.federation.availability` -- failure injection, placement
   strategies, availability probes ("some of the content all of the time").
@@ -76,13 +81,8 @@ from repro.federation.health import (
     SiteHealth,
     SiteHealthTracker,
 )
-from repro.federation.physical import (
-    ExecutionReport,
-    OperatorStats,
-    PhysicalPlan,
-    PhysicalPlanner,
-    QueryOptions,
-)
+from repro.federation.physical import PhysicalPlan, PhysicalPlanner, QueryOptions
+from repro.federation.report import ExecutionReport, OperatorStats
 from repro.federation.reopt import ReoptController, ReoptEvent
 from repro.federation.loadbalance import (
     LeastLoadedPolicy,

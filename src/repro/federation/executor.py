@@ -2,8 +2,9 @@
 
 The optimizers produce a :class:`PhysicalPlan` (logical tree + per-scan
 access path); :class:`~repro.federation.physical.PhysicalPlanner` compiles
-it into site-side operators, an explicit Ship per stage and coordinator
-operators (:mod:`repro.federation.physical`), and each scan's reuse
+it into site-side operators (:mod:`repro.federation.site_ops`), an
+explicit Ship per stage and coordinator operators
+(:mod:`repro.federation.coordinator_ops`), and each scan's reuse
 decisions are its stage's (:mod:`repro.federation.stage`).  The
 :class:`Executor` here starts every stage, opens the root, drains it into
 the result table, and settles the timing model:
@@ -30,15 +31,15 @@ from dataclasses import replace
 
 from repro.core.records import Table
 from repro.federation.access import AccessPaths
+from repro.federation.coordinator_ops import TopKRestart
 from repro.federation.physical import (
     ExecContext,
-    ExecutionReport,
     PhysicalPlan,
     PhysicalPlanner,
     QueryOptions,
-    TopKRestart,
     envs_to_table,
 )
+from repro.federation.report import ExecutionReport
 from repro.sql.rewrite import without_top_k
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.connect.source import apply_predicates
 from repro.core.errors import PartialFailureError, QueryError, SourceUnavailableError
 from repro.core.records import Table
-from repro.federation import physical
+from repro.federation import physical, report
 from repro.federation.artifacts import (
     Artifact,
     StageSpec,
@@ -122,7 +122,7 @@ class Stage:
                 rows, age, served = found
                 self.region = (rows, age)
                 if served != assignment.cached_region:
-                    region = physical.describe_region(served)
+                    region = report.describe_region(served)
                     self.events.append(f"served by cache region {region}")
         store = ctx.paths.artifacts
         # A view or a region carries its own staleness semantics; the stage
@@ -470,7 +470,7 @@ class Stage:
             and physical.top_k_bound(scan) is None
         ):
             rows = dict.fromkeys(pruned, Table(entry.schema, [])) | self.read
-            self.scan_capture = physical.ScanCapture(
+            self.scan_capture = report.ScanCapture(
                 [(f, f.epoch, rows.get(f.fragment_id)) for f in entry.fragments],
                 now,
                 self.fetch_seconds,

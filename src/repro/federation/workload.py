@@ -49,7 +49,7 @@ bookkeeping.
 Every outcome lands on the engine's :class:`~repro.sim.metrics.MetricsRegistry`
 (per-tenant queue depth gauges, wait/service/total latency histograms,
 admission/rejection/timeout counters) and the completed query's
-:class:`~repro.federation.physical.ExecutionReport` carries
+:class:`~repro.federation.report.ExecutionReport` carries
 ``queue_wait_seconds`` / ``tenant`` / ``scheduler``.
 """
 

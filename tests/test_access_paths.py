@@ -495,11 +495,40 @@ def unimported(ix):
                         for user, m in reached)}
 
 
+def stage_split(ix):
+    """The physical layer split on the stage line: whether ``site_ops.py``
+    and ``coordinator_ops.py`` exist, which of the four modules is over
+    1 000 lines, which names two of them define (a def, a class or a
+    module-level assignment: an import is a use), and what ``site_ops.py``
+    imports from ``coordinator_ops.py``."""
+    texts = {w: ix.texts[w] for w in PLANES if w in ix.texts}
+    homes = defaultdict(set)  # a module-level name -> the modules defining it
+    for where, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes[node.name].add(where)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            homes[name.id].add(where)
+    return (PLANES[1] in texts and PLANES[2] in texts,
+            {w for w, text in texts.items() if len(text.splitlines()) > 1000},
+            {name for name, where in homes.items() if len(where) > 1},
+            {(m, name) for m, name in ix.imports[PLANES[1]]
+             if "coordinator_ops" in f"{m}.{name}"})
+
+
 F, S = "src/repro/federation/", "src/repro/sql/"
+# The operator protocol and the planner, the two planes, and the report.
+PLANES = tuple(F + f"{m}.py" for m in ("physical", "site_ops", "coordinator_ops",
+                                        "report"))  # fmt: skip
 DBAPI = F + "dbapi.py"
 # The gateway's state and services, none of which the DB-API may touch.
 BEHIND_THE_DOOR = ("PlanCache", "plan_cache", "engine", "workload", "submit", "drain")
 ENGINE, PHYSICAL = F + "engine.py:FederatedEngine.", F + "physical.py:"
+SITE_OPS, COORDINATOR_OPS, REPORT = (where + ":" for where in PLANES[1:])
+OPERATORS = (PHYSICAL, SITE_OPS, COORDINATOR_OPS)  # the protocol and the two planes
 REWRITE, PLANNER = S + "rewrite.py:", S + "planner.py:"
 STAGE = F + "stage.py:"
 BIND_PLAN, FALLBACK = S + "params.py:bind_plan", STAGE + "Stage._covering_fallback"
@@ -573,16 +602,19 @@ UNSET_OPTIONS = {
     "Gateway.max_idle": "sizes the deployment's idle session pool; the gateway tests set it",
 }  # fmt: skip
 CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
-SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/cache.py")
+SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/site_ops.py",
+             "federation/coordinator_ops.py", "federation/report.py",
+             "federation/cache.py")  # fmt: skip
 PER_STATEMENT = {"advance_clock", "degraded_ok", "reuse_artifacts", "deadline_at",
                  "budget"}  # fmt: skip
-FUNNEL = tuple(F + f"{m}.py:" for m in ("engine", "executor", "physical", "reopt",
+FUNNEL = tuple(F + f"{m}.py:" for m in ("engine", "executor", "physical", "site_ops",
+                                         "coordinator_ops", "report", "reopt",
                                          "workload"))  # fmt: skip
 OPTION_FACADE = {ENGINE + "query", ENGINE + "execute", PHYSICAL + "QueryOptions",
                  F + "workload.py:WorkloadManager.submit"}  # fmt: skip
 # The site plane selects rows and folds through the selections; the kept
 # rows are copied out only where a consumer needs a batch of its own.
-SITE_PLANE = tuple(PHYSICAL + name for name in (
+SITE_PLANE = tuple(SITE_OPS + name for name in (
     "SiteScan", "SiteFilter", "SiteProject", "SiteTopK", "PartialAggregate",
     "chunk_filter", "partial_groups", "_group_keys", "_ungrouped", "_grouped",
     "fold_state"))  # fmt: skip
@@ -615,11 +647,11 @@ GUARDS = [
      | {h for h in ix.assigns["aliases"] if h.startswith("src/")}, set()),
     ("one_aggregate-avg-homes", "an aggregate starts, folds, merges and finishes once",
      lambda ix: set(map(top, ix.holding(ix.strings, "avg"))),
-     {S + "ast.py:AGGREGATE_FUNCTIONS"} | {PHYSICAL + name for name in
+     {S + "ast.py:AGGREGATE_FUNCTIONS"} | {SITE_OPS + name for name in
       ("empty_state", "fold_state", "merge_state", "final_value")}),
     ("one_aggregate-final-is-aggregate", "FinalAggregate is Aggregate over merged groups",
-     lambda ix: issubclass(module("federation.physical").FinalAggregate,
-                           module("federation.physical").Aggregate), True),
+     lambda ix: issubclass(module("federation.coordinator_ops").FinalAggregate,
+                           module("federation.coordinator_ops").Aggregate), True),
     ("one_home-index-sees-node-types", "sanity: the index finds the plan node types",
      lambda ix: {"ScanNode", "FilterNode", "JoinNode", "LimitNode"} <= node_types(ix), True),
     ("one_home-type-ladders", "only compiling and EXPLAIN tell three node types apart",
@@ -644,9 +676,9 @@ GUARDS = [
                  or f"{REWRITE}{rule}.claim" not in ix.params}, set()),
     ("one_home-item-names-callers", "output names come from planner.item_names",
      lambda ix: ix.callers("item_names"),
-     {PHYSICAL + "output_names", PLANNER + "_rewrite_aggregate_order"}),
+     {COORDINATOR_OPS + "output_names", PLANNER + "_rewrite_aggregate_order"}),
     ("one_home-aggregate-names-are-item-names", "an aggregation names its items alike",
-     lambda ix: module("federation.physical").aggregate_names
+     lambda ix: module("federation.coordinator_ops").aggregate_names
      is module("sql.planner").item_names, True),
     ("one_home-one-comparison-table", "pushdown compares with core.values.COMPARISONS",
      lambda ix: module("connect.source").Predicate._OPS
@@ -717,14 +749,14 @@ GUARDS = [
     ("late_materialisation-gatherers", "Ship and a mask gather the kept rows",
      lambda ix: (ix.callers("gather"), {h for h in ix.assigns["gather"]
                                         if h.startswith("src/")}),
-     ({PHYSICAL + "Ship._produce", PHYSICAL + "SiteScan._apply_governance",
+     ({PHYSICAL + "Ship._produce", SITE_OPS + "SiteScan._apply_governance",
        F + "columnar.py:filter_batch"}, set())),
     ("one_wire-ship-never-decodes", "the wire is sized: no src/ home decodes but the codec",
      lambda ix: ix.callers("decode_batch") | ix.callers("decode_column"),
      {F + "columnar.py:decode_batch"}),
     ("served_one_way-site-operators", "no site operator serves an artifact",
      lambda ix: ix.holding(ix.bases, "SiteOperator", ""),
-     {PHYSICAL + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",
+     {SITE_OPS + n for n in ("SiteScan", "SiteFilter", "SiteProject", "SiteTopK",
                              "PartialAggregate")}),
     ("served_one_way-serving-callers", "an artifact is served by the stage",
      lambda ix: {top(h) for name in ("serve_rows", "serve_groups")
@@ -732,7 +764,7 @@ GUARDS = [
     ("served_one_way-no-planner-branch", "the physical planner has no artifact branch",
      lambda ix: ix.holding(ix.strings, "artifact", PHYSICAL + "PhysicalPlanner._node"), set()),
     ("served_one_way-one-serving-step", "one stage step filters a copy, one stamps an age",
-     lambda ix: tuple({h for h in homes if h.startswith((PHYSICAL, STAGE))} for homes in (
+     lambda ix: tuple({h for h in homes if h.startswith((*OPERATORS, STAGE))} for homes in (
          [h for h, _ in ix.calls["apply_predicates"]], ix.assigns["staleness_seconds"])),
      ({STAGE + "Stage._serve_copy"}, {STAGE + "Stage._stamp"})),
     ("served_one_way-fallback-charges-nothing", "the covering fallback only plans",
@@ -741,7 +773,7 @@ GUARDS = [
      lambda ix: {h for homes in ix.assigns.values() for h in homes if h.startswith(FALLBACK)},
      set()),
     ("served_one_way-report-keeps-no-copy", "the report copies no plan figure",
-     lambda ix: ix.params[PHYSICAL + "ExecutionReport"]
+     lambda ix: ix.params[REPORT + "ExecutionReport"]
      & {"price", "planner_wall_seconds", "network_seconds"}, set()),
     ("served_one_way-executor-exports", "physical dataclasses come from physical",
      lambda ix: {name for imported in ix.imports.values()
@@ -764,6 +796,9 @@ GUARDS = [
                  {h for h in ix.params if h.startswith("src/") and leaf(h) == "splice"}),
      ({STAGE + "Stage.spliced", F + "cache.py:SemanticCache._assemble"},
       {F + "parts.py:splice"})),
+    ("one_stage-split-on-the-stage-line", "site and coordinator operators have a module "
+     "each, none of the four is over 1 000 lines, no name is defined in two of them, and "
+     "site_ops imports nothing from coordinator_ops", stage_split, (True, set(), set(), set())),
     ("one_path-plans-hold-no-content", "a plan names its copies: no src/ home passes "
      "a ScanAssignment rows, an artifact or an age, and it has no field for them",
      lambda ix: ({h for h, _, keywords in ix.passes["ScanAssignment"]

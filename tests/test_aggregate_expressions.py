@@ -5,7 +5,7 @@ Both coordinator aggregators used to look for aggregate calls only under
 between ...``, ``count(w) in (...)`` and ``sum(w) is not null`` failed with
 ``unknown function 'sum'`` -- on the split path and on the join path alike.
 There is now one evaluator for "an expression with aggregates, over a
-group" (``physical.finished_groups``), and sqlite3 is its oracle.  Every
+group" (``coordinator_ops.finished_groups``), and sqlite3 is its oracle.  Every
 shape runs over a single table (``PartialAggregate`` at the sites,
 ``FinalAggregate`` at the coordinator) and over a join (whole-group
 ``Aggregate``).
@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.core.errors import QueryError
-from repro.federation import physical
+from repro.federation import site_ops
 from repro.sql.ast import Column, FuncCall
 from benchmarks.e2e.oracle import rows_match
 from tests.sqlite_oracle import federation, sqlite_answer
@@ -146,4 +146,4 @@ def test_a_malformed_call_is_refused_when_a_group_is_created(call, message, sour
 
 def test_an_unknown_aggregate_name_is_refused():
     with pytest.raises(QueryError, match="unknown aggregate 'median'"):
-        physical.empty_state(FuncCall("median", (Column("v"),)))
+        site_ops.empty_state(FuncCall("median", (Column("v"),)))

@@ -1,6 +1,6 @@
 """A split aggregate crosses the wire as one column batch of groups.
 
-At each site ``physical.partial_groups`` folds the kept rows of a batch's
+At each site ``site_ops.partial_groups`` folds the kept rows of a batch's
 ``(chunk, selection)`` parts into one batch: key columns, row counts, a
 state column per aggregate call and where each group's first row is.
 ``partial_wire_bytes`` is what ``Ship`` charges for that batch,
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import QueryError
 from repro.core.values import Money
-from repro.federation import physical
+from repro.federation import coordinator_ops, physical, site_ops
 from repro.federation.columnar import ColumnBatch, value_wire_bytes
 from repro.sql.ast import BinaryOp, Column, FuncCall, Literal, SelectItem
 from repro.sql.planner import AggregateNode, AggregateSplit
@@ -199,7 +199,7 @@ def run(group_by, calls, sites, having_at=None):
     """The engine's answer and the row fold's, with their per-site bytes."""
     state_keys = {repr(call): call for call in calls}
     batches = [
-        physical.partial_groups(
+        site_ops.partial_groups(
             [(part_batch(rows), selection) for rows, selection in parts],
             group_by,
             state_keys,
@@ -241,8 +241,8 @@ def run(group_by, calls, sites, having_at=None):
         None, group_by, [SelectItem(item) for item in items], having, AggregateSplit(calls)
     )
     names = [f"c{i}" for i in range(len(items))]
-    whole = physical.merged_groups(batches, group_by, calls)
-    (out,) = physical.finished_groups(node, names, whole)
+    whole = coordinator_ops.merged_groups(batches, group_by, calls)
+    (out,) = coordinator_ops.finished_groups(node, names, whole)
     return (
         list(zip(*out.columns)),
         expected,
@@ -314,6 +314,6 @@ class TestPartialMergeFinishIsTheRowFold:
 
     def test_a_group_with_no_first_row_has_no_bare_column(self):
         node = AggregateNode(None, [], [SelectItem(W)], None, AggregateSplit([]))
-        whole = physical.merged_groups([], [], [])
+        whole = coordinator_ops.merged_groups([], [], [])
         with pytest.raises(QueryError, match="t.w"):
-            physical.finished_groups(node, ["w"], whole)
+            coordinator_ops.finished_groups(node, ["w"], whole)

@@ -212,7 +212,7 @@ class TestSiteOperatorProtocol:
     def test_site_operator_refuses_direct_iteration(self):
         from repro.core.errors import QueryError
         from repro.federation.artifacts import StageSpec
-        from repro.federation.physical import SiteScan
+        from repro.federation.site_ops import SiteScan
         from repro.federation.stage import Stage
         from repro.sql.planner import ScanNode
 

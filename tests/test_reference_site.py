@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import DataType, Field, Schema, Table
 from repro.core.records import ColumnOrders
-from repro.federation import FederatedEngine, FederationCatalog, columnar, physical
+from repro.federation import FederatedEngine, FederationCatalog, columnar, site_ops
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import SimClock
 from tests.reference_site import ReferenceSitePlanner
@@ -420,7 +420,7 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
         to_envs.append((batch, selection))
         return batch_to_envs(batch, selection)
 
-    def aggregating(self, ctx, inner=physical.PartialAggregate._compute):
+    def aggregating(self, ctx, inner=site_ops.PartialAggregate._compute):
         # Its children computed when they were opened: what is recorded is
         # the aggregate's own doing, not a fallback filter's under it.
         with mock.patch.object(columnar.ColumnBatch, "to_envs", recording):
@@ -436,7 +436,7 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
         for sql in FILTERS:
             run(sql)
         assert kernels.count(True) >= 6 and kernels.count(False) >= 6
-    with mock.patch.object(physical.PartialAggregate, "_compute", aggregating):
+    with mock.patch.object(site_ops.PartialAggregate, "_compute", aggregating):
         for sql in TIGHT_AGGREGATES:
             run(sql)
             assert not to_envs, sql
