@@ -140,7 +140,7 @@ class TestStageHash:
 
     def test_digests_of_other_stages_did_not_move(self):
         """Stage digests are what EXPLAIN and the E15 tables print: sharing
-        the renderer with ``describe_expr`` changed LIKE's text only.  The
+        the renderer with EXPLAIN (``sql.ast.render``) changed LIKE's text only.  The
         group statement's ``not (v + 0 < 3)`` is parsed as ``v + 0 >= 3``
         since NOT is pushed to the atoms, so it digests as that does."""
         catalog = build_federation()
