@@ -537,12 +537,7 @@ class ArtifactStore:
 
     # -- publication lifecycle ---------------------------------------------
 
-    def begin_stage(
-        self,
-        artifact: Artifact,
-        completes_at: float,
-        producer=None,
-    ) -> bool:
+    def begin_stage(self, artifact: Artifact, completes_at: float) -> bool:
         """Register a completing stage's artifact as in flight.
 
         Concurrent queries may join it immediately; it commits to the
@@ -561,9 +556,7 @@ class ArtifactStore:
             self.rejected += 1
             self._count("artifacts.rejected")
             return False
-        self._inflight[key] = _InFlightStage(
-            artifact=artifact, completes_at=completes_at, producer=producer
-        )
+        self._inflight[key] = _InFlightStage(artifact, completes_at)
         return True
 
     def subscribe(self, key: str, subscriber) -> bool:

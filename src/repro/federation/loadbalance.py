@@ -4,9 +4,11 @@
 this case, a strategy for load balancing is required to keep all machines
 equally busy" (§3.2 C8).  These policies decide which replica of a fragment
 serves a scan.  The agoric optimizer effectively *is* a live least-cost
-policy (prices embed load); the centralized baseline is wired to
-:class:`SnapshotLoadPolicy`, whose statistics go stale between refreshes --
-the operational difference E3/E4 measure.
+policy (prices embed load).  :class:`SnapshotLoadPolicy` chooses by load
+statistics that go stale between refreshes, as the centralized baseline
+plans (:class:`~repro.federation.central.CentralizedOptimizer` keeps its own
+snapshot and uses none of these policies); E4's ablation runs each policy
+under :class:`PolicyOptimizer` beside the agoric market.
 """
 
 from __future__ import annotations

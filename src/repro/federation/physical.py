@@ -388,57 +388,57 @@ class SiteBatch:
     """Rows produced at one site, with the pipeline time spent producing them.
 
     Scanned rows travel in ``chunks``, a list of fixed-size
-    :class:`~repro.federation.columnar.ColumnBatch` slices, and ``rows``
-    stays empty.  ``selections`` says, chunk by chunk, which rows are still
-    in: a sorted list of row numbers (:func:`columnar.select_rows`), or
-    ``None`` for all of them.  A filter only narrows selections; the kept
-    rows are copied out when a consumer needs them as a batch of their own
-    (``Ship``, a mask), and the partial aggregate folds through them.
-    ``chunks is None`` means ``rows`` is a partial aggregate's batch of
-    groups (:func:`partial_groups`), which was not scanned in chunks and so
-    does not count as a processed batch.  ``cut`` is ``(boundary key,)``
-    once a :class:`SiteTopK` dropped rows of the batch.
+    :class:`~repro.federation.columnar.ColumnBatch` slices.  ``selections``
+    says, chunk by chunk, which rows are still in: a sorted list of row
+    numbers (:func:`columnar.select_rows`), or ``None`` for all of them.  A
+    filter only narrows selections; the kept rows are copied out when a
+    consumer needs them as a batch of their own (``Ship``, a mask), and the
+    partial aggregate folds through them.  ``groups`` is what a partial
+    aggregate hands on instead, its batch of groups
+    (:func:`partial_groups`), and a batch holding it has no chunk and no
+    selection.  ``cut`` is ``(boundary key,)`` once a :class:`SiteTopK`
+    dropped rows of the batch.
     """
 
     site: str
-    rows: "list | columnar.ColumnBatch"
     elapsed: float  # queue delay + site-side work along this batch's pipeline
-    chunks: "list[columnar.ColumnBatch] | None" = None
-    selections: "list[list[int] | None] | None" = None  # one per chunk
+    chunks: "list[columnar.ColumnBatch]"
+    selections: "list[list[int] | None]"  # one per chunk
     fragment: Fragment | None = None  # the fragment read; None for a copy
     cut: "tuple | None" = None
+    groups: "columnar.ColumnBatch | None" = None
 
     def kept(self) -> "Iterator[tuple[columnar.ColumnBatch, list[int] | None]]":
         """``(chunk, selection)`` pairs, in order."""
         return zip(self.chunks, self.selections)
 
     def row_count(self) -> int:
-        if self.chunks is None:
-            return len(self.rows)
+        """The kept rows, or the groups of a batch of groups."""
+        if self.groups is not None:
+            return self.groups.count
         count = 0
         for chunk, selection in zip(self.chunks, self.selections):
             count += chunk.count if selection is None else len(selection)
         return count
 
-    def passed_on(
-        self, work: float, chunks=None, selections=None, cut=None
-    ) -> "SiteBatch":
-        """This batch as the next site operator hands it on: ``work``
-        seconds further along its pipeline, with new ``chunks`` or
-        ``selections`` where given and the ``cut`` of a ``SiteTopK``."""
+    def passed_on(self, chunks, selections, cut=None, groups=None) -> "SiteBatch":
+        """This batch as the next site operator hands it on: its
+        ``chunks`` and ``selections``, the ``cut`` of a ``SiteTopK`` and
+        the ``groups`` of a partial aggregate.  The operator adds its work
+        to ``elapsed``."""
         return SiteBatch(
-            self.site,
-            [],
-            self.elapsed + work,
-            self.chunks if chunks is None else chunks,
-            self.selections if selections is None else selections,
-            self.fragment,
-            cut,
+            self.site, self.elapsed, chunks, selections, self.fragment, cut, groups
         )
 
 
 class SiteOperator(PhysicalOperator):
-    """An operator that runs where the data lives, producing per-site batches."""
+    """An operator that runs where the data lives, producing per-site batches.
+
+    All but the scan share one loop, :meth:`_compute`: per child batch it
+    counts the rows in, takes the operator's :meth:`_step` and charges the
+    rows in to the batch's site, as this operator's seconds and the batch's
+    pipeline time.  A step that returns ``None`` did no site work: the batch
+    passes on as it is, uncharged."""
 
     def open(self, ctx: ExecContext) -> None:
         self._ctx = ctx
@@ -449,9 +449,7 @@ class SiteOperator(PhysicalOperator):
         sites = sorted({batch.site for batch in self._batches})
         self.stats.site = ",".join(sites) if sites else ctx.coordinator
         self.stats.rows_out = sum(batch.row_count() for batch in self._batches)
-        self.stats.batches += sum(
-            len(batch.chunks) for batch in self._batches if batch.chunks is not None
-        )
+        self.stats.batches += sum(len(batch.chunks) for batch in self._batches)
 
     def batches(self) -> list[SiteBatch]:
         return self._batches
@@ -462,7 +460,26 @@ class SiteOperator(PhysicalOperator):
         )
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        raise NotImplementedError
+        out = []
+        for batch in self.children[0].batches():
+            rows_in = batch.row_count()
+            self.stats.rows_in += rows_in
+            passed = self._step(batch)
+            if passed is None:
+                passed = batch
+            else:
+                work = ctx.charge_site(batch.site, rows_in)
+                self.stats.seconds += work
+                passed.elapsed += work
+            out.append(passed)
+        self.stats.detail = self._detail()
+        return out
+
+    def _step(self, batch: SiteBatch) -> "SiteBatch | None":
+        raise NotImplementedError  # the batch handed on, its work not yet added
+
+    def _detail(self) -> str:
+        raise NotImplementedError  # what EXPLAIN ANALYZE prints beside it
 
 
 # -- the network boundary ------------------------------------------------------
@@ -547,11 +564,11 @@ class Ship(PhysicalOperator):
             local = batch.site == ctx.coordinator
             elapsed = batch.elapsed
             nbytes = 0
-            if batch.chunks is None:  # a batch of partial-aggregate groups
+            if batch.groups is not None:
                 if not local:
-                    nbytes = partial_wire_bytes(batch.rows)
+                    nbytes = partial_wire_bytes(batch.groups)
                     raw_total += nbytes
-                arrived.append(batch.rows)
+                arrived.append(batch.groups)
             else:
                 batch_count += len(batch.chunks)
                 gathered = [

@@ -268,11 +268,11 @@ class ReoptController:
 
     # -- re-solicitation ---------------------------------------------------
 
-    def _artifact_twin(self, stage) -> bool:
+    def _artifact_twin(self, spec) -> bool:
         artifacts = self.paths.artifacts
         if artifacts is None or self.options.reuse_artifacts:
             return False  # reuse on: the stage's own artifact probe governs
-        key = artifacts.stage_key(self.catalog, stage)
+        key = artifacts.stage_key(self.catalog, spec)
         return key is not None and artifacts.has_twin(
             key, self.options.max_staleness
         )

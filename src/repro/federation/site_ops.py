@@ -3,7 +3,9 @@
 
 Each operator charges the site that owns the rows and hands on
 :class:`~repro.federation.physical.SiteBatch` objects whose selections a
-filter only narrows.  The one aggregate definition starts here (the four
+filter only narrows; every one but the scan is a ``_step`` of
+:class:`~repro.federation.physical.SiteOperator`'s per-batch loop, which
+does the charging.  The one aggregate definition starts here (the four
 state functions and :func:`partial_groups`); the coordinator plane calls
 it, and this module imports nothing from that plane.
 """
@@ -98,7 +100,7 @@ class SiteScan(SiteOperator):
         for site, table, elapsed, fragment in table_batches:
             chunks = columnar.table_chunks(assignment.binding, table)
             batches.append(
-                SiteBatch(site, [], elapsed, chunks, [None] * len(chunks), fragment)
+                SiteBatch(site, elapsed, chunks, [None] * len(chunks), fragment)
             )
         if self.scan.text_filter is not None:
             keep = chunk_filter(self._text_condition(ctx))
@@ -187,19 +189,13 @@ class SiteFilter(SiteOperator):
     def __init__(self, child: SiteOperator, condition: Expr) -> None:
         super().__init__(child)
         self.condition = condition
+        self._keep = chunk_filter(condition)
 
-    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        out = []
-        keep = chunk_filter(self.condition)
-        for batch in self.children[0].batches():
-            rows_in = batch.row_count()
-            self.stats.rows_in += rows_in
-            selections = keep(batch)
-            work = ctx.charge_site(batch.site, rows_in)
-            self.stats.seconds += work
-            out.append(batch.passed_on(work, selections=selections))
-        self.stats.detail = render(self.condition)
-        return out
+    def _step(self, batch: SiteBatch) -> SiteBatch:
+        return batch.passed_on(batch.chunks, self._keep(batch))
+
+    def _detail(self) -> str:
+        return render(self.condition)
 
 
 class SiteProject(SiteOperator):
@@ -212,24 +208,19 @@ class SiteProject(SiteOperator):
         self.binding = binding
         self.keep = keep
         self.allowed = set(columnar.scan_names(binding, keep))
+        self._narrow = None  # resolved once: every chunk of a scan shares its layout
 
-    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        out = []
-        narrow = None  # resolved once: every chunk of a scan shares its layout
-        for batch in self.children[0].batches():
-            rows_in = batch.row_count()
-            self.stats.rows_in += rows_in
-            # Column-slice projection: kept columns are shared by
-            # reference, dropped ones simply stop flowing, and the
-            # selections pass on as they are.
-            if narrow is None and batch.chunks:
-                narrow = batch.chunks[0].narrowing(self.allowed)
-            pruned_chunks = [chunk.project(narrow) for chunk in batch.chunks]
-            work = ctx.charge_site(batch.site, rows_in)
-            self.stats.seconds += work
-            out.append(batch.passed_on(work, chunks=pruned_chunks))
-        self.stats.detail = f"keep({', '.join(self.keep)})"
-        return out
+    def _step(self, batch: SiteBatch) -> SiteBatch:
+        # Column-slice projection: kept columns are shared by reference,
+        # dropped ones simply stop flowing, and the selections pass on as
+        # they are.
+        if self._narrow is None and batch.chunks:
+            self._narrow = batch.chunks[0].narrowing(self.allowed)
+        chunks = [chunk.project(self._narrow) for chunk in batch.chunks]
+        return batch.passed_on(chunks, batch.selections)
+
+    def _detail(self) -> str:
+        return f"keep({', '.join(self.keep)})"
 
 
 class SiteTopK(SiteOperator):
@@ -253,23 +244,17 @@ class SiteTopK(SiteOperator):
         self.order = order
         self.k = k
 
-    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        out = []
-        for batch in self.children[0].batches():
-            rows_in = batch.row_count()
-            self.stats.rows_in += rows_in
-            selections, cut, work = batch.selections, None, 0.0
-            if rows_in > self.k:
-                selections, cut = self._top(batch)
-                work = ctx.charge_site(batch.site, rows_in)
-                self.stats.seconds += work
-            out.append(batch.passed_on(work, selections=selections, cut=cut))
+    def _step(self, batch: SiteBatch) -> "SiteBatch | None":
+        if batch.row_count() <= self.k:
+            return None
+        selections, cut = self._top(batch)
+        return batch.passed_on(batch.chunks, selections, cut)
+
+    def _detail(self) -> str:
         order = self.order
-        self.stats.detail = (
-            f"top {self.k} by {render(order.expr)}"
-            + (" desc" if order.descending else "")
+        return f"top {self.k} by {render(order.expr)}" + (
+            " desc" if order.descending else ""
         )
-        return out
 
     def _top(self, batch: SiteBatch) -> "tuple[list, tuple | None]":
         """The batch's selections narrowed to its top k, with the boundary;
@@ -523,21 +508,12 @@ class PartialAggregate(SiteOperator):
         assert node.split is not None
         self.calls = node.split.calls
         self._state_keys = [repr(call) for call in self.calls]
+        self._calls = dict(zip(self._state_keys, self.calls))
 
-    def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
-        out = []
-        calls = dict(zip(self._state_keys, self.calls))
-        for batch in self.children[0].batches():
-            rows_in = batch.row_count()
-            self.stats.rows_in += rows_in
-            # Straight through the filter's selections: no row is copied.
-            groups = partial_groups(batch.kept(), self.node.group_by, calls)
-            work = ctx.charge_site(batch.site, rows_in)
-            self.stats.seconds += work
-            out.append(
-                SiteBatch(
-                    batch.site, groups, batch.elapsed + work, fragment=batch.fragment
-                )
-            )
-        self.stats.detail = ", ".join(render(c) for c in self.calls)
-        return out
+    def _step(self, batch: SiteBatch) -> SiteBatch:
+        # Straight through the filter's selections: no row is copied.
+        groups = partial_groups(batch.kept(), self.node.group_by, self._calls)
+        return batch.passed_on([], [], groups=groups)
+
+    def _detail(self) -> str:
+        return ", ".join(render(c) for c in self.calls)

@@ -38,6 +38,12 @@ counted (``batches=0``), nothing is encoded and no bytes are priced
 SECONDS_PER_ROW``, the per-row currency ``Network`` no longer has --
 plain :class:`~repro.federation.network.Network` only, no handshakes).
 
+The row engine's batches carried their envs in ``SiteBatch.rows``;
+the product's batch has no such field (scanned rows travel in chunks, a
+partial aggregate's in ``groups``), so they are :class:`RowBatch`, a
+``SiteBatch`` with its own ``rows`` and ``row_count``, and the bodies
+build that where they built a ``SiteBatch``.
+
 ``SiteTopK`` came after the row engine, so it has no verbatim body: the
 one here is the same rule written one env at a time -- rank the batch's
 envs by ``_sort_key`` of the first order key, keep every env tied with the
@@ -65,6 +71,19 @@ from repro.sql.planner import conjoin
 
 # ``Network(seconds_per_row=...)``'s default, the only value any caller used.
 SECONDS_PER_ROW = 0.00001
+
+
+class RowBatch(SiteBatch):
+    """A row engine's site batch: ``rows`` holds its envs -- or, out of
+    ``PartialAggregate``, the batch of groups -- and it has no chunk, so
+    none is counted."""
+
+    def __init__(self, site, rows, elapsed, fragment=None, cut=None) -> None:
+        super().__init__(site, elapsed, [], [], fragment, cut)
+        self.rows = rows
+
+    def row_count(self) -> int:
+        return len(self.rows)
 
 
 def envs_batch(envs: "list[dict[str, Any]]") -> columnar.ColumnBatch:
@@ -130,7 +149,7 @@ class SiteScan(site_ops.SiteScan):
         table_batches = self._apply_governance(ctx, table_batches)
         ctx.report.rows_fetched += sum(len(t) for _, t, _, _ in table_batches)
         return [
-            SiteBatch(
+            RowBatch(
                 site,
                 [
                     row_env(assignment.binding, table.schema, values)
@@ -208,7 +227,7 @@ class SiteFilter(site_ops.SiteFilter):
             work = ctx.charge_site(batch.site, len(batch.rows))
             self.stats.seconds += work
             out.append(
-                SiteBatch(batch.site, kept, batch.elapsed + work, fragment=batch.fragment)
+                RowBatch(batch.site, kept, batch.elapsed + work, fragment=batch.fragment)
             )
         self.stats.detail = describe_expr(self.condition)
         return out
@@ -226,7 +245,7 @@ class SiteProject(site_ops.SiteProject):
             work = ctx.charge_site(batch.site, len(batch.rows))
             self.stats.seconds += work
             out.append(
-                SiteBatch(
+                RowBatch(
                     batch.site, pruned, batch.elapsed + work, fragment=batch.fragment
                 )
             )
@@ -260,7 +279,7 @@ class SiteTopK(site_ops.SiteTopK):
                 work = ctx.charge_site(batch.site, rows_in)
                 self.stats.seconds += work
             out.append(
-                SiteBatch(
+                RowBatch(
                     batch.site,
                     kept,
                     batch.elapsed + work,
@@ -317,7 +336,7 @@ class PartialAggregate(site_ops.PartialAggregate):
             work = ctx.charge_site(batch.site, rows_in)
             self.stats.seconds += work
             out.append(
-                SiteBatch(
+                RowBatch(
                     batch.site, records, batch.elapsed + work, fragment=batch.fragment
                 )
             )

@@ -583,6 +583,7 @@ GONE = {
     "row_form_batches",  # a group record per group: groups travel as one batch
     "_rows_batch", "StagePayload.rows", "StagePayload.fields",
     "StagePayload.groups",  # a payload of value tuples: a payload is one column batch
+    "SiteBatch.rows",  # one field for two kinds of value: groups have their own
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -751,6 +752,14 @@ GUARDS = [
                                         if h.startswith("src/")}),
      ({PHYSICAL + "Ship._produce", SITE_OPS + "SiteScan._apply_governance",
        F + "columnar.py:filter_batch"}, set())),
+    ("one_loop-site-work-charged-once", "a site operator's work on a batch is charged "
+     "in one per-batch loop, SiteOperator._compute, or by the scan's governance: no "
+     "other site operator defines a _compute",
+     lambda ix: (ix.callers("charge_site", SITE_OPS)
+                 | ix.callers("charge_site", PHYSICAL + "SiteOperator"),
+                 {h for h in ix.functions if h.startswith(SITE_OPS) and leaf(h) == "_compute"}),
+     ({PHYSICAL + "SiteOperator._compute", SITE_OPS + "SiteScan._apply_governance"},
+      {SITE_OPS + "SiteScan._compute"})),
     ("one_wire-ship-never-decodes", "the wire is sized: no src/ home decodes but the codec",
      lambda ix: ix.callers("decode_batch") | ix.callers("decode_column"),
      {F + "columnar.py:decode_batch"}),
