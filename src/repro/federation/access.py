@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple
 
 from repro.core.errors import QueryError
-from repro.federation.artifacts import StageSpec, stage_specs
+from repro.federation.artifacts import StageSpec, stage_hash, stage_specs
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.physical import FragmentChoice, ScanAssignment
 from repro.federation.stats import (
@@ -94,7 +94,7 @@ class AccessPaths:
         """
         placement = None
         if self.artifacts is not None and spec is not None:
-            key = self.artifacts.stage_key(self.catalog, spec)
+            key = stage_hash(self.catalog, spec)
             price = self.artifacts.bid(key, max_staleness) if key else None
             if price is not None:
                 placement = placer()

@@ -14,7 +14,11 @@ equivalent consumer:
   Binding aliases are canonicalized away, so ``select v from items i
   where i.v < 5`` and ``select v from items where v < 5`` collide --
   across tenants, sessions and SQL spellings.  The stage hash is the
-  artifact key.  What the stage read is kept in parts,
+  artifact key, and a fact of the plan: :func:`compile_stage_key` renders
+  it once when the plan is built, each ``?`` left a slot, and an
+  execution only fills in its bound values (:class:`StageKey`), so a
+  prepared, an ad hoc and a gateway entry of one bound stage get one key.
+  What the stage read is kept in parts,
   one per fragment of the base table, each tagged with the content epoch
   it was read at (:mod:`repro.federation.parts`); an artifact serves whole
   only while every part is current.
@@ -30,7 +34,9 @@ equivalent consumer:
   executes normally and publishes its output through the report; the
   engine registers it *in flight* until the query's modeled completion,
   then it commits under benefit-based admission (rows saved x stage
-  seconds, mirroring the semantic cache's economy).  A concurrent query
+  seconds, mirroring the semantic cache's economy); the store's
+  stored-rows total moves as artifacts come and go, and no probe sums
+  it.  A concurrent query
   whose stage hash matches an in-flight stage *joins* it: it subscribes to
   the producer's completion instead of recomputing, paying only the
   remaining wait.  If the producer dies mid-flight, subscribers fall back
@@ -58,7 +64,8 @@ from dataclasses import dataclass, field
 from repro.federation.columnar import ColumnBatch, scan_names
 from repro.federation.parts import Part, all_current, any_current
 from repro.sim.clock import SimClock
-from repro.sql.ast import Column, render
+from repro.sql.ast import Column, Parameter, render
+from repro.sql.params import bind_expr
 from repro.sql.planner import AggregateNode, PlanNode, ScanNode, walk
 
 # An artifact's bid: one coordinator pass over its rows at this many
@@ -95,19 +102,10 @@ class StageSpec:
     agg: AggregateNode | None = None
 
 
-def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
-    """The stages of a logical plan a plan may embed an artifact for, keyed
-    by scan binding.
-
-    Mirrors the physical planner's stage formation: a split aggregation
-    directly over a scan ships partial-aggregate records (one agg-inclusive
-    stage); any other scan ships its filtered/projected rows -- each
-    fragment's top k alone when the scan carries a top-k mark, which the
-    stage digest covers.  A top-k stage is left out: only its own
-    run-time probe serves it, because a Sort that cannot show the truncated
-    answer exact starts the stage again with the mark off, and an embedded
-    truncated artifact would then answer the untruncated stage.
-    """
+def _stages(plan: PlanNode) -> "dict[str, StageSpec]":
+    """Every stage the physical planner forms, keyed by scan binding: a
+    split aggregation directly over a scan ships partial-aggregate records
+    (one agg-inclusive stage), any other scan its filtered/projected rows."""
     specs: dict[str, StageSpec] = {}
     for node in walk(plan):  # parents first: a split aggregate claims its scan
         if (
@@ -116,13 +114,27 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
             and isinstance(node.child, ScanNode)
         ):
             specs[node.child.binding] = StageSpec(node.child, node)
-        elif (
-            isinstance(node, ScanNode)
-            and node.binding not in specs
-            and node.top_k is None
-        ):
+        elif isinstance(node, ScanNode) and node.binding not in specs:
             specs[node.binding] = StageSpec(node)
     return specs
+
+
+def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
+    """The stages of a logical plan a plan may embed an artifact for, keyed
+    by scan binding.
+
+    The physical planner's stages (each fragment's top k alone when the
+    scan carries a top-k mark, which the stage digest covers), but for a
+    top-k stage: only its own run-time probe serves it, because a Sort that
+    cannot show the truncated answer exact starts the stage again with the
+    mark off, and an embedded truncated artifact would then answer the
+    untruncated stage.
+    """
+    return {
+        binding: spec
+        for binding, spec in _stages(plan).items()
+        if spec.agg is not None or spec.scan.top_k is None
+    }
 
 
 def stage_fields(schema, scan: ScanNode) -> tuple[str, ...]:
@@ -136,12 +148,100 @@ def stage_fields(schema, scan: ScanNode) -> tuple[str, ...]:
     return tuple(n for n in names if n in keep)
 
 
-def stage_hash(catalog, spec: StageSpec) -> str | None:
-    """Canonical content hash of one stage's pushed-down subtree.
+# A parameter's slot in compiled canonical text: its index between two of
+# these.  No rendered text holds one otherwise -- a literal renders by repr,
+# which escapes control characters, and a column by its identifier.
+_SLOT = "\x00"
 
-    Returns ``None`` for stages that are not artifact-eligible: text-index
-    scans (their answers depend on the index, not the digested predicates)
-    and names that resolve to views rather than base tables.
+
+class _Slot(str):
+    """What a compile binds a parameter to: a string (a LIKE pattern may
+    be one) whose repr, how a Literal's value renders, is the slot."""
+
+    __repr__ = str.__str__
+
+
+class _Slots:
+    """A compile's values: parameter ``i`` is bound to slot ``i``."""
+
+    def __getitem__(self, index: int) -> _Slot:
+        return _Slot(f"{_SLOT}{index}{_SLOT}")
+
+
+_SLOTS = _Slots()
+
+
+def _pieces(text: str):
+    """Canonical text rendered with slots: the text itself when it holds
+    none, else its pieces -- text at even positions, parameter indices at
+    odd ones."""
+    if _SLOT not in text:
+        return text
+    pieces = text.split(_SLOT)
+    return tuple(int(p) if i % 2 else p for i, p in enumerate(pieces))
+
+
+def _filled(pieces, values) -> str:
+    """Pieces with each slot spelled as :func:`canonical_expr` spells what
+    fills it: a bound value as its Literal (its repr), and with no values
+    the Parameter itself."""
+    if isinstance(pieces, str):
+        return pieces
+    text = list(pieces)
+    for i in range(1, len(text), 2):
+        text[i] = repr(values[text[i]] if values else Parameter(text[i]))
+    return "".join(text)
+
+
+@dataclass(frozen=True)
+class StageKey:
+    """One stage's content digest, compiled with its plan (DESIGN §5h).
+
+    The canonical text of the stage's pushed-down subtree is rendered once,
+    each :class:`~repro.sql.ast.Parameter` left a slot; an execution only
+    fills the slots with its bound values (:meth:`fill`), sorts the few
+    filled sections that are sorted and hashes.  ``sections`` are the
+    '|'-joined sections of the text: fixed text, or ``(prefix, items,
+    sorted)`` for a section whose items hold slots, joined by ';'.  A
+    stage without parameters is digested at compile (``digest``).
+    ``version`` is the catalog version the fragment set and fields were
+    read at.
+    """
+
+    sections: tuple
+    version: int
+    digest: str | None = None
+
+    def fill(self, values=()) -> str:
+        """The artifact key of this stage bound to ``values``."""
+        if self.digest is not None:
+            return self.digest
+        text = []
+        for section in self.sections:
+            if isinstance(section, str):
+                text.append(section)
+                continue
+            prefix, items, ordered = section
+            filled = [_filled(item, values) for item in items]
+            text.append(prefix + ";".join(sorted(filled) if ordered else filled))
+        return _digest("|".join(text))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def compile_stage_key(catalog, spec: StageSpec) -> StageKey | None:
+    """Compile one stage's canonical content digest, or ``None`` for a
+    stage that is not artifact-eligible: a text-index scan (its answers
+    depend on the index, not the digested predicates) or a name that
+    resolves to a view rather than a base table.
+
+    The digest covers the base table and its fragment set, the
+    source-level pushdown predicates, the site-filter conjuncts, the
+    projected column set, a top-k stage's key, direction and bound k, a
+    governed stage's residual RLS and masks, and (for split aggregations)
+    the partial-aggregate spec.
     """
     scan = spec.scan
     if scan.text_filter is not None:
@@ -149,26 +249,32 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
     entry = catalog.tables.get(scan.table)
     if entry is None:
         return None
-    parts = [
-        f"table={scan.table}",
-        "fragments=" + ",".join(sorted(f.fragment_id for f in entry.fragments)),
-        "pushdown="
-        + ";".join(
-            sorted(f"{p.column} {p.op} {p.value!r}" for p in scan.pushdown)
-        ),
-        "filters="
-        + ";".join(
-            sorted(canonical_expr(c, scan.binding) for c in scan.site_filters)
-        ),
-        "columns=" + ",".join(stage_fields(entry.schema, scan)),
+    binding = scan.binding
+
+    def slotted(expr) -> str:
+        return canonical_expr(bind_expr(expr, _SLOTS), binding)
+
+    def rendered(exprs) -> list:
+        return [_pieces(slotted(expr)) for expr in exprs]
+
+    # (prefix, items, whether they are sorted): items joined by ';'.
+    fragments = ",".join(sorted(f.fragment_id for f in entry.fragments))
+    pushdown = [f"{p.column} {p.op} {p.value!r}" for p in scan.pushdown]
+    sections = [
+        ("table=", [scan.table], False),
+        ("fragments=", [fragments], False),
+        ("pushdown=", pushdown, True),
+        ("filters=", rendered(scan.site_filters), True),
+        ("columns=", [",".join(stage_fields(entry.schema, scan))], False),
     ]
     if scan.top_k is not None:
         # A truncated output answers only the same truncation.
         order = scan.top_k.order
-        parts.append(
-            f"top-k={canonical_expr(order.expr, scan.binding)}"
-            f"{' desc' if order.descending else ''} {render(scan.top_k.limit)}"
+        top_k = (
+            f"{slotted(order.expr)}{' desc' if order.descending else ''} "
+            f"{render(bind_expr(scan.top_k.limit, _SLOTS))}"
         )
+        sections.append(("top-k=", [_pieces(top_k)], False))
     governance = getattr(scan, "governance", None)
     if governance is not None and (governance.rls_residual or governance.masks):
         # Governed stages capture post-RLS, post-mask rows, so the policy
@@ -179,40 +285,44 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
         # policies produce byte-identical payloads and may share, while any
         # difference in predicates or masks changes the digest -- tenants
         # with different RLS can never collide on one artifact.
-        parts.append(
-            "rls="
-            + ";".join(
-                sorted(
-                    canonical_expr(c, scan.binding)
-                    for c in governance.rls_residual
-                )
-            )
-        )
-        parts.append(
-            "masks="
-            + ";".join(
-                f"{column}:{style}"
-                for column, style in sorted(governance.masks.items())
-            )
-        )
+        masks = sorted(governance.masks.items())
+        sections.append(("rls=", rendered(governance.rls_residual), True))
+        sections.append(("masks=", [f"{c}:{style}" for c, style in masks], False))
     if spec.agg is not None:
-        parts.append(
-            "group="
-            + ";".join(
-                canonical_expr(g, spec.scan.binding) for g in spec.agg.group_by
-            )
-        )
-        parts.append(
-            "aggs="
-            + ";".join(
-                sorted(
-                    canonical_expr(c, spec.scan.binding)
-                    for c in spec.agg.split.calls
-                )
-            )
-        )
-    digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-    return digest[:16]
+        sections.append(("group=", rendered(spec.agg.group_by), False))
+        sections.append(("aggs=", rendered(spec.agg.split.calls), True))
+    # Fixed text is joined here: what is left to fill holds a slot.
+    compiled: list = []
+    for prefix, items, ordered in sections:
+        if not all(isinstance(item, str) for item in items):
+            compiled.append((prefix, tuple(items), ordered))
+            continue
+        text = prefix + ";".join(sorted(items) if ordered else items)
+        if compiled and isinstance(compiled[-1], str):
+            compiled[-1] += "|" + text
+        else:
+            compiled.append(text)
+    if len(compiled) == 1:
+        return StageKey(tuple(compiled), catalog.version, _digest(compiled[0]))
+    return StageKey(tuple(compiled), catalog.version)
+
+
+def stage_hash(catalog, spec: StageSpec) -> str | None:
+    """Canonical content hash of one stage's pushed-down subtree: its
+    compiled key (:func:`compile_stage_key`) filled with no values, so a
+    spec's parameters, if it holds any, are digested as themselves.  The
+    stage hash is the artifact key; ``None`` for an ineligible stage."""
+    compiled = compile_stage_key(catalog, spec)
+    return None if compiled is None else compiled.fill()
+
+
+def stage_keys(catalog, plan: PlanNode) -> "dict[str, StageKey | None]":
+    """The compiled key of every stage of ``plan``, keyed by scan binding:
+    a plan fact, built once with the plan and filled by each execution."""
+    return {
+        binding: compile_stage_key(catalog, spec)
+        for binding, spec in _stages(plan).items()
+    }
 
 
 # -- canonical payloads --------------------------------------------------------
@@ -399,6 +509,7 @@ class ArtifactStore:
         self.metrics = None  # the engine's MetricsRegistry, attached by it
         self._artifacts: "dict[str, Artifact]" = {}
         self._inflight: "dict[str, _InFlightStage]" = {}
+        self._rows = 0  # the committed artifacts' rows, moved by deltas
         self.hits = 0
         self.joins = 0
         self.misses = 0
@@ -418,7 +529,7 @@ class ArtifactStore:
 
     def _gauge_rows(self) -> None:
         if self.metrics is not None:
-            self.metrics.gauge("artifacts.stored_rows").set(self.stored_rows())
+            self.metrics.gauge("artifacts.stored_rows").set(self._rows)
 
     # -- freshness ---------------------------------------------------------
 
@@ -437,13 +548,13 @@ class ArtifactStore:
             if stage.completes_at <= now:
                 del self._inflight[key]
                 self._admit(stage.artifact)
-        self._gauge_rows()
 
     # -- keying ------------------------------------------------------------
 
-    def stage_key(self, catalog, spec: StageSpec) -> str | None:
-        """The artifact key for one stage, or None if ineligible."""
-        return stage_hash(catalog, spec)
+    def stage_key(self, compiled: StageKey | None, values=()) -> str | None:
+        """The artifact key of one execution of a stage: its compiled key
+        filled with the execution's bound values, or None if ineligible."""
+        return None if compiled is None else compiled.fill(values)
 
     # -- lookup paths ------------------------------------------------------
 
@@ -593,15 +704,21 @@ class ArtifactStore:
         self._count("artifacts.fallbacks")
 
     def _admit(self, artifact: Artifact) -> None:
-        """Commit one in-flight artifact under the benefit economy."""
+        """Commit one in-flight artifact under the benefit economy.  The
+        stored-rows total moves by what changed: the artifact's rows in, a
+        same-stage artifact it replaces (a refresh) and each victim out."""
         if artifact.row_count > self.max_rows:
             self.rejected += 1
             self._count("artifacts.rejected")
             return
+        replaced = self._artifacts.get(artifact.key)
+        if replaced is not None:
+            self._rows -= replaced.row_count
         self._artifacts[artifact.key] = artifact
+        self._rows += artifact.row_count
         self.published += 1
         self._count("artifacts.published")
-        while self.stored_rows() > self.max_rows and self._artifacts:
+        while self._rows > self.max_rows and self._artifacts:
             victim = min(
                 self._artifacts,
                 key=lambda k: (
@@ -609,9 +726,10 @@ class ArtifactStore:
                     self._artifacts[k].fetched_at,
                 ),
             )
-            del self._artifacts[victim]
+            self._rows -= self._artifacts.pop(victim).row_count
             self.evictions += 1
             self._count("artifacts.evictions")
+        self._gauge_rows()
 
     # -- invalidation ------------------------------------------------------
 
@@ -632,7 +750,7 @@ class ArtifactStore:
             if a.table_name == table_name and not a.partly_current
         ]
         for key in doomed:
-            del self._artifacts[key]
+            self._rows -= self._artifacts.pop(key).row_count
         doomed_inflight = [
             k
             for k, s in self._inflight.items()
@@ -644,13 +762,16 @@ class ArtifactStore:
         dropped = len(doomed) + len(doomed_inflight)
         self.invalidations += dropped
         self._count("artifacts.invalidations", dropped)
-        self._gauge_rows()
+        if doomed:
+            self._gauge_rows()
         return dropped
 
     # -- introspection -----------------------------------------------------
 
     def stored_rows(self) -> int:
-        return sum(a.row_count for a in self._artifacts.values())
+        """The committed artifacts' rows: a running total, summed by no
+        probe."""
+        return self._rows
 
     def __len__(self) -> int:
         return len(self._artifacts)

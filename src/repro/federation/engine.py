@@ -48,6 +48,7 @@ from repro.core.errors import PartialFailureError, QueryError, SourceUnavailable
 from repro.core.records import Table
 from repro.federation.access import AccessPaths
 from repro.federation.agoric import AgoricOptimizer
+from repro.federation.artifacts import stage_keys
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
 from repro.federation.executor import Executor
@@ -358,7 +359,7 @@ class FederatedEngine:
         inner_reports: list[ExecutionReport] = []
         if replay is not None:
             plan = replay.logical
-            physical = replay.replay(plan)
+            physical = replay.replay(plan, replay.params)
         elif prepared.logical is None:
             # No plan to reuse: this execution buys one, and is charged its
             # modeled planning seconds.  Uncorrelated IN-subqueries run
@@ -403,7 +404,7 @@ class FederatedEngine:
                 prepared.replans += 1
                 self.metrics.counter("prepared.replans").inc()
             plan = bind_plan(prepared.logical, values)
-            physical = prepared.physical.replay(plan)
+            physical = prepared.physical.replay(plan, values)
         # 4. run.
         table, report = self._run_physical(plan, physical, options)
         # 5. settle.  A degraded inner answer must not read as a complete
@@ -442,11 +443,15 @@ class FederatedEngine:
     def _plan(
         self, statement: SelectStatement, options: QueryOptions
     ) -> tuple[PlanNode, PhysicalPlan]:
-        """Build, rewrite and optimize one resolved, subquery-free statement."""
+        """Build, rewrite and optimize one resolved, subquery-free statement,
+        and compile its stage keys (with a store): a template's once, its
+        parameters left as slots each execution fills."""
         plan = self._apply_rewrites(build_plan(statement), statement, options)
         physical = self.optimizer.optimize(
             plan, options.coordinator, options.max_staleness, options.budget
         )
+        if self.artifacts is not None:
+            physical.stage_keys = stage_keys(self.catalog, plan)
         return plan, physical
 
     def _run_physical(

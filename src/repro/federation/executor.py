@@ -90,7 +90,9 @@ class Executor:
                     if stage.output is not None and stage.scan.top_k is None
                 }
                 ctx.captured = [s for s in ctx.captured if s.scan.binding in done]
-                ctx.plan = plan = replace(plan, logical=without_top_k(plan.logical))
+                # The unmarked stages are other stages: each compiles its key.
+                unmarked = without_top_k(plan.logical)
+                ctx.plan = plan = replace(plan, logical=unmarked, stage_keys={})
                 root, stages = self.planner.compile(plan)
                 for stage in stages:
                     if stage.scan.binding in done:

@@ -145,7 +145,7 @@ class ReoptController:
         # solicitation moot — the stage needs no sites.  (On the normal
         # path the stage's artifact probe already ran and missed, so this
         # only fires for executions that disabled artifact *reuse*.)
-        if self._artifact_twin(stage.spec):
+        if self._artifact_twin(ctx, stage):
             self._record(
                 scan.binding, f"{reason}+artifact-twin", False,
                 from_sites, from_sites, 0.0, 0.0, 0.0,
@@ -268,11 +268,11 @@ class ReoptController:
 
     # -- re-solicitation ---------------------------------------------------
 
-    def _artifact_twin(self, spec) -> bool:
+    def _artifact_twin(self, ctx, stage) -> bool:
         artifacts = self.paths.artifacts
         if artifacts is None or self.options.reuse_artifacts:
             return False  # reuse on: the stage's own artifact probe governs
-        key = artifacts.stage_key(self.catalog, spec)
+        key = stage.digest(ctx)  # the key its plan compiled, filled
         return key is not None and artifacts.has_twin(
             key, self.options.max_staleness
         )

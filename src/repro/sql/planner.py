@@ -415,9 +415,12 @@ def resolve(
     ``binding_fields`` maps a FROM clause's bindings (alias -> table) to
     their field names -- :meth:`FederationCatalog.binding_fields`.  Select
     items, WHERE, GROUP BY and HAVING read the whole FROM clause, a JOIN's
-    ON the bindings joined so far (the rows it is evaluated on); ORDER BY
-    reads the select aliases first, and above an aggregate nothing but its
-    output columns; each ``IN (SELECT ...)`` is resolved in its own scope.
+    ON the bindings joined so far (the rows it is evaluated on); a bare
+    name in GROUP BY or HAVING that no binding holds names a select alias,
+    as sqlite3 reads it (a column wins over an alias, and GROUP BY never
+    names an aggregate).  ORDER BY reads the select aliases first, and
+    above an aggregate nothing but its output columns; each ``IN (SELECT
+    ...)`` is resolved in its own scope.
     An unknown name, an unknown qualifier or a bare name two bindings hold
     raises :class:`QueryError` naming the column and the bindings searched.
     The copy carries its scope (binding -> field names) as ``scope``.
@@ -439,7 +442,19 @@ def resolve(
         SelectItem(_resolved(item.expr, scope, binding_fields), item.alias)
         for item in statement.items
     ]
-    group_by = [_resolved(g, scope, binding_fields) for g in statement.group_by]
+    # Only where a GROUP BY or HAVING name raises is a bare name no binding
+    # holds read as the select item it aliases, and the whole resolved again.
+    group_by = statement.group_by
+    try:
+        group_by = [_resolved(g, scope, binding_fields) for g in group_by]
+    except QueryError:
+        group_by = [_aliased(g, scope, statement.items, True) for g in group_by]
+        group_by = [_resolved(g, scope, binding_fields) for g in group_by]
+    try:
+        having = _resolved(statement.having, scope, binding_fields)
+    except QueryError:
+        aliased = _aliased(statement.having, scope, statement.items, False)
+        having = _resolved(aliased, scope, binding_fields)
     if not statement.order_by:
         order_by = []
     elif group_by or any(contains_aggregate(item.expr) for item in items):
@@ -463,7 +478,7 @@ def resolve(
         joins=joins,
         where=_resolved(statement.where, scope, binding_fields),
         group_by=group_by,
-        having=_resolved(statement.having, scope, binding_fields),
+        having=having,
         order_by=order_by,
         scope=scope,
     )
@@ -489,6 +504,27 @@ def _resolved(expr: Expr | None, scope: dict[str, set[str]], binding_fields):
             expr.negated,
         )
     return rebuild(expr, _resolved, scope, binding_fields)
+
+
+def _aliased(expr, scope, items, grouping: bool):
+    """``expr`` of GROUP BY (``grouping``) or HAVING with each bare name no
+    binding holds replaced by the select item of that alias; an aggregate
+    is refused in GROUP BY."""
+    if isinstance(expr, Column):
+        if expr.qualifier is not None or any(
+            expr.name in fields for fields in scope.values()
+        ):
+            return expr  # a column wins over an alias
+        for item in items:
+            if item.alias == expr.name:
+                if grouping and contains_aggregate(item.expr):
+                    raise QueryError(
+                        f"GROUP BY names the aggregate {expr.name!r}: an "
+                        "aggregate is not allowed in GROUP BY"
+                    )
+                return item.expr
+        return expr
+    return rebuild(expr, _aliased, scope, items, grouping)
 
 
 def _owner(column: Column, scope: dict[str, set[str]]) -> str:

@@ -681,6 +681,33 @@ def test_an_ambiguous_name_is_refused_when_sqlite_refuses_it(switches, drawn):
     assert_refused_like_sqlite(switches, *drawn)
 
 
+# -- GROUP BY and HAVING read a select alias ---------------------------------------
+# sqlite3 reads a bare name no binding holds as a select alias in GROUP BY and
+# HAVING, also inside an expression; a column of the FROM clause wins over an
+# alias of the same name, and GROUP BY may not name an aggregate.
+
+ALIASED = [
+    (sql("select s as g, count(*) as n from t group by g"), "g"),
+    (sql("select s, count(*) as n from t group by s having n > ", literal(1)), "n"),
+    (sql("select s as g, sum(v) as n from t where k >= ", literal(2),
+         " group by g having n > 1"), "n"),
+    (sql("select v + 1 as w, count(*) as n from t group by w"), "w"),
+    (sql("select s as g, count(*) as n from t group by s having g is not null"), "g"),
+    (sql("select s, count(*) as n from t group by s having n + 1 > 2"), "n"),
+    # the column k wins: one group per row of t, not one per value of v
+    (sql("select v as k, count(*) as n from t group by k, v"), "k"),
+    # refused by both: an aggregate in GROUP BY
+    (sql("select count(*) as n from t group by n"), "n"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("entry", ["ad hoc", "prepared", "gateway", "dbapi"])
+@pytest.mark.parametrize("text, name", ALIASED)
+def test_group_by_and_having_read_a_select_alias(entry, text, name):
+    switches = Switches(sorted(OPTIMIZERS)[0], True, None, False, entry, 2, None)
+    assert_refused_like_sqlite(switches, Statement(text, ()), name)
+
+
 # -- degraded answers ------------------------------------------------------------
 # ``t`` on s0 / s1, ``u`` on s1 / s2, and s2 down: half of ``u`` answers.  A
 # degraded answer must be some of the content, never content that is not

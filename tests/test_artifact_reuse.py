@@ -27,7 +27,13 @@ from repro.federation import (
     SemanticCache,
     WorkloadManager,
 )
-from repro.federation.artifacts import Artifact, StagePayload, StageSpec, stage_specs
+from repro.federation.artifacts import (
+    Artifact,
+    StagePayload,
+    StageSpec,
+    compile_stage_key,
+    stage_specs,
+)
 from repro.federation.columnar import ColumnBatch
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.parts import Part
@@ -110,7 +116,7 @@ def stage_key_of(catalog, store, sql):
     specs = stage_specs(plan)
     assert len(specs) == 1
     spec = next(iter(specs.values()))
-    return store.stage_key(catalog, spec)
+    return store.stage_key(compile_stage_key(catalog, spec))
 
 
 class TestStageHash:
@@ -646,7 +652,7 @@ class TestRefreshUnderFaults:
         first = engine.query(TOP_SQL)
         assert first.report.top_k_restart is None
         (scan,) = [s for s in scans_in(engine.prepare(TOP_SQL).logical) if s.top_k]
-        top_key = store.stage_key(catalog, StageSpec(scan))
+        top_key = store.stage_key(compile_stage_key(catalog, StageSpec(scan)))
         store._sweep()
         old = store._artifacts[top_key]
         rewrite_fragment(catalog, "f2", [("n0", -5), ("n1", -4), ("n2", -3)])

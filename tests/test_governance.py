@@ -25,7 +25,7 @@ from repro.federation import (
     WorkloadManager,
 )
 from repro.federation import dbapi
-from repro.federation.artifacts import stage_specs
+from repro.federation.artifacts import compile_stage_key, stage_specs
 from repro.federation.gateway import PlanCache
 from repro.federation.governance import (
     BudgetExhaustedError,
@@ -507,7 +507,7 @@ def governed_stage_key(catalog, store, governance, tenant, sql):
     specs = stage_specs(plan)
     assert len(specs) == 1
     spec = next(iter(specs.values()))
-    return store.stage_key(catalog, spec)
+    return store.stage_key(compile_stage_key(catalog, spec))
 
 
 class TestArtifactHashIsolation:

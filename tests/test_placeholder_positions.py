@@ -28,7 +28,7 @@ from repro.federation import (
     RoundRobinPolicy,
     WorkloadManager,
 )
-from repro.federation.artifacts import stage_specs
+from repro.federation.artifacts import compile_stage_key, stage_specs
 from repro.federation.gateway import PlanCache, bind_sql_text
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop, SimClock
@@ -316,7 +316,7 @@ class TestNoBindingRescuesATemplateThatDoesNotParse:
 class TestBoundSpellingEqualsInlinedSpelling:
     def stage_key(self, catalog, store, logical):
         (spec,) = stage_specs(logical).values()
-        return store.stage_key(catalog, spec)
+        return store.stage_key(compile_stage_key(catalog, spec))
 
     def test_stage_digest_of_a_bound_pattern_is_the_inlined_one(self):
         catalog, _ = build()
