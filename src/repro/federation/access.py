@@ -3,9 +3,10 @@
 §4 and C5/C6 treat every way of answering a scan -- a replica fragment, a
 materialized view, a semantic-cache region, a committed stage artifact --
 as an *access path* competing in one market.  :class:`AccessPaths` owns
-that enumeration and the rules every path shares (zone-map pruning,
-replica liveness, open circuit breakers, the shipped-bytes estimate, view
-freshness, coordinator placement), so an optimizer is only its *choosing
+that enumeration and the rules every path shares (the plan's stage keys,
+compiled in one pass before any bid, zone-map pruning, replica liveness,
+open circuit breakers, the shipped-bytes estimate, view freshness,
+coordinator placement), so an optimizer is only its *choosing
 rule*: the agoric broker solicits bids and takes the cheapest path, the
 centralized baseline pre-empts with any whole answer and enumerates
 makespan, a replica policy pre-empts and asks its policy.  The executor's
@@ -23,7 +24,7 @@ from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple
 
 from repro.core.errors import QueryError
-from repro.federation.artifacts import StageSpec, stage_hash, stage_specs
+from repro.federation.artifacts import StageKey, stage_keys
 from repro.federation.catalog import FederationCatalog, Fragment
 from repro.federation.physical import FragmentChoice, ScanAssignment
 from repro.federation.stats import (
@@ -69,14 +70,15 @@ class AccessPaths:
 
     # -- whole-scan answers ------------------------------------------------
 
-    def stage_specs(self, plan: PlanNode) -> dict[str, StageSpec]:
-        """The plan's artifact-eligible stages (none without a store)."""
-        return stage_specs(plan) if self.artifacts is not None else {}
+    def stage_keys(self, plan: PlanNode) -> dict[str, StageKey | None]:
+        """The plan's compiled stage keys, keyed by scan binding: the one
+        pass over its stages, made before any bid (none without a store)."""
+        return stage_keys(self.catalog, plan) if self.artifacts is not None else {}
 
     def offers(
         self,
         scan: ScanNode,
-        spec: StageSpec | None,
+        key: StageKey | None,
         max_staleness: float | None,
         placer: Callable[[], ScanAssignment],
     ) -> Iterator[tuple[ScanAssignment, float]]:
@@ -88,14 +90,18 @@ class AccessPaths:
         only for a copy -- which the stage runs when the copy is gone at
         execution.
 
+        ``key`` is the stage's compiled key (:meth:`stage_keys`): the
+        artifact bids on its digest alone, so a template's key, whose slots
+        no artifact holds, bids on nothing, and so does a top-k stage (a
+        restart runs it unmarked, which a truncated artifact must not answer).
+
         Lazy on purpose: the semantic cache books a miss when asked to bid,
         and a placer may draw on its policy's state, so a pre-empting
         optimizer that stops at the first offer never consults the rest.
         """
         placement = None
-        if self.artifacts is not None and spec is not None:
-            key = stage_hash(self.catalog, spec)
-            price = self.artifacts.bid(key, max_staleness) if key else None
+        if key is not None and key.digest is not None and scan.top_k is None:
+            price = self.artifacts.bid(key.digest, max_staleness)
             if price is not None:
                 placement = placer()
                 yield replace(placement, kind="artifact"), price

@@ -144,7 +144,7 @@ class AgoricOptimizer:
         assignments: dict[str, ScanAssignment] = {}
         contacted = 0
         total_price = 0.0
-        specs = self.paths.stage_specs(plan)
+        keys = self.paths.stage_keys(plan)
 
         for scan in scans_in(plan):
             try:
@@ -157,7 +157,7 @@ class AgoricOptimizer:
             # A named artifact or region labels the auction's placement.
             market = list(
                 self.paths.offers(
-                    scan, specs.get(scan.binding), max_staleness, lambda: placed
+                    scan, keys.get(scan.binding), max_staleness, lambda: placed
                 )
             )
             if placed is not None:
@@ -192,6 +192,7 @@ class AgoricOptimizer:
             planner_wall_seconds=elapsed,
             sites_contacted=contacted,
             total_price=total_price,
+            stage_keys=keys,
         )
 
     def _auction(self, scan: ScanNode) -> tuple[ScanAssignment, float, int]:

@@ -102,41 +102,6 @@ class StageSpec:
     agg: AggregateNode | None = None
 
 
-def _stages(plan: PlanNode) -> "dict[str, StageSpec]":
-    """Every stage the physical planner forms, keyed by scan binding: a
-    split aggregation directly over a scan ships partial-aggregate records
-    (one agg-inclusive stage), any other scan its filtered/projected rows."""
-    specs: dict[str, StageSpec] = {}
-    for node in walk(plan):  # parents first: a split aggregate claims its scan
-        if (
-            isinstance(node, AggregateNode)
-            and node.split is not None
-            and isinstance(node.child, ScanNode)
-        ):
-            specs[node.child.binding] = StageSpec(node.child, node)
-        elif isinstance(node, ScanNode) and node.binding not in specs:
-            specs[node.binding] = StageSpec(node)
-    return specs
-
-
-def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
-    """The stages of a logical plan a plan may embed an artifact for, keyed
-    by scan binding.
-
-    The physical planner's stages (each fragment's top k alone when the
-    scan carries a top-k mark, which the stage digest covers), but for a
-    top-k stage: only its own run-time probe serves it, because a Sort that
-    cannot show the truncated answer exact starts the stage again with the
-    mark off, and an embedded truncated artifact would then answer the
-    untruncated stage.
-    """
-    return {
-        binding: spec
-        for binding, spec in _stages(plan).items()
-        if spec.agg is not None or spec.scan.top_k is None
-    }
-
-
 def stage_fields(schema, scan: ScanNode) -> tuple[str, ...]:
     """The stage's output columns in schema order (the payload row layout)."""
     names = tuple(schema.field_names)
@@ -317,12 +282,23 @@ def stage_hash(catalog, spec: StageSpec) -> str | None:
 
 
 def stage_keys(catalog, plan: PlanNode) -> "dict[str, StageKey | None]":
-    """The compiled key of every stage of ``plan``, keyed by scan binding:
-    a plan fact, built once with the plan and filled by each execution."""
-    return {
-        binding: compile_stage_key(catalog, spec)
-        for binding, spec in _stages(plan).items()
-    }
+    """The compiled key of every stage the physical planner forms, keyed by
+    scan binding (a split aggregation directly over a scan is one
+    agg-inclusive stage): the one walk over a plan's stages, made before
+    the optimizer bids, and filled by each execution."""
+    keys: dict[str, StageKey | None] = {}
+    for node in walk(plan):  # parents first: a split aggregate claims its scan
+        if (
+            isinstance(node, AggregateNode)
+            and node.split is not None
+            and isinstance(node.child, ScanNode)
+        ):
+            keys[node.child.binding] = compile_stage_key(
+                catalog, StageSpec(node.child, node)
+            )
+        elif isinstance(node, ScanNode) and node.binding not in keys:
+            keys[node.binding] = compile_stage_key(catalog, StageSpec(node))
+    return keys
 
 
 # -- canonical payloads --------------------------------------------------------

@@ -113,7 +113,7 @@ class CentralizedOptimizer:
         assignments: dict[str, ScanAssignment] = {}
         slots: list[FragmentSlot] = []
         owners: list[ScanAssignment] = []
-        specs = self.paths.stage_specs(plan)
+        keys = self.paths.stage_keys(plan)
         for scan in scans_in(plan):
             # A whole answer that is already materialized -- the stage's
             # artifact, a covering cache region, a fresh view -- costs a
@@ -125,7 +125,7 @@ class CentralizedOptimizer:
             offer = next(
                 self.paths.offers(
                     scan,
-                    specs.get(scan.binding),
+                    keys.get(scan.binding),
                     max_staleness,
                     lambda: self._greedy_placement(scan)[0],
                 ),
@@ -166,6 +166,7 @@ class CentralizedOptimizer:
             planner_wall_seconds=elapsed,
             sites_contacted=len(self.catalog.sites),
             total_price=0.0,
+            stage_keys=keys,
         )
 
     def requote_scan(self, scan: ScanNode) -> tuple[ScanAssignment, float, float]:

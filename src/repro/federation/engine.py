@@ -48,7 +48,6 @@ from repro.core.errors import PartialFailureError, QueryError, SourceUnavailable
 from repro.core.records import Table
 from repro.federation.access import AccessPaths
 from repro.federation.agoric import AgoricOptimizer
-from repro.federation.artifacts import stage_keys
 from repro.federation.cache import SemanticCache
 from repro.federation.catalog import FederationCatalog
 from repro.federation.executor import Executor
@@ -443,15 +442,13 @@ class FederatedEngine:
     def _plan(
         self, statement: SelectStatement, options: QueryOptions
     ) -> tuple[PlanNode, PhysicalPlan]:
-        """Build, rewrite and optimize one resolved, subquery-free statement,
-        and compile its stage keys (with a store): a template's once, its
-        parameters left as slots each execution fills."""
+        """Build, rewrite and optimize one resolved, subquery-free statement:
+        its optimizer compiles the stage keys (with a store) before it bids,
+        a template's once, each ``?`` a slot each execution fills."""
         plan = self._apply_rewrites(build_plan(statement), statement, options)
         physical = self.optimizer.optimize(
             plan, options.coordinator, options.max_staleness, options.budget
         )
-        if self.artifacts is not None:
-            physical.stage_keys = stage_keys(self.catalog, plan)
         return plan, physical
 
     def _run_physical(

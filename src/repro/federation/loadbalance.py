@@ -99,7 +99,7 @@ class PolicyOptimizer:
         optimizers' uniform signature and cannot bind: policies do not
         price plans (``total_price`` is 0.0)."""
         assignments = {}
-        specs = self.paths.stage_specs(plan)
+        keys = self.paths.stage_keys(plan)
         for scan in scans_in(plan):
             # No replica beats an answer that is already materialized: the
             # stage's artifact, a covering cache region or a fresh view
@@ -108,7 +108,7 @@ class PolicyOptimizer:
             # should the copy be gone by then.
             offer = next(
                 self.paths.offers(
-                    scan, specs.get(scan.binding), max_staleness, lambda: self._place(scan)
+                    scan, keys.get(scan.binding), max_staleness, lambda: self._place(scan)
                 ),
                 None,
             )
@@ -118,6 +118,7 @@ class PolicyOptimizer:
             assignments=assignments,
             coordinator=coordinator or self.paths.pick_coordinator(assignments),
             optimizer=self.name,
+            stage_keys=keys,
         )
 
     def _place(self, scan):

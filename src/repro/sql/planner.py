@@ -48,9 +48,11 @@ from repro.sql.ast import (
     SelectItem,
     SelectStatement,
     Star,
+    UnaryOp,
     aggregate_calls,
     columns_in,
     contains_aggregate,
+    is_aggregate,
     rebuild,
     render,
 )
@@ -418,9 +420,11 @@ def resolve(
     ON the bindings joined so far (the rows it is evaluated on); a bare
     name in GROUP BY or HAVING that no binding holds names a select alias,
     as sqlite3 reads it (a column wins over an alias, and GROUP BY never
-    names an aggregate).  ORDER BY reads the select aliases first, and
-    above an aggregate nothing but its output columns; each ``IN (SELECT
-    ...)`` is resolved in its own scope.
+    names an aggregate, nor an aggregate an aliased one).  An integer
+    literal in ORDER BY or GROUP BY is a 1-based output position, as in
+    sqlite3 (a ``?`` stays an expression).  ORDER BY reads the select
+    aliases first, and above an aggregate nothing but its output columns;
+    each ``IN (SELECT ...)`` is resolved in its own scope.
     An unknown name, an unknown qualifier or a bare name two bindings hold
     raises :class:`QueryError` naming the column and the bindings searched.
     The copy carries its scope (binding -> field names) as ``scope``.
@@ -442,35 +446,30 @@ def resolve(
         SelectItem(_resolved(item.expr, scope, binding_fields), item.alias)
         for item in statement.items
     ]
-    # Only where a GROUP BY or HAVING name raises is a bare name no binding
-    # holds read as the select item it aliases, and the whole resolved again.
-    group_by = statement.group_by
-    try:
-        group_by = [_resolved(g, scope, binding_fields) for g in group_by]
-    except QueryError:
-        group_by = [_aliased(g, scope, statement.items, True) for g in group_by]
-        group_by = [_resolved(g, scope, binding_fields) for g in group_by]
-    try:
-        having = _resolved(statement.having, scope, binding_fields)
-    except QueryError:
-        aliased = _aliased(statement.having, scope, statement.items, False)
-        having = _resolved(aliased, scope, binding_fields)
-    if not statement.order_by:
-        order_by = []
-    elif group_by or any(contains_aggregate(item.expr) for item in items):
-        order_by = _rewrite_aggregate_order(items, statement.order_by)
-    else:
-        # An alias names its (resolved) item; any other key reads the FROM
-        # clause, as the Sort below the projection does.
-        aliases = {item.alias: item.expr for item in items if item.alias is not None}
-        order_by = []
+    # A GROUP BY position names its select item; a bare name no binding
+    # holds, there or in HAVING, the select item it aliases.
+    group_by = []
+    for g in statement.group_by:
+        if (i := _position(g, items, "GROUP BY")) is None:
+            g = _aliased(g, scope, statement.items, "in GROUP BY")
+        else:
+            g = _item(statement.items[i], f"GROUP BY position {i + 1}", "in GROUP BY")
+        group_by.append(_resolved(g, scope, binding_fields))
+    having = _aliased(statement.having, scope, statement.items, None)
+    # A key naming no item reads the FROM clause, as the Sort below the
+    # projection does, or above an aggregate its output columns alone.
+    order_by = []
+    if statement.order_by:
+        aggregated = bool(group_by) or any(contains_aggregate(i.expr) for i in items)
+        names = item_names(items) if aggregated else None
         for order in statement.order_by:
-            expr = order.expr
-            named = isinstance(expr, Column) and expr.qualifier is None
-            if named and expr.name in aliases:
-                expr = aliases[expr.name]
-            else:
+            expr, i = order.expr, _named_item(order.expr, items, aggregated)
+            if aggregated:
+                expr = _output_column(expr, names) if i is None else Column(names[i])
+            elif i is None:
                 expr = _resolved(expr, scope, binding_fields)
+            else:
+                expr = items[i].expr
             order_by.append(OrderItem(expr, order.descending))
     return replace(
         statement,
@@ -478,7 +477,7 @@ def resolve(
         joins=joins,
         where=_resolved(statement.where, scope, binding_fields),
         group_by=group_by,
-        having=having,
+        having=_resolved(having, scope, binding_fields),
         order_by=order_by,
         scope=scope,
     )
@@ -506,10 +505,11 @@ def _resolved(expr: Expr | None, scope: dict[str, set[str]], binding_fields):
     return rebuild(expr, _resolved, scope, binding_fields)
 
 
-def _aliased(expr, scope, items, grouping: bool):
-    """``expr`` of GROUP BY (``grouping``) or HAVING with each bare name no
-    binding holds replaced by the select item of that alias; an aggregate
-    is refused in GROUP BY."""
+def _aliased(expr, scope, items, nesting: str | None):
+    """``expr`` of GROUP BY or HAVING with each bare name no binding holds
+    replaced by the select item of that alias.  ``nesting`` says where an
+    aggregate may not stand -- in GROUP BY, or inside an aggregate's
+    argument -- and an alias of one there is refused."""
     if isinstance(expr, Column):
         if expr.qualifier is not None or any(
             expr.name in fields for fields in scope.values()
@@ -517,14 +517,37 @@ def _aliased(expr, scope, items, grouping: bool):
             return expr  # a column wins over an alias
         for item in items:
             if item.alias == expr.name:
-                if grouping and contains_aggregate(item.expr):
-                    raise QueryError(
-                        f"GROUP BY names the aggregate {expr.name!r}: an "
-                        "aggregate is not allowed in GROUP BY"
-                    )
-                return item.expr
+                return _item(item, f"aliased aggregate {expr.name!r}", nesting)
         return expr
-    return rebuild(expr, _aliased, scope, items, grouping)
+    if is_aggregate(expr):
+        nesting = f"inside {expr.name}()"
+    return rebuild(expr, _aliased, scope, items, nesting)
+
+
+def _item(item: SelectItem, name: str, nesting: str | None) -> Expr:
+    """The expression of the select item an alias or a position names,
+    refused if it is an aggregate where one may not stand (``nesting``)."""
+    if nesting is not None and contains_aggregate(item.expr):
+        raise QueryError(f"misuse of {name}: an aggregate may not stand {nesting}")
+    return item.expr
+
+
+def _position(expr: Expr, items: list[SelectItem], clause: str) -> int | None:
+    """The index of the select item an ORDER BY or GROUP BY term names by
+    its 1-based output position, as sqlite3 reads an integer literal (and
+    ``-k``) there; ``None`` for any other term, a ``?`` among them.  Out of
+    range, or counting past a ``*`` (expanded at run time), it raises."""
+    literal, sign = expr, 1
+    if isinstance(expr, UnaryOp) and expr.op == "-":
+        literal, sign = expr.operand, -1
+    if not isinstance(literal, Literal) or type(literal.value) is not int:
+        return None
+    position = sign * literal.value
+    if position > 0 and any(isinstance(item.expr, Star) for item in items[:position]):
+        raise QueryError(f"{clause} position {position} counts past '*'")
+    if not 1 <= position <= len(items):
+        raise QueryError(f"{clause} position {position} is not in 1..{len(items)}")
+    return position - 1
 
 
 def _owner(column: Column, scope: dict[str, set[str]]) -> str:
@@ -549,6 +572,21 @@ def _owner(column: Column, scope: dict[str, set[str]]) -> str:
     raise QueryError(
         f"unknown column {column.name!r} (searched {', '.join(scope)})"
     )
+
+
+def _named_item(expr: Expr, items: list[SelectItem], aggregated: bool) -> int | None:
+    """The index of the select item an ORDER BY key names -- by position,
+    by alias or, above an aggregate, by being spelled like it -- the first
+    one, as in sqlite3; ``None`` if it names none."""
+    if (i := _position(expr, items, "ORDER BY")) is not None:
+        return i
+    named = isinstance(expr, Column) and expr.qualifier is None
+    for j, item in enumerate(items):
+        if (named and item.alias == expr.name) or (
+            aggregated and repr(item.expr) == repr(expr)
+        ):
+            return j
+    return None
 
 
 def _output_column(expr: Expr, names: list[str]) -> Expr:
@@ -628,30 +666,6 @@ def item_names(items: list[SelectItem]) -> list[str]:
             name = f"{base}_{suffix}"
         names.append(name)
     return names
-
-
-def _rewrite_aggregate_order(
-    items: list[SelectItem], order_by: list[OrderItem]
-) -> list[OrderItem]:
-    """Map ORDER BY keys onto the aggregate's output column names: a key
-    naming an alias, or spelled like a select item, reads that item; any
-    other key may read output columns alone."""
-    names = item_names(items)
-    rewritten = []
-    for order in order_by:
-        expr = order.expr
-        for name, item in zip(names, items):
-            if (
-                item.alias is not None
-                and isinstance(expr, Column)
-                and expr.name == item.alias
-            ) or repr(item.expr) == repr(expr):
-                expr = Column(name)
-                break
-        else:
-            expr = _output_column(expr, names)
-        rewritten.append(OrderItem(expr, order.descending))
-    return rewritten
 
 
 def _validate_aggregate_items(statement: SelectStatement) -> None:

@@ -68,10 +68,10 @@ def federation(
 
 
 def sqlite_answer(
-    tables: dict, sql: str, prelude: tuple = ()
+    tables: dict, sql: str, prelude: tuple = (), params: tuple = ()
 ) -> tuple[list[str], list[tuple]]:
-    """Column names and rows sqlite3 gives for ``sql``, after running the
-    ``prelude`` statements over the loaded tables."""
+    """Column names and rows sqlite3 gives for ``sql`` bound to ``params``,
+    after running the ``prelude`` statements over the loaded tables."""
     db = sqlite3.connect(":memory:")
     for name, (columns, rows) in tables.items():
         declared = ", ".join(_field(c).name for c in columns)
@@ -80,7 +80,7 @@ def sqlite_answer(
         db.executemany(f"insert into {name} values ({slots})", rows)
     for statement in prelude:
         db.execute(statement)
-    cursor = db.execute(sql)
+    cursor = db.execute(sql, params)
     return [column[0] for column in cursor.description], cursor.fetchall()
 
 

@@ -584,6 +584,7 @@ GONE = {
     "_rows_batch", "StagePayload.rows", "StagePayload.fields",
     "StagePayload.groups",  # a payload of value tuples: a payload is one column batch
     "SiteBatch.rows",  # one field for two kinds of value: groups have their own
+    "stage_specs", "AccessPaths.stage_specs",  # a second walk over a plan's stages
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -625,6 +626,8 @@ TAKES_OPTIONS = (PHYSICAL + "ExecContext.__init__", F + "executor.py:Executor.ex
 COPY_CONTENT = {"cached_table", "cached_staleness", "artifact", "artifact_age"}
 COPY_KINDS = {"cache", "artifact"}
 CATALOG = F + "catalog.py:FederationCatalog."
+OPTIMIZE = {F + f"{m}.py:{c}.optimize" for m, c in (("agoric", "AgoricOptimizer"),
+            ("central", "CentralizedOptimizer"), ("loadbalance", "PolicyOptimizer"))}
 
 GUARDS = [
     ("stays_deleted", "what moved to its one home is not defined again",
@@ -677,7 +680,7 @@ GUARDS = [
                  or f"{REWRITE}{rule}.claim" not in ix.params}, set()),
     ("one_home-item-names-callers", "output names come from planner.item_names",
      lambda ix: ix.callers("item_names"),
-     {COORDINATOR_OPS + "output_names", PLANNER + "_rewrite_aggregate_order"}),
+     {COORDINATOR_OPS + "output_names", PLANNER + "resolve"}),
     ("one_home-aggregate-names-are-item-names", "an aggregation names its items alike",
      lambda ix: module("federation.coordinator_ops").aggregate_names
      is module("sql.planner").item_names, True),
@@ -790,9 +793,7 @@ GUARDS = [
     ("one_stage-plan-writers", "a plan's assignments are written by the optimizers "
      "and ReoptController.consider alone: a stage's narrowing stays on the stage",
      lambda ix: {h for h in ix.assigns["assignments[]"] if h.startswith("src/")},
-     {F + f"{m}.py:{c}.optimize" for m, c in (("agoric", "AgoricOptimizer"),
-      ("central", "CentralizedOptimizer"), ("loadbalance", "PolicyOptimizer"))}
-     | {F + "reopt.py:ReoptController.consider"}),
+     OPTIMIZE | {F + "reopt.py:ReoptController.consider"}),
     ("one_stage-one-driver", "Executor.execute alone starts a stage, no Ship defines "
      "an open or close calling a Stage method, and ExecContext has no superseded field",
      lambda ix: (ix.callers("start", F),
@@ -826,6 +827,14 @@ GUARDS = [
                  {h for name in ix.params[PHYSICAL + "ScanAssignment"] | {"placement"}
                   for h in ix.assigns[name] if leaf(h) == "optimize"}),
      ({F + "access.py:AccessPaths.offers"}, set())),
+    ("one_market-keys-compiled-once", "a plan's stage keys are compiled in one pass, "
+     "artifacts.stage_keys, which each optimizer asks for before it bids; a stage "
+     "compiles its own key only when its plan holds none, and stage_hash, the digest "
+     "the tests referee, has no caller under src/",
+     lambda ix: (ix.callers("compile_stage_key"), ix.callers("stage_keys"),
+                 ix.callers("stage_hash")),
+     ({F + "artifacts.py:stage_keys", F + "artifacts.py:stage_hash", STAGE + "Stage.digest"},
+      {F + "access.py:AccessPaths.stage_keys"} | OPTIMIZE, set())),
     ("one_version-content-moves-epochs", "a write moves fragment epochs: the catalog "
      "version moves on schema, placement and view changes alone",
      lambda ix: {h for h in ix.assigns["version"] if h.startswith(CATALOG)},

@@ -12,7 +12,9 @@ NULL-bearing int, float, str and bool columns:
 * ORDER BY a total key, then LIMIT -- and a family of its own, joins under
   ORDER BY ... LIMIT 1 to 4, where each fragment of the binding the first
   key reads may ship its top k alone and the coordinator Sort must notice
-  when the join dropped too many of them.
+  when the join dropped too many of them;
+* an ordinal family: every ORDER BY and GROUP BY key written as its output
+  position, which sqlite3 reads an integer literal in either clause as.
 
 Each example draws one value per switch the engine has -- optimizer, reuse
 stores, a governed tenant, re-optimization, the entry (ad hoc with the
@@ -235,9 +237,10 @@ class Statement(NamedTuple):
 
 
 @st.composite
-def statements(draw, top_k=False):
+def statements(draw, top_k=False, ordinal=False):
     """A drawn statement; with ``top_k``, a join under ORDER BY ... LIMIT
-    1 to 4 with no grouping and no DISTINCT."""
+    1 to 4 with no grouping and no DISTINCT; with ``ordinal``, ordered, and
+    every ORDER BY and GROUP BY key written as its output position."""
     joins = [" join ", " left join "] if top_k else [None, None, " join ", " left join "]
     join = draw(st.sampled_from(joins))
     grammar, source = (T, ("t",)) if join is None else (JOINED, ())
@@ -255,17 +258,18 @@ def statements(draw, top_k=False):
         items = draw(st.lists(grammar.aggregates(), min_size=1, max_size=3))
         distinct, keys = "", []
         if key is not None:
-            items, keys = [(key, grammar.columns[key]), *items], ["c0"]
+            items, keys = [(key, grammar.columns[key]), *items], [0]
             having = draw(st.none() | grammar.having())
-            clauses += (f" group by {key}",)
+            clauses += (f" group by {1 if ordinal else key}",)
             clauses += () if having is None else (" having ", having)
     else:
         items = draw(st.lists(grammar.select_items(), min_size=1, max_size=3))
         distinct = "" if top_k else draw(st.sampled_from(["", "distinct "]))
-        keys = [f"c{i}" for i in range(len(items))]
-    ordered = bool(keys) and (top_k or draw(st.booleans()))
+        keys = list(range(len(items)))
+    ordered = bool(keys) and (top_k or ordinal or draw(st.booleans()))
     if ordered:
         directions = [draw(st.sampled_from(["", " desc"])) for _ in keys]
+        keys = [str(i + 1) if ordinal else f"c{i}" for i in keys]
         clauses += (" order by ", ", ".join(map(str.__add__, keys, directions)))
         count = draw(st.integers(1, 4) if top_k else st.none() | st.integers(0, 4))
         clauses += () if count is None else (" limit ", literal(count))
@@ -478,6 +482,30 @@ def test_a_statement_answers_what_sqlite_answers(switches, statements):
         if switches.reuse and statement.narrowed and run == 0:
             assignment = result.plan.assignments["t"]
             assert assignment.kind == "cache" or is_fully_pruned(assignment)
+
+
+# The ordinal family: with or without the top-k shapes, one or two statements.
+ORDINALS = st.booleans().flatmap(
+    lambda top_k: st.lists(
+        statements(top_k=top_k, ordinal=True), min_size=1, max_size=2
+    )
+)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(switches=SWITCHES, statements=ORDINALS)
+def test_an_ordinal_reads_the_output_position(switches, statements):
+    """``order by 2`` sorts by the second output column, not by the
+    constant 2, and ``group by 1`` groups by the first; a site top-k over
+    an ordinal ships each fragment's top by that column."""
+    wants = {statement: expected(switches, statement) for statement in statements}
+    for statement, run, result in answers(switches, statements):
+        assert_answers(statement, run, result, wants[statement])
 
 
 # ``k >= c`` over ``t`` dealt round-robin prunes fragments by their zone maps
@@ -698,6 +726,8 @@ ALIASED = [
     (sql("select v as k, count(*) as n from t group by k, v"), "k"),
     # refused by both: an aggregate in GROUP BY
     (sql("select count(*) as n from t group by n"), "n"),
+    # refused by both: an aliased aggregate inside an aggregate
+    (sql("select s as g, sum(v) as n from t group by g having sum(n) > 1"), "n"),
 ]  # fmt: skip
 
 
@@ -706,6 +736,44 @@ ALIASED = [
 def test_group_by_and_having_read_a_select_alias(entry, text, name):
     switches = Switches(sorted(OPTIMIZERS)[0], True, None, False, entry, 2, None)
     assert_refused_like_sqlite(switches, Statement(text, ()), name)
+
+
+# -- ordinals through every entry ---------------------------------------------
+# An ordinal answers, and a position out of range or naming an aggregate in
+# GROUP BY is refused, through every entry as sqlite3 does.  A ``?`` there
+# stays an expression: a template's ``order by ?`` sorts by the constant it
+# binds, while the inlined text's ``order by 2`` is an ordinal.
+
+ORDINAL_ENTRIES = [
+    # (statement, the position a refusal names, or None for an answer)
+    (sql("select k as c0, v as c1 from t order by 2 desc, 1 limit ", literal(3)), None),
+    (sql("select s as c0, count(*) as c1 from t group by 1 order by 2 desc, 1"), None),
+    (sql("select k as c0, v as c1 from t order by ", literal(2), ", 1"), None),
+    (sql("select k as c0 from t order by 2"), 2),
+    (sql("select k as c0 from t order by 0"), 0),
+    (sql("select k as c0 from t order by -1"), -1),
+    (sql("select s as c0, count(*) as c1 from t group by 2"), 2),
+    (sql("select s as c0, count(*) as c1 from t group by 3"), 3),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("entry", ["ad hoc", "prepared", "gateway", "dbapi"])
+@pytest.mark.parametrize("text, position", ORDINAL_ENTRIES)
+def test_an_ordinal_answers_through_every_entry(entry, text, position):
+    switches = Switches(sorted(OPTIMIZERS)[0], True, None, False, entry, 2, None)
+    inlined, template, values = text
+    sent = (inlined, ()) if entry == "ad hoc" else (template, values)
+    got = run_once(switches, Statement(text, ()))
+    if position is not None:
+        with pytest.raises(sqlite3.OperationalError):
+            sqlite_answer(TABLES, sent[0], params=sent[1])
+        assert isinstance(got, QueryError), got
+        assert f"position {position}" in str(got), got
+        return
+    names, rows = sqlite_answer(TABLES, sent[0], params=sent[1])
+    assert not isinstance(got, QueryError), got
+    assert got[0] == names
+    assert rows_match(got[1], rows, True), got[1]
 
 
 # -- degraded answers ------------------------------------------------------------

@@ -27,12 +27,13 @@ from repro.federation import (
     SemanticCache,
     WorkloadManager,
 )
+from repro.federation import artifacts
 from repro.federation.artifacts import (
     Artifact,
     StagePayload,
     StageSpec,
     compile_stage_key,
-    stage_specs,
+    stage_keys,
 )
 from repro.federation.columnar import ColumnBatch
 from repro.federation.engine import LIVE_ONLY
@@ -48,6 +49,8 @@ from repro.sql.rewrite import (
     RewritePipeline,
     SiteFilterPushdown,
 )
+
+from tests.sqlite_oracle import OPTIMIZERS
 
 
 def build_federation(sites=3, fragments=6, rows_per_fragment=20, **site_kwargs):
@@ -113,10 +116,9 @@ def logical_plan(catalog, sql):
 
 def stage_key_of(catalog, store, sql):
     plan = logical_plan(catalog, sql)
-    specs = stage_specs(plan)
-    assert len(specs) == 1
-    spec = next(iter(specs.values()))
-    return store.stage_key(compile_stage_key(catalog, spec))
+    keys = stage_keys(catalog, plan)
+    assert len(keys) == 1
+    return store.stage_key(next(iter(keys.values())))
 
 
 class TestStageHash:
@@ -192,6 +194,60 @@ class TestStageHash:
         catalog.notify_table_updated("items", "f2")
         assert stage_key_of(catalog, store, sql) == before
         assert [f.epoch - e for f, e in zip(fragments, epochs)] == [1, 1, 2, 1, 1, 1]
+
+
+class TestOneMarketPass:
+    """A plan's stage keys are compiled in one pass before the optimizer
+    bids, and every optimizer bids from them: each eligible stage's filter
+    is rendered once per plan, and a template, whose key holds a slot no
+    artifact can hold, bids on nothing."""
+
+    ONE_STAGE = "select v from items where v + 0 < {0}"
+    TWO_STAGES = (
+        "select i.v from items i join items j on i.k = j.k "
+        "where i.v + 0 < {0} and j.v + 1 < {0}"
+    )
+    STATEMENTS = [(ONE_STAGE, 1), (TWO_STAGES, 2)]  # statement, eligible stages
+
+    @pytest.fixture(params=sorted(OPTIMIZERS))
+    def spied(self, request, monkeypatch):
+        """An engine with a store under one optimizer, and the calls made
+        to ``canonical_expr`` and ``ArtifactStore.bid`` once it is built."""
+        catalog = build_federation()
+        factory = OPTIMIZERS[request.param]
+        engine = FederatedEngine(
+            catalog,
+            None if factory is None else factory(catalog),
+            artifacts=ArtifactStore(catalog.clock),
+        )
+        calls = {"canonical_expr": 0, "bid": 0}
+        render, bid = artifacts.canonical_expr, ArtifactStore.bid
+
+        def counted_render(*args):
+            calls["canonical_expr"] += 1
+            return render(*args)
+
+        def counted_bid(*args):
+            calls["bid"] += 1
+            return bid(*args)
+
+        monkeypatch.setattr(artifacts, "canonical_expr", counted_render)
+        monkeypatch.setattr(ArtifactStore, "bid", counted_bid)
+        return engine, calls
+
+    @pytest.mark.parametrize("sql, stages", STATEMENTS, ids=["one", "two"])
+    def test_an_ad_hoc_plan_renders_each_stage_once(self, spied, sql, stages):
+        engine, calls = spied
+        engine.query(sql.format(5))
+        assert calls == {"canonical_expr": stages, "bid": stages}
+
+    @pytest.mark.parametrize("sql, stages", STATEMENTS, ids=["one", "two"])
+    def test_a_prepare_renders_each_stage_once_and_bids_on_nothing(
+        self, spied, sql, stages
+    ):
+        engine, calls = spied
+        engine.prepare(sql.format("?"))
+        assert calls == {"canonical_expr": stages, "bid": 0}
 
 
 def make_output(

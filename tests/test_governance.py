@@ -25,7 +25,7 @@ from repro.federation import (
     WorkloadManager,
 )
 from repro.federation import dbapi
-from repro.federation.artifacts import compile_stage_key, stage_specs
+from repro.federation.artifacts import stage_keys
 from repro.federation.gateway import PlanCache
 from repro.federation.governance import (
     BudgetExhaustedError,
@@ -504,10 +504,9 @@ def governed_stage_key(catalog, store, governance, tenant, sql):
             passes.append(injection)
     passes += [ProjectionPruning(), AggregateSplitting()]
     plan = RewritePipeline(passes).run(plan)
-    specs = stage_specs(plan)
-    assert len(specs) == 1
-    spec = next(iter(specs.values()))
-    return store.stage_key(compile_stage_key(catalog, spec))
+    keys = stage_keys(catalog, plan)
+    assert len(keys) == 1
+    return store.stage_key(next(iter(keys.values())))
 
 
 class TestArtifactHashIsolation:

@@ -28,7 +28,7 @@ from repro.federation import (
     RoundRobinPolicy,
     WorkloadManager,
 )
-from repro.federation.artifacts import compile_stage_key, stage_specs
+from repro.federation.artifacts import stage_keys
 from repro.federation.gateway import PlanCache, bind_sql_text
 from repro.federation.governance import GovernanceRegistry
 from repro.sim import EventLoop, SimClock
@@ -315,8 +315,8 @@ class TestNoBindingRescuesATemplateThatDoesNotParse:
 
 class TestBoundSpellingEqualsInlinedSpelling:
     def stage_key(self, catalog, store, logical):
-        (spec,) = stage_specs(logical).values()
-        return store.stage_key(compile_stage_key(catalog, spec))
+        (compiled,) = stage_keys(catalog, logical).values()
+        return store.stage_key(compiled)
 
     def test_stage_digest_of_a_bound_pattern_is_the_inlined_one(self):
         catalog, _ = build()
