@@ -423,6 +423,16 @@ class FederationCatalog:
 
     # -- planner support -------------------------------------------------------------------
 
+    def estimated_rows(self, name: str) -> int:
+        """A table's row estimate, its fragments' summed, or a view's row
+        count (0 while unfilled): the sides the eager aggregation rule
+        (:class:`repro.sql.rewrite.AggregateSplitting`) compares."""
+        entry = self.tables.get(name)
+        if entry is not None:
+            return entry.estimated_rows()
+        view = self.views.get(name)
+        return 0 if view is None or view.data is None else len(view.data)
+
     def binding_fields(self, bindings: dict[str, str]) -> dict[str, set[str]]:
         """Map query bindings (alias -> table name) to their field-name sets."""
         fields: dict[str, set[str]] = {}

@@ -1,8 +1,9 @@
 """The coordinator plane: ``open``/``next``/``close`` operators charged to
 the coordinator, one column batch of at most the rows a LIMIT above still
 wants a ``next``.  ``Filter``, the two joins, ``Project``, ``Aggregate`` /
-``FinalAggregate`` (:func:`merged_groups`, :func:`finished_groups`), ``Sort``
-with its top-k check (:func:`check_top_k`) and ``Limit``.
+``FinalAggregate`` (:func:`merged_groups`, :func:`finished_groups`) with
+``MergePartials`` below a join (:func:`regrouped`), ``Sort`` with its top-k
+check (:func:`check_top_k`) and ``Limit``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.sql.ast import (
     render,
 )
 from repro.sql.expressions import evaluate
-from repro.sql.planner import AggregateNode, item_names
+from repro.sql.planner import AggregateNode, ScanNode, item_names
 
 
 # -- coordinator operators -----------------------------------------------------
@@ -420,13 +421,63 @@ class Aggregate(PhysicalOperator):
 
 
 class FinalAggregate(Aggregate):
-    """Merge sites' partial aggregate states into final groups."""
+    """Merge partial aggregate states into final groups: the sites' batches
+    of groups under a ``Ship``, or, over the join an aggregation was pushed
+    below, its merged groups joined with the other side's rows
+    (:func:`regrouped`)."""
 
     name = "FinalAggregate"
 
     def _groups(self) -> "columnar.ColumnBatch":
         batches, node = self._drain(self.children[0]), self.node
-        return merged_groups(batches, node.group_by, node.split.calls)
+        calls = node.split.calls
+        if not isinstance(node.child, ScanNode):
+            batches = [regrouped(batch, node.group_by, calls) for batch in batches]
+        return merged_groups(batches, node.group_by, calls)
+
+
+class MergePartials(PhysicalOperator):
+    """The sites' partial states of an aggregation pushed below a join,
+    merged by its keys (:func:`merged_groups`) and handed on unfinished,
+    one row per group: keys, row count, states."""
+
+    name = "MergePartials"
+
+    def __init__(self, child: PhysicalOperator, node: AggregateNode) -> None:
+        super().__init__(child)
+        self.node = node
+
+    def open(self, ctx: ExecContext) -> None:
+        super().open(ctx)
+        self.stats.detail = ", ".join(map(render, self.node.group_by))
+
+    def _produce(self, ctx: ExecContext) -> "list[columnar.ColumnBatch]":
+        batches, node = self._drain(self.children[0]), self.node
+        return [merged_groups(batches, node.group_by, node.split.calls)]
+
+    def _finish(self, ctx: ExecContext) -> None:
+        self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
+
+
+def regrouped(
+    batch: "columnar.ColumnBatch", group_by: list[Expr], calls: list[FuncCall]
+) -> "columnar.ColumnBatch":
+    """Pushed groups joined with the other side's rows, laid out as a batch
+    of groups by ``group_by`` for :func:`merged_groups`: the keys evaluated
+    on the joined rows, the row counts and states as the pushed aggregation
+    merged them, and each joined row its own first row."""
+    expressions = _Expressions(batch)
+    columns, index = batch.columns, batch.index_of
+    return columnar.ColumnBatch(
+        partial_names(group_by, [repr(call) for call in calls]),
+        [
+            *(expressions.column(expr) for expr in group_by),
+            columns[index(PARTIAL_ROWS)],
+            *(columns[index(repr(call))] for call in calls),
+            list(zip(repeat(batch), range(batch.count))),
+        ],
+        batch.count,
+    )
 
 
 def merged_groups(

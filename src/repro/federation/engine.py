@@ -690,8 +690,9 @@ class FederatedEngine:
         predicates off masked columns) but before projection pruning (whose
         column sets must include hoisted site filters); and aggregate
         splitting only fires once absorbed filters expose an aggregation
-        sitting directly on its scan.  The top-k mark reads the finished
-        scans (a governed scan ranks its masked values, as they ship).
+        sitting directly on its scan, or on a join it may go below.  The
+        top-k mark reads the finished scans (a governed scan ranks its
+        masked values, as they ship).
         """
         passes = []
         targets = self._text_targets(statement)
@@ -704,7 +705,11 @@ class FederatedEngine:
             )
             if governance_pass is not None:
                 passes.append(governance_pass)
-        passes.extend([ProjectionPruning(), AggregateSplitting(), TopKPushdown()])
+        passes += [
+            ProjectionPruning(),
+            AggregateSplitting(self.catalog.estimated_rows),
+            TopKPushdown(),
+        ]
         return RewritePipeline(passes).run(plan)
 
     def _text_targets(self, statement: SelectStatement) -> dict[str, str | None]:
@@ -851,7 +856,13 @@ class FederatedEngine:
         if isinstance(node, JoinNode):
             label = f"{node.join_type} join"
         if isinstance(node, AggregateNode) and node.split is not None:
-            label = f"{label} (partial at sites, final at coordinator)"
+            if node.split.pushed:
+                keys = ", ".join(map(render, node.group_by))
+                label = f"partial {label} by {keys} (at sites; states cross the join)"
+            elif isinstance(node.child, ScanNode):
+                label = f"{label} (partial at sites, final at coordinator)"
+            else:
+                label = f"{label} (final at coordinator, of the partial states below)"
         lines = [f"{pad}{label}"]
         for child in node.children():
             lines.extend(self._explain_node(child, physical, depth + 1))

@@ -41,7 +41,12 @@ from repro.core.errors import BindError, QueryError
 from repro.federation.engine import FederatedEngine, PreparedStatement, QueryResult
 from repro.federation.workload import QueryHandle, WorkloadManager
 from repro.sim.metrics import MetricsRegistry
-from repro.sql.sqltext import normalize_sql, render_literal, replace_placeholders
+from repro.sql.sqltext import (
+    key_placeholders,
+    normalize_sql,
+    render_literal,
+    replace_placeholders,
+)
 
 
 class PlanCache:
@@ -266,11 +271,19 @@ def bind_sql_text(sql: str, params: "tuple | list") -> str:
     gateway or DB-API statement passes through.
 
     A ``?`` inside a string or a ``--`` comment is not a token, so it is
-    not a placeholder.  Raises :class:`BindError` when the counts differ or
-    a value has no SQL literal form.
+    not a placeholder.  An int bound to a ``?`` that is a whole ORDER BY or
+    GROUP BY key is spelled ``k + 0``: a bound value is a constant, as a
+    template and sqlite3 read it, and ``k`` alone would be an output
+    position.  Raises :class:`BindError` when the counts differ or a value
+    has no SQL literal form.
     """
     try:
-        return replace_placeholders(sql, [render_literal(v) for v in params])
+        literals = [render_literal(v) for v in params]
+        if int in map(type, params):
+            for i, (value, key) in enumerate(zip(params, key_placeholders(sql))):
+                if key and type(value) is int:
+                    literals[i] += " + 0"
+        return replace_placeholders(sql, literals)
     except ValueError as error:
         raise BindError(str(error)) from error
 

@@ -720,10 +720,12 @@ class PhysicalPlanner:
             child = self._node(node.child, plan, stages)
             return Project(child, node.items, node.distinct)
         if isinstance(node, AggregateNode):
-            if node.split is not None and isinstance(node.child, ScanNode):
-                ship = self._ship(StageSpec(node.child, node), plan, stages)
-                return FinalAggregate(ship, node)
-            return Aggregate(self._node(node.child, plan, stages), node)
+            if node.split is None:
+                return Aggregate(self._node(node.child, plan, stages), node)
+            if not isinstance(node.child, ScanNode):  # over the eager join
+                return FinalAggregate(self._node(node.child, plan, stages), node)
+            ship = self._ship(StageSpec(node.child, node), plan, stages)
+            return (MergePartials if node.split.pushed else FinalAggregate)(ship, node)
         if isinstance(node, SortNode):
             child = self._node(node.child, plan, stages)
             return Sort(child, node.order_by, top_k_bound(node))
@@ -867,6 +869,7 @@ from repro.federation.coordinator_ops import (  # noqa: E402
     Filter,
     HashJoin,
     Limit,
+    MergePartials,
     NestedLoopJoin,
     Project,
     Sort,

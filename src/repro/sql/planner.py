@@ -25,7 +25,9 @@ Scan nodes carry the physical-placement annotations those passes write:
 ``needed_columns`` (projection pruning), ``text_filter`` (text-index
 access path) and ``top_k`` (a per-fragment top-k under ORDER BY ...
 LIMIT).  Aggregate nodes carry ``split`` when the aggregation can be
-computed as site-local partials merged at the coordinator.
+computed as site-local partials merged at the coordinator -- over its scan,
+or, pushed below a join, as a second aggregate node over the scan whose
+states the join carries up.
 """
 
 from __future__ import annotations
@@ -287,9 +289,13 @@ class AggregateSplit:
     ``calls`` lists the distinct aggregate :class:`FuncCall` expressions
     (keyed by ``repr``) whose partial states sites compute locally; the
     coordinator merges states and evaluates the final select items.
+    ``pushed`` marks the aggregation the eager rule put below a join: it
+    has no select items, and its merged states go up through the join
+    unfinished, for the split aggregation above it to merge again.
     """
 
     calls: list[FuncCall]
+    pushed: bool = False
 
 
 @dataclass
@@ -308,7 +314,9 @@ class AggregateNode(UnaryNode):
     def mapped(self, plan_fn, expr_fn, *args) -> "AggregateNode":
         split = self.split
         if split is not None:
-            split = AggregateSplit([expr_fn(call, *args) for call in split.calls])
+            split = AggregateSplit(
+                [expr_fn(call, *args) for call in split.calls], split.pushed
+            )
         return AggregateNode(
             plan_fn(self.child, *args),
             [expr_fn(group, *args) for group in self.group_by],

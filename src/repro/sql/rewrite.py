@@ -14,8 +14,10 @@ testable in isolation, and extensible:
   binding (ORs, fuzzy matches, arithmetic) execute at the owning site;
 * :class:`ProjectionPruning` -- scans record the only columns any later
   operator reads, so sites ship narrower rows;
-* :class:`AggregateSplitting` -- single-table aggregations decompose into
-  site-local partials merged at the coordinator;
+* :class:`AggregateSplitting` -- an aggregation decomposes into site-local
+  partials merged at the coordinator where it sits: directly over its
+  scan, or directly over a join, below it (eager aggregation: the pushed
+  half's merged states cross the join and are merged again above it);
 * :class:`GovernanceInjection` -- per-tenant row-level-security predicates
   and column masks compile into scan annotations, so policy enforcement is
   priced and pruned like any other site work;
@@ -35,6 +37,7 @@ change query answers (sqlite3 referees that in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.connect.source import Predicate
 from repro.core.errors import QueryError
@@ -47,7 +50,9 @@ from repro.sql.ast import (
     Literal,
     Parameter,
     Star,
+    children,
     columns_in,
+    is_aggregate,
     rebuild,
 )
 from repro.sql.params import bind_plan
@@ -241,21 +246,108 @@ class ProjectionPruning(RewritePass):
 
 
 class AggregateSplitting(RewritePass):
-    """Mark single-table aggregations as partial/final decomposable.
+    """Split aggregations into site-local partials merged at the coordinator.
 
-    When an AggregateNode sits directly on a scan (after the filter passes
-    absorbed the residual), every supported aggregate (count/sum/avg/min/
-    max) has a mergeable partial state, so each site can aggregate its
-    fragment locally and ship one row per group instead of every row.
+    Every supported aggregate (count/sum/avg/min/max) has a mergeable
+    partial state, so an aggregation splits where it sits:
+
+    * *directly over its scan* (after the filter passes absorbed the
+      residual): each site aggregates its fragment and ships one row per
+      group instead of every row;
+    * *directly over a join, below it* -- Yan & Larson's eager
+      aggregation.  ``Aggregate(G)`` over ``P join S on P.k = S.k [and
+      residual]`` becomes ``Aggregate(G)`` over ``S join Aggregate(G_P)
+      over P`` when every aggregate argument reads P alone, P is a scan and
+      the side with more estimated rows, and the join is inner or a left
+      join that preserves P.  ``G_P`` is every P column read above the
+      pushed aggregation: G's, the join condition's, and those items and
+      HAVING read outside an aggregate.  The pushed half is the split
+      stage above (``pushed`` on its split); its merged states -- keys,
+      row count, states -- cross the join unfinished, and the aggregation
+      above merges them again by G.  A P group joined to m S rows adds its
+      states m times, exactly the multiplicity of its rows.
     """
 
     name = "aggregate-split"
 
+    def __init__(self, estimated_rows: Callable[[str], int]) -> None:
+        self.estimated_rows = estimated_rows  # table name -> its row estimate
+
     def run(self, plan: PlanNode) -> PlanNode:
         for node in walk(plan):
-            if isinstance(node, AggregateNode) and isinstance(node.child, ScanNode):
-                node.split = AggregateSplit(calls=list(node.calls().values()))
+            if isinstance(node, AggregateNode):
+                if isinstance(node.child, ScanNode):
+                    node.split = AggregateSplit(list(node.calls().values()))
+                else:
+                    self._push_below(node)
         return plan
+
+    def _push_below(self, node: AggregateNode) -> None:
+        """Put ``node``'s partial aggregation below the join it sits on, on
+        the side the eager rule allows, if one does."""
+        join = node.child
+        if not isinstance(join, JoinNode):
+            return
+        calls = list(node.calls().values())
+        read = {
+            column.binding
+            for call in calls
+            for arg in call.args
+            for column in columns_in(arg)
+        }
+        sides = [(join.left, join.right)]
+        if join.join_type == "inner":
+            sides.append((join.right, join.left))
+        rows = self.estimated_rows
+        for pushed, other in sides:
+            if not (
+                isinstance(pushed, ScanNode)
+                and read <= {pushed.binding}
+                and rows(pushed.table) > max(rows(s.table) for s in scans_in(other))
+                and _equates(join.condition, pushed.binding)
+            ):
+                continue
+            above = [*node.exprs(), join.condition]
+            keys = {
+                column.key: column
+                for expr in above
+                for column in _per_row_columns(expr)
+                if column.binding == pushed.binding
+            }
+            split = AggregateSplit(calls, pushed=True)
+            partial = AggregateNode(pushed, list(keys.values()), [], None, split)
+            if pushed is join.left:
+                join.left = partial
+            else:
+                join.right = partial
+            node.split = AggregateSplit(calls)
+            return
+
+
+def _equates(condition: Expr, binding: str) -> bool:
+    """``condition`` is, or ANDs in, ``a = b`` between a column of
+    ``binding`` and one of another binding: a join key."""
+    if not isinstance(condition, BinaryOp):
+        return False
+    left, right = condition.left, condition.right
+    if condition.op == "and":
+        return _equates(left, binding) or _equates(right, binding)
+    return (
+        condition.op == "="
+        and isinstance(left, Column)
+        and isinstance(right, Column)
+        and binding in (left.binding, right.binding)
+        and left.binding != right.binding
+    )
+
+
+def _per_row_columns(expr: Expr) -> list[Column]:
+    """The columns ``expr`` reads outside its aggregate calls."""
+    if is_aggregate(expr):
+        return []
+    if isinstance(expr, Column):
+        return [expr]
+    return [found for child in children(expr) for found in _per_row_columns(child)]
 
 
 class TopKPushdown(RewritePass):

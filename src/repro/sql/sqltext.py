@@ -48,6 +48,33 @@ def replace_placeholders(sql: str, literals: Sequence[str]) -> str:
     return "".join(pieces)
 
 
+# What may follow a whole ORDER BY / GROUP BY key: the next key, the
+# list's end, a direction or the next clause.
+_KEY_ENDS = frozenset({",", ")", "asc", "desc", "having", "order", "limit", "eof"})
+
+
+def key_placeholders(sql: str) -> list[bool]:
+    """Per ``?`` token: whether it stands as a whole ORDER BY or GROUP BY
+    key, where an integer literal would read as an output position."""
+    # Punctuation and keywords by their value, every other token by its kind.
+    marks = [
+        token.value if token.kind in ("punct", "keyword") else token.kind
+        for token in tokenize_sql(sql)
+    ]
+    keys: list[bool] = []
+    lists = [False]  # per parenthesis depth: inside an ORDER / GROUP BY list
+    for before, mark, after in zip(["", *marks], marks, marks[1:]):
+        if mark == "(":
+            lists.append(False)
+        elif mark == ")" and len(lists) > 1:
+            lists.pop()
+        elif mark in ("by", "having", "limit", "order"):
+            lists[-1] = mark == "by"
+        elif mark == "?":
+            keys.append(lists[-1] and before in ("by", ",") and after in _KEY_ENDS)
+    return keys
+
+
 def render_literal(value) -> str:
     """Render a Python value as a SQL literal token.
 

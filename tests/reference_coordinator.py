@@ -23,6 +23,12 @@ sorted rows before yielding any, so a truncated stage whose answer is not
 known exact restarts here exactly as it does in production (the site
 pipelines it pulls from are production ones, ``SiteTopK`` included).
 
+A third one: an aggregation pushed below a join (the eager rule of
+:class:`~repro.sql.rewrite.AggregateSplitting`) is the production
+``MergePartials`` over its ``Ship``, and the aggregation above the join is
+:class:`Regroup`, which merges the row counts and states each joined env
+carries instead of folding rows.
+
 :class:`ReferencePlanner` compiles a plan into these operators.  The
 site side, ``Ship`` and ``FinalAggregate`` are the production ones;
 :class:`Rows` turns their batches into the env stream these operators
@@ -48,6 +54,7 @@ from repro.federation.physical import (
     top_k_bound,
 )
 from repro.federation.report import OperatorStats
+from repro.federation.site_ops import PARTIAL_ROWS
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -366,6 +373,9 @@ class Aggregate(PhysicalOperator):
 
     name = "Aggregate"
 
+    def compute(self, call: FuncCall, group_envs: list[Env]) -> Any:
+        return compute_aggregate(call, group_envs)
+
     def __init__(self, child: PhysicalOperator, node: AggregateNode) -> None:
         super().__init__(child)
         self.node = node
@@ -397,9 +407,9 @@ class Aggregate(PhysicalOperator):
                 continue
             out: Env = {}
             for item, name in zip(node.items, self._names):
-                out[name] = eval_aggregate_expr(item.expr, group_envs)
+                out[name] = eval_aggregate_expr(item.expr, group_envs, self.compute)
             if node.having is not None:
-                if not bool(eval_aggregate_expr(node.having, group_envs)):
+                if not bool(eval_aggregate_expr(node.having, group_envs, self.compute)):
                     continue
             results.append(out)
         # Deterministic output order: by group key representation.
@@ -485,13 +495,13 @@ class Limit(PhysicalOperator):
         return self.children[0].output_names()
 
 
-def eval_aggregate_expr(expr: Expr, group_envs: list[Env]) -> Any:
+def eval_aggregate_expr(expr: Expr, group_envs: list[Env], compute) -> Any:
     """Evaluate an expression that may contain aggregate calls."""
     if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-        return compute_aggregate(expr, group_envs)
+        return compute(expr, group_envs)
     if isinstance(expr, BinaryOp):
-        left = eval_aggregate_expr(expr.left, group_envs)
-        right = eval_aggregate_expr(expr.right, group_envs)
+        left = eval_aggregate_expr(expr.left, group_envs, compute)
+        right = eval_aggregate_expr(expr.right, group_envs, compute)
         return evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), {})
     # Non-aggregate sub-expression: evaluate against a representative row.
     representative = group_envs[0] if group_envs else {}
@@ -526,6 +536,42 @@ def compute_aggregate(call: FuncCall, group_envs: list[Env]) -> Any:
     if call.name == "max":
         return max(values)
     raise QueryError(f"unknown aggregate {call.name!r}")
+
+
+class Regroup(Aggregate):
+    """The aggregation above a join its partial was pushed below: each
+    joined env carries one pushed group's row count and states, and a
+    group's value of a call merges them, env after env."""
+
+    name = "FinalAggregate"
+
+    def compute(self, call: FuncCall, group_envs: list[Env]) -> Any:
+        return merged_aggregate(call, group_envs)
+
+
+def merged_aggregate(call: FuncCall, group_envs: list[Env]) -> Any:
+    if call.star:
+        return sum(env[PARTIAL_ROWS] for env in group_envs)
+    states = [env[repr(call)] for env in group_envs]
+    if call.name == "count":
+        return sum(states)
+    if call.name == "avg":
+        states = [(total, n) for total, n in states if n]
+        if not states:
+            return None
+        total, n = states[0]
+        for more, count in states[1:]:
+            total, n = total + more, n + count
+        return total / n
+    values = [state for state in states if state is not None]
+    if not values:
+        return None
+    if call.name == "sum":
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+        return total
+    return min(values) if call.name == "min" else max(values)
 
 
 # -- adapters between the two protocols ----------------------------------------
@@ -634,7 +680,8 @@ class ReferencePlanner(physical.PhysicalPlanner):
             child = self._reference(node.child, plan, stages)
             return Project(child, node.items, node.distinct)
         if isinstance(node, AggregateNode):
-            return Aggregate(self._reference(node.child, plan, stages), node)
+            child = self._reference(node.child, plan, stages)
+            return (Aggregate if node.split is None else Regroup)(child, node)
         if isinstance(node, SortNode):
             child = self._reference(node.child, plan, stages)
             return Sort(child, node.order_by, top_k_bound(node))

@@ -14,7 +14,9 @@ NULL-bearing int, float, str and bool columns:
   key reads may ship its top k alone and the coordinator Sort must notice
   when the join dropped too many of them;
 * an ordinal family: every ORDER BY and GROUP BY key written as its output
-  position, which sqlite3 reads an integer literal in either clause as.
+  position, which sqlite3 reads an integer literal in either clause as;
+* a one-side-aggregate family: joins whose aggregates all read one side, so
+  the aggregation is pushed below the join wherever the eager rule allows.
 
 Each example draws one value per switch the engine has -- optimizer, reuse
 stores, a governed tenant, re-optimization, the entry (ad hoc with the
@@ -31,7 +33,9 @@ compared by ``benchmarks.e2e.oracle.rows_match``, and the engine's value
 types must be exact.  The grammar leaves out exactly README's divergence
 table: CASE, ``%`` and ``/`` are never written, the fixture holds no NaN,
 no aggregate is DISTINCT, and the sides of a comparison are both numbers,
-both strings or both booleans.
+both strings or both booleans.  The table's refusal rows are data here
+(``DIVERGENCES``): each example is answered by sqlite3 and refused by the
+engine, through every entry, with the listed error naming the form.
 """
 
 import sqlite3
@@ -45,6 +49,8 @@ from benchmarks.e2e.oracle import rows_match
 from repro.connect.source import StaticSource
 from repro.core import DataType, Field, Table
 from repro.core.errors import PartialFailureError, QueryError
+from repro.sql.lexer import SqlLexError
+from repro.sql.parser import SqlParseError
 from repro.federation import Gateway, WorkloadManager, dbapi
 from repro.federation.engine import LIVE_ONLY
 from repro.federation.governance import GovernanceRegistry
@@ -508,6 +514,81 @@ def test_an_ordinal_reads_the_output_position(switches, statements):
         assert_answers(statement, run, result, wants[statement])
 
 
+# The one-side-aggregate family: every aggregate reads one side of a join,
+# so the eager rule (rewrite.AggregateSplitting) pushes the aggregation below
+# the join whenever that side is ``t`` -- it has more rows than ``u`` -- and
+# the join keeps every row of ``t``.  Inner and left joins with either side
+# first, NULL join keys (t.v, u.k and u.w hold NULLs), a side emptied at its
+# sites, scalar aggregates and HAVING over count(*), count, sum, avg, min
+# and max.
+SIDES = {"t": Grammar(columns_of("t", "t.")), "u": Grammar(columns_of("u", "u."))}
+ONE_SIDE_ON = [None, "t.x > 0", "u.w > 1", "t.v < u.w", "u.s is not null"]
+ONE_SIDE_WHERE = [  # (the binding it reads, the predicate)
+    ("t", sql("t.k > ", literal(100))),
+    ("u", sql("u.k > ", literal(100))),
+    ("t", sql("t.x is not null")),
+    ("t", sql("t.v between ", literal(1), " and ", literal(3))),
+    ("u", sql("u.w is null or u.w < ", literal(5))),
+    ("t", sql("t.s like ", literal("a%"))),
+]
+
+
+class OneSide(NamedTuple):
+    statement: Statement
+    pushed: bool  # the eager rule must push the aggregation below the join
+
+
+@st.composite
+def one_side_statements(draw):
+    first = draw(st.sampled_from(["t", "u"]))
+    second = "u" if first == "t" else "t"
+    join = draw(st.sampled_from([" join ", " left join "]))
+    left, right = draw(st.permutations(draw(st.sampled_from(JOIN_KEYS))))
+    residual = draw(st.sampled_from(ONE_SIDE_ON))
+    source = (f"{first}{join}{second} on {left} = {right}",)
+    source += () if residual is None else (f" and {residual}",)
+    side = draw(st.sampled_from(["t", "t", "t", "u"]))  # the aggregated side
+    items = draw(st.lists(SIDES[side].aggregates(), min_size=1, max_size=3))
+    reads_t = side == "t" or all(item[0][0] == "count(*)" for item in items)
+    where = draw(st.none() | st.sampled_from(ONE_SIDE_WHERE))
+    clauses = () if where is None else (" where ", where[1])
+    key = draw(st.none() | JOINED.column(ANY))
+    if key is not None:
+        items = [(key, JOINED.columns[key]), *items]
+        clauses += (f" group by {key}",)
+        having = draw(st.none() | SIDES[side].having())
+        clauses += () if having is None else (" having ", having)
+    columns = joined([sql(item, f" as c{i}") for i, (item, _) in enumerate(items)])
+    text = sql("select ", columns, " from ", *source, *clauses)
+    kept = join == " join " or first == "t"  # no row of t is null-extended
+    # A WHERE over the null-extended side stays above the join.
+    above = join != " join " and where is not None and where[0] != first
+    statement = Statement(text, tuple(kind for _, kind in items))
+    return OneSide(statement, reads_t and kept and not above)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(switches=SWITCHES, drawn=st.lists(one_side_statements(), min_size=1, max_size=2))
+def test_an_aggregate_over_one_side_of_a_join_answers_what_sqlite_answers(
+    switches, drawn
+):
+    """The pushed aggregation's merged states cross the join unfinished and
+    are merged again above it: a group joined to m rows counts m times, and
+    a scalar aggregate over an empty join still counts 0."""
+    pushed = {one.statement: one.pushed for one in drawn}
+    statements = list(pushed)
+    wants = {statement: expected(switches, statement) for statement in statements}
+    for statement, run, result in answers(switches, statements):
+        assert_answers(statement, run, result, wants[statement])
+        operators = {stats.name for stats in result.report.operators.walk()}
+        assert ("MergePartials" in operators) == pushed[statement], run
+
+
 # ``k >= c`` over ``t`` dealt round-robin prunes fragments by their zone maps
 # (f0 of four holds k = 1, 5, 9), grouped or not; the write's new row is
 # what a written fragment's dropped zone map no longer rules out.
@@ -736,6 +817,58 @@ ALIASED = [
 def test_group_by_and_having_read_a_select_alias(entry, text, name):
     switches = Switches(sorted(OPTIMIZERS)[0], True, None, False, entry, 2, None)
     assert_refused_like_sqlite(switches, Statement(text, ()), name)
+
+
+# -- README's divergence table, as data ------------------------------------------
+# Each row of the table that makes the engine refuse what sqlite3 answers:
+# an example over the fixture, the error class the engine raises through
+# every entry, and the fragment of its message that names the form.  (The
+# other rows answer differently rather than refuse: booleans render as
+# Python's, NaN compares false, and an incomparable pair in a later AND
+# conjunct raises on the row path but not in a filter kernel.)
+
+DIVERGENCES = [
+    ("no CASE", "select case when v > 1 then 1 else 0 end from t",
+     SqlParseError, "expected FROM"),
+    ("no %", "select k % 2 from t", SqlLexError, "'%'"),
+    ("/ raises on zero", "select k / 0 from t", QueryError, "division by zero"),
+    ("no aggregate DISTINCT", "select count(distinct v) from t",
+     SqlParseError, "'distinct'"),
+    ("a comparison across types", "select k from t where k < 'a'",
+     QueryError, "cannot apply k < 'a'"),
+    ("a scalar subquery in WHERE", "select k from t where v > (select min(w) from u)",
+     SqlParseError, "unexpected token 'select'"),
+    ("EXISTS", "select k from t where exists (select k from u)",
+     SqlParseError, "unexpected token 'select'"),
+    ("UNION", "select k from t union select k from u",
+     SqlParseError, "trailing input at offset 22: 'select'"),
+    ("OFFSET", "select k from t order by k limit 2 offset 1",
+     SqlParseError, "'offset'"),
+    ("CAST", "select cast(v as text) from t", SqlParseError, "found 'as'"),
+    ("a SELECT without FROM", "select 1", SqlParseError, "expected FROM"),
+    ("||", "select s || 'x' from t", SqlLexError, "'|'"),
+    ("a bare column beside an aggregate", "select s, count(*) from t",
+     QueryError, "select item s is neither aggregated nor grouped"),
+    ("an ORDER BY position past *", "select * from t order by 2",
+     QueryError, "ORDER BY position 2 counts past '*'"),
+    ("a GROUP BY position past *", "select * from t group by 2",
+     QueryError, "GROUP BY position 2 counts past '*'"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("entry", ["ad hoc", "prepared", "gateway", "dbapi"])
+@pytest.mark.parametrize(
+    "text, error, fragment",
+    [pytest.param(*row[1:], id=row[0]) for row in DIVERGENCES],
+)
+def test_a_divergence_is_a_typed_refusal_where_sqlite_answers(
+    entry, text, error, fragment
+):
+    sqlite_answer(TABLES, text)  # sqlite3 answers it
+    switches = Switches(sorted(OPTIMIZERS)[0], True, None, False, entry, 2, None)
+    got = run_once(switches, Statement((text, text, ()), ()))
+    assert type(got) is error, got
+    assert fragment in str(got), got
 
 
 # -- ordinals through every entry ---------------------------------------------

@@ -7,8 +7,10 @@ between ...``, ``count(w) in (...)`` and ``sum(w) is not null`` failed with
 There is now one evaluator for "an expression with aggregates, over a
 group" (``coordinator_ops.finished_groups``), and sqlite3 is its oracle.  Every
 shape runs over a single table (``PartialAggregate`` at the sites,
-``FinalAggregate`` at the coordinator) and over a join (whole-group
-``Aggregate``).
+``FinalAggregate`` at the coordinator), over an inner join, where the
+aggregation is pushed below the join (``PartialAggregate`` at the sites,
+``FinalAggregate`` over the join), and over a left join that null-extends
+the aggregated side, which keeps it whole-group (``Aggregate``).
 """
 
 import re
@@ -31,7 +33,8 @@ TABLES = {"t": (("g", "v", "w"), T), "u": (("g", "z"), U)}
 
 SPLIT = "t"
 JOIN = "t join u on t.g = u.g"
-OPERATOR = {SPLIT: "FinalAggregate", JOIN: "Aggregate"}
+LEFT = "u left join t on t.g = u.g"
+OPERATOR = {SPLIT: "FinalAggregate", JOIN: "FinalAggregate", LEFT: "Aggregate"}
 
 # ``{source}`` is SPLIT or JOIN.  Comparisons are over counts or guarded by
 # IS NULL where a NULL could reach them: NULL comparisons are two-valued in
@@ -70,14 +73,15 @@ def answer(sql):
     return result.table.rows, operators
 
 
-@pytest.mark.parametrize("source", [SPLIT, JOIN])
+@pytest.mark.parametrize("source", [SPLIT, JOIN, LEFT])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_aggregates_under_any_operator_agree_with_sqlite(shape, source):
     sql = shape.format(source=source)
     rows, operators = answer(sql)
     assert rows_match(rows, sqlite_answer(TABLES, sql)[1], ordered=False)
     assert OPERATOR[source] in operators
-    assert ("PartialAggregate" in operators) == (source == SPLIT)
+    assert ("PartialAggregate" in operators) == (source != LEFT)
+    assert ("MergePartials" in operators) == (source == JOIN)
 
 
 def test_the_shown_cases():

@@ -109,7 +109,11 @@ def logical_plan(catalog, sql):
     """Parse + rewrite one statement the way the engine does."""
     plan = build_plan(resolve(parse_sql(sql), catalog.binding_fields))
     pipeline = RewritePipeline(
-        [SiteFilterPushdown(), ProjectionPruning(), AggregateSplitting()]
+        [
+            SiteFilterPushdown(),
+            ProjectionPruning(),
+            AggregateSplitting(catalog.estimated_rows),
+        ]
     )
     return pipeline.run(plan)
 

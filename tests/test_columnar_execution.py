@@ -715,15 +715,18 @@ GOLDEN_WIRE = [
         },
         id="join_top",
     ),
+    # The aggregation is pushed below the join: the parts stage ships each
+    # fragment's batch of groups by p.supplier, sized as records
+    # (partial_wire_bytes), so no column goes through encode_batch.
     pytest.param(
         GOLDEN_JOIN_GROUPED,
         {
             "rows": 5,
-            "rows_shipped": 88,
-            "bytes_shipped": 685,
-            "response_seconds": 0.11705068499999997,
-            "ships": [(685, 1440), (0, 0)],
-            "columns": {"p.supplier": GOLDEN_SUPPLIER, "p.price": GOLDEN_PRICE},
+            "rows_shipped": 38,
+            "bytes_shipped": 1368,
+            "response_seconds": 0.10634999999999997,
+            "ships": [(1368, 1368), (0, 0)],
+            "columns": {},
         },
         id="join_grouped",
     ),
@@ -781,7 +784,10 @@ def golden_engine():
 # produced them (commit 3e6200c).  join_top's parts scan has carried a
 # SiteTopK since the per-fragment top-k: no fragment here holds more than
 # 100 qualifying rows, so it passes every batch on unranked and uncharged,
-# and every other figure is the one that commit produced.
+# and every other figure is the one that commit produced.  join_grouped's
+# aggregation is pushed below its join (the eager rule of
+# rewrite.AggregateSplitting), so its figures are the eager plan's: the
+# reference coordinator's Regroup reproduces them.
 GOLDEN_LIMIT_OVER_JOIN = (
     "select p.sku, s.region from parts p "
     "join suppliers s on p.supplier = s.supplier limit 5"
@@ -828,11 +834,13 @@ Limit  @ s0  rows_in=100 rows_out=100  seconds=0.000000  100
     ),
     pytest.param(
         GOLDEN_JOIN_GROUPED,
-        0.11705068499999997,
+        0.10634999999999997,
         [
-            ("Aggregate", 177, 5),
-            ("HashJoin", 217, 177),
-            ("Ship", 177, 177),
+            ("FinalAggregate", 40, 5),
+            ("HashJoin", 80, 40),
+            ("MergePartials", 74, 40),
+            ("Ship", 74, 74),
+            ("PartialAggregate", 177, 74),
             ("SiteProject", 177, 177),
             ("SiteScan", 0, 177),
             ("Ship", 40, 40),
@@ -841,13 +849,15 @@ Limit  @ s0  rows_in=100 rows_out=100  seconds=0.000000  100
         ],
         """\
 optimizer: agoric  coordinator: s0  price: 0.1021
-response: 0.117051s  rows fetched: 217  shipped: 88  returned: 5  bytes shipped: 685
+response: 0.106350s  rows fetched: 217  shipped: 38  returned: 5  bytes shipped: 1368
 pruned fragments 0/9
-Aggregate  @ s0  rows_in=177 rows_out=5  seconds=0.008850  region, n, total
-  HashJoin  @ s0  rows_in=217 rows_out=177  seconds=0.010850  (p.supplier = s.supplier)
-    Ship  @ s0  rows_in=177 rows_out=177  seconds=0.089023  batches=8  bytes=685/1440 (2.10x)  encode=0.000001 decode=0.000001  from s1, s2
-      SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, supplier)
-        SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
+FinalAggregate  @ s0  rows_in=40 rows_out=5  seconds=0.002000  region, n, total
+  HashJoin  @ s0  rows_in=80 rows_out=40  seconds=0.004000  (p.supplier = s.supplier)
+    MergePartials  @ s0  rows_in=74 rows_out=40  seconds=0.003700  p.supplier
+      Ship  @ s0  rows_in=74 rows_out=74  seconds=0.084042  bytes=1368/1368 (1.00x)  from s1, s2
+        PartialAggregate  @ s0,s1,s2  rows_in=177 rows_out=74  seconds=0.008850  count(*), sum(p.price)
+          SiteProject  @ s0,s1,s2  rows_in=177 rows_out=177  seconds=0.008850  batches=8  keep(price, supplier)
+            SiteScan  @ s0,s1,s2  rows_in=0 rows_out=177  seconds=0.088850  batches=8  parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] pushdown(price >= 700.0)
     Ship  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  coordinator-local
       SiteProject  @ s0  rows_in=40 rows_out=40  seconds=0.002000  batches=1  keep(region, supplier)
         SiteScan  @ s0  rows_in=0 rows_out=40  seconds=0.012000  batches=1  suppliers as s: fragments [f0@s0]

@@ -502,7 +502,7 @@ def governed_stage_key(catalog, store, governance, tenant, sql):
         injection = governance.injection_pass(tenant, statement.scope)
         if injection is not None:
             passes.append(injection)
-    passes += [ProjectionPruning(), AggregateSplitting()]
+    passes += [ProjectionPruning(), AggregateSplitting(catalog.estimated_rows)]
     plan = RewritePipeline(passes).run(plan)
     keys = stage_keys(catalog, plan)
     assert len(keys) == 1

@@ -8,9 +8,12 @@ operator reports rows in/out, seconds and placement.
 
 import pytest
 
+from benchmarks.e2e.workloads import JOIN_GROUPED
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import FederatedEngine, FederationCatalog
 from repro.sim import SimClock
+
+from tests.test_columnar_execution import GOLDEN_JOIN_GROUPED, golden_engine
 
 
 def make_engine(site_count=4, rows=200, fragments=4):
@@ -154,6 +157,66 @@ class TestExplainAnalyze:
             "select supplier, count(*) as n from parts group by supplier"
         )
         assert "partial at sites" in text
+
+
+# -- the eager rule in EXPLAIN ----------------------------------------------------
+# On the 600-part x 40-supplier golden federation: JOIN_GROUPED's aggregation
+# is pushed below its join, and the three forms outside the rule explain as
+# they did before it existed.
+
+JOIN = " from parts p join suppliers s on p.supplier = s.supplier"
+OUTSIDE_THE_RULE = [
+    pytest.param(
+        "select p.sku, count(*) as n, max(s.tier) as top" + JOIN
+        + " where p.price >= 990.0 group by p.sku",
+        """\
+optimizer: agoric  coordinator: s0  price: 0.0625
+aggregate
+  inner join
+    scan parts as p: fragments [f1@s1, f2@s2, f4@s0, f5@s1, f7@s0] pruned 3/8 pushdown(price >= 990.0) columns(sku, supplier)
+    scan suppliers as s: fragments [f0@s0] columns(supplier, tier)""",
+        id="an aggregate over the smaller side",
+    ),
+    pytest.param(
+        "select s.region, count(p.sku) as n, sum(p.price) as total "
+        "from suppliers s left join parts p on p.supplier = s.supplier "
+        "group by s.region",
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1266
+aggregate
+  left join
+    scan suppliers as s: fragments [f0@s0] columns(region, supplier)
+    scan parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] columns(price, sku, supplier)""",
+        id="a null-extended side",
+    ),
+    pytest.param(
+        "select s.region, sum(p.price * s.tier) as w" + JOIN + " group by s.region",
+        """\
+optimizer: agoric  coordinator: s0  price: 0.1266
+aggregate
+  inner join
+    scan parts as p: fragments [f0@s0, f1@s1, f2@s2, f3@s0, f4@s0, f5@s1, f6@s2, f7@s0] columns(price, supplier)
+    scan suppliers as s: fragments [f0@s0] columns(region, supplier, tier)""",
+        id="an aggregate over both sides",
+    ),
+]  # fmt: skip
+
+
+class TestEagerAggregationExplain:
+    def test_join_grouped_explains_the_partial_below_the_join(self):
+        assert GOLDEN_JOIN_GROUPED == JOIN_GROUPED.replace("?", "700.0")
+        lines = golden_engine().explain(GOLDEN_JOIN_GROUPED).splitlines()
+        assert lines[1:4] == [
+            "aggregate (final at coordinator, of the partial states below)",
+            "  inner join",
+            "    partial aggregate by p.supplier (at sites; states cross the join)",
+        ]
+        assert lines[4].startswith("      scan parts as p: ")
+        assert lines[5].startswith("    scan suppliers as s: ")
+
+    @pytest.mark.parametrize("sql, explained", OUTSIDE_THE_RULE)
+    def test_a_form_outside_the_rule_explains_as_before(self, sql, explained):
+        assert golden_engine().explain(sql) == explained
 
 
 class TestAccountingParity:

@@ -7,8 +7,9 @@ ordinary placeholders now.  Covered here: prepared == inlined == sqlite3
 under every optimizer, for an ungoverned and a governed tenant, over three
 executions and across a repartition; the property that made deleting the
 fallback sound (a template that does not parse has no binding that does);
-digests and EXPLAIN text that did not move; and the plan cache's
-text -> normalized-key memo.
+digests and EXPLAIN text that did not move; the plan cache's
+text -> normalized-key memo; and an int bound to a whole ORDER BY or GROUP
+BY key, a constant through the ad hoc binder as through a template.
 """
 
 import pytest
@@ -109,6 +110,27 @@ SHAPES = [
         False,
     ),
 ]
+
+
+# A ``?`` that is a whole ORDER BY or GROUP BY key binds a constant, however
+# the statement is bound: the ad hoc binder must not inline an int there as
+# an output position (``order by 2`` sorts by the second column).
+BOUND_KEYS = [
+    ("select k, v from items order by ? desc, k limit ?", (2, 3)),
+    ("select k from items where v < ? order by ?, k desc limit ?", (30, -1, 2)),
+    ("select count(*) as n, sum(v) as total from items group by ?", (1,)),
+    ("select count(*) as n from items where v >= ? group by ? order by ?", (50, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("template,params", BOUND_KEYS)
+def test_a_bound_int_key_is_a_constant_through_every_binder(template, params):
+    _, engine = build()
+    _, expected = sqlite_answer({"items": (["k", "v"], ROWS)}, template, params=params)
+    adhoc = engine.query(bind_sql_text(template, params)).table.rows
+    bound = engine.execute(engine.prepare(template), params).table.rows
+    assert adhoc == bound
+    assert rows_match(adhoc, expected, True)
 
 
 class TestPreparedEqualsInlinedEqualsSqlite:

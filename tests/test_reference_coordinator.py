@@ -8,6 +8,7 @@ modeled response time -- or fail with the same error.  Accounting is
 defined by rows consumed, so LIMIT sits above every streaming shape here.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,3 +227,39 @@ def test_limit_counts_only_the_rows_consumed():
             assert seen == outcome(reference, sql)
             left_ship = [op for op in seen["operators"] if op[0] == "Ship"][0]
             assert 0 < left_ship[3] < left_ship[2]  # rows_out < rows_in
+
+
+# -- an aggregation pushed below its join, regrouped above it -------------------
+
+# More rows in a than in b, NULL join keys and NULL arguments: every
+# statement below pushes its aggregation below the join (a ``MergePartials``
+# under it), and the reference ``Regroup`` merges the states the joined envs
+# carry one env at a time.
+REGROUP_A = [
+    (None if i % 7 == 3 else i % 4, None if i % 5 == 0 else float(i), f"t{i % 3}")
+    + (None, None)
+    for i in range(20)
+]
+REGROUP_B = [(i % 3, i, f"t{i % 2}") for i in range(6)] + [(None, 9, "t0")]
+REGROUPED = [
+    "select a.tag, count(*) as n, sum(a.x) as sx from a join b on a.k = b.k "
+    "group by a.tag",
+    "select b.label, avg(a.x) as mean, count(a.x) as n from a left join b "
+    "on a.k = b.k group by b.label having count(*) > 1",
+    "select count(*) as n, sum(a.x) as sx, min(a.x) as lo, max(a.x) as hi "
+    "from a join b on a.k = b.k and a.x > 3",
+    "select a.k, count(*) as n, max(a.tag) as top from b join a on b.k = a.k "
+    "group by a.k",
+    "select count(*) as n, sum(a.x) as sx from a join b on a.k = b.k where a.x > 100",
+]
+
+
+@pytest.mark.parametrize("sql", REGROUPED)
+@pytest.mark.parametrize("sites", [1, 3])
+def test_a_regrouped_aggregation_equals_the_reference(sql, sites):
+    batch = build_engine(REGROUP_A, REGROUP_B, sites, reference=False)
+    reference = build_engine(REGROUP_A, REGROUP_B, sites, reference=True)
+    seen = outcome(batch, sql)
+    assert seen == outcome(reference, sql)
+    names = [op[0] for op in seen["operators"]]
+    assert names[0] == "FinalAggregate" and "MergePartials" in names

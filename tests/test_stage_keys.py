@@ -5,13 +5,15 @@ A plan carries each stage's key as it compiled it
 ``?`` left a slot.  An execution fills the slots with its bound values, and
 the key it gets must be ``stage_hash`` of the bound stage, bit for bit, so a
 prepared, an ad hoc and a gateway execution of one bound stage share one
-artifact.  Ten executions of one template render no canonical text.
+artifact.  Ten executions of one template render no canonical text.  An
+aggregation pushed below a join is one more split stage, keyed alike.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from benchmarks.e2e.workloads import MAX_MILES, MAX_RATES, TRAVELER
+from benchmarks.e2e.workloads import JOIN_GROUPED, MAX_MILES, MAX_RATES, TRAVELER
 from repro.core import DataType, Field, Schema, Table
 from repro.federation import (
     ArtifactStore,
@@ -27,6 +29,8 @@ from repro.federation.physical import PhysicalPlanner
 from repro.sim import EventLoop, SimClock
 from repro.sql.params import bind_plan
 from repro.workloads import generate_hotels
+
+from tests.test_columnar_execution import golden_engine
 
 SCHEMA = Schema(
     "goods",
@@ -210,3 +214,29 @@ def test_ten_executions_of_one_template_render_no_canonical_text(monkeypatch):
     assert store.hits + store.misses == probes + 2 * 10  # both stages, each time
     assert len(calls) <= one
     assert prepared.replans == 0
+
+
+# JOIN_GROUPED's aggregation is pushed below its join: the pushed stage is
+# an ordinary split stage, so its filled key is the bound stage's hash, and
+# the same as the key of the single-table statement that is its pushed half.
+PUSHED_HALF = (
+    "select p.supplier, count(*), sum(p.price) from parts p "
+    "where p.price >= ? group by p.supplier"
+)
+
+
+@pytest.mark.parametrize("bound", [600.0, 700.0, 1000.0])
+def test_the_pushed_stage_key_is_the_bound_stage_hash(bound):
+    catalog = golden_engine().catalog
+    engine = FederatedEngine(catalog, artifacts=ArtifactStore(catalog.clock))
+    plan, stages = replayed(engine, engine.prepare(JOIN_GROUPED), (bound,))
+    keys = {}
+    for stage in stages:
+        compiled = plan.stage_keys[stage.scan.binding]
+        keys[stage.scan.binding] = engine.artifacts.stage_key(compiled, plan.params)
+        assert keys[stage.scan.binding] == stage_hash(catalog, stage.spec)
+    (pushed,) = [stage.spec.agg for stage in stages if stage.spec.agg is not None]
+    assert pushed.split.pushed and not pushed.items
+    half, (stage,) = replayed(engine, engine.prepare(PUSHED_HALF), (bound,))
+    compiled = half.stage_keys[stage.scan.binding]
+    assert engine.artifacts.stage_key(compiled, half.params) == keys["p"]
