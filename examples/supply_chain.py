@@ -70,11 +70,12 @@ def main() -> None:
     for row in actionable[:5]:
         print(f"  {row['contract_id']}: {row['buyer']} <- {row['supplier']}")
 
-    # SQL MATCH() reaches the same text index as an optimizer access path.
+    # SQL match() is a site filter by FTS5's rule; the text index serves
+    # ranked engine.search.
     match_result = engine.query(
         "select contract_id from contracts where match(body, 'price adjustment')"
     )
-    print(f"\nMATCH('price adjustment') via SQL access path: "
+    print(f"\nMATCH('price adjustment') via SQL match: "
           f"{len(match_result.table)} contracts")
 
     # What-if: the first bottleneck supplier adds a shift.

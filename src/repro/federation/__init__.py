@@ -11,8 +11,8 @@ The pieces:
   machine room: sites with processing rates, load backlogs, prices and
   failures; a network with latency and transfer costs.
 * :mod:`repro.federation.catalog` -- the federation catalog: global tables,
-  horizontal fragments, replica placement, text indexes and materialized
-  views as alternative access paths.
+  horizontal fragments, replica placement, materialized views as
+  alternative access paths, and text indexes for ranked search.
 * :mod:`repro.federation.views` -- materialized views with refresh policies
   (fetch-in-advance over federated technology, §3.2 C5).
 * :mod:`repro.federation.cache` -- a semantic predicate-region cache.

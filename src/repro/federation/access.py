@@ -105,9 +105,7 @@ class AccessPaths:
             if price is not None:
                 placement = placer()
                 yield replace(placement, kind="artifact"), price
-        # Text-filtered scans are never cache-served: their answers depend
-        # on the text index, not the pushdown region the cache is keyed by.
-        if self.cache is not None and scan.text_filter is None:
+        if self.cache is not None:
             bid = self.cache.bid(scan.table, scan.pushdown, max_staleness)
             if bid is not None:
                 region, price = bid

@@ -198,9 +198,8 @@ def _digest(text: str) -> str:
 
 def compile_stage_key(catalog, spec: StageSpec) -> StageKey | None:
     """Compile one stage's canonical content digest, or ``None`` for a
-    stage that is not artifact-eligible: a text-index scan (its answers
-    depend on the index, not the digested predicates) or a name that
-    resolves to a view rather than a base table.
+    stage that is not artifact-eligible: a name that resolves to a view
+    rather than a base table.
 
     The digest covers the base table and its fragment set, the
     source-level pushdown predicates, the site-filter conjuncts, the
@@ -209,8 +208,6 @@ def compile_stage_key(catalog, spec: StageSpec) -> StageKey | None:
     the partial-aggregate spec.
     """
     scan = spec.scan
-    if scan.text_filter is not None:
-        return None
     entry = catalog.tables.get(scan.table)
     if entry is None:
         return None

@@ -3,8 +3,8 @@
 This is the metadata the optimizers plan against: which global tables
 exist, how each is horizontally fragmented, which sites hold replicas of
 each fragment (Characteristic 8's "table fragments, materialized views and
-replicas"), and which text indexes and materialized views offer alternative
-access paths.
+replicas"), which materialized views offer alternative access paths, and
+which text indexes serve ranked search.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ class TableEntry:
     schema: Schema
     fragments: list[Fragment] = field(default_factory=list)
     text_index: InvertedIndex | None = None
-    text_column: str | None = None
-    key_column: str | None = None
 
     def estimated_rows(self) -> int:
         return sum(f.estimated_rows for f in self.fragments)
@@ -143,10 +141,10 @@ class FederationCatalog:
 
     # -- tables & fragments -----------------------------------------------------
 
-    def create_table(self, name: str, schema: Schema, key_column: str | None = None) -> TableEntry:
+    def create_table(self, name: str, schema: Schema) -> TableEntry:
         if name in self.tables or name in self.views:
             raise QueryError(f"table or view {name!r} already exists")
-        entry = TableEntry(name, schema, key_column=key_column)
+        entry = TableEntry(name, schema)
         self.tables[name] = entry
         self.version += 1
         return entry
@@ -365,8 +363,9 @@ class FederationCatalog:
     def build_text_index(self, table_name: str, column: str, data: Table, key_column: str) -> InvertedIndex:
         """Index ``column`` of ``data`` keyed by ``key_column`` values.
 
-        This is the "text engine compiled into the query engine" (§4): the
-        engine consults it when a MATCH predicate targets this table.
+        The index serves ranked :meth:`FederatedEngine.search` (synonyms,
+        fuzzy expansion, scores); SQL ``match`` is a row predicate and
+        never reads it.
         """
         entry = self.entry(table_name)
         index = InvertedIndex()
@@ -375,8 +374,6 @@ class FederationCatalog:
         for key, text in zip(key_values, text_values):
             index.add(key, text or "")
         entry.text_index = index
-        entry.text_column = column
-        entry.key_column = key_column
         return index
 
     # -- views --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ batches by reference and work on whole columns:
 * **Filter kernels** (:func:`compile_predicate`) compile a predicate into
   a selection-vector function ``kernel(batch, sel) -> sel'``; running one
   (:func:`select_rows`) is the one way rows of a batch are kept -- a site
-  filter, a scan's text-index hits and residual RLS, a coordinator filter.
+  filter, a scan's residual RLS, a coordinator filter.
   Selecting copies nothing: a site batch stays its resident chunks plus
   their sorted kept rows, and :func:`gather` copies those rows out only
   for a consumer that needs them as a batch of their own (``Ship``, a

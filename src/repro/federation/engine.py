@@ -29,13 +29,12 @@ This is the integrator's query surface (§3.2 C6):
   part is current; a refresh re-reads the stale fragments alone).
 
 Before optimization the logical plan runs through the engine's rewrite
-pipeline (:mod:`repro.sql.rewrite`): ``MATCH(column, 'query')`` predicates
-become text-index access paths -- the paper's "text search engine ... fully
-modeled ... as an access path" (§4) -- then residual single-binding filters,
-projection pruning, and partial/final aggregate splitting move work onto
-the sites that own the rows.  The optimizers place the scans; the physical
-operator layer (:mod:`repro.federation.physical`) executes the annotated
-plan and :meth:`FederatedEngine.explain` with ``analyze=True`` shows the
+pipeline (:mod:`repro.sql.rewrite`): residual single-binding filters
+(``match(column, 'query')`` among them), projection pruning, and
+partial/final aggregate splitting move work onto the sites that own the
+rows.  The optimizers place the scans; the physical operator layer
+(:mod:`repro.federation.physical`) executes the annotated plan and
+:meth:`FederatedEngine.explain` with ``analyze=True`` shows the
 per-operator accounting.
 """
 
@@ -97,7 +96,6 @@ from repro.sql.rewrite import (
     ProjectionPruning,
     RewritePipeline,
     SiteFilterPushdown,
-    TextIndexRewrite,
     TopKPushdown,
 )
 from repro.xmlkit.model import XmlElement
@@ -684,21 +682,15 @@ class FederatedEngine:
     ) -> PlanNode:
         """The standard rewrite pipeline, applied after pushdown in build_plan.
 
-        Order matters: MATCH conjuncts must leave the residual filter before
-        site-filter pushdown claims them as ordinary row predicates;
-        governance injects after the filter passes (so it can hoist user
-        predicates off masked columns) but before projection pruning (whose
-        column sets must include hoisted site filters); and aggregate
-        splitting only fires once absorbed filters expose an aggregation
-        sitting directly on its scan, or on a join it may go below.  The
-        top-k mark reads the finished scans (a governed scan ranks its
-        masked values, as they ship).
+        Order matters: governance injects after the filter pass (so it can
+        hoist user predicates off masked columns) but before projection
+        pruning (whose column sets must include hoisted site filters); and
+        aggregate splitting only fires once absorbed filters expose an
+        aggregation sitting directly on its scan, or on a join it may go
+        below.  The top-k mark reads the finished scans (a governed scan
+        ranks its masked values, as they ship).
         """
-        passes = []
-        targets = self._text_targets(statement)
-        if targets:  # no indexed table: the rule could claim nothing
-            passes.append(TextIndexRewrite(targets))
-        passes.append(SiteFilterPushdown())
+        passes = [SiteFilterPushdown()]
         if self.governance is not None:
             governance_pass = self.governance.injection_pass(
                 options.tenant, statement.scope
@@ -711,17 +703,6 @@ class FederatedEngine:
             TopKPushdown(),
         ]
         return RewritePipeline(passes).run(plan)
-
-    def _text_targets(self, statement: SelectStatement) -> dict[str, str | None]:
-        """What the text-index rewrite may target: binding -> indexed
-        column, for the tables that have a text index (views-by-name have
-        none)."""
-        targets: dict[str, str | None] = {}
-        for ref in (statement.table, *(join.table for join in statement.joins)):
-            entry = self.catalog.tables.get(ref.name)
-            if entry is not None and entry.text_index is not None:
-                targets[ref.binding] = entry.text_column
-        return targets
 
     def _record_operator_metrics(self, operators) -> None:
         """Feed the per-operator stats tree into the metrics registry."""
@@ -831,8 +812,6 @@ class FederatedEngine:
                 extras += f" site-filter({rendered})"
             if node.needed_columns is not None:
                 extras += f" columns({', '.join(sorted(node.needed_columns))})"
-            if node.text_filter is not None:
-                extras += f" text-index{node.text_filter!r}"
             extras += describe_governance(node)
             if node.top_k is not None:
                 order = node.top_k.order

@@ -36,7 +36,7 @@ from repro.federation.report import (
     describe_pushdown,
 )
 from repro.federation.stage import Stage
-from repro.sql.ast import Column, Expr, FuncCall, InList, Literal, OrderItem, render
+from repro.sql.ast import Column, Expr, FuncCall, OrderItem, render
 from repro.sql.planner import AggregateNode, conjoin
 
 
@@ -67,8 +67,7 @@ class SiteScan(SiteOperator):
     The stage runs the access path (:meth:`Stage.run
     <repro.federation.stage.Stage.run>`: placement, failover, a copy served
     whole, degrade-or-fail); this operator lays the rows it read out as
-    column chunks, keeps the text index's hits, and applies the residual
-    RLS and the masks."""
+    column chunks and applies the residual RLS and the masks."""
 
     name = "SiteScan"
 
@@ -90,11 +89,11 @@ class SiteScan(SiteOperator):
         table_batches: "list[tuple[str, Table, float, Fragment | None]]",
     ) -> list[SiteBatch]:
         """Each table's resident column layout under this query's batch
-        headers, less the rows the text index and the residual RLS reject,
-        masks applied.  Governance runs *after* the capture: cached regions
-        keep raw rows under their predicate key, every consumer scan
-        re-applies its own residual RLS and masks right here, and rows a
-        policy hides never leave the site pipeline.
+        headers, less the rows the residual RLS rejects, masks applied.
+        Governance runs *after* the capture: cached regions keep raw rows
+        under their predicate key, every consumer scan re-applies its own
+        residual RLS and masks right here, and rows a policy hides never
+        leave the site pipeline.
         """
         batches = []
         for site, table, elapsed, fragment in table_batches:
@@ -102,27 +101,9 @@ class SiteScan(SiteOperator):
             batches.append(
                 SiteBatch(site, elapsed, chunks, [None] * len(chunks), fragment)
             )
-        if self.scan.text_filter is not None:
-            keep = chunk_filter(self._text_condition(ctx))
-            for batch in batches:
-                batch.selections = keep(batch)
         self._apply_governance(ctx, batches)
         ctx.report.rows_fetched += sum(batch.row_count() for batch in batches)
         return batches
-
-    def _text_condition(self, ctx: ExecContext) -> Expr:
-        """The text index's hits as a condition on the scan's key column."""
-        entry = ctx.catalog.entry(self.scan.table)
-        if entry.text_index is None or entry.key_column is None:
-            raise QueryError(
-                f"MATCH on {self.scan.table!r} but no text index is registered"
-            )
-        _, query = self.scan.text_filter
-        hits = entry.text_index.search(query, limit=entry.estimated_rows() or 1000)
-        return InList(
-            Column(entry.key_column, self.scan.binding, self.scan.binding),
-            tuple(Literal(doc_id) for doc_id in {hit.doc_id for hit in hits}),
-        )
 
     def _apply_governance(self, ctx: ExecContext, batches: list[SiteBatch]) -> None:
         """Residual RLS then column masks, per batch, as charged site work.
@@ -173,8 +154,6 @@ class SiteScan(SiteOperator):
 
     def _describe(self, assignment: ScanAssignment) -> str:
         detail = describe_access_path(assignment) + describe_pushdown(self.scan)
-        if self.scan.text_filter is not None:
-            detail += f" text-index{self.scan.text_filter!r}"
         detail += describe_governance(self.scan)
         for event in self.stage.events:
             detail += f" [{event}]"

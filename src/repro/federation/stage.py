@@ -478,8 +478,7 @@ class Stage:
         (``slots`` pairs each slice with the fragment read, ``cuts`` the
         reads a ``SiteTopK`` cut with their boundaries): a narrowed run's
         spliced, then a complete run captured.  The semantic cache gets the
-        rows read per fragment -- not of a text-filtered scan (the pushdown
-        key does not say what it answered), nor a truncated one -- and the
+        rows read per fragment -- not of a truncated scan -- and the
         store the output, one part per fragment, a pruned one empty.  The
         executor reports the captures of the stages that answered."""
         if self.stale is not None:
@@ -493,11 +492,7 @@ class Stage:
         entry = ctx.catalog.entry(scan.table)
         pruned = self._pruned(entry.fragments)
         now = ctx.catalog.clock.now()
-        if (
-            ctx.paths.cache is not None
-            and scan.text_filter is None
-            and physical.top_k_bound(scan) is None
-        ):
+        if ctx.paths.cache is not None and physical.top_k_bound(scan) is None:
             rows = dict.fromkeys(pruned, Table(entry.schema, [])) | self.read
             self.scan_capture = report.ScanCapture(
                 [(f, f.epoch, rows.get(f.fragment_id)) for f in entry.fragments],

@@ -59,7 +59,6 @@ from repro.sql.rewrite import (
     RewritePass,
     RewritePipeline,
     SiteFilterPushdown,
-    TextIndexRewrite,
     TopKPushdown,
 )
 
@@ -100,6 +99,5 @@ __all__ = [
     "RewritePass",
     "RewritePipeline",
     "SiteFilterPushdown",
-    "TextIndexRewrite",
     "TopKPushdown",
 ]

@@ -11,9 +11,8 @@ its condition is true.
 
 Scalar functions include the object-relational extensions of §4:
 ``fuzzy(a, b)`` returns :func:`repro.ir.fuzzy.combined_similarity` and
-``match(column, query)`` is rewritten by the engine before evaluation (it
-only appears here as a fallback substring check so local evaluation is still
-meaningful).
+``match(column, query)`` is full-text containment by sqlite FTS5's rule
+(:func:`_scalar_match`), a row predicate placed like any other.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Any, Callable, Mapping
 from repro.core.errors import QueryError
 from repro.core.values import COMPARISONS
 from repro.ir.fuzzy import combined_similarity
+from repro.ir.tokenize import tokenize
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -65,11 +65,14 @@ def _scalar_fuzzy(a: Any, b: Any) -> float:
     return combined_similarity(str(a or ""), str(b or ""))
 
 
-def _scalar_match(value: Any, query: Any) -> bool:
-    # Fallback behaviour when the engine has not rewritten MATCH into an IR
-    # access path: case-insensitive all-terms containment.
-    haystack = str(value or "").lower()
-    return all(term in haystack for term in str(query or "").lower().split())
+def _scalar_match(value: Any, query: Any) -> bool | None:
+    """FTS5's rule: true when every token of ``query`` is a token of
+    ``value``; a query with no token matches nothing, and a NULL side is
+    unknown."""
+    if value is None or query is None:
+        return None
+    terms = frozenset(tokenize(str(query)))
+    return bool(terms) and terms <= frozenset(tokenize(str(value)))
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {

@@ -27,6 +27,12 @@ KEYWORDS = frozenset(
         "not", "group", "by", "having", "order", "asc", "desc", "limit",
         "like", "in", "between", "contains", "is", "null", "true", "false",
         "distinct",
+        # sqlite's reserved words for forms the dialect lacks: reserved, so
+        # a statement using one is refused at the word, never read with it
+        # as a name.  (``offset``, ``cast`` and ``end`` stay names, as
+        # sqlite lets them be aliases.)
+        "union", "except", "intersect", "case", "when", "then", "else",
+        "exists",
     }
 )
 

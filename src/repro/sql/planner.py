@@ -16,18 +16,17 @@ attached to its column's scan, so sources (live sources, scraped sites,
 fragments) filter locally.  Everything else stays in a residual
 :class:`FilterNode`.  The pushdown itself is a rewrite pass
 (:class:`repro.sql.rewrite.PredicatePushdown`) that :func:`build_plan`
-applies, and the engine layers further passes (text-index access,
-site-local filters, projection pruning, aggregate splitting) on top -- see
+applies, and the engine layers further passes (site-local filters,
+projection pruning, aggregate splitting) on top -- see
 :mod:`repro.sql.rewrite`.
 
 Scan nodes carry the physical-placement annotations those passes write:
 ``site_filters`` (residual conjuncts evaluable at the owning site),
-``needed_columns`` (projection pruning), ``text_filter`` (text-index
-access path) and ``top_k`` (a per-fragment top-k under ORDER BY ...
-LIMIT).  Aggregate nodes carry ``split`` when the aggregation can be
-computed as site-local partials merged at the coordinator -- over its scan,
-or, pushed below a join, as a second aggregate node over the scan whose
-states the join carries up.
+``needed_columns`` (projection pruning) and ``top_k`` (a per-fragment
+top-k under ORDER BY ... LIMIT).  Aggregate nodes carry ``split`` when the
+aggregation can be computed as site-local partials merged at the
+coordinator -- over its scan, or, pushed below a join, as a second
+aggregate node over the scan whose states the join carries up.
 """
 
 from __future__ import annotations
@@ -156,7 +155,6 @@ class ScanNode(PlanNode):
       evaluated at the site (a physical ``SiteFilter`` operator);
     * ``needed_columns`` -- the only columns any later operator reads
       (``None`` means all; a physical ``SiteProject`` operator);
-    * ``text_filter`` -- a ``(column, query)`` text-index access path;
     * ``governance`` -- compiled per-tenant RLS / mask policy, if any;
     * ``top_k`` -- ship each fragment's top k rows alone (a physical
       ``SiteTopK`` operator; the coordinator ``Sort`` checks the answer).
@@ -167,7 +165,6 @@ class ScanNode(PlanNode):
     pushdown: list[Predicate] = field(default_factory=list)
     site_filters: list[Expr] = field(default_factory=list)
     needed_columns: set[str] | None = None
-    text_filter: tuple[str, str] | None = None
     governance: ScanGovernance | None = None
     top_k: ScanTopK | None = None
 
@@ -197,7 +194,6 @@ class ScanNode(PlanNode):
             pushdown=list(self.pushdown),
             site_filters=[expr_fn(e, *args) for e in self.site_filters],
             needed_columns=None if needed is None else set(needed),
-            text_filter=self.text_filter,
             governance=governance,
             top_k=top_k,
         )

@@ -7,11 +7,9 @@ testable in isolation, and extensible:
 
 * :class:`PredicatePushdown` -- ``column op literal`` conjuncts move into
   their scan's source-level predicate list (applied by ``build_plan``);
-* :class:`TextIndexRewrite` -- ``MATCH(col, 'q')`` conjuncts become a
-  text-index access path on the scan (§4's "text search engine ... fully
-  modeled ... as an access path");
 * :class:`SiteFilterPushdown` -- residual conjuncts touching a single
-  binding (ORs, fuzzy matches, arithmetic) execute at the owning site;
+  binding (ORs, ``match`` and fuzzy matches, arithmetic) execute at the
+  owning site;
 * :class:`ProjectionPruning` -- scans record the only columns any later
   operator reads, so sites ship narrower rows;
 * :class:`AggregateSplitting` -- an aggregation decomposes into site-local
@@ -25,7 +23,7 @@ testable in isolation, and extensible:
   order key reads ships each fragment's top k rows alone (Carey & Kossmann's
   Stop(N) below the join, checked and restarted at the coordinator Sort).
 
-The first three are *claim rules* under the one conjunct-placement loop,
+The first two are *claim rules* under the one conjunct-placement loop,
 :class:`ConjunctPlacement`, which is also the one home of the outer-join
 guard.  Every pass reads a column's scan from ``Column.binding``, which
 :func:`repro.sql.planner.resolve` set before the plan was built.  Passes
@@ -45,7 +43,6 @@ from repro.sql.ast import (
     BinaryOp,
     Column,
     Expr,
-    FuncCall,
     InSubquery,
     Literal,
     Parameter,
@@ -164,37 +161,6 @@ class PredicatePushdown(ConjunctPlacement):
         if scan is None:
             return False
         scan.pushdown.append(Predicate(column.name, op, value))
-        return True
-
-
-class TextIndexRewrite(ConjunctPlacement):
-    """Turn ``MATCH(col, 'q')`` conjuncts into text-index access paths.
-
-    A conjunct is rewritten only when its column's binding reads a table
-    with a text index on that column (``targets``: binding -> indexed
-    column); otherwise it stays a row-wise predicate (the scalar ``match``
-    fallback keeps answers correct).
-    """
-
-    name = "text-index"
-
-    def __init__(self, targets: dict[str, str | None]) -> None:
-        self.targets = targets
-
-    def claim(self, conjunct: Expr, scans: dict[str, ScanNode]) -> bool:
-        if not (
-            isinstance(conjunct, FuncCall)
-            and conjunct.name == "match"
-            and len(conjunct.args) == 2
-            and isinstance(conjunct.args[0], Column)
-            and isinstance(conjunct.args[1], Literal)
-        ):
-            return False
-        column, query = conjunct.args
-        scan = scans.get(column.binding)
-        if scan is None or self.targets.get(scan.binding) != column.name:
-            return False  # unindexed: leave as a row-wise predicate
-        scan.text_filter = (column.name, str(query.value))
         return True
 
 
@@ -433,7 +399,7 @@ class GovernanceInjection(RewritePass):
     The governed answer is, by definition, the query evaluated over each
     governed table replaced by ``mask(sigma_RLS(T))``: RLS conjuncts see raw
     (pre-mask) values, masks apply at the scan's output, and the tenant's
-    own predicates on masked columns see masked values.  Three consequences
+    own predicates on masked columns see masked values.  Two consequences
     shape the rewrite:
 
     * pushable RLS conjuncts join ``scan.pushdown`` -- they prune zone maps,
@@ -446,8 +412,6 @@ class GovernanceInjection(RewritePass):
     * user pushdown predicates on masked columns are *hoisted back* into
       ``site_filters`` (which run post-mask), since the source would
       otherwise compare raw values the tenant never sees.
-    * a text-index access path over a masked column is demoted to the
-      scalar ``match`` fallback for the same reason.
     """
 
     name = "governance"
@@ -475,7 +439,6 @@ class GovernanceInjection(RewritePass):
                 )
             masks[column_name] = style
         self._hoist_masked_pushdown(scan, masks)
-        self._demote_masked_text_filter(scan, masks)
         governance = ScanGovernance(rule.tenant, masks=masks)
         if rule.row_filter is not None:
             for conjunct in split_conjuncts(rule.row_filter):
@@ -512,20 +475,6 @@ class GovernanceInjection(RewritePass):
             else:
                 kept.append(predicate)
         scan.pushdown[:] = kept
-
-    def _demote_masked_text_filter(
-        self, scan: ScanNode, masks: dict[str, str]
-    ) -> None:
-        if scan.text_filter is None or scan.text_filter[0] not in masks:
-            return
-        column_name, query_text = scan.text_filter
-        scan.text_filter = None
-        scan.site_filters.append(
-            FuncCall(
-                "match",
-                (Column(column_name, scan.binding, scan.binding), Literal(query_text)),
-            )
-        )
 
 
 def _qualify_policy_expr(

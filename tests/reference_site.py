@@ -16,12 +16,11 @@ that differed, so access paths (source pushdown included), the serving of
 views and cache regions, failover, capture and artifact serving at the
 ``Ship`` boundary are the production code on both sides.
 What follows the access path in a scan is no longer shared: when the
-product's ``SiteScan`` began to keep rows of column chunks -- text-index
-hits and residual RLS through ``columnar.select_rows``, masks a column at
-a time -- its row-at-a-time text filter, its per-row
-``evaluate(residual, row_env(...))``, ``governance.apply_masks`` and
-``physical.row_env`` moved here verbatim (``SiteScan._site_batches``), so
-governed and text-filtered scans are compared across two implementations.
+product's ``SiteScan`` began to keep rows of column chunks -- residual
+RLS through ``columnar.select_rows``, masks a column at a time -- its
+per-row ``evaluate(residual, row_env(...))``, ``governance.apply_masks``
+and ``physical.row_env`` moved here verbatim (``SiteScan._site_batches``),
+so governed scans are compared across two implementations.
 (Pushdown has its own referee: ``tests/test_apply_predicates.py`` holds
 ``apply_predicates`` to the scalar ``Predicate.matches``.)  The row
 aggregator -- ``partial_state`` over a group's envs and
@@ -144,8 +143,6 @@ def apply_masks(table: Table, masks: dict[str, str]) -> Table:
 
 class SiteScan(site_ops.SiteScan):
     def _site_batches(self, ctx: ExecContext, assignment, table_batches):
-        if self.scan.text_filter is not None:
-            table_batches = self._apply_text_filter(ctx, assignment, table_batches)
         table_batches = self._apply_governance(ctx, table_batches)
         ctx.report.rows_fetched += sum(len(t) for _, t, _, _ in table_batches)
         return [
@@ -160,27 +157,6 @@ class SiteScan(site_ops.SiteScan):
             )
             for site, table, elapsed, fragment in table_batches
         ]
-
-    def _apply_text_filter(self, ctx, assignment, table_batches):
-        entry = ctx.catalog.entry(assignment.table_name)
-        if entry.text_index is None or entry.key_column is None:
-            raise QueryError(
-                f"MATCH on {assignment.table_name!r} but no text index is registered"
-            )
-        _, query = self.scan.text_filter
-        hits = {
-            hit.doc_id
-            for hit in entry.text_index.search(
-                query, limit=entry.estimated_rows() or 1000
-            )
-        }
-        filtered_batches = []
-        for site, table, elapsed, fragment in table_batches:
-            key_index = table.schema.index_of(entry.key_column)
-            filtered = Table(table.schema, validate=False)
-            filtered.rows = [row for row in table.rows if row[key_index] in hits]
-            filtered_batches.append((site, filtered, elapsed, fragment))
-        return filtered_batches
 
     def _apply_governance(self, ctx, table_batches):
         governance = self.scan.governance

@@ -5,6 +5,7 @@ divergence table lists the rest), so the SQL text runs unchanged on either
 side; answers are compared with ``benchmarks.e2e.oracle.rows_match``.
 """
 
+import re
 import sqlite3
 
 from hypothesis import strategies as st
@@ -82,6 +83,46 @@ def sqlite_answer(
         db.execute(statement)
     cursor = db.execute(sql, params)
     return [column[0] for column in cursor.description], cursor.fetchall()
+
+
+# -- match: FTS5 decides ------------------------------------------------------
+# sqlite has no ``match(column, q)``: the text it runs spells each call as
+# the row's rowid among the hits of an FTS5 index of the column, which the
+# prelude builds.  Only a NULL value (FTS5 indexes none) is spelt by hand.
+
+MATCH = re.compile(r"\bmatch\((?:(\w+)\.)?(\w+), '([^']*)'\)")
+
+
+def fts5_shadow(table: str, column: str) -> tuple[str, str]:
+    """Prelude statements: an FTS5 index of ``table.column`` (sqlite's
+    ``unicode61`` tokenizer) keyed by rowid, which :func:`fts5_match`
+    reads."""
+    shadow = f"{table}_{column}"
+    return (
+        f"create virtual table {shadow} using fts5({column}, tokenize='unicode61')",
+        f"insert into {shadow} (rowid, {column}) select rowid, {column} from {table}",
+    )
+
+
+def fts5_match(text: str, table: str) -> str:
+    """``text`` with each ``match([binding.]column, 'q')`` spelt for sqlite
+    over :func:`fts5_shadow`'s index; ``table`` is an unqualified column's
+    binding.  Each whitespace-separated word of ``q`` is quoted, so FTS5
+    reads none of ``-``, ``:`` or ``AND`` as an operator; a query of no
+    word is FTS5's empty phrase, which matches nothing."""
+
+    def spelt(found) -> str:
+        binding, column, query = found.groups()
+        binding = binding or table
+        shadow = f"{binding}_{column}"
+        terms = " ".join(f'"{word}"' for word in query.split()) or '""'
+        return (
+            f"(case when {binding}.{column} is null then null else "
+            f"{binding}.rowid in (select rowid from {shadow} "
+            f"where {shadow} match '{terms}') end)"
+        )
+
+    return MATCH.sub(spelt, text)
 
 
 # -- building statements -------------------------------------------------------

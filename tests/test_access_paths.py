@@ -585,6 +585,9 @@ GONE = {
     "StagePayload.groups",  # a payload of value tuples: a payload is one column batch
     "SiteBatch.rows",  # one field for two kinds of value: groups have their own
     "stage_specs", "AccessPaths.stage_specs",  # a second walk over a plan's stages
+    "TextIndexRewrite", "ScanNode.text_filter", "_text_condition", "_text_targets",
+    "_demote_masked_text_filter", "TableEntry.key_column",
+    "TableEntry.text_column",  # a second evaluator of match: it is one predicate
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -603,7 +606,7 @@ UNSET_OPTIONS = {
     "FederationCatalog.network": NETWORK,
     "Gateway.max_idle": "sizes the deployment's idle session pool; the gateway tests set it",
 }  # fmt: skip
-CLAIMS = ("PredicatePushdown", "TextIndexRewrite", "SiteFilterPushdown")
+CLAIMS = ("PredicatePushdown", "SiteFilterPushdown")
 SCAN_PATH = ("connect/source.py", "federation/physical.py", "federation/site_ops.py",
              "federation/coordinator_ops.py", "federation/report.py",
              "federation/cache.py")  # fmt: skip
@@ -673,7 +676,7 @@ GUARDS = [
                   if h.startswith(REWRITE) and first == "condition"},
                  ix.callers("null_supplying_bindings", REWRITE)),
      ({REWRITE + "ConjunctPlacement.run"},) * 2),
-    ("one_home-rules-only-claim", "the three placement rules are claims of that loop",
+    ("one_home-rules-only-claim", "the two placement rules are claims of that loop",
      lambda ix: {rule for rule in CLAIMS
                  if "ConjunctPlacement" not in ix.bases.get(REWRITE + rule, ())
                  or f"{REWRITE}{rule}.run" in ix.params

@@ -5,7 +5,8 @@ NULL-bearing int, float, str and bool columns:
 
 * select lists of columns, ``+ - *`` arithmetic and selected predicates;
 * WHERE: comparisons, IN / NOT IN over lists and subqueries, BETWEEN,
-  LIKE / NOT LIKE, IS [NOT] NULL and nested NOT / AND / OR;
+  LIKE / NOT LIKE, IS [NOT] NULL, ``[not] match(t.s, q)`` (which sqlite
+  answers through an FTS5 index of ``t.s``) and nested NOT / AND / OR;
 * inner and left joins on an equi-key with an optional residual conjunct;
 * GROUP BY / HAVING over ``count(*)``, ``count``, ``sum``, ``avg``, ``min``
   and ``max``, and DISTINCT;
@@ -32,8 +33,9 @@ under ``LIVE_ONLY`` serve none.  Rows and floats are
 compared by ``benchmarks.e2e.oracle.rows_match``, and the engine's value
 types must be exact.  The grammar leaves out exactly README's divergence
 table: CASE, ``%`` and ``/`` are never written, the fixture holds no NaN,
-no aggregate is DISTINCT, and the sides of a comparison are both numbers,
-both strings or both booleans.  The table's refusal rows are data here
+no aggregate is DISTINCT, the sides of a comparison are both numbers,
+both strings or both booleans, and a ``match`` query is one ASCII word.
+The table's refusal rows are data here
 (``DIVERGENCES``): each example is answered by sqlite3 and refused by the
 engine, through every entry, with the listed error naming the form.
 """
@@ -59,6 +61,8 @@ from repro.sim import EventLoop
 from tests.sqlite_oracle import (
     OPTIMIZERS,
     federation,
+    fts5_match,
+    fts5_shadow,
     joined,
     literal,
     phrase,
@@ -102,6 +106,9 @@ KINDS = (NUMBER, (str,), (bool,))
 ANY = NUMBER + (str, bool)
 LITERALS = [None, *range(-2, 6), -2.0, 0.5, 1.25, "", "a", "ab", "b", "ca", True, False]
 PATTERNS = st.sampled_from(["%", "a%", "A%", "%b", "_b%", "a_", "_", "%a%c"])
+# ``match(t.s, q)``: t.s's tokens, and a miss that is a prefix of two of them.
+TEXT = ("s", "t.s")
+MATCH_QUERIES = st.sampled_from(["ab", "abc", "b", "ca", "a"])
 COMPARE = st.sampled_from([" = ", " != ", " <> ", " < ", " <= ", " > ", " >= "])
 ARITHMETIC = st.sampled_from([" + ", " - ", " * "])
 AND_OR = st.sampled_from([" and ", " or "])
@@ -139,6 +146,11 @@ class Grammar:
 
     def __init__(self, columns):
         self.columns = columns
+        text = [column for column in columns if column in TEXT]
+        self.matches = phrase(
+            st.sampled_from(["match(", "not match("]),
+            st.sampled_from(text), ", ", MATCH_QUERIES.map(literal), ")",
+        )  # fmt: skip
         self.atomic = self._weighted(subquery=False)
         self.plain = nested(self.atomic)  # no subquery
         self.predicates = nested(self._weighted(subquery=True))
@@ -182,6 +194,7 @@ class Grammar:
         if kinds == (str,):
             like = st.sampled_from([" like ", " not like "])
             forms.append(phrase(self.column(kinds), like, PATTERNS.map(literal)))
+            forms.append(self.matches)
         if subquery and kinds != (bool,):
             in_subquery = st.sampled_from([" in ", " not in "])
             column = "k" if kinds == NUMBER else "s"
@@ -243,10 +256,11 @@ class Statement(NamedTuple):
 
 
 @st.composite
-def statements(draw, top_k=False, ordinal=False):
+def statements(draw, top_k=False, ordinal=False, match=False):
     """A drawn statement; with ``top_k``, a join under ORDER BY ... LIMIT
     1 to 4 with no grouping and no DISTINCT; with ``ordinal``, ordered, and
-    every ORDER BY and GROUP BY key written as its output position."""
+    every ORDER BY and GROUP BY key written as its output position; with
+    ``match``, its WHERE a ``match`` atom, alone or beside a predicate."""
     joins = [" join ", " left join "] if top_k else [None, None, " join ", " left join "]
     join = draw(st.sampled_from(joins))
     grammar, source = (T, ("t",)) if join is None else (JOINED, ())
@@ -256,6 +270,9 @@ def statements(draw, top_k=False, ordinal=False):
         source = (f"t{join}u on {left} = {right}",)
         source += () if residual is None else (" and ", residual)
     where = draw(st.none() | grammar.predicates)
+    if match:
+        around = st.just(()) if where is None else st.tuples(AND_OR, st.just(where))
+        where = sql(draw(grammar.matches), *draw(around))
     clauses = () if where is None else (" where ", where)
     if not top_k and draw(st.booleans()):
         # Not t's key: its groups are single rows, which merge no partials.
@@ -302,12 +319,18 @@ NARROWING_PAIRS = st.builds(
     st.integers(2, 12),
 )
 
-# One or two drawn statements half the time, else a narrowing pair or one or
-# two top-k statements.
-STATEMENTS = st.sampled_from(["drawn", "drawn", "narrowing", "top-k"]).flatmap(
+# One or two drawn statements two times in five, else a narrowing pair, or
+# one or two top-k statements, or of the match family: a ``[not] match(t.s,
+# q)`` atom in every WHERE.
+FAMILIES = ["drawn", "drawn", "narrowing", "top-k", "match"]
+STATEMENTS = st.sampled_from(FAMILIES).flatmap(
     lambda family: NARROWING_PAIRS
     if family == "narrowing"
-    else st.lists(statements(top_k=family == "top-k"), min_size=1, max_size=2)
+    else st.lists(
+        statements(top_k=family == "top-k", match=family == "match"),
+        min_size=1,
+        max_size=2,
+    )
 )
 
 # -- the switches --------------------------------------------------------------
@@ -342,13 +365,21 @@ SWITCHES = st.builds(
 
 def expected(switches, statement, tables=TABLES):
     """sqlite's column names and rows; a governed tenant's ``t`` is the
-    table its policy leaves, made by sqlite from the raw rows."""
+    table its policy leaves, made by sqlite from the raw rows.  FTS5
+    answers ``match`` over the raw ``s`` in the row filter and over the
+    masked ``s`` in the statement."""
+    text = fts5_match(statement.text[0], "t")
     if switches.policy is None:
-        return sqlite_answer(tables, statement.text[0])
+        return sqlite_answer(tables, text, fts5_shadow("t", "s"))
     row_filter, mask = switches.policy
-    prelude = (f"create table t as select * from raw where {row_filter}", MASKS[mask])
+    prelude = (
+        *fts5_shadow("raw", "s"),
+        f"create table t as select * from raw where {fts5_match(row_filter, 'raw')}",
+        MASKS[mask],
+        *fts5_shadow("t", "s"),
+    )
     tables = {"raw": tables["t"], "u": tables["u"]}
-    return sqlite_answer(tables, statement.text[0], prelude)
+    return sqlite_answer(tables, text, prelude)
 
 
 class Write(NamedTuple):
@@ -734,17 +765,22 @@ def run_once(switches, statement):
     """``statement`` run once through the switches' entry: (column names,
     rows), or the QueryError it raised."""
     engine, tenant = engine_for(switches)
+    return ask(engine, switches.entry, statement, tenant or "default")
+
+
+def ask(engine, entry, statement, tenant="default"):
+    """``statement`` run once on ``engine`` through ``entry``: (column
+    names, rows), or the QueryError it raised."""
     inlined, template, values = statement.text
-    tenant = tenant or "default"
     gateway = Gateway(WorkloadManager(engine, EventLoop(engine.catalog.clock)))
     try:
-        if switches.entry == "dbapi":
+        if entry == "dbapi":
             cursor = dbapi.connect(gateway, tenant=tenant).cursor()
             cursor.execute(template, values)
             return [column[0] for column in cursor.description], cursor.fetchall()
-        if switches.entry == "ad hoc":
+        if entry == "ad hoc":
             table = engine.query(inlined, tenant=tenant).table
-        elif switches.entry == "prepared":
+        elif entry == "prepared":
             prepared = engine.prepare(template, tenant=tenant)
             table = engine.execute(prepared, values).table
         else:
@@ -809,6 +845,8 @@ ALIASED = [
     (sql("select count(*) as n from t group by n"), "n"),
     # refused by both: an aliased aggregate inside an aggregate
     (sql("select s as g, sum(v) as n from t group by g having sum(n) > 1"), "n"),
+    # refused by both: a reserved word is no alias
+    (sql("select k as c0 from t union"), "union"),
 ]  # fmt: skip
 
 
@@ -829,7 +867,7 @@ def test_group_by_and_having_read_a_select_alias(entry, text, name):
 
 DIVERGENCES = [
     ("no CASE", "select case when v > 1 then 1 else 0 end from t",
-     SqlParseError, "expected FROM"),
+     SqlParseError, "unexpected token 'case'"),
     ("no %", "select k % 2 from t", SqlLexError, "'%'"),
     ("/ raises on zero", "select k / 0 from t", QueryError, "division by zero"),
     ("no aggregate DISTINCT", "select count(distinct v) from t",
@@ -839,9 +877,11 @@ DIVERGENCES = [
     ("a scalar subquery in WHERE", "select k from t where v > (select min(w) from u)",
      SqlParseError, "unexpected token 'select'"),
     ("EXISTS", "select k from t where exists (select k from u)",
-     SqlParseError, "unexpected token 'select'"),
+     SqlParseError, "unexpected token 'exists'"),
     ("UNION", "select k from t union select k from u",
-     SqlParseError, "trailing input at offset 22: 'select'"),
+     SqlParseError, "trailing input at offset 16: 'union'"),
+    ("EXCEPT", "select k from t except select k from u",
+     SqlParseError, "trailing input at offset 16: 'except'"),
     ("OFFSET", "select k from t order by k limit 2 offset 1",
      SqlParseError, "'offset'"),
     ("CAST", "select cast(v as text) from t", SqlParseError, "found 'as'"),
@@ -944,29 +984,69 @@ def test_a_degraded_answer_is_within_the_full_answer(sql_text):
     assert set(rows) <= set(sqlite_answer(DEGRADED, sql_text)[1])
 
 
-# -- text match: the index against the scalar fallback ---------------------------
-# ``make_engine``'s ``parts`` has a text index on ``name``: ``match(name, q)``
-# alone is answered from it, OR-ed with a false conjunct by the scalar
-# fallback.  Both should answer by one rule (FTS5's), which sqlite then
-# referees.
+# -- match: FTS5's rule ------------------------------------------------------------
+# ``make_engine``'s part names and one NULL name, with a text index on
+# ``name`` built as ``make_engine`` builds it: SQL ``match`` never reads it,
+# so every entry answers by the one rule, and sqlite refers each answer to
+# FTS5.  ``--``, ``AND`` and the empty query reach FTS5 quoted, as words.
 
-TWO_MATCH_RULES = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the text index and the scalar match disagree",
-)
+PARTS = {
+    "parts": (
+        (Field("sku", S), Field("name", S), Field("price", F)),
+        [("A-1", "black india ink", 5.0), ("A-2", "blue ink cartridge", 6.0),
+         ("A-3", "cordless drill", 90.0), ("A-4", "corded drill press", 150.0),
+         ("A-5", "hex bolt", 0.5), ("A-6", None, 2.0)],
+    ),
+}  # fmt: skip
+MATCH_PROBES = ["dril", "cord", "in", "ink black", "drill", "", "--", "AND ink"]
+ENTRIES = ["ad hoc", "prepared", "gateway", "dbapi"]
 
 
-@TWO_MATCH_RULES
-@pytest.mark.parametrize("query", ["dril", "cord", "in", "ink black"])
-def test_text_index_and_scalar_fallback_agree(query):
-    from tests.test_federation_engine import make_engine
-
-    engine = make_engine()
-    indexed = f"select sku from parts where match(name, '{query}')"
-    fallback = f"{indexed} or 1 = 0"
-    assert "text-index" in engine.explain(indexed)
-    assert "text-index" not in engine.explain(fallback)
-    assert sorted(engine.query(indexed).table.rows) == sorted(
-        engine.query(fallback).table.rows
+def parts_engine():
+    engine = federation(PARTS, reuse=True)
+    entry = engine.catalog.entry("parts")
+    engine.catalog.build_text_index(
+        "parts", "name", Table(entry.schema, PARTS["parts"][1]), "sku"
     )
+    return engine
+
+
+def assert_fts5_answers(got, statement, tables=PARTS):
+    text = fts5_match(statement.text[0], "parts")
+    names, rows = sqlite_answer(tables, text, fts5_shadow("parts", "name"))
+    assert not isinstance(got, QueryError), got
+    assert got[0] == names
+    assert rows_match(got[1], rows, False), got[1]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("negated", ["", "not "], ids=["match", "not match"])
+@pytest.mark.parametrize("query", MATCH_PROBES, ids=map(repr, MATCH_PROBES))
+def test_match_answers_what_fts5_answers(entry, negated, query):
+    """A NULL name is unknown: neither ``match`` nor ``not match`` keeps it."""
+    where = f"select sku from parts where {negated}match(name, "
+    statement = Statement(sql(where, literal(query), ")"), (str,))
+    got = ask(parts_engine(), entry, statement)
+    assert_fts5_answers(got, statement)
+    assert ("A-6",) not in got[1]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_match_answers_from_the_written_rows(entry):
+    """Fragment f0 re-hosted with one more drill, and the catalog told: the
+    next answer has it, however the first one was stored."""
+    engine = parts_engine()
+    text = sql("select sku from parts where match(name, ", literal("drill"), ")")
+    statement = Statement(text, (str,))
+    assert_fts5_answers(ask(engine, entry, statement), statement)
+    catalog, (columns, rows) = engine.catalog, PARTS["parts"]
+    parts = catalog.entry("parts")
+    fragment = parts.fragments[0]
+    hammer = ("A-9", "hammer drill", 40.0)
+    table = Table(parts.schema, [*rows[0::2], hammer])  # f0's rows, dealt
+    for site_name, local_name in fragment.replicas.items():
+        catalog.site(site_name).host(StaticSource(local_name, table), local_name)
+    catalog.notify_table_updated("parts", fragment.fragment_id)
+    got = ask(engine, entry, statement)
+    assert_fts5_answers(got, statement, {"parts": (columns, [*rows, hammer])})
+    assert ("A-9",) in got[1]

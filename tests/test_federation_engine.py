@@ -13,6 +13,7 @@ from repro.federation import (
 from repro.federation.engine import LIVE_ONLY
 from repro.ir.search import SearchMode
 from repro.sim import EventLoop, SimClock
+from repro.sql.ast import render
 from repro.sql.planner import scans_in
 
 from tests.sqlite_oracle import sqlite_answer
@@ -144,20 +145,24 @@ class TestSqlEndToEnd:
 
 
 class TestMatchAccessPath:
-    def test_match_uses_text_index(self):
+    """``match`` is one row predicate, placed at the site like any other;
+    the text index on ``name`` serves ranked search alone."""
+
+    def test_match_is_a_site_filter(self):
         engine = make_engine()
         result = engine.query("select sku from parts where match(name, 'drill')")
         assert sorted(result.table.column("sku")) == ["A-3", "A-4"]
         assert engine.catalog.entry("parts").text_index is not None
         (scan,) = scans_in(result.plan.logical)
-        assert scan.text_filter == ("name", "drill")
+        assert [render(c) for c in scan.site_filters] == ["match(name, 'drill')"]
 
     def test_match_on_unindexed_column_falls_back(self):
+        """An unindexed column answers by the same rule, at the site."""
         engine = make_engine()
         result = engine.query("select sku from parts where match(sku, 'A-1')")
         assert result.table.column("sku") == ["A-1"]
         (scan,) = scans_in(result.plan.logical)
-        assert scan.text_filter is None
+        assert [render(c) for c in scan.site_filters] == ["match(sku, 'A-1')"]
 
     def test_match_combined_with_other_predicates(self):
         engine = make_engine()
@@ -172,8 +177,8 @@ class TestMatchAccessPath:
     )
 
     def test_match_on_the_null_supplying_side_stays_above_the_join(self):
-        """WHERE runs after the outer join: a text-index probe below it
-        would leave the null-extended rows the WHERE must drop."""
+        """WHERE runs after the outer join: a site filter below it would
+        leave the null-extended rows the WHERE must drop."""
         engine = make_engine()
         tables = {}
         for name in ("suppliers", "parts"):
@@ -188,17 +193,17 @@ class TestMatchAccessPath:
         match = self.OUTER.format(kind="left", condition="match(p.name, 'ink')")
         lines = [line.strip() for line in engine.explain(match).splitlines()]
         assert lines.index("filter") < lines.index("left join")
-        assert "text-index" not in engine.explain(match)
+        assert "site-filter" not in engine.explain(match)
 
-    def test_match_under_an_inner_join_keeps_the_text_index(self):
+    def test_match_under_an_inner_join_runs_at_the_site(self):
         engine = make_engine()
         sql = self.OUTER.format(kind="inner", condition="match(p.name, 'ink')")
         assert sorted(engine.query(sql).table.rows) == [
             ("sup0", "A-1"), ("sup0", "A-2")
         ]
         text = engine.explain(sql)
-        assert "text-index('name', 'ink')" in text
-        assert "filter" not in text
+        assert "site-filter(match(p.name, 'ink'))" in text
+        assert "filter" not in [line.strip() for line in text.splitlines()]
 
 
 class TestFailover:
@@ -432,10 +437,10 @@ class TestExplain:
         text = engine.explain("select sku from parts", max_staleness=60.0)
         assert "view parts_mv @ s0" in text
 
-    def test_explain_shows_text_index(self):
+    def test_explain_shows_match_as_a_site_filter(self):
         engine = make_engine()
         text = engine.explain("select sku from parts where match(name, 'drill')")
-        assert "text-index('name', 'drill')" in text
+        assert "site-filter(match(name, 'drill'))" in text
 
     def test_explain_join_tree(self):
         engine = make_engine()

@@ -209,6 +209,4 @@ class TestCatalog:
         catalog.load_fragmented(data, 1, [["s0"]])
         index = catalog.build_text_index("parts", "name", data, "sku")
         assert len(index._doc_lengths) == 5
-        entry = catalog.entry("parts")
-        assert entry.text_column == "name"
-        assert entry.key_column == "sku"
+        assert catalog.entry("parts").text_index is index

@@ -48,7 +48,7 @@ T = Schema(
 FRAGMENTS = 3
 
 
-def build_engine(rows, sites, reference, replicas=1, governance=None, text=False):
+def build_engine(rows, sites, reference, replicas=1, governance=None):
     catalog = FederationCatalog(SimClock())
     names = [catalog.make_site(f"s{i}").name for i in range(sites)]
     placement = [
@@ -56,8 +56,6 @@ def build_engine(rows, sites, reference, replicas=1, governance=None, text=False
     ]
     table = Table(T, rows, validate=False)
     catalog.load_fragmented(table, FRAGMENTS, placement)
-    if text:  # ``match(tag, ...)`` becomes the scan's text-index access path
-        catalog.build_text_index("t", "tag", table, "k")
     engine = FederatedEngine(catalog, governance=governance)
     if reference:
         engine.executor.planner = ReferenceSitePlanner(catalog)
@@ -108,7 +106,7 @@ def outcome(engine, sql, params=None, **options):
 PASSES = ("cold", "marked", "ordered")
 
 
-def assert_same(rows, sql, sites, params=None, manifest=None, text=False, **options):
+def assert_same(rows, sql, sites, params=None, manifest=None, **options):
     """Three executions on one product / reference engine pair.  Backlogs
     carry over, so from the second on queue delays may differ (the
     product's encode work sits in the shipping sites' backlogs): there
@@ -120,7 +118,6 @@ def assert_same(rows, sql, sites, params=None, manifest=None, text=False, **opti
             sites,
             reference,
             governance=None if manifest is None else GovernanceRegistry(manifest),
-            text=text,
         )
         for reference in (False, True)
     ]
@@ -458,7 +455,7 @@ def test_the_statements_reach_every_site_operator_and_both_fallbacks():
             "FinalAggregate"} <= names  # fmt: skip
 
 
-# The reference has its own row-at-a-time governance and text filter
+# The reference has its own row-at-a-time governance and site filter
 # (``tests/reference_site.py``): these compare two implementations.
 GOVERNED = {
     "version": 1,
@@ -483,7 +480,7 @@ GOVERNED = {
         },
         # Masks alone; ``v`` changes type under its mask.
         "umbrella": {"tables": {"t": {"masks": {"tag": "last4", "v": "redact"}}}},
-        # ``tag`` stays raw, so ``match(tag, ...)`` keeps its text index.
+        # ``tag`` stays raw, so ``match(tag, ...)`` reads raw values.
         "hooli": {
             "tables": {"t": {"row_filter": "v + 0 >= 0", "masks": {"price": "null"}}}
         },
@@ -529,14 +526,13 @@ TEXT_STATEMENTS = [
 @pytest.mark.parametrize("tenant", ["hooli", "globex", None])
 @pytest.mark.parametrize("sql", TEXT_STATEMENTS)
 def test_text_filtered_scans(sql, tenant, sites):
-    """The text index's hits keep rows of the scan (by key, ``k``), ahead
-    of the tenant's residual RLS and masks."""
+    """``match`` is a site filter: it keeps rows after the tenant's
+    residual RLS and masks."""
     for chunk_rows in (4, columnar.DEFAULT_BATCH_SIZE):
         with small_chunks(chunk_rows):
-            product = assert_same(
-                DENSE, sql, sites, manifest=GOVERNED, text=True, tenant=tenant
-            )
-        assert "text-index('tag'," in product["operators"][-1][4]
+            product = assert_same(DENSE, sql, sites, manifest=GOVERNED, tenant=tenant)
+        filters = [op[4] for op in product["operators"] if op[0] == "SiteFilter"]
+        assert "match(tag, " in filters[0]
 
 
 @pytest.mark.parametrize("sql", ["select k, tag from t where v > 0",
