@@ -19,7 +19,8 @@ from urllib.parse import urlencode, urljoin, urlsplit
 
 from repro.connect.simweb import HttpResponse, WebClient
 from repro.core.errors import WrapperError
-from repro.htmlkit import Element, parse_html
+from repro.xmlkit import XmlElement
+from repro.htmlkit import parse_html
 
 # The link a listing page points to its next page with.
 NEXT_SELECTOR = "a.next"
@@ -34,7 +35,7 @@ class BrowserAgent:
         self.current_body: str = ""
 
     @property
-    def dom(self) -> Element:
+    def dom(self) -> XmlElement:
         return parse_html(self.current_body)
 
     def goto(self, url: str) -> HttpResponse:

@@ -103,7 +103,9 @@ class FederationCatalog:
         which is always sound.  The catalog version does not move: a
         prepared plan holds no stored rows, only names its copies resolve
         at execution, and re-prepares only when a fragment its zone maps
-        pruned was written.
+        pruned was written.  The table's text index is dropped too: it
+        holds the rows it was built from, so ranked search refuses until
+        :meth:`build_text_index` rebuilds it.
         """
         entry = self.tables.get(table_name)
         written = [] if entry is None else [
@@ -113,6 +115,8 @@ class FederationCatalog:
         ]
         if fragment is not None and not written:
             raise QueryError(f"unknown fragment {fragment!r} of {table_name!r}")
+        if entry is not None:
+            entry.text_index = None
         for each in written:
             each.epoch += 1
             each.zone_map = None
@@ -430,14 +434,15 @@ class FederationCatalog:
         view = self.views.get(name)
         return 0 if view is None or view.data is None else len(view.data)
 
-    def binding_fields(self, bindings: dict[str, str]) -> dict[str, set[str]]:
-        """Map query bindings (alias -> table name) to their field-name sets."""
-        fields: dict[str, set[str]] = {}
+    def binding_fields(self, bindings: dict[str, str]) -> dict[str, dict[str, None]]:
+        """Map query bindings (alias -> table name) to their field names, in
+        schema order: the order a ``*`` expands in."""
+        fields: dict[str, dict[str, None]] = {}
         for binding, table_name in bindings.items():
             if table_name in self.tables:
-                fields[binding] = set(self.tables[table_name].schema.field_names)
+                fields[binding] = dict.fromkeys(self.tables[table_name].schema.field_names)
             elif table_name in self.views:
-                fields[binding] = set(self.views[table_name].schema.field_names)
+                fields[binding] = dict.fromkeys(self.views[table_name].schema.field_names)
             else:
                 raise QueryError(f"unknown table {table_name!r} in query")
         return fields

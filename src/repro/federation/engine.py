@@ -946,10 +946,15 @@ class FederatedEngine:
         mode: SearchMode = SearchMode.FULL,
         limit: int = 10,
     ):
-        """Ranked IR search over a table's registered text index."""
+        """Ranked IR search over a table's registered text index.  A write
+        notified since the index was built dropped it (see
+        :meth:`FederationCatalog.notify_table_updated`)."""
         entry = self.catalog.entry(table_name)
         if entry.text_index is None:
-            raise QueryError(f"table {table_name!r} has no text index")
+            raise QueryError(
+                f"table {table_name!r} has no text index: none was built, or "
+                "it predates a write; build_text_index rebuilds it"
+            )
         search = CatalogSearch(
             entry.text_index,
             synonyms=self.synonyms,

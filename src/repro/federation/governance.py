@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Collection
 
 from repro.core.errors import QueryError, QueryRejectedError
 from repro.sql.ast import Expr, columns_in
@@ -477,7 +477,7 @@ class GovernanceRegistry:
         return self._signatures.get(tenant)
 
     def injection_pass(
-        self, tenant: str | None, scope: dict[str, set[str]]
+        self, tenant: str | None, scope: dict[str, Collection[str]]
     ) -> GovernanceInjection | None:
         """The rewrite pass enforcing ``tenant``'s policy over a statement
         of the resolved ``scope`` (binding -> field names), or None."""

@@ -1,4 +1,4 @@
-"""A small, tolerant HTML tree builder and DOM.
+"""A small, tolerant HTML tree builder.
 
 The paper's Cohera Connect wraps supplier *web sites*: wrappers "can operate
 either on regular expressions or by navigating the Document Object Model
@@ -9,11 +9,12 @@ tree, and it is deliberately tolerant: it never raises on malformed markup,
 it recovers the most plausible tree, exactly what a commercial screen-scraper
 needs.
 
-Use :func:`parse_html` to get an :class:`~repro.htmlkit.dom.Element` tree,
-then navigate with ``find``/``find_all``/``select``.
+Use :func:`parse_html` to get the :class:`~repro.xmlkit.model.XmlElement`
+tree that :func:`~repro.xmlkit.parser.parse_xml` builds for contract feeds,
+then navigate with ``find``/``find_all``/``select``: one element tree, two
+parsers, chosen by the input.  HTML comments are not kept.
 """
 
-from repro.htmlkit.dom import Comment, Element, Node, TextNode
 from repro.htmlkit.parser import parse_html
 
-__all__ = ["Comment", "Element", "Node", "TextNode", "parse_html"]
+__all__ = ["parse_html"]

@@ -3,7 +3,9 @@
 Supplier sites in the simulated web (and in the real world the paper
 describes) emit imperfect HTML.  :class:`html.parser.HTMLParser` reads the
 characters -- tags, quoted and unquoted attributes, entities, comments and
-``<script>``/``<style>`` raw text -- and this module builds the tree.  It
+``<script>``/``<style>`` raw text -- and this module builds the
+:class:`~repro.xmlkit.model.XmlElement` tree the strict XML parser builds,
+with one text child per run of character data (comments are not kept).  It
 never raises on malformed markup; its recovery rules are the pragmatic
 subset a screen-scraper needs:
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from html.parser import HTMLParser
 
-from repro.htmlkit.dom import Comment, Element, TextNode
+from repro.xmlkit.model import XmlElement
 
 VOID_ELEMENTS = frozenset(
     {"area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -41,15 +43,15 @@ IMPLICIT_CLOSERS: dict[str, frozenset[str]] = {
 class _TreeBuilder(HTMLParser):
     def __init__(self) -> None:
         super().__init__()
-        self.root = Element("document")
-        self.stack: list[Element] = [self.root]
+        self.root = XmlElement("document")
+        self.stack: list[XmlElement] = [self.root]
 
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         closers = IMPLICIT_CLOSERS.get(tag)
         if closers:
             while len(self.stack) > 1 and self.stack[-1].tag in closers:
                 self.stack.pop()
-        element = Element(tag, {name: value or "" for name, value in attrs})
+        element = XmlElement(tag, {name: value or "" for name, value in attrs})
         self.stack[-1].append(element)
         if tag not in VOID_ELEMENTS:
             self.stack.append(element)
@@ -61,10 +63,7 @@ class _TreeBuilder(HTMLParser):
                 return
 
     def handle_data(self, data: str) -> None:
-        self.stack[-1].append(TextNode(data))
-
-    def handle_comment(self, data: str) -> None:
-        self.stack[-1].append(Comment(data))
+        self.stack[-1].append(data)
 
     def close(self) -> None:
         super().close()
@@ -74,8 +73,8 @@ class _TreeBuilder(HTMLParser):
             self.rawdata = ""
 
 
-def parse_html(markup: str) -> Element:
-    """Parse ``markup`` into a DOM tree rooted at a synthetic ``document``.
+def parse_html(markup: str) -> XmlElement:
+    """Parse ``markup`` into a tree rooted at a synthetic ``document``.
 
     Always succeeds; malformed input yields the best-effort tree described
     in the module docstring.

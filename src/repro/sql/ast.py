@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Collection, Iterator, Union
 
 from repro.core.errors import BindError
 
@@ -321,6 +321,6 @@ class SelectStatement:
     has_subqueries: bool = field(default=False, compare=False, repr=False)
     # Stamped by ``repro.sql.planner.resolve``: each FROM binding's field
     # names; ``None`` until the statement's names are resolved.
-    scope: "dict[str, set[str]] | None" = field(
+    scope: "dict[str, Collection[str]] | None" = field(
         default=None, compare=False, repr=False
     )

@@ -32,7 +32,7 @@ aggregate node over the scan whose states the join carries up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from repro.connect.source import Predicate
 from repro.core.errors import BindError, QueryError
@@ -413,7 +413,7 @@ def owner(expr: Expr) -> str | None:
 
 def resolve(
     statement: SelectStatement,
-    binding_fields: Callable[[dict[str, str]], dict[str, set[str]]],
+    binding_fields: Callable[[dict[str, str]], dict[str, Collection[str]]],
 ) -> SelectStatement:
     """``statement`` with every column resolved to the binding that holds
     it: the one place a name is looked up.
@@ -426,9 +426,10 @@ def resolve(
     as sqlite3 reads it (a column wins over an alias, and GROUP BY never
     names an aggregate, nor an aggregate an aliased one).  An integer
     literal in ORDER BY or GROUP BY is a 1-based output position, as in
-    sqlite3 (a ``?`` stays an expression).  ORDER BY reads the select
-    aliases first, and above an aggregate nothing but its output columns;
-    each ``IN (SELECT ...)`` is resolved in its own scope.
+    sqlite3, counted through each ``*`` as it expands (a ``?`` stays an
+    expression).  ORDER BY reads the select aliases first, and above an
+    aggregate nothing but its output columns; each ``IN (SELECT ...)`` is
+    resolved in its own scope.
     An unknown name, an unknown qualifier or a bare name two bindings hold
     raises :class:`QueryError` naming the column and the bindings searched.
     The copy carries its scope (binding -> field names) as ``scope``.
@@ -450,14 +451,15 @@ def resolve(
         SelectItem(_resolved(item.expr, scope, binding_fields), item.alias)
         for item in statement.items
     ]
+    listed, shown = _expanded(statement.items, scope), _expanded(items, scope)
     # A GROUP BY position names its select item; a bare name no binding
     # holds, there or in HAVING, the select item it aliases.
     group_by = []
     for g in statement.group_by:
-        if (i := _position(g, items, "GROUP BY")) is None:
+        if (i := _position(g, listed, "GROUP BY")) is None:
             g = _aliased(g, scope, statement.items, "in GROUP BY")
         else:
-            g = _item(statement.items[i], f"GROUP BY position {i + 1}", "in GROUP BY")
+            g = _item(listed[i], f"GROUP BY position {i + 1}", "in GROUP BY")
         group_by.append(_resolved(g, scope, binding_fields))
     having = _aliased(statement.having, scope, statement.items, None)
     # A key naming no item reads the FROM clause, as the Sort below the
@@ -465,15 +467,15 @@ def resolve(
     order_by = []
     if statement.order_by:
         aggregated = bool(group_by) or any(contains_aggregate(i.expr) for i in items)
-        names = item_names(items) if aggregated else None
+        names = item_names(shown) if aggregated else None
         for order in statement.order_by:
-            expr, i = order.expr, _named_item(order.expr, items, aggregated)
+            expr, i = order.expr, _named_item(order.expr, shown, aggregated)
             if aggregated:
                 expr = _output_column(expr, names) if i is None else Column(names[i])
             elif i is None:
                 expr = _resolved(expr, scope, binding_fields)
             else:
-                expr = items[i].expr
+                expr = shown[i].expr
             order_by.append(OrderItem(expr, order.descending))
     return replace(
         statement,
@@ -487,7 +489,7 @@ def resolve(
     )
 
 
-def _resolved(expr: Expr | None, scope: dict[str, set[str]], binding_fields):
+def _resolved(expr: Expr | None, scope: dict[str, Collection[str]], binding_fields):
     """A copy of ``expr`` with each column's binding set (see :func:`resolve`)."""
     if isinstance(expr, Column):
         return Column(expr.name, expr.qualifier, _owner(expr, scope))
@@ -536,25 +538,39 @@ def _item(item: SelectItem, name: str, nesting: str | None) -> Expr:
     return item.expr
 
 
+def _expanded(items: list[SelectItem], scope: dict[str, Collection[str]]) -> list[SelectItem]:
+    """``items`` with each ``*`` / ``alias.*`` spelled as the columns it
+    stands for, bindings in FROM order and each binding's fields in schema
+    order, as :func:`repro.federation.coordinator_ops.expand_items` expands
+    it for the projection."""
+    expanded = []
+    for item in items:
+        if not isinstance(item.expr, Star):
+            expanded.append(item)
+            continue
+        for binding, fields in scope.items():
+            if item.expr.qualifier in (None, binding):
+                expanded += [SelectItem(Column(name, binding, binding)) for name in fields]
+    return expanded
+
+
 def _position(expr: Expr, items: list[SelectItem], clause: str) -> int | None:
     """The index of the select item an ORDER BY or GROUP BY term names by
     its 1-based output position, as sqlite3 reads an integer literal (and
     ``-k``) there; ``None`` for any other term, a ``?`` among them.  Out of
-    range, or counting past a ``*`` (expanded at run time), it raises."""
+    range it raises."""
     literal, sign = expr, 1
     if isinstance(expr, UnaryOp) and expr.op == "-":
         literal, sign = expr.operand, -1
     if not isinstance(literal, Literal) or type(literal.value) is not int:
         return None
     position = sign * literal.value
-    if position > 0 and any(isinstance(item.expr, Star) for item in items[:position]):
-        raise QueryError(f"{clause} position {position} counts past '*'")
     if not 1 <= position <= len(items):
         raise QueryError(f"{clause} position {position} is not in 1..{len(items)}")
     return position - 1
 
 
-def _owner(column: Column, scope: dict[str, set[str]]) -> str:
+def _owner(column: Column, scope: dict[str, Collection[str]]) -> str:
     """The binding in ``scope`` that holds ``column``, or a QueryError."""
     if column.qualifier is not None:
         fields = scope.get(column.qualifier)

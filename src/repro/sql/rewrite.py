@@ -35,7 +35,7 @@ change query answers (sqlite3 referees that in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.connect.source import Predicate
 from repro.core.errors import QueryError
@@ -418,7 +418,7 @@ class GovernanceInjection(RewritePass):
 
     rules: dict[str, GovernanceRule] = field(default_factory=dict)
     # The resolved statement's scope: each binding's field names.
-    scope: dict[str, set[str]] = field(default_factory=dict)
+    scope: dict[str, Collection[str]] = field(default_factory=dict)
 
     def run(self, plan: PlanNode) -> PlanNode:
         for scan in scans_in(plan):

@@ -4,7 +4,10 @@ Characteristic 6 requires content integration engines to answer "emerging
 XML-based query access like XQuery ... in the meantime ... XPath and XSLT".
 This package supplies the XML machinery the rest of the system uses:
 
-* :class:`~repro.xmlkit.model.XmlElement` -- an ordered element tree.
+* :class:`~repro.xmlkit.model.XmlElement` -- the one ordered element tree
+  for markup: the strict XML parser and the tolerant HTML parser
+  (:func:`repro.htmlkit.parse_html`) both build it, wrappers navigate it
+  with ``find``/``select``, and XPath and XQuery read it.
 * :func:`~repro.xmlkit.parser.parse_xml` -- a strict tree builder over
   :mod:`xml.parsers.expat`, which checks well-formedness (unlike the
   tolerant HTML parser: B2B XML feeds are contracts, so errors must

@@ -1,14 +1,17 @@
-"""The XML element tree used throughout the system.
+"""The element tree used throughout the system, for XML and HTML alike.
 
 An :class:`XmlElement` holds a tag, attributes, and an ordered list of
 children that are either nested elements or text strings.  This mixed child
 list preserves document order, which matters both for XPath positional
-predicates and for faithful serialization of B2B documents.
+predicates and for faithful serialization of B2B documents.  Scraped HTML
+parses into the same tree, so the navigation a wrapper needs (``find``,
+``find_all``, a tiny CSS-like ``select``, ``get_text``) lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Callable, Iterator
 
 
 def xml_escape(text: str, quote: bool = False) -> str:
@@ -77,20 +80,70 @@ class XmlElement:
                 yield child
                 yield from child.iter_descendants()
 
+    def find_all(
+        self,
+        tag: str | None = None,
+        attrs: dict[str, str] | None = None,
+        class_name: str | None = None,
+        predicate: Callable[["XmlElement"], bool] | None = None,
+    ) -> list["XmlElement"]:
+        """The descendant elements matching every criterion given, in
+        document order."""
+        return [
+            element
+            for element in self.iter_descendants()
+            if (tag is None or element.tag == tag)
+            and (attrs is None or all(element.attrs.get(k) == v for k, v in attrs.items()))
+            and (class_name is None or class_name in element.classes)
+            and (predicate is None or predicate(element))
+        ]
+
+    def find(
+        self,
+        tag: str | None = None,
+        attrs: dict[str, str] | None = None,
+        class_name: str | None = None,
+        predicate: Callable[["XmlElement"], bool] | None = None,
+    ) -> "XmlElement | None":
+        """The first matching descendant element, or None."""
+        for element in self.find_all(tag, attrs, class_name, predicate):
+            return element
+        return None
+
+    def select(self, selector: str) -> list["XmlElement"]:
+        """The descendants a tiny CSS-like selector names: ``tag``,
+        ``.class``, ``#id``, ``*`` and their compounds (``td.price``), joined
+        by whitespace descendant combinators (``table.catalog tr td``)."""
+        compounds = selector.split()
+        current = [self] if compounds else []
+        for compound in compounds:
+            tag, *conditions = re.split(r"(?=[.#])", compound)
+            found: dict[int, XmlElement] = {}  # by identity: equal nodes are distinct
+            for scope in current:
+                for element in scope.iter_descendants():
+                    if (tag in ("", "*") or element.tag == tag) and all(
+                        (c[1:] in element.classes) if c[0] == "." else element.get("id") == c[1:]
+                        for c in conditions
+                    ):
+                        found.setdefault(id(element), element)
+            current = list(found.values())
+        return current
+
+    @property
+    def classes(self) -> list[str]:
+        return self.attrs.get("class", "").split()
+
     @property
     def text(self) -> str:
         """Direct text content (immediate string children, concatenated)."""
         return "".join(c for c in self.children if isinstance(c, str))
 
-    def full_text(self) -> str:
-        """All text in this subtree, in document order."""
-        pieces = []
-        for child in self.children:
-            if isinstance(child, str):
-                pieces.append(child)
-            else:
-                pieces.append(child.full_text())
-        return "".join(pieces)
+    def get_text(self, separator: str = "", strip: bool = True) -> str:
+        """The text of this subtree in document order: each non-empty text
+        child (stripped, when ``strip``) joined by ``separator``."""
+        pieces: list[str] = []
+        _gather_text(self, pieces, strip)
+        return separator.join(pieces)
 
     def get(self, name: str, default: str | None = None) -> str | None:
         return self.attrs.get(name, default)
@@ -143,3 +196,14 @@ class XmlElement:
 
     def __repr__(self) -> str:
         return f"XmlElement(<{self.tag}>, attrs={self.attrs!r}, children={len(self.children)})"
+
+
+def _gather_text(element: XmlElement, pieces: list[str], strip: bool) -> None:
+    for child in element.children:
+        if isinstance(child, str):
+            if strip:
+                child = child.strip()
+            if child:
+                pieces.append(child)
+        else:
+            _gather_text(child, pieces, strip)

@@ -152,19 +152,19 @@ def _element_matches(element: XmlElement, predicate: _Predicate) -> bool:
         return element.first(predicate.name) is not None
     if predicate.kind == "child-eq":
         return any(
-            child.full_text() == predicate.value
+            child.get_text(strip=False) == predicate.value
             for child in element.child_elements(predicate.name)
         )
     if predicate.kind == "text-eq":
-        return element.full_text() == predicate.value
+        return element.get_text(strip=False) == predicate.value
     if predicate.kind == "contains-attr":
         value = element.attrs.get(predicate.name)
         return value is not None and predicate.value in value
     if predicate.kind == "contains-text":
-        return predicate.value in element.full_text()
+        return predicate.value in element.get_text(strip=False)
     if predicate.kind == "contains-child":
         return any(
-            predicate.value in child.full_text()
+            predicate.value in child.get_text(strip=False)
             for child in element.child_elements(predicate.name)
         )
     raise AssertionError(f"positional predicate {predicate.kind} handled elsewhere")
@@ -224,7 +224,7 @@ def xpath(root: XmlElement, path: str) -> list[XmlElement] | list[str]:
         if step.test == "text()":
             if step_index != len(steps) - 1:
                 raise XPathError("text() step must be final")
-            return [e.full_text() for e in context]
+            return [e.get_text(strip=False) for e in context]
         if step.test == ".":
             context = _apply_predicates(context, step.predicates)
             continue

@@ -89,7 +89,7 @@ def _value_of(item: XmlElement, var: str, expr: str):
     if rest.startswith("/"):
         rest = rest[1:]
     if not rest:
-        return item.full_text()
+        return item.get_text(strip=False)
     try:
         results = xpath(item, rest)
     except XPathError as error:
@@ -97,7 +97,7 @@ def _value_of(item: XmlElement, var: str, expr: str):
     if not results:
         return None
     first = results[0]
-    return first if isinstance(first, str) else first.full_text()
+    return first if isinstance(first, str) else first.get_text(strip=False)
 
 
 def _coerce_pair(a, b):

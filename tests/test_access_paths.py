@@ -588,6 +588,9 @@ GONE = {
     "TextIndexRewrite", "ScanNode.text_filter", "_text_condition", "_text_targets",
     "_demote_masked_text_filter", "TableEntry.key_column",
     "TableEntry.text_column",  # a second evaluator of match: it is one predicate
+    "Node", "Element", "TextNode", "Comment", "full_text", "has_class", "element_id",
+    "iter_descendant_elements",
+    "_matches_simple_selector",  # a second element tree: HTML parses into XmlElement
 }  # fmt: skip
 # The retry budget and backoff schedule of scan-level failover.
 RETRY_CONSTANTS = ("RETRY_BUDGET", "BACKOFF_BASE_SECONDS", "BACKOFF_MULTIPLIER",
@@ -640,7 +643,7 @@ GUARDS = [
     ("stays_deleted-every-definition-is-named",
      "a public definition under src/ is named by src/, a bench or an example",
      unnamed, {"src/repro/htmlkit/parser.py:_TreeBuilder." + name for name in (
-         "handle_starttag", "handle_endtag", "handle_comment")}),  # HTMLParser callbacks
+         "handle_starttag", "handle_endtag")}),  # HTMLParser callbacks
     ("one_value-every-option-is-set",
      "a public __init__ option under federation/ or ir/ is set by a shipped caller",
      unset_options, set(UNSET_OPTIONS)),

@@ -863,7 +863,8 @@ def test_group_by_and_having_read_a_select_alias(entry, text, name):
 # every entry, and the fragment of its message that names the form.  (The
 # other rows answer differently rather than refuse: booleans render as
 # Python's, NaN compares false, and an incomparable pair in a later AND
-# conjunct raises on the row path but not in a filter kernel.)
+# conjunct raises on the row path but not in a filter kernel.  The ranked
+# search row is no statement: test_ranked_search_refuses_after_a_write.)
 
 DIVERGENCES = [
     ("no CASE", "select case when v > 1 then 1 else 0 end from t",
@@ -889,10 +890,8 @@ DIVERGENCES = [
     ("||", "select s || 'x' from t", SqlLexError, "'|'"),
     ("a bare column beside an aggregate", "select s, count(*) from t",
      QueryError, "select item s is neither aggregated nor grouped"),
-    ("an ORDER BY position past *", "select * from t order by 2",
-     QueryError, "ORDER BY position 2 counts past '*'"),
     ("a GROUP BY position past *", "select * from t group by 2",
-     QueryError, "GROUP BY position 2 counts past '*'"),
+     QueryError, "'*' cannot appear with GROUP BY/aggregates"),
 ]  # fmt: skip
 
 
@@ -912,8 +911,9 @@ def test_a_divergence_is_a_typed_refusal_where_sqlite_answers(
 
 
 # -- ordinals through every entry ---------------------------------------------
-# An ordinal answers, and a position out of range or naming an aggregate in
-# GROUP BY is refused, through every entry as sqlite3 does.  A ``?`` there
+# An ordinal answers, counting through a ``*`` as sqlite3 expands it, and a
+# position out of range or naming an aggregate in GROUP BY is refused,
+# through every entry as sqlite3 does.  A ``?`` there
 # stays an expression: a template's ``order by ?`` sorts by the constant it
 # binds, while the inlined text's ``order by 2`` is an ordinal.
 
@@ -927,6 +927,10 @@ ORDINAL_ENTRIES = [
     (sql("select k as c0 from t order by -1"), -1),
     (sql("select s as c0, count(*) as c1 from t group by 2"), 2),
     (sql("select s as c0, count(*) as c1 from t group by 3"), 3),
+    (sql("select * from t order by 2 desc, 1"), None),
+    (sql("select k as c0, * from t order by 3 desc, 1 limit ", literal(2)), None),
+    (sql("select t.*, u.w from t join u on t.k = u.k order by 6 desc, 1"), None),
+    (sql("select * from t order by 6"), 6),
 ]  # fmt: skip
 
 
@@ -1039,7 +1043,16 @@ def test_match_answers_from_the_written_rows(entry):
     text = sql("select sku from parts where match(name, ", literal("drill"), ")")
     statement = Statement(text, (str,))
     assert_fts5_answers(ask(engine, entry, statement), statement)
-    catalog, (columns, rows) = engine.catalog, PARTS["parts"]
+    written = write_hammer_drill(engine)
+    got = ask(engine, entry, statement)
+    assert_fts5_answers(got, statement, {"parts": (PARTS["parts"][0], written)})
+    assert ("A-9",) in got[1]
+
+
+def write_hammer_drill(engine):
+    """Re-host fragment f0 with one more row, ``A-9 hammer drill``, tell the
+    catalog, and return the table's rows after the write."""
+    catalog, rows = engine.catalog, PARTS["parts"][1]
     parts = catalog.entry("parts")
     fragment = parts.fragments[0]
     hammer = ("A-9", "hammer drill", 40.0)
@@ -1047,6 +1060,21 @@ def test_match_answers_from_the_written_rows(entry):
     for site_name, local_name in fragment.replicas.items():
         catalog.site(site_name).host(StaticSource(local_name, table), local_name)
     catalog.notify_table_updated("parts", fragment.fragment_id)
-    got = ask(engine, entry, statement)
-    assert_fts5_answers(got, statement, {"parts": (columns, [*rows, hammer])})
-    assert ("A-9",) in got[1]
+    return [*rows, hammer]
+
+
+def test_ranked_search_refuses_after_a_write():
+    """The text index holds the rows it was built from: after a write,
+    ``match`` answers from the written rows and ranked search refuses until
+    the index is rebuilt, rather than answer from the rows as loaded."""
+    engine = parts_engine()
+    assert [hit.doc_id for hit in engine.search("parts", "hammer")] == []
+    written = write_hammer_drill(engine)
+    assert engine.query("select sku from parts where match(name, 'hammer')").table.rows == [
+        ("A-9",)
+    ]
+    with pytest.raises(QueryError, match="predates a write; build_text_index rebuilds"):
+        engine.search("parts", "hammer")
+    entry = engine.catalog.entry("parts")
+    engine.catalog.build_text_index("parts", "name", Table(entry.schema, written), "sku")
+    assert [hit.doc_id for hit in engine.search("parts", "hammer")] == ["A-9"]

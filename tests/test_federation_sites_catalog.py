@@ -199,7 +199,9 @@ class TestCatalog:
         catalog = self.make()
         catalog.load_fragmented(parts_table(), 1, [["s0"]])
         fields = catalog.binding_fields({"p": "parts"})
-        assert fields == {"p": {"sku", "name", "qty"}}
+        assert {binding: list(names) for binding, names in fields.items()} == {
+            "p": ["sku", "name", "qty"]
+        }
         with pytest.raises(QueryError):
             catalog.binding_fields({"x": "ghost"})
 

@@ -1,6 +1,7 @@
-"""Unit tests for the tolerant HTML parser and DOM navigation."""
+"""Unit tests for the tolerant HTML parser and navigation of the tree it builds."""
 
-from repro.htmlkit import Comment, Element, TextNode, parse_html
+from repro.htmlkit import parse_html
+from repro.xmlkit import XmlElement
 
 
 class TestBasicParsing:
@@ -33,12 +34,10 @@ class TestBasicParsing:
         assert p.get("title") == "a & b"
         assert p.get_text() == "x < y"
 
-    def test_comments_preserved(self):
-        doc = parse_html("<div><!-- marker --></div>")
-        comments = [
-            n for n in doc.find("div").iter_descendants() if isinstance(n, Comment)
-        ]
-        assert comments[0].text.strip() == "marker"
+    def test_comment_dropped_text_on_either_side_kept(self):
+        doc = parse_html("<p>a<!--c-->b</p>")
+        assert doc.find("p").get_text(" ") == "a b"
+        assert doc.find("p").children == ["a", "b"]
 
     def test_doctype_skipped(self):
         doc = parse_html("<!DOCTYPE html><html><body>x</body></html>")
@@ -155,8 +154,8 @@ class TestNavigation:
         doc = parse_html(self.CATALOG)
         table = doc.find("table")
         assert table.classes == ["catalog", "wide"]
-        assert table.has_class("wide")
-        assert not table.has_class("narrow")
+        assert "wide" in table.classes
+        assert "narrow" not in table.classes
 
     def test_parents_are_wired(self):
         doc = parse_html(self.CATALOG)
@@ -171,9 +170,6 @@ class TestNavigation:
 
 class TestDomPrimitives:
     def test_append_sets_parent(self):
-        parent = Element("div")
-        child = parent.append(Element("span"))
+        parent = XmlElement("div")
+        child = parent.append(XmlElement("span"))
         assert child.parent is parent
-
-    def test_textnode_repr(self):
-        assert "hi" in repr(TextNode("hi"))

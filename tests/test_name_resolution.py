@@ -110,7 +110,7 @@ def test_a_template_resolves_once_and_a_plan_cache_hit_not_at_all(monkeypatch):
     engine = make_engine()
     sql = "select sku from parts where price > ? order by sku"
     prepared = engine.prepare(sql)
-    assert prepared.statement.scope == {"parts": set(parts_schema().field_names)}
+    assert prepared.statement.scope == {"parts": dict.fromkeys(parts_schema().field_names)}
     for price in (10.0, 100.0):
         rows = engine.execute(prepared, [price]).table.rows
         assert rows == engine.query(sql.replace("?", str(price))).table.rows

@@ -2,7 +2,8 @@
 on it.
 
 ``html.parser`` tokenizes our HTML, so the cases below pin what the tree
-builder makes of the tokens.  ``csv`` reads our CSV records, but the typed
+builder makes of the tokens, and that well-formed markup builds the tree
+``expat`` builds.  ``csv`` reads our CSV records, but the typed
 cells and NULLs are ours: rows ``csv.writer`` writes must come back from
 ``read_csv`` unchanged.  XPath is still ours: a grammar of the supported
 subset is checked against ``ElementTree.findall`` on generated documents.
@@ -166,6 +167,17 @@ def test_html_quoted_gt_matches_html_parser():
     referee.close()
     (paragraph,) = parse_html(markup).children
     assert (paragraph.attrs, paragraph.get_text()) == (referee.attrs, referee.text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(document=documents())
+def test_both_parsers_build_one_tree(document):
+    """Well-formed markup reads the same through the tolerant HTML builder
+    as through the strict XML one: one element tree, whichever parser."""
+    markup = numbered(document)
+    (root,) = parse_html(markup).children
+    root.parent = None
+    assert root == parse_xml(markup), markup
 
 
 def test_csv_quoted_newline_matches_csv_reader():

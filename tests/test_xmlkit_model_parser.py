@@ -17,7 +17,7 @@ class TestXmlElement:
 
     def test_full_text_spans_subtree(self):
         root = parse_xml("<a>x<b>y</b>z</a>")
-        assert root.full_text() == "xyz"
+        assert root.get_text(strip=False) == "xyz"
         assert root.text == "xz"
 
     def test_child_elements_filter_by_tag(self):
